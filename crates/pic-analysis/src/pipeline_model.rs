@@ -1,5 +1,7 @@
-//! A faithful state-machine model of `pic_workload::generate_streaming`'s
-//! concurrent pipeline, checked exhaustively with [`crate::sched`].
+//! A faithful state-machine model of `pic_workload::sweep_streaming`'s
+//! concurrent pipeline — the one decoder → workers → merge pipeline the
+//! workload crate has; `generate_streaming_with_stats` is its one-point
+//! adapter — checked exhaustively with [`crate::sched`].
 //!
 //! The real pipeline is: a decoder thread reads frames and sends them into
 //! a bounded channel; a pool of worker threads maps frames to per-sample

@@ -34,7 +34,7 @@ fn dwg_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("streaming", ranks), &cfg, |b, cfg| {
             b.iter(|| {
                 let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
-                generator::generate_streaming(reader, cfg, None).unwrap()
+                generator::generate_streaming_with_stats(reader, cfg, None).unwrap()
             })
         });
     }

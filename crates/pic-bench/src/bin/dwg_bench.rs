@@ -12,7 +12,8 @@
 use pic_bench::{parse_thread_list, run_thread_scaling, synthetic_expanding_trace, ThreadPoint};
 use pic_mapping::{BinMapper, MappingAlgorithm, ParticleMapper, RegionIndex};
 use pic_trace::codec::{encode_trace, Precision};
-use pic_workload::generator::{self, ghost_counts_chunked, DynamicWorkload, WorkloadConfig};
+use pic_workload::generator::{self, DynamicWorkload, WorkloadConfig};
+use pic_workload::reference::ghost_counts_chunked;
 use pic_workload::soa::{ghost_counts_soa, SoAPositions};
 use serde::Serialize;
 use std::time::Instant;
@@ -121,7 +122,9 @@ fn main() {
     eprintln!("  chunked parallel:     best {:.3}s", par.best_secs);
     let (stream, w_stream) = time_path(3, || {
         let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
-        generator::generate_streaming(reader, &cfg, None).unwrap()
+        generator::generate_streaming_with_stats(reader, &cfg, None)
+            .unwrap()
+            .0
     });
     eprintln!("  pipelined streaming:  best {:.3}s", stream.best_secs);
     let mut cfg_ng = cfg.clone();

@@ -172,7 +172,9 @@ fn main() {
     if smoke {
         let identity = ReductionPlan::identity(samples);
         let w = pool.install(|| {
-            pic_workload::generate_reduced(&trace, &cfg, None, &identity).expect("identity replay")
+            pic_workload::generate_reduced_with_stats(&trace, &cfg, None, &identity)
+                .expect("identity replay")
+                .0
         });
         assert!(w == full, "identity plan diverged from the full generator");
         identity_checked = true;

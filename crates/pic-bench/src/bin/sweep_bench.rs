@@ -171,7 +171,7 @@ fn main() {
     // curve to the single-thread headline run above.
     let scaling_reps = if smoke { 1 } else { 2 };
     let thread_scaling = run_thread_scaling(&thread_list, scaling_reps, || {
-        let w = sweep::sweep(&trace, &points, Some(&mesh)).unwrap();
+        let (w, _) = sweep::sweep_with_stats(&trace, &points, Some(&mesh)).unwrap();
         assert!(
             w == w_sweep,
             "thread-scaled sweep diverged from headline run"

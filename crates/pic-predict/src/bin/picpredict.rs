@@ -438,6 +438,15 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
+/// The streaming pipeline's observability block, as `workload --stream
+/// true` and `sweep --stream true` both print it.
+fn print_ingest_stats(stats: &pic_workload::IngestStats) -> Result<()> {
+    let json = serde_json::to_string_pretty(stats)
+        .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
+    println!("ingest stats: {json}");
+    Ok(())
+}
+
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
     let ranks: usize = required(flags, "ranks")?
@@ -476,9 +485,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     // cleanly) must not propagate silently into predictions
     pic_analysis::assert_workload_valid(&w, Some(particles))?;
     if let Some(stats) = &ingest {
-        let json = serde_json::to_string_pretty(stats)
-            .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
-        println!("ingest stats: {json}");
+        print_ingest_stats(stats)?;
     }
 
     let summary = metrics::summarize(&w);
@@ -811,35 +818,36 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     let points = spec.points();
 
     let t0 = std::time::Instant::now();
-    let (workloads, stats, particles) = if streaming {
+    let (workloads, stats, ingest, particles) = if streaming {
         let file = std::fs::File::open(trace_path)?;
         let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
         let mesh = parse_mesh(flags, reader.meta().domain)?;
-        let w = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
-        (w, None, particles)
+        let (w, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
+        (w, stats, Some(ingest), particles)
     } else {
         let trace = load_trace(trace_path)?;
         let particles = trace.meta().particle_count as u64;
         let mesh = parse_mesh(flags, trace.meta().domain)?;
         let (w, stats) = pic_workload::sweep_with_stats(&trace, &points, mesh.as_ref())?;
-        (w, Some(stats), particles)
+        (w, stats, None, particles)
     };
     eprintln!(
         "sweep of {} grid point(s) generated in {:.2} s",
         points.len(),
         t0.elapsed().as_secs_f64()
     );
-    if let Some(stats) = &stats {
-        eprintln!(
-            "sharing: {} point(s) -> {} assignment group(s); {} of {} assignment passes run; {} ghost radii ({} group(s) served by one shared query)",
-            stats.points,
-            stats.groups,
-            stats.assign_passes,
-            stats.naive_assign_passes,
-            stats.ghost_radii,
-            stats.shared_query_groups,
-        );
+    eprintln!(
+        "sharing: {} point(s) -> {} assignment group(s); {} of {} assignment passes run; {} ghost radii ({} group(s) served by one shared query)",
+        stats.points,
+        stats.groups,
+        stats.assign_passes,
+        stats.naive_assign_passes,
+        stats.ghost_radii,
+        stats.shared_query_groups,
+    );
+    if let Some(ingest) = &ingest {
+        print_ingest_stats(ingest)?;
     }
     // The gate: every grid point through the full invariant catalog, with
     // (point, rank, sample)-positioned diagnostics on failure.

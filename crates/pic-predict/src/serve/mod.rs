@@ -856,7 +856,8 @@ fn sweep_reduced_gated(
             plans.insert(key, built)
         }
     };
-    let workloads = pic_workload::sweep_reduced(trace, points, mesh, &plan).map_err(semantic)?;
+    let (workloads, _) =
+        pic_workload::sweep_reduced_with_stats(trace, points, mesh, &plan).map_err(semantic)?;
     let mut budget = pic_analysis::ReductionBudget::default();
     if let Some(b) = reduced_budget {
         budget.max_peak_rel_error = b;

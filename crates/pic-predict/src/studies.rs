@@ -47,7 +47,7 @@ pub fn scalability_study(
             SweepPoint::new(cfg)
         })
         .collect();
-    let workloads = sweep::sweep(trace, &points, mesh)?;
+    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
     Ok(rank_counts
         .iter()
         .zip(workloads)
@@ -120,7 +120,7 @@ pub fn mapping_comparison(
             points.push(SweepPoint::new(cfg));
         }
     }
-    let workloads = sweep::sweep(trace, &points, mesh)?;
+    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
     Ok(points
         .iter()
         .zip(workloads)
@@ -178,7 +178,7 @@ pub fn filter_study(
             ))
         })
         .collect();
-    let workloads = sweep::sweep(trace, &points, None)?;
+    let (workloads, _) = sweep::sweep_with_stats(trace, &points, None)?;
     let mut out = Vec::with_capacity(filters.len());
     for (&filter, w) in filters.iter().zip(&workloads) {
         let max_bins = generator::unbounded_bin_series(trace, filter)?
@@ -292,7 +292,7 @@ pub fn sampling_frequency_study(
             .iter()
             .map(|&stride| SweepPoint::with_stride(cfg.clone(), stride.max(1))),
     );
-    let workloads = sweep::sweep(trace, &points, mesh)?;
+    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
     let full = &workloads[0];
     let full_peaks = full.real.peak_series();
     let mut out = Vec::with_capacity(strides.len());

@@ -1,19 +1,23 @@
-//! The workload generation pipeline (paper Fig 3).
+//! The workload generation pipeline (paper Fig 3), one configuration at
+//! a time.
 //!
 //! `generate` replays a particle trace through the configured mapping
 //! algorithm: the *Computation Load Generator* computes each particle's
 //! residing rank `R_p` per sample (plus ghost counts from projection-filter
 //! overlap), and the *Communication Load Generator* diffs consecutive
-//! samples' ownership to count migrating particles.
+//! samples' ownership to count migrating particles. The replay itself is
+//! the engine in [`crate::sweep`]; the functions here are its one-point
+//! adapters.
 
-use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::matrices::{CommMatrix, CompMatrix};
+pub use crate::reference::generate_reference;
+use crate::sweep::{sweep_streaming, sweep_with_stats, IngestStats, SweepPoint};
 use pic_grid::ElementMesh;
 use pic_mapping::{
     BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper, MappingAlgorithm, ParticleMapper,
-    RegionIndex, RegionQueryScratch,
 };
 use pic_trace::ParticleTrace;
-use pic_types::{PicError, Rank, Result};
+use pic_types::{PicError, Result};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -84,15 +88,6 @@ impl DynamicWorkload {
     }
 }
 
-/// Per-sample intermediate result (shared with the reduced-replay path).
-pub(crate) struct SampleOutcome {
-    pub(crate) real: Vec<u32>,
-    pub(crate) ghost_recv: Vec<u32>,
-    pub(crate) ghost_sent: Vec<u32>,
-    pub(crate) bin_count: Option<usize>,
-    pub(crate) owners: Vec<Rank>,
-}
-
 /// Run the Dynamic Workload Generator over a trace.
 ///
 /// Samples are processed in parallel; the result is identical to the
@@ -122,53 +117,30 @@ pub fn generate(trace: &ParticleTrace, cfg: &WorkloadConfig) -> Result<DynamicWo
 
 /// Like [`generate`], but with an explicit mesh for element-based and
 /// Hilbert mappings (required for those algorithms; ignored by bin-based).
+/// A single configuration is a sweep of one point.
 pub fn generate_with_mesh(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,
     mesh: Option<&ElementMesh>,
 ) -> Result<DynamicWorkload> {
-    let mapper = build_mapper(cfg, mesh)?;
+    let (mut workloads, _) = sweep_with_stats(trace, &[SweepPoint::new(cfg.clone())], mesh)?;
+    Ok(workloads.pop().expect("one point in, one workload out"))
+}
 
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
-    let outcomes: Vec<SampleOutcome> = pic_types::pool::install(|| {
-        samples
-            .par_iter()
-            .map(|s| process_sample(&s.positions, mapper.as_ref(), cfg))
-            .collect()
-    });
-
-    let mut real = CompMatrix::new(cfg.ranks);
-    let mut ghost_recv = CompMatrix::new(cfg.ranks);
-    let mut ghost_sent = CompMatrix::new(cfg.ranks);
-    let mut bin_counts = Vec::with_capacity(outcomes.len());
-    for o in &outcomes {
-        real.push_sample(&o.real);
-        ghost_recv.push_sample(&o.ghost_recv);
-        ghost_sent.push_sample(&o.ghost_sent);
-        bin_counts.push(o.bin_count);
-    }
-
-    // Communication Load Generator: diff consecutive ownership snapshots.
-    let mut comm = CommMatrix::with_samples(outcomes.len());
-    let diffs: Vec<Vec<(u32, u32, u32)>> = pic_types::pool::install(|| {
-        (1..outcomes.len())
-            .into_par_iter()
-            .map(|t| migration_pairs(&outcomes[t - 1].owners, &outcomes[t].owners))
-            .collect()
-    });
-    for (t, d) in diffs.into_iter().enumerate() {
-        comm.entries[t + 1] = d;
-    }
-
-    Ok(DynamicWorkload {
-        ranks: cfg.ranks,
-        iterations: trace.iterations(),
-        real,
-        ghost_recv,
-        ghost_sent,
-        comm,
-        bin_counts,
-    })
+/// Streaming workload generation for traces larger than memory: the
+/// one-point form of [`sweep_streaming`], bit-identical to [`generate`],
+/// with the pipeline's [`IngestStats`] observability block.
+pub fn generate_streaming_with_stats<S: pic_trace::SampleSource + Send>(
+    reader: S,
+    cfg: &WorkloadConfig,
+    mesh: Option<&ElementMesh>,
+) -> Result<(DynamicWorkload, IngestStats)> {
+    let (mut workloads, _, ingest) =
+        sweep_streaming(reader, &[SweepPoint::new(cfg.clone())], mesh)?;
+    Ok((
+        workloads.pop().expect("one point in, one workload out"),
+        ingest,
+    ))
 }
 
 /// Construct the mapper the configuration selects (mesh-requiring
@@ -202,526 +174,10 @@ pub(crate) fn build_mapper(
     })
 }
 
-/// Decoded frames in flight between pipeline stages. Bounds resident
-/// memory to `O(PIPELINE_DEPTH + workers)` samples regardless of trace
-/// length, preserving the streaming path's reason to exist.
-const PIPELINE_DEPTH: usize = 4;
-
-/// Observability counters from one [`generate_streaming`] run: how much
-/// was ingested and where the pipeline's time went. Exposed because a
-/// full-scale ingest runs for hours over hundreds of gigabytes (§II-D) —
-/// "is it the disk, the decode, or the ghost kernel?" must be answerable
-/// from the stats block alone.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct IngestStats {
-    /// Frames successfully decoded and folded into the workload.
-    pub frames_decoded: usize,
-    /// Bytes consumed from the trace stream, header included.
-    pub bytes_read: u64,
-    /// Wall-clock seconds the decoder thread spent inside `read_sample`.
-    pub decode_seconds: f64,
-    /// Summed busy seconds across workers in the mapping + ghost kernel.
-    pub ghost_seconds: f64,
-    /// Wall-clock seconds the consumer spent merging outcomes in order
-    /// (including the sequential migration diff).
-    pub merge_seconds: f64,
-}
-
-/// Streaming workload generation: consume trace frames from any
-/// [`SampleSource`](pic_trace::SampleSource) — raw
-/// [`TraceReader`](pic_trace::TraceReader), delta-encoded
-/// `CompactReader`, or the magic-sniffing `AnyTraceReader` — through a
-/// bounded three-stage
-/// pipeline, holding only a handful of samples in memory at once.
-///
-/// This is the path for the paper's §II-D regime — full-scale traces run
-/// to hundreds of gigabytes, far beyond memory. A decoder thread pulls
-/// frames off the reader via [`pic_trace::SampleSource::read_sample`] and feeds
-/// a bounded channel; a pool of workers maps samples through the same
-/// per-sample kernel as [`generate`]; the caller's thread merges worker results back into
-/// trace order and computes the sequential communication diff (frame `t`'s
-/// diff needs frame `t-1`'s ownership, so the merge is the one inherently
-/// serial stage). Out-of-order worker completions are reordered by sample
-/// index before folding, so the output is bit-identical to [`generate`]
-/// and to a straight-line sequential replay.
-///
-/// On a malformed or failing stream the decoder thread stops at the first
-/// error, the workers drain whatever was already queued and exit, the
-/// merge completes over the cleanly decoded prefix, and the decoder's
-/// *positioned* error is returned. Every pipeline thread is joined before
-/// this function returns: a corrupt trace fails the run, it cannot hang
-/// it.
-pub fn generate_streaming<S: pic_trace::SampleSource + Send>(
-    reader: S,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-) -> Result<DynamicWorkload> {
-    generate_streaming_with_stats(reader, cfg, mesh).map(|(workload, _)| workload)
-}
-
-/// Terminal state handed back by the decoder thread: its status plus the
-/// ingestion counters only it can observe.
-struct DecoderReport {
-    status: Result<()>,
-    frames: usize,
-    bytes: u64,
-    seconds: f64,
-}
-
-/// [`generate_streaming`], additionally returning the [`IngestStats`]
-/// observability block.
-pub fn generate_streaming_with_stats<S: pic_trace::SampleSource + Send>(
-    mut reader: S,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-) -> Result<(DynamicWorkload, IngestStats)> {
-    let mapper = build_mapper(cfg, mesh)?;
-    let mapper: &dyn ParticleMapper = mapper.as_ref();
-    // Worker count follows the shared-pool policy: an ambient install (a
-    // bench's `--threads` override) wins, otherwise the shared pool's
-    // `RAYON_NUM_THREADS`-aware size applies.
-    let workers = pic_types::pool::install(rayon::current_num_threads).max(1);
-    let ghost_nanos = std::sync::atomic::AtomicU64::new(0);
-    let ghost_nanos = &ghost_nanos;
-
-    std::thread::scope(|scope| -> Result<(DynamicWorkload, IngestStats)> {
-        let (frame_tx, frame_rx) =
-            crossbeam::channel::bounded::<(usize, pic_trace::TraceSample)>(PIPELINE_DEPTH);
-        let (out_tx, out_rx) =
-            crossbeam::channel::bounded::<(usize, u64, SampleOutcome)>(PIPELINE_DEPTH + workers);
-
-        let decoder = scope.spawn(move || -> DecoderReport {
-            let mut seconds = 0.0;
-            let mut frames = 0usize;
-            let status = loop {
-                let t0 = std::time::Instant::now();
-                let next = reader.read_sample();
-                seconds += t0.elapsed().as_secs_f64();
-                match next {
-                    Ok(Some(frame)) => {
-                        // A send error means every worker hung up; stop.
-                        if frame_tx.send((frames, frame)).is_err() {
-                            break Ok(());
-                        }
-                        frames += 1;
-                    }
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            DecoderReport {
-                status,
-                frames,
-                bytes: reader.bytes_read(),
-                seconds,
-            }
-        });
-
-        for _ in 0..workers {
-            let rx = frame_rx.clone();
-            let tx = out_tx.clone();
-            scope.spawn(move || {
-                // Sample-level fan-out is the parallelism here; pin each
-                // worker's intra-sample ghost kernel to one thread so the
-                // stages don't oversubscribe each other.
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(1)
-                    .build()
-                    .unwrap();
-                while let Ok((i, frame)) = rx.recv() {
-                    let t0 = std::time::Instant::now();
-                    let outcome = pool.install(|| process_sample(&frame.positions, mapper, cfg));
-                    ghost_nanos.fetch_add(
-                        t0.elapsed().as_nanos() as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    if tx.send((i, frame.iteration, outcome)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(frame_rx);
-        drop(out_tx);
-
-        let mut real = CompMatrix::new(cfg.ranks);
-        let mut ghost_recv = CompMatrix::new(cfg.ranks);
-        let mut ghost_sent = CompMatrix::new(cfg.ranks);
-        let mut bin_counts = Vec::new();
-        let mut iterations = Vec::new();
-        let mut comm_entries: Vec<Vec<(u32, u32, u32)>> = Vec::new();
-        let mut prev_owners: Option<Vec<Rank>> = None;
-        let mut merge_seconds = 0.0;
-        // Reorder buffer: results stall here until their predecessors
-        // land. Its size is bounded by the channel capacities above.
-        let mut pending: std::collections::BTreeMap<usize, (u64, SampleOutcome)> =
-            std::collections::BTreeMap::new();
-        let mut next = 0usize;
-        while let Ok((i, iteration, outcome)) = out_rx.recv() {
-            let t0 = std::time::Instant::now();
-            pending.insert(i, (iteration, outcome));
-            while let Some((iteration, outcome)) = pending.remove(&next) {
-                real.push_sample(&outcome.real);
-                ghost_recv.push_sample(&outcome.ghost_recv);
-                ghost_sent.push_sample(&outcome.ghost_sent);
-                bin_counts.push(outcome.bin_count);
-                iterations.push(iteration);
-                comm_entries.push(match &prev_owners {
-                    Some(prev) => migration_pairs(prev, &outcome.owners),
-                    None => Vec::new(),
-                });
-                prev_owners = Some(outcome.owners);
-                next += 1;
-            }
-            merge_seconds += t0.elapsed().as_secs_f64();
-        }
-        // out_rx closed ⇒ every worker has already exited; the decoder is
-        // done too (its channel has no readers left). Joining here cannot
-        // block on a stalled stream, so surfacing the decode error
-        // (truncated frame, I/O failure) is hang-free by construction.
-        let report = decoder.join().expect("trace decoder thread panicked");
-        report.status?;
-
-        let stats = IngestStats {
-            frames_decoded: report.frames,
-            bytes_read: report.bytes,
-            decode_seconds: report.seconds,
-            ghost_seconds: ghost_nanos.load(std::sync::atomic::Ordering::Relaxed) as f64 * 1e-9,
-            merge_seconds,
-        };
-        Ok((
-            DynamicWorkload {
-                ranks: cfg.ranks,
-                iterations,
-                real,
-                ghost_recv,
-                ghost_sent,
-                comm: CommMatrix {
-                    entries: comm_entries,
-                },
-                bin_counts,
-            },
-            stats,
-        ))
-    })
-}
-
 /// Particles per parallel work item in the ghost kernel. Large enough to
 /// amortize one scratch + two partial-histogram allocations per chunk,
 /// small enough that short traces still fan out across cores.
 pub(crate) const GHOST_CHUNK: usize = 2048;
-
-pub(crate) fn process_sample(
-    positions: &[pic_types::Vec3],
-    mapper: &dyn ParticleMapper,
-    cfg: &WorkloadConfig,
-) -> SampleOutcome {
-    // One SoA transpose per sample feeds both the mapper's vectorized
-    // assignment pass and the grouped matrix ghost kernel. Mappers without
-    // a native SoA path (bin-based) keep the AoS slice — their default
-    // `assign_soa` would only reconstitute it.
-    let soa = crate::soa::SoAPositions::from_positions(positions);
-    let outcome = if mapper.supports_soa() {
-        mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-    } else {
-        mapper.assign(positions)
-    };
-    let mut real = vec![0u32; cfg.ranks];
-    for r in &outcome.ranks {
-        real[r.index()] += 1;
-    }
-    let (ghost_recv, ghost_sent) = if cfg.compute_ghosts {
-        let index = RegionIndex::build(&outcome.rank_regions);
-        crate::soa::ghost_counts_soa(
-            &soa,
-            &outcome.ranks,
-            &index,
-            cfg.projection_filter,
-            cfg.ranks,
-        )
-    } else {
-        (vec![0u32; cfg.ranks], vec![0u32; cfg.ranks])
-    };
-    SampleOutcome {
-        real,
-        ghost_recv,
-        ghost_sent,
-        bin_count: outcome.bin_count,
-        owners: outcome.ranks,
-    }
-}
-
-/// Intra-sample parallel ghost counting.
-///
-/// Splits the particle array into [`GHOST_CHUNK`]-sized chunks processed in
-/// parallel. Each chunk owns a [`RegionQueryScratch`] reused across all its
-/// sphere queries — the epoch-stamp dedup in
-/// [`RegionIndex::for_each_rank_touching_sphere`] replaces the old
-/// per-query `sort_unstable` + `dedup`, so the steady-state query loop
-/// performs no heap allocation. Chunk partials are dense `u32` histograms
-/// merged by elementwise addition, which is order-independent, so the
-/// result is bit-identical to a straight-line sequential replay regardless
-/// of scheduling.
-#[doc(hidden)] // scalar reference kernel, exposed for benches and equivalence tests
-pub fn ghost_counts_chunked(
-    positions: &[pic_types::Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    radius: f64,
-    ranks: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let chunks = positions.len().div_ceil(GHOST_CHUNK);
-    if chunks <= 1 {
-        let mut recv = vec![0u32; ranks];
-        let mut sent = vec![0u32; ranks];
-        let mut scratch = RegionQueryScratch::new();
-        ghost_count_span(
-            positions,
-            owners,
-            index,
-            radius,
-            &mut scratch,
-            &mut recv,
-            &mut sent,
-        );
-        return (recv, sent);
-    }
-    let partials: Vec<(Vec<u32>, Vec<u32>)> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * GHOST_CHUNK;
-            let hi = (lo + GHOST_CHUNK).min(positions.len());
-            let mut recv = vec![0u32; ranks];
-            let mut sent = vec![0u32; ranks];
-            let mut scratch = RegionQueryScratch::new();
-            ghost_count_span(
-                &positions[lo..hi],
-                &owners[lo..hi],
-                index,
-                radius,
-                &mut scratch,
-                &mut recv,
-                &mut sent,
-            );
-            (recv, sent)
-        })
-        .collect();
-    let mut ghost_recv = vec![0u32; ranks];
-    let mut ghost_sent = vec![0u32; ranks];
-    for (recv, sent) in &partials {
-        for (acc, v) in ghost_recv.iter_mut().zip(recv) {
-            *acc += v;
-        }
-        for (acc, v) in ghost_sent.iter_mut().zip(sent) {
-            *acc += v;
-        }
-    }
-    (ghost_recv, ghost_sent)
-}
-
-/// Sequential ghost counting over one aligned span of particles.
-#[inline]
-fn ghost_count_span(
-    positions: &[pic_types::Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    radius: f64,
-    scratch: &mut RegionQueryScratch,
-    recv: &mut [u32],
-    sent: &mut [u32],
-) {
-    for (&p, &home) in positions.iter().zip(owners) {
-        let mut ghost_copies = 0u32;
-        index.for_each_rank_touching_sphere(p, radius, scratch, |t| {
-            if t != home {
-                recv[t.index()] += 1;
-                ghost_copies += 1;
-            }
-        });
-        // One write per particle instead of one per touched rank; the sum
-        // is identical, so outputs stay bit-equal to the reference.
-        sent[home.index()] += ghost_copies;
-    }
-}
-
-/// The pre-optimization region index, preserved verbatim for speedup
-/// accounting: per-cell `Vec<Vec<u32>>` buckets over a clone of the full
-/// regions slice, with per-query collect + `sort_unstable` + `dedup`.
-/// Grid geometry matches [`RegionIndex`], so query results are identical.
-#[doc(hidden)]
-pub struct BaselineRegionIndex {
-    bounds: pic_types::Aabb,
-    dims: [usize; 3],
-    inv_cell: pic_types::Vec3,
-    buckets: Vec<Vec<u32>>,
-    regions: Vec<pic_types::Aabb>,
-}
-
-impl BaselineRegionIndex {
-    /// Build the baseline bucket grid over `regions`.
-    pub fn build(regions: &[pic_types::Aabb]) -> BaselineRegionIndex {
-        use pic_types::{Aabb, Vec3};
-        let mut bounds = Aabb::empty();
-        let mut live = 0usize;
-        for r in regions {
-            if !r.is_empty() {
-                bounds = bounds.union(r);
-                live += 1;
-            }
-        }
-        if bounds.is_empty() {
-            return BaselineRegionIndex {
-                bounds,
-                dims: [1, 1, 1],
-                inv_cell: Vec3::ZERO,
-                buckets: vec![Vec::new()],
-                regions: regions.to_vec(),
-            };
-        }
-        let per_axis = ((live as f64 / 2.0).cbrt().ceil() as usize).clamp(1, 64);
-        let dims = [per_axis, per_axis, per_axis];
-        let ext = bounds.extent();
-        let safe = |e: f64| if e > 0.0 { e } else { 1.0 };
-        let inv_cell = Vec3::new(
-            dims[0] as f64 / safe(ext.x),
-            dims[1] as f64 / safe(ext.y),
-            dims[2] as f64 / safe(ext.z),
-        );
-        let mut index = BaselineRegionIndex {
-            bounds,
-            dims,
-            inv_cell,
-            buckets: vec![Vec::new(); dims[0] * dims[1] * dims[2]],
-            regions: regions.to_vec(),
-        };
-        for (i, r) in regions.iter().enumerate() {
-            if r.is_empty() {
-                continue;
-            }
-            let (lo, hi) = index.cell_range(r);
-            for cz in lo[2]..=hi[2] {
-                for cy in lo[1]..=hi[1] {
-                    for cx in lo[0]..=hi[0] {
-                        let c = index.cell_id(cx, cy, cz);
-                        index.buckets[c].push(i as u32);
-                    }
-                }
-            }
-        }
-        index
-    }
-
-    #[inline]
-    fn cell_id(&self, cx: usize, cy: usize, cz: usize) -> usize {
-        cx + self.dims[0] * (cy + self.dims[1] * cz)
-    }
-
-    fn cell_range(&self, b: &pic_types::Aabb) -> ([usize; 3], [usize; 3]) {
-        let rel_lo = b.min - self.bounds.min;
-        let rel_hi = b.max - self.bounds.min;
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        let inv = self.inv_cell.to_array();
-        for a in 0..3 {
-            let max_i = self.dims[a] as isize - 1;
-            lo[a] = ((rel_lo.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
-            hi[a] = ((rel_hi.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
-        }
-        (lo, hi)
-    }
-
-    /// Collect (sorted, deduplicated) ranks touching the sphere.
-    pub fn ranks_touching_sphere(&self, center: pic_types::Vec3, radius: f64, out: &mut Vec<Rank>) {
-        use pic_types::Aabb;
-        out.clear();
-        if self.bounds.is_empty() {
-            return;
-        }
-        let query = Aabb::new(center, center).inflate(radius);
-        if !self.bounds.intersects(&query) {
-            return;
-        }
-        let (lo, hi) = self.cell_range(&query);
-        for cz in lo[2]..=hi[2] {
-            for cy in lo[1]..=hi[1] {
-                for cx in lo[0]..=hi[0] {
-                    for &ri in &self.buckets[self.cell_id(cx, cy, cz)] {
-                        let region = &self.regions[ri as usize];
-                        if region.intersects_sphere(center, radius) {
-                            out.push(Rank::new(ri));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-}
-
-/// Straight-line sequential replay used as the determinism oracle and
-/// speedup baseline for the parallel paths: no rayon, no chunking, no
-/// channels — one thread walks samples in order querying a
-/// [`BaselineRegionIndex`] (the pre-optimization bucket grid with
-/// per-query sort + dedup). Tests assert [`generate`] and
-/// [`generate_streaming`] equal this exactly.
-#[doc(hidden)]
-pub fn generate_reference(
-    trace: &ParticleTrace,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-) -> Result<DynamicWorkload> {
-    let mapper = build_mapper(cfg, mesh)?;
-    let mut real = CompMatrix::new(cfg.ranks);
-    let mut ghost_recv = CompMatrix::new(cfg.ranks);
-    let mut ghost_sent = CompMatrix::new(cfg.ranks);
-    let mut bin_counts = Vec::new();
-    let mut comm_entries: Vec<Vec<(u32, u32, u32)>> = Vec::new();
-    let mut prev_owners: Option<Vec<Rank>> = None;
-    for sample in trace.samples() {
-        let outcome = mapper.assign(&sample.positions);
-        let mut r = vec![0u32; cfg.ranks];
-        for rank in &outcome.ranks {
-            r[rank.index()] += 1;
-        }
-        let mut recv = vec![0u32; cfg.ranks];
-        let mut sent = vec![0u32; cfg.ranks];
-        if cfg.compute_ghosts {
-            let index = BaselineRegionIndex::build(&outcome.rank_regions);
-            let mut touched = Vec::new();
-            for (i, &p) in sample.positions.iter().enumerate() {
-                index.ranks_touching_sphere(p, cfg.projection_filter, &mut touched);
-                let home = outcome.ranks[i];
-                for &t in &touched {
-                    if t != home {
-                        recv[t.index()] += 1;
-                        sent[home.index()] += 1;
-                    }
-                }
-            }
-        }
-        real.push_sample(&r);
-        ghost_recv.push_sample(&recv);
-        ghost_sent.push_sample(&sent);
-        bin_counts.push(outcome.bin_count);
-        comm_entries.push(match &prev_owners {
-            Some(prev) => migration_pairs(prev, &outcome.ranks),
-            None => Vec::new(),
-        });
-        prev_owners = Some(outcome.ranks);
-    }
-    Ok(DynamicWorkload {
-        ranks: cfg.ranks,
-        iterations: trace.iterations(),
-        real,
-        ghost_recv,
-        ghost_sent,
-        comm: CommMatrix {
-            entries: comm_entries,
-        },
-        bin_counts,
-    })
-}
 
 /// Unbounded bin-count series over a trace (Fig 6: "relaxing the processor
 /// count limitation" to find the optimal `R`).
@@ -934,7 +390,7 @@ mod tests {
         );
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = generate_streaming(reader, cfg, mesh).unwrap();
+        let (streamed, _) = generate_streaming_with_stats(reader, cfg, mesh).unwrap();
         assert_eq!(streamed, in_memory, "streamed path diverged from in-memory");
     }
 
@@ -979,7 +435,7 @@ mod tests {
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let cfg = WorkloadConfig::new(4, MappingAlgorithm::ElementBased, 0.04);
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        assert!(generate_streaming(reader, &cfg, None).is_err());
+        assert!(generate_streaming_with_stats(reader, &cfg, None).is_err());
     }
 
     #[test]

@@ -20,11 +20,23 @@
 //! studies. Sample processing is embarrassingly parallel and runs on all
 //! cores via rayon.
 //!
-//! The [`reduce`] module adds SimPoint-style reduced replay: given a
-//! [`reduce::ReductionPlan`] (cluster representatives + per-sample
-//! assignment), [`reduce::generate_reduced`] replays only the
-//! representatives and reconstructs the full workload series by cluster
-//! broadcast — bit-identical to the full replay under the identity plan.
+//! There is one replay engine, in [`sweep`]: a plan groups configurations
+//! that share an assignment, one kernel processes a (group, sample) pair,
+//! a resident and a streaming driver run it, and one assembly turns the
+//! replayed samples into workloads. The public replay functions are thin
+//! adapters over it:
+//!
+//! | function | what it selects |
+//! |---|---|
+//! | [`generator::generate`] / [`generator::generate_with_mesh`] | one point, every sample, resident |
+//! | [`generator::generate_streaming_with_stats`] | one point, every sample, streamed |
+//! | [`sweep::sweep_with_stats`] / [`sweep::sweep_with_cache`] | a grid, every sample, resident (optionally cached) |
+//! | [`sweep::sweep_streaming`] | a grid, every sample, streamed |
+//! | [`reduce::generate_reduced_with_stats`] / [`reduce::sweep_reduced_with_stats`] | a [`reduce::ReductionPlan`]'s representatives, broadcast over the trace |
+//!
+//! Under [`reduce::ReductionPlan::identity`] the reduced replay is
+//! bit-identical to the full one. The oracles every path is tested against
+//! live in the hidden `reference` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,19 +47,19 @@ pub mod heatmap;
 pub mod matrices;
 pub mod metrics;
 pub mod reduce;
+#[doc(hidden)]
+pub mod reference;
 pub mod soa;
 pub mod sweep;
 
-pub use generator::{
-    generate_streaming, generate_streaming_with_stats, DynamicWorkload, IngestStats, WorkloadConfig,
-};
+pub use generator::{generate_streaming_with_stats, DynamicWorkload, WorkloadConfig};
 pub use matrices::{migration_pairs, CommMatrix, CompMatrix};
 pub use reduce::{
-    generate_reduced, generate_reduced_with_stats, peak_load_series, peak_rel_error, sweep_reduced,
-    sweep_reduced_with_stats, ReduceStats, ReductionPlan,
+    generate_reduced_with_stats, peak_load_series, peak_rel_error, sweep_reduced_with_stats,
+    ReduceStats, ReductionPlan,
 };
 pub use soa::SoAPositions;
 pub use sweep::{
-    mesh_fingerprint, sweep_configs, sweep_streaming, sweep_with_cache, sweep_with_stats,
-    AssignmentCache, AssignmentCacheStats, AssignmentKey, SampleAssignment, SweepPoint, SweepStats,
+    mesh_fingerprint, sweep_streaming, sweep_with_cache, sweep_with_stats, AssignmentCache,
+    AssignmentCacheStats, AssignmentKey, IngestStats, SampleAssignment, SweepPoint, SweepStats,
 };

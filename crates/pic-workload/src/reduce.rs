@@ -10,10 +10,11 @@
 //!
 //! The contract, enforced by proptests: with `K = T` (every sample its own
 //! representative) the reconstruction is **bit-identical** to
-//! [`generator::generate_reference`] — the reduced path reuses the exact
-//! per-sample kernel (`generator::process_sample`), so the only error a
-//! real reduction introduces is the phase approximation itself, which the
-//! `pic-analysis` error-budget gate measures on holdout samples.
+//! [`crate::reference::generate_reference`] — a reduced replay is the
+//! resident driver of [`crate::sweep`] told to run the kernel on fewer
+//! samples, so the only error a real reduction introduces is the phase
+//! approximation itself, which the `pic-analysis` error-budget gate
+//! measures on holdout samples.
 //!
 //! Communication is reconstructed per representative from its *immediate
 //! predecessor* in the trace: `comm[r] = migration_pairs(owners[s_r − 1],
@@ -21,16 +22,12 @@
 //! sweep members the same one-step migration stands in for the strided
 //! interval — a documented approximation, exact at stride 1 and `K = T`.
 
-use crate::generator::{self, DynamicWorkload, WorkloadConfig};
-use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::generator::{DynamicWorkload, WorkloadConfig};
 use crate::sweep::{self, SweepPoint};
 use pic_grid::ElementMesh;
-use pic_mapping::ParticleMapper;
 use pic_trace::ParticleTrace;
-use pic_types::{PicError, Rank, Result};
-use rayon::prelude::*;
+use pic_types::{PicError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A validated reduction: which samples to replay and how to broadcast
 /// their outcomes back over the full trace.
@@ -207,133 +204,13 @@ impl ReduceStats {
     }
 }
 
-/// Ownership snapshot of one sample: the assignment half of the kernel
-/// only (no ghost counting, no histogramming) — what a predecessor
-/// contributes to the migration diff.
-fn owners_only(positions: &[pic_types::Vec3], mapper: &dyn ParticleMapper) -> Vec<Rank> {
-    let soa = crate::soa::SoAPositions::from_positions(positions);
-    let outcome = if mapper.supports_soa() {
-        mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-    } else {
-        mapper.assign(positions)
-    };
-    outcome.ranks
-}
-
-/// [`generate_reduced`], additionally returning the replay accounting.
-pub fn generate_reduced_with_stats(
-    trace: &ParticleTrace,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-    plan: &ReductionPlan,
-) -> Result<(DynamicWorkload, ReduceStats)> {
-    plan.validate()?;
-    if plan.total_samples != trace.sample_count() {
-        return Err(PicError::config(format!(
-            "reduction plan covers {} samples, trace has {}",
-            plan.total_samples,
-            trace.sample_count()
-        )));
-    }
-    let mapper = generator::build_mapper(cfg, mesh)?;
-    let mapper_ref: &dyn ParticleMapper = mapper.as_ref();
-
-    // Full kernel on the representatives, in parallel.
-    let outcomes: Vec<generator::SampleOutcome> = pic_types::pool::install(|| {
-        plan.representatives
-            .par_iter()
-            .map(|&s| generator::process_sample(trace.positions_at(s), mapper_ref, cfg))
-            .collect()
-    });
-
-    // Assignment-only passes for predecessors that are not representatives.
-    let preds = plan.owner_only_predecessors();
-    let pred_owners: Vec<Vec<Rank>> = pic_types::pool::install(|| {
-        preds
-            .par_iter()
-            .map(|&s| owners_only(trace.positions_at(s), mapper_ref))
-            .collect()
-    });
-    let pred_map: HashMap<usize, &Vec<Rank>> = preds.iter().copied().zip(&pred_owners).collect();
-    let rep_slot: HashMap<usize, usize> = plan
-        .representatives
-        .iter()
-        .enumerate()
-        .map(|(slot, &s)| (s, slot))
-        .collect();
-
-    // Per-representative migration diff against its immediate predecessor.
-    let comm_rep: Vec<Vec<(u32, u32, u32)>> = plan
-        .representatives
-        .iter()
-        .enumerate()
-        .map(|(slot, &s)| match s.checked_sub(1) {
-            None => Vec::new(),
-            Some(p) => {
-                let prev = match rep_slot.get(&p) {
-                    Some(&ps) => &outcomes[ps].owners,
-                    None => pred_map[&p],
-                };
-                migration_pairs(prev, &outcomes[slot].owners)
-            }
-        })
-        .collect();
-
-    // Broadcast representative outcomes over the full series.
-    let mut real = CompMatrix::new(cfg.ranks);
-    let mut ghost_recv = CompMatrix::new(cfg.ranks);
-    let mut ghost_sent = CompMatrix::new(cfg.ranks);
-    let mut bin_counts = Vec::with_capacity(plan.total_samples);
-    let mut comm_entries = Vec::with_capacity(plan.total_samples);
-    for (t, &r) in plan.assignment.iter().enumerate() {
-        let o = &outcomes[r];
-        real.push_sample(&o.real);
-        ghost_recv.push_sample(&o.ghost_recv);
-        ghost_sent.push_sample(&o.ghost_sent);
-        bin_counts.push(o.bin_count);
-        comm_entries.push(if t == 0 {
-            Vec::new()
-        } else {
-            comm_rep[r].clone()
-        });
-    }
-    let stats = ReduceStats {
-        total_samples: plan.total_samples,
-        representatives: plan.representatives.len(),
-        owner_only_samples: preds.len(),
-    };
-    Ok((
-        DynamicWorkload {
-            ranks: cfg.ranks,
-            iterations: trace.iterations(),
-            real,
-            ghost_recv,
-            ghost_sent,
-            comm: CommMatrix {
-                entries: comm_entries,
-            },
-            bin_counts,
-        },
-        stats,
-    ))
-}
-
-/// Reduced-replay counterpart of [`generator::generate`]: replay only the
-/// plan's representatives (plus assignment-only predecessor passes for
-/// communication) and reconstruct the full `T`-sample workload by cluster
-/// broadcast. Bit-identical to the full replay under
-/// [`ReductionPlan::identity`].
-pub fn generate_reduced(
-    trace: &ParticleTrace,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-    plan: &ReductionPlan,
-) -> Result<DynamicWorkload> {
-    generate_reduced_with_stats(trace, cfg, mesh, plan).map(|(w, _)| w)
-}
-
-/// [`sweep_reduced`], additionally returning the replay accounting
-/// (summed across assignment groups).
+/// Reduced-replay counterpart of [`sweep::sweep_with_stats`]: the kernel
+/// runs on the plan's representatives only (plus owner-only passes on
+/// their predecessors, for communication), one replay per assignment
+/// group serving every sweep point of that group, and each point's full
+/// `T`-sample series is reconstructed by cluster broadcast. At stride 1
+/// under [`ReductionPlan::identity`] the output is bit-identical to the
+/// full replay. The accounting is summed across assignment groups.
 pub fn sweep_reduced_with_stats(
     trace: &ParticleTrace,
     points: &[SweepPoint],
@@ -349,136 +226,37 @@ pub fn sweep_reduced_with_stats(
         )));
     }
     let sweep_plan = sweep::build_plan(points, mesh)?;
-    let k = plan.k();
-    let groups = sweep_plan.groups.len();
-
-    // Full group kernel (assignment + every ghost radius slot) on the
-    // representatives of every group, flattened for parallelism.
-    let outcomes: Vec<sweep::GroupSampleOutcome> = pic_types::pool::install(|| {
-        (0..groups * k)
-            .into_par_iter()
-            .map(|i| {
-                let (g, r) = (i / k.max(1), i % k.max(1));
-                sweep::process_group_sample(
-                    trace.positions_at(plan.representatives[r]),
-                    &sweep_plan.groups[g],
-                )
-            })
-            .collect()
-    });
-
-    let preds = plan.owner_only_predecessors();
-    let pred_owners: Vec<Vec<Rank>> = pic_types::pool::install(|| {
-        (0..groups * preds.len())
-            .into_par_iter()
-            .map(|i| {
-                let (g, p) = (i / preds.len().max(1), i % preds.len().max(1));
-                owners_only(
-                    trace.positions_at(preds[p]),
-                    sweep_plan.groups[g].mapper.as_ref(),
-                )
-            })
-            .collect()
-    });
-    let pred_pos: HashMap<usize, usize> = preds.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let rep_slot: HashMap<usize, usize> = plan
-        .representatives
-        .iter()
-        .enumerate()
-        .map(|(slot, &s)| (s, slot))
-        .collect();
-
-    let comm_rep: Vec<Vec<Vec<(u32, u32, u32)>>> = (0..groups)
-        .map(|g| {
-            let span = &outcomes[g * k..(g + 1) * k];
-            plan.representatives
-                .iter()
-                .enumerate()
-                .map(|(slot, &s)| match s.checked_sub(1) {
-                    None => Vec::new(),
-                    Some(p) => {
-                        let prev = match rep_slot.get(&p) {
-                            Some(&ps) => &span[ps].assignment.owners,
-                            None => &pred_owners[g * preds.len() + pred_pos[&p]],
-                        };
-                        migration_pairs(prev, &span[slot].assignment.owners)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let iterations = trace.iterations();
-    let workloads: Vec<DynamicWorkload> = sweep_plan
-        .members
-        .iter()
-        .map(|m| {
-            let group = &sweep_plan.groups[m.group];
-            let span = &outcomes[m.group * k..(m.group + 1) * k];
-            let zeros = vec![0u32; group.ranks];
-            let retained: Vec<usize> = (0..plan.total_samples).step_by(m.stride).collect();
-            let mut real = CompMatrix::new(group.ranks);
-            let mut ghost_recv = CompMatrix::new(group.ranks);
-            let mut ghost_sent = CompMatrix::new(group.ranks);
-            let mut bin_counts = Vec::with_capacity(retained.len());
-            let mut iters = Vec::with_capacity(retained.len());
-            let mut comm_entries = Vec::with_capacity(retained.len());
-            for (pos, &t) in retained.iter().enumerate() {
-                let r = plan.assignment[t];
-                let o = &span[r];
-                real.push_sample(&o.assignment.real);
-                match m.ghost_slot {
-                    Some(slot) => {
-                        ghost_recv.push_sample(&o.ghosts[slot].0);
-                        ghost_sent.push_sample(&o.ghosts[slot].1);
-                    }
-                    None => {
-                        ghost_recv.push_sample(&zeros);
-                        ghost_sent.push_sample(&zeros);
-                    }
-                }
-                bin_counts.push(o.assignment.bin_count);
-                iters.push(iterations[t]);
-                // One-step migration proxy: exact at stride 1; for larger
-                // strides it stands in for the strided interval.
-                comm_entries.push(if pos == 0 {
-                    Vec::new()
-                } else {
-                    comm_rep[m.group][r].clone()
-                });
-            }
-            DynamicWorkload {
-                ranks: group.ranks,
-                iterations: iters,
-                real,
-                ghost_recv,
-                ghost_sent,
-                comm: CommMatrix {
-                    entries: comm_entries,
-                },
-                bin_counts,
-            }
-        })
-        .collect();
+    let (reps, preds) = (&plan.representatives, plan.owner_only_predecessors());
+    let replayed = sweep::replay(trace, &sweep_plan, reps, &preds, None);
+    let workloads = sweep::assemble(
+        &sweep_plan,
+        &replayed,
+        &trace.iterations(),
+        reps,
+        &preds,
+        Some(&plan.assignment),
+    );
     let stats = ReduceStats {
         total_samples: plan.total_samples,
-        representatives: groups * k,
-        owner_only_samples: groups * preds.len(),
+        representatives: sweep_plan.groups.len() * reps.len(),
+        owner_only_samples: sweep_plan.groups.len() * preds.len(),
     };
     Ok((workloads, stats))
 }
 
-/// Reduced-replay counterpart of [`sweep::sweep`]: one representative
-/// replay per assignment group serves every sweep point of that group,
-/// with per-point strided reconstruction. At stride 1 under the identity
-/// plan the output is bit-identical to [`sweep::sweep`].
-pub fn sweep_reduced(
+/// The one-point form of [`sweep_reduced_with_stats`].
+pub fn generate_reduced_with_stats(
     trace: &ParticleTrace,
-    points: &[SweepPoint],
+    cfg: &WorkloadConfig,
     mesh: Option<&ElementMesh>,
     plan: &ReductionPlan,
-) -> Result<Vec<DynamicWorkload>> {
-    sweep_reduced_with_stats(trace, points, mesh, plan).map(|(w, _)| w)
+) -> Result<(DynamicWorkload, ReduceStats)> {
+    let points = [SweepPoint::new(cfg.clone())];
+    let (mut workloads, stats) = sweep_reduced_with_stats(trace, &points, mesh, plan)?;
+    Ok((
+        workloads.pop().expect("one point in, one workload out"),
+        stats,
+    ))
 }
 
 /// Per-sample peak load: the maximum over ranks of real + received-ghost
@@ -528,21 +306,20 @@ pub fn exact_sample_loads(
             )));
         }
     }
-    let mapper = generator::build_mapper(cfg, mesh)?;
-    let mapper_ref: &dyn ParticleMapper = mapper.as_ref();
-    Ok(pic_types::pool::install(|| {
-        samples
-            .par_iter()
-            .map(|&s| {
-                let o = generator::process_sample(trace.positions_at(s), mapper_ref, cfg);
-                o.real
-                    .iter()
-                    .zip(&o.ghost_recv)
-                    .map(|(&r, &g)| r as u64 + g as u64)
-                    .collect()
-            })
-            .collect()
-    }))
+    let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh)?;
+    let group = sweep::replay(trace, &plan, samples, &[], None).remove(0);
+    let slot = plan.members[0].ghost_slot;
+    Ok((group.assignments.iter().zip(&group.ghosts))
+        .map(|(a, ghosts)| {
+            let mut load: Vec<u64> = a.real.iter().map(|&r| r as u64).collect();
+            if let Some(k) = slot {
+                for (l, &g) in load.iter_mut().zip(&ghosts[k].0) {
+                    *l += g as u64;
+                }
+            }
+            load
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -584,7 +361,7 @@ mod tests {
         let cfg = WorkloadConfig::new(12, MappingAlgorithm::BinBased, 0.05);
         let plan = ReductionPlan::identity(tr.sample_count());
         let (reduced, stats) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::reference::generate_reference(&tr, &cfg, None).unwrap();
         assert_eq!(reduced, full);
         assert_eq!(stats.representatives, 6);
         assert_eq!(stats.owner_only_samples, 0);
@@ -601,7 +378,7 @@ mod tests {
         let (reduced, stats) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
         assert_eq!(reduced.samples(), 6);
         // every sample of a cluster shows its representative's counts
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::reference::generate_reference(&tr, &cfg, None).unwrap();
         for t in [0usize, 1, 2] {
             assert_eq!(reduced.real.sample_row(t), full.real.sample_row(1));
         }
@@ -639,28 +416,14 @@ mod tests {
         let tr = make_trace(50, 4, 3);
         let cfg = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.05);
         let plan = ReductionPlan::identity(3);
-        assert!(generate_reduced(&tr, &cfg, None, &plan).is_err());
-    }
-
-    #[test]
-    fn sweep_reduced_identity_matches_sweep() {
-        let tr = make_trace(250, 5, 4);
-        let points = vec![
-            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05)),
-            SweepPoint::new(WorkloadConfig::new(16, MappingAlgorithm::BinBased, 0.05)),
-            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.02)),
-        ];
-        let plan = ReductionPlan::identity(tr.sample_count());
-        let reduced = sweep_reduced(&tr, &points, None, &plan).unwrap();
-        let full = sweep::sweep(&tr, &points, None).unwrap();
-        assert_eq!(reduced, full);
+        assert!(generate_reduced_with_stats(&tr, &cfg, None, &plan).is_err());
     }
 
     #[test]
     fn peak_series_and_error_metrics() {
         let tr = make_trace(400, 5, 5);
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05);
-        let full = generator::generate_reference(&tr, &cfg, None).unwrap();
+        let full = crate::reference::generate_reference(&tr, &cfg, None).unwrap();
         let series = peak_load_series(&full);
         assert_eq!(series.len(), 5);
         assert!(series.iter().all(|&p| p > 0));

@@ -314,7 +314,7 @@ fn workers_for(len: usize) -> usize {
 /// with cache-line-padded per-worker histograms.
 ///
 /// Bit-identical to the scalar
-/// [`ghost_counts_chunked`](crate::generator::ghost_counts_chunked) (and
+/// [`ghost_counts_chunked`](crate::reference::ghost_counts_chunked) (and
 /// hence to the sequential reference): identical per-particle candidate
 /// sets, identical `f64` expressions, commutative integer merges.
 pub fn ghost_counts_soa(
@@ -477,7 +477,7 @@ fn multi_ghost_span_soa(
 /// SoA multi-radius ghost counting: one candidate pass at `r_max` serves
 /// every radius in `rr` (squared radii, arbitrary order; results come back
 /// in `rr` order). Bit-identical to the scalar sweep kernel
-/// [`multi_ghost_chunked`](crate::sweep::multi_ghost_chunked).
+/// [`multi_ghost_chunked`](crate::reference::multi_ghost_chunked).
 pub fn multi_ghost_soa(
     soa: &SoAPositions,
     owners: &[Rank],

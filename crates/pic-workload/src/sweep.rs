@@ -1,56 +1,47 @@
-//! Multi-configuration sweep engine: one trace replay, many workloads.
+//! The DWG replay engine: one trace replay, any number of workloads.
 //!
-//! The paper's parameter studies (Figs 6, 9, 10) regenerate workload
-//! matrices across processor counts, mapping algorithms, projection-filter
-//! radii, and sampling strides. Running [`generator::generate`] per grid
-//! point repeats work the points share: the mapper construction, the
-//! per-sample particle assignment, the [`RegionIndex`] build, and — for
-//! filter sweeps — the sphere queries themselves. This module amortizes
-//! all of it:
+//! Every public replay function of this crate is an adapter over what
+//! lives here (DESIGN.md §7 has the arguments):
 //!
-//! * **Grouping.** Sweep points whose assignment is provably identical are
-//!   grouped: mesh-based mappings (`element-based`, `hilbert-ordered`,
-//!   `load-balanced`) assign from `(mesh, ranks)` alone, so they group by
-//!   `(mapping, ranks)`; `bin-based` partitions depend on the bin-size
-//!   threshold too, so its key also carries the filter bits. Each group
-//!   builds its mapper once and runs the assignment + index pass once per
-//!   sample, no matter how many filters, ghost toggles, or strides ride
-//!   on it.
-//! * **Radius monotonicity.** Sphere–box overlap is monotone in the
-//!   radius: a region touches the radius-`r` sphere iff its squared
-//!   distance to the center is `≤ r²` — exactly the comparison
-//!   [`RegionIndex::for_each_candidate_in_sphere`] reports. One candidate
-//!   query per particle at the group's **maximum** filter radius therefore
-//!   yields, by filtering the retained distances, results bit-identical to
-//!   a dedicated query at every smaller radius. A six-filter sweep pays
-//!   for one traversal, not six.
-//! * **Strides.** A member with stride `s` consumes every `s`-th shared
-//!   sample outcome, producing exactly the workload of
-//!   `generate(&trace.subsample(s), cfg)` — the sampling-frequency study
-//!   re-uses the full-trace replay instead of re-running it per stride.
+//! * **Plan.** [`SweepPoint`]s whose assignment is provably identical
+//!   share an assignment group — `(mapping, ranks)`, plus the filter bits
+//!   for `bin-based`, whose partition cuts at the bin-size threshold. A
+//!   group builds its mapper once and carries every distinct ghost radius
+//!   its members ask for; a member is a (group, radius slot, stride)
+//!   triple. A single configuration is a plan with one group and one slot.
+//! * **Kernel.** `process_group_sample` is the only per-sample code:
+//!   assignment, per-rank counts, region index, then every radius slot of
+//!   the group from one candidate query per particle at the group's
+//!   maximum radius (sphere–box overlap is monotone in the radius, so
+//!   filtering the retained `d² ≤ r²` is bit-exact for each smaller one).
+//! * **Two drivers.** `replay` is the resident loop: it runs the kernel
+//!   over the (group, sample) pairs a caller selects — all samples, a
+//!   [`crate::reduce::ReductionPlan`]'s representatives and their
+//!   predecessors, or a holdout list — optionally through an
+//!   [`AssignmentCache`]. [`sweep_streaming`] is the bounded decoder →
+//!   workers → in-order-merge pipeline for traces larger than memory.
+//! * **Assembly.** `assemble` turns replayed slots into one
+//!   [`DynamicWorkload`] per member: a stride-`s` member keeps every
+//!   `s`-th sample, exactly `generate(&trace.subsample(s), cfg)`.
 //!
-//! Outputs are **bit-identical** to the per-configuration
-//! [`generator::generate_with_mesh`] path (and hence to the sequential
-//! [`generator::generate_reference`] oracle); the equivalence is enforced
-//! by tests here, by the property corpus in `tests/props.rs`, and at
-//! runtime by `sweep_bench`.
-//!
-//! [`sweep_streaming`] drives the same plan sample-by-sample off a
-//! [`pic_trace::TraceReader`], holding one decoded frame per pipeline slot
-//! and one accumulator row-set per sweep point — memory stays bounded by
-//! one sample × configurations, never by trace length × configurations.
+//! Outputs are **bit-identical** to the sequential
+//! [`crate::reference::generate_reference`] oracle; `tests/props.rs`
+//! checks every adapter against it on random grids.
 
 use crate::generator::{self, DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::soa::{ghost_counts_soa, multi_ghost_soa, SoAPositions};
 use pic_grid::ElementMesh;
-use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex, RegionQueryScratch};
+use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex};
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
 use pic_types::{Rank, Result, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One grid point of a sweep: a generator configuration plus a sampling
 /// stride (`1` = every trace sample; `s` = the workload of
@@ -85,7 +76,8 @@ pub struct SweepStats {
     pub groups: usize,
     /// Trace samples replayed.
     pub samples: usize,
-    /// Assignment + index passes executed (`groups × samples`).
+    /// Assignment + index passes executed (`groups × samples`, less the
+    /// groups an [`AssignmentCache`] served).
     pub assign_passes: usize,
     /// Passes the per-configuration loop would have run
     /// (`points × samples`).
@@ -104,37 +96,40 @@ pub struct SweepStats {
 
 /// One ghost-radius slot of a group: the radius and whether it joins the
 /// shared maximum-radius candidate pass. Radii that are not `≥ 0` (NaN or
-/// negative) stay outside the sharing argument and are evaluated through
-/// the unmodified single-radius kernel, preserving its exact semantics.
-pub(crate) struct GhostSlot {
-    pub(crate) radius: f64,
-    pub(crate) shared: bool,
+/// negative) stay outside the sharing argument and get a single-radius
+/// pass of their own.
+struct GhostSlot {
+    radius: f64,
+    shared: bool,
+}
+
+/// Assignment identity of a configuration: mapping, ranks, and the filter
+/// bits iff bin-based (mesh-based mappings ignore the filter while
+/// assigning).
+type GroupKey = (MappingAlgorithm, usize, Option<u64>);
+
+fn group_key(cfg: &WorkloadConfig) -> GroupKey {
+    let filter_bits =
+        (cfg.mapping == MappingAlgorithm::BinBased).then(|| cfg.projection_filter.to_bits());
+    (cfg.mapping, cfg.ranks, filter_bits)
 }
 
 /// One assignment group: a mapper built once, plus every ghost radius its
 /// members need.
 pub(crate) struct GroupPlan {
-    pub(crate) mapper: Box<dyn ParticleMapper>,
-    pub(crate) ranks: usize,
-    /// The grouping key the plan built this group under (assignment
-    /// identity: mapping, ranks, filter bits iff bin-based). Combined
-    /// with a mesh fingerprint it addresses cached assignment artifacts.
-    pub(crate) key: (MappingAlgorithm, usize, Option<u64>),
-    pub(crate) slots: Vec<GhostSlot>,
+    mapper: Box<dyn ParticleMapper>,
+    ranks: usize,
+    /// With a mesh fingerprint this addresses cached assignment artifacts.
+    key: GroupKey,
+    slots: Vec<GhostSlot>,
     /// Maximum radius among shared slots (meaningless when none are).
-    pub(crate) shared_max: f64,
-}
-
-impl GroupPlan {
-    fn shared_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.shared).count()
-    }
+    shared_max: f64,
 }
 
 /// One sweep point resolved against the plan.
 pub(crate) struct MemberPlan {
-    pub(crate) group: usize,
-    pub(crate) stride: usize,
+    group: usize,
+    stride: usize,
     /// Index into the group's ghost slots; `None` when ghosts are off.
     pub(crate) ghost_slot: Option<usize>,
 }
@@ -144,28 +139,19 @@ pub(crate) struct SweepPlan {
     pub(crate) members: Vec<MemberPlan>,
 }
 
-/// Key under which two points share assignment outcomes. Mesh-based
-/// mappings ignore the projection filter during assignment; the bin-based
-/// partition cuts at the bin-size threshold, so its key carries the filter
-/// bits.
-fn group_key(cfg: &WorkloadConfig) -> (MappingAlgorithm, usize, Option<u64>) {
-    let filter_bits =
-        (cfg.mapping == MappingAlgorithm::BinBased).then(|| cfg.projection_filter.to_bits());
-    (cfg.mapping, cfg.ranks, filter_bits)
-}
-
+/// Resolve `points` into groups and members. Errors are the
+/// per-configuration ones: zero ranks, a mesh-requiring mapping without a
+/// mesh, an invalid bin threshold.
 pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> Result<SweepPlan> {
-    let mut keys: Vec<(MappingAlgorithm, usize, Option<u64>)> = Vec::new();
     let mut groups: Vec<GroupPlan> = Vec::new();
     let mut members = Vec::with_capacity(points.len());
     for p in points {
         let key = group_key(&p.config);
-        let g = match keys.iter().position(|k| *k == key) {
+        let g = match groups.iter().position(|g| g.key == key) {
             Some(i) => i,
             None => {
                 // Mapper construction (mesh validation, decomposition)
                 // happens here, once per group — not once per grid point.
-                keys.push(key);
                 groups.push(GroupPlan {
                     mapper: generator::build_mapper(&p.config, mesh)?,
                     ranks: p.config.ranks,
@@ -177,26 +163,21 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
             }
         };
         let group = &mut groups[g];
-        let ghost_slot = if p.config.compute_ghosts {
+        let ghost_slot = p.config.compute_ghosts.then(|| {
             let radius = p.config.projection_filter;
             let existing = group
                 .slots
                 .iter()
                 .position(|s| s.radius.to_bits() == radius.to_bits());
-            Some(match existing {
-                Some(k) => k,
-                None => {
-                    let shared = radius >= 0.0;
-                    if shared {
-                        group.shared_max = group.shared_max.max(radius);
-                    }
-                    group.slots.push(GhostSlot { radius, shared });
-                    group.slots.len() - 1
+            existing.unwrap_or_else(|| {
+                let shared = radius >= 0.0;
+                if shared {
+                    group.shared_max = group.shared_max.max(radius);
                 }
+                group.slots.push(GhostSlot { radius, shared });
+                group.slots.len() - 1
             })
-        } else {
-            None
-        };
+        });
         members.push(MemberPlan {
             group: g,
             stride: p.stride.max(1),
@@ -204,6 +185,20 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
         });
     }
     Ok(SweepPlan { groups, members })
+}
+
+fn stats_for(plan: &SweepPlan, samples: usize) -> SweepStats {
+    let shared_slots = |g: &GroupPlan| g.slots.iter().filter(|s| s.shared).count();
+    SweepStats {
+        points: plan.members.len(),
+        groups: plan.groups.len(),
+        samples,
+        assign_passes: plan.groups.len() * samples,
+        naive_assign_passes: plan.members.len() * samples,
+        ghost_radii: plan.groups.iter().map(|g| g.slots.len()).sum(),
+        shared_query_groups: plan.groups.iter().filter(|g| shared_slots(g) > 1).count(),
+        cached_groups: 0,
+    }
 }
 
 /// The radius-independent artifact of one (group, sample) assignment
@@ -216,9 +211,11 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
 #[derive(Debug, Clone)]
 pub struct SampleAssignment {
     pub(crate) real: Vec<u32>,
-    pub(crate) bin_count: Option<usize>,
-    pub(crate) owners: Vec<Rank>,
-    pub(crate) index: RegionIndex,
+    bin_count: Option<usize>,
+    owners: Vec<Rank>,
+    /// Always present in a cached artifact; dropped as soon as the ghost
+    /// phase is done when no cache will receive it.
+    index: Option<RegionIndex>,
 }
 
 impl SampleAssignment {
@@ -227,372 +224,353 @@ impl SampleAssignment {
         std::mem::size_of::<Self>()
             + self.real.capacity() * std::mem::size_of::<u32>()
             + self.owners.capacity() * std::mem::size_of::<Rank>()
-            + self.index.approx_bytes()
+            + self.index.as_ref().map_or(0, RegionIndex::approx_bytes)
     }
 }
 
-/// One sample's shared result for one group: the assignment artifact plus
-/// `(recv, sent)` ghost histograms parallel to the group's ghost slots.
-pub(crate) struct GroupSampleOutcome {
-    pub(crate) assignment: SampleAssignment,
-    pub(crate) ghosts: Vec<(Vec<u32>, Vec<u32>)>,
+/// Per-rank `(recv, sent)` ghost histograms, one pair per radius slot.
+pub(crate) type GhostSlots = Vec<(Vec<u32>, Vec<u32>)>;
+
+/// What the kernel made of one (group, sample): the assignment it
+/// computed (`None` when a cached one was supplied) and the ghost
+/// histograms parallel to the group's radius slots (empty for an
+/// owner-only pass).
+pub(crate) struct GroupSample {
+    assignment: Option<SampleAssignment>,
+    pub(crate) ghosts: GhostSlots,
 }
 
-/// The assignment phase of one (group, sample): mapper pass, per-rank
-/// counting, and the region-index build. Radius-independent by
-/// construction — the cacheable half of [`process_group_sample`].
-fn assign_group_sample(
+/// The per-sample kernel. `ghosts: false` is the owner-only pass (the
+/// kernel with no radius slots); `cached` skips the assignment phase;
+/// `keep_index` leaves the region index in the returned artifact for a
+/// cache to receive.
+fn process_group_sample(
     positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
     group: &GroupPlan,
-) -> SampleAssignment {
-    let outcome = if group.mapper.supports_soa() {
-        group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-    } else {
-        group.mapper.assign(positions)
+    ghosts: bool,
+    cached: Option<&SampleAssignment>,
+    keep_index: bool,
+) -> GroupSample {
+    let slots: &[GhostSlot] = if ghosts { &group.slots } else { &[] };
+    if cached.is_some() && slots.is_empty() {
+        return GroupSample {
+            assignment: None,
+            ghosts: Vec::new(),
+        };
+    }
+    // One SoA transpose feeds the mapper's vectorized assignment and the
+    // grouped ghost kernels. Mappers without a native SoA path (bin-based)
+    // keep the AoS slice — their `assign_soa` would only reconstitute it.
+    let soa = SoAPositions::from_positions(positions);
+    let mut computed = cached.is_none().then(|| {
+        let outcome = if group.mapper.supports_soa() {
+            group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
+        } else {
+            group.mapper.assign(positions)
+        };
+        let mut real = vec![0u32; group.ranks];
+        for r in &outcome.ranks {
+            real[r.index()] += 1;
+        }
+        let index =
+            (keep_index || !slots.is_empty()).then(|| RegionIndex::build(&outcome.rank_regions));
+        SampleAssignment {
+            real,
+            bin_count: outcome.bin_count,
+            owners: outcome.ranks,
+            index,
+        }
+    });
+    let ghosts = match cached.or(computed.as_ref()) {
+        Some(a) if !slots.is_empty() => {
+            let index = a.index.as_ref().expect("ghost slots imply an index");
+            multi_radius_ghost_counts(&soa, &a.owners, index, group, slots)
+        }
+        _ => Vec::new(),
     };
-    let mut real = vec![0u32; group.ranks];
-    for r in &outcome.ranks {
-        real[r.index()] += 1;
+    if !keep_index {
+        if let Some(a) = &mut computed {
+            a.index = None;
+        }
     }
-    SampleAssignment {
-        real,
-        bin_count: outcome.bin_count,
-        owners: outcome.ranks,
-        index: RegionIndex::build(&outcome.rank_regions),
+    GroupSample {
+        assignment: computed,
+        ghosts,
     }
-}
-
-/// The ghost phase: every radius slot of the group served off a shared
-/// assignment artifact.
-fn ghost_group_sample(
-    positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
-    assignment: &SampleAssignment,
-    group: &GroupPlan,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
-    if group.slots.is_empty() {
-        Vec::new()
-    } else {
-        multi_radius_ghost_counts(positions, soa, &assignment.owners, &assignment.index, group)
-    }
-}
-
-pub(crate) fn process_group_sample(positions: &[Vec3], group: &GroupPlan) -> GroupSampleOutcome {
-    // One transpose serves the mapper's SoA assignment and every shared
-    // ghost slot of the group (see `process_sample` for the AoS fallback).
-    let soa = crate::soa::SoAPositions::from_positions(positions);
-    let assignment = assign_group_sample(positions, &soa, group);
-    let ghosts = ghost_group_sample(positions, &soa, &assignment, group);
-    GroupSampleOutcome { assignment, ghosts }
 }
 
 /// Ghost histograms for every radius slot of a group, from one assignment.
 ///
-/// Shared slots (`radius ≥ 0`) are served by a single candidate query per
-/// particle at the group's maximum shared radius: a region touches the
-/// radius-`r` sphere iff its retained squared distance is `≤ r²`, the same
-/// closed comparison the single-radius kernel's
-/// [`pic_types::Aabb::intersects_sphere`] performs, so the per-slot filter
-/// is bit-exact — see DESIGN.md §11 for the superset argument. Non-shared
-/// slots (NaN / negative radii) go through the unmodified single-radius
-/// kernel so their edge-case behavior matches the per-config path by
-/// construction rather than by argument.
+/// Two or more shared slots (`radius ≥ 0`) are served by a single
+/// candidate query per particle at the group's maximum shared radius: a
+/// region touches the radius-`r` sphere iff its retained squared distance
+/// is `≤ r²`, the same closed comparison the single-radius kernel makes,
+/// so the per-slot filter is bit-exact (DESIGN.md §7). A lone shared slot
+/// gains nothing from candidate retention, and NaN / negative radii stay
+/// outside the argument; both run the single-radius kernel.
 fn multi_radius_ghost_counts(
-    positions: &[Vec3],
-    soa: &crate::soa::SoAPositions,
+    soa: &SoAPositions,
     owners: &[Rank],
     index: &RegionIndex,
     group: &GroupPlan,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
+    slots: &[GhostSlot],
+) -> GhostSlots {
     let ranks = group.ranks;
-    let shared: Vec<(usize, f64)> = group
-        .slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.shared)
-        .map(|(k, s)| (k, s.radius))
-        .collect();
-    let mut out: Vec<(Vec<u32>, Vec<u32>)> = group
-        .slots
-        .iter()
-        .map(|_| (vec![0u32; ranks], vec![0u32; ranks]))
-        .collect();
-    match shared.len() {
-        0 => {}
-        1 => {
-            // A lone radius gains nothing from candidate retention; run
-            // the single-radius matrix kernel (identical output).
-            let (k, radius) = shared[0];
-            out[k] = crate::soa::ghost_counts_soa(soa, owners, index, radius, ranks);
-        }
-        _ => {
-            let rr: Vec<f64> = shared.iter().map(|&(_, r)| r * r).collect();
-            let partials =
-                crate::soa::multi_ghost_soa(soa, owners, index, group.shared_max, &rr, ranks);
-            for (&(k, _), partial) in shared.iter().zip(partials) {
-                out[k] = partial;
-            }
-        }
-    }
-    for (k, slot) in group.slots.iter().enumerate() {
-        if !slot.shared {
-            out[k] = generator::ghost_counts_chunked(positions, owners, index, slot.radius, ranks);
-        }
-    }
-    out
-}
-
-/// Chunked multi-radius ghost kernel: same chunk geometry and
-/// order-independent histogram merge as the single-radius
-/// `ghost_counts_chunked`, but each particle's candidate set is gathered
-/// once at `r_max` and counted once at its *first* (smallest) containing
-/// radius; suffix sums then recover the per-radius histograms. The counts
-/// are integers, so the regrouping is bit-identical to filtering every
-/// radius independently.
-#[doc(hidden)] // scalar reference kernel, exposed for benches and equivalence tests
-pub fn multi_ghost_chunked(
-    positions: &[Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    r_max: f64,
-    rr: &[f64],
-    ranks: usize,
-) -> Vec<(Vec<u32>, Vec<u32>)> {
-    // First-inclusion counting needs the radii ascending; slot order is
-    // arbitrary, so compute in sorted order and un-permute at the end.
-    let mut order: Vec<usize> = (0..rr.len()).collect();
-    order.sort_by(|&a, &b| rr[a].total_cmp(&rr[b]));
-    let sorted_rr: Vec<f64> = order.iter().map(|&i| rr[i]).collect();
-    let fresh = || -> Vec<(Vec<u32>, Vec<u32>)> {
-        rr.iter()
-            .map(|_| (vec![0u32; ranks], vec![0u32; ranks]))
-            .collect()
-    };
-    let chunks = positions.len().div_ceil(generator::GHOST_CHUNK);
-    let mut merged = if chunks <= 1 {
-        let mut partial = fresh();
-        multi_ghost_span(
-            positions,
-            owners,
-            index,
-            r_max,
-            &sorted_rr,
-            &mut RegionQueryScratch::new(),
-            &mut partial,
-        );
-        partial
-    } else {
-        let partials: Vec<Vec<(Vec<u32>, Vec<u32>)>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * generator::GHOST_CHUNK;
-                let hi = (lo + generator::GHOST_CHUNK).min(positions.len());
-                let mut partial = fresh();
-                multi_ghost_span(
-                    &positions[lo..hi],
-                    &owners[lo..hi],
-                    index,
-                    r_max,
-                    &sorted_rr,
-                    &mut RegionQueryScratch::new(),
-                    &mut partial,
-                );
-                partial
-            })
+    let shared: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].shared).collect();
+    let mut out: GhostSlots = slots.iter().map(|_| Default::default()).collect();
+    if shared.len() > 1 {
+        let rr: Vec<f64> = shared
+            .iter()
+            .map(|&k| slots[k].radius * slots[k].radius)
             .collect();
-        let mut merged = fresh();
-        for partial in &partials {
-            for (acc, p) in merged.iter_mut().zip(partial) {
-                for (a, v) in acc.0.iter_mut().zip(&p.0) {
-                    *a += v;
-                }
-                for (a, v) in acc.1.iter_mut().zip(&p.1) {
-                    *a += v;
-                }
-            }
+        let partials = multi_ghost_soa(soa, owners, index, group.shared_max, &rr, ranks);
+        for (&k, partial) in shared.iter().zip(partials) {
+            out[k] = partial;
         }
-        merged
-    };
-    let mut out = fresh();
-    for (pos, &slot) in order.iter().enumerate() {
-        out[slot] = std::mem::take(&mut merged[pos]);
+    }
+    for (k, slot) in slots.iter().enumerate() {
+        if !slot.shared || shared.len() == 1 {
+            out[k] = ghost_counts_soa(soa, owners, index, slot.radius, ranks);
+        }
     }
     out
 }
 
-/// Sequential multi-radius counting over one aligned span, `rr_sorted`
-/// ascending: each candidate is tallied once at the first radius that
-/// contains it, and a suffix pass completes the larger radii. Returns
-/// histograms in `rr_sorted` order.
-#[inline]
-fn multi_ghost_span(
-    positions: &[Vec3],
-    owners: &[Rank],
-    index: &RegionIndex,
-    r_max: f64,
-    rr_sorted: &[f64],
-    scratch: &mut RegionQueryScratch,
-    partial: &mut [(Vec<u32>, Vec<u32>)],
-) {
-    let nr = rr_sorted.len();
-    let mut count_first = vec![0u32; nr];
-    for (&p, &home) in positions.iter().zip(owners) {
-        count_first.iter_mut().for_each(|c| *c = 0);
-        // Every candidate satisfies d2 ≤ r_max² (the query's own visit
-        // condition), and r_max is the largest shared radius, so the
-        // first-inclusion scan always terminates inside the slice.
-        index.for_each_candidate_in_sphere(p, r_max, scratch, |t, d2| {
-            if t == home {
-                return;
+/// One group's replayed samples, as [`replay`] leaves them.
+pub(crate) struct GroupReplay {
+    /// Slot `r` is trace sample `full[r]`.
+    pub(crate) assignments: Arc<Vec<SampleAssignment>>,
+    /// Ghost histograms parallel to `assignments`.
+    pub(crate) ghosts: Vec<GhostSlots>,
+    /// Ownership of the owner-only samples, parallel to `owner_only`.
+    pred_owners: Vec<Vec<Rank>>,
+    /// Whether `assignments` came out of the cache.
+    cached: bool,
+}
+
+/// The resident driver: run the kernel over every (group, sample) pair
+/// selected — the full kernel on `full`, an owner-only pass on
+/// `owner_only` — as one flattened parallel fan-out (large samples split
+/// further inside the ghost kernels).
+///
+/// A `cache` (with the mesh fingerprint its keys carry) is consulted per
+/// group and receives what missed; it holds one artifact per trace
+/// sample, so it requires `full` to be every sample in order.
+pub(crate) fn replay(
+    trace: &ParticleTrace,
+    plan: &SweepPlan,
+    full: &[usize],
+    owner_only: &[usize],
+    cache: Option<(&AssignmentCache, Option<u64>)>,
+) -> Vec<GroupReplay> {
+    debug_assert!(cache.is_none() || full.iter().copied().eq(0..trace.sample_count()));
+    let key_of = |g: &GroupPlan, fp| AssignmentKey::for_group(g.key, fp);
+    let hits: Vec<Option<Arc<Vec<SampleAssignment>>>> = plan
+        .groups
+        .iter()
+        .map(|g| cache.and_then(|(c, fp)| c.get(&key_of(g, fp))))
+        .collect();
+    let (nf, per_group) = (full.len(), full.len() + owner_only.len());
+    let outcomes: Vec<GroupSample> = pic_types::pool::install(|| {
+        (0..plan.groups.len() * per_group)
+            .into_par_iter()
+            .map(|i| {
+                let (g, j) = (i / per_group, i % per_group);
+                let group = &plan.groups[g];
+                match full.get(j) {
+                    Some(&s) => {
+                        let cached = hits[g].as_ref().map(|a| &a[s]);
+                        let keep_index = cache.is_some();
+                        process_group_sample(trace.positions_at(s), group, true, cached, keep_index)
+                    }
+                    None => {
+                        let s = owner_only[j - nf];
+                        process_group_sample(trace.positions_at(s), group, false, None, false)
+                    }
+                }
+            })
+            .collect()
+    });
+    let mut outcomes = outcomes.into_iter();
+    (plan.groups.iter().zip(hits))
+        .map(|(group, hit)| {
+            let mut fresh = Vec::with_capacity(nf);
+            let mut ghosts = Vec::with_capacity(nf);
+            for o in outcomes.by_ref().take(nf) {
+                fresh.extend(o.assignment);
+                ghosts.push(o.ghosts);
             }
-            let mut j = 0;
-            while d2 > rr_sorted[j] {
-                j += 1;
+            let pred_owners = (outcomes.by_ref().take(owner_only.len()))
+                .map(|o| o.assignment.expect("owner-only pass assigns").owners)
+                .collect();
+            let cached = hit.is_some();
+            let assignments = hit.unwrap_or_else(|| {
+                let fresh = Arc::new(fresh);
+                if let Some((c, fp)) = cache {
+                    c.insert(key_of(group, fp), Arc::clone(&fresh));
+                }
+                fresh
+            });
+            GroupReplay {
+                assignments,
+                ghosts,
+                pred_owners,
+                cached,
             }
-            partial[j].0[t.index()] += 1;
-            count_first[j] += 1;
-        });
-        let mut copies = 0u32;
-        for (j, &c) in count_first.iter().enumerate() {
-            copies += c;
-            partial[j].1[home.index()] += copies;
+        })
+        .collect()
+}
+
+/// One output workload under construction — the single place a replayed
+/// (assignment, ghosts, migrations) row becomes matrix rows.
+struct MemberRows {
+    workload: DynamicWorkload,
+    ghost_slot: Option<usize>,
+    zeros: Vec<u32>,
+}
+
+impl MemberRows {
+    fn new(member: &MemberPlan, ranks: usize) -> MemberRows {
+        MemberRows {
+            workload: DynamicWorkload {
+                ranks,
+                iterations: Vec::new(),
+                real: CompMatrix::new(ranks),
+                ghost_recv: CompMatrix::new(ranks),
+                ghost_sent: CompMatrix::new(ranks),
+                comm: CommMatrix::default(),
+                bin_counts: Vec::new(),
+            },
+            ghost_slot: member.ghost_slot,
+            zeros: vec![0u32; ranks],
         }
     }
-    // Suffix-complete the recv histograms: a region first touched at
-    // radius j is a ghost source at every radius ≥ j.
-    for j in 1..nr {
-        let (lo, hi) = partial.split_at_mut(j);
-        for (a, &v) in hi[0].0.iter_mut().zip(&lo[j - 1].0) {
-            *a += v;
-        }
+
+    fn push(
+        &mut self,
+        a: &SampleAssignment,
+        ghosts: &GhostSlots,
+        iteration: u64,
+        comm: Vec<(u32, u32, u32)>,
+    ) {
+        let (recv, sent) = match self.ghost_slot {
+            Some(k) => (&ghosts[k].0, &ghosts[k].1),
+            None => (&self.zeros, &self.zeros),
+        };
+        let w = &mut self.workload;
+        w.real.push_sample(&a.real);
+        w.ghost_recv.push_sample(recv);
+        w.ghost_sent.push_sample(sent);
+        w.bin_counts.push(a.bin_count);
+        w.iterations.push(iteration);
+        w.comm.entries.push(comm);
     }
 }
 
-/// One sample's ghost histograms: a `(recv, sent)` pair per radius slot.
-type GhostSlots = Vec<(Vec<u32>, Vec<u32>)>;
-
-/// One sample's shared view: its assignment plus its ghost slot pairs.
-type SampleView<'a> = (&'a SampleAssignment, &'a [(Vec<u32>, Vec<u32>)]);
-
-/// Assemble one member's workload from its group's shared per-sample
-/// views (`(assignment, ghost histograms)` per trace sample).
-fn assemble_member(
-    member: &MemberPlan,
-    ranks: usize,
-    samples: &[SampleView<'_>],
+/// Assemble one workload per member from replayed slots.
+///
+/// Output sample `t` (one per entry of `iterations`) takes slot `t`, or
+/// slot `broadcast[t]` under a reduction plan; a member keeps every
+/// `stride`-th output sample. Migrations are diffed once per
+/// (group, step) in parallel over slots and shared by the members that
+/// read them: a full replay diffs a retained sample against the previous
+/// retained one (`step = stride`); a broadcast diffs each representative
+/// against its immediate trace predecessor (`step = 1`), which at
+/// stride > 1 stands in for the strided interval.
+pub(crate) fn assemble(
+    plan: &SweepPlan,
+    replayed: &[GroupReplay],
     iterations: &[u64],
-) -> DynamicWorkload {
-    let retained: Vec<usize> = (0..samples.len()).step_by(member.stride).collect();
-    let mut real = CompMatrix::new(ranks);
-    let mut ghost_recv = CompMatrix::new(ranks);
-    let mut ghost_sent = CompMatrix::new(ranks);
-    let mut bin_counts = Vec::with_capacity(retained.len());
-    let mut iters = Vec::with_capacity(retained.len());
-    let mut comm_entries = Vec::with_capacity(retained.len());
-    let zeros = vec![0u32; ranks];
-    let mut prev: Option<usize> = None;
-    for &t in &retained {
-        let (a, ghosts) = samples[t];
-        real.push_sample(&a.real);
-        match member.ghost_slot {
-            Some(k) => {
-                ghost_recv.push_sample(&ghosts[k].0);
-                ghost_sent.push_sample(&ghosts[k].1);
-            }
-            None => {
-                ghost_recv.push_sample(&zeros);
-                ghost_sent.push_sample(&zeros);
-            }
+    full: &[usize],
+    owner_only: &[usize],
+    broadcast: Option<&[usize]>,
+) -> Vec<DynamicWorkload> {
+    let slot_of: HashMap<usize, usize> = full.iter().enumerate().map(|(r, &s)| (s, r)).collect();
+    let pred_of: HashMap<usize, usize> =
+        (owner_only.iter().enumerate().map(|(i, &s)| (s, i))).collect();
+    let owners_at = |g: usize, sample: usize| -> Option<&[Rank]> {
+        match slot_of.get(&sample) {
+            Some(&r) => Some(&replayed[g].assignments[r].owners),
+            None => (pred_of.get(&sample)).map(|&i| replayed[g].pred_owners[i].as_slice()),
         }
-        bin_counts.push(a.bin_count);
-        iters.push(iterations[t]);
-        comm_entries.push(match prev {
-            Some(pt) => migration_pairs(&samples[pt].0.owners, &a.owners),
-            None => Vec::new(),
-        });
-        prev = Some(t);
-    }
-    DynamicWorkload {
-        ranks,
-        iterations: iters,
-        real,
-        ghost_recv,
-        ghost_sent,
-        comm: CommMatrix {
-            entries: comm_entries,
-        },
-        bin_counts,
-    }
+    };
+    let step_of = |m: &MemberPlan| if broadcast.is_some() { 1 } else { m.stride };
+    let mut keys: Vec<(usize, usize)> =
+        plan.members.iter().map(|m| (m.group, step_of(m))).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let nf = full.len();
+    let migrations: Vec<Vec<(u32, u32, u32)>> = pic_types::pool::install(|| {
+        (0..keys.len() * nf)
+            .into_par_iter()
+            .map(|i| {
+                let ((g, step), r) = (keys[i / nf], i % nf);
+                let read = broadcast.is_some() || r % step == 0;
+                match full[r].checked_sub(step).and_then(|p| owners_at(g, p)) {
+                    Some(prev) if read => migration_pairs(prev, &replayed[g].assignments[r].owners),
+                    _ => Vec::new(),
+                }
+            })
+            .collect()
+    });
+    pic_types::pool::install(|| {
+        plan.members
+            .par_iter()
+            .map(|m| {
+                let g = &replayed[m.group];
+                let k = keys
+                    .binary_search(&(m.group, step_of(m)))
+                    .expect("every member's key was collected");
+                let mut rows = MemberRows::new(m, plan.groups[m.group].ranks);
+                for (pos, t) in (0..iterations.len()).step_by(m.stride).enumerate() {
+                    let r = broadcast.map_or(t, |b| b[t]);
+                    let comm = if pos == 0 {
+                        Vec::new()
+                    } else {
+                        migrations[k * nf + r].clone()
+                    };
+                    rows.push(&g.assignments[r], &g.ghosts[r], iterations[t], comm);
+                }
+                rows.workload
+            })
+            .collect()
+    })
 }
 
-fn stats_for(plan: &SweepPlan, samples: usize) -> SweepStats {
-    SweepStats {
-        points: plan.members.len(),
-        groups: plan.groups.len(),
-        samples,
-        assign_passes: plan.groups.len() * samples,
-        naive_assign_passes: plan.members.len() * samples,
-        ghost_radii: plan.groups.iter().map(|g| g.slots.len()).sum(),
-        shared_query_groups: plan.groups.iter().filter(|g| g.shared_slots() > 1).count(),
-        cached_groups: 0,
-    }
+/// The resident full replay behind [`sweep_with_stats`] and
+/// [`sweep_with_cache`]: every sample through the kernel, output sample
+/// `t` is slot `t`.
+fn sweep_resident(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    cache: Option<&AssignmentCache>,
+) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+    let plan = build_plan(points, mesh)?;
+    let all: Vec<usize> = (0..trace.sample_count()).collect();
+    let cache = cache.map(|c| (c, mesh.map(mesh_fingerprint)));
+    let replayed = replay(trace, &plan, &all, &[], cache);
+    let workloads = assemble(&plan, &replayed, &trace.iterations(), &all, &[], None);
+    let mut stats = stats_for(&plan, all.len());
+    stats.cached_groups = replayed.iter().filter(|g| g.cached).count();
+    stats.assign_passes = (stats.groups - stats.cached_groups) * all.len();
+    Ok((workloads, stats))
 }
 
 /// Replay `trace` once and produce one [`DynamicWorkload`] per sweep
 /// point, in point order, each bit-identical to what
 /// [`generator::generate_with_mesh`] (over `trace.subsample(stride)`)
-/// would return for that point.
+/// would return for that point — plus the sharing accounting.
 ///
 /// Errors mirror the per-configuration path: a point whose configuration
 /// would fail there (zero ranks, mesh-requiring mapping without a mesh,
 /// invalid bin threshold) fails the sweep.
-pub fn sweep(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-) -> Result<Vec<DynamicWorkload>> {
-    sweep_with_stats(trace, points, mesh).map(|(w, _)| w)
-}
-
-/// [`sweep`], additionally returning the sharing accounting.
 pub fn sweep_with_stats(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
 ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    let plan = build_plan(points, mesh)?;
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
-    let t_count = samples.len();
-    // Flattened (group, sample) fan-out: outer-level parallelism across
-    // configurations composed with the chunked intra-sample ghost kernel
-    // (big samples split further inside process_group_sample).
-    let outcomes: Vec<GroupSampleOutcome> = pic_types::pool::install(|| {
-        (0..plan.groups.len() * t_count)
-            .into_par_iter()
-            .map(|i| {
-                let (g, t) = (i / t_count, i % t_count);
-                process_group_sample(&samples[t].positions, &plan.groups[g])
-            })
-            .collect()
-    });
-    let iterations = trace.iterations();
-    let workloads: Vec<DynamicWorkload> = pic_types::pool::install(|| {
-        plan.members
-            .par_iter()
-            .map(|m| {
-                let group = &plan.groups[m.group];
-                let span = &outcomes[m.group * t_count..(m.group + 1) * t_count];
-                let views: Vec<SampleView<'_>> = span
-                    .iter()
-                    .map(|o| (&o.assignment, o.ghosts.as_slice()))
-                    .collect();
-                assemble_member(m, group.ranks, &views, &iterations)
-            })
-            .collect()
-    });
-    let stats = stats_for(&plan, t_count);
-    Ok((workloads, stats))
+    sweep_resident(trace, points, mesh, None)
 }
 
 /// Structural fingerprint of a mesh specification: two meshes with the
@@ -629,10 +607,7 @@ pub struct AssignmentKey {
 }
 
 impl AssignmentKey {
-    fn for_group(
-        key: (MappingAlgorithm, usize, Option<u64>),
-        mesh_fp: Option<u64>,
-    ) -> AssignmentKey {
+    fn for_group(key: GroupKey, mesh_fp: Option<u64>) -> AssignmentKey {
         let (mapping, ranks, filter_bits) = key;
         AssignmentKey {
             mapping,
@@ -814,189 +789,130 @@ impl AssignmentCache {
 /// groups whose artifacts are resident skip the mapper / counting / index
 /// replay entirely and jump to the ghost phase; missing groups run the
 /// normal pass and publish their artifacts for the next caller. Outputs
-/// are bit-identical to [`sweep`] — artifacts are plain data produced by
-/// the same kernels, so serving them from memory cannot perturb a bit —
-/// and `stats.assign_passes` reports the passes actually executed, with
-/// `stats.cached_groups` counting the groups served from cache.
+/// are bit-identical to [`sweep_with_stats`] — artifacts are plain data
+/// produced by the same kernel, so serving them from memory cannot
+/// perturb a bit — and `stats.assign_passes` reports the passes actually
+/// executed, with `stats.cached_groups` counting the groups served from
+/// cache.
 pub fn sweep_with_cache(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
     cache: &AssignmentCache,
 ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    let plan = build_plan(points, mesh)?;
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
-    let t_count = samples.len();
-    let mesh_fp = mesh.map(mesh_fingerprint);
-
-    let keys: Vec<AssignmentKey> = plan
-        .groups
-        .iter()
-        .map(|g| AssignmentKey::for_group(g.key, mesh_fp))
-        .collect();
-    let mut assignments: Vec<Option<Arc<Vec<SampleAssignment>>>> =
-        keys.iter().map(|k| cache.get(k)).collect();
-    let missing: Vec<usize> = (0..plan.groups.len())
-        .filter(|&g| assignments[g].is_none())
-        .collect();
-
-    // Missing groups run the fused pass (one SoA transpose serves both
-    // phases, exactly as the cacheless path does); their ghosts are kept
-    // so they aren't recomputed below.
-    let mut ghosts: Vec<Vec<GhostSlots>> = (0..plan.groups.len()).map(|_| Vec::new()).collect();
-    if !missing.is_empty() {
-        let outcomes: Vec<GroupSampleOutcome> = pic_types::pool::install(|| {
-            (0..missing.len() * t_count)
-                .into_par_iter()
-                .map(|i| {
-                    let (mi, t) = (i / t_count, i % t_count);
-                    process_group_sample(&samples[t].positions, &plan.groups[missing[mi]])
-                })
-                .collect()
-        });
-        let mut outcomes = outcomes.into_iter();
-        for &g in &missing {
-            let mut arts = Vec::with_capacity(t_count);
-            let mut gh = Vec::with_capacity(t_count);
-            for o in outcomes.by_ref().take(t_count) {
-                arts.push(o.assignment);
-                gh.push(o.ghosts);
-            }
-            let arts = Arc::new(arts);
-            cache.insert(keys[g], Arc::clone(&arts));
-            assignments[g] = Some(arts);
-            ghosts[g] = gh;
-        }
-    }
-
-    // Cache-hit groups still owe their ghost phase (radii are not part of
-    // the artifact); replay it off the resident assignments.
-    let hit_ghost_work: Vec<usize> = (0..plan.groups.len())
-        .filter(|&g| ghosts[g].is_empty() && !plan.groups[g].slots.is_empty() && t_count > 0)
-        .collect();
-    if !hit_ghost_work.is_empty() {
-        let assignments = &assignments;
-        let computed: Vec<Vec<(Vec<u32>, Vec<u32>)>> = pic_types::pool::install(|| {
-            (0..hit_ghost_work.len() * t_count)
-                .into_par_iter()
-                .map(|i| {
-                    let (gi, t) = (i / t_count, i % t_count);
-                    let g = hit_ghost_work[gi];
-                    let positions = &samples[t].positions;
-                    let soa = crate::soa::SoAPositions::from_positions(positions);
-                    let arts = assignments[g].as_ref().expect("hit group lost artifacts");
-                    ghost_group_sample(positions, &soa, &arts[t], &plan.groups[g])
-                })
-                .collect()
-        });
-        let mut computed = computed.into_iter();
-        for &g in &hit_ghost_work {
-            ghosts[g] = computed.by_ref().take(t_count).collect();
-        }
-    }
-    // Ghost-free hit groups: give every sample its empty slot vector.
-    for slots in ghosts.iter_mut() {
-        if slots.is_empty() {
-            *slots = vec![Vec::new(); t_count];
-        }
-    }
-
-    let iterations = trace.iterations();
-    let assignments_ref = &assignments;
-    let ghosts_ref = &ghosts;
-    let workloads: Vec<DynamicWorkload> = pic_types::pool::install(|| {
-        plan.members
-            .par_iter()
-            .map(|m| {
-                let group = &plan.groups[m.group];
-                let arts = assignments_ref[m.group]
-                    .as_ref()
-                    .expect("group lost artifacts");
-                let views: Vec<SampleView<'_>> = arts
-                    .iter()
-                    .zip(&ghosts_ref[m.group])
-                    .map(|(a, gh)| (a, gh.as_slice()))
-                    .collect();
-                assemble_member(m, group.ranks, &views, &iterations)
-            })
-            .collect()
-    });
-
-    let mut stats = stats_for(&plan, t_count);
-    stats.assign_passes = missing.len() * t_count;
-    stats.cached_groups = plan.groups.len() - missing.len();
-    Ok((workloads, stats))
+    sweep_resident(trace, points, mesh, Some(cache))
 }
 
-/// Convenience: a stride-1 sweep over plain configurations.
-pub fn sweep_configs(
-    trace: &ParticleTrace,
-    configs: &[WorkloadConfig],
-    mesh: Option<&ElementMesh>,
-) -> Result<Vec<DynamicWorkload>> {
-    let points: Vec<SweepPoint> = configs.iter().cloned().map(SweepPoint::new).collect();
-    sweep(trace, &points, mesh)
+/// Observability counters from one [`sweep_streaming`] run: how much was
+/// ingested and where the pipeline's time went. Exposed because a
+/// full-scale ingest runs for hours over hundreds of gigabytes (§II-D) —
+/// "is it the disk, the decode, or the ghost kernel?" must be answerable
+/// from the stats block alone.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct IngestStats {
+    /// Frames successfully decoded and folded into the workload.
+    pub frames_decoded: usize,
+    /// Bytes consumed from the trace stream, header included.
+    pub bytes_read: u64,
+    /// Wall-clock seconds the decoder thread spent inside `read_sample`.
+    pub decode_seconds: f64,
+    /// Summed busy seconds across workers in the mapping + ghost kernel.
+    pub ghost_seconds: f64,
+    /// Wall-clock seconds the consumer spent merging outcomes in order
+    /// (including the sequential migration diff).
+    pub merge_seconds: f64,
 }
 
-/// Per-member streaming accumulator: the rows of one output workload,
-/// folded sample-by-sample.
-struct MemberAccum {
-    real: CompMatrix,
-    ghost_recv: CompMatrix,
-    ghost_sent: CompMatrix,
-    bin_counts: Vec<Option<usize>>,
-    iterations: Vec<u64>,
-    comm_entries: Vec<Vec<(u32, u32, u32)>>,
-    prev_owners: Option<Vec<Rank>>,
-}
-
-/// Decoded frames in flight between pipeline stages (mirrors the
-/// single-config streaming path).
+/// Decoded frames in flight between pipeline stages. Bounds resident
+/// memory to `O(PIPELINE_DEPTH + workers)` samples regardless of trace
+/// length, preserving the streaming path's reason to exist.
 const PIPELINE_DEPTH: usize = 4;
 
-/// Streaming sweep: drive every sweep point sample-by-sample off one
-/// [`pic_trace::SampleSource`] pass (raw or compact on-disk format),
-/// bit-identical to [`sweep`].
+/// Terminal state handed back by the decoder thread: its status plus the
+/// ingestion counters only it can observe.
+struct DecoderReport {
+    status: Result<()>,
+    frames: usize,
+    bytes: u64,
+    seconds: f64,
+}
+
+/// The streaming merge's migration state for one (group, stride): the
+/// ownership of the last sample that stride retained, held once however
+/// many members read it, and the current sample's diff against it.
+struct MigrationFold {
+    group: usize,
+    stride: usize,
+    prev_owners: Option<Arc<Vec<Rank>>>,
+    row: Vec<(u32, u32, u32)>,
+}
+
+/// The streaming driver: every sweep point sample-by-sample off one
+/// [`pic_trace::SampleSource`] pass — raw `TraceReader`, delta-encoded
+/// `CompactReader`, or the magic-sniffing `AnyTraceReader` — bit-identical
+/// to [`sweep_with_stats`].
 ///
-/// The pipeline is the single-config streaming generator's — decoder
-/// thread → bounded channel → worker pool → in-order merge — except each
-/// frame is processed once **per group** and folded into one accumulator
-/// per member. Resident memory is `O(PIPELINE_DEPTH + workers)` frames
-/// plus the accumulated output rows: bounded by one sample ×
-/// configurations, never trace length × configurations. Error behavior
-/// matches [`generator::generate_streaming`]: a corrupt stream fails the
-/// run with the decoder's positioned error after every thread is joined.
+/// This is the path for the paper's §II-D regime, where full-scale traces
+/// run to hundreds of gigabytes. A decoder thread pulls frames off the
+/// reader and feeds a bounded channel; a pool of workers runs the kernel
+/// once per group on each frame; the caller's thread reorders worker
+/// results by sample index and folds them into one accumulator per
+/// member (frame `t`'s migration diff needs frame `t − stride`'s
+/// ownership, so the merge is the one inherently serial stage). Resident
+/// memory is `O(PIPELINE_DEPTH + workers)` frames plus the accumulated
+/// output rows: one sample × configurations, never trace length ×
+/// configurations.
+///
+/// On a malformed or failing stream the decoder thread stops at the first
+/// error, the workers drain whatever was already queued and exit, the
+/// merge completes over the cleanly decoded prefix, and the decoder's
+/// *positioned* error is returned. Every pipeline thread is joined before
+/// this function returns: a corrupt trace fails the run, it cannot hang
+/// it.
 pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
     mut reader: S,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
-) -> Result<Vec<DynamicWorkload>> {
+) -> Result<(Vec<DynamicWorkload>, SweepStats, IngestStats)> {
     let plan = build_plan(points, mesh)?;
     let plan = &plan;
-    // Shared-pool policy: ambient installs override, else the
-    // `RAYON_NUM_THREADS`-aware shared pool size applies.
+    // Worker count follows the shared-pool policy: an ambient install (a
+    // bench's `--threads` override) wins, otherwise the shared pool's
+    // `RAYON_NUM_THREADS`-aware size applies.
     let workers = pic_types::pool::install(rayon::current_num_threads).max(1);
+    let ghost_nanos = AtomicU64::new(0);
+    let ghost_nanos = &ghost_nanos;
 
-    std::thread::scope(|scope| -> Result<Vec<DynamicWorkload>> {
+    std::thread::scope(|scope| {
         let (frame_tx, frame_rx) =
             crossbeam::channel::bounded::<(usize, pic_trace::TraceSample)>(PIPELINE_DEPTH);
-        let (out_tx, out_rx) = crossbeam::channel::bounded::<(usize, u64, Vec<GroupSampleOutcome>)>(
-            PIPELINE_DEPTH + workers,
-        );
+        let (out_tx, out_rx) =
+            crossbeam::channel::bounded::<(usize, u64, Vec<GroupSample>)>(PIPELINE_DEPTH + workers);
 
-        let decoder = scope.spawn(move || -> Result<()> {
-            let mut i = 0usize;
-            loop {
-                match reader.read_sample() {
+        let decoder = scope.spawn(move || -> DecoderReport {
+            let mut seconds = 0.0;
+            let mut frames = 0usize;
+            let status = loop {
+                let t0 = Instant::now();
+                let next = reader.read_sample();
+                seconds += t0.elapsed().as_secs_f64();
+                match next {
                     Ok(Some(frame)) => {
-                        if frame_tx.send((i, frame)).is_err() {
-                            return Ok(()); // every worker hung up; stop
+                        // A send error means every worker hung up; stop.
+                        if frame_tx.send((frames, frame)).is_err() {
+                            break Ok(());
                         }
-                        i += 1;
+                        frames += 1;
                     }
-                    Ok(None) => return Ok(()),
-                    Err(e) => return Err(e),
+                    Ok(None) => break Ok(()),
+                    Err(e) => break Err(e),
                 }
+            };
+            DecoderReport {
+                status,
+                frames,
+                bytes: reader.bytes_read(),
+                seconds,
             }
         });
 
@@ -1004,20 +920,21 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
             let rx = frame_rx.clone();
             let tx = out_tx.clone();
             scope.spawn(move || {
-                // Frame-level fan-out is the parallelism; pin each
+                // Frame-level fan-out is the parallelism here; pin each
                 // worker's intra-sample kernels to one thread so the
                 // stages don't oversubscribe each other.
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(1)
                     .build()
-                    .unwrap();
+                    .expect("single-thread rayon pool");
                 while let Ok((i, frame)) = rx.recv() {
-                    let outcomes: Vec<GroupSampleOutcome> = pool.install(|| {
-                        plan.groups
-                            .iter()
-                            .map(|g| process_group_sample(&frame.positions, g))
+                    let t0 = Instant::now();
+                    let outcomes: Vec<GroupSample> = pool.install(|| {
+                        (plan.groups.iter())
+                            .map(|g| process_group_sample(&frame.positions, g, true, None, false))
                             .collect()
                     });
+                    ghost_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if tx.send((i, frame.iteration, outcomes)).is_err() {
                         break;
                     }
@@ -1027,79 +944,79 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
         drop(frame_rx);
         drop(out_tx);
 
-        let mut accums: Vec<MemberAccum> = plan
-            .members
-            .iter()
+        let mut folds: Vec<MigrationFold> = Vec::new();
+        let mut accums: Vec<(usize, MemberRows)> = (plan.members.iter())
             .map(|m| {
-                let ranks = plan.groups[m.group].ranks;
-                MemberAccum {
-                    real: CompMatrix::new(ranks),
-                    ghost_recv: CompMatrix::new(ranks),
-                    ghost_sent: CompMatrix::new(ranks),
-                    bin_counts: Vec::new(),
-                    iterations: Vec::new(),
-                    comm_entries: Vec::new(),
-                    prev_owners: None,
-                }
+                let fold = (folds.iter())
+                    .position(|f| (f.group, f.stride) == (m.group, m.stride))
+                    .unwrap_or_else(|| {
+                        folds.push(MigrationFold {
+                            group: m.group,
+                            stride: m.stride,
+                            prev_owners: None,
+                            row: Vec::new(),
+                        });
+                        folds.len() - 1
+                    });
+                (fold, MemberRows::new(m, plan.groups[m.group].ranks))
             })
             .collect();
+        let mut merge_seconds = 0.0;
         // Reorder buffer: results stall here until their predecessors
-        // land, so the fold below always sees samples in trace order.
-        let mut pending: std::collections::BTreeMap<usize, (u64, Vec<GroupSampleOutcome>)> =
-            std::collections::BTreeMap::new();
+        // land, so the fold below always sees samples in trace order. Its
+        // size is bounded by the channel capacities above.
+        let mut pending: BTreeMap<usize, (u64, Vec<GroupSample>)> = BTreeMap::new();
         let mut next = 0usize;
         while let Ok((i, iteration, outcomes)) = out_rx.recv() {
+            let t0 = Instant::now();
             pending.insert(i, (iteration, outcomes));
-            while let Some((iteration, outcomes)) = pending.remove(&next) {
-                for (m, acc) in plan.members.iter().zip(&mut accums) {
-                    if !next.is_multiple_of(m.stride) {
-                        continue;
-                    }
-                    let o = &outcomes[m.group];
-                    acc.real.push_sample(&o.assignment.real);
-                    let ranks = plan.groups[m.group].ranks;
-                    match m.ghost_slot {
-                        Some(k) => {
-                            acc.ghost_recv.push_sample(&o.ghosts[k].0);
-                            acc.ghost_sent.push_sample(&o.ghosts[k].1);
-                        }
-                        None => {
-                            let zeros = vec![0u32; ranks];
-                            acc.ghost_recv.push_sample(&zeros);
-                            acc.ghost_sent.push_sample(&zeros);
-                        }
-                    }
-                    acc.bin_counts.push(o.assignment.bin_count);
-                    acc.iterations.push(iteration);
-                    acc.comm_entries.push(match &acc.prev_owners {
-                        Some(prev) => migration_pairs(prev, &o.assignment.owners),
+            while let Some((iteration, mut outcomes)) = pending.remove(&next) {
+                let mut assignments: Vec<SampleAssignment> = (outcomes.iter_mut())
+                    .map(|o| o.assignment.take().expect("uncached kernel assigns"))
+                    .collect();
+                // Ownership is shared, not copied: every fold retaining
+                // this frame holds the same vector.
+                let owners: Vec<Arc<Vec<Rank>>> = (assignments.iter_mut())
+                    .map(|a| Arc::new(std::mem::take(&mut a.owners)))
+                    .collect();
+                for f in folds.iter_mut().filter(|f| next.is_multiple_of(f.stride)) {
+                    f.row = match &f.prev_owners {
+                        Some(prev) => migration_pairs(prev, &owners[f.group]),
                         None => Vec::new(),
-                    });
-                    acc.prev_owners = Some(o.assignment.owners.clone());
+                    };
+                    f.prev_owners = Some(Arc::clone(&owners[f.group]));
+                }
+                for (m, (fold, rows)) in plan.members.iter().zip(&mut accums) {
+                    if next.is_multiple_of(m.stride) {
+                        let comm = folds[*fold].row.clone();
+                        rows.push(
+                            &assignments[m.group],
+                            &outcomes[m.group].ghosts,
+                            iteration,
+                            comm,
+                        );
+                    }
                 }
                 next += 1;
             }
+            merge_seconds += t0.elapsed().as_secs_f64();
         }
-        // out_rx closed ⇒ workers exited ⇒ the decoder has no readers
-        // left; joining here cannot block on a stalled stream.
-        decoder.join().expect("trace decoder thread panicked")?;
+        // out_rx closed ⇒ every worker has already exited; the decoder is
+        // done too (its channel has no readers left). Joining here cannot
+        // block on a stalled stream, so surfacing the decode error
+        // (truncated frame, I/O failure) is hang-free by construction.
+        let report = decoder.join().expect("trace decoder thread panicked");
+        report.status?;
 
-        Ok(plan
-            .members
-            .iter()
-            .zip(accums)
-            .map(|(m, acc)| DynamicWorkload {
-                ranks: plan.groups[m.group].ranks,
-                iterations: acc.iterations,
-                real: acc.real,
-                ghost_recv: acc.ghost_recv,
-                ghost_sent: acc.ghost_sent,
-                comm: CommMatrix {
-                    entries: acc.comm_entries,
-                },
-                bin_counts: acc.bin_counts,
-            })
-            .collect())
+        let ingest = IngestStats {
+            frames_decoded: report.frames,
+            bytes_read: report.bytes,
+            decode_seconds: report.seconds,
+            ghost_seconds: ghost_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
+            merge_seconds,
+        };
+        let workloads = accums.into_iter().map(|(_, rows)| rows.workload).collect();
+        Ok((workloads, stats_for(plan, report.frames), ingest))
     })
 }
 
@@ -1162,7 +1079,7 @@ mod tests {
         points: &[SweepPoint],
         mesh: Option<&ElementMesh>,
     ) {
-        let swept = sweep(trace, points, mesh).unwrap();
+        let swept = sweep_with_stats(trace, points, mesh).unwrap().0;
         assert_eq!(swept.len(), points.len());
         for (i, (w, p)) in swept.iter().zip(points).enumerate() {
             let reference = reference_for(trace, p, mesh);
@@ -1212,7 +1129,7 @@ mod tests {
             SweepPoint::with_stride(cfg, 0), // treated as 1
         ];
         assert_matches_reference(&tr, &points, None);
-        let swept = sweep(&tr, &points, None).unwrap();
+        let swept = sweep_with_stats(&tr, &points, None).unwrap().0;
         assert_eq!(swept[0], swept[3]);
     }
 
@@ -1266,38 +1183,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sweep_matches_in_memory() {
-        use pic_trace::codec::{encode_trace, Precision};
-        let tr = make_trace(300, 5, 6);
-        let m = mesh();
-        let mut no_ghosts = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.03);
-        no_ghosts.compute_ghosts = false;
-        let points = vec![
-            SweepPoint::new(WorkloadConfig::new(
-                16,
-                MappingAlgorithm::ElementBased,
-                0.02,
-            )),
-            SweepPoint::new(WorkloadConfig::new(
-                16,
-                MappingAlgorithm::ElementBased,
-                0.07,
-            )),
-            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.03)),
-            SweepPoint::with_stride(
-                WorkloadConfig::new(16, MappingAlgorithm::HilbertOrdered, 0.05),
-                2,
-            ),
-            SweepPoint::new(no_ghosts),
-        ];
-        let in_memory = sweep(&tr, &points, Some(&m)).unwrap();
-        let bytes = encode_trace(&tr, Precision::F64).unwrap();
-        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = sweep_streaming(reader, &points, Some(&m)).unwrap();
-        assert_eq!(streamed, in_memory);
-    }
-
-    #[test]
     fn streaming_sweep_surfaces_decode_errors() {
         use pic_trace::codec::{encode_trace, Precision};
         let tr = make_trace(100, 4, 7);
@@ -1321,7 +1206,7 @@ mod tests {
             MappingAlgorithm::ElementBased,
             0.05,
         ))];
-        assert!(sweep(&tr, &points, None).is_err());
+        assert!(sweep_with_stats(&tr, &points, None).is_err());
         // zero ranks
         let bad = WorkloadConfig {
             ranks: 0,
@@ -1329,20 +1214,20 @@ mod tests {
             projection_filter: 0.1,
             compute_ghosts: false,
         };
-        assert!(sweep(&tr, &[SweepPoint::new(bad)], None).is_err());
+        assert!(sweep_with_stats(&tr, &[SweepPoint::new(bad)], None).is_err());
     }
 
     #[test]
     fn empty_point_list_and_empty_trace() {
         let tr = make_trace(50, 2, 9);
-        assert!(sweep(&tr, &[], None).unwrap().is_empty());
+        assert!(sweep_with_stats(&tr, &[], None).unwrap().0.is_empty());
         let empty = ParticleTrace::new(TraceMeta::new(5, 100, Aabb::unit(), "empty"));
         let points = vec![SweepPoint::new(WorkloadConfig::new(
             4,
             MappingAlgorithm::BinBased,
             0.1,
         ))];
-        let w = sweep(&empty, &points, None).unwrap();
+        let w = sweep_with_stats(&empty, &points, None).unwrap().0;
         assert_eq!(w[0].samples(), 0);
     }
 
@@ -1364,7 +1249,7 @@ mod tests {
             WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.06),
             2,
         ));
-        let baseline = sweep(&tr, &points, Some(&m)).unwrap();
+        let baseline = sweep_with_stats(&tr, &points, Some(&m)).unwrap().0;
 
         let cache = AssignmentCache::new(64 << 20);
         let (cold, cold_stats) = sweep_with_cache(&tr, &points, Some(&m), &cache).unwrap();
@@ -1456,7 +1341,7 @@ mod tests {
             .iter()
             .map(|&f| SweepPoint::new(WorkloadConfig::new(12, MappingAlgorithm::ElementBased, f)))
             .collect();
-        let baseline = sweep(&tr, &points, Some(&m)).unwrap();
+        let baseline = sweep_with_stats(&tr, &points, Some(&m)).unwrap().0;
         let cache = AssignmentCache::new(64 << 20);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)

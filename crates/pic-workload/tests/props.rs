@@ -147,10 +147,14 @@ proptest! {
         prop_assert_eq!(&parallel, &reference);
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = generator::generate_streaming(reader, &cfg, Some(&mesh)).unwrap();
+        let (streamed, _) =
+            generator::generate_streaming_with_stats(reader, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(&streamed, &reference);
     }
 
+    /// The equivalence matrix: every adapter of the replay engine answers
+    /// the same random grid, and every answer is the straight-line
+    /// sequential replay of the point's subsampled trace.
     #[test]
     fn sweep_grid_matches_per_config_reference(
         tr in trace_strategy(),
@@ -158,37 +162,65 @@ proptest! {
         radii in proptest::collection::vec(0.005..0.15f64, 1..4),
         strides in proptest::collection::vec(1usize..4, 1..3),
         mappings in proptest::collection::vec(mapping_strategy(), 1..3),
+        ghosts in proptest::collection::vec(any::<bool>(), 1..3),
     ) {
         use pic_grid::{ElementMesh, MeshDims};
         use pic_workload::sweep::{self, SweepPoint};
-        let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap();
+        use pic_workload::{reduce, AssignmentCache, ReductionPlan};
+        let mesh = Some(ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap());
+        let mesh = mesh.as_ref();
         let mut points = Vec::new();
         for &mapping in &mappings {
             for &ranks in &rank_counts {
                 for &radius in &radii {
                     for &stride in &strides {
-                        points.push(SweepPoint::with_stride(
-                            WorkloadConfig::new(ranks, mapping, radius),
-                            stride,
-                        ));
+                        for &compute_ghosts in &ghosts {
+                            let config = WorkloadConfig {
+                                compute_ghosts,
+                                ..WorkloadConfig::new(ranks, mapping, radius)
+                            };
+                            points.push(SweepPoint::with_stride(config, stride));
+                        }
                     }
                 }
             }
         }
-        // Every grid point of the shared-replay sweep must reproduce the
-        // straight-line sequential replay of its subsampled trace exactly.
-        let workloads = sweep::sweep(&tr, &points, Some(&mesh)).unwrap();
-        prop_assert_eq!(workloads.len(), points.len());
-        for (p, w) in points.iter().zip(&workloads) {
-            let sub = tr.subsample(p.stride);
-            let reference = generator::generate_reference(&sub, &p.config, Some(&mesh)).unwrap();
-            prop_assert_eq!(w, &reference);
-        }
-        // The bounded-memory streaming sweep folds to the same grid.
+        let reference: Vec<_> = points
+            .iter()
+            .map(|p| generator::generate_reference(&tr.subsample(p.stride), &p.config, mesh).unwrap())
+            .collect();
+
+        let (resident, _) = sweep::sweep_with_stats(&tr, &points, mesh).unwrap();
+        prop_assert_eq!(&resident, &reference, "resident");
+
+        let cache = AssignmentCache::new(usize::MAX);
+        let (cold, cold_stats) = sweep::sweep_with_cache(&tr, &points, mesh, &cache).unwrap();
+        prop_assert_eq!(&cold, &reference, "cache cold");
+        prop_assert_eq!(cold_stats.cached_groups, 0);
+        let (warm, warm_stats) = sweep::sweep_with_cache(&tr, &points, mesh, &cache).unwrap();
+        prop_assert_eq!(&warm, &reference, "cache warm");
+        prop_assert_eq!(warm_stats.cached_groups, warm_stats.groups);
+
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let streamed = sweep::sweep_streaming(reader, &points, Some(&mesh)).unwrap();
-        prop_assert_eq!(&streamed, &workloads);
+        let (streamed, _, ingest) = sweep::sweep_streaming(reader, &points, mesh).unwrap();
+        prop_assert_eq!(&streamed, &reference, "streaming");
+        prop_assert_eq!(ingest.frames_decoded, tr.sample_count());
+
+        for (p, expect) in points.iter().zip(&reference) {
+            let one = generator::generate_with_mesh(&tr.subsample(p.stride), &p.config, mesh);
+            prop_assert_eq!(&one.unwrap(), expect, "one-point generate_with_mesh");
+        }
+
+        // The identity plan (K = T) makes the reduced replay exact at
+        // stride 1; larger strides use a one-step migration proxy.
+        let unit: Vec<usize> = (0..points.len()).filter(|&i| points[i].stride == 1).collect();
+        let unit_points: Vec<SweepPoint> = unit.iter().map(|&i| points[i].clone()).collect();
+        let plan = ReductionPlan::identity(tr.sample_count());
+        let (reduced, _) = reduce::sweep_reduced_with_stats(&tr, &unit_points, mesh, &plan).unwrap();
+        for (&i, w) in unit.iter().zip(&reduced) {
+            prop_assert_eq!(w, &reference[i], "identity-plan reduced");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for SimPoint-style reduced replay: the `K = T`
-//! identity plan must make [`pic_workload::generate_reduced`] bit-identical
-//! to the sequential oracle [`generator::generate_reference`] across every
-//! mapping algorithm and ghost setting, and [`pic_workload::sweep_reduced`]
-//! identical to [`sweep::sweep`] at stride 1 — the contract that pins the
+//! identity plan must make [`pic_workload::generate_reduced_with_stats`]
+//! bit-identical to the sequential oracle
+//! [`generator::generate_reference`] across every mapping algorithm and
+//! ghost setting, and [`pic_workload::sweep_reduced_with_stats`] identical
+//! to [`sweep::sweep_with_stats`] at stride 1 — the contract that pins the
 //! reduced path's per-sample kernel to the full replay's.
 
 use pic_grid::{ElementMesh, MeshDims};
@@ -11,7 +12,7 @@ use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::sweep::{self, SweepPoint};
-use pic_workload::{generate_reduced, sweep_reduced, ReductionPlan};
+use pic_workload::{generate_reduced_with_stats, sweep_reduced_with_stats, ReductionPlan};
 use proptest::prelude::*;
 
 fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
@@ -61,7 +62,7 @@ proptest! {
         let mut cfg = WorkloadConfig::new(ranks, mapping, 0.05);
         cfg.compute_ghosts = ghosts;
         let plan = ReductionPlan::identity(tr.sample_count());
-        let reduced = generate_reduced(&tr, &cfg, Some(&mesh), &plan).unwrap();
+        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, Some(&mesh), &plan).unwrap();
         let full = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(reduced, full);
     }
@@ -79,8 +80,8 @@ proptest! {
             SweepPoint::new(WorkloadConfig::new(ranks, mapping, 0.02)),
         ];
         let plan = ReductionPlan::identity(tr.sample_count());
-        let reduced = sweep_reduced(&tr, &points, Some(&mesh), &plan).unwrap();
-        let full = sweep::sweep(&tr, &points, Some(&mesh)).unwrap();
+        let (reduced, _) = sweep_reduced_with_stats(&tr, &points, Some(&mesh), &plan).unwrap();
+        let (full, _) = sweep::sweep_with_stats(&tr, &points, Some(&mesh)).unwrap();
         prop_assert_eq!(reduced, full);
     }
 
@@ -101,7 +102,7 @@ proptest! {
         let assignment: Vec<usize> = (0..t).map(|s| s / chunk).collect();
         let plan = ReductionPlan::new(t, reps, assignment).unwrap();
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let w = generate_reduced(&tr, &cfg, None, &plan).unwrap();
+        let (w, _) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
         for s in 0..w.samples() {
             prop_assert_eq!(w.real.sample_total(s), tr.particle_count() as u64);
         }

@@ -1,9 +1,11 @@
 //! Streaming-pipeline shutdown under trace faults (the acceptance
-//! criterion for ingestion hardening): feeding `generate_streaming` a
+//! criterion for ingestion hardening): feeding the streaming driver a
 //! truncated or failing stream must return the decoder's *positioned*
 //! error with every pipeline thread joined — never hang, never panic.
 //! Each run executes on a watchdog thread with a hard timeout so a
-//! shutdown regression fails the suite instead of wedging it.
+//! shutdown regression fails the suite instead of wedging it. Every fault
+//! case runs over two inputs: a single configuration, and a two-group,
+//! two-stride grid whose merge folds several members per frame.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -13,7 +15,9 @@ use pic_trace::codec::{encode_trace, Precision};
 use pic_trace::fault::{truncation_points, FailAt, TruncateAt};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
-use pic_workload::{generate_streaming, generate_streaming_with_stats, WorkloadConfig};
+use pic_workload::{
+    generate_streaming_with_stats, sweep_streaming, DynamicWorkload, SweepPoint, WorkloadConfig,
+};
 
 /// Generous bound: a healthy run over these tiny traces finishes in
 /// milliseconds, so hitting it can only mean a stuck pipeline thread.
@@ -35,15 +39,38 @@ fn cfg() -> WorkloadConfig {
     WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05)
 }
 
+/// The inputs every fault case streams: one point, and a grid of two
+/// assignment groups read at two strides each.
+fn inputs() -> [Vec<SweepPoint>; 2] {
+    let coarse = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.05);
+    [
+        vec![SweepPoint::new(cfg())],
+        vec![
+            SweepPoint::new(cfg()),
+            SweepPoint::with_stride(cfg(), 2),
+            SweepPoint::new(coarse.clone()),
+            SweepPoint::with_stride(coarse, 2),
+        ],
+    ]
+}
+
+fn stream<S: pic_trace::SampleSource + Send>(
+    reader: S,
+    points: &[SweepPoint],
+) -> pic_types::Result<Vec<DynamicWorkload>> {
+    sweep_streaming(reader, points, None).map(|(workloads, _, _)| workloads)
+}
+
 /// Run the full open-reader-then-stream path on its own thread; panic if
 /// it neither returns nor errors within the watchdog window.
 fn stream_with_watchdog(
     bytes: Vec<u8>,
+    points: Vec<SweepPoint>,
     label: String,
-) -> pic_types::Result<pic_workload::DynamicWorkload> {
+) -> pic_types::Result<Vec<DynamicWorkload>> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let result = TraceReader::new(&bytes[..]).and_then(|r| generate_streaming(r, &cfg(), None));
+        let result = TraceReader::new(&bytes[..]).and_then(|r| stream(r, &points));
         // The watchdog may have given up; a dead receiver is fine.
         let _ = tx.send(result);
     });
@@ -72,16 +99,22 @@ fn truncation_at_every_boundary_errors_or_yields_prefix_without_hanging() {
     let bytes = encode_trace(&tr, Precision::F64).unwrap();
     let frame_len = 8 + 40 * 3 * 8;
     let header_len = 76 + desc_len;
-    for cut in truncation_points(bytes.len(), desc_len, frame_len) {
-        match stream_with_watchdog(bytes[..cut].to_vec(), format!("cut at byte {cut}")) {
-            Ok(workload) => {
-                // Only exact frame boundaries stream cleanly, and then the
-                // workload covers exactly the surviving prefix.
-                assert!(cut >= header_len, "cut {cut} streamed without a header");
-                assert_eq!((cut - header_len) % frame_len, 0, "cut {cut} is mid-frame");
-                assert_eq!(workload.samples(), (cut - header_len) / frame_len);
+    for points in inputs() {
+        for cut in truncation_points(bytes.len(), desc_len, frame_len) {
+            let label = format!("cut at byte {cut}, {} point(s)", points.len());
+            match stream_with_watchdog(bytes[..cut].to_vec(), points.clone(), label) {
+                Ok(workloads) => {
+                    // Only exact frame boundaries stream cleanly, and then
+                    // each workload covers exactly the surviving prefix.
+                    assert!(cut >= header_len, "cut {cut} streamed without a header");
+                    assert_eq!((cut - header_len) % frame_len, 0, "cut {cut} is mid-frame");
+                    let prefix = (cut - header_len) / frame_len;
+                    for (p, w) in points.iter().zip(&workloads) {
+                        assert_eq!(w.samples(), prefix.div_ceil(p.stride));
+                    }
+                }
+                Err(e) => assert_positioned(&e, &format!("cut {cut}")),
             }
-            Err(e) => assert_positioned(&e, &format!("cut {cut}")),
         }
     }
 }
@@ -91,23 +124,26 @@ fn hard_io_fault_mid_stream_propagates_with_workers_joined() {
     let tr = small_trace(30, 5);
     let bytes = encode_trace(&tr, Precision::F64).unwrap();
     let fail_at = (bytes.len() / 2) as u64;
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let faulty = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
-        let result = TraceReader::new(faulty).and_then(|r| generate_streaming(r, &cfg(), None));
-        let _ = tx.send(result);
-    });
-    let err = rx
-        .recv_timeout(WATCHDOG)
-        .expect("streaming pipeline hung on a hard I/O fault")
-        .expect_err("injected fault was swallowed");
-    assert_positioned(&err, "hard fault");
-    let details = err.trace_details().unwrap();
-    assert_eq!(details.kind, TraceErrorKind::Io, "{err}");
-    assert_eq!(
-        details.source.as_ref().unwrap().kind(),
-        std::io::ErrorKind::BrokenPipe
-    );
+    for points in inputs() {
+        let bytes = bytes.clone();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let faulty = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
+            let result = TraceReader::new(faulty).and_then(|r| stream(r, &points));
+            let _ = tx.send(result);
+        });
+        let err = rx
+            .recv_timeout(WATCHDOG)
+            .expect("streaming pipeline hung on a hard I/O fault")
+            .expect_err("injected fault was swallowed");
+        assert_positioned(&err, "hard fault");
+        let details = err.trace_details().unwrap();
+        assert_eq!(details.kind, TraceErrorKind::Io, "{err}");
+        assert_eq!(
+            details.source.as_ref().unwrap().kind(),
+            std::io::ErrorKind::BrokenPipe
+        );
+    }
 }
 
 #[test]
@@ -116,13 +152,15 @@ fn truncating_reader_mid_frame_is_a_positioned_error() {
     let bytes = encode_trace(&tr, Precision::F32).unwrap();
     // Cut inside the last frame's position payload.
     let cut = (bytes.len() - 10) as u64;
-    let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
-    let err = generate_streaming(reader, &cfg(), None).unwrap_err();
-    assert_positioned(&err, "mid-frame truncation");
-    assert_eq!(
-        err.trace_details().unwrap().kind,
-        TraceErrorKind::TruncatedFrame
-    );
+    for points in inputs() {
+        let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
+        let err = stream(reader, &points).unwrap_err();
+        assert_positioned(&err, "mid-frame truncation");
+        assert_eq!(
+            err.trace_details().unwrap().kind,
+            TraceErrorKind::TruncatedFrame
+        );
+    }
 }
 
 #[test]
