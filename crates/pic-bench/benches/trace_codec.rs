@@ -7,6 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_bench::synthetic_expanding_trace;
 use pic_trace::codec::{decode_trace, encode_trace, Precision};
+use pic_trace::compact::{decode_compact, encode_compact};
+use pic_trace::features::{feature_vectors, FeatureConfig};
 
 fn codec_bandwidth(c: &mut Criterion) {
     let trace = synthetic_expanding_trace(50_000, 10, 21);
@@ -25,6 +27,18 @@ fn codec_bandwidth(c: &mut Criterion) {
             &bytes,
             |b, bytes| b.iter(|| decode_trace(bytes).unwrap()),
         );
+        let compact = encode_compact(&trace, precision).unwrap();
+        group.throughput(Throughput::Bytes(compact.len() as u64));
+        group.bench_with_input(
+            BenchmarkId::new("compact_encode", format!("{precision:?}")),
+            &trace,
+            |b, trace| b.iter(|| encode_compact(trace, precision).unwrap()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("compact_decode", format!("{precision:?}")),
+            &compact,
+            |b, bytes| b.iter(|| decode_compact(bytes).unwrap()),
+        );
     }
     group.finish();
 }
@@ -36,6 +50,9 @@ fn subsampling(c: &mut Criterion) {
     group.bench_function("subsample_stride4", |b| b.iter(|| trace.subsample(4)));
     group.bench_function("boundary_series", |b| {
         b.iter(|| pic_trace::stats::boundary_series(&trace))
+    });
+    group.bench_function("feature_vectors", |b| {
+        b.iter(|| feature_vectors(&trace, &FeatureConfig::default()))
     });
     group.finish();
 }

@@ -258,19 +258,26 @@ pub fn select_k(points: &[Vec<f64>], k_max: usize, seed: u64, max_iters: usize) 
         return fit(points, &KMeansConfig::default());
     }
     let dim = points[0].len().max(1);
-    let mut scored: Vec<(f64, KMeans)> = Vec::new();
-    for k in 1..=k_max.min(n) {
-        let cfg = KMeansConfig {
-            k,
-            seed: derive_seed(seed, k as u64),
-            max_iters,
-            ..KMeansConfig::default()
-        };
-        let fitted = fit(points, &cfg);
-        let mean_inertia = (fitted.inertia / n as f64).max(1e-12);
-        let bic = -(n as f64 * mean_inertia.ln() + (k * dim) as f64 * (n as f64).ln());
-        scored.push((bic, fitted));
-    }
+    // The candidate fits are independent, so they share one ordered
+    // parallel map; each fit's inner assignment step inherits what is left
+    // of the budget instead of spawning threads per Lloyd iteration.
+    let scored: Vec<(f64, KMeans)> = pic_types::pool::install(|| {
+        (1..k_max.min(n) + 1)
+            .into_par_iter()
+            .map(|k| {
+                let cfg = KMeansConfig {
+                    k,
+                    seed: derive_seed(seed, k as u64),
+                    max_iters,
+                    ..KMeansConfig::default()
+                };
+                let fitted = fit(points, &cfg);
+                let mean_inertia = (fitted.inertia / n as f64).max(1e-12);
+                let bic = -(n as f64 * mean_inertia.ln() + (k * dim) as f64 * (n as f64).ln());
+                (bic, fitted)
+            })
+            .collect()
+    });
     let best = scored
         .iter()
         .map(|(b, _)| *b)
@@ -348,6 +355,20 @@ mod tests {
                 .build()
                 .unwrap();
             let run = pool.install(|| fit(&pts, &cfg));
+            assert_eq!(run, reference, "thread count {threads} diverged");
+        }
+    }
+
+    #[test]
+    fn select_k_is_identical_across_thread_counts() {
+        let pts = blobs(&[[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]], 30, 0.3, 11);
+        let reference = select_k(&pts, 8, 99, 50);
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let run = pool.install(|| select_k(&pts, 8, 99, 50));
             assert_eq!(run, reference, "thread count {threads} diverged");
         }
     }

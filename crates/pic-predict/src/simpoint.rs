@@ -214,6 +214,23 @@ mod tests {
     }
 
     #[test]
+    fn plan_is_identical_across_thread_counts() {
+        let tr = phased_trace(120, 20, 3);
+        let plans: Vec<ReductionPlan> = [1usize, 2]
+            .iter()
+            .map(|&threads| {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                pool.install(|| build_plan(&tr, &test_opts()).unwrap())
+            })
+            .collect();
+        assert_eq!(plans[0], plans[1]);
+        assert_eq!(plans[0].k(), 3);
+    }
+
+    #[test]
     fn degenerate_requests_fail_cleanly() {
         let empty = ParticleTrace::new(TraceMeta::new(3, 1, Aabb::unit(), "empty"));
         assert!(build_plan(&empty, &SimpointOptions::default()).is_err());

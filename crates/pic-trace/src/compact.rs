@@ -64,9 +64,41 @@ fn zigzag(d: i64) -> u64 {
     ((d << 1) ^ (d >> 63)) as u64
 }
 
-#[inline]
-fn unzigzag(z: u64) -> i64 {
-    ((z >> 1) as i64) ^ -((z & 1) as i64)
+/// Little-endian load of one `W`-byte payload element (`W` ≤ 4).
+#[inline(always)]
+fn load_le<const W: usize>(elem: &[u8]) -> u32 {
+    let mut raw = [0u8; 4];
+    raw[..W].copy_from_slice(elem);
+    u32::from_le_bytes(raw)
+}
+
+/// Fold one chunk of an absolute (width 0) frame into the quantized
+/// coordinates it overwrites. Monomorphised on the element width so the
+/// loop is a fixed-size load and a mask per element.
+fn fold_abs<const W: usize>(chunk: &[u8], mask: u32, out: &mut [u32]) {
+    for (q, elem) in out.iter_mut().zip(chunk.chunks_exact(W)) {
+        *q = load_le::<W>(elem) & mask;
+    }
+}
+
+/// Fold one chunk of zigzag deltas into the previous frame's quantized
+/// coordinates. Wrapping on the grid: a corrupt delta still lands on a
+/// valid (finite, in-box) coordinate.
+fn fold_delta<const W: usize>(chunk: &[u8], mask: u32, prev: &mut [u32]) {
+    for (q, elem) in prev.iter_mut().zip(chunk.chunks_exact(W)) {
+        let z = load_le::<W>(elem);
+        let delta = (z >> 1) ^ (z & 1).wrapping_neg(); // un-zigzag, mod 2^32
+        *q = q.wrapping_add(delta) & mask;
+    }
+}
+
+/// Append `vals` to `out` as `W`-byte little-endian elements.
+fn put_le<const W: usize>(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = u64>) {
+    let at = out.len();
+    out.resize(at + W * vals.len(), 0);
+    for (elem, v) in out[at..].chunks_exact_mut(W).zip(vals) {
+        elem.copy_from_slice(&v.to_le_bytes()[..W]);
+    }
 }
 
 /// Delta widths the format admits for a grid of `qbytes` bytes, narrowest
@@ -86,17 +118,13 @@ struct Quantizer {
     hi: [f64; 3],
     ext: [f64; 3],
     maxq: f64,
-    mask: u64,
+    /// Largest grid coordinate: `2^16 - 1` or `2^32 - 1`.
+    mask: u32,
 }
 
 impl Quantizer {
     fn new(qbox: &Aabb, qbytes: usize) -> Quantizer {
-        let bits = 8 * qbytes as u32;
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
+        let mask = ((1u64 << (8 * qbytes)) - 1) as u32;
         Quantizer {
             lo: [qbox.min.x, qbox.min.y, qbox.min.z],
             hi: [qbox.max.x, qbox.max.y, qbox.max.z],
@@ -111,7 +139,7 @@ impl Quantizer {
     }
 
     #[inline]
-    fn quant(&self, axis: usize, x: f64) -> u64 {
+    fn quant(&self, axis: usize, x: f64) -> u32 {
         if self.ext[axis] <= 0.0 {
             return 0;
         }
@@ -121,12 +149,12 @@ impl Quantizer {
         } else if t >= self.maxq {
             self.mask
         } else {
-            t as u64
+            t as u32
         }
     }
 
     #[inline]
-    fn dequant(&self, axis: usize, q: u64) -> f64 {
+    fn dequant(&self, axis: usize, q: u32) -> f64 {
         if self.ext[axis] <= 0.0 {
             self.lo[axis]
         } else {
@@ -136,6 +164,30 @@ impl Quantizer {
             let f = q as f64 / self.maxq;
             self.lo[axis] * (1.0 - f) + self.hi[axis] * f
         }
+    }
+
+    /// Quantize one frame's positions into `out` (x, y, z interleaved).
+    fn quantize_into(&self, positions: &[Vec3], out: &mut Vec<u32>) {
+        out.resize(3 * positions.len(), 0);
+        for (q, p) in out.chunks_exact_mut(3).zip(positions) {
+            q[0] = self.quant(0, p.x);
+            q[1] = self.quant(1, p.y);
+            q[2] = self.quant(2, p.z);
+        }
+    }
+
+    /// Positions of one frame of quantized coordinates, allocated once at
+    /// exact length (the coordinates are backed by bytes already read).
+    fn dequant_frame(&self, q: &[u32]) -> Vec<Vec3> {
+        q.chunks_exact(3)
+            .map(|c| {
+                Vec3::new(
+                    self.dequant(0, c[0]),
+                    self.dequant(1, c[1]),
+                    self.dequant(2, c[2]),
+                )
+            })
+            .collect()
     }
 }
 
@@ -176,7 +228,7 @@ pub fn quantization_box(trace: &ParticleTrace) -> Aabb {
 /// some delta overflows every admissible width and the frame must be
 /// stored absolute. `qvals`/`prev` hold the current and previous frames'
 /// quantized coordinates.
-fn frame_width(qvals: &[u64], prev: &[u64], qbytes: usize) -> Option<usize> {
+fn frame_width(qvals: &[u32], prev: &[u32], qbytes: usize) -> Option<usize> {
     let mut max_z = 0u64;
     for (&q, &p) in qvals.iter().zip(prev) {
         let z = zigzag(q as i64 - p as i64);
@@ -187,7 +239,7 @@ fn frame_width(qvals: &[u64], prev: &[u64], qbytes: usize) -> Option<usize> {
     allowed_widths(qbytes)
         .iter()
         .copied()
-        .find(|&w| w == 8 || max_z < (1u64 << (8 * w)))
+        .find(|&w| max_z < (1u64 << (8 * w)))
 }
 
 /// Streaming compact writer: emits the header and quantization box on
@@ -199,9 +251,9 @@ pub struct CompactWriter<W: Write> {
     qbytes: usize,
     quant: Quantizer,
     /// Previous frame's quantized coordinates (empty before frame 0).
-    prev: Vec<u64>,
+    prev: Vec<u32>,
     /// Current frame's quantized coordinates (reused scratch).
-    qvals: Vec<u64>,
+    qvals: Vec<u32>,
     frames_written: usize,
     bytes_written: u64,
     scratch: Vec<u8>,
@@ -255,12 +307,7 @@ impl<W: Write> CompactWriter<W> {
                 self.particle_count
             )));
         }
-        self.qvals.clear();
-        for p in &sample.positions {
-            self.qvals.push(self.quant.quant(0, p.x));
-            self.qvals.push(self.quant.quant(1, p.y));
-            self.qvals.push(self.quant.quant(2, p.z));
-        }
+        self.quant.quantize_into(&sample.positions, &mut self.qvals);
         let width = if self.frames_written == 0 {
             None
         } else {
@@ -270,19 +317,18 @@ impl<W: Write> CompactWriter<W> {
         self.scratch.put_u64_le(sample.iteration);
         self.scratch.put_u8(width.unwrap_or(0) as u8);
         self.scratch.put_slice(&[0u8; 3]);
-        match width {
-            None => {
-                for &q in &self.qvals {
-                    self.scratch
-                        .extend_from_slice(&q.to_le_bytes()[..self.qbytes]);
-                }
-            }
-            Some(w) => {
-                for (&q, &p) in self.qvals.iter().zip(&self.prev) {
-                    let z = zigzag(q as i64 - p as i64);
-                    self.scratch.extend_from_slice(&z.to_le_bytes()[..w]);
-                }
-            }
+        let absolute = self.qvals.iter().map(|&q| q as u64);
+        let deltas = self
+            .qvals
+            .iter()
+            .zip(&self.prev)
+            .map(|(&q, &p)| zigzag(q as i64 - p as i64));
+        match (width, self.qbytes) {
+            (None, 2) => put_le::<2>(&mut self.scratch, absolute),
+            (None, _) => put_le::<4>(&mut self.scratch, absolute),
+            (Some(1), _) => put_le::<1>(&mut self.scratch, deltas),
+            (Some(2), _) => put_le::<2>(&mut self.scratch, deltas),
+            (Some(_), _) => put_le::<4>(&mut self.scratch, deltas),
         }
         self.sink.write_all(&self.scratch)?;
         std::mem::swap(&mut self.prev, &mut self.qvals);
@@ -317,10 +363,10 @@ pub struct CompactReader<R: Read> {
     precision: Precision,
     qbytes: usize,
     quant: Quantizer,
-    /// Previous frame's quantized coordinates; grows with decoded data
-    /// during the first (absolute) frame, never preallocated from the
-    /// header's particle count.
-    prev: Vec<u64>,
+    /// Previous frame's quantized coordinates; grows chunk by chunk with
+    /// the bytes read during the first (absolute) frame, never
+    /// preallocated from the header's particle count.
+    prev: Vec<u32>,
     frames_read: usize,
     offset: u64,
     chunk: Vec<u8>,
@@ -453,10 +499,15 @@ impl<R: Read> CompactReader<R> {
         }
         self.offset += FRAME_HEAD_LEN as u64;
 
+        let fold: fn(&[u8], u32, &mut [u32]) = match (width, elem) {
+            (0, 2) => fold_abs::<2>,
+            (0, _) => fold_abs::<4>,
+            (1, _) => fold_delta::<1>,
+            (2, _) => fold_delta::<2>,
+            _ => fold_delta::<4>,
+        };
         let total = 3 * self.meta.particle_count;
         let per_chunk = (READ_CHUNK_BYTES / elem).max(1);
-        let mut positions: Vec<Vec3> = Vec::new();
-        let mut pending = [0.0f64; 3];
         let mut decoded = 0usize;
         while decoded < total {
             let take = per_chunk.min(total - decoded);
@@ -484,31 +535,18 @@ impl<R: Read> CompactReader<R> {
                 .into());
             }
             self.offset += got as u64;
-            for k in 0..take {
-                let mut raw = [0u8; 8];
-                raw[..elem].copy_from_slice(&self.chunk[k * elem..(k + 1) * elem]);
-                let v = u64::from_le_bytes(raw);
-                let e = decoded + k;
-                let q = if width == 0 {
-                    v & self.quant.mask
-                } else {
-                    // Wrapping on the grid: a corrupt delta still lands on
-                    // a valid (finite, in-box) coordinate.
-                    self.prev[e].wrapping_add(unzigzag(v) as u64) & self.quant.mask
-                };
-                if e < self.prev.len() {
-                    self.prev[e] = q;
-                } else {
-                    self.prev.push(q);
-                }
-                let axis = e % 3;
-                pending[axis] = self.quant.dequant(axis, q);
-                if axis == 2 {
-                    positions.push(Vec3::new(pending[0], pending[1], pending[2]));
-                }
+            // Only the first frame grows `prev`, by the chunk just read.
+            if self.prev.len() < decoded + take {
+                self.prev.resize(decoded + take, 0);
             }
+            fold(
+                &self.chunk[..want],
+                self.quant.mask,
+                &mut self.prev[decoded..decoded + take],
+            );
             decoded += take;
         }
+        let positions = self.quant.dequant_frame(&self.prev[..total]);
         self.frames_read += 1;
         Ok(Some(TraceSample {
             iteration,
@@ -568,16 +606,11 @@ pub fn encoded_size(trace: &ParticleTrace, precision: Precision) -> u64 {
     let qbytes = quant_bytes(precision);
     let quant = Quantizer::new(&qbox, qbytes);
     let header = encode_header_with_magic(trace.meta(), precision, COMPACT_MAGIC).len() + QBOX_LEN;
-    let mut prev: Vec<u64> = Vec::new();
-    let mut qvals: Vec<u64> = Vec::new();
+    let mut prev: Vec<u32> = Vec::new();
+    let mut qvals: Vec<u32> = Vec::new();
     let mut bytes = header as u64;
     for (k, s) in trace.samples().enumerate() {
-        qvals.clear();
-        for p in &s.positions {
-            qvals.push(quant.quant(0, p.x));
-            qvals.push(quant.quant(1, p.y));
-            qvals.push(quant.quant(2, p.z));
-        }
+        quant.quantize_into(&s.positions, &mut qvals);
         let elem = if k == 0 {
             qbytes
         } else {
@@ -870,5 +903,403 @@ mod tests {
         assert_eq!(d.kind, TraceErrorKind::BadHeader);
         assert_eq!(d.frame, Some(0));
         assert!(err.to_string().contains("absolute"), "{err}");
+    }
+
+    // ---------------------------------------------------------- oracles
+    //
+    // The per-element codec loops as they stood before the
+    // width-monomorphised kernels, kept verbatim (state that was a field
+    // then is a parameter now) so the kernels are held to them bit for
+    // bit: positions, iterations, encoded bytes, and on malformed input
+    // the error kind, byte offset and frame.
+
+    fn unzigzag(z: u64) -> i64 {
+        ((z >> 1) as i64) ^ -((z & 1) as i64)
+    }
+
+    fn dequant_reference(quant: &Quantizer, axis: usize, q: u64) -> f64 {
+        if quant.ext[axis] <= 0.0 {
+            quant.lo[axis]
+        } else {
+            let f = q as f64 / quant.maxq;
+            quant.lo[axis] * (1.0 - f) + quant.hi[axis] * f
+        }
+    }
+
+    fn read_sample_reference<R: Read>(
+        r: &mut CompactReader<R>,
+        prev: &mut Vec<u64>,
+    ) -> Result<Option<TraceSample>> {
+        let mask = r.quant.mask as u64;
+        let frame = r.frames_read as u64;
+        let mut head = [0u8; FRAME_HEAD_LEN];
+        let got = read_fully(&mut r.source, &mut head).map_err(|e| {
+            TraceError::new(TraceErrorKind::Io, "frame head read failed")
+                .at_offset(r.offset)
+                .at_frame(frame)
+                .with_source(e)
+        })?;
+        if got == 0 {
+            return Ok(None); // clean end-of-stream
+        }
+        if got < FRAME_HEAD_LEN {
+            return Err(TraceError::new(
+                TraceErrorKind::TruncatedFrame,
+                format!("stream ends {got} bytes into the {FRAME_HEAD_LEN}-byte frame head"),
+            )
+            .at_offset(r.offset + got as u64)
+            .at_frame(frame)
+            .into());
+        }
+        let iteration = u64::from_le_bytes(head[..8].try_into().expect("8-byte word"));
+        let width = head[8] as usize;
+        if head[9..] != [0u8; 3] {
+            return Err(TraceError::new(
+                TraceErrorKind::BadHeader,
+                "frame head padding is not zero".to_string(),
+            )
+            .at_offset(r.offset + 9)
+            .at_frame(frame)
+            .into());
+        }
+        let elem = if width == 0 {
+            r.qbytes
+        } else if allowed_widths(r.qbytes).contains(&width) {
+            width
+        } else {
+            return Err(TraceError::new(
+                TraceErrorKind::BadHeader,
+                format!("invalid delta width {width} for a {}-byte grid", r.qbytes),
+            )
+            .at_offset(r.offset + 8)
+            .at_frame(frame)
+            .into());
+        };
+        if r.frames_read == 0 && width != 0 {
+            return Err(TraceError::new(
+                TraceErrorKind::BadHeader,
+                format!("first frame must store absolute coordinates (width 0), got {width}"),
+            )
+            .at_offset(r.offset + 8)
+            .at_frame(frame)
+            .into());
+        }
+        r.offset += FRAME_HEAD_LEN as u64;
+
+        let total = 3 * r.meta.particle_count;
+        let per_chunk = (READ_CHUNK_BYTES / elem).max(1);
+        let mut positions: Vec<Vec3> = Vec::new();
+        let mut pending = [0.0f64; 3];
+        let mut decoded = 0usize;
+        while decoded < total {
+            let take = per_chunk.min(total - decoded);
+            let want = take * elem;
+            r.chunk.resize(want, 0);
+            let got = read_fully(&mut r.source, &mut r.chunk[..want]).map_err(|e| {
+                TraceError::new(
+                    TraceErrorKind::Io,
+                    format!("frame payload read failed at iteration {iteration}"),
+                )
+                .at_offset(r.offset)
+                .at_frame(frame)
+                .with_source(e)
+            })?;
+            if got < want {
+                let missing = (total - decoded) * elem - got;
+                return Err(TraceError::new(
+                    TraceErrorKind::TruncatedFrame,
+                    format!(
+                        "truncated frame at iteration {iteration}: stream ends {missing} byte(s) short"
+                    ),
+                )
+                .at_offset(r.offset + got as u64)
+                .at_frame(frame)
+                .into());
+            }
+            r.offset += got as u64;
+            for k in 0..take {
+                let mut raw = [0u8; 8];
+                raw[..elem].copy_from_slice(&r.chunk[k * elem..(k + 1) * elem]);
+                let v = u64::from_le_bytes(raw);
+                let e = decoded + k;
+                let q = if width == 0 {
+                    v & mask
+                } else {
+                    // Wrapping on the grid: a corrupt delta still lands on
+                    // a valid (finite, in-box) coordinate.
+                    prev[e].wrapping_add(unzigzag(v) as u64) & mask
+                };
+                if e < prev.len() {
+                    prev[e] = q;
+                } else {
+                    prev.push(q);
+                }
+                let axis = e % 3;
+                pending[axis] = dequant_reference(&r.quant, axis, q);
+                if axis == 2 {
+                    positions.push(Vec3::new(pending[0], pending[1], pending[2]));
+                }
+            }
+            decoded += take;
+        }
+        r.frames_read += 1;
+        Ok(Some(TraceSample {
+            iteration,
+            positions,
+        }))
+    }
+
+    fn decode_reference(bytes: &[u8]) -> Result<ParticleTrace> {
+        let mut r = CompactReader::new(bytes)?;
+        let mut prev = Vec::new();
+        let mut trace = ParticleTrace::new(r.meta.clone());
+        while let Some(s) = read_sample_reference(&mut r, &mut prev)? {
+            trace.push_sample(s).map_err(|e| r.positioned(e))?;
+        }
+        Ok(trace)
+    }
+
+    fn encode_reference(trace: &ParticleTrace, precision: Precision) -> Vec<u8> {
+        let qbox = quantization_box(trace);
+        let qbytes = quant_bytes(precision);
+        let quant = Quantizer::new(&qbox, qbytes);
+        let mut out = encode_header_with_magic(trace.meta(), precision, COMPACT_MAGIC);
+        for c in [
+            qbox.min.x, qbox.min.y, qbox.min.z, qbox.max.x, qbox.max.y, qbox.max.z,
+        ] {
+            out.put_f64_le(c);
+        }
+        let mut prev: Vec<u64> = Vec::new();
+        let mut qvals: Vec<u64> = Vec::new();
+        for (k, sample) in trace.samples().enumerate() {
+            qvals.clear();
+            for p in &sample.positions {
+                qvals.push(quant.quant(0, p.x) as u64);
+                qvals.push(quant.quant(1, p.y) as u64);
+                qvals.push(quant.quant(2, p.z) as u64);
+            }
+            let width = if k == 0 {
+                None
+            } else {
+                let mut max_z = 0u64;
+                for (&q, &p) in qvals.iter().zip(&prev) {
+                    let z = zigzag(q as i64 - p as i64);
+                    if z > max_z {
+                        max_z = z;
+                    }
+                }
+                allowed_widths(qbytes)
+                    .iter()
+                    .copied()
+                    .find(|&w| max_z < (1u64 << (8 * w)))
+            };
+            out.put_u64_le(sample.iteration);
+            out.put_u8(width.unwrap_or(0) as u8);
+            out.put_slice(&[0u8; 3]);
+            match width {
+                None => {
+                    for &q in &qvals {
+                        out.extend_from_slice(&q.to_le_bytes()[..qbytes]);
+                    }
+                }
+                Some(w) => {
+                    for (&q, &p) in qvals.iter().zip(&prev) {
+                        let z = zigzag(q as i64 - p as i64);
+                        out.extend_from_slice(&z.to_le_bytes()[..w]);
+                    }
+                }
+            }
+            std::mem::swap(&mut prev, &mut qvals);
+        }
+        out
+    }
+
+    /// Both decoders on the same bytes: the same trace down to the last
+    /// position bit, or the same positioned error.
+    fn assert_decoders_agree(bytes: &[u8], what: &str) {
+        match (decode_compact(bytes), decode_reference(bytes)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.meta(), old.meta(), "{what}");
+                assert_eq!(new.sample_count(), old.sample_count(), "{what}");
+                for (a, b) in new.samples().zip(old.samples()) {
+                    assert_eq!(a.iteration, b.iteration, "{what}");
+                    assert_eq!(a.positions.len(), b.positions.len(), "{what}");
+                    for (pa, pb) in a.positions.iter().zip(&b.positions) {
+                        let bits = |p: &Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+                        assert_eq!(bits(pa), bits(pb), "{what}: {pa:?} vs {pb:?}");
+                    }
+                }
+            }
+            (Err(new), Err(old)) => {
+                let (n, o) = (new.trace_details(), old.trace_details());
+                let (n, o) = (n.expect("structured"), o.expect("structured"));
+                assert_eq!(
+                    (n.kind, n.offset, n.frame, &n.message),
+                    (o.kind, o.offset, o.frame, &o.message),
+                    "{what}"
+                );
+            }
+            (new, old) => panic!(
+                "{what}: decoders disagree: new {:?}, reference {:?}",
+                new.map(|t| t.sample_count()),
+                old.map(|t| t.sample_count())
+            ),
+        }
+    }
+
+    /// Per-frame motions of the oracle corpus, chosen to land on each
+    /// encoding: no motion, drifts of 1e-8, 1e-6, 1e-3 and 3e-2 of the box
+    /// (delta widths 1, 2 and 4 on the 32-bit grid; 1 and 2 on the 16-bit
+    /// grid), and — motion `DRIFTS.len()` — a reflection through the box
+    /// centre, which overflows every delta width and forces an absolute
+    /// frame mid-stream.
+    const DRIFTS: [f64; 5] = [0.0, 1e-8, 1e-6, 1e-3, 3e-2];
+    const MOTIONS: usize = DRIFTS.len() + 1;
+
+    /// A trace whose frame `k >= 1` moves every free particle by
+    /// `motions[k]`. With three or more particles the first two are pinned
+    /// to opposite box corners so the quantization box is the unit box
+    /// (`flat` pins every z to one plane: a degenerate axis).
+    fn oracle_trace(np: usize, motions: &[usize], flat: bool, seed: u64) -> ParticleTrace {
+        let mut rng = pic_types::rng::SplitMix64::new(seed);
+        let z_of = |z: f64| if flat { 0.5 } else { z };
+        let pinned = if np >= 3 { 2 } else { 0 };
+        let mut cur: Vec<Vec3> = (0..np)
+            .map(|i| match i {
+                0 if pinned > 0 => Vec3::new(0.0, 0.0, z_of(0.0)),
+                1 if pinned > 0 => Vec3::new(1.0, 1.0, z_of(1.0)),
+                _ => Vec3::new(rng.next_f64(), rng.next_f64(), z_of(rng.next_f64())),
+            })
+            .collect();
+        let mut tr = ParticleTrace::new(TraceMeta::new(np, 7, Aabb::unit(), "oracle"));
+        for (k, &motion) in motions.iter().enumerate() {
+            if k > 0 {
+                for p in cur.iter_mut().skip(pinned) {
+                    *p = match DRIFTS.get(motion) {
+                        Some(&step) => {
+                            let mut next =
+                                |x: f64| (x + step * rng.next_range(-1.0, 1.0)).clamp(0.0, 1.0);
+                            Vec3::new(next(p.x), next(p.y), z_of(next(p.z)))
+                        }
+                        None => Vec3::new(1.0 - p.x, 1.0 - p.y, z_of(1.0 - p.z)),
+                    };
+                }
+            }
+            tr.push_positions(cur.clone()).unwrap();
+        }
+        tr
+    }
+
+    /// The width byte of every frame of an encoding of `tr`.
+    fn frame_widths(tr: &ParticleTrace, precision: Precision, bytes: &[u8]) -> Vec<u8> {
+        let mut at = encode_header_with_magic(tr.meta(), precision, COMPACT_MAGIC).len() + QBOX_LEN;
+        let mut widths = Vec::new();
+        while at < bytes.len() {
+            let w = bytes[at + 8];
+            widths.push(w);
+            let elem = if w == 0 {
+                quant_bytes(precision)
+            } else {
+                w as usize
+            };
+            at += FRAME_HEAD_LEN + 3 * tr.particle_count() * elem;
+        }
+        widths
+    }
+
+    #[test]
+    fn oracle_corpus_reaches_every_frame_encoding() {
+        // One particle far from the centre, so the reflection is a jump of
+        // most of the box.
+        let motions = [0, 1, 2, 3, 4, 5, 0, 1];
+        for (precision, expect) in [
+            (Precision::F64, vec![0u8, 1, 2, 4, 4, 0, 1, 1]),
+            (Precision::F32, vec![0u8, 1, 1, 1, 2, 0, 1, 1]),
+        ] {
+            let tr = oracle_trace(9, &motions, false, 3);
+            let bytes = encode_compact(&tr, precision).unwrap();
+            assert_eq!(
+                frame_widths(&tr, precision, &bytes),
+                expect,
+                "{precision:?}"
+            );
+            assert_eq!(bytes, encode_reference(&tr, precision));
+            assert_decoders_agree(&bytes, "every encoding");
+        }
+    }
+
+    #[test]
+    fn payload_crossing_a_chunk_edge_mid_particle_matches_the_reference() {
+        // 21 846 particles are 65 538 width-1 elements: the 64 KiB chunk
+        // ends after the x of the last particle but one.
+        let np = READ_CHUNK_BYTES / 3 + 1;
+        let tr = oracle_trace(np, &[0, 1, 1], false, 5);
+        let bytes = encode_compact(&tr, Precision::F64).unwrap();
+        assert_eq!(frame_widths(&tr, Precision::F64, &bytes), [0, 1, 1]);
+        assert_eq!(bytes, encode_reference(&tr, Precision::F64));
+        assert_decoders_agree(&bytes, "whole stream");
+        // Truncation on either side of the edge, in the last frame.
+        let last = bytes.len() - 3 * np;
+        for cut in [
+            last + READ_CHUNK_BYTES - 1,
+            last + READ_CHUNK_BYTES,
+            last + READ_CHUNK_BYTES + 1,
+        ] {
+            assert_decoders_agree(&bytes[..cut], "cut at the chunk edge");
+        }
+    }
+
+    #[test]
+    fn corrupt_deltas_wrap_the_grid_like_the_reference() {
+        for (precision, motion) in [(Precision::F64, 3), (Precision::F32, 4)] {
+            let tr = oracle_trace(6, &[0, motion, motion], false, 9);
+            let qbox = quantization_box(&tr);
+            let mut bytes = encode_compact(&tr, precision).unwrap();
+            let w = quant_bytes(precision);
+            assert_eq!(
+                *frame_widths(&tr, precision, &bytes).last().unwrap(),
+                w as u8
+            );
+            // The widest deltas in both directions, over the whole of the
+            // last frame: every coordinate leaves the grid and wraps.
+            let payload = bytes.len() - 3 * 6 * w;
+            for (e, elem) in bytes[payload..].chunks_exact_mut(w).enumerate() {
+                elem.fill(0xff);
+                elem[0] -= (e & 1) as u8;
+            }
+            assert_decoders_agree(&bytes, "wrapping deltas");
+            let back = decode_compact(&bytes).unwrap();
+            for p in &back.samples().last().unwrap().positions {
+                assert!(qbox.contains_closed(*p), "{p:?} left {qbox:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn kernels_match_the_reference_on_valid_and_damaged_streams(
+            np in 0usize..6,
+            motions in proptest::collection::vec(0usize..MOTIONS, 0..6),
+            flat in proptest::prelude::any::<bool>(),
+            narrow in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let precision = if narrow { Precision::F32 } else { Precision::F64 };
+            let tr = oracle_trace(np, &motions, flat, seed);
+            let bytes = encode_compact(&tr, precision).unwrap();
+            proptest::prop_assert_eq!(&bytes, &encode_reference(&tr, precision));
+            proptest::prop_assert_eq!(encoded_size(&tr, precision), bytes.len() as u64);
+            assert_decoders_agree(&bytes, "intact");
+            for cut in 0..bytes.len() {
+                assert_decoders_agree(&bytes[..cut], &format!("cut at {cut}"));
+            }
+            for bit in 0..8 * bytes.len() as u64 {
+                let mut damaged = bytes.clone();
+                crate::fault::flip_bit(&mut damaged, bit);
+                assert_decoders_agree(&damaged, &format!("bit {bit} flipped"));
+            }
+        }
     }
 }
