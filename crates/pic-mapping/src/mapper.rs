@@ -81,7 +81,8 @@ pub trait ParticleMapper: Send + Sync {
     /// check this and fall back to [`assign`](Self::assign) with their AoS
     /// copy when `false` — the default `assign_soa` reconstitutes a `Vec3`
     /// buffer, which is pure overhead for mappers without an SoA inner
-    /// loop (e.g. the recursive bin partitioner).
+    /// loop (e.g. the recursive bin partitioner, which copies each
+    /// position into its own record buffer anyway).
     fn supports_soa(&self) -> bool {
         false
     }

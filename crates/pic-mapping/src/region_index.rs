@@ -258,10 +258,13 @@ impl RegionIndex {
         }
     }
 
-    /// Packed cell-range signature of the sphere query at `center` with
-    /// radius `radius`, or `None` when the query provably touches nothing
-    /// (empty index, or the inflated query box misses the index bounds —
-    /// including NaN centers/radii, whose query boxes intersect nothing).
+    /// Packed cell-range signatures of the sphere queries of radius `radius`
+    /// centred on the particles `(xs[j], ys[j], zs[j])`: appends
+    /// `(key, first + j)` to `out`, ascending in `j`, for every particle
+    /// whose query can touch a region. A particle gets no key when its
+    /// query provably touches nothing — empty index, or the inflated query
+    /// box misses the index bounds, including NaN centers/radii and
+    /// negative radii, whose query boxes intersect nothing.
     ///
     /// Two queries with equal keys walk exactly the same grid cells and
     /// therefore see exactly the same candidate slots in the same order.
@@ -272,28 +275,48 @@ impl RegionIndex {
     /// to running [`for_each_candidate_in_sphere`](Self::for_each_candidate_in_sphere)
     /// per particle.
     ///
+    /// The coordinates come as structure-of-arrays lanes, so each axis is
+    /// a straight-line subtract / scale / clamp chain over one array. The
+    /// cell clamp stays in `f64` (`max(0).min(dim − 1)`, then truncate),
+    /// which lands on the cell `cell_range` computes through
+    /// `floor() as isize` for every input, NaN and ±∞ included.
+    ///
     /// Packing: the grid is at most 96³ (`build` clamps `per_axis` to 96),
     /// so each of the six cell indices fits in 7 bits; keys are 42-bit.
-    #[inline]
-    pub fn query_cell_key(&self, center: Vec3, radius: f64) -> Option<u64> {
+    pub fn query_cell_keys(
+        &self,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        radius: f64,
+        first: u32,
+        out: &mut Vec<(u64, u32)>,
+    ) {
+        assert!(xs.len() == ys.len() && xs.len() == zs.len());
         if self.bounds.is_empty() {
-            return None;
+            return;
         }
-        let query = Aabb::new(center, center).inflate(radius);
-        if !self.bounds.intersects(&query) {
-            return None;
+        let (bmin, bmax) = (self.bounds.min.to_array(), self.bounds.max.to_array());
+        let inv = self.inv_cell.to_array();
+        let last = self.dims.map(|d| (d - 1) as f64);
+        // One axis of one query: whether its interval meets the bounds'
+        // (closed, as `Aabb::intersects`), and its 14 key bits.
+        let axis = |a: usize, c: f64| -> (bool, u64) {
+            let (qlo, qhi) = (c - radius, c + radius);
+            let touches = qlo <= qhi && bmin[a] <= qhi && bmax[a] >= qlo;
+            let cell = |q: f64| ((q - bmin[a]) * inv[a]).max(0.0).min(last[a]) as u64;
+            (touches, cell(qlo) << 7 | cell(qhi))
+        };
+        for (j, ((&x, &y), &z)) in (0u32..).zip(xs.iter().zip(ys).zip(zs)) {
+            let ((tx, kx), (ty, ky), (tz, kz)) = (axis(0, x), axis(1, y), axis(2, z));
+            if tx & ty & tz {
+                out.push((kx << 28 | ky << 14 | kz, first + j));
+            }
         }
-        let (lo, hi) = self.cell_range(&query);
-        let mut key = 0u64;
-        for a in 0..3 {
-            key = key << 7 | lo[a] as u64;
-            key = key << 7 | hi[a] as u64;
-        }
-        Some(key)
     }
 
     /// Enumerate the deduplicated candidate slots of a query key produced
-    /// by [`query_cell_key`](Self::query_cell_key), into `out` (cleared
+    /// by [`query_cell_keys`](Self::query_cell_keys), into `out` (cleared
     /// first), in the same cell-major first-encounter order the per-sphere
     /// visitors use. Slots still need the per-particle `d² ≤ r²` test —
     /// use [`slot_box`](Self::slot_box) / [`slot_rank`](Self::slot_rank).
@@ -392,6 +415,29 @@ impl RegionIndex {
 mod tests {
     use super::*;
     use pic_types::rng::SplitMix64;
+
+    impl RegionIndex {
+        /// The one-query form [`RegionIndex::query_cell_keys`] replaced,
+        /// kept verbatim as its oracle: `None` where the scalar visitor
+        /// returns early, else the key through `Aabb::intersects` and
+        /// `cell_range`.
+        fn query_cell_key(&self, center: Vec3, radius: f64) -> Option<u64> {
+            if self.bounds.is_empty() {
+                return None;
+            }
+            let query = Aabb::new(center, center).inflate(radius);
+            if !self.bounds.intersects(&query) {
+                return None;
+            }
+            let (lo, hi) = self.cell_range(&query);
+            let mut key = 0u64;
+            for a in 0..3 {
+                key = key << 7 | lo[a] as u64;
+                key = key << 7 | hi[a] as u64;
+            }
+            Some(key)
+        }
+    }
 
     /// Brute-force reference: scan every region.
     fn brute(regions: &[Aabb], c: Vec3, r: f64) -> Vec<Rank> {
@@ -627,6 +673,70 @@ mod tests {
             }
             assert_eq!(batched, scalar, "c={c} r={r}");
         }
+    }
+
+    #[test]
+    fn lane_keys_match_the_one_query_form() {
+        // Every particle of the lanes gets exactly the key (or the
+        // absence of one) the one-query form gives it, in particle order:
+        // inside, straddling and far outside the bounds, NaN / infinite
+        // centers, and zero / negative / NaN / huge radii.
+        let mut rng = SplitMix64::new(77);
+        let mut regions = Vec::new();
+        for _ in 0..300 {
+            let min = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()) * 3.0;
+            regions.push(Aabb::new(min, min + Vec3::splat(rng.next_range(0.05, 0.6))));
+        }
+        regions.push(Aabb::empty());
+        let flat = [Aabb::new(
+            Vec3::new(0.0, 0.0, 0.5),
+            Vec3::new(1.0, 1.0, 0.5),
+        )];
+        for regions in [&regions[..], &flat[..], &[Aabb::empty()][..], &[][..]] {
+            let idx = RegionIndex::build(regions);
+            let mut centers: Vec<Vec3> = (0..2000)
+                .map(|_| {
+                    Vec3::new(
+                        rng.next_range(-1.0, 5.0),
+                        rng.next_range(-1.0, 5.0),
+                        rng.next_range(-1.0, 5.0),
+                    )
+                })
+                .collect();
+            for (k, special) in [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300, -0.0]
+                .into_iter()
+                .enumerate()
+            {
+                let mut c = [0.5; 3];
+                c[k % 3] = special;
+                centers.push(Vec3::from_array(c));
+            }
+            let xs: Vec<f64> = centers.iter().map(|c| c.x).collect();
+            let ys: Vec<f64> = centers.iter().map(|c| c.y).collect();
+            let zs: Vec<f64> = centers.iter().map(|c| c.z).collect();
+            for radius in [0.0, 0.02, 0.3, 7.0, -0.3, f64::NAN, f64::INFINITY, 1e300] {
+                let expect: Vec<(u64, u32)> = (centers.iter().zip(100u32..))
+                    .filter_map(|(&c, i)| idx.query_cell_key(c, radius).map(|key| (key, i)))
+                    .collect();
+                let mut got = vec![(1, 1)];
+                idx.query_cell_keys(&xs, &ys, &zs, radius, 100, &mut got);
+                assert_eq!(got[0], (1, 1), "keys are appended");
+                assert_eq!(&got[1..], &expect[..], "radius={radius}");
+            }
+        }
+        // A NaN center has no key (the one-query form's `Aabb::new`
+        // debug-asserts on it, so it is checked here on its own).
+        let idx = RegionIndex::build(&octant_regions());
+        let mut got = Vec::new();
+        idx.query_cell_keys(
+            &[f64::NAN, 0.5],
+            &[0.5, 0.5],
+            &[0.5, f64::NAN],
+            0.1,
+            0,
+            &mut got,
+        );
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -259,8 +259,9 @@ fn process_group_sample(
         };
     }
     // One SoA transpose feeds the mapper's vectorized assignment and the
-    // grouped ghost kernels. Mappers without a native SoA path (bin-based)
-    // keep the AoS slice — their `assign_soa` would only reconstitute it.
+    // grouped ghost kernels. The bin mapper takes the AoS slice instead:
+    // its partitioner copies positions into a record buffer of its own,
+    // which `assign_soa` would only add a second transpose to.
     let soa = SoAPositions::from_positions(positions);
     let mut computed = cached.is_none().then(|| {
         let outcome = if group.mapper.supports_soa() {
@@ -1085,6 +1086,68 @@ mod tests {
             let reference = reference_for(trace, p, mesh);
             assert_eq!(*w, reference, "point {i} diverged: {p:?}");
         }
+    }
+
+    /// `run` under pools of 1, 2, 3 and 7 threads: 1 is the sequential
+    /// path, 3 and 7 leave uneven block remainders and, with fewer items
+    /// than threads, a child budget wide enough to split the ghost kernel
+    /// into spans. Every result must equal `expect`.
+    fn assert_same_under_every_pool<T: PartialEq + std::fmt::Debug>(
+        expect: &T,
+        run: impl Fn() -> T,
+    ) {
+        for threads in [1usize, 2, 3, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            assert_eq!(&pool.install(&run), expect, "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn generate_with_mesh_is_bit_equal_across_thread_counts() {
+        // Enough particles for three ghost spans per sample, few enough
+        // samples (3 < 7) that the spans are really used.
+        let tr = make_trace(crate::generator::GHOST_CHUNK * 2 + 77, 3, 11);
+        let m = mesh();
+        for mapping in [MappingAlgorithm::BinBased, MappingAlgorithm::ElementBased] {
+            let cfg = WorkloadConfig::new(24, mapping, 0.05);
+            let oracle = generator::generate_reference(&tr, &cfg, Some(&m)).unwrap();
+            assert_same_under_every_pool(&oracle, || {
+                generator::generate_with_mesh(&tr, &cfg, Some(&m)).unwrap()
+            });
+        }
+    }
+
+    #[test]
+    fn two_group_sweep_is_bit_equal_across_thread_counts() {
+        // A bin group (costly assignment) next to an element group (cheap,
+        // two shared radii, one strided): the uneven items the scheduler
+        // rebalances.
+        let tr = make_trace(600, 9, 12);
+        let m = mesh();
+        let points = vec![
+            SweepPoint::new(WorkloadConfig::new(32, MappingAlgorithm::BinBased, 0.03)),
+            SweepPoint::new(WorkloadConfig::new(
+                16,
+                MappingAlgorithm::ElementBased,
+                0.02,
+            )),
+            SweepPoint::with_stride(
+                WorkloadConfig::new(16, MappingAlgorithm::ElementBased, 0.06),
+                2,
+            ),
+        ];
+        let oracle: Vec<DynamicWorkload> = points
+            .iter()
+            .map(|p| reference_for(&tr, p, Some(&m)))
+            .collect();
+        let expect_stats = sweep_with_stats(&tr, &points, Some(&m)).unwrap().1;
+        assert_eq!(expect_stats.groups, 2);
+        assert_same_under_every_pool(&(oracle, expect_stats), || {
+            sweep_with_stats(&tr, &points, Some(&m)).unwrap()
+        });
     }
 
     #[test]
