@@ -1,39 +1,53 @@
-//! Soundness of the DES barrier fast path and inlined message delivery.
+//! Soundness of replacing the DES event loop with a dataflow fold.
 //!
-//! `pic_des`'s bulk-synchronous fast path replaces the event loop with a
-//! closed form per step: every rank's compute-done time is
-//! `release + scale·compute[r]`, every message arrives at
-//! `done[from] + delay(from,to)`, and the barrier fires at
-//! `max_r max(done[r], last_arrival[r])`. The windowed engine's inlined
-//! delivery makes a weaker but related claim: folding a message into its
-//! receiver at the *sender's* compute-done pop (instead of at the
-//! arrival-time pop the heap oracle performs) cannot change the outcome.
+//! `pic_des::simulate` runs no event loop. Per step it computes every
+//! rank's compute-done time `start[r] + scale·compute[r]`, folds every
+//! message's arrival `done[from] + delay(from,to)` into its receiver with a
+//! `max`, and takes `ready[r] = max(done[r], last_arrival[r])`. Under a
+//! barrier the next step starts at `max_r ready[r]` plus the collective
+//! cost; under neighbour synchronisation each rank starts at its own
+//! `ready[r]`. The event-per-message engine it is tested against
+//! (`pic_des::simulate_reference`) reaches the same numbers by popping
+//! events in time order. This module checks the claim underneath that
+//! agreement: the outcome does not depend on the order at all.
 //!
-//! Both claims reduce to one statement about a single barrier step:
-//! **every causal order of processing the step's compute-completions and
-//! message-deliveries yields the same barrier time** — where "causal"
-//! means only that a message is delivered after its sender's compute is
-//! processed. The heap's time-order is one such order; the inlined
-//! engine's sender-batched order is another; the fast path is a third
-//! (all computes, then all messages). [`BarrierStepModel`] encodes the
-//! per-event bookkeeping the engines actually perform (a `max` fold into
-//! `last_arrival`, an arrival counter, a completion-guarded barrier
-//! countdown) and the model checker in [`crate::sched`] walks **every**
-//! causal interleaving, checking in each terminal state that the
-//! incrementally accumulated barrier time equals the fast path's closed
-//! form. Deadlock-freedom of the exploration doubles as a liveness proof:
-//! no processing order can wedge a barrier step.
+//! **Barrier steps.** Every causal order of processing one step's
+//! compute-completions and message-deliveries yields the same barrier
+//! time, where "causal" means only that a message is delivered after its
+//! sender's compute is processed. The heap's time order is one such order
+//! and the fold (all computes, then all messages) is another.
+//! [`BarrierStepModel`] encodes the per-event bookkeeping an event engine
+//! performs (a `max` fold into `last_arrival`, an arrival counter, a
+//! completion-guarded barrier countdown, and a completion probe that any
+//! event touching a rank may repeat) and the model checker in
+//! [`crate::sched`] walks **every** causal interleaving, checking in each
+//! terminal state that the incrementally accumulated barrier time equals
+//! the closed form. Release time and per-rank idle are functions of the
+//! barrier time (`release = barrier + collective_cost`,
+//! `idle[r] = release − done[r]`), so agreement on the barrier time carries
+//! the whole `SimTimeline` row.
 //!
-//! Release time and per-rank idle are functions of the barrier time
-//! (`release = barrier + collective_cost`, `idle[r] = release − done[r]`),
-//! so agreement on the barrier time carries the whole `SimTimeline` row.
+//! **Neighbour-synchronised run-ahead.** Without a barrier the steps are
+//! not independent: a fast sender may finish step 1 while its receiver is
+//! still computing step 0, so step-1 arrivals are buffered against a rank
+//! that has not got there yet. [`NeighborRunAheadModel`] is two steps with
+//! ranks allowed to be a step apart; its actions are the same two events,
+//! constrained only by causality (a rank computes step 1 after it is ready
+//! with step 0; a message is delivered after its sender's compute of that
+//! step), and every recorded `ready` time, in every reachable state, must
+//! equal the fold's. Per-rank idle and the step finish times are functions
+//! of `done` and `ready`, so they follow.
 //!
-//! [`des_batch_mutants`] shows the harness has teeth by checking three
-//! deliberately broken disciplines — ignoring message arrival times,
-//! releasing the barrier one rank early, and dropping the completion
-//! guard (the double-count bug class that inlined delivery makes
-//! possible: one sender probing a receiver twice) — all of which the
-//! explorer must refute.
+//! Deadlock-freedom of both explorations doubles as a liveness proof: no
+//! processing order can wedge a step.
+//!
+//! [`des_batch_mutants`] shows the harness has teeth by checking
+//! deliberately broken disciplines, all of which the explorer must refute:
+//! for the barrier step, ignoring message arrival times, releasing the
+//! barrier one rank early, and dropping the completion guard (a re-probed
+//! rank counted twice); for run-ahead, folding an arrival into whichever
+//! step its receiver happens to be on, and a `ready` that ignores
+//! `last_arrival`.
 
 use crate::sched::{explore, Exploration, Model, ScheduleError};
 
@@ -47,9 +61,7 @@ pub enum DesBatchMutant {
     /// The barrier releases when one rank is still outstanding.
     EarlyRelease,
     /// Completion is not idempotent: a rank re-probed after completing
-    /// decrements the barrier countdown again (the failure mode a sender
-    /// delivering two messages to one receiver exposes under inlined
-    /// delivery).
+    /// decrements the barrier countdown again.
     NoCompletionGuard,
 }
 
@@ -69,7 +81,7 @@ pub struct BarrierStepModel {
 }
 
 /// Explorer state: which events have been processed plus the exact
-/// accumulators the engines maintain. The accumulators are part of the
+/// accumulators an event engine maintains. The accumulators are part of the
 /// state on purpose — if two interleavings could drive them apart, they
 /// would surface as distinct (and separately checked) states.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -97,10 +109,9 @@ pub enum BarrierStepAction {
     Compute(u8),
     /// Process message `m`'s delivery (requires the sender's compute).
     Deliver(u8),
-    /// Redundantly re-probe rank `r`'s completion. The engines invoke
-    /// `try_ready` once per event *touching* a rank, and with inlined
-    /// delivery one sender's handler may touch the same receiver several
-    /// times — so the model must allow probes beyond the one each
+    /// Redundantly re-probe rank `r`'s completion. An event engine calls
+    /// `try_ready` once per event *touching* a rank and nothing bounds
+    /// how often that is, so the model allows probes beyond the one each
     /// event carries. Under the sound (idempotent) discipline this is a
     /// no-op self-loop; it is exactly what refutes
     /// [`DesBatchMutant::NoCompletionGuard`].
@@ -123,7 +134,7 @@ impl BarrierStepModel {
         mask
     }
 
-    /// The fast path's closed form: the barrier fires at
+    /// The fold's closed form: the barrier fires at
     /// `max_r max(compute[r], max_{m→r} compute[from] + delay)`.
     pub fn closed_form_barrier(&self) -> u32 {
         let mut barrier = 0u32;
@@ -140,7 +151,8 @@ impl BarrierStepModel {
     }
 
     /// The completion probe every event touching rank `r` performs —
-    /// the model-level transcription of the engines' `try_ready`.
+    /// the model-level transcription of the reference engine's
+    /// `try_ready`.
     fn probe(&self, s: &mut BarrierStepState, r: u8) {
         let bit = 1u16 << r;
         let guard = self.mutant != Some(DesBatchMutant::NoCompletionGuard);
@@ -245,7 +257,7 @@ impl Model for BarrierStepModel {
         if s.released {
             if s.barrier_time != closed {
                 return Err(format!(
-                    "released at barrier time {}, fast path computes {closed}",
+                    "released at barrier time {}, the fold computes {closed}",
                     s.barrier_time
                 ));
             }
@@ -291,15 +303,257 @@ fn soundness_configs() -> Vec<BarrierStepModel> {
         ),
         cfg("fan-in", vec![1, 4, 2], vec![(1, 0, 1), (2, 0, 3)]),
         cfg("fan-out", vec![3, 1, 1], vec![(0, 1, 2), (0, 2, 0)]),
-        // two messages from one sender to one receiver: the shape that
-        // makes a sender probe its receiver twice under inlined delivery.
-        // rank 2 dominates so double-counting rank 1 releases early with
-        // an observably wrong barrier time.
+        // two messages from one sender to one receiver: rank 1 is touched
+        // twice. rank 2 dominates so double-counting rank 1 releases early
+        // with an observably wrong barrier time.
         cfg("duplicate-pair", vec![1, 1, 9], vec![(0, 1, 1), (0, 1, 3)]),
         cfg(
             "mixed-irregular",
             vec![0, 3, 3],
             vec![(0, 1, 0), (1, 2, 2), (2, 2, 1), (0, 2, 5)],
+        ),
+    ]
+}
+
+/// A deliberately broken run-ahead discipline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NeighborMutant {
+    /// An arrival is folded (time and count) into whichever step its
+    /// receiver is on when it is delivered, not the step it was sent in:
+    /// right only as long as no sender runs ahead.
+    ArrivalIntoCurrentStep,
+    /// `ready` is the rank's own compute-done time; `last_arrival` is
+    /// ignored.
+    ReadyIgnoresArrival,
+}
+
+/// Two neighbour-synchronised steps as a concurrent system. A rank
+/// computes step 1 once it is ready with step 0, whatever the others are
+/// doing, so ranks may be a step apart and step-1 messages may reach a
+/// rank still on step 0.
+#[derive(Debug)]
+pub struct NeighborRunAheadModel {
+    /// Config label for reports.
+    pub name: &'static str,
+    /// Integer compute ticks `[step][rank]` (≤ 8 ranks).
+    pub compute: [Vec<u32>; 2],
+    /// Messages `(from, to, delay)` per step (≤ 16 each): arrival tick =
+    /// the sender's compute-done tick of that step + `delay`.
+    pub msgs: [Vec<(u8, u8, u32)>; 2],
+    /// Broken discipline to emulate, if any.
+    pub mutant: Option<NeighborMutant>,
+}
+
+/// Explorer state of [`NeighborRunAheadModel`]: the event engine's
+/// per-`[step][rank]` bookkeeping. A rank is on the first step it has no
+/// `ready` time for.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NeighborState {
+    /// Compute-done tick, once that event has been processed.
+    done: [Vec<Option<u32>>; 2],
+    /// Messages whose delivery has been processed, per step.
+    delivered: [u16; 2],
+    /// Deliveries counted toward each rank.
+    arrived: [Vec<u8>; 2],
+    /// `max` fold of the counted arrival ticks.
+    last_arrival: [Vec<u32>; 2],
+    /// Tick the rank completed the step at, once it has.
+    ready: [Vec<Option<u32>>; 2],
+}
+
+/// One atomic processing step of [`NeighborRunAheadModel`].
+#[derive(Debug, Clone, Copy)]
+pub enum NeighborAction {
+    /// Process rank `r`'s compute-done event for the step it is on.
+    Compute(u8),
+    /// Process the delivery of message `m` of step `s`.
+    Deliver(u8, u8),
+}
+
+impl NeighborRunAheadModel {
+    fn ranks(&self) -> usize {
+        self.compute[0].len()
+    }
+
+    /// The step rank `r` is on (2 = finished).
+    fn step_of(s: &NeighborState, r: usize) -> usize {
+        s.ready
+            .iter()
+            .take_while(|ready| ready[r].is_some())
+            .count()
+    }
+
+    /// The fold, as `pic_des::simulate` runs it: per-`[step][rank]` ready
+    /// ticks, each step's start being the previous step's ready.
+    fn fold_ready(&self) -> [Vec<u32>; 2] {
+        let mut start = vec![0u32; self.ranks()];
+        [0, 1].map(|s| {
+            let done: Vec<u32> = start
+                .iter()
+                .zip(&self.compute[s])
+                .map(|(a, c)| a + c)
+                .collect();
+            let mut ready = done.clone();
+            for &(from, to, delay) in &self.msgs[s] {
+                ready[to as usize] = ready[to as usize].max(done[from as usize] + delay);
+            }
+            start.clone_from(&ready);
+            ready
+        })
+    }
+
+    /// The reference engine's `try_ready`: rank `r` completes the step it
+    /// is on once its compute is processed and its inbound messages of
+    /// that step are all counted.
+    fn probe(&self, s: &mut NeighborState, r: usize) {
+        let step = Self::step_of(s, r);
+        let Some(done) = s.done.get(step).and_then(|done| done[r]) else {
+            return;
+        };
+        let expected = self.msgs[step].iter().filter(|m| m.1 as usize == r).count();
+        if (s.arrived[step][r] as usize) < expected {
+            return;
+        }
+        s.ready[step][r] = Some(match self.mutant {
+            Some(NeighborMutant::ReadyIgnoresArrival) => done,
+            _ => done.max(s.last_arrival[step][r]),
+        });
+    }
+}
+
+impl Model for NeighborRunAheadModel {
+    type State = NeighborState;
+    type Action = NeighborAction;
+
+    fn initial(&self) -> NeighborState {
+        let n = self.ranks();
+        NeighborState {
+            done: [vec![None; n], vec![None; n]],
+            delivered: [0; 2],
+            arrived: [vec![0; n], vec![0; n]],
+            last_arrival: [vec![0; n], vec![0; n]],
+            ready: [vec![None; n], vec![None; n]],
+        }
+    }
+
+    fn enabled(&self, s: &NeighborState) -> Vec<NeighborAction> {
+        let mut v = Vec::new();
+        for r in 0..self.ranks() {
+            let step = Self::step_of(s, r);
+            if step < 2 && s.done[step][r].is_none() {
+                v.push(NeighborAction::Compute(r as u8));
+            }
+        }
+        for step in 0..2 {
+            for (m, &(from, _, _)) in self.msgs[step].iter().enumerate() {
+                if s.delivered[step] & (1 << m) == 0 && s.done[step][from as usize].is_some() {
+                    v.push(NeighborAction::Deliver(step as u8, m as u8));
+                }
+            }
+        }
+        v
+    }
+
+    fn step(&self, s: &NeighborState, a: NeighborAction) -> NeighborState {
+        let mut next = s.clone();
+        match a {
+            NeighborAction::Compute(r) => {
+                let r = r as usize;
+                let step = Self::step_of(s, r);
+                let start = if step == 0 {
+                    Some(0)
+                } else {
+                    s.ready[step - 1][r]
+                };
+                next.done[step][r] = Some(start.expect("enabled") + self.compute[step][r]);
+                self.probe(&mut next, r);
+            }
+            NeighborAction::Deliver(step, m) => {
+                let step = step as usize;
+                let (from, to, delay) = self.msgs[step][m as usize];
+                let to = to as usize;
+                next.delivered[step] |= 1 << m;
+                let arrive = s.done[step][from as usize].expect("enabled") + delay;
+                let into = match self.mutant {
+                    Some(NeighborMutant::ArrivalIntoCurrentStep) => Self::step_of(s, to).min(1),
+                    _ => step,
+                };
+                next.arrived[into][to] += 1;
+                next.last_arrival[into][to] = next.last_arrival[into][to].max(arrive);
+                self.probe(&mut next, to);
+            }
+        }
+        next
+    }
+
+    fn is_terminal(&self, s: &NeighborState) -> bool {
+        s.ready[1].iter().all(Option::is_some)
+    }
+
+    fn check(&self, s: &NeighborState) -> Result<(), String> {
+        let fold = self.fold_ready();
+        for (step, (ready, fold)) in s.ready.iter().zip(&fold).enumerate() {
+            for (r, (ready, fold)) in ready.iter().zip(fold).enumerate() {
+                if let Some(t) = ready.filter(|t| t != fold) {
+                    return Err(format!(
+                        "rank {r} ready with step {step} at {t}, the fold computes {fold}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The run-ahead configurations: a sender that finishes both steps while
+/// its receiver is on the first, a message that outlasts its receiver's
+/// compute, a ring, self-messages and repeated pairs, all-zero compute
+/// with zero delays (every `max` ties), and ranks that only send or only
+/// receive.
+fn run_ahead_configs() -> Vec<NeighborRunAheadModel> {
+    type Msgs = Vec<(u8, u8, u32)>;
+    let cfg = |name, compute: [Vec<u32>; 2], msgs: [Msgs; 2]| NeighborRunAheadModel {
+        name,
+        compute,
+        msgs,
+        mutant: None,
+    };
+    vec![
+        cfg(
+            "ns-sender-runs-ahead",
+            [vec![1, 9], vec![1, 2]],
+            [vec![(0, 1, 1)], vec![(0, 1, 4)]],
+        ),
+        cfg(
+            "ns-late-message",
+            [vec![5, 1], vec![1, 1]],
+            [vec![(0, 1, 3)], vec![(1, 0, 2)]],
+        ),
+        cfg(
+            "ns-ring",
+            [vec![2, 1, 3], vec![1, 3, 1]],
+            [
+                vec![(0, 1, 1), (1, 2, 1), (2, 0, 1)],
+                vec![(0, 1, 2), (1, 2, 0), (2, 0, 1)],
+            ],
+        ),
+        cfg(
+            "ns-self-and-repeat",
+            [vec![2, 1], vec![1, 1]],
+            [
+                vec![(0, 0, 3), (1, 0, 1), (1, 0, 4)],
+                vec![(0, 1, 0), (0, 1, 2)],
+            ],
+        ),
+        cfg(
+            "ns-all-zero",
+            [vec![0, 0, 0], vec![0, 0, 0]],
+            [vec![(0, 1, 0), (1, 2, 0)], vec![(2, 0, 0), (0, 2, 0)]],
+        ),
+        cfg(
+            "ns-send-only-receive-only",
+            [vec![3, 0, 1], vec![0, 2, 1]],
+            [vec![(0, 1, 1), (0, 1, 1)], vec![(0, 1, 2), (2, 1, 0)]],
         ),
     ]
 }
@@ -313,41 +567,69 @@ pub struct DesBatchVerdict {
     pub exploration: Exploration,
 }
 
-/// Exhaustively verify the barrier batching discipline on every soundness
-/// configuration. Errors carry the refuting schedule.
-pub fn verify_des_batching() -> Result<Vec<DesBatchVerdict>, ScheduleError> {
-    let mut verdicts = Vec::new();
-    for model in soundness_configs() {
-        let exploration = explore(&model, 200_000).map_err(|e| ScheduleError {
-            message: format!("config '{}': {}", model.name, e.message),
-            trace: e.trace,
-        })?;
-        verdicts.push(DesBatchVerdict {
-            config: model.name,
-            exploration,
-        });
-    }
-    Ok(verdicts)
+/// Explore one configuration, labelling a failure with its name.
+fn verdict<M: Model>(name: &'static str, model: &M) -> Result<DesBatchVerdict, ScheduleError> {
+    let exploration = explore(model, 200_000).map_err(|e| ScheduleError {
+        message: format!("config '{name}': {}", e.message),
+        trace: e.trace,
+    })?;
+    Ok(DesBatchVerdict {
+        config: name,
+        exploration,
+    })
 }
 
-/// Run the three broken disciplines; each entry reports whether the
-/// explorer refuted it (all must be `true` for the harness to mean
-/// anything).
+/// Exhaustively verify that the fold is what every causal event order
+/// computes: the barrier step on every soundness configuration, then the
+/// neighbour-synchronised run-ahead on its own. Errors carry the refuting
+/// schedule.
+pub fn verify_des_batching() -> Result<Vec<DesBatchVerdict>, ScheduleError> {
+    let barrier = soundness_configs();
+    let run_ahead = run_ahead_configs();
+    barrier
+        .iter()
+        .map(|m| verdict(m.name, m))
+        .chain(run_ahead.iter().map(|m| verdict(m.name, m)))
+        .collect()
+}
+
+/// Run the broken disciplines; each entry reports whether the explorer
+/// refuted it on some configuration (all must be `true` for the harness to
+/// mean anything).
 pub fn des_batch_mutants() -> Vec<(String, bool)> {
-    let mutants = [
+    fn any_refuted<M: Model>(models: impl IntoIterator<Item = M>) -> bool {
+        models
+            .into_iter()
+            .any(|model| explore(&model, 200_000).is_err())
+    }
+    let barrier = [
         DesBatchMutant::IgnoreArrival,
         DesBatchMutant::EarlyRelease,
         DesBatchMutant::NoCompletionGuard,
-    ];
-    let mut out = Vec::new();
-    for mutant in mutants {
-        let caught = soundness_configs().into_iter().any(|mut model| {
-            model.mutant = Some(mutant);
-            explore(&model, 200_000).is_err()
-        });
-        out.push((format!("{mutant:?}"), caught));
-    }
-    out
+    ]
+    .map(|mutant| {
+        let models = soundness_configs()
+            .into_iter()
+            .map(|model| BarrierStepModel {
+                mutant: Some(mutant),
+                ..model
+            });
+        (format!("{mutant:?}"), any_refuted(models))
+    });
+    let run_ahead = [
+        NeighborMutant::ArrivalIntoCurrentStep,
+        NeighborMutant::ReadyIgnoresArrival,
+    ]
+    .map(|mutant| {
+        let models = run_ahead_configs()
+            .into_iter()
+            .map(|model| NeighborRunAheadModel {
+                mutant: Some(mutant),
+                ..model
+            });
+        (format!("{mutant:?}"), any_refuted(models))
+    });
+    barrier.into_iter().chain(run_ahead).collect()
 }
 
 #[cfg(test)]
@@ -357,7 +639,10 @@ mod tests {
     #[test]
     fn all_causal_orders_match_closed_form() {
         let verdicts = verify_des_batching().expect("batching discipline is sound");
-        assert_eq!(verdicts.len(), soundness_configs().len());
+        assert_eq!(
+            verdicts.len(),
+            soundness_configs().len() + run_ahead_configs().len()
+        );
         for v in &verdicts {
             assert!(v.exploration.states > 0, "{}", v.config);
             assert!(v.exploration.terminal_states >= 1, "{}", v.config);
@@ -399,5 +684,65 @@ mod tests {
             err.message.contains("released") || err.message.contains("outstanding"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn run_ahead_reaches_the_fold_and_really_runs_ahead() {
+        let model = &run_ahead_configs()[0]; // ns-sender-runs-ahead
+        assert_eq!(model.fold_ready(), [vec![1, 9], vec![2, 11]]);
+        let stats = explore(model, 10_000).expect("sound discipline passes");
+        assert!(stats.transitions > stats.states, "{stats:?}");
+        // the schedule the mutant trips on: rank 0 done with both steps
+        // and its step-1 message delivered while rank 1 is on step 0
+        let mut s = model.initial();
+        for a in [
+            NeighborAction::Compute(0),
+            NeighborAction::Compute(0),
+            NeighborAction::Deliver(1, 0),
+        ] {
+            assert!(model
+                .enabled(&s)
+                .iter()
+                .any(|e| format!("{e:?}") == format!("{a:?}")));
+            s = model.step(&s, a);
+        }
+        assert_eq!(NeighborRunAheadModel::step_of(&s, 0), 2);
+        assert_eq!(NeighborRunAheadModel::step_of(&s, 1), 0);
+        assert_eq!(s.last_arrival[1][1], 6);
+        model.check(&s).unwrap();
+    }
+
+    #[test]
+    fn each_run_ahead_mutant_is_refuted_by_a_wrong_time_or_a_wedge() {
+        let with = |name: &str, mutant| {
+            let mut model = run_ahead_configs()
+                .into_iter()
+                .find(|m| m.name == name)
+                .unwrap();
+            model.mutant = Some(mutant);
+            explore(&model, 10_000).unwrap_err().message
+        };
+        let err = with("ns-late-message", NeighborMutant::ReadyIgnoresArrival);
+        assert!(err.contains("the fold computes"), "{err}");
+        // an arrival counted into the wrong step either makes a `ready`
+        // wrong or leaves its own step waiting for ever
+        let err = with(
+            "ns-sender-runs-ahead",
+            NeighborMutant::ArrivalIntoCurrentStep,
+        );
+        assert!(
+            err.contains("the fold computes") || err.contains("deadlock"),
+            "{err}"
+        );
+        // where causality keeps the receiver from lagging (rank 0 cannot
+        // send in step 1 before rank 1 is through step 0) the two
+        // disciplines coincide, which is why the mutant needs run-ahead
+        let lockstep = NeighborRunAheadModel {
+            name: "lockstep",
+            compute: [vec![1, 4], vec![1, 1]],
+            msgs: [vec![(1, 0, 5)], vec![(0, 1, 5)]],
+            mutant: Some(NeighborMutant::ArrivalIntoCurrentStep),
+        };
+        explore(&lockstep, 10_000).expect("no run-ahead, no divergence");
     }
 }

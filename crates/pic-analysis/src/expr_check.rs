@@ -168,12 +168,9 @@ pub fn check_compiled_equivalence(expr: &Expr, space: &FeatureSpace) -> Result<(
         return Ok(());
     }
     let tape = CompiledExpr::compile(expr);
-    let names = (0..space.arity()).map(|i| format!("x{i}")).collect();
-    let mut d = Dataset::new(names);
-    for row in &rows {
-        d.push(row.clone(), 0.0);
-    }
-    let cols = d.columns();
+    let cols: Vec<Vec<f64>> = (0..space.arity())
+        .map(|c| rows.iter().map(|row| row[c]).collect())
+        .collect();
     let mut batch = vec![0.0; rows.len()];
     tape.eval_batch(&cols, &mut batch, &mut pic_models::EvalScratch::new());
     let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());

@@ -38,11 +38,13 @@
 //!   weight accounting, the shutdown handshake), verified over a config
 //!   matrix by `picpredict check --serve`, plus a seeded-mutant corpus
 //!   proving the checker catches each protocol's bug classes.
-//! * [`des_batch`] — batching-soundness model for the DES barrier fast
-//!   path and inlined message delivery: every causal processing order of
-//!   a bulk-synchronous step must reach the fast path's closed-form
-//!   barrier time. Verified by `picpredict check --des`, with a mutant
-//!   corpus covering the double-count and early-release bug classes.
+//! * [`des_batch`] — soundness of simulating by dataflow fold: every
+//!   causal processing order of a bulk-synchronous step must reach the
+//!   fold's closed-form barrier time, and every causal order of two
+//!   neighbour-synchronised steps with ranks a step apart must reach its
+//!   per-rank ready times. Verified by `picpredict check --des`, with a
+//!   mutant corpus (double count, early release, arrivals folded into the
+//!   wrong step, arrivals ignored).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,6 +61,7 @@ pub mod workload;
 
 pub use des_batch::{
     des_batch_mutants, verify_des_batching, BarrierStepModel, DesBatchMutant, DesBatchVerdict,
+    NeighborMutant, NeighborRunAheadModel,
 };
 pub use expr_check::{
     analyze_expr, check_compiled_equivalence, check_model_expr, Diagnostic, ExprReport,

@@ -3,9 +3,7 @@
 //! BE-SST-style studies sweep large design spaces).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_des::{
-    simulate, simulate_with, EngineConfig, MachineSpec, QueueKind, StepWorkload, SyncMode,
-};
+use pic_des::{simulate, simulate_reference, MachineSpec, StepWorkload, SyncMode};
 use pic_types::rng::SplitMix64;
 
 /// A synthetic bulk-synchronous schedule with neighbour messages.
@@ -30,87 +28,30 @@ fn schedule(ranks: usize, steps: usize, msgs_per_rank: usize, seed: u64) -> Vec<
         .collect()
 }
 
+/// The production fold against the event-per-message oracle on the same
+/// schedules, at the benchmark's two rank scales: what replacing the
+/// event queue with a dataflow fold buys, in events per second.
 fn des_events(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_simulate");
-    group.sample_size(10);
-    for &(ranks, steps, msgs) in &[(64usize, 50usize, 2usize), (256, 50, 2), (1024, 20, 1)] {
-        let sched = schedule(ranks, steps, msgs, 3);
-        // events ≈ ranks*steps compute-done + total messages
-        let events = (ranks * steps + ranks * msgs * steps) as u64;
-        group.throughput(Throughput::Elements(events));
-        for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{mode:?}"), format!("r{ranks}_s{steps}")),
-                &sched,
-                |b, sched| {
-                    let machine = MachineSpec::quartz_like();
-                    b.iter(|| simulate(sched, &machine, mode).unwrap());
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-/// Event-queue pressure: the engine's event loop under deep queues.
-///
-/// High fan-out schedules keep many in-flight messages resident at once,
-/// so this group measures the push/pop and inline-delivery cost of
-/// `simulate`'s event loop rather than the bookkeeping around it.
-/// Neighbor sync avoids the barrier's batch release, which would
-/// otherwise drain the queue in lockstep and hide queue depth.
-fn des_heap_pressure(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_event_queue");
-    group.sample_size(10);
-    let ranks = 128usize;
-    let steps = 20usize;
-    for &msgs in &[4usize, 16, 64] {
-        let sched = schedule(ranks, steps, msgs, 11);
-        let events = (ranks * steps * (1 + msgs)) as u64;
-        group.throughput(Throughput::Elements(events));
-        group.bench_with_input(
-            BenchmarkId::new("neighbor_sync", format!("fanout{msgs}")),
-            &sched,
-            |b, sched| {
-                let machine = MachineSpec::quartz_like();
-                b.iter(|| simulate(sched, &machine, SyncMode::NeighborSync).unwrap());
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Queue duel: the windowed engine under its two `EventQueue`
-/// implementations on the same deep-queue schedules, isolating calendar
-/// vs binary-heap push/pop cost (the fast path is disabled so the
-/// bulk-synchronous row also exercises the queue).
-fn des_queue_duel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("des_queue_duel");
+    let mut group = c.benchmark_group("des_events");
     group.sample_size(10);
     let machine = MachineSpec::quartz_like();
-    for &(ranks, steps, msgs) in &[(256usize, 40usize, 16usize), (1024, 20, 32)] {
-        let sched = schedule(ranks, steps, msgs, 17);
+    for &(ranks, steps, msgs) in &[(2048usize, 20usize, 2usize), (16384, 8, 1)] {
+        let sched = schedule(ranks, steps, msgs, 3);
+        // one compute-done per rank per step plus one arrival per message
         let events = (ranks * steps * (1 + msgs)) as u64;
         group.throughput(Throughput::Elements(events));
-        for (name, queue) in [
-            ("heap", QueueKind::BinaryHeap),
-            ("calendar", QueueKind::Calendar),
-        ] {
-            let cfg = EngineConfig {
-                queue,
-                barrier_fast_path: false,
-            };
-            group.bench_with_input(
-                BenchmarkId::new(name, format!("r{ranks}_fanout{msgs}")),
-                &sched,
-                |b, sched| {
-                    b.iter(|| simulate_with(sched, &machine, SyncMode::NeighborSync, cfg).unwrap());
-                },
-            );
+        for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
+            let id = format!("{mode:?}/r{ranks}_s{steps}");
+            group.bench_with_input(BenchmarkId::new("fold", &id), &sched, |b, sched| {
+                b.iter(|| simulate(sched, &machine, mode).unwrap());
+            });
+            group.bench_with_input(BenchmarkId::new("reference", &id), &sched, |b, sched| {
+                b.iter(|| simulate_reference(sched, &machine, mode).unwrap());
+            });
         }
     }
     group.finish();
 }
 
-criterion_group!(benches, des_events, des_heap_pressure, des_queue_duel);
+criterion_group!(benches, des_events);
 criterion_main!(benches);

@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_models::gp::random_population;
-use pic_models::{Columns, CompiledExpr, Dataset, EvalScratch, Expr};
+use pic_models::{CompiledExpr, Dataset, EvalScratch, Expr};
 use pic_types::rng::SplitMix64;
 
-fn workload(rows: usize, seed: u64) -> (Dataset, Columns) {
+fn workload(rows: usize, seed: u64) -> (Dataset, Vec<Vec<f64>>) {
     let mut rng = SplitMix64::new(seed);
     let mut d = Dataset::new(vec!["np".into(), "ngp".into(), "nel".into()]);
     for _ in 0..rows {

@@ -1,37 +1,24 @@
-//! The discrete-event engine and the PIC bulk-synchronous schedule.
+//! The PIC schedule and its system-level simulation, as a dataflow fold.
 //!
-//! A classic event-queue simulator: events are totally ordered by
-//! `(time, sequence)` so simulation is deterministic regardless of queue
-//! internals. Components are ranks; the schedule is a list of *steps*
-//! (one per trace-sample interval), each carrying per-rank compute times
-//! and the point-to-point messages implied by the communication matrix.
+//! Components are ranks; the schedule is a list of *steps* (one per
+//! trace-sample interval), each carrying per-rank compute times and the
+//! point-to-point messages implied by the communication matrix.
 //!
-//! This module holds the paper-scale engine (see `DESIGN.md` §16):
-//!
-//! * a pluggable [`crate::queue::EventQueue`] — calendar
-//!   queue by default, `BinaryHeap` as the oracle;
-//! * a **sliding step window**: only the steps some rank is currently on
-//!   are resident, each as a flat CSR slot, so memory is
-//!   O(window·ranks) instead of O(steps·ranks);
-//! * **inlined message delivery**: a message's effect on its receiver is
-//!   folded in when the *sender's* compute-done event fires, removing
-//!   every `MsgArrive` from the queue (all cross-event merges are
-//!   `max`/counter updates, so processing order cannot change the
-//!   output);
-//! * a **barrier fast path** for [`SyncMode::BulkSynchronous`]: with a
-//!   global barrier every step is independent, so each reduces to a
-//!   vectorized compute pass, a message epilogue, and a max — no event
-//!   queue at all.
-//!
-//! All variants return bit-identical [`SimTimeline`]s; the old dense
-//! engine survives as [`crate::reference::simulate_reference`] and
-//! `des_bench --smoke` plus the proptests assert exact equality.
+//! This machine model has no contention: a message arrives at the
+//! sender's compute-done time plus the pure
+//! [`MachineSpec::message_time_between`], and every place two events meet
+//! is a `max` or a counter. The discrete-event run therefore has one
+//! outcome whatever order its events fire in, and [`simulate`] computes it
+//! directly, step by step, with the event engine's IEEE operations in the
+//! same operand order (see `DESIGN.md` §16). The event-per-message
+//! engine survives as [`crate::reference::simulate_reference`]; the
+//! proptests assert exact [`SimTimeline`] equality between the two, and
+//! `pic_analysis::des_batch` model-checks that every causal event order
+//! reaches the fold's times.
 
 use crate::machine::MachineSpec;
-use crate::queue::{CalendarQueue, Event, EventKind, EventQueue, HeapQueue};
 use pic_types::{PicError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One super-step of the PIC schedule: per-rank modelled compute seconds
 /// plus the messages sent at the end of the step.
@@ -68,8 +55,8 @@ pub struct SimTimeline {
     /// Per-step completion time (when the last rank finished the step and
     /// its messages were delivered).
     pub step_finish: Vec<f64>,
-    /// Number of discrete events processed. Inlined deliveries count one
-    /// event per message, so the figure is engine-independent.
+    /// Number of discrete events the run stands for: one compute-done
+    /// per rank per step plus one arrival per message.
     pub events_processed: u64,
 }
 
@@ -82,57 +69,6 @@ impl SimTimeline {
         let mean_idle: f64 = self.rank_idle.iter().sum::<f64>() / self.rank_idle.len() as f64;
         mean_idle / self.total_seconds
     }
-}
-
-/// Which [`crate::queue::EventQueue`] implementation the engine
-/// schedules events on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum QueueKind {
-    /// The classic `BinaryHeap` (O(log n) per op) — the oracle.
-    BinaryHeap,
-    /// The calendar queue (O(1) amortized per op) — the default.
-    Calendar,
-}
-
-/// Engine tuning knobs. The default — calendar queue, barrier fast path
-/// on — is what [`simulate`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Event-queue implementation for event-driven runs.
-    pub queue: QueueKind,
-    /// Use the queue-free batched step evaluation when the sync mode is
-    /// [`SyncMode::BulkSynchronous`]. Sound because a global barrier
-    /// makes every step's compute-done times independent (checked by
-    /// `pic-analysis`'s batching model).
-    pub barrier_fast_path: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            queue: QueueKind::Calendar,
-            barrier_fast_path: true,
-        }
-    }
-}
-
-/// Execution statistics of one simulation run, for bench reports and the
-/// `picpredict` CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct SimStats {
-    /// Event-queue implementation used (`"none"` on the fast path).
-    pub queue: &'static str,
-    /// Whether the barrier fast path evaluated the schedule.
-    pub barrier_fast_path: bool,
-    /// Largest number of simultaneously pending events.
-    pub peak_queue_len: usize,
-    /// Largest number of simultaneously resident step slots.
-    pub peak_window_steps: usize,
-    /// Peak bookkeeping bytes (window slots + pending events) — the
-    /// engine's memory proxy, to compare against the dense oracle's
-    /// [`crate::reference::dense_state_bytes`].
-    pub state_bytes_peak: usize,
 }
 
 /// The all-zero timeline for an empty schedule.
@@ -148,8 +84,9 @@ pub(crate) fn empty_timeline() -> SimTimeline {
 
 /// Admission validation: every quantity that could produce a NaN or
 /// infinite event time is rejected here with a positioned error, so the
-/// `(time, seq)` comparison deeper in the engine never sees a non-finite
-/// time (it would otherwise panic mid-simulation in `Event::cmp`).
+/// fold never produces one and the reference engine's `(time, seq)`
+/// comparison never sees one (it would panic mid-simulation in
+/// `Event::cmp`).
 ///
 /// Returns the rank count.
 pub(crate) fn validate_schedule(steps: &[StepWorkload]) -> Result<usize> {
@@ -182,414 +119,67 @@ pub(crate) fn validate_schedule(steps: &[StepWorkload]) -> Result<usize> {
     Ok(ranks)
 }
 
-/// One resident step of the sliding window: flat per-rank arrays plus the
-/// step's outbox in CSR form (`outbox_off[r]..outbox_off[r+1]` indexes
-/// rank `r`'s outbound messages in `outbox_dst`/`outbox_bytes`).
-#[derive(Debug, Default)]
-struct Slot {
-    expected: Vec<u32>,
-    arrived: Vec<u32>,
-    last_arrival: Vec<f64>,
-    /// Ranks whose completion has already been recorded. The oracle never
-    /// re-checks a completed `(rank, step)` because no further events for
-    /// it exist; with inlined delivery a sender's handler may probe a
-    /// receiver more than once, so completion must be made idempotent
-    /// explicitly (a bulk-synchronous rank stays on `s` until release).
-    completed: Vec<bool>,
-    outbox_off: Vec<u32>,
-    outbox_dst: Vec<u32>,
-    outbox_bytes: Vec<u64>,
-    /// Ranks that have moved past this step; the slot retires at `ranks`.
-    passed: u32,
-    /// Barrier bookkeeping (bulk-synchronous only).
-    barrier_remaining: u32,
-    barrier_time: f64,
-}
-
-/// The windowed event-driven engine, generic over the event queue.
-struct WindowEngine<'a, Q: EventQueue> {
-    steps: &'a [StepWorkload],
-    machine: &'a MachineSpec,
-    mode: SyncMode,
-    ranks: usize,
-    queue: Q,
-    seq: u64,
-    /// Current step of each rank (`u32::MAX` = finished).
-    rank_step: Vec<u32>,
-    /// Compute-finish time of each rank's current step (NaN = not yet).
-    compute_done: Vec<f64>,
-    idle: Vec<f64>,
-    rank_finish: Vec<f64>,
-    step_finish: Vec<f64>,
-    /// Resident steps `win_base .. win_base + window.len()`.
-    window: VecDeque<Slot>,
-    win_base: usize,
-    /// Retired slots, recycled to avoid churning allocations.
-    free: Vec<Slot>,
-    /// CSR fill cursor (scratch, reused across activations).
-    cursor: Vec<u32>,
-    events: u64,
-    peak_queue: usize,
-    peak_window: usize,
-    live_bytes: usize,
-    peak_bytes: usize,
-}
-
-impl<'a, Q: EventQueue> WindowEngine<'a, Q> {
-    fn new(
-        steps: &'a [StepWorkload],
-        machine: &'a MachineSpec,
-        mode: SyncMode,
-        ranks: usize,
-        queue: Q,
-    ) -> Self {
-        WindowEngine {
-            steps,
-            machine,
-            mode,
-            ranks,
-            queue,
-            seq: 0,
-            rank_step: vec![0; ranks],
-            compute_done: vec![f64::NAN; ranks],
-            idle: vec![0.0; ranks],
-            rank_finish: vec![0.0; ranks],
-            step_finish: vec![0.0; steps.len()],
-            window: VecDeque::new(),
-            win_base: 0,
-            free: Vec::new(),
-            cursor: Vec::new(),
-            events: 0,
-            peak_queue: 0,
-            peak_window: 0,
-            live_bytes: 0,
-            peak_bytes: 0,
-        }
-    }
-
-    fn slot_bytes(ranks: usize, messages: usize) -> usize {
-        ranks * (4 + 4 + 8 + 1) + (ranks + 1) * 4 + messages * (4 + 8)
-    }
-
-    /// Materialize step `s` as the next window slot (steps activate in
-    /// strictly increasing order: the first rank to reach `s` does it).
-    fn activate(&mut self, s: usize) {
-        debug_assert_eq!(s, self.win_base + self.window.len());
-        let ranks = self.ranks;
-        let st = &self.steps[s];
-        let mut slot = self.free.pop().unwrap_or_default();
-        slot.expected.clear();
-        slot.expected.resize(ranks, 0);
-        slot.arrived.clear();
-        slot.arrived.resize(ranks, 0);
-        slot.last_arrival.clear();
-        slot.last_arrival.resize(ranks, 0.0);
-        slot.completed.clear();
-        slot.completed.resize(ranks, false);
-        slot.outbox_off.clear();
-        slot.outbox_off.resize(ranks + 1, 0);
-        slot.outbox_dst.clear();
-        slot.outbox_dst.resize(st.messages.len(), 0);
-        slot.outbox_bytes.clear();
-        slot.outbox_bytes.resize(st.messages.len(), 0);
-        slot.passed = 0;
-        slot.barrier_remaining = ranks as u32;
-        slot.barrier_time = 0.0;
-        // CSR counting sort by sender; stable, so each sender's messages
-        // keep their schedule order (matching the oracle's outboxes).
-        for &(from, _, _) in &st.messages {
-            slot.outbox_off[from as usize + 1] += 1;
-        }
-        for r in 0..ranks {
-            slot.outbox_off[r + 1] += slot.outbox_off[r];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&slot.outbox_off[..ranks]);
-        for &(from, to, bytes) in &st.messages {
-            let c = &mut self.cursor[from as usize];
-            slot.outbox_dst[*c as usize] = to;
-            slot.outbox_bytes[*c as usize] = bytes;
-            *c += 1;
-            slot.expected[to as usize] += 1;
-        }
-        self.live_bytes += Self::slot_bytes(ranks, st.messages.len());
-        self.peak_bytes = self.peak_bytes.max(self.live_bytes);
-        self.window.push_back(slot);
-        self.peak_window = self.peak_window.max(self.window.len());
-    }
-
-    /// Start rank `r`'s compute for step `s` at time `start`.
-    fn start_step(&mut self, r: usize, s: usize, start: f64) {
-        if s == self.win_base + self.window.len() {
-            self.activate(s);
-        }
-        debug_assert!(s >= self.win_base && s < self.win_base + self.window.len());
-        self.rank_step[r] = s as u32;
-        self.compute_done[r] = f64::NAN;
-        let t = start + self.machine.compute_scale * self.steps[s].compute_seconds[r];
-        self.queue.push(Event {
-            time: t,
-            seq: self.seq,
-            kind: EventKind::ComputeDone {
-                rank: r as u32,
-                step: s as u32,
-            },
-        });
-        self.seq += 1;
-        self.peak_queue = self.peak_queue.max(self.queue.len());
-    }
-
-    /// If rank `r` has completed step `s` (compute + inbound messages),
-    /// mark it ready and advance directly or via the barrier.
-    fn try_ready(&mut self, r: usize, s: usize) {
-        if self.rank_step[r] as usize != s {
-            return;
-        }
-        let cdone = self.compute_done[r];
-        if cdone.is_nan() {
-            return;
-        }
-        let si = s - self.win_base;
-        if self.window[si].completed[r] {
-            return;
-        }
-        if self.window[si].arrived[r] < self.window[si].expected[r] {
-            return;
-        }
-        self.window[si].completed[r] = true;
-        let ready_at = cdone.max(self.window[si].last_arrival[r]);
-        self.step_finish[s] = self.step_finish[s].max(ready_at);
-        match self.mode {
-            SyncMode::NeighborSync => {
-                self.idle[r] += (ready_at - cdone).max(0.0);
-                self.advance(r, s, ready_at);
-            }
-            SyncMode::BulkSynchronous => {
-                let slot = &mut self.window[si];
-                slot.barrier_time = slot.barrier_time.max(ready_at);
-                slot.barrier_remaining -= 1;
-                if slot.barrier_remaining == 0 {
-                    let release = slot.barrier_time + self.machine.barrier_time(self.ranks);
-                    for rr in 0..self.ranks {
-                        // idle covers both message wait and barrier wait
-                        let cd = self.compute_done[rr];
-                        debug_assert!(!cd.is_nan());
-                        self.idle[rr] += (release - cd).max(0.0);
-                        self.advance(rr, s, release);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move rank `r` past step `s`: start the next step or record finish.
-    fn advance(&mut self, r: usize, s: usize, start: f64) {
-        self.window[s - self.win_base].passed += 1;
-        let next = s + 1;
-        if next >= self.steps.len() {
-            self.rank_finish[r] = start;
-            // park the rank beyond the last step
-            self.rank_step[r] = u32::MAX;
-            return;
-        }
-        self.start_step(r, next, start);
-        // Messages for the next step may already have been delivered while
-        // the rank was still on step `s`; completion is re-checked when
-        // its compute-done event fires.
-    }
-
-    /// Retire fully-passed steps off the front of the window. Called only
-    /// between events so no handler ever holds a stale slot index.
-    fn retire(&mut self) {
-        while let Some(front) = self.window.front() {
-            if (front.passed as usize) < self.ranks {
-                break;
-            }
-            let slot = self.window.pop_front().expect("front exists");
-            self.live_bytes -= Self::slot_bytes(self.ranks, slot.outbox_dst.len());
-            self.win_base += 1;
-            self.free.push(slot);
-        }
-    }
-
-    fn run(mut self) -> (SimTimeline, SimStats) {
-        for r in 0..self.ranks {
-            self.start_step(r, 0, 0.0);
-        }
-        while let Some(ev) = self.queue.pop() {
-            self.events += 1;
-            let EventKind::ComputeDone { rank, step } = ev.kind else {
-                unreachable!("windowed engine schedules only ComputeDone events");
-            };
-            let r = rank as usize;
-            let s = step as usize;
-            debug_assert_eq!(self.rank_step[r], step);
-            self.compute_done[r] = ev.time;
-            let si = s - self.win_base;
-            let (lo, hi) = {
-                let slot = &self.window[si];
-                (slot.outbox_off[r] as usize, slot.outbox_off[r + 1] as usize)
-            };
-            // Inlined delivery: each outbound message's effect is a
-            // counter bump and a `max` fold on the receiver — both
-            // order-independent — so the `MsgArrive` event the oracle
-            // would enqueue is unnecessary. It still counts as one
-            // processed event to keep `events_processed` comparable.
-            let machine = self.machine;
-            for i in lo..hi {
-                let slot = &mut self.window[si];
-                let to = slot.outbox_dst[i];
-                let arrive = ev.time + machine.message_time_between(rank, to, slot.outbox_bytes[i]);
-                let to = to as usize;
-                slot.arrived[to] += 1;
-                slot.last_arrival[to] = slot.last_arrival[to].max(arrive);
-                debug_assert!(slot.arrived[to] <= slot.expected[to]);
-            }
-            self.events += (hi - lo) as u64;
-            for i in lo..hi {
-                let to = self.window[si].outbox_dst[i] as usize;
-                self.try_ready(to, s);
-            }
-            self.try_ready(r, s);
-            self.peak_queue = self.peak_queue.max(self.queue.len());
-            self.retire();
-        }
-        let total = self.rank_finish.iter().copied().fold(0.0f64, f64::max);
-        let stats = SimStats {
-            queue: self.queue.name(),
-            barrier_fast_path: false,
-            peak_queue_len: self.peak_queue,
-            peak_window_steps: self.peak_window,
-            state_bytes_peak: self.peak_bytes + self.peak_queue * std::mem::size_of::<Event>(),
-        };
-        (
-            SimTimeline {
-                total_seconds: total,
-                rank_finish: self.rank_finish,
-                rank_idle: self.idle,
-                step_finish: self.step_finish,
-                events_processed: self.events,
-            },
-            stats,
-        )
-    }
-}
-
-/// The bulk-synchronous fast path: under a global barrier every step is
-/// independent, so the whole step is a vectorized compute pass, a message
-/// epilogue, and one max — no event queue. Bit-identical to the
-/// event-driven engines because every cross-event combination in a
-/// barrier step is a `max` over the same value set (soundness is model-
-/// checked by `pic_analysis::des_batch`).
-fn simulate_barrier_fast(
-    steps: &[StepWorkload],
-    machine: &MachineSpec,
-    ranks: usize,
-) -> (SimTimeline, SimStats) {
-    let mut done = vec![0.0f64; ranks];
-    let mut last_arrival = vec![0.0f64; ranks];
-    let mut idle = vec![0.0f64; ranks];
-    let mut step_finish = vec![0.0f64; steps.len()];
-    let barrier_cost = machine.barrier_time(ranks);
-    let mut release = 0.0f64;
-    let mut events = 0u64;
-    for (s, st) in steps.iter().enumerate() {
-        for (d, &c) in done.iter_mut().zip(&st.compute_seconds) {
-            *d = release + machine.compute_scale * c;
-        }
-        last_arrival.iter_mut().for_each(|la| *la = 0.0);
-        for &(from, to, bytes) in &st.messages {
-            let arrive = done[from as usize] + machine.message_time_between(from, to, bytes);
-            let la = &mut last_arrival[to as usize];
-            *la = la.max(arrive);
-        }
-        let mut barrier = 0.0f64;
-        for (d, la) in done.iter().zip(&last_arrival) {
-            barrier = barrier.max(d.max(*la));
-        }
-        step_finish[s] = barrier;
-        release = barrier + barrier_cost;
-        for (i, d) in idle.iter_mut().zip(&done) {
-            *i += (release - d).max(0.0);
-        }
-        events += ranks as u64 + st.messages.len() as u64;
-    }
-    let stats = SimStats {
-        queue: "none",
-        barrier_fast_path: true,
-        peak_queue_len: 0,
-        peak_window_steps: 1,
-        state_bytes_peak: ranks * (8 + 8 + 8),
-    };
-    (
-        SimTimeline {
-            total_seconds: release,
-            rank_finish: vec![release; ranks],
-            rank_idle: idle,
-            step_finish,
-            events_processed: events,
-        },
-        stats,
-    )
-}
-
-/// Simulate with explicit engine configuration, returning execution
-/// statistics alongside the timeline.
-pub fn simulate_with_stats(
-    steps: &[StepWorkload],
-    machine: &MachineSpec,
-    mode: SyncMode,
-    config: EngineConfig,
-) -> Result<(SimTimeline, SimStats)> {
-    machine.validate()?;
-    if steps.is_empty() {
-        return Ok((
-            empty_timeline(),
-            SimStats {
-                queue: "none",
-                barrier_fast_path: false,
-                peak_queue_len: 0,
-                peak_window_steps: 0,
-                state_bytes_peak: 0,
-            },
-        ));
-    }
-    let ranks = validate_schedule(steps)?;
-    if mode == SyncMode::BulkSynchronous && config.barrier_fast_path {
-        return Ok(simulate_barrier_fast(steps, machine, ranks));
-    }
-    match config.queue {
-        QueueKind::BinaryHeap => {
-            Ok(WindowEngine::new(steps, machine, mode, ranks, HeapQueue::new()).run())
-        }
-        QueueKind::Calendar => {
-            Ok(WindowEngine::new(steps, machine, mode, ranks, CalendarQueue::new()).run())
-        }
-    }
-}
-
-/// Simulate with explicit engine configuration.
-pub fn simulate_with(
-    steps: &[StepWorkload],
-    machine: &MachineSpec,
-    mode: SyncMode,
-    config: EngineConfig,
-) -> Result<SimTimeline> {
-    simulate_with_stats(steps, machine, mode, config).map(|(t, _)| t)
-}
-
 /// Simulate the PIC schedule on a target machine.
 ///
 /// `steps[s].compute_seconds` must have one entry per rank (consistent
 /// across steps). Compute times are scaled by the machine's
 /// `compute_scale`; message times come from its latency/bandwidth model.
-/// Uses the default [`EngineConfig`] (calendar queue, barrier fast path).
+///
+/// One pass per step: every rank's compute-done time, a `max`-fold of the
+/// step's message arrivals onto their receivers, then each rank's ready
+/// time. Under [`SyncMode::NeighborSync`] a rank starts its next step when
+/// it is ready; under [`SyncMode::BulkSynchronous`] every rank starts at
+/// the latest ready time plus the barrier cost. Nothing else differs.
 pub fn simulate(
     steps: &[StepWorkload],
     machine: &MachineSpec,
     mode: SyncMode,
 ) -> Result<SimTimeline> {
-    simulate_with(steps, machine, mode, EngineConfig::default())
+    machine.validate()?;
+    if steps.is_empty() {
+        return Ok(empty_timeline());
+    }
+    let ranks = validate_schedule(steps)?;
+    let barrier_cost = machine.barrier_time(ranks);
+    let mut start = vec![0.0f64; ranks];
+    let mut done = vec![0.0f64; ranks];
+    let mut last_arrival = vec![0.0f64; ranks];
+    let mut idle = vec![0.0f64; ranks];
+    let mut step_finish = Vec::with_capacity(steps.len());
+    let mut events = 0u64;
+    for st in steps {
+        for ((d, &s), &c) in done.iter_mut().zip(&start).zip(&st.compute_seconds) {
+            *d = s + machine.compute_scale * c;
+        }
+        last_arrival.fill(0.0);
+        for &(from, to, bytes) in &st.messages {
+            let arrive = done[from as usize] + machine.message_time_between(from, to, bytes);
+            let la = &mut last_arrival[to as usize];
+            *la = la.max(arrive);
+        }
+        // `start` now becomes each rank's ready time for this step.
+        let mut finish = 0.0f64;
+        for ((s, d), la) in start.iter_mut().zip(&done).zip(&last_arrival) {
+            *s = d.max(*la);
+            finish = finish.max(*s);
+        }
+        step_finish.push(finish);
+        if mode == SyncMode::BulkSynchronous {
+            start.fill(finish + barrier_cost);
+        }
+        // idle covers message wait and, at a barrier, the barrier wait
+        for ((i, s), d) in idle.iter_mut().zip(&start).zip(&done) {
+            *i += (s - d).max(0.0);
+        }
+        events += ranks as u64 + st.messages.len() as u64;
+    }
+    Ok(SimTimeline {
+        total_seconds: start.iter().copied().fold(0.0f64, f64::max),
+        rank_finish: start,
+        rank_idle: idle,
+        step_finish,
+        events_processed: events,
+    })
 }
 
 #[cfg(test)]
@@ -619,46 +209,13 @@ mod tests {
             .collect()
     }
 
-    /// Every engine variant on the same input.
-    fn all_variants(
-        steps: &[StepWorkload],
-        m: &MachineSpec,
-        mode: SyncMode,
-    ) -> Vec<(&'static str, SimTimeline)> {
-        let mut out = vec![(
-            "reference",
-            simulate_reference(steps, m, mode).expect("reference"),
-        )];
-        for (name, cfg) in [
-            (
-                "heap",
-                EngineConfig {
-                    queue: QueueKind::BinaryHeap,
-                    barrier_fast_path: false,
-                },
-            ),
-            (
-                "calendar",
-                EngineConfig {
-                    queue: QueueKind::Calendar,
-                    barrier_fast_path: false,
-                },
-            ),
-            ("default", EngineConfig::default()),
-        ] {
-            out.push((name, simulate_with(steps, m, mode, cfg).expect(name)));
-        }
-        out
-    }
-
-    /// Assert all engine variants agree bit-for-bit.
+    /// Assert the fold agrees bit-for-bit with the event-per-message
+    /// reference engine.
     fn assert_identical(steps: &[StepWorkload], m: &MachineSpec, mode: SyncMode) -> SimTimeline {
-        let variants = all_variants(steps, m, mode);
-        let (base_name, base) = &variants[0];
-        for (name, t) in &variants[1..] {
-            assert_eq!(t, base, "{name} diverged from {base_name} ({mode:?})");
-        }
-        base.clone()
+        let t = simulate(steps, m, mode).expect("fold");
+        let oracle = simulate_reference(steps, m, mode).expect("reference");
+        assert_eq!(t, oracle, "fold diverged from reference ({mode:?})");
+        t
     }
 
     #[test]
@@ -981,8 +538,10 @@ mod tests {
     }
 
     #[test]
-    fn window_stays_small_and_stats_report() {
-        // 2 ranks, 50 steps, tight coupling: window should stay tiny
+    fn tightly_coupled_steps_count_every_event() {
+        // 2 ranks exchanging a message each way for 50 steps: one
+        // compute-done per rank per step plus one arrival per message,
+        // and each step ends one message time after the slower rank
         let steps = vec![
             StepWorkload {
                 compute_seconds: vec![0.5, 0.6],
@@ -990,28 +549,11 @@ mod tests {
             };
             50
         ];
-        let (t, stats) = simulate_with_stats(
-            &steps,
-            &machine(),
-            SyncMode::NeighborSync,
-            EngineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(stats.queue, "calendar");
-        assert!(!stats.barrier_fast_path);
-        assert!(stats.peak_window_steps <= 3, "{}", stats.peak_window_steps);
-        assert!(stats.peak_queue_len <= 4, "{}", stats.peak_queue_len);
-        assert_eq!(t.events_processed, 2 * 50 + 100);
-        // fast path reports no queue at all
-        let (_, stats) = simulate_with_stats(
-            &steps,
-            &machine(),
-            SyncMode::BulkSynchronous,
-            EngineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(stats.queue, "none");
-        assert!(stats.barrier_fast_path);
-        assert_eq!(stats.peak_queue_len, 0);
+        for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
+            let t = assert_identical(&steps, &machine(), mode);
+            assert_eq!(t.events_processed, 2 * 50 + 100);
+            assert_eq!(t.step_finish.len(), 50);
+            assert!((t.step_finish[0] - (0.6 + 0.5 + 0.4)).abs() < 1e-12);
+        }
     }
 }

@@ -23,15 +23,11 @@
 
 pub mod engine;
 pub mod machine;
-pub mod queue;
+mod queue;
 pub mod reference;
 pub mod topology;
 
-pub use engine::{
-    simulate, simulate_with, simulate_with_stats, EngineConfig, QueueKind, SimStats, SimTimeline,
-    StepWorkload, SyncMode,
-};
+pub use engine::{simulate, SimTimeline, StepWorkload, SyncMode};
 pub use machine::MachineSpec;
-pub use queue::{CalendarQueue, Event, EventKind, EventQueue, HeapQueue};
-pub use reference::{dense_state_bytes, simulate_reference};
+pub use reference::simulate_reference;
 pub use topology::Topology;

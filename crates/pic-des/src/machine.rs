@@ -90,11 +90,6 @@ impl MachineSpec {
         Ok(())
     }
 
-    /// Modelled transfer time of a message of `bytes` bytes over one hop.
-    pub fn message_time(&self, bytes: u64) -> f64 {
-        self.link_latency + bytes as f64 / self.link_bandwidth
-    }
-
     /// Modelled transfer time between two specific ranks: per-hop latency
     /// times the topology's hop count, plus the serialization term.
     pub fn message_time_between(&self, from: u32, to: u32, bytes: u64) -> f64 {
@@ -185,9 +180,10 @@ mod tests {
     #[test]
     fn message_time_monotone_in_size() {
         let q = MachineSpec::quartz_like();
-        let t0 = q.message_time(0);
-        let t1 = q.message_time(1 << 20);
-        let t2 = q.message_time(1 << 24);
+        // ranks 0 and 1 share a leaf switch: one hop
+        let t0 = q.message_time_between(0, 1, 0);
+        let t1 = q.message_time_between(0, 1, 1 << 20);
+        let t2 = q.message_time_between(0, 1, 1 << 24);
         assert_eq!(t0, q.link_latency);
         assert!(t1 > t0 && t2 > t1);
     }
@@ -196,7 +192,7 @@ mod tests {
     fn latency_dominates_small_messages() {
         let q = MachineSpec::quartz_like();
         // a 64-byte particle header: bandwidth term is negligible
-        let t = q.message_time(64);
+        let t = q.message_time_between(0, 1, 64);
         assert!((t - q.link_latency) / q.link_latency < 0.01);
     }
 

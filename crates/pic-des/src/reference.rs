@@ -1,13 +1,14 @@
-//! The original dense `BinaryHeap` engine, kept as the oracle.
+//! The event-per-message engine, kept as the oracle.
 //!
-//! This is the pre-windowing simulator: a flat binary heap over *all*
-//! pending events (one `MsgArrive` per message) and dense
-//! `[step][rank]` bookkeeping. It is O(steps·ranks) in memory and
-//! O(E log E) in time, which is exactly why the windowed engine in
-//! [`crate::engine`] replaced it — but its simplicity makes it the
-//! ground truth: `des_bench --smoke`, the proptests, and CI all assert
-//! **exact** [`SimTimeline`] equality between this engine and the
-//! production one on every configuration they run.
+//! A classic discrete-event simulator: a binary heap over *all* pending
+//! events (one `ComputeDone` per rank per step, one `MsgArrive` per
+//! message), fired in `(time, seq)` order against dense `[step][rank]`
+//! bookkeeping. It is O(steps·ranks) in memory and O(E log E) in time,
+//! which is why [`crate::simulate`] folds the schedule instead, but its
+//! directness makes it the ground truth: the proptests and the
+//! 16 384-rank integration test assert **exact** [`SimTimeline`] equality
+//! between this engine and the fold, which is what shows the fold *is*
+//! the discrete-event simulation.
 
 use crate::engine::{empty_timeline, validate_schedule, SimTimeline, StepWorkload, SyncMode};
 use crate::machine::MachineSpec;
@@ -119,21 +120,7 @@ impl SimState<'_> {
     }
 }
 
-/// Dense-engine bookkeeping bytes for a schedule shape — the memory the
-/// windowed engine avoids. Used by `des_bench` as the peak-RSS proxy for
-/// this oracle.
-pub fn dense_state_bytes(ranks: usize, steps: usize, messages: usize) -> usize {
-    // arrived (u32) + expected (u32) + last_arrival (f64) per [step][rank],
-    // outbox entries (to: u32, bytes: u64) + per-(step,rank) Vec headers,
-    // and the worst-case heap holding one MsgArrive per in-flight message.
-    let per_cell = 4 + 4 + 8;
-    let vec_header = std::mem::size_of::<Vec<(u32, u64)>>();
-    steps * ranks * (per_cell + vec_header)
-        + messages * (4 + 8)
-        + (ranks + messages) * std::mem::size_of::<Event>()
-}
-
-/// Simulate with the original dense heap engine (the oracle).
+/// Simulate with the event-per-message heap engine (the oracle).
 ///
 /// Same contract as [`crate::simulate`]; the two must return bit-identical
 /// [`SimTimeline`]s for every valid input.

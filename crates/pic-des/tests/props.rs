@@ -1,10 +1,7 @@
 //! Property-based tests: discrete-event simulation invariants over random
 //! PIC-shaped schedules.
 
-use pic_des::{
-    simulate, simulate_reference, simulate_with, EngineConfig, MachineSpec, QueueKind,
-    StepWorkload, SyncMode,
-};
+use pic_des::{simulate, simulate_reference, MachineSpec, StepWorkload, SyncMode};
 use proptest::prelude::*;
 
 fn machine() -> MachineSpec {
@@ -20,17 +17,57 @@ fn machine() -> MachineSpec {
     }
 }
 
+/// One step's compute column: positive seconds with exact zeros mixed
+/// in and, one time in four, every rank at exactly zero (the zero-idle
+/// regime where every `max` ties).
+fn compute_strategy(ranks: usize) -> impl Strategy<Value = Vec<f64>> {
+    let mixed = || {
+        proptest::collection::vec(
+            prop_oneof![0.0..2.0f64, 0.0..2.0f64, Just(0.0)],
+            ranks..=ranks,
+        )
+    };
+    prop_oneof![mixed(), mixed(), mixed(), Just(vec![0.0; ranks])]
+}
+
+/// One step's messages. Endpoints are drawn from a random non-empty
+/// subset of senders and one of receivers, so schedules have send-only
+/// and receive-only ranks; the small endpoint sets make self-messages and
+/// repeated `(from, to)` pairs common; a third of the messages carry
+/// zero bytes.
+fn messages_strategy(ranks: usize) -> impl Strategy<Value = Vec<(u32, u32, u64)>> {
+    let subset = || proptest::collection::vec(0..ranks as u32, 1..=ranks);
+    let picks = proptest::collection::vec(
+        (
+            0..ranks,
+            0..ranks,
+            prop_oneof![0u64..10_000, 0u64..10_000, Just(0u64)],
+        ),
+        0..8,
+    );
+    (subset(), subset(), picks).prop_map(|(senders, receivers, picks)| {
+        picks
+            .into_iter()
+            .map(|(f, t, bytes)| {
+                (
+                    senders[f % senders.len()],
+                    receivers[t % receivers.len()],
+                    bytes,
+                )
+            })
+            .collect()
+    })
+}
+
 fn schedule_strategy() -> impl Strategy<Value = Vec<StepWorkload>> {
     (1usize..6, 1usize..8).prop_flat_map(|(ranks, steps)| {
         proptest::collection::vec(
-            (
-                proptest::collection::vec(0.0..2.0f64, ranks..=ranks),
-                proptest::collection::vec((0..ranks as u32, 0..ranks as u32, 0u64..10_000), 0..6),
-            )
-                .prop_map(|(compute_seconds, messages)| StepWorkload {
+            (compute_strategy(ranks), messages_strategy(ranks)).prop_map(
+                |(compute_seconds, messages)| StepWorkload {
                     compute_seconds,
                     messages,
-                }),
+                },
+            ),
             steps..=steps,
         )
     })
@@ -160,35 +197,17 @@ proptest! {
     }
 }
 
-/// Run every engine variant and require exact `SimTimeline` equality with
-/// the dense-heap oracle: calendar queue, heap queue, and (in barrier
-/// mode) the batched fast path all share the `(time, seq)` total order.
+/// Require exact `SimTimeline` equality between the fold and the
+/// event-per-message oracle: same times, same idle seconds, same event
+/// count, bit for bit.
 fn assert_engines_identical(
     sched: &[StepWorkload],
     m: &MachineSpec,
     mode: SyncMode,
 ) -> std::result::Result<(), TestCaseError> {
     let oracle = simulate_reference(sched, m, mode).unwrap();
-    for (name, cfg) in [
-        (
-            "windowed+heap",
-            EngineConfig {
-                queue: QueueKind::BinaryHeap,
-                barrier_fast_path: false,
-            },
-        ),
-        (
-            "windowed+calendar",
-            EngineConfig {
-                queue: QueueKind::Calendar,
-                barrier_fast_path: false,
-            },
-        ),
-        ("default", EngineConfig::default()),
-    ] {
-        let t = simulate_with(sched, m, mode, cfg).unwrap();
-        prop_assert_eq!(&t, &oracle, "{} diverged from oracle in {:?}", name, mode);
-    }
+    let t = simulate(sched, m, mode).unwrap();
+    prop_assert_eq!(&t, &oracle, "fold diverged from oracle in {:?}", mode);
     Ok(())
 }
 

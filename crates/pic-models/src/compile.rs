@@ -6,7 +6,7 @@
 //! module lowers a tree once into a flat postorder **tape** — an op
 //! array plus a constant pool, no heap pointers, no recursion — whose
 //! [`CompiledExpr::eval_batch`] kernel runs each op over *all* rows of a
-//! columnar [`Columns`] block before moving to the next op. The per-op
+//! block of feature columns before moving to the next op. The per-op
 //! dispatch cost amortizes over the whole dataset and the inner loops
 //! are plain slice arithmetic the compiler can vectorize.
 //!
@@ -24,7 +24,6 @@
 //! evaluate without touching the thread's call stack. [`Expr::eval`]
 //! relies on this: it delegates to a tape above a small recursion budget.
 
-use crate::dataset::Columns;
 use crate::expr::{Expr, DIV_GUARD};
 use std::cell::RefCell;
 
@@ -152,15 +151,20 @@ impl CompiledExpr {
         self.slots
     }
 
-    /// Evaluate every row of `cols`, writing one result per row into
-    /// `out`. Allocation-free once `scratch` has warmed up to
-    /// `slots × rows` floats.
+    /// Evaluate `out.len()` rows given column-wise (`cols[c][r]` is
+    /// feature `c` of row `r`; owned columns or borrowed slices alike),
+    /// writing one result per row into `out`. Allocation-free once
+    /// `scratch` has warmed up to `slots × rows` floats.
     ///
     /// # Panics
-    /// Panics if `out.len() != cols.len()`.
-    pub fn eval_batch(&self, cols: &Columns, out: &mut [f64], scratch: &mut EvalScratch) {
-        let n = cols.len();
-        assert_eq!(out.len(), n, "output buffer must have one slot per row");
+    /// Panics if a column the tape reads is not `out.len()` long.
+    pub fn eval_batch<C: AsRef<[f64]>>(
+        &self,
+        cols: &[C],
+        out: &mut [f64],
+        scratch: &mut EvalScratch,
+    ) {
+        let n = out.len();
         if n == 0 {
             return;
         }
@@ -176,8 +180,8 @@ impl CompiledExpr {
                 }
                 OpKind::Var => {
                     let dst = &mut buf[sp * n..(sp + 1) * n];
-                    match cols.col(op.arg as usize) {
-                        Some(col) => dst.copy_from_slice(col),
+                    match cols.get(op.arg as usize) {
+                        Some(col) => dst.copy_from_slice(col.as_ref()),
                         None => dst.fill(0.0),
                     }
                     sp += 1;
@@ -297,7 +301,7 @@ mod tests {
         )
     }
 
-    fn columns_of(rows: &[Vec<f64>]) -> Columns {
+    fn columns_of(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let arity = rows.first().map_or(0, Vec::len);
         let mut d = Dataset::new((0..arity).map(|i| format!("x{i}")).collect());
         for r in rows {
@@ -400,7 +404,7 @@ mod tests {
     #[test]
     fn empty_batch_is_noop() {
         let tape = CompiledExpr::compile(&Expr::Var(0));
-        let cols = Columns::from_dataset(&Dataset::new(vec!["x".into()]));
+        let cols = Dataset::new(vec!["x".into()]).columns();
         let mut out: Vec<f64> = Vec::new();
         tape.eval_batch(&cols, &mut out, &mut EvalScratch::new());
     }

@@ -98,9 +98,14 @@ impl Dataset {
         self.feature_names.iter().position(|n| n == name)
     }
 
-    /// Column-major copy of the feature matrix for the batch evaluator.
-    pub fn columns(&self) -> Columns {
-        Columns::from_dataset(self)
+    /// Column-major copy of the feature matrix (`columns()[c][r]` is
+    /// feature `c` of row `r`): each feature's values are contiguous, so
+    /// the compiled-tape batch evaluator streams over whole columns
+    /// instead of striding through the rows. Built once per fit.
+    pub fn columns(&self) -> Vec<Vec<f64>> {
+        (0..self.arity())
+            .map(|c| self.rows.iter().map(|row| row[c]).collect())
+            .collect()
     }
 
     /// Which columns actually vary (more than one distinct value up to a
@@ -116,57 +121,6 @@ impl Dataset {
                 }
             })
             .collect()
-    }
-}
-
-/// Column-major feature storage: each feature's values are contiguous,
-/// so the compiled-tape batch evaluator streams over whole columns
-/// instead of striding through `Vec<Vec<f64>>` rows. Built once per fit
-/// (or per load) from a [`Dataset`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Columns {
-    arity: usize,
-    len: usize,
-    /// `data[c * len .. (c + 1) * len]` is column `c`.
-    data: Vec<f64>,
-}
-
-impl Columns {
-    /// Transpose a dataset's rows into contiguous columns.
-    pub fn from_dataset(d: &Dataset) -> Columns {
-        let (arity, len) = (d.arity(), d.len());
-        let mut data = vec![0.0; arity * len];
-        for (r, row) in d.rows.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                data[c * len + r] = v;
-            }
-        }
-        Columns { arity, len, data }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of feature columns.
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Column `c` as a contiguous slice, or `None` when out of range
-    /// (the evaluator maps such reads to `0.0`, like `Expr::eval`).
-    pub fn col(&self, c: usize) -> Option<&[f64]> {
-        if c < self.arity {
-            Some(&self.data[c * self.len..(c + 1) * self.len])
-        } else {
-            None
-        }
     }
 }
 
@@ -242,15 +196,12 @@ mod tests {
     fn columns_transpose_rows() {
         let d = ds();
         let c = d.columns();
-        assert_eq!(c.len(), 10);
-        assert_eq!(c.arity(), 2);
-        assert!(!c.is_empty());
-        assert_eq!(c.col(0).unwrap()[3], 3.0);
-        assert!(c.col(1).unwrap().iter().all(|&v| v == 1.0));
-        assert_eq!(c.col(2), None);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c[0].len(), 10);
+        assert_eq!(c[0][3], 3.0);
+        assert!(c[1].iter().all(|&v| v == 1.0));
         let empty = Dataset::new(vec!["a".into()]).columns();
-        assert!(empty.is_empty());
-        assert_eq!(empty.col(0), Some(&[][..]));
+        assert_eq!(empty, vec![Vec::<f64>::new()]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! toggle combination yields a bit-identical search trajectory.
 
 use crate::compile::{CompiledExpr, EvalScratch};
-use crate::dataset::{Columns, Dataset};
+use crate::dataset::Dataset;
 use crate::expr::Expr;
 use crate::model::PerfModel;
 use pic_types::rng::SplitMix64;
@@ -214,7 +214,7 @@ fn admissible(expr: &Expr, arity: usize) -> bool {
 #[derive(Debug, Clone)]
 pub struct FitContext<'a> {
     data: &'a Dataset,
-    cols: Columns,
+    cols: Vec<Vec<f64>>,
     mean_y: f64,
     floor: f64,
 }
@@ -245,11 +245,6 @@ impl<'a> FitContext<'a> {
             mean_y,
             floor,
         }
-    }
-
-    /// The columnar feature block.
-    pub fn columns(&self) -> &Columns {
-        &self.cols
     }
 
     /// Penalty-free fitness base of a candidate — `(mean relative error,

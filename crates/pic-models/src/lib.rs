@@ -22,7 +22,7 @@
 //!
 //! The GP inner loop runs on a compiled fitness engine ([`compile`]):
 //! candidate trees are lowered to flat bytecode tapes and batch-evaluated
-//! over columnar feature storage ([`dataset::Columns`]), with population
+//! over columnar feature storage ([`Dataset::columns`]), with population
 //! scoring parallelized and memoized by canonical-form hash — all
 //! bit-identical to the recursive reference evaluator, so the search
 //! trajectory for a fixed seed never depends on which path ran.
@@ -40,7 +40,7 @@ pub mod linear;
 pub mod model;
 
 pub use compile::{CompiledExpr, EvalScratch};
-pub use dataset::{Columns, Dataset};
+pub use dataset::Dataset;
 pub use expr::Expr;
 pub use gp::{FitContext, FitScratch, GpConfig, GpRunStats, SymbolicRegressor};
 pub use kmeans::{KMeans, KMeansConfig};

@@ -96,6 +96,22 @@ impl PerfModel for LinearModel {
                 .sum::<f64>()
     }
 
+    fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        // `predict`'s operand order per row: the products accumulate from
+        // the identity `sum::<f64>()` starts from (whichever zero that is),
+        // and the intercept is added to the finished sum, on the left.
+        out.fill(std::iter::empty::<f64>().sum());
+        for (c, col) in self.coefficients.iter().zip(cols) {
+            for (o, x) in out.iter_mut().zip(*col) {
+                *o += c * x;
+            }
+        }
+        for o in out.iter_mut() {
+            let products = *o;
+            *o = self.intercept + products;
+        }
+    }
+
     fn describe(&self) -> String {
         let mut s = format!("{:.4e}", self.intercept);
         for (c, name) in self.coefficients.iter().zip(&self.feature_names) {
@@ -153,6 +169,16 @@ impl PerfModel for PolynomialModel {
             .iter()
             .rev()
             .fold(0.0, |acc, &c| acc * v + c)
+    }
+
+    fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        // Horner evaluation, one coefficient across the block at a time.
+        out.fill(0.0);
+        for &c in self.coefficients.iter().rev() {
+            for (o, &v) in out.iter_mut().zip(cols[self.feature_index]) {
+                *o = *o * v + c;
+            }
+        }
     }
 
     fn describe(&self) -> String {
@@ -246,6 +272,53 @@ mod tests {
         // uses column 1
         let y = m.predict(&[99.0, 2.0]);
         assert_eq!(y, 1.0 - 4.0 + 12.0);
+    }
+
+    #[test]
+    fn batch_forms_keep_the_scalar_bits() {
+        // signed zeros, cancellation and a row that sums to -0.0: the
+        // cases an accumulator started from the wrong zero, or an
+        // intercept added on the wrong side, would get wrong
+        let cols: [&[f64]; 2] = [
+            &[0.0, -0.0, 1.0, 1e-300, 3.5, -2.0, 1e17],
+            &[0.0, -0.0, -1.0, 7.0, 0.1, -0.0, -1e17],
+        ];
+        let rows = cols[0].len();
+        let models: Vec<Box<dyn PerfModel>> = vec![
+            Box::new(LinearModel {
+                feature_names: vec!["a".into(), "b".into()],
+                intercept: -0.0,
+                coefficients: vec![0.3, 0.3],
+            }),
+            Box::new(LinearModel {
+                feature_names: vec!["a".into(), "b".into()],
+                intercept: 1e-3,
+                coefficients: vec![-1.1, 2.7e-9],
+            }),
+            Box::new(PolynomialModel {
+                feature_name: "b".into(),
+                feature_index: 1,
+                coefficients: vec![-0.0, 1.5, -0.25, 1e-3],
+            }),
+        ];
+        for m in &models {
+            let mut out = vec![f64::NAN; rows];
+            m.predict_batch(&cols, &mut out);
+            for (r, got) in out.iter().enumerate() {
+                let want = m.predict(&[cols[0][r], cols[1][r]]);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} row {r}", m.describe());
+            }
+        }
+        // no rows, and a model with no coefficients at all
+        models[0].predict_batch(&cols, &mut []);
+        let bare = LinearModel {
+            feature_names: vec![],
+            intercept: -0.0,
+            coefficients: vec![],
+        };
+        let mut out = [f64::NAN; 2];
+        bare.predict_batch(&[], &mut out);
+        assert_eq!(out.map(f64::to_bits), [bare.predict(&[]).to_bits(); 2]);
     }
 
     #[test]

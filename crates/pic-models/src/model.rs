@@ -13,6 +13,20 @@ pub trait PerfModel {
     /// Human-readable formula.
     fn describe(&self) -> String;
 
+    /// Predict `out.len()` rows given column-wise (`cols[c][r]` is feature
+    /// `c` of row `r`), each result bit-identical to
+    /// [`predict`](PerfModel::predict) on that row. The default gathers
+    /// rows; the closed-form families stream over the columns instead.
+    fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        let mut row = vec![0.0; cols.len()];
+        for (r, o) in out.iter_mut().enumerate() {
+            for (x, col) in row.iter_mut().zip(cols) {
+                *x = col[r];
+            }
+            *o = self.predict(&row);
+        }
+    }
+
     /// Predictions for every row of a dataset.
     fn predict_all(&self, data: &Dataset) -> Vec<f64> {
         data.rows.iter().map(|r| self.predict(r)).collect()
@@ -52,6 +66,14 @@ impl PerfModel for FittedModel {
             FittedModel::Linear(m) => m.predict(features),
             FittedModel::Polynomial(m) => m.predict(features),
             FittedModel::Symbolic(m) => m.predict(features),
+        }
+    }
+
+    fn predict_batch(&self, cols: &[&[f64]], out: &mut [f64]) {
+        match self {
+            FittedModel::Linear(m) => m.predict_batch(cols, out),
+            FittedModel::Polynomial(m) => m.predict_batch(cols, out),
+            FittedModel::Symbolic(m) => m.predict_batch(cols, out),
         }
     }
 

@@ -265,9 +265,10 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
 /// the serve-layer protocol models (`--serve true`: single-flight, LRU
 /// accounting, shutdown handshake — explored with ample-set reduction and
 /// lasso liveness, plus the seeded-mutant corpus, every one of which must
-/// be caught), and the DES batching-soundness model (`--des true`: every
-/// causal processing order of a bulk-synchronous step must reach the
-/// barrier fast path's closed-form time, with its own mutant corpus).
+/// be caught), and the DES fold-soundness models (`--des true`: every
+/// causal processing order of a bulk-synchronous step, and of two
+/// neighbour-synchronised steps with ranks a step apart, must reach the
+/// times the fold computes, with their own mutant corpus).
 /// Exits nonzero if any check fails; warnings alone do not fail the run.
 fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
     let mut ran_any = false;
@@ -395,20 +396,20 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
 
     if flags.get("des").map(|v| v != "false").unwrap_or(false) {
         ran_any = true;
-        // Batching soundness for the DES barrier fast path: every causal
-        // processing order of a bulk-synchronous step (compute completions,
-        // inlined deliveries, redundant probes) must reach the closed-form
-        // barrier time the fast path computes directly.
+        // Soundness of simulating by fold: every causal processing order
+        // of a bulk-synchronous step must reach the closed-form barrier
+        // time, and every causal order of two neighbour-synchronised steps
+        // with ranks a step apart the fold's per-rank ready times.
         let verdicts = pic_analysis::verify_des_batching()
             .map_err(|e| PicError::model(format!("des batching check failed: {e}")))?;
         for v in &verdicts {
             println!(
-                "des {:>17}: OK — {} states / {} terminal / {} transitions, all orders reach the closed form",
+                "des {:>25}: OK — {} states / {} terminal / {} transitions, all orders reach the closed form",
                 v.config, v.exploration.states, v.exploration.terminal_states, v.exploration.transitions
             );
         }
         println!(
-            "des batching: OK ({} configuration(s), every causal order matches the fast path)",
+            "des batching: OK ({} configuration(s), every causal order matches the fold)",
             verdicts.len()
         );
         let outcomes = pic_analysis::des_batch_mutants();
@@ -416,7 +417,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         for (name, was_caught) in &outcomes {
             if *was_caught {
                 caught += 1;
-                println!("des mutant {name:<20} caught");
+                println!("des mutant {name:<22} caught");
             } else {
                 eprintln!("error: des mutant {name} ESCAPED");
                 failures += 1;
@@ -638,8 +639,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         predicted_seconds: f64,
         mean_idle_fraction: f64,
         events_processed: u64,
-        des_queue: &'static str,
-        des_barrier_fast_path: bool,
         des_wall_seconds: f64,
         samples: usize,
         ranks: usize,
@@ -650,8 +649,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         predicted_seconds: timeline.total_seconds,
         mean_idle_fraction: timeline.mean_idle_fraction(),
         events_processed: des.events_processed,
-        des_queue: des.queue,
-        des_barrier_fast_path: des.barrier_fast_path,
         des_wall_seconds: des.wall_seconds,
         samples: schedule.len(),
         ranks,
@@ -669,8 +666,8 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         100.0 * timeline.mean_idle_fraction()
     );
     eprintln!(
-        "events processed:    {} (queue={}, {:.3} s simulator wall time)",
-        des.events_processed, des.queue, des.wall_seconds
+        "events processed:    {} ({:.3} s simulator wall time)",
+        des.events_processed, des.wall_seconds
     );
     Ok(())
 }

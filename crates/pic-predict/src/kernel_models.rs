@@ -1,7 +1,8 @@
 //! Per-kernel performance models fitted from instrumentation records.
 
 use pic_models::{
-    CompiledExpr, Dataset, FittedModel, GpConfig, LinearModel, PerfModel, SymbolicRegressor,
+    CompiledExpr, Dataset, EvalScratch, FittedModel, GpConfig, LinearModel, PerfModel,
+    SymbolicRegressor,
 };
 use pic_sim::instrument::WorkloadParams;
 use pic_sim::{KernelKind, Recorder};
@@ -94,14 +95,13 @@ impl KernelModel {
     pub fn validate(&self) -> Result<()> {
         let ctx = |msg: String| PicError::model(format!("kernel '{}': {msg}", self.kernel));
         let arity = self.feature_columns.len();
-        let n_features = WorkloadParams::FEATURE_NAMES.len();
         if arity == 0 {
             return Err(ctx("no feature columns".into()));
         }
         for &c in &self.feature_columns {
-            if c >= n_features {
+            if c >= N_FEATURES {
                 return Err(ctx(format!(
-                    "feature column {c} out of range for the {n_features} workload features"
+                    "feature column {c} out of range for the {N_FEATURES} workload features"
                 )));
             }
         }
@@ -266,22 +266,24 @@ impl KernelModels {
         self.models.iter().map(|m| m.kernel).collect()
     }
 
+    /// Resolve one kernel for evaluation: its model and, when symbolic,
+    /// its tape. `None` when no model was fitted for the kernel.
+    pub(crate) fn plan(&self, kernel: KernelKind) -> Option<KernelPlan<'_>> {
+        let idx = self.models.iter().position(|m| m.kernel == kernel)?;
+        Some(KernelPlan {
+            model: &self.models[idx],
+            tape: self.compiled.get(idx).and_then(Option::as_ref),
+        })
+    }
+
     /// Predict one kernel's execution seconds for a workload. Negative
-    /// model outputs clamp to zero (times cannot be negative).
+    /// model outputs clamp to zero (times cannot be negative); a kernel
+    /// with no model predicts zero. This is the scalar definition the
+    /// columnar path of [`crate::predict_kernel_seconds`] is tested
+    /// against.
     pub fn predict(&self, kernel: KernelKind, params: &WorkloadParams) -> f64 {
-        let Some(idx) = self.models.iter().position(|m| m.kernel == kernel) else {
-            return 0.0;
-        };
-        let km = &self.models[idx];
-        let feats = params.features();
-        let row: Vec<f64> = km.feature_columns.iter().map(|&c| feats[c]).collect();
-        let raw = match (&km.model, self.compiled.get(idx).and_then(Option::as_ref)) {
-            // Compiled path: same IEEE operations as `Expr::eval`, so the
-            // prediction is bit-identical to the tree walk.
-            (FittedModel::Symbolic(s), Some(tape)) => s.scale * tape.eval_row(&row) + s.offset,
-            (m, _) => m.predict(&row),
-        };
-        raw.max(0.0)
+        self.plan(kernel)
+            .map_or(0.0, |plan| plan.predict(&params.features()))
     }
 
     /// Per-kernel held-out validation MAPE (percent).
@@ -329,6 +331,77 @@ impl KernelModels {
         models.validate()?;
         models.compiled = compile_tapes(&models.models);
         Ok(models)
+    }
+}
+
+/// Number of workload features ([`WorkloadParams::features`]).
+const N_FEATURES: usize = WorkloadParams::FEATURE_NAMES.len();
+
+/// One kernel resolved for evaluation (see [`KernelModels::plan`]): the
+/// lookup a prediction over many rows does once instead of per row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KernelPlan<'a> {
+    model: &'a KernelModel,
+    tape: Option<&'a CompiledExpr>,
+}
+
+impl KernelPlan<'_> {
+    /// Hand `f` the model's view of the workload features: `features[c]`
+    /// for each of its feature columns, in its order. On the stack for
+    /// every arity a fit can produce; only a hand-built model that repeats
+    /// columns past the feature count takes the heap.
+    fn with_selected<T: Copy, R>(
+        &self,
+        features: &[T; N_FEATURES],
+        f: impl FnOnce(&[T]) -> R,
+    ) -> R {
+        let columns = &self.model.feature_columns;
+        if columns.len() > N_FEATURES {
+            return f(&columns.iter().map(|&c| features[c]).collect::<Vec<T>>());
+        }
+        let mut selected = [features[0]; N_FEATURES];
+        for (s, &c) in selected.iter_mut().zip(columns) {
+            *s = features[c];
+        }
+        f(&selected[..columns.len()])
+    }
+
+    /// One row: the kernel's seconds for one feature vector.
+    fn predict(&self, features: &[f64; N_FEATURES]) -> f64 {
+        self.with_selected(features, |row| {
+            let raw = match (&self.model.model, self.tape) {
+                // Compiled path: same IEEE operations as `Expr::eval`, so
+                // the prediction is bit-identical to the tree walk.
+                (FittedModel::Symbolic(s), Some(tape)) => s.scale * tape.eval_row(row) + s.offset,
+                (m, _) => m.predict(row),
+            };
+            raw.max(0.0)
+        })
+    }
+
+    /// A block of rows given as one column per workload feature, each
+    /// `out.len()` long; `out[r]` gets the bits [`KernelPlan::predict`]
+    /// returns for row `r`.
+    pub(crate) fn predict_block(
+        &self,
+        features: &[&[f64]; N_FEATURES],
+        out: &mut [f64],
+        scratch: &mut EvalScratch,
+    ) {
+        self.with_selected(features, |cols| {
+            match (&self.model.model, self.tape) {
+                (FittedModel::Symbolic(s), Some(tape)) => {
+                    tape.eval_batch(cols, out, scratch);
+                    for o in out.iter_mut() {
+                        *o = s.scale * *o + s.offset;
+                    }
+                }
+                (m, _) => m.predict_batch(cols, out),
+            }
+            for o in out.iter_mut() {
+                *o = o.max(0.0);
+            }
+        })
     }
 }
 

@@ -13,10 +13,35 @@
 use crate::kernel_models::{FitStrategy, KernelModels};
 use crate::validate;
 use pic_des::{simulate, MachineSpec, SimTimeline, StepWorkload, SyncMode};
-use pic_sim::instrument::WorkloadParams;
+use pic_models::EvalScratch;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
-use pic_types::{Rank, Result};
+use pic_types::{pool, Result};
 use pic_workload::{generator, DynamicWorkload, WorkloadConfig};
+use rayon::prelude::*;
+
+/// Ranks evaluated at a time: each feature column, the output column and
+/// every tape register of a block is 8 KiB, so a block lives in cache
+/// from the widening pass to the last kernel's scatter.
+const RANK_BLOCK: usize = 1024;
+
+/// `(sample, rank)` cells one parallel task covers, rounded to whole
+/// samples: a 16k-rank workload gets a task per sample, a 32-rank one a
+/// task per few hundred samples, and neither pays a task per sample.
+const CELLS_PER_TASK: usize = 16 * 1024;
+
+/// Run `task(first_sample, slots)` over blocks of consecutive per-sample
+/// slots of `out`, in parallel under the shared pool (`ranks` sizes the
+/// blocks, see [`CELLS_PER_TASK`]). The caller allocates the slots and the
+/// tasks only write into them, so the result is freed by the thread that
+/// allocated it.
+fn par_sample_blocks<T: Send>(out: &mut [T], ranks: usize, task: impl Fn(usize, &mut [T]) + Sync) {
+    let per_task = (CELLS_PER_TASK / ranks.max(1)).max(1);
+    pool::install(|| {
+        out.par_chunks_mut(per_task)
+            .enumerate()
+            .for_each(|(b, slots)| task(b * per_task, slots))
+    });
+}
 
 /// Predict per-rank, per-kernel execution seconds for every sample of a
 /// generated workload. Output is indexed `[sample][rank][k]` with `k` in
@@ -25,6 +50,12 @@ use pic_workload::{generator, DynamicWorkload, WorkloadConfig};
 /// `elements_per_rank` is the static fluid workload (from the element
 /// decomposition); `order` and `filter` are the problem parameters the
 /// models were trained with.
+///
+/// Every cell holds the bits [`KernelModels::predict`] returns for it.
+/// The evaluation is columnar: each kernel is resolved once, samples are
+/// split into parallel tasks, and within a sample each block of ranks has
+/// its counts widened into feature columns that every kernel's model
+/// streams over.
 pub fn predict_kernel_seconds(
     workload: &DynamicWorkload,
     models: &KernelModels,
@@ -32,35 +63,51 @@ pub fn predict_kernel_seconds(
     order: usize,
     filter: f64,
 ) -> Vec<Vec<[f64; 6]>> {
-    let ranks = workload.ranks;
-    let mut out = Vec::with_capacity(workload.samples());
-    for t in 0..workload.samples() {
-        let mut per_rank = Vec::with_capacity(ranks);
-        for r in 0..ranks {
-            let rank = Rank::from_index(r);
-            let np = workload.real.get(rank, t) as f64;
-            let recv = workload.ghost_recv.get(rank, t) as f64;
-            let sent = workload.ghost_sent.get(rank, t) as f64;
-            let nel = elements_per_rank.get(r).copied().unwrap_or(0) as f64;
-            let mut row = [0.0f64; 6];
-            for (slot, &kernel) in KernelKind::ALL.iter().enumerate() {
-                let ngp = match kernel {
-                    KernelKind::CreateGhostParticles => sent,
-                    _ => recv,
-                };
-                let params = WorkloadParams {
-                    np,
-                    ngp,
-                    nel,
-                    n_order: order as f64,
-                    filter,
-                };
-                row[slot] = models.predict(kernel, &params);
-            }
-            per_rank.push(row);
-        }
-        out.push(per_rank);
+    fn widen(col: &mut Vec<f64>, counts: &[u32]) {
+        col.clear();
+        col.extend(counts.iter().map(|&c| c as f64));
     }
+    let ranks = workload.ranks;
+    let plans = KernelKind::ALL.map(|kernel| models.plan(kernel));
+    let nel: Vec<f64> = (0..ranks)
+        .map(|r| elements_per_rank.get(r).copied().unwrap_or(0) as f64)
+        .collect();
+    let n_order = vec![order as f64; RANK_BLOCK.min(ranks)];
+    let filter = vec![filter; RANK_BLOCK.min(ranks)];
+    let mut out: Vec<Vec<[f64; 6]>> = (0..workload.samples())
+        .map(|_| Vec::with_capacity(ranks))
+        .collect();
+    par_sample_blocks(&mut out, ranks, |first, slots| {
+        // per-task scratch: the widened count columns, one kernel's output
+        // column and the tape registers
+        let (mut np, mut recv, mut sent) = (Vec::new(), Vec::new(), Vec::new());
+        let mut seconds = Vec::new();
+        let mut tape = EvalScratch::new();
+        for (t, per_rank) in (first..).zip(slots) {
+            per_rank.resize(ranks, [0.0; 6]);
+            for lo in (0..ranks).step_by(RANK_BLOCK) {
+                let hi = ranks.min(lo + RANK_BLOCK);
+                let n = hi - lo;
+                widen(&mut np, &workload.real.sample_row(t)[lo..hi]);
+                widen(&mut recv, &workload.ghost_recv.sample_row(t)[lo..hi]);
+                widen(&mut sent, &workload.ghost_sent.sample_row(t)[lo..hi]);
+                seconds.resize(n, 0.0);
+                for (slot, (plan, &kernel)) in plans.iter().zip(&KernelKind::ALL).enumerate() {
+                    let Some(plan) = plan else { continue };
+                    let ngp = match kernel {
+                        KernelKind::CreateGhostParticles => &sent,
+                        _ => &recv,
+                    };
+                    // WorkloadParams::features order
+                    let features = [&np[..], ngp, &nel[lo..hi], &n_order[..n], &filter[..n]];
+                    plan.predict_block(&features, &mut seconds, &mut tape);
+                    for (row, &s) in per_rank[lo..hi].iter_mut().zip(&seconds) {
+                        row[slot] = s;
+                    }
+                }
+            }
+        }
+    });
     out
 }
 
@@ -78,21 +125,28 @@ pub fn build_schedule(
     iterations_per_sample: u32,
     bytes_per_particle: u64,
 ) -> Vec<StepWorkload> {
-    let mut steps = Vec::with_capacity(predicted.len());
-    for (t, per_rank) in predicted.iter().enumerate() {
-        let compute_seconds: Vec<f64> = per_rank
-            .iter()
-            .map(|row| row.iter().sum::<f64>() * iterations_per_sample as f64)
-            .collect();
-        let messages: Vec<(u32, u32, u64)> = workload.comm.entries[t]
-            .iter()
-            .map(|&(from, to, count)| (from, to, count as u64 * bytes_per_particle))
-            .collect();
-        steps.push(StepWorkload {
-            compute_seconds,
-            messages,
-        });
-    }
+    let mut steps: Vec<StepWorkload> = predicted
+        .iter()
+        .enumerate()
+        .map(|(t, per_rank)| StepWorkload {
+            compute_seconds: Vec::with_capacity(per_rank.len()),
+            messages: Vec::with_capacity(workload.comm.entries[t].len()),
+        })
+        .collect();
+    par_sample_blocks(&mut steps, workload.ranks, |first, slots| {
+        for (t, step) in (first..).zip(slots) {
+            step.compute_seconds.extend(
+                predicted[t]
+                    .iter()
+                    .map(|row| row.iter().sum::<f64>() * iterations_per_sample as f64),
+            );
+            step.messages.extend(
+                workload.comm.entries[t]
+                    .iter()
+                    .map(|&(from, to, count)| (from, to, count as u64 * bytes_per_particle)),
+            );
+        }
+    });
     steps
 }
 
@@ -109,11 +163,6 @@ pub fn predict_application(
 /// `picpredict predict` JSON and the serve `/predict` response.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DesRunStats {
-    /// Event-queue implementation (`"calendar"`, `"binary-heap"`, or
-    /// `"none"` when the barrier fast path ran).
-    pub queue: &'static str,
-    /// Whether the bulk-synchronous batched fast path evaluated the run.
-    pub barrier_fast_path: bool,
     /// Simulator wall-clock seconds for this prediction.
     pub wall_seconds: f64,
     /// Events processed (equals the timeline's `events_processed`).
@@ -121,20 +170,16 @@ pub struct DesRunStats {
 }
 
 /// Run the system-level simulation, also returning DES throughput
-/// statistics (queue implementation, wall seconds, events processed).
+/// statistics (wall seconds, events processed).
 pub fn predict_application_with_stats(
     schedule: &[StepWorkload],
     machine: &MachineSpec,
     mode: SyncMode,
 ) -> Result<(SimTimeline, DesRunStats)> {
     let start = std::time::Instant::now();
-    let (timeline, stats) =
-        pic_des::simulate_with_stats(schedule, machine, mode, pic_des::EngineConfig::default())?;
-    let wall_seconds = start.elapsed().as_secs_f64();
+    let timeline = simulate(schedule, machine, mode)?;
     let run = DesRunStats {
-        queue: stats.queue,
-        barrier_fast_path: stats.barrier_fast_path,
-        wall_seconds,
+        wall_seconds: start.elapsed().as_secs_f64(),
         events_processed: timeline.events_processed,
     };
     Ok((timeline, run))
@@ -241,8 +286,15 @@ pub use crate::validate::workload_matches_ground_truth as _validate_workload;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel_models::KernelModel;
     use pic_grid::MeshDims;
+    use pic_models::gp::SymbolicModel;
+    use pic_models::{Expr, FittedModel, LinearModel, PolynomialModel};
+    use pic_sim::instrument::WorkloadParams;
+    use pic_types::rng::SplitMix64;
+    use pic_types::Rank;
     use pic_workload::{CommMatrix, CompMatrix};
+    use proptest::prelude::*;
 
     fn small_cfg() -> SimConfig {
         SimConfig {
@@ -353,5 +405,285 @@ mod tests {
         // idle rank 1 at sample 0 still gets fluid-solver time (nel > 0)
         let fluid_slot = 0; // KernelKind::ALL[0] == FluidSolver
         assert!(pred[0][1][fluid_slot] > 0.0);
+    }
+
+    /// The scalar definition of the prediction tail's first half: one
+    /// [`KernelModels::predict`] per `(sample, rank, kernel)` cell.
+    fn scalar_kernel_seconds(
+        workload: &DynamicWorkload,
+        models: &KernelModels,
+        elements_per_rank: &[u32],
+        order: usize,
+        filter: f64,
+    ) -> Vec<Vec<[f64; 6]>> {
+        (0..workload.samples())
+            .map(|t| {
+                (0..workload.ranks)
+                    .map(|r| {
+                        let rank = Rank::from_index(r);
+                        KernelKind::ALL.map(|kernel| {
+                            let ngp = match kernel {
+                                KernelKind::CreateGhostParticles => &workload.ghost_sent,
+                                _ => &workload.ghost_recv,
+                            };
+                            let params = WorkloadParams {
+                                np: workload.real.get(rank, t) as f64,
+                                ngp: ngp.get(rank, t) as f64,
+                                nel: elements_per_rank.get(r).copied().unwrap_or(0) as f64,
+                                n_order: order as f64,
+                                filter,
+                            };
+                            models.predict(kernel, &params)
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// And of its second half: the sequential schedule build.
+    fn scalar_schedule(
+        workload: &DynamicWorkload,
+        predicted: &[Vec<[f64; 6]>],
+        iterations_per_sample: u32,
+        bytes_per_particle: u64,
+    ) -> Vec<StepWorkload> {
+        predicted
+            .iter()
+            .enumerate()
+            .map(|(t, per_rank)| StepWorkload {
+                compute_seconds: per_rank
+                    .iter()
+                    .map(|row| row.iter().sum::<f64>() * iterations_per_sample as f64)
+                    .collect(),
+                messages: workload.comm.entries[t]
+                    .iter()
+                    .map(|&(from, to, count)| (from, to, count as u64 * bytes_per_particle))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    fn bits(predicted: &[Vec<[f64; 6]>]) -> Vec<Vec<[u64; 6]>> {
+        predicted
+            .iter()
+            .map(|per_rank| per_rank.iter().map(|row| row.map(f64::to_bits)).collect())
+            .collect()
+    }
+
+    /// A seeded workload in the rank-heavy shape: three ranks in four hold
+    /// no particles, the rest small counts that often coincide (so
+    /// `np - ngp` denominators hit zero).
+    fn seeded_workload(seed: u64, ranks: usize, samples: usize) -> DynamicWorkload {
+        let mut rng = SplitMix64::new(seed);
+        let mut matrix = |busy: u64| {
+            let rows = (0..samples)
+                .map(|_| {
+                    (0..ranks)
+                        .map(|r| match r % 4 {
+                            0 => rng.next_below(busy) as u32,
+                            _ => 0,
+                        })
+                        .collect()
+                })
+                .collect();
+            CompMatrix::from_rows(ranks, rows)
+        };
+        let (real, ghost_recv, ghost_sent) = (matrix(6), matrix(6), matrix(4));
+        let mut comm = CommMatrix::with_samples(samples);
+        for entries in comm.entries.iter_mut().skip(1) {
+            for from in (0..ranks as u32).step_by(4) {
+                entries.push((from, (from + 4) % ranks as u32, 1 + from % 3));
+            }
+        }
+        DynamicWorkload {
+            ranks,
+            iterations: (0..samples as u64).map(|t| 10 * t).collect(),
+            real,
+            ghost_recv,
+            ghost_sent,
+            comm,
+            bin_counts: vec![None; samples],
+        }
+    }
+
+    /// Expressions a symbolic model draws from: protected divisions whose
+    /// denominators are zero on idle ranks or when two counts coincide, a
+    /// product that goes negative, and a variable past any arity.
+    fn expr_menu(i: usize) -> Expr {
+        let (v, c) = (|i| Box::new(Expr::Var(i)), |x| Box::new(Expr::Const(x)));
+        match i % 5 {
+            0 => Expr::Div(v(0), Box::new(Expr::Sub(v(1), v(0)))),
+            1 => Expr::Div(c(1.0), v(0)),
+            2 => Expr::Sub(c(1.0), Box::new(Expr::Mul(v(0), v(2)))),
+            3 => Expr::Mul(Box::new(Expr::Div(v(1), v(0))), v(3)),
+            _ => Expr::Add(Box::new(Expr::Mul(v(0), c(1e-3))), v(9)),
+        }
+    }
+
+    /// `family`: 0 = no model for the kernel, 1 = linear, 2 = polynomial,
+    /// 3 = symbolic.
+    fn model_for(
+        kernel: KernelKind,
+        family: usize,
+        feature_columns: Vec<usize>,
+        coefs: &[f64],
+        pick: usize,
+    ) -> Option<KernelModel> {
+        let arity = feature_columns.len();
+        let names = || (0..arity).map(|i| format!("f{i}")).collect::<Vec<_>>();
+        let model = match family {
+            0 => return None,
+            1 => FittedModel::Linear(LinearModel {
+                feature_names: names(),
+                intercept: coefs[7],
+                coefficients: coefs[..arity].to_vec(),
+            }),
+            2 => FittedModel::Polynomial(PolynomialModel {
+                feature_name: "f".into(),
+                feature_index: pick % arity,
+                coefficients: coefs[..4].to_vec(),
+            }),
+            _ => FittedModel::Symbolic(SymbolicModel {
+                expr: expr_menu(pick),
+                scale: coefs[0],
+                offset: coefs[1],
+                feature_names: names(),
+            }),
+        };
+        Some(KernelModel {
+            kernel,
+            model,
+            feature_columns,
+            validation_mape: 1.0,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn columnar_eval_equals_scalar_predict_cell_for_cell(
+            // zero ranks, a handful, and just past one and two rank blocks
+            ranks in prop_oneof![0usize..40, 1020usize..1030, 2040usize..2060],
+            samples in 0usize..40,
+            seed in 0u64..1_000_000,
+            // shorter than `ranks`, equal, or longer
+            elements_len in 0usize..2100,
+            specs in proptest::collection::vec(
+                (
+                    0usize..4,
+                    // up to 7 columns: past the 5 features, with repeats
+                    proptest::collection::vec(0usize..5, 1..8),
+                    proptest::collection::vec(-2.0..2.0f64, 8..=8),
+                    0usize..20,
+                ),
+                6..=6,
+            ),
+        ) {
+            let workload = seeded_workload(seed, ranks, samples);
+            let elements: Vec<u32> = (0..elements_len as u32).map(|e| e % 9).collect();
+            let models = KernelModels::from_models(
+                KernelKind::ALL
+                    .iter()
+                    .zip(specs)
+                    .filter_map(|(&kernel, (family, columns, coefs, pick))| {
+                        model_for(kernel, family, columns, &coefs, pick)
+                    })
+                    .collect(),
+            );
+            let got = predict_kernel_seconds(&workload, &models, &elements, 5, 0.03);
+            let want = scalar_kernel_seconds(&workload, &models, &elements, 5, 0.03);
+            prop_assert_eq!(got.len(), samples);
+            prop_assert_eq!(bits(&got), bits(&want));
+            let schedule = build_schedule(&workload, &got, 10, 80);
+            prop_assert_eq!(schedule, scalar_schedule(&workload, &want, 10, 80));
+        }
+    }
+
+    /// One kernel of each family twice over and one without a model.
+    fn mixed_models() -> KernelModels {
+        // (family, feature columns, pick, coefficients; [7] = intercept)
+        let specs = [
+            (
+                1,
+                vec![0, 2],
+                0,
+                [1e-3, 2e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-2],
+            ),
+            (2, vec![1, 0], 0, [0.5, 0.1, 0.01, 1e-4, 0.0, 0.0, 0.0, 0.0]),
+            // np / (ngp - np)
+            (
+                3,
+                vec![0, 1, 2, 3],
+                0,
+                [0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ),
+            (0, vec![0], 0, [0.0; 8]),
+            // -0.4 · (1 / np) + 0.1
+            (3, vec![0], 1, [-0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            (
+                1,
+                vec![4, 1, 0],
+                0,
+                [-0.1, -0.7, 1e-3, 0.0, 0.0, 0.0, 0.0, 1e-2],
+            ),
+        ];
+        KernelModels::from_models(
+            KernelKind::ALL
+                .iter()
+                .zip(specs)
+                .filter_map(|(&kernel, (family, columns, pick, coefs))| {
+                    model_for(kernel, family, columns, &coefs, pick)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn columnar_eval_covers_the_scalar_edge_cases() {
+        let workload = seeded_workload(7, 37, 3);
+        let models = mixed_models();
+        let elements = vec![4u32; 20]; // shorter than `ranks`
+        let got = predict_kernel_seconds(&workload, &models, &elements, 5, 0.03);
+        assert_eq!(
+            bits(&got),
+            bits(&scalar_kernel_seconds(
+                &workload, &models, &elements, 5, 0.03
+            ))
+        );
+        // rank 1 is idle: `1 / np` takes the protected branch and the cell
+        // is `-0.4 · 1 + 0.1`, clamped
+        assert_eq!(workload.real.get(Rank::from_index(1), 0), 0);
+        assert_eq!(got[0][1][4], 0.0);
+        // ...as is the last kernel wherever ghosts arrive
+        assert!(got.iter().flatten().any(|row| row[5] == 0.0));
+        assert!(got.iter().flatten().any(|row| row[5] > 0.0));
+        // the polynomial kernel is positive there, the unmodelled one zero
+        assert!(got[0][1][1] > 0.0);
+        assert!(got.iter().flatten().all(|row| row[3] == 0.0));
+        // past the element list the fluid workload reads as zero
+        assert_eq!(got[0][19][0], 1e-2 + 2e-3 * 4.0);
+        assert_eq!(got[0][21][0], 1e-2);
+    }
+
+    #[test]
+    fn predict_tail_is_bit_equal_across_thread_counts() {
+        let workload = seeded_workload(11, 1030, 120);
+        let models = mixed_models();
+        let elements: Vec<u32> = (0..1000).map(|e| 1 + e % 7).collect();
+        let want = scalar_kernel_seconds(&workload, &models, &elements, 5, 0.03);
+        let want_schedule = scalar_schedule(&workload, &want, 10, 80);
+        for threads in [1usize, 2, 3, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let (got, schedule) = pool.install(|| {
+                let got = predict_kernel_seconds(&workload, &models, &elements, 5, 0.03);
+                let schedule = build_schedule(&workload, &got, 10, 80);
+                (got, schedule)
+            });
+            assert_eq!(bits(&got), bits(&want), "{threads} thread(s)");
+            assert_eq!(schedule, want_schedule, "{threads} thread(s)");
+        }
     }
 }

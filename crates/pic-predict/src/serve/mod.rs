@@ -941,15 +941,12 @@ fn handle_predict(
         crate::predict_application_with_stats(&schedule, &machine, sync).map_err(semantic)?;
     let body = format!(
         "{{\"machine\":{},\"sync\":{},\"predicted_seconds\":{},\"mean_idle_fraction\":{},\
-         \"events_processed\":{},\"des_queue\":{},\"des_barrier_fast_path\":{},\
-         \"des_wall_seconds\":{},\"samples\":{},\"ranks\":{}}}",
+         \"events_processed\":{},\"des_wall_seconds\":{},\"samples\":{},\"ranks\":{}}}",
         http::json_escape(&machine.name),
         http::json_escape(&req.sync),
         timeline.total_seconds,
         timeline.mean_idle_fraction(),
         timeline.events_processed,
-        http::json_escape(des.queue),
-        des.barrier_fast_path,
         des.wall_seconds,
         workload.samples(),
         workload.ranks,

@@ -106,7 +106,7 @@ impl RefBins {
 /// Deterministic for any thread count: one pass computes the per-sample
 /// tight boxes in parallel over samples (the reference binning and the
 /// boundary volumes both derive from them), a second bins the positions
-/// in parallel over contiguous blocks of [`FEATURE_BLOCK`] samples, and
+/// in parallel over contiguous blocks of `FEATURE_BLOCK` samples, and
 /// every value depends only on its own sample and its predecessor.
 /// Returns an empty vector for an empty trace.
 pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f64>> {

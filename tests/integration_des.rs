@@ -178,3 +178,58 @@ fn des_events_scale_with_schedule_size() {
     assert!(full.events_processed > half.events_processed);
     assert!(full.total_seconds >= half.total_seconds);
 }
+
+/// The `machine-16k` regime at full width: 16 384 ranks, three in four
+/// idle with one identical compute time (so thousands of events tie on
+/// time), the rest loaded unevenly and exchanging particles with near and
+/// far ranks. The fold must be the event-per-message simulation bit for
+/// bit, in both modes.
+#[test]
+fn fold_is_the_event_simulation_at_16k_ranks() {
+    use pic_des::{simulate_reference, StepWorkload};
+    use pic_types::rng::SplitMix64;
+    const RANKS: u32 = 16_384;
+    const STEPS: usize = 8;
+    let mut rng = SplitMix64::new(20210517);
+    let schedule: Vec<StepWorkload> = (0..STEPS)
+        .map(|s| {
+            let compute_seconds = (0..RANKS)
+                .map(|r| match r % 4 {
+                    0 => rng.next_range(1e-4, 5e-3),
+                    _ => 2.5e-4,
+                })
+                .collect();
+            let mut messages = Vec::new();
+            for r in (0..RANKS).step_by(4) {
+                let bytes = 80 * (1 + rng.next_below(500));
+                // an idle neighbour, a loaded rank far away (twice on odd
+                // steps: a repeated pair), and now and then itself
+                messages.push((r, r + 1, bytes));
+                let far = (r + 4 * (1 + rng.next_below(1000)) as u32) % RANKS;
+                messages.push((r, far, bytes / 2));
+                if s % 2 == 1 {
+                    messages.push((r, far, 0));
+                }
+                if r % 64 == 0 {
+                    messages.push((r, r, bytes));
+                }
+            }
+            StepWorkload {
+                compute_seconds,
+                messages,
+            }
+        })
+        .collect();
+    let messages: u64 = schedule.iter().map(|s| s.messages.len() as u64).sum();
+    let machine = MachineSpec::quartz_like();
+    for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
+        let fold = simulate(&schedule, &machine, mode).unwrap();
+        let oracle = simulate_reference(&schedule, &machine, mode).unwrap();
+        assert_eq!(fold, oracle, "{mode:?}");
+        assert_eq!(
+            fold.events_processed,
+            RANKS as u64 * STEPS as u64 + messages
+        );
+        assert!(fold.rank_idle.iter().any(|&i| i > 0.0));
+    }
+}
