@@ -7,9 +7,9 @@
 //! barrier the next step starts at `max_r ready[r]` plus the collective
 //! cost; under neighbour synchronisation each rank starts at its own
 //! `ready[r]`. The event-per-message engine it is tested against
-//! (`pic_des::simulate_reference`) reaches the same numbers by popping
-//! events in time order. This module checks the claim underneath that
-//! agreement: the outcome does not depend on the order at all.
+//! (`pic_des::reference::simulate_reference`) reaches the same numbers by
+//! popping events in time order. This module checks the claim underneath
+//! that agreement: the outcome does not depend on the order at all.
 //!
 //! **Barrier steps.** Every causal order of processing one step's
 //! compute-completions and message-deliveries yields the same barrier

@@ -3,7 +3,8 @@
 //! BE-SST-style studies sweep large design spaces).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_des::{simulate, simulate_reference, MachineSpec, StepWorkload, SyncMode};
+use pic_des::reference::simulate_reference;
+use pic_des::{simulate, MachineSpec, StepWorkload, SyncMode};
 use pic_types::rng::SplitMix64;
 
 /// A synthetic bulk-synchronous schedule with neighbour messages.

@@ -1,9 +1,8 @@
 //! Expression evaluation throughput: recursive tree walk vs the compiled
 //! bytecode tape, per-row and batched over columnar storage. The spread
-//! between these is what the GP fitness engine's compiled path buys.
+//! between these is what scoring GP candidates on the tape buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_models::gp::random_population;
 use pic_models::{CompiledExpr, Dataset, EvalScratch, Expr};
 use pic_types::rng::SplitMix64;
 
@@ -76,10 +75,34 @@ fn single_expr_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// A random tree over three features and the four operators, full to
+/// `depth` or cut short at a leaf three times in ten.
+fn random_tree(rng: &mut SplitMix64, depth: usize, full: bool) -> Expr {
+    if depth <= 1 || (!full && rng.next_f64() < 0.3) {
+        return if rng.next_f64() < 0.7 {
+            Expr::Var(rng.next_below(3) as usize)
+        } else {
+            Expr::Const(rng.next_range(-5.0, 5.0))
+        };
+    }
+    let a = Box::new(random_tree(rng, depth - 1, full));
+    let b = Box::new(random_tree(rng, depth - 1, full));
+    match rng.next_below(4) {
+        0 => Expr::Add(a, b),
+        1 => Expr::Sub(a, b),
+        2 => Expr::Mul(a, b),
+        _ => Expr::Div(a, b),
+    }
+}
+
 fn population_batch(c: &mut Criterion) {
     // Amortized cost over a realistic mixed population, tape compilation
-    // included (the engine recompiles each candidate every generation).
-    let pop = random_population(3, 3, 64, 8);
+    // included (the engine recompiles each candidate every generation):
+    // depths ramped 2..=8, half of the trees full, as a GP breeds them.
+    let mut rng = SplitMix64::new(3);
+    let pop: Vec<Expr> = (0..64)
+        .map(|i| random_tree(&mut rng, 2 + i % 7, i % 2 == 0))
+        .collect();
     let (d, cols) = workload(512, 13);
     let mut group = c.benchmark_group("expr_eval_population");
     group.sample_size(20);

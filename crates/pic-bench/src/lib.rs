@@ -19,7 +19,6 @@ use pic_sim::{CostOracle, KernelKind, Recorder, ScenarioKind, SimConfig};
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Vec3};
-use serde::Serialize;
 
 /// Experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,83 +114,6 @@ pub fn synthetic_expanding_trace(particles: usize, samples: usize, seed: u64) ->
     trace
 }
 
-/// A synthetic multi-phase trace: the particle cloud parks in `phases`
-/// successive regions of the domain, holding each plateau for
-/// `samples / phases` samples with small per-sample jitter. This is the
-/// workload shape SimPoint-style reduction targets — long quasi-steady
-/// phases separated by abrupt transitions — unlike
-/// [`synthetic_expanding_trace`], whose monotonic growth has no plateaus
-/// for a representative to stand in for.
-pub fn synthetic_phased_trace(
-    particles: usize,
-    samples: usize,
-    phases: usize,
-    seed: u64,
-) -> ParticleTrace {
-    let mut rng = SplitMix64::new(seed);
-    let dirs: Vec<Vec3> = (0..particles)
-        .map(|_| {
-            Vec3::new(
-                rng.next_range(-1.0, 1.0),
-                rng.next_range(-1.0, 1.0),
-                rng.next_range(-1.0, 1.0),
-            )
-        })
-        .collect();
-    let phases = phases.max(1);
-    // Phase centers are the cell centers of a 3-per-axis lattice in a
-    // seeded shuffle, so each phase parks the cloud in its own coarse
-    // cell (up to 27 distinct phases). The largest cloud half-width
-    // (0.12 scale + 0.005 jitter) stays inside a 1/3-wide cell, which
-    // keeps per-phase density histograms disjoint at 3+ bins per axis —
-    // a diagonal walk instead lets a dense and a sparse phase share a
-    // coarse cell and become indistinguishable to the clustering.
-    let mut centers: Vec<Vec3> = (0..27)
-        .map(|c| {
-            Vec3::new(
-                (c % 3) as f64 / 3.0 + 1.0 / 6.0,
-                (c / 3 % 3) as f64 / 3.0 + 1.0 / 6.0,
-                (c / 9) as f64 / 3.0 + 1.0 / 6.0,
-            )
-        })
-        .collect();
-    for i in 0..centers.len() {
-        let j = i + rng.next_below((centers.len() - i) as u64) as usize;
-        centers.swap(i, j);
-    }
-    let meta = TraceMeta::new(particles, 100, Aabb::unit(), "synthetic-phased");
-    let mut trace = ParticleTrace::new(meta);
-    for k in 0..samples {
-        let phase = (k * phases) / samples.max(1);
-        // The cloud scale alternates so consecutive phases differ in
-        // density (and so peak load), not just position. Odd phases
-        // contract rather than dilate: every phase keeps a high peak
-        // load, so the mapping's discretization noise (a few particles
-        // per sample) stays small *relative* to the gated metric.
-        let center = centers[phase % centers.len()];
-        let scale = if phase.is_multiple_of(2) { 0.05 } else { 0.03 };
-        let positions: Vec<Vec3> = dirs
-            .iter()
-            .map(|d| {
-                // Jitter keeps within-phase inertia nonzero for the
-                // clustering but must sit well under the 2% peak-error
-                // budget: every boundary-crossing particle it flips is
-                // per-sample noise no representative can predict.
-                let jitter = Vec3::new(
-                    rng.next_range(-0.001, 0.001),
-                    rng.next_range(-0.001, 0.001),
-                    rng.next_range(-0.001, 0.001),
-                );
-                (center + *d * scale + jitter).clamp(Vec3::ZERO, Vec3::ONE)
-            })
-            .collect();
-        trace
-            .push_positions(positions)
-            .expect("phased synthetic samples");
-    }
-    trace
-}
-
 /// Kernel models trained from a noiseless oracle sweep — benches that
 /// measure prediction or DES speed don't want fitting noise in the loop.
 pub fn oracle_models(seed: u64) -> KernelModels {
@@ -211,93 +133,6 @@ pub fn oracle_models(seed: u64) -> KernelModels {
         }
     }
     KernelModels::fit(&rec, &FitStrategy::Linear, seed).expect("oracle sweep fits")
-}
-
-/// One point of a `--threads` scaling curve: wall time under a pool of
-/// `threads` workers and the speedup against the 1-thread entry.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThreadPoint {
-    /// Rayon pool size this point ran under.
-    pub threads: usize,
-    /// Best-of-reps wall seconds.
-    pub best_secs: f64,
-    /// 1-thread best time divided by this point's best time (1.0 when no
-    /// 1-thread entry was requested).
-    pub speedup_vs_1t: f64,
-}
-
-/// Parse a `--threads 1,2,4` (or `--threads=1,2,4`) flag from bench args.
-/// Defaults to `[1, P]` (deduplicated) where `P` is the machine's available
-/// parallelism, so every bench records a 1→N curve out of the box.
-pub fn parse_thread_list(args: &[String]) -> Vec<usize> {
-    let parse = |s: &str| -> Vec<usize> {
-        s.split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("bad --threads entry {t:?}"))
-            })
-            .collect()
-    };
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if let Some(list) = a.strip_prefix("--threads=") {
-            return parse(list);
-        }
-        if a == "--threads" {
-            let list = iter.next().expect("--threads needs a comma-separated list");
-            return parse(list);
-        }
-    }
-    let machine = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut defaults = vec![1, machine];
-    defaults.dedup();
-    defaults
-}
-
-/// Run `f` under a dedicated rayon pool per thread count (best of `reps`
-/// runs each) and return the scaling curve. Every run's output must be
-/// equal to the first run's — the thread count is a performance knob, never
-/// an output knob — and the function panics on divergence.
-pub fn run_thread_scaling<T: PartialEq + Send>(
-    threads: &[usize],
-    reps: usize,
-    mut f: impl FnMut() -> T + Send,
-) -> Vec<ThreadPoint> {
-    let mut points = Vec::with_capacity(threads.len());
-    let mut reference: Option<T> = None;
-    for &t in threads {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build()
-            .expect("bench thread pool");
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let start = std::time::Instant::now();
-            let out = pool.install(&mut f);
-            best = best.min(start.elapsed().as_secs_f64());
-            match &reference {
-                Some(r) => assert!(
-                    *r == out,
-                    "outputs diverged under a {t}-thread pool; thread count must not affect results"
-                ),
-                None => reference = Some(out),
-            }
-        }
-        points.push(ThreadPoint {
-            threads: t,
-            best_secs: best,
-            speedup_vs_1t: 1.0,
-        });
-    }
-    if let Some(base) = points.iter().find(|p| p.threads == 1).map(|p| p.best_secs) {
-        for p in &mut points {
-            p.speedup_vs_1t = base / p.best_secs;
-        }
-    }
-    points
 }
 
 /// Format a floating series compactly for stdout tables.
@@ -342,23 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn phased_trace_has_plateaus() {
-        let phases = 4;
-        let per = 5;
-        let tr = synthetic_phased_trace(300, phases * per, phases, 9);
-        assert_eq!(tr.sample_count(), phases * per);
-        // within a phase the cloud barely moves; across the boundary it
-        // jumps — displacement between adjacent samples shows the step
-        let d_within = pic_types::Vec3::distance(tr.positions_at(1)[0], tr.positions_at(2)[0]);
-        let d_across =
-            pic_types::Vec3::distance(tr.positions_at(per - 1)[0], tr.positions_at(per)[0]);
-        assert!(
-            d_across > 5.0 * d_within,
-            "no transition step: within {d_within:.4}, across {d_across:.4}"
-        );
-    }
-
-    #[test]
     fn oracle_models_cover_all_kernels() {
         let m = oracle_models(3);
         assert_eq!(m.kernels().len(), 6);
@@ -366,26 +184,6 @@ mod tests {
         for (_, mape) in m.validation_mapes() {
             assert!(mape < 1.0);
         }
-    }
-
-    #[test]
-    fn thread_list_parses_and_defaults() {
-        let args = vec!["--threads".to_string(), "1,2,4".to_string()];
-        assert_eq!(parse_thread_list(&args), vec![1, 2, 4]);
-        assert_eq!(parse_thread_list(&["--threads=8".to_string()]), vec![8]);
-        let d = parse_thread_list(&[]);
-        assert_eq!(d[0], 1);
-        assert!(!d.is_empty() && d.len() <= 2);
-    }
-
-    #[test]
-    fn thread_scaling_records_curve_with_unit_baseline() {
-        let pts = run_thread_scaling(&[1, 2], 2, || (0..1000u64).sum::<u64>());
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].threads, 1);
-        assert!(pts.iter().all(|p| p.best_secs.is_finite()));
-        assert!((pts[0].speedup_vs_1t - 1.0).abs() < 1e-12);
-        assert!(pts[1].speedup_vs_1t > 0.0);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 pub mod engine;
 pub mod machine;
 mod queue;
+#[doc(hidden)]
 pub mod reference;
 pub mod topology;
 
 pub use engine::{simulate, SimTimeline, StepWorkload, SyncMode};
 pub use machine::MachineSpec;
-pub use reference::simulate_reference;
 pub use topology::Topology;

@@ -1,7 +1,8 @@
 //! Property-based tests: discrete-event simulation invariants over random
 //! PIC-shaped schedules.
 
-use pic_des::{simulate, simulate_reference, MachineSpec, StepWorkload, SyncMode};
+use pic_des::reference::simulate_reference;
+use pic_des::{simulate, MachineSpec, StepWorkload, SyncMode};
 use proptest::prelude::*;
 
 fn machine() -> MachineSpec {

@@ -9,12 +9,14 @@
 //! * **parsimony pressure**: fitness carries a per-node penalty, keeping
 //!   the reported formulas compact.
 //!
-//! The search is fully deterministic in the configured seed — including
-//! with the compiled/parallel/memoized fitness engine enabled. Scoring
-//! never touches the RNG, candidates are scored independently, the
-//! vendored rayon assembles results in input order, and the memo cache
-//! returns exactly the value an evaluation would have produced, so every
-//! toggle combination yields a bit-identical search trajectory.
+//! Candidates are scored on one path: admissibility gate → canonical form
+//! and structural hash → memo lookup → compiled tape over columnar
+//! features → ordered parallel map on the shared pool. The search is
+//! fully deterministic in the configured seed and independent of the
+//! thread count: scoring never touches the RNG, candidates are scored
+//! independently, the vendored rayon assembles results in input order,
+//! and the memo returns exactly the value an evaluation would have
+//! produced. The recursive [`Expr::eval`] is the tape's oracle in tests.
 
 use crate::compile::{CompiledExpr, EvalScratch};
 use crate::dataset::Dataset;
@@ -25,11 +27,7 @@ use pic_types::{PicError, Result};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::HashMap;
-
-fn default_true() -> bool {
-    true
-}
+use std::collections::{HashMap, HashSet};
 
 /// Genetic-programming search parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,32 +48,6 @@ pub struct GpConfig {
     pub elitism: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Run the static admission pass before fitness evaluation:
-    /// structurally invalid candidates (out-of-range variables,
-    /// non-finite constants) are rejected and replaced, and every
-    /// admitted candidate's fitness is computed on its
-    /// [canonical form](Expr::canonicalize) — identical semantics,
-    /// fewer evaluated nodes. Selection is unchanged because the
-    /// parsimony penalty still uses the original node count.
-    pub admission: bool,
-    /// Evaluate candidates on the compiled bytecode tape over columnar
-    /// feature storage instead of walking the boxed tree per row.
-    /// Bit-identical fitness either way (the tape executes the same IEEE
-    /// operations in the same order); this is purely a speed switch.
-    #[serde(default = "default_true")]
-    pub compiled: bool,
-    /// Score each generation's population in parallel. Deterministic:
-    /// scoring is per-candidate, touches no RNG, and results are
-    /// assembled in population order, so the search trajectory is
-    /// bit-identical to the serial path.
-    #[serde(default = "default_true")]
-    pub parallel: bool,
-    /// Memoize fitness by the structural hash of the evaluated tree, so
-    /// duplicate individuals (common after crossover, and every elite
-    /// every generation) are scored once per run. Returns exactly the
-    /// value evaluation would produce — no trajectory change.
-    #[serde(default = "default_true")]
-    pub memo: bool,
 }
 
 impl Default for GpConfig {
@@ -89,10 +61,6 @@ impl Default for GpConfig {
             parsimony: 1e-4,
             elitism: 4,
             seed: 0xC0FFEE,
-            admission: true,
-            compiled: true,
-            parallel: true,
-            memo: true,
         }
     }
 }
@@ -143,49 +111,6 @@ pub struct SymbolicRegressor {
     cfg: GpConfig,
 }
 
-/// Counters from one GP run showing what the admission pass did. The
-/// node counters measure search cost: fitness evaluation walks the tree
-/// once per dataset row, so `evaluated_nodes / original_nodes` is the
-/// fraction of tree-walking work the canonicalizer left standing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct GpRunStats {
-    /// Candidates whose fitness was computed.
-    pub candidates: usize,
-    /// Candidates rejected by the admission pass (structurally invalid:
-    /// out-of-range variable or non-finite constant) and replaced with
-    /// fresh random trees before evaluation.
-    pub rejected: usize,
-    /// Summed node count of candidates as bred.
-    pub original_nodes: u64,
-    /// Summed node count of the trees actually evaluated (canonical
-    /// forms when admission is on).
-    pub evaluated_nodes: u64,
-    /// Candidates whose fitness came from the memo cache instead of a
-    /// fresh evaluation (duplicates after crossover, surviving elites).
-    #[serde(default)]
-    pub cache_hits: u64,
-}
-
-impl GpRunStats {
-    /// Fraction of candidate nodes eliminated before evaluation.
-    pub fn node_reduction(&self) -> f64 {
-        if self.original_nodes == 0 {
-            0.0
-        } else {
-            1.0 - self.evaluated_nodes as f64 / self.original_nodes as f64
-        }
-    }
-
-    /// Fraction of candidate scorings served from the memo cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.candidates == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.candidates as f64
-        }
-    }
-}
-
 /// Structural admission: every variable in range, every constant finite.
 /// GP's own operators never violate this, but candidates can also arrive
 /// from deserialized populations or future operators — the gate is what
@@ -203,16 +128,13 @@ fn admissible(expr: &Expr, arity: usize) -> bool {
     expr.max_var().is_none_or(|v| v < arity) && constants_finite(expr)
 }
 
-/// Dataset-constant fitness state, hoisted out of the per-candidate loop.
-///
-/// `mean_y` and the relative-error magnitude floor depend only on the
-/// targets, yet the old `scaled_fitness` recomputed both for every
-/// candidate × generation. They are computed here once per fit, together
-/// with the columnar feature block the compiled evaluator streams over.
-/// The arithmetic (summation order included) is identical to the old
-/// per-candidate recomputation, so hoisting is bit-exact.
-#[derive(Debug, Clone)]
-pub struct FitContext<'a> {
+/// A `(fitness or penalty-free error, scale, offset)` triple.
+type Scored = (f64, f64, f64);
+
+/// Dataset-constant fitness state, computed once per fit: `mean_y` and the
+/// relative-error magnitude floor depend only on the targets, and the
+/// columnar feature block is what the compiled tape streams over.
+struct FitContext<'a> {
     data: &'a Dataset,
     cols: Vec<Vec<f64>>,
     mean_y: f64,
@@ -220,19 +142,16 @@ pub struct FitContext<'a> {
 }
 
 /// Reusable per-worker fitness workspace: the candidate's per-row
-/// evaluations plus the tape's register block. After warm-up neither
-/// path allocates per candidate.
-#[derive(Debug, Default, Clone)]
-pub struct FitScratch {
-    /// Per-row candidate evaluations.
-    pub evals: Vec<f64>,
-    /// Batch-evaluator register block.
-    pub tape: EvalScratch,
+/// evaluations plus the tape's register block. After warm-up scoring does
+/// not allocate per candidate.
+#[derive(Default)]
+struct FitScratch {
+    evals: Vec<f64>,
+    tape: EvalScratch,
 }
 
 impl<'a> FitContext<'a> {
-    /// Hoist the dataset constants and build the columnar feature view.
-    pub fn new(data: &'a Dataset) -> FitContext<'a> {
+    fn new(data: &'a Dataset) -> FitContext<'a> {
         let n = data.len() as f64;
         let mean_y = data.targets.iter().sum::<f64>() / n;
         // Relative error against a magnitude floor so near-zero targets
@@ -248,85 +167,23 @@ impl<'a> FitContext<'a> {
     }
 
     /// Penalty-free fitness base of a candidate — `(mean relative error,
-    /// scale, offset)` — evaluated by walking the tree per row (the
-    /// reference path). The parsimony penalty is *not* included: it
-    /// depends on the candidate's original size, not on the evaluated
-    /// tree, so it is applied per candidate by [`FitContext::finalize`].
-    pub fn base_tree(&self, expr: &Expr, scratch: &mut FitScratch) -> (f64, f64, f64) {
-        scratch.evals.clear();
-        for row in &self.data.rows {
-            let v = expr.eval(row);
-            if !v.is_finite() {
-                return (f64::INFINITY, 0.0, 0.0);
-            }
-            scratch.evals.push(v);
-        }
-        let evals = std::mem::take(&mut scratch.evals);
-        let out = self.base_from_evals(&evals);
-        scratch.evals = evals;
-        out
-    }
-
-    /// Like [`FitContext::base_tree`], but evaluating the candidate's
-    /// compiled tape over the columnar block — bit-identical results.
-    pub fn base_compiled(&self, tape: &CompiledExpr, scratch: &mut FitScratch) -> (f64, f64, f64) {
+    /// scale, offset)` — from its compiled tape over the columnar block.
+    /// The parsimony penalty is *not* included: it depends on the
+    /// candidate's size as bred, not on the evaluated tree, so
+    /// [`finalize`] applies it per candidate.
+    fn base(&self, expr: &Expr, scratch: &mut FitScratch) -> Scored {
         scratch.evals.clear();
         scratch.evals.resize(self.data.len(), 0.0);
-        tape.eval_batch(&self.cols, &mut scratch.evals, &mut scratch.tape);
+        CompiledExpr::compile(expr).eval_batch(&self.cols, &mut scratch.evals, &mut scratch.tape);
         if scratch.evals.iter().any(|v| !v.is_finite()) {
             return (f64::INFINITY, 0.0, 0.0);
         }
-        let evals = std::mem::take(&mut scratch.evals);
-        let out = self.base_from_evals(&evals);
-        scratch.evals = evals;
-        out
-    }
-
-    /// Add the parsimony charge for a candidate of `penalty_nodes`
-    /// original nodes to a penalty-free base triple. Split from the base
-    /// computation so memoized bases can serve hash-equal candidates of
-    /// *different* original sizes without perturbing selection.
-    pub fn finalize(
-        base: (f64, f64, f64),
-        parsimony: f64,
-        penalty_nodes: usize,
-    ) -> (f64, f64, f64) {
-        let (err, a, b) = base;
-        let fitness = err + parsimony * penalty_nodes as f64;
-        if fitness.is_finite() {
-            (fitness, a, b)
-        } else {
-            (f64::INFINITY, 0.0, 0.0)
-        }
-    }
-
-    /// Full fitness of a candidate via the tree-walking reference path:
-    /// [`FitContext::base_tree`] plus the parsimony charge.
-    pub fn fitness_tree(
-        &self,
-        expr: &Expr,
-        parsimony: f64,
-        penalty_nodes: usize,
-        scratch: &mut FitScratch,
-    ) -> (f64, f64, f64) {
-        FitContext::finalize(self.base_tree(expr, scratch), parsimony, penalty_nodes)
-    }
-
-    /// Full fitness of a candidate via the compiled tape:
-    /// [`FitContext::base_compiled`] plus the parsimony charge.
-    pub fn fitness_compiled(
-        &self,
-        tape: &CompiledExpr,
-        parsimony: f64,
-        penalty_nodes: usize,
-        scratch: &mut FitScratch,
-    ) -> (f64, f64, f64) {
-        FitContext::finalize(self.base_compiled(tape, scratch), parsimony, penalty_nodes)
+        self.base_from_evals(&scratch.evals)
     }
 
     /// Keijzer linear scaling and mean relative error over precomputed
     /// per-row evaluations (no parsimony term).
-    fn base_from_evals(&self, evals: &[f64]) -> (f64, f64, f64) {
+    fn base_from_evals(&self, evals: &[f64]) -> Scored {
         let n = self.data.len() as f64;
         let mean_e = evals.iter().sum::<f64>() / n;
         let mean_y = self.mean_y;
@@ -350,147 +207,83 @@ impl<'a> FitContext<'a> {
     }
 }
 
-/// Memoized *penalty-free* fitness bases keyed by the structural hash of
-/// the tree that was actually evaluated (the canonical form when
-/// admission is on). Bases rather than final fitness because hash-equal
-/// candidates may differ in original size and therefore in parsimony
-/// charge; [`FitContext::finalize`] applies the per-candidate term.
-/// Hash-equal ⇒ canonical-form-equal is a property-checked invariant of
-/// [`Expr::structural_hash`] (`tests/compile_props.rs`).
-pub type FitnessCache = HashMap<u64, (f64, f64, f64)>;
+/// Add the parsimony charge for a candidate of `penalty_nodes` nodes as
+/// bred to a penalty-free base triple. Split from the base computation so
+/// a memoized base can serve hash-equal candidates of *different* sizes
+/// without perturbing selection.
+fn finalize(base: Scored, parsimony: f64, penalty_nodes: usize) -> Scored {
+    let (err, a, b) = base;
+    let fitness = err + parsimony * penalty_nodes as f64;
+    if fitness.is_finite() {
+        (fitness, a, b)
+    } else {
+        (f64::INFINITY, 0.0, 0.0)
+    }
+}
 
-/// Per-candidate admission artifacts produced before evaluation.
+/// Memoized *penalty-free* fitness bases keyed by the structural hash of
+/// the canonical form that was evaluated, so duplicate individuals
+/// (common after crossover, and every elite every generation) are scored
+/// once per run. Hash-equal ⇒ canonical-form-equal is a property-checked
+/// invariant of [`Expr::structural_hash`] (`tests/compile_props.rs`).
+type FitnessCache = HashMap<u64, Scored>;
+
+/// What scoring needs of one candidate besides the dataset.
 struct Prepared {
-    /// Canonical form, when admission rewrites the tree for evaluation.
-    canon: Option<Expr>,
+    /// [Canonical form](Expr::canonicalize): identical semantics, fewer
+    /// nodes to evaluate.
+    canon: Expr,
     /// Node count of the candidate as bred (parsimony charge).
     orig_nodes: usize,
-    /// Node count of the tree actually evaluated.
-    eval_nodes: usize,
-    /// Structural hash of the evaluated tree (memo key).
+    /// Structural hash of `canon` (memo key).
     hash: u64,
 }
 
+fn prepare(e: &Expr) -> Prepared {
+    let canon = e.clone().canonicalize();
+    Prepared {
+        hash: canon.structural_hash(),
+        canon,
+        orig_nodes: e.node_count(),
+    }
+}
+
 thread_local! {
-    /// Per-worker scratch for parallel scoring. The vendored rayon gives
-    /// each worker a contiguous span of candidates, so the buffer warms
-    /// up once per worker per generation instead of once per candidate.
+    /// Per-worker scratch. The vendored rayon gives each worker contiguous
+    /// blocks of candidates, so the buffers warm up once per worker
+    /// instead of once per candidate.
     static WORKER_SCRATCH: RefCell<FitScratch> = RefCell::new(FitScratch::default());
 }
 
-/// Score a population against a fit context, honoring the engine toggles
-/// in `cfg` (`admission`, `compiled`, `parallel`, `memo`). Returns the
-/// `(fitness, scale, offset)` triple per candidate, in population order.
-///
-/// Deterministic by construction: every toggle combination produces
-/// bit-identical triples. Scoring never touches the RNG; duplicates are
-/// answered from `cache` with exactly the value a fresh evaluation would
-/// produce; the parallel path scores candidates independently and
-/// assembles results in input order. Exposed publicly so benches can
-/// drive the engine's scoring paths directly.
-pub fn score_population(
-    cfg: &GpConfig,
+/// The `(fitness, scale, offset)` triple of every candidate, in population
+/// order. Selection is unaffected by evaluating canonical forms because
+/// the parsimony charge still uses the node count as bred.
+fn score_population(
     pop: &[Expr],
     ctx: &FitContext<'_>,
+    parsimony: f64,
     cache: &mut FitnessCache,
-    stats: &mut GpRunStats,
-    scratch: &mut FitScratch,
-) -> Vec<(f64, f64, f64)> {
-    // Phase 1: admission rewrite + memo key, per candidate.
-    let prepare = |e: &Expr| -> Prepared {
-        let orig_nodes = e.node_count();
-        if cfg.admission {
-            let canon = e.clone().canonicalize();
-            Prepared {
-                eval_nodes: canon.node_count(),
-                hash: canon.structural_hash(),
-                canon: Some(canon),
-                orig_nodes,
-            }
-        } else {
-            Prepared {
-                canon: None,
-                orig_nodes,
-                eval_nodes: orig_nodes,
-                hash: e.structural_hash(),
-            }
-        }
-    };
-    let prepared: Vec<Prepared> = if cfg.parallel && pop.len() > 1 {
-        pic_types::pool::install(|| pop.par_iter().map(prepare).collect())
-    } else {
-        pop.iter().map(prepare).collect()
-    };
+) -> Vec<Scored> {
+    let prepared: Vec<Prepared> =
+        pic_types::pool::install(|| pop.par_iter().map(prepare).collect());
 
-    // Phase 2 (sequential): counters, cache lookups, dedup plan.
-    let mut scored: Vec<Option<(f64, f64, f64)>> = vec![None; pop.len()];
-    let mut to_eval: Vec<usize> = Vec::new();
-    let mut aliases: Vec<(usize, usize)> = Vec::new(); // (candidate, to_eval slot)
-    let mut this_batch: HashMap<u64, usize> = HashMap::new();
-    for (i, p) in prepared.iter().enumerate() {
-        stats.candidates += 1;
-        stats.original_nodes += p.orig_nodes as u64;
-        stats.evaluated_nodes += p.eval_nodes as u64;
-        if cfg.memo {
-            if let Some(&hit) = cache.get(&p.hash) {
-                scored[i] = Some(FitContext::finalize(hit, cfg.parsimony, p.orig_nodes));
-                stats.cache_hits += 1;
-                continue;
-            }
-            if let Some(&slot) = this_batch.get(&p.hash) {
-                aliases.push((i, slot));
-                stats.cache_hits += 1;
-                continue;
-            }
-            this_batch.insert(p.hash, to_eval.len());
-        }
-        to_eval.push(i);
-    }
+    // One evaluation per canonical form the cache has not seen.
+    let mut queued = HashSet::new();
+    let to_eval: Vec<&Prepared> = prepared
+        .iter()
+        .filter(|p| !cache.contains_key(&p.hash) && queued.insert(p.hash))
+        .collect();
+    let bases: Vec<Scored> = pic_types::pool::install(|| {
+        to_eval
+            .par_iter()
+            .map(|p| WORKER_SCRATCH.with(|ws| ctx.base(&p.canon, &mut ws.borrow_mut())))
+            .collect()
+    });
+    cache.extend(to_eval.iter().map(|p| p.hash).zip(bases));
 
-    // Phase 3: evaluate the unique candidates (penalty-free bases; the
-    // per-candidate parsimony charge is applied at assembly).
-    let eval_one = |i: usize, ws: &mut FitScratch| -> (f64, f64, f64) {
-        let p = &prepared[i];
-        let expr = p.canon.as_ref().unwrap_or(&pop[i]);
-        if cfg.compiled {
-            let tape = CompiledExpr::compile(expr);
-            ctx.base_compiled(&tape, ws)
-        } else {
-            ctx.base_tree(expr, ws)
-        }
-    };
-    let results: Vec<(f64, f64, f64)> = if cfg.parallel && to_eval.len() > 1 {
-        pic_types::pool::install(|| {
-            to_eval
-                .par_iter()
-                .map(|&i| WORKER_SCRATCH.with(|ws| eval_one(i, &mut ws.borrow_mut())))
-                .collect()
-        })
-    } else {
-        to_eval.iter().map(|&i| eval_one(i, scratch)).collect()
-    };
-
-    // Phase 4 (sequential): assemble in population order, fill the cache.
-    for (&i, &base) in to_eval.iter().zip(&results) {
-        scored[i] = Some(FitContext::finalize(
-            base,
-            cfg.parsimony,
-            prepared[i].orig_nodes,
-        ));
-        if cfg.memo {
-            cache.insert(prepared[i].hash, base);
-        }
-    }
-    for (i, slot) in aliases {
-        scored[i] = Some(FitContext::finalize(
-            results[slot],
-            cfg.parsimony,
-            prepared[i].orig_nodes,
-        ));
-    }
-    scored
-        .into_iter()
-        .map(|s| s.expect("every candidate scored"))
+    prepared
+        .iter()
+        .map(|p| finalize(cache[&p.hash], parsimony, p.orig_nodes))
         .collect()
 }
 
@@ -502,12 +295,6 @@ impl SymbolicRegressor {
 
     /// Run the evolutionary search against `data`.
     pub fn fit(&self, data: &Dataset) -> Result<SymbolicModel> {
-        self.fit_with_stats(data).map(|(m, _)| m)
-    }
-
-    /// Like [`SymbolicRegressor::fit`], additionally returning the
-    /// admission-pass counters.
-    pub fn fit_with_stats(&self, data: &Dataset) -> Result<(SymbolicModel, GpRunStats)> {
         if data.is_empty() {
             return Err(PicError::model("cannot run GP on an empty dataset"));
         }
@@ -517,15 +304,8 @@ impl SymbolicRegressor {
         let cfg = &self.cfg;
         let mut rng = SplitMix64::new(cfg.seed);
         let arity = data.arity();
-        let mut stats = GpRunStats::default();
-
-        // Dataset constants (mean_y, magnitude floor) and the columnar
-        // feature block are hoisted here, once per fit; scoring below is
-        // compiled/parallel/memoized per the config, with bit-identical
-        // results on every path.
         let ctx = FitContext::new(data);
         let mut cache = FitnessCache::new();
-        let mut scratch = FitScratch::default();
 
         // Ramped half-and-half initialization.
         let mut pop: Vec<Expr> = (0..cfg.population)
@@ -535,7 +315,7 @@ impl SymbolicRegressor {
                 random_tree(&mut rng, arity, depth, full)
             })
             .collect();
-        let mut scored = score_population(cfg, &pop, &ctx, &mut cache, &mut stats, &mut scratch);
+        let mut scored = score_population(&pop, &ctx, cfg.parsimony, &mut cache);
 
         let mut best_idx = argmin(&scored);
         let mut best = (pop[best_idx].clone(), scored[best_idx]);
@@ -559,8 +339,7 @@ impl SymbolicRegressor {
                 };
                 // Admission gate: structurally invalid children never
                 // reach fitness evaluation.
-                if cfg.admission && !admissible(&child, arity) {
-                    stats.rejected += 1;
+                if !admissible(&child, arity) {
                     child = random_tree(&mut rng, arity, 3, false);
                 }
                 // Depth limit: oversize children are replaced by a fresh
@@ -572,7 +351,7 @@ impl SymbolicRegressor {
                 }
             }
             pop = next;
-            scored = score_population(cfg, &pop, &ctx, &mut cache, &mut stats, &mut scratch);
+            scored = score_population(&pop, &ctx, cfg.parsimony, &mut cache);
             best_idx = argmin(&scored);
             if scored[best_idx].0 < best.1 .0 {
                 best = (pop[best_idx].clone(), scored[best_idx]);
@@ -585,18 +364,17 @@ impl SymbolicRegressor {
         let expr = best.0.canonicalize();
         // Re-fit scaling on the canonical tree (identical semantics, but
         // be safe against constant-folding rounding).
-        let (_, a, b) = ctx.fitness_tree(&expr, 0.0, 0, &mut scratch);
-        let model = SymbolicModel {
+        let (_, scale, offset) = finalize(ctx.base(&expr, &mut FitScratch::default()), 0.0, 0);
+        Ok(SymbolicModel {
             expr,
-            scale: a,
-            offset: b,
+            scale,
+            offset,
             feature_names: data.feature_names.clone(),
-        };
-        Ok((model, stats))
+        })
     }
 }
 
-fn argmin(scored: &[(f64, f64, f64)]) -> usize {
+fn argmin(scored: &[Scored]) -> usize {
     let mut best = 0;
     for i in 1..scored.len() {
         if scored[i].0 < scored[best].0 {
@@ -607,7 +385,7 @@ fn argmin(scored: &[(f64, f64, f64)]) -> usize {
 }
 
 /// Tournament selection: best of `k` random individuals.
-fn tournament(rng: &mut SplitMix64, scored: &[(f64, f64, f64)], k: usize) -> usize {
+fn tournament(rng: &mut SplitMix64, scored: &[Scored], k: usize) -> usize {
     let mut best = rng.next_below(scored.len() as u64) as usize;
     for _ in 1..k {
         let i = rng.next_below(scored.len() as u64) as usize;
@@ -616,17 +394,6 @@ fn tournament(rng: &mut SplitMix64, scored: &[(f64, f64, f64)], k: usize) -> usi
         }
     }
     best
-}
-
-/// A ramped half-and-half population like the engine's initialization —
-/// public so benches can score realistic candidate pools without running
-/// the full search.
-pub fn random_population(seed: u64, arity: usize, count: usize, max_depth: usize) -> Vec<Expr> {
-    let mut rng = SplitMix64::new(seed);
-    let ramp = max_depth.saturating_sub(1).max(1);
-    (0..count)
-        .map(|i| random_tree(&mut rng, arity, 2 + (i % ramp), i % 2 == 0))
-        .collect()
 }
 
 /// Random tree generation ("full" or "grow" method).
@@ -695,6 +462,7 @@ fn mutate(rng: &mut SplitMix64, p: &Expr, arity: usize) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::DIV_GUARD;
 
     fn dataset_from(f: impl Fn(&[f64]) -> f64, arity: usize, n: usize, seed: u64) -> Dataset {
         let names = (0..arity).map(|i| format!("x{i}")).collect();
@@ -759,111 +527,165 @@ mod tests {
         assert!(b.mape(&d) < 5.0);
     }
 
-    #[test]
-    fn admission_reduces_evaluated_nodes_without_changing_quality() {
-        // The acceptance contract: canonicalizing before evaluation must
-        // cut tree-walking work while leaving the best model's held-out
-        // RMSE within 1 % of the no-admission run.
-        let d = dataset_from(|x| x[0] * x[1] + 2.0 * x[0], 2, 120, 13);
-        let test = dataset_from(|x| x[0] * x[1] + 2.0 * x[0], 2, 60, 14);
-        let on = GpConfig {
-            admission: true,
-            ..GpConfig::fast(7)
-        };
-        let off = GpConfig {
-            admission: false,
-            ..GpConfig::fast(7)
-        };
-        let (m_on, s_on) = SymbolicRegressor::new(on).fit_with_stats(&d).unwrap();
-        let (m_off, s_off) = SymbolicRegressor::new(off).fit_with_stats(&d).unwrap();
-        assert!(
-            s_on.evaluated_nodes < s_off.evaluated_nodes,
-            "admission should shrink evaluated nodes: {} vs {}",
-            s_on.evaluated_nodes,
-            s_off.evaluated_nodes
+    /// A ramped half-and-half population like the engine's initialization.
+    fn random_population(seed: u64, arity: usize, count: usize, max_depth: usize) -> Vec<Expr> {
+        let mut rng = SplitMix64::new(seed);
+        let ramp = max_depth.saturating_sub(1).max(1);
+        (0..count)
+            .map(|i| random_tree(&mut rng, arity, 2 + (i % ramp), i % 2 == 0))
+            .collect()
+    }
+
+    /// The scoring oracle: fitness base by walking the tree per row with
+    /// the recursive [`Expr::eval`], no tape, no memo, no pool.
+    fn base_tree(ctx: &FitContext<'_>, expr: &Expr) -> Scored {
+        let evals: Vec<f64> = ctx.data.rows.iter().map(|row| expr.eval(row)).collect();
+        if evals.iter().any(|v| !v.is_finite()) {
+            return (f64::INFINITY, 0.0, 0.0);
+        }
+        ctx.base_from_evals(&evals)
+    }
+
+    /// Integer-grid features that include zero and a target that is itself
+    /// a protected division, so denominators land in the `DIV_GUARD` band
+    /// on real rows (eight of the 64 have `x1 == 0`).
+    fn division_dataset() -> Dataset {
+        let target = Expr::Div(
+            Box::new(Expr::Add(
+                Box::new(Expr::Var(0)),
+                Box::new(Expr::Const(2.0)),
+            )),
+            Box::new(Expr::Var(1)),
         );
-        assert!(s_on.node_reduction() > 0.0);
-        assert_eq!(s_on.candidates, s_off.candidates);
-        let (r_on, r_off) = (m_on.rmse(&test), m_off.rmse(&test));
-        let scale = r_off.abs().max(1e-12);
-        assert!(
-            (r_on - r_off).abs() / scale <= 0.01,
-            "admission changed RMSE: {r_on} vs {r_off}"
-        );
+        let mut d = Dataset::new(vec!["x0".into(), "x1".into()]);
+        for i in 0..64 {
+            let row = vec![(i % 8) as f64, (i / 8) as f64 - 3.0];
+            let y = target.eval(&row);
+            d.push(row, y);
+        }
+        d
+    }
+
+    /// A noisy linear kernel cost over `(np, ngp, nel)`, the shape the
+    /// benchmark records have.
+    fn noisy_kernel_dataset() -> Dataset {
+        let mut d = Dataset::new(vec!["np".into(), "ngp".into(), "nel".into()]);
+        let mut rng = SplitMix64::new(21);
+        for _ in 0..128 {
+            let row = vec![
+                rng.next_range(0.0, 2000.0),
+                rng.next_range(0.0, 400.0),
+                rng.next_range(8.0, 64.0),
+            ];
+            let y = 3e-6 * row[0] + 6e-6 * row[1] + 5e-5 * row[2] + 1e-5;
+            d.push(row, y * (1.0 + 0.05 * rng.next_gaussian()));
+        }
+        d
     }
 
     #[test]
-    fn engine_toggles_preserve_search_trajectory_bitwise() {
-        // The acceptance contract of the compiled engine: every
-        // combination of {compiled, parallel, memo} returns the same
-        // best model, bit for bit, and identical admission counters
-        // (modulo the cache-hit field, which only the memoized runs
-        // populate).
-        let d = dataset_from(|x| x[0] * x[1] + 3.0 * x[0], 2, 100, 21);
-        let mut reference: Option<(SymbolicModel, GpRunStats)> = None;
-        for mask in 0..8u8 {
-            let cfg = GpConfig {
-                compiled: mask & 1 != 0,
-                parallel: mask & 2 != 0,
-                memo: mask & 4 != 0,
-                ..GpConfig::fast(17)
-            };
-            let (m, s) = SymbolicRegressor::new(cfg).fit_with_stats(&d).unwrap();
-            match &reference {
-                None => reference = Some((m, s)),
-                Some((m0, s0)) => {
-                    assert_eq!(&m, m0, "mask {mask:#05b} changed the best model");
-                    assert_eq!(s.candidates, s0.candidates);
-                    assert_eq!(s.rejected, s0.rejected);
-                    assert_eq!(s.original_nodes, s0.original_nodes);
-                    assert_eq!(s.evaluated_nodes, s0.evaluated_nodes);
-                }
+    fn fixed_seed_fits_equal_the_committed_goldens() {
+        // Any change to the search trajectory or to one rounding of the
+        // fitness moves these; they were captured while tree-walk, serial
+        // and memo-free scoring still existed and agreed with this path.
+        // `(dataset, seed, expr JSON, scale bits, offset bits)`.
+        #[rustfmt::skip]
+        let goldens: [(&str, u64, &str, u64, u64); 6] = [
+            ("noisy", 17, r#"{"Add":[{"Add":[{"Var":0},{"Add":[{"Var":1},{"Mul":[{"Const":3.0},{"Mul":[{"Const":3.0},{"Var":2}]}]}]}]},{"Add":[{"Var":1},{"Mul":[{"Const":3.0},{"Mul":[{"Const":3.0},{"Var":2}]}]}]}]}"#, 0x3ec89f72a297ca2a, 0xbecc64944643e000),
+            ("noisy", 41, r#"{"Sub":[{"Add":[{"Add":[{"Add":[{"Add":[{"Const":1.3499533955291838},{"Add":[{"Var":2},{"Var":2}]}]},{"Div":[{"Var":0},{"Const":4.613083746884373}]}]},{"Add":[{"Add":[{"Const":4.406246891580752},{"Add":[{"Add":[{"Var":2},{"Var":2}]},{"Div":[{"Var":1},{"Const":1.3499533955291838}]}]}]},{"Div":[{"Var":1},{"Const":4.613083746884373}]}]}]},{"Add":[{"Add":[{"Add":[{"Const":1.7160986798092095},{"Add":[{"Var":2},{"Var":2}]}]},{"Add":[{"Var":2},{"Var":2}]}]},{"Div":[{"Var":0},{"Const":4.055197897159582}]}]}]},{"Const":4.406246891580752}]}"#, 0x3edaa00cbe6858f6, 0x3ed3eb378834d800),
+            ("noisy", 20210517, r#"{"Add":[{"Var":0},{"Sub":[{"Var":1},{"Add":[{"Sub":[{"Const":-4.356814343558707},{"Mul":[{"Const":4.196706176914805},{"Mul":[{"Const":4.196706176914805},{"Var":2}]}]}]},{"Sub":[{"Const":4.196706176914805},{"Var":1}]}]}]}]}"#, 0x3ec8b5a50638f512, 0x3ef230f904358800),
+            ("division", 17, r#"{"Div":[{"Add":[{"Var":0},{"Add":[{"Const":4.0},{"Var":0}]}]},{"Var":1}]}"#, 0x3fe0000000000000, 0x0000000000000000),
+            ("division", 41, r#"{"Div":[{"Add":[{"Const":2.0},{"Var":0}]},{"Var":1}]}"#, 0x3ff0000000000000, 0x0000000000000000),
+            ("division", 20210517, r#"{"Sub":[{"Div":[{"Var":0},{"Var":1}]},{"Div":[{"Const":-2.040406751342881},{"Var":1}]}]}"#, 0x3fefcd6210439c2c, 0xbf4f9bc9b6406400),
+        ];
+        let (noisy, division) = (noisy_kernel_dataset(), division_dataset());
+        for (name, seed, expr, scale, offset) in goldens {
+            let d = if name == "noisy" { &noisy } else { &division };
+            let m = SymbolicRegressor::new(GpConfig::fast(seed)).fit(d).unwrap();
+            assert_eq!(
+                serde_json::to_string(&m.expr).unwrap(),
+                expr,
+                "{name}/{seed}"
+            );
+            assert_eq!(m.scale.to_bits(), scale, "{name}/{seed} scale");
+            assert_eq!(m.offset.to_bits(), offset, "{name}/{seed} offset");
+            // every division golden divides by `x1`, zero on eight rows
+            if name == "division" {
+                let guarded = (0..m.expr.node_count())
+                    .filter_map(|i| match m.expr.subtree(i) {
+                        Some(Expr::Div(_, den)) => Some(den),
+                        _ => None,
+                    })
+                    .any(|den| d.rows.iter().any(|r| den.eval(r).abs() < DIV_GUARD));
+                assert!(guarded, "{name}/{seed} never trips the protected division");
             }
         }
     }
 
     #[test]
-    fn config_engine_toggles_default_on_for_pre_compiled_json() {
-        // Config files written before the compiled engine existed carry
-        // none of the toggle fields: they must load with the fast path on.
+    fn fit_is_identical_across_thread_counts() {
+        let d = noisy_kernel_dataset();
+        let fit_under = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| SymbolicRegressor::new(GpConfig::fast(17)).fit(&d).unwrap())
+        };
+        let one = fit_under(1);
+        for threads in [2, 4] {
+            assert_eq!(fit_under(threads), one, "{threads}-thread pool");
+        }
+    }
+
+    #[test]
+    fn admission_reduces_evaluated_nodes_without_changing_quality() {
+        // Scoring evaluates canonical forms: strictly less tape to run
+        // than the candidates as bred (the scores themselves are held to
+        // the oracle by `score_population_matches_fitness_tree_reference`).
+        let pop = random_population(7, 2, 128, 8);
+        let original: usize = pop.iter().map(Expr::node_count).sum();
+        let evaluated: usize = pop.iter().map(|e| prepare(e).canon.node_count()).sum();
+        assert!(
+            evaluated < original,
+            "canonical forms should shrink evaluated nodes: {evaluated} vs {original}"
+        );
+    }
+
+    #[test]
+    fn retired_engine_toggle_keys_are_ignored_on_load() {
+        // Config files written while `admission`, `compiled`, `parallel`
+        // and `memo` were fields must keep loading, whatever they said.
+        let current = r#"{"population":96,"generations":30,"tournament":5,"max_depth":8,
+                          "crossover_prob":0.85,"parsimony":0.0001,"elitism":4,"seed":7}"#;
         let old = r#"{"population":96,"generations":30,"tournament":5,"max_depth":8,
                       "crossover_prob":0.85,"parsimony":0.0001,"elitism":4,"seed":7,
-                      "admission":true}"#;
+                      "admission":false,"compiled":false,"parallel":true,"memo":false}"#;
         let cfg: GpConfig = serde_json::from_str(old).expect("old config loads");
-        assert!(cfg.compiled && cfg.parallel && cfg.memo);
-        // and a full roundtrip preserves explicit opt-outs
-        let off = GpConfig {
-            compiled: false,
-            parallel: false,
-            memo: false,
-            ..GpConfig::default()
-        };
-        let back: GpConfig = serde_json::from_str(&serde_json::to_string(&off).unwrap()).unwrap();
-        assert_eq!(back, off);
+        assert_eq!(cfg, serde_json::from_str(current).unwrap());
+        assert_eq!(cfg, GpConfig::fast(7));
     }
 
     #[test]
     fn memo_cache_reports_hits_for_duplicates_and_elites() {
         let d = dataset_from(|x| 2.0 * x[0] + x[1], 2, 80, 22);
-        let cfg = GpConfig {
-            memo: true,
-            ..GpConfig::fast(3)
-        };
-        let (_, stats) = SymbolicRegressor::new(cfg).fit_with_stats(&d).unwrap();
-        // Elites alone guarantee hits: they are re-scored every
-        // generation and always cached.
-        assert!(
-            stats.cache_hits as usize >= GpConfig::fast(3).elitism,
-            "cache hits {}",
-            stats.cache_hits
-        );
-        assert!(stats.cache_hit_rate() > 0.0 && stats.cache_hit_rate() < 1.0);
-        let off = GpConfig {
-            memo: false,
-            ..GpConfig::fast(3)
-        };
-        let (_, s_off) = SymbolicRegressor::new(off).fit_with_stats(&d).unwrap();
-        assert_eq!(s_off.cache_hits, 0);
+        let ctx = FitContext::new(&d);
+        let e = Expr::Add(Box::new(Expr::Var(0)), Box::new(Expr::Var(1)));
+        // `x1 + x0` has the canonical form of `x0 + x1`
+        let flipped = Expr::Add(Box::new(Expr::Var(1)), Box::new(Expr::Var(0)));
+        let pop = [e.clone(), Expr::Var(1), flipped, e.clone()];
+        let mut cache = FitnessCache::new();
+        let scored = score_population(&pop, &ctx, 1e-4, &mut cache);
+        assert_eq!(cache.len(), 2, "one evaluation per canonical form");
+        assert_eq!(scored[0], scored[2]);
+        assert_eq!(scored[0], scored[3]);
+        // A resident base is served as is, not recomputed: this is what
+        // carries elites from one generation to the next for free.
+        let planted = (0.5, 2.0, 3.0);
+        cache.insert(prepare(&e).hash, planted);
+        let again = score_population(&pop, &ctx, 1e-4, &mut cache);
+        assert_eq!(again[0], finalize(planted, 1e-4, e.node_count()));
+        assert_eq!(again[1], scored[1]);
     }
 
     #[test]
@@ -871,16 +693,12 @@ mod tests {
         let d = dataset_from(|x| x[0] + 2.0 * x[1], 2, 60, 23);
         let ctx = FitContext::new(&d);
         let pop = random_population(9, 2, 64, 6);
-        let cfg = GpConfig::default();
-        let mut cache = FitnessCache::new();
-        let mut stats = GpRunStats::default();
-        let mut scratch = FitScratch::default();
-        let scored = score_population(&cfg, &pop, &ctx, &mut cache, &mut stats, &mut scratch);
+        let parsimony = GpConfig::default().parsimony;
+        let scored = score_population(&pop, &ctx, parsimony, &mut FitnessCache::new());
         assert_eq!(scored.len(), pop.len());
         for (e, &(f, a, b)) in pop.iter().zip(&scored) {
             let canon = e.clone().canonicalize();
-            let (rf, ra, rb) =
-                ctx.fitness_tree(&canon, cfg.parsimony, e.node_count(), &mut scratch);
+            let (rf, ra, rb) = finalize(base_tree(&ctx, &canon), parsimony, e.node_count());
             assert_eq!(f.to_bits(), rf.to_bits());
             assert_eq!(a.to_bits(), ra.to_bits());
             assert_eq!(b.to_bits(), rb.to_bits());

@@ -20,12 +20,12 @@
 //! (k-means++ init, BIC-style K selection) used by the SimPoint-style
 //! trace reducer to cluster per-sample feature vectors into phases.
 //!
-//! The GP inner loop runs on a compiled fitness engine ([`compile`]):
-//! candidate trees are lowered to flat bytecode tapes and batch-evaluated
-//! over columnar feature storage ([`Dataset::columns`]), with population
-//! scoring parallelized and memoized by canonical-form hash — all
-//! bit-identical to the recursive reference evaluator, so the search
-//! trajectory for a fixed seed never depends on which path ran.
+//! The GP inner loop scores candidates on compiled tapes ([`compile`]):
+//! canonical forms are lowered to flat bytecode and batch-evaluated over
+//! columnar feature storage ([`Dataset::columns`]), in parallel and
+//! memoized by canonical-form hash. The tape is bit-identical to the
+//! recursive [`Expr::eval`], which tests keep as its oracle, so a fixed
+//! seed gives the same model under any thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,7 @@ pub mod model;
 pub use compile::{CompiledExpr, EvalScratch};
 pub use dataset::Dataset;
 pub use expr::Expr;
-pub use gp::{FitContext, FitScratch, GpConfig, GpRunStats, SymbolicRegressor};
+pub use gp::{GpConfig, SymbolicRegressor};
 pub use kmeans::{KMeans, KMeansConfig};
 pub use linear::{LinearModel, PolynomialModel};
 pub use model::{FittedModel, PerfModel};

@@ -24,8 +24,8 @@ use pic_des::{MachineSpec, SyncMode};
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_predict::{
-    build_schedule, kernel_models::FitStrategy, predict_application_with_stats,
-    predict_kernel_seconds, KernelModels,
+    build_schedule, kernel_models::FitStrategy, predict_application, predict_kernel_seconds,
+    KernelModels,
 };
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
@@ -103,6 +103,53 @@ fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str
         .ok_or_else(|| PicError::config(format!("missing required flag --{key}")))
 }
 
+/// Parse the value `s` of `--key`; the error names the flag and the value.
+fn parse_flag<T: std::str::FromStr>(key: &str, s: &str) -> Result<T> {
+    s.parse().map_err(|_| {
+        let what = if std::any::type_name::<T>().starts_with('f') {
+            "a number"
+        } else {
+            "an integer"
+        };
+        PicError::config(format!("--{key} must be {what}, got '{s}'"))
+    })
+}
+
+/// `--key` parsed as `T`, or `default` when the flag is absent. A value
+/// that does not parse is an error, never a silent fall-back.
+fn flag_or<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T> {
+    flags.get(key).map_or(Ok(default), |s| parse_flag(key, s))
+}
+
+/// `--key` as one of the named `choices`, or `default` when absent.
+fn choice_or<T: Copy>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    choices: &[(&str, T)],
+    default: T,
+) -> Result<T> {
+    let Some(s) = flags.get(key) else {
+        return Ok(default);
+    };
+    choices
+        .iter()
+        .find(|(name, _)| name == s)
+        .map(|&(_, v)| v)
+        .ok_or_else(|| {
+            let names: Vec<&str> = choices.iter().map(|c| c.0).collect();
+            PicError::config(format!("--{key} must be {}, got '{s}'", names.join(" or ")))
+        })
+}
+
+const PRECISIONS: [(&str, codec::Precision); 2] = [
+    ("f64", codec::Precision::F64),
+    ("f32", codec::Precision::F32),
+];
+
 fn parse_mapping(s: &str) -> Result<MappingAlgorithm> {
     serde_json::from_str(&format!("\"{s}\""))
         .map_err(|_| PicError::config(format!("unknown mapping '{s}'")))
@@ -145,14 +192,10 @@ fn parse_mesh(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<El
     if dims.len() != 3 {
         return Err(PicError::config("mesh spec must be AxBxC"));
     }
-    let order: usize = flags
-        .get("order")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
     Ok(Some(ElementMesh::new(
         domain,
         MeshDims::new(dims[0], dims[1], dims[2]),
-        order,
+        flag_or(flags, "order", 3)?,
     )?))
 }
 
@@ -205,6 +248,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<()> {
     let cfg_path = required(flags, "config")?;
     let trace_path = required(flags, "trace")?;
     let cfg = SimConfig::from_json(&std::fs::read_to_string(cfg_path)?)?;
+    let precision = choice_or(flags, "precision", &PRECISIONS, codec::Precision::F64)?;
     eprintln!(
         "running: {} particles / {} elements / {} ranks / {} mapping / {} steps",
         cfg.particles,
@@ -219,10 +263,6 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<()> {
         "application finished in {:.2} s",
         t0.elapsed().as_secs_f64()
     );
-    let precision = match flags.get("precision").map(|s| s.as_str()) {
-        Some("f32") => codec::Precision::F32,
-        _ => codec::Precision::F64,
-    };
     codec::save_file(&out.trace, trace_path, precision)?;
     eprintln!(
         "trace: {} samples x {} particles -> {}",
@@ -281,10 +321,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
                 .map_err(|e| PicError::config(format!("bad workload JSON in {path}: {e}")))?;
         // the conservation reference: explicit flag, else the trace header
         let expected: Option<u64> = match flags.get("particles") {
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| PicError::config("--particles must be an integer"))?,
-            ),
+            Some(n) => Some(parse_flag("particles", n)?),
             None => match flags.get("trace") {
                 Some(tp) => {
                     let file = std::fs::File::open(tp)?;
@@ -450,14 +487,9 @@ fn print_ingest_stats(stats: &pic_workload::IngestStats) -> Result<()> {
 
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
+    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
     let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag_or(flags, "filter", 0.03)?;
     let cfg = WorkloadConfig::new(ranks, mapping, filter);
     let streaming = flags.get("stream").map(|v| v != "false").unwrap_or(false);
     let t0 = std::time::Instant::now();
@@ -532,16 +564,8 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
 /// nearly constant across ranks.
 fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
     let mut sweep = pic_sim::SweepConfig::default();
-    if let Some(order) = flags.get("order") {
-        sweep.order = order
-            .parse()
-            .map_err(|_| PicError::config("--order must be an integer"))?;
-    }
-    if let Some(filter) = flags.get("filter") {
-        sweep.projection_filter = filter
-            .parse()
-            .map_err(|_| PicError::config("--filter must be a number"))?;
-    }
+    sweep.order = flag_or(flags, "order", sweep.order)?;
+    sweep.projection_filter = flag_or(flags, "filter", sweep.projection_filter)?;
     if flags
         .get("wallclock")
         .map(|v| v != "false")
@@ -589,29 +613,26 @@ fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
     let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
+    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
     let mapping = parse_mapping(
         flags
             .get("mapping")
             .map(|s| s.as_str())
             .unwrap_or("bin-based"),
     )?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag_or(flags, "filter", 0.03)?;
     let machine = parse_machine(flags.get("machine").map(|s| s.as_str()).unwrap_or("quartz"))?;
-    let sync = match flags.get("sync").map(|s| s.as_str()) {
-        Some("neighbor") => SyncMode::NeighborSync,
-        _ => SyncMode::BulkSynchronous,
-    };
+    let sync = choice_or(
+        flags,
+        "sync",
+        &[
+            ("barrier", SyncMode::BulkSynchronous),
+            ("neighbor", SyncMode::NeighborSync),
+        ],
+        SyncMode::BulkSynchronous,
+    )?;
     let mesh = parse_mesh(flags, trace.meta().domain)?;
-    let order = flags
-        .get("order")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let order = flag_or(flags, "order", 3)?;
 
     let wcfg = WorkloadConfig::new(ranks, mapping, filter);
     let w = generator::generate_with_mesh(&trace, &wcfg, mesh.as_ref())?;
@@ -630,7 +651,9 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         trace.meta().sample_interval,
         pic_predict::pipeline::bytes_per_particle(),
     );
-    let (timeline, des) = predict_application_with_stats(&schedule, &machine, sync)?;
+    let t0 = std::time::Instant::now();
+    let timeline = predict_application(&schedule, &machine, sync)?;
+    let des_wall = t0.elapsed().as_secs_f64();
     // machine-readable result on stdout, human summary on stderr
     #[derive(serde::Serialize)]
     struct PredictOutput {
@@ -639,7 +662,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         predicted_seconds: f64,
         mean_idle_fraction: f64,
         events_processed: u64,
-        des_wall_seconds: f64,
         samples: usize,
         ranks: usize,
     }
@@ -648,8 +670,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         sync,
         predicted_seconds: timeline.total_seconds,
         mean_idle_fraction: timeline.mean_idle_fraction(),
-        events_processed: des.events_processed,
-        des_wall_seconds: des.wall_seconds,
+        events_processed: timeline.events_processed,
         samples: schedule.len(),
         ranks,
     };
@@ -666,8 +687,8 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
         100.0 * timeline.mean_idle_fraction()
     );
     eprintln!(
-        "events processed:    {} ({:.3} s simulator wall time)",
-        des.events_processed, des.wall_seconds
+        "events processed:    {} ({des_wall:.3} s simulator wall time)",
+        timeline.events_processed
     );
     Ok(())
 }
@@ -686,10 +707,7 @@ fn parse_usize_list(s: &str, what: &str) -> Result<Vec<usize>> {
 /// straight from the command line.
 fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag_or(flags, "filter", 0.03)?;
     match kind {
         "scalability" => {
             let ranks = parse_usize_list(required(flags, "ranks")?, "ranks")?;
@@ -729,9 +747,7 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
             println!("optimal processor count: {}", study.optimal_rank_count());
         }
         "sampling" => {
-            let ranks: usize = required(flags, "ranks")?
-                .parse()
-                .map_err(|_| PicError::config("--ranks must be an integer"))?;
+            let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
             let mapping = parse_mapping(
                 flags
                     .get("mapping")
@@ -897,57 +913,28 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
 /// peak load) is the acceptance check.
 fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
-    let ranks: usize = required(flags, "ranks")?
-        .parse()
-        .map_err(|_| PicError::config("--ranks must be an integer"))?;
+    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
     let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter: f64 = flags
-        .get("filter")
-        .map(|s| s.parse().unwrap_or(0.03))
-        .unwrap_or(0.03);
+    let filter = flag_or(flags, "filter", 0.03)?;
     let cfg = WorkloadConfig::new(ranks, mapping, filter);
     let mesh = parse_mesh(flags, trace.meta().domain)?;
 
     let mut opts = pic_predict::SimpointOptions::default();
     if let Some(k) = flags.get("k") {
-        opts.k = Some(
-            k.parse()
-                .map_err(|_| PicError::config("--k must be an integer"))?,
-        );
+        opts.k = Some(parse_flag("k", k)?);
     }
-    if let Some(km) = flags.get("k-max") {
-        opts.k_max = km
-            .parse()
-            .map_err(|_| PicError::config("--k-max must be an integer"))?;
-    }
-    if let Some(seed) = flags.get("seed") {
-        opts.seed = seed
-            .parse()
-            .map_err(|_| PicError::config("--seed must be an integer"))?;
-    }
-    if let Some(bins) = flags.get("bins") {
-        opts.features.bins_per_axis = bins
-            .parse()
-            .map_err(|_| PicError::config("--bins must be an integer"))?;
-    }
-    if let Some(f) = flags.get("features") {
-        opts.spatial_only = match f.as_str() {
-            "spatial" => true,
-            "full" => false,
-            _ => return Err(PicError::config("--features must be spatial or full")),
-        };
-    }
+    opts.k_max = flag_or(flags, "k-max", opts.k_max)?;
+    opts.seed = flag_or(flags, "seed", opts.seed)?;
+    opts.features.bins_per_axis = flag_or(flags, "bins", opts.features.bins_per_axis)?;
+    opts.spatial_only = choice_or(
+        flags,
+        "features",
+        &[("spatial", true), ("full", false)],
+        opts.spatial_only,
+    )?;
     let mut budget = pic_analysis::ReductionBudget::default();
-    if let Some(b) = flags.get("budget") {
-        budget.max_peak_rel_error = b
-            .parse()
-            .map_err(|_| PicError::config("--budget must be a number"))?;
-    }
-    if let Some(h) = flags.get("holdout") {
-        budget.holdout = h
-            .parse()
-            .map_err(|_| PicError::config("--holdout must be an integer"))?;
-    }
+    budget.max_peak_rel_error = flag_or(flags, "budget", budget.max_peak_rel_error)?;
+    budget.holdout = flag_or(flags, "holdout", budget.holdout)?;
 
     let t0 = std::time::Instant::now();
     let plan = pic_predict::build_simpoint_plan(&trace, &opts)?;
@@ -1001,10 +988,7 @@ fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
     let in_path = required(flags, "trace")?;
     let out_path = required(flags, "out")?;
     let trace = load_trace(in_path)?;
-    let precision = match flags.get("precision").map(|s| s.as_str()) {
-        Some("f64") => codec::Precision::F64,
-        _ => codec::Precision::F32,
-    };
+    let precision = choice_or(flags, "precision", &PRECISIONS, codec::Precision::F32)?;
     let in_bytes = std::fs::metadata(in_path)?.len();
     let out_bytes = pic_trace::compact::save_file(&trace, out_path, precision)?;
     // round-trip gate: the file we just wrote must decode to the same
@@ -1073,13 +1057,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
     let out = required(flags, "out")?;
-    let particles: usize = required(flags, "particles")?
-        .parse()
-        .map_err(|_| PicError::config("--particles must be an integer"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().unwrap_or(1))
-        .unwrap_or(1);
+    let particles: usize = parse_flag("particles", required(flags, "particles")?)?;
+    let seed: u64 = flag_or(flags, "seed", 1)?;
     let big = pic_trace::extrapolate(&trace, particles, seed)?;
     codec::save_file(&big, out, codec::Precision::F32)?;
     println!(
@@ -1161,6 +1140,80 @@ mod tests {
         // malformed
         let (_, flags) = parse_flags(&argv("x --mesh 4x6"));
         assert!(parse_mesh(&flags, Aabb::unit()).is_err());
+    }
+
+    #[test]
+    fn malformed_flag_values_are_errors_naming_flag_and_value() {
+        let dir = std::env::temp_dir().join(format!("picpredict_flags_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (t, m, c, o) = (
+            path("t.pictrace"),
+            path("m.json"),
+            path("c.json"),
+            path("o"),
+        );
+        let mut trace =
+            pic_trace::ParticleTrace::new(pic_trace::TraceMeta::new(8, 10, Aabb::unit(), "flags"));
+        for k in 0..2 {
+            let at = |i: usize| pic_types::Vec3::new(0.1 * i as f64, 0.5, 0.1 + 0.1 * k as f64);
+            trace.push_positions((0..8).map(at).collect()).unwrap();
+        }
+        codec::save_file(&trace, &t, codec::Precision::F64).unwrap();
+        let records = pic_sim::benchmark_kernels(&pic_sim::SweepConfig::default()).unwrap();
+        let models = KernelModels::fit(&records, &FitStrategy::Linear, 1).unwrap();
+        std::fs::write(&m, models.to_json()).unwrap();
+        std::fs::write(&c, SimConfig::default().to_json()).unwrap();
+
+        let predict = format!("predict --trace {t} --models {m} --ranks 4");
+        let meshed = format!("{predict} --mesh 2x2x2");
+        let placed = format!("--trace {t} --ranks 4 --mapping bin-based");
+        // (command, flag appended to it, malformed value)
+        let table = [
+            (predict.clone(), "--filter", "0,05"),
+            (predict.clone(), "--order", "3rd"),
+            (meshed, "--order", "three"),
+            (predict.clone(), "--sync", "neighbour"),
+            (format!("workload {placed}"), "--filter", "3%"),
+            (format!("study bins --trace {t}"), "--filter", "wide"),
+            (format!("simpoint {placed}"), "--filter", "0..3"),
+            (
+                format!("extrapolate --trace {t} --out {o} --particles 16"),
+                "--seed",
+                "-1",
+            ),
+            (
+                format!("run --config {c} --trace {o}"),
+                "--precision",
+                "f16",
+            ),
+            (
+                format!("compact --trace {t} --out {o}"),
+                "--precision",
+                "double",
+            ),
+        ];
+        for (base, flag, value) in &table {
+            let cmd = format!("{base} {flag} {value}");
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+            assert!(
+                err.contains(flag) && err.contains(&format!("'{value}'")),
+                "{cmd}: {err}"
+            );
+        }
+        // the same commands with the flag absent run on the documented default
+        dispatch(&argv(&predict)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let (_, none) = parse_flags(&argv("x"));
+        assert_eq!(flag_or(&none, "filter", 0.03).unwrap(), 0.03);
+        assert_eq!(flag_or(&none, "order", 3usize).unwrap(), 3);
+        assert_eq!(flag_or(&none, "seed", 1u64).unwrap(), 1);
+        let f32_default = choice_or(&none, "precision", &PRECISIONS, codec::Precision::F32);
+        assert_eq!(f32_default.unwrap(), codec::Precision::F32);
+        let (_, f64_given) = parse_flags(&argv("x --precision f64"));
+        let given = choice_or(&f64_given, "precision", &PRECISIONS, codec::Precision::F32);
+        assert_eq!(given.unwrap(), codec::Precision::F64);
     }
 
     #[test]

@@ -54,10 +54,7 @@ pub mod validate;
 pub use gridspec::{grid_entries, grid_to_json, SweepGridEntry, SweepGridSpec};
 pub use kernel_models::{FitStrategy, KernelModels};
 pub use pipeline::run_case_study;
-pub use pipeline::{
-    build_schedule, predict_application, predict_application_with_stats, predict_kernel_seconds,
-    CaseStudyOutput, DesRunStats,
-};
+pub use pipeline::{build_schedule, predict_application, predict_kernel_seconds, CaseStudyOutput};
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
 pub use simpoint::{build_plan as build_simpoint_plan, SimpointOptions};
 pub use validate::{kernel_mape_vs_ground_truth, workload_matches_ground_truth};

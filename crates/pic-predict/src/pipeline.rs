@@ -159,32 +159,6 @@ pub fn predict_application(
     simulate(schedule, machine, mode)
 }
 
-/// DES execution statistics of one prediction, surfaced through
-/// `picpredict predict` JSON and the serve `/predict` response.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct DesRunStats {
-    /// Simulator wall-clock seconds for this prediction.
-    pub wall_seconds: f64,
-    /// Events processed (equals the timeline's `events_processed`).
-    pub events_processed: u64,
-}
-
-/// Run the system-level simulation, also returning DES throughput
-/// statistics (wall seconds, events processed).
-pub fn predict_application_with_stats(
-    schedule: &[StepWorkload],
-    machine: &MachineSpec,
-    mode: SyncMode,
-) -> Result<(SimTimeline, DesRunStats)> {
-    let start = std::time::Instant::now();
-    let timeline = simulate(schedule, machine, mode)?;
-    let run = DesRunStats {
-        wall_seconds: start.elapsed().as_secs_f64(),
-        events_processed: timeline.events_processed,
-    };
-    Ok((timeline, run))
-}
-
 /// Everything the end-to-end case study produces.
 #[derive(Debug)]
 pub struct CaseStudyOutput {
@@ -279,9 +253,6 @@ pub fn run_case_study(
 pub fn bytes_per_particle() -> u64 {
     10 * 8
 }
-
-/// Re-export for the `validate` path used by [`run_case_study`].
-pub use crate::validate::workload_matches_ground_truth as _validate_workload;
 
 #[cfg(test)]
 mod tests {

@@ -937,17 +937,15 @@ fn handle_predict(
         trace.meta().sample_interval,
         crate::pipeline::bytes_per_particle(),
     );
-    let (timeline, des) =
-        crate::predict_application_with_stats(&schedule, &machine, sync).map_err(semantic)?;
+    let timeline = crate::predict_application(&schedule, &machine, sync).map_err(semantic)?;
     let body = format!(
         "{{\"machine\":{},\"sync\":{},\"predicted_seconds\":{},\"mean_idle_fraction\":{},\
-         \"events_processed\":{},\"des_wall_seconds\":{},\"samples\":{},\"ranks\":{}}}",
+         \"events_processed\":{},\"samples\":{},\"ranks\":{}}}",
         http::json_escape(&machine.name),
         http::json_escape(&req.sync),
         timeline.total_seconds,
         timeline.mean_idle_fraction(),
         timeline.events_processed,
-        des.wall_seconds,
         workload.samples(),
         workload.ranks,
     );

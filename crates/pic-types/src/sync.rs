@@ -33,8 +33,8 @@
 //! In release builds the wrappers are transparent newtypes: no class
 //! field, no thread-local bookkeeping, no atomic traffic — only the
 //! (branch-predictable) poison-recovery branch `std` already forces on
-//! every lock operation. `serve_bench` pins the p50/p99 cost of this
-//! claim against `BENCH_SERVE.json`.
+//! every lock operation. The `serve.*` latencies of the end-to-end
+//! benchmark's `serve-closed2` workload are measured on this path.
 //!
 //! The declared workspace hierarchy lives with the locks themselves
 //! (levels are arguments to the constructors); DESIGN.md §14 tabulates

@@ -2,10 +2,10 @@
 //!
 //! Nothing here runs on a production path. The sequential replay
 //! [`generate_reference`] over the pre-optimization
-//! [`BaselineRegionIndex`] is the determinism oracle of every proptest and
-//! smoke bench; the scalar chunked kernels [`ghost_counts_chunked`] and
-//! [`multi_ghost_chunked`] are what `tests/soa_kernels.rs` and
-//! `dwg_bench`'s kernel duel compare the SoA lane kernels with.
+//! [`BaselineRegionIndex`] is the determinism oracle of every proptest;
+//! the scalar chunked kernels [`ghost_counts_chunked`] and
+//! [`multi_ghost_chunked`] are what `tests/soa_kernels.rs` compares the
+//! SoA lane kernels with.
 
 use crate::generator::{self, build_mapper, DynamicWorkload, WorkloadConfig, GHOST_CHUNK};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};

@@ -245,8 +245,7 @@ fn radix_sort_by_key(keys: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) {
 /// Branch-free by construction: the `d² ≤ r²` mask and the home-rank
 /// exclusion are `u32` masks combined with `&`, so the inner loop is a
 /// straight-line clamp/subtract/fma/compare chain over `[f64; LANE]`
-/// blocks that the compiler autovectorizes (verified via the committed
-/// `ghost_kernel` speedup in BENCH_DWG.json).
+/// blocks, the shape the compiler autovectorizes.
 #[inline]
 #[allow(clippy::too_many_arguments)] // the lane operands are parallel slices
 fn lane_candidate_hits(

@@ -186,7 +186,8 @@ fn des_events_scale_with_schedule_size() {
 /// bit, in both modes.
 #[test]
 fn fold_is_the_event_simulation_at_16k_ranks() {
-    use pic_des::{simulate_reference, StepWorkload};
+    use pic_des::reference::simulate_reference;
+    use pic_des::StepWorkload;
     use pic_types::rng::SplitMix64;
     const RANKS: u32 = 16_384;
     const STEPS: usize = 8;

@@ -172,6 +172,12 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     );
     let (status, served) = request(addr, "POST", "/predict", predict_body.as_bytes());
     assert_eq!(status, 200, "{served}");
+    // A prediction is a function of its request: asked again once the
+    // first answer is back (so single-flight shares nothing), the body
+    // is the same bytes — nothing in it is read off a clock.
+    let (status, again) = request(addr, "POST", "/predict", predict_body.as_bytes());
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, served);
 
     let wcfg = pic_workload::WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.03);
     let w = pic_workload::generator::generate(&trace, &wcfg).unwrap();
