@@ -71,11 +71,6 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Does the interval contain zero?
-    pub fn contains_zero(&self) -> bool {
-        self.contains(0.0)
-    }
-
     /// Is the interval a single point?
     pub fn is_point(&self) -> bool {
         self.lo == self.hi
@@ -246,8 +241,8 @@ mod tests {
         let p = Interval::point(3.5);
         assert!(p.is_point());
         assert!(p.contains(3.5));
-        assert!(!p.contains_zero());
-        assert!(Interval::new(-1.0, 2.0).contains_zero());
+        assert!(!p.contains(0.0));
+        assert!(Interval::new(-1.0, 2.0).contains(0.0));
     }
 
     #[test]

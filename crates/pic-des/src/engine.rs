@@ -43,6 +43,29 @@ pub enum SyncMode {
     NeighborSync,
 }
 
+/// `barrier` / `neighbor`, the names flags, requests and responses use.
+impl std::fmt::Display for SyncMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SyncMode::BulkSynchronous => "barrier",
+            SyncMode::NeighborSync => "neighbor",
+        })
+    }
+}
+
+/// The inverse of `Display`.
+impl std::str::FromStr for SyncMode {
+    type Err = PicError;
+
+    fn from_str(s: &str) -> Result<SyncMode> {
+        match s {
+            "barrier" => Ok(SyncMode::BulkSynchronous),
+            "neighbor" => Ok(SyncMode::NeighborSync),
+            _ => Err(PicError::config(format!("unknown sync mode '{s}'"))),
+        }
+    }
+}
+
 /// Simulation output: the predicted execution timeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimTimeline {
@@ -186,6 +209,21 @@ pub fn simulate(
 mod tests {
     use super::*;
     use crate::reference::simulate_reference;
+
+    #[test]
+    fn sync_mode_from_str_inverts_display() {
+        for (mode, name) in [
+            (SyncMode::BulkSynchronous, "barrier"),
+            (SyncMode::NeighborSync, "neighbor"),
+        ] {
+            assert_eq!(mode.to_string(), name);
+            assert_eq!(name.parse::<SyncMode>().unwrap(), mode);
+        }
+        for bad in ["neighbour", "bulk-synchronous", "Barrier", ""] {
+            let err = bad.parse::<SyncMode>().unwrap_err().to_string();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+    }
 
     fn machine() -> MachineSpec {
         MachineSpec {

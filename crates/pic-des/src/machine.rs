@@ -39,11 +39,6 @@ pub struct MachineSpec {
 }
 
 impl MachineSpec {
-    /// Total cores.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node
-    }
-
     /// Reject specs whose scalars would produce NaN or infinite event
     /// times (or panic in topology hop math) mid-simulation. Called at
     /// simulation admission, so a bad spec surfaces as a positioned
@@ -105,6 +100,18 @@ impl MachineSpec {
         }
         let stages = (usize::BITS - (ranks - 1).leading_zeros()) as f64;
         self.collective_latency * stages
+    }
+
+    /// The preset a request or flag names: `quartz`, `vulcan` (each also
+    /// under its `-like` machine name) or `localhost`; `None` for anything
+    /// else, a path included.
+    pub fn preset(name: &str) -> Option<MachineSpec> {
+        match name {
+            "quartz" | "quartz-like" => Some(MachineSpec::quartz_like()),
+            "vulcan" | "vulcan-like" => Some(MachineSpec::vulcan_like()),
+            "localhost" => Some(MachineSpec::localhost(8)),
+            _ => None,
+        }
     }
 
     /// A Quartz-like system: LLNL Quartz has 3018 Intel Xeon E5 nodes on
@@ -169,12 +176,28 @@ mod tests {
     #[test]
     fn presets_are_sane() {
         let q = MachineSpec::quartz_like();
-        assert_eq!(q.total_cores(), 3018 * 36);
+        assert_eq!((q.nodes, q.cores_per_node), (3018, 36));
         let v = MachineSpec::vulcan_like();
         assert!(v.compute_scale > q.compute_scale, "BG/Q cores are slower");
         assert!(v.link_bandwidth < q.link_bandwidth);
         let l = MachineSpec::localhost(8);
-        assert_eq!(l.total_cores(), 8);
+        assert_eq!((l.nodes, l.cores_per_node), (1, 8));
+    }
+
+    #[test]
+    fn presets_go_by_both_spellings_and_nothing_else() {
+        for (name, machine) in [
+            ("quartz", MachineSpec::quartz_like()),
+            ("quartz-like", MachineSpec::quartz_like()),
+            ("vulcan", MachineSpec::vulcan_like()),
+            ("vulcan-like", MachineSpec::vulcan_like()),
+            ("localhost", MachineSpec::localhost(8)),
+        ] {
+            assert_eq!(MachineSpec::preset(name), Some(machine), "{name}");
+        }
+        for other in ["/etc/machines/quartz.json", "quartz.json", "Quartz", ""] {
+            assert_eq!(MachineSpec::preset(other), None, "{other}");
+        }
     }
 
     #[test]

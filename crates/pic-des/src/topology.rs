@@ -72,15 +72,6 @@ impl Topology {
             }
         }
     }
-
-    /// Largest hop count any rank pair can pay (diameter).
-    pub fn diameter(&self) -> u32 {
-        match *self {
-            Topology::FullyConnected => 1,
-            Topology::Torus3D { x, y, z } => ((x / 2) + (y / 2) + (z / 2)).max(1) as u32,
-            Topology::FatTree { spine_hops, .. } => spine_hops.max(1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +84,6 @@ mod tests {
         assert_eq!(t.hops(0, 0), 0);
         assert_eq!(t.hops(0, 1), 1);
         assert_eq!(t.hops(7, 1000), 1);
-        assert_eq!(t.diameter(), 1);
     }
 
     #[test]
@@ -108,7 +98,6 @@ mod tests {
         // opposite corner (2,2,2): 6 hops = diameter
         let far = 2 + 2 * 4 + 2 * 16;
         assert_eq!(t.hops(0, far as u32), 6);
-        assert_eq!(t.diameter(), 6);
         // symmetric
         for a in 0..16u32 {
             for b in 0..16u32 {
@@ -135,7 +124,6 @@ mod tests {
         assert_eq!(t.hops(0, 3), 1); // same leaf
         assert_eq!(t.hops(0, 4), 3); // cross spine
         assert_eq!(t.hops(5, 6), 1);
-        assert_eq!(t.diameter(), 3);
     }
 
     #[test]

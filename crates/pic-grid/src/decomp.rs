@@ -235,16 +235,6 @@ impl RcbDecomposition {
         })
     }
 
-    /// Total weight assigned to each rank under a given weight vector
-    /// (diagnostic for weighted decompositions).
-    pub fn rank_weights(&self, weights: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.ranks];
-        for (i, &r) in self.element_owner.iter().enumerate() {
-            out[r.index()] += weights[i];
-        }
-        out
-    }
-
     /// Number of ranks the mesh was decomposed onto.
     pub fn ranks(&self) -> usize {
         self.ranks
@@ -447,7 +437,10 @@ mod tests {
         let uniform = RcbDecomposition::decompose(&m, 8).unwrap();
         let weighted = RcbDecomposition::decompose_weighted(&m, 8, &weights).unwrap();
         let imb = |d: &RcbDecomposition| {
-            let w = d.rank_weights(&weights);
+            let mut w = vec![0.0; d.ranks()];
+            for (i, &r) in d.element_owner.iter().enumerate() {
+                w[r.index()] += weights[i];
+            }
             let max = w.iter().cloned().fold(0.0f64, f64::max);
             let mean = w.iter().sum::<f64>() / w.len() as f64;
             max / mean

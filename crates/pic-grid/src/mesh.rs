@@ -43,6 +43,26 @@ impl MeshDims {
     }
 }
 
+/// `AxBxC`, the way flags and requests spell a mesh. Whether every axis is
+/// non-zero is [`ElementMesh::new`]'s check.
+impl std::str::FromStr for MeshDims {
+    type Err = PicError;
+
+    fn from_str(spec: &str) -> Result<MeshDims> {
+        let axes: Vec<usize> = spec
+            .split('x')
+            .map(|axis| axis.parse())
+            .collect::<std::result::Result<_, _>>()
+            .map_err(|_| PicError::config(format!("bad mesh spec '{spec}' (want AxBxC)")))?;
+        match axes[..] {
+            [nx, ny, nz] => Ok(MeshDims::new(nx, ny, nz)),
+            _ => Err(PicError::config(format!(
+                "mesh spec '{spec}' must have three axes"
+            ))),
+        }
+    }
+}
+
 /// A structured mesh of hexahedral spectral elements filling a box domain.
 ///
 /// Elements are indexed in x-fastest (lexicographic) order:
@@ -103,11 +123,6 @@ impl ElementMesh {
     /// Grid resolution within an element (the paper's `N`).
     pub fn order(&self) -> usize {
         self.order
-    }
-
-    /// Total grid points in the mesh: `N_el * N³`.
-    pub fn grid_point_count(&self) -> usize {
-        self.element_count() * self.order.pow(3)
     }
 
     /// Element edge lengths.
@@ -290,13 +305,21 @@ mod tests {
     }
 
     #[test]
+    fn dims_parse_from_axbxc_only() {
+        assert_eq!("4x6x8".parse::<MeshDims>().unwrap(), MeshDims::new(4, 6, 8));
+        for bad in ["4x4", "4x4x4x4", "4xax4", "", "4x-1x4", "4 x 4 x 4"] {
+            let err = bad.parse::<MeshDims>().unwrap_err().to_string();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+    }
+
+    #[test]
     fn construction_validation() {
         assert!(ElementMesh::new(Aabb::unit(), MeshDims::new(0, 1, 1), 5).is_err());
         assert!(ElementMesh::new(Aabb::unit(), MeshDims::cube(2), 1).is_err());
         assert!(ElementMesh::new(Aabb::empty(), MeshDims::cube(2), 5).is_err());
         let m = mesh4();
         assert_eq!(m.element_count(), 64);
-        assert_eq!(m.grid_point_count(), 64 * 125);
         assert_eq!(m.order(), 5);
     }
 

@@ -1,6 +1,8 @@
 //! The [`ParticleMapper`] abstraction and its per-sample output.
 
-use pic_types::{Aabb, Rank, Vec3};
+use crate::{BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper};
+use pic_grid::ElementMesh;
+use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 use serde::{Deserialize, Serialize};
 
 /// Which particle mapping algorithm a configuration selects.
@@ -29,6 +31,49 @@ impl std::fmt::Display for MappingAlgorithm {
             MappingAlgorithm::LoadBalanced => "load-balanced",
         };
         f.write_str(s)
+    }
+}
+
+/// The inverse of `Display`: the names configurations, flags and requests
+/// spell the algorithms with.
+impl std::str::FromStr for MappingAlgorithm {
+    type Err = PicError;
+
+    fn from_str(s: &str) -> Result<MappingAlgorithm> {
+        Ok(match s {
+            "element-based" => MappingAlgorithm::ElementBased,
+            "bin-based" => MappingAlgorithm::BinBased,
+            "hilbert-ordered" => MappingAlgorithm::HilbertOrdered,
+            "load-balanced" => MappingAlgorithm::LoadBalanced,
+            _ => return Err(PicError::config(format!("unknown mapping '{s}'"))),
+        })
+    }
+}
+
+impl MappingAlgorithm {
+    /// Construct this algorithm's mapper for `ranks` processors — the one
+    /// constructor the application and the generator that mimics it share.
+    /// `filter` is the bin-size threshold (bin-based only); every other
+    /// algorithm partitions `mesh` and fails without one.
+    pub fn mapper(
+        self,
+        mesh: Option<&ElementMesh>,
+        ranks: usize,
+        filter: f64,
+    ) -> Result<Box<dyn ParticleMapper>> {
+        if ranks == 0 {
+            return Err(PicError::config(
+                "workload generation needs at least one rank",
+            ));
+        }
+        let mesh =
+            || mesh.ok_or_else(|| PicError::config(format!("{self} mapping requires a mesh")));
+        Ok(match self {
+            MappingAlgorithm::BinBased => Box::new(BinMapper::new(ranks, filter)?),
+            MappingAlgorithm::ElementBased => Box::new(ElementMapper::new(mesh()?, ranks)?),
+            MappingAlgorithm::HilbertOrdered => Box::new(HilbertMapper::new(mesh()?, ranks)?),
+            MappingAlgorithm::LoadBalanced => Box::new(LoadBalancedMapper::new(mesh()?, ranks)?),
+        })
     }
 }
 
@@ -119,6 +164,51 @@ mod tests {
             MappingAlgorithm::HilbertOrdered.to_string(),
             "hilbert-ordered"
         );
+    }
+
+    #[test]
+    fn from_str_inverts_display_for_every_algorithm() {
+        for algorithm in [
+            MappingAlgorithm::ElementBased,
+            MappingAlgorithm::BinBased,
+            MappingAlgorithm::HilbertOrdered,
+            MappingAlgorithm::LoadBalanced,
+        ] {
+            assert_eq!(
+                algorithm.to_string().parse::<MappingAlgorithm>().unwrap(),
+                algorithm
+            );
+        }
+        for bad in ["nonsense", "Bin-Based", "bin_based", ""] {
+            let err = bad.parse::<MappingAlgorithm>().unwrap_err().to_string();
+            assert!(err.contains(&format!("'{bad}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn mapper_needs_a_rank_and_a_mesh_where_the_algorithm_partitions_one() {
+        let mesh = ElementMesh::new(Aabb::unit(), pic_grid::MeshDims::cube(2), 3).unwrap();
+        for algorithm in [
+            MappingAlgorithm::ElementBased,
+            MappingAlgorithm::HilbertOrdered,
+            MappingAlgorithm::LoadBalanced,
+        ] {
+            let err = algorithm.mapper(None, 4, 0.1).err().unwrap().to_string();
+            assert!(
+                err.contains(&format!("{algorithm} mapping requires a mesh")),
+                "{err}"
+            );
+            assert_eq!(algorithm.mapper(Some(&mesh), 4, 0.1).unwrap().ranks(), 4);
+            assert!(algorithm.mapper(Some(&mesh), 0, 0.1).is_err());
+        }
+        assert_eq!(
+            MappingAlgorithm::BinBased
+                .mapper(None, 4, 0.1)
+                .unwrap()
+                .ranks(),
+            4
+        );
+        assert!(MappingAlgorithm::BinBased.mapper(None, 0, 0.1).is_err());
     }
 
     #[test]

@@ -399,16 +399,6 @@ impl RegionIndex {
             + self.live_boxes.capacity() * std::mem::size_of::<Aabb>()
             + self.live_ranks.capacity() * std::mem::size_of::<Rank>()
     }
-
-    /// Number of live (non-empty) regions actually stored.
-    pub fn live_count(&self) -> usize {
-        self.live_boxes.len()
-    }
-
-    /// Total `(cell, region)` entries in the CSR payload.
-    pub fn entry_count(&self) -> usize {
-        self.cell_data.len()
-    }
 }
 
 #[cfg(test)]
@@ -512,14 +502,10 @@ mod tests {
         }
         let idx = RegionIndex::build(&regions);
         assert_eq!(idx.rank_count(), 4096);
-        assert_eq!(idx.live_count(), 8);
+        assert_eq!(idx.live_boxes.len(), 8);
         // 8 unit-cube octants over a 1³..2³ grid never exceed 8 entries
         // per cell; the CSR payload must stay proportional to live count.
-        assert!(
-            idx.entry_count() <= 8 * 8,
-            "entries = {}",
-            idx.entry_count()
-        );
+        assert!(idx.cell_data.len() <= 8 * 8, "{}", idx.cell_data.len());
         // Rank identities survive the live-slot compaction.
         let mut out = Vec::new();
         idx.ranks_touching_sphere(Vec3::splat(0.5), 0.1, &mut out);
@@ -533,8 +519,8 @@ mod tests {
         let mut out = Vec::new();
         idx.ranks_touching_sphere(Vec3::ZERO, 1.0, &mut out);
         assert!(out.is_empty());
-        assert_eq!(idx.live_count(), 0);
-        assert_eq!(idx.entry_count(), 0);
+        assert_eq!(idx.live_boxes.len(), 0);
+        assert_eq!(idx.cell_data.len(), 0);
     }
 
     #[test]

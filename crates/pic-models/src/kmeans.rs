@@ -215,15 +215,6 @@ impl KMeans {
         self.centroids.len()
     }
 
-    /// Size of each cluster.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k()];
-        for &j in &self.assignment {
-            sizes[j] += 1;
-        }
-        sizes
-    }
-
     /// The member of each nonempty cluster closest to its centroid (the
     /// cluster *representative*), as an index into `points`. Empty
     /// clusters are skipped; the result pairs `(cluster, point_index)` in
@@ -377,7 +368,7 @@ mod tests {
     fn bic_selection_recovers_cluster_count() {
         let pts = blobs(&[[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]], 30, 0.3, 11);
         let fitted = select_k(&pts, 8, 99, 50);
-        assert_eq!(fitted.k(), 3, "sizes {:?}", fitted.cluster_sizes());
+        assert_eq!(fitted.k(), 3, "assignment {:?}", fitted.assignment);
     }
 
     #[test]

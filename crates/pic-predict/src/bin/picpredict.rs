@@ -6,27 +6,32 @@
 //!                      [--stream true] [--filter 0.03] [--mesh 6x6x6 --order 3] [--out dir]
 //! picpredict fit       --records rec.json --out models.json [--strategy linear|auto]
 //! picpredict predict   --trace t.pictrace --models models.json --ranks 128
-//!                      [--mapping bin-based] [--machine quartz|vulcan|localhost]
+//!                      [--mapping bin-based] [--machine quartz|vulcan|localhost|FILE]
 //!                      [--mesh 6x6x6 --order 3] [--filter 0.03] [--sync barrier|neighbor]
 //! picpredict extrapolate --trace t.pictrace --out big.pictrace --particles 100000
 //! ```
 //!
 //! `run` executes the mini PIC application and writes the trace + timing
 //! records; the other commands never touch the application again — they
-//! are the paper's "predict anything from one trace" workflow. Every
-//! trace-consuming command sniffs the file magic and accepts either the
-//! raw (`PICTRC01`) or the compact delta-encoded (`PICTRC02`) format;
+//! are the paper's "predict anything from one trace" workflow. `predict`
+//! is [`pic_predict::predict`] and prints its answer as one compact JSON
+//! line, byte for byte what the service's `/predict` returns for the same
+//! request. Mapping, sync-mode and mesh names are parsed by the types that
+//! own them, defaults are the library's constants, and boolean flags take
+//! `true` or `false`.
+//!
+//! Every trace-consuming command sniffs the file magic and accepts either
+//! the raw (`PICTRC01`) or the compact delta-encoded (`PICTRC02`) format;
 //! `compact` converts between them and `simpoint` replays a clustered
 //! reduction of the trace instead of every sample.
 #![forbid(unsafe_code)]
 
-use pic_des::{MachineSpec, SyncMode};
-use pic_grid::{ElementMesh, MeshDims};
-use pic_mapping::MappingAlgorithm;
-use pic_predict::{
-    build_schedule, kernel_models::FitStrategy, predict_application, predict_kernel_seconds,
-    KernelModels,
+use pic_des::MachineSpec;
+use pic_grid::ElementMesh;
+use pic_predict::pipeline::{
+    DEFAULT_FILTER, DEFAULT_MACHINE, DEFAULT_MAPPING, DEFAULT_ORDER, DEFAULT_SYNC,
 };
+use pic_predict::{kernel_models::FitStrategy, KernelModels, PredictSpec};
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
 use pic_types::{Aabb, PicError, Result};
@@ -56,7 +61,8 @@ const USAGE: &str = "usage:
   picpredict workload --trace t.pictrace --ranks N --mapping M [--stream true] [--filter F] [--mesh AxBxC --order K] [--out DIR]
   picpredict benchmark --out rec.json [--wallclock true] [--order K] [--filter F]
   picpredict fit --records rec.json --out models.json [--strategy linear|auto]
-  picpredict predict --trace t.pictrace --models models.json --ranks N [--mapping M] [--machine NAME] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F]
+  picpredict predict --trace t.pictrace --models models.json --ranks N [--mapping M] [--machine NAME|FILE] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F]
+                     # stdout: one compact JSON line, the bytes serve's /predict answers with
   picpredict extrapolate --trace t.pictrace --out big.pictrace --particles N [--seed S]
   picpredict study scalability --trace T --ranks 16,32,64 --mapping M [--filter F] [--mesh AxBxC --order K]
   picpredict study bins --trace T --filter F
@@ -69,6 +75,8 @@ const USAGE: &str = "usage:
                       [--plan-out plan.json] [--out workload.json]
   picpredict compact --trace t.pictrace --out t.pictrcz [--precision f64|f32]
   picpredict serve [--addr 127.0.0.1:7070] [--budget-mb 512] [--read-timeout-ms 2000] [--max-body-mb 256]
+
+boolean flags take true or false (a flag given last with no value means true).
 
 global flags:
   --threads N    run the command under an N-thread pool (default: shared
@@ -145,31 +153,71 @@ fn choice_or<T: Copy>(
         })
 }
 
+/// A boolean `--key`: `true`, `false`, or the flag with no value (which
+/// means `true`); `default` when absent. Anything else is an error, never
+/// a yes.
+fn bool_flag(flags: &HashMap<String, String>, key: &str, default: bool) -> Result<bool> {
+    match flags.get(key).map(String::as_str) {
+        None => Ok(default),
+        Some("true" | "") => Ok(true),
+        Some("false") => Ok(false),
+        Some(s) => Err(PicError::config(format!(
+            "--{key} must be true or false, got '{s}'"
+        ))),
+    }
+}
+
+/// `--key` as a positive integer, `None` when the flag is absent.
+fn positive_flag<T: std::str::FromStr + PartialOrd + Default>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>> {
+    let Some(s) = flags.get(key) else {
+        return Ok(None);
+    };
+    match s.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(Some(n)),
+        _ => Err(PicError::config(format!(
+            "--{key} must be a positive integer, got '{s}'"
+        ))),
+    }
+}
+
+/// Parse the value `s` of `--key` in the vocabulary its type owns (mapping,
+/// sync mode, mesh dims); the error names the flag.
+fn parse_named<T: std::str::FromStr<Err = PicError>>(key: &str, s: &str) -> Result<T> {
+    s.parse().map_err(|e| match e {
+        PicError::Config(message) => PicError::config(format!("--{key}: {message}")),
+        e => e,
+    })
+}
+
+/// `--key` through [`parse_named`], or `default` when the flag is absent.
+fn named_or<T: std::str::FromStr<Err = PicError>>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T> {
+    flags.get(key).map_or(Ok(default), |s| parse_named(key, s))
+}
+
 const PRECISIONS: [(&str, codec::Precision); 2] = [
     ("f64", codec::Precision::F64),
     ("f32", codec::Precision::F32),
 ];
 
-fn parse_mapping(s: &str) -> Result<MappingAlgorithm> {
-    serde_json::from_str(&format!("\"{s}\""))
-        .map_err(|_| PicError::config(format!("unknown mapping '{s}'")))
-}
-
+/// A machine preset by name, or failing that a machine JSON file.
 fn parse_machine(s: &str) -> Result<MachineSpec> {
-    match s {
-        "quartz" | "quartz-like" => Ok(MachineSpec::quartz_like()),
-        "vulcan" | "vulcan-like" => Ok(MachineSpec::vulcan_like()),
-        "localhost" => Ok(MachineSpec::localhost(8)),
-        path => {
-            let text = std::fs::read_to_string(path).map_err(|e| {
-                PicError::config(format!(
-                    "machine '{s}' is not a preset and not a readable file: {e}"
-                ))
-            })?;
-            serde_json::from_str(&text)
-                .map_err(|e| PicError::config(format!("bad machine JSON in {path}: {e}")))
-        }
+    if let Some(preset) = MachineSpec::preset(s) {
+        return Ok(preset);
     }
+    let text = std::fs::read_to_string(s).map_err(|e| {
+        PicError::config(format!(
+            "machine '{s}' is not a preset and not a readable file: {e}"
+        ))
+    })?;
+    serde_json::from_str(&text)
+        .map_err(|e| PicError::config(format!("bad machine JSON in {s}: {e}")))
 }
 
 /// Load a whole trace file in either on-disk format, sniffed by magic —
@@ -178,24 +226,15 @@ fn load_trace(path: &str) -> Result<pic_trace::ParticleTrace> {
     pic_trace::compact::load_file_any(path)
 }
 
-fn parse_mesh(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<ElementMesh>> {
+/// The `--mesh AxBxC --order K` element mesh over `domain`, if one is given.
+fn mesh_flag(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<ElementMesh>> {
     let Some(spec) = flags.get("mesh") else {
         return Ok(None);
     };
-    let dims: Vec<usize> = spec
-        .split('x')
-        .map(|p| {
-            p.parse()
-                .map_err(|_| PicError::config(format!("bad mesh spec '{spec}'")))
-        })
-        .collect::<Result<_>>()?;
-    if dims.len() != 3 {
-        return Err(PicError::config("mesh spec must be AxBxC"));
-    }
     Ok(Some(ElementMesh::new(
         domain,
-        MeshDims::new(dims[0], dims[1], dims[2]),
-        flag_or(flags, "order", 3)?,
+        parse_named("mesh", spec)?,
+        flag_or(flags, "order", DEFAULT_ORDER)?,
     )?))
 }
 
@@ -205,12 +244,7 @@ fn dispatch(args: &[String]) -> Result<()> {
     // Global `--threads N`: run the whole command under a pool of that
     // size. Without it, the shared-pool policy applies (pool sized from
     // `RAYON_NUM_THREADS`, falling back to the machine's parallelism).
-    if let Some(spec) = flags.get("threads") {
-        let n: usize = spec
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--threads must be a positive integer"))?;
+    if let Some(n) = positive_flag::<usize>(&flags, "threads")? {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(n)
             .build()
@@ -375,7 +409,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
 
-    if flags.get("pipeline").map(|v| v != "false").unwrap_or(false) {
+    if bool_flag(flags, "pipeline", false)? {
         ran_any = true;
         let stats = pic_analysis::verify_streaming_shutdown()
             .map_err(|e| PicError::model(format!("pipeline interleaving check failed: {e}")))?;
@@ -385,7 +419,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
 
-    if flags.get("serve").map(|v| v != "false").unwrap_or(false) {
+    if bool_flag(flags, "serve", false)? {
         ran_any = true;
         // Exhaustive exploration of the three serve concurrency protocols
         // over their configuration matrices — any deadlock, liveness
@@ -431,7 +465,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         println!("serve mutants: {caught}/{} caught", outcomes.len());
     }
 
-    if flags.get("des").map(|v| v != "false").unwrap_or(false) {
+    if bool_flag(flags, "des", false)? {
         ran_any = true;
         // Soundness of simulating by fold: every causal processing order
         // of a bulk-synchronous step must reach the closed-form barrier
@@ -488,10 +522,10 @@ fn print_ingest_stats(stats: &pic_workload::IngestStats) -> Result<()> {
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
     let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-    let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter = flag_or(flags, "filter", 0.03)?;
+    let mapping = parse_named("mapping", required(flags, "mapping")?)?;
+    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
     let cfg = WorkloadConfig::new(ranks, mapping, filter);
-    let streaming = flags.get("stream").map(|v| v != "false").unwrap_or(false);
+    let streaming = bool_flag(flags, "stream", false)?;
     let t0 = std::time::Instant::now();
     // `--stream` replays the trace through the bounded pipeline without
     // ever loading it whole — the path for traces larger than memory. A
@@ -500,13 +534,13 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
         let file = std::fs::File::open(trace_path)?;
         let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
-        let mesh = parse_mesh(flags, reader.meta().domain)?;
+        let mesh = mesh_flag(flags, reader.meta().domain)?;
         let (w, stats) = generator::generate_streaming_with_stats(reader, &cfg, mesh.as_ref())?;
         (w, Some(stats), particles)
     } else {
         let trace = load_trace(trace_path)?;
         let particles = trace.meta().particle_count as u64;
-        let mesh = parse_mesh(flags, trace.meta().domain)?;
+        let mesh = mesh_flag(flags, trace.meta().domain)?;
         (
             generator::generate_with_mesh(&trace, &cfg, mesh.as_ref())?,
             None,
@@ -566,11 +600,7 @@ fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
     let mut sweep = pic_sim::SweepConfig::default();
     sweep.order = flag_or(flags, "order", sweep.order)?;
     sweep.projection_filter = flag_or(flags, "filter", sweep.projection_filter)?;
-    if flags
-        .get("wallclock")
-        .map(|v| v != "false")
-        .unwrap_or(false)
-    {
+    if bool_flag(flags, "wallclock", false)? {
         sweep.timing = pic_sim::config::TimingMode::WallClock;
     }
     eprintln!(
@@ -613,87 +643,38 @@ fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
     let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-    let mapping = parse_mapping(
-        flags
-            .get("mapping")
-            .map(|s| s.as_str())
-            .unwrap_or("bin-based"),
-    )?;
-    let filter = flag_or(flags, "filter", 0.03)?;
-    let machine = parse_machine(flags.get("machine").map(|s| s.as_str()).unwrap_or("quartz"))?;
-    let sync = choice_or(
-        flags,
-        "sync",
-        &[
-            ("barrier", SyncMode::BulkSynchronous),
-            ("neighbor", SyncMode::NeighborSync),
-        ],
-        SyncMode::BulkSynchronous,
-    )?;
-    let mesh = parse_mesh(flags, trace.meta().domain)?;
-    let order = flag_or(flags, "order", 3)?;
-
-    let wcfg = WorkloadConfig::new(ranks, mapping, filter);
-    let w = generator::generate_with_mesh(&trace, &wcfg, mesh.as_ref())?;
-    // fluid share: uniform unless a mesh is given
-    let elements: Vec<u32> = match &mesh {
-        Some(m) => {
-            let d = pic_grid::RcbDecomposition::decompose(m, ranks)?;
-            d.element_counts().iter().map(|&c| c as u32).collect()
-        }
-        None => vec![0; ranks],
+    let machine = flags.get("machine").map_or(DEFAULT_MACHINE, String::as_str);
+    let spec = PredictSpec {
+        ranks: parse_flag("ranks", required(flags, "ranks")?)?,
+        mapping: named_or(flags, "mapping", DEFAULT_MAPPING)?,
+        filter: flag_or(flags, "filter", DEFAULT_FILTER)?,
+        mesh: flags
+            .get("mesh")
+            .map(|s| parse_named("mesh", s))
+            .transpose()?,
+        order: flag_or(flags, "order", DEFAULT_ORDER)?,
+        machine: parse_machine(machine)?,
+        sync: named_or(flags, "sync", DEFAULT_SYNC)?,
     };
-    let predicted = predict_kernel_seconds(&w, &models, &elements, order, filter);
-    let schedule = build_schedule(
-        &w,
-        &predicted,
-        trace.meta().sample_interval,
-        pic_predict::pipeline::bytes_per_particle(),
-    );
     let t0 = std::time::Instant::now();
-    let timeline = predict_application(&schedule, &machine, sync)?;
-    let des_wall = t0.elapsed().as_secs_f64();
+    let prediction = pic_predict::predict(&trace, &models, &spec, None)?;
     // machine-readable result on stdout, human summary on stderr
-    #[derive(serde::Serialize)]
-    struct PredictOutput {
-        machine: String,
-        sync: SyncMode,
-        predicted_seconds: f64,
-        mean_idle_fraction: f64,
-        events_processed: u64,
-        samples: usize,
-        ranks: usize,
-    }
-    let out = PredictOutput {
-        machine: machine.name.clone(),
-        sync,
-        predicted_seconds: timeline.total_seconds,
-        mean_idle_fraction: timeline.mean_idle_fraction(),
-        events_processed: timeline.events_processed,
-        samples: schedule.len(),
-        ranks,
-    };
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&out)
-            .map_err(|e| PicError::config(format!("cannot serialize prediction: {e}")))?
-    );
-    eprintln!("machine:             {}", machine.name);
-    eprintln!("sync mode:           {sync:?}");
-    eprintln!("predicted time:      {:.6} s", timeline.total_seconds);
+    println!("{prediction}");
+    let t = &prediction.timeline;
+    eprintln!("machine:             {}", prediction.machine);
+    eprintln!("sync mode:           {}", prediction.sync);
+    eprintln!("predicted time:      {:.6} s", t.total_seconds);
     eprintln!(
         "mean idle fraction:  {:.2}%",
-        100.0 * timeline.mean_idle_fraction()
+        100.0 * t.mean_idle_fraction()
     );
-    eprintln!(
-        "events processed:    {} ({des_wall:.3} s simulator wall time)",
-        timeline.events_processed
-    );
+    eprintln!("events processed:    {}", t.events_processed);
+    eprintln!("predicted in:        {:.3} s", t0.elapsed().as_secs_f64());
     Ok(())
 }
 
-fn parse_usize_list(s: &str, what: &str) -> Result<Vec<usize>> {
+/// A comma-separated list of numbers or of names its type parses.
+fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>> {
     s.split(',')
         .map(|p| {
             p.trim()
@@ -707,17 +688,12 @@ fn parse_usize_list(s: &str, what: &str) -> Result<Vec<usize>> {
 /// straight from the command line.
 fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
-    let filter = flag_or(flags, "filter", 0.03)?;
+    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
     match kind {
         "scalability" => {
-            let ranks = parse_usize_list(required(flags, "ranks")?, "ranks")?;
-            let mapping = parse_mapping(
-                flags
-                    .get("mapping")
-                    .map(|s| s.as_str())
-                    .unwrap_or("bin-based"),
-            )?;
-            let mesh = parse_mesh(flags, trace.meta().domain)?;
+            let ranks = parse_list(required(flags, "ranks")?, "ranks")?;
+            let mapping = named_or(flags, "mapping", DEFAULT_MAPPING)?;
+            let mesh = mesh_flag(flags, trace.meta().domain)?;
             let pts = pic_predict::studies::scalability_study(
                 &trace,
                 mesh.as_ref(),
@@ -748,20 +724,12 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
         }
         "sampling" => {
             let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-            let mapping = parse_mapping(
-                flags
-                    .get("mapping")
-                    .map(|s| s.as_str())
-                    .unwrap_or("bin-based"),
-            )?;
-            let strides = parse_usize_list(
-                flags
-                    .get("strides")
-                    .map(|s| s.as_str())
-                    .unwrap_or("1,2,4,8"),
-                "strides",
-            )?;
-            let mesh = parse_mesh(flags, trace.meta().domain)?;
+            let mapping = named_or(flags, "mapping", DEFAULT_MAPPING)?;
+            let strides = match flags.get("strides") {
+                Some(s) => parse_list(s, "strides")?,
+                None => vec![1, 2, 4, 8],
+            };
+            let mesh = mesh_flag(flags, trace.meta().domain)?;
             let pts = pic_predict::studies::sampling_frequency_study(
                 &trace,
                 ranks,
@@ -790,16 +758,6 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-fn parse_f64_list(s: &str, what: &str) -> Result<Vec<f64>> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| PicError::config(format!("bad {what} entry '{p}'")))
-        })
-        .collect()
-}
-
 /// The multi-configuration sweep: replay the trace once, emit the whole
 /// grid. Gated on the pic-analysis invariant catalog over every grid
 /// point — a grid that fails verification is never written. The grid
@@ -808,26 +766,23 @@ fn parse_f64_list(s: &str, what: &str) -> Result<Vec<f64>> {
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
     let spec = pic_predict::SweepGridSpec {
-        ranks: parse_usize_list(required(flags, "ranks")?, "ranks")?,
-        mappings: flags
-            .get("mappings")
-            .map(|s| s.as_str())
-            .unwrap_or("bin-based")
-            .split(',')
-            .map(|p| parse_mapping(p.trim()))
-            .collect::<Result<_>>()?,
-        filters: parse_f64_list(
-            flags.get("filters").map(|s| s.as_str()).unwrap_or("0.03"),
-            "filters",
-        )?,
+        ranks: parse_list(required(flags, "ranks")?, "ranks")?,
+        mappings: match flags.get("mappings") {
+            Some(s) => parse_list(s, "mappings")?,
+            None => vec![DEFAULT_MAPPING],
+        },
+        filters: match flags.get("filters") {
+            Some(s) => parse_list(s, "filters")?,
+            None => vec![DEFAULT_FILTER],
+        },
         strides: match flags.get("strides") {
-            Some(s) => parse_usize_list(s, "strides")?,
+            Some(s) => parse_list(s, "strides")?,
             None => vec![1],
         },
-        compute_ghosts: flags.get("ghosts").map(|v| v != "false").unwrap_or(true),
+        compute_ghosts: bool_flag(flags, "ghosts", true)?,
     };
     spec.validate()?;
-    let streaming = flags.get("stream").map(|v| v != "false").unwrap_or(false);
+    let streaming = bool_flag(flags, "stream", false)?;
     let points = spec.points();
 
     let t0 = std::time::Instant::now();
@@ -835,13 +790,13 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
         let file = std::fs::File::open(trace_path)?;
         let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
-        let mesh = parse_mesh(flags, reader.meta().domain)?;
+        let mesh = mesh_flag(flags, reader.meta().domain)?;
         let (w, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
         (w, stats, Some(ingest), particles)
     } else {
         let trace = load_trace(trace_path)?;
         let particles = trace.meta().particle_count as u64;
-        let mesh = parse_mesh(flags, trace.meta().domain)?;
+        let mesh = mesh_flag(flags, trace.meta().domain)?;
         let (w, stats) = pic_workload::sweep_with_stats(&trace, &points, mesh.as_ref())?;
         (w, stats, None, particles)
     };
@@ -906,18 +861,16 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
 /// SimPoint-style reduced replay: cluster the trace's samples into
 /// phases, replay one representative per phase (plus owner-only passes
 /// for representative predecessors), broadcast each outcome across its
-/// cluster, and gate the reconstruction on the holdout error budget
-/// before anything is written. The full invariant catalog does not
-/// apply here — `comm-flow` cannot hold across broadcast boundaries —
-/// so the reduction gate (exact replay of held-out samples, compared on
-/// peak load) is the acceptance check.
+/// cluster, and hold the reconstruction to the holdout error budget
+/// before anything is written ([`pic_predict::replay_reduced_gated`], the
+/// function the service's reduced sweeps go through).
 fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
     let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-    let mapping = parse_mapping(required(flags, "mapping")?)?;
-    let filter = flag_or(flags, "filter", 0.03)?;
-    let cfg = WorkloadConfig::new(ranks, mapping, filter);
-    let mesh = parse_mesh(flags, trace.meta().domain)?;
+    let mapping = parse_named("mapping", required(flags, "mapping")?)?;
+    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
+    let point = pic_workload::SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter));
+    let mesh = mesh_flag(flags, trace.meta().domain)?;
 
     let mut opts = pic_predict::SimpointOptions::default();
     if let Some(k) = flags.get("k") {
@@ -940,10 +893,15 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     let plan = pic_predict::build_simpoint_plan(&trace, &opts)?;
     let cluster_s = t0.elapsed().as_secs_f64();
     let t1 = std::time::Instant::now();
-    let (w, stats) = pic_workload::generate_reduced_with_stats(&trace, &cfg, mesh.as_ref(), &plan)?;
+    let (workloads, stats, reports) = pic_predict::replay_reduced_gated(
+        &trace,
+        std::slice::from_ref(&point),
+        mesh.as_ref(),
+        &plan,
+        &budget,
+    )?;
     let replay_s = t1.elapsed().as_secs_f64();
-    let report =
-        pic_analysis::assert_reduction_valid(&trace, &cfg, mesh.as_ref(), &plan, &w, &budget)?;
+    let (w, report) = (&workloads[0], &reports[0]);
 
     println!("samples:            {}", plan.total_samples);
     println!("phases (K):         {}", plan.k());
@@ -958,8 +916,10 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         budget.max_peak_rel_error,
         report.points.len()
     );
-    println!("timing:             cluster {cluster_s:.3} s + reduced replay {replay_s:.3} s");
-    let summary = metrics::summarize(&w);
+    println!(
+        "timing:             cluster {cluster_s:.3} s + reduced replay and gate {replay_s:.3} s"
+    );
+    let summary = metrics::summarize(w);
     println!("peak workload:      {}", summary.peak_workload);
     println!(
         "resource util:      {:.2}%",
@@ -972,7 +932,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         eprintln!("reduction plan -> {path}");
     }
     if let Some(path) = flags.get("out") {
-        let json = serde_json::to_string_pretty(&w)
+        let json = serde_json::to_string_pretty(w)
             .map_err(|e| PicError::config(format!("cannot serialize workload: {e}")))?;
         std::fs::write(path, json)?;
         eprintln!("reconstructed workload -> {path}");
@@ -1021,29 +981,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
     } else {
         cfg.addr = "127.0.0.1:7070".to_string();
     }
-    if let Some(mb) = flags.get("budget-mb") {
-        let n: usize = mb
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--budget-mb must be a positive integer"))?;
-        cfg.budget_bytes = n << 20;
+    if let Some(mb) = positive_flag::<usize>(flags, "budget-mb")? {
+        cfg.budget_bytes = mb << 20;
     }
-    if let Some(ms) = flags.get("read-timeout-ms") {
-        let n: u64 = ms
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--read-timeout-ms must be a positive integer"))?;
-        cfg.read_timeout = std::time::Duration::from_millis(n);
+    if let Some(ms) = positive_flag(flags, "read-timeout-ms")? {
+        cfg.read_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(mb) = flags.get("max-body-mb") {
-        let n: u64 = mb
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| PicError::config("--max-body-mb must be a positive integer"))?;
-        cfg.max_body_bytes = n << 20;
+    if let Some(mb) = positive_flag::<u64>(flags, "max-body-mb")? {
+        cfg.max_body_bytes = mb << 20;
     }
     let server = pic_predict::Server::start(cfg)?;
     println!("picpredict serve listening on http://{}", server.addr());
@@ -1073,6 +1018,7 @@ fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_mapping::MappingAlgorithm;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1099,47 +1045,68 @@ mod tests {
         assert!(err.to_string().contains("--config"));
     }
 
+    /// The names are `MappingAlgorithm::from_str`'s; the CLI's part is the
+    /// default and an error that names the flag.
     #[test]
     fn parse_mapping_accepts_all_algorithms() {
+        for algorithm in [
+            MappingAlgorithm::BinBased,
+            MappingAlgorithm::ElementBased,
+            MappingAlgorithm::HilbertOrdered,
+            MappingAlgorithm::LoadBalanced,
+        ] {
+            let (_, flags) = parse_flags(&argv(&format!("x --mapping {algorithm}")));
+            assert_eq!(
+                named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap(),
+                algorithm
+            );
+        }
+        let (_, flags) = parse_flags(&argv("x"));
         assert_eq!(
-            parse_mapping("bin-based").unwrap(),
+            named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap(),
             MappingAlgorithm::BinBased
         );
-        assert_eq!(
-            parse_mapping("element-based").unwrap(),
-            MappingAlgorithm::ElementBased
-        );
-        assert_eq!(
-            parse_mapping("hilbert-ordered").unwrap(),
-            MappingAlgorithm::HilbertOrdered
-        );
-        assert_eq!(
-            parse_mapping("load-balanced").unwrap(),
-            MappingAlgorithm::LoadBalanced
-        );
-        assert!(parse_mapping("nonsense").is_err());
+        let (_, flags) = parse_flags(&argv("x --mapping nonsense"));
+        let err = named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("--mapping: unknown mapping 'nonsense'"));
     }
 
+    /// The names are `MachineSpec::preset`'s; what the CLI adds is the
+    /// fall-back to a machine file.
     #[test]
     fn parse_machine_presets() {
         assert_eq!(parse_machine("quartz").unwrap().name, "quartz-like");
-        assert_eq!(parse_machine("vulcan-like").unwrap().name, "vulcan-like");
-        assert_eq!(parse_machine("localhost").unwrap().nodes, 1);
         assert!(parse_machine("/nonexistent/machine.json").is_err());
+        let path = std::env::temp_dir().join(format!("picpredict_machine_{}", std::process::id()));
+        let mut custom = MachineSpec::localhost(4);
+        custom.name = "custom".to_string();
+        std::fs::write(&path, serde_json::to_string(&custom).unwrap()).unwrap();
+        assert_eq!(parse_machine(path.to_str().unwrap()).unwrap(), custom);
+        std::fs::write(&path, "{not json").unwrap();
+        assert!(parse_machine(path.to_str().unwrap()).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
+    /// `AxBxC` itself is `MeshDims::from_str`'s; the CLI's part is the
+    /// pairing with `--order` and its default.
     #[test]
-    fn parse_mesh_spec() {
-        let (_, flags) = parse_flags(&argv("x --mesh 4x6x8 --order 3"));
-        let mesh = parse_mesh(&flags, Aabb::unit()).unwrap().unwrap();
+    fn mesh_flag_pairs_dims_with_order() {
+        let (_, flags) = parse_flags(&argv("x --mesh 4x6x8 --order 4"));
+        let mesh = mesh_flag(&flags, Aabb::unit()).unwrap().unwrap();
         assert_eq!(mesh.dims().to_array(), [4, 6, 8]);
-        assert_eq!(mesh.order(), 3);
+        assert_eq!(mesh.order(), 4);
+        let (_, flags) = parse_flags(&argv("x --mesh 2x2x2"));
+        let mesh = mesh_flag(&flags, Aabb::unit()).unwrap().unwrap();
+        assert_eq!(mesh.order(), DEFAULT_ORDER);
         // absent → None
         let (_, flags) = parse_flags(&argv("x"));
-        assert!(parse_mesh(&flags, Aabb::unit()).unwrap().is_none());
-        // malformed
+        assert!(mesh_flag(&flags, Aabb::unit()).unwrap().is_none());
+        // malformed: the error names the flag and the value
         let (_, flags) = parse_flags(&argv("x --mesh 4x6"));
-        assert!(parse_mesh(&flags, Aabb::unit()).is_err());
+        let err = mesh_flag(&flags, Aabb::unit()).unwrap_err().to_string();
+        assert!(err.contains("--mesh") && err.contains("'4x6'"), "{err}");
     }
 
     #[test]
@@ -1168,12 +1135,31 @@ mod tests {
         let predict = format!("predict --trace {t} --models {m} --ranks 4");
         let meshed = format!("{predict} --mesh 2x2x2");
         let placed = format!("--trace {t} --ranks 4 --mapping bin-based");
+        let sweep = format!("sweep --trace {t} --ranks 4");
         // (command, flag appended to it, malformed value)
         let table = [
             (predict.clone(), "--filter", "0,05"),
             (predict.clone(), "--order", "3rd"),
             (meshed, "--order", "three"),
             (predict.clone(), "--sync", "neighbour"),
+            (predict.clone(), "--mapping", "bins"),
+            (predict.clone(), "--mesh", "2x2"),
+            // booleans are true or false, not "anything but false"
+            (sweep.clone(), "--ghosts", "no"),
+            (sweep.clone(), "--ghosts", "0"),
+            (sweep.clone(), "--ghosts", "False"),
+            (sweep.clone(), "--stream", "off"),
+            (format!("workload {placed}"), "--stream", "yes"),
+            (format!("benchmark --out {o}"), "--wallclock", "1"),
+            ("check".to_string(), "--pipeline", "on"),
+            ("check".to_string(), "--serve", "y"),
+            ("check".to_string(), "--des", "TRUE"),
+            // positive integers
+            (predict.clone(), "--threads", "0"),
+            (predict.clone(), "--threads", "two"),
+            ("serve".to_string(), "--budget-mb", "0"),
+            ("serve".to_string(), "--read-timeout-ms", "-5"),
+            ("serve".to_string(), "--max-body-mb", "1.5"),
             (format!("workload {placed}"), "--filter", "3%"),
             (format!("study bins --trace {t}"), "--filter", "wide"),
             (format!("simpoint {placed}"), "--filter", "0..3"),
@@ -1206,6 +1192,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
 
         let (_, none) = parse_flags(&argv("x"));
+        assert!(bool_flag(&none, "ghosts", true).unwrap());
+        assert!(!bool_flag(&none, "stream", false).unwrap());
+        let (_, given) = parse_flags(&argv("x --ghosts false --des true --stream"));
+        assert!(!bool_flag(&given, "ghosts", true).unwrap());
+        assert!(bool_flag(&given, "des", false).unwrap());
+        assert!(bool_flag(&given, "stream", false).unwrap());
+        assert_eq!(positive_flag::<usize>(&none, "threads").unwrap(), None);
+        let (_, given) = parse_flags(&argv("x --threads 2"));
+        assert_eq!(positive_flag::<usize>(&given, "threads").unwrap(), Some(2));
         assert_eq!(flag_or(&none, "filter", 0.03).unwrap(), 0.03);
         assert_eq!(flag_or(&none, "order", 3usize).unwrap(), 3);
         assert_eq!(flag_or(&none, "seed", 1u64).unwrap(), 1);
@@ -1224,17 +1219,22 @@ mod tests {
 
     #[test]
     fn usize_list_parsing() {
-        assert_eq!(parse_usize_list("1,2, 4", "x").unwrap(), vec![1, 2, 4]);
-        assert!(parse_usize_list("1,a", "x").is_err());
+        assert_eq!(parse_list::<usize>("1,2, 4", "x").unwrap(), vec![1, 2, 4]);
+        assert!(parse_list::<usize>("1,a", "x").is_err());
     }
 
     #[test]
     fn f64_list_parsing() {
         assert_eq!(
-            parse_f64_list("0.01, 0.02,0.4", "x").unwrap(),
+            parse_list::<f64>("0.01, 0.02,0.4", "x").unwrap(),
             vec![0.01, 0.02, 0.4]
         );
-        assert!(parse_f64_list("0.01,oops", "x").is_err());
+        assert!(parse_list::<f64>("0.01,oops", "x").is_err());
+        assert_eq!(
+            parse_list::<MappingAlgorithm>("bin-based, load-balanced", "x").unwrap(),
+            vec![MappingAlgorithm::BinBased, MappingAlgorithm::LoadBalanced]
+        );
+        assert!(parse_list::<MappingAlgorithm>("bin-based,bins", "x").is_err());
     }
 
     #[test]

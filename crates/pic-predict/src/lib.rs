@@ -17,10 +17,13 @@
 //! ```
 //!
 //! Entry points:
+//! * [`predict`] — the product: trace + kernel models + [`PredictSpec`]
+//!   (ranks, mapping, filter, mesh, machine, sync) → [`Prediction`]. The
+//!   CLI's `predict`, the service's `/predict` and the case study call it
+//!   and print its `Display`; [`predict_workload`] is its tail over a
+//!   workload already in hand, and [`pipeline`] has the stages it composes;
 //! * [`KernelModels`] — fit per-kernel performance models from timing
 //!   records (linear or GP-symbolic, with automatic fallback);
-//! * [`pipeline`] — kernel-time prediction over a generated workload, the
-//!   DES schedule builder, and end-to-end application-time prediction;
 //! * [`validate`] — exact DWG-vs-ground-truth workload checks and the
 //!   Fig 7 kernel-MAPE computation;
 //! * [`studies`] — the paper's three use cases: scalability prediction,
@@ -36,9 +39,9 @@
 //!   shared by the `sweep` subcommand and the service, so both emit
 //!   bit-identical grids;
 //! * [`simpoint`] — SimPoint-style trace reduction: cluster per-sample
-//!   feature vectors into phases and emit a
-//!   [`pic_workload::ReductionPlan`] that replays one representative per
-//!   phase, gated by the `pic-analysis` error budget.
+//!   feature vectors into phases, emit a [`pic_workload::ReductionPlan`]
+//!   that replays one representative per phase, and hold every replayed
+//!   grid point to the `pic-analysis` error budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,8 +56,10 @@ pub mod validate;
 
 pub use gridspec::{grid_entries, grid_to_json, SweepGridEntry, SweepGridSpec};
 pub use kernel_models::{FitStrategy, KernelModels};
-pub use pipeline::run_case_study;
-pub use pipeline::{build_schedule, predict_application, predict_kernel_seconds, CaseStudyOutput};
+pub use pipeline::{
+    build_schedule, predict, predict_application, predict_kernel_seconds, predict_workload,
+    run_case_study, CaseStudyOutput, PredictSpec, Prediction,
+};
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
-pub use simpoint::{build_plan as build_simpoint_plan, SimpointOptions};
+pub use simpoint::{build_plan as build_simpoint_plan, replay_reduced_gated, SimpointOptions};
 pub use validate::{kernel_mape_vs_ground_truth, workload_matches_ground_truth};

@@ -1,23 +1,173 @@
 //! The end-to-end prediction pipeline.
 //!
-//! This module is the executable version of the paper's Fig 2 workflow,
-//! including the validation path the authors used while BE-SST's
-//! trace-based mode was unfinished ("we developed a python script which
-//! takes the generated performance models and the output of workload
-//! generator as inputs, and predicts the kernel performance across all
-//! processors during the entire execution" — §IV-B). Here that script is
-//! [`predict_kernel_seconds`]; the full system-level path continues through
-//! [`build_schedule`] and [`predict_application`] on the `pic-des`
-//! simulation platform.
+//! The paper's Fig 2 workflow — particle trace + configuration + kernel
+//! models + machine → predicted seconds — is [`predict`], and the CLI, the
+//! resident service and the case study all answer through it.
+//! [`predict_workload`] is its tail over a workload already in hand: the
+//! paper's "python script which takes the generated performance models
+//! and the output of workload generator as inputs, and predicts the kernel
+//! performance across all processors during the entire execution" (§IV-B)
+//! is [`predict_kernel_seconds`], continued through [`build_schedule`] and
+//! [`predict_application`] on the `pic-des` simulation platform.
 
 use crate::kernel_models::{FitStrategy, KernelModels};
+use crate::serve::http::json_escape;
 use crate::validate;
 use pic_des::{simulate, MachineSpec, SimTimeline, StepWorkload, SyncMode};
+use pic_grid::{ElementMesh, MeshDims, RcbDecomposition};
+use pic_mapping::MappingAlgorithm;
 use pic_models::EvalScratch;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
+use pic_trace::ParticleTrace;
 use pic_types::{pool, Result};
-use pic_workload::{generator, DynamicWorkload, WorkloadConfig};
+use pic_workload::{AssignmentCache, DynamicWorkload, SweepPoint, WorkloadConfig};
 use rayon::prelude::*;
+
+/// Mapping algorithm of a request that names none.
+pub const DEFAULT_MAPPING: MappingAlgorithm = MappingAlgorithm::BinBased;
+/// Projection filter of a request that names none.
+pub const DEFAULT_FILTER: f64 = 0.03;
+/// Element order `N` of a request that names none.
+pub const DEFAULT_ORDER: usize = 3;
+/// Machine preset ([`MachineSpec::preset`]) of a request that names none.
+pub const DEFAULT_MACHINE: &str = "quartz";
+/// Synchronization semantics of a request that names none.
+pub const DEFAULT_SYNC: SyncMode = SyncMode::BulkSynchronous;
+
+/// What a prediction is a function of besides the trace and the models:
+/// the flags of `picpredict predict`, the fields of the service's `/predict`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PredictSpec {
+    /// Target processor count `R`.
+    pub ranks: usize,
+    /// Mapping algorithm to mimic.
+    pub mapping: MappingAlgorithm,
+    /// Projection filter: ghost radius, bin-size threshold and model feature.
+    pub filter: f64,
+    /// Element mesh over the trace's domain: the fluid workload per rank,
+    /// and what every mapping but bin-based partitions.
+    pub mesh: Option<MeshDims>,
+    /// Element order `N` (grid resolution of the mesh, and a model feature).
+    pub order: usize,
+    /// Target machine.
+    pub machine: MachineSpec,
+    /// Synchronization semantics between steps.
+    pub sync: SyncMode,
+}
+
+impl PredictSpec {
+    /// `ranks` processors and every other parameter at its default.
+    pub fn new(ranks: usize) -> PredictSpec {
+        PredictSpec {
+            ranks,
+            mapping: DEFAULT_MAPPING,
+            filter: DEFAULT_FILTER,
+            mesh: None,
+            order: DEFAULT_ORDER,
+            machine: MachineSpec::preset(DEFAULT_MACHINE).expect("the default machine is a preset"),
+            sync: DEFAULT_SYNC,
+        }
+    }
+
+    fn element_mesh(&self, trace: &ParticleTrace) -> Result<Option<ElementMesh>> {
+        self.mesh
+            .map(|dims| ElementMesh::new(trace.meta().domain, dims, self.order))
+            .transpose()
+    }
+}
+
+/// A prediction: the Fig 7 kernel table and the application timeline.
+/// `Display` is the one-line JSON summary every front end prints.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prediction {
+    /// Name of the target machine.
+    pub machine: String,
+    /// Synchronization semantics simulated.
+    pub sync: SyncMode,
+    /// Processor count predicted for.
+    pub ranks: usize,
+    /// Predicted kernel seconds `[sample][rank][k]`, `k` in
+    /// [`KernelKind::ALL`] order.
+    pub kernel_seconds: Vec<Vec<[f64; 6]>>,
+    /// Predicted application timeline on the target machine.
+    pub timeline: SimTimeline,
+}
+
+impl std::fmt::Display for Prediction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{{\"machine\":{},\"sync\":\"{}\",\"predicted_seconds\":{},\"mean_idle_fraction\":{},\
+             \"events_processed\":{},\"samples\":{},\"ranks\":{}}}",
+            json_escape(&self.machine),
+            self.sync,
+            self.timeline.total_seconds,
+            self.timeline.mean_idle_fraction(),
+            self.timeline.events_processed,
+            self.kernel_seconds.len(),
+            self.ranks,
+        )
+    }
+}
+
+/// The product: predicted application time of `trace` under `spec`. The
+/// workload comes from the one replay engine — through `cache` when one is
+/// given, the same bits either way — and goes to [`predict_workload`].
+pub fn predict(
+    trace: &ParticleTrace,
+    models: &KernelModels,
+    spec: &PredictSpec,
+    cache: Option<&AssignmentCache>,
+) -> Result<Prediction> {
+    let mesh = spec.element_mesh(trace)?;
+    let point = SweepPoint::new(WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter));
+    let points = std::slice::from_ref(&point);
+    let (mut workloads, _) = match cache {
+        Some(cache) => pic_workload::sweep_with_cache(trace, points, mesh.as_ref(), cache)?,
+        None => pic_workload::sweep_with_stats(trace, points, mesh.as_ref())?,
+    };
+    let workload = workloads.pop().expect("one point in, one workload out");
+    predict_workload(trace, &workload, models, spec)
+}
+
+/// The tail of [`predict`] over a `workload` generated from `trace` under
+/// `spec`: invariant gate → fluid elements per rank (RCB over the mesh,
+/// zeros without one) → kernel table → response gate → schedule →
+/// simulation. Both gates run whichever front end asks. The rank count is
+/// the workload's.
+pub fn predict_workload(
+    trace: &ParticleTrace,
+    workload: &DynamicWorkload,
+    models: &KernelModels,
+    spec: &PredictSpec,
+) -> Result<Prediction> {
+    pic_analysis::assert_workload_valid(workload, Some(trace.particle_count() as u64))?;
+    let elements: Vec<u32> = match spec.element_mesh(trace)? {
+        Some(mesh) => RcbDecomposition::decompose(&mesh, workload.ranks)?
+            .element_counts()
+            .iter()
+            .map(|&c| c as u32)
+            .collect(),
+        None => vec![0; workload.ranks],
+    };
+    let kernel_seconds =
+        predict_kernel_seconds(workload, models, &elements, spec.order, spec.filter);
+    pic_analysis::assert_prediction_valid(&kernel_seconds)?;
+    let schedule = build_schedule(
+        workload,
+        &kernel_seconds,
+        trace.meta().sample_interval,
+        bytes_per_particle(),
+    );
+    let timeline = predict_application(&schedule, &spec.machine, spec.sync)?;
+    Ok(Prediction {
+        machine: spec.machine.name.clone(),
+        sync: spec.sync,
+        ranks: workload.ranks,
+        kernel_seconds,
+        timeline,
+    })
+}
 
 /// Ranks evaluated at a time: each feature column, the output column and
 /// every tape register of a block is 8 KiB, so a block lives in cache
@@ -196,55 +346,41 @@ impl CaseStudyOutput {
 /// 2. generate the dynamic workload from the trace alone;
 /// 3. verify the workload against ground truth (exact);
 /// 4. fit kernel models from the timing records;
-/// 5. predict per-rank kernel times from workload + models (Fig 7 path);
-/// 6. build the DES schedule and predict application time on `machine`.
+/// 5. predict kernel and application time on `machine`
+///    ([`predict_workload`]) and score the kernel table against the
+///    application's own measurements (Fig 7).
 pub fn run_case_study(
     cfg: &SimConfig,
     machine: &MachineSpec,
     strategy: &FitStrategy,
 ) -> Result<CaseStudyOutput> {
-    let app = MiniPic::new(cfg.clone())?;
-    let mesh = app.mesh().clone();
-    let elements_per_rank: Vec<u32> = app
-        .decomposition()
-        .element_counts()
-        .iter()
-        .map(|&c| c as u32)
-        .collect();
-    let sim = app.run()?;
-
-    let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-    let workload = generator::generate_with_mesh(&sim.trace, &wcfg, Some(&mesh))?;
-    // static invariant catalog first (cheap, positioned diagnostics), then
-    // the exact ground-truth comparison
-    pic_analysis::assert_workload_valid(&workload, Some(sim.trace.particle_count() as u64))?;
+    let sim = MiniPic::new(cfg.clone())?.run()?;
+    let spec = PredictSpec {
+        ranks: cfg.ranks,
+        mapping: cfg.mapping,
+        filter: cfg.projection_filter,
+        mesh: Some(cfg.mesh_dims),
+        order: cfg.order,
+        machine: machine.clone(),
+        sync: SyncMode::BulkSynchronous,
+    };
+    let wcfg = WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter);
+    let mesh = spec.element_mesh(&sim.trace)?;
+    let workload = pic_workload::generator::generate_with_mesh(&sim.trace, &wcfg, mesh.as_ref())?;
     validate::workload_matches_ground_truth(&workload, &sim.ground_truth)?;
 
     let models = KernelModels::fit(&sim.recorder, strategy, cfg.seed)?;
-    let predicted = predict_kernel_seconds(
-        &workload,
-        &models,
-        &elements_per_rank,
-        cfg.order,
-        cfg.projection_filter,
-    );
-    let kernel_mape = validate::kernel_mape_vs_ground_truth(&predicted, &sim.ground_truth)?;
-
-    let schedule = build_schedule(
-        &workload,
-        &predicted,
-        cfg.sample_interval as u32,
-        bytes_per_particle(),
-    );
-    let timeline = predict_application(&schedule, machine, SyncMode::BulkSynchronous)?;
+    let prediction = predict_workload(&sim.trace, &workload, &models, &spec)?;
+    let kernel_mape =
+        validate::kernel_mape_vs_ground_truth(&prediction.kernel_seconds, &sim.ground_truth)?;
 
     Ok(CaseStudyOutput {
         sim,
         workload,
         models,
         kernel_mape,
-        predicted_kernel_seconds: predicted,
-        timeline,
+        predicted_kernel_seconds: prediction.kernel_seconds,
+        timeline: prediction.timeline,
     })
 }
 
@@ -634,6 +770,37 @@ mod tests {
         // past the element list the fluid workload reads as zero
         assert_eq!(got[0][19][0], 1e-2 + 2e-3 * 4.0);
         assert_eq!(got[0][21][0], 1e-2);
+    }
+
+    /// `from_models` skips the admission pass `from_json` runs, and the
+    /// clamp `raw.max(0.0)` lets +∞ through: the response gate inside
+    /// [`predict`] is what keeps it out of the simulator, on every front end.
+    #[test]
+    fn predict_refuses_a_model_set_with_an_infinite_intercept() {
+        let mut trace = ParticleTrace::new(pic_trace::TraceMeta::new(
+            4,
+            10,
+            pic_types::Aabb::unit(),
+            "gate",
+        ));
+        for k in 0..2 {
+            let at = |i: usize| pic_types::Vec3::new(0.2 * i as f64, 0.5, 0.3 + 0.1 * k as f64);
+            trace.push_positions((0..4).map(at).collect()).unwrap();
+        }
+        let intercept = |value: f64| {
+            let mut coefs = [0.0; 8];
+            coefs[7] = value;
+            KernelModels::from_models(
+                model_for(KernelKind::FluidSolver, 1, vec![0], &coefs, 0)
+                    .into_iter()
+                    .collect(),
+            )
+        };
+        let spec = PredictSpec::new(2);
+        let fine = predict(&trace, &intercept(1e-3), &spec, None).unwrap();
+        assert!(fine.timeline.total_seconds > 0.0);
+        let err = predict(&trace, &intercept(f64::INFINITY), &spec, None).unwrap_err();
+        assert!(err.to_string().contains("response gate"), "{err}");
     }
 
     #[test]

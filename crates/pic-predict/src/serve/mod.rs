@@ -23,16 +23,21 @@
 //!   byte-for-byte the file `picpredict sweep --out` writes for the same
 //!   grid — both serialize through [`crate::gridspec`], and the cached
 //!   sweep engine is bit-identical to the per-configuration reference.
+//! * **Adapters, not pipelines.** A handler parses its request in the
+//!   vocabulary the types own (`FromStr`, [`MachineSpec::preset`], the
+//!   defaults of [`crate::pipeline`]), resolves the resident trace and
+//!   models, and calls what the CLI calls: `/predict` is
+//!   [`crate::predict`] and answers with its `Display`.
 //! * **Gated responses.** Sweep grids pass
-//!   [`pic_analysis::assert_sweep_valid`] and predictions pass
-//!   [`pic_analysis::check_prediction`] before a byte leaves the server.
+//!   [`pic_analysis::assert_sweep_valid`] before a byte leaves the
+//!   server; a prediction's workload and kernel table are gated inside
+//!   [`crate::predict`].
 //! * **Opt-in reduced replay.** A sweep request carrying `"reduced":
 //!   true` replays SimPoint representatives instead of every sample
-//!   (stride 1 only); the reduction plan is cached per trace in its
-//!   [`registry::PlanCache`] under the same LRU weight, and every grid
-//!   point passes the [`pic_analysis::check_reduction`] holdout gate —
-//!   the broadcast reconstruction cannot satisfy the `comm-flow`
-//!   invariant, so the error-budget gate is the acceptance check.
+//!   (stride 1 only) through [`crate::simpoint::replay_reduced_gated`],
+//!   which holds every grid point to the holdout error budget; the
+//!   reduction plan is cached per trace in its [`registry::PlanCache`]
+//!   under the same LRU weight.
 //! * **Adversarial clients survive.** Framing is bounded and deadlined
 //!   (see [`http`]); the pic-trace fault corpus replayed over a socket
 //!   yields positioned 4xx responses, never a panic or a hung thread.
@@ -42,7 +47,11 @@ pub mod registry;
 
 use crate::gridspec::{grid_entries, grid_to_json, SweepGridSpec};
 use crate::kernel_models::KernelModels;
+use crate::pipeline::{
+    PredictSpec, DEFAULT_FILTER, DEFAULT_MACHINE, DEFAULT_MAPPING, DEFAULT_ORDER, DEFAULT_SYNC,
+};
 use http::{HttpError, Request};
+use pic_des::MachineSpec;
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::{AnyTraceReader, BoundedReader, DigestReader, ParticleTrace};
@@ -621,10 +630,10 @@ fn handle_ingest_models(
 // derive, which keeps client typos loud.
 
 fn default_mappings() -> Vec<String> {
-    vec!["bin-based".to_string()]
+    vec![default_mapping_one()]
 }
 fn default_filters() -> Vec<f64> {
-    vec![0.03]
+    vec![DEFAULT_FILTER]
 }
 fn default_strides() -> Vec<usize> {
     vec![1]
@@ -633,16 +642,16 @@ fn default_true() -> bool {
     true
 }
 fn default_order() -> usize {
-    3
+    DEFAULT_ORDER
 }
 fn default_machine() -> String {
-    "quartz".to_string()
+    DEFAULT_MACHINE.to_string()
 }
 fn default_sync() -> String {
-    "barrier".to_string()
+    DEFAULT_SYNC.to_string()
 }
 fn default_mapping_one() -> String {
-    "bin-based".to_string()
+    DEFAULT_MAPPING.to_string()
 }
 
 #[derive(Deserialize)]
@@ -711,31 +720,23 @@ fn parse_request<T: Deserialize>(body: &[u8]) -> std::result::Result<T, HttpErro
     serde_json::from_str(text).map_err(|e| HttpError::new(400, format!("bad request JSON: {e}")))
 }
 
-fn parse_mapping_name(s: &str) -> std::result::Result<MappingAlgorithm, HttpError> {
-    serde_json::from_str(&format!("\"{s}\""))
-        .map_err(|_| HttpError::new(422, format!("unknown mapping '{s}'")))
+/// A request field in the vocabulary its type parses (mapping, sync mode,
+/// mesh dims). A name the type does not know is the client's error, in
+/// the type's own words.
+fn field<T: std::str::FromStr<Err = PicError>>(s: &str) -> std::result::Result<T, HttpError> {
+    s.parse().map_err(|e| match e {
+        PicError::Config(message) => HttpError::new(422, message),
+        e => semantic(e),
+    })
 }
 
-fn parse_mesh_spec(
+fn request_mesh(
     spec: Option<&str>,
     order: usize,
     domain: pic_types::Aabb,
 ) -> std::result::Result<Option<ElementMesh>, HttpError> {
     let Some(spec) = spec else { return Ok(None) };
-    let dims: Vec<usize> = spec
-        .split('x')
-        .map(|p| {
-            p.parse()
-                .map_err(|_| HttpError::new(422, format!("bad mesh spec '{spec}' (want AxBxC)")))
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    if dims.len() != 3 {
-        return Err(HttpError::new(
-            422,
-            format!("mesh spec '{spec}' must have three axes"),
-        ));
-    }
-    ElementMesh::new(domain, MeshDims::new(dims[0], dims[1], dims[2]), order)
+    ElementMesh::new(domain, field::<MeshDims>(spec)?, order)
         .map(Some)
         .map_err(|e| HttpError::new(422, format!("bad mesh: {e}")))
 }
@@ -772,7 +773,7 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
     let mappings: Vec<MappingAlgorithm> = req
         .mappings
         .iter()
-        .map(|s| parse_mapping_name(s))
+        .map(|s| field(s))
         .collect::<std::result::Result<_, _>>()?;
     let spec = SweepGridSpec {
         mappings,
@@ -782,7 +783,7 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
         compute_ghosts: req.ghosts,
     };
     spec.validate().map_err(semantic)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
+    let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
     let points = spec.points();
     let workloads = if req.reduced {
         sweep_reduced_gated(
@@ -809,11 +810,9 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
 }
 
 /// The reduced-replay sweep path: fetch (or build and cache) the trace's
-/// reduction plan, replay representatives only, then gate **every** grid
-/// point on the holdout error budget. The broadcast reconstruction
-/// cannot satisfy the catalog's `comm-flow` invariant, so
-/// [`pic_analysis::check_reduction`] — exact replay of held-out samples
-/// compared on peak load — is the acceptance check here.
+/// reduction plan, then replay representatives only and hold every grid
+/// point to the holdout error budget
+/// ([`crate::simpoint::replay_reduced_gated`]).
 #[allow(clippy::too_many_arguments)]
 fn sweep_reduced_gated(
     state: &ServerState,
@@ -856,24 +855,18 @@ fn sweep_reduced_gated(
             plans.insert(key, built)
         }
     };
-    let (workloads, _) =
-        pic_workload::sweep_reduced_with_stats(trace, points, mesh, &plan).map_err(semantic)?;
     let mut budget = pic_analysis::ReductionBudget::default();
     if let Some(b) = reduced_budget {
         budget.max_peak_rel_error = b;
     }
-    for (point, w) in points.iter().zip(&workloads) {
-        pic_analysis::assert_reduction_valid(trace, &point.config, mesh, &plan, w, &budget)
-            .map_err(|e| {
-                HttpError::new(
-                    422,
-                    format!(
-                        "reduced replay failed the error-budget gate at ranks={} mapping={}: {e}",
-                        point.config.ranks, point.config.mapping
-                    ),
-                )
-            })?;
-    }
+    let (workloads, ..) = crate::simpoint::replay_reduced_gated(
+        trace, points, mesh, &plan, &budget,
+    )
+    .map_err(|e| match e {
+        // the gate's message, which names the grid point, as it is
+        PicError::ModelFit(message) => HttpError::new(422, message),
+        e => semantic(e),
+    })?;
     Ok(workloads)
 }
 
@@ -892,72 +885,37 @@ fn handle_predict(
             ),
         )
     })?;
-    let mapping = parse_mapping_name(&req.mapping)?;
-    let filter = single_filter(&req.filters)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
-    let machine = match req.machine.as_str() {
-        "quartz" | "quartz-like" => pic_des::MachineSpec::quartz_like(),
-        "vulcan" | "vulcan-like" => pic_des::MachineSpec::vulcan_like(),
-        "localhost" => pic_des::MachineSpec::localhost(8),
-        other => {
-            return Err(HttpError::new(
-                422,
-                format!("unknown machine '{other}' (the service accepts presets only)"),
-            ))
-        }
+    let spec = PredictSpec {
+        ranks: req.ranks,
+        mapping: field(&req.mapping)?,
+        filter: single_filter(&req.filters)?,
+        // built here as well as inside `predict`, so that a bad mesh reads
+        // the same on every endpoint
+        mesh: request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?.map(|m| m.dims()),
+        order: req.order,
+        machine: MachineSpec::preset(&req.machine).ok_or_else(|| {
+            let name = &req.machine;
+            let message = format!("unknown machine '{name}' (the service accepts presets only)");
+            HttpError::new(422, message)
+        })?,
+        sync: field(&req.sync)?,
     };
-    let sync = match req.sync.as_str() {
-        "neighbor" => pic_des::SyncMode::NeighborSync,
-        "barrier" => pic_des::SyncMode::BulkSynchronous,
-        other => return Err(HttpError::new(422, format!("unknown sync mode '{other}'"))),
-    };
-    // One-point cached sweep: bit-identical to the offline generator and
-    // shares the assignment artifacts with every other request.
-    let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
-    let (mut workloads, _) =
-        pic_workload::sweep_with_cache(&trace, std::slice::from_ref(&point), mesh.as_ref(), &cache)
-            .map_err(semantic)?;
-    let workload = workloads.pop().expect("one point in, one workload out");
-    pic_analysis::assert_workload_valid(&workload, Some(trace.particle_count() as u64))
-        .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
-    let elements: Vec<u32> = match &mesh {
-        Some(m) => {
-            let d = pic_grid::RcbDecomposition::decompose(m, req.ranks).map_err(semantic)?;
-            d.element_counts().iter().map(|&c| c as u32).collect()
-        }
-        None => vec![0; req.ranks],
-    };
-    let predicted = crate::predict_kernel_seconds(&workload, &models, &elements, req.order, filter);
-    // Response gate: no NaN / negative / ragged kernel time ships.
-    pic_analysis::assert_prediction_valid(&predicted)
-        .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
-    let schedule = crate::build_schedule(
-        &workload,
-        &predicted,
-        trace.meta().sample_interval,
-        crate::pipeline::bytes_per_particle(),
-    );
-    let timeline = crate::predict_application(&schedule, &machine, sync).map_err(semantic)?;
-    let body = format!(
-        "{{\"machine\":{},\"sync\":{},\"predicted_seconds\":{},\"mean_idle_fraction\":{},\
-         \"events_processed\":{},\"samples\":{},\"ranks\":{}}}",
-        http::json_escape(&machine.name),
-        http::json_escape(&req.sync),
-        timeline.total_seconds,
-        timeline.mean_idle_fraction(),
-        timeline.events_processed,
-        workload.samples(),
-        workload.ranks,
-    );
-    Ok((200, body))
+    // Through the trace's assignment cache: the same bits as offline, and
+    // the artifacts are shared with every other request.
+    let prediction = crate::predict(&trace, &models, &spec, Some(&cache)).map_err(|e| match e {
+        // only the two response gates report through this variant
+        PicError::ModelFit(_) => HttpError::new(500, format!("response failed validity gate: {e}")),
+        e => semantic(e),
+    })?;
+    Ok((200, prediction.to_string()))
 }
 
 fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
     let req: CheckRequest = parse_request(body)?;
     let (trace, cache) = resolve_trace(state, &req.trace)?;
-    let mapping = parse_mapping_name(&req.mapping)?;
+    let mapping = field(&req.mapping)?;
     let filter = single_filter(&req.filters)?;
-    let mesh = parse_mesh_spec(req.mesh.as_deref(), req.order, trace.meta().domain)?;
+    let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
     let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
     let (mut workloads, _) =
         pic_workload::sweep_with_cache(&trace, std::slice::from_ref(&point), mesh.as_ref(), &cache)

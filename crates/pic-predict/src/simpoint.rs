@@ -2,16 +2,19 @@
 //! vectors → seeded k-means → [`ReductionPlan`].
 //!
 //! This is the orchestration layer tying `pic_trace::features` (what a
-//! sample *looks like*), `pic_models::kmeans` (which samples look alike)
-//! and `pic_workload::reduce` (replay one per phase) together for the CLI
-//! and the resident service. The clustering is deterministic for a fixed
-//! seed regardless of thread count, so a committed plan is reproducible.
+//! sample *looks like*), `pic_models::kmeans` (which samples look alike),
+//! `pic_workload::reduce` (replay one per phase) and the `pic-analysis`
+//! holdout gate together for the CLI and the resident service. The
+//! clustering is deterministic for a fixed seed regardless of thread
+//! count, so a committed plan is reproducible.
 
+use pic_analysis::{ReductionBudget, ReductionReport};
+use pic_grid::ElementMesh;
 use pic_models::kmeans::{self, KMeansConfig};
 use pic_trace::features::{feature_vectors, FeatureConfig};
 use pic_trace::ParticleTrace;
 use pic_types::{PicError, Result};
-use pic_workload::ReductionPlan;
+use pic_workload::{DynamicWorkload, ReduceStats, ReductionPlan, SweepPoint};
 
 /// Knobs for [`build_plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +105,36 @@ pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<Reduc
     }
     let assignment: Vec<usize> = fitted.assignment.iter().map(|&c| slot_of[c]).collect();
     ReductionPlan::new(t, representatives, assignment)
+}
+
+/// Replay `plan`'s representatives for every grid point, then hold every
+/// point to the holdout `budget` (exact replay of held-out samples,
+/// compared on peak load). The broadcast reconstruction cannot satisfy the
+/// invariant catalog's `comm-flow`, so this gate is a reduced workload's
+/// acceptance check; a breach names its grid point. Returns the workloads,
+/// the replay accounting and one gate report per point.
+pub fn replay_reduced_gated(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    plan: &ReductionPlan,
+    budget: &ReductionBudget,
+) -> Result<(Vec<DynamicWorkload>, ReduceStats, Vec<ReductionReport>)> {
+    let (workloads, stats) = pic_workload::sweep_reduced_with_stats(trace, points, mesh, plan)?;
+    let reports = points
+        .iter()
+        .zip(&workloads)
+        .map(|(point, w)| {
+            pic_analysis::assert_reduction_valid(trace, &point.config, mesh, plan, w, budget)
+                .map_err(|e| {
+                    PicError::model(format!(
+                        "reduced replay failed the error-budget gate at ranks={} mapping={}: {e}",
+                        point.config.ranks, point.config.mapping
+                    ))
+                })
+        })
+        .collect::<Result<_>>()?;
+    Ok((workloads, stats, reports))
 }
 
 #[cfg(test)]

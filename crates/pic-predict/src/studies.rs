@@ -6,10 +6,9 @@ use crate::kernel_models::KernelModels;
 use crate::pipeline::predict_kernel_seconds;
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
-use pic_sim::instrument::WorkloadParams;
 use pic_sim::KernelKind;
 use pic_trace::ParticleTrace;
-use pic_types::{Rank, Result};
+use pic_types::Result;
 use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::metrics::{self, WorkloadSummary};
 use pic_workload::sweep::{self, SweepPoint};
@@ -203,52 +202,6 @@ pub fn filter_study(
     Ok(out)
 }
 
-/// Predicted peak-rank total kernel time per sample — the critical-path
-/// series a system-level simulation follows (used by figure regeneration).
-pub fn critical_path_series(
-    workload: &pic_workload::DynamicWorkload,
-    models: &KernelModels,
-    elements_per_rank: &[u32],
-    order: usize,
-    filter: f64,
-) -> Vec<f64> {
-    let predicted = predict_kernel_seconds(workload, models, elements_per_rank, order, filter);
-    predicted
-        .iter()
-        .map(|sample| {
-            sample
-                .iter()
-                .map(|row| row.iter().sum::<f64>())
-                .fold(0.0, f64::max)
-        })
-        .collect()
-}
-
-/// Convenience: the workload parameters of one rank at one sample, matching
-/// the conventions used during instrumentation (sent ghosts for
-/// `create_ghost_particles`, received for everything else).
-pub fn params_at(
-    workload: &pic_workload::DynamicWorkload,
-    kernel: KernelKind,
-    rank: Rank,
-    sample: usize,
-    elements_per_rank: &[u32],
-    order: usize,
-    filter: f64,
-) -> WorkloadParams {
-    let ngp = match kernel {
-        KernelKind::CreateGhostParticles => workload.ghost_sent.get(rank, sample) as f64,
-        _ => workload.ghost_recv.get(rank, sample) as f64,
-    };
-    WorkloadParams {
-        np: workload.real.get(rank, sample) as f64,
-        ngp,
-        nel: elements_per_rank.get(rank.index()).copied().unwrap_or(0) as f64,
-        n_order: order as f64,
-        filter,
-    }
-}
-
 /// One sampling-interval point of the trace-fidelity study (paper §II-D:
 /// "A low sampling frequency would reduce the file size, but would not
 /// accurately capture particle movement").
@@ -332,6 +285,7 @@ mod tests {
     use super::*;
     use crate::kernel_models::FitStrategy;
     use pic_grid::MeshDims;
+    use pic_sim::instrument::WorkloadParams;
     use pic_sim::{CostOracle, Recorder};
     use pic_trace::TraceMeta;
     use pic_types::rng::SplitMix64;
@@ -471,17 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_series_is_positive_and_sized() {
-        let tr = expanding_trace(400, 4, 7);
-        let models = trained_models(8);
-        let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
-        let series = critical_path_series(&w, &models, &[8; 8], 3, 0.05);
-        assert_eq!(series.len(), 4);
-        assert!(series.iter().all(|&s| s > 0.0));
-    }
-
-    #[test]
     fn sampling_study_quantifies_fidelity_loss() {
         let tr = expanding_trace(800, 12, 11);
         let pts =
@@ -539,18 +482,5 @@ mod tests {
                 i += 1;
             }
         }
-    }
-
-    #[test]
-    fn params_at_uses_sent_for_ghost_kernel() {
-        let tr = expanding_trace(300, 2, 9);
-        let cfg = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.1);
-        let w = generator::generate(&tr, &cfg).unwrap();
-        let r = Rank::new(0);
-        let pg = params_at(&w, KernelKind::CreateGhostParticles, r, 1, &[16; 4], 3, 0.1);
-        let pi = params_at(&w, KernelKind::Interpolation, r, 1, &[16; 4], 3, 0.1);
-        assert_eq!(pg.ngp, w.ghost_sent.get(r, 1) as f64);
-        assert_eq!(pi.ngp, w.ghost_recv.get(r, 1) as f64);
-        assert_eq!(pg.np, pi.np);
     }
 }

@@ -14,10 +14,7 @@ use crate::oracle::CostOracle;
 use crate::particles::{CellList, ParticleSet};
 use pic_grid::gll::GllRule;
 use pic_grid::{ElementMesh, RcbDecomposition};
-use pic_mapping::{
-    BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper, MappingAlgorithm, MappingOutcome,
-    ParticleMapper, RegionIndex,
-};
+use pic_mapping::{MappingAlgorithm, MappingOutcome, ParticleMapper, RegionIndex};
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{ElementId, Rank, Result, Vec3};
 use std::time::Instant;
@@ -55,15 +52,6 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Maximum real-particle count over ranks, per sample — the critical
-    /// path series of the paper's Fig 5.
-    pub fn peak_real_series(&self) -> Vec<u32> {
-        self.samples
-            .iter()
-            .map(|s| s.real_counts.iter().copied().max().unwrap_or(0))
-            .collect()
-    }
-
     /// Resource utilization: the fraction of ranks holding at least one
     /// real particle at some sample (paper §II-A / Fig 9).
     pub fn utilization(&self) -> f64 {
@@ -482,12 +470,7 @@ pub fn build_mapper(
     ranks: usize,
     filter: f64,
 ) -> Result<Box<dyn ParticleMapper>> {
-    Ok(match algorithm {
-        MappingAlgorithm::ElementBased => Box::new(ElementMapper::new(mesh, ranks)?),
-        MappingAlgorithm::BinBased => Box::new(BinMapper::new(ranks, filter)?),
-        MappingAlgorithm::HilbertOrdered => Box::new(HilbertMapper::new(mesh, ranks)?),
-        MappingAlgorithm::LoadBalanced => Box::new(LoadBalancedMapper::new(mesh, ranks)?),
-    })
+    algorithm.mapper(Some(mesh), ranks, filter)
 }
 
 /// Group particle indices by owning rank.
@@ -628,8 +611,14 @@ mod tests {
         let u_bin = out_bin.ground_truth.utilization();
         assert!(u_bin > u_el, "bin {u_bin} must beat element {u_el}");
         // peak workload: element mapping worse (higher peak)
-        let p_el = *out_el.ground_truth.peak_real_series().first().unwrap();
-        let p_bin = *out_bin.ground_truth.peak_real_series().first().unwrap();
+        let first_peak = |out: &SimOutput| {
+            *out.ground_truth.samples[0]
+                .real_counts
+                .iter()
+                .max()
+                .unwrap()
+        };
+        let (p_el, p_bin) = (first_peak(&out_el), first_peak(&out_bin));
         assert!(p_el > p_bin, "element peak {p_el} vs bin peak {p_bin}");
     }
 

@@ -38,14 +38,6 @@ impl Default for CostOracle {
 }
 
 impl CostOracle {
-    /// An oracle with a specific seed and the default noise level.
-    pub fn with_seed(seed: u64) -> CostOracle {
-        CostOracle {
-            seed,
-            ..CostOracle::default()
-        }
-    }
-
     /// A noise-free oracle (exact analytic costs).
     pub fn noiseless() -> CostOracle {
         CostOracle {
@@ -168,7 +160,10 @@ mod tests {
 
     #[test]
     fn noise_is_deterministic_and_bounded() {
-        let o = CostOracle::with_seed(7);
+        let o = CostOracle {
+            seed: 7,
+            ..CostOracle::default()
+        };
         let params = p(500.0, 50.0, 0.1);
         let a = o.observed_cost(KernelKind::Interpolation, &params, 42);
         let b = o.observed_cost(KernelKind::Interpolation, &params, 42);
@@ -183,7 +178,10 @@ mod tests {
 
     #[test]
     fn observed_noise_level_matches_sigma() {
-        let o = CostOracle::with_seed(11);
+        let o = CostOracle {
+            seed: 11,
+            ..CostOracle::default()
+        };
         let params = p(1000.0, 100.0, 0.1);
         let truth = o.true_cost(KernelKind::EquationSolver, &params);
         let n = 5000;

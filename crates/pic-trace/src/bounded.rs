@@ -86,11 +86,6 @@ impl<R: Read> DigestReader<R> {
     pub fn bytes_read(&self) -> u64 {
         self.digest.len()
     }
-
-    /// Consume the adapter, returning the finished digest.
-    pub fn into_digest(self) -> Fnv128 {
-        self.digest
-    }
 }
 
 impl<R: Read> Read for DigestReader<R> {
@@ -177,6 +172,6 @@ mod tests {
             frames += 1;
         }
         assert_eq!(frames, 4);
-        assert_eq!(digesting.into_digest().digest(), fnv1a_128(&bytes));
+        assert_eq!(digesting.digest().digest(), fnv1a_128(&bytes));
     }
 }

@@ -52,7 +52,7 @@ const FRAME_HEAD_LEN: usize = 12;
 
 /// Bytes per quantized coordinate for a precision tag: the compact codec
 /// maps `F64` to a 32-bit grid and `F32` to a 16-bit grid.
-pub fn quant_bytes(precision: Precision) -> usize {
+fn quant_bytes(precision: Precision) -> usize {
     match precision {
         Precision::F64 => 4,
         Precision::F32 => 2,

@@ -9,7 +9,7 @@
 
 use crate::codec::Precision;
 use crate::trace::ParticleTrace;
-use pic_types::{Aabb, Vec3};
+use pic_types::Aabb;
 
 /// Tight bounding box of every particle at each sample.
 ///
@@ -63,17 +63,6 @@ pub fn max_step_displacement(trace: &ParticleTrace) -> f64 {
     max
 }
 
-/// Centroid of the particle cloud at each sample.
-pub fn centroid_series(trace: &ParticleTrace) -> Vec<Vec3> {
-    trace
-        .samples()
-        .map(|s| {
-            let n = s.positions.len().max(1) as f64;
-            s.positions.iter().fold(Vec3::ZERO, |acc, &p| acc + p) / n
-        })
-        .collect()
-}
-
 /// Estimated on-disk size in bytes of a trace with `particles` particles and
 /// `samples` samples at the given precision (header excluded — it is tens of
 /// bytes).
@@ -82,71 +71,11 @@ pub fn estimated_file_size(particles: usize, samples: usize, precision: Precisio
     frame * samples as u64
 }
 
-/// Body-size range of `samples` frames of `particles` particles under the
-/// compact (delta + quantized) codec, next to the raw sizing of
-/// [`estimated_file_size`]: collection budgeting can weigh both formats
-/// before a run. The true size depends on how far particles drift per
-/// sample, so this brackets it — see [`compacted_size`] for the exact
-/// size of a trace already in hand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactSizeEstimate {
-    /// Every frame after the first at the narrowest delta width (slowly
-    /// drifting particles).
-    pub min_bytes: u64,
-    /// Every frame absolute (jumps overflowing the widest delta).
-    pub max_bytes: u64,
-}
-
-/// Estimate the compact-codec body size for a planned collection run.
-pub fn estimated_compact_file_size(
-    particles: usize,
-    samples: usize,
-    precision: Precision,
-) -> CompactSizeEstimate {
-    let qbytes = crate::compact::quant_bytes(precision) as u64;
-    let head = 12u64; // iteration + width + padding per frame
-    let elems = particles as u64 * 3;
-    let absolute = head + elems * qbytes;
-    let delta1 = head + elems;
-    if samples == 0 {
-        return CompactSizeEstimate {
-            min_bytes: 0,
-            max_bytes: 0,
-        };
-    }
-    CompactSizeEstimate {
-        min_bytes: absolute + (samples as u64 - 1) * delta1,
-        max_bytes: samples as u64 * absolute,
-    }
-}
-
-/// Exact compact-codec size of a trace in hand (header included), without
-/// materializing the encoded bytes.
-pub fn compacted_size(trace: &ParticleTrace, precision: Precision) -> u64 {
-    crate::compact::encoded_size(trace, precision)
-}
-
-/// Given a total iteration count and a byte budget, the coarsest sampling
-/// interval (iterations between samples) that fits the budget. Returns
-/// `None` when even a single sample exceeds the budget.
-pub fn sampling_interval_for_budget(
-    particles: usize,
-    total_iterations: u64,
-    budget_bytes: u64,
-    precision: Precision,
-) -> Option<u64> {
-    let frame = 8 + particles as u64 * 3 * precision.scalar_bytes() as u64;
-    if frame > budget_bytes {
-        return None;
-    }
-    let max_samples = (budget_bytes / frame).max(1);
-    Some((total_iterations / max_samples).max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceMeta;
+    use pic_types::Vec3;
 
     fn expanding_trace() -> ParticleTrace {
         // Two particles that move apart each sample.
@@ -187,14 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn centroid_stays_at_origin_for_symmetric_cloud() {
-        let tr = expanding_trace();
-        for c in centroid_series(&tr) {
-            assert!(c.norm() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_trace_series_are_empty() {
         let tr = ParticleTrace::new(TraceMeta::new(2, 10, Aabb::unit(), "e"));
         assert!(boundary_series(&tr).is_empty());
@@ -214,51 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_sampling_interval() {
-        // 1000 particles, f32: frame = 8 + 12000 = 12008 bytes.
-        let frame = 8 + 1000 * 12;
-        // Budget for 10 frames over 1000 iterations → interval 100.
-        let i = sampling_interval_for_budget(1000, 1000, frame * 10, Precision::F32);
-        assert_eq!(i, Some(100));
-        // Budget too small for one frame.
-        assert_eq!(
-            sampling_interval_for_budget(1000, 1000, 10, Precision::F32),
-            None
-        );
-        // Huge budget → interval clamps at 1.
-        assert_eq!(
-            sampling_interval_for_budget(10, 100, u64::MAX / 2, Precision::F64),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn compact_estimate_brackets_the_exact_size() {
-        let tr = expanding_trace();
-        for precision in [Precision::F64, Precision::F32] {
-            let exact = compacted_size(&tr, precision);
-            let encoded = crate::compact::encode_compact(&tr, precision).unwrap();
-            assert_eq!(exact, encoded.len() as u64);
-            // The estimate covers frame bodies; strip the header (the
-            // encoded size of the same trace with zero samples).
-            let header =
-                crate::compact::encode_compact(&ParticleTrace::new(tr.meta().clone()), precision)
-                    .unwrap()
-                    .len() as u64;
-            let body = exact - header;
-            let est = estimated_compact_file_size(2, 4, precision);
-            assert!(
-                est.min_bytes <= body && body <= est.max_bytes,
-                "body {body} outside [{}, {}]",
-                est.min_bytes,
-                est.max_bytes
-            );
-        }
-        let zero = estimated_compact_file_size(10, 0, Precision::F64);
-        assert_eq!((zero.min_bytes, zero.max_bytes), (0, 0));
-    }
-
-    #[test]
     fn compaction_beats_raw_sizing_for_smooth_traces() {
         // A slow drift: ~43 grid units per sample on the 32-bit grid, so
         // deltas fit one byte and the compact body is ~8x smaller than raw
@@ -274,7 +150,7 @@ mod tests {
             .unwrap();
         }
         let raw = estimated_file_size(100, 20, Precision::F64);
-        let compact = compacted_size(&tr, Precision::F64);
+        let compact = crate::compact::encoded_size(&tr, Precision::F64);
         assert!(
             compact * 4 < raw,
             "compact {compact} should be far below raw {raw}"

@@ -169,11 +169,6 @@ impl ParticleTrace {
     pub fn truncate(&mut self, t: usize) {
         self.samples.truncate(t);
     }
-
-    /// Consume the trace, returning its samples.
-    pub fn into_samples(self) -> Vec<TraceSample> {
-        self.samples
-    }
 }
 
 #[cfg(test)]

@@ -216,12 +216,6 @@ impl Aabb {
         hi.min = hi.min.with(axis, at);
         (lo, hi)
     }
-
-    /// Split at the midpoint of the longest axis.
-    pub fn split_mid(&self) -> (Aabb, Aabb) {
-        let axis = self.longest_axis();
-        self.split_at(axis, 0.5 * (self.min.get(axis) + self.max.get(axis)))
-    }
 }
 
 impl std::fmt::Display for Aabb {
@@ -274,7 +268,7 @@ mod tests {
     #[test]
     fn split_preserves_volume() {
         let b = Aabb::new(Vec3::ZERO, Vec3::new(2.0, 3.0, 4.0));
-        let (lo, hi) = b.split_mid();
+        let (lo, hi) = b.split_at(Axis::Z, 2.0);
         assert!((lo.volume() + hi.volume() - b.volume()).abs() < 1e-12);
         assert_eq!(lo.union(&hi), b);
     }

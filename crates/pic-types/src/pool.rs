@@ -13,26 +13,8 @@
 
 use std::sync::OnceLock;
 
-/// Effective thread budget of the calling context.
-///
-/// Inside a pool scope — a `--threads N` CLI override, a bench override
-/// pool, or a worker of a parallel iterator — this is the *ambient*
-/// budget ([`rayon::current_num_threads`]), the count [`install`] will
-/// actually run under. Only a top-level call reports (and lazily builds)
-/// the shared pool's size. Reading the shared pool unconditionally here
-/// would both misreport overridden runs in `BENCH_*.json` metadata and
-/// force-construct the shared pool from inside the override.
-pub fn configured_threads() -> usize {
-    if rayon::in_pool_context() {
-        rayon::current_num_threads()
-    } else {
-        shared().current_num_threads()
-    }
-}
-
-/// The lazily-built shared pool. Prefer [`install`]; this accessor exists
-/// for diagnostics (reporting the effective thread count in bench output).
-pub fn shared() -> &'static rayon::ThreadPool {
+/// The lazily-built shared pool.
+fn shared() -> &'static rayon::ThreadPool {
     static POOL: OnceLock<rayon::ThreadPool> = OnceLock::new();
     POOL.get_or_init(|| {
         rayon::ThreadPoolBuilder::new()
@@ -85,26 +67,10 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_reports_override_budget() {
-        // Regression: under a 1-thread override pool, configured_threads
-        // used to read the shared pool (machine width) — the wrong count
-        // for bench metadata — and force-built the shared pool to do it.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            assert!(rayon::in_pool_context());
-            assert_eq!(configured_threads(), 1);
-            install(|| assert_eq!(configured_threads(), 1));
-        });
-    }
-
-    #[test]
     fn top_level_install_enters_shared_pool() {
         install(|| {
             assert!(rayon::in_pool_context());
-            assert_eq!(rayon::current_num_threads(), configured_threads());
+            assert_eq!(rayon::current_num_threads(), shared().current_num_threads());
         });
     }
 }

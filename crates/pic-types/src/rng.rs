@@ -74,16 +74,6 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
     s.next_u64()
 }
 
-/// Stateless position hash → uniform `f64` in `[0,1)`.
-///
-/// Gives each `(seed, id)` pair a reproducible value independent of call
-/// order, which parallel (rayon) loops rely on.
-#[inline]
-pub fn hash_unit_f64(seed: u64, id: u64) -> f64 {
-    let mut s = SplitMix64::new(seed ^ id.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    s.next_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,13 +139,5 @@ mod tests {
         let s1 = derive_seed(99, 1);
         assert_ne!(s0, s1);
         assert_eq!(s0, derive_seed(99, 0));
-    }
-
-    #[test]
-    fn hash_is_order_independent() {
-        let direct = hash_unit_f64(11, 123);
-        // interleave other calls; result must not change
-        let _ = hash_unit_f64(11, 7);
-        assert_eq!(hash_unit_f64(11, 123), direct);
     }
 }

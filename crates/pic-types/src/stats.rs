@@ -13,20 +13,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Population variance; `0.0` for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Maximum of a slice; `NEG_INFINITY` for an empty slice.
 pub fn max(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
@@ -137,19 +123,6 @@ pub fn imbalance_factor(per_rank: &[f64]) -> f64 {
     }
 }
 
-/// Evenly spaced values from `lo` to `hi` inclusive (`n >= 2`), or `[lo]`
-/// for `n == 1`, or empty for `n == 0`.
-pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    match n {
-        0 => vec![],
-        1 => vec![lo],
-        _ => {
-            let step = (hi - lo) / (n - 1) as f64;
-            (0..n).map(|i| lo + step * i as f64).collect()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,9 +131,6 @@ mod tests {
     fn mean_variance_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert_eq!(variance(&[1.0, 3.0]), 1.0);
-        assert_eq!(std_dev(&[1.0, 3.0]), 1.0);
     }
 
     #[test]
@@ -213,13 +183,5 @@ mod tests {
         assert_eq!(imbalance_factor(&[2.0, 2.0, 2.0]), 1.0);
         assert_eq!(imbalance_factor(&[0.0, 0.0]), 0.0);
         assert_eq!(imbalance_factor(&[0.0, 4.0]), 2.0);
-    }
-
-    #[test]
-    fn linspace_endpoints() {
-        assert_eq!(linspace(0.0, 1.0, 0), Vec::<f64>::new());
-        assert_eq!(linspace(2.0, 9.0, 1), vec![2.0]);
-        let v = linspace(0.0, 1.0, 5);
-        assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
     }
 }

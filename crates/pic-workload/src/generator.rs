@@ -13,11 +13,9 @@ use crate::matrices::{CommMatrix, CompMatrix};
 pub use crate::reference::generate_reference;
 use crate::sweep::{sweep_streaming, sweep_with_stats, IngestStats, SweepPoint};
 use pic_grid::ElementMesh;
-use pic_mapping::{
-    BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper, MappingAlgorithm, ParticleMapper,
-};
+use pic_mapping::{BinMapper, MappingAlgorithm};
 use pic_trace::ParticleTrace;
-use pic_types::{PicError, Result};
+use pic_types::Result;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -141,37 +139,6 @@ pub fn generate_streaming_with_stats<S: pic_trace::SampleSource + Send>(
         workloads.pop().expect("one point in, one workload out"),
         ingest,
     ))
-}
-
-/// Construct the mapper the configuration selects (mesh-requiring
-/// algorithms fail without one).
-pub(crate) fn build_mapper(
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-) -> Result<Box<dyn ParticleMapper>> {
-    if cfg.ranks == 0 {
-        return Err(PicError::config(
-            "workload generation needs at least one rank",
-        ));
-    }
-    Ok(match cfg.mapping {
-        MappingAlgorithm::BinBased => Box::new(BinMapper::new(cfg.ranks, cfg.projection_filter)?),
-        MappingAlgorithm::ElementBased => {
-            let mesh =
-                mesh.ok_or_else(|| PicError::config("element-based mapping requires a mesh"))?;
-            Box::new(ElementMapper::new(mesh, cfg.ranks)?)
-        }
-        MappingAlgorithm::HilbertOrdered => {
-            let mesh =
-                mesh.ok_or_else(|| PicError::config("hilbert-ordered mapping requires a mesh"))?;
-            Box::new(HilbertMapper::new(mesh, cfg.ranks)?)
-        }
-        MappingAlgorithm::LoadBalanced => {
-            let mesh =
-                mesh.ok_or_else(|| PicError::config("load-balanced mapping requires a mesh"))?;
-            Box::new(LoadBalancedMapper::new(mesh, cfg.ranks)?)
-        }
-    })
 }
 
 /// Particles per parallel work item in the ghost kernel. Large enough to

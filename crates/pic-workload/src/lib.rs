@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod comm_stats;
 pub mod generator;
 pub mod heatmap;
 pub mod matrices;

@@ -64,11 +64,6 @@ impl CompMatrix {
         &self.data[sample * self.ranks..(sample + 1) * self.ranks]
     }
 
-    /// One rank's count series across samples.
-    pub fn rank_series(&self, rank: Rank) -> Vec<u32> {
-        (0..self.samples()).map(|t| self.get(rank, t)).collect()
-    }
-
     /// Maximum count over ranks, per sample — the Fig 5 series.
     pub fn peak_series(&self) -> Vec<u32> {
         (0..self.samples())
@@ -137,12 +132,6 @@ impl CommMatrix {
     pub fn total(&self) -> u64 {
         (0..self.entries.len()).map(|t| self.sample_total(t)).sum()
     }
-
-    /// Total bytes moved at one sample given `bytes_per_particle` (each
-    /// particle carries a fixed payload — position, velocity, properties).
-    pub fn sample_bytes(&self, sample: usize, bytes_per_particle: u64) -> u64 {
-        self.sample_total(sample) * bytes_per_particle
-    }
 }
 
 /// Sparse sorted migration triples between two ownership snapshots —
@@ -184,7 +173,6 @@ mod tests {
         assert_eq!(m.get(Rank::new(1), 0), 2);
         assert_eq!(m.get(Rank::new(0), 1), 4);
         assert_eq!(m.sample_row(1), &[4, 0, 2]);
-        assert_eq!(m.rank_series(Rank::new(2)), vec![3, 2]);
         assert_eq!(m.peak_series(), vec![3, 4]);
         assert_eq!(m.peak(), 4);
         assert_eq!(m.sample_total(0), 6);
@@ -211,7 +199,6 @@ mod tests {
         assert_eq!(c.sample_total(1), 8);
         assert_eq!(c.sample_total(0), 0);
         assert_eq!(c.total(), 8);
-        assert_eq!(c.sample_bytes(1, 64), 512);
     }
 
     #[test]

@@ -158,13 +158,6 @@ impl ReductionPlan {
                 * std::mem::size_of::<usize>()
     }
 
-    /// Samples the reduced replay runs the full kernel on (the
-    /// representatives) plus the assignment-only predecessor passes it
-    /// needs for communication — the replay cost in sample units.
-    pub fn replay_cost_samples(&self) -> usize {
-        self.representatives.len() + self.owner_only_predecessors().len()
-    }
-
     /// Predecessor samples (`s_r − 1`) that are not representatives
     /// themselves: these need an assignment-only pass for the migration
     /// diff. Sorted ascending.

@@ -7,7 +7,7 @@
 //! [`multi_ghost_chunked`] are what `tests/soa_kernels.rs` compares the
 //! SoA lane kernels with.
 
-use crate::generator::{self, build_mapper, DynamicWorkload, WorkloadConfig, GHOST_CHUNK};
+use crate::generator::{self, DynamicWorkload, WorkloadConfig, GHOST_CHUNK};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
 use pic_grid::ElementMesh;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
@@ -235,7 +235,7 @@ pub fn generate_reference(
     cfg: &WorkloadConfig,
     mesh: Option<&ElementMesh>,
 ) -> Result<DynamicWorkload> {
-    let mapper = build_mapper(cfg, mesh)?;
+    let mapper = cfg.mapping.mapper(mesh, cfg.ranks, cfg.projection_filter)?;
     let mut real = CompMatrix::new(cfg.ranks);
     let mut ghost_recv = CompMatrix::new(cfg.ranks);
     let mut ghost_sent = CompMatrix::new(cfg.ranks);

@@ -28,7 +28,7 @@
 //! [`crate::reference::generate_reference`] oracle; `tests/props.rs`
 //! checks every adapter against it on random grids.
 
-use crate::generator::{self, DynamicWorkload, WorkloadConfig};
+use crate::generator::{DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
 use crate::soa::{ghost_counts_soa, multi_ghost_soa, SoAPositions};
 use pic_grid::ElementMesh;
@@ -153,7 +153,11 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
                 // Mapper construction (mesh validation, decomposition)
                 // happens here, once per group — not once per grid point.
                 groups.push(GroupPlan {
-                    mapper: generator::build_mapper(&p.config, mesh)?,
+                    mapper: p.config.mapping.mapper(
+                        mesh,
+                        p.config.ranks,
+                        p.config.projection_filter,
+                    )?,
                     ranks: p.config.ranks,
                     key,
                     slots: Vec::new(),
@@ -560,7 +564,7 @@ fn sweep_resident(
 
 /// Replay `trace` once and produce one [`DynamicWorkload`] per sweep
 /// point, in point order, each bit-identical to what
-/// [`generator::generate_with_mesh`] (over `trace.subsample(stride)`)
+/// [`crate::generator::generate_with_mesh`] (over `trace.subsample(stride)`)
 /// would return for that point — plus the sharing accounting.
 ///
 /// Errors mirror the per-configuration path: a point whose configuration
@@ -1024,6 +1028,7 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator;
     use pic_grid::MeshDims;
     use pic_trace::TraceMeta;
     use pic_types::rng::SplitMix64;

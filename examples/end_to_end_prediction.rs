@@ -12,7 +12,7 @@
 //! ```
 
 use pic_des::{MachineSpec, SyncMode};
-use pic_predict::{build_schedule, predict_application, run_case_study, FitStrategy};
+use pic_predict::{predict, run_case_study, FitStrategy, PredictSpec};
 use pic_sim::{ScenarioKind, SimConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,21 +46,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         out.peak_kernel_mape()
     );
 
-    let schedule = build_schedule(
-        &out.workload,
-        &out.predicted_kernel_seconds,
-        cfg.sample_interval as u32,
-        pic_predict::pipeline::bytes_per_particle(),
+    // The same trace and models, re-predicted for other machines and
+    // synchronization semantics: one call each, no application run.
+    let spec = |machine: MachineSpec, sync: SyncMode| PredictSpec {
+        mapping: cfg.mapping,
+        filter: cfg.projection_filter,
+        mesh: Some(cfg.mesh_dims),
+        order: cfg.order,
+        machine,
+        sync,
+        ..PredictSpec::new(cfg.ranks)
+    };
+    println!(
+        "system-level predictions ({} super-steps):",
+        out.workload.samples()
     );
-
-    println!("system-level predictions ({} super-steps):", schedule.len());
     for machine in [MachineSpec::quartz_like(), MachineSpec::vulcan_like()] {
         for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
-            let t = predict_application(&schedule, &machine, mode)?;
+            let t = predict(
+                &out.sim.trace,
+                &out.models,
+                &spec(machine.clone(), mode),
+                None,
+            )?
+            .timeline;
             println!(
-                "  {:<12} {:<17} total {:>9.4} s   idle {:>5.1}%   events {}",
+                "  {:<12} {:<9} total {:>9.4} s   idle {:>5.1}%   events {}",
                 machine.name,
-                format!("{mode:?}"),
+                mode.to_string(),
                 t.total_seconds,
                 100.0 * t.mean_idle_fraction(),
                 t.events_processed
@@ -68,8 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    println!("\nper-rank finish times on quartz-like (bulk-synchronous):");
-    let t = predict_application(&schedule, &quartz, SyncMode::BulkSynchronous)?;
+    println!("\nper-rank finish times on quartz-like (barrier):");
+    let t = &out.timeline;
     let min = t.rank_finish.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = t.rank_finish.iter().cloned().fold(0.0f64, f64::max);
     println!("  min {min:.4} s, max {max:.4} s (bulk-synchronous ⇒ identical finish)");

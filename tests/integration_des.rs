@@ -4,9 +4,8 @@
 
 use pic_des::{simulate, MachineSpec, SyncMode};
 use pic_mapping::MappingAlgorithm;
-use pic_predict::{build_schedule, predict_kernel_seconds, run_case_study, FitStrategy};
+use pic_predict::{build_schedule, predict, run_case_study, FitStrategy, PredictSpec};
 use pic_sim::{ScenarioKind, SimConfig};
-use pic_workload::generator::{self, WorkloadConfig};
 
 fn cfg() -> SimConfig {
     SimConfig {
@@ -48,8 +47,9 @@ fn schedule_from_real_pipeline_simulates_on_both_modes() {
 fn predicted_particle_solver_time_saturates_at_the_bin_cap() {
     // The paper's §IV-B conclusion: "scaling the processor count beyond
     // [the bin cap] has no impact on particle-solver performance". Isolate
-    // the particle solver by predicting with zero elements per rank (the
-    // fluid solve is the regular workload and scales trivially), then
+    // the particle solver by predicting without a mesh, so with zero
+    // elements per rank (the fluid solve is the regular workload and
+    // scales trivially), then
     // check predicted time improves up to the cap and is *identical* past
     // it — surplus ranks hold no bins, so the schedule does not change.
     let base = SimConfig {
@@ -75,20 +75,15 @@ fn predicted_particle_solver_time_saturates_at_the_bin_cap() {
     let mut machine = MachineSpec::quartz_like();
     machine.collective_latency = 0.0;
     let time_at = |ranks: usize| -> f64 {
-        let wcfg = WorkloadConfig::new(ranks, base.mapping, base.projection_filter);
-        let w = generator::generate(&out.sim.trace, &wcfg).unwrap();
-        let elements = vec![0u32; ranks]; // particle solver only
-        let pred = predict_kernel_seconds(
-            &w,
-            &out.models,
-            &elements,
-            base.order,
-            base.projection_filter,
-        );
-        let schedule = build_schedule(&w, &pred, base.sample_interval as u32, 80);
-        simulate(&schedule, &machine, SyncMode::BulkSynchronous)
-            .unwrap()
-            .total_seconds
+        let spec = PredictSpec {
+            mapping: base.mapping,
+            filter: base.projection_filter,
+            order: base.order,
+            machine: machine.clone(),
+            ..PredictSpec::new(ranks)
+        };
+        let prediction = predict(&out.sim.trace, &out.models, &spec, None).unwrap();
+        prediction.timeline.total_seconds
     };
 
     let below = time_at((cap / 2).max(1));

@@ -3,7 +3,7 @@
 
 use pic_des::MachineSpec;
 use pic_mapping::MappingAlgorithm;
-use pic_predict::{run_case_study, FitStrategy, KernelModels};
+use pic_predict::{run_case_study, FitStrategy, KernelModels, PredictSpec};
 use pic_sim::{KernelKind, MiniPic, ScenarioKind, SimConfig};
 
 fn base_cfg() -> SimConfig {
@@ -62,24 +62,17 @@ fn models_fitted_on_one_run_transfer_to_another_seed() {
 
     let mut cfg_b = base_cfg();
     cfg_b.seed = 222;
-    let app_b = MiniPic::new(cfg_b.clone()).unwrap();
-    let elements: Vec<u32> = app_b
-        .decomposition()
-        .element_counts()
-        .iter()
-        .map(|&c| c as u32)
-        .collect();
-    let sim_b = app_b.run().unwrap();
-    let wcfg =
-        pic_workload::WorkloadConfig::new(cfg_b.ranks, cfg_b.mapping, cfg_b.projection_filter);
-    let w_b = pic_workload::generator::generate(&sim_b.trace, &wcfg).unwrap();
-    let predicted = pic_predict::predict_kernel_seconds(
-        &w_b,
-        &out_a.models,
-        &elements,
-        cfg_b.order,
-        cfg_b.projection_filter,
-    );
+    let sim_b = MiniPic::new(cfg_b.clone()).unwrap().run().unwrap();
+    let spec = PredictSpec {
+        mapping: cfg_b.mapping,
+        filter: cfg_b.projection_filter,
+        mesh: Some(cfg_b.mesh_dims),
+        order: cfg_b.order,
+        ..PredictSpec::new(cfg_b.ranks)
+    };
+    let predicted = pic_predict::predict(&sim_b.trace, &out_a.models, &spec, None)
+        .unwrap()
+        .kernel_seconds;
     let mapes = pic_predict::kernel_mape_vs_ground_truth(&predicted, &sim_b.ground_truth).unwrap();
     for (k, m) in mapes {
         assert!(m < 25.0, "{k}: transfer MAPE {m}");

@@ -1,15 +1,19 @@
 //! Integration tests for the resident prediction service: bit-identity
-//! against the offline CLI serialization path, content-address stability
-//! across LRU eviction and re-ingest, a fault corpus replayed over real
-//! sockets, and the slow-loris deadline.
+//! of library, CLI binary and service answers (and of all three with the
+//! bytes the service answered before `pic_predict::predict` existed),
+//! content-address stability across LRU eviction and re-ingest, a fault
+//! corpus replayed over real sockets, and the slow-loris deadline.
 //!
 //! In debug builds every serve-layer lock is a tracked primitive, so each
 //! test doubles as a lock-order-witness run over real concurrent traffic:
 //! the suite asserts at the end of every test that no ordering violation,
 //! lock cycle, or unchecked condvar wait was recorded.
 
+use pic_des::{MachineSpec, SyncMode};
 use pic_mapping::MappingAlgorithm;
-use pic_predict::{grid_entries, grid_to_json, ServeConfig, Server, SweepGridSpec};
+use pic_predict::{
+    grid_entries, grid_to_json, KernelModels, PredictSpec, ServeConfig, Server, SweepGridSpec,
+};
 use pic_sim::{MiniPic, SimConfig};
 use pic_trace::{codec, ParticleTrace, Precision};
 use std::io::{Read, Write};
@@ -84,6 +88,31 @@ fn json_str_field(body: &str, key: &str) -> String {
     body[start..end].to_string()
 }
 
+/// Run the `picpredict` binary of this build; returns its stdout.
+fn picpredict(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_picpredict"))
+        .args(args)
+        .output()
+        .expect("run picpredict");
+    assert!(
+        out.status.success(),
+        "picpredict {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("picpredict stdout is UTF-8")
+}
+
+// What the service answered to this file's first test before the handlers
+// became adapters over `pic_predict::predict` (captured at commit d09b5f9,
+// equal in debug and release builds). `/sweep` is 27 581 bytes of grid, so
+// it is pinned by length and FNV-1a-128; the same test compares it byte for
+// byte with the library's serialization.
+const PREDICT_GOLDEN: &str = "{\"machine\":\"quartz-like\",\"sync\":\"barrier\",\
+    \"predicted_seconds\":0.019179878464265103,\"mean_idle_fraction\":0.009862041993163928,\
+    \"events_processed\":20,\"samples\":3,\"ranks\":4}";
+const CHECK_GOLDEN: &str = "{\"ok\":true,\"ranks\":4,\"samples\":3,\"violations\":[]}";
+const SWEEP_GOLDEN: (usize, &str) = (27581, "e2069efab99f5169242dcffbd6237ab6");
+
 #[test]
 fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     let trace = make_trace(42);
@@ -121,6 +150,9 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     let (status, served) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
     assert_eq!(status, 200, "{served}");
     assert_eq!(served, offline, "served sweep differs from offline bytes");
+    let mut digest = pic_types::hash::Fnv128::new();
+    digest.update(served.as_bytes());
+    assert_eq!((served.len(), digest.hex().as_str()), SWEEP_GOLDEN);
 
     // Concurrent identical requests: every response bit-identical.
     std::thread::scope(|scope| {
@@ -178,28 +210,11 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     let (status, again) = request(addr, "POST", "/predict", predict_body.as_bytes());
     assert_eq!(status, 200, "{again}");
     assert_eq!(again, served);
+    assert_eq!(served, PREDICT_GOLDEN);
 
-    let wcfg = pic_workload::WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.03);
-    let w = pic_workload::generator::generate(&trace, &wcfg).unwrap();
-    let models = pic_predict::KernelModels::from_json(&models_json).unwrap();
-    let predicted = pic_predict::predict_kernel_seconds(&w, &models, &[0; 4], 3, 0.03);
-    let schedule = pic_predict::build_schedule(
-        &w,
-        &predicted,
-        trace.meta().sample_interval,
-        pic_predict::pipeline::bytes_per_particle(),
-    );
-    let timeline = pic_predict::predict_application(
-        &schedule,
-        &pic_des::MachineSpec::quartz_like(),
-        pic_des::SyncMode::BulkSynchronous,
-    )
-    .unwrap();
-    assert!(
-        served.contains(&format!("\"predicted_seconds\":{}", timeline.total_seconds)),
-        "serve prediction {served} vs offline {}",
-        timeline.total_seconds
-    );
+    let models = KernelModels::from_json(&models_json).unwrap();
+    let library = pic_predict::predict(&trace, &models, &PredictSpec::new(4), None).unwrap();
+    assert_eq!(served, library.to_string());
 
     // Check endpoint agrees the workload is clean.
     let check_body = format!(
@@ -207,9 +222,145 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     );
     let (status, body) = request(addr, "POST", "/check", check_body.as_bytes());
     assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"ok\":true"), "{body}");
+    assert_eq!(body, CHECK_GOLDEN);
 
     server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
+
+/// Library ≡ CLI ≡ service, byte for byte: one trace and one model set on
+/// disk, every mapper under both sync modes through `pic_predict::predict`,
+/// `POST /predict` and the `picpredict predict` binary; one grid through
+/// `picpredict sweep --out` and `POST /sweep`.
+#[test]
+fn library_cli_and_service_answer_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("picpredict_three_way_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (trace_path, models_path, grid_path) =
+        (path("t.pictrace"), path("models.json"), path("grid.json"));
+    let study = pic_predict::run_case_study(
+        &base_cfg(42),
+        &MachineSpec::quartz_like(),
+        &pic_predict::FitStrategy::Linear,
+    )
+    .unwrap();
+    let trace = &study.sim.trace;
+    codec::save_file(trace, &trace_path, Precision::F64).unwrap();
+    std::fs::write(&models_path, study.models.to_json()).unwrap();
+    let models = KernelModels::from_json(&study.models.to_json()).unwrap();
+
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/traces",
+        &std::fs::read(&trace_path).unwrap(),
+    );
+    assert_eq!(status, 200, "{body}");
+    let trace_addr = json_str_field(&body, "address");
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/models",
+        &std::fs::read(&models_path).unwrap(),
+    );
+    assert_eq!(status, 200, "{body}");
+    let models_addr = json_str_field(&body, "address");
+
+    for mapping in [
+        MappingAlgorithm::ElementBased,
+        MappingAlgorithm::BinBased,
+        MappingAlgorithm::HilbertOrdered,
+        MappingAlgorithm::LoadBalanced,
+    ] {
+        for sync in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
+            let spec = PredictSpec {
+                mapping,
+                sync,
+                mesh: Some(pic_grid::MeshDims::cube(4)),
+                ..PredictSpec::new(4)
+            };
+            let library = pic_predict::predict(trace, &models, &spec, None)
+                .unwrap()
+                .to_string();
+            let (status, served) = request(
+                addr,
+                "POST",
+                "/predict",
+                format!(
+                    "{{\"trace\":\"{trace_addr}\",\"models\":\"{models_addr}\",\"ranks\":4,\
+                     \"mapping\":\"{mapping}\",\"sync\":\"{sync}\",\"mesh\":\"4x4x4\",\
+                     \"order\":3,\"machine\":\"quartz\"}}"
+                )
+                .as_bytes(),
+            );
+            assert_eq!(status, 200, "{served}");
+            let (mapping, sync) = (mapping.to_string(), sync.to_string());
+            let cli = picpredict(&[
+                "predict",
+                "--trace",
+                &trace_path,
+                "--models",
+                &models_path,
+                "--ranks",
+                "4",
+                "--mapping",
+                &mapping,
+                "--sync",
+                &sync,
+                "--mesh",
+                "4x4x4",
+                "--order",
+                "3",
+                "--machine",
+                "quartz",
+            ]);
+            assert_eq!(served, library, "{mapping} {sync}: service vs library");
+            assert_eq!(
+                cli.strip_suffix('\n'),
+                Some(library.as_str()),
+                "{mapping} {sync}: CLI vs library"
+            );
+            assert!(
+                library.contains(&format!("\"sync\":\"{sync}\"")),
+                "{library}"
+            );
+        }
+    }
+
+    picpredict(&[
+        "sweep",
+        "--trace",
+        &trace_path,
+        "--ranks",
+        "4",
+        "--mappings",
+        "bin-based,hilbert-ordered",
+        "--filters",
+        "0.02,0.05",
+        "--mesh",
+        "4x4x4",
+        "--out",
+        &grid_path,
+    ]);
+    let (status, served) = request(
+        addr,
+        "POST",
+        "/sweep",
+        format!(
+            "{{\"trace\":\"{trace_addr}\",\"ranks\":[4],\
+             \"mappings\":[\"bin-based\",\"hilbert-ordered\"],\
+             \"filters\":[0.02,0.05],\"mesh\":\"4x4x4\"}}"
+        )
+        .as_bytes(),
+    );
+    assert_eq!(status, 200, "{served}");
+    assert_eq!(std::fs::read_to_string(&grid_path).unwrap(), served);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
     pic_types::sync::assert_witness_clean();
 }
 
