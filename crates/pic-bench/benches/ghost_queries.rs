@@ -1,12 +1,13 @@
-//! RegionIndex sphere-query microbench: CSR build cost and per-query cost
-//! at the paper's rank scale (~8k regions), comparing the sorted
-//! compatibility API against the scratch-driven visitor the ghost kernel
-//! uses.
+//! Ghost-query microbench at the paper's rank scale (~8k regions): CSR
+//! `RegionIndex` build cost, the per-particle scratch visitor (the scalar
+//! oracle's query), and the grouped SoA kernel the DWG ships
+//! (`ghost_counts_soa`) at one radius and at a three-radius sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_mapping::{RegionIndex, RegionQueryScratch};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Rank, Vec3};
+use pic_workload::soa::{ghost_counts_soa, SoAPositions};
 
 /// A 20×20×20 brick decomposition of the unit cube: 8000 regions, the
 /// shape rank regions take at the paper's 8352-rank scale.
@@ -31,10 +32,19 @@ fn query_points(n: usize, seed: u64) -> Vec<Vec3> {
         .collect()
 }
 
+/// The brick of `brick_regions(per_axis)` that contains `p` (closed on the
+/// top faces of the last brick).
+fn brick_of(p: Vec3, per_axis: usize) -> Rank {
+    let cell = |c: f64| ((c * per_axis as f64) as usize).min(per_axis - 1);
+    Rank::from_index(cell(p.x) + per_axis * (cell(p.y) + per_axis * cell(p.z)))
+}
+
 fn ghost_queries(c: &mut Criterion) {
     let regions = brick_regions(20);
     let points = query_points(10_000, 7);
     let radius = 0.06; // a few cells wide, like a realistic projection filter
+    let owners: Vec<Rank> = points.iter().map(|&p| brick_of(p, 20)).collect();
+    let soa = SoAPositions::from_positions(&points);
 
     let mut group = c.benchmark_group("ghost_queries");
     group.sample_size(10);
@@ -45,17 +55,12 @@ fn ghost_queries(c: &mut Criterion) {
 
     let index = RegionIndex::build(&regions);
     group.throughput(Throughput::Elements(points.len() as u64));
-    group.bench_function(BenchmarkId::new("query_sorted", regions.len()), |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            let mut touched = 0usize;
-            for &p in &points {
-                index.ranks_touching_sphere(p, radius, &mut out);
-                touched += out.len();
-            }
-            touched
-        })
-    });
+    for radii in [&[radius][..], &[0.02, 0.04, radius]] {
+        let id = BenchmarkId::new(format!("soa_kernel_{}r", radii.len()), regions.len());
+        group.bench_function(id, |b| {
+            b.iter(|| ghost_counts_soa(&soa, &owners, &index, black_box(radii), regions.len()))
+        });
+    }
     group.bench_function(BenchmarkId::new("query_scratch", regions.len()), |b| {
         let mut scratch = RegionQueryScratch::new();
         b.iter(|| {

@@ -82,13 +82,23 @@ impl Node {
 /// particle order gives (the order the trace stores, and the one the
 /// partitioner used before the buffer was permuted in place).
 ///
-/// `min`/`max` are order-independent except between `-0.0` and `0.0`, which
-/// compare equal, so which zero a fold ends on depends on the order it met
-/// them in. A face that lands on zero is therefore folded again over just
-/// the particles on zero, in particle order.
+/// The fold is compare-select (`if c < m { c } else { m }`), which compiles
+/// to a bare `minpd`/`maxpd`; `f64::min`/`max` must drop a NaN operand and
+/// cannot. The accumulator is never NaN, so both pick the same value for
+/// every coordinate, a NaN one included (it is skipped). Either is
+/// order-independent except between `-0.0` and `0.0`, which compare equal,
+/// so which zero a fold ends on depends on the order it met them in. A
+/// face that lands on zero is therefore folded again over just the
+/// particles on zero, in particle order, with the oracle's `f64::min`/`max`.
 fn tight_box(records: &[Record]) -> Aabb {
-    let mut bbox = Aabb::from_points(records.iter().map(|r| Vec3::from_array(r.coords)));
-    let (mut min, mut max) = (bbox.min.to_array(), bbox.max.to_array());
+    let (mut min, mut max) = ([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]);
+    for r in records {
+        for axis in 0..3 {
+            let c = r.coords[axis];
+            min[axis] = if c < min[axis] { c } else { min[axis] };
+            max[axis] = if c > max[axis] { c } else { max[axis] };
+        }
+    }
     for axis in 0..3 {
         if min[axis] == 0.0 || max[axis] == 0.0 {
             let mut zeros: Vec<(u32, f64)> = (records.iter())
@@ -105,9 +115,10 @@ fn tight_box(records: &[Record]) -> Aabb {
             }
         }
     }
-    bbox.min = Vec3::from_array(min);
-    bbox.max = Vec3::from_array(max);
-    bbox
+    Aabb {
+        min: Vec3::from_array(min),
+        max: Vec3::from_array(max),
+    }
 }
 
 impl BinMapper {

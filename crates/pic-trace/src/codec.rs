@@ -15,7 +15,7 @@
 //! `f32` storage which halves the file at ~1e-7 relative position error —
 //! far below an element edge length, hence workload-neutral.
 
-use crate::trace::{ParticleTrace, TraceMeta, TraceSample};
+use crate::trace::{check_sample, ParticleTrace, TraceMeta, TraceSample};
 use bytes::{Buf, BufMut};
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
 use std::io::{Read, Write};
@@ -240,6 +240,8 @@ pub struct TraceReader<R: Read> {
     meta: TraceMeta,
     precision: Precision,
     frames_read: usize,
+    /// Iteration of the last frame read, for the increasing-iteration check.
+    last_iteration: Option<u64>,
     /// Bytes consumed from the stream so far (header included).
     offset: u64,
     /// Reusable chunk buffer for frame bodies (capacity ≤ READ_CHUNK_BYTES).
@@ -379,6 +381,7 @@ impl<R: Read> TraceReader<R> {
             meta: h.meta,
             precision: h.precision,
             frames_read: 0,
+            last_iteration: None,
             offset: h.offset,
             chunk: Vec::new(),
         })
@@ -404,7 +407,11 @@ impl<R: Read> TraceReader<R> {
     /// anywhere inside a frame — including 1–7 bytes into the iteration
     /// word — is a positioned [`TraceError`] of kind
     /// [`TraceErrorKind::TruncatedFrame`]; a real I/O failure surfaces as
-    /// [`TraceErrorKind::Io`] with the source error preserved.
+    /// [`TraceErrorKind::Io`] with the source error preserved. A frame
+    /// that breaks a trace invariant (non-finite position, iteration not
+    /// after the previous frame's) is a [`TraceErrorKind::Malformed`]
+    /// error positioned at its end, exactly as [`read_all`](Self::read_all)
+    /// reports it.
     pub fn read_sample(&mut self) -> Result<Option<TraceSample>> {
         let frame = self.frames_read as u64;
         let mut iter_buf = [0u8; 8];
@@ -485,10 +492,13 @@ impl<R: Read> TraceReader<R> {
             decoded += take;
         }
         self.frames_read += 1;
-        Ok(Some(TraceSample {
+        let sample = TraceSample {
             iteration,
             positions,
-        }))
+        };
+        check_sample(&sample, n, self.last_iteration).map_err(|e| self.positioned(e))?;
+        self.last_iteration = Some(iteration);
+        Ok(Some(sample))
     }
 
     /// Number of frames read so far.
@@ -502,7 +512,7 @@ impl<R: Read> TraceReader<R> {
     pub fn read_all(mut self) -> Result<ParticleTrace> {
         let mut trace = ParticleTrace::new(self.meta.clone());
         while let Some(s) = self.read_sample()? {
-            trace.push_sample(s).map_err(|e| self.positioned(e))?;
+            trace.push_checked(s);
         }
         Ok(trace)
     }

@@ -35,7 +35,7 @@ use crate::codec::{
     self, encode_header_with_magic, header_err, parse_header, read_fully, Precision, TraceReader,
     READ_CHUNK_BYTES,
 };
-use crate::trace::{ParticleTrace, TraceMeta, TraceSample};
+use crate::trace::{check_sample, ParticleTrace, TraceMeta, TraceSample};
 use bytes::BufMut;
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
 use std::io::{Cursor, Read, Write};
@@ -368,6 +368,8 @@ pub struct CompactReader<R: Read> {
     /// preallocated from the header's particle count.
     prev: Vec<u32>,
     frames_read: usize,
+    /// Iteration of the last frame read, for the increasing-iteration check.
+    last_iteration: Option<u64>,
     offset: u64,
     chunk: Vec<u8>,
 }
@@ -414,6 +416,7 @@ impl<R: Read> CompactReader<R> {
             quant: Quantizer::new(&qbox, qbytes),
             prev: Vec::new(),
             frames_read: 0,
+            last_iteration: None,
             offset: h.offset + QBOX_LEN as u64,
             chunk: Vec::new(),
         })
@@ -439,7 +442,9 @@ impl<R: Read> CompactReader<R> {
         self.frames_read
     }
 
-    /// Read the next frame; `Ok(None)` only at a clean end-of-stream.
+    /// Read the next frame; `Ok(None)` only at a clean end-of-stream. A
+    /// frame that breaks a trace invariant is a positioned error, as in
+    /// [`TraceReader::read_sample`](crate::TraceReader::read_sample).
     pub fn read_sample(&mut self) -> Result<Option<TraceSample>> {
         let frame = self.frames_read as u64;
         let mut head = [0u8; FRAME_HEAD_LEN];
@@ -548,10 +553,14 @@ impl<R: Read> CompactReader<R> {
         }
         let positions = self.quant.dequant_frame(&self.prev[..total]);
         self.frames_read += 1;
-        Ok(Some(TraceSample {
+        let sample = TraceSample {
             iteration,
             positions,
-        }))
+        };
+        check_sample(&sample, self.meta.particle_count, self.last_iteration)
+            .map_err(|e| self.positioned(e))?;
+        self.last_iteration = Some(iteration);
+        Ok(Some(sample))
     }
 
     /// Read every remaining frame into a [`ParticleTrace`]. Trace-model
@@ -559,7 +568,7 @@ impl<R: Read> CompactReader<R> {
     pub fn read_all(mut self) -> Result<ParticleTrace> {
         let mut trace = ParticleTrace::new(self.meta.clone());
         while let Some(s) = self.read_sample()? {
-            trace.push_sample(s).map_err(|e| self.positioned(e))?;
+            trace.push_checked(s);
         }
         Ok(trace)
     }

@@ -45,6 +45,40 @@ pub struct TraceSample {
     pub positions: Vec<Vec3>,
 }
 
+/// The per-sample trace invariants: `particle_count` positions, an
+/// iteration strictly after `prev` (the previous sample's), and finite
+/// coordinates. [`ParticleTrace::push_sample`] and the streaming readers'
+/// `read_sample` run this one check, so a streamed replay sees exactly the
+/// frames a resident trace would hold.
+pub(crate) fn check_sample(
+    sample: &TraceSample,
+    particle_count: usize,
+    prev: Option<u64>,
+) -> Result<()> {
+    if sample.positions.len() != particle_count {
+        return Err(PicError::trace(format!(
+            "sample at iteration {} has {} positions, expected {particle_count}",
+            sample.iteration,
+            sample.positions.len(),
+        )));
+    }
+    if let Some(last) = prev.filter(|&last| sample.iteration <= last) {
+        return Err(PicError::trace(format!(
+            "sample iterations must increase: {} after {last}",
+            sample.iteration
+        )));
+    }
+    // Non-finite coordinates poison every downstream consumer (mapping
+    // comparators, bounding boxes); reject them at the boundary.
+    if let Some(i) = sample.positions.iter().position(|p| !p.is_finite()) {
+        return Err(PicError::trace(format!(
+            "particle {i} has a non-finite position at iteration {}",
+            sample.iteration
+        )));
+    }
+    Ok(())
+}
+
 /// A complete particle trace: metadata plus `T` samples.
 ///
 /// Invariants (enforced by [`ParticleTrace::push_sample`]):
@@ -87,32 +121,16 @@ impl ParticleTrace {
 
     /// Append a sample, validating the trace invariants.
     pub fn push_sample(&mut self, sample: TraceSample) -> Result<()> {
-        if sample.positions.len() != self.meta.particle_count {
-            return Err(PicError::trace(format!(
-                "sample at iteration {} has {} positions, expected {}",
-                sample.iteration,
-                sample.positions.len(),
-                self.meta.particle_count
-            )));
-        }
-        if let Some(last) = self.samples.last() {
-            if sample.iteration <= last.iteration {
-                return Err(PicError::trace(format!(
-                    "sample iterations must increase: {} after {}",
-                    sample.iteration, last.iteration
-                )));
-            }
-        }
-        // Non-finite coordinates poison every downstream consumer (mapping
-        // comparators, bounding boxes); reject them at the boundary.
-        if let Some(i) = sample.positions.iter().position(|p| !p.is_finite()) {
-            return Err(PicError::trace(format!(
-                "particle {i} has a non-finite position at iteration {}",
-                sample.iteration
-            )));
-        }
+        let prev = self.samples.last().map(|s| s.iteration);
+        check_sample(&sample, self.meta.particle_count, prev)?;
         self.samples.push(sample);
         Ok(())
+    }
+
+    /// Append a sample [`check_sample`] has already admitted against this
+    /// trace's last sample (the readers' `read_all`).
+    pub(crate) fn push_checked(&mut self, sample: TraceSample) {
+        self.samples.push(sample);
     }
 
     /// Convenience: append positions at the next iteration

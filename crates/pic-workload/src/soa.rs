@@ -10,23 +10,27 @@
 //! 1. **SoA layout.** [`SoAPositions`] stores x/y/z in separate lane-padded
 //!    arrays; conversion from the AoS `Vec3` trace sample is a bit copy.
 //! 2. **Signature grouping.** Particles are keyed by the packed cell range
-//!    of their query box, computed over the SoA lanes
-//!    ([`pic_mapping::RegionIndex::query_cell_keys`]). Equal keys walk
-//!    identical grid cells, so a radix sort of a span by key turns it into
-//!    runs that share one candidate enumeration.
+//!    of their query box at the largest radius, computed over the SoA
+//!    lanes ([`pic_mapping::RegionIndex::query_cell_keys`]). Equal keys
+//!    walk identical grid cells, so a radix sort of a span by key turns it
+//!    into runs that share one candidate enumeration.
 //! 3. **Matrix sweep.** Per run, candidate slots are gathered once and the
 //!    group's coordinates are gathered into contiguous blocks; the kernel
 //!    then loops *candidate-major* over fixed-width `[f64; LANE]` lanes,
-//!    accumulating branch-free `d² ≤ r²` hit masks. Amortization is
-//!    multiplicative: the candidate walk is paid once per group instead of
-//!    once per particle, and the distance test vectorizes.
+//!    computing `d²` once per lane and adding one branch-free
+//!    `(d² ≤ r²) & (home ≠ target)` mask per radius to that radius's copy
+//!    row and hit sum. Amortization is multiplicative: the candidate walk
+//!    is paid once per group and radius list instead of once per particle
+//!    and radius, and the distance test vectorizes.
 //! 4. **Padded merge.** Parallel spans accumulate into cache-line-padded
 //!    per-worker histograms ([`pic_types::CachePadded`], capacities rounded
-//!    to line multiples) merged by commutative `u32` addition.
+//!    to line multiples), one pair per radius, merged by commutative `u32`
+//!    addition.
 //!
 //! Outputs are **bit-identical** to the scalar kernels and to the
 //! sequential `generate_reference` oracle: every particle sees exactly the
-//! candidate set, the same `f64` clamp/distance expressions, and integer
+//! candidate set, the same `d²` (the compare-select clamp returns the
+//! scalar clamp's value, see `SpanScratch::candidate_hits`), and integer
 //! counts are order-independent. Particles whose query key is `None`
 //! (empty index, NaN/out-of-bounds query boxes) are skipped exactly where
 //! the scalar kernel's early returns fire. Lane padding uses NaN
@@ -35,7 +39,7 @@
 
 use crate::generator::GHOST_CHUNK;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
-use pic_types::{CachePadded, Rank, Vec3};
+use pic_types::{Aabb, CachePadded, Rank, Vec3};
 use rayon::prelude::*;
 
 /// Fixed lane width of the matrix kernels. Eight `f64`s span two AVX2 or
@@ -137,17 +141,22 @@ struct SpanScratch {
     gy: Vec<f64>,
     gz: Vec<f64>,
     ghome: Vec<u32>,
+    /// Ghost copies per radius and particle: `radii × padded`, row-major.
     gcopies: Vec<u32>,
-    /// First-inclusion counts, `(radii + 1) × padded_group_len`, last row
-    /// is the reject bucket (multi-radius kernel only).
-    first: Vec<u32>,
-    slot_hits: Vec<u32>,
+    /// Squared distances of the group to the current candidate.
+    gd2: Vec<f64>,
 }
 
 impl SpanScratch {
     /// Gather one group's coordinates and home ranks into lane-padded
-    /// blocks; returns the padded length.
-    fn gather_group(&mut self, soa: &SoAPositions, owners: &[Rank], group: &[(u64, u32)]) -> usize {
+    /// blocks and zero its `radii` copy rows; returns the padded length.
+    fn gather_group(
+        &mut self,
+        soa: &SoAPositions,
+        owners: &[Rank],
+        group: &[(u64, u32)],
+        radii: usize,
+    ) -> usize {
         let padded = group.len().next_multiple_of(LANE);
         self.gx.clear();
         self.gx.resize(padded, f64::NAN);
@@ -158,7 +167,8 @@ impl SpanScratch {
         self.ghome.clear();
         self.ghome.resize(padded, u32::MAX);
         self.gcopies.clear();
-        self.gcopies.resize(padded, 0);
+        self.gcopies.resize(radii * padded, 0);
+        self.gd2.resize(padded, 0.0);
         for (j, &(_, i)) in group.iter().enumerate() {
             let i = i as usize;
             self.gx[j] = soa.xs[i];
@@ -190,6 +200,47 @@ impl SpanScratch {
             &mut self.keys,
         );
         radix_sort_by_key(&mut self.keys, &mut self.keys_tmp);
+    }
+
+    /// The lane kernel: test one candidate box (owned by rank `target`)
+    /// against the gathered group at every squared radius of `rr`, adding
+    /// each particle's hits to its copy rows and each radius's hit count to
+    /// `out[k].0[target]`.
+    ///
+    /// `d²` is computed once per lane, with a home lane's set to NaN, which
+    /// fails every `≤`; each radius then adds one branch-free `d² ≤ r²`
+    /// `u32` mask. Both loops are straight-line chains over the padded
+    /// group arrays, the shape the compiler autovectorizes. The clamp is
+    /// two compare-selects per axis, which compile to bare `maxpd`/`minpd`;
+    /// `f64::max`/`min` must drop a NaN operand and cannot. Both return the
+    /// same value for every coordinate, NaN and ±∞ included, when the faces
+    /// are finite (live regions are bin boxes folded over finite trace
+    /// positions, or mesh bricks), up to the sign of a zero that `dx·dx`
+    /// erases — so `d²` is bit for bit `Aabb::distance_sq_to_point`'s.
+    fn candidate_hits(&mut self, b: &Aabb, target: usize, rr: &[f64], out: &mut [RecvSent]) {
+        let sel_max = |u: f64, v: f64| if u > v { u } else { v };
+        let sel_min = |u: f64, v: f64| if u < v { u } else { v };
+        let t = target as u32;
+        for ((d2, (&x, &y)), (&z, &home)) in (self.gd2.iter_mut())
+            .zip(self.gx.iter().zip(&self.gy))
+            .zip(self.gz.iter().zip(&self.ghome))
+        {
+            let dx = x - sel_min(sel_max(x, b.min.x), b.max.x);
+            let dy = y - sel_min(sel_max(y, b.min.y), b.max.y);
+            let dz = z - sel_min(sel_max(z, b.min.z), b.max.z);
+            let d = dx * dx + dy * dy + dz * dz;
+            *d2 = if home != t { d } else { f64::NAN };
+        }
+        let padded = self.gd2.len();
+        for ((&r, row), acc) in (rr.iter().zip(self.gcopies.chunks_exact_mut(padded))).zip(out) {
+            let mut hits = 0u32;
+            for (copies, &d2) in row.iter_mut().zip(&self.gd2) {
+                let hit = u32::from(d2 <= r);
+                *copies += hit;
+                hits += hit;
+            }
+            acc.0[target] += hits;
+        }
     }
 }
 
@@ -238,57 +289,10 @@ fn radix_sort_by_key(keys: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) {
     }
 }
 
-/// The lane kernel: test one candidate box against a gathered group,
-/// accumulating per-particle hit counts into `copies` and returning the
-/// group's total hits against this candidate.
-///
-/// Branch-free by construction: the `d² ≤ r²` mask and the home-rank
-/// exclusion are `u32` masks combined with `&`, so the inner loop is a
-/// straight-line clamp/subtract/fma/compare chain over `[f64; LANE]`
-/// blocks, the shape the compiler autovectorizes.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the lane operands are parallel slices
-fn lane_candidate_hits(
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    homes: &[u32],
-    copies: &mut [u32],
-    bmin: Vec3,
-    bmax: Vec3,
-    target: u32,
-    rr: f64,
-) -> u32 {
-    let mut total = 0u32;
-    for (((cx, cy), (cz, ch)), cc) in xs
-        .chunks_exact(LANE)
-        .zip(ys.chunks_exact(LANE))
-        .zip(zs.chunks_exact(LANE).zip(homes.chunks_exact(LANE)))
-        .zip(copies.chunks_exact_mut(LANE))
-    {
-        let mut hit = [0u32; LANE];
-        for l in 0..LANE {
-            // Exactly `Aabb::distance_sq_to_point`: clamp (max-then-min per
-            // component), then the left-to-right dot of the residual.
-            let qx = cx[l].max(bmin.x).min(bmax.x);
-            let qy = cy[l].max(bmin.y).min(bmax.y);
-            let qz = cz[l].max(bmin.z).min(bmax.z);
-            let dx = cx[l] - qx;
-            let dy = cy[l] - qy;
-            let dz = cz[l] - qz;
-            let d2 = dx * dx + dy * dy + dz * dz;
-            hit[l] = u32::from(d2 <= rr) & u32::from(ch[l] != target);
-        }
-        for l in 0..LANE {
-            cc[l] += hit[l];
-            total += hit[l];
-        }
-    }
-    total
-}
-
-/// Single-radius grouped kernel over one span; accumulates into `recv` /
-/// `sent` (indexed by rank, length ≥ rank count).
+/// The grouped kernel over one span: keys at `r_max`, one candidate
+/// enumeration per key run, then [`SpanScratch::candidate_hits`] per
+/// candidate. Accumulates into `out[k]` (recv / sent by rank, length ≥
+/// rank count) for squared radius `rr[k]`.
 #[allow(clippy::too_many_arguments)] // span bounds + kernel inputs + accumulators
 fn ghost_span_soa(
     soa: &SoAPositions,
@@ -296,13 +300,12 @@ fn ghost_span_soa(
     lo: usize,
     hi: usize,
     index: &RegionIndex,
-    radius: f64,
+    r_max: f64,
+    rr: &[f64],
     scratch: &mut SpanScratch,
-    recv: &mut [u32],
-    sent: &mut [u32],
+    out: &mut [RecvSent],
 ) {
-    scratch.build_keys(soa, lo, hi, index, radius);
-    let rr = radius * radius;
+    scratch.build_keys(soa, lo, hi, index, r_max);
     let keys = std::mem::take(&mut scratch.keys);
     let mut g0 = 0usize;
     while g0 < keys.len() {
@@ -314,27 +317,17 @@ fn ghost_span_soa(
         let group = &keys[g0..g1];
         index.gather_candidate_slots(key, &mut scratch.query, &mut scratch.slots);
         if !scratch.slots.is_empty() {
-            scratch.gather_group(soa, owners, group);
+            let padded = scratch.gather_group(soa, owners, group, rr.len());
             let slots = std::mem::take(&mut scratch.slots);
             for &slot in &slots {
-                let b = index.slot_box(slot);
                 let target = index.slot_rank(slot).index();
-                let hits = lane_candidate_hits(
-                    &scratch.gx,
-                    &scratch.gy,
-                    &scratch.gz,
-                    &scratch.ghome,
-                    &mut scratch.gcopies,
-                    b.min,
-                    b.max,
-                    target as u32,
-                    rr,
-                );
-                recv[target] += hits;
+                scratch.candidate_hits(index.slot_box(slot), target, rr, out);
             }
             scratch.slots = slots;
-            for (j, &(_, i)) in group.iter().enumerate() {
-                sent[owners[i as usize].index()] += scratch.gcopies[j];
+            for (acc, row) in out.iter_mut().zip(scratch.gcopies.chunks_exact(padded)) {
+                for (&(_, i), &copies) in group.iter().zip(row) {
+                    acc.1[owners[i as usize].index()] += copies;
+                }
             }
         }
         g0 = g1;
@@ -359,26 +352,39 @@ fn workers_for(len: usize) -> usize {
         .min(len.div_ceil(GHOST_CHUNK).max(1))
 }
 
-/// SoA ghost counting: the grouped matrix kernel across parallel spans
-/// with cache-line-padded per-worker histograms.
+/// SoA ghost counting at every radius of `radii` (any order, duplicates
+/// allowed): per-rank `(recv, sent)` histograms in `radii` order, from one
+/// candidate enumeration at the largest radius, across parallel spans with
+/// cache-line-padded per-worker histograms.
 ///
-/// Bit-identical to the scalar
-/// [`ghost_counts_chunked`](crate::reference::ghost_counts_chunked) (and
-/// hence to the sequential reference): identical per-particle candidate
-/// sets, identical `f64` expressions, commutative integer merges.
+/// Bit-identical to the scalar kernels — `radii = [r]` to
+/// [`ghost_counts_chunked`](crate::reference::ghost_counts_chunked), a list
+/// to [`multi_ghost_chunked`](crate::reference::multi_ghost_chunked) — and
+/// hence to the sequential reference: a region touches the radius-`r`
+/// sphere iff `d² ≤ r²`, and both the cell range a query walks and that
+/// predicate are monotone in `r`, so filtering the same `d²` at each
+/// radius equals querying each radius alone. Integer merges commute.
+/// Radii are the validated projection filters (finite, positive); at
+/// kernel level `0.0` and `+∞` are exact too, and a NaN or negative radius
+/// counts nothing, as the scalar query does.
 pub fn ghost_counts_soa(
     soa: &SoAPositions,
     owners: &[Rank],
     index: &RegionIndex,
-    radius: f64,
+    radii: &[f64],
     ranks: usize,
-) -> RecvSent {
+) -> Vec<RecvSent> {
+    let r_max = radii
+        .iter()
+        .fold(f64::NEG_INFINITY, |m, &r| if r > m { r } else { m });
+    let rr: Vec<f64> = (radii.iter())
+        .map(|&r| if r < 0.0 { f64::NAN } else { r * r })
+        .collect();
     let cap = ranks.next_multiple_of(LINE_U32);
     let workers = workers_for(soa.len());
-    let run_span = |w: usize, workers: usize| -> CachePadded<RecvSent> {
+    let run_span = |w: usize, workers: usize| -> CachePadded<Vec<RecvSent>> {
         let (lo, hi) = span_bounds(soa.len(), workers, w);
-        let mut recv = vec![0u32; cap];
-        let mut sent = vec![0u32; cap];
+        let mut out = vec![(vec![0u32; cap], vec![0u32; cap]); radii.len()];
         let mut scratch = SpanScratch::default();
         ghost_span_soa(
             soa,
@@ -386,180 +392,12 @@ pub fn ghost_counts_soa(
             lo,
             hi,
             index,
-            radius,
-            &mut scratch,
-            &mut recv,
-            &mut sent,
-        );
-        CachePadded::new((recv, sent))
-    };
-    let partials: Vec<CachePadded<RecvSent>> = if workers <= 1 {
-        vec![run_span(0, 1)]
-    } else {
-        (0..workers)
-            .into_par_iter()
-            .map(|w| run_span(w, workers))
-            .collect()
-    };
-    merge_partials(partials, ranks)
-}
-
-/// Elementwise-sum per-worker histogram pairs and trim the line padding.
-fn merge_partials(partials: Vec<CachePadded<RecvSent>>, ranks: usize) -> RecvSent {
-    let mut recv = vec![0u32; ranks];
-    let mut sent = vec![0u32; ranks];
-    for p in &partials {
-        for (acc, v) in recv.iter_mut().zip(&p.0) {
-            *acc += v;
-        }
-        for (acc, v) in sent.iter_mut().zip(&p.1) {
-            *acc += v;
-        }
-    }
-    (recv, sent)
-}
-
-/// Multi-radius grouped kernel over one span: first-inclusion counting at
-/// the sorted radii (`rr_sorted` ascending) with a suffix pass completing
-/// the larger radii — the grouped analog of the scalar sweep kernel.
-#[allow(clippy::too_many_arguments)] // span bounds + kernel inputs + accumulators
-fn multi_ghost_span_soa(
-    soa: &SoAPositions,
-    owners: &[Rank],
-    lo: usize,
-    hi: usize,
-    index: &RegionIndex,
-    r_max: f64,
-    rr_sorted: &[f64],
-    scratch: &mut SpanScratch,
-    partial: &mut [RecvSent],
-) {
-    let nr = rr_sorted.len();
-    let rr_max = r_max * r_max;
-    scratch.build_keys(soa, lo, hi, index, r_max);
-    let keys = std::mem::take(&mut scratch.keys);
-    let mut g0 = 0usize;
-    while g0 < keys.len() {
-        let key = keys[g0].0;
-        let g1 = keys[g0..]
-            .iter()
-            .position(|&(k, _)| k != key)
-            .map_or(keys.len(), |off| g0 + off);
-        let group = &keys[g0..g1];
-        index.gather_candidate_slots(key, &mut scratch.query, &mut scratch.slots);
-        if !scratch.slots.is_empty() {
-            let padded = scratch.gather_group(soa, owners, group);
-            // First-inclusion matrix, one row per radius plus a reject row
-            // for misses / home hits / NaN padding lanes.
-            scratch.first.clear();
-            scratch.first.resize((nr + 1) * padded, 0);
-            scratch.slot_hits.clear();
-            scratch.slot_hits.resize(nr + 1, 0);
-            let slots = std::mem::take(&mut scratch.slots);
-            for &slot in &slots {
-                let b = index.slot_box(slot);
-                let target = index.slot_rank(slot).index();
-                let t32 = target as u32;
-                scratch.slot_hits.iter_mut().for_each(|h| *h = 0);
-                for (base, ((cx, cy), (cz, ch))) in scratch
-                    .gx
-                    .chunks_exact(LANE)
-                    .zip(scratch.gy.chunks_exact(LANE))
-                    .zip(
-                        scratch
-                            .gz
-                            .chunks_exact(LANE)
-                            .zip(scratch.ghome.chunks_exact(LANE)),
-                    )
-                    .enumerate()
-                {
-                    for l in 0..LANE {
-                        let qx = cx[l].max(b.min.x).min(b.max.x);
-                        let qy = cy[l].max(b.min.y).min(b.max.y);
-                        let qz = cz[l].max(b.min.z).min(b.max.z);
-                        let dx = cx[l] - qx;
-                        let dy = cy[l] - qy;
-                        let dz = cz[l] - qz;
-                        let d2 = dx * dx + dy * dy + dz * dz;
-                        // First radius containing d²: the count of sorted
-                        // radii it exceeds (identical to the scalar
-                        // first-inclusion scan).
-                        let mut j = 0usize;
-                        for &r in rr_sorted {
-                            j += usize::from(d2 > r);
-                        }
-                        let valid = d2 <= rr_max && ch[l] != t32;
-                        let row = if valid { j } else { nr };
-                        scratch.first[row * padded + base * LANE + l] += 1;
-                        scratch.slot_hits[row] += 1;
-                    }
-                }
-                for (j, &h) in scratch.slot_hits[..nr].iter().enumerate() {
-                    partial[j].0[target] += h;
-                }
-            }
-            scratch.slots = slots;
-            // Per-particle prefix over the first-inclusion rows completes
-            // the sent histograms, exactly like the scalar span kernel.
-            for (jg, &(_, i)) in group.iter().enumerate() {
-                let home = owners[i as usize].index();
-                let mut copies = 0u32;
-                for (j, row) in partial.iter_mut().enumerate().take(nr) {
-                    copies += scratch.first[j * padded + jg];
-                    row.1[home] += copies;
-                }
-            }
-        }
-        g0 = g1;
-    }
-    scratch.keys = keys;
-    // Suffix-complete the recv histograms: a region first touched at
-    // radius j receives at every radius ≥ j.
-    for j in 1..nr {
-        let (done, rest) = partial.split_at_mut(j);
-        for (a, &v) in rest[0].0.iter_mut().zip(&done[j - 1].0) {
-            *a += v;
-        }
-    }
-}
-
-/// SoA multi-radius ghost counting: one candidate pass at `r_max` serves
-/// every radius in `rr` (squared radii, arbitrary order; results come back
-/// in `rr` order). Bit-identical to the scalar sweep kernel
-/// [`multi_ghost_chunked`](crate::reference::multi_ghost_chunked).
-pub fn multi_ghost_soa(
-    soa: &SoAPositions,
-    owners: &[Rank],
-    index: &RegionIndex,
-    r_max: f64,
-    rr: &[f64],
-    ranks: usize,
-) -> Vec<RecvSent> {
-    let mut order: Vec<usize> = (0..rr.len()).collect();
-    order.sort_by(|&a, &b| rr[a].total_cmp(&rr[b]));
-    let sorted_rr: Vec<f64> = order.iter().map(|&i| rr[i]).collect();
-    let cap = ranks.next_multiple_of(LINE_U32);
-    let fresh = || -> Vec<RecvSent> {
-        rr.iter()
-            .map(|_| (vec![0u32; cap], vec![0u32; cap]))
-            .collect()
-    };
-    let workers = workers_for(soa.len());
-    let run_span = |w: usize, workers: usize| -> CachePadded<Vec<RecvSent>> {
-        let (lo, hi) = span_bounds(soa.len(), workers, w);
-        let mut partial = fresh();
-        multi_ghost_span_soa(
-            soa,
-            owners,
-            lo,
-            hi,
-            index,
             r_max,
-            &sorted_rr,
-            &mut SpanScratch::default(),
-            &mut partial,
+            &rr,
+            &mut scratch,
+            &mut out,
         );
-        CachePadded::new(partial)
+        CachePadded::new(out)
     };
     let partials: Vec<CachePadded<Vec<RecvSent>>> = if workers <= 1 {
         vec![run_span(0, 1)]
@@ -569,26 +407,19 @@ pub fn multi_ghost_soa(
             .map(|w| run_span(w, workers))
             .collect()
     };
-    let mut merged: Vec<RecvSent> = rr
-        .iter()
-        .map(|_| (vec![0u32; ranks], vec![0u32; ranks]))
-        .collect();
+    // Elementwise-sum the per-worker histograms and trim the line padding.
+    let mut merged = vec![(vec![0u32; ranks], vec![0u32; ranks]); radii.len()];
     for p in &partials {
         for (acc, part) in merged.iter_mut().zip(p.iter()) {
-            for (a, &v) in acc.0.iter_mut().zip(&part.0) {
+            for (a, v) in acc.0.iter_mut().zip(&part.0) {
                 *a += v;
             }
-            for (a, &v) in acc.1.iter_mut().zip(&part.1) {
+            for (a, v) in acc.1.iter_mut().zip(&part.1) {
                 *a += v;
             }
         }
     }
-    // Un-permute from ascending order back to the caller's slot order.
-    let mut out: Vec<RecvSent> = rr.iter().map(|_| Default::default()).collect();
-    for (pos, &slot) in order.iter().enumerate() {
-        out[slot] = std::mem::take(&mut merged[pos]);
-    }
-    out
+    merged
 }
 
 #[cfg(test)]

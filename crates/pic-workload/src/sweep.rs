@@ -11,9 +11,10 @@
 //!   triple. A single configuration is a plan with one group and one slot.
 //! * **Kernel.** `process_group_sample` is the only per-sample code:
 //!   assignment, per-rank counts, region index, then every radius slot of
-//!   the group from one candidate query per particle at the group's
-//!   maximum radius (sphere–box overlap is monotone in the radius, so
-//!   filtering the retained `d² ≤ r²` is bit-exact for each smaller one).
+//!   the group in one call of the ghost kernel, which queries candidates
+//!   once at the group's largest radius (sphere–box overlap is monotone in
+//!   the radius, so filtering the same `d²` at `d² ≤ r²` is bit-exact for
+//!   each smaller one).
 //! * **Two drivers.** `replay` is the resident loop: it runs the kernel
 //!   over the (group, sample) pairs a caller selects — all samples, a
 //!   [`crate::reduce::ReductionPlan`]'s representatives and their
@@ -30,12 +31,12 @@
 
 use crate::generator::{DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
-use crate::soa::{ghost_counts_soa, multi_ghost_soa, SoAPositions};
+use crate::soa::{ghost_counts_soa, SoAPositions};
 use pic_grid::ElementMesh;
 use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex};
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
-use pic_types::{Rank, Result, Vec3};
+use pic_types::{PicError, Rank, Result, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -84,7 +85,7 @@ pub struct SweepStats {
     pub naive_assign_passes: usize,
     /// Distinct ghost radii evaluated across all groups.
     pub ghost_radii: usize,
-    /// Groups whose ghost radii were served by a single shared
+    /// Groups with two or more ghost radii, all served by a single
     /// maximum-radius candidate query per particle.
     pub shared_query_groups: usize,
     /// Groups whose assignment artifacts were served from an
@@ -92,15 +93,6 @@ pub struct SweepStats {
     /// cacheless paths).
     #[serde(default)]
     pub cached_groups: usize,
-}
-
-/// One ghost-radius slot of a group: the radius and whether it joins the
-/// shared maximum-radius candidate pass. Radii that are not `≥ 0` (NaN or
-/// negative) stay outside the sharing argument and get a single-radius
-/// pass of their own.
-struct GhostSlot {
-    radius: f64,
-    shared: bool,
 }
 
 /// Assignment identity of a configuration: mapping, ranks, and the filter
@@ -121,16 +113,16 @@ pub(crate) struct GroupPlan {
     ranks: usize,
     /// With a mesh fingerprint this addresses cached assignment artifacts.
     key: GroupKey,
-    slots: Vec<GhostSlot>,
-    /// Maximum radius among shared slots (meaningless when none are).
-    shared_max: f64,
+    /// The distinct ghost radii (projection filters) of its members, one
+    /// per radius slot.
+    radii: Vec<f64>,
 }
 
 /// One sweep point resolved against the plan.
 pub(crate) struct MemberPlan {
     group: usize,
     stride: usize,
-    /// Index into the group's ghost slots; `None` when ghosts are off.
+    /// Index into the group's radius slots; `None` when ghosts are off.
     pub(crate) ghost_slot: Option<usize>,
 }
 
@@ -140,12 +132,20 @@ pub(crate) struct SweepPlan {
 }
 
 /// Resolve `points` into groups and members. Errors are the
-/// per-configuration ones: zero ranks, a mesh-requiring mapping without a
-/// mesh, an invalid bin threshold.
+/// per-configuration ones: a projection filter that is not finite and
+/// positive, zero ranks, a mesh-requiring mapping without a mesh.
+/// Every replay entry point comes through here, so the ghost kernel only
+/// ever sees validated radii.
 pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> Result<SweepPlan> {
     let mut groups: Vec<GroupPlan> = Vec::new();
     let mut members = Vec::with_capacity(points.len());
     for p in points {
+        let filter = p.config.projection_filter;
+        if !(filter.is_finite() && filter > 0.0) {
+            return Err(PicError::config(format!(
+                "projection filter must be positive and finite, got {filter}"
+            )));
+        }
         let key = group_key(&p.config);
         let g = match groups.iter().position(|g| g.key == key) {
             Some(i) => i,
@@ -153,33 +153,20 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
                 // Mapper construction (mesh validation, decomposition)
                 // happens here, once per group — not once per grid point.
                 groups.push(GroupPlan {
-                    mapper: p.config.mapping.mapper(
-                        mesh,
-                        p.config.ranks,
-                        p.config.projection_filter,
-                    )?,
+                    mapper: p.config.mapping.mapper(mesh, p.config.ranks, filter)?,
                     ranks: p.config.ranks,
                     key,
-                    slots: Vec::new(),
-                    shared_max: f64::NEG_INFINITY,
+                    radii: Vec::new(),
                 });
                 groups.len() - 1
             }
         };
         let group = &mut groups[g];
         let ghost_slot = p.config.compute_ghosts.then(|| {
-            let radius = p.config.projection_filter;
-            let existing = group
-                .slots
-                .iter()
-                .position(|s| s.radius.to_bits() == radius.to_bits());
+            let existing = (group.radii.iter()).position(|r| r.to_bits() == filter.to_bits());
             existing.unwrap_or_else(|| {
-                let shared = radius >= 0.0;
-                if shared {
-                    group.shared_max = group.shared_max.max(radius);
-                }
-                group.slots.push(GhostSlot { radius, shared });
-                group.slots.len() - 1
+                group.radii.push(filter);
+                group.radii.len() - 1
             })
         });
         members.push(MemberPlan {
@@ -192,15 +179,14 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
 }
 
 fn stats_for(plan: &SweepPlan, samples: usize) -> SweepStats {
-    let shared_slots = |g: &GroupPlan| g.slots.iter().filter(|s| s.shared).count();
     SweepStats {
         points: plan.members.len(),
         groups: plan.groups.len(),
         samples,
         assign_passes: plan.groups.len() * samples,
         naive_assign_passes: plan.members.len() * samples,
-        ghost_radii: plan.groups.iter().map(|g| g.slots.len()).sum(),
-        shared_query_groups: plan.groups.iter().filter(|g| shared_slots(g) > 1).count(),
+        ghost_radii: plan.groups.iter().map(|g| g.radii.len()).sum(),
+        shared_query_groups: plan.groups.iter().filter(|g| g.radii.len() > 1).count(),
         cached_groups: 0,
     }
 }
@@ -255,8 +241,8 @@ fn process_group_sample(
     cached: Option<&SampleAssignment>,
     keep_index: bool,
 ) -> GroupSample {
-    let slots: &[GhostSlot] = if ghosts { &group.slots } else { &[] };
-    if cached.is_some() && slots.is_empty() {
+    let radii: &[f64] = if ghosts { &group.radii } else { &[] };
+    if cached.is_some() && radii.is_empty() {
         return GroupSample {
             assignment: None,
             ghosts: Vec::new(),
@@ -278,7 +264,7 @@ fn process_group_sample(
             real[r.index()] += 1;
         }
         let index =
-            (keep_index || !slots.is_empty()).then(|| RegionIndex::build(&outcome.rank_regions));
+            (keep_index || !radii.is_empty()).then(|| RegionIndex::build(&outcome.rank_regions));
         SampleAssignment {
             real,
             bin_count: outcome.bin_count,
@@ -287,9 +273,9 @@ fn process_group_sample(
         }
     });
     let ghosts = match cached.or(computed.as_ref()) {
-        Some(a) if !slots.is_empty() => {
-            let index = a.index.as_ref().expect("ghost slots imply an index");
-            multi_radius_ghost_counts(&soa, &a.owners, index, group, slots)
+        Some(a) if !radii.is_empty() => {
+            let index = a.index.as_ref().expect("ghost radii imply an index");
+            ghost_counts_soa(&soa, &a.owners, index, radii, group.ranks)
         }
         _ => Vec::new(),
     };
@@ -302,43 +288,6 @@ fn process_group_sample(
         assignment: computed,
         ghosts,
     }
-}
-
-/// Ghost histograms for every radius slot of a group, from one assignment.
-///
-/// Two or more shared slots (`radius ≥ 0`) are served by a single
-/// candidate query per particle at the group's maximum shared radius: a
-/// region touches the radius-`r` sphere iff its retained squared distance
-/// is `≤ r²`, the same closed comparison the single-radius kernel makes,
-/// so the per-slot filter is bit-exact (DESIGN.md §7). A lone shared slot
-/// gains nothing from candidate retention, and NaN / negative radii stay
-/// outside the argument; both run the single-radius kernel.
-fn multi_radius_ghost_counts(
-    soa: &SoAPositions,
-    owners: &[Rank],
-    index: &RegionIndex,
-    group: &GroupPlan,
-    slots: &[GhostSlot],
-) -> GhostSlots {
-    let ranks = group.ranks;
-    let shared: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].shared).collect();
-    let mut out: GhostSlots = slots.iter().map(|_| Default::default()).collect();
-    if shared.len() > 1 {
-        let rr: Vec<f64> = shared
-            .iter()
-            .map(|&k| slots[k].radius * slots[k].radius)
-            .collect();
-        let partials = multi_ghost_soa(soa, owners, index, group.shared_max, &rr, ranks);
-        for (&k, partial) in shared.iter().zip(partials) {
-            out[k] = partial;
-        }
-    }
-    for (k, slot) in slots.iter().enumerate() {
-        if !slot.shared || shared.len() == 1 {
-            out[k] = ghost_counts_soa(soa, owners, index, slot.radius, ranks);
-        }
-    }
-    out
 }
 
 /// One group's replayed samples, as [`replay`] leaves them.
@@ -569,7 +518,7 @@ fn sweep_resident(
 ///
 /// Errors mirror the per-configuration path: a point whose configuration
 /// would fail there (zero ranks, mesh-requiring mapping without a mesh,
-/// invalid bin threshold) fails the sweep.
+/// a projection filter that is not finite and positive) fails the sweep.
 pub fn sweep_with_stats(
     trace: &ParticleTrace,
     points: &[SweepPoint],
@@ -1210,15 +1159,22 @@ mod tests {
         let points = vec![
             SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.05)),
             SweepPoint::new(off),
-            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.0)),
-            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::ElementBased, -0.3)),
-            SweepPoint::new(WorkloadConfig::new(
-                8,
-                MappingAlgorithm::ElementBased,
-                f64::NAN,
-            )),
         ];
         assert_matches_reference(&tr, &points, Some(&m));
+        // A filter that is not finite and positive is refused up front,
+        // under every mapping, naming the value.
+        for mapping in [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased] {
+            for filter in [0.0, -0.3, f64::NAN, f64::INFINITY] {
+                let bad = SweepPoint::new(WorkloadConfig::new(8, mapping, filter));
+                let err = sweep_with_stats(&tr, &[points[0].clone(), bad], Some(&m))
+                    .expect_err("invalid filter accepted")
+                    .to_string();
+                assert!(
+                    err.contains(&format!("got {filter}")),
+                    "{mapping:?} {filter}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1425,8 +1381,8 @@ mod tests {
 
     #[test]
     fn large_sample_exercises_chunked_multi_radius_kernel() {
-        // Two chunks' worth of particles so the parallel partial merge of
-        // the multi-radius kernel actually runs.
+        // Two chunks' worth of particles so the ghost kernel's parallel
+        // partial merge actually runs, three radii per call.
         let tr = make_trace(generator::GHOST_CHUNK * 2 + 57, 2, 10);
         let m = mesh();
         let points: Vec<SweepPoint> = [0.02, 0.05, 0.09]

@@ -1,12 +1,14 @@
-//! Property tests for the SoA matrix ghost kernels: the transpose is a bit
-//! copy, and the grouped lane kernels are bit-identical to the scalar
-//! reference kernels for any radii, any rank layout, and every lane-padding
-//! boundary.
+//! Property tests for the SoA matrix ghost kernel: the transpose is a bit
+//! copy, and the grouped lane kernel is bit-identical to the scalar
+//! reference kernels for any radius list, any rank layout, every
+//! lane-padding boundary, and the inputs where its compare-select clamp
+//! and `f64::max`/`min` could part ways (coordinates on a face, signed
+//! zeros, NaN and ±∞).
 
 use pic_mapping::{BinMapper, ParticleMapper, RegionIndex};
 use pic_types::{Rank, Vec3};
 use pic_workload::reference::{ghost_counts_chunked, multi_ghost_chunked};
-use pic_workload::soa::{ghost_counts_soa, multi_ghost_soa, SoAPositions, LANE};
+use pic_workload::soa::{ghost_counts_soa, SoAPositions, LANE};
 use proptest::prelude::*;
 
 /// Particle counts that exercise every lane-boundary case: exact multiples
@@ -28,6 +30,19 @@ fn fixture(positions: &[Vec3], ranks: usize) -> (Vec<Rank>, RegionIndex) {
     let out = mapper.assign(positions);
     let index = RegionIndex::build(&out.rank_regions);
     (out.ranks, index)
+}
+
+/// The scalar multi-radius kernel at the list's own maximum radius.
+fn multi_scalar(
+    positions: &[Vec3],
+    owners: &[Rank],
+    index: &RegionIndex,
+    radii: &[f64],
+    ranks: usize,
+) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let r_max = radii.iter().cloned().fold(0.0f64, f64::max);
+    let rr: Vec<f64> = radii.iter().map(|&r| r * r).collect();
+    multi_ghost_chunked(positions, owners, index, r_max, &rr, ranks)
 }
 
 proptest! {
@@ -71,8 +86,8 @@ proptest! {
         let (owners, index) = fixture(&positions, ranks);
         let soa = SoAPositions::from_positions(&positions);
         let scalar = ghost_counts_chunked(&positions, &owners, &index, radius, ranks);
-        let lane = ghost_counts_soa(&soa, &owners, &index, radius, ranks);
-        prop_assert_eq!(scalar, lane);
+        let lane = ghost_counts_soa(&soa, &owners, &index, &[radius], ranks);
+        prop_assert_eq!(vec![scalar], lane);
     }
 
     #[test]
@@ -87,8 +102,8 @@ proptest! {
         let (owners, index) = fixture(&positions, ranks);
         let soa = SoAPositions::from_positions(&positions);
         let scalar = ghost_counts_chunked(&positions, &owners, &index, radius, ranks);
-        let lane = ghost_counts_soa(&soa, &owners, &index, radius, ranks);
-        prop_assert_eq!(scalar, lane);
+        let lane = ghost_counts_soa(&soa, &owners, &index, &[radius], ranks);
+        prop_assert_eq!(vec![scalar], lane);
     }
 
     #[test]
@@ -102,12 +117,40 @@ proptest! {
     ) {
         let (owners, index) = fixture(&positions, ranks);
         let soa = SoAPositions::from_positions(&positions);
-        let r_max = radii.iter().cloned().fold(0.0f64, f64::max);
-        let rr: Vec<f64> = radii.iter().map(|&r| r * r).collect();
-        let scalar = multi_ghost_chunked(&positions, &owners, &index, r_max, &rr, ranks);
-        let lane = multi_ghost_soa(&soa, &owners, &index, r_max, &rr, ranks);
+        let scalar = multi_scalar(&positions, &owners, &index, &radii, ranks);
+        let lane = ghost_counts_soa(&soa, &owners, &index, &radii, ranks);
         prop_assert_eq!(&scalar, &lane);
         // And the shared pass agrees with running every radius standalone.
+        for (k, &r) in radii.iter().enumerate() {
+            let single = ghost_counts_chunked(&positions, &owners, &index, r, ranks);
+            prop_assert_eq!(&scalar[k], &single);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_scalar_on_quantised_coordinates(
+        // What a compact f32 trace decodes to: bin tight boxes then put
+        // region faces exactly on particle coordinates, so `c == face` —
+        // where a compare-select and `f64::max`/`min` could differ — is the
+        // common case, not a measure-zero one.
+        positions in proptest::collection::vec(
+            (0u32..12, 0u32..12, 0u32..12).prop_map(|(x, y, z)| {
+                let q = |v: u32| f64::from(v as f32 / 11.0);
+                Vec3::new(q(x), q(y), q(z))
+            }),
+            1..150,
+        ),
+        ranks in 2usize..24,
+        // More radii than one lane, with duplicates and zero allowed.
+        radii in proptest::collection::vec(
+            prop_oneof![Just(0.0), Just(1.0 / 11.0), Just(0.05), 0.005..0.4f64],
+            1..10,
+        ),
+    ) {
+        let (owners, index) = fixture(&positions, ranks);
+        let soa = SoAPositions::from_positions(&positions);
+        let scalar = multi_scalar(&positions, &owners, &index, &radii, ranks);
+        prop_assert_eq!(&scalar, &ghost_counts_soa(&soa, &owners, &index, &radii, ranks));
         for (k, &r) in radii.iter().enumerate() {
             let single = ghost_counts_chunked(&positions, &owners, &index, r, ranks);
             prop_assert_eq!(&scalar[k], &single);
@@ -151,13 +194,52 @@ fn lane_kernel_handles_degenerate_inputs_like_scalar() {
     let soa = SoAPositions::from_positions(&positions);
     for radius in [0.1, 0.0, f64::INFINITY] {
         let scalar = ghost_counts_chunked(&positions, &owners, &index, radius, ranks);
-        let lane = ghost_counts_soa(&soa, &owners, &index, radius, ranks);
-        assert_eq!(scalar, lane, "radius {radius}");
+        let lane = ghost_counts_soa(&soa, &owners, &index, &[radius], ranks);
+        assert_eq!(vec![scalar], lane, "radius {radius}");
     }
+    let radii = [0.1, 0.0, f64::INFINITY];
+    let scalar = multi_scalar(&positions, &owners, &index, &radii, ranks);
+    assert_eq!(
+        scalar,
+        ghost_counts_soa(&soa, &owners, &index, &radii, ranks)
+    );
     let empty = SoAPositions::from_positions(&[]);
-    let (r, s) = ghost_counts_soa(&empty, &[], &index, 0.1, ranks);
-    assert_eq!(r, vec![0; ranks]);
-    assert_eq!(s, vec![0; ranks]);
+    let zeros = (vec![0; ranks], vec![0; ranks]);
+    assert_eq!(
+        ghost_counts_soa(&empty, &[], &index, &[0.1], ranks),
+        vec![zeros]
+    );
+}
+
+#[test]
+fn lane_kernel_handles_signed_zeros_like_scalar() {
+    // Rank 0's x face and every y/z face of the slabs sit at 0.0; a
+    // coordinate of either zero on such a face is where the clamp's
+    // compare-select may return the other zero than `f64::max` — which
+    // `dx·dx` must erase.
+    let positions: Vec<Vec3> = [-0.0, 0.0]
+        .iter()
+        .flat_map(|&a| {
+            [-0.0, 0.0, 0.3]
+                .iter()
+                .flat_map(move |&b| [-0.0, 0.0, 0.7].map(|c| Vec3::new(a, b, c)).into_iter())
+        })
+        .chain([Vec3::new(0.25, -0.0, 0.0), Vec3::new(0.5, 0.0, -0.0)])
+        .collect();
+    let ranks = 4;
+    let (owners, index) = slab_fixture(positions.len(), ranks);
+    let soa = SoAPositions::from_positions(&positions);
+    for radius in [0.0, 0.1, 0.3] {
+        let scalar = ghost_counts_chunked(&positions, &owners, &index, radius, ranks);
+        let lane = ghost_counts_soa(&soa, &owners, &index, &[radius], ranks);
+        assert_eq!(vec![scalar], lane, "radius {radius}");
+    }
+    let radii = [0.0, 0.3, 0.1];
+    let scalar = multi_scalar(&positions, &owners, &index, &radii, ranks);
+    assert_eq!(
+        scalar,
+        ghost_counts_soa(&soa, &owners, &index, &radii, ranks)
+    );
 }
 
 #[test]
@@ -182,7 +264,13 @@ fn lane_kernel_handles_non_finite_inputs_like_scalar() {
     let soa = SoAPositions::from_positions(&positions);
     for radius in [0.1, 0.0, -1.0, f64::NAN, f64::INFINITY] {
         let scalar = ghost_counts_chunked(&positions, &owners, &index, radius, ranks);
-        let lane = ghost_counts_soa(&soa, &owners, &index, radius, ranks);
-        assert_eq!(scalar, lane, "radius {radius}");
+        let lane = ghost_counts_soa(&soa, &owners, &index, &[radius], ranks);
+        assert_eq!(vec![scalar], lane, "radius {radius}");
     }
+    let radii = [0.1, 0.0, 0.3];
+    let scalar = multi_scalar(&positions, &owners, &index, &radii, ranks);
+    assert_eq!(
+        scalar,
+        ghost_counts_soa(&soa, &owners, &index, &radii, ranks)
+    );
 }

@@ -10,6 +10,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::codec::{encode_trace, Precision};
 use pic_trace::fault::{truncation_points, FailAt, TruncateAt};
@@ -190,4 +191,48 @@ fn failed_stream_still_reports_no_stats_but_positions_error() {
     let reader = TraceReader::new(&bytes[..cut]).unwrap();
     let err = generate_streaming_with_stats(reader, &cfg(), None).unwrap_err();
     assert_positioned(&err, "stats path");
+}
+
+/// A frame `read_all` refuses must fail a streamed replay the same way,
+/// under the mapping that panics on it (bin-based: its cut comparator
+/// expects finite coordinates) and the one that would count it
+/// (element-based): a positioned error at frame 1, threads joined.
+#[test]
+fn frames_the_resident_path_rejects_fail_the_stream_positioned() {
+    let tr = small_trace(64, 2);
+    let bytes = encode_trace(&tr, Precision::F64).unwrap();
+    let frame_len = 8 + 64 * 3 * 8;
+    let frame1 = 76 + tr.meta().description.len() + frame_len;
+    let mut nan = bytes.clone();
+    nan[frame1 + 8..frame1 + 16].copy_from_slice(&f64::NAN.to_le_bytes());
+    let mut repeat = bytes;
+    repeat[frame1..frame1 + 8].copy_from_slice(&0u64.to_le_bytes());
+    let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 3).unwrap();
+    for (label, bytes) in [("non-finite", nan), ("repeated iteration", repeat)] {
+        assert!(
+            TraceReader::new(&bytes[..]).unwrap().read_all().is_err(),
+            "{label}: resident path accepted the frame"
+        );
+        for mapping in [MappingAlgorithm::BinBased, MappingAlgorithm::ElementBased] {
+            let points = vec![SweepPoint::new(WorkloadConfig::new(8, mapping, 0.05))];
+            let (tx, rx) = mpsc::channel();
+            let (bytes, mesh) = (bytes.clone(), mesh.clone());
+            std::thread::spawn(move || {
+                let result = TraceReader::new(&bytes[..])
+                    .and_then(|r| sweep_streaming(r, &points, Some(&mesh)));
+                let _ = tx.send(result.map(|_| ()));
+            });
+            let label = format!("{label}, {mapping:?}");
+            let err = rx
+                .recv_timeout(WATCHDOG)
+                .unwrap_or_else(|_| panic!("{label}: pipeline hung or a worker panicked"))
+                .expect_err("streamed replay accepted the frame");
+            assert_positioned(&err, &label);
+            assert_eq!(
+                err.trace_details().unwrap().frame,
+                Some(1),
+                "{label}: {err}"
+            );
+        }
+    }
 }

@@ -515,6 +515,15 @@ fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
     let empty_ranks = format!("{{\"trace\":\"{address}\",\"ranks\":[]}}");
     let (status, body) = request(addr, "POST", "/sweep", empty_ranks.as_bytes());
     assert_eq!(status, 422, "{body}");
+    // A filter that is not finite and positive, under a mapping whose
+    // assignment ignores the filter: refused, not answered with zeros.
+    let bad_filter = format!(
+        "{{\"trace\":\"{address}\",\"ranks\":[4],\"mappings\":[\"element-based\"],\
+         \"filters\":[-0.5],\"mesh\":\"4x4x4\"}}"
+    );
+    let (status, body) = request(addr, "POST", "/sweep", bad_filter.as_bytes());
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("projection filter"), "{body}");
 
     // After the whole corpus, the server still answers.
     let (status, body) = get(addr, "/healthz");
