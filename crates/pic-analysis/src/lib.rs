@@ -5,51 +5,44 @@
 //! concurrent pipeline ships — catching entire bug classes at admission
 //! time instead of as silently wrong predictions.
 //!
-//! Four analyzers:
+//! Each analyzer names the production code it guards:
 //!
 //! * [`expr_check`] — abstract interpretation of `pic_models::Expr` over
 //!   the [`interval`] domain, seeded with per-column value ranges from the
 //!   training dataset. Flags reachable protected-division degeneracies,
 //!   overflow, out-of-range variable reads, and dead/constant subtrees,
 //!   each positioned by preorder node index and root-relative path. The
-//!   error subset gates model deserialization.
-//! * [`workload`] — the invariant catalog for generated `DynamicWorkload`
-//!   matrices (particle conservation, migration/delta consistency, ghost
+//!   error subset gates `KernelModels::from_json`; `picpredict check
+//!   --models` prints the rest.
+//! * [`workload`] — the invariant catalog for `DynamicWorkload` matrices
+//!   (shape, particle conservation, migration/delta consistency, ghost
 //!   bounds, ...), every violation carrying `(rank, sample)` coordinates.
-//!   Backs the `picpredict check` subcommand.
-//! * [`prediction`] — the outbound response gate for the resident
-//!   prediction service: no NaN, infinite, negative, or ragged predicted
-//!   kernel time ever leaves the server, each rejection positioned by
-//!   `(sample, rank, kernel)`.
-//! * [`sched`] + [`pipeline_model`] — a minimal loom-style deterministic
-//!   schedule explorer (with optional ample-set partial-order reduction
-//!   and lasso-based liveness checking), plus a faithful model of the
-//!   streaming workload generator's decoder→workers→merge pipeline.
-//!   Exhaustive exploration proves its shutdown paths hang- and leak-free
-//!   for a matrix of configurations, in CI, with a replayable schedule on
-//!   any failure.
-//! * [`reduction`] — the error-budget gate for SimPoint-style trace
-//!   reduction: exact replay of a deterministic holdout of
-//!   non-representative samples, compared against the reduced
+//!   Gates the output of `pic_workload::generator` and the sweep engine in
+//!   the CLI and the pipeline, and a user's file in `picpredict check
+//!   --workload`.
+//! * [`prediction`] — the kernel-table gate in
+//!   `pic_predict::predict_workload`: no NaN, infinite, negative, or
+//!   ragged predicted kernel time reaches the simulator or an answer, each
+//!   rejection positioned by `(sample, rank, kernel)`.
+//! * [`reduction`] — the error-budget gate of
+//!   `pic_predict::replay_reduced_gated`: exact replay of a deterministic
+//!   holdout of non-representative samples, compared against the reduced
 //!   reconstruction on peak load. A reduction that breaches its budget
 //!   (default 2%) is rejected before anything downstream trusts it.
-//! * [`serve_model`] — explicit-state models of the three `picpredict
-//!   serve` concurrency protocols (single-flight batching, LRU registry
-//!   weight accounting, the shutdown handshake), verified over a config
-//!   matrix by `picpredict check --serve`, plus a seeded-mutant corpus
-//!   proving the checker catches each protocol's bug classes.
-//! * [`des_batch`] — soundness of simulating by dataflow fold: every
-//!   causal processing order of a bulk-synchronous step must reach the
-//!   fold's closed-form barrier time, and every causal order of two
-//!   neighbour-synchronised steps with ranks a step apart must reach its
-//!   per-rank ready times. Verified by `picpredict check --des`, with a
-//!   mutant corpus (double count, early release, arrivals folded into the
-//!   wrong step, arrivals ignored).
+//! * [`sched`] — a minimal loom-style deterministic schedule explorer
+//!   (with optional ample-set partial-order reduction and lasso-based
+//!   liveness checking) for the models below, each an interleaving
+//!   property of live code that no proptest can sample exhaustively:
+//!   * [`pipeline_model`] — `pic_workload::sweep_streaming`'s
+//!     decoder→workers→merge pipeline shuts down hang- and leak-free
+//!     (`tests/interleavings.rs`);
+//!   * [`serve_model`] — the service's single-flight batching and its
+//!     shutdown handshake are deadlock- and lost-wakeup-free, with a
+//!     seeded-mutant corpus (`tests/serve_protocols.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod des_batch;
 pub mod expr_check;
 pub mod interval;
 pub mod pipeline_model;
@@ -59,10 +52,6 @@ pub mod sched;
 pub mod serve_model;
 pub mod workload;
 
-pub use des_batch::{
-    des_batch_mutants, verify_des_batching, BarrierStepModel, DesBatchMutant, DesBatchVerdict,
-    NeighborMutant, NeighborRunAheadModel,
-};
 pub use expr_check::{
     analyze_expr, check_compiled_equivalence, check_model_expr, Diagnostic, ExprReport,
     FeatureSpace, Severity,

@@ -1,28 +1,29 @@
 //! Explicit-state models of the `picpredict serve` concurrency layer.
 //!
-//! Three protocols, one model each, all checked by the [`crate::sched`]
+//! Two protocols, one model each, both checked by the [`crate::sched`]
 //! explorer with ample-set partial-order reduction and lasso liveness:
 //!
 //! * [`single_flight`] — leader election, follower parking, publish /
-//!   notify / remove ordering, and leader panic/abandonment;
-//! * [`lru`] — byte-budgeted LRU weight accounting (counter never
-//!   drifts, budget holds after every settling eviction, the admitted
-//!   entry survives its own insert);
-//! * [`shutdown`] — the flag + condvar + accept-poke + drain handshake.
+//!   notify / remove ordering, and leader panic/abandonment (the serve
+//!   module's `single_flight` and its `FlightPublisher` drop guard);
+//! * [`shutdown`] — the flag + condvar + accept-poke + drain handshake
+//!   (`ServerState::{begin_shutdown, wait_shutdown}`, the accept loop in
+//!   `Server::start`, and the drain in `Server::cleanup`).
+//!
+//! The registry's byte-budgeted LRU accounting is a sequential property
+//! and has no model here: `tests/registry_props.rs` checks it on the real
+//! `TraceRegistry` and `AssignmentCache` over random op sequences.
 //!
 //! [`verify_serve_protocols`] runs each model over a configuration
 //! matrix, both reduced and (for reporting) fully expanded, so the
 //! reduction factor is visible. [`serve_mutant_corpus`] runs the seeded
 //! bugs — one per bug class the checker claims to catch — and reports
-//! whether each was *caught*; CI fails if any slips through. Surfaced to
-//! users as `picpredict check --serve`.
+//! whether each was *caught*; CI fails if any slips through.
 
-pub mod lru;
 pub mod shutdown;
 pub mod single_flight;
 
 use crate::sched::{explore_with, Exploration, ExploreOptions, ScheduleError};
-use lru::{LruModel, LruMutant, LruSpec};
 use shutdown::{SdMutant, ShutdownModel, ShutdownSpec};
 use single_flight::{SfMutant, SingleFlightModel, SingleFlightSpec};
 
@@ -38,7 +39,7 @@ const FULL_RUN_CEILING: usize = 60_000;
 /// Result of verifying one model configuration.
 #[derive(Debug, Clone)]
 pub struct ProtocolVerdict {
-    /// Which protocol model (`"single-flight"`, `"lru"`, `"shutdown"`).
+    /// Which protocol model (`"single-flight"`, `"shutdown"`).
     pub model: &'static str,
     /// Debug rendering of the configuration explored.
     pub config: String,
@@ -124,24 +125,6 @@ fn single_flight_matrix() -> Vec<SingleFlightSpec> {
     specs
 }
 
-/// The LRU configuration matrix: budgets tight enough to force eviction,
-/// an oversized artifact, and weight growth on/off.
-fn lru_matrix() -> Vec<LruSpec> {
-    let mut specs = Vec::new();
-    for &(budget, weights) in &[(4u8, [2u8, 2, 3]), (5, [2, 3, 6]), (3, [1, 1, 1])] {
-        for &grow in &[false, true] {
-            specs.push(LruSpec {
-                budget,
-                weights,
-                ops: 5,
-                grow,
-                mutant: LruMutant::None,
-            });
-        }
-    }
-    specs
-}
-
 /// The shutdown configuration matrix: handler counts and work steps.
 fn shutdown_matrix() -> Vec<ShutdownSpec> {
     let mut specs = Vec::new();
@@ -157,7 +140,7 @@ fn shutdown_matrix() -> Vec<ShutdownSpec> {
     specs
 }
 
-/// Exhaustively verify all three serve protocols over their config
+/// Exhaustively verify both serve protocols over their config
 /// matrices: deadlock-free, lost-wakeup-free (liveness lassos), leak-free
 /// (terminal invariants), with per-config reduced-vs-full state counts.
 pub fn verify_serve_protocols() -> Result<Vec<ProtocolVerdict>, ScheduleError> {
@@ -169,16 +152,6 @@ pub fn verify_serve_protocols() -> Result<Vec<ProtocolVerdict>, ScheduleError> {
             format!(
                 "threads={} compute={} panics={}",
                 spec.threads, spec.compute_steps, spec.leader_panics
-            ),
-        )?);
-    }
-    for spec in lru_matrix() {
-        verdicts.push(verify_one(
-            &LruModel { spec },
-            "lru",
-            format!(
-                "budget={} weights={:?} ops={} grow={}",
-                spec.budget, spec.weights, spec.ops, spec.grow
             ),
         )?);
     }
@@ -217,9 +190,9 @@ fn run_mutant<M: crate::sched::Model>(model: &M, name: &'static str) -> MutantOu
 
 /// Run the seeded-mutant corpus: one representative bug per class the
 /// checker claims to catch (dropped notify, reordered unlock/remove,
-/// skipped weight decrement, lost wakeup, skipped connection-count
-/// decrement, missing abandonment guard). Every entry must come back
-/// `caught` — CI enforces it.
+/// leaked table entry, lost wakeup, skipped connection-count decrement,
+/// missing abandonment guard). Every entry must come back `caught` — CI
+/// enforces it.
 pub fn serve_mutant_corpus() -> Vec<MutantOutcome> {
     let sf = |leader_panics, abandonment_guard, mutant| SingleFlightModel {
         spec: SingleFlightSpec {
@@ -227,15 +200,6 @@ pub fn serve_mutant_corpus() -> Vec<MutantOutcome> {
             compute_steps: 1,
             leader_panics,
             abandonment_guard,
-            mutant,
-        },
-    };
-    let lru = |mutant| LruModel {
-        spec: LruSpec {
-            budget: 4,
-            weights: [2, 2, 3],
-            ops: 5,
-            grow: true,
             mutant,
         },
     };
@@ -257,15 +221,6 @@ pub fn serve_mutant_corpus() -> Vec<MutantOutcome> {
             &sf(false, true, SfMutant::RemoveBeforePublish),
             "sf-remove-before-publish",
         ),
-        run_mutant(
-            &lru(LruMutant::SkipEvictDecrement),
-            "lru-skip-weight-decrement",
-        ),
-        run_mutant(
-            &lru(LruMutant::DoubleCountReinsert),
-            "lru-double-count-reinsert",
-        ),
-        run_mutant(&lru(LruMutant::EvictNewest), "lru-evict-newest"),
         run_mutant(&sd(SdMutant::DropNotify), "shutdown-drop-notify"),
         run_mutant(&sd(SdMutant::DropPoke), "shutdown-drop-poke"),
         run_mutant(&sd(SdMutant::FlagOutsideLock), "shutdown-flag-outside-lock"),
@@ -283,7 +238,7 @@ mod tests {
     #[test]
     fn all_protocols_verify_clean() {
         let verdicts = verify_serve_protocols().unwrap();
-        assert_eq!(verdicts.len(), 12 + 6 + 6);
+        assert_eq!(verdicts.len(), 12 + 6);
         for v in &verdicts {
             assert!(
                 v.reduced.states > 0,
@@ -321,7 +276,7 @@ mod tests {
     #[test]
     fn every_seeded_mutant_is_caught() {
         let outcomes = serve_mutant_corpus();
-        assert_eq!(outcomes.len(), 11);
+        assert_eq!(outcomes.len(), 8);
         let escaped: Vec<_> = outcomes.iter().filter(|o| !o.caught).collect();
         assert!(escaped.is_empty(), "mutants escaped: {escaped:#?}");
     }

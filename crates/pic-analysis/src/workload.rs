@@ -13,7 +13,7 @@
 //!
 //! | code | invariant |
 //! |------|-----------|
-//! | `shape` | all matrices agree on `R` and `T`; `R > 0` |
+//! | `shape` | all matrices agree on `R` and `T` and hold `R × T` counts; `R > 0` |
 //! | `iterations` | sample iteration numbers strictly increase |
 //! | `conservation` | per-sample real-particle total equals `N_p` |
 //! | `comm-first` | `comm.entries[0]` is empty (no predecessor sample) |
@@ -123,6 +123,17 @@ pub fn check_workload(
                 format!(
                     "{name} matrix has {} samples, iterations list {samples}",
                     m.samples()
+                ),
+            );
+        } else if m.cells() != m.ranks() * samples {
+            c.push(
+                "shape",
+                None,
+                None,
+                format!(
+                    "{name} matrix holds {} counts, not {} ranks x {samples} samples",
+                    m.cells(),
+                    m.ranks()
                 ),
             );
         }
@@ -465,6 +476,21 @@ mod tests {
         let v = check_workload(&w, None);
         assert!(!v.is_empty());
         assert!(v.iter().all(|x| x.code == "shape"), "{v:?}");
+    }
+
+    #[test]
+    fn ragged_matrix_is_shape_violation() {
+        let mut w = valid();
+        // a tenth count: three whole 3-rank rows plus a tail `samples()`
+        // floors away
+        w.real = serde_json::from_str(r#"{"ranks":3,"data":[4,3,3,3,4,3,3,3,4,1]}"#).unwrap();
+        let v = check_workload(&w, Some(10));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].code, "shape");
+        assert!(
+            v[0].message.contains("real matrix holds 10 counts"),
+            "{v:?}"
+        );
     }
 
     #[test]

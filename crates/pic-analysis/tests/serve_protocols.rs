@@ -1,10 +1,10 @@
 //! CI gate for the serve-layer protocol models (ISSUE 8).
 //!
-//! Mirrors what `picpredict check --serve` runs, through the public
-//! `pic-analysis` API: the full configuration matrix must verify clean
-//! (deadlock-, lost-wakeup-, and leak-free), the ample-set reduction must
-//! demonstrably shrink the state space without changing the terminal-state
-//! set, and every seeded mutant in the corpus must be caught.
+//! Through the public `pic-analysis` API: the single-flight and shutdown
+//! configuration matrices must verify clean (deadlock-, lost-wakeup-, and
+//! leak-free), the ample-set reduction must demonstrably shrink the state
+//! space without changing the terminal-state set, and every seeded mutant
+//! in the corpus must be caught.
 
 use pic_analysis::sched::{explore_with, ExploreOptions};
 use pic_analysis::serve_model::single_flight::{SfMutant, SingleFlightModel, SingleFlightSpec};
@@ -19,8 +19,8 @@ fn serve_protocol_matrix_verifies_clean() {
         assert!(v.reduced.states > 0);
     }
     assert_eq!(by_model["single-flight"], 12);
-    assert_eq!(by_model["lru"], 6);
     assert_eq!(by_model["shutdown"], 6);
+    assert_eq!(by_model.len(), 2);
 }
 
 #[test]
@@ -48,7 +48,9 @@ fn reduction_shrinks_without_losing_terminals() {
 
 #[test]
 fn mutant_corpus_is_fully_caught() {
-    for o in serve_mutant_corpus() {
+    let outcomes = serve_mutant_corpus();
+    assert_eq!(outcomes.len(), 8);
+    for o in outcomes {
         assert!(o.caught, "mutant {} escaped: {}", o.name, o.detail);
     }
 }

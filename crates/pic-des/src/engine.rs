@@ -11,10 +11,9 @@
 //! outcome whatever order its events fire in, and [`simulate`] computes it
 //! directly, step by step, with the event engine's IEEE operations in the
 //! same operand order (see `DESIGN.md` §16). The event-per-message
-//! engine survives as [`crate::reference::simulate_reference`]; the
-//! proptests assert exact [`SimTimeline`] equality between the two, and
-//! `pic_analysis::des_batch` model-checks that every causal event order
-//! reaches the fold's times.
+//! engine survives as [`crate::reference::simulate_reference`]; random and
+//! fixed corner-case schedules in both sync modes, and a 16 384-rank test,
+//! assert exact [`SimTimeline`] equality between the two.
 
 use crate::machine::MachineSpec;
 use pic_types::{PicError, Result};

@@ -212,6 +212,110 @@ fn assert_engines_identical(
     Ok(())
 }
 
+/// One step in ticks: compute per rank, and messages `(from, to, delay)`.
+type TickStep = (&'static [u32], &'static [(u32, u32, u64)]);
+
+/// Fixed schedules at the corners where event order could matter if the
+/// fold were wrong: one-step barrier cases (ties, a self-message, zero
+/// delays, fan-in, fan-out, a duplicate pair, an irregular mix) and
+/// two-step run-ahead cases (a sender a step ahead of its receiver, a
+/// message outlasting its receiver's compute, a ring, self-messages with
+/// repeated pairs, all-zero compute and delays, send-only and
+/// receive-only ranks).
+const ORDER_CASES: &[(&str, &[TickStep])] = &[
+    ("no-messages", &[(&[3, 1, 2], &[])]),
+    (
+        "tied-computes-ring",
+        &[(&[2, 2, 2], &[(0, 1, 1), (1, 2, 1), (2, 0, 1)])],
+    ),
+    ("self-message", &[(&[2], &[(0, 0, 1)])]),
+    ("zero-delay-exchange", &[(&[1, 2], &[(0, 1, 0), (1, 0, 0)])]),
+    ("fan-in", &[(&[1, 4, 2], &[(1, 0, 1), (2, 0, 3)])]),
+    ("fan-out", &[(&[3, 1, 1], &[(0, 1, 2), (0, 2, 0)])]),
+    ("duplicate-pair", &[(&[1, 1, 9], &[(0, 1, 1), (0, 1, 3)])]),
+    (
+        "mixed-irregular",
+        &[(&[0, 3, 3], &[(0, 1, 0), (1, 2, 2), (2, 2, 1), (0, 2, 5)])],
+    ),
+    (
+        "sender-runs-ahead",
+        &[(&[1, 9], &[(0, 1, 1)]), (&[1, 2], &[(0, 1, 4)])],
+    ),
+    (
+        "late-message",
+        &[(&[5, 1], &[(0, 1, 3)]), (&[1, 1], &[(1, 0, 2)])],
+    ),
+    (
+        "ring",
+        &[
+            (&[2, 1, 3], &[(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
+            (&[1, 3, 1], &[(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+        ],
+    ),
+    (
+        "self-and-repeat",
+        &[
+            (&[2, 1], &[(0, 0, 3), (1, 0, 1), (1, 0, 4)]),
+            (&[1, 1], &[(0, 1, 0), (0, 1, 2)]),
+        ],
+    ),
+    (
+        "all-zero",
+        &[
+            (&[0, 0, 0], &[(0, 1, 0), (1, 2, 0)]),
+            (&[0, 0, 0], &[(2, 0, 0), (0, 2, 0)]),
+        ],
+    ),
+    (
+        "send-only-receive-only",
+        &[
+            (&[3, 0, 1], &[(0, 1, 1), (0, 1, 1)]),
+            (&[0, 2, 1], &[(0, 1, 2), (2, 1, 0)]),
+        ],
+    ),
+];
+
+/// A schedule of [`ORDER_CASES`] for a machine where a tick is a second:
+/// compute ticks become seconds, and a delay of `d` ticks becomes `d` MB
+/// on a zero-latency 1 MB/s link, so every time is an exact integer.
+fn tick_schedule(steps: &[TickStep]) -> Vec<StepWorkload> {
+    steps
+        .iter()
+        .map(|(compute, msgs)| StepWorkload {
+            compute_seconds: compute.iter().map(|&c| f64::from(c)).collect(),
+            messages: msgs
+                .iter()
+                .map(|&(from, to, delay)| (from, to, delay * 1_000_000))
+                .collect(),
+        })
+        .collect()
+}
+
+#[test]
+fn event_order_cases_agree_with_the_oracle() {
+    let m = MachineSpec {
+        link_latency: 0.0,
+        link_bandwidth: 1e6,
+        ..machine()
+    };
+    for (name, steps) in ORDER_CASES {
+        let sched = tick_schedule(steps);
+        for mode in [SyncMode::BulkSynchronous, SyncMode::NeighborSync] {
+            let agreed = assert_engines_identical(&sched, &m, mode);
+            assert!(agreed.is_ok(), "{name}: {agreed:?}");
+        }
+    }
+    // by hand: fan-in's barrier is rank 0's latest arrival, max(1, 4+1, 2+3)
+    let fan_in = tick_schedule(ORDER_CASES[4].1);
+    let t = simulate(&fan_in, &m, SyncMode::BulkSynchronous).unwrap();
+    assert_eq!(t.step_finish, vec![5.0]);
+    // rank 0 finishes both steps at 2 while rank 1 is still on its first
+    // (its step-0 message, arriving at 2, does not delay rank 1's 9)
+    let ahead = tick_schedule(ORDER_CASES[8].1);
+    let t = simulate(&ahead, &m, SyncMode::NeighborSync).unwrap();
+    assert_eq!(t.rank_finish, vec![2.0, 11.0]);
+}
+
 /// Comm-matrix shapes matching the four particle-mapping algorithms:
 /// element-based → halo exchange with the ±1 neighbours; bin-based →
 /// fan-in to a few bin-owner ranks; hilbert-ordered → a ring along the

@@ -57,7 +57,7 @@ const USAGE: &str = "usage:
   picpredict run --config cfg.json --trace out.pictrace [--records rec.json] [--precision f64|f32]
   picpredict default-config                 # print a template configuration
   picpredict info --trace t.pictrace        # trace metadata and statistics
-  picpredict check [--workload w.json] [--particles N | --trace t.pictrace] [--models m.json] [--pipeline true] [--serve true] [--des true]
+  picpredict check [--workload w.json] [--particles N | --trace t.pictrace] [--models m.json]
   picpredict workload --trace t.pictrace --ranks N --mapping M [--stream true] [--filter F] [--mesh AxBxC --order K] [--out DIR]
   picpredict benchmark --out rec.json [--wallclock true] [--order K] [--filter F]
   picpredict fit --records rec.json --out models.json [--strategy linear|auto]
@@ -76,7 +76,8 @@ const USAGE: &str = "usage:
   picpredict compact --trace t.pictrace --out t.pictrcz [--precision f64|f32]
   picpredict serve [--addr 127.0.0.1:7070] [--budget-mb 512] [--read-timeout-ms 2000] [--max-body-mb 256]
 
-boolean flags take true or false (a flag given last with no value means true).
+boolean flags take true or false (a flag given last with no value means true);
+a flag the command does not list is an error.
 
 global flags:
   --threads N    run the command under an N-thread pool (default: shared
@@ -238,9 +239,55 @@ fn mesh_flag(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<Ele
     )?))
 }
 
+/// The flags each command reads; `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "run" => &["config", "trace", "records", "precision"],
+        "default-config" => &[],
+        "info" => &["trace"],
+        "check" => &["workload", "particles", "trace", "models"],
+        "workload" => &[
+            "trace", "ranks", "mapping", "filter", "stream", "mesh", "order", "out",
+        ],
+        "benchmark" => &["out", "wallclock", "order", "filter"],
+        "fit" => &["records", "out", "strategy"],
+        "predict" => &[
+            "trace", "models", "ranks", "mapping", "machine", "sync", "filter", "mesh", "order",
+        ],
+        "extrapolate" => &["trace", "out", "particles", "seed"],
+        "study" => &[
+            "trace", "ranks", "mapping", "filter", "mesh", "order", "strides",
+        ],
+        "sweep" => &[
+            "trace", "ranks", "mappings", "filters", "strides", "ghosts", "stream", "mesh",
+            "order", "out",
+        ],
+        "simpoint" => &[
+            "trace", "ranks", "mapping", "filter", "mesh", "order", "k", "k-max", "seed", "bins",
+            "features", "budget", "holdout", "plan-out", "out",
+        ],
+        "compact" => &["trace", "out", "precision"],
+        "serve" => &["addr", "budget-mb", "read-timeout-ms", "max-body-mb"],
+        _ => return None,
+    })
+}
+
 fn dispatch(args: &[String]) -> Result<()> {
     let (positional, flags) = parse_flags(args);
     let cmd = positional.first().map(|s| s.as_str()).unwrap_or("");
+    // A flag the command does not read is a typo or a retired option, not
+    // something to skip silently.
+    if let Some(known) = command_flags(cmd) {
+        let unknown = flags
+            .keys()
+            .filter(|k| *k != "threads" && !known.contains(&k.as_str()))
+            .min();
+        if let Some(flag) = unknown {
+            return Err(PicError::config(format!(
+                "unknown flag --{flag} for '{cmd}'"
+            )));
+        }
+    }
     // Global `--threads N`: run the whole command under a pool of that
     // size. Without it, the shared-pool policy applies (pool sized from
     // `RAYON_NUM_THREADS`, falling back to the machine's parallelism).
@@ -334,22 +381,19 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-/// Static verification driver: workload invariant catalog, kernel-model
-/// admission + expression analysis, the pipeline interleaving matrix, and
-/// the serve-layer protocol models (`--serve true`: single-flight, LRU
-/// accounting, shutdown handshake — explored with ample-set reduction and
-/// lasso liveness, plus the seeded-mutant corpus, every one of which must
-/// be caught), and the DES fold-soundness models (`--des true`: every
-/// causal processing order of a bulk-synchronous step, and of two
-/// neighbour-synchronised steps with ranks a step apart, must reach the
-/// times the fold computes, with their own mutant corpus).
-/// Exits nonzero if any check fails; warnings alone do not fail the run.
+/// Static verification of a user's files: the workload invariant catalog
+/// (`--workload`) and kernel-model admission plus expression analysis
+/// (`--models`). Exits nonzero if any check fails; warnings alone do not
+/// fail the run.
 fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
-    let mut ran_any = false;
+    if !flags.contains_key("workload") && !flags.contains_key("models") {
+        return Err(PicError::config(
+            "nothing to check: pass --workload and/or --models",
+        ));
+    }
     let mut failures = 0usize;
 
     if let Some(path) = flags.get("workload") {
-        ran_any = true;
         let w: pic_workload::DynamicWorkload =
             serde_json::from_str(&std::fs::read_to_string(path)?)
                 .map_err(|e| PicError::config(format!("bad workload JSON in {path}: {e}")))?;
@@ -382,7 +426,6 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
     }
 
     if let Some(path) = flags.get("models") {
-        ran_any = true;
         // from_json runs the admission pass: corrupt models error out here
         // with positioned diagnostics
         let models = KernelModels::from_json(&std::fs::read_to_string(path)?)?;
@@ -409,99 +452,6 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
 
-    if bool_flag(flags, "pipeline", false)? {
-        ran_any = true;
-        let stats = pic_analysis::verify_streaming_shutdown()
-            .map_err(|e| PicError::model(format!("pipeline interleaving check failed: {e}")))?;
-        println!(
-            "pipeline: OK ({} states, {} terminal, {} transitions explored — no hangs or leaks)",
-            stats.states, stats.terminal_states, stats.transitions
-        );
-    }
-
-    if bool_flag(flags, "serve", false)? {
-        ran_any = true;
-        // Exhaustive exploration of the three serve concurrency protocols
-        // over their configuration matrices — any deadlock, liveness
-        // lasso, or invariant breach comes back as a replayable schedule.
-        let verdicts = pic_analysis::verify_serve_protocols()
-            .map_err(|e| PicError::model(format!("serve protocol check failed: {e}")))?;
-        for v in &verdicts {
-            let full = match v.full {
-                Some(f) => format!(
-                    "full {} states, reduction {:.1}x",
-                    f.states,
-                    v.reduction_factor().unwrap_or(1.0)
-                ),
-                None => "full run skipped (reduced exploration already large)".to_string(),
-            };
-            println!(
-                "serve {:>13} [{}]: OK — reduced {} states / {} terminal / {} ample; {}",
-                v.model,
-                v.config,
-                v.reduced.states,
-                v.reduced.terminal_states,
-                v.reduced.ample_states,
-                full
-            );
-        }
-        println!(
-            "serve protocols: OK ({} configuration(s) deadlock-, lost-wakeup-, and leak-free)",
-            verdicts.len()
-        );
-        // The seeded-mutant corpus proves the checker's teeth: one
-        // representative bug per class, each of which must be CAUGHT.
-        let outcomes = pic_analysis::serve_mutant_corpus();
-        let mut caught = 0usize;
-        for o in &outcomes {
-            if o.caught {
-                caught += 1;
-                println!("serve mutant {:<28} caught: {}", o.name, o.detail);
-            } else {
-                eprintln!("error: serve mutant {} ESCAPED: {}", o.name, o.detail);
-                failures += 1;
-            }
-        }
-        println!("serve mutants: {caught}/{} caught", outcomes.len());
-    }
-
-    if bool_flag(flags, "des", false)? {
-        ran_any = true;
-        // Soundness of simulating by fold: every causal processing order
-        // of a bulk-synchronous step must reach the closed-form barrier
-        // time, and every causal order of two neighbour-synchronised steps
-        // with ranks a step apart the fold's per-rank ready times.
-        let verdicts = pic_analysis::verify_des_batching()
-            .map_err(|e| PicError::model(format!("des batching check failed: {e}")))?;
-        for v in &verdicts {
-            println!(
-                "des {:>25}: OK — {} states / {} terminal / {} transitions, all orders reach the closed form",
-                v.config, v.exploration.states, v.exploration.terminal_states, v.exploration.transitions
-            );
-        }
-        println!(
-            "des batching: OK ({} configuration(s), every causal order matches the fold)",
-            verdicts.len()
-        );
-        let outcomes = pic_analysis::des_batch_mutants();
-        let mut caught = 0usize;
-        for (name, was_caught) in &outcomes {
-            if *was_caught {
-                caught += 1;
-                println!("des mutant {name:<22} caught");
-            } else {
-                eprintln!("error: des mutant {name} ESCAPED");
-                failures += 1;
-            }
-        }
-        println!("des mutants: {caught}/{} caught", outcomes.len());
-    }
-
-    if !ran_any {
-        return Err(PicError::config(
-            "nothing to check: pass --workload, --models, --pipeline true, --serve true, and/or --des true",
-        ));
-    }
     if failures > 0 {
         // diagnostics were already printed, positioned; no usage dump
         eprintln!("check failed with {failures} violation(s)");
@@ -1151,9 +1101,6 @@ mod tests {
             (sweep.clone(), "--stream", "off"),
             (format!("workload {placed}"), "--stream", "yes"),
             (format!("benchmark --out {o}"), "--wallclock", "1"),
-            ("check".to_string(), "--pipeline", "on"),
-            ("check".to_string(), "--serve", "y"),
-            ("check".to_string(), "--des", "TRUE"),
             // positive integers
             (predict.clone(), "--threads", "0"),
             (predict.clone(), "--threads", "two"),
@@ -1189,14 +1136,47 @@ mod tests {
         }
         // the same commands with the flag absent run on the documented default
         dispatch(&argv(&predict)).unwrap();
+
+        // a flag the command does not read is an error, never skipped: a
+        // typo, a flag of another command, or a model-checking flag that
+        // `check` does not take (the interleaving models run as tests)
+        let good = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/analysis/good/workload_drift.json"
+        );
+        let unknown = [
+            (
+                format!("check --workload {good} --particles 40"),
+                "--bogus",
+                "yes",
+            ),
+            (predict.clone(), "--filtr", "0.05"),
+            (sweep, "--mapping", "bin-based"),
+            ("check".to_string(), "--des", "true"),
+            ("check".to_string(), "--serve", "true"),
+            ("check".to_string(), "--pipeline", "true"),
+        ];
+        for (base, flag, value) in &unknown {
+            let cmd = format!("{base} {flag} {value}");
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+            let name = base.split_whitespace().next().unwrap();
+            assert_eq!(
+                err,
+                format!("configuration error: unknown flag {flag} for '{name}'")
+            );
+        }
+        dispatch(&argv(&format!(
+            "check --workload {good} --particles 40 --threads 1"
+        )))
+        .unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
         let (_, none) = parse_flags(&argv("x"));
         assert!(bool_flag(&none, "ghosts", true).unwrap());
         assert!(!bool_flag(&none, "stream", false).unwrap());
-        let (_, given) = parse_flags(&argv("x --ghosts false --des true --stream"));
+        let (_, given) = parse_flags(&argv("x --ghosts false --wallclock true --stream"));
         assert!(!bool_flag(&given, "ghosts", true).unwrap());
-        assert!(bool_flag(&given, "des", false).unwrap());
+        assert!(bool_flag(&given, "wallclock", false).unwrap());
         assert!(bool_flag(&given, "stream", false).unwrap());
         assert_eq!(positive_flag::<usize>(&none, "threads").unwrap(), None);
         let (_, given) = parse_flags(&argv("x --threads 2"));

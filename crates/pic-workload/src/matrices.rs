@@ -48,9 +48,14 @@ impl CompMatrix {
         self.ranks
     }
 
-    /// Sample count `T`.
+    /// Sample count `T`: whole rows only, so a ragged tail is not counted.
     pub fn samples(&self) -> usize {
         self.data.len().checked_div(self.ranks).unwrap_or(0)
+    }
+
+    /// Number of stored counts; `R × T` unless the matrix is ragged.
+    pub fn cells(&self) -> usize {
+        self.data.len()
     }
 
     /// Count for `rank` at `sample` (the paper's `P_comp[i][j]`).

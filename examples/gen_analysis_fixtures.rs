@@ -145,6 +145,15 @@ fn main() {
     iters.iterations[SAMPLES - 1] = iters.iterations[SAMPLES - 2];
     write_json(&bad.join("workload_iterations.json"), &iters);
 
+    // one count past the last whole row: `CompMatrix::samples()` floors it
+    // away, so only the length check sees it
+    let mut ragged = base.clone();
+    let mut counts = rows(&ragged.real).concat();
+    counts.push(0);
+    let json = format!(r#"{{"ranks":{RANKS},"data":{counts:?}}}"#);
+    ragged.real = serde_json::from_str(&json).expect("ragged matrix parses");
+    write_json(&bad.join("workload_shape.json"), &ragged);
+
     for entry in std::fs::read_dir(&bad).unwrap() {
         let path = entry.unwrap().path();
         if path

@@ -1,11 +1,10 @@
 //! Property-based tests for the serve registry's LRU weight accounting
 //! (ISSUE 8, satellite 3).
 //!
-//! The `pic-analysis` `serve_model::lru` model proves the accounting
-//! discipline exhaustively on small op budgets; this corpus samples
-//! random op sequences against the *real* `TraceRegistry` (and the real
-//! per-trace `AssignmentCache`s its entries carry) and checks the same
-//! invariants the model states:
+//! The accounting runs under one lock, so its correctness is a property of
+//! op *sequences*, not interleavings, and this corpus is its check: it
+//! samples random op sequences against the *real* `TraceRegistry` (and
+//! the real per-trace `AssignmentCache`s its entries carry) and asserts:
 //!
 //! * the reported resident-bytes aggregate equals the sum of the
 //!   per-entry weights (`stats` vs `list_traces` never disagree);
@@ -13,7 +12,8 @@
 //!   drifts from the recomputed sum of the artifacts it actually holds;
 //! * after every settling pass (a new-address ingest; a cache insert)
 //!   the budget holds unless a single oversized resident remains;
-//! * eviction is strict LRU and the just-ingested address survives;
+//! * eviction is strict LRU, stops as soon as the budget holds, and the
+//!   just-ingested address survives;
 //! * re-ingest of a resident address is a recency bump that returns the
 //!   *same* `Arc` and charges nothing;
 //! * repeat sweeps served from the cache are bit-identical to the
@@ -53,9 +53,9 @@ fn addr_name(idx: u8) -> String {
     format!("addr{idx}")
 }
 
-/// One registry operation, mirroring the ops of the exhaustive LRU model:
-/// `Ingest` inserts-or-bumps, `Get` bumps recency, `Sweep` grows the
-/// entry's assignment-cache weight between ingests.
+/// One registry operation: `Ingest` inserts-or-bumps, `Get` bumps
+/// recency, `Sweep` grows the entry's assignment-cache weight between
+/// ingests.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Ingest(u8),
@@ -99,6 +99,8 @@ proptest! {
             HashMap::new();
         let mut first_sweep: HashMap<(String, usize), Vec<pic_workload::DynamicWorkload>> =
             HashMap::new();
+        // Each resident entry's weight after the previous op.
+        let mut weights: HashMap<String, usize> = HashMap::new();
 
         for op in ops {
             match op {
@@ -117,8 +119,9 @@ proptest! {
                         lru_order.push(addr);
                     } else {
                         // New insert: strict-LRU victims, never itself,
-                        // and the budget holds afterwards unless a single
-                        // oversized entry is all that remains.
+                        // no more than needed, and the budget holds
+                        // afterwards unless a single oversized entry is all
+                        // that remains.
                         prop_assert!(!evicted.contains(&addr),
                             "{addr} was evicted by its own ingest");
                         let expected: Vec<String> =
@@ -138,6 +141,10 @@ proptest! {
                             "unsettled after ingest: {} bytes > {budget} with {} residents",
                             s.resident_bytes, s.resident_traces
                         );
+                        if let Some(last) = evicted.last() {
+                            prop_assert!(s.resident_bytes + weights[last] > budget,
+                                "evicted {last} although the budget held without it");
+                        }
                     }
                 }
                 Op::Get(idx) => {
@@ -209,11 +216,11 @@ proptest! {
             shadow.sort();
             let registry: Vec<&String> = listed.iter().map(|(a, _, _, _, _)| a).collect();
             prop_assert_eq!(shadow, registry, "resident set diverged from shadow");
+            weights = listed.into_iter().map(|(a, _, _, _, b)| (a, b)).collect();
 
             // The incremental per-cache counter never drifts from the
-            // recomputed sum of the artifacts the cache still holds —
-            // the real-implementation mirror of the model's
-            // `accounted == Σ resident weights` invariant.
+            // recomputed sum of the artifacts the cache still holds
+            // (`accounted == Σ resident weights`).
             for (addr, (cache, ranks_list)) in &swept {
                 let mut true_sum = 0usize;
                 for &r in ranks_list {
