@@ -1,13 +1,15 @@
-//! Per-sample assignment cost of the three particle mapping algorithms.
+//! Per-sample assignment cost of the four particle mapping algorithms, and
+//! of the migration diff between two consecutive assignments.
 //!
 //! Bin-based mapping rebuilds its recursive planar-cut partition every
 //! sample (CMT-nek rebuilds per iteration), so its per-sample cost is the
 //! interesting one; element lookup is O(1) per particle; Hilbert pays a
-//! sort.
+//! radix sort by curve rank; load-balanced pays a weighted decomposition
+//! of the mesh.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_grid::{ElementMesh, MeshDims};
-use pic_mapping::{BinMapper, ElementMapper, HilbertMapper, ParticleMapper};
+use pic_mapping::{BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper, ParticleMapper};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Vec3};
 
@@ -41,6 +43,35 @@ fn mapping_assign(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hilbert", n), &pos, |b, pos| {
             b.iter(|| hilbert.assign(pos));
         });
+
+        let load_balanced = LoadBalancedMapper::new(&mesh, ranks).unwrap();
+        group.bench_with_input(BenchmarkId::new("load-balanced", n), &pos, |b, pos| {
+            b.iter(|| load_balanced.assign(pos));
+        });
+    }
+    group.finish();
+}
+
+fn migration_diff(c: &mut Criterion) {
+    // Two consecutive samples of a jittered cloud under bin-based mapping:
+    // the bins move with the cloud, so most particles change rank, as in
+    // `heleshaw`, where at most 0.61 keep theirs.
+    let mut group = c.benchmark_group("migration_pairs");
+    group.sample_size(10);
+    for &(n, ranks) in &[(20_000usize, 512usize), (100_000, 4176)] {
+        let before = positions(n, 17);
+        let jitter = positions(n, 19);
+        let after: Vec<Vec3> = (before.iter().zip(&jitter))
+            .map(|(&p, &j)| p + (j - Vec3::splat(0.5)) * 0.1)
+            .collect();
+        let bin = BinMapper::new(ranks, 1e-4).unwrap();
+        let (prev, cur) = (bin.assign(&before).ranks, bin.assign(&after).ranks);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_with_input(
+            BenchmarkId::new("bin", format!("{n}x{ranks}")),
+            &(prev, cur),
+            |b, (prev, cur)| b.iter(|| pic_workload::migration_pairs(prev, cur)),
+        );
     }
     group.finish();
 }
@@ -61,5 +92,5 @@ fn bin_partition_depth(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, mapping_assign, bin_partition_depth);
+criterion_group!(benches, mapping_assign, migration_diff, bin_partition_depth);
 criterion_main!(benches);

@@ -43,8 +43,15 @@ impl MeshDims {
     }
 }
 
-/// `AxBxC`, the way flags and requests spell a mesh. Whether every axis is
-/// non-zero is [`ElementMesh::new`]'s check.
+/// `AxBxC`, the way flags and requests spell a mesh.
+impl std::fmt::Display for MeshDims {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x{}x{}", self.nx, self.ny, self.nz)
+    }
+}
+
+/// The inverse of `Display`. Whether every axis is non-zero and the element
+/// count fits is [`ElementMesh::new`]'s check.
 impl std::str::FromStr for MeshDims {
     type Err = PicError;
 
@@ -80,13 +87,30 @@ pub struct ElementMesh {
 
 impl ElementMesh {
     /// Build a mesh of `dims` elements tiling `domain`, each element carrying
-    /// `order`³ grid points (`order ≥ 2`).
+    /// `order`³ grid points (`order ≥ 2`). The domain must be finite, and
+    /// the element count must fit the `u32` element ids
+    /// [`locate_clamped_soa`](Self::locate_clamped_soa) writes.
     pub fn new(domain: Aabb, dims: MeshDims, order: usize) -> Result<ElementMesh> {
         if domain.is_empty() || domain.volume() <= 0.0 {
             return Err(PicError::geometry("mesh domain must have positive volume"));
         }
+        if !(domain.min.is_finite() && domain.max.is_finite()) {
+            return Err(PicError::geometry(format!(
+                "mesh domain must be finite, got {domain}"
+            )));
+        }
         if dims.nx == 0 || dims.ny == 0 || dims.nz == 0 {
             return Err(PicError::config("mesh dims must be non-zero on every axis"));
+        }
+        let count = dims
+            .nx
+            .checked_mul(dims.ny)
+            .and_then(|n| n.checked_mul(dims.nz));
+        if count.is_none_or(|n| n > u32::MAX as usize) {
+            return Err(PicError::config(format!(
+                "mesh {dims} has more than {} elements",
+                u32::MAX
+            )));
         }
         if order < 2 {
             return Err(PicError::config("element order (N) must be at least 2"));
@@ -173,13 +197,23 @@ impl ElementMesh {
     /// containing element's lexicographic index to `out[i]` (`out` is
     /// resized to the input length).
     ///
-    /// Bit-identical to `clamp` + [`element_of_point`](Self::element_of_point)
-    /// per particle — same component-wise `max`/`min` clamp, same
-    /// `((q - min)/h).floor()` index arithmetic — but laid out as three
-    /// independent per-axis passes over fixed-width lanes so the compiler
-    /// can vectorize the clamp/divide/floor chain. NaN coordinates clamp to
-    /// `domain.min` (`f64::max`/`min` ignore NaN), exactly as the scalar
-    /// path does.
+    /// The same element as `clamp` +
+    /// [`element_of_point`](Self::element_of_point) for every input, but
+    /// computed without a `floor` call, as three per-axis passes of
+    /// straight-line arithmetic:
+    ///
+    /// * the clamp is two compare-selects (`if v > lo { v } else { lo }`,
+    ///   then against `hi`), which compile to bare `maxsd`/`minsd`. A NaN
+    ///   fails both comparisons and lands on `lo`, where `f64::max` drops
+    ///   it too. The two forms can differ only in the sign of a zero, and
+    ///   `q − lo` is then zero either way.
+    /// * after the clamp `t = (q − lo) / h` is non-negative, so truncating
+    ///   it is its floor. `h` divides, as in `element_of_point`; `· (1/h)`
+    ///   would round differently.
+    /// * the index clamp is one more compare-select, `if t > n − 1 { n − 1
+    ///   } else { t }`, before the saturating `as u32`. Past the last
+    ///   element and `+∞` go to `n − 1`, and a NaN `t` (a zero `h`) goes to
+    ///   0, as `floor(NaN) as isize` did.
     pub fn locate_clamped_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64], out: &mut Vec<u32>) {
         assert_eq!(xs.len(), ys.len());
         assert_eq!(xs.len(), zs.len());
@@ -195,11 +229,13 @@ impl ElementMesh {
                     n_ax: usize,
                     stride: u32,
                     out: &mut [u32]| {
-            let max_i = n_ax as isize - 1;
+            let last = (n_ax - 1) as f64;
             for (o, &v) in out.iter_mut().zip(coords) {
-                let q = v.max(lo).min(hi);
-                let i = ((q - lo) / h).floor() as isize;
-                *o += stride * i.clamp(0, max_i) as u32;
+                let q = if v > lo { v } else { lo };
+                let q = if q < hi { q } else { hi };
+                let t = (q - lo) / h;
+                let i = if t > last { last } else { t };
+                *o += stride * i as u32;
             }
         };
         axis(xs, dmin.x, dmax.x, self.h.x, self.dims.nx, 1, out);
@@ -299,6 +335,7 @@ impl ElementMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mesh4() -> ElementMesh {
         ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap()
@@ -318,9 +355,155 @@ mod tests {
         assert!(ElementMesh::new(Aabb::unit(), MeshDims::new(0, 1, 1), 5).is_err());
         assert!(ElementMesh::new(Aabb::unit(), MeshDims::cube(2), 1).is_err());
         assert!(ElementMesh::new(Aabb::empty(), MeshDims::cube(2), 5).is_err());
+        let unbounded = Aabb::new(Vec3::ZERO, Vec3::new(1.0, 1.0, f64::INFINITY));
+        let err = ElementMesh::new(unbounded, MeshDims::cube(2), 5).unwrap_err();
+        assert!(err.to_string().contains("finite"), "{err}");
         let m = mesh4();
         assert_eq!(m.element_count(), 64);
         assert_eq!(m.order(), 5);
+    }
+
+    #[test]
+    fn element_counts_past_u32_ids_are_refused_naming_the_dims() {
+        // 2^66 elements wraps `usize`; 4.9e9 fits `usize` but not the
+        // `u32` element ids; 2^32 − 1 is the largest count that fits.
+        for spec in ["4194304x4194304x4194304", "70000x70000x1"] {
+            let dims: MeshDims = spec.parse().unwrap();
+            assert_eq!(dims.to_string(), spec);
+            let err = ElementMesh::new(Aabb::unit(), dims, 3).unwrap_err();
+            assert!(
+                matches!(err, PicError::Config(_)) && err.to_string().contains(spec),
+                "{err}"
+            );
+        }
+        let widest = MeshDims::new(u32::MAX as usize, 1, 1);
+        assert_eq!(
+            ElementMesh::new(Aabb::unit(), widest, 3)
+                .unwrap()
+                .element_count(),
+            u32::MAX as usize
+        );
+    }
+
+    /// `locate_clamped_soa` as it was before it dropped `floor`, kept
+    /// verbatim as its oracle.
+    fn locate_clamped_soa_floor(
+        mesh: &ElementMesh,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        out: &mut Vec<u32>,
+    ) {
+        assert_eq!(xs.len(), ys.len());
+        assert_eq!(xs.len(), zs.len());
+        let n = xs.len();
+        out.clear();
+        out.resize(n, 0);
+        let (dmin, dmax) = (mesh.domain.min, mesh.domain.max);
+        // Per-axis pass: out accumulates ix + nx*(iy + ny*iz) incrementally.
+        let axis = |coords: &[f64],
+                    lo: f64,
+                    hi: f64,
+                    h: f64,
+                    n_ax: usize,
+                    stride: u32,
+                    out: &mut [u32]| {
+            let max_i = n_ax as isize - 1;
+            for (o, &v) in out.iter_mut().zip(coords) {
+                let q = v.max(lo).min(hi);
+                let i = ((q - lo) / h).floor() as isize;
+                *o += stride * i.clamp(0, max_i) as u32;
+            }
+        };
+        axis(xs, dmin.x, dmax.x, mesh.h.x, mesh.dims.nx, 1, out);
+        axis(
+            ys,
+            dmin.y,
+            dmax.y,
+            mesh.h.y,
+            mesh.dims.ny,
+            mesh.dims.nx as u32,
+            out,
+        );
+        axis(
+            zs,
+            dmin.z,
+            dmax.z,
+            mesh.h.z,
+            mesh.dims.nz,
+            (mesh.dims.nx * mesh.dims.ny) as u32,
+            out,
+        );
+    }
+
+    /// A mesh with a negative, positive or zero-straddling origin, a
+    /// non-cubic shape and thin or thick elements.
+    fn skewed_mesh() -> impl Strategy<Value = ElementMesh> {
+        (
+            (-3.0..3.0f64, -3.0..3.0f64, -3.0..3.0f64),
+            (0.01..5.0f64, 0.01..5.0f64, 0.01..5.0f64),
+            (1usize..9, 1usize..9, 1usize..9),
+        )
+            .prop_map(|(lo, ext, (nx, ny, nz))| {
+                let min = Vec3::new(lo.0, lo.1, lo.2);
+                let domain = Aabb::new(min, min + Vec3::new(ext.0, ext.1, ext.2));
+                ElementMesh::new(domain, MeshDims::new(nx, ny, nz), 3).unwrap()
+            })
+    }
+
+    /// One coordinate of a point near `mesh` on axis `a`: inside, exactly
+    /// on an element face (the domain's included), just off a face,
+    /// outside, or NaN, ±∞ and ±0.
+    fn coord(kind: u8, u: f64, mesh: &ElementMesh, a: usize) -> f64 {
+        let (lo, hi) = (mesh.domain.min.to_array()[a], mesh.domain.max.to_array()[a]);
+        let (h, n) = (mesh.h.to_array()[a], mesh.dims.to_array()[a]);
+        let face = lo + (u * (n + 1) as f64).floor() * h;
+        match kind {
+            0 => lo + u * (hi - lo),
+            1 => face,
+            2 => [face.next_down(), face.next_up()][usize::from(u < 0.5)],
+            3 => lo + (u * 3.0 - 1.0) * (hi - lo),
+            4 => [lo, hi][usize::from(u < 0.5)],
+            5 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(u * 3.0) as usize],
+            _ => [0.0, -0.0][usize::from(u < 0.5)],
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn locate_clamped_soa_matches_floor_oracle(
+            mesh in skewed_mesh(),
+            draws in proptest::collection::vec(
+                (0u8..7, 0.0..1.0f64, 0u8..7, 0.0..1.0f64, 0u8..7, 0.0..1.0f64),
+                0..300,
+            ),
+        ) {
+            let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+            for (kx, ux, ky, uy, kz, uz) in draws {
+                xs.push(coord(kx, ux, &mesh, 0));
+                ys.push(coord(ky, uy, &mesh, 1));
+                zs.push(coord(kz, uz, &mesh, 2));
+            }
+            let (mut got, mut want) = (vec![7], vec![9]);
+            mesh.locate_clamped_soa(&xs, &ys, &zs, &mut got);
+            locate_clamped_soa_floor(&mesh, &xs, &ys, &zs, &mut want);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn locate_clamped_soa_matches_floor_oracle_with_every_particle_in_one_element(
+            mesh in skewed_mesh(),
+            at in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+            n in 0usize..200,
+        ) {
+            let (lo, e) = (mesh.domain.min, mesh.domain.extent());
+            let p = Vec3::new(lo.x + e.x * at.0, lo.y + e.y * at.1, lo.z + e.z * at.2);
+            let (xs, ys, zs) = (vec![p.x; n], vec![p.y; n], vec![p.z; n]);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            mesh.locate_clamped_soa(&xs, &ys, &zs, &mut got);
+            locate_clamped_soa_floor(&mesh, &xs, &ys, &zs, &mut want);
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

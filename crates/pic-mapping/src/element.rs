@@ -6,7 +6,7 @@
 //! density, and in explosive-dispersal problems most particles start packed
 //! into a handful of elements.
 
-use crate::mapper::{MappingOutcome, ParticleMapper};
+use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_types::{Aabb, ElementId, Rank, Result, Vec3};
 
@@ -50,19 +50,6 @@ impl ElementMapper {
     pub fn mesh(&self) -> &ElementMesh {
         &self.mesh
     }
-
-    /// Residing rank of a single position. Positions outside the domain are
-    /// clamped onto it first (a particle that drifted out numerically is
-    /// kept by its nearest boundary element, matching production PIC codes
-    /// that reflect or absorb at walls rather than dropping particles).
-    #[inline]
-    pub fn rank_of(&self, p: Vec3) -> Rank {
-        let domain = self.mesh.domain();
-        let q = p.clamp(domain.min, domain.max);
-        self.decomp
-            .rank_of_point(&self.mesh, q)
-            .expect("clamped point must be inside the domain")
-    }
 }
 
 impl ParticleMapper for ElementMapper {
@@ -75,25 +62,20 @@ impl ParticleMapper for ElementMapper {
     }
 
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let mut ranks = Vec::with_capacity(positions.len());
-        for &p in positions {
-            ranks.push(self.rank_of(p));
-        }
-        MappingOutcome {
-            ranks,
-            rank_regions: self.regions.clone(),
-            bin_count: None,
-        }
+        let [xs, ys, zs] = soa_lanes(positions);
+        self.assign_soa(&xs, &ys, &zs)
     }
 
     fn supports_soa(&self) -> bool {
         true
     }
 
+    /// Positions outside the domain are clamped onto it first (a particle
+    /// that drifted out numerically is kept by its nearest boundary
+    /// element, matching production PIC codes that reflect or absorb at
+    /// walls rather than dropping particles), then located, then looked up
+    /// in the element-owner table.
     fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        // Vectorizable clamp/locate over SoA lanes, then a scalar gather
-        // through the element-owner table. Element indices match
-        // `rank_of`'s clamp + point lookup bit-for-bit.
         let mut eidx = Vec::new();
         self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
         let ranks = eidx
@@ -125,18 +107,21 @@ mod tests {
     fn particles_map_to_element_owner() {
         let m = mapper(8);
         let mesh = m.mesh().clone();
-        for id in mesh.element_ids() {
-            let c = mesh.element_centroid(id);
-            assert_eq!(m.rank_of(c), m.decomposition().rank_of_element(id));
+        let centroids: Vec<Vec3> = mesh
+            .element_ids()
+            .map(|id| mesh.element_centroid(id))
+            .collect();
+        let out = m.assign(&centroids);
+        for (id, r) in mesh.element_ids().zip(out.ranks) {
+            assert_eq!(r, m.decomposition().rank_of_element(id));
         }
     }
 
     #[test]
     fn out_of_domain_particles_are_clamped() {
         let m = mapper(8);
-        let inside = m.rank_of(Vec3::new(0.99, 0.99, 0.99));
-        let outside = m.rank_of(Vec3::new(5.0, 5.0, 5.0));
-        assert_eq!(inside, outside);
+        let out = m.assign(&[Vec3::new(0.99, 0.99, 0.99), Vec3::new(5.0, 5.0, 5.0)]);
+        assert_eq!(out.ranks[0], out.ranks[1]);
     }
 
     #[test]

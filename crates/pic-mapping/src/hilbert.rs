@@ -7,11 +7,17 @@
 //! adjacent) while the count per processor is exactly balanced.
 //!
 //! The 3-D Hilbert index is computed with Skilling's transpose algorithm
-//! (public-domain, AIP Conf. Proc. 707, 2004).
+//! (public-domain, AIP Conf. Proc. 707, 2004), once per element: the mesh
+//! is static, so [`HilbertMapper::new`] stores each element's position
+//! along the curve (its *curve rank*, one `u32` per element). Assigning a
+//! sample is then integer work only — locate each particle's element, look
+//! up its curve rank, stable radix sort the particle ids by it, and cut the
+//! order into chunks.
 
-use crate::mapper::{MappingOutcome, ParticleMapper};
+use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
 use pic_grid::ElementMesh;
-use pic_types::{Aabb, ElementId, PicError, Rank, Result, Vec3};
+use pic_types::radix::radix_sort_by_key;
+use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 
 /// Convert axis coordinates (each `< 2^bits`) into their Hilbert transpose
 /// representation, in place (Skilling's `AxestoTranspose`).
@@ -69,42 +75,60 @@ pub fn hilbert_index(ix: u32, iy: u32, iz: u32, bits: u32) -> u64 {
     h
 }
 
+/// Longest mesh axis [`HilbertMapper`] accepts: `2^21` elements, so that
+/// the three interleaved `bits`-bit coordinates fill at most the 63 bits
+/// [`hilbert_index`] returns.
+const MAX_AXIS: usize = 1 << 21;
+
 /// Hilbert-ordered mapper: particles sorted by the Hilbert index of their
 /// containing element, then split into `ranks` equal contiguous chunks.
 #[derive(Debug, Clone)]
 pub struct HilbertMapper {
     mesh: ElementMesh,
     ranks: usize,
-    bits: u32,
+    /// Position of each element along the curve, indexed by element id.
+    curve_rank: Vec<u32>,
+    /// Width of the widest curve position, the radix sort's key width.
+    rank_bits: u32,
 }
 
 impl HilbertMapper {
-    /// Build a mapper for `ranks` processors over `mesh`.
+    /// Build a mapper for `ranks` processors over `mesh`, ranking every
+    /// element along the curve once. Refuses a mesh axis longer than `2^21`
+    /// elements, past which the curve index would not fit 64 bits.
     pub fn new(mesh: &ElementMesh, ranks: usize) -> Result<HilbertMapper> {
         if ranks == 0 {
             return Err(PicError::config("hilbert mapper needs at least one rank"));
         }
         let dims = mesh.dims();
-        let max_dim = dims.nx.max(dims.ny).max(dims.nz) as u32;
-        let bits = 32 - max_dim.next_power_of_two().leading_zeros() - 1;
-        let bits = bits.max(1);
+        let max_dim = dims.nx.max(dims.ny).max(dims.nz);
+        if max_dim > MAX_AXIS {
+            return Err(PicError::config(format!(
+                "hilbert mapping supports at most {MAX_AXIS} elements per axis, mesh {dims} has {max_dim}"
+            )));
+        }
+        let bits = max_dim.next_power_of_two().trailing_zeros().max(1);
+        // Curve index of every element, in element-id (x-fastest) order,
+        // sorted; an element's curve rank is its position in that order.
+        let mut keyed = Vec::with_capacity(mesh.element_count());
+        for iz in 0..dims.nz as u32 {
+            for iy in 0..dims.ny as u32 {
+                for ix in 0..dims.nx as u32 {
+                    keyed.push((hilbert_index(ix, iy, iz, bits), keyed.len() as u32));
+                }
+            }
+        }
+        radix_sort_by_key(&mut keyed, &mut Vec::new(), 3 * bits);
+        let mut curve_rank = vec![0u32; keyed.len()];
+        for (position, &(_, element)) in (0u32..).zip(&keyed) {
+            curve_rank[element as usize] = position;
+        }
         Ok(HilbertMapper {
             mesh: mesh.clone(),
             ranks,
-            bits,
+            curve_rank,
+            rank_bits: u32::BITS - (keyed.len() as u32 - 1).leading_zeros(),
         })
-    }
-
-    /// Hilbert key of a position: the index of its (clamped) element.
-    pub fn key_of(&self, p: Vec3) -> u64 {
-        let domain = self.mesh.domain();
-        let q = p.clamp(domain.min, domain.max);
-        let e = self
-            .mesh
-            .element_of_point(q)
-            .expect("clamped point inside domain");
-        let (ix, iy, iz) = self.mesh.element_indices(e);
-        hilbert_index(ix as u32, iy as u32, iz as u32, self.bits)
     }
 }
 
@@ -118,41 +142,28 @@ impl ParticleMapper for HilbertMapper {
     }
 
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let keys: Vec<u64> = positions.iter().map(|&p| self.key_of(p)).collect();
-        self.chunk_by_keys(&keys, |i| positions[i])
+        let [xs, ys, zs] = soa_lanes(positions);
+        self.assign_soa(&xs, &ys, &zs)
     }
 
     fn supports_soa(&self) -> bool {
         true
     }
 
+    /// Locate each particle's element, look up its curve rank, stable
+    /// radix sort the particle ids by it, and hand out equal contiguous
+    /// chunks of that order. Distinct elements have distinct curve
+    /// indices, so sorting by rank with ids ascending within an element is
+    /// the `(curve index, id)` order.
     fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        // SoA clamp/locate pass (vectorizable), then the scalar Hilbert
-        // bit-twiddle per located element. Keys are bit-identical to
-        // `key_of` because `locate_clamped_soa` reproduces its clamp +
-        // element lookup exactly.
         let mut eidx = Vec::new();
         self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
-        let keys: Vec<u64> = eidx
-            .iter()
-            .map(|&e| {
-                let (ix, iy, iz) = self.mesh.element_indices(ElementId::from_index(e as usize));
-                hilbert_index(ix as u32, iy as u32, iz as u32, self.bits)
-            })
+        let mut order: Vec<(u64, u32)> = (eidx.iter().zip(0u32..))
+            .map(|(&e, i)| (u64::from(self.curve_rank[e as usize]), i))
             .collect();
-        self.chunk_by_keys(&keys, |i| Vec3::new(xs[i], ys[i], zs[i]))
-    }
-}
+        radix_sort_by_key(&mut order, &mut Vec::new(), self.rank_bits);
 
-impl HilbertMapper {
-    /// Shared back half of `assign`/`assign_soa`: sort particle ids by
-    /// (key, id) and hand out equal contiguous chunks of the curve order.
-    fn chunk_by_keys(&self, keys: &[u64], position_of: impl Fn(usize) -> Vec3) -> MappingOutcome {
-        let n = keys.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // Stable tie-break on the particle id keeps the mapping deterministic.
-        order.sort_by_key(|&i| (keys[i as usize], i));
-
+        let n = order.len();
         let mut ranks = vec![Rank::new(0); n];
         let mut rank_regions = vec![Aabb::empty(); self.ranks];
         // Equal contiguous chunks: first (n % R) ranks get one extra.
@@ -162,9 +173,10 @@ impl HilbertMapper {
         #[allow(clippy::needless_range_loop)] // r is the rank id across parallel arrays
         for r in 0..self.ranks {
             let take = base + usize::from(r < extra);
-            for &idx in &order[cursor..cursor + take] {
-                ranks[idx as usize] = Rank::from_index(r);
-                rank_regions[r].expand(position_of(idx as usize));
+            for &(_, idx) in &order[cursor..cursor + take] {
+                let i = idx as usize;
+                ranks[i] = Rank::from_index(r);
+                rank_regions[r].expand(Vec3::new(xs[i], ys[i], zs[i]));
             }
             cursor += take;
         }
@@ -181,6 +193,7 @@ mod tests {
     use super::*;
     use pic_grid::MeshDims;
     use pic_types::rng::SplitMix64;
+    use proptest::prelude::*;
 
     #[test]
     fn hilbert_is_a_bijection() {
@@ -234,6 +247,175 @@ mod tests {
 
     fn mesh() -> ElementMesh {
         ElementMesh::new(Aabb::unit(), MeshDims::cube(8), 5).unwrap()
+    }
+
+    /// The mapper as it was before the curve-rank table, kept verbatim as
+    /// its oracle: a Hilbert key per particle through `element_of_point`,
+    /// then a comparison sort of `(key, id)`.
+    struct Reference {
+        mesh: ElementMesh,
+        ranks: usize,
+        bits: u32,
+    }
+
+    impl Reference {
+        fn new(mesh: &ElementMesh, ranks: usize) -> Reference {
+            let dims = mesh.dims();
+            let max_dim = dims.nx.max(dims.ny).max(dims.nz) as u32;
+            let bits = 32 - max_dim.next_power_of_two().leading_zeros() - 1;
+            let bits = bits.max(1);
+            Reference {
+                mesh: mesh.clone(),
+                ranks,
+                bits,
+            }
+        }
+
+        fn key_of(&self, p: Vec3) -> u64 {
+            let domain = self.mesh.domain();
+            let q = p.clamp(domain.min, domain.max);
+            let e = self
+                .mesh
+                .element_of_point(q)
+                .expect("clamped point inside domain");
+            let (ix, iy, iz) = self.mesh.element_indices(e);
+            hilbert_index(ix as u32, iy as u32, iz as u32, self.bits)
+        }
+
+        fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+            let keys: Vec<u64> = positions.iter().map(|&p| self.key_of(p)).collect();
+            self.chunk_by_keys(&keys, |i| positions[i])
+        }
+
+        fn chunk_by_keys(
+            &self,
+            keys: &[u64],
+            position_of: impl Fn(usize) -> Vec3,
+        ) -> MappingOutcome {
+            let n = keys.len();
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            // Stable tie-break on the particle id keeps the mapping deterministic.
+            order.sort_by_key(|&i| (keys[i as usize], i));
+
+            let mut ranks = vec![Rank::new(0); n];
+            let mut rank_regions = vec![Aabb::empty(); self.ranks];
+            // Equal contiguous chunks: first (n % R) ranks get one extra.
+            let base = n / self.ranks;
+            let extra = n % self.ranks;
+            let mut cursor = 0usize;
+            #[allow(clippy::needless_range_loop)] // r is the rank id across parallel arrays
+            for r in 0..self.ranks {
+                let take = base + usize::from(r < extra);
+                for &idx in &order[cursor..cursor + take] {
+                    ranks[idx as usize] = Rank::from_index(r);
+                    rank_regions[r].expand(position_of(idx as usize));
+                }
+                cursor += take;
+            }
+            MappingOutcome {
+                ranks,
+                rank_regions,
+                bin_count: None,
+            }
+        }
+    }
+
+    fn box_bits(b: &Aabb) -> [u64; 6] {
+        let (lo, hi) = (b.min.to_array(), b.max.to_array());
+        [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]].map(f64::to_bits)
+    }
+
+    /// Table order ≡ comparison-sorted order: ranks, and region box bits.
+    fn check_against_reference(
+        mesh: &ElementMesh,
+        ranks: usize,
+        positions: &[Vec3],
+    ) -> std::result::Result<(), TestCaseError> {
+        let new = HilbertMapper::new(mesh, ranks).unwrap().assign(positions);
+        let old = Reference::new(mesh, ranks).assign(positions);
+        prop_assert_eq!(&new.ranks, &old.ranks);
+        prop_assert_eq!(
+            new.rank_regions.iter().map(box_bits).collect::<Vec<_>>(),
+            old.rank_regions.iter().map(box_bits).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(new.bin_count, old.bin_count);
+        Ok(())
+    }
+
+    /// A mesh with a negative, positive or zero-straddling origin and a
+    /// non-cubic shape (one axis of 1, powers of two and odd sizes).
+    fn skewed_mesh() -> impl Strategy<Value = ElementMesh> {
+        (
+            (-3.0..3.0f64, -3.0..3.0f64, -3.0..3.0f64),
+            (0.01..5.0f64, 0.01..5.0f64, 0.01..5.0f64),
+            (1usize..20, 1usize..20, 1usize..20),
+        )
+            .prop_map(|(lo, ext, (nx, ny, nz))| {
+                let min = Vec3::new(lo.0, lo.1, lo.2);
+                let domain = Aabb::new(min, min + Vec3::new(ext.0, ext.1, ext.2));
+                ElementMesh::new(domain, MeshDims::new(nx, ny, nz), 3).unwrap()
+            })
+    }
+
+    /// A coordinate as a fraction of the domain: inside, on an element
+    /// face of a 12-element axis (the domain's own faces included),
+    /// outside, or NaN, ±∞ and ±0 taken as-is.
+    fn fraction() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0..1.0f64,
+            (0u32..=12).prop_map(|k| f64::from(k) / 12.0),
+            -1.0..2.0f64,
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(0.0),
+                Just(-0.0),
+            ],
+        ]
+    }
+
+    fn place(mesh: &ElementMesh, f: (f64, f64, f64)) -> Vec3 {
+        let (lo, e) = (mesh.domain().min, mesh.domain().extent());
+        let at = |lo: f64, e: f64, f: f64| {
+            if f.is_finite() && f != 0.0 {
+                lo + e * f
+            } else {
+                f
+            }
+        };
+        Vec3::new(at(lo.x, e.x, f.0), at(lo.y, e.y, f.1), at(lo.z, e.z, f.2))
+    }
+
+    proptest! {
+        #[test]
+        fn table_order_matches_comparison_sort_oracle(
+            mesh in skewed_mesh(),
+            fractions in proptest::collection::vec((fraction(), fraction(), fraction()), 0..300),
+            // up to more ranks than particles
+            ranks in prop_oneof![1usize..40, 200usize..400],
+        ) {
+            let positions: Vec<Vec3> = fractions.into_iter().map(|f| place(&mesh, f)).collect();
+            check_against_reference(&mesh, ranks, &positions)?;
+        }
+
+        #[test]
+        fn table_order_matches_comparison_sort_oracle_with_every_particle_in_one_element(
+            mesh in skewed_mesh(),
+            at in (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+            n in 0usize..200,
+            ranks in 1usize..300,
+        ) {
+            check_against_reference(&mesh, ranks, &vec![place(&mesh, at); n])?;
+        }
+    }
+
+    #[test]
+    fn axes_past_two_to_the_21_are_refused() {
+        let dims = MeshDims::new((1 << 21) + 1, 1, 1);
+        let long = ElementMesh::new(Aabb::unit(), dims, 3).unwrap();
+        let err = HilbertMapper::new(&long, 4).unwrap_err().to_string();
+        assert!(err.contains("2097153x1x1"), "{err}");
     }
 
     #[test]

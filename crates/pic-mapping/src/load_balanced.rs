@@ -16,7 +16,7 @@
 //! mid-iteration, but balance is limited by element granularity — a single
 //! element holding most particles cannot be split.
 
-use crate::mapper::{MappingOutcome, ParticleMapper};
+use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_types::{Aabb, ElementId, PicError, Rank, Result, Vec3};
 
@@ -65,33 +65,6 @@ impl LoadBalancedMapper {
             grid_weight: (mesh.order().pow(3)) as f64,
         })
     }
-
-    /// Per-element particle counts for one sample (positions clamped onto
-    /// the domain, as in element-based mapping).
-    fn element_counts(&self, positions: &[Vec3]) -> Vec<u32> {
-        let domain = self.mesh.domain();
-        let mut counts = vec![0u32; self.mesh.element_count()];
-        for &p in positions {
-            let q = p.clamp(domain.min, domain.max);
-            let e = self
-                .mesh
-                .element_of_point(q)
-                .expect("clamped point in domain");
-            counts[e.index()] += 1;
-        }
-        counts
-    }
-
-    /// The weighted decomposition this sample's particle distribution
-    /// induces (exposed for diagnostics and tests).
-    pub fn decomposition_for(&self, positions: &[Vec3]) -> Result<RcbDecomposition> {
-        let counts = self.element_counts(positions);
-        let weights: Vec<f64> = counts
-            .iter()
-            .map(|&c| self.grid_weight + self.particle_weight * c as f64)
-            .collect();
-        RcbDecomposition::decompose_weighted(&self.mesh, self.ranks, &weights)
-    }
 }
 
 impl ParticleMapper for LoadBalancedMapper {
@@ -104,38 +77,18 @@ impl ParticleMapper for LoadBalancedMapper {
     }
 
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let decomp = self
-            .decomposition_for(positions)
-            .expect("validated construction implies valid decomposition");
-        let domain = self.mesh.domain();
-        let ranks = positions
-            .iter()
-            .map(|&p| {
-                let q = p.clamp(domain.min, domain.max);
-                decomp
-                    .rank_of_point(&self.mesh, q)
-                    .expect("clamped point in domain")
-            })
-            .collect();
-        let rank_regions: Vec<Aabb> = Rank::all(self.ranks)
-            .map(|r| decomp.rank_region(r))
-            .collect();
-        MappingOutcome {
-            ranks,
-            rank_regions,
-            bin_count: None,
-        }
+        let [xs, ys, zs] = soa_lanes(positions);
+        self.assign_soa(&xs, &ys, &zs)
     }
 
     fn supports_soa(&self) -> bool {
         true
     }
 
+    /// One clamp/locate pass (positions clamped onto the domain, as in
+    /// element-based mapping) feeds both the per-element weight histogram
+    /// of this sample's decomposition and the final rank gather.
     fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        // One SoA clamp/locate pass feeds both the weight histogram and the
-        // final rank gather. The AoS path locates every particle twice
-        // (once in `element_counts`, once in `assign`); the results are
-        // bit-identical, this just stops recomputing them.
         let mut eidx = Vec::new();
         self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
         let mut counts = vec![0u32; self.mesh.element_count()];
@@ -221,11 +174,11 @@ mod tests {
         let m = mesh();
         let positions = corner_cloud(1000, 2);
         let lb = LoadBalancedMapper::new(&m, 8).unwrap();
-        let decomp = lb.decomposition_for(&positions).unwrap();
         let out = lb.assign(&positions);
+        let mut owner_of_element = vec![None; m.element_count()];
         for (p, r) in positions.iter().zip(&out.ranks) {
             let e = m.element_of_point(*p).unwrap();
-            assert_eq!(decomp.rank_of_element(e), *r);
+            assert_eq!(*owner_of_element[e.index()].get_or_insert(*r), *r);
             assert!(out.rank_regions[r.index()].contains_closed(*p));
         }
     }
@@ -246,11 +199,8 @@ mod tests {
         let m = mesh();
         let positions = corner_cloud(1000, 4);
         let lb = LoadBalancedMapper::with_particle_weight(&m, 8, 0.0).unwrap();
-        let decomp = lb.decomposition_for(&positions).unwrap();
-        let uniform = RcbDecomposition::decompose(&m, 8).unwrap();
-        for id in m.element_ids() {
-            assert_eq!(decomp.rank_of_element(id), uniform.rank_of_element(id));
-        }
+        let uniform = crate::ElementMapper::new(&m, 8).unwrap();
+        assert_eq!(lb.assign(&positions), uniform.assign(&positions));
     }
 
     #[test]

@@ -104,6 +104,16 @@ impl MappingOutcome {
     }
 }
 
+/// Transpose AoS positions into x/y/z lanes: the mesh mappers' `assign`,
+/// which then runs their one implementation, `assign_soa`.
+pub(crate) fn soa_lanes(positions: &[Vec3]) -> [Vec<f64>; 3] {
+    [
+        positions.iter().map(|p| p.x).collect(),
+        positions.iter().map(|p| p.y).collect(),
+        positions.iter().map(|p| p.z).collect(),
+    ]
+}
+
 /// A particle mapping algorithm: assigns every particle of a sample to its
 /// residing processor.
 ///
@@ -121,13 +131,14 @@ pub trait ParticleMapper: Send + Sync {
     /// Map one sample's positions to residing ranks.
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome;
 
-    /// Whether [`assign_soa`](Self::assign_soa) is a genuine
-    /// structure-of-arrays specialization. Callers holding SoA data should
-    /// check this and fall back to [`assign`](Self::assign) with their AoS
-    /// copy when `false` — the default `assign_soa` reconstitutes a `Vec3`
-    /// buffer, which is pure overhead for mappers without an SoA inner
-    /// loop (e.g. the recursive bin partitioner, which copies each
-    /// position into its own record buffer anyway).
+    /// Whether [`assign_soa`](Self::assign_soa) is the mapper's own
+    /// implementation (the mesh mappers, whose `assign` transposes into
+    /// it). Callers holding SoA data should check this and fall back to
+    /// [`assign`](Self::assign) with their AoS copy when `false` — the
+    /// default `assign_soa` reconstitutes a `Vec3` buffer, which is pure
+    /// overhead for mappers without an SoA inner loop (e.g. the recursive
+    /// bin partitioner, which copies each position into its own record
+    /// buffer anyway).
     fn supports_soa(&self) -> bool {
         false
     }

@@ -82,6 +82,10 @@ impl RegionQueryScratch {
 }
 
 impl RegionIndex {
+    /// Width of the keys [`query_cell_keys`](Self::query_cell_keys) packs:
+    /// six 7-bit cell indices.
+    pub const KEY_BITS: u32 = 42;
+
     /// Build an index over `regions`; `regions[i]` belongs to rank `i`.
     /// Empty regions (ranks with no workload) are skipped and not stored.
     pub fn build(regions: &[Aabb]) -> RegionIndex {
@@ -175,19 +179,27 @@ impl RegionIndex {
         &self.cell_data[self.cell_offsets[cell] as usize..self.cell_offsets[cell + 1] as usize]
     }
 
+    /// The cell holding coordinate `q` on axis `a`, clamped to the grid:
+    /// `((q − bmin)·inv).max(0).min(dim − 1)`, truncated. Clamping in `f64`
+    /// first lands on the cell `floor() as isize` + `clamp(0, dim − 1)`
+    /// gives for every input: below zero and NaN go to 0 (`f64::max` drops
+    /// a NaN operand), past the grid and `+∞` go to `dim − 1`, and in
+    /// between truncating a non-negative number is its floor.
+    #[inline]
+    fn cell(&self, a: usize, q: f64) -> usize {
+        let last = (self.dims[a] - 1) as f64;
+        ((q - self.bounds.min.to_array()[a]) * self.inv_cell.to_array()[a])
+            .max(0.0)
+            .min(last) as usize
+    }
+
     /// Cell index ranges covered by a box (clamped to the index bounds).
     fn cell_range(&self, b: &Aabb) -> ([usize; 3], [usize; 3]) {
-        let rel_lo = b.min - self.bounds.min;
-        let rel_hi = b.max - self.bounds.min;
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        let inv = self.inv_cell.to_array();
-        for a in 0..3 {
-            let max_i = self.dims[a] as isize - 1;
-            lo[a] = ((rel_lo.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
-            hi[a] = ((rel_hi.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
-        }
-        (lo, hi)
+        let (bmin, bmax) = (b.min.to_array(), b.max.to_array());
+        (
+            [0, 1, 2].map(|a| self.cell(a, bmin[a])),
+            [0, 1, 2].map(|a| self.cell(a, bmax[a])),
+        )
     }
 
     /// Visit each rank whose region touches the sphere at `center` with
@@ -276,13 +288,12 @@ impl RegionIndex {
     /// per particle.
     ///
     /// The coordinates come as structure-of-arrays lanes, so each axis is
-    /// a straight-line subtract / scale / clamp chain over one array. The
-    /// cell clamp stays in `f64` (`max(0).min(dim − 1)`, then truncate),
-    /// which lands on the cell `cell_range` computes through
-    /// `floor() as isize` for every input, NaN and ±∞ included.
+    /// a straight-line subtract / scale / clamp chain over one array,
+    /// through the same cell function `cell_range` uses.
     ///
     /// Packing: the grid is at most 96³ (`build` clamps `per_axis` to 96),
-    /// so each of the six cell indices fits in 7 bits; keys are 42-bit.
+    /// so each of the six cell indices fits in 7 bits; keys are
+    /// [`KEY_BITS`](Self::KEY_BITS) wide.
     pub fn query_cell_keys(
         &self,
         xs: &[f64],
@@ -297,15 +308,12 @@ impl RegionIndex {
             return;
         }
         let (bmin, bmax) = (self.bounds.min.to_array(), self.bounds.max.to_array());
-        let inv = self.inv_cell.to_array();
-        let last = self.dims.map(|d| (d - 1) as f64);
         // One axis of one query: whether its interval meets the bounds'
         // (closed, as `Aabb::intersects`), and its 14 key bits.
         let axis = |a: usize, c: f64| -> (bool, u64) {
             let (qlo, qhi) = (c - radius, c + radius);
             let touches = qlo <= qhi && bmin[a] <= qhi && bmax[a] >= qlo;
-            let cell = |q: f64| ((q - bmin[a]) * inv[a]).max(0.0).min(last[a]) as u64;
-            (touches, cell(qlo) << 7 | cell(qhi))
+            (touches, (self.cell(a, qlo) << 7 | self.cell(a, qhi)) as u64)
         };
         for (j, ((&x, &y), &z)) in (0u32..).zip(xs.iter().zip(ys).zip(zs)) {
             let ((tx, kx), (ty, ky), (tz, kz)) = (axis(0, x), axis(1, y), axis(2, z));
@@ -405,6 +413,7 @@ impl RegionIndex {
 mod tests {
     use super::*;
     use pic_types::rng::SplitMix64;
+    use proptest::prelude::*;
 
     impl RegionIndex {
         /// The one-query form [`RegionIndex::query_cell_keys`] replaced,
@@ -426,6 +435,77 @@ mod tests {
                 key = key << 7 | hi[a] as u64;
             }
             Some(key)
+        }
+
+        /// `cell_range` as it was before it shared [`RegionIndex::cell`]
+        /// with `query_cell_keys`, kept verbatim as its oracle.
+        fn cell_range_floor(&self, b: &Aabb) -> ([usize; 3], [usize; 3]) {
+            let rel_lo = b.min - self.bounds.min;
+            let rel_hi = b.max - self.bounds.min;
+            let mut lo = [0usize; 3];
+            let mut hi = [0usize; 3];
+            let inv = self.inv_cell.to_array();
+            for a in 0..3 {
+                let max_i = self.dims[a] as isize - 1;
+                lo[a] = ((rel_lo.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
+                hi[a] = ((rel_hi.to_array()[a] * inv[a]).floor() as isize).clamp(0, max_i) as usize;
+            }
+            (lo, hi)
+        }
+    }
+
+    /// A coordinate on the lattice region faces sit on (negative origin
+    /// included), or one of the values a floor could disagree with a
+    /// truncation on: NaN, ±∞, ±0, huge and just-off-lattice values.
+    fn adversarial_coord() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (-8i32..24).prop_map(|q| f64::from(q) / 4.0 - 1.0),
+            (-8i32..24).prop_map(|q| (f64::from(q) / 4.0 - 1.0) * (1.0 + f64::EPSILON)),
+            -6.0..6.0f64,
+            prop_oneof![
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(0.0),
+                Just(-0.0),
+                Just(1e300),
+                Just(-1e300),
+            ],
+        ]
+    }
+
+    fn lattice_box() -> impl Strategy<Value = Aabb> {
+        (
+            (-4i32..12, -4i32..12, -4i32..12),
+            (0i32..6, 0i32..6, 0i32..6),
+        )
+            .prop_map(|(lo, ext)| {
+                let at = |q: i32| f64::from(q) / 4.0 - 1.0;
+                let min = Vec3::new(at(lo.0), at(lo.1), at(lo.2));
+                Aabb::new(
+                    min,
+                    Vec3::new(at(lo.0 + ext.0), at(lo.1 + ext.1), at(lo.2 + ext.2)),
+                )
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn cell_range_matches_floor_oracle(
+            regions in proptest::collection::vec(lattice_box(), 1..80),
+            queries in proptest::collection::vec(
+                (adversarial_coord(), adversarial_coord(), adversarial_coord(),
+                 adversarial_coord(), adversarial_coord(), adversarial_coord()),
+                1..60,
+            ),
+        ) {
+            let idx = RegionIndex::build(&regions);
+            for (x0, y0, z0, x1, y1, z1) in queries {
+                // Corners in any order: `cell_range` clamps each face on
+                // its own, so an inverted or NaN box is still a valid input.
+                let b = Aabb { min: Vec3::new(x0, y0, z0), max: Vec3::new(x1, y1, z1) };
+                prop_assert_eq!(idx.cell_range(&b), idx.cell_range_floor(&b), "box {}", b);
+            }
         }
     }
 

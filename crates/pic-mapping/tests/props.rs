@@ -130,9 +130,9 @@ proptest! {
 
     #[test]
     fn assign_soa_is_bit_identical_to_assign(positions in unit_positions(200), ranks in 1usize..24) {
-        // The SoA specializations (element, load-balanced, hilbert) and the
-        // default reconstitution fallback (bin) must all reproduce the AoS
-        // assignment exactly — ranks, regions, and bin counts.
+        // The mesh mappers' transpose into their one `assign_soa` and the
+        // bin mapper's default reconstitution fallback must both reproduce
+        // the AoS assignment exactly — ranks, regions, and bin counts.
         let m = mesh();
         let mappers: Vec<Box<dyn ParticleMapper>> = vec![
             Box::new(ElementMapper::new(&m, ranks).unwrap()),

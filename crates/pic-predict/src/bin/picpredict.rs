@@ -1136,6 +1136,15 @@ mod tests {
         }
         // the same commands with the flag absent run on the documented default
         dispatch(&argv(&predict)).unwrap();
+        // dims that parse but whose element count wraps `usize` (2^66) are
+        // refused by the mesh, naming them, on every command that builds one
+        for cmd in [
+            format!("{predict} --mapping element-based --mesh 4194304x4194304x4194304"),
+            format!("{sweep} --mappings element-based --mesh 4194304x4194304x4194304"),
+        ] {
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+            assert!(err.contains("mesh 4194304x4194304x4194304"), "{cmd}: {err}");
+        }
 
         // a flag the command does not read is an error, never skipped: a
         // typo, a flag of another command, or a model-checking flag that

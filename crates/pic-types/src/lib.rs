@@ -3,7 +3,8 @@
 //! Foundation types shared by every crate in the `pic-predict` workspace:
 //! 3-D vectors, axis-aligned bounding boxes, strongly-typed identifiers for
 //! ranks / elements / bins / particles, the workspace error type, seeded RNG
-//! helpers, and small numeric/statistics utilities (MAPE, percentiles, …).
+//! helpers, the one integer-key radix sort, and small numeric/statistics
+//! utilities (MAPE, percentiles, …).
 //!
 //! Everything in this crate is deliberately dependency-light and `Copy`-heavy:
 //! these types sit on the hot path of the Dynamic Workload Generator, which
@@ -18,6 +19,7 @@ pub mod hash;
 pub mod ids;
 pub mod padded;
 pub mod pool;
+pub mod radix;
 pub mod rng;
 pub mod stats;
 pub mod sync;

@@ -5,6 +5,7 @@
 //! overwhelmingly sparse in practice (a rank exchanges particles with a
 //! handful of neighbours), so it is stored as per-sample sorted triples.
 
+use pic_types::radix::radix_sort_by_key;
 use pic_types::Rank;
 use serde::{Deserialize, Serialize};
 
@@ -142,19 +143,30 @@ impl CommMatrix {
 /// Sparse sorted migration triples between two ownership snapshots —
 /// shared by the generator and by ground-truth collection.
 ///
+/// Every move is keyed `from << bits | to`, where `bits` is the width of
+/// the largest rank id that moved, so one radix sort of the keys orders
+/// the moves by `(from, to)` and equal pairs become runs to count.
+///
 /// # Panics
 /// Panics if the snapshots have different lengths.
 pub fn migration_pairs(prev: &[Rank], cur: &[Rank]) -> Vec<(u32, u32, u32)> {
     assert_eq!(prev.len(), cur.len(), "ownership snapshots must align");
-    let mut moves: Vec<(u32, u32)> = prev
-        .iter()
-        .zip(cur)
+    let mut ids = 0u32;
+    let mut moves: Vec<(u64, u32)> = (prev.iter().zip(cur))
         .filter(|(a, b)| a != b)
-        .map(|(a, b)| (a.0, b.0))
+        .map(|(a, b)| {
+            ids |= a.0 | b.0;
+            (u64::from(b.0), a.0)
+        })
         .collect();
-    moves.sort_unstable();
+    let bits = u32::BITS - ids.leading_zeros();
+    for (key, from) in &mut moves {
+        *key |= u64::from(*from) << bits;
+    }
+    radix_sort_by_key(&mut moves, &mut Vec::new(), 2 * bits);
     let mut out: Vec<(u32, u32, u32)> = Vec::new();
-    for (from, to) in moves {
+    for (key, from) in moves {
+        let to = (key & ((1 << bits) - 1)) as u32;
         match out.last_mut() {
             Some(last) if last.0 == from && last.1 == to => last.2 += 1,
             _ => out.push((from, to, 1)),
@@ -166,6 +178,7 @@ pub fn migration_pairs(prev: &[Rank], cur: &[Rank]) -> Vec<(u32, u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn comp_matrix_shape_and_access() {
@@ -219,5 +232,39 @@ mod tests {
     #[should_panic]
     fn migration_pairs_length_mismatch_panics() {
         migration_pairs(&[Rank(0)], &[Rank(0), Rank(1)]);
+    }
+
+    /// Owner vectors whose rank ids reach 100 000 (and `u32::MAX`), with
+    /// few or many ranks in play and any share of particles staying put.
+    fn owner_pair() -> impl Strategy<Value = (Vec<Rank>, Vec<Rank>)> {
+        (
+            prop_oneof![
+                Just(2u32),
+                1u32..64,
+                Just(4176),
+                Just(100_001),
+                Just(u32::MAX)
+            ],
+            proptest::collection::vec((any::<u32>(), any::<u32>(), 0u8..4), 0..600),
+        )
+            .prop_map(|(ranks, draws)| {
+                draws
+                    .into_iter()
+                    .map(|(a, b, stay)| {
+                        let from = Rank(a % ranks);
+                        (from, if stay == 0 { from } else { Rank(b % ranks) })
+                    })
+                    .unzip()
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn migration_pairs_match_sort_unstable_oracle((prev, cur) in owner_pair()) {
+            prop_assert_eq!(
+                migration_pairs(&prev, &cur),
+                crate::reference::migration_pairs_sorted(&prev, &cur)
+            );
+        }
     }
 }

@@ -5,10 +5,11 @@
 //! [`BaselineRegionIndex`] is the determinism oracle of every proptest;
 //! the scalar chunked kernels [`ghost_counts_chunked`] and
 //! [`multi_ghost_chunked`] are what `tests/soa_kernels.rs` compares the
-//! SoA lane kernels with.
+//! SoA lane kernels with; [`migration_pairs_sorted`] is the comparison-sort
+//! diff the radix-sorted `migration_pairs` replaced.
 
 use crate::generator::{self, DynamicWorkload, WorkloadConfig, GHOST_CHUNK};
-use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::matrices::{CommMatrix, CompMatrix};
 use pic_grid::ElementMesh;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
 use pic_trace::ParticleTrace;
@@ -269,7 +270,7 @@ pub fn generate_reference(
         ghost_sent.push_sample(&sent);
         bin_counts.push(outcome.bin_count);
         comm_entries.push(match &prev_owners {
-            Some(prev) => migration_pairs(prev, &outcome.ranks),
+            Some(prev) => migration_pairs_sorted(prev, &outcome.ranks),
             None => Vec::new(),
         });
         prev_owners = Some(outcome.ranks);
@@ -285,6 +286,28 @@ pub fn generate_reference(
         },
         bin_counts,
     })
+}
+
+/// `migration_pairs` as it was before it radix-sorted the moves, kept
+/// verbatim so that [`generate_reference`] diffs ownership independently
+/// of the production diff: one comparison sort of `(from, to)` pairs.
+pub fn migration_pairs_sorted(prev: &[Rank], cur: &[Rank]) -> Vec<(u32, u32, u32)> {
+    assert_eq!(prev.len(), cur.len(), "ownership snapshots must align");
+    let mut moves: Vec<(u32, u32)> = prev
+        .iter()
+        .zip(cur)
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (a.0, b.0))
+        .collect();
+    moves.sort_unstable();
+    let mut out: Vec<(u32, u32, u32)> = Vec::new();
+    for (from, to) in moves {
+        match out.last_mut() {
+            Some(last) if last.0 == from && last.1 == to => last.2 += 1,
+            _ => out.push((from, to, 1)),
+        }
+    }
+    out
 }
 
 /// Chunked multi-radius ghost kernel: same chunk geometry and

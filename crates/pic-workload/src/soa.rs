@@ -39,6 +39,7 @@
 
 use crate::generator::GHOST_CHUNK;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
+use pic_types::radix::radix_sort_by_key;
 use pic_types::{Aabb, CachePadded, Rank, Vec3};
 use rayon::prelude::*;
 
@@ -199,7 +200,7 @@ impl SpanScratch {
             lo as u32,
             &mut self.keys,
         );
-        radix_sort_by_key(&mut self.keys, &mut self.keys_tmp);
+        radix_sort_by_key(&mut self.keys, &mut self.keys_tmp, RegionIndex::KEY_BITS);
     }
 
     /// The lane kernel: test one candidate box (owned by rank `target`)
@@ -241,51 +242,6 @@ impl SpanScratch {
             }
             acc.0[target] += hits;
         }
-    }
-}
-
-/// Digit width of [`radix_sort_by_key`]: four passes cover the 42-bit key
-/// and the four histograms (32 KiB) stay in L1.
-const RADIX_BITS: u32 = 11;
-const RADIX_PASSES: usize = 4;
-
-/// Stable LSD radix sort of `(key, particle)` pairs by key (42-bit, see
-/// [`RegionIndex::query_cell_keys`]). The pairs arrive with ascending
-/// particle indices, so a stable sort by key alone leaves them exactly as
-/// `sort_unstable()` on the pairs would. `tmp` is the scatter buffer.
-fn radix_sort_by_key(keys: &mut Vec<(u64, u32)>, tmp: &mut Vec<(u64, u32)>) {
-    const BUCKETS: usize = 1 << RADIX_BITS;
-    let digit =
-        |key: u64, pass: usize| (key >> (pass as u32 * RADIX_BITS)) as usize & (BUCKETS - 1);
-    debug_assert!(keys
-        .iter()
-        .all(|&(k, _)| k >> (RADIX_PASSES as u32 * RADIX_BITS) == 0));
-    let mut counts = [[0u32; BUCKETS]; RADIX_PASSES];
-    for &(key, _) in keys.iter() {
-        for (pass, hist) in counts.iter_mut().enumerate() {
-            hist[digit(key, pass)] += 1;
-        }
-    }
-    // Every pass overwrites all of `tmp`, so stale pairs need no clearing.
-    tmp.resize(keys.len(), (0, 0));
-    for (pass, hist) in counts.iter_mut().enumerate() {
-        // A digit every key shares orders nothing.
-        if keys
-            .first()
-            .is_none_or(|&(k, _)| hist[digit(k, pass)] as usize == keys.len())
-        {
-            continue;
-        }
-        let mut start = 0u32;
-        for c in hist.iter_mut() {
-            start += std::mem::replace(c, start);
-        }
-        for &pair in keys.iter() {
-            let at = &mut hist[digit(pair.0, pass)];
-            tmp[*at as usize] = pair;
-            *at += 1;
-        }
-        std::mem::swap(keys, tmp);
     }
 }
 
@@ -449,34 +405,6 @@ mod tests {
             assert_eq!(a.x.to_bits(), b.x.to_bits());
             assert_eq!(a.y.to_bits(), b.y.to_bits());
             assert_eq!(a.z.to_bits(), b.z.to_bits());
-        }
-    }
-
-    #[test]
-    fn radix_sort_orders_pairs_like_sort_unstable() {
-        use pic_types::rng::SplitMix64;
-        let mut rng = SplitMix64::new(5);
-        let mut tmp = Vec::new();
-        // (pairs, distinct keys): empty, one pair, one key throughout (every
-        // pass skipped), few keys (long runs), and keys over all 42 bits.
-        for (n, distinct) in [(0, 1), (1, 1), (500, 1), (5000, 7), (5000, u64::MAX)] {
-            let palette: Vec<u64> = (0..distinct.min(64))
-                .map(|_| rng.next_u64() >> 22)
-                .collect();
-            let mut keys: Vec<(u64, u32)> = (0..n)
-                .map(|i| {
-                    let key = if distinct == u64::MAX {
-                        rng.next_u64() >> 22
-                    } else {
-                        palette[rng.next_u64() as usize % palette.len()]
-                    };
-                    (key, i)
-                })
-                .collect();
-            let mut expect = keys.clone();
-            expect.sort_unstable();
-            radix_sort_by_key(&mut keys, &mut tmp);
-            assert_eq!(keys, expect, "n={n} distinct={distinct}");
         }
     }
 

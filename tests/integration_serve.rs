@@ -524,6 +524,18 @@ fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
     let (status, body) = request(addr, "POST", "/sweep", bad_filter.as_bytes());
     assert_eq!(status, 422, "{body}");
     assert!(body.contains("projection filter"), "{body}");
+    // A mesh whose element count wraps `usize` (2^66 elements): refused
+    // by name, not decomposed into an empty owner table.
+    let wrapping_mesh = format!(
+        "{{\"trace\":\"{address}\",\"ranks\":[4],\"mappings\":[\"element-based\"],\
+         \"mesh\":\"4194304x4194304x4194304\"}}"
+    );
+    let (status, body) = request(addr, "POST", "/sweep", wrapping_mesh.as_bytes());
+    assert_eq!(status, 422, "{body}");
+    assert!(
+        body.contains("bad mesh") && body.contains("4194304x4194304x4194304"),
+        "{body}"
+    );
 
     // After the whole corpus, the server still answers.
     let (status, body) = get(addr, "/healthz");
