@@ -210,7 +210,20 @@ mod tests {
     use pic_mapping::MappingAlgorithm;
     use pic_trace::TraceMeta;
     use pic_types::{Aabb, Vec3};
-    use pic_workload::reduce::generate_reduced_with_stats;
+    use pic_workload::{replay, ReplayOptions, SweepPoint};
+
+    /// `cfg` replayed under `plan`.
+    fn replay_plan(
+        tr: &ParticleTrace,
+        cfg: &WorkloadConfig,
+        plan: &ReductionPlan,
+    ) -> DynamicWorkload {
+        let opts = ReplayOptions::new(None, None, Some(plan));
+        replay(tr, &[SweepPoint::new(cfg.clone())], &opts)
+            .unwrap()
+            .0
+            .remove(0)
+    }
 
     fn phased_trace(np: usize, t: usize) -> ParticleTrace {
         let meta = TraceMeta::new(np, 100, Aabb::unit(), "gate");
@@ -242,7 +255,7 @@ mod tests {
         let tr = phased_trace(200, 8);
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05);
         let plan = ReductionPlan::identity(tr.sample_count());
-        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
+        let reduced = replay_plan(&tr, &cfg, &plan);
         let budget = ReductionBudget {
             max_peak_rel_error: 0.0,
             ..Default::default()
@@ -264,14 +277,14 @@ mod tests {
         };
         // aligned with the phase boundary: reps 0 and 5 stand in exactly
         let good = ReductionPlan::new(10, vec![0, 5], vec![0, 0, 0, 0, 0, 1, 1, 1, 1, 1]).unwrap();
-        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, None, &good).unwrap();
+        let reduced = replay_plan(&tr, &cfg, &good);
         let report = assert_reduction_valid(&tr, &cfg, None, &good, &reduced, &budget).unwrap();
         assert!(report.within_budget);
         assert_eq!(report.points.len(), 8);
 
         // one representative for both phases cannot describe the spread half
         let bad = ReductionPlan::new(10, vec![0], vec![0; 10]).unwrap();
-        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, None, &bad).unwrap();
+        let reduced = replay_plan(&tr, &cfg, &bad);
         let err = assert_reduction_valid(&tr, &cfg, None, &bad, &reduced, &budget).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("error budget"), "{msg}");
@@ -306,7 +319,7 @@ mod tests {
         let tr = phased_trace(50, 4);
         let cfg = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.05);
         let plan = ReductionPlan::identity(4);
-        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
+        let reduced = replay_plan(&tr, &cfg, &plan);
         // wrong trace
         let short = phased_trace(50, 3);
         assert!(check_reduction(&short, &cfg, None, &plan, &reduced, &Default::default()).is_err());

@@ -9,7 +9,9 @@ use pic_analysis::{check_workload, WorkloadViolation};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Rank, Vec3};
-use pic_workload::{generator, CompMatrix, DynamicWorkload, WorkloadConfig};
+use pic_workload::{
+    replay, CompMatrix, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig,
+};
 
 const PARTICLES: usize = 40;
 const SAMPLES: usize = 6;
@@ -36,8 +38,11 @@ fn workload() -> DynamicWorkload {
         }
         trace.push_positions(pos).unwrap();
     }
-    let cfg = WorkloadConfig::new(RANKS, MappingAlgorithm::BinBased, 0.08);
-    generator::generate(&trace, &cfg).unwrap()
+    let point = SweepPoint::new(WorkloadConfig::new(RANKS, MappingAlgorithm::BinBased, 0.08));
+    replay(&trace, &[point], &ReplayOptions::default())
+        .unwrap()
+        .0
+        .remove(0)
 }
 
 fn rows(m: &CompMatrix) -> Vec<Vec<u32>> {

@@ -13,7 +13,7 @@ use pic_mapping::{BinMapper, ParticleMapper, RegionIndex};
 use pic_trace::codec::{encode_trace, Precision};
 use pic_types::rng::SplitMix64;
 use pic_types::{Rank, Vec3};
-use pic_workload::generator::{self, WorkloadConfig};
+use pic_workload::{replay, ReplayOptions, SweepPoint, WorkloadConfig};
 
 fn positions(n: usize, seed: u64) -> Vec<Vec3> {
     let mut rng = SplitMix64::new(seed);
@@ -64,18 +64,23 @@ fn ablation_region_index(c: &mut Criterion) {
 /// DWG on all cores (rayon) vs a single-threaded pool.
 fn ablation_parallel_dwg(c: &mut Criterion) {
     let trace = synthetic_expanding_trace(20_000, 12, 32);
-    let cfg = WorkloadConfig::new(256, MappingAlgorithm::BinBased, 0.02);
+    let points = [SweepPoint::new(WorkloadConfig::new(
+        256,
+        MappingAlgorithm::BinBased,
+        0.02,
+    ))];
+    let generate = || replay(&trace, &points, &ReplayOptions::default()).unwrap();
     let mut group = c.benchmark_group("ablation_dwg_parallelism");
     group.sample_size(10);
     group.bench_function("all_cores", |b| {
-        b.iter(|| generator::generate(&trace, &cfg).unwrap());
+        b.iter(generate);
     });
     group.bench_function("single_thread", |b| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
             .unwrap();
-        b.iter(|| pool.install(|| generator::generate(&trace, &cfg).unwrap()));
+        b.iter(|| pool.install(generate));
     });
     group.finish();
 }

@@ -10,6 +10,7 @@ use pic_bench::synthetic_expanding_trace;
 use pic_mapping::MappingAlgorithm;
 use pic_trace::codec::{encode_trace, Precision};
 use pic_workload::generator::{self, WorkloadConfig};
+use pic_workload::{replay, sweep_streaming, ReplayOptions, SweepPoint};
 
 fn dwg_scaling(c: &mut Criterion) {
     let particles = 20_000usize;
@@ -23,20 +24,25 @@ fn dwg_scaling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total));
     for &ranks in &[1044usize, 4176] {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.02);
+        let points = [SweepPoint::new(cfg.clone())];
         group.bench_with_input(
             BenchmarkId::new("sequential_reference", ranks),
             &cfg,
             |b, cfg| b.iter(|| generator::generate_reference(&trace, cfg, None).unwrap()),
         );
-        group.bench_with_input(BenchmarkId::new("parallel", ranks), &cfg, |b, cfg| {
-            b.iter(|| generator::generate(&trace, cfg).unwrap())
+        group.bench_with_input(BenchmarkId::new("parallel", ranks), &points, |b, points| {
+            b.iter(|| replay(&trace, points, &ReplayOptions::default()).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("streaming", ranks), &cfg, |b, cfg| {
-            b.iter(|| {
-                let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
-                generator::generate_streaming_with_stats(reader, cfg, None).unwrap()
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("streaming", ranks),
+            &points,
+            |b, points| {
+                b.iter(|| {
+                    let reader = pic_trace::TraceReader::new(&encoded[..]).unwrap();
+                    sweep_streaming(reader, points, None).unwrap()
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -8,7 +8,20 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_bench::synthetic_expanding_trace;
 use pic_mapping::MappingAlgorithm;
-use pic_workload::generator::{self, WorkloadConfig};
+use pic_trace::ParticleTrace;
+use pic_workload::{
+    replay, DynamicWorkload, ReplayOptions, SweepPoint, SweepStats, WorkloadConfig,
+};
+
+/// One configuration through the replay door.
+fn generate(trace: &ParticleTrace, cfg: &WorkloadConfig) -> (Vec<DynamicWorkload>, SweepStats) {
+    replay(
+        trace,
+        &[SweepPoint::new(cfg.clone())],
+        &ReplayOptions::default(),
+    )
+    .unwrap()
+}
 
 fn dwg_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("dwg_generate");
@@ -23,7 +36,7 @@ fn dwg_throughput(c: &mut Criterion) {
                 &ranks,
                 |b, &ranks| {
                     let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.02);
-                    b.iter(|| generator::generate(&trace, &cfg).unwrap());
+                    b.iter(|| generate(&trace, &cfg));
                 },
             );
             group.bench_with_input(
@@ -32,7 +45,7 @@ fn dwg_throughput(c: &mut Criterion) {
                 |b, &ranks| {
                     let mut cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.02);
                     cfg.compute_ghosts = false;
-                    b.iter(|| generator::generate(&trace, &cfg).unwrap());
+                    b.iter(|| generate(&trace, &cfg));
                 },
             );
         }
@@ -48,7 +61,7 @@ fn dwg_paper_rank_count(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("bin_based", |b| {
         let cfg = WorkloadConfig::new(4176, MappingAlgorithm::BinBased, 0.02);
-        b.iter(|| generator::generate(&trace, &cfg).unwrap());
+        b.iter(|| generate(&trace, &cfg));
     });
     group.finish();
 }

@@ -28,8 +28,7 @@ use pic_predict::studies;
 use pic_predict::{run_case_study, FitStrategy};
 use pic_sim::{MiniPic, SimConfig};
 use pic_trace::ParticleTrace;
-use pic_workload::generator::{self, WorkloadConfig};
-use pic_workload::metrics;
+use pic_workload::{metrics, replay, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
 
 struct Ctx {
     scale: Scale,
@@ -109,17 +108,14 @@ fn main() {
     if want("fig7") {
         fig7(&ctx);
     }
-    if want("fig8") {
-        fig8(&ctx);
+    // Figs 8 and 9 read one mapping comparison, Figs 10a and 10b one
+    // filter study: each study runs once for whichever of its figures are
+    // asked for.
+    if want("fig8") || want("fig9") {
+        fig8_9(&ctx, want("fig8"), want("fig9"));
     }
-    if want("fig9") {
-        fig9(&ctx);
-    }
-    if want("fig10a") {
-        fig10(&ctx, true);
-    }
-    if want("fig10b") {
-        fig10(&ctx, false);
+    if want("fig10a") || want("fig10b") {
+        fig10(&ctx, want("fig10a"), want("fig10b"));
     }
     eprintln!("# CSVs written to {}/", ctx.out_dir);
 }
@@ -136,6 +132,20 @@ fn fig5_threshold(scale: Scale) -> f64 {
     }
 }
 
+/// Ghost-free element-based workloads at `rank_counts`, from one replay.
+fn element_workloads(ctx: &Ctx, rank_counts: &[usize]) -> Vec<DynamicWorkload> {
+    let filter = ctx.cfg.projection_filter;
+    let points: Vec<SweepPoint> = (rank_counts.iter())
+        .map(|&ranks| {
+            let mut wcfg = WorkloadConfig::new(ranks, MappingAlgorithm::ElementBased, filter);
+            wcfg.compute_ghosts = false;
+            SweepPoint::new(wcfg)
+        })
+        .collect();
+    let opts = ReplayOptions::new(Some(&ctx.mesh), None, None);
+    replay(&ctx.trace, &points, &opts).expect("workload").0
+}
+
 fn heatmap_rank_count(scale: Scale) -> usize {
     match scale {
         Scale::Mini => 64,
@@ -145,14 +155,7 @@ fn heatmap_rank_count(scale: Scale) -> usize {
 
 fn fig1a(ctx: &Ctx) {
     println!("\n== Fig 1a: particle-distribution heat map (element-based mapping) ==");
-    let ranks = heatmap_rank_count(ctx.scale);
-    let mut wcfg = WorkloadConfig::new(
-        ranks,
-        MappingAlgorithm::ElementBased,
-        ctx.cfg.projection_filter,
-    );
-    wcfg.compute_ghosts = false;
-    let w = generator::generate_with_mesh(&ctx.trace, &wcfg, Some(&ctx.mesh)).expect("workload");
+    let w = element_workloads(ctx, &[heatmap_rank_count(ctx.scale)]).remove(0);
     let csv = w.real.to_csv();
     let path = write_csv(&ctx.out_dir, "fig1a_heatmap.csv", &csv).expect("write csv");
     let pgm = std::path::Path::new(&ctx.out_dir).join("fig1a_heatmap.ppm");
@@ -180,15 +183,8 @@ fn fig1b(ctx: &Ctx) {
     println!("\n== Fig 1b: ranks with non-zero particles, per rank count ==");
     let mut csv = String::from("ranks,mean_active,mean_active_pct,mean_idle_pct\n");
     let mut idle_pcts = Vec::new();
-    for ranks in ctx.scale.rank_sweep() {
-        let mut wcfg = WorkloadConfig::new(
-            ranks,
-            MappingAlgorithm::ElementBased,
-            ctx.cfg.projection_filter,
-        );
-        wcfg.compute_ghosts = false;
-        let w =
-            generator::generate_with_mesh(&ctx.trace, &wcfg, Some(&ctx.mesh)).expect("workload");
+    let sweep = ctx.scale.rank_sweep();
+    for (&ranks, w) in sweep.iter().zip(element_workloads(ctx, &sweep)) {
         let series = metrics::active_fraction_series(&w.real);
         let mean_active = pic_types::stats::mean(&series);
         let idle_pct = 100.0 * (1.0 - mean_active);
@@ -326,8 +322,7 @@ fn fig7(ctx: &Ctx) {
     );
 }
 
-fn fig8(ctx: &Ctx) {
-    println!("\n== Fig 8: peak particle workload, bin- vs element-based ==");
+fn fig8_9(ctx: &Ctx, fig8: bool, fig9: bool) {
     let sweep = ctx.scale.rank_sweep();
     let evals = studies::mapping_comparison(
         &ctx.trace,
@@ -337,22 +332,33 @@ fn fig8(ctx: &Ctx) {
         &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
     )
     .expect("comparison");
+    let eval = |mapping, ranks| {
+        (evals.iter())
+            .find(|e| e.mapping == mapping && e.ranks == ranks)
+            .unwrap()
+    };
+    if fig8 {
+        print_fig8(ctx, &sweep, eval);
+    }
+    if fig9 {
+        print_fig9(ctx, &sweep, eval);
+    }
+}
+
+fn print_fig8<'a>(
+    ctx: &Ctx,
+    sweep: &[usize],
+    eval: impl Fn(MappingAlgorithm, usize) -> &'a studies::MappingEvaluation,
+) {
+    println!("\n== Fig 8: peak particle workload, bin- vs element-based ==");
     let mut csv = String::from("ranks,element_peak,bin_peak,ratio\n");
     println!(
         "  {:>8} {:>14} {:>10} {:>8}",
         "ranks", "element peak", "bin peak", "ratio"
     );
-    for &r in &sweep {
-        let el = evals
-            .iter()
-            .find(|e| e.mapping == MappingAlgorithm::ElementBased && e.ranks == r)
-            .unwrap()
-            .peak_workload;
-        let bin = evals
-            .iter()
-            .find(|e| e.mapping == MappingAlgorithm::BinBased && e.ranks == r)
-            .unwrap()
-            .peak_workload;
+    for &r in sweep {
+        let el = eval(MappingAlgorithm::ElementBased, r).peak_workload;
+        let bin = eval(MappingAlgorithm::BinBased, r).peak_workload;
         let ratio = el as f64 / bin.max(1) as f64;
         println!("  {r:>8} {el:>14} {bin:>10} {ratio:>7.1}x");
         csv.push_str(&format!("{r},{el},{bin},{ratio:.2}\n"));
@@ -361,31 +367,22 @@ fn fig8(ctx: &Ctx) {
     println!("  (paper: roughly two orders of magnitude at full scale)");
 }
 
-fn fig9(ctx: &Ctx) {
+fn print_fig9<'a>(
+    ctx: &Ctx,
+    sweep: &[usize],
+    eval: impl Fn(MappingAlgorithm, usize) -> &'a studies::MappingEvaluation,
+) {
     println!("\n== Fig 9: processor utilization, bin- vs element-based ==");
-    let sweep = ctx.scale.rank_sweep();
-    let evals = studies::mapping_comparison(
-        &ctx.trace,
-        Some(&ctx.mesh),
-        ctx.cfg.projection_filter,
-        &sweep,
-        &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-    )
-    .expect("comparison");
     let mut csv = String::from("ranks,element_active,element_pct,bin_active,bin_pct\n");
     println!(
         "  {:>8} {:>22} {:>22}",
         "ranks", "element active (pct)", "bin active (pct)"
     );
-    for &r in &sweep {
-        let el = evals
-            .iter()
-            .find(|e| e.mapping == MappingAlgorithm::ElementBased && e.ranks == r)
-            .unwrap();
-        let bin = evals
-            .iter()
-            .find(|e| e.mapping == MappingAlgorithm::BinBased && e.ranks == r)
-            .unwrap();
+    for &r in sweep {
+        let (el, bin) = (
+            eval(MappingAlgorithm::ElementBased, r),
+            eval(MappingAlgorithm::BinBased, r),
+        );
         println!(
             "  {r:>8} {:>14} ({:>5.2}%) {:>14} ({:>5.2}%)",
             el.active_ranks,
@@ -405,9 +402,7 @@ fn fig9(ctx: &Ctx) {
     println!("  (paper at R=1044: element 4 ranks = 0.68%, bin 584 ranks = 56.13%)");
 }
 
-fn fig10(ctx: &Ctx, part_a: bool) {
-    let part = if part_a { "10a" } else { "10b" };
-    println!("\n== Fig {part}: projection-filter parameter study ==");
+fn fig10(ctx: &Ctx, part_a: bool, part_b: bool) {
     let filters = ctx.scale.filter_sweep();
     let ranks = ctx.scale.rank_sweep()[0];
     let models = oracle_models(ctx.cfg.seed);
@@ -424,6 +419,7 @@ fn fig10(ctx: &Ctx, part_a: bool) {
     )
     .expect("filter study");
     if part_a {
+        println!("\n== Fig 10a: projection-filter parameter study ==");
         let mut csv = String::from("filter,max_bins\n");
         for p in &pts {
             println!("  filter {:>7.3}: max bins {}", p.filter, p.max_bins);
@@ -431,7 +427,9 @@ fn fig10(ctx: &Ctx, part_a: bool) {
         }
         write_csv(&ctx.out_dir, "fig10a_bins_vs_filter.csv", &csv).expect("write csv");
         println!("  (smaller filter ⇒ lower threshold ⇒ more bins; paper shape identical)");
-    } else {
+    }
+    if part_b {
+        println!("\n== Fig 10b: projection-filter parameter study ==");
         let mut csv = String::from("filter,total_ghosts,create_ghost_seconds\n");
         for p in &pts {
             println!(

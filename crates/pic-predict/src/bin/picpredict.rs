@@ -35,8 +35,7 @@ use pic_predict::{kernel_models::FitStrategy, KernelModels, PredictSpec};
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
 use pic_types::{Aabb, PicError, Result};
-use pic_workload::generator::{self, WorkloadConfig};
-use pic_workload::metrics;
+use pic_workload::{metrics, ReplayOptions, SweepPoint, WorkloadConfig};
 use std::collections::HashMap;
 
 fn main() {
@@ -474,29 +473,28 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
     let mapping = parse_named("mapping", required(flags, "mapping")?)?;
     let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
-    let cfg = WorkloadConfig::new(ranks, mapping, filter);
+    let points = [SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter))];
     let streaming = bool_flag(flags, "stream", false)?;
     let t0 = std::time::Instant::now();
     // `--stream` replays the trace through the bounded pipeline without
     // ever loading it whole — the path for traces larger than memory. A
     // truncated or corrupt file fails here with a byte-positioned error.
-    let (w, ingest, particles) = if streaming {
+    let (mut w, ingest, particles) = if streaming {
         let file = std::fs::File::open(trace_path)?;
         let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
         let mesh = mesh_flag(flags, reader.meta().domain)?;
-        let (w, stats) = generator::generate_streaming_with_stats(reader, &cfg, mesh.as_ref())?;
+        let (w, _, stats) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
         (w, Some(stats), particles)
     } else {
         let trace = load_trace(trace_path)?;
         let particles = trace.meta().particle_count as u64;
         let mesh = mesh_flag(flags, trace.meta().domain)?;
-        (
-            generator::generate_with_mesh(&trace, &cfg, mesh.as_ref())?,
-            None,
-            particles,
-        )
+        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
+        let (w, _) = pic_workload::replay(&trace, &points, &opts)?;
+        (w, None, particles)
     };
+    let w = w.remove(0);
     eprintln!("workload generated in {:.2} s", t0.elapsed().as_secs_f64());
     // defense in depth: a generator bug (or a corrupted trace that decoded
     // cleanly) must not propagate silently into predictions
@@ -747,7 +745,8 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
         let trace = load_trace(trace_path)?;
         let particles = trace.meta().particle_count as u64;
         let mesh = mesh_flag(flags, trace.meta().domain)?;
-        let (w, stats) = pic_workload::sweep_with_stats(&trace, &points, mesh.as_ref())?;
+        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
+        let (w, stats) = pic_workload::replay(&trace, &points, &opts)?;
         (w, stats, None, particles)
     };
     eprintln!(
@@ -819,7 +818,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
     let mapping = parse_named("mapping", required(flags, "mapping")?)?;
     let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
-    let point = pic_workload::SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter));
+    let point = SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter));
     let mesh = mesh_flag(flags, trace.meta().domain)?;
 
     let mut opts = pic_predict::SimpointOptions::default();
@@ -847,6 +846,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         &trace,
         std::slice::from_ref(&point),
         mesh.as_ref(),
+        None,
         &plan,
         &budget,
     )?;
@@ -857,9 +857,9 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     println!("phases (K):         {}", plan.k());
     println!(
         "replayed samples:   {} full + {} owner-only",
-        stats.representatives, stats.owner_only_samples
+        stats.assign_passes, stats.owner_only_passes
     );
-    println!("reduction factor:   {:.1}x", stats.reduction_factor());
+    println!("reduction factor:   {:.1}x", plan.reduction_factor());
     println!(
         "holdout peak error: {:.4} (budget {:.4}, {} holdout sample(s))",
         report.max_rel_error,
@@ -1144,6 +1144,18 @@ mod tests {
         ] {
             let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
             assert!(err.contains("mesh 4194304x4194304x4194304"), "{cmd}: {err}");
+        }
+        // a stride of 0 parses but is refused by the replay engine, naming
+        // the value, on both commands that take strides
+        for cmd in [
+            format!("{sweep} --strides 0"),
+            format!("study sampling {placed} --strides 1,0"),
+        ] {
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+            assert!(
+                err.contains("stride must be positive, got 0"),
+                "{cmd}: {err}"
+            );
         }
 
         // a flag the command does not read is an error, never skipped: a

@@ -20,7 +20,7 @@ use pic_models::EvalScratch;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
 use pic_trace::ParticleTrace;
 use pic_types::{pool, Result};
-use pic_workload::{AssignmentCache, DynamicWorkload, SweepPoint, WorkloadConfig};
+use pic_workload::{AssignmentCache, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
 use rayon::prelude::*;
 
 /// Mapping algorithm of a request that names none.
@@ -121,12 +121,8 @@ pub fn predict(
 ) -> Result<Prediction> {
     let mesh = spec.element_mesh(trace)?;
     let point = SweepPoint::new(WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter));
-    let points = std::slice::from_ref(&point);
-    let (mut workloads, _) = match cache {
-        Some(cache) => pic_workload::sweep_with_cache(trace, points, mesh.as_ref(), cache)?,
-        None => pic_workload::sweep_with_stats(trace, points, mesh.as_ref())?,
-    };
-    let workload = workloads.pop().expect("one point in, one workload out");
+    let opts = ReplayOptions::new(mesh.as_ref(), cache, None);
+    let workload = pic_workload::replay(trace, &[point], &opts)?.0.remove(0);
     predict_workload(trace, &workload, models, spec)
 }
 
@@ -366,7 +362,10 @@ pub fn run_case_study(
     };
     let wcfg = WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter);
     let mesh = spec.element_mesh(&sim.trace)?;
-    let workload = pic_workload::generator::generate_with_mesh(&sim.trace, &wcfg, mesh.as_ref())?;
+    let opts = ReplayOptions::new(mesh.as_ref(), None, None);
+    let workload = pic_workload::replay(&sim.trace, &[SweepPoint::new(wcfg)], &opts)?
+        .0
+        .remove(0);
     validate::workload_matches_ground_truth(&workload, &sim.ground_truth)?;
 
     let models = KernelModels::fit(&sim.recorder, strategy, cfg.seed)?;

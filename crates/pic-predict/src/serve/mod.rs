@@ -13,7 +13,7 @@
 //!   content address is the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and identical bytes always land on the identical address.
 //! * **Shared replays.** Requests against a resident trace run through
-//!   [`pic_workload::sweep_with_cache`] on the trace's shared
+//!   [`pic_workload::replay`] on the trace's shared
 //!   [`pic_workload::AssignmentCache`], so concurrent and repeat requests
 //!   reuse per-sample assignment artifacts (mapper pass + region index)
 //!   across filter radii, strides, and ghost toggles. Byte-identical
@@ -34,10 +34,10 @@
 //!   [`crate::predict`].
 //! * **Opt-in reduced replay.** A sweep request carrying `"reduced":
 //!   true` replays SimPoint representatives instead of every sample
-//!   (stride 1 only) through [`crate::simpoint::replay_reduced_gated`],
-//!   which holds every grid point to the holdout error budget; the
-//!   reduction plan is cached per trace in its [`registry::PlanCache`]
-//!   under the same LRU weight.
+//!   (stride 1 only, served from the same assignment cache) through
+//!   [`crate::simpoint::replay_reduced_gated`], which holds every grid
+//!   point to the holdout error budget; the reduction plan is cached per
+//!   trace in its [`registry::PlanCache`] under the same LRU weight.
 //! * **Adversarial clients survive.** Framing is bounded and deadlined
 //!   (see [`http`]); the pic-trace fault corpus replayed over a socket
 //!   yields positioned 4xx responses, never a panic or a hung thread.
@@ -58,7 +58,7 @@ use pic_trace::{AnyTraceReader, BoundedReader, DigestReader, ParticleTrace};
 use pic_types::hash::fnv1a_128;
 use pic_types::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 use pic_types::{PicError, Result};
-use pic_workload::{SweepPoint, WorkloadConfig};
+use pic_workload::{ReplayOptions, SweepPoint, WorkloadConfig};
 use registry::TraceRegistry;
 use serde::Deserialize;
 use std::collections::HashMap;
@@ -785,6 +785,7 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
     spec.validate().map_err(semantic)?;
     let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
     let points = spec.points();
+    let opts = ReplayOptions::new(mesh.as_ref(), Some(&cache), None);
     let workloads = if req.reduced {
         sweep_reduced_gated(
             state,
@@ -792,13 +793,11 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
             req.reduced_k,
             req.reduced_budget,
             &trace,
-            mesh.as_ref(),
+            &opts,
             &points,
         )?
     } else {
-        let (workloads, _stats) =
-            pic_workload::sweep_with_cache(&trace, &points, mesh.as_ref(), &cache)
-                .map_err(semantic)?;
+        let (workloads, _stats) = pic_workload::replay(&trace, &points, &opts).map_err(semantic)?;
         // Response gate: the full invariant catalog over every grid point.
         pic_analysis::assert_sweep_valid(&workloads, Some(trace.particle_count() as u64))
             .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
@@ -810,20 +809,19 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
 }
 
 /// The reduced-replay sweep path: fetch (or build and cache) the trace's
-/// reduction plan, then replay representatives only and hold every grid
-/// point to the holdout error budget
+/// reduction plan, then replay representatives only (through the cache in
+/// `replay_opts`) and hold every grid point to the holdout error budget
 /// ([`crate::simpoint::replay_reduced_gated`]).
-#[allow(clippy::too_many_arguments)]
 fn sweep_reduced_gated(
     state: &ServerState,
     trace_addr: &str,
     reduced_k: Option<usize>,
     reduced_budget: Option<f64>,
     trace: &ParticleTrace,
-    mesh: Option<&ElementMesh>,
+    replay_opts: &ReplayOptions,
     points: &[SweepPoint],
 ) -> std::result::Result<Vec<pic_workload::DynamicWorkload>, HttpError> {
-    if points.iter().any(|p| p.stride != 1) {
+    if points.iter().any(|p| p.stride > 1) {
         return Err(HttpError::new(
             422,
             "reduced replay serves stride 1 only (strided reconstruction is unguarded)",
@@ -859,8 +857,9 @@ fn sweep_reduced_gated(
     if let Some(b) = reduced_budget {
         budget.max_peak_rel_error = b;
     }
+    let ReplayOptions { mesh, cache, .. } = *replay_opts;
     let (workloads, ..) = crate::simpoint::replay_reduced_gated(
-        trace, points, mesh, &plan, &budget,
+        trace, points, mesh, cache, &plan, &budget,
     )
     .map_err(|e| match e {
         // the gate's message, which names the grid point, as it is
@@ -917,10 +916,9 @@ fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
     let filter = single_filter(&req.filters)?;
     let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
     let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
-    let (mut workloads, _) =
-        pic_workload::sweep_with_cache(&trace, std::slice::from_ref(&point), mesh.as_ref(), &cache)
-            .map_err(semantic)?;
-    let workload = workloads.pop().expect("one point in, one workload out");
+    let opts = ReplayOptions::new(mesh.as_ref(), Some(&cache), None);
+    let (mut workloads, _) = pic_workload::replay(&trace, &[point], &opts).map_err(semantic)?;
+    let workload = workloads.remove(0);
     let violations = pic_analysis::check_workload(&workload, Some(trace.particle_count() as u64));
     let rendered: Vec<String> = violations
         .iter()
@@ -1016,6 +1014,27 @@ mod tests {
         let err = handle_sweep(&state, body).unwrap_err();
         assert_eq!(err.status, 422);
         assert!(err.message.contains("stride 1"), "{}", err.message);
+        pic_types::sync::assert_witness_clean();
+    }
+
+    /// Stride 0 is refused by the replay engine, naming the value, on the
+    /// full and the reduced path alike.
+    #[test]
+    fn sweep_refuses_stride_zero_on_both_paths() {
+        let state = ServerState::new(ServeConfig::default());
+        state.registry.insert_trace("tt", phased_trace(40, 4), 1);
+        for reduced in [false, true] {
+            let body = format!(
+                r#"{{"trace":"tt","ranks":[8],"strides":[0],"reduced":{reduced},"reduced_k":2}}"#
+            );
+            let err = handle_sweep(&state, body.as_bytes()).unwrap_err();
+            assert_eq!(err.status, 422, "reduced={reduced}: {}", err.message);
+            assert!(
+                err.message.contains("stride must be positive, got 0"),
+                "reduced={reduced}: {}",
+                err.message
+            );
+        }
         pic_types::sync::assert_witness_clean();
     }
 

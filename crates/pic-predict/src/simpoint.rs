@@ -14,7 +14,9 @@ use pic_models::kmeans::{self, KMeansConfig};
 use pic_trace::features::{feature_vectors, FeatureConfig};
 use pic_trace::ParticleTrace;
 use pic_types::{PicError, Result};
-use pic_workload::{DynamicWorkload, ReduceStats, ReductionPlan, SweepPoint};
+use pic_workload::{
+    AssignmentCache, DynamicWorkload, ReductionPlan, ReplayOptions, SweepPoint, SweepStats,
+};
 
 /// Knobs for [`build_plan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,20 +109,22 @@ pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<Reduc
     ReductionPlan::new(t, representatives, assignment)
 }
 
-/// Replay `plan`'s representatives for every grid point, then hold every
-/// point to the holdout `budget` (exact replay of held-out samples,
-/// compared on peak load). The broadcast reconstruction cannot satisfy the
-/// invariant catalog's `comm-flow`, so this gate is a reduced workload's
-/// acceptance check; a breach names its grid point. Returns the workloads,
-/// the replay accounting and one gate report per point.
+/// Replay `plan`'s representatives for every grid point, through `cache`
+/// if given, then hold every point to the holdout `budget` (exact replay
+/// of held-out samples, compared on peak load). The broadcast cannot
+/// satisfy the invariant catalog's `comm-flow`, so this gate is a reduced
+/// workload's acceptance check; a breach names its grid point. Returns the
+/// workloads, the replay accounting and one gate report per point.
 pub fn replay_reduced_gated(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
+    cache: Option<&AssignmentCache>,
     plan: &ReductionPlan,
     budget: &ReductionBudget,
-) -> Result<(Vec<DynamicWorkload>, ReduceStats, Vec<ReductionReport>)> {
-    let (workloads, stats) = pic_workload::sweep_reduced_with_stats(trace, points, mesh, plan)?;
+) -> Result<(Vec<DynamicWorkload>, SweepStats, Vec<ReductionReport>)> {
+    let opts = ReplayOptions::new(mesh, cache, Some(plan));
+    let (workloads, stats) = pic_workload::replay(trace, points, &opts)?;
     let reports = points
         .iter()
         .zip(&workloads)

@@ -11,7 +11,7 @@ use pic_trace::ParticleTrace;
 use pic_types::Result;
 use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::metrics::{self, WorkloadSummary};
-use pic_workload::sweep::{self, SweepPoint};
+use pic_workload::{replay, ReplayOptions, SweepPoint};
 
 /// One rank-count point of a scalability study.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ pub fn scalability_study(
             SweepPoint::new(cfg)
         })
         .collect();
-    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
+    let (workloads, _) = replay(trace, &points, &ReplayOptions::new(mesh, None, None))?;
     Ok(rank_counts
         .iter()
         .zip(workloads)
@@ -119,7 +119,7 @@ pub fn mapping_comparison(
             points.push(SweepPoint::new(cfg));
         }
     }
-    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
+    let (workloads, _) = replay(trace, &points, &ReplayOptions::new(mesh, None, None))?;
     Ok(points
         .iter()
         .zip(workloads)
@@ -177,7 +177,7 @@ pub fn filter_study(
             ))
         })
         .collect();
-    let (workloads, _) = sweep::sweep_with_stats(trace, &points, None)?;
+    let (workloads, _) = replay(trace, &points, &ReplayOptions::default())?;
     let mut out = Vec::with_capacity(filters.len());
     for (&filter, w) in filters.iter().zip(&workloads) {
         let max_bins = generator::unbounded_bin_series(trace, filter)?
@@ -243,17 +243,16 @@ pub fn sampling_frequency_study(
     points.extend(
         strides
             .iter()
-            .map(|&stride| SweepPoint::with_stride(cfg.clone(), stride.max(1))),
+            .map(|&stride| SweepPoint::with_stride(cfg.clone(), stride)),
     );
-    let (workloads, _) = sweep::sweep_with_stats(trace, &points, mesh)?;
+    let (workloads, _) = replay(trace, &points, &ReplayOptions::new(mesh, None, None))?;
     let full = &workloads[0];
     let full_peaks = full.real.peak_series();
     let mut out = Vec::with_capacity(strides.len());
     for (&stride, w) in strides.iter().zip(&workloads[1..]) {
-        let s = stride.max(1);
         let peaks: Vec<f64> = w.real.peak_series().iter().map(|&v| v as f64).collect();
         let reference: Vec<f64> = (0..trace.sample_count())
-            .step_by(s)
+            .step_by(stride)
             .map(|t| full_peaks[t] as f64)
             .collect();
         let peak_workload_mape = pic_types::stats::mape(&peaks, &reference);
@@ -457,7 +456,7 @@ mod tests {
         for p in &pts {
             let mut cfg = WorkloadConfig::new(p.ranks, MappingAlgorithm::ElementBased, 0.02);
             cfg.compute_ghosts = false;
-            let w = generator::generate_with_mesh(&tr, &cfg, Some(&m)).unwrap();
+            let w = generator::generate_reference(&tr, &cfg, Some(&m)).unwrap();
             assert_eq!(p.peak_series, w.real.peak_series());
             assert_eq!(p.summary, metrics::summarize(&w));
         }
@@ -475,7 +474,7 @@ mod tests {
             for &ranks in &[4usize, 8] {
                 let mut cfg = WorkloadConfig::new(ranks, mapping, 0.05);
                 cfg.compute_ghosts = false;
-                let w = generator::generate_with_mesh(&tr, &cfg, Some(&m)).unwrap();
+                let w = generator::generate_reference(&tr, &cfg, Some(&m)).unwrap();
                 assert_eq!(evals[i].mapping, mapping);
                 assert_eq!(evals[i].ranks, ranks);
                 assert_eq!(evals[i].peak_workload, w.peak_workload());

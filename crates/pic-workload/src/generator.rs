@@ -1,17 +1,16 @@
-//! The workload generation pipeline (paper Fig 3), one configuration at
-//! a time.
+//! The workload generation pipeline's vocabulary (paper Fig 3): the
+//! configuration of one replay and the workload it produces.
 //!
-//! `generate` replays a particle trace through the configured mapping
+//! A replay runs a particle trace through the configured mapping
 //! algorithm: the *Computation Load Generator* computes each particle's
 //! residing rank `R_p` per sample (plus ghost counts from projection-filter
 //! overlap), and the *Communication Load Generator* diffs consecutive
 //! samples' ownership to count migrating particles. The replay itself is
-//! the engine in [`crate::sweep`]; the functions here are its one-point
-//! adapters.
+//! [`crate::sweep::replay`].
 
 use crate::matrices::{CommMatrix, CompMatrix};
 pub use crate::reference::generate_reference;
-use crate::sweep::{sweep_streaming, sweep_with_stats, IngestStats, SweepPoint};
+use crate::sweep::{replay, ReplayOptions, SweepPoint};
 use pic_grid::ElementMesh;
 use pic_mapping::{BinMapper, MappingAlgorithm};
 use pic_trace::ParticleTrace;
@@ -86,59 +85,16 @@ impl DynamicWorkload {
     }
 }
 
-/// Run the Dynamic Workload Generator over a trace.
-///
-/// Samples are processed in parallel; the result is identical to the
-/// sequential replay because each sample's mapping depends only on that
-/// sample's positions.
-///
-/// ```
-/// use pic_trace::{ParticleTrace, TraceMeta};
-/// use pic_types::{Aabb, Vec3};
-/// use pic_workload::{generator, WorkloadConfig};
-/// use pic_mapping::MappingAlgorithm;
-///
-/// // two particles drifting right over two samples
-/// let mut trace = ParticleTrace::new(TraceMeta::new(2, 100, Aabb::unit(), "demo"));
-/// trace.push_positions(vec![Vec3::new(0.2, 0.5, 0.5), Vec3::new(0.3, 0.5, 0.5)])?;
-/// trace.push_positions(vec![Vec3::new(0.7, 0.5, 0.5), Vec3::new(0.8, 0.5, 0.5)])?;
-///
-/// let cfg = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.05);
-/// let workload = generator::generate(&trace, &cfg)?;
-/// assert_eq!(workload.samples(), 2);
-/// assert_eq!(workload.real.sample_total(0), 2); // particles conserved
-/// # Ok::<(), pic_types::PicError>(())
-/// ```
-pub fn generate(trace: &ParticleTrace, cfg: &WorkloadConfig) -> Result<DynamicWorkload> {
-    generate_with_mesh(trace, cfg, None)
-}
-
-/// Like [`generate`], but with an explicit mesh for element-based and
-/// Hilbert mappings (required for those algorithms; ignored by bin-based).
-/// A single configuration is a sweep of one point.
+/// [`replay`] of one configuration with a mesh and no cache or plan. Kept
+/// because the end-to-end benchmark pins this name
+/// (`benchmark/src/calls.rs`) until ROADMAP item 1 unpins it.
 pub fn generate_with_mesh(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,
     mesh: Option<&ElementMesh>,
 ) -> Result<DynamicWorkload> {
-    let (mut workloads, _) = sweep_with_stats(trace, &[SweepPoint::new(cfg.clone())], mesh)?;
-    Ok(workloads.pop().expect("one point in, one workload out"))
-}
-
-/// Streaming workload generation for traces larger than memory: the
-/// one-point form of [`sweep_streaming`], bit-identical to [`generate`],
-/// with the pipeline's [`IngestStats`] observability block.
-pub fn generate_streaming_with_stats<S: pic_trace::SampleSource + Send>(
-    reader: S,
-    cfg: &WorkloadConfig,
-    mesh: Option<&ElementMesh>,
-) -> Result<(DynamicWorkload, IngestStats)> {
-    let (mut workloads, _, ingest) =
-        sweep_streaming(reader, &[SweepPoint::new(cfg.clone())], mesh)?;
-    Ok((
-        workloads.pop().expect("one point in, one workload out"),
-        ingest,
-    ))
+    let opts = ReplayOptions::new(mesh, None, None);
+    replay(trace, &[SweepPoint::new(cfg.clone())], &opts).map(|(mut w, _)| w.remove(0))
 }
 
 /// Particles per parallel work item in the ghost kernel. Large enough to
@@ -162,6 +118,7 @@ pub fn unbounded_bin_series(trace: &ParticleTrace, threshold: f64) -> Result<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::sweep_streaming;
     use pic_grid::MeshDims;
     use pic_trace::TraceMeta;
     use pic_types::rng::SplitMix64;
@@ -198,11 +155,32 @@ mod tests {
         ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap()
     }
 
+    /// One configuration through [`replay`].
+    fn generate(
+        tr: &ParticleTrace,
+        cfg: &WorkloadConfig,
+        mesh: Option<&ElementMesh>,
+    ) -> Result<DynamicWorkload> {
+        let opts = ReplayOptions::new(mesh, None, None);
+        replay(tr, &[SweepPoint::new(cfg.clone())], &opts).map(|(mut w, _)| w.remove(0))
+    }
+
+    /// One configuration through [`sweep_streaming`].
+    fn stream(
+        bytes: &[u8],
+        cfg: &WorkloadConfig,
+        mesh: Option<&ElementMesh>,
+    ) -> Result<DynamicWorkload> {
+        let reader = pic_trace::TraceReader::new(bytes).unwrap();
+        let points = [SweepPoint::new(cfg.clone())];
+        sweep_streaming(reader, &points, mesh).map(|(mut w, ..)| w.remove(0))
+    }
+
     #[test]
     fn real_counts_conserve_particles() {
         let tr = make_trace(500, 5, 0.05, 1);
         let cfg = WorkloadConfig::new(16, MappingAlgorithm::BinBased, 0.02);
-        let w = generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None).unwrap();
         assert_eq!(w.samples(), 5);
         for t in 0..5 {
             assert_eq!(w.real.sample_total(t), 500);
@@ -217,9 +195,9 @@ mod tests {
     fn element_mapping_requires_mesh() {
         let tr = make_trace(100, 2, 0.05, 2);
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.02);
-        assert!(generate(&tr, &cfg).is_err());
+        assert!(generate(&tr, &cfg, None).is_err());
         let m = mesh();
-        assert!(generate_with_mesh(&tr, &cfg, Some(&m)).is_ok());
+        assert!(generate(&tr, &cfg, Some(&m)).is_ok());
     }
 
     #[test]
@@ -227,8 +205,8 @@ mod tests {
         // Determinism across runs (rayon ordering must not leak in).
         let tr = make_trace(300, 6, 0.05, 3);
         let cfg = WorkloadConfig::new(12, MappingAlgorithm::BinBased, 0.05);
-        let a = generate(&tr, &cfg).unwrap();
-        let b = generate(&tr, &cfg).unwrap();
+        let a = generate(&tr, &cfg, None).unwrap();
+        let b = generate(&tr, &cfg, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -237,7 +215,7 @@ mod tests {
         let tr = make_trace(400, 4, 0.08, 4);
         let m = mesh();
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.02);
-        let w = generate_with_mesh(&tr, &cfg, Some(&m)).unwrap();
+        let w = generate(&tr, &cfg, Some(&m)).unwrap();
         assert!(w.comm.entries[0].is_empty());
         // expanding cloud with element mapping must migrate particles
         assert!(w.comm.total() > 0);
@@ -255,7 +233,7 @@ mod tests {
         let mut prev_peak = u32::MAX;
         for ranks in [4, 16, 64] {
             let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 1e-4);
-            let w = generate(&tr, &cfg).unwrap();
+            let w = generate(&tr, &cfg, None).unwrap();
             let peak = w.peak_workload();
             assert!(
                 peak <= prev_peak,
@@ -271,16 +249,11 @@ mod tests {
         // the bin cap leaves the peak unchanged.
         let tr = make_trace(800, 3, 0.02, 6);
         let coarse = 0.2; // few bins possible
-        let w_small = generate(
-            &tr,
-            &WorkloadConfig::new(32, MappingAlgorithm::BinBased, coarse),
-        )
-        .unwrap();
-        let w_large = generate(
-            &tr,
-            &WorkloadConfig::new(256, MappingAlgorithm::BinBased, coarse),
-        )
-        .unwrap();
+        let at = |ranks| {
+            let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, coarse);
+            generate(&tr, &cfg, None).unwrap()
+        };
+        let (w_small, w_large) = (at(32), at(256));
         let bins_small = w_small.max_bin_count().unwrap();
         let bins_large = w_large.max_bin_count().unwrap();
         assert_eq!(bins_small, bins_large, "bin cap must not depend on R");
@@ -305,7 +278,7 @@ mod tests {
         let m = mesh();
         let total_at = |filter: f64| {
             let cfg = WorkloadConfig::new(8, MappingAlgorithm::ElementBased, filter);
-            let w = generate_with_mesh(&tr, &cfg, Some(&m)).unwrap();
+            let w = generate(&tr, &cfg, Some(&m)).unwrap();
             (0..w.samples())
                 .map(|t| w.ghost_recv.sample_total(t))
                 .sum::<u64>()
@@ -323,7 +296,7 @@ mod tests {
         let tr = make_trace(200, 3, 0.05, 9);
         let mut cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.1);
         cfg.compute_ghosts = false;
-        let w = generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None).unwrap();
         for t in 0..3 {
             assert_eq!(w.ghost_recv.sample_total(t), 0);
             assert_eq!(w.ghost_sent.sample_total(t), 0);
@@ -341,7 +314,7 @@ mod tests {
             projection_filter: 0.1,
             compute_ghosts: false,
         };
-        assert!(generate(&tr, &cfg).is_err());
+        assert!(generate(&tr, &cfg, None).is_err());
     }
 
     /// Assert the streamed pipeline, the in-memory parallel path, and the
@@ -349,15 +322,14 @@ mod tests {
     fn assert_streaming_equivalence(cfg: &WorkloadConfig, mesh: Option<&ElementMesh>) {
         use pic_trace::codec::{encode_trace, Precision};
         let tr = make_trace(400, 5, 0.05, 21);
-        let in_memory = generate_with_mesh(&tr, cfg, mesh).unwrap();
+        let in_memory = generate(&tr, cfg, mesh).unwrap();
         let reference = generate_reference(&tr, cfg, mesh).unwrap();
         assert_eq!(
             in_memory, reference,
             "parallel path diverged from sequential"
         );
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
-        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let (streamed, _) = generate_streaming_with_stats(reader, cfg, mesh).unwrap();
+        let streamed = stream(&bytes, cfg, mesh).unwrap();
         assert_eq!(streamed, in_memory, "streamed path diverged from in-memory");
     }
 
@@ -401,8 +373,7 @@ mod tests {
         let tr = make_trace(50, 2, 0.05, 22);
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let cfg = WorkloadConfig::new(4, MappingAlgorithm::ElementBased, 0.04);
-        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        assert!(generate_streaming_with_stats(reader, &cfg, None).is_err());
+        assert!(stream(&bytes, &cfg, None).is_err());
     }
 
     #[test]
@@ -411,7 +382,7 @@ mod tests {
         // parallel partial-histogram merge actually runs.
         let tr = make_trace(GHOST_CHUNK * 2 + 123, 2, 0.05, 33);
         let cfg = WorkloadConfig::new(32, MappingAlgorithm::BinBased, 0.05);
-        let parallel = generate(&tr, &cfg).unwrap();
+        let parallel = generate(&tr, &cfg, None).unwrap();
         let reference = generate_reference(&tr, &cfg, None).unwrap();
         assert_eq!(parallel, reference);
     }
@@ -421,7 +392,7 @@ mod tests {
         let meta = TraceMeta::new(5, 100, Aabb::unit(), "empty");
         let tr = ParticleTrace::new(meta);
         let cfg = WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.1);
-        let w = generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None).unwrap();
         assert_eq!(w.samples(), 0);
         assert_eq!(w.peak_workload(), 0);
         assert_eq!(w.max_bin_count(), None);

@@ -23,16 +23,13 @@
 //! There is one replay engine, in [`sweep`]: a plan groups configurations
 //! that share an assignment, one kernel processes a (group, sample) pair,
 //! a resident and a streaming driver run it, and one assembly turns the
-//! replayed samples into workloads. The public replay functions are thin
-//! adapters over it:
+//! replayed samples into workloads. Its public doors:
 //!
-//! | function | what it selects |
+//! | function | what it runs |
 //! |---|---|
-//! | [`generator::generate`] / [`generator::generate_with_mesh`] | one point, every sample, resident |
-//! | [`generator::generate_streaming_with_stats`] | one point, every sample, streamed |
-//! | [`sweep::sweep_with_stats`] / [`sweep::sweep_with_cache`] | a grid, every sample, resident (optionally cached) |
-//! | [`sweep::sweep_streaming`] | a grid, every sample, streamed |
-//! | [`reduce::generate_reduced_with_stats`] / [`reduce::sweep_reduced_with_stats`] | a [`reduce::ReductionPlan`]'s representatives, broadcast over the trace |
+//! | [`sweep::replay`] | a grid over a resident trace; [`sweep::ReplayOptions`] adds a mesh, an [`sweep::AssignmentCache`] and a [`reduce::ReductionPlan`] (representatives broadcast over the trace), in any combination |
+//! | [`sweep::sweep_streaming`] | a grid over a streamed trace, every sample |
+//! | [`generator::generate_with_mesh`], [`sweep::sweep_with_stats`], [`reduce::generate_reduced_with_stats`] | one-line calls into `replay` that the end-to-end benchmark pins |
 //!
 //! Under [`reduce::ReductionPlan::identity`] the reduced replay is
 //! bit-identical to the full one. The oracles every path is tested against
@@ -51,14 +48,11 @@ pub mod reference;
 pub mod soa;
 pub mod sweep;
 
-pub use generator::{generate_streaming_with_stats, DynamicWorkload, WorkloadConfig};
+pub use generator::{DynamicWorkload, WorkloadConfig};
 pub use matrices::{migration_pairs, CommMatrix, CompMatrix};
-pub use reduce::{
-    generate_reduced_with_stats, peak_load_series, peak_rel_error, sweep_reduced_with_stats,
-    ReduceStats, ReductionPlan,
-};
+pub use reduce::{peak_load_series, peak_rel_error, ReduceStats, ReductionPlan};
 pub use soa::SoAPositions;
 pub use sweep::{
-    mesh_fingerprint, sweep_streaming, sweep_with_cache, sweep_with_stats, AssignmentCache,
-    AssignmentCacheStats, AssignmentKey, IngestStats, SampleAssignment, SweepPoint, SweepStats,
+    mesh_fingerprint, replay, sweep_streaming, AssignmentCache, AssignmentCacheStats,
+    AssignmentKey, IngestStats, ReplayOptions, SampleAssignment, SweepPoint, SweepStats,
 };

@@ -8,13 +8,13 @@
 //! fraction of the replay cost — the paper-scale regime where a trace has
 //! thousands of samples but only a few distinct spatial regimes.
 //!
-//! The contract, enforced by proptests: with `K = T` (every sample its own
-//! representative) the reconstruction is **bit-identical** to
-//! [`crate::reference::generate_reference`] — a reduced replay is the
-//! resident driver of [`crate::sweep`] told to run the kernel on fewer
-//! samples, so the only error a real reduction introduces is the phase
-//! approximation itself, which the `pic-analysis` error-budget gate
-//! measures on holdout samples.
+//! A reduced replay is [`crate::sweep::replay`] with a plan: the resident
+//! driver told to run the kernel on fewer samples. The contract, enforced
+//! by proptests: with `K = T` (every sample its own representative) the
+//! reconstruction is **bit-identical** to
+//! [`crate::reference::generate_reference`], so the only error a real
+//! reduction introduces is the phase approximation itself, which the
+//! `pic-analysis` error-budget gate measures on holdout samples.
 //!
 //! Communication is reconstructed per representative from its *immediate
 //! predecessor* in the trace: `comm[r] = migration_pairs(owners[s_r − 1],
@@ -23,7 +23,7 @@
 //! interval — a documented approximation, exact at stride 1 and `K = T`.
 
 use crate::generator::{DynamicWorkload, WorkloadConfig};
-use crate::sweep::{self, SweepPoint};
+use crate::sweep::{self, ReplayOptions, SweepPoint};
 use pic_grid::ElementMesh;
 use pic_trace::ParticleTrace;
 use pic_types::{PicError, Result};
@@ -85,6 +85,13 @@ impl ReductionPlan {
     /// Number of representatives `K`.
     pub fn k(&self) -> usize {
         self.representatives.len()
+    }
+
+    /// Full-kernel samples avoided relative to a complete replay, `T / K`
+    /// (the arithmetic speedup bound, ignoring the cheaper owner-only
+    /// passes).
+    pub fn reduction_factor(&self) -> f64 {
+        self.total_samples as f64 / self.k().max(1) as f64
     }
 
     /// Check internal consistency: arities match, representative indices
@@ -161,7 +168,7 @@ impl ReductionPlan {
     /// Predecessor samples (`s_r − 1`) that are not representatives
     /// themselves: these need an assignment-only pass for the migration
     /// diff. Sorted ascending.
-    fn owner_only_predecessors(&self) -> Vec<usize> {
+    pub(crate) fn owner_only_predecessors(&self) -> Vec<usize> {
         let mut is_rep = vec![false; self.total_samples];
         for &s in &self.representatives {
             is_rep[s] = true;
@@ -178,7 +185,8 @@ impl ReductionPlan {
     }
 }
 
-/// Replay accounting from one reduced run.
+/// Replay accounting from one reduced run of
+/// [`generate_reduced_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReduceStats {
     /// Trace sample count `T`.
@@ -189,67 +197,25 @@ pub struct ReduceStats {
     pub owner_only_samples: usize,
 }
 
-impl ReduceStats {
-    /// Full-kernel samples avoided relative to a complete replay (the
-    /// arithmetic speedup bound, ignoring the cheaper owner-only passes).
-    pub fn reduction_factor(&self) -> f64 {
-        self.total_samples as f64 / self.representatives.max(1) as f64
-    }
-}
-
-/// Reduced-replay counterpart of [`sweep::sweep_with_stats`]: the kernel
-/// runs on the plan's representatives only (plus owner-only passes on
-/// their predecessors, for communication), one replay per assignment
-/// group serving every sweep point of that group, and each point's full
-/// `T`-sample series is reconstructed by cluster broadcast. At stride 1
-/// under [`ReductionPlan::identity`] the output is bit-identical to the
-/// full replay. The accounting is summed across assignment groups.
-pub fn sweep_reduced_with_stats(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-    plan: &ReductionPlan,
-) -> Result<(Vec<DynamicWorkload>, ReduceStats)> {
-    plan.validate()?;
-    if plan.total_samples != trace.sample_count() {
-        return Err(PicError::config(format!(
-            "reduction plan covers {} samples, trace has {}",
-            plan.total_samples,
-            trace.sample_count()
-        )));
-    }
-    let sweep_plan = sweep::build_plan(points, mesh)?;
-    let (reps, preds) = (&plan.representatives, plan.owner_only_predecessors());
-    let replayed = sweep::replay(trace, &sweep_plan, reps, &preds, None);
-    let workloads = sweep::assemble(
-        &sweep_plan,
-        &replayed,
-        &trace.iterations(),
-        reps,
-        &preds,
-        Some(&plan.assignment),
-    );
-    let stats = ReduceStats {
-        total_samples: plan.total_samples,
-        representatives: sweep_plan.groups.len() * reps.len(),
-        owner_only_samples: sweep_plan.groups.len() * preds.len(),
-    };
-    Ok((workloads, stats))
-}
-
-/// The one-point form of [`sweep_reduced_with_stats`].
+/// [`sweep::replay`] of one configuration under `plan`, without a cache.
+/// Kept because the end-to-end benchmark pins this name and its
+/// [`ReduceStats`] (`benchmark/src/calls.rs`) until ROADMAP item 1 unpins
+/// it.
 pub fn generate_reduced_with_stats(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,
     mesh: Option<&ElementMesh>,
     plan: &ReductionPlan,
 ) -> Result<(DynamicWorkload, ReduceStats)> {
-    let points = [SweepPoint::new(cfg.clone())];
-    let (mut workloads, stats) = sweep_reduced_with_stats(trace, &points, mesh, plan)?;
-    Ok((
-        workloads.pop().expect("one point in, one workload out"),
-        stats,
-    ))
+    let opts = ReplayOptions::new(mesh, None, Some(plan));
+    sweep::replay(trace, &[SweepPoint::new(cfg.clone())], &opts).map(|(mut w, s)| {
+        let stats = ReduceStats {
+            total_samples: plan.total_samples,
+            representatives: s.assign_passes,
+            owner_only_samples: s.owner_only_passes,
+        };
+        (w.remove(0), stats)
+    })
 }
 
 /// Per-sample peak load: the maximum over ranks of real + received-ghost
@@ -300,7 +266,7 @@ pub fn exact_sample_loads(
         }
     }
     let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh)?;
-    let group = sweep::replay(trace, &plan, samples, &[], None).remove(0);
+    let group = sweep::replay_groups(trace, &plan, samples, &[], None).remove(0);
     let slot = plan.members[0].ghost_slot;
     Ok((group.assignments.iter().zip(&group.ghosts))
         .map(|(a, ghosts)| {

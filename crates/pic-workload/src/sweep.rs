@@ -1,7 +1,9 @@
 //! The DWG replay engine: one trace replay, any number of workloads.
 //!
-//! Every public replay function of this crate is an adapter over what
-//! lives here (DESIGN.md §7 has the arguments):
+//! [`replay`] is the door: a trace, a grid of [`SweepPoint`]s and
+//! [`ReplayOptions`] (mesh, assignment cache, reduction plan, each
+//! optional and every combination valid). [`sweep_streaming`] is the one
+//! streamed driver. DESIGN.md §7 has the arguments:
 //!
 //! * **Plan.** [`SweepPoint`]s whose assignment is provably identical
 //!   share an assignment group — `(mapping, ranks)`, plus the filter bits
@@ -15,22 +17,23 @@
 //!   once at the group's largest radius (sphere–box overlap is monotone in
 //!   the radius, so filtering the same `d²` at `d² ≤ r²` is bit-exact for
 //!   each smaller one).
-//! * **Two drivers.** `replay` is the resident loop: it runs the kernel
-//!   over the (group, sample) pairs a caller selects — all samples, a
-//!   [`crate::reduce::ReductionPlan`]'s representatives and their
-//!   predecessors, or a holdout list — optionally through an
-//!   [`AssignmentCache`]. [`sweep_streaming`] is the bounded decoder →
-//!   workers → in-order-merge pipeline for traces larger than memory.
+//! * **Two drivers.** `replay_groups` is the resident loop: it runs the
+//!   kernel over the (group, sample) pairs a caller selects — all samples,
+//!   a [`ReductionPlan`]'s representatives and their predecessors, or a
+//!   holdout list — optionally through an [`AssignmentCache`].
+//!   [`sweep_streaming`] is the bounded decoder → workers → in-order-merge
+//!   pipeline for traces larger than memory.
 //! * **Assembly.** `assemble` turns replayed slots into one
 //!   [`DynamicWorkload`] per member: a stride-`s` member keeps every
-//!   `s`-th sample, exactly `generate(&trace.subsample(s), cfg)`.
+//!   `s`-th sample, exactly the full replay of `trace.subsample(s)`.
 //!
 //! Outputs are **bit-identical** to the sequential
 //! [`crate::reference::generate_reference`] oracle; `tests/props.rs`
-//! checks every adapter against it on random grids.
+//! checks every option combination against it on random grids.
 
 use crate::generator::{DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
+use crate::reduce::ReductionPlan;
 use crate::soa::{ghost_counts_soa, SoAPositions};
 use pic_grid::ElementMesh;
 use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex};
@@ -51,7 +54,7 @@ use std::time::Instant;
 pub struct SweepPoint {
     /// The generator configuration to evaluate.
     pub config: WorkloadConfig,
-    /// Sampling stride over the trace (`0` is treated as `1`).
+    /// Sampling stride over the trace; `0` is refused.
     pub stride: usize,
 }
 
@@ -75,11 +78,17 @@ pub struct SweepStats {
     pub points: usize,
     /// Assignment groups the points collapsed into.
     pub groups: usize,
-    /// Trace samples replayed.
+    /// Trace samples replayed through the full kernel (a reduction plan's
+    /// representatives, or every sample).
     pub samples: usize,
     /// Assignment + index passes executed (`groups × samples`, less the
     /// groups an [`AssignmentCache`] served).
     pub assign_passes: usize,
+    /// Owner-only passes executed on representatives' predecessors, for
+    /// their migration diffs (always `0` without a reduction plan; a
+    /// cached group needs none).
+    #[serde(default)]
+    pub owner_only_passes: usize,
     /// Passes the per-configuration loop would have run
     /// (`points × samples`).
     pub naive_assign_passes: usize,
@@ -133,9 +142,9 @@ pub(crate) struct SweepPlan {
 
 /// Resolve `points` into groups and members. Errors are the
 /// per-configuration ones: a projection filter that is not finite and
-/// positive, zero ranks, a mesh-requiring mapping without a mesh.
-/// Every replay entry point comes through here, so the ghost kernel only
-/// ever sees validated radii.
+/// positive, a stride of zero, zero ranks, a mesh-requiring mapping
+/// without a mesh. Every replay entry point comes through here, so the
+/// ghost kernel only ever sees validated radii.
 pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> Result<SweepPlan> {
     let mut groups: Vec<GroupPlan> = Vec::new();
     let mut members = Vec::with_capacity(points.len());
@@ -145,6 +154,9 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
             return Err(PicError::config(format!(
                 "projection filter must be positive and finite, got {filter}"
             )));
+        }
+        if p.stride == 0 {
+            return Err(PicError::config("sampling stride must be positive, got 0"));
         }
         let key = group_key(&p.config);
         let g = match groups.iter().position(|g| g.key == key) {
@@ -171,23 +183,32 @@ pub(crate) fn build_plan(points: &[SweepPoint], mesh: Option<&ElementMesh>) -> R
         });
         members.push(MemberPlan {
             group: g,
-            stride: p.stride.max(1),
+            stride: p.stride,
             ghost_slot,
         });
     }
     Ok(SweepPlan { groups, members })
 }
 
-fn stats_for(plan: &SweepPlan, samples: usize) -> SweepStats {
+/// The accounting of `samples` full-kernel and `owner_only` owner-only
+/// samples per group, less the `cached_groups` a cache served.
+fn stats_for(
+    plan: &SweepPlan,
+    samples: usize,
+    owner_only: usize,
+    cached_groups: usize,
+) -> SweepStats {
+    let computed = plan.groups.len() - cached_groups;
     SweepStats {
         points: plan.members.len(),
         groups: plan.groups.len(),
         samples,
-        assign_passes: plan.groups.len() * samples,
+        assign_passes: computed * samples,
+        owner_only_passes: computed * owner_only,
         naive_assign_passes: plan.members.len() * samples,
         ghost_radii: plan.groups.iter().map(|g| g.radii.len()).sum(),
         shared_query_groups: plan.groups.iter().filter(|g| g.radii.len() > 1).count(),
-        cached_groups: 0,
+        cached_groups,
     }
 }
 
@@ -290,16 +311,25 @@ fn process_group_sample(
     }
 }
 
-/// One group's replayed samples, as [`replay`] leaves them.
+/// One group's replayed samples, as [`replay_groups`] leaves them.
 pub(crate) struct GroupReplay {
-    /// Slot `r` is trace sample `full[r]`.
+    /// Computed: slot `r` is trace sample `full[r]`. Cached: entry `s` is
+    /// trace sample `s`.
     pub(crate) assignments: Arc<Vec<SampleAssignment>>,
-    /// Ghost histograms parallel to `assignments`.
+    /// Ghost histograms parallel to `full`.
     pub(crate) ghosts: Vec<GhostSlots>,
-    /// Ownership of the owner-only samples, parallel to `owner_only`.
+    /// Ownership of the owner-only samples, parallel to `owner_only`
+    /// (empty when cached: the artifacts hold every sample's owners).
     pred_owners: Vec<Vec<Rank>>,
     /// Whether `assignments` came out of the cache.
     cached: bool,
+}
+
+impl GroupReplay {
+    /// The assignment of slot `r`, trace sample `full[r]`.
+    fn assignment(&self, r: usize, full: &[usize]) -> &SampleAssignment {
+        &self.assignments[if self.cached { full[r] } else { r }]
+    }
 }
 
 /// The resident driver: run the kernel over every (group, sample) pair
@@ -308,40 +338,37 @@ pub(crate) struct GroupReplay {
 /// further inside the ghost kernels).
 ///
 /// A `cache` (with the mesh fingerprint its keys carry) is consulted per
-/// group and receives what missed; it holds one artifact per trace
-/// sample, so it requires `full` to be every sample in order.
-pub(crate) fn replay(
+/// group; a hit serves every selected sample, owner-only ones included. It
+/// holds one artifact per trace sample, so it receives what missed only
+/// when `full` is every sample in order.
+pub(crate) fn replay_groups(
     trace: &ParticleTrace,
     plan: &SweepPlan,
     full: &[usize],
     owner_only: &[usize],
     cache: Option<(&AssignmentCache, Option<u64>)>,
 ) -> Vec<GroupReplay> {
-    debug_assert!(cache.is_none() || full.iter().copied().eq(0..trace.sample_count()));
     let key_of = |g: &GroupPlan, fp| AssignmentKey::for_group(g.key, fp);
     let hits: Vec<Option<Arc<Vec<SampleAssignment>>>> = plan
         .groups
         .iter()
         .map(|g| cache.and_then(|(c, fp)| c.get(&key_of(g, fp))))
         .collect();
+    let publish = cache.filter(|_| full.iter().copied().eq(0..trace.sample_count()));
     let (nf, per_group) = (full.len(), full.len() + owner_only.len());
     let outcomes: Vec<GroupSample> = pic_types::pool::install(|| {
         (0..plan.groups.len() * per_group)
             .into_par_iter()
             .map(|i| {
                 let (g, j) = (i / per_group, i % per_group);
-                let group = &plan.groups[g];
-                match full.get(j) {
-                    Some(&s) => {
-                        let cached = hits[g].as_ref().map(|a| &a[s]);
-                        let keep_index = cache.is_some();
-                        process_group_sample(trace.positions_at(s), group, true, cached, keep_index)
-                    }
-                    None => {
-                        let s = owner_only[j - nf];
-                        process_group_sample(trace.positions_at(s), group, false, None, false)
-                    }
-                }
+                let (s, ghosts) = match full.get(j) {
+                    Some(&s) => (s, true),
+                    None => (owner_only[j - nf], false),
+                };
+                let cached = hits[g].as_ref().map(|a| &a[s]);
+                let keep_index = ghosts && publish.is_some();
+                let positions = trace.positions_at(s);
+                process_group_sample(positions, &plan.groups[g], ghosts, cached, keep_index)
             })
             .collect()
     });
@@ -355,12 +382,12 @@ pub(crate) fn replay(
                 ghosts.push(o.ghosts);
             }
             let pred_owners = (outcomes.by_ref().take(owner_only.len()))
-                .map(|o| o.assignment.expect("owner-only pass assigns").owners)
+                .filter_map(|o| o.assignment.map(|a| a.owners))
                 .collect();
             let cached = hit.is_some();
             let assignments = hit.unwrap_or_else(|| {
                 let fresh = Arc::new(fresh);
-                if let Some((c, fp)) = cache {
+                if let Some((c, fp)) = publish {
                     c.insert(key_of(group, fp), Arc::clone(&fresh));
                 }
                 fresh
@@ -423,7 +450,7 @@ impl MemberRows {
 
 /// Assemble one workload per member from replayed slots.
 ///
-/// Output sample `t` (one per entry of `iterations`) takes slot `t`, or
+/// Output sample `t` (one per trace sample) takes slot `t`, or
 /// slot `broadcast[t]` under a reduction plan; a member keeps every
 /// `stride`-th output sample. Migrations are diffed once per
 /// (group, step) in parallel over slots and shared by the members that
@@ -431,21 +458,26 @@ impl MemberRows {
 /// retained one (`step = stride`); a broadcast diffs each representative
 /// against its immediate trace predecessor (`step = 1`), which at
 /// stride > 1 stands in for the strided interval.
-pub(crate) fn assemble(
+fn assemble(
     plan: &SweepPlan,
     replayed: &[GroupReplay],
-    iterations: &[u64],
+    trace: &ParticleTrace,
     full: &[usize],
     owner_only: &[usize],
     broadcast: Option<&[usize]>,
 ) -> Vec<DynamicWorkload> {
+    let iterations = trace.iterations();
     let slot_of: HashMap<usize, usize> = full.iter().enumerate().map(|(r, &s)| (s, r)).collect();
     let pred_of: HashMap<usize, usize> =
         (owner_only.iter().enumerate().map(|(i, &s)| (s, i))).collect();
     let owners_at = |g: usize, sample: usize| -> Option<&[Rank]> {
+        let group = &replayed[g];
+        if group.cached {
+            return Some(&group.assignments[sample].owners);
+        }
         match slot_of.get(&sample) {
-            Some(&r) => Some(&replayed[g].assignments[r].owners),
-            None => (pred_of.get(&sample)).map(|&i| replayed[g].pred_owners[i].as_slice()),
+            Some(&r) => Some(&group.assignments[r].owners),
+            None => (pred_of.get(&sample)).map(|&i| group.pred_owners[i].as_slice()),
         }
     };
     let step_of = |m: &MemberPlan| if broadcast.is_some() { 1 } else { m.stride };
@@ -461,7 +493,9 @@ pub(crate) fn assemble(
                 let ((g, step), r) = (keys[i / nf], i % nf);
                 let read = broadcast.is_some() || r % step == 0;
                 match full[r].checked_sub(step).and_then(|p| owners_at(g, p)) {
-                    Some(prev) if read => migration_pairs(prev, &replayed[g].assignments[r].owners),
+                    Some(prev) if read => {
+                        migration_pairs(prev, &replayed[g].assignment(r, full).owners)
+                    }
                     _ => Vec::new(),
                 }
             })
@@ -483,7 +517,7 @@ pub(crate) fn assemble(
                     } else {
                         migrations[k * nf + r].clone()
                     };
-                    rows.push(&g.assignments[r], &g.ghosts[r], iterations[t], comm);
+                    rows.push(g.assignment(r, full), &g.ghosts[r], iterations[t], comm);
                 }
                 rows.workload
             })
@@ -491,40 +525,106 @@ pub(crate) fn assemble(
     })
 }
 
-/// The resident full replay behind [`sweep_with_stats`] and
-/// [`sweep_with_cache`]: every sample through the kernel, output sample
-/// `t` is slot `t`.
-fn sweep_resident(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-    cache: Option<&AssignmentCache>,
-) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    let plan = build_plan(points, mesh)?;
-    let all: Vec<usize> = (0..trace.sample_count()).collect();
-    let cache = cache.map(|c| (c, mesh.map(mesh_fingerprint)));
-    let replayed = replay(trace, &plan, &all, &[], cache);
-    let workloads = assemble(&plan, &replayed, &trace.iterations(), &all, &[], None);
-    let mut stats = stats_for(&plan, all.len());
-    stats.cached_groups = replayed.iter().filter(|g| g.cached).count();
-    stats.assign_passes = (stats.groups - stats.cached_groups) * all.len();
-    Ok((workloads, stats))
+/// What a [`replay`] runs against besides the trace and the grid. Every
+/// field is optional and every combination is valid.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReplayOptions<'a> {
+    /// The element mesh the mesh-based mappings assign against (bin-based
+    /// ignores it).
+    pub mesh: Option<&'a ElementMesh>,
+    /// Assignment artifacts of this trace: a group found here skips its
+    /// assignment passes, and a replay of every sample publishes the
+    /// groups it computed.
+    pub cache: Option<&'a AssignmentCache>,
+    /// Replay only the plan's representatives (plus owner-only passes on
+    /// their predecessors, for migrations) and broadcast each over its
+    /// cluster.
+    pub plan: Option<&'a ReductionPlan>,
+}
+
+impl<'a> ReplayOptions<'a> {
+    /// All three options at once, each `None` to leave it out.
+    pub fn new(
+        mesh: Option<&'a ElementMesh>,
+        cache: Option<&'a AssignmentCache>,
+        plan: Option<&'a ReductionPlan>,
+    ) -> ReplayOptions<'a> {
+        ReplayOptions { mesh, cache, plan }
+    }
 }
 
 /// Replay `trace` once and produce one [`DynamicWorkload`] per sweep
-/// point, in point order, each bit-identical to what
-/// [`crate::generator::generate_with_mesh`] (over `trace.subsample(stride)`)
-/// would return for that point — plus the sharing accounting.
+/// point, in point order, plus the sharing accounting.
 ///
-/// Errors mirror the per-configuration path: a point whose configuration
-/// would fail there (zero ranks, mesh-requiring mapping without a mesh,
-/// a projection filter that is not finite and positive) fails the sweep.
+/// Without a plan, each workload is bit-identical to the straight-line
+/// replay of `trace.subsample(stride)` under that point's configuration.
+/// With a plan, each point's full `T`-sample series is reconstructed by
+/// cluster broadcast; under [`ReductionPlan::identity`] at stride 1 that
+/// is the full replay again. A cache never changes a bit.
+///
+/// Errors: a point whose filter is not finite and positive, whose stride
+/// or rank count is zero, or whose mapping needs a missing mesh; a plan
+/// that is inconsistent or built for another sample count.
+///
+/// ```
+/// use pic_trace::{ParticleTrace, TraceMeta};
+/// use pic_types::{Aabb, Vec3};
+/// use pic_workload::{replay, ReplayOptions, SweepPoint, WorkloadConfig};
+/// use pic_mapping::MappingAlgorithm;
+///
+/// let mut trace = ParticleTrace::new(TraceMeta::new(2, 100, Aabb::unit(), "demo"));
+/// trace.push_positions(vec![Vec3::new(0.2, 0.5, 0.5), Vec3::new(0.3, 0.5, 0.5)])?;
+/// trace.push_positions(vec![Vec3::new(0.7, 0.5, 0.5), Vec3::new(0.8, 0.5, 0.5)])?;
+///
+/// let point = SweepPoint::new(WorkloadConfig::new(4, MappingAlgorithm::BinBased, 0.05));
+/// let (workloads, stats) = replay(&trace, &[point], &ReplayOptions::default())?;
+/// assert_eq!(workloads[0].samples(), 2);
+/// assert_eq!(workloads[0].real.sample_total(0), 2); // particles conserved
+/// assert_eq!(stats.assign_passes, 2);
+/// # Ok::<(), pic_types::PicError>(())
+/// ```
+pub fn replay(
+    trace: &ParticleTrace,
+    points: &[SweepPoint],
+    opts: &ReplayOptions,
+) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+    let every: Vec<usize>;
+    let (full, owner_only, broadcast) = match opts.plan {
+        Some(plan) => {
+            plan.validate()?;
+            if plan.total_samples != trace.sample_count() {
+                return Err(PicError::config(format!(
+                    "reduction plan covers {} samples, trace has {}",
+                    plan.total_samples,
+                    trace.sample_count()
+                )));
+            }
+            let preds = plan.owner_only_predecessors();
+            (&plan.representatives[..], preds, Some(&plan.assignment[..]))
+        }
+        None => {
+            every = (0..trace.sample_count()).collect();
+            (&every[..], Vec::new(), None)
+        }
+    };
+    let sweep = build_plan(points, opts.mesh)?;
+    let cache = opts.cache.map(|c| (c, opts.mesh.map(mesh_fingerprint)));
+    let replayed = replay_groups(trace, &sweep, full, &owner_only, cache);
+    let workloads = assemble(&sweep, &replayed, trace, full, &owner_only, broadcast);
+    let cached_groups = replayed.iter().filter(|g| g.cached).count();
+    let stats = stats_for(&sweep, full.len(), owner_only.len(), cached_groups);
+    Ok((workloads, stats))
+}
+
+/// [`replay`] of a grid with a mesh and no cache or plan. Kept because the
+/// end-to-end benchmark pins this name (`benchmark/src/calls.rs`) until
+/// ROADMAP item 1 unpins it.
 pub fn sweep_with_stats(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
 ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    sweep_resident(trace, points, mesh, None)
+    replay(trace, points, &ReplayOptions::new(mesh, None, None))
 }
 
 /// Structural fingerprint of a mesh specification: two meshes with the
@@ -622,9 +722,9 @@ const ASSIGNMENT_CACHE_LOCK_LEVEL: u32 = 100;
 /// across concurrent sweeps of **one** trace (`Send + Sync`; interior
 /// mutability behind a mutex — lookups move `Arc`s, never artifact data).
 ///
-/// [`sweep_with_cache`] consults it per assignment group: a hit skips the
-/// group's entire assignment + index replay and goes straight to the
-/// ghost phase, which is why the resident prediction service answers
+/// [`replay`] consults it per assignment group: a hit skips the group's
+/// entire assignment + index replay and goes straight to the ghost
+/// phase, which is why the resident prediction service answers
 /// repeat sweeps at a different filter radius or stride without touching
 /// the mapper at all. Eviction is strict LRU by lookup/insert tick; an
 /// entry larger than the whole budget is admitted alone (the cache never
@@ -739,24 +839,6 @@ impl AssignmentCache {
     }
 }
 
-/// [`sweep_with_stats`] backed by an [`AssignmentCache`]: assignment
-/// groups whose artifacts are resident skip the mapper / counting / index
-/// replay entirely and jump to the ghost phase; missing groups run the
-/// normal pass and publish their artifacts for the next caller. Outputs
-/// are bit-identical to [`sweep_with_stats`] — artifacts are plain data
-/// produced by the same kernel, so serving them from memory cannot
-/// perturb a bit — and `stats.assign_passes` reports the passes actually
-/// executed, with `stats.cached_groups` counting the groups served from
-/// cache.
-pub fn sweep_with_cache(
-    trace: &ParticleTrace,
-    points: &[SweepPoint],
-    mesh: Option<&ElementMesh>,
-    cache: &AssignmentCache,
-) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
-    sweep_resident(trace, points, mesh, Some(cache))
-}
-
 /// Observability counters from one [`sweep_streaming`] run: how much was
 /// ingested and where the pipeline's time went. Exposed because a
 /// full-scale ingest runs for hours over hundreds of gigabytes (§II-D) —
@@ -804,7 +886,7 @@ struct MigrationFold {
 /// The streaming driver: every sweep point sample-by-sample off one
 /// [`pic_trace::SampleSource`] pass — raw `TraceReader`, delta-encoded
 /// `CompactReader`, or the magic-sniffing `AnyTraceReader` — bit-identical
-/// to [`sweep_with_stats`].
+/// to [`replay`] without a plan.
 ///
 /// This is the path for the paper's §II-D regime, where full-scale traces
 /// run to hundreds of gigabytes. A decoder thread pulls frames off the
@@ -970,7 +1052,7 @@ pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
             merge_seconds,
         };
         let workloads = accums.into_iter().map(|(_, rows)| rows.workload).collect();
-        Ok((workloads, stats_for(plan, report.frames), ingest))
+        Ok((workloads, stats_for(plan, report.frames, 0, 0), ingest))
     })
 }
 
@@ -1012,6 +1094,24 @@ mod tests {
         ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap()
     }
 
+    fn run(
+        trace: &ParticleTrace,
+        points: &[SweepPoint],
+        mesh: Option<&ElementMesh>,
+    ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+        replay(trace, points, &ReplayOptions::new(mesh, None, None))
+    }
+
+    fn run_cached(
+        trace: &ParticleTrace,
+        points: &[SweepPoint],
+        mesh: Option<&ElementMesh>,
+        cache: &AssignmentCache,
+    ) -> Result<(Vec<DynamicWorkload>, SweepStats)> {
+        let opts = ReplayOptions::new(mesh, Some(cache), None);
+        replay(trace, points, &opts)
+    }
+
     /// The oracle: what the per-config sequential reference produces for
     /// one sweep point (subsampling the trace for stride > 1).
     fn reference_for(
@@ -1020,7 +1120,7 @@ mod tests {
         mesh: Option<&ElementMesh>,
     ) -> DynamicWorkload {
         let sub;
-        let tr = if point.stride.max(1) == 1 {
+        let tr = if point.stride == 1 {
             trace
         } else {
             sub = trace.subsample(point.stride);
@@ -1034,7 +1134,7 @@ mod tests {
         points: &[SweepPoint],
         mesh: Option<&ElementMesh>,
     ) {
-        let swept = sweep_with_stats(trace, points, mesh).unwrap().0;
+        let swept = run(trace, points, mesh).unwrap().0;
         assert_eq!(swept.len(), points.len());
         for (i, (w, p)) in swept.iter().zip(points).enumerate() {
             let reference = reference_for(trace, p, mesh);
@@ -1097,10 +1197,10 @@ mod tests {
             .iter()
             .map(|p| reference_for(&tr, p, Some(&m)))
             .collect();
-        let expect_stats = sweep_with_stats(&tr, &points, Some(&m)).unwrap().1;
+        let expect_stats = run(&tr, &points, Some(&m)).unwrap().1;
         assert_eq!(expect_stats.groups, 2);
         assert_same_under_every_pool(&(oracle, expect_stats), || {
-            sweep_with_stats(&tr, &points, Some(&m)).unwrap()
+            run(&tr, &points, Some(&m)).unwrap()
         });
     }
 
@@ -1139,15 +1239,19 @@ mod tests {
     fn strides_match_subsampled_reference() {
         let tr = make_trace(250, 9, 3);
         let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.04);
-        let points = vec![
+        let mut points = vec![
             SweepPoint::new(cfg.clone()),
             SweepPoint::with_stride(cfg.clone(), 2),
             SweepPoint::with_stride(cfg.clone(), 4),
-            SweepPoint::with_stride(cfg, 0), // treated as 1
         ];
         assert_matches_reference(&tr, &points, None);
-        let swept = sweep_with_stats(&tr, &points, None).unwrap().0;
-        assert_eq!(swept[0], swept[3]);
+        // Stride 0 is refused, naming the value, never run as stride 1.
+        points.push(SweepPoint::with_stride(cfg, 0));
+        let err = run(&tr, &points, None).expect_err("stride 0 accepted");
+        assert!(
+            err.to_string().contains("stride must be positive, got 0"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1166,7 +1270,7 @@ mod tests {
         for mapping in [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased] {
             for filter in [0.0, -0.3, f64::NAN, f64::INFINITY] {
                 let bad = SweepPoint::new(WorkloadConfig::new(8, mapping, filter));
-                let err = sweep_with_stats(&tr, &[points[0].clone(), bad], Some(&m))
+                let err = run(&tr, &[points[0].clone(), bad], Some(&m))
                     .expect_err("invalid filter accepted")
                     .to_string();
                 assert!(
@@ -1195,7 +1299,7 @@ mod tests {
                 filter,
             )));
         }
-        let (_, stats) = sweep_with_stats(&tr, &points, Some(&m)).unwrap();
+        let (_, stats) = run(&tr, &points, Some(&m)).unwrap();
         assert_eq!(stats.points, 8);
         // 1 element-based group (4 radii shared) + 4 bin-based groups
         assert_eq!(stats.groups, 5);
@@ -1230,7 +1334,7 @@ mod tests {
             MappingAlgorithm::ElementBased,
             0.05,
         ))];
-        assert!(sweep_with_stats(&tr, &points, None).is_err());
+        assert!(run(&tr, &points, None).is_err());
         // zero ranks
         let bad = WorkloadConfig {
             ranks: 0,
@@ -1238,20 +1342,20 @@ mod tests {
             projection_filter: 0.1,
             compute_ghosts: false,
         };
-        assert!(sweep_with_stats(&tr, &[SweepPoint::new(bad)], None).is_err());
+        assert!(run(&tr, &[SweepPoint::new(bad)], None).is_err());
     }
 
     #[test]
     fn empty_point_list_and_empty_trace() {
         let tr = make_trace(50, 2, 9);
-        assert!(sweep_with_stats(&tr, &[], None).unwrap().0.is_empty());
+        assert!(run(&tr, &[], None).unwrap().0.is_empty());
         let empty = ParticleTrace::new(TraceMeta::new(5, 100, Aabb::unit(), "empty"));
         let points = vec![SweepPoint::new(WorkloadConfig::new(
             4,
             MappingAlgorithm::BinBased,
             0.1,
         ))];
-        let w = sweep_with_stats(&empty, &points, None).unwrap().0;
+        let w = run(&empty, &points, None).unwrap().0;
         assert_eq!(w[0].samples(), 0);
     }
 
@@ -1273,15 +1377,15 @@ mod tests {
             WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.06),
             2,
         ));
-        let baseline = sweep_with_stats(&tr, &points, Some(&m)).unwrap().0;
+        let baseline = run(&tr, &points, Some(&m)).unwrap().0;
 
         let cache = AssignmentCache::new(64 << 20);
-        let (cold, cold_stats) = sweep_with_cache(&tr, &points, Some(&m), &cache).unwrap();
+        let (cold, cold_stats) = run_cached(&tr, &points, Some(&m), &cache).unwrap();
         assert_eq!(cold, baseline);
         assert_eq!(cold_stats.cached_groups, 0);
         assert_eq!(cold_stats.assign_passes, cold_stats.groups * 4);
 
-        let (warm, warm_stats) = sweep_with_cache(&tr, &points, Some(&m), &cache).unwrap();
+        let (warm, warm_stats) = run_cached(&tr, &points, Some(&m), &cache).unwrap();
         assert_eq!(warm, baseline);
         assert_eq!(warm_stats.cached_groups, warm_stats.groups);
         assert_eq!(warm_stats.assign_passes, 0);
@@ -1293,7 +1397,7 @@ mod tests {
             MappingAlgorithm::ElementBased,
             0.11,
         ))];
-        let (w, s) = sweep_with_cache(&tr, &fresh, Some(&m), &cache).unwrap();
+        let (w, s) = run_cached(&tr, &fresh, Some(&m), &cache).unwrap();
         assert_eq!(w[0], reference_for(&tr, &fresh[0], Some(&m)));
         assert_eq!(s.cached_groups, 1);
         assert_eq!(s.assign_passes, 0);
@@ -1317,23 +1421,57 @@ mod tests {
         // A budget of one entry: every new rank count evicts the previous.
         let one = {
             let probe = AssignmentCache::new(usize::MAX);
-            sweep_with_cache(&tr, &mk(4), Some(&m), &probe).unwrap();
+            run_cached(&tr, &mk(4), Some(&m), &probe).unwrap();
             probe.stats().resident_bytes
         };
         let cache = AssignmentCache::new(one + one / 2);
-        let (a1, _) = sweep_with_cache(&tr, &mk(4), Some(&m), &cache).unwrap();
+        let (a1, _) = run_cached(&tr, &mk(4), Some(&m), &cache).unwrap();
         for ranks in [8, 16, 32] {
-            sweep_with_cache(&tr, &mk(ranks), Some(&m), &cache).unwrap();
+            run_cached(&tr, &mk(ranks), Some(&m), &cache).unwrap();
         }
         assert!(cache.stats().evictions > 0, "budget never forced eviction");
         // Re-ingesting the evicted key replays to bit-identical artifacts
         // and output (content-address stability of the sweep kernels).
-        let (a2, s2) = sweep_with_cache(&tr, &mk(4), Some(&m), &cache).unwrap();
+        let (a2, s2) = run_cached(&tr, &mk(4), Some(&m), &cache).unwrap();
         assert_eq!(a1, a2);
         assert_eq!(s2.cached_groups, 0);
-        let (a3, s3) = sweep_with_cache(&tr, &mk(4), Some(&m), &cache).unwrap();
+        let (a3, s3) = run_cached(&tr, &mk(4), Some(&m), &cache).unwrap();
         assert_eq!(a1, a3);
         assert_eq!(s3.cached_groups, 1);
+    }
+
+    #[test]
+    fn reduced_replay_reads_the_cache_but_never_publishes() {
+        let tr = make_trace(200, 6, 14);
+        let m = mesh();
+        let points = vec![
+            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.05)),
+            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05)),
+        ];
+        let plan = ReductionPlan::new(6, vec![2, 4], vec![0, 0, 0, 1, 1, 1]).unwrap();
+        let reduced = |cache| ReplayOptions::new(Some(&m), cache, Some(&plan));
+        let (expect, cold_stats) = replay(&tr, &points, &reduced(None)).unwrap();
+        assert_eq!(
+            (cold_stats.assign_passes, cold_stats.owner_only_passes),
+            (4, 4)
+        );
+
+        // A cold cache: the replay covered two samples of six, so nothing
+        // is published.
+        let cache = AssignmentCache::new(usize::MAX);
+        let (cold, stats) = replay(&tr, &points, &reduced(Some(&cache))).unwrap();
+        assert_eq!(cold, expect);
+        assert_eq!(stats, cold_stats);
+        assert_eq!(cache.stats().entries, 0);
+
+        // After a full replay publishes both groups, the reduced replay is
+        // served from hits, predecessors included, with the same bits.
+        run_cached(&tr, &points, Some(&m), &cache).unwrap();
+        assert_eq!(cache.stats().entries, 2);
+        let (warm, stats) = replay(&tr, &points, &reduced(Some(&cache))).unwrap();
+        assert_eq!(warm, expect);
+        assert_eq!(stats.cached_groups, 2);
+        assert_eq!((stats.assign_passes, stats.owner_only_passes), (0, 0));
     }
 
     #[test]
@@ -1365,13 +1503,11 @@ mod tests {
             .iter()
             .map(|&f| SweepPoint::new(WorkloadConfig::new(12, MappingAlgorithm::ElementBased, f)))
             .collect();
-        let baseline = sweep_with_stats(&tr, &points, Some(&m)).unwrap().0;
+        let baseline = run(&tr, &points, Some(&m)).unwrap().0;
         let cache = AssignmentCache::new(64 << 20);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| sweep_with_cache(&tr, &points, Some(&m), &cache).unwrap().0)
-                })
+                .map(|_| scope.spawn(|| run_cached(&tr, &points, Some(&m), &cache).unwrap().0))
                 .collect();
             for h in handles {
                 assert_eq!(h.join().unwrap(), baseline);

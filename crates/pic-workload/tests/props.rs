@@ -1,12 +1,53 @@
 //! Property-based tests: Dynamic Workload Generator conservation laws over
 //! arbitrary traces.
 
+use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
 use pic_trace::{ParticleTrace, TraceMeta};
+use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Rank, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
-use pic_workload::{metrics, migration_pairs};
+use pic_workload::{
+    metrics, migration_pairs, replay, sweep_streaming, AssignmentCache, DynamicWorkload,
+    ReductionPlan, ReplayOptions, SweepPoint,
+};
 use proptest::prelude::*;
+
+/// One configuration through [`replay`].
+fn generate(
+    tr: &ParticleTrace,
+    cfg: &WorkloadConfig,
+    mesh: Option<&ElementMesh>,
+) -> DynamicWorkload {
+    let opts = ReplayOptions::new(mesh, None, None);
+    replay(tr, &[SweepPoint::new(cfg.clone())], &opts)
+        .unwrap()
+        .0
+        .remove(0)
+}
+
+/// A valid reduction plan drawn from `seed`: every sample joins one of up
+/// to `t` clusters, and each nonempty cluster is represented by one of its
+/// own members.
+fn random_plan(t: usize, seed: u64) -> ReductionPlan {
+    let mut rng = SplitMix64::new(seed);
+    let k = 1 + rng.next_below(t as u64) as usize;
+    let cluster: Vec<usize> = (0..t).map(|_| rng.next_below(k as u64) as usize).collect();
+    let mut slot_of = vec![usize::MAX; k];
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (s, &c) in cluster.iter().enumerate() {
+        if slot_of[c] == usize::MAX {
+            slot_of[c] = members.len();
+            members.push(Vec::new());
+        }
+        members[slot_of[c]].push(s);
+    }
+    let reps = (members.iter())
+        .map(|m| m[rng.next_below(m.len() as u64) as usize])
+        .collect();
+    let assignment = cluster.iter().map(|&c| slot_of[c]).collect();
+    ReductionPlan::new(t, reps, assignment).unwrap()
+}
 
 fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
     (1usize..40, 1usize..6).prop_flat_map(|(np, t)| {
@@ -43,7 +84,7 @@ proptest! {
     #[test]
     fn real_counts_conserved_at_every_sample(tr in trace_strategy(), ranks in 1usize..32) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         for t in 0..w.samples() {
             prop_assert_eq!(w.real.sample_total(t), tr.particle_count() as u64);
         }
@@ -52,7 +93,7 @@ proptest! {
     #[test]
     fn ghost_send_receive_balance(tr in trace_strategy(), ranks in 1usize..24) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.08);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         for t in 0..w.samples() {
             prop_assert_eq!(w.ghost_recv.sample_total(t), w.ghost_sent.sample_total(t));
         }
@@ -61,7 +102,7 @@ proptest! {
     #[test]
     fn migrations_bounded_by_population(tr in trace_strategy(), ranks in 1usize..24) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         prop_assert!(w.comm.entries[0].is_empty());
         for t in 0..w.samples() {
             prop_assert!(w.comm.sample_total(t) <= tr.particle_count() as u64);
@@ -76,7 +117,7 @@ proptest! {
     #[test]
     fn single_rank_never_communicates(tr in trace_strategy()) {
         let cfg = WorkloadConfig::new(1, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         prop_assert_eq!(w.comm.total(), 0);
         for t in 0..w.samples() {
             prop_assert_eq!(w.ghost_recv.sample_total(t), 0);
@@ -87,7 +128,7 @@ proptest! {
     #[test]
     fn utilization_bounds(tr in trace_strategy(), ranks in 1usize..32) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         let ru = metrics::resource_utilization(&w.real);
         prop_assert!((0.0..=1.0).contains(&ru));
         let idle = metrics::mean_idle_fraction(&w.real);
@@ -137,23 +178,25 @@ proptest! {
         radius in 0.005..0.15f64,
         mapping in mapping_strategy(),
     ) {
-        use pic_grid::{ElementMesh, MeshDims};
+        use pic_grid::MeshDims;
         let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap();
         let cfg = WorkloadConfig::new(ranks, mapping, radius);
         // The chunked intra-sample kernel and the streamed pipeline must
         // both reproduce the straight-line sequential replay exactly.
         let reference = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
-        let parallel = generator::generate_with_mesh(&tr, &cfg, Some(&mesh)).unwrap();
-        prop_assert_eq!(&parallel, &reference);
+        prop_assert_eq!(&generate(&tr, &cfg, Some(&mesh)), &reference);
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let (streamed, _) =
-            generator::generate_streaming_with_stats(reader, &cfg, Some(&mesh)).unwrap();
-        prop_assert_eq!(&streamed, &reference);
+        let points = [SweepPoint::new(cfg)];
+        let (streamed, ..) = sweep_streaming(reader, &points, Some(&mesh)).unwrap();
+        prop_assert_eq!(&streamed[0], &reference);
     }
 
-    /// The equivalence matrix: every adapter of the replay engine answers
-    /// the same random grid, and every answer is the straight-line
+    /// The equivalence matrix: the replay door answers the same random
+    /// grid under every cache (none, cold, warmed by a full replay) and
+    /// plan (none, identity, random), the streaming driver answers it too,
+    /// and a cache never changes a bit. Without a plan, and under the
+    /// identity plan at stride 1, every answer is the straight-line
     /// sequential replay of the point's subsampled trace.
     #[test]
     fn sweep_grid_matches_per_config_reference(
@@ -163,10 +206,9 @@ proptest! {
         strides in proptest::collection::vec(1usize..4, 1..3),
         mappings in proptest::collection::vec(mapping_strategy(), 1..3),
         ghosts in proptest::collection::vec(any::<bool>(), 1..3),
+        plan_seed in any::<u64>(),
     ) {
-        use pic_grid::{ElementMesh, MeshDims};
-        use pic_workload::sweep::{self, SweepPoint};
-        use pic_workload::{reduce, AssignmentCache, ReductionPlan};
+        use pic_grid::MeshDims;
         let mesh = Some(ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap());
         let mesh = mesh.as_ref();
         let mut points = Vec::new();
@@ -190,43 +232,50 @@ proptest! {
             .map(|p| generator::generate_reference(&tr.subsample(p.stride), &p.config, mesh).unwrap())
             .collect();
 
-        let (resident, _) = sweep::sweep_with_stats(&tr, &points, mesh).unwrap();
-        prop_assert_eq!(&resident, &reference, "resident");
+        let warm = AssignmentCache::new(usize::MAX);
+        let full = ReplayOptions::new(mesh, Some(&warm), None);
+        let (_, stats) = replay(&tr, &points, &full).unwrap();
+        prop_assert_eq!(warm.stats().entries, stats.groups);
 
-        let cache = AssignmentCache::new(usize::MAX);
-        let (cold, cold_stats) = sweep::sweep_with_cache(&tr, &points, mesh, &cache).unwrap();
-        prop_assert_eq!(&cold, &reference, "cache cold");
-        prop_assert_eq!(cold_stats.cached_groups, 0);
-        let (warm, warm_stats) = sweep::sweep_with_cache(&tr, &points, mesh, &cache).unwrap();
-        prop_assert_eq!(&warm, &reference, "cache warm");
-        prop_assert_eq!(warm_stats.cached_groups, warm_stats.groups);
+        let identity = ReductionPlan::identity(tr.sample_count());
+        let random = random_plan(tr.sample_count(), plan_seed);
+        for plan in [None, Some(&identity), Some(&random)] {
+            let (uncached, _) = replay(&tr, &points, &ReplayOptions::new(mesh, None, plan))
+                .unwrap();
+            let cold = AssignmentCache::new(usize::MAX);
+            for (cache, label) in [(&cold, "cold"), (&warm, "warm")] {
+                let opts = ReplayOptions::new(mesh, Some(cache), plan);
+                let (cached, stats) = replay(&tr, &points, &opts).unwrap();
+                prop_assert_eq!(&cached, &uncached, "{} cache, plan {:?}", label, plan);
+                if label == "warm" {
+                    prop_assert_eq!(stats.cached_groups, stats.groups);
+                }
+            }
+            // The identity plan (K = T) makes the reduced replay exact at
+            // stride 1; larger strides use a one-step migration proxy.
+            for ((p, w), expect) in points.iter().zip(&uncached).zip(&reference) {
+                if plan.is_none() || (plan == Some(&identity) && p.stride == 1) {
+                    prop_assert_eq!(w, expect, "plan {:?}, {:?}", plan, p);
+                }
+            }
+        }
 
         let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
         let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
-        let (streamed, _, ingest) = sweep::sweep_streaming(reader, &points, mesh).unwrap();
+        let (streamed, _, ingest) = sweep_streaming(reader, &points, mesh).unwrap();
         prop_assert_eq!(&streamed, &reference, "streaming");
         prop_assert_eq!(ingest.frames_decoded, tr.sample_count());
 
         for (p, expect) in points.iter().zip(&reference) {
-            let one = generator::generate_with_mesh(&tr.subsample(p.stride), &p.config, mesh);
-            prop_assert_eq!(&one.unwrap(), expect, "one-point generate_with_mesh");
-        }
-
-        // The identity plan (K = T) makes the reduced replay exact at
-        // stride 1; larger strides use a one-step migration proxy.
-        let unit: Vec<usize> = (0..points.len()).filter(|&i| points[i].stride == 1).collect();
-        let unit_points: Vec<SweepPoint> = unit.iter().map(|&i| points[i].clone()).collect();
-        let plan = ReductionPlan::identity(tr.sample_count());
-        let (reduced, _) = reduce::sweep_reduced_with_stats(&tr, &unit_points, mesh, &plan).unwrap();
-        for (&i, w) in unit.iter().zip(&reduced) {
-            prop_assert_eq!(w, &reference[i], "identity-plan reduced");
+            let one = generate(&tr.subsample(p.stride), &p.config, mesh);
+            prop_assert_eq!(&one, expect, "one point");
         }
     }
 
     #[test]
     fn peak_series_dominates_every_rank(tr in trace_strategy(), ranks in 1usize..16) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let w = generator::generate(&tr, &cfg).unwrap();
+        let w = generate(&tr, &cfg, None);
         let peaks = w.real.peak_series();
         #[allow(clippy::needless_range_loop)] // t is the sample id
         for t in 0..w.samples() {

@@ -1,18 +1,16 @@
-//! Property-based tests for SimPoint-style reduced replay: the `K = T`
-//! identity plan must make [`pic_workload::generate_reduced_with_stats`]
-//! bit-identical to the sequential oracle
-//! [`generator::generate_reference`] across every mapping algorithm and
-//! ghost setting, and [`pic_workload::sweep_reduced_with_stats`] identical
-//! to [`sweep::sweep_with_stats`] at stride 1 — the contract that pins the
-//! reduced path's per-sample kernel to the full replay's.
+//! Property-based tests for SimPoint-style reduced replay: under the
+//! `K = T` identity plan, [`pic_workload::replay`] must be bit-identical
+//! to the sequential oracle [`generator::generate_reference`] across every
+//! mapping algorithm and ghost setting, and to the same grid replayed
+//! without a plan at stride 1 — the contract that pins the reduced path's
+//! per-sample kernel to the full replay's.
 
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
-use pic_workload::sweep::{self, SweepPoint};
-use pic_workload::{generate_reduced_with_stats, sweep_reduced_with_stats, ReductionPlan};
+use pic_workload::{replay, DynamicWorkload, ReductionPlan, ReplayOptions, SweepPoint};
 use proptest::prelude::*;
 
 fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
@@ -48,6 +46,17 @@ fn mesh() -> ElementMesh {
     ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap()
 }
 
+/// `points` replayed under `plan` (or in full without one).
+fn run(
+    tr: &ParticleTrace,
+    points: &[SweepPoint],
+    mesh: Option<&ElementMesh>,
+    plan: Option<&ReductionPlan>,
+) -> Vec<DynamicWorkload> {
+    let opts = ReplayOptions::new(mesh, None, plan);
+    replay(tr, points, &opts).unwrap().0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -62,9 +71,9 @@ proptest! {
         let mut cfg = WorkloadConfig::new(ranks, mapping, 0.05);
         cfg.compute_ghosts = ghosts;
         let plan = ReductionPlan::identity(tr.sample_count());
-        let (reduced, _) = generate_reduced_with_stats(&tr, &cfg, Some(&mesh), &plan).unwrap();
+        let reduced = run(&tr, &[SweepPoint::new(cfg.clone())], Some(&mesh), Some(&plan));
         let full = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
-        prop_assert_eq!(reduced, full);
+        prop_assert_eq!(reduced, vec![full]);
     }
 
     #[test]
@@ -80,9 +89,8 @@ proptest! {
             SweepPoint::new(WorkloadConfig::new(ranks, mapping, 0.02)),
         ];
         let plan = ReductionPlan::identity(tr.sample_count());
-        let (reduced, _) = sweep_reduced_with_stats(&tr, &points, Some(&mesh), &plan).unwrap();
-        let (full, _) = sweep::sweep_with_stats(&tr, &points, Some(&mesh)).unwrap();
-        prop_assert_eq!(reduced, full);
+        let reduced = run(&tr, &points, Some(&mesh), Some(&plan));
+        prop_assert_eq!(reduced, run(&tr, &points, Some(&mesh), None));
     }
 
     #[test]
@@ -102,7 +110,7 @@ proptest! {
         let assignment: Vec<usize> = (0..t).map(|s| s / chunk).collect();
         let plan = ReductionPlan::new(t, reps, assignment).unwrap();
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
-        let (w, _) = generate_reduced_with_stats(&tr, &cfg, None, &plan).unwrap();
+        let w = run(&tr, &[SweepPoint::new(cfg)], None, Some(&plan)).remove(0);
         for s in 0..w.samples() {
             prop_assert_eq!(w.real.sample_total(s), tr.particle_count() as u64);
         }

@@ -16,9 +16,7 @@ use pic_trace::codec::{encode_trace, Precision};
 use pic_trace::fault::{truncation_points, FailAt, TruncateAt};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
-use pic_workload::{
-    generate_streaming_with_stats, sweep_streaming, DynamicWorkload, SweepPoint, WorkloadConfig,
-};
+use pic_workload::{sweep_streaming, DynamicWorkload, SweepPoint, WorkloadConfig};
 
 /// Generous bound: a healthy run over these tiny traces finishes in
 /// milliseconds, so hitting it can only mean a stuck pipeline thread.
@@ -169,8 +167,8 @@ fn clean_stream_reports_accurate_ingest_stats() {
     let tr = small_trace(120, 6);
     let bytes = encode_trace(&tr, Precision::F64).unwrap();
     let reader = TraceReader::new(&bytes[..]).unwrap();
-    let (workload, stats) = generate_streaming_with_stats(reader, &cfg(), None).unwrap();
-    assert_eq!(workload.samples(), 6);
+    let (workloads, _, stats) = sweep_streaming(reader, &inputs()[0], None).unwrap();
+    assert_eq!(workloads[0].samples(), 6);
     assert_eq!(stats.frames_decoded, 6);
     assert_eq!(stats.bytes_read, bytes.len() as u64);
     assert!(stats.decode_seconds >= 0.0);
@@ -189,7 +187,7 @@ fn failed_stream_still_reports_no_stats_but_positions_error() {
     let bytes = encode_trace(&tr, Precision::F64).unwrap();
     let cut = bytes.len() - 3;
     let reader = TraceReader::new(&bytes[..cut]).unwrap();
-    let err = generate_streaming_with_stats(reader, &cfg(), None).unwrap_err();
+    let err = sweep_streaming(reader, &inputs()[0], None).unwrap_err();
     assert_positioned(&err, "stats path");
 }
 

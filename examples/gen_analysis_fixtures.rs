@@ -21,7 +21,9 @@ use pic_sim::{CostOracle, KernelKind, Recorder};
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Vec3};
-use pic_workload::{generator, CompMatrix, DynamicWorkload, WorkloadConfig};
+use pic_workload::{
+    replay, CompMatrix, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig,
+};
 use std::path::Path;
 
 /// Particle count of every workload fixture — `picpredict check` runs with
@@ -49,8 +51,11 @@ fn base_workload() -> DynamicWorkload {
         }
         trace.push_positions(pos).unwrap();
     }
-    let cfg = WorkloadConfig::new(RANKS, MappingAlgorithm::BinBased, 0.08);
-    generator::generate(&trace, &cfg).unwrap()
+    let point = SweepPoint::new(WorkloadConfig::new(RANKS, MappingAlgorithm::BinBased, 0.08));
+    replay(&trace, &[point], &ReplayOptions::default())
+        .unwrap()
+        .0
+        .remove(0)
 }
 
 fn rows(m: &CompMatrix) -> Vec<Vec<u32>> {

@@ -12,8 +12,7 @@ use pic_sim::{MiniPic, ScenarioKind, SimConfig};
 use pic_trace::extrapolate::{density_distance, extrapolate};
 use pic_trace::stats::estimated_file_size;
 use pic_trace::Precision;
-use pic_workload::generator::{self, WorkloadConfig};
-use pic_workload::metrics;
+use pic_workload::{metrics, replay, ReplayOptions, SweepPoint, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The "low-fidelity execution": a cheap run with few particles.
@@ -78,13 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // right (bin-based would balance ANY density perfectly).
     println!("\nworkload predictions at R=64 (element-based), peak particles per rank:");
     let mesh = pic_grid::ElementMesh::new(small_cfg.domain, small_cfg.mesh_dims, small_cfg.order)?;
-    let wcfg = WorkloadConfig::new(
+    let point = SweepPoint::new(WorkloadConfig::new(
         64,
         MappingAlgorithm::ElementBased,
         small_cfg.projection_filter,
-    );
-    let w_ref = generator::generate_with_mesh(&reference.trace, &wcfg, Some(&mesh))?;
-    let w_syn = generator::generate_with_mesh(&synthetic, &wcfg, Some(&mesh))?;
+    ));
+    let opts = ReplayOptions::new(Some(&mesh), None, None);
+    let w_ref = replay(&reference.trace, std::slice::from_ref(&point), &opts)?
+        .0
+        .remove(0);
+    let w_syn = replay(&synthetic, &[point], &opts)?.0.remove(0);
     println!(
         "  {:<14}{:>12}{:>16}",
         "sample", "reference", "extrapolated"

@@ -10,8 +10,21 @@ use pic_predict::studies;
 use pic_predict::{run_case_study, FitStrategy};
 use pic_sim::{MiniPic, ScenarioKind, SimConfig};
 use pic_trace::ParticleTrace;
-use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::metrics;
+use pic_workload::{replay, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
+
+/// One configuration through the replay door.
+fn generate(
+    trace: &ParticleTrace,
+    cfg: &WorkloadConfig,
+    mesh: Option<&ElementMesh>,
+) -> DynamicWorkload {
+    let opts = ReplayOptions::new(mesh, None, None);
+    replay(trace, &[SweepPoint::new(cfg.clone())], &opts)
+        .unwrap()
+        .0
+        .remove(0)
+}
 
 /// The Hele-Shaw mini-app run shared by the figure tests.
 fn hele_shaw_trace(particles: usize, steps: usize) -> (SimConfig, ParticleTrace) {
@@ -40,7 +53,7 @@ fn fig1_element_mapping_leaves_most_ranks_idle() {
     let mut idle_fractions = Vec::new();
     for ranks in [16, 32, 64] {
         let wcfg = WorkloadConfig::new(ranks, MappingAlgorithm::ElementBased, 1e-3);
-        let w = generator::generate_with_mesh(&trace, &wcfg, Some(&mesh)).unwrap();
+        let w = generate(&trace, &wcfg, Some(&mesh));
         idle_fractions.push(metrics::mean_idle_fraction(&w.real));
     }
     for (i, f) in idle_fractions.iter().enumerate() {
@@ -48,7 +61,7 @@ fn fig1_element_mapping_leaves_most_ranks_idle() {
     }
     // heat-map export works and has R rows
     let wcfg = WorkloadConfig::new(16, MappingAlgorithm::ElementBased, 1e-3);
-    let w = generator::generate_with_mesh(&trace, &wcfg, Some(&mesh)).unwrap();
+    let w = generate(&trace, &wcfg, Some(&mesh));
     assert_eq!(w.real.to_csv().lines().count(), 16);
 }
 
@@ -100,7 +113,7 @@ fn fig6_bin_count_grows_and_caps_the_useful_rank_count() {
     assert!(optimal > 1);
     // the bounded workload at R >> optimal uses exactly `optimal` bins max
     let wcfg = WorkloadConfig::new(optimal * 8, MappingAlgorithm::BinBased, 0.2);
-    let w = generator::generate(&trace, &wcfg).unwrap();
+    let w = generate(&trace, &wcfg, None);
     assert_eq!(w.max_bin_count().unwrap(), optimal);
 }
 

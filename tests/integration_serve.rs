@@ -138,7 +138,8 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     let points = spec.points();
     let mesh =
         pic_grid::ElementMesh::new(trace.meta().domain, pic_grid::MeshDims::cube(4), 3).unwrap();
-    let (workloads, _) = pic_workload::sweep_with_stats(&trace, &points, Some(&mesh)).unwrap();
+    let opts = pic_workload::ReplayOptions::new(Some(&mesh), None, None);
+    let (workloads, _) = pic_workload::replay(&trace, &points, &opts).unwrap();
     let offline = grid_to_json(&grid_entries(&points, workloads)).unwrap();
 
     let sweep_body = format!(

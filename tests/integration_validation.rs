@@ -8,8 +8,21 @@ use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
 use pic_predict::workload_matches_ground_truth;
 use pic_sim::{MiniPic, ScenarioKind, SimConfig};
-use pic_trace::codec;
-use pic_workload::generator::{self, WorkloadConfig};
+use pic_trace::{codec, ParticleTrace};
+use pic_workload::{replay, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
+
+/// One configuration through the replay door.
+fn generate(
+    trace: &ParticleTrace,
+    cfg: &WorkloadConfig,
+    mesh: Option<&ElementMesh>,
+) -> DynamicWorkload {
+    let opts = ReplayOptions::new(mesh, None, None);
+    replay(trace, &[SweepPoint::new(cfg.clone())], &opts)
+        .unwrap()
+        .0
+        .remove(0)
+}
 
 fn cfg(mapping: MappingAlgorithm, scenario: ScenarioKind, ranks: usize) -> SimConfig {
     SimConfig {
@@ -41,7 +54,7 @@ fn dwg_matches_ground_truth_for_every_mapper() {
         let mesh = mesh_of(&cfg);
         let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
         let wcfg = WorkloadConfig::new(cfg.ranks, mapping, cfg.projection_filter);
-        let w = generator::generate_with_mesh(&out.trace, &wcfg, Some(&mesh)).unwrap();
+        let w = generate(&out.trace, &wcfg, Some(&mesh));
         workload_matches_ground_truth(&w, &out.ground_truth)
             .unwrap_or_else(|e| panic!("{mapping}: {e}"));
     }
@@ -57,7 +70,7 @@ fn dwg_matches_ground_truth_for_every_scenario() {
         let cfg = cfg(MappingAlgorithm::BinBased, scenario, 8);
         let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
         let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-        let w = generator::generate(&out.trace, &wcfg).unwrap();
+        let w = generate(&out.trace, &wcfg, None);
         workload_matches_ground_truth(&w, &out.ground_truth)
             .unwrap_or_else(|e| panic!("{scenario}: {e}"));
     }
@@ -73,7 +86,7 @@ fn dwg_matches_after_f64_codec_roundtrip() {
     let trace = codec::decode_trace(&bytes).unwrap();
     assert_eq!(trace, out.trace);
     let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-    let w = generator::generate(&trace, &wcfg).unwrap();
+    let w = generate(&trace, &wcfg, None);
     workload_matches_ground_truth(&w, &out.ground_truth).unwrap();
 }
 
@@ -86,8 +99,8 @@ fn f32_codec_workload_is_close_but_boundary_safe() {
     let bytes = codec::encode_trace(&out.trace, codec::Precision::F32).unwrap();
     let trace = codec::decode_trace(&bytes).unwrap();
     let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-    let w64 = generator::generate(&out.trace, &wcfg).unwrap();
-    let w32 = generator::generate(&trace, &wcfg).unwrap();
+    let w64 = generate(&out.trace, &wcfg, None);
+    let w32 = generate(&trace, &wcfg, None);
     for t in 0..w64.samples() {
         assert_eq!(w32.real.sample_total(t), w64.real.sample_total(t));
         // peaks agree within a tiny tolerance
@@ -110,7 +123,7 @@ fn single_trace_serves_any_rank_count() {
     let mut prev_peak = u32::MAX;
     for ranks in [2, 8, 32, 128] {
         let wcfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 1e-4);
-        let w = generator::generate(&out.trace, &wcfg).unwrap();
+        let w = generate(&out.trace, &wcfg, None);
         for t in 0..w.samples() {
             assert_eq!(w.real.sample_total(t), 500);
         }
@@ -124,8 +137,8 @@ fn subsampled_trace_is_a_subset_of_the_full_workload() {
     let cfg = cfg(MappingAlgorithm::BinBased, ScenarioKind::VortexCluster, 8);
     let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
     let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-    let full = generator::generate(&out.trace, &wcfg).unwrap();
-    let sub = generator::generate(&out.trace.subsample(2), &wcfg).unwrap();
+    let full = generate(&out.trace, &wcfg, None);
+    let sub = generate(&out.trace.subsample(2), &wcfg, None);
     assert_eq!(sub.samples(), full.samples().div_ceil(2));
     for (k, t) in (0..full.samples()).step_by(2).enumerate() {
         assert_eq!(sub.real.sample_row(k), full.real.sample_row(t));
@@ -143,7 +156,7 @@ fn ghost_aggregates_balance_across_every_sample() {
     let mesh = mesh_of(&cfg);
     let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
     let wcfg = WorkloadConfig::new(cfg.ranks, cfg.mapping, cfg.projection_filter);
-    let w = generator::generate_with_mesh(&out.trace, &wcfg, Some(&mesh)).unwrap();
+    let w = generate(&out.trace, &wcfg, Some(&mesh));
     for t in 0..w.samples() {
         assert_eq!(w.ghost_recv.sample_total(t), w.ghost_sent.sample_total(t));
     }
@@ -167,13 +180,13 @@ fn extrapolated_trace_flows_through_the_whole_pipeline() {
         }
     }
     let wcfg = WorkloadConfig::new(32, MappingAlgorithm::BinBased, cfg.projection_filter);
-    let w = generator::generate(&big, &wcfg).unwrap();
+    let w = generate(&big, &wcfg, None);
     for t in 0..w.samples() {
         assert_eq!(w.real.sample_total(t), 2500);
         assert_eq!(w.ghost_recv.sample_total(t), w.ghost_sent.sample_total(t));
     }
     // peak per rank scales with the population (xN particles ⇒ ~xN peak)
-    let w_small = generator::generate(&out.trace, &wcfg).unwrap();
+    let w_small = generate(&out.trace, &wcfg, None);
     let ratio = w.peak_workload() as f64 / w_small.peak_workload().max(1) as f64;
     let expect = 2500.0 / cfg.particles as f64;
     assert!(

@@ -27,7 +27,7 @@ use pic_mapping::MappingAlgorithm;
 use pic_predict::TraceRegistry;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Vec3};
-use pic_workload::{sweep_with_cache, AssignmentKey, SweepPoint, WorkloadConfig};
+use pic_workload::{replay, AssignmentKey, ReplayOptions, SweepPoint, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -170,9 +170,9 @@ proptest! {
                     lru_order.retain(|a| *a != addr);
                     lru_order.push(addr.clone());
                     let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
+                    let opts = ReplayOptions::new(None, Some(&cache), None);
                     let (workloads, _) =
-                        sweep_with_cache(&trace, &[SweepPoint::new(cfg)], None, &cache)
-                            .expect("sweep");
+                        replay(&trace, &[SweepPoint::new(cfg)], &opts).expect("sweep");
                     // Cache-hit replay must be bit-identical to the first
                     // computation of the same configuration.
                     match first_sweep.entry((addr.clone(), ranks)) {
