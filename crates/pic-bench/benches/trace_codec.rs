@@ -1,4 +1,5 @@
-//! Trace codec bandwidth: encode/decode rates for both precisions.
+//! Trace codec bandwidth: encode/decode rates for both precisions, both
+//! formats decoded through the one `decode_trace`.
 //!
 //! Trace size is a first-class constraint in the paper (§II-D: hundreds of
 //! gigabytes at scale), so codec speed determines whether the trace-driven
@@ -7,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_bench::synthetic_expanding_trace;
 use pic_trace::codec::{decode_trace, encode_trace, Precision};
-use pic_trace::compact::{decode_compact, encode_compact};
+use pic_trace::compact::encode_compact;
 use pic_trace::features::{feature_vectors, FeatureConfig};
 
 fn codec_bandwidth(c: &mut Criterion) {
@@ -37,7 +38,7 @@ fn codec_bandwidth(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("compact_decode", format!("{precision:?}")),
             &compact,
-            |b, bytes| b.iter(|| decode_compact(bytes).unwrap()),
+            |b, bytes| b.iter(|| decode_trace(bytes).unwrap()),
         );
     }
     group.finish();

@@ -223,7 +223,7 @@ fn parse_machine(s: &str) -> Result<MachineSpec> {
 /// Load a whole trace file in either on-disk format, sniffed by magic —
 /// raw `PICTRC01` or compact delta-encoded `PICTRC02`.
 fn load_trace(path: &str) -> Result<pic_trace::ParticleTrace> {
-    pic_trace::compact::load_file_any(path)
+    codec::load_file(path)
 }
 
 /// The `--mesh AxBxC --order K` element mesh over `domain`, if one is given.
@@ -402,7 +402,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
             None => match flags.get("trace") {
                 Some(tp) => {
                     let file = std::fs::File::open(tp)?;
-                    let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
+                    let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
                     Some(reader.meta().particle_count as u64)
                 }
                 None => None,
@@ -481,7 +481,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
     // truncated or corrupt file fails here with a byte-positioned error.
     let (mut w, ingest, particles) = if streaming {
         let file = std::fs::File::open(trace_path)?;
-        let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
+        let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
         let mesh = mesh_flag(flags, reader.meta().domain)?;
         let (w, _, stats) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
@@ -736,7 +736,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     let t0 = std::time::Instant::now();
     let (workloads, stats, ingest, particles) = if streaming {
         let file = std::fs::File::open(trace_path)?;
-        let reader = pic_trace::AnyTraceReader::new(std::io::BufReader::new(file))?;
+        let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
         let particles = reader.meta().particle_count as u64;
         let mesh = mesh_flag(flags, reader.meta().domain)?;
         let (w, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;

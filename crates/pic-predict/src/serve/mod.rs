@@ -8,7 +8,7 @@
 //!
 //! * **Ingest once, replay many.** `POST /traces` streams the body
 //!   through [`pic_trace::BoundedReader`] → [`pic_trace::DigestReader`] →
-//!   [`pic_trace::AnyTraceReader`]: the trace — raw or compact
+//!   [`pic_trace::TraceReader`]: the trace — raw or compact
 //!   delta-encoded, sniffed by magic — is decoded exactly once, its
 //!   content address is the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and identical bytes always land on the identical address.
@@ -54,7 +54,7 @@ use http::{HttpError, Request};
 use pic_des::MachineSpec;
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
-use pic_trace::{AnyTraceReader, BoundedReader, DigestReader, ParticleTrace};
+use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
 use pic_types::hash::fnv1a_128;
 use pic_types::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 use pic_types::{PicError, Result};
@@ -562,15 +562,7 @@ fn handle_ingest_trace(
     // at any point.
     let bounded = BoundedReader::new(reader, len);
     let mut digesting = DigestReader::new(bounded);
-    let decoded: Result<ParticleTrace> = (|| {
-        let mut tr = AnyTraceReader::new(&mut digesting)?;
-        let meta = tr.meta().clone();
-        let mut trace = ParticleTrace::new(meta);
-        while let Some(sample) = tr.read_sample()? {
-            trace.push_sample(sample)?;
-        }
-        Ok(trace)
-    })();
+    let decoded = TraceReader::new(&mut digesting).and_then(TraceReader::read_all);
     let trace = decoded.map_err(|e| match e {
         PicError::Io(ref io)
             if matches!(

@@ -14,7 +14,11 @@
 //! precision (the paper's key practical limitation), so the codec supports
 //! `f32` storage which halves the file at ~1e-7 relative position error —
 //! far below an element edge length, hence workload-neutral.
+//!
+//! [`TraceReader`] also reads the [`compact`](crate::compact) format: the
+//! header is shared and the magic selects the frame layout.
 
+use crate::compact::{DeltaDecoder, COMPACT_MAGIC, FRAME_HEAD_LEN, QBOX_LEN};
 use crate::trace::{check_sample, ParticleTrace, TraceMeta, TraceSample};
 use bytes::{Buf, BufMut};
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
@@ -221,8 +225,10 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Streaming reader: parses and validates the header on construction, then
-/// yields one frame per [`TraceReader::read_sample`] call.
+/// Streaming reader of either on-disk format: parses and validates the
+/// header on construction, sniffing the magic — raw `PICTRC01` or compact
+/// `PICTRC02` ([`crate::compact`]) — then yields one frame per
+/// [`TraceReader::read_sample`] call.
 ///
 /// Robustness contract (the ingestion layer's load-bearing guarantees):
 ///
@@ -239,6 +245,7 @@ pub struct TraceReader<R: Read> {
     source: R,
     meta: TraceMeta,
     precision: Precision,
+    layout: Layout,
     frames_read: usize,
     /// Iteration of the last frame read, for the increasing-iteration check.
     last_iteration: Option<u64>,
@@ -248,11 +255,20 @@ pub struct TraceReader<R: Read> {
     chunk: Vec<u8>,
 }
 
+/// The frame layout the header's magic selected.
+enum Layout {
+    /// `PICTRC01`: an iteration word, then `f64` or `f32` positions.
+    Raw,
+    /// `PICTRC02`: a 12-byte head, then absolute or delta grid coordinates.
+    Compact(DeltaDecoder),
+}
+
 impl<R: Read> std::fmt::Debug for TraceReader<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceReader")
             .field("meta", &self.meta)
             .field("precision", &self.precision)
+            .field("compact", &matches!(self.layout, Layout::Compact(_)))
             .field("frames_read", &self.frames_read)
             .field("offset", &self.offset)
             .finish_non_exhaustive()
@@ -266,29 +282,43 @@ pub(crate) fn header_err(kind: TraceErrorKind, msg: String, offset: u64) -> PicE
     TraceError::new(kind, msg).at_offset(offset).into()
 }
 
-/// A parsed and validated codec header (shared by the raw and compact
-/// readers — the two formats differ only in magic and frame layout).
+/// A parsed and validated codec header (the two formats share it).
 pub(crate) struct ParsedHeader {
     pub(crate) meta: TraceMeta,
     pub(crate) precision: Precision,
+    /// The magic was the compact format's.
+    pub(crate) compact: bool,
     /// Bytes consumed from the stream (fixed header + description).
     pub(crate) offset: u64,
 }
 
-/// Parse and validate a codec header against `expected_magic`, consuming
-/// exactly the header bytes from `source`. `format_name` names the format
-/// in the bad-magic message (the raw codec has always said "pic-trace").
-pub(crate) fn parse_header<R: Read>(
-    source: &mut R,
-    expected_magic: &[u8; 8],
-    format_name: &str,
-) -> Result<ParsedHeader> {
+/// Parse and validate a codec header of either format, consuming exactly
+/// the header bytes from `source`.
+pub(crate) fn parse_header<R: Read>(source: &mut R) -> Result<ParsedHeader> {
     let mut head = [0u8; FIXED_HEADER_LEN];
-    let got = read_fully(source, &mut head).map_err(|e| {
+    let read_failed = |e| {
         TraceError::new(TraceErrorKind::Io, "header read failed")
             .at_offset(0)
             .with_source(e)
-    })?;
+    };
+    // The magic is judged as soon as its eight bytes are in: a short
+    // stream of some other format is a bad magic, not a truncated header.
+    let mut got = read_fully(source, &mut head[..8]).map_err(read_failed)?;
+    let compact = &head[..8] == COMPACT_MAGIC;
+    if got == 8 {
+        if !compact && &head[..8] != MAGIC {
+            return Err(header_err(
+                TraceErrorKind::BadMagic,
+                format!(
+                    "unrecognized trace magic: expected {:?} (raw) or {:?} (compact)",
+                    std::str::from_utf8(MAGIC).expect("ascii magic"),
+                    std::str::from_utf8(COMPACT_MAGIC).expect("ascii magic"),
+                ),
+                0,
+            ));
+        }
+        got += read_fully(source, &mut head[8..]).map_err(read_failed)?;
+    }
     if got < FIXED_HEADER_LEN {
         return Err(header_err(
             TraceErrorKind::TruncatedHeader,
@@ -296,16 +326,7 @@ pub(crate) fn parse_header<R: Read>(
             got as u64,
         ));
     }
-    let mut buf = &head[..];
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != expected_magic {
-        return Err(header_err(
-            TraceErrorKind::BadMagic,
-            format!("not a {format_name} file"),
-            0,
-        ));
-    }
+    let mut buf = &head[8..];
     let tag = buf.get_u8();
     let precision = Precision::from_tag(tag).map_err(|_| {
         header_err(
@@ -368,21 +389,56 @@ pub(crate) fn parse_header<R: Read>(
     Ok(ParsedHeader {
         meta,
         precision,
+        compact,
         offset,
     })
 }
 
+/// Append the positions of one chunk of whole raw particles to `out`.
+fn decode_raw(mut chunk: &[u8], precision: Precision, out: &mut Vec<Vec3>) {
+    let take = chunk.len() / (3 * precision.scalar_bytes());
+    out.reserve(take);
+    match precision {
+        Precision::F64 => {
+            for _ in 0..take {
+                out.push(Vec3::new(
+                    chunk.get_f64_le(),
+                    chunk.get_f64_le(),
+                    chunk.get_f64_le(),
+                ));
+            }
+        }
+        Precision::F32 => {
+            for _ in 0..take {
+                out.push(Vec3::new(
+                    chunk.get_f32_le() as f64,
+                    chunk.get_f32_le() as f64,
+                    chunk.get_f32_le() as f64,
+                ));
+            }
+        }
+    }
+}
+
 impl<R: Read> TraceReader<R> {
-    /// Parse and validate the header and return the reader.
+    /// Parse and validate the header (and, for a compact stream, its
+    /// quantization box) and return the reader.
     pub fn new(mut source: R) -> Result<TraceReader<R>> {
-        let h = parse_header(&mut source, MAGIC, "pic-trace")?;
+        let h = parse_header(&mut source)?;
+        let (layout, offset) = if h.compact {
+            let delta = DeltaDecoder::read_qbox(&mut source, h.offset, h.precision)?;
+            (Layout::Compact(delta), h.offset + QBOX_LEN as u64)
+        } else {
+            (Layout::Raw, h.offset)
+        };
         Ok(TraceReader {
             source,
             meta: h.meta,
             precision: h.precision,
+            layout,
             frames_read: 0,
             last_iteration: None,
-            offset: h.offset,
+            offset,
             chunk: Vec::new(),
         })
     }
@@ -392,7 +448,7 @@ impl<R: Read> TraceReader<R> {
         &self.meta
     }
 
-    /// Storage precision of the file.
+    /// Storage precision of the file (for a compact file, the grid width).
     pub fn precision(&self) -> Precision {
         self.precision
     }
@@ -404,19 +460,22 @@ impl<R: Read> TraceReader<R> {
 
     /// Read the next frame; `Ok(None)` only at a *clean* end-of-stream
     /// (exactly zero bytes past the previous frame). A stream that ends
-    /// anywhere inside a frame — including 1–7 bytes into the iteration
-    /// word — is a positioned [`TraceError`] of kind
-    /// [`TraceErrorKind::TruncatedFrame`]; a real I/O failure surfaces as
-    /// [`TraceErrorKind::Io`] with the source error preserved. A frame
-    /// that breaks a trace invariant (non-finite position, iteration not
-    /// after the previous frame's) is a [`TraceErrorKind::Malformed`]
-    /// error positioned at its end, exactly as [`read_all`](Self::read_all)
-    /// reports it.
+    /// anywhere inside a frame — including inside its head — is a
+    /// positioned [`TraceError`] of kind [`TraceErrorKind::TruncatedFrame`];
+    /// a real I/O failure surfaces as [`TraceErrorKind::Io`] with the
+    /// source error preserved. A frame that breaks a trace invariant
+    /// (non-finite position, iteration not after the previous frame's) is
+    /// a [`TraceErrorKind::Malformed`] error positioned at its end,
+    /// exactly as [`read_all`](Self::read_all) reports it.
     pub fn read_sample(&mut self) -> Result<Option<TraceSample>> {
         let frame = self.frames_read as u64;
-        let mut iter_buf = [0u8; 8];
-        let got = read_fully(&mut self.source, &mut iter_buf).map_err(|e| {
-            TraceError::new(TraceErrorKind::Io, "frame header read failed")
+        let compact = matches!(self.layout, Layout::Compact(_));
+        // The head: the iteration word, then (compact) width and padding.
+        let head_len = if compact { FRAME_HEAD_LEN } else { 8 };
+        let mut head = [0u8; FRAME_HEAD_LEN];
+        let got = read_fully(&mut self.source, &mut head[..head_len]).map_err(|e| {
+            let what = if compact { "head" } else { "header" };
+            TraceError::new(TraceErrorKind::Io, format!("frame {what} read failed"))
                 .at_offset(self.offset)
                 .at_frame(frame)
                 .with_source(e)
@@ -424,38 +483,45 @@ impl<R: Read> TraceReader<R> {
         if got == 0 {
             return Ok(None); // clean end-of-stream
         }
-        if got < 8 {
-            return Err(TraceError::new(
-                TraceErrorKind::TruncatedFrame,
-                format!("stream ends {got} bytes into the frame's iteration word"),
-            )
-            .at_offset(self.offset + got as u64)
-            .at_frame(frame)
-            .into());
+        if got < head_len {
+            let message = if compact {
+                format!("stream ends {got} bytes into the {head_len}-byte frame head")
+            } else {
+                format!("stream ends {got} bytes into the frame's iteration word")
+            };
+            return Err(TraceError::new(TraceErrorKind::TruncatedFrame, message)
+                .at_offset(self.offset + got as u64)
+                .at_frame(frame)
+                .into());
         }
-        self.offset += 8;
-        let iteration = u64::from_le_bytes(iter_buf);
+        let iteration = u64::from_le_bytes(head[..8].try_into().expect("8-byte word"));
         let n = self.meta.particle_count;
-        let stride = 3 * self.precision.scalar_bytes();
-        // Whole particles per chunk: scalars never straddle a chunk edge.
-        let chunk_particles = (READ_CHUNK_BYTES / stride).max(1);
+        // The payload: `units` elements of `unit` bytes each.
+        let (unit, units) = match &mut self.layout {
+            Layout::Raw => (3 * self.precision.scalar_bytes(), n),
+            Layout::Compact(delta) => (delta.begin_frame(&head, frame, self.offset)?, 3 * n),
+        };
+        self.offset += head_len as u64;
+        // Whole elements per chunk: none straddles a chunk edge.
+        let per_chunk = (READ_CHUNK_BYTES / unit).max(1);
         let mut positions: Vec<Vec3> = Vec::new();
         let mut decoded = 0usize;
-        while decoded < n {
-            let take = chunk_particles.min(n - decoded);
-            let want = take * stride;
+        while decoded < units {
+            let take = per_chunk.min(units - decoded);
+            let want = take * unit;
             self.chunk.resize(want, 0);
             let got = read_fully(&mut self.source, &mut self.chunk[..want]).map_err(|e| {
+                let what = if compact { "payload" } else { "body" };
                 TraceError::new(
                     TraceErrorKind::Io,
-                    format!("frame body read failed at iteration {iteration}"),
+                    format!("frame {what} read failed at iteration {iteration}"),
                 )
                 .at_offset(self.offset)
                 .at_frame(frame)
                 .with_source(e)
             })?;
             if got < want {
-                let missing = (n - decoded) * stride - got;
+                let missing = (units - decoded) * unit - got;
                 return Err(TraceError::new(
                     TraceErrorKind::TruncatedFrame,
                     format!(
@@ -467,29 +533,15 @@ impl<R: Read> TraceReader<R> {
                 .into());
             }
             self.offset += got as u64;
-            positions.reserve(take);
-            let mut buf = &self.chunk[..want];
-            match self.precision {
-                Precision::F64 => {
-                    for _ in 0..take {
-                        positions.push(Vec3::new(
-                            buf.get_f64_le(),
-                            buf.get_f64_le(),
-                            buf.get_f64_le(),
-                        ));
-                    }
-                }
-                Precision::F32 => {
-                    for _ in 0..take {
-                        positions.push(Vec3::new(
-                            buf.get_f32_le() as f64,
-                            buf.get_f32_le() as f64,
-                            buf.get_f32_le() as f64,
-                        ));
-                    }
-                }
+            let chunk = &self.chunk[..want];
+            match &mut self.layout {
+                Layout::Raw => decode_raw(chunk, self.precision, &mut positions),
+                Layout::Compact(delta) => delta.fold_chunk(chunk, decoded, take),
             }
             decoded += take;
+        }
+        if let Layout::Compact(delta) = &self.layout {
+            positions = delta.positions(units);
         }
         self.frames_read += 1;
         let sample = TraceSample {
@@ -533,38 +585,6 @@ impl<R: Read> TraceReader<R> {
             other => other,
         }
     }
-
-    /// Consume the reader as an iterator of frames. A malformed stream
-    /// yields one `Err` and then ends; a clean end-of-stream just ends.
-    /// This is the handoff surface for pipeline consumers (e.g. the
-    /// streaming workload generator's decoder thread).
-    pub fn frames(self) -> Frames<R> {
-        Frames { reader: Some(self) }
-    }
-}
-
-/// Owning frame iterator returned by [`TraceReader::frames`].
-pub struct Frames<R: Read> {
-    reader: Option<TraceReader<R>>,
-}
-
-impl<R: Read> Iterator for Frames<R> {
-    type Item = Result<TraceSample>;
-
-    fn next(&mut self) -> Option<Result<TraceSample>> {
-        let reader = self.reader.as_mut()?;
-        match reader.read_sample() {
-            Ok(Some(s)) => Some(Ok(s)),
-            Ok(None) => {
-                self.reader = None;
-                None
-            }
-            Err(e) => {
-                self.reader = None;
-                Some(Err(e))
-            }
-        }
-    }
 }
 
 /// Encode a whole trace into a byte vector.
@@ -588,7 +608,7 @@ pub fn encode_trace(trace: &ParticleTrace, precision: Precision) -> Result<Vec<u
     w.finish()
 }
 
-/// Decode a trace from bytes.
+/// Decode a trace in either format from bytes.
 pub fn decode_trace(bytes: &[u8]) -> Result<ParticleTrace> {
     TraceReader::new(bytes)?.read_all()
 }
@@ -608,7 +628,7 @@ pub fn save_file(
     Ok(())
 }
 
-/// Read a trace from a file.
+/// Read a trace file in either format.
 pub fn load_file(path: impl AsRef<Path>) -> Result<ParticleTrace> {
     let f = std::fs::File::open(path)?;
     TraceReader::new(std::io::BufReader::new(f))?.read_all()
@@ -813,19 +833,6 @@ mod tests {
         let src = d.source.as_ref().expect("source IO error preserved");
         assert_eq!(src.kind(), std::io::ErrorKind::PermissionDenied);
         assert!(src.to_string().contains("injected fault"));
-    }
-
-    #[test]
-    fn frames_iterator_yields_one_err_then_none() {
-        let tr = sample_trace(4, 3);
-        let bytes = encode_trace(&tr, Precision::F64).unwrap();
-        let cut = bytes.len() - 5; // inside the last frame
-        let mut frames = TraceReader::new(&bytes[..cut]).unwrap().frames();
-        assert!(frames.next().unwrap().is_ok());
-        assert!(frames.next().unwrap().is_ok());
-        assert!(frames.next().unwrap().is_err());
-        assert!(frames.next().is_none());
-        assert!(frames.next().is_none());
     }
 
     #[test]

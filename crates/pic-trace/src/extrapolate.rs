@@ -33,7 +33,8 @@ const JITTER_FRACTION: f64 = 0.04;
 /// Extrapolate `source` to `target_count` particles.
 ///
 /// Works for both up-scaling (the paper's use case) and down-scaling
-/// (useful for quick previews). Fails on an empty source trace.
+/// (useful for quick previews). Fails on a source trace without samples
+/// or without particles: there is no trajectory to adopt.
 pub fn extrapolate(
     source: &ParticleTrace,
     target_count: usize,
@@ -46,6 +47,11 @@ pub fn extrapolate(
         return Err(PicError::trace("target particle count must be positive"));
     }
     let n_src = source.particle_count();
+    if n_src == 0 {
+        return Err(PicError::trace(format!(
+            "cannot extrapolate a trace of {n_src} particles"
+        )));
+    }
     let mut rng = SplitMix64::new(seed);
 
     // Per-target-particle: a source index and a unit-scale offset.
@@ -250,6 +256,17 @@ mod tests {
         assert!(extrapolate(&empty, 100, 1).is_err());
         let src = source_trace(10);
         assert!(extrapolate(&src, 0, 1).is_err());
+    }
+
+    #[test]
+    fn zero_particle_trace_is_refused_naming_the_count() {
+        // A valid trace (the codec round-trips it) with samples but no
+        // particle to draw a trajectory from.
+        let mut none = ParticleTrace::new(TraceMeta::new(0, 10, Aabb::unit(), "none"));
+        none.push_positions(Vec::new()).unwrap();
+        none.push_positions(Vec::new()).unwrap();
+        let err = extrapolate(&none, 10, 1).unwrap_err();
+        assert!(err.to_string().contains("trace of 0 particles"), "{err}");
     }
 
     #[test]

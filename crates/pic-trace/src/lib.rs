@@ -9,11 +9,14 @@
 //! The crate provides:
 //! * [`ParticleTrace`] — the in-memory model (fixed particle population,
 //!   `T` samples of `N_p` positions);
-//! * [`codec`] — a compact binary on-disk format with `f64` or `f32`
+//! * [`codec`] — the raw binary on-disk format with `f64` or `f32`
 //!   precision (trace size is a first-class concern in the paper: full-scale
 //!   traces run to hundreds of gigabytes);
-//! * streaming [`TraceWriter`] / [`TraceReader`] that never hold more than
-//!   one frame in memory;
+//! * [`compact`] — the delta-encoded, quantized companion format (4–8×
+//!   smaller for smoothly drifting traces);
+//! * streaming [`TraceWriter`] / [`CompactWriter`], one per format, and
+//!   the one [`TraceReader`], which sniffs the magic and decodes either;
+//!   none holds more than one frame in memory;
 //! * [`stats`] — particle-boundary evolution, displacement statistics, and
 //!   file-size estimation used for the sampling-frequency trade-off;
 //! * [`fault`] — deterministic fault-injection readers (truncation, short
@@ -21,9 +24,6 @@
 //!   robustness contract: decoding arbitrary bytes never panics, stays
 //!   within a bounded allocation budget, and fails with byte-positioned
 //!   errors ([`pic_types::TraceError`]);
-//! * [`compact`] — the delta-encoded, quantized companion format (4–8×
-//!   smaller for smoothly drifting traces) plus the magic-sniffing
-//!   [`AnyTraceReader`] every ingest path accepts either format through;
 //! * [`features`] — per-sample feature vectors (density histogram,
 //!   migration rate, occupancy spread, boundary-volume delta) for
 //!   SimPoint-style phase clustering.
@@ -41,58 +41,8 @@ pub mod stats;
 pub mod trace;
 
 pub use bounded::{BoundedReader, DigestReader};
-pub use codec::{Frames, Precision, TraceReader, TraceWriter};
-pub use compact::{AnyTraceReader, CompactReader, CompactWriter};
+pub use codec::{Precision, TraceReader, TraceWriter};
+pub use compact::CompactWriter;
 pub use extrapolate::extrapolate;
 pub use features::{feature_vectors, FeatureConfig};
 pub use trace::{ParticleTrace, TraceMeta, TraceSample};
-
-/// A pull source of trace samples, implemented by [`TraceReader`] (raw
-/// format), [`CompactReader`] (delta-encoded format) and
-/// [`AnyTraceReader`] (magic-sniffing dispatch) — the abstraction
-/// streaming ingest paths accept, so every one of them handles either
-/// on-disk format.
-pub trait SampleSource {
-    /// Trace metadata decoded from the header.
-    fn meta(&self) -> &TraceMeta;
-    /// Decode the next sample; `None` cleanly at end of trace.
-    fn read_sample(&mut self) -> pic_types::Result<Option<TraceSample>>;
-    /// Bytes consumed from the underlying stream so far.
-    fn bytes_read(&self) -> u64;
-}
-
-impl<R: std::io::Read> SampleSource for TraceReader<R> {
-    fn meta(&self) -> &TraceMeta {
-        TraceReader::meta(self)
-    }
-    fn read_sample(&mut self) -> pic_types::Result<Option<TraceSample>> {
-        TraceReader::read_sample(self)
-    }
-    fn bytes_read(&self) -> u64 {
-        TraceReader::bytes_read(self)
-    }
-}
-
-impl<R: std::io::Read> SampleSource for CompactReader<R> {
-    fn meta(&self) -> &TraceMeta {
-        CompactReader::meta(self)
-    }
-    fn read_sample(&mut self) -> pic_types::Result<Option<TraceSample>> {
-        CompactReader::read_sample(self)
-    }
-    fn bytes_read(&self) -> u64 {
-        CompactReader::bytes_read(self)
-    }
-}
-
-impl<R: std::io::Read> SampleSource for AnyTraceReader<R> {
-    fn meta(&self) -> &TraceMeta {
-        AnyTraceReader::meta(self)
-    }
-    fn read_sample(&mut self) -> pic_types::Result<Option<TraceSample>> {
-        AnyTraceReader::read_sample(self)
-    }
-    fn bytes_read(&self) -> u64 {
-        AnyTraceReader::bytes_read(self)
-    }
-}

@@ -150,7 +150,9 @@ mod tests {
             .unwrap();
         }
         let raw = estimated_file_size(100, 20, Precision::F64);
-        let compact = crate::compact::encoded_size(&tr, Precision::F64);
+        let compact = crate::compact::encode_compact(&tr, Precision::F64)
+            .unwrap()
+            .len() as u64;
         assert!(
             compact * 4 < raw,
             "compact {compact} should be far below raw {raw}"

@@ -47,9 +47,10 @@ pub struct TraceSample {
 
 /// The per-sample trace invariants: `particle_count` positions, an
 /// iteration strictly after `prev` (the previous sample's), and finite
-/// coordinates. [`ParticleTrace::push_sample`] and the streaming readers'
-/// `read_sample` run this one check, so a streamed replay sees exactly the
-/// frames a resident trace would hold.
+/// coordinates. [`ParticleTrace::push_sample`] and
+/// [`TraceReader::read_sample`](crate::TraceReader::read_sample) run this
+/// one check, so a streamed replay sees exactly the frames a resident
+/// trace would hold.
 pub(crate) fn check_sample(
     sample: &TraceSample,
     particle_count: usize,
@@ -128,7 +129,7 @@ impl ParticleTrace {
     }
 
     /// Append a sample [`check_sample`] has already admitted against this
-    /// trace's last sample (the readers' `read_all`).
+    /// trace's last sample ([`TraceReader::read_all`](crate::TraceReader::read_all)).
     pub(crate) fn push_checked(&mut self, sample: TraceSample) {
         self.samples.push(sample);
     }

@@ -1,16 +1,17 @@
-//! Fault-injection corpus for the compact (`PICTRC02`) codec and the
-//! magic-sniffing [`AnyTraceReader`]: the same robustness contract the raw
-//! codec carries. Decoding any byte stream — truncation at every byte of a
-//! tiny trace, random bit flips, `Interrupted` storms, 1-byte short reads,
-//! hard I/O faults — must never panic, stay within the bounded chunk
-//! budget, and on failure return a byte-positioned error. Corrupt delta
-//! payloads decode to finite in-box positions (wrapping grid arithmetic),
-//! never to NaN or infinity. Run in CI under `--release` too.
+//! Fault-injection corpus for the compact (`PICTRC02`) format read
+//! through the magic-sniffing [`TraceReader`]: the same robustness
+//! contract the raw codec carries. Decoding any byte stream — truncation
+//! at every byte of a tiny trace, random bit flips, `Interrupted` storms,
+//! 1-byte short reads, hard I/O faults — must never panic, stay within
+//! the bounded chunk budget, and on failure return a byte-positioned
+//! error. Corrupt delta payloads decode to finite in-box positions
+//! (wrapping grid arithmetic), never to NaN or infinity. Run in CI under
+//! `--release` too.
 
-use pic_trace::codec::{encode_trace, Precision};
-use pic_trace::compact::{decode_any, decode_compact, encode_compact, quantization_box};
+use pic_trace::codec::{decode_trace, encode_trace, Precision};
+use pic_trace::compact::{encode_compact, quantization_box};
 use pic_trace::fault::{flip_bit, FailAt, InterruptEvery, ShortReads, TruncateAt};
-use pic_trace::{AnyTraceReader, CompactReader, ParticleTrace, TraceMeta};
+use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
 use proptest::prelude::*;
 
@@ -43,16 +44,11 @@ fn exhaustive_byte_truncation_of_a_tiny_compact_trace() {
     for precision in [Precision::F64, Precision::F32] {
         let bytes = encode_compact(&tr, precision).unwrap();
         for cut in 0..=bytes.len() {
-            match decode_compact(&bytes[..cut]) {
+            match decode_trace(&bytes[..cut]) {
                 Ok(back) => {
                     // only exact frame boundaries decode cleanly
                     assert!(back.sample_count() <= tr.sample_count(), "cut {cut}");
                 }
-                Err(e) => assert_positioned(&e),
-            }
-            // the sniffing path must agree on every prefix
-            match decode_any(&bytes[..cut]) {
-                Ok(back) => assert!(back.sample_count() <= tr.sample_count()),
                 Err(e) => assert_positioned(&e),
             }
         }
@@ -63,24 +59,22 @@ fn exhaustive_byte_truncation_of_a_tiny_compact_trace() {
 fn interrupted_and_short_reads_still_roundtrip() {
     let tr = small_trace(7, 4);
     let bytes = encode_compact(&tr, Precision::F64).unwrap();
-    let oracle = decode_compact(&bytes).unwrap();
+    let oracle = decode_trace(&bytes).unwrap();
     // one-byte reads
-    let back = CompactReader::new(ShortReads::new(&bytes[..], 1))
+    let back = TraceReader::new(ShortReads::new(&bytes[..], 1))
         .unwrap()
         .read_all()
         .unwrap();
     assert_eq!(back, oracle);
     // interrupt storm: every other call fails with Interrupted
-    let back = CompactReader::new(InterruptEvery::new(&bytes[..], 2))
+    let back = TraceReader::new(InterruptEvery::new(&bytes[..], 2))
         .unwrap()
         .read_all()
         .unwrap();
     assert_eq!(back, oracle);
-    // both at once, through the sniffing reader
+    // both at once
     let r = InterruptEvery::new(ShortReads::new(&bytes[..], 3), 2);
-    let any = AnyTraceReader::new(r).unwrap();
-    assert!(any.is_compact());
-    assert_eq!(any.read_all().unwrap(), oracle);
+    assert_eq!(TraceReader::new(r).unwrap().read_all().unwrap(), oracle);
 }
 
 #[test]
@@ -89,7 +83,7 @@ fn hard_io_fault_is_not_mislabeled_as_truncation() {
     let bytes = encode_compact(&tr, Precision::F64).unwrap();
     for fail_at in [5u64, 30, 90, 150, 250] {
         let r = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
-        let err = match CompactReader::new(r) {
+        let err = match TraceReader::new(r) {
             Err(e) => e,
             Ok(mut reader) => loop {
                 match reader.read_sample() {
@@ -115,15 +109,15 @@ fn sniffing_reader_dispatches_both_formats_under_faults() {
     let raw = encode_trace(&tr, Precision::F64).unwrap();
     let compact = encode_compact(&tr, Precision::F64).unwrap();
     // both formats survive 1-byte short reads through the sniffer
-    let r = AnyTraceReader::new(ShortReads::new(&raw[..], 1)).unwrap();
-    assert!(!r.is_compact());
+    let r = TraceReader::new(ShortReads::new(&raw[..], 1)).unwrap();
     assert_eq!(r.read_all().unwrap(), tr);
-    let r = AnyTraceReader::new(ShortReads::new(&compact[..], 1)).unwrap();
-    assert!(r.is_compact());
-    assert_eq!(r.read_all().unwrap(), decode_compact(&compact).unwrap());
+    let r = TraceReader::new(ShortReads::new(&compact[..], 1)).unwrap();
+    let back = r.read_all().unwrap();
+    assert_eq!(back.iterations(), tr.iterations());
+    assert_eq!(encode_compact(&back, Precision::F64).unwrap(), compact);
     // truncation mid-stream stays positioned through the sniffer
     for cut in [3u64, 8, 40, 100] {
-        match AnyTraceReader::new(TruncateAt::new(&compact[..], cut)) {
+        match TraceReader::new(TruncateAt::new(&compact[..], cut)) {
             Ok(r) => {
                 if let Err(e) = r.read_all() {
                     assert_positioned(&e);
@@ -136,7 +130,7 @@ fn sniffing_reader_dispatches_both_formats_under_faults() {
 
 #[test]
 fn unknown_magic_is_a_positioned_bad_magic_error() {
-    let err = decode_any(b"PICTRC99 some trailing bytes").unwrap_err();
+    let err = decode_trace(b"PICTRC99 some trailing bytes").unwrap_err();
     let d = err.trace_details().expect("structured");
     assert_eq!(d.kind, TraceErrorKind::BadMagic);
     assert_eq!(d.offset, Some(0));
@@ -151,7 +145,7 @@ proptest! {
     ) {
         let mut bytes = b"PICTRC02".to_vec();
         bytes.extend_from_slice(&tail);
-        if let Err(e) = decode_compact(&bytes) {
+        if let Err(e) = decode_trace(&bytes) {
             let d = e.trace_details();
             prop_assert!(d.is_some(), "unstructured error: {}", e);
             prop_assert!(d.unwrap().offset.is_some(), "unpositioned error: {}", e);
@@ -175,7 +169,7 @@ proptest! {
             // must keep every decoded position finite, and positions stay
             // inside the (possibly corrupted) box whenever the header
             // survived intact.
-            match decode_compact(&bytes) {
+            match decode_trace(&bytes) {
                 Ok(back) => {
                     for s in back.samples() {
                         for p in &s.positions {
@@ -203,7 +197,7 @@ proptest! {
         let tr = small_trace(np, t);
         let bytes = encode_compact(&tr, Precision::F64).unwrap();
         let cut = (bytes.len() as f64 * cut_frac) as u64;
-        match CompactReader::new(TruncateAt::new(&bytes[..], cut)) {
+        match TraceReader::new(TruncateAt::new(&bytes[..], cut)) {
             Ok(r) => match r.read_all() {
                 Ok(back) => prop_assert!(back.sample_count() <= tr.sample_count()),
                 Err(e) => {

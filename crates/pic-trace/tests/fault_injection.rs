@@ -145,6 +145,92 @@ fn allocation_stays_bounded_for_adversarial_headers() {
     assert_eq!(err.trace_details().unwrap().kind, TraceErrorKind::BadHeader);
 }
 
+/// The production decode of a whole byte slice, and of a reader.
+fn decode_bytes(bytes: &[u8]) -> pic_types::Result<ParticleTrace> {
+    decode_trace(bytes)
+}
+
+fn decode_reader(r: impl std::io::Read) -> pic_types::Result<ParticleTrace> {
+    TraceReader::new(r)?.read_all()
+}
+
+/// One line per decode: the sample count and a digest of every iteration
+/// and position bit, or the error's kind, offset, frame and message.
+fn render(result: pic_types::Result<ParticleTrace>) -> String {
+    match result {
+        Ok(tr) => {
+            let mut bits = pic_types::hash::Fnv128::new();
+            for s in tr.samples() {
+                bits.update(&s.iteration.to_le_bytes());
+                for p in &s.positions {
+                    for v in [p.x, p.y, p.z] {
+                        bits.update(&v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            format!("Ok({}, {})", tr.sample_count(), bits.hex())
+        }
+        Err(e) => match e.trace_details() {
+            Some(d) => format!(
+                "Err({:?}, {:?}, {:?}, {})",
+                d.kind, d.offset, d.frame, d.message
+            ),
+            None => format!("Err(unstructured: {e})"),
+        },
+    }
+}
+
+/// The whole error surface of the decoder, pinned by line count and
+/// FNV-1a-128 digest: every prefix of a 3-particle x 3-sample trace in
+/// both formats at both precisions, every single-bit flip of its compact
+/// F32 encoding, a hard I/O fault at five offsets into each format, and
+/// an unknown magic with trailing bytes. Any change to what is accepted,
+/// to a decoded bit, or to an error's kind, position or wording moves it.
+#[test]
+fn error_surface_matches_the_golden_digest() {
+    let tr = small_trace(3, 3);
+    let mut lines = Vec::new();
+    let mut compact_f32 = Vec::new();
+    for precision in [Precision::F64, Precision::F32] {
+        let raw = encode_trace(&tr, precision).unwrap();
+        let compact = pic_trace::compact::encode_compact(&tr, precision).unwrap();
+        for bytes in [&raw, &compact] {
+            for cut in 0..=bytes.len() {
+                lines.push(render(decode_bytes(&bytes[..cut])));
+            }
+        }
+        if precision == Precision::F32 {
+            compact_f32 = compact;
+        }
+    }
+    for bit in 0..8 * compact_f32.len() as u64 {
+        let mut damaged = compact_f32.clone();
+        flip_bit(&mut damaged, bit);
+        lines.push(render(decode_bytes(&damaged)));
+    }
+    let raw = encode_trace(&tr, Precision::F64).unwrap();
+    let compact = pic_trace::compact::encode_compact(&tr, Precision::F64).unwrap();
+    for bytes in [&raw, &compact] {
+        for fail_at in [5u64, 60, 120, 170, 250] {
+            let r = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
+            lines.push(render(decode_reader(r)));
+        }
+    }
+    lines.push(render(decode_bytes(b"PICTRC99 some trailing bytes")));
+    let text = lines.join("\n");
+    let mut digest = pic_types::hash::Fnv128::new();
+    digest.update(text.as_bytes());
+    assert_eq!(
+        (lines.len(), digest.hex().as_str()),
+        ERROR_SURFACE_GOLDEN,
+        "{text}"
+    );
+}
+
+/// Captured from the decoder as it stood before the raw and compact
+/// readers merged into one `TraceReader`.
+const ERROR_SURFACE_GOLDEN: (usize, &str) = (2793, "da4f4aeda98f92f116ef0b2b38d282ab");
+
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(bytes in collection::vec(any::<u8>(), 0..512)) {

@@ -49,7 +49,7 @@ proptest! {
     }
 
     #[test]
-    fn encoded_size_matches_estimate(tr in trace_strategy()) {
+    fn raw_file_size_matches_estimate(tr in trace_strategy()) {
         for precision in [Precision::F64, Precision::F32] {
             let bytes = encode_trace(&tr, precision).unwrap();
             let body = pic_trace::stats::estimated_file_size(

@@ -884,9 +884,8 @@ struct MigrationFold {
 }
 
 /// The streaming driver: every sweep point sample-by-sample off one
-/// [`pic_trace::SampleSource`] pass — raw `TraceReader`, delta-encoded
-/// `CompactReader`, or the magic-sniffing `AnyTraceReader` — bit-identical
-/// to [`replay`] without a plan.
+/// [`pic_trace::TraceReader`] pass over either on-disk format —
+/// bit-identical to [`replay`] of the decoded trace without a plan.
 ///
 /// This is the path for the paper's §II-D regime, where full-scale traces
 /// run to hundreds of gigabytes. A decoder thread pulls frames off the
@@ -905,8 +904,8 @@ struct MigrationFold {
 /// *positioned* error is returned. Every pipeline thread is joined before
 /// this function returns: a corrupt trace fails the run, it cannot hang
 /// it.
-pub fn sweep_streaming<S: pic_trace::SampleSource + Send>(
-    mut reader: S,
+pub fn sweep_streaming<R: std::io::Read + Send>(
+    mut reader: pic_trace::TraceReader<R>,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
 ) -> Result<(Vec<DynamicWorkload>, SweepStats, IngestStats)> {

@@ -3,7 +3,9 @@
 
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
-use pic_trace::{ParticleTrace, TraceMeta};
+use pic_trace::codec::{decode_trace, encode_trace, Precision};
+use pic_trace::compact::encode_compact;
+use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Rank, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
@@ -185,11 +187,22 @@ proptest! {
         // both reproduce the straight-line sequential replay exactly.
         let reference = generator::generate_reference(&tr, &cfg, Some(&mesh)).unwrap();
         prop_assert_eq!(&generate(&tr, &cfg, Some(&mesh)), &reference);
-        let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
-        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
+        let bytes = encode_trace(&tr, Precision::F64).unwrap();
+        let reader = TraceReader::new(&bytes[..]).unwrap();
         let points = [SweepPoint::new(cfg)];
         let (streamed, ..) = sweep_streaming(reader, &points, Some(&mesh)).unwrap();
         prop_assert_eq!(&streamed[0], &reference);
+        // A compact stream is lossy once: it must answer what the resident
+        // replay of its own decode answers.
+        for precision in [Precision::F64, Precision::F32] {
+            let compact = encode_compact(&tr, precision).unwrap();
+            let decoded = decode_trace(&compact).unwrap();
+            let opts = ReplayOptions::new(Some(&mesh), None, None);
+            let (resident, _) = replay(&decoded, &points, &opts).unwrap();
+            let reader = TraceReader::new(&compact[..]).unwrap();
+            let (streamed, ..) = sweep_streaming(reader, &points, Some(&mesh)).unwrap();
+            prop_assert_eq!(&streamed, &resident, "compact {:?}", precision);
+        }
     }
 
     /// The equivalence matrix: the replay door answers the same random
@@ -260,11 +273,20 @@ proptest! {
             }
         }
 
-        let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
-        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
+        let bytes = encode_trace(&tr, Precision::F64).unwrap();
+        let reader = TraceReader::new(&bytes[..]).unwrap();
         let (streamed, _, ingest) = sweep_streaming(reader, &points, mesh).unwrap();
         prop_assert_eq!(&streamed, &reference, "streaming");
         prop_assert_eq!(ingest.frames_decoded, tr.sample_count());
+        // The compact stream against the resident replay of its decode.
+        let compact = encode_compact(&tr, Precision::F32).unwrap();
+        let decoded = decode_trace(&compact).unwrap();
+        let (resident, _) = replay(&decoded, &points, &ReplayOptions::new(mesh, None, None))
+            .unwrap();
+        let reader = TraceReader::new(&compact[..]).unwrap();
+        let (streamed, _, ingest) = sweep_streaming(reader, &points, mesh).unwrap();
+        prop_assert_eq!(&streamed, &resident, "compact streaming");
+        prop_assert_eq!(ingest.bytes_read, compact.len() as u64);
 
         for (p, expect) in points.iter().zip(&reference) {
             let one = generate(&tr.subsample(p.stride), &p.config, mesh);

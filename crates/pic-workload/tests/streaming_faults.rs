@@ -4,8 +4,9 @@
 //! error with every pipeline thread joined — never hang, never panic.
 //! Each run executes on a watchdog thread with a hard timeout so a
 //! shutdown regression fails the suite instead of wedging it. Every fault
-//! case runs over two inputs: a single configuration, and a two-group,
-//! two-stride grid whose merge folds several members per frame.
+//! case runs over both on-disk formats and two inputs: a single
+//! configuration, and a two-group, two-stride grid whose merge folds
+//! several members per frame.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -13,7 +14,8 @@ use std::time::Duration;
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::codec::{encode_trace, Precision};
-use pic_trace::fault::{truncation_points, FailAt, TruncateAt};
+use pic_trace::compact::encode_compact;
+use pic_trace::fault::{FailAt, TruncateAt};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
 use pic_workload::{sweep_streaming, DynamicWorkload, SweepPoint, WorkloadConfig};
@@ -32,6 +34,40 @@ fn small_trace(np: usize, t: usize) -> ParticleTrace {
         tr.push_positions(positions).unwrap();
     }
     tr
+}
+
+/// `tr` in both on-disk formats, labelled.
+fn encodings(tr: &ParticleTrace, precision: Precision) -> [(&'static str, Vec<u8>); 2] {
+    [
+        ("raw", encode_trace(tr, precision).unwrap()),
+        ("compact", encode_compact(tr, precision).unwrap()),
+    ]
+}
+
+/// Where the header and each frame of `bytes` end, as the reader counts.
+fn frame_ends(bytes: &[u8]) -> Vec<usize> {
+    let mut r = TraceReader::new(bytes).unwrap();
+    let mut ends = vec![r.bytes_read() as usize];
+    while r.read_sample().unwrap().is_some() {
+        ends.push(r.bytes_read() as usize);
+    }
+    ends
+}
+
+/// Cuts at every structural boundary of an encoding ending at `ends`:
+/// header fields, and each frame's first byte, head and midpoint, with
+/// one byte to either side of each end.
+fn cut_points(ends: &[usize]) -> Vec<usize> {
+    let mut cuts = vec![0, 4, 8, 9, 12, 16, 24, 48, 72, 76];
+    for w in ends.windows(2) {
+        let (at, end) = (w[0], w[1]);
+        cuts.extend([at - 1, at, at + 1, at + 8, at + 12, (at + end) / 2]);
+    }
+    let last = *ends.last().unwrap();
+    cuts.extend([last - 1, last]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    cuts
 }
 
 fn cfg() -> WorkloadConfig {
@@ -53,8 +89,8 @@ fn inputs() -> [Vec<SweepPoint>; 2] {
     ]
 }
 
-fn stream<S: pic_trace::SampleSource + Send>(
-    reader: S,
+fn stream<R: std::io::Read + Send>(
+    reader: TraceReader<R>,
     points: &[SweepPoint],
 ) -> pic_types::Result<Vec<DynamicWorkload>> {
     sweep_streaming(reader, points, None).map(|(workloads, _, _)| workloads)
@@ -94,25 +130,24 @@ fn assert_positioned(err: &PicError, label: &str) {
 #[test]
 fn truncation_at_every_boundary_errors_or_yields_prefix_without_hanging() {
     let tr = small_trace(40, 4);
-    let desc_len = tr.meta().description.len();
-    let bytes = encode_trace(&tr, Precision::F64).unwrap();
-    let frame_len = 8 + 40 * 3 * 8;
-    let header_len = 76 + desc_len;
-    for points in inputs() {
-        for cut in truncation_points(bytes.len(), desc_len, frame_len) {
-            let label = format!("cut at byte {cut}, {} point(s)", points.len());
-            match stream_with_watchdog(bytes[..cut].to_vec(), points.clone(), label) {
-                Ok(workloads) => {
-                    // Only exact frame boundaries stream cleanly, and then
-                    // each workload covers exactly the surviving prefix.
-                    assert!(cut >= header_len, "cut {cut} streamed without a header");
-                    assert_eq!((cut - header_len) % frame_len, 0, "cut {cut} is mid-frame");
-                    let prefix = (cut - header_len) / frame_len;
-                    for (p, w) in points.iter().zip(&workloads) {
-                        assert_eq!(w.samples(), prefix.div_ceil(p.stride));
+    for (format, bytes) in encodings(&tr, Precision::F64) {
+        let ends = frame_ends(&bytes);
+        for points in inputs() {
+            for cut in cut_points(&ends) {
+                let label = format!("{format} cut at byte {cut}, {} point(s)", points.len());
+                match stream_with_watchdog(bytes[..cut].to_vec(), points.clone(), label) {
+                    Ok(workloads) => {
+                        // Only exact frame boundaries stream cleanly, and
+                        // then each workload covers exactly the surviving
+                        // prefix.
+                        let prefix = (ends.iter().position(|&end| end == cut))
+                            .unwrap_or_else(|| panic!("{format} cut {cut} is mid-frame"));
+                        for (p, w) in points.iter().zip(&workloads) {
+                            assert_eq!(w.samples(), prefix.div_ceil(p.stride));
+                        }
                     }
+                    Err(e) => assert_positioned(&e, &format!("{format} cut {cut}")),
                 }
-                Err(e) => assert_positioned(&e, &format!("cut {cut}")),
             }
         }
     }
@@ -121,44 +156,47 @@ fn truncation_at_every_boundary_errors_or_yields_prefix_without_hanging() {
 #[test]
 fn hard_io_fault_mid_stream_propagates_with_workers_joined() {
     let tr = small_trace(30, 5);
-    let bytes = encode_trace(&tr, Precision::F64).unwrap();
-    let fail_at = (bytes.len() / 2) as u64;
-    for points in inputs() {
-        let bytes = bytes.clone();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let faulty = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
-            let result = TraceReader::new(faulty).and_then(|r| stream(r, &points));
-            let _ = tx.send(result);
-        });
-        let err = rx
-            .recv_timeout(WATCHDOG)
-            .expect("streaming pipeline hung on a hard I/O fault")
-            .expect_err("injected fault was swallowed");
-        assert_positioned(&err, "hard fault");
-        let details = err.trace_details().unwrap();
-        assert_eq!(details.kind, TraceErrorKind::Io, "{err}");
-        assert_eq!(
-            details.source.as_ref().unwrap().kind(),
-            std::io::ErrorKind::BrokenPipe
-        );
+    for (format, bytes) in encodings(&tr, Precision::F64) {
+        let fail_at = (bytes.len() / 2) as u64;
+        for points in inputs() {
+            let bytes = bytes.clone();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let faulty = FailAt::new(&bytes[..], fail_at, std::io::ErrorKind::BrokenPipe);
+                let result = TraceReader::new(faulty).and_then(|r| stream(r, &points));
+                let _ = tx.send(result);
+            });
+            let err = rx
+                .recv_timeout(WATCHDOG)
+                .expect("streaming pipeline hung on a hard I/O fault")
+                .expect_err("injected fault was swallowed");
+            assert_positioned(&err, format);
+            let details = err.trace_details().unwrap();
+            assert_eq!(details.kind, TraceErrorKind::Io, "{format}: {err}");
+            assert_eq!(
+                details.source.as_ref().unwrap().kind(),
+                std::io::ErrorKind::BrokenPipe
+            );
+        }
     }
 }
 
 #[test]
 fn truncating_reader_mid_frame_is_a_positioned_error() {
     let tr = small_trace(25, 3);
-    let bytes = encode_trace(&tr, Precision::F32).unwrap();
-    // Cut inside the last frame's position payload.
-    let cut = (bytes.len() - 10) as u64;
-    for points in inputs() {
-        let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
-        let err = stream(reader, &points).unwrap_err();
-        assert_positioned(&err, "mid-frame truncation");
-        assert_eq!(
-            err.trace_details().unwrap().kind,
-            TraceErrorKind::TruncatedFrame
-        );
+    for (format, bytes) in encodings(&tr, Precision::F32) {
+        // Cut inside the last frame's position payload.
+        let cut = (bytes.len() - 10) as u64;
+        for points in inputs() {
+            let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
+            let err = stream(reader, &points).unwrap_err();
+            assert_positioned(&err, format);
+            assert_eq!(
+                err.trace_details().unwrap().kind,
+                TraceErrorKind::TruncatedFrame,
+                "{format}"
+            );
+        }
     }
 }
 

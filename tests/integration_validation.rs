@@ -194,3 +194,33 @@ fn extrapolated_trace_flows_through_the_whole_pipeline() {
         "peak ratio {ratio:.2} vs population ratio {expect:.2}"
     );
 }
+
+#[test]
+fn extrapolate_cli_refuses_a_zero_particle_trace() {
+    // A valid file (the codec round-trips it) with samples but no
+    // particles: exit 1 naming the count, never a panic.
+    let dir = std::env::temp_dir().join(format!("picpredict_extrapolate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (input, out) = (dir.join("empty.pictrace"), dir.join("big.pictrace"));
+    let meta = pic_trace::TraceMeta::new(0, 10, pic_types::Aabb::unit(), "no particles");
+    let mut trace = ParticleTrace::new(meta);
+    trace.push_positions(Vec::new()).unwrap();
+    trace.push_positions(Vec::new()).unwrap();
+    codec::save_file(&trace, &input, codec::Precision::F64).unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_picpredict"))
+        .args(["extrapolate", "--particles", "10", "--trace"])
+        .arg(&input)
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("run picpredict");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: trace format error: cannot extrapolate a trace of 0 particles"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!out.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
