@@ -98,7 +98,7 @@ impl FeatureSpace {
     /// The cartesian product is capped at [`FeatureSpace::MAX_PROBE_ROWS`]
     /// rows, walked in mixed-radix order so early rows still vary every
     /// column.
-    pub fn probe_rows(&self) -> Vec<Vec<f64>> {
+    fn probe_rows(&self) -> Vec<Vec<f64>> {
         let per_col: Vec<Vec<f64>> = self
             .ranges
             .iter()
@@ -125,7 +125,7 @@ impl FeatureSpace {
         rows
     }
 
-    /// Cap on the cartesian probe-row product of [`FeatureSpace::probe_rows`].
+    /// Cap on the cartesian probe-row product of `FeatureSpace::probe_rows`.
     pub const MAX_PROBE_ROWS: usize = 512;
 
     /// Candidate probe values for one column, deduplicated, in range.
@@ -157,7 +157,7 @@ impl FeatureSpace {
 }
 
 /// Differential check of the compiled bytecode tape against the recursive
-/// evaluator: every [`FeatureSpace::probe_rows`] corner must produce
+/// evaluator: every `FeatureSpace::probe_rows` corner must produce
 /// bit-identical results through `Expr::eval`, `CompiledExpr::eval_row`,
 /// *and* `CompiledExpr::eval_batch` (NaN compares equal to NaN). This is
 /// the load-time counterpart of the property tests: it runs on the

@@ -17,18 +17,19 @@
 //!   Generator, mapping algorithms, and simulation platform — the systems
 //!   under evaluation — run for real at full scale.
 //!
-//! CSVs land in `figures_out/` (override with `--out DIR`).
+//! CSVs land in `figures_out/` (override with `--out DIR`). Any other
+//! argument is an error naming it.
 #![forbid(unsafe_code)]
 
 use pic_bench::{fmt_series, oracle_models, synthetic_expanding_trace, write_csv, Scale};
 use pic_des::MachineSpec;
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
-use pic_predict::studies;
-use pic_predict::{run_case_study, FitStrategy};
-use pic_sim::{MiniPic, SimConfig};
+use pic_predict::{predict_grid, run_case_study, FitStrategy, PredictSpec, SweepGridSpec};
+use pic_sim::{KernelKind, MiniPic, SimConfig};
 use pic_trace::ParticleTrace;
-use pic_workload::{metrics, replay, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
+use pic_workload::generator::unbounded_bin_series;
+use pic_workload::{metrics, replay, DynamicWorkload, ReplayOptions, SweepPoint};
 
 struct Ctx {
     scale: Scale,
@@ -38,24 +39,58 @@ struct Ctx {
     mesh: ElementMesh,
 }
 
+/// Every figure the binary regenerates, in the order it runs them.
+const FIGURES: [&str; 9] = [
+    "fig1a", "fig1b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b",
+];
+
+/// The command line: where the CSVs go, at which scale, and which figures
+/// (none named, or `all`, means every one).
+struct Args {
+    out_dir: String,
+    full_scale: bool,
+    figures: Vec<String>,
+}
+
+impl Args {
+    fn parse(args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            out_dir: "figures_out".to_string(),
+            full_scale: false,
+            figures: Vec::new(),
+        };
+        let mut all = false;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--out" => parsed.out_dir = args.next().ok_or("--out needs a directory")?.clone(),
+                "--full-scale" => parsed.full_scale = true,
+                "all" => all = true,
+                fig if FIGURES.contains(&fig) => parsed.figures.push(fig.to_string()),
+                other => {
+                    return Err(format!(
+                        "unknown argument '{other}' (expected --out DIR, --full-scale, all or {})",
+                        FIGURES.join(", ")
+                    ))
+                }
+            }
+        }
+        if all || parsed.figures.is_empty() {
+            parsed.figures = FIGURES.map(String::from).to_vec();
+        }
+        Ok(parsed)
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full_scale = args.iter().any(|a| a == "--full-scale");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "figures_out".to_string());
-    let figs: Vec<String> = args
-        .iter()
-        .filter(|a| a.starts_with("fig"))
-        .cloned()
-        .collect();
-    let all = figs.is_empty() || args.iter().any(|a| a == "all");
-    let want = |f: &str| all || figs.iter().any(|g| g == f);
+    let args = Args::parse(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}");
+        std::process::exit(2)
+    });
+    let want = |f: &str| args.figures.iter().any(|g| g == f);
 
-    let scale = if full_scale {
+    let scale = if args.full_scale {
         Scale::Paper
     } else {
         Scale::Mini
@@ -88,7 +123,7 @@ fn main() {
 
     let ctx = Ctx {
         scale,
-        out_dir,
+        out_dir: args.out_dir.clone(),
         cfg,
         trace,
         mesh,
@@ -108,14 +143,16 @@ fn main() {
     if want("fig7") {
         fig7(&ctx);
     }
-    // Figs 8 and 9 read one mapping comparison, Figs 10a and 10b one
-    // filter study: each study runs once for whichever of its figures are
-    // asked for.
+    // Figs 8 and 9 read one mapping comparison: it runs once for whichever
+    // of the two are asked for.
     if want("fig8") || want("fig9") {
         fig8_9(&ctx, want("fig8"), want("fig9"));
     }
-    if want("fig10a") || want("fig10b") {
-        fig10(&ctx, want("fig10a"), want("fig10b"));
+    if want("fig10a") {
+        fig10a(&ctx);
+    }
+    if want("fig10b") {
+        fig10b(&ctx);
     }
     eprintln!("# CSVs written to {}/", ctx.out_dir);
 }
@@ -132,19 +169,28 @@ fn fig5_threshold(scale: Scale) -> f64 {
     }
 }
 
-/// Ghost-free element-based workloads at `rank_counts`, from one replay.
-fn element_workloads(ctx: &Ctx, rank_counts: &[usize]) -> Vec<DynamicWorkload> {
-    let filter = ctx.cfg.projection_filter;
-    let points: Vec<SweepPoint> = (rank_counts.iter())
-        .map(|&ranks| {
-            let mut wcfg = WorkloadConfig::new(ranks, MappingAlgorithm::ElementBased, filter);
-            wcfg.compute_ghosts = false;
-            SweepPoint::new(wcfg)
-        })
-        .collect();
+/// Ghost-free workloads of every `mappings` × `rank_counts` point at one
+/// filter, from one replay, in [`SweepGridSpec`] order.
+fn ghost_free_grid(
+    ctx: &Ctx,
+    mappings: &[MappingAlgorithm],
+    rank_counts: &[usize],
+    filter: f64,
+) -> Vec<(SweepPoint, DynamicWorkload)> {
+    let grid = SweepGridSpec {
+        mappings: mappings.to_vec(),
+        ranks: rank_counts.to_vec(),
+        filters: vec![filter],
+        strides: vec![1],
+        compute_ghosts: false,
+    };
+    let points = grid.points();
     let opts = ReplayOptions::new(Some(&ctx.mesh), None, None);
-    replay(&ctx.trace, &points, &opts).expect("workload").0
+    let (workloads, _) = replay(&ctx.trace, &points, &opts).expect("workload");
+    points.into_iter().zip(workloads).collect()
 }
+
+const ELEMENT: [MappingAlgorithm; 1] = [MappingAlgorithm::ElementBased];
 
 fn heatmap_rank_count(scale: Scale) -> usize {
     match scale {
@@ -155,7 +201,8 @@ fn heatmap_rank_count(scale: Scale) -> usize {
 
 fn fig1a(ctx: &Ctx) {
     println!("\n== Fig 1a: particle-distribution heat map (element-based mapping) ==");
-    let w = element_workloads(ctx, &[heatmap_rank_count(ctx.scale)]).remove(0);
+    let ranks = [heatmap_rank_count(ctx.scale)];
+    let (_, w) = ghost_free_grid(ctx, &ELEMENT, &ranks, ctx.cfg.projection_filter).remove(0);
     let csv = w.real.to_csv();
     let path = write_csv(&ctx.out_dir, "fig1a_heatmap.csv", &csv).expect("write csv");
     let pgm = std::path::Path::new(&ctx.out_dir).join("fig1a_heatmap.ppm");
@@ -183,8 +230,9 @@ fn fig1b(ctx: &Ctx) {
     println!("\n== Fig 1b: ranks with non-zero particles, per rank count ==");
     let mut csv = String::from("ranks,mean_active,mean_active_pct,mean_idle_pct\n");
     let mut idle_pcts = Vec::new();
-    let sweep = ctx.scale.rank_sweep();
-    for (&ranks, w) in sweep.iter().zip(element_workloads(ctx, &sweep)) {
+    let filter = ctx.cfg.projection_filter;
+    for (p, w) in ghost_free_grid(ctx, &ELEMENT, &ctx.scale.rank_sweep(), filter) {
+        let ranks = p.config.ranks;
         let series = metrics::active_fraction_series(&w.real);
         let mean_active = pic_types::stats::mean(&series);
         let idle_pct = 100.0 * (1.0 - mean_active);
@@ -212,32 +260,28 @@ fn fig1b(ctx: &Ctx) {
 fn fig5(ctx: &Ctx) {
     println!("\n== Fig 5: max particles per rank over iterations (bin-based) ==");
     let threshold = fig5_threshold(ctx.scale);
-    let sweep = ctx.scale.rank_sweep();
-    let pts = studies::scalability_study(
-        &ctx.trace,
-        None,
-        MappingAlgorithm::BinBased,
-        threshold,
-        &sweep,
-    )
-    .expect("study");
+    let bins = [MappingAlgorithm::BinBased];
+    let grid = ghost_free_grid(ctx, &bins, &ctx.scale.rank_sweep(), threshold);
+    let pts: Vec<(usize, Vec<u32>)> = (grid.iter())
+        .map(|(p, w)| (p.config.ranks, w.real.peak_series()))
+        .collect();
     let iters = ctx.trace.iterations();
     let mut csv = String::from("iteration");
-    for p in &pts {
-        csv.push_str(&format!(",R{}", p.ranks));
+    for (ranks, _) in &pts {
+        csv.push_str(&format!(",R{ranks}"));
     }
     csv.push('\n');
     print!("  iteration ");
-    for p in &pts {
-        print!("{:>10}", format!("R={}", p.ranks));
+    for (ranks, _) in &pts {
+        print!("{:>10}", format!("R={ranks}"));
     }
     println!();
     for (t, &iter) in iters.iter().enumerate() {
         print!("  {iter:>9} ");
         csv.push_str(&iter.to_string());
-        for p in &pts {
-            print!("{:>10}", p.peak_series[t]);
-            csv.push_str(&format!(",{}", p.peak_series[t]));
+        for (_, peaks) in &pts {
+            print!("{:>10}", peaks[t]);
+            csv.push_str(&format!(",{}", peaks[t]));
         }
         println!();
         csv.push('\n');
@@ -249,16 +293,16 @@ fn fig5(ctx: &Ctx) {
 fn fig6(ctx: &Ctx) {
     println!("\n== Fig 6: particle bins generated over the run (unbounded) ==");
     let threshold = fig5_threshold(ctx.scale);
-    let study = studies::optimal_rank_study(&ctx.trace, threshold).expect("study");
+    let series = unbounded_bin_series(&ctx.trace, threshold).expect("bin series");
     let mut csv = String::from("iteration,bins\n");
-    for (iter, bins) in study.iterations.iter().zip(&study.bin_series) {
+    for (iter, bins) in ctx.trace.iterations().iter().zip(&series) {
         println!("  iteration {iter:>7}: {bins} bins");
         csv.push_str(&format!("{iter},{bins}\n"));
     }
     write_csv(&ctx.out_dir, "fig6_bin_counts.csv", &csv).expect("write csv");
     println!(
         "  => optimal processor count: {} (paper found 1104)",
-        study.optimal_rank_count()
+        series.iter().max().unwrap_or(&0)
     );
 }
 
@@ -322,43 +366,36 @@ fn fig7(ctx: &Ctx) {
     );
 }
 
+/// One rank count of the mapping comparison: its element- and bin-based
+/// workloads.
+type Compared<'a> = (usize, &'a DynamicWorkload, &'a DynamicWorkload);
+
 fn fig8_9(ctx: &Ctx, fig8: bool, fig9: bool) {
-    let sweep = ctx.scale.rank_sweep();
-    let evals = studies::mapping_comparison(
-        &ctx.trace,
-        Some(&ctx.mesh),
-        ctx.cfg.projection_filter,
-        &sweep,
-        &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-    )
-    .expect("comparison");
-    let eval = |mapping, ranks| {
-        (evals.iter())
-            .find(|e| e.mapping == mapping && e.ranks == ranks)
-            .unwrap()
-    };
+    let mappings = [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased];
+    let filter = ctx.cfg.projection_filter;
+    let grid = ghost_free_grid(ctx, &mappings, &ctx.scale.rank_sweep(), filter);
+    // mapping-major: the element-based half, then the bin-based half
+    let (element, bin) = grid.split_at(grid.len() / 2);
+    let rows: Vec<Compared> = (element.iter().zip(bin))
+        .map(|((p, el), (_, bin))| (p.config.ranks, el, bin))
+        .collect();
     if fig8 {
-        print_fig8(ctx, &sweep, eval);
+        print_fig8(ctx, &rows);
     }
     if fig9 {
-        print_fig9(ctx, &sweep, eval);
+        print_fig9(ctx, &rows);
     }
 }
 
-fn print_fig8<'a>(
-    ctx: &Ctx,
-    sweep: &[usize],
-    eval: impl Fn(MappingAlgorithm, usize) -> &'a studies::MappingEvaluation,
-) {
+fn print_fig8(ctx: &Ctx, rows: &[Compared]) {
     println!("\n== Fig 8: peak particle workload, bin- vs element-based ==");
     let mut csv = String::from("ranks,element_peak,bin_peak,ratio\n");
     println!(
         "  {:>8} {:>14} {:>10} {:>8}",
         "ranks", "element peak", "bin peak", "ratio"
     );
-    for &r in sweep {
-        let el = eval(MappingAlgorithm::ElementBased, r).peak_workload;
-        let bin = eval(MappingAlgorithm::BinBased, r).peak_workload;
+    for &(r, el, bin) in rows {
+        let (el, bin) = (el.peak_workload(), bin.peak_workload());
         let ratio = el as f64 / bin.max(1) as f64;
         println!("  {r:>8} {el:>14} {bin:>10} {ratio:>7.1}x");
         csv.push_str(&format!("{r},{el},{bin},{ratio:.2}\n"));
@@ -367,88 +404,123 @@ fn print_fig8<'a>(
     println!("  (paper: roughly two orders of magnitude at full scale)");
 }
 
-fn print_fig9<'a>(
-    ctx: &Ctx,
-    sweep: &[usize],
-    eval: impl Fn(MappingAlgorithm, usize) -> &'a studies::MappingEvaluation,
-) {
+fn print_fig9(ctx: &Ctx, rows: &[Compared]) {
     println!("\n== Fig 9: processor utilization, bin- vs element-based ==");
     let mut csv = String::from("ranks,element_active,element_pct,bin_active,bin_pct\n");
     println!(
         "  {:>8} {:>22} {:>22}",
         "ranks", "element active (pct)", "bin active (pct)"
     );
-    for &r in sweep {
-        let (el, bin) = (
-            eval(MappingAlgorithm::ElementBased, r),
-            eval(MappingAlgorithm::BinBased, r),
-        );
-        println!(
-            "  {r:>8} {:>14} ({:>5.2}%) {:>14} ({:>5.2}%)",
-            el.active_ranks,
-            100.0 * el.resource_utilization,
-            bin.active_ranks,
-            100.0 * bin.resource_utilization
-        );
+    for &(r, el, bin) in rows {
+        let [(el_active, el_pct), (bin_active, bin_pct)] = [el, bin].map(|w| {
+            let pct = 100.0 * metrics::resource_utilization(&w.real);
+            (metrics::active_rank_count(&w.real), pct)
+        });
+        println!("  {r:>8} {el_active:>14} ({el_pct:>5.2}%) {bin_active:>14} ({bin_pct:>5.2}%)");
         csv.push_str(&format!(
-            "{r},{},{:.3},{},{:.3}\n",
-            el.active_ranks,
-            100.0 * el.resource_utilization,
-            bin.active_ranks,
-            100.0 * bin.resource_utilization
+            "{r},{el_active},{el_pct:.3},{bin_active},{bin_pct:.3}\n"
         ));
     }
     write_csv(&ctx.out_dir, "fig9_utilization.csv", &csv).expect("write csv");
     println!("  (paper at R=1044: element 4 ranks = 0.68%, bin 584 ranks = 56.13%)");
 }
 
-fn fig10(ctx: &Ctx, part_a: bool, part_b: bool) {
-    let filters = ctx.scale.filter_sweep();
-    let ranks = ctx.scale.rank_sweep()[0];
-    let models = oracle_models(ctx.cfg.seed);
-    // uniform element share per rank for the prediction features
-    let nel = (ctx.cfg.element_count() / ranks).max(1) as u32;
-    let elements = vec![nel; ranks];
-    let pts = studies::filter_study(
-        &ctx.trace,
-        ranks,
-        &filters,
-        &models,
-        &elements,
-        ctx.cfg.order,
-    )
-    .expect("filter study");
-    if part_a {
-        println!("\n== Fig 10a: projection-filter parameter study ==");
-        let mut csv = String::from("filter,max_bins\n");
-        for p in &pts {
-            println!("  filter {:>7.3}: max bins {}", p.filter, p.max_bins);
-            csv.push_str(&format!("{},{}\n", p.filter, p.max_bins));
-        }
-        write_csv(&ctx.out_dir, "fig10a_bins_vs_filter.csv", &csv).expect("write csv");
-        println!("  (smaller filter ⇒ lower threshold ⇒ more bins; paper shape identical)");
+fn fig10a(ctx: &Ctx) {
+    println!("\n== Fig 10a: projection-filter parameter study ==");
+    let mut csv = String::from("filter,max_bins\n");
+    for filter in ctx.scale.filter_sweep() {
+        let series = unbounded_bin_series(&ctx.trace, filter).expect("bin series");
+        let max_bins = series.into_iter().max().unwrap_or(0);
+        println!("  filter {filter:>7.3}: max bins {max_bins}");
+        csv.push_str(&format!("{filter},{max_bins}\n"));
     }
-    if part_b {
-        println!("\n== Fig 10b: projection-filter parameter study ==");
-        let mut csv = String::from("filter,total_ghosts,create_ghost_seconds\n");
-        for p in &pts {
-            println!(
-                "  filter {:>7.3}: ghosts {:>10}, create_ghost_particles {:.4e} s",
-                p.filter, p.total_ghosts, p.ghost_kernel_seconds
-            );
-            csv.push_str(&format!(
-                "{},{},{:.6e}\n",
-                p.filter, p.total_ghosts, p.ghost_kernel_seconds
-            ));
-        }
-        write_csv(&ctx.out_dir, "fig10b_ghost_kernel.csv", &csv).expect("write csv");
+    write_csv(&ctx.out_dir, "fig10a_bins_vs_filter.csv", &csv).expect("write csv");
+    println!("  (smaller filter ⇒ lower threshold ⇒ more bins; paper shape identical)");
+}
+
+/// The filter sweep through the product: bin-based predictions at the
+/// smallest rank count, one per filter, with the fluid share per rank that
+/// `predict` derives from the mesh.
+fn fig10b(ctx: &Ctx) {
+    println!("\n== Fig 10b: projection-filter parameter study ==");
+    let ranks = ctx.scale.rank_sweep()[0];
+    let grid = SweepGridSpec {
+        mappings: vec![MappingAlgorithm::BinBased],
+        ranks: vec![ranks],
+        filters: ctx.scale.filter_sweep(),
+        strides: vec![1],
+        compute_ghosts: true,
+    };
+    let specs: Vec<PredictSpec> = (grid.points().iter())
+        .map(|p| PredictSpec {
+            mapping: p.config.mapping,
+            filter: p.config.projection_filter,
+            mesh: Some(ctx.cfg.mesh_dims),
+            order: ctx.cfg.order,
+            ..PredictSpec::new(p.config.ranks)
+        })
+        .collect();
+    let models = oracle_models(ctx.cfg.seed);
+    let predictions = predict_grid(&ctx.trace, &models, &specs, None).expect("filter study");
+    let ghost_seconds: Vec<f64> = (predictions.iter())
+        .map(|p| p.critical_kernel_seconds(KernelKind::CreateGhostParticles))
+        .collect();
+    let mut csv = String::from("filter,total_ghosts,create_ghost_seconds\n");
+    for ((spec, p), seconds) in specs.iter().zip(&predictions).zip(&ghost_seconds) {
+        let (filter, ghosts) = (spec.filter, p.summary.total_ghosts);
         println!(
-            "  series: {}",
-            fmt_series(
-                &pts.iter()
-                    .map(|p| p.ghost_kernel_seconds)
-                    .collect::<Vec<_>>()
-            )
+            "  filter {filter:>7.3}: ghosts {ghosts:>10}, create_ghost_particles {seconds:.4e} s"
         );
+        csv.push_str(&format!("{filter},{ghosts},{seconds:.6e}\n"));
+    }
+    write_csv(&ctx.out_dir, "fig10b_ghost_kernel.csv", &csv).expect("write csv");
+    println!("  series: {}", fmt_series(&ghost_seconds));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// An out directory is never read as a figure name, whatever it is
+    /// called: the default `figures_out` included.
+    #[test]
+    fn out_dir_named_like_a_figure_still_selects_every_figure() {
+        for line in ["--out figures_out", "--out fig10b", "--out fig5 all"] {
+            let args = parse(line).unwrap();
+            assert_eq!(args.figures, FIGURES.map(String::from).to_vec(), "{line}");
+            assert_eq!(args.out_dir, line.split_whitespace().nth(1).unwrap());
+        }
+        let args = parse("fig5 --out figures_out fig10b --full-scale").unwrap();
+        assert_eq!(
+            (args.out_dir.as_str(), args.full_scale),
+            ("figures_out", true)
+        );
+        assert_eq!(args.figures, ["fig5", "fig10b"]);
+        assert_eq!(parse("").unwrap().out_dir, "figures_out");
+    }
+
+    #[test]
+    fn unknown_words_are_refused_by_name() {
+        for (line, word) in [
+            ("fig11", "fig11"),
+            ("fig5 fig10", "fig10"),
+            ("--scale", "--scale"),
+        ] {
+            let err = parse(line).err().unwrap();
+            assert!(
+                err.starts_with(&format!("unknown argument '{word}'")),
+                "{line}: {err}"
+            );
+        }
+        assert_eq!(parse("--out").err().unwrap(), "--out needs a directory");
     }
 }

@@ -12,7 +12,7 @@
 
 /// Legendre polynomial `P_n(x)` and its derivative, via the three-term
 /// recurrence. Returns `(P_n(x), P'_n(x))`.
-pub fn legendre(n: usize, x: f64) -> (f64, f64) {
+fn legendre(n: usize, x: f64) -> (f64, f64) {
     match n {
         0 => (1.0, 0.0),
         1 => (x, 1.0),

@@ -27,10 +27,7 @@ impl ElementMapper {
     }
 
     /// Build a mapper from an existing element decomposition.
-    pub fn with_decomposition(
-        mesh: &ElementMesh,
-        decomp: RcbDecomposition,
-    ) -> Result<ElementMapper> {
+    fn with_decomposition(mesh: &ElementMesh, decomp: RcbDecomposition) -> Result<ElementMapper> {
         let regions = Rank::all(decomp.ranks())
             .map(|r| decomp.rank_region(r))
             .collect();

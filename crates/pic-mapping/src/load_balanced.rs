@@ -45,7 +45,7 @@ impl LoadBalancedMapper {
     }
 
     /// Build with an explicit particle weight (must be non-negative).
-    pub fn with_particle_weight(
+    fn with_particle_weight(
         mesh: &ElementMesh,
         ranks: usize,
         particle_weight: f64,

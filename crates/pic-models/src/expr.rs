@@ -225,7 +225,7 @@ impl Expr {
     /// Canonicalizing simplifier: constant folding (with the protected
     /// division semantics of [`Expr::eval`]), algebraic identity
     /// elimination, and a commutative-operand normal form (`Add`/`Mul`
-    /// operands sorted by [`Expr::structural_cmp`], which is bit-exact
+    /// operands sorted by `Expr::structural_cmp`, which is bit-exact
     /// because IEEE-754 `+` and `×` are commutative).
     ///
     /// Guarantees relied on by the GP admission pass and the analyzer:
@@ -291,7 +291,7 @@ impl Expr {
     /// (constants by `total_cmp`, variables by index, branches
     /// lexicographically). Used to pick the canonical operand order of
     /// commutative nodes.
-    pub fn structural_cmp(&self, other: &Expr) -> std::cmp::Ordering {
+    fn structural_cmp(&self, other: &Expr) -> std::cmp::Ordering {
         match (self, other) {
             (Expr::Const(a), Expr::Const(b)) => a.total_cmp(b),
             (Expr::Var(a), Expr::Var(b)) => a.cmp(b),
@@ -308,7 +308,7 @@ impl Expr {
     /// FNV-1a hash over the preorder structure (variant tags, variable
     /// indices, constant bit patterns). Trees that compare
     /// [`Equal`](std::cmp::Ordering::Equal) under
-    /// [`Expr::structural_cmp`] hash identically, so the hash serves as a
+    /// `Expr::structural_cmp` hash identically, so the hash serves as a
     /// cheap key for subtree deduplication in the analyzer.
     pub fn structural_hash(&self) -> u64 {
         fn mix(h: u64, byte: u8) -> u64 {

@@ -5,17 +5,18 @@
 //! picpredict workload  --trace t.pictrace --ranks 128 --mapping bin-based
 //!                      [--stream true] [--filter 0.03] [--mesh 6x6x6 --order 3] [--out dir]
 //! picpredict fit       --records rec.json --out models.json [--strategy linear|auto]
-//! picpredict predict   --trace t.pictrace --models models.json --ranks 128
-//!                      [--mapping bin-based] [--machine quartz|vulcan|localhost|FILE]
-//!                      [--mesh 6x6x6 --order 3] [--filter 0.03] [--sync barrier|neighbor]
+//! picpredict predict   --trace t.pictrace --models models.json --ranks 128[,256…]
+//!                      [--mapping bin-based[,…]] [--machine quartz|vulcan|localhost|FILE]
+//!                      [--mesh 6x6x6 --order 3] [--filter 0.03[,…]] [--sync barrier|neighbor]
 //! picpredict extrapolate --trace t.pictrace --out big.pictrace --particles 100000
 //! ```
 //!
 //! `run` executes the mini PIC application and writes the trace + timing
 //! records; the other commands never touch the application again — they
 //! are the paper's "predict anything from one trace" workflow. `predict`
-//! is [`pic_predict::predict`] and prints its answer as one compact JSON
-//! line, byte for byte what the service's `/predict` returns for the same
+//! is [`pic_predict::predict_grid`] over the cross product of its list
+//! flags and prints one compact JSON line per point; for one point that is
+//! byte for byte what the service's `/predict` returns for the same
 //! request. Mapping, sync-mode and mesh names are parsed by the types that
 //! own them, defaults are the library's constants, and boolean flags take
 //! `true` or `false`.
@@ -60,12 +61,13 @@ const USAGE: &str = "usage:
   picpredict workload --trace t.pictrace --ranks N --mapping M [--stream true] [--filter F] [--mesh AxBxC --order K] [--out DIR]
   picpredict benchmark --out rec.json [--wallclock true] [--order K] [--filter F]
   picpredict fit --records rec.json --out models.json [--strategy linear|auto]
-  picpredict predict --trace t.pictrace --models models.json --ranks N [--mapping M] [--machine NAME|FILE] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F]
-                     # stdout: one compact JSON line, the bytes serve's /predict answers with
+  picpredict predict --trace t.pictrace --models models.json --ranks N[,N2] [--mapping M[,M2]] [--machine NAME|FILE] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F[,F2]]
+                     # stdout: one compact JSON line per point (mapping-major, as sweep),
+                     # for one point the bytes serve's /predict answers with
   picpredict extrapolate --trace t.pictrace --out big.pictrace --particles N [--seed S]
   picpredict study scalability --trace T --ranks 16,32,64 --mapping M [--filter F] [--mesh AxBxC --order K]
   picpredict study bins --trace T --filter F
-  picpredict study sampling --trace T --ranks N --mapping M --strides 1,2,4 [--filter F] [--mesh AxBxC]
+  picpredict study sampling --trace T --ranks N --mapping M --strides 1,2,4 [--filter F] [--mesh AxBxC --order K]
   picpredict sweep --trace T --ranks 16,32 [--mappings M1,M2] [--filters F1,F2] [--strides 1,2]
                    [--ghosts false] [--stream true] [--mesh AxBxC --order K] [--out grid.json]
   picpredict simpoint --trace T --ranks N --mapping M [--k K] [--k-max 16] [--seed S] [--bins B]
@@ -238,8 +240,9 @@ fn mesh_flag(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<Ele
     )?))
 }
 
-/// The flags each command reads; `None` for an unknown command.
-fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+/// The flags each command (and each `study` kind) reads; `None` for an
+/// unknown one.
+fn command_flags(cmd: &str, kind: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
         "run" => &["config", "trace", "records", "precision"],
         "default-config" => &[],
@@ -254,9 +257,14 @@ fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "trace", "models", "ranks", "mapping", "machine", "sync", "filter", "mesh", "order",
         ],
         "extrapolate" => &["trace", "out", "particles", "seed"],
-        "study" => &[
-            "trace", "ranks", "mapping", "filter", "mesh", "order", "strides",
-        ],
+        "study" => match kind {
+            "scalability" => &["trace", "ranks", "mapping", "filter", "mesh", "order"],
+            "bins" => &["trace", "filter"],
+            "sampling" => &[
+                "trace", "ranks", "mapping", "filter", "mesh", "order", "strides",
+            ],
+            _ => return None,
+        },
         "sweep" => &[
             "trace", "ranks", "mappings", "filters", "strides", "ghosts", "stream", "mesh",
             "order", "out",
@@ -274,16 +282,22 @@ fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
 fn dispatch(args: &[String]) -> Result<()> {
     let (positional, flags) = parse_flags(args);
     let cmd = positional.first().map(|s| s.as_str()).unwrap_or("");
+    let kind = positional.get(1).map_or("", String::as_str);
     // A flag the command does not read is a typo or a retired option, not
     // something to skip silently.
-    if let Some(known) = command_flags(cmd) {
+    if let Some(known) = command_flags(cmd, kind) {
         let unknown = flags
             .keys()
             .filter(|k| *k != "threads" && !known.contains(&k.as_str()))
             .min();
         if let Some(flag) = unknown {
+            let name = if cmd == "study" {
+                format!("study {kind}")
+            } else {
+                cmd.to_string()
+            };
             return Err(PicError::config(format!(
-                "unknown flag --{flag} for '{cmd}'"
+                "unknown flag --{flag} for '{name}'"
             )));
         }
     }
@@ -295,12 +309,12 @@ fn dispatch(args: &[String]) -> Result<()> {
             .num_threads(n)
             .build()
             .map_err(|e| PicError::config(format!("cannot build {n}-thread pool: {e}")))?;
-        return pool.install(|| dispatch_cmd(cmd, &positional, &flags));
+        return pool.install(|| dispatch_cmd(cmd, kind, &flags));
     }
-    dispatch_cmd(cmd, &positional, &flags)
+    dispatch_cmd(cmd, kind, &flags)
 }
 
-fn dispatch_cmd(cmd: &str, positional: &[String], flags: &HashMap<String, String>) -> Result<()> {
+fn dispatch_cmd(cmd: &str, kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     match cmd {
         "run" => cmd_run(flags),
         "default-config" => {
@@ -314,7 +328,7 @@ fn dispatch_cmd(cmd: &str, positional: &[String], flags: &HashMap<String, String
         "fit" => cmd_fit(flags),
         "predict" => cmd_predict(flags),
         "extrapolate" => cmd_extrapolate(flags),
-        "study" => cmd_study(positional.get(1).map(String::as_str).unwrap_or(""), flags),
+        "study" => cmd_study(kind, flags),
         "sweep" => cmd_sweep(flags),
         "simpoint" => cmd_simpoint(flags),
         "compact" => cmd_compact(flags),
@@ -588,113 +602,144 @@ fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
-    let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let machine = flags.get("machine").map_or(DEFAULT_MACHINE, String::as_str);
-    let spec = PredictSpec {
-        ranks: parse_flag("ranks", required(flags, "ranks")?)?,
-        mapping: named_or(flags, "mapping", DEFAULT_MAPPING)?,
-        filter: flag_or(flags, "filter", DEFAULT_FILTER)?,
+/// The specs `predict`'s flags name: the cross product of `--ranks`,
+/// `--mapping` and `--filter`, each a comma list, in
+/// [`pic_predict::SweepGridSpec`] order, sharing every other flag.
+fn predict_specs(flags: &HashMap<String, String>) -> Result<Vec<PredictSpec>> {
+    let grid = pic_predict::SweepGridSpec {
+        ranks: parse_list("ranks", required(flags, "ranks")?, parse_flag)?,
+        mappings: list_or(flags, "mapping", vec![DEFAULT_MAPPING], parse_named)?,
+        filters: list_or(flags, "filter", vec![DEFAULT_FILTER], parse_flag)?,
+        strides: vec![1],
+        compute_ghosts: true,
+    };
+    let base = PredictSpec {
         mesh: flags
             .get("mesh")
             .map(|s| parse_named("mesh", s))
             .transpose()?,
         order: flag_or(flags, "order", DEFAULT_ORDER)?,
-        machine: parse_machine(machine)?,
+        machine: parse_machine(flags.get("machine").map_or(DEFAULT_MACHINE, String::as_str))?,
         sync: named_or(flags, "sync", DEFAULT_SYNC)?,
+        ..PredictSpec::new(0)
     };
+    Ok((grid.points().iter())
+        .map(|p| PredictSpec {
+            ranks: p.config.ranks,
+            mapping: p.config.mapping,
+            filter: p.config.projection_filter,
+            ..base.clone()
+        })
+        .collect())
+}
+
+fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
+    let trace = load_trace(required(flags, "trace")?)?;
+    let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
+    let specs = predict_specs(flags)?;
     let t0 = std::time::Instant::now();
-    let prediction = pic_predict::predict(&trace, &models, &spec, None)?;
+    let predictions = pic_predict::predict_grid(&trace, &models, &specs, None)?;
     // machine-readable result on stdout, human summary on stderr
-    println!("{prediction}");
-    let t = &prediction.timeline;
-    eprintln!("machine:             {}", prediction.machine);
-    eprintln!("sync mode:           {}", prediction.sync);
-    eprintln!("predicted time:      {:.6} s", t.total_seconds);
-    eprintln!(
-        "mean idle fraction:  {:.2}%",
-        100.0 * t.mean_idle_fraction()
-    );
-    eprintln!("events processed:    {}", t.events_processed);
+    for prediction in &predictions {
+        println!("{prediction}");
+        let t = &prediction.timeline;
+        eprintln!("machine:             {}", prediction.machine);
+        eprintln!("sync mode:           {}", prediction.sync);
+        eprintln!("predicted time:      {:.6} s", t.total_seconds);
+        eprintln!(
+            "mean idle fraction:  {:.2}%",
+            100.0 * t.mean_idle_fraction()
+        );
+        eprintln!("events processed:    {}", t.events_processed);
+    }
     eprintln!("predicted in:        {:.3} s", t0.elapsed().as_secs_f64());
     Ok(())
 }
 
-/// A comma-separated list of numbers or of names its type parses.
-fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| PicError::config(format!("bad {what} entry '{p}'")))
-        })
-        .collect()
+/// The comma-separated list `s` given for `--key`, each entry parsed as the
+/// flag's single value would be ([`parse_flag`] or [`parse_named`]).
+fn parse_list<T>(key: &str, s: &str, parse: fn(&str, &str) -> Result<T>) -> Result<Vec<T>> {
+    s.split(',').map(|p| parse(key, p.trim())).collect()
 }
 
-/// The paper's three analysis drivers plus the sampling-frequency study,
-/// straight from the command line.
+/// `--key` through [`parse_list`], or `default` when the flag is absent.
+fn list_or<T>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: Vec<T>,
+    parse: fn(&str, &str) -> Result<T>,
+) -> Result<Vec<T>> {
+    flags
+        .get(key)
+        .map_or(Ok(default), |s| parse_list(key, s, parse))
+}
+
+/// The paper's workload studies straight from the command line: the
+/// scalability and sampling-fidelity studies are projections of one
+/// ghost-free grid replay, the bin study is the unbounded bin series.
 fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
     let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
+    let replay_grid = |ranks: Vec<usize>, strides: Vec<usize>| -> Result<Vec<_>> {
+        let grid = pic_predict::SweepGridSpec {
+            mappings: vec![named_or(flags, "mapping", DEFAULT_MAPPING)?],
+            ranks,
+            filters: vec![filter],
+            strides,
+            compute_ghosts: false,
+        };
+        let mesh = mesh_flag(flags, trace.meta().domain)?;
+        let points = grid.points();
+        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
+        let (workloads, _) = pic_workload::replay(&trace, &points, &opts)?;
+        Ok(points.into_iter().zip(workloads).collect())
+    };
     match kind {
         "scalability" => {
-            let ranks = parse_list(required(flags, "ranks")?, "ranks")?;
-            let mapping = named_or(flags, "mapping", DEFAULT_MAPPING)?;
-            let mesh = mesh_flag(flags, trace.meta().domain)?;
-            let pts = pic_predict::studies::scalability_study(
-                &trace,
-                mesh.as_ref(),
-                mapping,
-                filter,
-                &ranks,
-            )?;
+            let ranks = parse_list("ranks", required(flags, "ranks")?, parse_flag)?;
+            let rows = replay_grid(ranks, vec![1])?;
             println!(
                 "{:>8} {:>12} {:>14} {:>12}",
                 "ranks", "peak", "utilization", "migrations"
             );
-            for p in &pts {
+            for (p, w) in &rows {
+                let summary = metrics::summarize(w);
                 println!(
                     "{:>8} {:>12} {:>13.1}% {:>12}",
-                    p.ranks,
-                    p.summary.peak_workload,
-                    100.0 * p.summary.resource_utilization,
-                    p.summary.total_migrations
+                    p.config.ranks,
+                    summary.peak_workload,
+                    100.0 * summary.resource_utilization,
+                    summary.total_migrations
                 );
             }
         }
         "bins" => {
-            let study = pic_predict::studies::optimal_rank_study(&trace, filter)?;
-            for (iter, bins) in study.iterations.iter().zip(&study.bin_series) {
+            let bins = pic_workload::generator::unbounded_bin_series(&trace, filter)?;
+            for (iter, bins) in trace.iterations().iter().zip(&bins) {
                 println!("iteration {iter:>8}: {bins} bins");
             }
-            println!("optimal processor count: {}", study.optimal_rank_count());
+            println!(
+                "optimal processor count: {}",
+                bins.iter().max().unwrap_or(&0)
+            );
         }
         "sampling" => {
-            let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-            let mapping = named_or(flags, "mapping", DEFAULT_MAPPING)?;
-            let strides = match flags.get("strides") {
-                Some(s) => parse_list(s, "strides")?,
-                None => vec![1, 2, 4, 8],
-            };
-            let mesh = mesh_flag(flags, trace.meta().domain)?;
-            let pts = pic_predict::studies::sampling_frequency_study(
-                &trace,
-                ranks,
-                mapping,
-                mesh.as_ref(),
-                filter,
-                &strides,
-            )?;
+            let ranks = parse_flag("ranks", required(flags, "ranks")?)?;
+            let strides = list_or(flags, "strides", vec![1, 2, 4, 8], parse_flag)?;
+            // row 0 is the stride-1 reference the others are scored against
+            let rows = replay_grid(vec![ranks], std::iter::once(1).chain(strides).collect())?;
             println!(
                 "{:>8} {:>14} {:>16} {:>22}",
                 "stride", "trace bytes", "peak MAPE [%]", "migration loss [%]"
             );
-            for p in &pts {
-                println!(
-                    "{:>8} {:>14} {:>16.2} {:>22.2}",
-                    p.stride, p.trace_bytes, p.peak_workload_mape, p.migration_undercount_pct
+            for (p, w) in &rows[1..] {
+                let (mape, lost) = metrics::sampling_fidelity(&rows[0].1, w, p.stride);
+                let bytes = pic_trace::stats::estimated_file_size(
+                    trace.particle_count(),
+                    w.samples(),
+                    pic_trace::Precision::F32,
                 );
+                println!("{:>8} {bytes:>14} {mape:>16.2} {lost:>22.2}", p.stride);
             }
         }
         other => {
@@ -714,19 +759,10 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     let trace_path = required(flags, "trace")?;
     let spec = pic_predict::SweepGridSpec {
-        ranks: parse_list(required(flags, "ranks")?, "ranks")?,
-        mappings: match flags.get("mappings") {
-            Some(s) => parse_list(s, "mappings")?,
-            None => vec![DEFAULT_MAPPING],
-        },
-        filters: match flags.get("filters") {
-            Some(s) => parse_list(s, "filters")?,
-            None => vec![DEFAULT_FILTER],
-        },
-        strides: match flags.get("strides") {
-            Some(s) => parse_list(s, "strides")?,
-            None => vec![1],
-        },
+        ranks: parse_list("ranks", required(flags, "ranks")?, parse_flag)?,
+        mappings: list_or(flags, "mappings", vec![DEFAULT_MAPPING], parse_named)?,
+        filters: list_or(flags, "filters", vec![DEFAULT_FILTER], parse_flag)?,
+        strides: list_or(flags, "strides", vec![1], parse_flag)?,
         compute_ghosts: bool_flag(flags, "ghosts", true)?,
     };
     spec.validate()?;
@@ -784,7 +820,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     );
     for (i, (p, w)) in points.iter().zip(&workloads).enumerate() {
         let summary = metrics::summarize(w);
-        let ghosts: u64 = (0..w.samples()).map(|t| w.ghost_recv.sample_total(t)).sum();
         println!(
             "{:>5} {:>16} {:>8} {:>10.4} {:>7} {:>10} {:>12.1}% {:>12} {:>12}",
             i,
@@ -795,7 +830,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
             summary.peak_workload,
             100.0 * summary.resource_utilization,
             summary.total_migrations,
-            ghosts
+            summary.total_ghosts
         );
     }
     if let Some(out) = flags.get("out") {
@@ -1088,7 +1123,8 @@ mod tests {
         let sweep = format!("sweep --trace {t} --ranks 4");
         // (command, flag appended to it, malformed value)
         let table = [
-            (predict.clone(), "--filter", "0,05"),
+            // `0,05` is the list [0, 5]; a decimal comma cannot be told apart
+            (predict.clone(), "--filter", "0;05"),
             (predict.clone(), "--order", "3rd"),
             (meshed, "--order", "three"),
             (predict.clone(), "--sync", "neighbour"),
@@ -1136,6 +1172,13 @@ mod tests {
         }
         // the same commands with the flag absent run on the documented default
         dispatch(&argv(&predict)).unwrap();
+        // a list flag names the entry that does not parse
+        let cmd = format!("{predict} --ranks 4,four");
+        let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+        assert!(
+            err.ends_with("--ranks must be an integer, got 'four'"),
+            "{err}"
+        );
         // dims that parse but whose element count wraps `usize` (2^66) are
         // refused by the mesh, naming them, on every command that builds one
         for cmd in [
@@ -1172,7 +1215,11 @@ mod tests {
                 "yes",
             ),
             (predict.clone(), "--filtr", "0.05"),
-            (sweep, "--mapping", "bin-based"),
+            (sweep.clone(), "--mapping", "bin-based"),
+            // each study kind reads its own flags
+            (format!("study bins --trace {t}"), "--ranks", "64"),
+            (format!("study bins --trace {t}"), "--mesh", "4x4x4"),
+            (format!("study scalability {placed}"), "--strides", "1,2"),
             ("check".to_string(), "--des", "true"),
             ("check".to_string(), "--serve", "true"),
             ("check".to_string(), "--pipeline", "true"),
@@ -1180,7 +1227,11 @@ mod tests {
         for (base, flag, value) in &unknown {
             let cmd = format!("{base} {flag} {value}");
             let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
-            let name = base.split_whitespace().next().unwrap();
+            let words: Vec<&str> = base.split_whitespace().collect();
+            let name = match words[0] {
+                "study" => words[..2].join(" "),
+                command => command.to_string(),
+            };
             assert_eq!(
                 err,
                 format!("configuration error: unknown flag {flag} for '{name}'")
@@ -1220,50 +1271,62 @@ mod tests {
 
     #[test]
     fn usize_list_parsing() {
-        assert_eq!(parse_list::<usize>("1,2, 4", "x").unwrap(), vec![1, 2, 4]);
-        assert!(parse_list::<usize>("1,a", "x").is_err());
+        assert_eq!(
+            parse_list::<usize>("x", "1,2, 4", parse_flag).unwrap(),
+            vec![1, 2, 4]
+        );
+        let err = parse_list::<usize>("x", "1,a", parse_flag).unwrap_err();
+        assert!(err.to_string().ends_with("--x must be an integer, got 'a'"));
     }
 
     #[test]
     fn f64_list_parsing() {
         assert_eq!(
-            parse_list::<f64>("0.01, 0.02,0.4", "x").unwrap(),
+            parse_list::<f64>("x", "0.01, 0.02,0.4", parse_flag).unwrap(),
             vec![0.01, 0.02, 0.4]
         );
-        assert!(parse_list::<f64>("0.01,oops", "x").is_err());
+        assert!(parse_list::<f64>("x", "0.01,oops", parse_flag).is_err());
         assert_eq!(
-            parse_list::<MappingAlgorithm>("bin-based, load-balanced", "x").unwrap(),
+            parse_list::<MappingAlgorithm>("x", "bin-based, load-balanced", parse_named).unwrap(),
             vec![MappingAlgorithm::BinBased, MappingAlgorithm::LoadBalanced]
         );
-        assert!(parse_list::<MappingAlgorithm>("bin-based,bins", "x").is_err());
+        let err = parse_list::<MappingAlgorithm>("x", "bin-based,bins", parse_named).unwrap_err();
+        assert!(
+            err.to_string().contains("--x: unknown mapping 'bins'"),
+            "{err}"
+        );
+        let (_, none) = parse_flags(&argv("x"));
+        assert_eq!(
+            list_or(&none, "filter", vec![0.03], parse_flag).unwrap(),
+            vec![0.03]
+        );
     }
 
+    /// `predict`'s list flags expand in `SweepGridSpec::points` order:
+    /// mapping-major, then ranks, then filter, every other flag shared.
     #[test]
-    fn sweep_grid_is_mapping_major_cross_product() {
-        // The expansion itself is tested in pic_predict::gridspec; here we
-        // check the CLI builds the spec in the same canonical order.
-        let spec = pic_predict::SweepGridSpec {
-            mappings: vec![MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-            ranks: vec![16, 32],
-            filters: vec![0.01, 0.02],
-            strides: vec![1],
-            compute_ghosts: true,
-        };
-        let points = spec.points();
-        assert_eq!(points.len(), 8);
-        // mapping-major: first half element-based, second half bin-based
-        assert!(points[..4]
-            .iter()
-            .all(|p| p.config.mapping == MappingAlgorithm::ElementBased));
-        assert!(points[4..]
-            .iter()
-            .all(|p| p.config.mapping == MappingAlgorithm::BinBased));
-        // then ranks, then filter
-        assert_eq!(points[0].config.ranks, 16);
-        assert_eq!(points[1].config.projection_filter, 0.02);
-        assert_eq!(points[2].config.ranks, 32);
-        assert!(points
-            .iter()
-            .all(|p| p.stride == 1 && p.config.compute_ghosts));
+    fn predict_list_flags_expand_mapping_major() {
+        let (_, flags) = parse_flags(&argv(
+            "predict --ranks 2,4 --mapping element-based,bin-based --filter 0.02,0.05 \
+             --mesh 2x2x2 --sync neighbor",
+        ));
+        let mut want = Vec::new();
+        for mapping in [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased] {
+            for ranks in [2, 4] {
+                for filter in [0.02, 0.05] {
+                    want.push(PredictSpec {
+                        mapping,
+                        filter,
+                        mesh: Some(pic_grid::MeshDims::cube(2)),
+                        sync: pic_des::SyncMode::NeighborSync,
+                        ..PredictSpec::new(ranks)
+                    });
+                }
+            }
+        }
+        assert_eq!(predict_specs(&flags).unwrap(), want);
+        // single values are the one-point grid, absent lists their default
+        let (_, flags) = parse_flags(&argv("predict --ranks 8"));
+        assert_eq!(predict_specs(&flags).unwrap(), vec![PredictSpec::new(8)]);
     }
 }

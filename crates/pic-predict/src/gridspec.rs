@@ -1,7 +1,7 @@
-//! The sweep-grid specification shared by the `picpredict sweep`
-//! subcommand and the resident prediction service.
+//! The one grid expansion: `picpredict sweep`, `predict` and `study`, the
+//! resident prediction service and the figures all expand their grids here.
 //!
-//! Both front ends must emit **bit-identical** grids for the same inputs
+//! The CLI and service must emit **bit-identical** grids for the same inputs
 //! (the serve integration tests diff the bytes), so the cross-product
 //! expansion order and the serialized entry shape live here, once.
 

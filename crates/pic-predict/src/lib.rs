@@ -22,22 +22,23 @@
 //!   CLI's `predict`, the service's `/predict` and the case study call it
 //!   and print its `Display`; [`predict_workload`] is its tail over a
 //!   workload already in hand, and [`pipeline`] has the stages it composes;
+//! * [`predict_grid`] — the paper's design-space exploration (§II-D, §IV):
+//!   many specs from one replay, of which `predict` is the one-point case.
+//!   Each [`Prediction`] carries its workload summary, so the scalability,
+//!   mapping and filter studies are projections of its rows;
 //! * [`KernelModels`] — fit per-kernel performance models from timing
 //!   records (linear or GP-symbolic, with automatic fallback);
 //! * [`validate`] — exact DWG-vs-ground-truth workload checks and the
 //!   Fig 7 kernel-MAPE computation;
-//! * [`studies`] — the paper's three use cases: scalability prediction,
-//!   mapping-algorithm evaluation, and the projection-filter parameter
-//!   study;
 //! * [`run_case_study`] — one call that runs the mini-app, generates the
 //!   workload, fits models, validates, and predicts application time;
 //! * [`serve`] — the resident prediction service: a long-lived daemon
 //!   with a content-addressed trace registry that decodes each trace
 //!   once and answers sweep/predict/check requests over HTTP, sharing
 //!   assignment artifacts across concurrent and repeat requests;
-//! * [`gridspec`] — the canonical sweep-grid expansion and serialization
-//!   shared by the `sweep` subcommand and the service, so both emit
-//!   bit-identical grids;
+//! * [`gridspec`] — the one grid expansion (mapping-major cross product)
+//!   and its serialization, shared by the CLI's `sweep`, `study` and
+//!   `predict`, the service and the figures, so all emit the same grids;
 //! * [`simpoint`] — SimPoint-style trace reduction: cluster per-sample
 //!   feature vectors into phases, emit a [`pic_workload::ReductionPlan`]
 //!   that replays one representative per phase, and hold every replayed
@@ -51,14 +52,13 @@ pub mod kernel_models;
 pub mod pipeline;
 pub mod serve;
 pub mod simpoint;
-pub mod studies;
 pub mod validate;
 
 pub use gridspec::{grid_entries, grid_to_json, SweepGridEntry, SweepGridSpec};
 pub use kernel_models::{FitStrategy, KernelModels};
 pub use pipeline::{
-    build_schedule, predict, predict_application, predict_kernel_seconds, predict_workload,
-    run_case_study, CaseStudyOutput, PredictSpec, Prediction,
+    build_schedule, predict, predict_application, predict_grid, predict_kernel_seconds,
+    predict_workload, run_case_study, CaseStudyOutput, PredictSpec, Prediction,
 };
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
 pub use simpoint::{build_plan as build_simpoint_plan, replay_reduced_gated, SimpointOptions};

@@ -2,8 +2,10 @@
 //!
 //! The paper's Fig 2 workflow — particle trace + configuration + kernel
 //! models + machine → predicted seconds — is [`predict`], and the CLI, the
-//! resident service and the case study all answer through it.
-//! [`predict_workload`] is its tail over a workload already in hand: the
+//! resident service and the case study all answer through it. It is the
+//! one-point case of [`predict_grid`], design-space exploration: many
+//! configurations from one replay. [`predict_workload`] is the tail over a
+//! workload already in hand: the
 //! paper's "python script which takes the generated performance models
 //! and the output of workload generator as inputs, and predicts the kernel
 //! performance across all processors during the entire execution" (§IV-B)
@@ -19,7 +21,8 @@ use pic_mapping::MappingAlgorithm;
 use pic_models::EvalScratch;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
 use pic_trace::ParticleTrace;
-use pic_types::{pool, Result};
+use pic_types::{pool, PicError, Result};
+use pic_workload::metrics::{self, WorkloadSummary};
 use pic_workload::{AssignmentCache, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
 use rayon::prelude::*;
 
@@ -76,21 +79,36 @@ impl PredictSpec {
     }
 }
 
-/// A prediction: the Fig 7 kernel table and the application timeline.
-/// `Display` is the one-line JSON summary every front end prints.
+/// A prediction: the workload summary, the Fig 7 kernel table and the
+/// application timeline. `Display` is the one-line JSON summary every front
+/// end prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Name of the target machine.
     pub machine: String,
     /// Synchronization semantics simulated.
     pub sync: SyncMode,
-    /// Processor count predicted for.
-    pub ranks: usize,
+    /// The predicted workload in numbers, from the processor count on: the
+    /// columns of the scalability, mapping and filter studies.
+    pub summary: WorkloadSummary,
     /// Predicted kernel seconds `[sample][rank][k]`, `k` in
     /// [`KernelKind::ALL`] order.
     pub kernel_seconds: Vec<Vec<[f64; 6]>>,
     /// Predicted application timeline on the target machine.
     pub timeline: SimTimeline,
+}
+
+impl Prediction {
+    /// Critical-path seconds of `kernel`: the busiest rank's prediction,
+    /// averaged over samples (Fig 10b for `create_ghost_particles`).
+    pub fn critical_kernel_seconds(&self, kernel: KernelKind) -> f64 {
+        let slot = KernelKind::ALL.iter().position(|&k| k == kernel);
+        let slot = slot.expect("KernelKind::ALL lists every kernel");
+        let busiest: Vec<f64> = (self.kernel_seconds.iter())
+            .map(|per_rank| per_rank.iter().map(|row| row[slot]).fold(0.0, f64::max))
+            .collect();
+        pic_types::stats::mean(&busiest)
+    }
 }
 
 impl std::fmt::Display for Prediction {
@@ -105,25 +123,56 @@ impl std::fmt::Display for Prediction {
             self.timeline.mean_idle_fraction(),
             self.timeline.events_processed,
             self.kernel_seconds.len(),
-            self.ranks,
+            self.summary.ranks,
         )
     }
 }
 
-/// The product: predicted application time of `trace` under `spec`. The
-/// workload comes from the one replay engine — through `cache` when one is
-/// given, the same bits either way — and goes to [`predict_workload`].
+/// The product: predicted application time of `trace` under `spec`, the
+/// one-point case of [`predict_grid`].
 pub fn predict(
     trace: &ParticleTrace,
     models: &KernelModels,
     spec: &PredictSpec,
     cache: Option<&AssignmentCache>,
 ) -> Result<Prediction> {
-    let mesh = spec.element_mesh(trace)?;
-    let point = SweepPoint::new(WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter));
+    Ok(predict_grid(trace, models, std::slice::from_ref(spec), cache)?.remove(0))
+}
+
+/// Design-space exploration: one prediction per spec, in input order, each
+/// the bits [`predict`] returns for that spec alone. Every point's workload
+/// comes from one pass of the replay engine — through `cache` when one is
+/// given — so mesh mappers share assignment across filters and one ghost
+/// query serves every radius of a group; each then goes through
+/// [`predict_workload`]. The points share that one mesh, so specs that
+/// differ in `mesh` or `order` are a configuration error; `machine` and
+/// `sync` may differ per point.
+pub fn predict_grid(
+    trace: &ParticleTrace,
+    models: &KernelModels,
+    specs: &[PredictSpec],
+    cache: Option<&AssignmentCache>,
+) -> Result<Vec<Prediction>> {
+    let Some(first) = specs.first() else {
+        return Ok(Vec::new());
+    };
+    if let Some(other) = (specs.iter()).find(|s| (s.mesh, s.order) != (first.mesh, first.order)) {
+        let mesh = |s: &PredictSpec| s.mesh.map_or("none".to_string(), |d| d.to_string());
+        let (a, b) = ((mesh(first), first.order), (mesh(other), other.order));
+        return Err(PicError::config(format!(
+            "grid points share one mesh and order, got mesh {} order {} and mesh {} order {}",
+            a.0, a.1, b.0, b.1
+        )));
+    }
+    let points: Vec<SweepPoint> = (specs.iter())
+        .map(|s| SweepPoint::new(WorkloadConfig::new(s.ranks, s.mapping, s.filter)))
+        .collect();
+    let mesh = first.element_mesh(trace)?;
     let opts = ReplayOptions::new(mesh.as_ref(), cache, None);
-    let workload = pic_workload::replay(trace, &[point], &opts)?.0.remove(0);
-    predict_workload(trace, &workload, models, spec)
+    let (workloads, _) = pic_workload::replay(trace, &points, &opts)?;
+    (specs.iter().zip(&workloads))
+        .map(|(spec, workload)| predict_workload(trace, workload, models, spec))
+        .collect()
 }
 
 /// The tail of [`predict`] over a `workload` generated from `trace` under
@@ -159,7 +208,7 @@ pub fn predict_workload(
     Ok(Prediction {
         machine: spec.machine.name.clone(),
         sync: spec.sync,
-        ranks: workload.ranks,
+        summary: metrics::summarize(workload),
         kernel_seconds,
         timeline,
     })
@@ -800,6 +849,141 @@ mod tests {
         assert!(fine.timeline.total_seconds > 0.0);
         let err = predict(&trace, &intercept(f64::INFINITY), &spec, None).unwrap_err();
         assert!(err.to_string().contains("response gate"), "{err}");
+    }
+
+    /// 96 particles drifting and spreading over five samples.
+    fn grid_trace() -> ParticleTrace {
+        let mut rng = SplitMix64::new(5);
+        let dirs: Vec<pic_types::Vec3> = (0..96)
+            .map(|_| {
+                pic_types::Vec3::new(
+                    rng.next_range(-1.0, 1.0),
+                    rng.next_range(-1.0, 1.0),
+                    rng.next_range(0.0, 1.0),
+                )
+            })
+            .collect();
+        let meta = pic_trace::TraceMeta::new(dirs.len(), 10, pic_types::Aabb::unit(), "grid");
+        let mut trace = ParticleTrace::new(meta);
+        for k in 0..5 {
+            let scale = 0.05 + 0.08 * k as f64;
+            let centre = pic_types::Vec3::new(0.4 + 0.02 * k as f64, 0.5, 0.1);
+            let at = |d: &pic_types::Vec3| {
+                (centre + *d * scale).clamp(pic_types::Vec3::ZERO, pic_types::Vec3::ONE)
+            };
+            trace.push_positions(dirs.iter().map(at).collect()).unwrap();
+        }
+        trace
+    }
+
+    const MAPPERS: [MappingAlgorithm; 4] = [
+        MappingAlgorithm::BinBased,
+        MappingAlgorithm::ElementBased,
+        MappingAlgorithm::HilbertOrdered,
+        MappingAlgorithm::LoadBalanced,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Every point of a grid is the prediction of its spec alone, by
+        /// value and by the bytes every front end prints; a grid fails only
+        /// where one of its points fails alone.
+        #[test]
+        fn each_grid_point_is_predict_of_that_spec_alone(
+            ranks in proptest::collection::vec(0usize..4, 1..=3),
+            mappings in proptest::collection::vec(0usize..4, 1..=3),
+            filters in proptest::collection::vec(0usize..3, 1..=3),
+            sync_bits in 0u64..1 << 27,
+            meshed in 0usize..2,
+            cached in 0usize..2,
+        ) {
+            let trace = grid_trace();
+            let models = mixed_models();
+            let grid = crate::SweepGridSpec {
+                mappings: mappings.iter().map(|&i| MAPPERS[i]).collect(),
+                ranks: ranks.iter().map(|&i| [2, 3, 5, 8][i]).collect(),
+                filters: filters.iter().map(|&i| [0.02, 0.05, 0.1][i]).collect(),
+                strides: vec![1],
+                compute_ghosts: true,
+            };
+            let specs: Vec<PredictSpec> = (grid.points().iter().enumerate())
+                .map(|(i, p)| PredictSpec {
+                    mapping: p.config.mapping,
+                    filter: p.config.projection_filter,
+                    mesh: (meshed == 1).then(|| MeshDims::cube(3)),
+                    sync: [SyncMode::BulkSynchronous, SyncMode::NeighborSync][(sync_bits >> i) as usize & 1],
+                    ..PredictSpec::new(p.config.ranks)
+                })
+                .collect();
+            let cache = (cached == 1).then(|| AssignmentCache::new(1 << 24));
+            let alone: Vec<Result<Prediction>> =
+                specs.iter().map(|s| predict(&trace, &models, s, None)).collect();
+            match predict_grid(&trace, &models, &specs, cache.as_ref()) {
+                Ok(got) => {
+                    prop_assert_eq!(got.len(), specs.len());
+                    for (i, (g, a)) in got.iter().zip(alone).enumerate() {
+                        let a = a.unwrap();
+                        prop_assert_eq!(g, &a, "point {}", i);
+                        prop_assert_eq!(g.to_string(), a.to_string(), "point {}", i);
+                    }
+                }
+                // only the mesh mappers without a mesh fail here
+                Err(e) => {
+                    prop_assert!(meshed == 0, "{e}");
+                    prop_assert!(alone.iter().any(Result::is_err), "{e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_grid_shares_one_mesh_and_order() {
+        let trace = grid_trace();
+        let models = mixed_models();
+        assert!(predict_grid(&trace, &models, &[], None).unwrap().is_empty());
+        let meshed = PredictSpec {
+            mesh: Some(MeshDims::cube(3)),
+            ..PredictSpec::new(4)
+        };
+        let bare = PredictSpec::new(8);
+        let err = predict_grid(&trace, &models, &[meshed.clone(), bare], None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "configuration error: grid points share one mesh and order, \
+             got mesh 3x3x3 order 3 and mesh none order 3"
+        );
+        let finer = PredictSpec {
+            order: 5,
+            ..meshed.clone()
+        };
+        let err = predict_grid(&trace, &models, &[meshed.clone(), finer], None).unwrap_err();
+        assert!(err
+            .to_string()
+            .ends_with("got mesh 3x3x3 order 3 and mesh 3x3x3 order 5"));
+        // machine and sync may differ per point
+        let other = PredictSpec {
+            machine: MachineSpec::vulcan_like(),
+            sync: SyncMode::NeighborSync,
+            ..meshed.clone()
+        };
+        let got = predict_grid(&trace, &models, &[meshed, other], None).unwrap();
+        assert_eq!(
+            (got[0].sync, got[1].machine.as_str()),
+            (SyncMode::BulkSynchronous, "vulcan-like")
+        );
+        // the summary and the Fig 10b number are projections of the rows
+        let p = &got[0];
+        assert_eq!(p.summary.ranks, 4);
+        assert_eq!(p.summary.samples, p.kernel_seconds.len());
+        let slot = 1;
+        assert_eq!(KernelKind::ALL[slot], KernelKind::CreateGhostParticles);
+        let busiest: Vec<f64> = (p.kernel_seconds.iter())
+            .map(|per_rank| per_rank.iter().map(|row| row[slot]).fold(0.0, f64::max))
+            .collect();
+        assert_eq!(
+            p.critical_kernel_seconds(KernelKind::CreateGhostParticles),
+            busiest.iter().sum::<f64>() / busiest.len() as f64
+        );
     }
 
     #[test]

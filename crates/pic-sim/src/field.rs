@@ -71,7 +71,7 @@ impl BlastField {
     }
 
     /// Radius of the shock front at time `t`.
-    pub fn front_radius(&self, t: f64) -> f64 {
+    fn front_radius(&self, t: f64) -> f64 {
         self.shock_speed * t
     }
 }

@@ -9,8 +9,9 @@
 
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
-use pic_predict::studies;
+use pic_predict::SweepGridSpec;
 use pic_sim::{MiniPic, ScenarioKind, SimConfig};
+use pic_workload::{metrics, replay, DynamicWorkload, ReplayOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SimConfig {
@@ -40,13 +41,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         MappingAlgorithm::HilbertOrdered,
         MappingAlgorithm::LoadBalanced,
     ];
-    let evals = studies::mapping_comparison(
-        &out.trace,
-        Some(&mesh),
-        cfg.projection_filter,
-        &rank_counts,
-        &algorithms,
-    )?;
+    // Every mapping x rank count point from one ghost-free replay.
+    let grid = SweepGridSpec {
+        mappings: algorithms.to_vec(),
+        ranks: rank_counts.to_vec(),
+        filters: vec![cfg.projection_filter],
+        strides: vec![1],
+        compute_ghosts: false,
+    };
+    let points = grid.points();
+    let opts = ReplayOptions::new(Some(&mesh), None, None);
+    let (workloads, _) = replay(&out.trace, &points, &opts)?;
+    let eval = |mapping: MappingAlgorithm, ranks: usize| -> &DynamicWorkload {
+        let at = (points.iter())
+            .position(|p| p.config.mapping == mapping && p.config.ranks == ranks)
+            .unwrap();
+        &workloads[at]
+    };
+    let utilization = |mapping, ranks| metrics::resource_utilization(&eval(mapping, ranks).real);
 
     println!("\nFig 8 — peak particle workload per rank count:");
     print!("  {:<18}", "mapping");
@@ -57,11 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alg in algorithms {
         print!("  {:<18}", alg.to_string());
         for r in rank_counts {
-            let e = evals
-                .iter()
-                .find(|e| e.mapping == alg && e.ranks == r)
-                .unwrap();
-            print!("{:>10}", e.peak_workload);
+            print!("{:>10}", eval(alg, r).peak_workload());
         }
         println!();
     }
@@ -75,32 +83,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alg in algorithms {
         print!("  {:<18}", alg.to_string());
         for r in rank_counts {
-            let e = evals
-                .iter()
-                .find(|e| e.mapping == alg && e.ranks == r)
-                .unwrap();
-            print!("{:>9.1}%", 100.0 * e.resource_utilization);
+            print!("{:>9.1}%", 100.0 * utilization(alg, r));
         }
         println!();
     }
 
-    let el = evals
-        .iter()
-        .find(|e| e.mapping == MappingAlgorithm::ElementBased && e.ranks == 128)
-        .unwrap();
-    let bin = evals
-        .iter()
-        .find(|e| e.mapping == MappingAlgorithm::BinBased && e.ranks == 128)
-        .unwrap();
+    let (el, bin) = (MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased);
     println!(
         "\n=> at R=128, bin-based mapping cuts the peak workload {}x \
          (paper: two orders of magnitude at full scale)",
-        el.peak_workload / bin.peak_workload.max(1)
+        eval(el, 128).peak_workload() / eval(bin, 128).peak_workload().max(1)
     );
     println!(
         "   and lifts utilization from {:.1}% to {:.1}% (paper: 0.68% -> 56.13%)",
-        100.0 * el.resource_utilization,
-        100.0 * bin.resource_utilization
+        100.0 * utilization(el, 128),
+        100.0 * utilization(bin, 128)
     );
     Ok(())
 }

@@ -8,8 +8,10 @@
 //! ```
 
 use pic_mapping::MappingAlgorithm;
-use pic_predict::studies;
+use pic_predict::SweepGridSpec;
 use pic_sim::{MiniPic, ScenarioKind, SimConfig};
+use pic_workload::generator::unbounded_bin_series;
+use pic_workload::{replay, ReplayOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full_scale = std::env::args().any(|a| a == "--full-scale");
@@ -68,13 +70,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nFig 5 — peak particles per rank over the run, per rank count:");
     let t0 = std::time::Instant::now();
-    let pts = studies::scalability_study(
-        &out.trace,
-        None,
-        MappingAlgorithm::BinBased,
-        threshold,
-        &rank_counts,
-    )?;
+    // Peak-workload scaling needs real-particle counts only: one ghost-free
+    // replay serves every rank count.
+    let grid = SweepGridSpec {
+        mappings: vec![MappingAlgorithm::BinBased],
+        ranks: rank_counts.clone(),
+        filters: vec![threshold],
+        strides: vec![1],
+        compute_ghosts: false,
+    };
+    let (workloads, _) = replay(&out.trace, &grid.points(), &ReplayOptions::default())?;
     println!(
         "  workload generation for {} rank counts: {:.2} s (vs re-running the app {}x)",
         rank_counts.len(),
@@ -82,27 +87,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rank_counts.len()
     );
     print!("  iteration ");
-    for p in &pts {
-        print!("{:>10}", format!("R={}", p.ranks));
+    for ranks in &rank_counts {
+        print!("{:>10}", format!("R={ranks}"));
     }
     println!();
+    let peaks: Vec<Vec<u32>> = workloads.iter().map(|w| w.real.peak_series()).collect();
     let iters = out.trace.iterations();
     for (t, &iter) in iters.iter().enumerate() {
         print!("  {iter:>9} ");
-        for p in &pts {
-            print!("{:>10}", p.peak_series[t]);
+        for series in &peaks {
+            print!("{:>10}", series[t]);
         }
         println!();
     }
 
     println!("\nFig 6 — unbounded bin count (threshold {threshold}):");
-    let study = studies::optimal_rank_study(&out.trace, threshold)?;
-    for (iter, bins) in study.iterations.iter().zip(&study.bin_series) {
-        println!("  iteration {iter:>6}: {bins} bins");
+    let bins = unbounded_bin_series(&out.trace, threshold)?;
+    for (iter, count) in iters.iter().zip(&bins) {
+        println!("  iteration {iter:>6}: {count} bins");
     }
     println!(
         "\n=> optimal processor count for this problem: {} (paper's analogue: 1104)",
-        study.optimal_rank_count()
+        bins.iter().max().unwrap_or(&0)
     );
     println!("   scaling beyond it cannot improve the particle-solver workload.");
     Ok(())

@@ -4,7 +4,7 @@
 
 use pic_des::{simulate, MachineSpec, SyncMode};
 use pic_mapping::MappingAlgorithm;
-use pic_predict::{build_schedule, predict, run_case_study, FitStrategy, PredictSpec};
+use pic_predict::{build_schedule, predict_grid, run_case_study, FitStrategy, PredictSpec};
 use pic_sim::{ScenarioKind, SimConfig};
 
 fn cfg() -> SimConfig {
@@ -65,31 +65,33 @@ fn predicted_particle_solver_time_saturates_at_the_bin_cap() {
         ..SimConfig::default()
     };
     let out = run_case_study(&base, &MachineSpec::quartz_like(), &FitStrategy::Linear).unwrap();
-    let cap = pic_predict::studies::optimal_rank_study(&out.sim.trace, base.projection_filter)
-        .unwrap()
-        .optimal_rank_count();
+    let bins =
+        pic_workload::generator::unbounded_bin_series(&out.sim.trace, base.projection_filter);
+    let cap = bins.unwrap().into_iter().max().unwrap();
     assert!(cap >= 4, "cap {cap} too small to exercise the sweep");
 
     // zero the collective cost: it scales with log2(R) by design and would
     // mask the particle-solver saturation this test isolates
     let mut machine = MachineSpec::quartz_like();
     machine.collective_latency = 0.0;
-    let time_at = |ranks: usize| -> f64 {
-        let spec = PredictSpec {
-            mapping: base.mapping,
-            filter: base.projection_filter,
+    let grid = pic_predict::SweepGridSpec {
+        mappings: vec![base.mapping],
+        ranks: vec![(cap / 2).max(1), cap, cap * 2, cap * 4],
+        filters: vec![base.projection_filter],
+        strides: vec![1],
+        compute_ghosts: true,
+    };
+    let specs: Vec<PredictSpec> = (grid.points().iter())
+        .map(|p| PredictSpec {
+            mapping: p.config.mapping,
+            filter: p.config.projection_filter,
             order: base.order,
             machine: machine.clone(),
-            ..PredictSpec::new(ranks)
-        };
-        let prediction = predict(&out.sim.trace, &out.models, &spec, None).unwrap();
-        prediction.timeline.total_seconds
-    };
-
-    let below = time_at((cap / 2).max(1));
-    let at = time_at(cap);
-    let twice = time_at(cap * 2);
-    let quad = time_at(cap * 4);
+            ..PredictSpec::new(p.config.ranks)
+        })
+        .collect();
+    let predictions = predict_grid(&out.sim.trace, &out.models, &specs, None).unwrap();
+    let [below, at, twice, quad] = [0, 1, 2, 3].map(|i| predictions[i].timeline.total_seconds);
     // improvement while bins are still rank-limited
     assert!(at < below, "below-cap {below} vs at-cap {at}");
     // saturation beyond the cap: workloads are identical up to padding

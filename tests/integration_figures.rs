@@ -6,10 +6,10 @@
 use pic_des::MachineSpec;
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
-use pic_predict::studies;
-use pic_predict::{run_case_study, FitStrategy};
-use pic_sim::{MiniPic, ScenarioKind, SimConfig};
+use pic_predict::{predict_grid, run_case_study, FitStrategy, PredictSpec, SweepGridSpec};
+use pic_sim::{KernelKind, MiniPic, ScenarioKind, SimConfig};
 use pic_trace::ParticleTrace;
+use pic_workload::generator::unbounded_bin_series;
 use pic_workload::metrics;
 use pic_workload::{replay, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
 
@@ -24,6 +24,40 @@ fn generate(
         .unwrap()
         .0
         .remove(0)
+}
+
+/// Ghost-free workloads of the `mappings` × `ranks` grid at one filter,
+/// from one replay, keyed by the point each belongs to.
+fn ghost_free_grid(
+    trace: &ParticleTrace,
+    mappings: &[MappingAlgorithm],
+    ranks: &[usize],
+    filter: f64,
+    mesh: Option<&ElementMesh>,
+) -> Vec<(SweepPoint, DynamicWorkload)> {
+    let grid = SweepGridSpec {
+        mappings: mappings.to_vec(),
+        ranks: ranks.to_vec(),
+        filters: vec![filter],
+        strides: vec![1],
+        compute_ghosts: false,
+    };
+    let points = grid.points();
+    let opts = ReplayOptions::new(mesh, None, None);
+    let (workloads, _) = replay(trace, &points, &opts).unwrap();
+    points.into_iter().zip(workloads).collect()
+}
+
+/// The workload of `grid` at `(mapping, ranks)`.
+fn at(
+    grid: &[(SweepPoint, DynamicWorkload)],
+    mapping: MappingAlgorithm,
+    ranks: usize,
+) -> &DynamicWorkload {
+    let (_, w) = (grid.iter())
+        .find(|(p, _)| p.config.mapping == mapping && p.config.ranks == ranks)
+        .unwrap();
+    w
 }
 
 /// The Hele-Shaw mini-app run shared by the figure tests.
@@ -77,22 +111,17 @@ fn fig5_peak_workload_flat_then_dips() {
     // (extent ~1.0) supports ~27.
     let threshold = 0.4;
     let ranks_list = [8usize, 16, 32, 64];
-    let pts = studies::scalability_study(
-        &trace,
-        None,
-        MappingAlgorithm::BinBased,
-        threshold,
-        &ranks_list,
-    )
-    .unwrap();
+    let bins = [MappingAlgorithm::BinBased];
+    let grid = ghost_free_grid(&trace, &bins, &ranks_list, threshold, None);
+    let series: Vec<Vec<u32>> = grid.iter().map(|(_, w)| w.real.peak_series()).collect();
     // early samples: bed is tiny, few bins possible → identical peaks
-    let first: Vec<u32> = pts.iter().map(|p| p.peak_series[0]).collect();
+    let first: Vec<u32> = series.iter().map(|s| s[0]).collect();
     assert!(
         first.windows(2).all(|w| w[0] == w[1]),
         "early peaks {first:?}"
     );
     // late samples: the expanded bed supports more bins → more ranks help
-    let last: Vec<u32> = pts.iter().map(|p| *p.peak_series.last().unwrap()).collect();
+    let last: Vec<u32> = series.iter().map(|s| *s.last().unwrap()).collect();
     assert!(
         last.last().unwrap() < last.first().unwrap(),
         "late peaks should drop with more ranks: {last:?}"
@@ -102,14 +131,13 @@ fn fig5_peak_workload_flat_then_dips() {
 #[test]
 fn fig6_bin_count_grows_and_caps_the_useful_rank_count() {
     let (_cfg, trace) = hele_shaw_trace(1500, 80);
-    let study = studies::optimal_rank_study(&trace, 0.2).unwrap();
+    let bin_series = unbounded_bin_series(&trace, 0.2).unwrap();
     // bins grow as the particle boundary expands
     assert!(
-        study.bin_series.last().unwrap() > study.bin_series.first().unwrap(),
-        "{:?}",
-        study.bin_series
+        bin_series.last().unwrap() > bin_series.first().unwrap(),
+        "{bin_series:?}"
     );
-    let optimal = study.optimal_rank_count();
+    let optimal = *bin_series.iter().max().unwrap();
     assert!(optimal > 1);
     // the bounded workload at R >> optimal uses exactly `optimal` bins max
     let wcfg = WorkloadConfig::new(optimal * 8, MappingAlgorithm::BinBased, 0.2);
@@ -148,21 +176,9 @@ fn fig8_bin_mapping_peak_is_far_below_element_mapping() {
     // At mini scale we require at least ~8x.
     let (cfg, trace) = hele_shaw_trace(2000, 40);
     let mesh = ElementMesh::new(cfg.domain, cfg.mesh_dims, cfg.order).unwrap();
-    let evals = studies::mapping_comparison(
-        &trace,
-        Some(&mesh),
-        1e-3,
-        &[32, 64],
-        &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-    )
-    .unwrap();
-    let peak = |m: MappingAlgorithm, r: usize| {
-        evals
-            .iter()
-            .find(|e| e.mapping == m && e.ranks == r)
-            .unwrap()
-            .peak_workload
-    };
+    let mappings = [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased];
+    let grid = ghost_free_grid(&trace, &mappings, &[32, 64], 1e-3, Some(&mesh));
+    let peak = |m: MappingAlgorithm, r: usize| at(&grid, m, r).peak_workload();
     // At mini scale (64 elements instead of the paper's 216k) the gap is
     // ~one order of magnitude rather than two; the figures binary shows the
     // gap widening with problem scale.
@@ -183,50 +199,31 @@ fn fig9_utilization_gap_between_mappings() {
     // Fig 9: bin-based 56 % vs element-based 0.68 % processor utilization.
     let (cfg, trace) = hele_shaw_trace(2000, 40);
     let mesh = ElementMesh::new(cfg.domain, cfg.mesh_dims, cfg.order).unwrap();
-    let evals = studies::mapping_comparison(
-        &trace,
-        Some(&mesh),
-        1e-3,
-        &[64],
-        &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-    )
-    .unwrap();
-    let el = &evals[0];
-    let bin = &evals[1];
+    let mappings = [MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased];
+    let grid = ghost_free_grid(&trace, &mappings, &[64], 1e-3, Some(&mesh));
+    let (el, bin) = (&grid[0].1.real, &grid[1].1.real);
+    let (el_ru, bin_ru) = (
+        metrics::resource_utilization(el),
+        metrics::resource_utilization(bin),
+    );
     // Mini-scale proxy for the paper's 56 % vs 0.68 %: the element-mapped
     // run never activates most ranks even after dispersal, bin-based
     // activates essentially all of them.
-    assert!(
-        el.resource_utilization < 0.5,
-        "element RU {}",
-        el.resource_utilization
-    );
-    assert!(
-        bin.resource_utilization > 0.9,
-        "bin RU {}",
-        bin.resource_utilization
-    );
-    assert!(bin.resource_utilization > 2.0 * el.resource_utilization);
-    assert!(bin.active_ranks > el.active_ranks);
+    assert!(el_ru < 0.5, "element RU {el_ru}");
+    assert!(bin_ru > 0.9, "bin RU {bin_ru}");
+    assert!(bin_ru > 2.0 * el_ru);
+    assert!(metrics::active_rank_count(bin) > metrics::active_rank_count(el));
 
     // Before dispersal the contrast is paper-like: the packed bed touches
     // only a handful of element-owning ranks.
     let mut early = trace.clone();
     early.truncate(2);
-    let early_evals = studies::mapping_comparison(
-        &early,
-        Some(&mesh),
-        1e-3,
-        &[64],
-        &[MappingAlgorithm::ElementBased, MappingAlgorithm::BinBased],
-    )
-    .unwrap();
-    assert!(
-        early_evals[0].resource_utilization < 0.2,
-        "early element RU {}",
-        early_evals[0].resource_utilization
-    );
-    assert!(early_evals[1].resource_utilization > 0.9);
+    let grid = ghost_free_grid(&early, &mappings, &[64], 1e-3, Some(&mesh));
+    let early_ru: Vec<f64> = (grid.iter())
+        .map(|(_, w)| metrics::resource_utilization(&w.real))
+        .collect();
+    assert!(early_ru[0] < 0.2, "early element RU {}", early_ru[0]);
+    assert!(early_ru[1] > 0.9);
 }
 
 #[test]
@@ -243,22 +240,47 @@ fn fig10_filter_tradeoff() {
         ..SimConfig::default()
     };
     let out = run_case_study(&cfg, &MachineSpec::quartz_like(), &FitStrategy::Linear).unwrap();
-    let elements: Vec<u32> = out.sim.ground_truth.elements_per_rank.clone();
-    let pts = studies::filter_study(
-        &out.sim.trace,
-        16,
-        &[0.01, 0.02, 0.04, 0.08],
-        &out.models,
-        &elements,
-        cfg.order,
-    )
-    .unwrap();
+    let grid = SweepGridSpec {
+        mappings: vec![MappingAlgorithm::BinBased],
+        ranks: vec![16],
+        filters: vec![0.01, 0.02, 0.04, 0.08],
+        strides: vec![1],
+        compute_ghosts: true,
+    };
+    let specs: Vec<PredictSpec> = (grid.points().iter())
+        .map(|p| PredictSpec {
+            mapping: p.config.mapping,
+            filter: p.config.projection_filter,
+            mesh: Some(cfg.mesh_dims),
+            order: cfg.order,
+            ..PredictSpec::new(p.config.ranks)
+        })
+        .collect();
+    let predictions = predict_grid(&out.sim.trace, &out.models, &specs, None).unwrap();
     // 10a: max bins non-increasing, strictly lower at the coarse end
-    for w in pts.windows(2) {
-        assert!(w[0].max_bins >= w[1].max_bins);
+    let max_bins: Vec<usize> = (specs.iter())
+        .map(|s| {
+            *unbounded_bin_series(&out.sim.trace, s.filter)
+                .unwrap()
+                .iter()
+                .max()
+                .unwrap()
+        })
+        .collect();
+    for w in max_bins.windows(2) {
+        assert!(w[0] >= w[1]);
     }
-    assert!(pts.first().unwrap().max_bins > pts.last().unwrap().max_bins);
+    assert!(max_bins.first().unwrap() > max_bins.last().unwrap());
     // 10b: ghost totals and predicted ghost-kernel time increase overall
-    assert!(pts.last().unwrap().total_ghosts > pts.first().unwrap().total_ghosts);
-    assert!(pts.last().unwrap().ghost_kernel_seconds > pts.first().unwrap().ghost_kernel_seconds);
+    let (first, last) = (&predictions[0], &predictions[3]);
+    assert!(last.summary.total_ghosts > first.summary.total_ghosts);
+    let ghost_kernel =
+        |p: &pic_predict::Prediction| p.critical_kernel_seconds(KernelKind::CreateGhostParticles);
+    assert!(ghost_kernel(last) > ghost_kernel(first));
+    // the fluid share per rank `predict` derives from the mesh is the one
+    // the app ran with
+    let mesh = ElementMesh::new(out.sim.trace.meta().domain, cfg.mesh_dims, cfg.order).unwrap();
+    let rcb = pic_grid::RcbDecomposition::decompose(&mesh, 16).unwrap();
+    let rcb: Vec<u32> = rcb.element_counts().iter().map(|&c| c as u32).collect();
+    assert_eq!(rcb, out.sim.ground_truth.elements_per_rank);
 }

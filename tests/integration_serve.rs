@@ -232,7 +232,8 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
 /// Library ≡ CLI ≡ service, byte for byte: one trace and one model set on
 /// disk, every mapper under both sync modes through `pic_predict::predict`,
 /// `POST /predict` and the `picpredict predict` binary; one grid through
-/// `picpredict sweep --out` and `POST /sweep`.
+/// `picpredict predict`'s list flags, line by line against the library;
+/// one grid through `picpredict sweep --out` and `POST /sweep`.
 #[test]
 fn library_cli_and_service_answer_the_same_bytes() {
     let dir = std::env::temp_dir().join(format!("picpredict_three_way_{}", std::process::id()));
@@ -329,6 +330,39 @@ fn library_cli_and_service_answer_the_same_bytes() {
                 "{library}"
             );
         }
+    }
+
+    // A CLI grid prints one line per point in mapping-major order, each
+    // the library's answer for that point alone.
+    let cli = picpredict(&[
+        "predict",
+        "--trace",
+        &trace_path,
+        "--models",
+        &models_path,
+        "--ranks",
+        "4,8",
+        "--mapping",
+        "element-based,bin-based",
+        "--mesh",
+        "4x4x4",
+    ]);
+    let lines: Vec<&str> = cli.lines().collect();
+    assert_eq!(lines.len(), 4, "{cli}");
+    let points = [
+        (MappingAlgorithm::ElementBased, 4),
+        (MappingAlgorithm::ElementBased, 8),
+        (MappingAlgorithm::BinBased, 4),
+        (MappingAlgorithm::BinBased, 8),
+    ];
+    for (line, (mapping, ranks)) in lines.iter().zip(points) {
+        let spec = PredictSpec {
+            mapping,
+            mesh: Some(pic_grid::MeshDims::cube(4)),
+            ..PredictSpec::new(ranks)
+        };
+        let library = pic_predict::predict(trace, &models, &spec, None).unwrap();
+        assert_eq!(*line, library.to_string(), "{mapping} at {ranks} ranks");
     }
 
     picpredict(&[
