@@ -5,6 +5,12 @@
 //! the particle state (interpolation → equation solver → pusher); at every
 //! sample step the full instrumented loop runs rank-by-rank, producing the
 //! trace frame, the ground-truth workload, and kernel timing records.
+//!
+//! Under [`TimingMode::Oracle`](crate::config::TimingMode) the two stand-in
+//! kernels whose results nothing reads (`fluid_solver`, `projection`) are
+//! not executed: their seconds come from the oracle like every kernel's.
+//! Under wall-clock timing they run and are timed, because that path
+//! produces measured training data. Neither choice moves a trace bit.
 
 use crate::config::SimConfig;
 use crate::field::FluidField;
@@ -16,7 +22,7 @@ use pic_grid::gll::GllRule;
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_mapping::{MappingAlgorithm, MappingOutcome, ParticleMapper, RegionIndex};
 use pic_trace::{ParticleTrace, TraceMeta};
-use pic_types::{ElementId, Rank, Result, Vec3};
+use pic_types::{ElementId, PicError, Rank, Result, Vec3};
 use std::time::Instant;
 
 /// Ground-truth workload observed at one sample step.
@@ -197,6 +203,7 @@ impl MiniPic {
             } else {
                 self.motion_step();
             }
+            self.check_finite(step)?;
             self.time += self.cfg.dt;
         }
 
@@ -205,6 +212,24 @@ impl MiniPic {
             ground_truth,
             recorder,
         })
+    }
+
+    /// Refuse a state the push left non-finite, naming the first particle:
+    /// an ill-conditioned configuration (a huge `dt` against a short
+    /// `drag_tau`, say) is a simulation error, not a malformed trace.
+    fn check_finite(&self, step: usize) -> Result<()> {
+        let p = &self.particles;
+        match (0..p.len()).find(|&i| !(p.position[i].is_finite() && p.velocity[i].is_finite())) {
+            None => Ok(()),
+            Some(i) => Err(PicError::sim(format!(
+                "particle {i} left the finite range at step {step} \
+                 (position {:?}, velocity {:?}) with dt = {:?} and drag_tau = {:?}",
+                p.position[i].to_array(),
+                p.velocity[i].to_array(),
+                self.cfg.dt,
+                self.cfg.drag_tau
+            ))),
+        }
     }
 
     /// Advance one step without instrumentation (single global "rank").
@@ -220,7 +245,7 @@ impl MiniPic {
             self.time,
             &mut fluid_vel,
         );
-        let cell = CellList::build(&self.particles.position, neighbor_cell(&self.cfg));
+        let cell = collision_cells(&self.cfg, &self.particles.position);
         let mut accel = Vec::new();
         kernels::equation_solver(
             &ctx,
@@ -297,9 +322,11 @@ impl MiniPic {
         };
         let kernel_slot = |k: KernelKind| KernelKind::ALL.iter().position(|&x| x == k).unwrap();
 
-        // Phase: fluid solver (regular workload).
+        // Phase: fluid solver (regular workload). A stand-in whose result
+        // nothing reads: it runs only when its wall time is the record.
+        let timed = self.oracle.is_none();
         let mut fluid_seconds = vec![0.0f64; ranks];
-        {
+        if timed {
             let ctx = make_ctx(&self.cfg, &self.mesh, &self.gll, self.field.as_ref());
             #[allow(clippy::needless_range_loop)] // r is the rank id across parallel arrays
             for r in 0..ranks {
@@ -334,7 +361,7 @@ impl MiniPic {
         }
 
         // Phase: equation solver.
-        let cell = CellList::build(&self.particles.position, neighbor_cell(&self.cfg));
+        let cell = collision_cells(&self.cfg, &self.particles.position);
         let mut accel_all = vec![Vec3::ZERO; n];
         let mut eq_seconds = vec![0.0f64; ranks];
         {
@@ -381,9 +408,10 @@ impl MiniPic {
             }
         }
 
-        // Phase: projection (real + received ghosts).
+        // Phase: projection (real + received ghosts). A stand-in like the
+        // fluid solver: run only under wall-clock timing.
         let mut proj_seconds = vec![0.0f64; ranks];
-        {
+        if timed {
             let ctx = make_ctx(&self.cfg, &self.mesh, &self.gll, self.field.as_ref());
             let mut combined = Vec::new();
             for r in 0..ranks {
@@ -502,30 +530,14 @@ fn migration_counts(prev: &[Rank], cur: &[Rank]) -> Vec<(u32, u32, u32)> {
     out
 }
 
-/// Collision-neighbour cell size: the collision radius, or a small default
-/// when collisions are disabled (the cell list is still used for the
-/// neighbour term's data structure cost).
-fn neighbor_cell(cfg: &SimConfig) -> f64 {
+/// The collision-neighbour cell list, with cells of the collision radius.
+/// `equation_solver` reads it only when collisions are on, so with
+/// `collision_radius == 0` it is an empty list and costs nothing to build.
+fn collision_cells(cfg: &SimConfig, positions: &[Vec3]) -> CellList {
     if cfg.collision_radius > 0.0 {
-        cfg.collision_radius
+        CellList::build(positions, cfg.collision_radius)
     } else {
-        0.05 * cfg.domain.extent().longest_extent_or_one()
-    }
-}
-
-/// Extension trait used by [`neighbor_cell`].
-trait LongestExtentOrOne {
-    fn longest_extent_or_one(&self) -> f64;
-}
-
-impl LongestExtentOrOne for Vec3 {
-    fn longest_extent_or_one(&self) -> f64 {
-        let m = self.x.max(self.y).max(self.z);
-        if m > 0.0 {
-            m
-        } else {
-            1.0
-        }
+        CellList::build(&[], 1.0)
     }
 }
 
@@ -645,6 +657,28 @@ mod tests {
         let m = migration_counts(&prev, &cur);
         assert_eq!(m, vec![(0, 1, 2), (2, 0, 1)]);
         assert!(migration_counts(&cur, &cur).is_empty());
+    }
+
+    #[test]
+    fn motion_that_leaves_the_finite_range_is_a_simulation_error() {
+        // dt = 1e300 passes validation (finite, positive) but the first
+        // motion step after the first push overflows the velocity.
+        let mut cfg = small_cfg();
+        cfg.dt = 1e300;
+        let err = MiniPic::new(cfg).unwrap().run().unwrap_err();
+        assert!(matches!(err, PicError::Simulation(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("simulation error: particle 0 left the finite range at step 1"),
+            "{msg}"
+        );
+        assert!(msg.contains("dt = 1e300 and drag_tau = 0.05"), "{msg}");
+        // A stiff collision term overflows the same way.
+        let mut cfg = small_cfg();
+        cfg.collision_radius = 0.1;
+        cfg.collision_stiffness = 1e308;
+        let err = MiniPic::new(cfg).unwrap().run().unwrap_err();
+        assert!(err.to_string().contains("left the finite range"), "{err}");
     }
 
     #[test]

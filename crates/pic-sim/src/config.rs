@@ -126,14 +126,46 @@ impl SimConfig {
         if !(self.projection_filter.is_finite() && self.projection_filter > 0.0) {
             return Err(PicError::config("projection filter must be positive"));
         }
-        if self.dt <= 0.0 {
-            return Err(PicError::config("dt must be positive"));
+        for (name, value) in [("dt", self.dt), ("drag_tau", self.drag_tau)] {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(PicError::config(format!(
+                    "{name} must be positive and finite, got {value}"
+                )));
+            }
+        }
+        if !(self.collision_radius.is_finite() && self.collision_radius >= 0.0) {
+            return Err(PicError::config(format!(
+                "collision_radius must be non-negative and finite, got {}",
+                self.collision_radius
+            )));
+        }
+        if !self.collision_stiffness.is_finite() {
+            return Err(PicError::config(format!(
+                "collision_stiffness must be finite, got {}",
+                self.collision_stiffness
+            )));
+        }
+        if !self.gravity.is_finite() {
+            return Err(PicError::config(format!(
+                "gravity must be finite, got {}",
+                self.gravity
+            )));
         }
         if self.sample_interval == 0 {
             return Err(PicError::config("sample interval must be positive"));
         }
         if self.domain.is_empty() || self.domain.volume() <= 0.0 {
             return Err(PicError::config("domain must have positive volume"));
+        }
+        // Every simulated rank owns at least one element, as in Nek5000. A
+        // count that overflows is left to `ElementMesh::new` to refuse.
+        let d = self.mesh_dims;
+        let elements = d.nx.saturating_mul(d.ny).saturating_mul(d.nz);
+        if self.ranks > elements {
+            return Err(PicError::config(format!(
+                "ranks ({}) exceed the mesh's {elements} elements; every rank owns at least one element",
+                self.ranks
+            )));
         }
         Ok(())
     }
@@ -187,6 +219,72 @@ mod tests {
         let mut c = base.clone();
         c.sample_interval = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_names_each_ill_posed_field() {
+        let refused = |edit: &dyn Fn(&mut SimConfig), expect: &str| {
+            let mut c = SimConfig::default();
+            edit(&mut c);
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains(expect), "{err:?} should contain {expect:?}");
+        };
+        refused(&|c| c.dt = 0.0, "dt must be positive and finite, got 0");
+        refused(&|c| c.dt = -1.0, "dt must be positive and finite, got -1");
+        refused(
+            &|c| c.dt = f64::INFINITY,
+            "dt must be positive and finite, got inf",
+        );
+        refused(
+            &|c| c.dt = f64::NAN,
+            "dt must be positive and finite, got NaN",
+        );
+        refused(
+            &|c| c.drag_tau = 0.0,
+            "drag_tau must be positive and finite, got 0",
+        );
+        refused(
+            &|c| c.drag_tau = -1.0,
+            "drag_tau must be positive and finite, got -1",
+        );
+        refused(
+            &|c| c.drag_tau = f64::NAN,
+            "drag_tau must be positive and finite, got NaN",
+        );
+        refused(
+            &|c| c.collision_radius = -0.1,
+            "collision_radius must be non-negative and finite, got -0.1",
+        );
+        refused(
+            &|c| c.collision_radius = f64::INFINITY,
+            "collision_radius must be non-negative and finite, got inf",
+        );
+        refused(
+            &|c| c.collision_stiffness = f64::NAN,
+            "collision_stiffness must be finite, got NaN",
+        );
+        refused(
+            &|c| c.gravity = Vec3::new(0.0, 0.0, f64::NEG_INFINITY),
+            "gravity must be finite",
+        );
+        // 8³ = 512 elements: 512 ranks are admitted, 513 and 2^40 are not.
+        refused(
+            &|c| c.ranks = 513,
+            "ranks (513) exceed the mesh's 512 elements",
+        );
+        refused(
+            &|c| c.ranks = 1 << 40,
+            "ranks (1099511627776) exceed the mesh's 512 elements",
+        );
+        let mut c = SimConfig {
+            ranks: 512,
+            ..SimConfig::default()
+        };
+        c.validate().unwrap();
+        // A huge `dt` is finite and positive, so it is admitted here;
+        // `MiniPic::run` refuses the motion it produces.
+        c.dt = 1e300;
+        c.validate().unwrap();
     }
 
     #[test]
