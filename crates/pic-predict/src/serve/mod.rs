@@ -12,11 +12,13 @@
 //!   delta-encoded, sniffed by magic — is decoded exactly once, its
 //!   content address is the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and identical bytes always land on the identical address.
-//! * **Shared replays.** Requests against a resident trace run through
-//!   [`pic_workload::replay`] on the trace's shared
-//!   [`pic_workload::AssignmentCache`], so concurrent and repeat requests
-//!   reuse per-sample assignment artifacts (mapper pass + region index)
-//!   across filter radii, strides, and ghost toggles. Byte-identical
+//! * **Shared replays.** `/sweep`, `/predict` and `/check` against a
+//!   resident trace run through [`pic_workload::replay`] on the trace's
+//!   shared [`pic_workload::AssignmentCache`], so concurrent and repeat
+//!   requests reuse each group's per-sample replay: the assignment
+//!   artifacts (mapper pass + region index) across filter radii, strides
+//!   and ghost toggles, and the ghost rows of every radius already asked
+//!   for, so a repeated grid point runs no kernel at all. Byte-identical
 //!   in-flight requests additionally collapse onto one computation
 //!   (single-flight batching).
 //! * **Bit-identical to offline.** A `POST /sweep` response body is

@@ -3,9 +3,10 @@
 //! Every trace the service ingests is decoded **once**, addressed by the
 //! 128-bit FNV-1a digest of its raw encoded bytes, and kept resident
 //! together with its [`AssignmentCache`] — the per-sample assignment +
-//! [`pic_mapping::RegionIndex`] artifacts keyed by (mesh, binning) that
-//! subsequent sweep/predict/check requests replay against without
-//! re-running the mapper. Fitted [`KernelModels`] are registered the same
+//! [`pic_mapping::RegionIndex`] artifacts keyed by (mesh, binning), with
+//! each ghost radius's rows, that subsequent sweep/predict/check requests
+//! replay against without re-running the mapper or, for a radius already
+//! asked for, the ghost kernel. Fitted [`KernelModels`] are registered the same
 //! way (addressed by digest of their JSON). Re-ingesting identical bytes
 //! lands on the identical address and, after an eviction, rebuilds
 //! bit-identical artifacts — content-address stability the integration
@@ -99,7 +100,7 @@ impl PlanCache {
 pub struct ResidentTrace {
     /// The decoded trace.
     pub trace: Arc<ParticleTrace>,
-    /// Shared per-trace assignment artifacts.
+    /// Shared per-trace assignment artifacts and ghost rows.
     pub cache: Arc<AssignmentCache>,
     /// Shared per-trace reduction plans (SimPoint clustering results).
     pub plans: Arc<PlanCache>,
@@ -386,6 +387,9 @@ impl TraceRegistry {
             agg.evictions += s.evictions;
             agg.resident_bytes += s.resident_bytes;
             agg.entries += s.entries;
+            agg.radius_rows += s.radius_rows;
+            agg.radius_hits += s.radius_hits;
+            agg.radius_misses += s.radius_misses;
         }
         agg
     }

@@ -54,5 +54,6 @@ pub use reduce::{peak_load_series, peak_rel_error, ReduceStats, ReductionPlan};
 pub use soa::SoAPositions;
 pub use sweep::{
     mesh_fingerprint, replay, sweep_streaming, AssignmentCache, AssignmentCacheStats,
-    AssignmentKey, IngestStats, ReplayOptions, SampleAssignment, SweepPoint, SweepStats,
+    AssignmentKey, CachedGroup, GhostRow, IngestStats, RadiusRows, ReplayOptions, SampleAssignment,
+    SweepPoint, SweepStats,
 };

@@ -265,14 +265,15 @@ pub fn exact_sample_loads(
             )));
         }
     }
-    let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh)?;
+    let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh, Some(samples.len()))?;
     let group = sweep::replay_groups(trace, &plan, samples, &[], None).remove(0);
     let slot = plan.members[0].ghost_slot;
-    Ok((group.assignments.iter().zip(&group.ghosts))
-        .map(|(a, ghosts)| {
+    Ok((0..samples.len())
+        .map(|r| {
+            let a = group.assignment(r, samples);
             let mut load: Vec<u64> = a.real.iter().map(|&r| r as u64).collect();
             if let Some(k) = slot {
-                for (l, &g) in load.iter_mut().zip(&ghosts[k].0) {
+                for (l, &g) in load.iter_mut().zip(&group.ghost_row(k, r, samples).0) {
                     *l += g as u64;
                 }
             }

@@ -646,3 +646,103 @@ fn shutdown_endpoint_stops_the_server_cleanly() {
         "tracked primitives recorded no acquisitions in a debug build"
     );
 }
+
+/// The number after `"key":` inside the `sweep_cache` object of a `/stats`
+/// body.
+fn sweep_cache_counter(stats: &str, key: &str) -> u64 {
+    let cache = &stats[stats
+        .find("\"sweep_cache\":")
+        .expect("sweep_cache in /stats")..];
+    let marker = format!("\"{key}\":");
+    let at = cache
+        .find(&marker)
+        .unwrap_or_else(|| panic!("no {key} in {stats}"))
+        + marker.len();
+    (cache[at..].chars().take_while(|c| c.is_ascii_digit()))
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+/// A repeated grid point is a lookup: the same `/sweep` body twice answers
+/// the same bytes, and the second is served from the cache's ghost rows
+/// (every radius slot the first computed is a radius hit, none a miss).
+#[test]
+fn a_repeated_sweep_is_answered_from_cached_ghost_rows() {
+    let trace = make_trace(21);
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let encoded = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let (status, body) = request(addr, "POST", "/traces", &encoded);
+    assert_eq!(status, 200, "{body}");
+    let address = json_str_field(&body, "address");
+    let sweep_body = format!(
+        "{{\"trace\":\"{address}\",\"ranks\":[4,8],\
+         \"mappings\":[\"bin-based\",\"element-based\"],\
+         \"filters\":[0.02,0.05],\"mesh\":\"4x4x4\",\"order\":3}}"
+    );
+    let counters = || {
+        let (status, stats) = get(addr, "/stats");
+        assert_eq!(status, 200, "{stats}");
+        let read = |key| sweep_cache_counter(&stats, key);
+        (
+            read("radius_hits"),
+            read("radius_misses"),
+            read("radius_rows"),
+        )
+    };
+    let (status, first) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
+    assert_eq!(status, 200, "{first}");
+    let (hits0, computed, rows) = counters();
+    assert_eq!(hits0, 0);
+    assert!(computed > 0 && rows == computed, "{computed} {rows}");
+    let (status, second) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(second, first, "a cached sweep changed the bytes");
+    assert_eq!(counters(), (computed, computed, rows));
+    server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
+
+/// A rank count no host could hold was a memory-allocation abort that took
+/// the whole server down; every endpoint that replays now answers 422
+/// naming the count, and the server keeps serving.
+#[test]
+fn an_unholdable_rank_count_is_422_and_the_server_survives() {
+    let trace = make_trace(22);
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let encoded = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let (status, body) = request(addr, "POST", "/traces", &encoded);
+    assert_eq!(status, 200, "{body}");
+    let address = json_str_field(&body, "address");
+    let models = KernelModels::from_models(Vec::new()).to_json();
+    let (status, body) = request(addr, "POST", "/models", models.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let models = json_str_field(&body, "address");
+    for ranks in [1u64 << 40, 1 << 32] {
+        let bodies = [
+            (
+                "/sweep",
+                format!("{{\"trace\":\"{address}\",\"ranks\":[{ranks}]}}"),
+            ),
+            (
+                "/predict",
+                format!("{{\"trace\":\"{address}\",\"models\":\"{models}\",\"ranks\":{ranks}}}"),
+            ),
+            (
+                "/check",
+                format!("{{\"trace\":\"{address}\",\"ranks\":{ranks}}}"),
+            ),
+        ];
+        for (path, body) in bodies {
+            let (status, answer) = request(addr, "POST", path, body.as_bytes());
+            assert_eq!(status, 422, "{path} {ranks}: {answer}");
+            assert!(answer.contains(&format!("got {ranks}")), "{path}: {answer}");
+            let (status, stats) = get(addr, "/stats");
+            assert_eq!(status, 200, "{path} {ranks}: {stats}");
+        }
+    }
+    server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}

@@ -347,3 +347,35 @@ fn run_cli_refuses_an_ill_posed_config() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn workload_cli_refuses_a_rank_count_the_host_cannot_hold() {
+    // Both once aborted with `memory allocation of … bytes failed` (exit
+    // 134) sizing the mapper's rank regions; resident and streamed, they
+    // are now exit 1 naming the count.
+    let dir = std::env::temp_dir().join(format!("picpredict_ranks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.pictrace");
+    let sim = cfg(MappingAlgorithm::BinBased, ScenarioKind::HeleShaw, 8);
+    let run = MiniPic::new(sim).unwrap().run().unwrap();
+    codec::save_file(&run.trace, &trace, codec::Precision::F64).unwrap();
+    for ranks in ["1099511627776", "4294967296"] {
+        for stream in ["false", "true"] {
+            let run = std::process::Command::new(env!("CARGO_BIN_EXE_picpredict"))
+                .args(["workload", "--ranks", ranks, "--mapping", "bin-based"])
+                .args(["--stream", stream, "--trace"])
+                .arg(&trace)
+                .output()
+                .expect("run picpredict");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert_eq!(run.status.code(), Some(1), "{ranks} {stream}: {stderr}");
+            let expect = format!(
+                "error: configuration error: ranks must be at most 4294967295 \
+                 (rank ids are 32-bit), got {ranks}"
+            );
+            assert!(stderr.contains(&expect), "{ranks} {stream}: {stderr}");
+            assert!(!stderr.contains("memory allocation"), "{stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

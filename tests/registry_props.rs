@@ -9,7 +9,8 @@
 //! * the reported resident-bytes aggregate equals the sum of the
 //!   per-entry weights (`stats` vs `list_traces` never disagree);
 //! * each assignment cache's incremental resident-bytes counter never
-//!   drifts from the recomputed sum of the artifacts it actually holds;
+//!   drifts from the sum recomputed from what its entries actually hold
+//!   (assignments and ghost rows);
 //! * after every settling pass (a new-address ingest; a cache insert)
 //!   the budget holds unless a single oversized resident remains;
 //! * eviction is strict LRU, stops as soon as the budget holds, and the
@@ -27,7 +28,9 @@ use pic_mapping::MappingAlgorithm;
 use pic_predict::TraceRegistry;
 use pic_trace::{ParticleTrace, TraceMeta};
 use pic_types::{Aabb, Vec3};
-use pic_workload::{replay, AssignmentKey, ReplayOptions, SweepPoint, WorkloadConfig};
+use pic_workload::{
+    replay, AssignmentKey, CachedGroup, GhostRow, ReplayOptions, SweepPoint, WorkloadConfig,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,29 +57,40 @@ fn addr_name(idx: u8) -> String {
 }
 
 /// One registry operation: `Ingest` inserts-or-bumps, `Get` bumps
-/// recency, `Sweep` grows the entry's assignment-cache weight between
-/// ingests.
+/// recency, `Sweep` (at a rank count, ghosts on or off) grows the entry's
+/// assignment-cache weight between ingests — with ghosts on after off, by
+/// ghost rows added to a resident cache entry.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Ingest(u8),
     Get(u8),
-    Sweep(u8, usize),
+    Sweep(u8, usize, bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..ADDRS).prop_map(Op::Ingest),
         (0..ADDRS).prop_map(Op::Get),
-        ((0..ADDRS), 2usize..5).prop_map(|(a, r)| Op::Sweep(a, r)),
+        ((0..ADDRS), 2usize..5, any::<bool>()).prop_map(|(a, r, g)| Op::Sweep(a, r, g)),
     ]
 }
 
 /// Recompute the byte weight `AssignmentCache::insert` charged for an
-/// artifact vector — the independent sum the incremental counter is
-/// checked against.
-fn artifact_bytes(artifacts: &Arc<Vec<pic_workload::SampleAssignment>>) -> usize {
-    artifacts.iter().map(|a| a.approx_bytes()).sum::<usize>()
-        + artifacts.capacity() * std::mem::size_of::<pic_workload::SampleAssignment>()
+/// entry from what it holds — its assignments and every radius's ghost
+/// rows — the independent sum the incremental counter is checked against.
+fn entry_bytes(entry: &CachedGroup) -> usize {
+    let assignments = &entry.assignments;
+    let rows = entry.rows.iter().map(|(_, rows)| {
+        rows.capacity() * std::mem::size_of::<GhostRow>()
+            + (rows.iter())
+                .map(|(recv, sent)| {
+                    (recv.capacity() + sent.capacity()) * std::mem::size_of::<u32>()
+                })
+                .sum::<usize>()
+    });
+    assignments.iter().map(|a| a.approx_bytes()).sum::<usize>()
+        + assignments.capacity() * std::mem::size_of::<pic_workload::SampleAssignment>()
+        + rows.sum::<usize>()
 }
 
 proptest! {
@@ -97,7 +111,7 @@ proptest! {
         // its LRU order) plus the ranks swept against it.
         let mut swept: HashMap<String, (Arc<pic_workload::AssignmentCache>, Vec<usize>)> =
             HashMap::new();
-        let mut first_sweep: HashMap<(String, usize), Vec<pic_workload::DynamicWorkload>> =
+        let mut first_sweep: HashMap<(String, usize, bool), Vec<pic_workload::DynamicWorkload>> =
             HashMap::new();
         // Each resident entry's weight after the previous op.
         let mut weights: HashMap<String, usize> = HashMap::new();
@@ -161,7 +175,7 @@ proptest! {
                             "{addr} resident in shadow but missed in registry"),
                     }
                 }
-                Op::Sweep(idx, ranks) => {
+                Op::Sweep(idx, ranks, ghosts) => {
                     let addr = addr_name(idx);
                     let Some((trace, cache)) = reg.get_trace(&addr) else {
                         prop_assert!(!handles.contains_key(&addr));
@@ -169,13 +183,16 @@ proptest! {
                     };
                     lru_order.retain(|a| *a != addr);
                     lru_order.push(addr.clone());
-                    let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);
+                    let cfg = WorkloadConfig {
+                        compute_ghosts: ghosts,
+                        ..WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05)
+                    };
                     let opts = ReplayOptions::new(None, Some(&cache), None);
                     let (workloads, _) =
                         replay(&trace, &[SweepPoint::new(cfg)], &opts).expect("sweep");
                     // Cache-hit replay must be bit-identical to the first
                     // computation of the same configuration.
-                    match first_sweep.entry((addr.clone(), ranks)) {
+                    match first_sweep.entry((addr.clone(), ranks, ghosts)) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             prop_assert_eq!(e.get(), &workloads,
                                 "cached sweep replay diverged");
@@ -226,8 +243,8 @@ proptest! {
                 for &r in ranks_list {
                     let cfg = WorkloadConfig::new(r, MappingAlgorithm::BinBased, 0.05);
                     let key = AssignmentKey::for_config(&cfg, None);
-                    if let Some(artifacts) = cache.get(&key) {
-                        true_sum += artifact_bytes(&artifacts);
+                    if let Some(entry) = cache.get(&key, &[]) {
+                        true_sum += entry_bytes(&entry);
                     }
                 }
                 prop_assert_eq!(cache.stats().resident_bytes, true_sum,
