@@ -546,9 +546,7 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
         }
         std::fs::write(format!("{dir}/comm.csv"), comm)?;
         // the full workload as JSON — the input format of `picpredict check`
-        let json = serde_json::to_string_pretty(&w)
-            .map_err(|e| PicError::config(format!("cannot serialize workload: {e}")))?;
-        std::fs::write(format!("{dir}/workload.json"), json)?;
+        std::fs::write(format!("{dir}/workload.json"), w.to_json_pretty())?;
         eprintln!("matrices written to {dir}/");
     }
     Ok(())
@@ -835,8 +833,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     }
     if let Some(out) = flags.get("out") {
         let entries = pic_predict::grid_entries(&points, workloads);
-        let json = pic_predict::grid_to_json(&entries)?;
-        std::fs::write(out, json)?;
+        std::fs::write(out, pic_predict::grid_to_json(&entries))?;
         eprintln!("full grid ({} point(s)) -> {out}", entries.len());
     }
     Ok(())
@@ -917,9 +914,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         eprintln!("reduction plan -> {path}");
     }
     if let Some(path) = flags.get("out") {
-        let json = serde_json::to_string_pretty(w)
-            .map_err(|e| PicError::config(format!("cannot serialize workload: {e}")))?;
-        std::fs::write(path, json)?;
+        std::fs::write(path, w.to_json_pretty())?;
         eprintln!("reconstructed workload -> {path}");
     }
     Ok(())

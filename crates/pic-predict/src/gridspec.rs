@@ -7,7 +7,7 @@
 
 use pic_mapping::MappingAlgorithm;
 use pic_types::{PicError, Result};
-use pic_workload::{DynamicWorkload, SweepPoint, WorkloadConfig};
+use pic_workload::{DynamicWorkload, PrettyJson, SweepPoint, WorkloadConfig};
 use serde::Serialize;
 
 /// A cross-product sweep grid: every `(mapping, ranks, filter, stride)`
@@ -74,6 +74,7 @@ impl SweepGridSpec {
 }
 
 /// One emitted grid point: the configuration alongside its full workload.
+/// Its derived `Serialize` is the oracle [`grid_to_json`] is tested against.
 #[derive(Serialize)]
 pub struct SweepGridEntry {
     /// Index of this point in the grid's canonical order.
@@ -108,10 +109,30 @@ pub fn grid_entries(points: &[SweepPoint], workloads: Vec<DynamicWorkload>) -> V
 }
 
 /// The canonical serialized grid — the bytes `picpredict sweep --out`
-/// writes and `POST /sweep` returns.
-pub fn grid_to_json(entries: &[SweepGridEntry]) -> Result<String> {
-    serde_json::to_string_pretty(entries)
-        .map_err(|e| PicError::config(format!("cannot serialize sweep grid: {e}")))
+/// writes and `POST /sweep` returns: `serde_json::to_string_pretty` of the
+/// entries' derived `Serialize`, written straight to text by the workload
+/// renderer ([`DynamicWorkload::write_json`]).
+pub fn grid_to_json(entries: &[SweepGridEntry]) -> String {
+    let mut w = PrettyJson::default();
+    w.begin_array();
+    for e in entries {
+        w.begin_object();
+        w.key("point");
+        w.uint(e.point as u64);
+        w.key("mapping");
+        w.string(&e.mapping.to_string());
+        w.key("ranks");
+        w.uint(e.ranks as u64);
+        w.key("projection_filter");
+        w.float(e.projection_filter);
+        w.key("stride");
+        w.uint(e.stride as u64);
+        w.key("workload");
+        e.workload.write_json(&mut w);
+        w.end_object();
+    }
+    w.end_array();
+    w.finish()
 }
 
 #[cfg(test)]

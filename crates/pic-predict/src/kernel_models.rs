@@ -60,14 +60,6 @@ impl FitStrategy {
 /// compiled tape). Checked iteratively by [`KernelModel::validate`].
 pub const MAX_EXPR_DEPTH: usize = 512;
 
-/// Maximum raw JSON nesting depth accepted by [`KernelModels::from_json`].
-/// Scanned byte-wise *before* parsing, because the parser and the derived
-/// `Deserialize` recurse per nesting level — a hostile or corrupt model
-/// file must be rejected before it can touch the call stack. Generous:
-/// a [`MAX_EXPR_DEPTH`]-deep expression serializes to ~2 JSON levels per
-/// node, well under this cap.
-pub const MAX_JSON_DEPTH: usize = 4096;
-
 /// One kernel's fitted model plus the feature columns it consumes
 /// (indices into [`WorkloadParams::features`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -321,11 +313,11 @@ impl KernelModels {
     }
 
     /// Parse from JSON, rejecting structurally invalid models (the
-    /// analyzer admission pass — see [`KernelModel::validate`]) and
-    /// hostile nesting depths (see [`MAX_JSON_DEPTH`]), then compile the
-    /// admitted symbolic models to tapes.
+    /// analyzer admission pass — see [`KernelModel::validate`]), then
+    /// compile the admitted symbolic models to tapes. Hostile nesting is
+    /// refused by the JSON parser itself (`serde_json::MAX_DEPTH`), before
+    /// it can reach a recursive `Deserialize`.
     pub fn from_json(s: &str) -> Result<KernelModels> {
-        json_depth_check(s, MAX_JSON_DEPTH)?;
         let mut models: KernelModels = serde_json::from_str(s)
             .map_err(|e| PicError::model(format!("bad models JSON: {e}")))?;
         models.validate()?;
@@ -403,43 +395,6 @@ impl KernelPlan<'_> {
             }
         })
     }
-}
-
-/// Reject JSON whose raw `{`/`[` nesting exceeds `max` *before* handing
-/// it to the recursive parser. String-literal aware (brackets inside
-/// strings, including escaped quotes, do not count). Reports the byte
-/// offset where the limit was crossed.
-fn json_depth_check(s: &str, max: usize) -> Result<()> {
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, b) in s.bytes().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' | b'[' => {
-                depth += 1;
-                if depth > max {
-                    return Err(PicError::model(format!(
-                        "models JSON nests deeper than {max} levels (at byte {i}); \
-                         refusing to parse"
-                    )));
-                }
-            }
-            b'}' | b']' => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    Ok(())
 }
 
 /// Build the full-feature dataset for one kernel's records.

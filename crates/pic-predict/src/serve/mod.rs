@@ -17,14 +17,16 @@
 //!   shared [`pic_workload::AssignmentCache`], so concurrent and repeat
 //!   requests reuse each group's per-sample replay: the assignment
 //!   artifacts (mapper pass + region index) across filter radii, strides
-//!   and ghost toggles, and the ghost rows of every radius already asked
-//!   for, so a repeated grid point runs no kernel at all. Byte-identical
-//!   in-flight requests additionally collapse onto one computation
-//!   (single-flight batching).
+//!   and ghost toggles, the ghost rows of every radius and the migration
+//!   diffs of every stride already asked for, so a repeated grid point
+//!   runs no kernel and no diff at all. Byte-identical in-flight requests
+//!   additionally collapse onto one computation (single-flight batching),
+//!   whose response body the leader and its followers share, uncopied.
 //! * **Bit-identical to offline.** A `POST /sweep` response body is
 //!   byte-for-byte the file `picpredict sweep --out` writes for the same
-//!   grid — both serialize through [`crate::gridspec`], and the cached
-//!   sweep engine is bit-identical to the per-configuration reference.
+//!   grid — both write it straight to text through
+//!   [`crate::gridspec::grid_to_json`], and the cached sweep engine is
+//!   bit-identical to the per-configuration reference.
 //! * **Adapters, not pipelines.** A handler parses its request in the
 //!   vocabulary the types own (`FromStr`, [`MachineSpec::preset`], the
 //!   defaults of [`crate::pipeline`]), resolves the resident trace and
@@ -41,8 +43,10 @@
 //!   point to the holdout error budget; the reduction plan is cached per
 //!   trace in its [`registry::PlanCache`] under the same LRU weight.
 //! * **Adversarial clients survive.** Framing is bounded and deadlined
-//!   (see [`http`]); the pic-trace fault corpus replayed over a socket
-//!   yields positioned 4xx responses, never a panic or a hung thread.
+//!   (see [`http`]); a JSON body nested past `serde_json::MAX_DEPTH` is a
+//!   `400`, not a stack overflow; the pic-trace fault corpus replayed over
+//!   a socket yields positioned 4xx responses, never a panic or a hung
+//!   thread.
 
 pub mod http;
 pub mod registry;
@@ -123,10 +127,14 @@ impl Default for ServeConfig {
     }
 }
 
+/// A response: status and body. The body is shared, never copied, between
+/// a flight's leader and its followers.
+type Response = (u16, Arc<String>);
+
 /// One single-flight computation: followers park on the condvar until the
 /// leader publishes `(status, body)`.
 struct Flight {
-    done: TrackedMutex<Option<(u16, String)>>,
+    done: TrackedMutex<Option<Response>>,
     cv: TrackedCondvar,
 }
 
@@ -356,8 +364,8 @@ fn route(
     state: &ServerState,
     head: &Request,
     reader: &mut BufReader<TcpStream>,
-) -> std::result::Result<(u16, String), HttpError> {
-    match (head.method.as_str(), head.path.as_str()) {
+) -> std::result::Result<Response, HttpError> {
+    let unshared = match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => Ok((200, "{\"ok\":true}".to_string())),
         ("GET", "/stats") => handle_stats(state),
         ("GET", "/traces") => handle_list_traces(state),
@@ -373,11 +381,11 @@ fn route(
         ("POST", path @ ("/sweep" | "/predict" | "/check")) => {
             let body = read_json_body(state, head, reader)?;
             let key = flight_key(path, &body);
-            single_flight(state, key, || match path {
+            return single_flight(state, key, || match path {
                 "/sweep" => handle_sweep(state, &body),
                 "/predict" => handle_predict(state, &body),
                 _ => handle_check(state, &body),
-            })
+            });
         }
         (
             _,
@@ -388,7 +396,8 @@ fn route(
             format!("method {} not allowed on {}", head.method, head.path),
         )),
         (_, path) => Err(HttpError::new(404, format!("no such endpoint {path}"))),
-    }
+    };
+    unshared.map(|(status, body)| (status, Arc::new(body)))
 }
 
 fn read_json_body(
@@ -435,7 +444,7 @@ struct FlightPublisher<'a> {
 }
 
 impl FlightPublisher<'_> {
-    fn publish(&mut self, outcome: (u16, String)) {
+    fn publish(&mut self, outcome: Response) {
         *self.flight.done.lock() = Some(outcome);
         self.flight.cv.notify_all();
         self.state.inflight.lock().remove(&self.key);
@@ -449,21 +458,25 @@ impl Drop for FlightPublisher<'_> {
             self.state.errors.fetch_add(1, Ordering::Relaxed);
             self.publish((
                 500,
-                "{\"error\":{\"status\":500,\"message\":\"request computation \
-                 abandoned: the leading request panicked before publishing\"}}"
-                    .to_string(),
+                Arc::new(
+                    "{\"error\":{\"status\":500,\"message\":\"request computation \
+                     abandoned: the leading request panicked before publishing\"}}"
+                        .to_string(),
+                ),
             ));
         }
     }
 }
 
 /// Collapse byte-identical in-flight requests onto one computation: the
-/// first arrival computes, later arrivals park and share the response.
+/// first arrival computes, later arrivals park and share the response —
+/// the leader's body itself, behind an `Arc`, so publishing copies nothing
+/// whether or not anyone follows.
 fn single_flight(
     state: &ServerState,
     key: u128,
     compute: impl FnOnce() -> std::result::Result<(u16, String), HttpError>,
-) -> std::result::Result<(u16, String), HttpError> {
+) -> std::result::Result<Response, HttpError> {
     let (flight, leader) = {
         let mut tbl = state.inflight.lock();
         match tbl.get(&key) {
@@ -482,16 +495,16 @@ fn single_flight(
             flight: &flight,
             published: false,
         };
-        let outcome = compute();
+        let outcome = compute().map(|(status, body)| (status, Arc::new(body)));
         let published = match &outcome {
             Ok(ok) => ok.clone(),
             Err(e) => (
                 e.status,
-                format!(
+                Arc::new(format!(
                     "{{\"error\":{{\"status\":{},\"message\":{}}}}}",
                     e.status,
                     http::json_escape(&e.message)
-                ),
+                )),
             ),
         };
         publisher.publish(published);
@@ -798,8 +811,7 @@ fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
         workloads
     };
     let entries = grid_entries(&points, workloads);
-    let json = grid_to_json(&entries).map_err(|e| HttpError::new(500, format!("{e}")))?;
-    Ok((200, json))
+    Ok((200, grid_to_json(&entries)))
 }
 
 /// The reduced-replay sweep path: fetch (or build and cache) the trace's
@@ -1114,12 +1126,13 @@ mod tests {
         let (status, body) =
             single_flight(&state, key, || Ok((200, "\"recomputed\"".to_string()))).unwrap();
         assert_eq!(status, 200);
-        assert_eq!(body, "\"recomputed\"");
+        assert_eq!(body.as_str(), "\"recomputed\"");
         pic_types::sync::assert_witness_clean();
     }
 
     /// The ordinary path: one leader computes, a follower shares the
-    /// response verbatim and is counted as batched.
+    /// response — the leader's own allocation, not a copy — and is counted
+    /// as batched.
     #[test]
     fn follower_shares_leader_response() {
         let state = Arc::new(ServerState::new(ServeConfig::default()));
@@ -1140,14 +1153,11 @@ mod tests {
         let follower = std::thread::spawn(move || {
             single_flight(&follower_state, key, || unreachable!("must batch"))
         });
-        assert_eq!(
-            follower.join().unwrap().unwrap(),
-            (200, "\"shared\"".to_string())
-        );
-        assert_eq!(
-            leader.join().unwrap().unwrap(),
-            (200, "\"shared\"".to_string())
-        );
+        let (status, followed) = follower.join().unwrap().unwrap();
+        assert_eq!((status, followed.as_str()), (200, "\"shared\""));
+        let (status, led) = leader.join().unwrap().unwrap();
+        assert_eq!((status, led.as_str()), (200, "\"shared\""));
+        assert!(Arc::ptr_eq(&followed, &led), "the follower got a copy");
         assert_eq!(state.counters().2, 1);
         pic_types::sync::assert_witness_clean();
     }

@@ -390,6 +390,9 @@ impl TraceRegistry {
             agg.radius_rows += s.radius_rows;
             agg.radius_hits += s.radius_hits;
             agg.radius_misses += s.radius_misses;
+            agg.diff_sets += s.diff_sets;
+            agg.diff_hits += s.diff_hits;
+            agg.diff_misses += s.diff_misses;
         }
         agg
     }

@@ -8,6 +8,7 @@
 //! samples' ownership to count migrating particles. The replay itself is
 //! [`crate::sweep::replay`].
 
+use crate::json::PrettyJson;
 use crate::matrices::{CommMatrix, CompMatrix};
 pub use crate::reference::generate_reference;
 use crate::sweep::{replay, ReplayOptions, SweepPoint};
@@ -82,6 +83,56 @@ impl DynamicWorkload {
     /// Maximum bin count over the run (Fig 6's cap, when bin-mapped).
     pub fn max_bin_count(&self) -> Option<usize> {
         self.bin_counts.iter().filter_map(|&b| b).max()
+    }
+
+    /// This workload as pretty-printed JSON: the bytes
+    /// `serde_json::to_string_pretty` renders, without its value tree.
+    /// What `picpredict check` and `Deserialize` read back.
+    pub fn to_json_pretty(&self) -> String {
+        let mut w = PrettyJson::default();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Write this workload as one JSON object at `w`'s position, in the
+    /// field order of its derived `Serialize`.
+    pub fn write_json(&self, w: &mut PrettyJson) {
+        w.begin_object();
+        w.key("ranks");
+        w.uint(self.ranks as u64);
+        w.key("iterations");
+        w.uints(self.iterations.iter().copied());
+        for (name, m) in [
+            ("real", &self.real),
+            ("ghost_recv", &self.ghost_recv),
+            ("ghost_sent", &self.ghost_sent),
+        ] {
+            w.key(name);
+            m.write_json(w);
+        }
+        w.key("comm");
+        w.begin_object();
+        w.key("entries");
+        w.begin_array();
+        for sample in &self.comm.entries {
+            w.begin_array();
+            for &(from, to, count) in sample {
+                w.uints([from, to, count].map(u64::from));
+            }
+            w.end_array();
+        }
+        w.end_array();
+        w.end_object();
+        w.key("bin_counts");
+        w.begin_array();
+        for b in &self.bin_counts {
+            match b {
+                Some(n) => w.uint(*n as u64),
+                None => w.null(),
+            }
+        }
+        w.end_array();
+        w.end_object();
     }
 }
 

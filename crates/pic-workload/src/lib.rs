@@ -40,6 +40,7 @@
 
 pub mod generator;
 pub mod heatmap;
+pub mod json;
 pub mod matrices;
 pub mod metrics;
 pub mod reduce;
@@ -49,11 +50,12 @@ pub mod soa;
 pub mod sweep;
 
 pub use generator::{DynamicWorkload, WorkloadConfig};
+pub use json::PrettyJson;
 pub use matrices::{migration_pairs, CommMatrix, CompMatrix};
 pub use reduce::{peak_load_series, peak_rel_error, ReduceStats, ReductionPlan};
 pub use soa::SoAPositions;
 pub use sweep::{
     mesh_fingerprint, replay, sweep_streaming, AssignmentCache, AssignmentCacheStats,
-    AssignmentKey, CachedGroup, GhostRow, IngestStats, RadiusRows, ReplayOptions, SampleAssignment,
-    SweepPoint, SweepStats,
+    AssignmentKey, CachedGroup, DiffRows, GhostRow, IngestStats, RadiusRows, ReplayOptions,
+    SampleAssignment, SweepPoint, SweepStats,
 };

@@ -5,6 +5,7 @@
 //! overwhelmingly sparse in practice (a rank exchanges particles with a
 //! handful of neighbours), so it is stored as per-sample sorted triples.
 
+use crate::json::PrettyJson;
 use pic_types::radix::radix_sort_by_key;
 use pic_types::Rank;
 use serde::{Deserialize, Serialize};
@@ -85,6 +86,17 @@ impl CompMatrix {
     /// Total count at one sample (should equal `N_p` for real particles).
     pub fn sample_total(&self, sample: usize) -> u64 {
         self.sample_row(sample).iter().map(|&c| c as u64).sum()
+    }
+
+    /// Write this matrix as one JSON object (`ranks`, then the row-major
+    /// `data`), the shape its derived `Serialize` has.
+    pub(crate) fn write_json(&self, w: &mut PrettyJson) {
+        w.begin_object();
+        w.key("ranks");
+        w.uint(self.ranks as u64);
+        w.key("data");
+        w.uints(self.data.iter().map(|&c| u64::from(c)));
+        w.end_object();
     }
 
     /// CSV rendering: one line per rank, one column per sample — the raw

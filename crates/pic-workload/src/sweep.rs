@@ -21,13 +21,16 @@
 //!   kernel over the (group, sample) pairs a caller selects — all samples,
 //!   a [`ReductionPlan`]'s representatives and their predecessors, or a
 //!   holdout list — optionally through an [`AssignmentCache`], which
-//!   keeps each group's assignments and every radius's ghost rows, so a
-//!   repeated grid point runs no kernel at all.
+//!   keeps each group's assignments, every radius's ghost rows and every
+//!   step's migration diffs, so a repeated grid point runs no kernel and
+//!   diffs no ownership at all.
 //!   [`sweep_streaming`] is the bounded decoder → workers → in-order-merge
 //!   pipeline for traces larger than memory.
 //! * **Assembly.** `assemble` turns replayed slots into one
 //!   [`DynamicWorkload`] per member: a stride-`s` member keeps every
-//!   `s`-th sample, exactly the full replay of `trace.subsample(s)`.
+//!   `s`-th sample, exactly the full replay of `trace.subsample(s)`. Its
+//!   migration diffs come from the cache entry where resident, and a full
+//!   replay publishes the ones it computed.
 //!
 //! Outputs are **bit-identical** to the sequential
 //! [`crate::reference::generate_reference`] oracle; `tests/props.rs`
@@ -111,6 +114,11 @@ pub struct SweepStats {
     /// and `cached_radii == ghost_radii` runs no kernel pass at all.
     #[serde(default)]
     pub cached_radii: usize,
+    /// Migration diffs computed (`migration_pairs` calls): one per
+    /// retained sample after a member's first, per (group, step), less the
+    /// diff sets an [`AssignmentCache`] served. A full cache hit makes none.
+    #[serde(default)]
+    pub migration_diffs: usize,
 }
 
 /// Assignment identity of a configuration: mapping, ranks, and the filter
@@ -265,12 +273,13 @@ fn check_rank_state(ranks: usize, radii: usize, output_samples: Option<usize>) -
 
 /// The accounting of `samples` full-kernel and `owner_only` owner-only
 /// samples per group, less the `cached_groups` and `cached_radii` a cache
-/// served.
+/// served, with the `migration_diffs` the run computed.
 fn stats_for(
     plan: &SweepPlan,
     samples: usize,
     owner_only: usize,
     (cached_groups, cached_radii): (usize, usize),
+    migration_diffs: usize,
 ) -> SweepStats {
     let computed = plan.groups.len() - cached_groups;
     SweepStats {
@@ -284,6 +293,7 @@ fn stats_for(
         shared_query_groups: plan.groups.iter().filter(|g| g.radii.len() > 1).count(),
         cached_groups,
         cached_radii,
+        migration_diffs,
     }
 }
 
@@ -321,6 +331,15 @@ pub type GhostRow = (Vec<u32>, Vec<u32>);
 /// One radius's ghost rows, shared between a replay and an
 /// [`AssignmentCache`] entry: in an entry, row `s` is trace sample `s`.
 pub type RadiusRows = Arc<Vec<GhostRow>>;
+
+/// One sample's migrations: sorted `(from, to, count)` triples.
+type Migrations = Vec<(u32, u32, u32)>;
+
+/// One step's migration diffs, shared between a replay and an
+/// [`AssignmentCache`] entry: in an entry, row `s` is trace sample `s`
+/// diffed against sample `s - step` where a stride-`step` member retains
+/// `s` (`s` a positive multiple of `step`), and empty elsewhere.
+pub type DiffRows = Arc<Vec<Vec<(u32, u32, u32)>>>;
 
 /// What the kernel made of one (group, sample): the assignment it
 /// computed (`None` when a cached one was supplied) and the ghost
@@ -404,6 +423,8 @@ pub(crate) struct GroupReplay {
     pred_owners: Vec<Vec<Rank>>,
     /// Whether `assignments` came out of the cache.
     cached: bool,
+    /// The cache entry's diff sets, keyed by step (empty on a miss).
+    diffs: Vec<(usize, DiffRows)>,
 }
 
 impl GroupReplay {
@@ -420,28 +441,59 @@ impl GroupReplay {
     }
 }
 
+/// The step a member's migrations are diffed at: a full replay diffs a
+/// retained sample against the previous retained one (`step = stride`); a
+/// broadcast diffs each representative against its immediate trace
+/// predecessor (`step = 1`).
+fn diff_step(m: &MemberPlan, broadcast: bool) -> usize {
+    if broadcast {
+        1
+    } else {
+        m.stride
+    }
+}
+
+/// The distinct `(group, step)` migration diff sets [`assemble`] reads,
+/// sorted.
+fn diff_keys(plan: &SweepPlan, broadcast: bool) -> Vec<(usize, usize)> {
+    let mut keys: Vec<(usize, usize)> = (plan.members.iter())
+        .map(|m| (m.group, diff_step(m, broadcast)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 /// The resident driver: run the kernel over every (group, sample) pair
 /// selected — the full kernel on `full`, an owner-only pass on
 /// `owner_only` — as one flattened parallel fan-out (large samples split
 /// further inside the ghost kernels).
 ///
 /// A `cache` (with the mesh fingerprint its keys carry) is consulted per
-/// group. A hit serves every selected sample's assignment, owner-only ones
-/// included, and the ghost rows of every radius it holds; the kernel runs
-/// only the radii it lacks, and not at all when it lacks none. An entry
-/// holds one row per trace sample, so the cache receives what was computed
-/// — a new entry on a miss, added radius rows on a hit — only when `full`
-/// is every sample in order.
+/// group, counting the group's `diff_keys` steps as diff hits or misses. A
+/// hit serves every selected sample's assignment, owner-only ones
+/// included, the ghost rows of every radius it holds and its diff sets;
+/// the kernel runs only the radii it lacks, and not at all when it lacks
+/// none. An entry holds one row per trace sample, so the cache receives
+/// what was computed — a new entry on a miss, added radius rows on a hit —
+/// only when `full` is every sample in order.
 pub(crate) fn replay_groups(
     trace: &ParticleTrace,
     plan: &SweepPlan,
     full: &[usize],
     owner_only: &[usize],
     cache: Option<(&AssignmentCache, Option<u64>)>,
+    diff_keys: &[(usize, usize)],
 ) -> Vec<GroupReplay> {
     let key_of = |g: &GroupPlan, fp| AssignmentKey::for_group(g.key, fp);
-    let hits: Vec<Option<CachedGroup>> = (plan.groups.iter())
-        .map(|g| cache.and_then(|(c, fp)| c.get(&key_of(g, fp), &g.radii)))
+    let hits: Vec<Option<CachedGroup>> = (plan.groups.iter().enumerate())
+        .map(|(i, g)| {
+            let steps: Vec<usize> = (diff_keys.iter())
+                .filter(|(dg, _)| *dg == i)
+                .map(|&(_, step)| step)
+                .collect();
+            cache.and_then(|(c, fp)| c.get(&key_of(g, fp), &g.radii, &steps))
+        })
         .collect();
     // The radii each group's kernel still runs, in slot order.
     let missing: Vec<Vec<f64>> = (plan.groups.iter().zip(&hits))
@@ -497,7 +549,10 @@ pub(crate) fn replay_groups(
                 })
                 .collect();
             let cached = hit.is_some();
-            let assignments = hit.map_or_else(|| Arc::new(fresh), |h| h.assignments);
+            let (assignments, diffs) = match hit {
+                Some(h) => (h.assignments, h.diffs),
+                None => (Arc::new(fresh), Vec::new()),
+            };
             if let Some((c, fp)) = publish.filter(|_| !cached || !missing.is_empty()) {
                 let rows = missing.iter().map(|r| r.to_bits()).zip(computed).collect();
                 c.insert(key_of(group, fp), Arc::clone(&assignments), rows);
@@ -507,6 +562,7 @@ pub(crate) fn replay_groups(
                 ghosts,
                 pred_owners,
                 cached,
+                diffs,
             }
         })
         .collect()
@@ -542,7 +598,7 @@ impl MemberRows {
         a: &SampleAssignment,
         ghost: Option<&GhostRow>,
         iteration: u64,
-        comm: Vec<(u32, u32, u32)>,
+        comm: Migrations,
     ) {
         let (recv, sent) = ghost.map_or((&self.zeros, &self.zeros), |(recv, sent)| (recv, sent));
         let w = &mut self.workload;
@@ -555,24 +611,27 @@ impl MemberRows {
     }
 }
 
-/// Assemble one workload per member from replayed slots.
+/// Assemble one workload per member from replayed slots, returning the
+/// number of migration diffs it computed.
 ///
 /// Output sample `t` (one per trace sample) takes slot `t`, or
 /// slot `broadcast[t]` under a reduction plan; a member keeps every
-/// `stride`-th output sample. Migrations are diffed once per
-/// (group, step) in parallel over slots and shared by the members that
-/// read them: a full replay diffs a retained sample against the previous
-/// retained one (`step = stride`); a broadcast diffs each representative
-/// against its immediate trace predecessor (`step = 1`), which at
-/// stride > 1 stands in for the strided interval.
+/// `stride`-th output sample. Migrations are one diff set per
+/// [`diff_keys`] entry, shared by the members that read it. A full replay
+/// takes the sets its cache entries hold and diffs the rest in parallel
+/// over slots, then publishes those to `cache` (an entry evicted since
+/// [`replay_groups`] is skipped). A broadcast neither reads nor publishes:
+/// its step-1 diffs of representatives stand in for the strided interval
+/// at stride > 1, which is no full replay's diff.
 fn assemble(
     plan: &SweepPlan,
     replayed: &[GroupReplay],
     trace: &ParticleTrace,
-    full: &[usize],
-    owner_only: &[usize],
+    (full, owner_only): (&[usize], &[usize]),
     broadcast: Option<&[usize]>,
-) -> Vec<DynamicWorkload> {
+    cache: Option<(&AssignmentCache, Option<u64>)>,
+    keys: &[(usize, usize)],
+) -> (Vec<DynamicWorkload>, usize) {
     let iterations = trace.iterations();
     let slot_of: HashMap<usize, usize> = full.iter().enumerate().map(|(r, &s)| (s, r)).collect();
     let pred_of: HashMap<usize, usize> =
@@ -587,34 +646,53 @@ fn assemble(
             None => (pred_of.get(&sample)).map(|&i| group.pred_owners[i].as_slice()),
         }
     };
-    let step_of = |m: &MemberPlan| if broadcast.is_some() { 1 } else { m.stride };
-    let mut keys: Vec<(usize, usize)> =
-        plan.members.iter().map(|m| (m.group, step_of(m))).collect();
-    keys.sort_unstable();
-    keys.dedup();
+    let resident: Vec<Option<DiffRows>> = (keys.iter())
+        .map(|&(g, step)| {
+            let found = replayed[g].diffs.iter().find(|(s, _)| *s == step);
+            found
+                .filter(|_| broadcast.is_none())
+                .map(|(_, rows)| Arc::clone(rows))
+        })
+        .collect();
+    let todo: Vec<(usize, usize)> = (keys.iter().zip(&resident))
+        .filter(|(_, rows)| rows.is_none())
+        .map(|(&key, _)| key)
+        .collect();
     let nf = full.len();
-    let migrations: Vec<Vec<(u32, u32, u32)>> = pic_types::pool::install(|| {
-        (0..keys.len() * nf)
+    let computed: Vec<Option<Migrations>> = pic_types::pool::install(|| {
+        (0..todo.len() * nf)
             .into_par_iter()
             .map(|i| {
-                let ((g, step), r) = (keys[i / nf], i % nf);
+                let ((g, step), r) = (todo[i / nf], i % nf);
                 let read = broadcast.is_some() || r % step == 0;
-                match full[r].checked_sub(step).and_then(|p| owners_at(g, p)) {
-                    Some(prev) if read => {
-                        migration_pairs(prev, &replayed[g].assignment(r, full).owners)
-                    }
-                    _ => Vec::new(),
-                }
+                let prev = full[r].checked_sub(step).and_then(|p| owners_at(g, p));
+                (prev.filter(|_| read))
+                    .map(|prev| migration_pairs(prev, &replayed[g].assignment(r, full).owners))
             })
             .collect()
     });
-    pic_types::pool::install(|| {
+    let diffed = computed.iter().filter(|d| d.is_some()).count();
+    let mut computed = computed.into_iter().map(Option::unwrap_or_default);
+    let publish = cache.filter(|_| broadcast.is_none());
+    let diffs: Vec<DiffRows> = (keys.iter().zip(resident))
+        .map(|(&(g, step), rows)| {
+            rows.unwrap_or_else(|| {
+                let rows: DiffRows = Arc::new(computed.by_ref().take(nf).collect());
+                if let Some((c, fp)) = publish {
+                    let key = AssignmentKey::for_group(plan.groups[g].key, fp);
+                    c.insert_diffs(&key, step, Arc::clone(&rows));
+                }
+                rows
+            })
+        })
+        .collect();
+    let workloads = pic_types::pool::install(|| {
         plan.members
             .par_iter()
             .map(|m| {
                 let g = &replayed[m.group];
                 let k = keys
-                    .binary_search(&(m.group, step_of(m)))
+                    .binary_search(&(m.group, diff_step(m, broadcast.is_some())))
                     .expect("every member's key was collected");
                 let mut rows = MemberRows::new(plan.groups[m.group].ranks);
                 for (pos, t) in (0..iterations.len()).step_by(m.stride).enumerate() {
@@ -622,7 +700,7 @@ fn assemble(
                     let comm = if pos == 0 {
                         Vec::new()
                     } else {
-                        migrations[k * nf + r].clone()
+                        diffs[k][r].clone()
                     };
                     let ghost = m.ghost_slot.map(|k| g.ghost_row(k, r, full));
                     rows.push(g.assignment(r, full), ghost, iterations[t], comm);
@@ -630,7 +708,8 @@ fn assemble(
                 rows.workload
             })
             .collect()
-    })
+    });
+    (workloads, diffed)
 }
 
 /// What a [`replay`] runs against besides the trace and the grid. Every
@@ -717,15 +796,23 @@ pub fn replay(
     };
     let sweep = build_plan(points, opts.mesh, Some(trace.sample_count()))?;
     let cache = opts.cache.map(|c| (c, opts.mesh.map(mesh_fingerprint)));
-    let replayed = replay_groups(trace, &sweep, full, &owner_only, cache);
-    let workloads = assemble(&sweep, &replayed, trace, full, &owner_only, broadcast);
+    let keys = diff_keys(&sweep, broadcast.is_some());
+    // A broadcast reads no diff set from the cache, so it looks up none.
+    let cached_keys = if broadcast.is_some() {
+        &[][..]
+    } else {
+        &keys[..]
+    };
+    let replayed = replay_groups(trace, &sweep, full, &owner_only, cache, cached_keys);
+    let slots = (full, &owner_only[..]);
+    let (workloads, diffed) = assemble(&sweep, &replayed, trace, slots, broadcast, cache, &keys);
     let cached = (
         replayed.iter().filter(|g| g.cached).count(),
         (replayed.iter().flat_map(|g| &g.ghosts))
             .filter(|(_, cached)| *cached)
             .count(),
     );
-    let stats = stats_for(&sweep, full.len(), owner_only.len(), cached);
+    let stats = stats_for(&sweep, full.len(), owner_only.len(), cached, diffed);
     Ok((workloads, stats))
 }
 
@@ -817,12 +904,22 @@ pub struct AssignmentCacheStats {
     /// entry included).
     #[serde(default)]
     pub radius_misses: u64,
+    /// Migration diff sets currently resident, summed over entries.
+    #[serde(default)]
+    pub diff_sets: usize,
+    /// Step lookups served from resident diff sets.
+    #[serde(default)]
+    pub diff_hits: u64,
+    /// Step lookups whose diffs were computed (every step of a missed
+    /// entry included; a reduced replay looks up none).
+    #[serde(default)]
+    pub diff_misses: u64,
 }
 
 /// One group's whole per-sample replay, as an [`AssignmentCache`] entry
 /// holds it and [`AssignmentCache::get`] hands it out: entry `s` of
-/// `assignments` and of every row set is trace sample `s`. Cloning copies
-/// `Arc`s, never artifact data.
+/// `assignments`, of every row set and of every diff set is trace sample
+/// `s`. Cloning copies `Arc`s, never artifact data.
 #[derive(Debug, Clone)]
 pub struct CachedGroup {
     /// The radius-independent half: one assignment per trace sample.
@@ -831,6 +928,9 @@ pub struct CachedGroup {
     /// `assignments` (the real counts and owners) they cannot be used, so
     /// they live and are evicted with their entry.
     pub rows: Vec<(u64, RadiusRows)>,
+    /// One migration diff set per step (member stride), keyed by the step.
+    /// Like the rows, they live and are evicted with their entry.
+    pub diffs: Vec<(usize, DiffRows)>,
 }
 
 impl CachedGroup {
@@ -858,6 +958,14 @@ fn row_bytes(rows: &RadiusRows) -> usize {
             .sum::<usize>()
 }
 
+/// Approximate resident bytes of one step's diffs.
+fn diff_bytes(diffs: &DiffRows) -> usize {
+    diffs.capacity() * std::mem::size_of::<Migrations>()
+        + (diffs.iter())
+            .map(|d| d.capacity() * std::mem::size_of::<(u32, u32, u32)>())
+            .sum::<usize>()
+}
+
 struct CacheEntry {
     group: CachedGroup,
     bytes: usize,
@@ -873,6 +981,26 @@ struct CacheInner {
     evictions: u64,
     radius_hits: u64,
     radius_misses: u64,
+    diff_hits: u64,
+    diff_misses: u64,
+}
+
+impl CacheInner {
+    /// Charge `added` bytes, then evict least-recently-used entries other
+    /// than `keep` until `budget` holds.
+    fn settle(&mut self, added: usize, keep: &AssignmentKey, budget: usize) {
+        self.resident_bytes += added;
+        while self.resident_bytes > budget && self.entries.len() > 1 {
+            let victim = (self.entries.iter())
+                .filter(|(k, _)| *k != keep)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k);
+            let Some(v) = victim else { break };
+            let e = self.entries.remove(&v).expect("victim vanished");
+            self.resident_bytes -= e.bytes;
+            self.evictions += 1;
+        }
+    }
 }
 
 /// Lock-order level of the assignment-cache mutex. The serve layer
@@ -888,12 +1016,14 @@ const ASSIGNMENT_CACHE_LOCK_LEVEL: u32 = 100;
 ///
 /// An entry is one assignment group's [`CachedGroup`]: its per-sample
 /// [`SampleAssignment`]s plus, per ghost radius already asked for, every
-/// sample's `(recv, sent)` histograms. [`replay`] consults it per group: a
-/// hit skips the group's assignment + index replay and runs the ghost
-/// kernel only for the radii the entry has no rows for, so a repeated grid
-/// point is a lookup, and a new filter radius or stride on a resident group
-/// never touches the mapper. Rows are charged to the same byte budget as
-/// the assignments and evicted with them. Eviction is strict LRU by
+/// sample's `(recv, sent)` histograms, and per step (member stride) already
+/// asked for, every sample's migration diff. [`replay`] consults it per
+/// group: a hit skips the group's assignment + index replay, runs the ghost
+/// kernel only for the radii the entry has no rows for and diffs only the
+/// steps it has no diffs for, so a repeated grid point is a lookup, and a
+/// new filter radius or stride on a resident group never touches the
+/// mapper. Rows and diffs are charged to the same byte budget as the
+/// assignments and evicted with them. Eviction is strict LRU by
 /// lookup/insert tick; an entry larger than the whole budget is admitted
 /// alone (the cache never refuses to serve the request it was asked to
 /// back).
@@ -929,6 +1059,8 @@ impl AssignmentCache {
                     evictions: 0,
                     radius_hits: 0,
                     radius_misses: 0,
+                    diff_hits: 0,
+                    diff_misses: 0,
                 },
             ),
         }
@@ -936,14 +1068,15 @@ impl AssignmentCache {
 
     /// Look up the replay for `key`, bumping its recency on a hit, and
     /// count each of `radii` as a radius hit (its rows are resident) or a
-    /// radius miss.
-    pub fn get(&self, key: &AssignmentKey, radii: &[f64]) -> Option<CachedGroup> {
+    /// radius miss, and each of `steps` as a diff hit or miss.
+    pub fn get(&self, key: &AssignmentKey, radii: &[f64], steps: &[usize]) -> Option<CachedGroup> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let Some(e) = inner.entries.get_mut(key) else {
             inner.misses += 1;
             inner.radius_misses += radii.len() as u64;
+            inner.diff_misses += steps.len() as u64;
             return None;
         };
         e.last_used = tick;
@@ -952,9 +1085,14 @@ impl AssignmentCache {
             .iter()
             .filter(|&&r| group.rows_at(r).is_some())
             .count();
+        let diffs = (steps.iter())
+            .filter(|&&step| group.diffs.iter().any(|(s, _)| *s == step))
+            .count();
         inner.hits += 1;
         inner.radius_hits += resident as u64;
         inner.radius_misses += (radii.len() - resident) as u64;
+        inner.diff_hits += diffs as u64;
+        inner.diff_misses += (steps.len() - diffs) as u64;
         Some(group)
     }
 
@@ -983,6 +1121,7 @@ impl AssignmentCache {
                     group: CachedGroup {
                         assignments,
                         rows: Vec::new(),
+                        diffs: Vec::new(),
                     },
                     bytes: added,
                     last_used: tick,
@@ -998,23 +1137,28 @@ impl AssignmentCache {
             }
         }
         entry.last_used = tick;
-        inner.resident_bytes += added;
-        while inner.resident_bytes > self.budget_bytes && inner.entries.len() > 1 {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(v) => {
-                    let e = inner.entries.remove(&v).expect("victim vanished");
-                    inner.resident_bytes -= e.bytes;
-                    inner.evictions += 1;
-                }
-                None => break,
-            }
+        inner.settle(added, &key, self.budget_bytes);
+    }
+
+    /// Add the migration diffs of `step` to the entry under `key`, the
+    /// same way [`AssignmentCache::insert`] adds radius rows. An entry
+    /// evicted since its replay started is not re-created: diffs alone
+    /// cannot serve a lookup.
+    pub fn insert_diffs(&self, key: &AssignmentKey, step: usize, diffs: DiffRows) {
+        let mut inner = self.inner.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let Some(entry) = inner.entries.get_mut(key) else {
+            return;
+        };
+        entry.last_used = tick;
+        if entry.group.diffs.iter().any(|(s, _)| *s == step) {
+            return;
         }
+        let added = diff_bytes(&diffs);
+        entry.bytes += added;
+        entry.group.diffs.push((step, diffs));
+        inner.settle(added, key, self.budget_bytes);
     }
 
     /// Current counters.
@@ -1029,6 +1173,9 @@ impl AssignmentCache {
             radius_rows: inner.entries.values().map(|e| e.group.rows.len()).sum(),
             radius_hits: inner.radius_hits,
             radius_misses: inner.radius_misses,
+            diff_sets: inner.entries.values().map(|e| e.group.diffs.len()).sum(),
+            diff_hits: inner.diff_hits,
+            diff_misses: inner.diff_misses,
         }
     }
 
@@ -1079,7 +1226,7 @@ struct MigrationFold {
     group: usize,
     stride: usize,
     prev_owners: Option<Arc<Vec<Rank>>>,
-    row: Vec<(u32, u32, u32)>,
+    row: Migrations,
 }
 
 /// The streaming driver: every sweep point sample-by-sample off one
@@ -1198,6 +1345,7 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
             })
             .collect();
         let mut merge_seconds = 0.0;
+        let mut diffed = 0;
         // Reorder buffer: results stall here until their predecessors
         // land, so the fold below always sees samples in trace order. Its
         // size is bounded by the channel capacities above.
@@ -1217,7 +1365,10 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
                     .collect();
                 for f in folds.iter_mut().filter(|f| next.is_multiple_of(f.stride)) {
                     f.row = match &f.prev_owners {
-                        Some(prev) => migration_pairs(prev, &owners[f.group]),
+                        Some(prev) => {
+                            diffed += 1;
+                            migration_pairs(prev, &owners[f.group])
+                        }
                         None => Vec::new(),
                     };
                     f.prev_owners = Some(Arc::clone(&owners[f.group]));
@@ -1248,7 +1399,8 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
             merge_seconds,
         };
         let workloads = accums.into_iter().map(|(_, rows)| rows.workload).collect();
-        Ok((workloads, stats_for(plan, report.frames, 0, (0, 0)), ingest))
+        let stats = stats_for(plan, report.frames, 0, (0, 0), diffed);
+        Ok((workloads, stats, ingest))
     })
 }
 
@@ -1583,6 +1735,10 @@ mod tests {
 
         assert_eq!(cold_stats.cached_radii, 0);
         assert_eq!(cache.stats().radius_rows, cold_stats.ghost_radii);
+        // Four groups, the element group at strides 1 and 2: five diff
+        // sets, each published; 3 + 3 + 3 + 3 + 1 samples diffed.
+        assert_eq!(cache.stats().diff_sets, 5);
+        assert_eq!(cold_stats.migration_diffs, 13);
 
         // A repeat is a lookup: every group and every radius slot served.
         let (warm, warm_stats) = run_cached(&tr, &points, Some(&m), &cache).unwrap();
@@ -1596,6 +1752,8 @@ mod tests {
         assert!(cs.resident_bytes > 0 && cs.entries > 0);
         assert_eq!(cs.radius_hits, warm_stats.ghost_radii as u64);
         assert_eq!(cs.radius_misses, cold_stats.ghost_radii as u64);
+        assert_eq!(warm_stats.migration_diffs, 0);
+        assert_eq!((cs.diff_hits, cs.diff_misses, cs.diff_sets), (5, 5, 5));
 
         // A new filter radius on a resident mesh-based group skips the
         // assignment and runs the kernel for that radius alone, which the
@@ -1619,6 +1777,23 @@ mod tests {
         let (again, s) = run_cached(&tr, &fresh, Some(&m), &cache).unwrap();
         assert_eq!(again, w);
         assert_eq!((s.cached_groups, s.cached_radii), (1, 1));
+        assert_eq!(s.migration_diffs, 0);
+
+        // A new stride on a resident group diffs that step alone (sample
+        // 3 against sample 0) and the entry keeps it.
+        let strided = vec![SweepPoint::with_stride(
+            WorkloadConfig::new(8, MappingAlgorithm::ElementBased, 0.06),
+            3,
+        )];
+        let bytes = cache.stats().resident_bytes;
+        let (w, s) = run_cached(&tr, &strided, Some(&m), &cache).unwrap();
+        assert_eq!(w[0], reference_for(&tr, &strided[0], Some(&m)));
+        assert_eq!((s.cached_radii, s.migration_diffs), (1, 1));
+        let cs = cache.stats();
+        assert_eq!(cs.diff_sets, 6);
+        assert!(cs.resident_bytes > bytes, "added diffs are charged");
+        let (again, s) = run_cached(&tr, &strided, Some(&m), &cache).unwrap();
+        assert_eq!((again, s.migration_diffs), (w, 0));
     }
 
     #[test]
@@ -1722,10 +1897,21 @@ mod tests {
         // served from hits, predecessors included, with the same bits.
         run_cached(&tr, &points, Some(&m), &cache).unwrap();
         assert_eq!(cache.stats().entries, 2);
+        let before = cache.stats();
+        assert_eq!(before.diff_sets, 2);
         let (warm, stats) = replay(&tr, &points, &reduced(Some(&cache))).unwrap();
         assert_eq!(warm, expect);
         assert_eq!(stats.cached_groups, 2);
         assert_eq!((stats.assign_passes, stats.owner_only_passes), (0, 0));
+        // Its step-1 diffs of representatives are its own: it diffs them
+        // (two representatives per group) and neither reads nor publishes.
+        assert_eq!(stats.migration_diffs, 4);
+        let after = cache.stats();
+        assert_eq!(
+            (after.diff_sets, after.diff_hits, after.diff_misses),
+            (before.diff_sets, before.diff_hits, before.diff_misses)
+        );
+        assert_eq!(after.resident_bytes, before.resident_bytes);
     }
 
     #[test]

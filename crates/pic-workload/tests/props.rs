@@ -210,11 +210,15 @@ proptest! {
     /// — none; cold; partial (warmed by the first radius only, so new
     /// radii on cached groups compute just those radii); warm (warmed by
     /// the whole grid, a full hit that runs no assignment, owner-only or
-    /// ghost pass); tight (half the grid's resident bytes, so it evicts
-    /// between and within calls) — and a cache never changes a bit. Each
-    /// cached leg's radius hits and misses equal the radius slots it
-    /// served and computed. The streaming driver answers the grid too.
-    /// Without a plan, and under the identity plan at stride 1, every
+    /// ghost pass and no migration diff); tight (half the grid's resident
+    /// bytes, so it evicts between and within calls) — and a cache never
+    /// changes a bit. Each cached leg's radius hits and misses equal the
+    /// radius slots it served and computed; without a plan its diff
+    /// lookups are one per (group, stride), and a cold leg diffs every
+    /// retained sample after the first. A plan looks up no diffs, and over
+    /// the warm cache it publishes nothing. A new stride on the warm cache
+    /// then diffs that step alone. The streaming driver answers the grid
+    /// too. Without a plan, and under the identity plan at stride 1, every
     /// answer is the straight-line sequential replay of the point's
     /// subsampled trace.
     #[test]
@@ -267,6 +271,15 @@ proptest! {
         // Half of what the whole grid keeps resident: eviction between
         // and within the calls below whenever there are two groups.
         let tight = AssignmentCache::new(resident.resident_bytes / 2);
+        let mut distinct_strides = strides.clone();
+        distinct_strides.sort_unstable();
+        distinct_strides.dedup();
+        prop_assert_eq!(resident.diff_sets, stats.groups * distinct_strides.len());
+        // Retained samples after a member's first, per (group, stride).
+        let diffed = |strides: &[usize]| -> usize {
+            let t = tr.sample_count();
+            stats.groups * strides.iter().map(|&s| t.saturating_sub(1) / s).sum::<usize>()
+        };
 
         let identity = ReductionPlan::identity(tr.sample_count());
         let random = random_plan(tr.sample_count(), plan_seed);
@@ -289,6 +302,22 @@ proptest! {
                     after.radius_misses - before.radius_misses,
                     (stats.ghost_radii - stats.cached_radii) as u64
                 );
+                let lookups = (after.diff_hits - before.diff_hits)
+                    + (after.diff_misses - before.diff_misses);
+                let keys = if plan.is_some() { 0 } else { resident.diff_sets };
+                prop_assert_eq!(lookups, keys as u64, "{} cache, plan {:?}", label, plan);
+                match (label, plan) {
+                    ("cold", None) => {
+                        prop_assert_eq!(stats.migration_diffs, diffed(&distinct_strides));
+                    }
+                    ("warm", None) => prop_assert_eq!(stats.migration_diffs, 0),
+                    // A broadcast over the warm cache publishes nothing.
+                    ("warm", Some(_)) => {
+                        prop_assert_eq!(after.resident_bytes, before.resident_bytes);
+                        prop_assert_eq!(after.diff_sets, before.diff_sets);
+                    }
+                    _ => {}
+                }
                 match label {
                     "cold" => prop_assert_eq!((stats.cached_groups, stats.cached_radii), (0, 0)),
                     "partial" if ghosts.contains(&true) => {
@@ -313,6 +342,27 @@ proptest! {
                     prop_assert_eq!(w, expect, "plan {:?}, {:?}", plan, p);
                 }
             }
+        }
+
+        // A stride no point used, on every resident group: only that step
+        // is diffed, and the entries keep it.
+        let new_stride = distinct_strides.last().unwrap() + 1;
+        let strided: Vec<SweepPoint> = (points.iter())
+            .filter(|p| p.stride == strides[0])
+            .map(|p| SweepPoint::with_stride(p.config.clone(), new_stride))
+            .collect();
+        let before = warm.stats();
+        let (got, stats) = replay(&tr, &strided, &ReplayOptions::new(mesh, Some(&warm), None))
+            .unwrap();
+        prop_assert_eq!((stats.cached_groups, stats.assign_passes), (stats.groups, 0));
+        prop_assert_eq!(stats.migration_diffs, diffed(&[new_stride]));
+        let after = warm.stats();
+        prop_assert_eq!(after.diff_misses - before.diff_misses, stats.groups as u64);
+        prop_assert_eq!(after.diff_sets, before.diff_sets + stats.groups);
+        for (p, w) in strided.iter().zip(&got) {
+            let expect = generator::generate_reference(&tr.subsample(new_stride), &p.config, mesh)
+                .unwrap();
+            prop_assert_eq!(w, &expect, "new stride {:?}", p);
         }
 
         let bytes = encode_trace(&tr, Precision::F64).unwrap();

@@ -140,7 +140,7 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
         pic_grid::ElementMesh::new(trace.meta().domain, pic_grid::MeshDims::cube(4), 3).unwrap();
     let opts = pic_workload::ReplayOptions::new(Some(&mesh), None, None);
     let (workloads, _) = pic_workload::replay(&trace, &points, &opts).unwrap();
-    let offline = grid_to_json(&grid_entries(&points, workloads)).unwrap();
+    let offline = grid_to_json(&grid_entries(&points, workloads));
 
     let sweep_body = format!(
         "{{\"trace\":\"{address}\",\"ranks\":[4,8],\
@@ -666,7 +666,8 @@ fn sweep_cache_counter(stats: &str, key: &str) -> u64 {
 
 /// A repeated grid point is a lookup: the same `/sweep` body twice answers
 /// the same bytes, and the second is served from the cache's ghost rows
-/// (every radius slot the first computed is a radius hit, none a miss).
+/// and migration diffs (every radius slot and every (group, stride) diff
+/// set the first computed is a hit, none a miss).
 #[test]
 fn a_repeated_sweep_is_answered_from_cached_ghost_rows() {
     let trace = make_trace(21);
@@ -686,20 +687,27 @@ fn a_repeated_sweep_is_answered_from_cached_ghost_rows() {
         assert_eq!(status, 200, "{stats}");
         let read = |key| sweep_cache_counter(&stats, key);
         (
-            read("radius_hits"),
-            read("radius_misses"),
-            read("radius_rows"),
+            (
+                read("radius_hits"),
+                read("radius_misses"),
+                read("radius_rows"),
+            ),
+            (read("diff_hits"), read("diff_misses"), read("diff_sets")),
         )
     };
     let (status, first) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
     assert_eq!(status, 200, "{first}");
-    let (hits0, computed, rows) = counters();
-    assert_eq!(hits0, 0);
+    let ((hits0, computed, rows), (diff_hits0, diffed, sets)) = counters();
+    assert_eq!((hits0, diff_hits0), (0, 0));
     assert!(computed > 0 && rows == computed, "{computed} {rows}");
+    assert!(diffed > 0 && sets == diffed, "{diffed} {sets}");
     let (status, second) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
     assert_eq!(status, 200, "{second}");
     assert_eq!(second, first, "a cached sweep changed the bytes");
-    assert_eq!(counters(), (computed, computed, rows));
+    assert_eq!(
+        counters(),
+        ((computed, computed, rows), (diffed, diffed, sets))
+    );
     server.shutdown();
     pic_types::sync::assert_witness_clean();
 }
@@ -741,6 +749,30 @@ fn an_unholdable_rank_count_is_422_and_the_server_survives() {
             assert!(answer.contains(&format!("got {ranks}")), "{path}: {answer}");
             let (status, stats) = get(addr, "/stats");
             assert_eq!(status, 200, "{path} {ranks}: {stats}");
+        }
+    }
+    server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
+
+/// A request body of 8 KB of `[` overflowed the connection thread's stack
+/// in the JSON parser and aborted the whole server. The parser now refuses
+/// nesting past `serde_json::MAX_DEPTH`: each JSON endpoint answers 400
+/// naming the bound, at any depth, and the server keeps serving.
+#[test]
+fn an_over_deep_request_body_is_400_and_the_server_survives() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    for depth in [8 << 10, 1 << 20] {
+        let body = "[".repeat(depth);
+        for path in ["/sweep", "/predict", "/check", "/models"] {
+            let (status, answer) = request(addr, "POST", path, body.as_bytes());
+            let expect = if path == "/models" { 422 } else { 400 };
+            assert_eq!(status, expect, "{path} {depth}: {answer}");
+            let bound = format!("nests deeper than {} levels", serde_json::MAX_DEPTH);
+            assert!(answer.contains(&bound), "{path}: {answer}");
+            let (status, health) = get(addr, "/healthz");
+            assert_eq!(status, 200, "{path} {depth}: {health}");
         }
     }
     server.shutdown();

@@ -10,7 +10,7 @@
 //!   per-entry weights (`stats` vs `list_traces` never disagree);
 //! * each assignment cache's incremental resident-bytes counter never
 //!   drifts from the sum recomputed from what its entries actually hold
-//!   (assignments and ghost rows);
+//!   (assignments, ghost rows and migration diffs);
 //! * after every settling pass (a new-address ingest; a cache insert)
 //!   the budget holds unless a single oversized resident remains;
 //! * eviction is strict LRU, stops as soon as the budget holds, and the
@@ -57,27 +57,30 @@ fn addr_name(idx: u8) -> String {
 }
 
 /// One registry operation: `Ingest` inserts-or-bumps, `Get` bumps
-/// recency, `Sweep` (at a rank count, ghosts on or off) grows the entry's
-/// assignment-cache weight between ingests — with ghosts on after off, by
-/// ghost rows added to a resident cache entry.
+/// recency, `Sweep` (at a rank count, ghosts on or off, a stride) grows
+/// the entry's assignment-cache weight between ingests — with ghosts on
+/// after off, by ghost rows added to a resident cache entry, and with a new
+/// stride, by that step's migration diffs.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Ingest(u8),
     Get(u8),
-    Sweep(u8, usize, bool),
+    Sweep(u8, usize, bool, usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..ADDRS).prop_map(Op::Ingest),
         (0..ADDRS).prop_map(Op::Get),
-        ((0..ADDRS), 2usize..5, any::<bool>()).prop_map(|(a, r, g)| Op::Sweep(a, r, g)),
+        ((0..ADDRS), 2usize..5, any::<bool>(), 1usize..3)
+            .prop_map(|(a, r, g, s)| Op::Sweep(a, r, g, s)),
     ]
 }
 
-/// Recompute the byte weight `AssignmentCache::insert` charged for an
-/// entry from what it holds — its assignments and every radius's ghost
-/// rows — the independent sum the incremental counter is checked against.
+/// Recompute the byte weight `AssignmentCache::insert` and `insert_diffs`
+/// charged for an entry from what it holds — its assignments, every
+/// radius's ghost rows and every step's migration diffs — the independent
+/// sum the incremental counter is checked against.
 fn entry_bytes(entry: &CachedGroup) -> usize {
     let assignments = &entry.assignments;
     let rows = entry.rows.iter().map(|(_, rows)| {
@@ -88,9 +91,16 @@ fn entry_bytes(entry: &CachedGroup) -> usize {
                 })
                 .sum::<usize>()
     });
+    let diffs = entry.diffs.iter().map(|(_, diffs)| {
+        diffs.capacity() * std::mem::size_of::<Vec<(u32, u32, u32)>>()
+            + (diffs.iter())
+                .map(|d| d.capacity() * std::mem::size_of::<(u32, u32, u32)>())
+                .sum::<usize>()
+    });
     assignments.iter().map(|a| a.approx_bytes()).sum::<usize>()
         + assignments.capacity() * std::mem::size_of::<pic_workload::SampleAssignment>()
         + rows.sum::<usize>()
+        + diffs.sum::<usize>()
 }
 
 proptest! {
@@ -111,8 +121,9 @@ proptest! {
         // its LRU order) plus the ranks swept against it.
         let mut swept: HashMap<String, (Arc<pic_workload::AssignmentCache>, Vec<usize>)> =
             HashMap::new();
-        let mut first_sweep: HashMap<(String, usize, bool), Vec<pic_workload::DynamicWorkload>> =
-            HashMap::new();
+        // Keyed by (address, ranks, ghosts, stride).
+        type Swept = (String, usize, bool, usize);
+        let mut first_sweep: HashMap<Swept, Vec<pic_workload::DynamicWorkload>> = HashMap::new();
         // Each resident entry's weight after the previous op.
         let mut weights: HashMap<String, usize> = HashMap::new();
 
@@ -175,7 +186,7 @@ proptest! {
                             "{addr} resident in shadow but missed in registry"),
                     }
                 }
-                Op::Sweep(idx, ranks, ghosts) => {
+                Op::Sweep(idx, ranks, ghosts, stride) => {
                     let addr = addr_name(idx);
                     let Some((trace, cache)) = reg.get_trace(&addr) else {
                         prop_assert!(!handles.contains_key(&addr));
@@ -189,10 +200,11 @@ proptest! {
                     };
                     let opts = ReplayOptions::new(None, Some(&cache), None);
                     let (workloads, _) =
-                        replay(&trace, &[SweepPoint::new(cfg)], &opts).expect("sweep");
+                        replay(&trace, &[SweepPoint::with_stride(cfg, stride)], &opts)
+                            .expect("sweep");
                     // Cache-hit replay must be bit-identical to the first
                     // computation of the same configuration.
-                    match first_sweep.entry((addr.clone(), ranks, ghosts)) {
+                    match first_sweep.entry((addr.clone(), ranks, ghosts, stride)) {
                         std::collections::hash_map::Entry::Occupied(e) => {
                             prop_assert_eq!(e.get(), &workloads,
                                 "cached sweep replay diverged");
@@ -243,7 +255,7 @@ proptest! {
                 for &r in ranks_list {
                     let cfg = WorkloadConfig::new(r, MappingAlgorithm::BinBased, 0.05);
                     let key = AssignmentKey::for_config(&cfg, None);
-                    if let Some(entry) = cache.get(&key, &[]) {
+                    if let Some(entry) = cache.get(&key, &[], &[]) {
                         true_sum += entry_bytes(&entry);
                     }
                 }
