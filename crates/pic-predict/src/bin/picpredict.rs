@@ -1,15 +1,5 @@
-//! `picpredict` — command-line front end for the prediction framework.
-//!
-//! ```text
-//! picpredict run       --config cfg.json --trace out.pictrace --records rec.json
-//! picpredict workload  --trace t.pictrace --ranks 128 --mapping bin-based
-//!                      [--stream true] [--filter 0.03] [--mesh 6x6x6 --order 3] [--out dir]
-//! picpredict fit       --records rec.json --out models.json [--strategy linear|auto]
-//! picpredict predict   --trace t.pictrace --models models.json --ranks 128[,256…]
-//!                      [--mapping bin-based[,…]] [--machine quartz|vulcan|localhost|FILE]
-//!                      [--mesh 6x6x6 --order 3] [--filter 0.03[,…]] [--sync barrier|neighbor]
-//! picpredict extrapolate --trace t.pictrace --out big.pictrace --particles 100000
-//! ```
+//! `picpredict` — command-line front end for the prediction framework
+//! (the commands and their flags are in `USAGE`, printed on any error).
 //!
 //! `run` executes the mini PIC application and writes the trace + timing
 //! records; the other commands never touch the application again — they
@@ -17,9 +7,10 @@
 //! is [`pic_predict::predict_grid`] over the cross product of its list
 //! flags and prints one compact JSON line per point; for one point that is
 //! byte for byte what the service's `/predict` returns for the same
-//! request. Mapping, sync-mode and mesh names are parsed by the types that
-//! own them, defaults are the library's constants, and boolean flags take
-//! `true` or `false`.
+//! request. The flags of the replaying commands are a
+//! [`pic_predict::Request`], parsed, admitted and validated by the same
+//! field table the service's endpoints go through; every command refuses a
+//! flag it does not list, or one given twice.
 //!
 //! Every trace-consuming command sniffs the file magic and accepts either
 //! the raw (`PICTRC01`) or the compact delta-encoded (`PICTRC02`) format;
@@ -27,17 +18,14 @@
 //! reduction of the trace instead of every sample.
 #![forbid(unsafe_code)]
 
-use pic_des::MachineSpec;
-use pic_grid::ElementMesh;
-use pic_predict::pipeline::{
-    DEFAULT_FILTER, DEFAULT_MACHINE, DEFAULT_MAPPING, DEFAULT_ORDER, DEFAULT_SYNC,
-};
-use pic_predict::{kernel_models::FitStrategy, KernelModels, PredictSpec};
+use pic_predict::request::{self, Raw, Transport};
+use pic_predict::{kernel_models::FitStrategy, KernelModels, Request, SweepGridEntry};
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
-use pic_types::{Aabb, PicError, Result};
-use pic_workload::{metrics, ReplayOptions, SweepPoint, WorkloadConfig};
+use pic_types::{PicError, Result};
+use pic_workload::{metrics, IngestStats, SweepStats};
 use std::collections::HashMap;
+use std::fs::File;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -78,26 +66,23 @@ const USAGE: &str = "usage:
   picpredict serve [--addr 127.0.0.1:7070] [--budget-mb 512] [--read-timeout-ms 2000] [--max-body-mb 256]
 
 boolean flags take true or false (a flag given last with no value means true);
-a flag the command does not list is an error.
+a flag the command does not list, or one given twice, is an error.
 
 global flags:
   --threads N    run the command under an N-thread pool (default: shared
                  pool sized from RAYON_NUM_THREADS or machine parallelism)";
 
-/// Parse `--key value` flags into a map; bare words are positional.
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
+/// Split `args` into bare words and `--key value` flags, in the order
+/// given, repeats included.
+fn split_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
     let mut positional = Vec::new();
-    let mut flags = HashMap::new();
+    let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), String::new());
-                i += 1;
-            }
+            let value = args.get(i + 1).cloned().unwrap_or_default();
+            flags.push((key.to_string(), value));
+            i += 2;
         } else {
             positional.push(args[i].clone());
             i += 1;
@@ -185,42 +170,10 @@ fn positive_flag<T: std::str::FromStr + PartialOrd + Default>(
     }
 }
 
-/// Parse the value `s` of `--key` in the vocabulary its type owns (mapping,
-/// sync mode, mesh dims); the error names the flag.
-fn parse_named<T: std::str::FromStr<Err = PicError>>(key: &str, s: &str) -> Result<T> {
-    s.parse().map_err(|e| match e {
-        PicError::Config(message) => PicError::config(format!("--{key}: {message}")),
-        e => e,
-    })
-}
-
-/// `--key` through [`parse_named`], or `default` when the flag is absent.
-fn named_or<T: std::str::FromStr<Err = PicError>>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T> {
-    flags.get(key).map_or(Ok(default), |s| parse_named(key, s))
-}
-
 const PRECISIONS: [(&str, codec::Precision); 2] = [
     ("f64", codec::Precision::F64),
     ("f32", codec::Precision::F32),
 ];
-
-/// A machine preset by name, or failing that a machine JSON file.
-fn parse_machine(s: &str) -> Result<MachineSpec> {
-    if let Some(preset) = MachineSpec::preset(s) {
-        return Ok(preset);
-    }
-    let text = std::fs::read_to_string(s).map_err(|e| {
-        PicError::config(format!(
-            "machine '{s}' is not a preset and not a readable file: {e}"
-        ))
-    })?;
-    serde_json::from_str(&text)
-        .map_err(|e| PicError::config(format!("bad machine JSON in {s}: {e}")))
-}
 
 /// Load a whole trace file in either on-disk format, sniffed by magic —
 /// raw `PICTRC01` or compact delta-encoded `PICTRC02`.
@@ -228,79 +181,26 @@ fn load_trace(path: &str) -> Result<pic_trace::ParticleTrace> {
     codec::load_file(path)
 }
 
-/// The `--mesh AxBxC --order K` element mesh over `domain`, if one is given.
-fn mesh_flag(flags: &HashMap<String, String>, domain: Aabb) -> Result<Option<ElementMesh>> {
-    let Some(spec) = flags.get("mesh") else {
-        return Ok(None);
-    };
-    Ok(Some(ElementMesh::new(
-        domain,
-        parse_named("mesh", spec)?,
-        flag_or(flags, "order", DEFAULT_ORDER)?,
-    )?))
-}
-
-/// The flags each command (and each `study` kind) reads; `None` for an
-/// unknown one.
-fn command_flags(cmd: &str, kind: &str) -> Option<&'static [&'static str]> {
-    Some(match cmd {
-        "run" => &["config", "trace", "records", "precision"],
-        "default-config" => &[],
-        "info" => &["trace"],
-        "check" => &["workload", "particles", "trace", "models"],
-        "workload" => &[
-            "trace", "ranks", "mapping", "filter", "stream", "mesh", "order", "out",
-        ],
-        "benchmark" => &["out", "wallclock", "order", "filter"],
-        "fit" => &["records", "out", "strategy"],
-        "predict" => &[
-            "trace", "models", "ranks", "mapping", "machine", "sync", "filter", "mesh", "order",
-        ],
-        "extrapolate" => &["trace", "out", "particles", "seed"],
-        "study" => match kind {
-            "scalability" => &["trace", "ranks", "mapping", "filter", "mesh", "order"],
-            "bins" => &["trace", "filter"],
-            "sampling" => &[
-                "trace", "ranks", "mapping", "filter", "mesh", "order", "strides",
-            ],
-            _ => return None,
-        },
-        "sweep" => &[
-            "trace", "ranks", "mappings", "filters", "strides", "ghosts", "stream", "mesh",
-            "order", "out",
-        ],
-        "simpoint" => &[
-            "trace", "ranks", "mapping", "filter", "mesh", "order", "k", "k-max", "seed", "bins",
-            "features", "budget", "holdout", "plan-out", "out",
-        ],
-        "compact" => &["trace", "out", "precision"],
-        "serve" => &["addr", "budget-mb", "read-timeout-ms", "max-body-mb"],
-        _ => return None,
-    })
+/// The request `command`'s flags name ([`Request::parse`]).
+fn request(command: &str, flags: &HashMap<String, String>) -> Result<Request> {
+    Request::parse(command, |key| flags.get(key).map(|s| Raw::Text(s)))
 }
 
 fn dispatch(args: &[String]) -> Result<()> {
-    let (positional, flags) = parse_flags(args);
+    let (positional, pairs) = split_args(args);
     let cmd = positional.first().map(|s| s.as_str()).unwrap_or("");
     let kind = positional.get(1).map_or("", String::as_str);
-    // A flag the command does not read is a typo or a retired option, not
-    // something to skip silently.
-    if let Some(known) = command_flags(cmd, kind) {
-        let unknown = flags
-            .keys()
-            .filter(|k| *k != "threads" && !known.contains(&k.as_str()))
-            .min();
-        if let Some(flag) = unknown {
-            let name = if cmd == "study" {
-                format!("study {kind}")
-            } else {
-                cmd.to_string()
-            };
-            return Err(PicError::config(format!(
-                "unknown flag --{flag} for '{name}'"
-            )));
-        }
-    }
+    // A flag the command does not read is a typo or a retired option, and
+    // a repeated one an ambiguity, not something to settle silently.
+    let name = match cmd {
+        "study" => format!("study {kind}"),
+        _ => cmd.to_string(),
+    };
+    let given: Vec<_> = (pairs.iter())
+        .map(|(k, v)| (k.as_str(), Raw::Text(v)))
+        .collect();
+    request::admit(&name, &given, Transport::Flags)?;
+    let flags: HashMap<String, String> = pairs.into_iter().collect();
     // Global `--threads N`: run the whole command under a pool of that
     // size. Without it, the shared-pool policy applies (pool sized from
     // `RAYON_NUM_THREADS`, falling back to the machine's parallelism).
@@ -475,44 +375,43 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
 
 /// The streaming pipeline's observability block, as `workload --stream
 /// true` and `sweep --stream true` both print it.
-fn print_ingest_stats(stats: &pic_workload::IngestStats) -> Result<()> {
+fn print_ingest_stats(stats: &IngestStats) -> Result<()> {
     let json = serde_json::to_string_pretty(stats)
         .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
     println!("ingest stats: {json}");
     Ok(())
 }
 
+/// The grid `req` names, replayed from the `--trace` file and held to the
+/// invariant catalog: [`Request::sweep`] over the decoded trace, or with
+/// `--stream true` the bounded pipeline, which never loads the trace whole
+/// (the path for traces larger than memory; a truncated or corrupt file
+/// fails with a byte-positioned error) and also returns its ingest stats.
+fn replay_trace(req: &Request, flags: &HashMap<String, String>) -> Result<Replayed> {
+    let path = required(flags, "trace")?;
+    if !bool_flag(flags, "stream", false)? {
+        let (entries, stats) = req.sweep(&load_trace(path)?, None, None)?;
+        return Ok((entries, stats, None));
+    }
+    let reader = pic_trace::TraceReader::new(std::io::BufReader::new(File::open(path)?))?;
+    let particles = reader.meta().particle_count as u64;
+    let mesh = req.element_mesh(reader.meta().domain)?;
+    let points = req.grid.points();
+    let (workloads, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
+    pic_analysis::assert_sweep_valid(&workloads, Some(particles))?;
+    let entries = pic_predict::grid_entries(&points, workloads);
+    Ok((entries, stats, Some(ingest)))
+}
+
+/// A replayed grid, its sharing accounting and, if streamed, ingest stats.
+type Replayed = (Vec<SweepGridEntry>, SweepStats, Option<IngestStats>);
+
 fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
-    let trace_path = required(flags, "trace")?;
-    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-    let mapping = parse_named("mapping", required(flags, "mapping")?)?;
-    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
-    let points = [SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter))];
-    let streaming = bool_flag(flags, "stream", false)?;
+    let req = request("workload", flags)?;
     let t0 = std::time::Instant::now();
-    // `--stream` replays the trace through the bounded pipeline without
-    // ever loading it whole — the path for traces larger than memory. A
-    // truncated or corrupt file fails here with a byte-positioned error.
-    let (mut w, ingest, particles) = if streaming {
-        let file = std::fs::File::open(trace_path)?;
-        let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
-        let particles = reader.meta().particle_count as u64;
-        let mesh = mesh_flag(flags, reader.meta().domain)?;
-        let (w, _, stats) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
-        (w, Some(stats), particles)
-    } else {
-        let trace = load_trace(trace_path)?;
-        let particles = trace.meta().particle_count as u64;
-        let mesh = mesh_flag(flags, trace.meta().domain)?;
-        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
-        let (w, _) = pic_workload::replay(&trace, &points, &opts)?;
-        (w, None, particles)
-    };
-    let w = w.remove(0);
+    let (mut entries, _, ingest) = replay_trace(&req, flags)?;
+    let w = entries.remove(0).workload;
     eprintln!("workload generated in {:.2} s", t0.elapsed().as_secs_f64());
-    // defense in depth: a generator bug (or a corrupted trace that decoded
-    // cleanly) must not propagate silently into predictions
-    pic_analysis::assert_workload_valid(&w, Some(particles))?;
     if let Some(stats) = &ingest {
         print_ingest_stats(stats)?;
     }
@@ -600,41 +499,10 @@ fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-/// The specs `predict`'s flags name: the cross product of `--ranks`,
-/// `--mapping` and `--filter`, each a comma list, in
-/// [`pic_predict::SweepGridSpec`] order, sharing every other flag.
-fn predict_specs(flags: &HashMap<String, String>) -> Result<Vec<PredictSpec>> {
-    let grid = pic_predict::SweepGridSpec {
-        ranks: parse_list("ranks", required(flags, "ranks")?, parse_flag)?,
-        mappings: list_or(flags, "mapping", vec![DEFAULT_MAPPING], parse_named)?,
-        filters: list_or(flags, "filter", vec![DEFAULT_FILTER], parse_flag)?,
-        strides: vec![1],
-        compute_ghosts: true,
-    };
-    let base = PredictSpec {
-        mesh: flags
-            .get("mesh")
-            .map(|s| parse_named("mesh", s))
-            .transpose()?,
-        order: flag_or(flags, "order", DEFAULT_ORDER)?,
-        machine: parse_machine(flags.get("machine").map_or(DEFAULT_MACHINE, String::as_str))?,
-        sync: named_or(flags, "sync", DEFAULT_SYNC)?,
-        ..PredictSpec::new(0)
-    };
-    Ok((grid.points().iter())
-        .map(|p| PredictSpec {
-            ranks: p.config.ranks,
-            mapping: p.config.mapping,
-            filter: p.config.projection_filter,
-            ..base.clone()
-        })
-        .collect())
-}
-
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
+    let specs = request("predict", flags)?.specs();
     let trace = load_trace(required(flags, "trace")?)?;
     let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let specs = predict_specs(flags)?;
     let t0 = std::time::Instant::now();
     let predictions = pic_predict::predict_grid(&trace, &models, &specs, None)?;
     // machine-readable result on stdout, human summary on stderr
@@ -654,57 +522,27 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-/// The comma-separated list `s` given for `--key`, each entry parsed as the
-/// flag's single value would be ([`parse_flag`] or [`parse_named`]).
-fn parse_list<T>(key: &str, s: &str, parse: fn(&str, &str) -> Result<T>) -> Result<Vec<T>> {
-    s.split(',').map(|p| parse(key, p.trim())).collect()
-}
-
-/// `--key` through [`parse_list`], or `default` when the flag is absent.
-fn list_or<T>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: Vec<T>,
-    parse: fn(&str, &str) -> Result<T>,
-) -> Result<Vec<T>> {
-    flags
-        .get(key)
-        .map_or(Ok(default), |s| parse_list(key, s, parse))
-}
-
 /// The paper's workload studies straight from the command line: the
 /// scalability and sampling-fidelity studies are projections of one
 /// ghost-free grid replay, the bin study is the unbounded bin series.
 fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
     let trace = load_trace(required(flags, "trace")?)?;
-    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
-    let replay_grid = |ranks: Vec<usize>, strides: Vec<usize>| -> Result<Vec<_>> {
-        let grid = pic_predict::SweepGridSpec {
-            mappings: vec![named_or(flags, "mapping", DEFAULT_MAPPING)?],
-            ranks,
-            filters: vec![filter],
-            strides,
-            compute_ghosts: false,
-        };
-        let mesh = mesh_flag(flags, trace.meta().domain)?;
-        let points = grid.points();
-        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
-        let (workloads, _) = pic_workload::replay(&trace, &points, &opts)?;
-        Ok(points.into_iter().zip(workloads).collect())
+    let replay_grid = |mut req: Request| -> Result<Vec<SweepGridEntry>> {
+        req.grid.compute_ghosts = false;
+        Ok(req.sweep(&trace, None, None)?.0)
     };
     match kind {
         "scalability" => {
-            let ranks = parse_list("ranks", required(flags, "ranks")?, parse_flag)?;
-            let rows = replay_grid(ranks, vec![1])?;
+            let rows = replay_grid(request("study scalability", flags)?)?;
             println!(
                 "{:>8} {:>12} {:>14} {:>12}",
                 "ranks", "peak", "utilization", "migrations"
             );
-            for (p, w) in &rows {
-                let summary = metrics::summarize(w);
+            for e in &rows {
+                let summary = metrics::summarize(&e.workload);
                 println!(
                     "{:>8} {:>12} {:>13.1}% {:>12}",
-                    p.config.ranks,
+                    e.ranks,
                     summary.peak_workload,
                     100.0 * summary.resource_utilization,
                     summary.total_migrations
@@ -712,6 +550,8 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
             }
         }
         "bins" => {
+            // the bin study replays no grid: its one request field is the filter
+            let filter = flag_or(flags, "filter", Request::default().grid.filters[0])?;
             let bins = pic_workload::generator::unbounded_bin_series(&trace, filter)?;
             for (iter, bins) in trace.iterations().iter().zip(&bins) {
                 println!("iteration {iter:>8}: {bins} bins");
@@ -722,22 +562,26 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
             );
         }
         "sampling" => {
-            let ranks = parse_flag("ranks", required(flags, "ranks")?)?;
-            let strides = list_or(flags, "strides", vec![1, 2, 4, 8], parse_flag)?;
+            let mut req = request("study sampling", flags)?;
+            if !flags.contains_key("strides") {
+                req.grid.strides = vec![1, 2, 4, 8];
+            }
             // row 0 is the stride-1 reference the others are scored against
-            let rows = replay_grid(vec![ranks], std::iter::once(1).chain(strides).collect())?;
+            req.grid.strides.insert(0, 1);
+            let rows = replay_grid(req)?;
             println!(
                 "{:>8} {:>14} {:>16} {:>22}",
                 "stride", "trace bytes", "peak MAPE [%]", "migration loss [%]"
             );
-            for (p, w) in &rows[1..] {
-                let (mape, lost) = metrics::sampling_fidelity(&rows[0].1, w, p.stride);
+            for e in &rows[1..] {
+                let (mape, lost) =
+                    metrics::sampling_fidelity(&rows[0].workload, &e.workload, e.stride);
                 let bytes = pic_trace::stats::estimated_file_size(
                     trace.particle_count(),
-                    w.samples(),
+                    e.workload.samples(),
                     pic_trace::Precision::F32,
                 );
-                println!("{:>8} {bytes:>14} {mape:>16.2} {lost:>22.2}", p.stride);
+                println!("{:>8} {bytes:>14} {mape:>16.2} {lost:>22.2}", e.stride);
             }
         }
         other => {
@@ -751,41 +595,17 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
 
 /// The multi-configuration sweep: replay the trace once, emit the whole
 /// grid. Gated on the pic-analysis invariant catalog over every grid
-/// point — a grid that fails verification is never written. The grid
-/// expansion and `--out` serialization live in [`pic_predict::gridspec`],
-/// shared with the resident service so both emit bit-identical bytes.
+/// point — a grid that fails verification is never written. The replay,
+/// gate and `--out` serialization are [`Request::sweep`] and
+/// [`pic_predict::grid_to_json`], what the service's `/sweep` answers
+/// with, so both emit bit-identical bytes.
 fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
-    let trace_path = required(flags, "trace")?;
-    let spec = pic_predict::SweepGridSpec {
-        ranks: parse_list("ranks", required(flags, "ranks")?, parse_flag)?,
-        mappings: list_or(flags, "mappings", vec![DEFAULT_MAPPING], parse_named)?,
-        filters: list_or(flags, "filters", vec![DEFAULT_FILTER], parse_flag)?,
-        strides: list_or(flags, "strides", vec![1], parse_flag)?,
-        compute_ghosts: bool_flag(flags, "ghosts", true)?,
-    };
-    spec.validate()?;
-    let streaming = bool_flag(flags, "stream", false)?;
-    let points = spec.points();
-
+    let req = request("sweep", flags)?;
     let t0 = std::time::Instant::now();
-    let (workloads, stats, ingest, particles) = if streaming {
-        let file = std::fs::File::open(trace_path)?;
-        let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
-        let particles = reader.meta().particle_count as u64;
-        let mesh = mesh_flag(flags, reader.meta().domain)?;
-        let (w, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
-        (w, stats, Some(ingest), particles)
-    } else {
-        let trace = load_trace(trace_path)?;
-        let particles = trace.meta().particle_count as u64;
-        let mesh = mesh_flag(flags, trace.meta().domain)?;
-        let opts = ReplayOptions::new(mesh.as_ref(), None, None);
-        let (w, stats) = pic_workload::replay(&trace, &points, &opts)?;
-        (w, stats, None, particles)
-    };
+    let (entries, stats, ingest) = replay_trace(&req, flags)?;
     eprintln!(
         "sweep of {} grid point(s) generated in {:.2} s",
-        points.len(),
+        entries.len(),
         t0.elapsed().as_secs_f64()
     );
     eprintln!(
@@ -800,9 +620,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
     if let Some(ingest) = &ingest {
         print_ingest_stats(ingest)?;
     }
-    // The gate: every grid point through the full invariant catalog, with
-    // (point, rank, sample)-positioned diagnostics on failure.
-    pic_analysis::assert_sweep_valid(&workloads, Some(particles))?;
 
     println!(
         "{:>5} {:>16} {:>8} {:>10} {:>7} {:>10} {:>13} {:>12} {:>12}",
@@ -816,15 +633,15 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
         "migrations",
         "ghosts"
     );
-    for (i, (p, w)) in points.iter().zip(&workloads).enumerate() {
-        let summary = metrics::summarize(w);
+    for e in &entries {
+        let summary = metrics::summarize(&e.workload);
         println!(
             "{:>5} {:>16} {:>8} {:>10.4} {:>7} {:>10} {:>12.1}% {:>12} {:>12}",
-            i,
-            p.config.mapping.to_string(),
-            p.config.ranks,
-            p.config.projection_filter,
-            p.stride,
+            e.point,
+            e.mapping.to_string(),
+            e.ranks,
+            e.projection_filter,
+            e.stride,
             summary.peak_workload,
             100.0 * summary.resource_utilization,
             summary.total_migrations,
@@ -832,7 +649,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
         );
     }
     if let Some(out) = flags.get("out") {
-        let entries = pic_predict::grid_entries(&points, workloads);
         std::fs::write(out, pic_predict::grid_to_json(&entries))?;
         eprintln!("full grid ({} point(s)) -> {out}", entries.len());
     }
@@ -846,17 +662,14 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
 /// before anything is written ([`pic_predict::replay_reduced_gated`], the
 /// function the service's reduced sweeps go through).
 fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
+    let req = request("simpoint", flags)?;
     let trace = load_trace(required(flags, "trace")?)?;
-    let ranks: usize = parse_flag("ranks", required(flags, "ranks")?)?;
-    let mapping = parse_named("mapping", required(flags, "mapping")?)?;
-    let filter = flag_or(flags, "filter", DEFAULT_FILTER)?;
-    let point = SweepPoint::new(WorkloadConfig::new(ranks, mapping, filter));
-    let mesh = mesh_flag(flags, trace.meta().domain)?;
+    let mesh = req.element_mesh(trace.meta().domain)?;
 
-    let mut opts = pic_predict::SimpointOptions::default();
-    if let Some(k) = flags.get("k") {
-        opts.k = Some(parse_flag("k", k)?);
-    }
+    let mut opts = pic_predict::SimpointOptions {
+        k: req.k,
+        ..Default::default()
+    };
     opts.k_max = flag_or(flags, "k-max", opts.k_max)?;
     opts.seed = flag_or(flags, "seed", opts.seed)?;
     opts.features.bins_per_axis = flag_or(flags, "bins", opts.features.bins_per_axis)?;
@@ -867,7 +680,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
         opts.spatial_only,
     )?;
     let mut budget = pic_analysis::ReductionBudget::default();
-    budget.max_peak_rel_error = flag_or(flags, "budget", budget.max_peak_rel_error)?;
+    budget.max_peak_rel_error = req.budget.unwrap_or(budget.max_peak_rel_error);
     budget.holdout = flag_or(flags, "holdout", budget.holdout)?;
 
     let t0 = std::time::Instant::now();
@@ -876,7 +689,7 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     let t1 = std::time::Instant::now();
     let (workloads, stats, reports) = pic_predict::replay_reduced_gated(
         &trace,
-        std::slice::from_ref(&point),
+        &req.grid.points(),
         mesh.as_ref(),
         None,
         &plan,
@@ -999,9 +812,17 @@ fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
 mod tests {
     use super::*;
     use pic_mapping::MappingAlgorithm;
+    use pic_predict::PredictSpec;
+    use pic_types::Aabb;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// [`split_args`] with the flags as the map `dispatch` reads.
+    fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
+        let (positional, pairs) = split_args(args);
+        (positional, pairs.into_iter().collect())
     }
 
     #[test]
@@ -1029,25 +850,21 @@ mod tests {
     /// default and an error that names the flag.
     #[test]
     fn parse_mapping_accepts_all_algorithms() {
+        let mappings = |args: &str| {
+            let (_, flags) = parse_flags(&argv(&format!("predict --ranks 1 {args}")));
+            request("predict", &flags).map(|r| r.grid.mappings)
+        };
         for algorithm in [
             MappingAlgorithm::BinBased,
             MappingAlgorithm::ElementBased,
             MappingAlgorithm::HilbertOrdered,
             MappingAlgorithm::LoadBalanced,
         ] {
-            let (_, flags) = parse_flags(&argv(&format!("x --mapping {algorithm}")));
-            assert_eq!(
-                named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap(),
-                algorithm
-            );
+            let given = mappings(&format!("--mapping {algorithm}"));
+            assert_eq!(given.unwrap(), vec![algorithm]);
         }
-        let (_, flags) = parse_flags(&argv("x"));
-        assert_eq!(
-            named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap(),
-            MappingAlgorithm::BinBased
-        );
-        let (_, flags) = parse_flags(&argv("x --mapping nonsense"));
-        let err = named_or(&flags, "mapping", DEFAULT_MAPPING).unwrap_err();
+        assert_eq!(mappings("").unwrap(), vec![MappingAlgorithm::BinBased]);
+        let err = mappings("--mapping nonsense").unwrap_err();
         assert!(err
             .to_string()
             .contains("--mapping: unknown mapping 'nonsense'"));
@@ -1057,10 +874,17 @@ mod tests {
     /// fall-back to a machine file.
     #[test]
     fn parse_machine_presets() {
+        let parse_machine = |name: &str| {
+            let flags = HashMap::from([
+                ("ranks".to_string(), "1".to_string()),
+                ("machine".to_string(), name.to_string()),
+            ]);
+            request("predict", &flags).map(|r| r.machine)
+        };
         assert_eq!(parse_machine("quartz").unwrap().name, "quartz-like");
         assert!(parse_machine("/nonexistent/machine.json").is_err());
         let path = std::env::temp_dir().join(format!("picpredict_machine_{}", std::process::id()));
-        let mut custom = MachineSpec::localhost(4);
+        let mut custom = pic_des::MachineSpec::localhost(4);
         custom.name = "custom".to_string();
         std::fs::write(&path, serde_json::to_string(&custom).unwrap()).unwrap();
         assert_eq!(parse_machine(path.to_str().unwrap()).unwrap(), custom);
@@ -1072,20 +896,20 @@ mod tests {
     /// `AxBxC` itself is `MeshDims::from_str`'s; the CLI's part is the
     /// pairing with `--order` and its default.
     #[test]
-    fn mesh_flag_pairs_dims_with_order() {
-        let (_, flags) = parse_flags(&argv("x --mesh 4x6x8 --order 4"));
-        let mesh = mesh_flag(&flags, Aabb::unit()).unwrap().unwrap();
-        assert_eq!(mesh.dims().to_array(), [4, 6, 8]);
-        assert_eq!(mesh.order(), 4);
-        let (_, flags) = parse_flags(&argv("x --mesh 2x2x2"));
-        let mesh = mesh_flag(&flags, Aabb::unit()).unwrap().unwrap();
-        assert_eq!(mesh.order(), DEFAULT_ORDER);
+    fn mesh_and_order_flags_pair_into_one_mesh() {
+        let mesh = |args: &str| {
+            let (_, flags) = parse_flags(&argv(&format!("sweep --ranks 1 {args}")));
+            request("sweep", &flags)?.element_mesh(Aabb::unit())
+        };
+        let given = mesh("--mesh 4x6x8 --order 4").unwrap().unwrap();
+        assert_eq!(given.dims().to_array(), [4, 6, 8]);
+        assert_eq!(given.order(), 4);
+        let given = mesh("--mesh 2x2x2").unwrap().unwrap();
+        assert_eq!(given.order(), Request::default().order);
         // absent → None
-        let (_, flags) = parse_flags(&argv("x"));
-        assert!(mesh_flag(&flags, Aabb::unit()).unwrap().is_none());
+        assert!(mesh("").unwrap().is_none());
         // malformed: the error names the flag and the value
-        let (_, flags) = parse_flags(&argv("x --mesh 4x6"));
-        let err = mesh_flag(&flags, Aabb::unit()).unwrap_err().to_string();
+        let err = mesh("--mesh 4x6").unwrap_err().to_string();
         assert!(err.contains("--mesh") && err.contains("'4x6'"), "{err}");
     }
 
@@ -1232,6 +1056,26 @@ mod tests {
                 format!("configuration error: unknown flag {flag} for '{name}'")
             );
         }
+        // a flag given twice is an ambiguity, refused on every command
+        let repeated = [
+            (format!("{predict} --ranks 8"), "--ranks", "predict"),
+            (
+                format!("{sweep} --filters 0.1 --filters 0.2"),
+                "--filters",
+                "sweep",
+            ),
+            (
+                format!("{predict} --threads 1 --threads 2"),
+                "--threads",
+                "predict",
+            ),
+            (format!("run --config {c} --config {c}"), "--config", "run"),
+        ];
+        for (cmd, flag, name) in &repeated {
+            let err = dispatch(&argv(cmd)).expect_err(cmd).to_string();
+            let want = format!("configuration error: repeated flag {flag} for '{name}'");
+            assert_eq!(err, want);
+        }
         dispatch(&argv(&format!(
             "check --workload {good} --particles 40 --threads 1"
         )))
@@ -1264,37 +1108,48 @@ mod tests {
         assert!(dispatch(&[]).is_err());
     }
 
+    /// The flags of one list key, as `sweep` reads them.
+    fn sweep_flag(key: &str, value: &str) -> Result<Request> {
+        let flags = HashMap::from([
+            ("ranks".to_string(), "1".to_string()),
+            (key.to_string(), value.to_string()),
+        ]);
+        request("sweep", &flags)
+    }
+
     #[test]
     fn usize_list_parsing() {
         assert_eq!(
-            parse_list::<usize>("x", "1,2, 4", parse_flag).unwrap(),
+            sweep_flag("ranks", "1,2, 4").unwrap().grid.ranks,
             vec![1, 2, 4]
         );
-        let err = parse_list::<usize>("x", "1,a", parse_flag).unwrap_err();
-        assert!(err.to_string().ends_with("--x must be an integer, got 'a'"));
+        let err = sweep_flag("ranks", "1,a").unwrap_err();
+        assert!(err
+            .to_string()
+            .ends_with("--ranks must be an integer, got 'a'"));
     }
 
     #[test]
     fn f64_list_parsing() {
+        let filters = sweep_flag("filters", "0.01, 0.02,0.4")
+            .unwrap()
+            .grid
+            .filters;
+        assert_eq!(filters, vec![0.01, 0.02, 0.4]);
+        assert!(sweep_flag("filters", "0.01,oops").is_err());
         assert_eq!(
-            parse_list::<f64>("x", "0.01, 0.02,0.4", parse_flag).unwrap(),
-            vec![0.01, 0.02, 0.4]
-        );
-        assert!(parse_list::<f64>("x", "0.01,oops", parse_flag).is_err());
-        assert_eq!(
-            parse_list::<MappingAlgorithm>("x", "bin-based, load-balanced", parse_named).unwrap(),
+            (sweep_flag("mappings", "bin-based, load-balanced").unwrap())
+                .grid
+                .mappings,
             vec![MappingAlgorithm::BinBased, MappingAlgorithm::LoadBalanced]
         );
-        let err = parse_list::<MappingAlgorithm>("x", "bin-based,bins", parse_named).unwrap_err();
+        let err = sweep_flag("mappings", "bin-based,bins").unwrap_err();
         assert!(
-            err.to_string().contains("--x: unknown mapping 'bins'"),
+            err.to_string()
+                .contains("--mappings: unknown mapping 'bins'"),
             "{err}"
         );
-        let (_, none) = parse_flags(&argv("x"));
-        assert_eq!(
-            list_or(&none, "filter", vec![0.03], parse_flag).unwrap(),
-            vec![0.03]
-        );
+        assert_eq!(sweep_flag("strides", "1").unwrap().grid.filters, vec![0.03]);
     }
 
     /// `predict`'s list flags expand in `SweepGridSpec::points` order:
@@ -1319,9 +1174,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(predict_specs(&flags).unwrap(), want);
+        assert_eq!(request("predict", &flags).unwrap().specs(), want);
         // single values are the one-point grid, absent lists their default
         let (_, flags) = parse_flags(&argv("predict --ranks 8"));
-        assert_eq!(predict_specs(&flags).unwrap(), vec![PredictSpec::new(8)]);
+        let specs = request("predict", &flags).unwrap().specs();
+        assert_eq!(specs, vec![PredictSpec::new(8)]);
     }
 }

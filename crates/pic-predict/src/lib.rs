@@ -36,9 +36,10 @@
 //!   with a content-addressed trace registry that decodes each trace
 //!   once and answers sweep/predict/check requests over HTTP, sharing
 //!   assignment artifacts across concurrent and repeat requests;
-//! * [`gridspec`] — the one grid expansion (mapping-major cross product)
-//!   and its serialization, shared by the CLI's `sweep`, `study` and
-//!   `predict`, the service and the figures, so all emit the same grids;
+//! * [`request`] — the one request vocabulary: the [`Request`] the CLI's
+//!   replaying commands and the service's endpoints both parse, admit and
+//!   validate, and the grid expansion (mapping-major cross product) and
+//!   serialization they and the figures share, so all emit the same grids;
 //! * [`simpoint`] — SimPoint-style trace reduction: cluster per-sample
 //!   feature vectors into phases, emit a [`pic_workload::ReductionPlan`]
 //!   that replays one representative per phase, and hold every replayed
@@ -47,19 +48,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gridspec;
 pub mod kernel_models;
 pub mod pipeline;
+pub mod request;
 pub mod serve;
 pub mod simpoint;
 pub mod validate;
 
-pub use gridspec::{grid_entries, grid_to_json, SweepGridEntry, SweepGridSpec};
 pub use kernel_models::{FitStrategy, KernelModels};
 pub use pipeline::{
     build_schedule, predict, predict_application, predict_grid, predict_kernel_seconds,
     predict_workload, run_case_study, CaseStudyOutput, PredictSpec, Prediction,
 };
+pub use request::{grid_entries, grid_to_json, Request, SweepGridEntry, SweepGridSpec};
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
 pub use simpoint::{build_plan as build_simpoint_plan, replay_reduced_gated, SimpointOptions};
 pub use validate::{kernel_mape_vs_ground_truth, workload_matches_ground_truth};

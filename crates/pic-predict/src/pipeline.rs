@@ -13,10 +13,11 @@
 //! [`predict_application`] on the `pic-des` simulation platform.
 
 use crate::kernel_models::{FitStrategy, KernelModels};
+use crate::request::{element_mesh, Request};
 use crate::serve::http::json_escape;
 use crate::validate;
 use pic_des::{simulate, MachineSpec, SimTimeline, StepWorkload, SyncMode};
-use pic_grid::{ElementMesh, MeshDims, RcbDecomposition};
+use pic_grid::{MeshDims, RcbDecomposition};
 use pic_mapping::MappingAlgorithm;
 use pic_models::EvalScratch;
 use pic_sim::{KernelKind, MiniPic, SimConfig, SimOutput};
@@ -25,17 +26,6 @@ use pic_types::{pool, PicError, Result};
 use pic_workload::metrics::{self, WorkloadSummary};
 use pic_workload::{AssignmentCache, DynamicWorkload, ReplayOptions, SweepPoint, WorkloadConfig};
 use rayon::prelude::*;
-
-/// Mapping algorithm of a request that names none.
-pub const DEFAULT_MAPPING: MappingAlgorithm = MappingAlgorithm::BinBased;
-/// Projection filter of a request that names none.
-pub const DEFAULT_FILTER: f64 = 0.03;
-/// Element order `N` of a request that names none.
-pub const DEFAULT_ORDER: usize = 3;
-/// Machine preset ([`MachineSpec::preset`]) of a request that names none.
-pub const DEFAULT_MACHINE: &str = "quartz";
-/// Synchronization semantics of a request that names none.
-pub const DEFAULT_SYNC: SyncMode = SyncMode::BulkSynchronous;
 
 /// What a prediction is a function of besides the trace and the models:
 /// the flags of `picpredict predict`, the fields of the service's `/predict`.
@@ -59,23 +49,12 @@ pub struct PredictSpec {
 }
 
 impl PredictSpec {
-    /// `ranks` processors and every other parameter at its default.
+    /// `ranks` processors and every other parameter at its default
+    /// ([`Request::default`]).
     pub fn new(ranks: usize) -> PredictSpec {
-        PredictSpec {
-            ranks,
-            mapping: DEFAULT_MAPPING,
-            filter: DEFAULT_FILTER,
-            mesh: None,
-            order: DEFAULT_ORDER,
-            machine: MachineSpec::preset(DEFAULT_MACHINE).expect("the default machine is a preset"),
-            sync: DEFAULT_SYNC,
-        }
-    }
-
-    fn element_mesh(&self, trace: &ParticleTrace) -> Result<Option<ElementMesh>> {
-        self.mesh
-            .map(|dims| ElementMesh::new(trace.meta().domain, dims, self.order))
-            .transpose()
+        let mut request = Request::default();
+        request.grid.ranks = vec![ranks];
+        request.specs().remove(0)
     }
 }
 
@@ -167,7 +146,7 @@ pub fn predict_grid(
     let points: Vec<SweepPoint> = (specs.iter())
         .map(|s| SweepPoint::new(WorkloadConfig::new(s.ranks, s.mapping, s.filter)))
         .collect();
-    let mesh = first.element_mesh(trace)?;
+    let mesh = element_mesh(trace.meta().domain, first.mesh, first.order)?;
     let opts = ReplayOptions::new(mesh.as_ref(), cache, None);
     let (workloads, _) = pic_workload::replay(trace, &points, &opts)?;
     (specs.iter().zip(&workloads))
@@ -187,7 +166,7 @@ pub fn predict_workload(
     spec: &PredictSpec,
 ) -> Result<Prediction> {
     pic_analysis::assert_workload_valid(workload, Some(trace.particle_count() as u64))?;
-    let elements: Vec<u32> = match spec.element_mesh(trace)? {
+    let elements: Vec<u32> = match element_mesh(trace.meta().domain, spec.mesh, spec.order)? {
         Some(mesh) => RcbDecomposition::decompose(&mesh, workload.ranks)?
             .element_counts()
             .iter()
@@ -410,7 +389,7 @@ pub fn run_case_study(
         sync: SyncMode::BulkSynchronous,
     };
     let wcfg = WorkloadConfig::new(spec.ranks, spec.mapping, spec.filter);
-    let mesh = spec.element_mesh(&sim.trace)?;
+    let mesh = element_mesh(sim.trace.meta().domain, spec.mesh, spec.order)?;
     let opts = ReplayOptions::new(mesh.as_ref(), None, None);
     let workload = pic_workload::replay(&sim.trace, &[SweepPoint::new(wcfg)], &opts)?
         .0

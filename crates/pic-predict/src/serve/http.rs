@@ -87,7 +87,7 @@ fn timeoutish(e: &std::io::Error) -> bool {
 /// head; body bytes (if any) remain in `stream`'s buffer, ready to be
 /// read next. Every failure is an [`HttpError`]; the socket deadline
 /// surfaces as `408`.
-pub fn read_head(stream: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
+pub(crate) fn read_head(stream: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
     let mut head: Vec<u8> = Vec::with_capacity(512);
     loop {
         let buf = stream.fill_buf().map_err(|e| {
@@ -213,7 +213,7 @@ fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
 /// server's cap) from the buffered stream, through a
 /// [`pic_trace::BoundedReader`] so not one byte past the declaration is
 /// consumed. Timeouts surface as `408`, short bodies as `400`.
-pub fn read_body(
+pub(crate) fn read_body(
     stream: &mut BufReader<TcpStream>,
     declared_len: u64,
 ) -> Result<Vec<u8>, HttpError> {
@@ -258,7 +258,7 @@ pub fn read_body(
 
 /// Write one `Connection: close` response. Write errors are swallowed —
 /// the client may have hung up, and the connection is closing either way.
-pub fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8]) {
+pub(crate) fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8]) {
     let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
@@ -270,7 +270,7 @@ pub fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, b
 }
 
 /// Serialize an error as the service's JSON error envelope and send it.
-pub fn write_error(stream: &mut TcpStream, err: &HttpError) {
+pub(crate) fn write_error(stream: &mut TcpStream, err: &HttpError) {
     let body = format!(
         "{{\"error\":{{\"status\":{},\"message\":{}}}}}",
         err.status,

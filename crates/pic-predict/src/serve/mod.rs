@@ -24,14 +24,18 @@
 //!   whose response body the leader and its followers share, uncopied.
 //! * **Bit-identical to offline.** A `POST /sweep` response body is
 //!   byte-for-byte the file `picpredict sweep --out` writes for the same
-//!   grid — both write it straight to text through
-//!   [`crate::gridspec::grid_to_json`], and the cached sweep engine is
-//!   bit-identical to the per-configuration reference.
-//! * **Adapters, not pipelines.** A handler parses its request in the
-//!   vocabulary the types own (`FromStr`, [`MachineSpec::preset`], the
-//!   defaults of [`crate::pipeline`]), resolves the resident trace and
-//!   models, and calls what the CLI calls: `/predict` is
-//!   [`crate::predict`] and answers with its `Display`.
+//!   grid — both run [`Request::sweep`] and render it straight to text
+//!   through [`crate::request::grid_to_json`], and the cached sweep engine
+//!   is bit-identical to the per-configuration reference.
+//! * **One request vocabulary.** A JSON endpoint is a transport over
+//!   [`Request`], as the CLI is: [`request::admit`] holds the body's keys
+//!   to the endpoint's list — a key it does not take, a key given twice or
+//!   a required key left out is a `400` naming the key — and
+//!   [`Request::parse`] reads the values through the same field table the
+//!   CLI's flags go through, so a value it refuses (a `422`) reads the same
+//!   on both, apart from how the key is spelled. The handler then resolves
+//!   the resident trace and models and calls what the CLI calls: `/predict`
+//!   is [`crate::predict`] and answers with its `Display`.
 //! * **Gated responses.** Sweep grids pass
 //!   [`pic_analysis::assert_sweep_valid`] before a byte leaves the
 //!   server; a prediction's workload and kernel table are gated inside
@@ -51,22 +55,16 @@
 pub mod http;
 pub mod registry;
 
-use crate::gridspec::{grid_entries, grid_to_json, SweepGridSpec};
 use crate::kernel_models::KernelModels;
-use crate::pipeline::{
-    PredictSpec, DEFAULT_FILTER, DEFAULT_MACHINE, DEFAULT_MAPPING, DEFAULT_ORDER, DEFAULT_SYNC,
-};
-use http::{HttpError, Request};
-use pic_des::MachineSpec;
-use pic_grid::{ElementMesh, MeshDims};
-use pic_mapping::MappingAlgorithm;
+use crate::request::{self, grid_to_json, Raw, Request, Transport};
+use http::HttpError;
 use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
 use pic_types::hash::fnv1a_128;
 use pic_types::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 use pic_types::{PicError, Result};
-use pic_workload::{ReplayOptions, SweepPoint, WorkloadConfig};
+use pic_workload::ReplayOptions;
 use registry::TraceRegistry;
-use serde::Deserialize;
+use serde::Value;
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -362,7 +360,7 @@ fn lingering_close(reader: &mut BufReader<TcpStream>) {
 /// body here; `POST /traces` streams it straight into the decoder.
 fn route(
     state: &ServerState,
-    head: &Request,
+    head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<Response, HttpError> {
     let unshared = match (head.method.as_str(), head.path.as_str()) {
@@ -402,7 +400,7 @@ fn route(
 
 fn read_json_body(
     state: &ServerState,
-    head: &Request,
+    head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<Vec<u8>, HttpError> {
     let len = head
@@ -554,7 +552,7 @@ fn handle_list_traces(state: &ServerState) -> std::result::Result<(u16, String),
 
 fn handle_ingest_trace(
     state: &ServerState,
-    head: &Request,
+    head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<(u16, String), HttpError> {
     let len = head
@@ -633,218 +631,92 @@ fn handle_ingest_models(
     Ok((200, body))
 }
 
-// Request shapes. Unknown fields are rejected by the vendored serde
-// derive, which keeps client typos loud.
-
-fn default_mappings() -> Vec<String> {
-    vec![default_mapping_one()]
-}
-fn default_filters() -> Vec<f64> {
-    vec![DEFAULT_FILTER]
-}
-fn default_strides() -> Vec<usize> {
-    vec![1]
-}
-fn default_true() -> bool {
-    true
-}
-fn default_order() -> usize {
-    DEFAULT_ORDER
-}
-fn default_machine() -> String {
-    DEFAULT_MACHINE.to_string()
-}
-fn default_sync() -> String {
-    DEFAULT_SYNC.to_string()
-}
-fn default_mapping_one() -> String {
-    DEFAULT_MAPPING.to_string()
-}
-
-#[derive(Deserialize)]
-struct SweepRequest {
-    trace: String,
-    ranks: Vec<usize>,
-    #[serde(default = "default_mappings")]
-    mappings: Vec<String>,
-    #[serde(default = "default_filters")]
-    filters: Vec<f64>,
-    #[serde(default = "default_strides")]
-    strides: Vec<usize>,
-    #[serde(default = "default_true")]
-    ghosts: bool,
-    #[serde(default)]
-    mesh: Option<String>,
-    #[serde(default = "default_order")]
-    order: usize,
-    /// Replay SimPoint representatives instead of every sample.
-    #[serde(default)]
-    reduced: bool,
-    /// Fixed cluster count for the reduction (`null` = automatic).
-    #[serde(default)]
-    reduced_k: Option<usize>,
-    /// Peak-load holdout error budget (default 2%).
-    #[serde(default)]
-    reduced_budget: Option<f64>,
-}
-
-#[derive(Deserialize)]
-struct PredictRequest {
-    trace: String,
-    models: String,
-    ranks: usize,
-    #[serde(default = "default_mapping_one")]
-    mapping: String,
-    #[serde(default = "default_filters")]
-    filters: Vec<f64>,
-    #[serde(default = "default_machine")]
-    machine: String,
-    #[serde(default = "default_sync")]
-    sync: String,
-    #[serde(default)]
-    mesh: Option<String>,
-    #[serde(default = "default_order")]
-    order: usize,
-}
-
-#[derive(Deserialize)]
-struct CheckRequest {
-    trace: String,
-    ranks: usize,
-    #[serde(default = "default_mapping_one")]
-    mapping: String,
-    #[serde(default = "default_filters")]
-    filters: Vec<f64>,
-    #[serde(default)]
-    mesh: Option<String>,
-    #[serde(default = "default_order")]
-    order: usize,
-}
-
-fn parse_request<T: Deserialize>(body: &[u8]) -> std::result::Result<T, HttpError> {
+/// A JSON endpoint's body: its fields and the [`Request`] they name. A
+/// body that is not a JSON object, or that names a key the endpoint does
+/// not take, names one twice or leaves out a required one, is a `400`
+/// naming the key; a value the request refuses is a `422`.
+fn parse_request(
+    path: &str,
+    body: &[u8],
+) -> std::result::Result<(Vec<(String, Value)>, Request), HttpError> {
     let text = std::str::from_utf8(body)
         .map_err(|e| HttpError::new(400, format!("request body is not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| HttpError::new(400, format!("bad request JSON: {e}")))
+    let bad = |e: String| HttpError::new(400, format!("bad request JSON: {e}"));
+    let Value::Map(fields) = serde_json::from_str(text).map_err(|e| bad(e.to_string()))? else {
+        return Err(bad("expected an object".to_string()));
+    };
+    let given: Vec<_> = (fields.iter())
+        .map(|(k, v)| (k.as_str(), Raw::Json(v)))
+        .collect();
+    request::admit(path, &given, Transport::Json)
+        .map_err(|e| HttpError::new(400, e.to_string()))?;
+    let request = Request::parse(path, |key| serde::find_key(&fields, key).map(Raw::Json))
+        .map_err(semantic)?;
+    Ok((fields, request))
 }
 
-/// A request field in the vocabulary its type parses (mapping, sync mode,
-/// mesh dims). A name the type does not know is the client's error, in
-/// the type's own words.
-fn field<T: std::str::FromStr<Err = PicError>>(s: &str) -> std::result::Result<T, HttpError> {
-    s.parse().map_err(|e| match e {
-        PicError::Config(message) => HttpError::new(422, message),
-        e => semantic(e),
-    })
+/// The string `key` of an admitted body: a trace or model-set address.
+fn address<'a>(
+    fields: &'a [(String, Value)],
+    key: &str,
+) -> std::result::Result<&'a str, HttpError> {
+    serde::find_key(fields, key)
+        .and_then(Value::as_str)
+        .ok_or_else(|| HttpError::new(400, format!("\"{key}\" must be a string")))
 }
 
-fn request_mesh(
-    spec: Option<&str>,
-    order: usize,
-    domain: pic_types::Aabb,
-) -> std::result::Result<Option<ElementMesh>, HttpError> {
-    let Some(spec) = spec else { return Ok(None) };
-    ElementMesh::new(domain, field::<MeshDims>(spec)?, order)
-        .map(Some)
-        .map_err(|e| HttpError::new(422, format!("bad mesh: {e}")))
+fn not_resident(address: &str) -> HttpError {
+    HttpError::new(
+        404,
+        format!("trace {address} is not resident; POST /traces it first"),
+    )
 }
 
 fn resolve_trace(
     state: &ServerState,
     address: &str,
 ) -> std::result::Result<(Arc<ParticleTrace>, Arc<pic_workload::AssignmentCache>), HttpError> {
-    state.registry.get_trace(address).ok_or_else(|| {
-        HttpError::new(
-            404,
-            format!("trace {address} is not resident; POST /traces it first"),
-        )
-    })
+    (state.registry.get_trace(address)).ok_or_else(|| not_resident(address))
 }
 
 fn semantic(e: PicError) -> HttpError {
     HttpError::new(422, format!("{e}"))
 }
 
-fn single_filter(filters: &[f64]) -> std::result::Result<f64, HttpError> {
-    match filters {
-        [f] => Ok(*f),
-        _ => Err(HttpError::new(
-            422,
-            format!("expected exactly one filter, got {}", filters.len()),
-        )),
-    }
-}
-
 fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
-    let req: SweepRequest = parse_request(body)?;
-    let (trace, cache) = resolve_trace(state, &req.trace)?;
-    let mappings: Vec<MappingAlgorithm> = req
-        .mappings
-        .iter()
-        .map(|s| field(s))
-        .collect::<std::result::Result<_, _>>()?;
-    let spec = SweepGridSpec {
-        mappings,
-        ranks: req.ranks,
-        filters: req.filters,
-        strides: req.strides,
-        compute_ghosts: req.ghosts,
+    let (fields, req) = parse_request("/sweep", body)?;
+    let address = address(&fields, "trace")?;
+    let (trace, cache) = resolve_trace(state, address)?;
+    let plan = match req.reduced {
+        true => Some(reduction_plan(state, address, &trace, req.k)?),
+        false => None,
     };
-    spec.validate().map_err(semantic)?;
-    let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
-    let points = spec.points();
-    let opts = ReplayOptions::new(mesh.as_ref(), Some(&cache), None);
-    let workloads = if req.reduced {
-        sweep_reduced_gated(
-            state,
-            &req.trace,
-            req.reduced_k,
-            req.reduced_budget,
-            &trace,
-            &opts,
-            &points,
-        )?
-    } else {
-        let (workloads, _stats) = pic_workload::replay(&trace, &points, &opts).map_err(semantic)?;
-        // Response gate: the full invariant catalog over every grid point.
-        pic_analysis::assert_sweep_valid(&workloads, Some(trace.particle_count() as u64))
-            .map_err(|e| HttpError::new(500, format!("response failed validity gate: {e}")))?;
-        workloads
-    };
-    let entries = grid_entries(&points, workloads);
+    let swept = req.sweep(&trace, Some(&cache), plan.as_deref());
+    let (entries, _) = swept.map_err(|e| match e {
+        // the holdout gate's message, which names the grid point, as it is
+        PicError::ModelFit(message) if req.reduced => HttpError::new(422, message),
+        PicError::ModelFit(_) => HttpError::new(500, format!("response failed validity gate: {e}")),
+        e => semantic(e),
+    })?;
     Ok((200, grid_to_json(&entries)))
 }
 
-/// The reduced-replay sweep path: fetch (or build and cache) the trace's
-/// reduction plan, then replay representatives only (through the cache in
-/// `replay_opts`) and hold every grid point to the holdout error budget
-/// ([`crate::simpoint::replay_reduced_gated`]).
-fn sweep_reduced_gated(
+/// The trace's reduction plan for `k` clusters (`None`: automatic), from
+/// its registry entry's [`registry::PlanCache`] or built and cached there.
+fn reduction_plan(
     state: &ServerState,
-    trace_addr: &str,
-    reduced_k: Option<usize>,
-    reduced_budget: Option<f64>,
+    address: &str,
     trace: &ParticleTrace,
-    replay_opts: &ReplayOptions,
-    points: &[SweepPoint],
-) -> std::result::Result<Vec<pic_workload::DynamicWorkload>, HttpError> {
-    if points.iter().any(|p| p.stride > 1) {
-        return Err(HttpError::new(
-            422,
-            "reduced replay serves stride 1 only (strided reconstruction is unguarded)",
-        ));
-    }
-    let plans = state.registry.plan_cache(trace_addr).ok_or_else(|| {
-        HttpError::new(
-            404,
-            format!("trace {trace_addr} is not resident; POST /traces it first"),
-        )
-    })?;
+    k: Option<usize>,
+) -> std::result::Result<Arc<pic_workload::ReductionPlan>, HttpError> {
+    let plans = state.registry.plan_cache(address);
+    let plans = plans.ok_or_else(|| not_resident(address))?;
     let opts = crate::simpoint::SimpointOptions {
-        k: reduced_k,
+        k,
         ..crate::simpoint::SimpointOptions::default()
     };
     let key = registry::PlanKey {
-        k: reduced_k.unwrap_or(0),
+        k: k.unwrap_or(0),
         k_max: opts.k_max,
         seed: opts.seed,
         bins_per_axis: opts.features.bins_per_axis,
@@ -852,78 +724,48 @@ fn sweep_reduced_gated(
     // Built outside the plan-cache lock; a racing builder loses to the
     // first insert and adopts the resident plan (identical by
     // determinism, so only the work is duplicated).
-    let plan = match plans.get(&key) {
-        Some(p) => p,
+    match plans.get(&key) {
+        Some(plan) => Ok(plan),
         None => {
             let built = crate::simpoint::build_plan(trace, &opts).map_err(semantic)?;
-            plans.insert(key, built)
+            Ok(plans.insert(key, built))
         }
-    };
-    let mut budget = pic_analysis::ReductionBudget::default();
-    if let Some(b) = reduced_budget {
-        budget.max_peak_rel_error = b;
     }
-    let ReplayOptions { mesh, cache, .. } = *replay_opts;
-    let (workloads, ..) = crate::simpoint::replay_reduced_gated(
-        trace, points, mesh, cache, &plan, &budget,
-    )
-    .map_err(|e| match e {
-        // the gate's message, which names the grid point, as it is
-        PicError::ModelFit(message) => HttpError::new(422, message),
-        e => semantic(e),
-    })?;
-    Ok(workloads)
 }
 
 fn handle_predict(
     state: &ServerState,
     body: &[u8],
 ) -> std::result::Result<(u16, String), HttpError> {
-    let req: PredictRequest = parse_request(body)?;
-    let (trace, cache) = resolve_trace(state, &req.trace)?;
-    let models = state.registry.get_models(&req.models).ok_or_else(|| {
+    let (fields, req) = parse_request("/predict", body)?;
+    let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
+    let models = address(&fields, "models")?;
+    let models = state.registry.get_models(models).ok_or_else(|| {
         HttpError::new(
             404,
-            format!(
-                "models {} are not resident; POST /models them first",
-                req.models
-            ),
+            format!("models {models} are not resident; POST /models them first"),
         )
     })?;
-    let spec = PredictSpec {
-        ranks: req.ranks,
-        mapping: field(&req.mapping)?,
-        filter: single_filter(&req.filters)?,
-        // built here as well as inside `predict`, so that a bad mesh reads
-        // the same on every endpoint
-        mesh: request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?.map(|m| m.dims()),
-        order: req.order,
-        machine: MachineSpec::preset(&req.machine).ok_or_else(|| {
-            let name = &req.machine;
-            let message = format!("unknown machine '{name}' (the service accepts presets only)");
-            HttpError::new(422, message)
-        })?,
-        sync: field(&req.sync)?,
-    };
     // Through the trace's assignment cache: the same bits as offline, and
     // the artifacts are shared with every other request.
-    let prediction = crate::predict(&trace, &models, &spec, Some(&cache)).map_err(|e| match e {
-        // only the two response gates report through this variant
-        PicError::ModelFit(_) => HttpError::new(500, format!("response failed validity gate: {e}")),
-        e => semantic(e),
-    })?;
+    let prediction =
+        crate::predict(&trace, &models, &req.specs()[0], Some(&cache)).map_err(|e| match e {
+            // only the two response gates report through this variant
+            PicError::ModelFit(_) => {
+                HttpError::new(500, format!("response failed validity gate: {e}"))
+            }
+            e => semantic(e),
+        })?;
     Ok((200, prediction.to_string()))
 }
 
 fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
-    let req: CheckRequest = parse_request(body)?;
-    let (trace, cache) = resolve_trace(state, &req.trace)?;
-    let mapping = field(&req.mapping)?;
-    let filter = single_filter(&req.filters)?;
-    let mesh = request_mesh(req.mesh.as_deref(), req.order, trace.meta().domain)?;
-    let point = SweepPoint::new(WorkloadConfig::new(req.ranks, mapping, filter));
+    let (fields, req) = parse_request("/check", body)?;
+    let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
+    let mesh = req.element_mesh(trace.meta().domain).map_err(semantic)?;
     let opts = ReplayOptions::new(mesh.as_ref(), Some(&cache), None);
-    let (mut workloads, _) = pic_workload::replay(&trace, &[point], &opts).map_err(semantic)?;
+    let (mut workloads, _) =
+        pic_workload::replay(&trace, &req.grid.points(), &opts).map_err(semantic)?;
     let workload = workloads.remove(0);
     let violations = pic_analysis::check_workload(&workload, Some(trace.particle_count() as u64));
     let rendered: Vec<String> = violations

@@ -62,7 +62,9 @@ impl Default for SimpointOptions {
 /// one representative per nonempty cluster (the member closest to its
 /// centroid), every sample assigned to its representative's slot.
 ///
-/// Fails on an empty trace (there is nothing to represent) and surfaces
+/// Fails on an empty trace (there is nothing to represent) and on a
+/// feature table the host cannot hold (zero bins per axis, more cells than
+/// 32-bit ids, or a table that cannot be reserved), and surfaces
 /// plan-consistency violations as config errors — though by construction
 /// the emitted plan always validates.
 pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<ReductionPlan> {
@@ -77,6 +79,7 @@ pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<Reduc
             return Err(PicError::config("reduction needs at least one cluster"));
         }
     }
+    check_feature_table(opts.features.bins_per_axis, t)?;
     let mut points = feature_vectors(trace, &opts.features);
     if opts.spatial_only {
         let cells = opts.features.bins_per_axis.pow(3);
@@ -107,6 +110,41 @@ pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<Reduc
     }
     let assignment: Vec<usize> = fitted.assignment.iter().map(|&c| slot_of[c]).collect();
     ReductionPlan::new(t, representatives, assignment)
+}
+
+/// Feature tables below which [`check_feature_table`] does not probe: a
+/// freed probe under glibc's 32 MiB mmap cap would raise the mmap
+/// threshold for every later allocation of the process, as the replay
+/// engine's rank-state check explains.
+const FEATURE_PROBE_FLOOR: usize = 32 << 20;
+
+/// Refuse a feature table before anything is sized by it: `bins`³
+/// reference cells (cell ids are 32-bit, and there is at least one) plus
+/// three scalars per sample, as `f64`s, must be reservable in one
+/// `try_reserve_exact`, released at once. Like the rank-state check the
+/// probe is best effort; the cell bound is the hard guarantee.
+fn check_feature_table(bins: usize, samples: usize) -> Result<()> {
+    let cells = bins
+        .checked_pow(3)
+        .filter(|&c| c > 0 && c <= u32::MAX as usize);
+    let Some(cells) = cells else {
+        return Err(PicError::config(format!(
+            "feature bins per axis must be 1 to 1625 (cell ids are 32-bit), got {bins}"
+        )));
+    };
+    let bytes = (cells + 3)
+        .checked_mul(samples)
+        .and_then(|n| n.checked_mul(std::mem::size_of::<f64>()));
+    let reserved = bytes
+        .is_some_and(|b| b < FEATURE_PROBE_FLOOR || Vec::<u8>::new().try_reserve_exact(b).is_ok());
+    if !reserved {
+        let size = bytes.map_or("more than usize::MAX".to_string(), |b| b.to_string());
+        return Err(PicError::config(format!(
+            "feature bins per axis {bins} need {size} bytes of features for {samples} samples, \
+             which cannot be allocated"
+        )));
+    }
+    Ok(())
 }
 
 /// Replay `plan`'s representatives for every grid point, through `cache`
@@ -292,5 +330,32 @@ mod tests {
         .unwrap();
         assert!(plan.k() >= 1 && plan.k() <= 2, "plan: {plan:?}");
         plan.validate().unwrap();
+    }
+
+    /// Bin counts the feature table cannot be built for are configuration
+    /// errors naming the value: zero (an assertion deep in the feature
+    /// pass), more cells than 32-bit ids (a capacity overflow, or a 32 GB
+    /// allocation abort at 2000), or a table no host can reserve.
+    #[test]
+    fn feature_bins_the_host_cannot_hold_are_refused() {
+        let tr = phased_trace(20, 2, 1);
+        for bins in [0, 1626, 2000, 3_000_000, usize::MAX] {
+            let mut opts = test_opts();
+            opts.features.bins_per_axis = bins;
+            let err = build_plan(&tr, &opts).unwrap_err().to_string();
+            assert!(
+                err.starts_with("configuration error: feature bins"),
+                "{err}"
+            );
+            assert!(err.ends_with(&format!("got {bins}")), "{err}");
+        }
+        let err = check_feature_table(1625, 1 << 26).unwrap_err().to_string();
+        assert!(err.contains("1625 need") && err.contains("cannot be allocated"));
+        let err = check_feature_table(1625, 1 << 40).unwrap_err().to_string();
+        assert!(err.contains("more than usize::MAX"), "{err}");
+        check_feature_table(1, 1 << 20).unwrap();
+        check_feature_table(1625, 0).unwrap();
+        // the largest table under the probe floor passes unprobed
+        check_feature_table(4, (FEATURE_PROBE_FLOOR >> 3) / 67 - 1).unwrap();
     }
 }

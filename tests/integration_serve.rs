@@ -778,3 +778,93 @@ fn an_over_deep_request_body_is_400_and_the_server_survives() {
     server.shutdown();
     pic_types::sync::assert_witness_clean();
 }
+
+/// The message of a `{"error":{"status":…,"message":…}}` response body.
+fn error_message(body: &str) -> String {
+    #[derive(serde::Deserialize)]
+    struct Body {
+        error: Error,
+    }
+    #[derive(serde::Deserialize)]
+    struct Error {
+        message: String,
+    }
+    let parsed: Body = serde_json::from_str(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    parsed.error.message
+}
+
+/// A key an endpoint does not take, or one given twice, was answered as if
+/// it were absent or given once: `"filter"` on `/sweep` got the grid of the
+/// default filter, `/check` with `"bogus"` said `"ok":true`, and
+/// `"ranks":8,"ranks":16` was answered at 8. Each JSON endpoint now answers
+/// 400 naming the key, and the server keeps serving.
+#[test]
+fn unknown_or_repeated_keys_are_400_naming_the_key() {
+    let trace = make_trace(5);
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let encoded = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let (status, body) = request(addr, "POST", "/traces", &encoded);
+    assert_eq!(status, 200, "{body}");
+    let t = json_str_field(&body, "address");
+    let models = KernelModels::from_models(Vec::new()).to_json();
+    let (status, body) = request(addr, "POST", "/models", models.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let m = json_str_field(&body, "address");
+    let cases = [
+        (
+            "/sweep",
+            format!("{{\"trace\":\"{t}\",\"ranks\":[4],\"filter\":[0.05]}}"),
+            "unknown key \"filter\"",
+        ),
+        (
+            "/predict",
+            format!(
+                "{{\"trace\":\"{t}\",\"models\":\"{m}\",\"ranks\":4,\
+                 \"mappings\":[\"element-based\"],\"synk\":\"neighbor\",\"filter\":0.05}}"
+            ),
+            "unknown key \"filter\"",
+        ),
+        (
+            "/check",
+            format!("{{\"trace\":\"{t}\",\"ranks\":4,\"bogus\":1}}"),
+            "unknown key \"bogus\"",
+        ),
+        (
+            "/predict",
+            format!("{{\"trace\":\"{t}\",\"models\":\"{m}\",\"ranks\":8,\"ranks\":16}}"),
+            "repeated key \"ranks\"",
+        ),
+        (
+            "/sweep",
+            format!("{{\"trace\":\"{t}\",\"ranks\":[4],\"filters\":[0.1],\"filters\":[0.2]}}"),
+            "repeated key \"filters\"",
+        ),
+        (
+            "/check",
+            format!("{{\"trace\":\"{t}\",\"trace\":\"{t}\",\"ranks\":4}}"),
+            "repeated key \"trace\"",
+        ),
+    ];
+    for (path, body, want) in &cases {
+        let (status, answer) = request(addr, "POST", path, body.as_bytes());
+        assert_eq!(status, 400, "{path} {body}: {answer}");
+        let message = error_message(&answer);
+        assert_eq!(message, format!("configuration error: {want} for '{path}'"));
+    }
+    // the same requests with the keys spelled as the endpoints take them
+    let sweep = format!("{{\"trace\":\"{t}\",\"ranks\":[4],\"filters\":[0.05]}}");
+    let (status, answer) = request(addr, "POST", "/sweep", sweep.as_bytes());
+    assert_eq!(status, 200, "{answer}");
+    let check = format!("{{\"trace\":\"{t}\",\"ranks\":4}}");
+    let (status, answer) = request(addr, "POST", "/check", check.as_bytes());
+    assert_eq!(
+        (status, answer.starts_with("{\"ok\":true")),
+        (200, true),
+        "{answer}"
+    );
+    let (status, health) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{health}");
+    server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
