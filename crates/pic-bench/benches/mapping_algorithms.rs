@@ -9,7 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pic_grid::{ElementMesh, MeshDims};
-use pic_mapping::{BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper, ParticleMapper};
+use pic_mapping::{
+    BinMapper, BinTree, ElementMapper, HilbertMapper, LoadBalancedMapper, ParticleMapper,
+};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Vec3};
 
@@ -77,7 +79,8 @@ fn migration_diff(c: &mut Criterion) {
 }
 
 fn bin_partition_depth(c: &mut Criterion) {
-    // Cost of the unbounded partition (Fig 6 analysis) vs the bounded one.
+    // Cost of the unbounded partition (Fig 6 analysis) at three depths, and
+    // of a grid of bounded ones with and without a shared tree.
     let pos = positions(50_000, 13);
     let mut group = c.benchmark_group("bin_partition");
     group.sample_size(10);
@@ -89,6 +92,34 @@ fn bin_partition_depth(c: &mut Criterion) {
             |b, pos| b.iter(|| mapper.unbounded_bin_count(pos)),
         );
     }
+    // A 2 × 3 (ranks × threshold) grid of one sample, as a sweep's bin
+    // groups see it: six lone partitions against one tree walked six times.
+    let grid: Vec<(usize, f64)> = [512usize, 2048]
+        .iter()
+        .flat_map(|&r| [0.01, 0.02, 0.04].map(|t| (r, t)))
+        .collect();
+    let mappers: Vec<BinMapper> = (grid.iter())
+        .map(|&(r, t)| BinMapper::new(r, t).unwrap())
+        .collect();
+    group.bench_with_input(
+        BenchmarkId::new("2x3 grid", "partitions"),
+        &pos,
+        |b, pos| {
+            b.iter(|| {
+                (mappers.iter())
+                    .map(|m| m.partition(pos, m.ranks()).bin_count())
+                    .sum::<usize>()
+            })
+        },
+    );
+    group.bench_with_input(BenchmarkId::new("2x3 grid", "tree"), &pos, |b, pos| {
+        b.iter(|| {
+            let mut tree = BinTree::new(pos);
+            (grid.iter())
+                .map(|&(r, t)| tree.walk(r, t).bin_count())
+                .sum::<usize>()
+        })
+    });
     group.finish();
 }
 

@@ -293,7 +293,8 @@ fn fig5(ctx: &Ctx) {
 fn fig6(ctx: &Ctx) {
     println!("\n== Fig 6: particle bins generated over the run (unbounded) ==");
     let threshold = fig5_threshold(ctx.scale);
-    let series = unbounded_bin_series(&ctx.trace, threshold).expect("bin series");
+    let mut series = unbounded_bin_series(&ctx.trace, &[threshold]).expect("bin series");
+    let series = series.remove(0);
     let mut csv = String::from("iteration,bins\n");
     for (iter, bins) in ctx.trace.iterations().iter().zip(&series) {
         println!("  iteration {iter:>7}: {bins} bins");
@@ -428,8 +429,9 @@ fn print_fig9(ctx: &Ctx, rows: &[Compared]) {
 fn fig10a(ctx: &Ctx) {
     println!("\n== Fig 10a: projection-filter parameter study ==");
     let mut csv = String::from("filter,max_bins\n");
-    for filter in ctx.scale.filter_sweep() {
-        let series = unbounded_bin_series(&ctx.trace, filter).expect("bin series");
+    let filters = ctx.scale.filter_sweep();
+    let all = unbounded_bin_series(&ctx.trace, &filters).expect("bin series");
+    for (filter, series) in filters.into_iter().zip(all) {
         let max_bins = series.into_iter().max().unwrap_or(0);
         println!("  filter {filter:>7.3}: max bins {max_bins}");
         csv.push_str(&format!("{filter},{max_bins}\n"));

@@ -17,6 +17,17 @@
 //! Because particles move every iteration, CMT-nek rebuilds the partition
 //! each iteration; accordingly [`BinMapper::assign`] rebuilds it per trace
 //! sample.
+//!
+//! **One tree per sample.** A cut depends only on its bin's particle set,
+//! never on the processor count or the threshold: those decide only which
+//! bins may split and in what order. So a sample's [`BinTree`] cuts each
+//! node at most once, on first demand, and every (processor count,
+//! threshold) partition of that sample is a [`BinTree::walk`] over it that
+//! touches no particle until it writes owners. The cost model: one tree
+//! costs the cuts of the union of its walks (`O(N_p)` per tree level of
+//! median selection), and each walk adds `O(bins log bins)` for its heap
+//! plus `O(N_p)` to write owners. [`BinMapper::partition`] is a tree plus
+//! one walk.
 
 use crate::mapper::{MappingOutcome, ParticleMapper};
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
@@ -44,6 +55,19 @@ impl BinPartition {
     pub fn bin_count(&self) -> usize {
         self.boxes.len()
     }
+
+    /// The mapping outcome of a partition into at most `ranks` bins: bin
+    /// `i` is rank `i`'s region, and the ranks past the last bin idle.
+    pub fn into_outcome(self, ranks: usize) -> MappingOutcome {
+        let bin_count = self.bin_count();
+        let mut rank_regions = self.boxes;
+        rank_regions.resize(ranks, Aabb::empty());
+        MappingOutcome {
+            ranks: self.assignment.iter().map(|&b| Rank::new(b)).collect(),
+            rank_regions,
+            bin_count: Some(bin_count),
+        }
+    }
 }
 
 /// One particle of the partition buffer: its coordinates travel with its
@@ -53,28 +77,175 @@ struct Record {
     particle: u32,
 }
 
-/// Working node during partitioning: the records `lo..hi` of the buffer.
+/// What a node's one cut attempt made of it.
+#[derive(Clone, Copy)]
+enum Cut {
+    /// Not attempted yet.
+    Pending,
+    /// Split into the nodes `left` and `left + 1`.
+    Split(u32),
+    /// No axis separates its particles: a final bin under every walk.
+    Unsplittable,
+}
+
+/// A tree node: the records `lo..hi` of the buffer. Indices are `u32`,
+/// as particle ids are, which keeps a node at 64 bytes.
 struct Node {
-    lo: usize,
-    hi: usize,
+    lo: u32,
+    hi: u32,
     bbox: Aabb,
-    /// Set once every cut attempt on this node failed (degenerate particle
-    /// distribution), so we never retry it.
-    unsplittable: bool,
+    cut: Cut,
 }
 
 impl Node {
     fn new(lo: usize, records: &[Record]) -> Node {
         Node {
-            lo,
-            hi: lo + records.len(),
+            lo: lo as u32,
+            hi: (lo + records.len()) as u32,
             bbox: tight_box(records),
-            unsplittable: false,
+            cut: Cut::Pending,
         }
     }
 
+    fn range(&self) -> std::ops::Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+
     fn len(&self) -> usize {
-        self.hi - self.lo
+        (self.hi - self.lo) as usize
+    }
+}
+
+/// One sample's bin tree: a node arena over an in-place record buffer,
+/// where a node is cut on first demand and the outcome is kept. A cut
+/// permutes only its node's range, and a range is untouched from its
+/// creation to its cut, so every node is cut exactly as a lone partition
+/// would cut it, whichever walks came first.
+pub struct BinTree {
+    records: Vec<Record>,
+    /// Node 0 is the root (absent for an empty sample); a split node's
+    /// children are adjacent.
+    nodes: Vec<Node>,
+    cuts: usize,
+}
+
+impl BinTree {
+    /// The uncut tree of one sample.
+    pub fn new(positions: &[Vec3]) -> BinTree {
+        let records: Vec<Record> = (positions.iter().zip(0u32..))
+            .map(|(p, particle)| Record {
+                coords: p.to_array(),
+                particle,
+            })
+            .collect();
+        let nodes = (!records.is_empty())
+            .then(|| Node::new(0, &records))
+            .into_iter()
+            .collect();
+        BinTree {
+            records,
+            nodes,
+            cuts: 0,
+        }
+    }
+
+    /// Cut attempts made so far, failed ones included: at most one per
+    /// node.
+    pub fn cuts(&self) -> usize {
+        self.cuts
+    }
+
+    /// The partition into at most `max_bins` bins at bin-size `threshold`.
+    ///
+    /// The splitting order is largest-particle-count-first (a max-heap of
+    /// `(count, Reverse(slot))`), which both matches the load-balancing
+    /// intent and makes the result deterministic: ties break toward the
+    /// earlier-created bin. Slots number the bins in this walk's own
+    /// creation order, and bin `i` is the `i`-th live slot.
+    pub fn walk(&mut self, max_bins: usize, threshold: f64) -> BinPartition {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        // A node known to be unsplittable is not pushed: a lone partition
+        // pops it, fails to cut it and changes nothing else.
+        let splittable = |n: &Node| {
+            !matches!(n.cut, Cut::Unsplittable)
+                && n.len() >= 2
+                && n.bbox.longest_extent() > threshold
+        };
+        // Slot `i` holds a tree node until it splits; children get new
+        // slots, so every heap entry's slot is live and unique. A walk makes
+        // at most two slots per bin, so the vector is sized once rather
+        // than grown beside the tree's own (growing both fragmented the
+        // allocator's heap measurably).
+        let bins_cap = max_bins.min(self.records.len());
+        let mut slots: Vec<Option<u32>> = Vec::with_capacity(bins_cap.saturating_mul(2));
+        let mut heap: BinaryHeap<(usize, Reverse<usize>)> = BinaryHeap::new();
+        if let Some(root) = self.nodes.first() {
+            slots.push(Some(0));
+            if splittable(root) {
+                heap.push((root.len(), Reverse(0)));
+            }
+        }
+        let mut bins = slots.len();
+        while bins < max_bins {
+            let Some((_, Reverse(i))) = heap.pop() else {
+                break;
+            };
+            let node = slots[i].expect("heap entries reference live slots");
+            // An unsplittable node stays a final bin and is never retried.
+            let Some(left) = self.cut(node) else {
+                continue;
+            };
+            bins += 1;
+            slots[i] = None;
+            for child in [left, left + 1] {
+                let slot = slots.len();
+                slots.push(Some(child));
+                let child = &self.nodes[child as usize];
+                if splittable(child) {
+                    heap.push((child.len(), Reverse(slot)));
+                }
+            }
+        }
+
+        let mut assignment = vec![0u32; self.records.len()];
+        let mut boxes = Vec::with_capacity(bins);
+        let mut counts = Vec::with_capacity(bins);
+        for node in slots.into_iter().flatten().map(|n| &self.nodes[n as usize]) {
+            let b = boxes.len() as u32;
+            for r in &self.records[node.range()] {
+                assignment[r.particle as usize] = b;
+            }
+            boxes.push(node.bbox);
+            counts.push(node.len() as u32);
+        }
+        BinPartition {
+            boxes,
+            counts,
+            assignment,
+        }
+    }
+
+    /// Node `id`'s left child, cutting the node on first demand; `None`
+    /// when it is unsplittable.
+    fn cut(&mut self, id: u32) -> Option<u32> {
+        let node = &self.nodes[id as usize];
+        match node.cut {
+            Cut::Split(left) => return Some(left),
+            Cut::Unsplittable => return None,
+            Cut::Pending => {}
+        }
+        self.cuts += 1;
+        let range = node.range();
+        let left = split(&node.bbox, &mut self.records[range.clone()]).map(|cut| {
+            let (l, r) = self.records[range.clone()].split_at(cut);
+            let children = [Node::new(range.start, l), Node::new(range.start + cut, r)];
+            self.nodes.extend(children);
+            (self.nodes.len() - 2) as u32
+        });
+        self.nodes[id as usize].cut = left.map_or(Cut::Unsplittable, Cut::Split);
+        left
     }
 }
 
@@ -121,6 +292,26 @@ fn tight_box(records: &[Record]) -> Aabb {
     }
 }
 
+/// Try to cut a node (`range`, box `bbox`) at the median coordinate of its
+/// longest axis; fall back to shorter axes when all particles share a
+/// coordinate. Returns how many records, first in the permuted range, go
+/// left, or `None` when no axis separates the particles.
+fn split(bbox: &Aabb, range: &mut [Record]) -> Option<usize> {
+    let e = bbox.extent().to_array();
+    let mut axes = [0usize, 1, 2];
+    axes.sort_by(|&a, &b| e[b].partial_cmp(&e[a]).expect("finite extents"));
+    axes.into_iter().find_map(|axis| {
+        // One instance per axis: the selection's comparator is the hot
+        // loop, and a constant field offset is worth ~5-10 % of `assign`.
+        let cut = match axis {
+            0 => cut_below_median::<0>(range),
+            1 => cut_below_median::<1>(range),
+            _ => cut_below_median::<2>(range),
+        };
+        (cut > 0).then_some(cut)
+    })
+}
+
 impl BinMapper {
     /// Create a bin mapper for `ranks` processors with the given bin-size
     /// threshold (must be positive and finite).
@@ -141,87 +332,12 @@ impl BinMapper {
         self.threshold
     }
 
-    /// Run the recursive planar-cut partition on one sample, producing at
-    /// most `max_bins` bins.
-    ///
-    /// The splitting order is largest-particle-count-first (a max-heap of
-    /// candidates, `O(N_p log bins)` overall), which both matches the
-    /// load-balancing intent and makes the result deterministic: ties
-    /// break toward the earlier-created bin.
+    /// The recursive planar-cut partition of one sample into at most
+    /// `max_bins` bins: a fresh [`BinTree`] and one walk over it, so each
+    /// node is cut once. Callers partitioning one sample several ways walk
+    /// one tree instead.
     pub fn partition(&self, positions: &[Vec3], max_bins: usize) -> BinPartition {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        if positions.is_empty() {
-            return BinPartition {
-                boxes: vec![],
-                counts: vec![],
-                assignment: vec![],
-            };
-        }
-        // Every tree node is a contiguous range of this buffer: a cut
-        // permutes its node's range and hands each child one half.
-        let mut records: Vec<Record> = (positions.iter().zip(0u32..))
-            .map(|(p, particle)| Record {
-                coords: p.to_array(),
-                particle,
-            })
-            .collect();
-        // Slots: split nodes are tombstoned (None); children get new slots,
-        // so every heap entry's slot index is unique — no stale entries.
-        let mut slots: Vec<Option<Node>> = vec![Some(Node::new(0, &records))];
-        let mut heap: BinaryHeap<(usize, Reverse<usize>)> = BinaryHeap::new();
-        if self.splittable(slots[0].as_ref().expect("root just created")) {
-            heap.push((positions.len(), Reverse(0)));
-        }
-        let mut bins = 1usize;
-
-        while bins < max_bins {
-            let Some((_, Reverse(i))) = heap.pop() else {
-                break;
-            };
-            let node = slots[i]
-                .take()
-                .expect("heap entries reference live slots once");
-            match self.split(&node, &mut records) {
-                Some((left, right)) => {
-                    bins += 1;
-                    for child in [left, right] {
-                        let idx = slots.len();
-                        let count = child.len();
-                        let push = self.splittable(&child);
-                        slots.push(Some(child));
-                        if push {
-                            heap.push((count, Reverse(idx)));
-                        }
-                    }
-                }
-                None => {
-                    // No axis separates this node's particles: keep it as a
-                    // final bin and never retry.
-                    let mut node = node;
-                    node.unsplittable = true;
-                    slots[i] = Some(node);
-                }
-            }
-        }
-
-        let mut assignment = vec![0u32; positions.len()];
-        let mut boxes = Vec::with_capacity(bins);
-        let mut counts = Vec::with_capacity(bins);
-        for node in slots.into_iter().flatten() {
-            let b = boxes.len() as u32;
-            for r in &records[node.lo..node.hi] {
-                assignment[r.particle as usize] = b;
-            }
-            boxes.push(node.bbox);
-            counts.push(node.len() as u32);
-        }
-        BinPartition {
-            boxes,
-            counts,
-            assignment,
-        }
+        BinTree::new(positions).walk(max_bins, self.threshold)
     }
 
     /// Maximum number of bins the threshold permits, ignoring the processor
@@ -230,38 +346,6 @@ impl BinMapper {
     /// can receive particle workload, i.e. the *optimal* processor count.
     pub fn unbounded_bin_count(&self, positions: &[Vec3]) -> usize {
         self.partition(positions, usize::MAX).bin_count()
-    }
-
-    fn splittable(&self, node: &Node) -> bool {
-        !node.unsplittable && node.len() >= 2 && node.bbox.longest_extent() > self.threshold
-    }
-
-    /// Try to cut `node` at the median coordinate of its longest axis;
-    /// fall back to shorter axes when all particles share a coordinate.
-    /// Returns `None` when no axis separates the particles.
-    fn split(&self, node: &Node, records: &mut [Record]) -> Option<(Node, Node)> {
-        let e = node.bbox.extent();
-        let mut axes = [0usize, 1, 2];
-        axes.sort_by(|&a, &b| {
-            e.to_array()[b]
-                .partial_cmp(&e.to_array()[a])
-                .expect("finite extents")
-        });
-        let range = &mut records[node.lo..node.hi];
-        for axis in axes {
-            // One instance per axis: the selection's comparator is the hot
-            // loop, and a constant field offset is worth ~5-10 % of `assign`.
-            let cut = match axis {
-                0 => cut_below_median::<0>(range),
-                1 => cut_below_median::<1>(range),
-                _ => cut_below_median::<2>(range),
-            };
-            if cut > 0 {
-                let (left, right) = range.split_at(cut);
-                return Some((Node::new(node.lo, left), Node::new(node.lo + cut, right)));
-            }
-        }
-        None
     }
 }
 
@@ -301,17 +385,8 @@ impl ParticleMapper for BinMapper {
     }
 
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let part = self.partition(positions, self.ranks);
-        let bin_count = part.bin_count();
-        let ranks = part.assignment.iter().map(|&b| Rank::new(b)).collect();
-        // Bin `i` is rank `i`'s region; the ranks past the last bin idle.
-        let mut rank_regions = part.boxes;
-        rank_regions.resize(self.ranks, Aabb::empty());
-        MappingOutcome {
-            ranks,
-            rank_regions,
-            bin_count: Some(bin_count),
-        }
+        self.partition(positions, self.ranks)
+            .into_outcome(self.ranks)
     }
 }
 
@@ -522,6 +597,43 @@ mod tests {
         Ok(())
     }
 
+    /// One tree per cloud (and per prefix `np ∈ {0, 1, 2}`), walked over
+    /// `walks` in order, then again at the first walk's threshold with no
+    /// bin cap, then the first walk repeated: every walk ≡ a lone reference
+    /// partition in assignment, counts, box bits and bin count.
+    fn check_walks_against_reference(
+        positions: &[Vec3],
+        walks: &[(usize, f64)],
+    ) -> std::result::Result<(), TestCaseError> {
+        let mut seq = walks.to_vec();
+        seq.push((usize::MAX, walks[0].1));
+        seq.push(walks[0]);
+        let prefixes = [0, 1, 2, positions.len()].map(|np| &positions[..np.min(positions.len())]);
+        for cloud in prefixes {
+            let mut tree = BinTree::new(cloud);
+            for &(max_bins, threshold) in &seq {
+                let new = tree.walk(max_bins, threshold);
+                let old = reference::Reference { threshold }.partition(cloud, max_bins);
+                let at = format!("max_bins={max_bins} threshold={threshold}");
+                prop_assert_eq!(new.bin_count(), old.bin_count(), "{}", &at);
+                prop_assert_eq!(&new.assignment, &old.assignment, "{}", &at);
+                prop_assert_eq!(&new.counts, &old.counts, "{}", &at);
+                prop_assert_eq!(
+                    new.boxes.iter().map(box_bits).collect::<Vec<_>>(),
+                    old.boxes.iter().map(box_bits).collect::<Vec<_>>(),
+                    "{}",
+                    &at
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Random `(max_bins, threshold)` walks, `usize::MAX` among the caps.
+    fn walks_of(threshold: impl Strategy<Value = f64>) -> impl Strategy<Value = Vec<(usize, f64)>> {
+        proptest::collection::vec((prop_oneof![1usize..64, Just(usize::MAX)], threshold), 1..6)
+    }
+
     fn cloud_of(coord: impl Strategy<Value = f64>, max: usize) -> impl Strategy<Value = Vec<Vec3>> {
         proptest::collection::vec(
             (coord.clone(), coord.clone(), coord).prop_map(|(x, y, z)| Vec3::new(x, y, z)),
@@ -535,8 +647,10 @@ mod tests {
             positions in cloud_of(-1.0..1.0f64, 400),
             ranks in 1usize..64,
             threshold in 0.001..0.8f64,
+            walks in walks_of(0.001..0.8f64),
         ) {
             check_against_reference(&positions, ranks, threshold)?;
+            check_walks_against_reference(&positions, &walks)?;
         }
 
         #[test]
@@ -546,8 +660,10 @@ mod tests {
             positions in cloud_of((0u32..12).prop_map(|q| f64::from(q as f32 / 11.0)), 400),
             ranks in 1usize..64,
             threshold in 0.001..0.5f64,
+            walks in walks_of(0.001..0.5f64),
         ) {
             check_against_reference(&positions, ranks, threshold)?;
+            check_walks_against_reference(&positions, &walks)?;
         }
 
         #[test]
@@ -556,6 +672,7 @@ mod tests {
             axis in 0usize..3,
             copies in 0usize..100,
             ranks in 1usize..32,
+            walks in walks_of(prop_oneof![Just(1e-9), 1e-6..0.5f64]),
         ) {
             let collinear: Vec<Vec3> = line
                 .iter()
@@ -567,6 +684,8 @@ mod tests {
                 .collect();
             check_against_reference(&collinear, ranks, 1e-6)?;
             check_against_reference(&vec![Vec3::splat(0.25); copies], ranks, 1e-9)?;
+            check_walks_against_reference(&collinear, &walks)?;
+            check_walks_against_reference(&vec![Vec3::splat(0.25); copies], &walks)?;
         }
 
         #[test]
@@ -579,9 +698,29 @@ mod tests {
             ),
             ranks in 1usize..32,
             threshold in 0.001..0.8f64,
+            walks in walks_of(0.001..0.8f64),
         ) {
             check_against_reference(&positions, ranks, threshold)?;
+            check_walks_against_reference(&positions, &walks)?;
         }
+    }
+
+    #[test]
+    fn each_node_is_cut_once_across_walks() {
+        // The unbounded walk at 0.05 cuts every node wider than 0.05, so
+        // no walk at that threshold or a coarser one cuts anything new.
+        let pos = uniform_cloud(2000, 1.0, 11);
+        let mut tree = BinTree::new(&pos);
+        let bins = tree.walk(usize::MAX, 0.05).bin_count();
+        let cuts = tree.cuts();
+        assert!(bins > 64 && cuts >= bins - 1, "{bins} bins, {cuts} cuts");
+        for (max_bins, threshold) in [(16, 0.05), (64, 0.05), (64, 0.2), (8, 0.4)] {
+            tree.walk(max_bins, threshold);
+        }
+        assert_eq!(tree.cuts(), cuts);
+        tree.walk(usize::MAX, 0.01);
+        assert!(tree.cuts() > cuts);
+        assert_eq!(BinTree::new(&[]).walk(8, 0.1).bin_count(), 0);
     }
 
     #[test]

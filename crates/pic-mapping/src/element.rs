@@ -63,10 +63,6 @@ impl ParticleMapper for ElementMapper {
         self.assign_soa(&xs, &ys, &zs)
     }
 
-    fn supports_soa(&self) -> bool {
-        true
-    }
-
     /// Positions outside the domain are clamped onto it first (a particle
     /// that drifted out numerically is kept by its nearest boundary
     /// element, matching production PIC codes that reflect or absorb at

@@ -146,10 +146,6 @@ impl ParticleMapper for HilbertMapper {
         self.assign_soa(&xs, &ys, &zs)
     }
 
-    fn supports_soa(&self) -> bool {
-        true
-    }
-
     /// Locate each particle's element, look up its curve rank, stable
     /// radix sort the particle ids by it, and hand out equal contiguous
     /// chunks of that order. Distinct elements have distinct curve

@@ -34,7 +34,7 @@ pub mod load_balanced;
 pub mod mapper;
 pub mod region_index;
 
-pub use bin::{BinMapper, BinPartition};
+pub use bin::{BinMapper, BinPartition, BinTree};
 pub use element::ElementMapper;
 pub use hilbert::HilbertMapper;
 pub use load_balanced::LoadBalancedMapper;

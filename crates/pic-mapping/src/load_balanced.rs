@@ -81,10 +81,6 @@ impl ParticleMapper for LoadBalancedMapper {
         self.assign_soa(&xs, &ys, &zs)
     }
 
-    fn supports_soa(&self) -> bool {
-        true
-    }
-
     /// One clamp/locate pass (positions clamped onto the domain, as in
     /// element-based mapping) feeds both the per-element weight histogram
     /// of this sample's decomposition and the final rank gather.

@@ -120,7 +120,8 @@ pub(crate) fn soa_lanes(positions: &[Vec3]) -> [Vec<f64>; 3] {
 /// Implementations are stateless across samples (`&self`) so that the
 /// workload generator can process trace samples in parallel; any per-sample
 /// state (e.g. the bin partition, which CMT-nek recomputes every iteration)
-/// is built inside `assign`.
+/// is built inside `assign`. A caller assigning one sample under several
+/// bin-based configurations walks one [`crate::BinTree`] instead.
 pub trait ParticleMapper: Send + Sync {
     /// Short algorithm name for reports and configs.
     fn name(&self) -> &'static str;
@@ -130,18 +131,6 @@ pub trait ParticleMapper: Send + Sync {
 
     /// Map one sample's positions to residing ranks.
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome;
-
-    /// Whether [`assign_soa`](Self::assign_soa) is the mapper's own
-    /// implementation (the mesh mappers, whose `assign` transposes into
-    /// it). Callers holding SoA data should check this and fall back to
-    /// [`assign`](Self::assign) with their AoS copy when `false` — the
-    /// default `assign_soa` reconstitutes a `Vec3` buffer, which is pure
-    /// overhead for mappers without an SoA inner loop (e.g. the recursive
-    /// bin partitioner, which copies each position into its own record
-    /// buffer anyway).
-    fn supports_soa(&self) -> bool {
-        false
-    }
 
     /// Map one sample's positions, given as parallel x/y/z arrays, to
     /// residing ranks. Must produce output bit-identical to

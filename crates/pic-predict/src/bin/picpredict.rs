@@ -552,7 +552,7 @@ fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
         "bins" => {
             // the bin study replays no grid: its one request field is the filter
             let filter = flag_or(flags, "filter", Request::default().grid.filters[0])?;
-            let bins = pic_workload::generator::unbounded_bin_series(&trace, filter)?;
+            let bins = pic_workload::generator::unbounded_bin_series(&trace, &[filter])?.remove(0);
             for (iter, bins) in trace.iterations().iter().zip(&bins) {
                 println!("iteration {iter:>8}: {bins} bins");
             }

@@ -13,7 +13,7 @@ use crate::matrices::{CommMatrix, CompMatrix};
 pub use crate::reference::generate_reference;
 use crate::sweep::{replay, ReplayOptions, SweepPoint};
 use pic_grid::ElementMesh;
-use pic_mapping::{BinMapper, MappingAlgorithm};
+use pic_mapping::{BinMapper, BinTree, MappingAlgorithm};
 use pic_trace::ParticleTrace;
 use pic_types::Result;
 use rayon::prelude::*;
@@ -153,17 +153,28 @@ pub fn generate_with_mesh(
 /// small enough that short traces still fan out across cores.
 pub(crate) const GHOST_CHUNK: usize = 2048;
 
-/// Unbounded bin-count series over a trace (Fig 6: "relaxing the processor
-/// count limitation" to find the optimal `R`).
-pub fn unbounded_bin_series(trace: &ParticleTrace, threshold: f64) -> Result<Vec<usize>> {
-    let mapper = BinMapper::new(1, threshold)?;
+/// Unbounded bin-count series over a trace, one per threshold (Fig 6:
+/// "relaxing the processor count limitation" to find the optimal `R`;
+/// Fig 10a: the same across filters). Each sample builds one [`BinTree`]
+/// and walks it once per threshold, so each node is cut once.
+pub fn unbounded_bin_series(trace: &ParticleTrace, thresholds: &[f64]) -> Result<Vec<Vec<usize>>> {
+    for &t in thresholds {
+        BinMapper::new(1, t)?;
+    }
     let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
-    Ok(pic_types::pool::install(|| {
-        samples
-            .par_iter()
-            .map(|s| mapper.unbounded_bin_count(&s.positions))
+    let per_sample: Vec<Vec<usize>> = pic_types::pool::install(|| {
+        (samples.par_iter())
+            .map(|s| {
+                let mut tree = BinTree::new(&s.positions);
+                (thresholds.iter())
+                    .map(|&t| tree.walk(usize::MAX, t).bin_count())
+                    .collect()
+            })
             .collect()
-    }))
+    });
+    Ok((0..thresholds.len())
+        .map(|k| per_sample.iter().map(|bins| bins[k]).collect())
+        .collect())
 }
 
 #[cfg(test)]
@@ -315,12 +326,22 @@ mod tests {
     #[test]
     fn unbounded_bins_grow_with_boundary() {
         let tr = make_trace(2000, 5, 0.08, 7);
-        let series = unbounded_bin_series(&tr, 0.1).unwrap();
+        let series = unbounded_bin_series(&tr, &[0.1]).unwrap().remove(0);
         assert_eq!(series.len(), 5);
         assert!(
             series.last().unwrap() > series.first().unwrap(),
             "{series:?}"
         );
+        // Several thresholds walk one tree per sample: each series is the
+        // lone one, and a finer threshold never yields fewer bins.
+        let both = unbounded_bin_series(&tr, &[0.05, 0.1]).unwrap();
+        assert_eq!(both[1], series);
+        assert_eq!(both[0], unbounded_bin_series(&tr, &[0.05]).unwrap()[0]);
+        assert!(both[0]
+            .iter()
+            .zip(&series)
+            .all(|(fine, coarse)| fine >= coarse));
+        assert!(unbounded_bin_series(&tr, &[0.1, 0.0]).is_err());
     }
 
     #[test]

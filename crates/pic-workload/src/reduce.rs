@@ -266,7 +266,9 @@ pub fn exact_sample_loads(
         }
     }
     let plan = sweep::build_plan(&[SweepPoint::new(cfg.clone())], mesh, Some(samples.len()))?;
-    let group = sweep::replay_groups(trace, &plan, samples, &[], None, &[]).remove(0);
+    let group = sweep::replay_groups(trace, &plan, samples, &[], None, &[])
+        .0
+        .remove(0);
     let slot = plan.members[0].ghost_slot;
     Ok((0..samples.len())
         .map(|r| {

@@ -7,16 +7,21 @@
 //!
 //! * **Plan.** [`SweepPoint`]s whose assignment is provably identical
 //!   share an assignment group — `(mapping, ranks)`, plus the filter bits
-//!   for `bin-based`, whose partition cuts at the bin-size threshold. A
+//!   for `bin-based`, whose partition stops at the bin-size threshold. A
 //!   group builds its mapper once and carries every distinct ghost radius
 //!   its members ask for; a member is a (group, radius slot, stride)
 //!   triple. A single configuration is a plan with one group and one slot.
+//!   Bin groups differ in (ranks, filter) but not in their cuts, so they
+//!   share per sample at run time, not in the plan (next bullet).
 //! * **Kernel.** `process_group_sample` is the only per-sample code:
 //!   assignment, per-rank counts, region index, then every radius slot of
 //!   the group in one call of the ghost kernel, which queries candidates
 //!   once at the group's largest radius (sphere–box overlap is monotone in
 //!   the radius, so filtering the same `d²` at `d² ≤ r²` is bit-exact for
-//!   each smaller one).
+//!   each smaller one). A bin group's assignment is a walk over the
+//!   sample's [`BinTree`], which the caller shares between every bin group
+//!   it runs on that sample, so each node is cut once per sample
+//!   ([`SweepStats::bin_cuts`] counts the attempts).
 //! * **Two drivers.** `replay_groups` is the resident loop: it runs the
 //!   kernel over the (group, sample) pairs a caller selects — all samples,
 //!   a [`ReductionPlan`]'s representatives and their predecessors, or a
@@ -41,7 +46,7 @@ use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
 use crate::reduce::ReductionPlan;
 use crate::soa::{ghost_counts_soa, SoAPositions};
 use pic_grid::ElementMesh;
-use pic_mapping::{MappingAlgorithm, ParticleMapper, RegionIndex};
+use pic_mapping::{BinTree, MappingAlgorithm, MappingOutcome, ParticleMapper, RegionIndex};
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
 use pic_types::{PicError, Rank, Result, Vec3};
@@ -119,6 +124,11 @@ pub struct SweepStats {
     /// diff sets an [`AssignmentCache`] served. A full cache hit makes none.
     #[serde(default)]
     pub migration_diffs: usize,
+    /// Bin tree node cuts attempted, failed ones included. The bin groups
+    /// of one sample share a tree, so a grid of bin points costs the cuts
+    /// of the union of its partitions, not their sum.
+    #[serde(default)]
+    pub bin_cuts: usize,
 }
 
 /// Assignment identity of a configuration: mapping, ranks, and the filter
@@ -135,6 +145,8 @@ fn group_key(cfg: &WorkloadConfig) -> GroupKey {
 /// One assignment group: a mapper built once, plus every ghost radius its
 /// members need.
 pub(crate) struct GroupPlan {
+    /// Built (and so validated) for every group; a bin group assigns by
+    /// walking the sample's [`BinTree`] instead.
     mapper: Box<dyn ParticleMapper>,
     ranks: usize,
     /// With a mesh fingerprint this addresses cached assignment artifacts.
@@ -142,6 +154,13 @@ pub(crate) struct GroupPlan {
     /// The distinct ghost radii (projection filters) of its members, one
     /// per radius slot.
     radii: Vec<f64>,
+}
+
+impl GroupPlan {
+    /// The bin-size threshold of a bin-based group.
+    fn bin_threshold(&self) -> Option<f64> {
+        self.key.2.map(f64::from_bits)
+    }
 }
 
 /// One sweep point resolved against the plan.
@@ -273,13 +292,13 @@ fn check_rank_state(ranks: usize, radii: usize, output_samples: Option<usize>) -
 
 /// The accounting of `samples` full-kernel and `owner_only` owner-only
 /// samples per group, less the `cached_groups` and `cached_radii` a cache
-/// served, with the `migration_diffs` the run computed.
+/// served, with the `migration_diffs` and `bin_cuts` the run made.
 fn stats_for(
     plan: &SweepPlan,
     samples: usize,
     owner_only: usize,
     (cached_groups, cached_radii): (usize, usize),
-    migration_diffs: usize,
+    (migration_diffs, bin_cuts): (usize, usize),
 ) -> SweepStats {
     let computed = plan.groups.len() - cached_groups;
     SweepStats {
@@ -294,6 +313,7 @@ fn stats_for(
         cached_groups,
         cached_radii,
         migration_diffs,
+        bin_cuts,
     }
 }
 
@@ -350,17 +370,57 @@ pub(crate) struct GroupSample {
     ghosts: Vec<GhostRow>,
 }
 
+/// One sample's [`BinTree`], shared by the bin groups a task runs on that
+/// sample: built for the first walk and dropped after the last, so the
+/// task's ghost kernels run without it.
+struct SampleTree {
+    tree: Option<BinTree>,
+    walks_left: usize,
+    cuts: usize,
+}
+
+impl SampleTree {
+    /// A tree for `walks` bin group assignments.
+    fn new(walks: usize) -> SampleTree {
+        SampleTree {
+            tree: None,
+            walks_left: walks,
+            cuts: 0,
+        }
+    }
+
+    fn assign(&mut self, positions: &[Vec3], ranks: usize, threshold: f64) -> MappingOutcome {
+        let tree = self.tree.get_or_insert_with(|| BinTree::new(positions));
+        let partition = tree.walk(ranks, threshold);
+        self.walks_left = self.walks_left.saturating_sub(1);
+        if self.walks_left == 0 {
+            self.cuts += tree.cuts();
+            self.tree = None;
+        }
+        // After the drop: the outcome outlives the task, so it is not
+        // allocated above the tree's buffers in the allocator's heap.
+        partition.into_outcome(ranks)
+    }
+
+    /// The cut attempts made, at the end of the task.
+    fn cuts(self) -> usize {
+        self.cuts + self.tree.map_or(0, |t| t.cuts())
+    }
+}
+
 /// The per-sample kernel over the group's mapper at each of `radii`: the
 /// empty list is the owner-only pass; `cached` skips the assignment phase,
 /// and with no radius left to compute the call does no work at all;
 /// `keep_index` leaves the region index in the returned artifact for a
-/// cache to receive.
+/// cache to receive. A bin group walks `tree`, which callers share between
+/// every bin group they run on one sample.
 fn process_group_sample(
     positions: &[Vec3],
     group: &GroupPlan,
     radii: &[f64],
     cached: Option<&SampleAssignment>,
     keep_index: bool,
+    tree: &mut SampleTree,
 ) -> GroupSample {
     if cached.is_some() && radii.is_empty() {
         return GroupSample {
@@ -368,16 +428,14 @@ fn process_group_sample(
             ghosts: Vec::new(),
         };
     }
-    // One SoA transpose feeds the mapper's vectorized assignment and the
-    // grouped ghost kernels. The bin mapper takes the AoS slice instead:
-    // its partitioner copies positions into a record buffer of its own,
-    // which `assign_soa` would only add a second transpose to.
+    // One SoA transpose feeds the mesh mappers' vectorized assignment and
+    // the grouped ghost kernels. A bin tree takes the AoS slice instead: it
+    // copies positions into a record buffer of its own, once per sample.
     let soa = SoAPositions::from_positions(positions);
     let mut computed = cached.is_none().then(|| {
-        let outcome = if group.mapper.supports_soa() {
-            group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs())
-        } else {
-            group.mapper.assign(positions)
+        let outcome = match group.bin_threshold() {
+            Some(threshold) => tree.assign(positions, group.ranks, threshold),
+            None => group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs()),
         };
         let mut real = vec![0u32; group.ranks];
         for r in &outcome.ranks {
@@ -467,7 +525,13 @@ fn diff_keys(plan: &SweepPlan, broadcast: bool) -> Vec<(usize, usize)> {
 /// The resident driver: run the kernel over every (group, sample) pair
 /// selected — the full kernel on `full`, an owner-only pass on
 /// `owner_only` — as one flattened parallel fan-out (large samples split
-/// further inside the ghost kernels).
+/// further inside the ghost kernels), and return each group's replay with
+/// the bin cuts made.
+///
+/// A task is one (group, sample) pair, except that the uncached bin groups
+/// of one sample are one task that walks one [`BinTree`], dropped after
+/// its last walk. Those tasks are the heaviest, so they are handed out
+/// first. A cached group with every radius resident gets no task.
 ///
 /// A `cache` (with the mesh fingerprint its keys carry) is consulted per
 /// group, counting the group's `diff_keys` steps as diff hits or misses. A
@@ -484,7 +548,7 @@ pub(crate) fn replay_groups(
     owner_only: &[usize],
     cache: Option<(&AssignmentCache, Option<u64>)>,
     diff_keys: &[(usize, usize)],
-) -> Vec<GroupReplay> {
+) -> (Vec<GroupReplay>, usize) {
     let key_of = |g: &GroupPlan, fp| AssignmentKey::for_group(g.key, fp);
     let hits: Vec<Option<CachedGroup>> = (plan.groups.iter().enumerate())
         .map(|(i, g)| {
@@ -504,24 +568,62 @@ pub(crate) fn replay_groups(
         .collect();
     let publish = cache.filter(|_| full.iter().copied().eq(0..trace.sample_count()));
     let (nf, per_group) = (full.len(), full.len() + owner_only.len());
-    let outcomes: Vec<GroupSample> = pic_types::pool::install(|| {
-        (0..plan.groups.len() * per_group)
-            .into_par_iter()
-            .map(|i| {
-                let (g, j) = (i / per_group, i % per_group);
-                let (s, radii) = match full.get(j) {
-                    Some(&s) => (s, &missing[g][..]),
-                    None => (owner_only[j - nf], &[][..]),
-                };
-                let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
-                let keep_index = j < nf && publish.is_some();
+    let ids: Vec<usize> = (0..plan.groups.len()).collect();
+    let walks_tree = |g: usize| hits[g].is_none() && plan.groups[g].bin_threshold().is_some();
+    let (tree_groups, lone): (Vec<usize>, Vec<usize>) = ids.iter().partition(|&&g| walks_tree(g));
+    // Each task: the groups it runs, and the sample's slot `j`.
+    let mut tasks: Vec<(&[usize], usize)> = Vec::new();
+    if !tree_groups.is_empty() {
+        tasks.extend((0..per_group).map(|j| (&tree_groups[..], j)));
+    }
+    // A cached group with every radius resident has nothing to run.
+    for g in lone
+        .into_iter()
+        .filter(|&g| hits[g].is_none() || !missing[g].is_empty())
+    {
+        tasks.extend((0..per_group).map(|j| (&ids[g..=g], j)));
+    }
+    type Done = ((Option<GroupSample>, Vec<GroupSample>), usize);
+    let done: Vec<Done> = pic_types::pool::install(|| {
+        (tasks.par_iter())
+            .map(|&(groups, j)| {
+                let s = full.get(j).copied().unwrap_or_else(|| owner_only[j - nf]);
                 let positions = trace.positions_at(s);
-                process_group_sample(positions, &plan.groups[g], radii, cached, keep_index)
+                let mut tree = SampleTree::new(groups.iter().filter(|&&g| walks_tree(g)).count());
+                let mut run = |g: usize| {
+                    let radii = if j < nf { &missing[g][..] } else { &[][..] };
+                    let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
+                    let keep_index = j < nf && publish.is_some();
+                    let group = &plan.groups[g];
+                    process_group_sample(positions, group, radii, cached, keep_index, &mut tree)
+                };
+                // A one-group task's outcome comes back unboxed: one small
+                // vector per task, allocated here and freed by the caller's
+                // thread, measurably kept worker heap resident.
+                let outcomes = match groups {
+                    [g] => (Some(run(*g)), Vec::new()),
+                    _ => (None, groups.iter().map(|&g| run(g)).collect()),
+                };
+                (outcomes, tree.cuts())
             })
             .collect()
     });
-    let mut outcomes = outcomes.into_iter();
-    (plan.groups.iter().zip(hits).zip(missing))
+    let mut bin_cuts = 0;
+    let mut outcomes: Vec<Option<GroupSample>> =
+        (0..plan.groups.len() * per_group).map(|_| None).collect();
+    for (&(groups, j), ((one, many), cuts)) in tasks.iter().zip(done) {
+        bin_cuts += cuts;
+        for (&g, o) in groups.iter().zip(one.into_iter().chain(many)) {
+            outcomes[g * per_group + j] = Some(o);
+        }
+    }
+    let mut outcomes = (outcomes.into_iter()).map(|o| {
+        o.unwrap_or(GroupSample {
+            assignment: None,
+            ghosts: Vec::new(),
+        })
+    });
+    let replays = (plan.groups.iter().zip(hits).zip(missing))
         .map(|((group, hit), missing)| {
             let mut fresh = Vec::with_capacity(nf);
             let mut computed: Vec<Vec<GhostRow>> =
@@ -565,7 +667,8 @@ pub(crate) fn replay_groups(
                 diffs,
             }
         })
-        .collect()
+        .collect();
+    (replays, bin_cuts)
 }
 
 /// One output workload under construction — the single place a replayed
@@ -803,7 +906,7 @@ pub fn replay(
     } else {
         &keys[..]
     };
-    let replayed = replay_groups(trace, &sweep, full, &owner_only, cache, cached_keys);
+    let (replayed, bin_cuts) = replay_groups(trace, &sweep, full, &owner_only, cache, cached_keys);
     let slots = (full, &owner_only[..]);
     let (workloads, diffed) = assemble(&sweep, &replayed, trace, slots, broadcast, cache, &keys);
     let cached = (
@@ -812,7 +915,8 @@ pub fn replay(
             .filter(|(_, cached)| *cached)
             .count(),
     );
-    let stats = stats_for(&sweep, full.len(), owner_only.len(), cached, diffed);
+    let work = (diffed, bin_cuts);
+    let stats = stats_for(&sweep, full.len(), owner_only.len(), cached, work);
     Ok((workloads, stats))
 }
 
@@ -1263,6 +1367,8 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
     let workers = pic_types::pool::install(rayon::current_num_threads).max(1);
     let ghost_nanos = AtomicU64::new(0);
     let ghost_nanos = &ghost_nanos;
+    let bin_cuts = AtomicU64::new(0);
+    let bin_cuts = &bin_cuts;
 
     std::thread::scope(|scope| {
         let (frame_tx, frame_rx) =
@@ -1310,13 +1416,20 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
                     .expect("single-thread rayon pool");
                 while let Ok((i, frame)) = rx.recv() {
                     let t0 = Instant::now();
+                    // The frame's bin groups share one tree.
+                    let walks = (plan.groups.iter())
+                        .filter(|g| g.bin_threshold().is_some())
+                        .count();
+                    let mut tree = SampleTree::new(walks);
                     let outcomes: Vec<GroupSample> = pool.install(|| {
                         (plan.groups.iter())
                             .map(|g| {
-                                process_group_sample(&frame.positions, g, &g.radii, None, false)
+                                let positions = &frame.positions;
+                                process_group_sample(positions, g, &g.radii, None, false, &mut tree)
                             })
                             .collect()
                     });
+                    bin_cuts.fetch_add(tree.cuts() as u64, Ordering::Relaxed);
                     ghost_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     if tx.send((i, frame.iteration, outcomes)).is_err() {
                         break;
@@ -1399,7 +1512,8 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
             merge_seconds,
         };
         let workloads = accums.into_iter().map(|(_, rows)| rows.workload).collect();
-        let stats = stats_for(plan, report.frames, 0, (0, 0), diffed);
+        let work = (diffed, bin_cuts.load(Ordering::Relaxed) as usize);
+        let stats = stats_for(plan, report.frames, 0, (0, 0), work);
         Ok((workloads, stats, ingest))
     })
 }
@@ -1656,6 +1770,77 @@ mod tests {
         assert_eq!(stats.naive_assign_passes, 24);
         assert_eq!(stats.ghost_radii, 4 + 4);
         assert_eq!(stats.shared_query_groups, 1);
+    }
+
+    fn bin_point(ranks: usize, filter: f64) -> SweepPoint {
+        SweepPoint::new(WorkloadConfig::new(
+            ranks,
+            MappingAlgorithm::BinBased,
+            filter,
+        ))
+    }
+
+    #[test]
+    fn rank_scan_cuts_as_much_as_its_largest_point() {
+        // At one filter the cuts for R ranks are a prefix of those for any
+        // larger count, so sixteen counts cost the largest one's cuts.
+        let tr = make_trace(2000, 3, 21);
+        let points: Vec<SweepPoint> = (1..=16).map(|k| bin_point(8 * k, 0.01)).collect();
+        let (_, scan) = run(&tr, &points, None).unwrap();
+        let (_, largest) = run(&tr, &points[15..], None).unwrap();
+        assert!(largest.bin_cuts >= 3 * 127, "{}", largest.bin_cuts);
+        assert_eq!(scan.bin_cuts, largest.bin_cuts);
+        assert_eq!(scan.groups, 16);
+        assert_matches_reference(&tr, &points, None);
+    }
+
+    #[test]
+    fn bin_grid_shares_one_tree_per_sample() {
+        // A 2 x 3 (ranks x filter) grid next to a mesh group: the bin groups
+        // of a sample walk one tree, on every driver, and the bits are
+        // those of each point alone.
+        let tr = make_trace(1500, 3, 22);
+        let m = mesh();
+        let mut points: Vec<SweepPoint> = [16, 64]
+            .iter()
+            .flat_map(|&r| [0.01, 0.02, 0.04].map(|f| bin_point(r, f)))
+            .collect();
+        points.push(SweepPoint::new(WorkloadConfig::new(
+            16,
+            MappingAlgorithm::ElementBased,
+            0.02,
+        )));
+        let (grid, stats) = run(&tr, &points, Some(&m)).unwrap();
+        let alone: Vec<SweepStats> = (points.iter())
+            .map(|p| run(&tr, std::slice::from_ref(p), Some(&m)).unwrap().1)
+            .collect();
+        assert_eq!(alone[6].bin_cuts, 0, "a mesh group cuts nothing");
+        let sum: usize = alone.iter().map(|s| s.bin_cuts).sum();
+        assert!(
+            2 * stats.bin_cuts <= sum,
+            "{} cuts shared, {sum} alone",
+            stats.bin_cuts
+        );
+        let max = alone.iter().map(|s| s.bin_cuts).max().unwrap();
+        assert!(stats.bin_cuts >= max);
+        assert_matches_reference(&tr, &points, Some(&m));
+
+        let bytes = pic_trace::codec::encode_trace(&tr, pic_trace::codec::Precision::F64).unwrap();
+        let reader = pic_trace::TraceReader::new(&bytes[..]).unwrap();
+        let (streamed, streamed_stats, _) = sweep_streaming(reader, &points, Some(&m)).unwrap();
+        assert_eq!((streamed, streamed_stats.bin_cuts), (grid, stats.bin_cuts));
+
+        // A cached bin group walks no tree: a warm replay cuts nothing, and
+        // with one group evicted only that group's walks cut again.
+        let cache = AssignmentCache::new(usize::MAX);
+        assert_eq!(run_cached(&tr, &points, Some(&m), &cache).unwrap().1, stats);
+        let (_, warm) = run_cached(&tr, &points, Some(&m), &cache).unwrap();
+        assert_eq!(warm.bin_cuts, 0);
+        let (_, fresh) = run_cached(&tr, &[bin_point(32, 0.02)], Some(&m), &cache).unwrap();
+        assert_eq!(
+            fresh.bin_cuts,
+            run(&tr, &[bin_point(32, 0.02)], None).unwrap().1.bin_cuts
+        );
     }
 
     #[test]

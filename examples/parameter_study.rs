@@ -50,8 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let predictions = predict_grid(&out.sim.trace, &out.models, &specs, None)?;
     // (filter, max bins, total ghosts, create_ghost_particles seconds)
     let mut pts = Vec::new();
-    for (spec, p) in specs.iter().zip(&predictions) {
-        let bins = unbounded_bin_series(&out.sim.trace, spec.filter)?;
+    let filters: Vec<f64> = specs.iter().map(|s| s.filter).collect();
+    let series = unbounded_bin_series(&out.sim.trace, &filters)?;
+    for ((spec, p), bins) in specs.iter().zip(&predictions).zip(series) {
         let seconds = p.critical_kernel_seconds(KernelKind::CreateGhostParticles);
         let max_bins = bins.into_iter().max().unwrap_or(0);
         pts.push((spec.filter, max_bins, p.summary.total_ghosts, seconds));

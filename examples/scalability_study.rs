@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nFig 6 — unbounded bin count (threshold {threshold}):");
-    let bins = unbounded_bin_series(&out.trace, threshold)?;
+    let bins = unbounded_bin_series(&out.trace, &[threshold])?.remove(0);
     for (iter, count) in iters.iter().zip(&bins) {
         println!("  iteration {iter:>6}: {count} bins");
     }

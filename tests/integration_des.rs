@@ -66,8 +66,8 @@ fn predicted_particle_solver_time_saturates_at_the_bin_cap() {
     };
     let out = run_case_study(&base, &MachineSpec::quartz_like(), &FitStrategy::Linear).unwrap();
     let bins =
-        pic_workload::generator::unbounded_bin_series(&out.sim.trace, base.projection_filter);
-    let cap = bins.unwrap().into_iter().max().unwrap();
+        pic_workload::generator::unbounded_bin_series(&out.sim.trace, &[base.projection_filter]);
+    let cap = bins.unwrap().remove(0).into_iter().max().unwrap();
     assert!(cap >= 4, "cap {cap} too small to exercise the sweep");
 
     // zero the collective cost: it scales with log2(R) by design and would

@@ -131,7 +131,7 @@ fn fig5_peak_workload_flat_then_dips() {
 #[test]
 fn fig6_bin_count_grows_and_caps_the_useful_rank_count() {
     let (_cfg, trace) = hele_shaw_trace(1500, 80);
-    let bin_series = unbounded_bin_series(&trace, 0.2).unwrap();
+    let bin_series = unbounded_bin_series(&trace, &[0.2]).unwrap().remove(0);
     // bins grow as the particle boundary expands
     assert!(
         bin_series.last().unwrap() > bin_series.first().unwrap(),
@@ -258,14 +258,10 @@ fn fig10_filter_tradeoff() {
         .collect();
     let predictions = predict_grid(&out.sim.trace, &out.models, &specs, None).unwrap();
     // 10a: max bins non-increasing, strictly lower at the coarse end
-    let max_bins: Vec<usize> = (specs.iter())
-        .map(|s| {
-            *unbounded_bin_series(&out.sim.trace, s.filter)
-                .unwrap()
-                .iter()
-                .max()
-                .unwrap()
-        })
+    let filters: Vec<f64> = specs.iter().map(|s| s.filter).collect();
+    let max_bins: Vec<usize> = (unbounded_bin_series(&out.sim.trace, &filters).unwrap())
+        .into_iter()
+        .map(|series| series.into_iter().max().unwrap())
         .collect();
     for w in max_bins.windows(2) {
         assert!(w[0] >= w[1]);
