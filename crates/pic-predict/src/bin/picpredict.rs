@@ -283,6 +283,11 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
     println!("samples:         {}", trace.sample_count());
     println!("sample interval: {} iterations", meta.sample_interval);
     println!("domain:          {}", meta.domain);
+    println!(
+        "storage:         {}, {} bytes resident",
+        trace.storage(),
+        trace.resident_bytes()
+    );
     let vols = pic_trace::stats::boundary_volume_series(&trace);
     if let (Some(first), Some(last)) = (vols.first(), vols.last()) {
         println!("boundary volume: {first:.4e} -> {last:.4e}");

@@ -1,6 +1,6 @@
 //! `picpredict serve` — the resident prediction service (DESIGN.md §13).
 //!
-//! A long-lived daemon that keeps ingested traces *decoded once* in a
+//! A long-lived daemon that keeps ingested traces resident in a
 //! content-addressed [`registry::TraceRegistry`] and answers
 //! sweep/predict/check requests against them over hand-rolled HTTP/1.1 +
 //! JSON (`std::net` only; the workspace is offline). The performance
@@ -9,9 +9,12 @@
 //! * **Ingest once, replay many.** `POST /traces` streams the body
 //!   through [`pic_trace::BoundedReader`] → [`pic_trace::DigestReader`] →
 //!   [`pic_trace::TraceReader`]: the trace — raw or compact
-//!   delta-encoded, sniffed by magic — is decoded exactly once, its
+//!   delta-encoded, sniffed by magic — is read exactly once, its
 //!   content address is the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and identical bytes always land on the identical address.
+//!   A compact trace stays resident as grid coordinates and is
+//!   dequantized sample by sample as a replay reads it; the registry
+//!   charges each entry [`pic_trace::ParticleTrace::resident_bytes`].
 //! * **Shared replays.** `/sweep`, `/predict` and `/check` against a
 //!   resident trace run through [`pic_workload::replay`] on the trace's
 //!   shared [`pic_workload::AssignmentCache`], so concurrent and repeat
@@ -103,7 +106,7 @@ pub(crate) mod lock_order {
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Registry byte budget for decoded traces + assignment artifacts.
+    /// Registry byte budget for resident traces + assignment artifacts.
     pub budget_bytes: usize,
     /// Per-socket read deadline (slow-loris cutoff).
     pub read_timeout: Duration,

@@ -1,6 +1,6 @@
 //! Content-addressed trace registry with a byte-budgeted LRU.
 //!
-//! Every trace the service ingests is decoded **once**, addressed by the
+//! Every trace the service ingests is read **once**, addressed by the
 //! 128-bit FNV-1a digest of its raw encoded bytes, and kept resident
 //! together with its [`AssignmentCache`] — the per-sample assignment +
 //! [`pic_mapping::RegionIndex`] artifacts keyed by (mesh, binning), with
@@ -13,14 +13,14 @@
 //! tests assert.
 //!
 //! Eviction is strict LRU over *trace* entries by last-touch tick, where
-//! an entry's weight is its decoded positions plus everything its
+//! an entry's weight is its trace's resident bytes (`f64` positions, or
+//! the grid coordinates of a compact trace) plus everything its
 //! assignment cache holds; the most recently ingested entry is never
 //! evicted by its own arrival. Model entries are tiny and capped by
 //! count, LRU as well.
 
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
-use pic_types::Vec3;
 use pic_workload::{AssignmentCache, ReductionPlan};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -95,10 +95,10 @@ impl PlanCache {
     }
 }
 
-/// One resident trace: the decoded positions and the artifact cache every
-/// request against this trace shares.
+/// One resident trace: its samples and the artifact cache every request
+/// against this trace shares.
 pub struct ResidentTrace {
-    /// The decoded trace.
+    /// The trace, in the storage its file's format chose.
     pub trace: Arc<ParticleTrace>,
     /// Shared per-trace assignment artifacts and ghost rows.
     pub cache: Arc<AssignmentCache>,
@@ -132,7 +132,7 @@ pub struct RegistryStats {
     pub ingests: u64,
     /// Traces currently resident.
     pub resident_traces: usize,
-    /// Approximate bytes resident (decoded traces + assignment caches).
+    /// Approximate bytes resident (traces + assignment caches).
     pub resident_bytes: usize,
     /// Model sets currently resident.
     pub resident_models: usize,
@@ -157,17 +157,12 @@ pub struct TraceRegistry {
     inner: TrackedMutex<RegistryInner>,
 }
 
-fn trace_bytes(trace: &ParticleTrace) -> usize {
-    trace.sample_count() * trace.particle_count() * std::mem::size_of::<Vec3>()
-        + trace.sample_count() * 64
-}
-
 fn entry_bytes(e: &ResidentTrace) -> usize {
-    trace_bytes(&e.trace) + e.cache.stats().resident_bytes + e.plans.resident_bytes()
+    e.trace.resident_bytes() + e.cache.stats().resident_bytes + e.plans.resident_bytes()
 }
 
 impl TraceRegistry {
-    /// A registry holding at most ~`budget_bytes` of decoded traces and
+    /// A registry holding at most ~`budget_bytes` of traces and
     /// assignment artifacts.
     pub fn new(budget_bytes: usize) -> TraceRegistry {
         TraceRegistry {
@@ -190,7 +185,7 @@ impl TraceRegistry {
         self.budget_bytes
     }
 
-    /// Register a decoded trace under its content address. If the address
+    /// Register a trace under its content address. If the address
     /// is already resident the existing entry (and its warmed-up artifact
     /// cache) is kept and returned — identical bytes, identical artifacts.
     /// Returns the resident handle and the addresses evicted to make room.
@@ -432,7 +427,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_under_byte_pressure() {
-        let one = trace_bytes(&trace(100, 4, "x"));
+        let one = trace(100, 4, "x").resident_bytes();
         let reg = TraceRegistry::new(2 * one + one / 2);
         reg.insert_trace("t1", trace(100, 4, "a"), 1);
         reg.insert_trace("t2", trace(100, 4, "b"), 1);

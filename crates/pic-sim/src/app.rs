@@ -605,7 +605,7 @@ mod tests {
         let app = MiniPic::new(cfg.clone()).unwrap();
         let out = app.run().unwrap();
         let last = out.trace.positions_at(out.trace.sample_count() - 1);
-        for &p in last {
+        for &p in last.iter() {
             assert!(cfg.domain.contains_closed(p), "{p}");
         }
     }

@@ -160,7 +160,7 @@ proptest! {
         }
         // positions stay in the domain at every sample
         for t in 0..out.trace.sample_count() {
-            for p in out.trace.positions_at(t) {
+            for p in out.trace.positions_at(t).iter() {
                 prop_assert!(cfg.domain.contains_closed(*p));
             }
         }

@@ -19,7 +19,7 @@
 //! header is shared and the magic selects the frame layout.
 
 use crate::compact::{DeltaDecoder, COMPACT_MAGIC, FRAME_HEAD_LEN, QBOX_LEN};
-use crate::trace::{check_sample, ParticleTrace, TraceMeta, TraceSample};
+use crate::trace::{check_order, check_sample, ParticleTrace, TraceMeta, TraceSample};
 use bytes::{Buf, BufMut};
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
 use std::io::{Read, Write};
@@ -468,6 +468,34 @@ impl<R: Read> TraceReader<R> {
     /// a [`TraceErrorKind::Malformed`] error positioned at its end,
     /// exactly as [`read_all`](Self::read_all) reports it.
     pub fn read_sample(&mut self) -> Result<Option<TraceSample>> {
+        let mut positions = Vec::new();
+        let Some(iteration) = self.read_frame(&mut positions)? else {
+            return Ok(None);
+        };
+        if let Layout::Compact(delta) = &self.layout {
+            positions = delta.positions(3 * self.meta.particle_count);
+        }
+        let sample = TraceSample {
+            iteration,
+            positions,
+        };
+        self.admit(&sample)?;
+        Ok(Some(sample))
+    }
+
+    /// Run the trace invariants on the frame just read, positioning a
+    /// violation at its end.
+    fn admit(&mut self, sample: &TraceSample) -> Result<()> {
+        let n = self.meta.particle_count;
+        check_sample(sample, n, self.last_iteration).map_err(|e| self.positioned(e))?;
+        self.last_iteration = Some(sample.iteration);
+        Ok(())
+    }
+
+    /// Read the next frame and return its iteration; `Ok(None)` at a clean
+    /// end-of-stream. A raw frame's positions are appended to `positions`;
+    /// a compact frame's grid coordinates are left in the delta decoder.
+    fn read_frame(&mut self, positions: &mut Vec<Vec3>) -> Result<Option<u64>> {
         let frame = self.frames_read as u64;
         let compact = matches!(self.layout, Layout::Compact(_));
         // The head: the iteration word, then (compact) width and padding.
@@ -504,7 +532,6 @@ impl<R: Read> TraceReader<R> {
         self.offset += head_len as u64;
         // Whole elements per chunk: none straddles a chunk edge.
         let per_chunk = (READ_CHUNK_BYTES / unit).max(1);
-        let mut positions: Vec<Vec3> = Vec::new();
         let mut decoded = 0usize;
         while decoded < units {
             let take = per_chunk.min(units - decoded);
@@ -535,22 +562,13 @@ impl<R: Read> TraceReader<R> {
             self.offset += got as u64;
             let chunk = &self.chunk[..want];
             match &mut self.layout {
-                Layout::Raw => decode_raw(chunk, self.precision, &mut positions),
+                Layout::Raw => decode_raw(chunk, self.precision, positions),
                 Layout::Compact(delta) => delta.fold_chunk(chunk, decoded, take),
             }
             decoded += take;
         }
-        if let Layout::Compact(delta) = &self.layout {
-            positions = delta.positions(units);
-        }
         self.frames_read += 1;
-        let sample = TraceSample {
-            iteration,
-            positions,
-        };
-        check_sample(&sample, n, self.last_iteration).map_err(|e| self.positioned(e))?;
-        self.last_iteration = Some(iteration);
-        Ok(Some(sample))
+        Ok(Some(iteration))
     }
 
     /// Number of frames read so far.
@@ -561,12 +579,45 @@ impl<R: Read> TraceReader<R> {
     /// Read every remaining frame into a [`ParticleTrace`]. Trace-model
     /// invariant violations (non-monotone iterations, non-finite decoded
     /// positions) are positioned at the offending frame.
+    ///
+    /// A compact stream's trace keeps each frame's grid coordinates, not
+    /// its positions ([`ParticleTrace`] dequantizes on read): no frame is
+    /// dequantized here unless the grid's box is so large that a position
+    /// could overflow, and then one frame at a time for the finiteness
+    /// check.
     pub fn read_all(mut self) -> Result<ParticleTrace> {
-        let mut trace = ParticleTrace::new(self.meta.clone());
-        while let Some(s) = self.read_sample()? {
-            trace.push_checked(s);
+        let Layout::Compact(delta) = &self.layout else {
+            let mut trace = ParticleTrace::new(self.meta.clone());
+            while let Some(s) = self.read_sample()? {
+                trace.push_checked(s);
+            }
+            return Ok(trace);
+        };
+        let quant = delta.quantizer().clone();
+        let mut trace = ParticleTrace::on_grid(self.meta.clone(), quant.clone());
+        while let Some(iteration) = self.read_frame(&mut Vec::new())? {
+            if quant.finite_everywhere() {
+                check_order(iteration, self.last_iteration).map_err(|e| self.positioned(e))?;
+                self.last_iteration = Some(iteration);
+            } else {
+                let positions = quant.dequant_frame(self.grid_coords());
+                self.admit(&TraceSample {
+                    iteration,
+                    positions,
+                })?;
+            }
+            trace.push_grid(iteration, self.grid_coords());
         }
         Ok(trace)
+    }
+
+    /// The grid coordinates of the compact frame just read (empty for a
+    /// raw stream).
+    fn grid_coords(&self) -> &[u32] {
+        match &self.layout {
+            Layout::Compact(delta) => delta.coords(3 * self.meta.particle_count),
+            Layout::Raw => &[],
+        }
     }
 
     /// Stamp an unpositioned trace error with the current stream position
@@ -603,7 +654,7 @@ impl<R: Read> TraceReader<R> {
 pub fn encode_trace(trace: &ParticleTrace, precision: Precision) -> Result<Vec<u8>> {
     let mut w = TraceWriter::new(Vec::new(), trace.meta(), precision)?;
     for s in trace.samples() {
-        w.write_sample(s)?;
+        w.write_sample(&s)?;
     }
     w.finish()
 }
@@ -622,7 +673,7 @@ pub fn save_file(
     let f = std::fs::File::create(path)?;
     let mut w = TraceWriter::new(std::io::BufWriter::new(f), trace.meta(), precision)?;
     for s in trace.samples() {
-        w.write_sample(s)?;
+        w.write_sample(&s)?;
     }
     w.finish()?;
     Ok(())
@@ -665,7 +716,7 @@ mod tests {
         let back = decode_trace(&bytes).unwrap();
         assert_eq!(back.sample_count(), tr.sample_count());
         for t in 0..tr.sample_count() {
-            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t)) {
+            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t).iter()) {
                 assert!(a.distance(*b) < 1e-6);
             }
         }
@@ -717,7 +768,7 @@ mod tests {
         let mut r = TraceReader::new(&bytes[..]).unwrap();
         let mut n = 0;
         while let Some(s) = r.read_sample().unwrap() {
-            assert_eq!(&s, tr.sample(n));
+            assert_eq!(s, *tr.sample(n));
             n += 1;
             assert_eq!(r.frames_read(), n);
         }
@@ -783,7 +834,7 @@ mod tests {
         let back = decode_trace(&f32_bytes).unwrap();
         assert_eq!(back.sample_count(), 2);
         for t in 0..2 {
-            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t)) {
+            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t).iter()) {
                 assert!(a.distance(*b) < 1e-3);
             }
         }
@@ -946,7 +997,7 @@ mod tests {
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let mut w = TraceWriter::new(Vec::new(), tr.meta(), Precision::F64).unwrap();
         for s in tr.samples() {
-            w.write_sample(s).unwrap();
+            w.write_sample(&s).unwrap();
         }
         assert_eq!(w.bytes_written(), bytes.len() as u64);
     }

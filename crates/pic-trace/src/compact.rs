@@ -111,7 +111,7 @@ fn allowed_widths(qbytes: usize) -> &'static [usize] {
 
 /// Uniform quantization grid over a box: `q = round((x-lo)/ext * maxq)`.
 #[derive(Debug, Clone)]
-struct Quantizer {
+pub(crate) struct Quantizer {
     lo: [f64; 3],
     hi: [f64; 3],
     ext: [f64; 3],
@@ -136,6 +136,18 @@ impl Quantizer {
         }
     }
 
+    /// Largest grid coordinate.
+    pub(crate) fn mask(&self) -> u32 {
+        self.mask
+    }
+
+    /// Whether every grid coordinate dequantizes to a finite value. True
+    /// when no box corner exceeds `1e300` in magnitude: both lerp terms
+    /// then stay below `1e300` and their sum below `f64::MAX`.
+    pub(crate) fn finite_everywhere(&self) -> bool {
+        self.lo.iter().chain(&self.hi).all(|c| c.abs() <= 1e300)
+    }
+
     #[inline]
     fn quant(&self, axis: usize, x: f64) -> u32 {
         if self.ext[axis] <= 0.0 {
@@ -151,8 +163,27 @@ impl Quantizer {
         }
     }
 
+    /// Per axis: whether dequantizing keeps the grid's order strictly, so
+    /// the smallest coordinate dequantizes to the smallest position. A
+    /// degenerate axis has one position and keeps it trivially. Checked
+    /// over every coordinate of a 16-bit grid; a 32-bit grid is too large
+    /// to check and answers `false`.
+    pub(crate) fn order_preserving(&self) -> [bool; 3] {
+        std::array::from_fn(|axis| {
+            if self.ext[axis] <= 0.0 {
+                return true;
+            }
+            let mut prev = self.dequant(axis, 0);
+            self.mask <= u16::MAX as u32
+                && (1..=self.mask).all(|q| {
+                    let x = self.dequant(axis, q);
+                    std::mem::replace(&mut prev, x) < x
+                })
+        })
+    }
+
     #[inline]
-    fn dequant(&self, axis: usize, q: u32) -> f64 {
+    pub(crate) fn dequant(&self, axis: usize, q: u32) -> f64 {
         if self.ext[axis] <= 0.0 {
             self.lo[axis]
         } else {
@@ -175,14 +206,15 @@ impl Quantizer {
     }
 
     /// Positions of one frame of quantized coordinates, allocated once at
-    /// exact length (the coordinates are backed by bytes already read).
-    fn dequant_frame(&self, q: &[u32]) -> Vec<Vec3> {
+    /// exact length (the coordinates are backed by bytes already read, or
+    /// resident in a [`ParticleTrace`]).
+    pub(crate) fn dequant_frame<Q: Copy + Into<u32>>(&self, q: &[Q]) -> Vec<Vec3> {
         q.chunks_exact(3)
             .map(|c| {
                 Vec3::new(
-                    self.dequant(0, c[0]),
-                    self.dequant(1, c[1]),
-                    self.dequant(2, c[2]),
+                    self.dequant(0, c[0].into()),
+                    self.dequant(1, c[1].into()),
+                    self.dequant(2, c[2].into()),
                 )
             })
             .collect()
@@ -214,7 +246,10 @@ fn validate_qbox(corners: &[f64; 6], base: u64) -> Result<Aabb> {
 /// every sample. Falls back to the unit box for a trace holding no
 /// positions (nothing to quantize, but the box section must be finite).
 pub fn quantization_box(trace: &ParticleTrace) -> Aabb {
-    let b = Aabb::from_points(trace.samples().flat_map(|s| s.positions.iter().copied()));
+    let mut b = Aabb::empty();
+    for s in trace.samples() {
+        s.positions.iter().for_each(|&p| b.expand(p));
+    }
     if b.min.x.is_finite() {
         b
     } else {
@@ -463,10 +498,20 @@ impl DeltaDecoder {
         (self.fold)(chunk, self.quant.mask, &mut self.prev[at..at + take]);
     }
 
+    /// The current frame's grid coordinates, once its `total` are folded.
+    pub(crate) fn coords(&self, total: usize) -> &[u32] {
+        &self.prev[..total]
+    }
+
     /// The current frame's positions, once its `total` coordinates are
     /// folded.
     pub(crate) fn positions(&self, total: usize) -> Vec<Vec3> {
-        self.quant.dequant_frame(&self.prev[..total])
+        self.quant.dequant_frame(self.coords(total))
+    }
+
+    /// The stream's quantization grid.
+    pub(crate) fn quantizer(&self) -> &Quantizer {
+        &self.quant
     }
 }
 
@@ -479,7 +524,7 @@ pub fn encode_compact(trace: &ParticleTrace, precision: Precision) -> Result<Vec
     let qbox = quantization_box(trace);
     let mut w = CompactWriter::new(Vec::new(), trace.meta(), precision, qbox)?;
     for s in trace.samples() {
-        w.write_sample(s)?;
+        w.write_sample(&s)?;
     }
     w.finish()
 }
@@ -494,7 +539,7 @@ pub fn save_file(
     let qbox = quantization_box(trace);
     let mut w = CompactWriter::new(std::io::BufWriter::new(file), trace.meta(), precision, qbox)?;
     for s in trace.samples() {
-        w.write_sample(s)?;
+        w.write_sample(&s)?;
     }
     let bytes = w.bytes_written();
     w.finish()?;
@@ -582,6 +627,30 @@ mod tests {
             compact.len(),
             raw.len()
         );
+    }
+
+    #[test]
+    fn a_box_past_1e300_is_checked_frame_by_frame() {
+        // Too large to rule out an overflowing dequantization up front, so
+        // `read_all` dequantizes each frame for the finiteness check, and
+        // keeps the same coordinates as ever.
+        let meta = TraceMeta::new(2, 1, Aabb::unit(), "huge");
+        let mut tr = ParticleTrace::new(meta);
+        for k in 0..3 {
+            let x = 1e301 * (1.0 + k as f64);
+            tr.push_positions(vec![Vec3::splat(x), Vec3::splat(-x)])
+                .unwrap();
+        }
+        for precision in [Precision::F64, Precision::F32] {
+            let bytes = encode_compact(&tr, precision).unwrap();
+            let quant = Quantizer::new(&quantization_box(&tr), quant_bytes(precision));
+            assert!(!quant.finite_everywhere());
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let back = decode_trace(&bytes).unwrap();
+            for s in back.samples() {
+                assert_eq!(Some(s.into_owned()), reader.read_sample().unwrap());
+            }
+        }
     }
 
     #[test]

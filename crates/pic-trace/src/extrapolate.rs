@@ -126,7 +126,7 @@ pub fn density_distance(
         };
         let mut h = vec![0.0; n * n * n];
         let pos = tr.positions_at(t);
-        for &p in pos {
+        for &p in pos.iter() {
             h[cell_of(p)] += 1.0;
         }
         let total = pos.len().max(1) as f64;
@@ -180,7 +180,7 @@ mod tests {
         assert_eq!(big.iterations(), src.iterations());
         // all positions in domain
         for t in 0..big.sample_count() {
-            for p in big.positions_at(t) {
+            for p in big.positions_at(t).iter() {
                 assert!(Aabb::unit().contains_closed(*p));
             }
         }

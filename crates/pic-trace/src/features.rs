@@ -118,12 +118,8 @@ pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f6
     let cells = cfg.bins_per_axis.pow(3);
     let np = trace.particle_count();
 
-    let boxes: Vec<Aabb> = pool::install(|| {
-        (0..t)
-            .into_par_iter()
-            .map(|k| Aabb::from_points(trace.positions_at(k).iter().copied()))
-            .collect()
-    });
+    let boxes: Vec<Aabb> =
+        pool::install(|| (0..t).into_par_iter().map(|k| trace.bounds_at(k)).collect());
     let bounds = boxes.iter().fold(Aabb::empty(), |acc, s| acc.union(s));
     let refbins = RefBins::new(&bounds, cfg.bins_per_axis);
     let volumes: Vec<f64> = boxes.iter().map(Aabb::volume).collect();
@@ -137,11 +133,11 @@ pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f6
         let mut bins = vec![0u32; np];
         let mut prev_bins = vec![0u32; np];
         if first > 0 {
-            refbins.bin_sample(trace.positions_at(first - 1), &mut prev_bins, &mut counts);
+            refbins.bin_sample(&trace.positions_at(first - 1), &mut prev_bins, &mut counts);
         }
         (first..t.min(first + FEATURE_BLOCK))
             .map(|k| {
-                refbins.bin_sample(trace.positions_at(k), &mut bins, &mut counts);
+                refbins.bin_sample(&trace.positions_at(k), &mut bins, &mut counts);
                 let mut v = Vec::with_capacity(cells + 3);
                 v.extend(counts.iter().map(|&c| c as f64 * inv_np));
                 // Migration rate: fraction of particles whose reference bin

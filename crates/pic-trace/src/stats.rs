@@ -16,9 +16,8 @@ use pic_types::Aabb;
 /// Returns one AABB per sample (empty box for a sample of zero particles —
 /// cannot happen for valid traces, but kept total).
 pub fn boundary_series(trace: &ParticleTrace) -> Vec<Aabb> {
-    trace
-        .samples()
-        .map(|s| Aabb::from_points(s.positions.iter().copied()))
+    (0..trace.sample_count())
+        .map(|t| trace.bounds_at(t))
         .collect()
 }
 
@@ -37,11 +36,16 @@ pub fn mean_displacement_series(trace: &ParticleTrace) -> Vec<f64> {
         return out;
     }
     out.push(0.0);
+    let mut prev = trace.positions_at(0);
     for k in 1..t {
-        let prev = trace.positions_at(k - 1);
         let cur = trace.positions_at(k);
-        let total: f64 = prev.iter().zip(cur).map(|(a, b)| a.distance(*b)).sum();
+        let total: f64 = prev
+            .iter()
+            .zip(cur.iter())
+            .map(|(a, b)| a.distance(*b))
+            .sum();
         out.push(total / prev.len().max(1) as f64);
+        prev = cur;
     }
     out
 }
@@ -53,12 +57,16 @@ pub fn mean_displacement_series(trace: &ParticleTrace) -> Vec<f64> {
 pub fn max_step_displacement(trace: &ParticleTrace) -> f64 {
     let t = trace.sample_count();
     let mut max = 0.0f64;
+    if t == 0 {
+        return max;
+    }
+    let mut prev = trace.positions_at(0);
     for k in 1..t {
-        let prev = trace.positions_at(k - 1);
         let cur = trace.positions_at(k);
-        for (a, b) in prev.iter().zip(cur) {
+        for (a, b) in prev.iter().zip(cur.iter()) {
             max = max.max(a.distance(*b));
         }
+        prev = cur;
     }
     max
 }

@@ -2,7 +2,9 @@
 //! arbitrary particle populations.
 
 use pic_trace::codec::{decode_trace, encode_trace, Precision};
-use pic_trace::{ParticleTrace, TraceMeta};
+use pic_trace::compact::encode_compact;
+use pic_trace::features::{feature_vectors, FeatureConfig};
+use pic_trace::{stats, ParticleTrace, TraceMeta, TraceReader, TraceSample};
 use pic_types::{Aabb, Vec3};
 use proptest::prelude::*;
 
@@ -26,7 +28,118 @@ fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
     })
 }
 
+/// Traces for the compact codec: particles (possibly none) drifting at a
+/// per-particle velocity whose scale ranges from static through grid-step
+/// deltas to jumps that force absolute frames.
+fn drifting_strategy() -> impl Strategy<Value = ParticleTrace> {
+    let scale = prop_oneof![Just(0.0), Just(1e-3), Just(0.5), Just(300.0)];
+    (0usize..12, 0usize..7, scale).prop_flat_map(|(np, t, scale)| {
+        let particle = (-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64, -1.0..1.0f64);
+        proptest::collection::vec(particle, np..=np).prop_map(move |particles| {
+            let meta = TraceMeta::new(np, 10, Aabb::centered_cube(2e3), "drift");
+            let mut tr = ParticleTrace::new(meta);
+            for k in 0..t {
+                let step = k as f64 * scale;
+                let frame = (particles.iter())
+                    .map(|&(x, y, z, v)| Vec3::new(x + v * step, y - v * step, z + 0.5 * v * step))
+                    .collect();
+                tr.push_positions(frame).unwrap();
+            }
+            tr
+        })
+    })
+}
+
+/// The bits of every coordinate, so `-0.0` and `0.0` differ.
+fn bits(positions: &[Vec3]) -> Vec<[u64; 3]> {
+    (positions.iter())
+        .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+        .collect()
+}
+
+fn feature_bits(tr: &ParticleTrace) -> Vec<Vec<u64>> {
+    (feature_vectors(tr, &FeatureConfig::default()).iter())
+        .map(|v| v.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
 proptest! {
+    /// A compact file read whole keeps grid coordinates; every accessor
+    /// and derived trace reads the bits the frame-by-frame reader decodes,
+    /// and an f64 trace built from those frames compares equal to it.
+    #[test]
+    fn compact_resident_trace_reads_what_the_stream_decodes(
+        tr in drifting_strategy(),
+        stride in 1usize..4,
+        keep in 0usize..8,
+    ) {
+        for (precision, storage, grid_bytes) in [
+            (Precision::F64, "grid u32", 12),
+            (Precision::F32, "grid u16", 6),
+        ] {
+            let bytes = encode_compact(&tr, precision).unwrap();
+            let resident = decode_trace(&bytes).unwrap();
+            prop_assert_eq!(resident.storage(), storage);
+            prop_assert_eq!(
+                resident.resident_bytes(),
+                tr.sample_count() * (grid_bytes * tr.particle_count() + 8)
+            );
+            let mut reader = TraceReader::new(&bytes[..]).unwrap();
+            let mut frames: Vec<TraceSample> = Vec::new();
+            while let Some(frame) = reader.read_sample().unwrap() {
+                frames.push(frame);
+            }
+            let mut oracle = ParticleTrace::new(resident.meta().clone());
+            for frame in &frames {
+                oracle.push_sample(frame.clone()).unwrap();
+            }
+            prop_assert_eq!(oracle.storage(), "f64");
+
+            prop_assert_eq!(resident.sample_count(), frames.len());
+            prop_assert_eq!(resident.samples().len(), frames.len());
+            for (t, (s, frame)) in resident.samples().zip(&frames).enumerate() {
+                prop_assert_eq!(s.iteration, frame.iteration);
+                prop_assert_eq!(bits(&s.positions), bits(&frame.positions));
+                prop_assert_eq!(bits(&resident.sample(t).positions), bits(&frame.positions));
+                prop_assert_eq!(bits(&resident.positions_at(t)), bits(&frame.positions));
+            }
+            prop_assert_eq!(resident.iterations(), oracle.iterations());
+
+            // Derived traces keep the storage and the bits.
+            let sub = resident.subsample(stride);
+            prop_assert_eq!(sub.storage(), storage);
+            prop_assert_eq!(&sub, &oracle.subsample(stride));
+            let (mut cut, mut cut_oracle) = (resident.clone(), oracle.clone());
+            cut.truncate(keep);
+            cut_oracle.truncate(keep);
+            prop_assert_eq!(cut.storage(), storage);
+            prop_assert_eq!(&cut, &cut_oracle);
+            prop_assert_eq!(&resident.clone(), &oracle);
+            prop_assert_eq!(&oracle, &resident);
+            if let Some(last) = frames.last().filter(|f| !f.positions.is_empty()) {
+                let mut moved = oracle.clone();
+                moved.truncate(frames.len() - 1);
+                let mut positions = last.positions.clone();
+                positions[0].x += 1.0;
+                moved.push_sample(TraceSample { iteration: last.iteration, positions }).unwrap();
+                prop_assert!(resident != moved, "a moved particle compares equal");
+            }
+
+            prop_assert_eq!(feature_bits(&resident), feature_bits(&oracle));
+            prop_assert_eq!(
+                stats::boundary_series(&resident),
+                stats::boundary_series(&oracle)
+            );
+            let displacement = |tr: &ParticleTrace| -> Vec<u64> {
+                let series = stats::mean_displacement_series(tr);
+                series.iter().map(|d| d.to_bits()).collect()
+            };
+            prop_assert_eq!(displacement(&resident), displacement(&oracle));
+            // Lossy once: the resident trace re-encodes to the same bytes.
+            prop_assert_eq!(encode_compact(&resident, precision).unwrap(), bytes);
+        }
+    }
+
     #[test]
     fn f64_codec_roundtrip_exact(tr in trace_strategy()) {
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
@@ -41,7 +154,7 @@ proptest! {
         prop_assert_eq!(back.sample_count(), tr.sample_count());
         prop_assert_eq!(back.meta(), tr.meta());
         for t in 0..tr.sample_count() {
-            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t)) {
+            for (a, b) in tr.positions_at(t).iter().zip(back.positions_at(t).iter()) {
                 // f32 relative precision on coordinates up to 1e3
                 prop_assert!(a.distance(*b) < 1e-3, "{a} vs {b}");
             }
@@ -91,7 +204,7 @@ proptest! {
     fn boundary_contains_all_particles(tr in trace_strategy()) {
         let boxes = pic_trace::stats::boundary_series(&tr);
         for (t, b) in boxes.iter().enumerate() {
-            for p in tr.positions_at(t) {
+            for p in tr.positions_at(t).iter() {
                 prop_assert!(b.contains_closed(*p));
             }
         }

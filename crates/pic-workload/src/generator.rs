@@ -161,11 +161,11 @@ pub fn unbounded_bin_series(trace: &ParticleTrace, thresholds: &[f64]) -> Result
     for &t in thresholds {
         BinMapper::new(1, t)?;
     }
-    let samples: Vec<&pic_trace::TraceSample> = trace.samples().collect();
     let per_sample: Vec<Vec<usize>> = pic_types::pool::install(|| {
-        (samples.par_iter())
+        (0..trace.sample_count())
+            .into_par_iter()
             .map(|s| {
-                let mut tree = BinTree::new(&s.positions);
+                let mut tree = BinTree::new(&trace.positions_at(s));
                 (thresholds.iter())
                     .map(|&t| tree.walk(usize::MAX, t).bin_count())
                     .collect()

@@ -595,7 +595,7 @@ pub(crate) fn replay_groups(
                     let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
                     let keep_index = j < nf && publish.is_some();
                     let group = &plan.groups[g];
-                    process_group_sample(positions, group, radii, cached, keep_index, &mut tree)
+                    process_group_sample(&positions, group, radii, cached, keep_index, &mut tree)
                 };
                 // A one-group task's outcome comes back unboxed: one small
                 // vector per task, allocated here and freed by the caller's

@@ -386,6 +386,46 @@ proptest! {
         }
     }
 
+    /// A compact trace read whole keeps grid coordinates and dequantizes
+    /// on read; replaying it answers what replaying an f64 trace of its
+    /// streamed frames answers, for every mapper, with and without a
+    /// reduction plan.
+    #[test]
+    fn compact_resident_replay_matches_its_streamed_frames(
+        tr in trace_strategy(),
+        ranks in 1usize..16,
+        radius in 0.005..0.15f64,
+        plan_seed in any::<u64>(),
+    ) {
+        use pic_grid::MeshDims;
+        let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap();
+        let mappings = [
+            MappingAlgorithm::BinBased,
+            MappingAlgorithm::ElementBased,
+            MappingAlgorithm::HilbertOrdered,
+            MappingAlgorithm::LoadBalanced,
+        ];
+        let points: Vec<SweepPoint> = (mappings.iter())
+            .map(|&m| SweepPoint::new(WorkloadConfig::new(ranks, m, radius)))
+            .collect();
+        let random = random_plan(tr.sample_count(), plan_seed);
+        for precision in [Precision::F64, Precision::F32] {
+            let compact = encode_compact(&tr, precision).unwrap();
+            let resident = decode_trace(&compact).unwrap();
+            let mut frames = ParticleTrace::new(resident.meta().clone());
+            let mut reader = TraceReader::new(&compact[..]).unwrap();
+            while let Some(sample) = reader.read_sample().unwrap() {
+                frames.push_sample(sample).unwrap();
+            }
+            for plan in [None, Some(&random)] {
+                let opts = ReplayOptions::new(Some(&mesh), None, plan);
+                let (got, _) = replay(&resident, &points, &opts).unwrap();
+                let (expect, _) = replay(&frames, &points, &opts).unwrap();
+                prop_assert_eq!(&got, &expect, "{:?}, plan {:?}", precision, plan);
+            }
+        }
+    }
+
     #[test]
     fn peak_series_dominates_every_rank(tr in trace_strategy(), ranks in 1usize..16) {
         let cfg = WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05);

@@ -394,6 +394,27 @@ fn library_cli_and_service_answer_the_same_bytes() {
     assert_eq!(status, 200, "{served}");
     assert_eq!(std::fs::read_to_string(&grid_path).unwrap(), served);
 
+    // `info` names the storage each format reads into, and its size.
+    let compact_path = path("t.pictrc2");
+    pic_trace::compact::save_file(trace, &compact_path, Precision::F32).unwrap();
+    let samples = trace.sample_count();
+    for (file, storage, bytes) in [
+        (
+            &trace_path,
+            "f64",
+            samples * (trace.particle_count() * 24 + 32),
+        ),
+        (
+            &compact_path,
+            "grid u16",
+            samples * (trace.particle_count() * 6 + 8),
+        ),
+    ] {
+        let info = picpredict(&["info", "--trace", file]);
+        let line = format!("storage:         {storage}, {bytes} bytes resident");
+        assert!(info.lines().any(|l| l == line), "{file}: {info}");
+    }
+
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
     pic_types::sync::assert_witness_clean();
@@ -449,6 +470,62 @@ fn lru_eviction_and_reingest_yield_identical_artifacts() {
     let (status, second) = request(addr, "POST", "/sweep", sweep_body.as_bytes());
     assert_eq!(status, 200, "{second}");
     assert_eq!(first, second, "artifacts differ after eviction + re-ingest");
+
+    server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
+
+/// Pull the unsigned value of `"key":N` out of a flat JSON object.
+fn json_u64_field(body: &str, key: &str) -> u64 {
+    let marker = format!("\"{key}\":");
+    let start = body
+        .find(&marker)
+        .unwrap_or_else(|| panic!("no {key} in {body}"))
+        + marker.len();
+    let digits: String = body[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{key} is not a count in {body}"))
+}
+
+#[test]
+fn a_compact_trace_is_charged_its_grid_coordinates() {
+    // One trace, ingested raw at f64 and compact at f32: the registry
+    // weighs what each keeps resident, and the 16-bit grid coordinates
+    // weigh a quarter of the f64 positions.
+    let trace = make_trace(11);
+    let raw = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let compact = pic_trace::compact::encode_compact(&trace, Precision::F32).unwrap();
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let mut weights = Vec::new();
+    for bytes in [&raw, &compact] {
+        let (status, body) = request(addr, "POST", "/traces", bytes);
+        assert_eq!(status, 200, "{body}");
+        let address = json_str_field(&body, "address");
+        let (status, listing) = get(addr, "/traces");
+        assert_eq!(status, 200, "{listing}");
+        let entry = (listing.split("},{"))
+            .find(|e| e.contains(&address))
+            .unwrap_or_else(|| panic!("{address} not listed: {listing}"));
+        weights.push(json_u64_field(entry, "resident_bytes"));
+    }
+    let (raw_weight, compact_weight) = (weights[0], weights[1]);
+    assert!(
+        compact_weight * 10 <= raw_weight * 3,
+        "compact entry weighs {compact_weight} bytes, raw {raw_weight}"
+    );
+    // `/stats` reports the sum of the listed weights.
+    let (status, stats) = get(addr, "/stats");
+    assert_eq!(status, 200, "{stats}");
+    assert_eq!(
+        json_u64_field(&stats, "resident_bytes"),
+        raw_weight + compact_weight,
+        "{stats}"
+    );
 
     server.shutdown();
     pic_types::sync::assert_witness_clean();

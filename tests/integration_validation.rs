@@ -235,7 +235,7 @@ fn extrapolated_trace_flows_through_the_whole_pipeline() {
     let big = pic_trace::extrapolate(&out.trace, 2500, 7).unwrap();
     assert_eq!(big.particle_count(), 2500);
     for t in 0..big.sample_count() {
-        for p in big.positions_at(t) {
+        for p in big.positions_at(t).iter() {
             assert!(cfg.domain.contains_closed(*p));
         }
     }
