@@ -22,6 +22,7 @@ use pic_predict::request::{self, Raw, Transport};
 use pic_predict::{kernel_models::FitStrategy, KernelModels, Request, SweepGridEntry};
 use pic_sim::{MiniPic, Recorder, SimConfig};
 use pic_trace::codec;
+use pic_trace::trace::KEYFRAME_SPACING;
 use pic_types::{PicError, Result};
 use pic_workload::{metrics, IngestStats, SweepStats};
 use std::collections::HashMap;
@@ -283,9 +284,12 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
     println!("samples:         {}", trace.sample_count());
     println!("sample interval: {} iterations", meta.sample_interval);
     println!("domain:          {}", meta.domain);
+    let storage = match trace.storage().strip_prefix("grid ") {
+        Some(bits) => format!("encoded {bits}, keyframe every {KEYFRAME_SPACING} frames"),
+        None => trace.storage().to_string(),
+    };
     println!(
-        "storage:         {}, {} bytes resident",
-        trace.storage(),
+        "storage:         {storage}, {} bytes resident",
         trace.resident_bytes()
     );
     let vols = pic_trace::stats::boundary_volume_series(&trace);

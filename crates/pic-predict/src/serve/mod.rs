@@ -12,8 +12,8 @@
 //!   delta-encoded, sniffed by magic — is read exactly once, its
 //!   content address is the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and identical bytes always land on the identical address.
-//!   A compact trace stays resident as grid coordinates and is
-//!   dequantized sample by sample as a replay reads it; the registry
+//!   A compact trace stays resident as its encoded frames and is
+//!   decoded sample by sample as a replay reads it; the registry
 //!   charges each entry [`pic_trace::ParticleTrace::resident_bytes`].
 //! * **Shared replays.** `/sweep`, `/predict` and `/check` against a
 //!   resident trace run through [`pic_workload::replay`] on the trace's

@@ -14,7 +14,8 @@
 //!
 //! Eviction is strict LRU over *trace* entries by last-touch tick, where
 //! an entry's weight is its trace's resident bytes (`f64` positions, or
-//! the grid coordinates of a compact trace) plus everything its
+//! the encoded frames, keyframes and dequantization table of a compact
+//! trace, fixed at admission) plus everything its
 //! assignment cache holds; the most recently ingested entry is never
 //! evicted by its own arrival. Model entries are tiny and capped by
 //! count, LRU as well.

@@ -469,7 +469,7 @@ impl<R: Read> TraceReader<R> {
     /// exactly as [`read_all`](Self::read_all) reports it.
     pub fn read_sample(&mut self) -> Result<Option<TraceSample>> {
         let mut positions = Vec::new();
-        let Some(iteration) = self.read_frame(&mut positions)? else {
+        let Some(iteration) = self.read_frame(&mut positions, None)? else {
             return Ok(None);
         };
         if let Layout::Compact(delta) = &self.layout {
@@ -494,8 +494,13 @@ impl<R: Read> TraceReader<R> {
 
     /// Read the next frame and return its iteration; `Ok(None)` at a clean
     /// end-of-stream. A raw frame's positions are appended to `positions`;
-    /// a compact frame's grid coordinates are left in the delta decoder.
-    fn read_frame(&mut self, positions: &mut Vec<Vec3>) -> Result<Option<u64>> {
+    /// a compact frame's grid coordinates are left in the delta decoder,
+    /// and its payload bytes appended to `payload` when one is given.
+    fn read_frame(
+        &mut self,
+        positions: &mut Vec<Vec3>,
+        mut payload: Option<&mut Vec<u8>>,
+    ) -> Result<Option<u64>> {
         let frame = self.frames_read as u64;
         let compact = matches!(self.layout, Layout::Compact(_));
         // The head: the iteration word, then (compact) width and padding.
@@ -563,7 +568,12 @@ impl<R: Read> TraceReader<R> {
             let chunk = &self.chunk[..want];
             match &mut self.layout {
                 Layout::Raw => decode_raw(chunk, self.precision, positions),
-                Layout::Compact(delta) => delta.fold_chunk(chunk, decoded, take),
+                Layout::Compact(delta) => {
+                    delta.fold_chunk(chunk, decoded, take);
+                    if let Some(payload) = payload.as_deref_mut() {
+                        payload.extend_from_slice(chunk);
+                    }
+                }
             }
             decoded += take;
         }
@@ -580,11 +590,12 @@ impl<R: Read> TraceReader<R> {
     /// invariant violations (non-monotone iterations, non-finite decoded
     /// positions) are positioned at the offending frame.
     ///
-    /// A compact stream's trace keeps each frame's grid coordinates, not
-    /// its positions ([`ParticleTrace`] dequantizes on read): no frame is
-    /// dequantized here unless the grid's box is so large that a position
-    /// could overflow, and then one frame at a time for the finiteness
-    /// check.
+    /// A compact stream's trace keeps each frame as the file encodes it
+    /// ([`ParticleTrace`] decodes on read), but every frame is still folded
+    /// here, so a stream fails at load with the same positioned error as
+    /// frame by frame. No frame is dequantized unless the grid's box is so
+    /// large that a position could overflow, and then one frame at a time
+    /// for the finiteness check.
     pub fn read_all(mut self) -> Result<ParticleTrace> {
         let Layout::Compact(delta) = &self.layout else {
             let mut trace = ParticleTrace::new(self.meta.clone());
@@ -594,29 +605,34 @@ impl<R: Read> TraceReader<R> {
             return Ok(trace);
         };
         let quant = delta.quantizer().clone();
-        let mut trace = ParticleTrace::on_grid(self.meta.clone(), quant.clone());
-        while let Some(iteration) = self.read_frame(&mut Vec::new())? {
+        let mut trace = ParticleTrace::encoded(self.meta.clone(), quant.clone());
+        loop {
+            let mut payload = Vec::new();
+            let Some(iteration) = self.read_frame(&mut Vec::new(), Some(&mut payload))? else {
+                break;
+            };
             if quant.finite_everywhere() {
                 check_order(iteration, self.last_iteration).map_err(|e| self.positioned(e))?;
                 self.last_iteration = Some(iteration);
             } else {
-                let positions = quant.dequant_frame(self.grid_coords());
+                let positions = quant.dequant_frame(self.compact_frame().1);
                 self.admit(&TraceSample {
                     iteration,
                     positions,
                 })?;
             }
-            trace.push_grid(iteration, self.grid_coords());
+            let (width, coords) = self.compact_frame();
+            trace.push_frame(iteration, width, payload.into(), coords);
         }
         Ok(trace)
     }
 
-    /// The grid coordinates of the compact frame just read (empty for a
-    /// raw stream).
-    fn grid_coords(&self) -> &[u32] {
+    /// The width byte and grid coordinates of the compact frame just read
+    /// (nothing for a raw stream).
+    fn compact_frame(&self) -> (u8, &[u32]) {
         match &self.layout {
-            Layout::Compact(delta) => delta.coords(3 * self.meta.particle_count),
-            Layout::Raw => &[],
+            Layout::Compact(delta) => (delta.width(), delta.coords(3 * self.meta.particle_count)),
+            Layout::Raw => (0, &[]),
         }
     }
 

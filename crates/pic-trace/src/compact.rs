@@ -70,23 +70,77 @@ fn load_le<const W: usize>(elem: &[u8]) -> u32 {
     u32::from_le_bytes(raw)
 }
 
+/// A grid coordinate as it is held: `u16` on a 16-bit grid, `u32` on a
+/// 32-bit one (the streaming reader folds either grid in `u32`).
+pub(crate) trait GridCoord:
+    Copy + Default + Ord + Into<u32> + Send + Sync + 'static
+{
+    /// Bytes per coordinate.
+    const BYTES: usize;
+    /// The coordinate `q`, already masked to a grid this type holds.
+    fn from_grid(q: u32) -> Self;
+    /// `self + delta`, wrapping on a grid of largest coordinate `mask`.
+    fn wrapping_step(self, delta: u32, mask: u32) -> Self;
+}
+
+impl GridCoord for u16 {
+    const BYTES: usize = 2;
+    #[inline(always)]
+    fn from_grid(q: u32) -> u16 {
+        q as u16
+    }
+    /// A `u16` holds only a 16-bit grid, whose mask is `u16::MAX`: the
+    /// sum wraps in the type itself.
+    #[inline(always)]
+    fn wrapping_step(self, delta: u32, _mask: u32) -> u16 {
+        self.wrapping_add(delta as u16)
+    }
+}
+
+impl GridCoord for u32 {
+    const BYTES: usize = 4;
+    #[inline(always)]
+    fn from_grid(q: u32) -> u32 {
+        q
+    }
+    #[inline(always)]
+    fn wrapping_step(self, delta: u32, mask: u32) -> u32 {
+        self.wrapping_add(delta) & mask
+    }
+}
+
 /// Fold one chunk of an absolute (width 0) frame into the quantized
 /// coordinates it overwrites. Monomorphised on the element width so the
 /// loop is a fixed-size load and a mask per element.
-fn fold_abs<const W: usize>(chunk: &[u8], mask: u32, out: &mut [u32]) {
+fn fold_abs<const W: usize, Q: GridCoord>(chunk: &[u8], mask: u32, out: &mut [Q]) {
     for (q, elem) in out.iter_mut().zip(chunk.chunks_exact(W)) {
-        *q = load_le::<W>(elem) & mask;
+        *q = Q::from_grid(load_le::<W>(elem) & mask);
     }
 }
 
 /// Fold one chunk of zigzag deltas into the previous frame's quantized
 /// coordinates. Wrapping on the grid: a corrupt delta still lands on a
 /// valid (finite, in-box) coordinate.
-fn fold_delta<const W: usize>(chunk: &[u8], mask: u32, prev: &mut [u32]) {
+fn fold_delta<const W: usize, Q: GridCoord>(chunk: &[u8], mask: u32, prev: &mut [Q]) {
     for (q, elem) in prev.iter_mut().zip(chunk.chunks_exact(W)) {
         let z = load_le::<W>(elem);
         let delta = (z >> 1) ^ (z & 1).wrapping_neg(); // un-zigzag, mod 2^32
-        *q = q.wrapping_add(delta) & mask;
+        *q = q.wrapping_step(delta, mask);
+    }
+}
+
+/// A payload kernel: folds one chunk of elements into grid coordinates.
+pub(crate) type Fold<Q> = fn(&[u8], u32, &mut [Q]);
+
+/// The kernel for a frame whose head says `width` (0: absolute) on a grid
+/// of `qbytes`-byte coordinates, the width already validated.
+pub(crate) fn kernel<Q: GridCoord>(width: usize, qbytes: usize) -> Fold<Q> {
+    match (width, qbytes) {
+        (0, 2) => fold_abs::<2, Q>,
+        (0, _) => fold_abs::<4, Q>,
+        (1, _) => fold_delta::<1, Q>,
+        (2, _) => fold_delta::<2, Q>,
+        _ => fold_delta::<4, Q>,
     }
 }
 
@@ -163,23 +217,34 @@ impl Quantizer {
         }
     }
 
-    /// Per axis: whether dequantizing keeps the grid's order strictly, so
-    /// the smallest coordinate dequantizes to the smallest position. A
-    /// degenerate axis has one position and keeps it trivially. Checked
-    /// over every coordinate of a 16-bit grid; a 32-bit grid is too large
-    /// to check and answers `false`.
-    pub(crate) fn order_preserving(&self) -> [bool; 3] {
-        std::array::from_fn(|axis| {
-            if self.ext[axis] <= 0.0 {
-                return true;
+    /// One pass over every coordinate of a 16-bit grid: per axis, whether
+    /// dequantizing keeps the grid's order strictly (the smallest
+    /// coordinate dequantizes to the smallest position), and with
+    /// `tabulate` the dequantized value of every coordinate, so a read
+    /// looks a position up instead of computing it. A degenerate axis has
+    /// one position and keeps its order trivially. A 32-bit grid is too
+    /// large to survey: it keeps order only on degenerate axes and has no
+    /// table.
+    pub(crate) fn lookup(&self, tabulate: bool) -> Lookup {
+        let narrow = self.mask <= u16::MAX as u32;
+        let tabulate = tabulate && narrow;
+        let mut table = Vec::with_capacity(if tabulate { TABLE_LEN } else { 0 });
+        let ordered = std::array::from_fn(|axis| {
+            let degenerate = self.ext[axis] <= 0.0;
+            if !narrow {
+                return degenerate;
             }
-            let mut prev = self.dequant(axis, 0);
-            self.mask <= u16::MAX as u32
-                && (1..=self.mask).all(|q| {
-                    let x = self.dequant(axis, q);
-                    std::mem::replace(&mut prev, x) < x
-                })
-        })
+            let values: Vec<f64> = (0..=self.mask).map(|q| self.dequant(axis, q)).collect();
+            let ordered = degenerate || values.windows(2).all(|w| w[0] < w[1]);
+            if tabulate {
+                table.extend(values);
+            }
+            ordered
+        });
+        Lookup {
+            ordered,
+            table: tabulate.then(|| table.into_boxed_slice()),
+        }
     }
 
     #[inline]
@@ -217,6 +282,38 @@ impl Quantizer {
                     self.dequant(2, c[2].into()),
                 )
             })
+            .collect()
+    }
+}
+
+/// Entries of a 16-bit grid's dequantization table: 65 536 per axis.
+pub(crate) const TABLE_LEN: usize = 3 << 16;
+
+/// What [`Quantizer::lookup`] learned of a grid: per axis whether it keeps
+/// its order, and on a tabulated 16-bit grid every position it holds.
+#[derive(Debug, Clone)]
+pub(crate) struct Lookup {
+    /// Per axis: dequantizing keeps the grid's order strictly.
+    pub(crate) ordered: [bool; 3],
+    /// `dequant(axis, q)` at `(axis << 16) + q`, bit for bit.
+    pub(crate) table: Option<Box<[f64]>>,
+}
+
+impl Lookup {
+    /// [`Quantizer::dequant_frame`], through the table where there is one.
+    pub(crate) fn dequant_frame<Q: GridCoord>(&self, quant: &Quantizer, q: &[Q]) -> Vec<Vec3> {
+        let Some(table) = &self.table else {
+            return quant.dequant_frame(q);
+        };
+        let axis = |a: usize| -> &[f64; 1 << 16] {
+            table[a << 16..(a + 1) << 16]
+                .try_into()
+                .expect("65 536 entries per axis")
+        };
+        let (x, y, z) = (axis(0), axis(1), axis(2));
+        let at = |q: Q| q.into() as usize;
+        (q.chunks_exact(3))
+            .map(|c| Vec3::new(x[at(c[0])], y[at(c[1])], z[at(c[2])]))
             .collect()
     }
 }
@@ -261,10 +358,10 @@ pub fn quantization_box(trace: &ParticleTrace) -> Aabb {
 /// some delta overflows every admissible width and the frame must be
 /// stored absolute. `qvals`/`prev` hold the current and previous frames'
 /// quantized coordinates.
-fn frame_width(qvals: &[u32], prev: &[u32], qbytes: usize) -> Option<usize> {
+fn frame_width<Q: GridCoord>(qvals: &[Q], prev: &[Q], qbytes: usize) -> Option<usize> {
     let mut max_z = 0u64;
     for (&q, &p) in qvals.iter().zip(prev) {
-        let z = zigzag(q as i64 - p as i64);
+        let z = zigzag(q.into() as i64 - p.into() as i64);
         if z > max_z {
             max_z = z;
         }
@@ -273,6 +370,31 @@ fn frame_width(qvals: &[u32], prev: &[u32], qbytes: usize) -> Option<usize> {
         .iter()
         .copied()
         .find(|&w| max_z < (1u64 << (8 * w)))
+}
+
+/// Append the payload of one frame's grid coordinates `qvals` to `out`:
+/// deltas against `prev` at the narrowest width that fits, or absolute
+/// coordinates for the first frame (`prev` is `None`) and for deltas that
+/// fit no width. Returns the frame's width byte (0: absolute).
+pub(crate) fn encode_payload<Q: GridCoord>(
+    qvals: &[Q],
+    prev: Option<&[Q]>,
+    qbytes: usize,
+    out: &mut Vec<u8>,
+) -> u8 {
+    let width = prev.and_then(|prev| frame_width(qvals, prev, qbytes));
+    let absolute = qvals.iter().map(|&q| q.into() as u64);
+    let deltas = (qvals.iter())
+        .zip(prev.unwrap_or_default())
+        .map(|(&q, &p)| zigzag(q.into() as i64 - p.into() as i64));
+    match (width, qbytes) {
+        (None, 2) => put_le::<2>(out, absolute),
+        (None, _) => put_le::<4>(out, absolute),
+        (Some(1), _) => put_le::<1>(out, deltas),
+        (Some(2), _) => put_le::<2>(out, deltas),
+        (Some(_), _) => put_le::<4>(out, deltas),
+    }
+    width.unwrap_or(0) as u8
 }
 
 /// Streaming compact writer: emits the header and quantization box on
@@ -341,28 +463,12 @@ impl<W: Write> CompactWriter<W> {
             )));
         }
         self.quant.quantize_into(&sample.positions, &mut self.qvals);
-        let width = if self.frames_written == 0 {
-            None
-        } else {
-            frame_width(&self.qvals, &self.prev, self.qbytes)
-        };
+        let prev = (self.frames_written > 0).then_some(&self.prev[..]);
         self.scratch.clear();
         self.scratch.put_u64_le(sample.iteration);
-        self.scratch.put_u8(width.unwrap_or(0) as u8);
-        self.scratch.put_slice(&[0u8; 3]);
-        let absolute = self.qvals.iter().map(|&q| q as u64);
-        let deltas = self
-            .qvals
-            .iter()
-            .zip(&self.prev)
-            .map(|(&q, &p)| zigzag(q as i64 - p as i64));
-        match (width, self.qbytes) {
-            (None, 2) => put_le::<2>(&mut self.scratch, absolute),
-            (None, _) => put_le::<4>(&mut self.scratch, absolute),
-            (Some(1), _) => put_le::<1>(&mut self.scratch, deltas),
-            (Some(2), _) => put_le::<2>(&mut self.scratch, deltas),
-            (Some(_), _) => put_le::<4>(&mut self.scratch, deltas),
-        }
+        self.scratch.put_slice(&[0u8; 4]);
+        let width = encode_payload(&self.qvals, prev, self.qbytes, &mut self.scratch);
+        self.scratch[8] = width;
         self.sink.write_all(&self.scratch)?;
         std::mem::swap(&mut self.prev, &mut self.qvals);
         self.frames_written += 1;
@@ -387,9 +493,6 @@ impl<W: Write> CompactWriter<W> {
     }
 }
 
-/// A payload kernel: folds one chunk of elements into grid coordinates.
-type Fold = fn(&[u8], u32, &mut [u32]);
-
 /// What [`TraceReader`](crate::TraceReader) keeps of a compact stream
 /// between frames: the quantization grid, and the previous frame's
 /// quantized coordinates that the next frame's deltas fold into.
@@ -401,8 +504,8 @@ pub(crate) struct DeltaDecoder {
     /// the bytes read during the first (absolute) frame, never
     /// preallocated from the header's particle count.
     prev: Vec<u32>,
-    /// The current frame's kernel, chosen by its width byte.
-    fold: Fold,
+    /// The current frame's width byte (0: absolute).
+    width: usize,
 }
 
 impl DeltaDecoder {
@@ -436,12 +539,12 @@ impl DeltaDecoder {
             quant: Quantizer::new(&qbox, qbytes),
             qbytes,
             prev: Vec::new(),
-            fold: fold_abs::<4>,
+            width: 0,
         })
     }
 
     /// Validate the head of frame `frame`, which starts at stream offset
-    /// `at`, and select the frame's kernel. Returns the payload's bytes
+    /// `at`, and record its width, which picks the kernel. Returns the payload's bytes
     /// per element.
     pub(crate) fn begin_frame(
         &mut self,
@@ -478,13 +581,7 @@ impl DeltaDecoder {
                 8,
             ));
         }
-        self.fold = match (width, elem) {
-            (0, 2) => fold_abs::<2>,
-            (0, _) => fold_abs::<4>,
-            (1, _) => fold_delta::<1>,
-            (2, _) => fold_delta::<2>,
-            _ => fold_delta::<4>,
-        };
+        self.width = width;
         Ok(elem)
     }
 
@@ -495,7 +592,13 @@ impl DeltaDecoder {
         if self.prev.len() < at + take {
             self.prev.resize(at + take, 0);
         }
-        (self.fold)(chunk, self.quant.mask, &mut self.prev[at..at + take]);
+        let fold = kernel::<u32>(self.width, self.qbytes);
+        fold(chunk, self.quant.mask, &mut self.prev[at..at + take]);
+    }
+
+    /// The current frame's width byte (0: absolute).
+    pub(crate) fn width(&self) -> u8 {
+        self.width as u8
     }
 
     /// The current frame's grid coordinates, once its `total` are folded.

@@ -104,10 +104,11 @@ impl RefBins {
 /// One feature vector per sample, in sample order.
 ///
 /// Deterministic for any thread count: one pass computes the per-sample
-/// tight boxes in parallel over samples (the reference binning and the
-/// boundary volumes both derive from them), a second bins the positions
-/// in parallel over contiguous blocks of `FEATURE_BLOCK` samples, and
-/// every value depends only on its own sample and its predecessor.
+/// tight boxes (the reference binning and the boundary volumes both
+/// derive from them), a second bins the positions, both in parallel over
+/// contiguous blocks of `FEATURE_BLOCK` samples that each read their
+/// samples in order, and every value depends only on its own sample and
+/// its predecessor.
 /// Returns an empty vector for an empty trace.
 pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f64>> {
     assert!(cfg.bins_per_axis >= 1, "bins_per_axis must be at least 1");
@@ -118,8 +119,18 @@ pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f6
     let cells = cfg.bins_per_axis.pow(3);
     let np = trace.particle_count();
 
-    let boxes: Vec<Aabb> =
-        pool::install(|| (0..t).into_par_iter().map(|k| trace.bounds_at(k)).collect());
+    let blocks = t.div_ceil(FEATURE_BLOCK);
+    let block_range = |blk: usize| (blk * FEATURE_BLOCK, t.min((blk + 1) * FEATURE_BLOCK));
+    let boxes: Vec<Vec<Aabb>> = pool::install(|| {
+        (0..blocks)
+            .into_par_iter()
+            .map(|blk| {
+                let (first, end) = block_range(blk);
+                trace.bounds_in(first, end)
+            })
+            .collect()
+    });
+    let boxes: Vec<Aabb> = boxes.concat();
     let bounds = boxes.iter().fold(Aabb::empty(), |acc, s| acc.union(s));
     let refbins = RefBins::new(&bounds, cfg.bins_per_axis);
     let volumes: Vec<f64> = boxes.iter().map(Aabb::volume).collect();
@@ -128,16 +139,20 @@ pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f6
     let uniform = 1.0 / cells as f64;
 
     let block = |blk: usize| -> Vec<Vec<f64>> {
-        let first = blk * FEATURE_BLOCK;
+        let (first, end) = block_range(blk);
         let mut counts = vec![0u32; cells];
         let mut bins = vec![0u32; np];
         let mut prev_bins = vec![0u32; np];
+        // One in-order read from the sample before the block.
+        let mut samples = trace.samples_from(first.saturating_sub(1));
         if first > 0 {
-            refbins.bin_sample(&trace.positions_at(first - 1), &mut prev_bins, &mut counts);
+            let prev = samples.next().expect("the sample before the block");
+            refbins.bin_sample(&prev.positions, &mut prev_bins, &mut counts);
         }
-        (first..t.min(first + FEATURE_BLOCK))
-            .map(|k| {
-                refbins.bin_sample(&trace.positions_at(k), &mut bins, &mut counts);
+        (first..end)
+            .zip(samples)
+            .map(|(k, sample)| {
+                refbins.bin_sample(&sample.positions, &mut bins, &mut counts);
                 let mut v = Vec::with_capacity(cells + 3);
                 v.extend(counts.iter().map(|&c| c as f64 * inv_np));
                 // Migration rate: fraction of particles whose reference bin
@@ -169,12 +184,8 @@ pub fn feature_vectors(trace: &ParticleTrace, cfg: &FeatureConfig) -> Vec<Vec<f6
             })
             .collect()
     };
-    let blocks: Vec<Vec<Vec<f64>>> = pool::install(|| {
-        (0..t.div_ceil(FEATURE_BLOCK))
-            .into_par_iter()
-            .map(block)
-            .collect()
-    });
+    let blocks: Vec<Vec<Vec<f64>>> =
+        pool::install(|| (0..blocks).into_par_iter().map(block).collect());
     blocks.into_iter().flatten().collect()
 }
 

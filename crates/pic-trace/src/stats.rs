@@ -9,16 +9,14 @@
 
 use crate::codec::Precision;
 use crate::trace::ParticleTrace;
-use pic_types::Aabb;
+use pic_types::{Aabb, Vec3};
 
 /// Tight bounding box of every particle at each sample.
 ///
 /// Returns one AABB per sample (empty box for a sample of zero particles —
 /// cannot happen for valid traces, but kept total).
 pub fn boundary_series(trace: &ParticleTrace) -> Vec<Aabb> {
-    (0..trace.sample_count())
-        .map(|t| trace.bounds_at(t))
-        .collect()
+    trace.bounds_in(0, trace.sample_count())
 }
 
 /// Volume of the particle boundary at each sample. Strictly increasing for
@@ -27,27 +25,32 @@ pub fn boundary_volume_series(trace: &ParticleTrace) -> Vec<f64> {
     boundary_series(trace).iter().map(Aabb::volume).collect()
 }
 
+/// `f(previous, current)` over consecutive samples, in order.
+fn step_pairs<T>(trace: &ParticleTrace, mut f: impl FnMut(&[Vec3], &[Vec3]) -> T) -> Vec<T> {
+    let mut samples = trace.samples();
+    let Some(mut prev) = samples.next() else {
+        return Vec::new();
+    };
+    samples
+        .map(|cur| {
+            let step = f(&prev.positions, &cur.positions);
+            prev = cur;
+            step
+        })
+        .collect()
+}
+
 /// Per-sample mean displacement of particles relative to the previous
 /// sample. First entry is 0 (no predecessor).
 pub fn mean_displacement_series(trace: &ParticleTrace) -> Vec<f64> {
-    let t = trace.sample_count();
-    let mut out = Vec::with_capacity(t);
-    if t == 0 {
-        return out;
+    if trace.is_empty() {
+        return Vec::new();
     }
-    out.push(0.0);
-    let mut prev = trace.positions_at(0);
-    for k in 1..t {
-        let cur = trace.positions_at(k);
-        let total: f64 = prev
-            .iter()
-            .zip(cur.iter())
-            .map(|(a, b)| a.distance(*b))
-            .sum();
-        out.push(total / prev.len().max(1) as f64);
-        prev = cur;
-    }
-    out
+    let steps = step_pairs(trace, |prev, cur| {
+        let total: f64 = prev.iter().zip(cur).map(|(a, b)| a.distance(*b)).sum();
+        total / prev.len().max(1) as f64
+    });
+    std::iter::once(0.0).chain(steps).collect()
 }
 
 /// Maximum single-particle displacement between consecutive samples, over
@@ -55,20 +58,10 @@ pub fn mean_displacement_series(trace: &ParticleTrace) -> Vec<f64> {
 /// samples signals an under-sampled trace (the paper's "low sampling
 /// frequency does not accurately capture particle movement").
 pub fn max_step_displacement(trace: &ParticleTrace) -> f64 {
-    let t = trace.sample_count();
-    let mut max = 0.0f64;
-    if t == 0 {
-        return max;
-    }
-    let mut prev = trace.positions_at(0);
-    for k in 1..t {
-        let cur = trace.positions_at(k);
-        for (a, b) in prev.iter().zip(cur.iter()) {
-            max = max.max(a.distance(*b));
-        }
-        prev = cur;
-    }
-    max
+    let steps = step_pairs(trace, |prev, cur| {
+        (prev.iter().zip(cur)).fold(0.0f64, |max, (a, b)| max.max(a.distance(*b)))
+    });
+    steps.into_iter().fold(0.0f64, f64::max)
 }
 
 /// Estimated on-disk size in bytes of a trace with `particles` particles and

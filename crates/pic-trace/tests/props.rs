@@ -28,25 +28,56 @@ fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
     })
 }
 
+/// Frames between keyframes of a compact file's trace.
+const K: usize = pic_trace::trace::KEYFRAME_SPACING;
+
 /// Traces for the compact codec: particles (possibly none) drifting at a
 /// per-particle velocity whose scale ranges from static through grid-step
-/// deltas to jumps that force absolute frames.
+/// deltas to jumps that force absolute frames, over short sample counts
+/// (none included) and counts on either side of a keyframe. At up to three
+/// chosen samples every particle leaps far across the box, so those samples
+/// and the ones after them are absolute frames wherever they fall between
+/// keyframes.
 fn drifting_strategy() -> impl Strategy<Value = ParticleTrace> {
     let scale = prop_oneof![Just(0.0), Just(1e-3), Just(0.5), Just(300.0)];
-    (0usize..12, 0usize..7, scale).prop_flat_map(|(np, t, scale)| {
+    let samples = prop_oneof![
+        0usize..7,
+        Just(K - 1),
+        Just(K),
+        Just(K + 1),
+        Just(2 * K + 3)
+    ];
+    let leaps = proptest::collection::vec(1usize..2 * K + 3, 0..3);
+    (0usize..12, samples, scale, leaps).prop_flat_map(|(np, t, scale, leaps)| {
         let particle = (-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64, -1.0..1.0f64);
         proptest::collection::vec(particle, np..=np).prop_map(move |particles| {
             let meta = TraceMeta::new(np, 10, Aabb::centered_cube(2e3), "drift");
             let mut tr = ParticleTrace::new(meta);
             for k in 0..t {
                 let step = k as f64 * scale;
+                let leap = if leaps.contains(&k) { 1e5 } else { 0.0 };
                 let frame = (particles.iter())
-                    .map(|&(x, y, z, v)| Vec3::new(x + v * step, y - v * step, z + 0.5 * v * step))
+                    .map(|&(x, y, z, v)| {
+                        let p = Vec3::new(x + v * step, y - v * step, z + 0.5 * v * step);
+                        p + Vec3::splat(leap)
+                    })
                     .collect();
                 tr.push_positions(frame).unwrap();
             }
             tr
         })
+    })
+}
+
+/// A trace from [`drifting_strategy`] and an order to read its samples in.
+fn shuffled_strategy() -> impl Strategy<Value = (ParticleTrace, Vec<usize>)> {
+    (drifting_strategy(), any::<u64>()).prop_map(|(tr, seed)| {
+        let mut rng = pic_types::rng::SplitMix64::new(seed);
+        let mut order: Vec<usize> = (0..tr.sample_count()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        (tr, order)
     })
 }
 
@@ -57,6 +88,11 @@ fn bits(positions: &[Vec3]) -> Vec<[u64; 3]> {
         .collect()
 }
 
+/// The bits of a box's corners.
+fn box_bits(b: &Aabb) -> [[u64; 3]; 2] {
+    [b.min, b.max].map(|v| [v.x, v.y, v.z].map(f64::to_bits))
+}
+
 fn feature_bits(tr: &ParticleTrace) -> Vec<Vec<u64>> {
     (feature_vectors(tr, &FeatureConfig::default()).iter())
         .map(|v| v.iter().map(|x| x.to_bits()).collect())
@@ -64,26 +100,23 @@ fn feature_bits(tr: &ParticleTrace) -> Vec<Vec<u64>> {
 }
 
 proptest! {
-    /// A compact file read whole keeps grid coordinates; every accessor
-    /// and derived trace reads the bits the frame-by-frame reader decodes,
-    /// and an f64 trace built from those frames compares equal to it.
+    /// A compact file read whole keeps its frames encoded, with a keyframe
+    /// every `K` samples. Random reads (in shuffled order), the in-order
+    /// read and the bounds all agree, bit for bit, with the frames the
+    /// frame-by-frame reader decodes; so do derived traces, cut or thinned
+    /// across keyframes, and an f64 trace built from those frames compares
+    /// equal to it. Reading never grows what the trace is charged.
     #[test]
     fn compact_resident_trace_reads_what_the_stream_decodes(
-        tr in drifting_strategy(),
+        (tr, order) in shuffled_strategy(),
         stride in 1usize..4,
-        keep in 0usize..8,
+        keep in 0usize..2 * K + 4,
     ) {
-        for (precision, storage, grid_bytes) in [
-            (Precision::F64, "grid u32", 12),
-            (Precision::F32, "grid u16", 6),
-        ] {
+        for (precision, storage) in [(Precision::F64, "grid u32"), (Precision::F32, "grid u16")] {
             let bytes = encode_compact(&tr, precision).unwrap();
             let resident = decode_trace(&bytes).unwrap();
             prop_assert_eq!(resident.storage(), storage);
-            prop_assert_eq!(
-                resident.resident_bytes(),
-                tr.sample_count() * (grid_bytes * tr.particle_count() + 8)
-            );
+            let charged = resident.resident_bytes();
             let mut reader = TraceReader::new(&bytes[..]).unwrap();
             let mut frames: Vec<TraceSample> = Vec::new();
             while let Some(frame) = reader.read_sample().unwrap() {
@@ -97,23 +130,53 @@ proptest! {
 
             prop_assert_eq!(resident.sample_count(), frames.len());
             prop_assert_eq!(resident.samples().len(), frames.len());
-            for (t, (s, frame)) in resident.samples().zip(&frames).enumerate() {
+            for (s, frame) in resident.samples().zip(&frames) {
                 prop_assert_eq!(s.iteration, frame.iteration);
                 prop_assert_eq!(bits(&s.positions), bits(&frame.positions));
-                prop_assert_eq!(bits(&resident.sample(t).positions), bits(&frame.positions));
+            }
+            for &t in &order {
+                let frame = &frames[t];
                 prop_assert_eq!(bits(&resident.positions_at(t)), bits(&frame.positions));
+                prop_assert_eq!(resident.sample(t).iteration, frame.iteration);
+                prop_assert_eq!(bits(&resident.sample(t).positions), bits(&frame.positions));
+                let tight = Aabb::from_points(frame.positions.iter().copied());
+                prop_assert_eq!(box_bits(&resident.bounds_at(t)), box_bits(&tight));
+            }
+            // Reads in runs: in shuffled order, then every sample in order.
+            let reads: Vec<Vec<Vec3>> = (resident.positions_of(&order))
+                .map(|p| p.into_owned())
+                .collect();
+            prop_assert_eq!(reads.len(), frames.len());
+            for (&t, read) in order.iter().zip(&reads) {
+                prop_assert_eq!(bits(read), bits(&frames[t].positions));
+            }
+            let all: Vec<usize> = (0..frames.len()).collect();
+            let runs = resident.read_runs(&all);
+            prop_assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), frames.len());
+            for run in runs {
+                for (t, read) in run.clone().zip(resident.positions_of(&all[run])) {
+                    prop_assert_eq!(bits(&read), bits(&frames[t].positions));
+                }
             }
             prop_assert_eq!(resident.iterations(), oracle.iterations());
+            prop_assert_eq!(resident.resident_bytes(), charged);
 
             // Derived traces keep the storage and the bits.
             let sub = resident.subsample(stride);
+            let sub_oracle = oracle.subsample(stride);
             prop_assert_eq!(sub.storage(), storage);
-            prop_assert_eq!(&sub, &oracle.subsample(stride));
+            prop_assert_eq!(&sub, &sub_oracle);
+            for &t in order.iter().filter(|&&t| t < sub.sample_count()) {
+                prop_assert_eq!(bits(&sub.positions_at(t)), bits(&sub_oracle.positions_at(t)));
+            }
             let (mut cut, mut cut_oracle) = (resident.clone(), oracle.clone());
             cut.truncate(keep);
             cut_oracle.truncate(keep);
             prop_assert_eq!(cut.storage(), storage);
             prop_assert_eq!(&cut, &cut_oracle);
+            for &t in order.iter().filter(|&&t| t < cut.sample_count()) {
+                prop_assert_eq!(bits(&cut.positions_at(t)), bits(&frames[t].positions));
+            }
             prop_assert_eq!(&resident.clone(), &oracle);
             prop_assert_eq!(&oracle, &resident);
             if let Some(last) = frames.last().filter(|f| !f.positions.is_empty()) {
@@ -135,8 +198,13 @@ proptest! {
                 series.iter().map(|d| d.to_bits()).collect()
             };
             prop_assert_eq!(displacement(&resident), displacement(&oracle));
+            prop_assert_eq!(
+                stats::max_step_displacement(&resident).to_bits(),
+                stats::max_step_displacement(&oracle).to_bits()
+            );
             // Lossy once: the resident trace re-encodes to the same bytes.
             prop_assert_eq!(encode_compact(&resident, precision).unwrap(), bytes);
+            prop_assert_eq!(resident.resident_bytes(), charged);
         }
     }
 

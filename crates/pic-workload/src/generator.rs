@@ -156,22 +156,29 @@ pub(crate) const GHOST_CHUNK: usize = 2048;
 /// Unbounded bin-count series over a trace, one per threshold (Fig 6:
 /// "relaxing the processor count limitation" to find the optimal `R`;
 /// Fig 10a: the same across filters). Each sample builds one [`BinTree`]
-/// and walks it once per threshold, so each node is cut once.
+/// and walks it once per threshold, so each node is cut once; a task reads
+/// one run of [`ParticleTrace::read_runs`].
 pub fn unbounded_bin_series(trace: &ParticleTrace, thresholds: &[f64]) -> Result<Vec<Vec<usize>>> {
     for &t in thresholds {
         BinMapper::new(1, t)?;
     }
-    let per_sample: Vec<Vec<usize>> = pic_types::pool::install(|| {
-        (0..trace.sample_count())
-            .into_par_iter()
-            .map(|s| {
-                let mut tree = BinTree::new(&trace.positions_at(s));
-                (thresholds.iter())
-                    .map(|&t| tree.walk(usize::MAX, t).bin_count())
+    let samples: Vec<usize> = (0..trace.sample_count()).collect();
+    let runs = trace.read_runs(&samples);
+    let per_run: Vec<Vec<Vec<usize>>> = pic_types::pool::install(|| {
+        (runs.par_iter())
+            .map(|run| {
+                (trace.positions_of(&samples[run.clone()]))
+                    .map(|positions| {
+                        let mut tree = BinTree::new(&positions);
+                        (thresholds.iter())
+                            .map(|&t| tree.walk(usize::MAX, t).bin_count())
+                            .collect()
+                    })
                     .collect()
             })
             .collect()
     });
+    let per_sample: Vec<&Vec<usize>> = per_run.iter().flatten().collect();
     Ok((0..thresholds.len())
         .map(|k| per_sample.iter().map(|bins| bins[k]).collect())
         .collect())

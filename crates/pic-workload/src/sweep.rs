@@ -54,6 +54,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -528,8 +529,11 @@ fn diff_keys(plan: &SweepPlan, broadcast: bool) -> Vec<(usize, usize)> {
 /// further inside the ghost kernels), and return each group's replay with
 /// the bin cuts made.
 ///
-/// A task is one (group, sample) pair, except that the uncached bin groups
-/// of one sample are one task that walks one [`BinTree`], dropped after
+/// A task is one group over one run of samples from
+/// [`ParticleTrace::read_runs`] (a single sample on `f64` storage; on an
+/// encoded trace, consecutive samples of one keyframe block, read in one
+/// pass so each frame is folded once), except that the uncached bin groups
+/// are one task per run, walking one [`BinTree`] per sample, dropped after
 /// its last walk. Those tasks are the heaviest, so they are handed out
 /// first. A cached group with every radius resident gets no task.
 ///
@@ -571,50 +575,68 @@ pub(crate) fn replay_groups(
     let ids: Vec<usize> = (0..plan.groups.len()).collect();
     let walks_tree = |g: usize| hits[g].is_none() && plan.groups[g].bin_threshold().is_some();
     let (tree_groups, lone): (Vec<usize>, Vec<usize>) = ids.iter().partition(|&&g| walks_tree(g));
-    // Each task: the groups it runs, and the sample's slot `j`.
-    let mut tasks: Vec<(&[usize], usize)> = Vec::new();
+    // The sample at each slot `j`, and the runs of slots read in one pass.
+    let slots: Vec<usize> = full.iter().chain(owner_only).copied().collect();
+    let runs = trace.read_runs(&slots);
+    // Each task: the groups it runs, and a run of slots.
+    let mut tasks: Vec<(&[usize], &Range<usize>)> = Vec::new();
     if !tree_groups.is_empty() {
-        tasks.extend((0..per_group).map(|j| (&tree_groups[..], j)));
+        tasks.extend(runs.iter().map(|js| (&tree_groups[..], js)));
     }
     // A cached group with every radius resident has nothing to run.
     for g in lone
         .into_iter()
         .filter(|&g| hits[g].is_none() || !missing[g].is_empty())
     {
-        tasks.extend((0..per_group).map(|j| (&ids[g..=g], j)));
+        tasks.extend(runs.iter().map(|js| (&ids[g..=g], js)));
     }
-    type Done = ((Option<GroupSample>, Vec<GroupSample>), usize);
+    type Outcomes = (Option<GroupSample>, Vec<GroupSample>);
+    type Done = ((Outcomes, Vec<Outcomes>), usize);
     let done: Vec<Done> = pic_types::pool::install(|| {
         (tasks.par_iter())
-            .map(|&(groups, j)| {
-                let s = full.get(j).copied().unwrap_or_else(|| owner_only[j - nf]);
-                let positions = trace.positions_at(s);
-                let mut tree = SampleTree::new(groups.iter().filter(|&&g| walks_tree(g)).count());
-                let mut run = |g: usize| {
-                    let radii = if j < nf { &missing[g][..] } else { &[][..] };
-                    let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
-                    let keep_index = j < nf && publish.is_some();
-                    let group = &plan.groups[g];
-                    process_group_sample(&positions, group, radii, cached, keep_index, &mut tree)
-                };
-                // A one-group task's outcome comes back unboxed: one small
-                // vector per task, allocated here and freed by the caller's
-                // thread, measurably kept worker heap resident.
-                let outcomes = match groups {
-                    [g] => (Some(run(*g)), Vec::new()),
-                    _ => (None, groups.iter().map(|&g| run(g)).collect()),
-                };
-                (outcomes, tree.cuts())
+            .map(|&(groups, js)| {
+                let mut cuts = 0;
+                let walks = groups.iter().filter(|&&g| walks_tree(g)).count();
+                let reads = js.clone().zip(trace.positions_of(&slots[js.clone()]));
+                let mut outcomes = reads.map(|(j, positions)| {
+                    let s = slots[j];
+                    let mut tree = SampleTree::new(walks);
+                    let mut run = |g: usize| {
+                        let radii = if j < nf { &missing[g][..] } else { &[][..] };
+                        let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
+                        let keep_index = j < nf && publish.is_some();
+                        let group = &plan.groups[g];
+                        process_group_sample(
+                            &positions, group, radii, cached, keep_index, &mut tree,
+                        )
+                    };
+                    // A one-group slot's outcome comes back unboxed, and so
+                    // does a run's first slot, so a one-sample task boxes
+                    // nothing: one small vector per task, allocated here
+                    // and freed by the caller's thread, measurably kept
+                    // worker heap resident.
+                    let outcome = match groups {
+                        [g] => (Some(run(*g)), Vec::new()),
+                        _ => (None, groups.iter().map(|&g| run(g)).collect()),
+                    };
+                    cuts += tree.cuts();
+                    outcome
+                });
+                let first = outcomes.next().expect("a run holds a slot");
+                let rest = outcomes.collect();
+                ((first, rest), cuts)
             })
             .collect()
     });
     let mut bin_cuts = 0;
     let mut outcomes: Vec<Option<GroupSample>> =
         (0..plan.groups.len() * per_group).map(|_| None).collect();
-    for (&(groups, j), ((one, many), cuts)) in tasks.iter().zip(done) {
+    for (&(groups, js), ((first, rest), cuts)) in tasks.iter().zip(done) {
         bin_cuts += cuts;
-        for (&g, o) in groups.iter().zip(one.into_iter().chain(many)) {
-            outcomes[g * per_group + j] = Some(o);
+        for (j, (one, many)) in js.clone().zip(std::iter::once(first).chain(rest)) {
+            for (&g, o) in groups.iter().zip(one.into_iter().chain(many)) {
+                outcomes[g * per_group + j] = Some(o);
+            }
         }
     }
     let mut outcomes = (outcomes.into_iter()).map(|o| {
@@ -1664,6 +1686,41 @@ mod tests {
         assert_same_under_every_pool(&(oracle, expect_stats), || {
             run(&tr, &points, Some(&m)).unwrap()
         });
+    }
+
+    #[test]
+    fn encoded_trace_replays_in_runs_as_its_decoded_samples() {
+        use pic_trace::codec::{decode_trace, Precision};
+        use pic_trace::trace::KEYFRAME_SPACING;
+        // Three keyframe blocks, the last one partial; a strided point
+        // reads every third sample of each block in one run.
+        let tr = make_trace(300, 2 * KEYFRAME_SPACING + 5, 13);
+        let bytes = pic_trace::compact::encode_compact(&tr, Precision::F32).unwrap();
+        let encoded = decode_trace(&bytes).unwrap();
+        let all: Vec<usize> = (0..encoded.sample_count()).collect();
+        assert_eq!(encoded.read_runs(&all).len(), 3);
+        let mut decoded = ParticleTrace::new(encoded.meta().clone());
+        for s in encoded.samples() {
+            decoded.push_sample(s.into_owned()).unwrap();
+        }
+        let m = mesh();
+        let points = vec![
+            SweepPoint::new(WorkloadConfig::new(16, MappingAlgorithm::BinBased, 0.03)),
+            SweepPoint::new(WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05)),
+            SweepPoint::new(WorkloadConfig::new(
+                16,
+                MappingAlgorithm::ElementBased,
+                0.02,
+            )),
+            SweepPoint::with_stride(
+                WorkloadConfig::new(16, MappingAlgorithm::HilbertOrdered, 0.04),
+                3,
+            ),
+        ];
+        let expect = run(&decoded, &points, Some(&m)).unwrap();
+        assert_same_under_every_pool(&expect, || run(&encoded, &points, Some(&m)).unwrap());
+        let series = |tr: &ParticleTrace| generator::unbounded_bin_series(tr, &[0.03, 0.1]);
+        assert_eq!(series(&encoded).unwrap(), series(&decoded).unwrap());
     }
 
     #[test]

@@ -386,8 +386,8 @@ proptest! {
         }
     }
 
-    /// A compact trace read whole keeps grid coordinates and dequantizes
-    /// on read; replaying it answers what replaying an f64 trace of its
+    /// A compact trace read whole keeps its frames encoded and decodes
+    /// them on read; replaying it answers what replaying an f64 trace of its
     /// streamed frames answers, for every mapper, with and without a
     /// reduction plan.
     #[test]

@@ -398,6 +398,7 @@ fn library_cli_and_service_answer_the_same_bytes() {
     let compact_path = path("t.pictrc2");
     pic_trace::compact::save_file(trace, &compact_path, Precision::F32).unwrap();
     let samples = trace.sample_count();
+    let compact = codec::load_file(&compact_path).unwrap();
     for (file, storage, bytes) in [
         (
             &trace_path,
@@ -406,8 +407,8 @@ fn library_cli_and_service_answer_the_same_bytes() {
         ),
         (
             &compact_path,
-            "grid u16",
-            samples * (trace.particle_count() * 6 + 8),
+            "encoded u16, keyframe every 16 frames",
+            compact.resident_bytes(),
         ),
     ] {
         let info = picpredict(&["info", "--trace", file]);
