@@ -36,9 +36,9 @@
 //!   * [`pipeline_model`] — `pic_workload::sweep_streaming`'s
 //!     decoder→workers→merge pipeline shuts down hang- and leak-free
 //!     (`tests/interleavings.rs`);
-//!   * [`serve_model`] — the service's single-flight batching and its
-//!     shutdown handshake are deadlock- and lost-wakeup-free, with a
-//!     seeded-mutant corpus (`tests/serve_protocols.rs`).
+//!   * [`serve_model`] — the service's shutdown handshake is deadlock-
+//!     and lost-wakeup-free, with a seeded-mutant corpus
+//!     (`tests/serve_protocols.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

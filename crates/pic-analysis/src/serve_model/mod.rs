@@ -1,31 +1,25 @@
-//! Explicit-state models of the `picpredict serve` concurrency layer.
+//! Explicit-state model of the `picpredict serve` concurrency layer.
 //!
-//! Two protocols, one model each, both checked by the [`crate::sched`]
-//! explorer with ample-set partial-order reduction and lasso liveness:
-//!
-//! * [`single_flight`] — leader election, follower parking, publish /
-//!   notify / remove ordering, and leader panic/abandonment (the serve
-//!   module's `single_flight` and its `FlightPublisher` drop guard);
-//! * [`shutdown`] — the flag + condvar + accept-poke + drain handshake
-//!   (`ServerState::{begin_shutdown, wait_shutdown}`, the accept loop in
-//!   `Server::start`, and the drain in `Server::cleanup`).
+//! One protocol, checked by the [`crate::sched`] explorer with ample-set
+//! partial-order reduction and lasso liveness: [`shutdown`] — the flag +
+//! condvar + accept-poke + drain handshake
+//! (`ServerState::{begin_shutdown, wait_shutdown}`, the accept loop in
+//! `Server::start`, and the drain in `Server::cleanup`).
 //!
 //! The registry's byte-budgeted LRU accounting is a sequential property
 //! and has no model here: `tests/registry_props.rs` checks it on the real
 //! `TraceRegistry` and `AssignmentCache` over random op sequences.
 //!
-//! [`verify_serve_protocols`] runs each model over a configuration
+//! [`verify_serve_protocols`] runs the model over a configuration
 //! matrix, both reduced and (for reporting) fully expanded, so the
 //! reduction factor is visible. [`serve_mutant_corpus`] runs the seeded
 //! bugs — one per bug class the checker claims to catch — and reports
 //! whether each was *caught*; CI fails if any slips through.
 
 pub mod shutdown;
-pub mod single_flight;
 
 use crate::sched::{explore_with, Exploration, ExploreOptions, ScheduleError};
 use shutdown::{SdMutant, ShutdownModel, ShutdownSpec};
-use single_flight::{SfMutant, SingleFlightModel, SingleFlightSpec};
 
 /// State bound for any single configuration; exceeding it is a checker
 /// bug (the matrix is sized to stay far below).
@@ -39,7 +33,7 @@ const FULL_RUN_CEILING: usize = 60_000;
 /// Result of verifying one model configuration.
 #[derive(Debug, Clone)]
 pub struct ProtocolVerdict {
-    /// Which protocol model (`"single-flight"`, `"shutdown"`).
+    /// Which protocol model (`"shutdown"`).
     pub model: &'static str,
     /// Debug rendering of the configuration explored.
     pub config: String,
@@ -104,27 +98,6 @@ fn verify_one<M: crate::sched::Model>(
     })
 }
 
-/// The single-flight configuration matrix: thread counts around the
-/// interesting contention shapes, compute steps for reduction fodder,
-/// and the panicking-leader path with the abandonment guard in place.
-fn single_flight_matrix() -> Vec<SingleFlightSpec> {
-    let mut specs = Vec::new();
-    for threads in 2..=4 {
-        for &compute_steps in &[0u8, 2] {
-            for &leader_panics in &[false, true] {
-                specs.push(SingleFlightSpec {
-                    threads,
-                    compute_steps,
-                    leader_panics,
-                    abandonment_guard: true,
-                    mutant: SfMutant::None,
-                });
-            }
-        }
-    }
-    specs
-}
-
 /// The shutdown configuration matrix: handler counts and work steps.
 fn shutdown_matrix() -> Vec<ShutdownSpec> {
     let mut specs = Vec::new();
@@ -140,21 +113,11 @@ fn shutdown_matrix() -> Vec<ShutdownSpec> {
     specs
 }
 
-/// Exhaustively verify both serve protocols over their config
-/// matrices: deadlock-free, lost-wakeup-free (liveness lassos), leak-free
+/// Exhaustively verify the serve shutdown protocol over its config
+/// matrix: deadlock-free, lost-wakeup-free (liveness lassos), leak-free
 /// (terminal invariants), with per-config reduced-vs-full state counts.
 pub fn verify_serve_protocols() -> Result<Vec<ProtocolVerdict>, ScheduleError> {
     let mut verdicts = Vec::new();
-    for spec in single_flight_matrix() {
-        verdicts.push(verify_one(
-            &SingleFlightModel { spec },
-            "single-flight",
-            format!(
-                "threads={} compute={} panics={}",
-                spec.threads, spec.compute_steps, spec.leader_panics
-            ),
-        )?);
-    }
     for spec in shutdown_matrix() {
         verdicts.push(verify_one(
             &ShutdownModel { spec },
@@ -189,20 +152,10 @@ fn run_mutant<M: crate::sched::Model>(model: &M, name: &'static str) -> MutantOu
 }
 
 /// Run the seeded-mutant corpus: one representative bug per class the
-/// checker claims to catch (dropped notify, reordered unlock/remove,
-/// leaked table entry, lost wakeup, skipped connection-count decrement,
-/// missing abandonment guard). Every entry must come back `caught` — CI
-/// enforces it.
+/// checker claims to catch (dropped notify, dropped accept poke, lost
+/// wakeup, skipped connection-count decrement). Every entry must come
+/// back `caught` — CI enforces it.
 pub fn serve_mutant_corpus() -> Vec<MutantOutcome> {
-    let sf = |leader_panics, abandonment_guard, mutant| SingleFlightModel {
-        spec: SingleFlightSpec {
-            threads: 3,
-            compute_steps: 1,
-            leader_panics,
-            abandonment_guard,
-            mutant,
-        },
-    };
     let sd = |mutant| ShutdownModel {
         spec: ShutdownSpec {
             handlers: 2,
@@ -211,16 +164,6 @@ pub fn serve_mutant_corpus() -> Vec<MutantOutcome> {
         },
     };
     vec![
-        run_mutant(&sf(true, false, SfMutant::None), "sf-no-abandonment-guard"),
-        run_mutant(&sf(false, true, SfMutant::DropNotify), "sf-drop-notify"),
-        run_mutant(
-            &sf(false, true, SfMutant::SkipTableRemove),
-            "sf-skip-table-remove",
-        ),
-        run_mutant(
-            &sf(false, true, SfMutant::RemoveBeforePublish),
-            "sf-remove-before-publish",
-        ),
         run_mutant(&sd(SdMutant::DropNotify), "shutdown-drop-notify"),
         run_mutant(&sd(SdMutant::DropPoke), "shutdown-drop-poke"),
         run_mutant(&sd(SdMutant::FlagOutsideLock), "shutdown-flag-outside-lock"),
@@ -238,7 +181,7 @@ mod tests {
     #[test]
     fn all_protocols_verify_clean() {
         let verdicts = verify_serve_protocols().unwrap();
-        assert_eq!(verdicts.len(), 12 + 6);
+        assert_eq!(verdicts.len(), 6);
         for v in &verdicts {
             assert!(
                 v.reduced.states > 0,
@@ -276,20 +219,18 @@ mod tests {
     #[test]
     fn every_seeded_mutant_is_caught() {
         let outcomes = serve_mutant_corpus();
-        assert_eq!(outcomes.len(), 8);
+        assert_eq!(outcomes.len(), 4);
         let escaped: Vec<_> = outcomes.iter().filter(|o| !o.caught).collect();
         assert!(escaped.is_empty(), "mutants escaped: {escaped:#?}");
     }
 
     #[test]
-    fn abandonment_deadlock_reports_replayable_schedule() {
-        let m = SingleFlightModel {
-            spec: SingleFlightSpec {
-                threads: 2,
-                compute_steps: 0,
-                leader_panics: true,
-                abandonment_guard: false,
-                mutant: SfMutant::None,
+    fn dropped_notify_deadlock_reports_replayable_schedule() {
+        let m = ShutdownModel {
+            spec: ShutdownSpec {
+                handlers: 1,
+                handler_steps: 0,
+                mutant: SdMutant::DropNotify,
             },
         };
         let err = explore_with(&m, ExploreOptions::new(10_000)).unwrap_err();

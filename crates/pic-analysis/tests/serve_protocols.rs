@@ -1,13 +1,11 @@
 //! CI gate for the serve-layer protocol models (ISSUE 8).
 //!
-//! Through the public `pic-analysis` API: the single-flight and shutdown
-//! configuration matrices must verify clean (deadlock-, lost-wakeup-, and
-//! leak-free), the ample-set reduction must demonstrably shrink the state
-//! space without changing the terminal-state set, and every seeded mutant
-//! in the corpus must be caught.
+//! Through the public `pic-analysis` API: the shutdown configuration
+//! matrix must verify clean (deadlock-, lost-wakeup-, and leak-free), the
+//! ample-set reduction must demonstrably shrink the state space without
+//! changing the terminal-state set, and every seeded mutant in the corpus
+//! must be caught.
 
-use pic_analysis::sched::{explore_with, ExploreOptions};
-use pic_analysis::serve_model::single_flight::{SfMutant, SingleFlightModel, SingleFlightSpec};
 use pic_analysis::{serve_mutant_corpus, verify_serve_protocols};
 
 #[test]
@@ -18,9 +16,8 @@ fn serve_protocol_matrix_verifies_clean() {
         *by_model.entry(v.model).or_insert(0usize) += 1;
         assert!(v.reduced.states > 0);
     }
-    assert_eq!(by_model["single-flight"], 12);
     assert_eq!(by_model["shutdown"], 6);
-    assert_eq!(by_model.len(), 2);
+    assert_eq!(by_model.len(), 1);
 }
 
 #[test]
@@ -49,33 +46,8 @@ fn reduction_shrinks_without_losing_terminals() {
 #[test]
 fn mutant_corpus_is_fully_caught() {
     let outcomes = serve_mutant_corpus();
-    assert_eq!(outcomes.len(), 8);
+    assert_eq!(outcomes.len(), 4);
     for o in outcomes {
         assert!(o.caught, "mutant {} escaped: {}", o.name, o.detail);
     }
-}
-
-#[test]
-fn pre_fix_abandonment_hangs_followers() {
-    // The exact bug satellite 1 fixes, demonstrated on the model: a
-    // panicking leader with no drop guard deadlocks its followers.
-    let model = SingleFlightModel {
-        spec: SingleFlightSpec {
-            threads: 3,
-            compute_steps: 1,
-            leader_panics: true,
-            abandonment_guard: false,
-            mutant: SfMutant::None,
-        },
-    };
-    let err = explore_with(&model, ExploreOptions::new(100_000)).unwrap_err();
-    assert!(err.message.contains("deadlock"), "{err}");
-    // And the guard (the fix) makes the same configuration verify clean.
-    let fixed = SingleFlightModel {
-        spec: SingleFlightSpec {
-            abandonment_guard: true,
-            ..model.spec
-        },
-    };
-    explore_with(&fixed, ExploreOptions::new(100_000)).unwrap();
 }

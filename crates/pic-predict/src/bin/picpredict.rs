@@ -284,12 +284,13 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
     println!("samples:         {}", trace.sample_count());
     println!("sample interval: {} iterations", meta.sample_interval);
     println!("domain:          {}", meta.domain);
-    let storage = match trace.storage().strip_prefix("grid ") {
-        Some(bits) => format!("encoded {bits}, keyframe every {KEYFRAME_SPACING} frames"),
-        None => trace.storage().to_string(),
+    let keyframes = match trace.storage() {
+        "f64" => String::new(),
+        _ => format!(", keyframe every {KEYFRAME_SPACING} frames"),
     };
     println!(
-        "storage:         {storage}, {} bytes resident",
+        "storage:         {}{keyframes}, {} bytes resident",
+        trace.storage(),
         trace.resident_bytes()
     );
     let vols = pic_trace::stats::boundary_volume_series(&trace);
@@ -774,25 +775,41 @@ fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-/// The resident prediction service: bind, announce, serve until a
-/// `POST /shutdown` arrives, then drain connections and exit cleanly.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
-    let mut cfg = pic_predict::ServeConfig::default();
-    if let Some(addr) = flags.get("addr") {
-        cfg.addr = addr.clone();
-    } else {
-        cfg.addr = "127.0.0.1:7070".to_string();
-    }
-    if let Some(mb) = positive_flag::<usize>(flags, "budget-mb")? {
-        cfg.budget_bytes = mb << 20;
+/// `serve`'s flags as a [`pic_predict::ServeConfig`]. A size in MiB whose
+/// byte count does not fit the field is refused, naming the flag, rather
+/// than wrapped.
+fn serve_config(flags: &HashMap<String, String>) -> Result<pic_predict::ServeConfig> {
+    let bytes = |key: &str| -> Result<Option<usize>> {
+        let Some(mb) = positive_flag::<usize>(flags, key)? else {
+            return Ok(None);
+        };
+        let max = usize::MAX >> 20;
+        let refused = || PicError::config(format!("--{key} must be at most {max} MiB, got '{mb}'"));
+        mb.checked_mul(1 << 20).map(Some).ok_or_else(refused)
+    };
+    let mut cfg = pic_predict::ServeConfig {
+        addr: flags
+            .get("addr")
+            .map_or("127.0.0.1:7070", String::as_str)
+            .to_string(),
+        ..pic_predict::ServeConfig::default()
+    };
+    if let Some(bytes) = bytes("budget-mb")? {
+        cfg.budget_bytes = bytes;
     }
     if let Some(ms) = positive_flag(flags, "read-timeout-ms")? {
         cfg.read_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(mb) = positive_flag::<u64>(flags, "max-body-mb")? {
-        cfg.max_body_bytes = mb << 20;
+    if let Some(bytes) = bytes("max-body-mb")? {
+        cfg.max_body_bytes = bytes as u64;
     }
-    let server = pic_predict::Server::start(cfg)?;
+    Ok(cfg)
+}
+
+/// The resident prediction service: bind, announce, serve until a
+/// `POST /shutdown` arrives, then drain connections and exit cleanly.
+fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
+    let server = pic_predict::Server::start(serve_config(flags)?)?;
     println!("picpredict serve listening on http://{}", server.addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -1109,6 +1126,39 @@ mod tests {
         let (_, f64_given) = parse_flags(&argv("x --precision f64"));
         let given = choice_or(&f64_given, "precision", &PRECISIONS, codec::Precision::F32);
         assert_eq!(given.unwrap(), codec::Precision::F64);
+    }
+
+    /// `--budget-mb` and `--max-body-mb` take any positive size whose
+    /// byte count fits, and refuse the next one and 0, naming the flag.
+    #[test]
+    fn serve_sizes_refuse_values_whose_bytes_do_not_fit() {
+        let max = usize::MAX >> 20;
+        let cfg = |flag: &str, mb: usize| {
+            let (_, flags) = parse_flags(&argv(&format!("serve --{flag} {mb}")));
+            serve_config(&flags)
+        };
+        let fits = cfg("budget-mb", max).unwrap();
+        assert_eq!(fits.budget_bytes, max << 20);
+        let fits = cfg("max-body-mb", max).unwrap();
+        assert_eq!(fits.max_body_bytes, (max << 20) as u64);
+        for flag in ["budget-mb", "max-body-mb"] {
+            let err = cfg(flag, max + 1).unwrap_err().to_string();
+            assert!(
+                err.ends_with(&format!(
+                    "--{flag} must be at most {max} MiB, got '{}'",
+                    max + 1
+                )),
+                "{err}"
+            );
+            let err = cfg(flag, 0).unwrap_err().to_string();
+            assert!(
+                err.ends_with(&format!("--{flag} must be a positive integer, got '0'")),
+                "{err}"
+            );
+        }
+        let defaults = cfg("budget-mb", 1).unwrap();
+        assert_eq!(defaults.budget_bytes, 1 << 20);
+        assert_eq!(defaults.addr, "127.0.0.1:7070");
     }
 
     #[test]

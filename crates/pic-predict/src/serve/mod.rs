@@ -22,9 +22,9 @@
 //!   artifacts (mapper pass + region index) across filter radii, strides
 //!   and ghost toggles, the ghost rows of every radius and the migration
 //!   diffs of every stride already asked for, so a repeated grid point
-//!   runs no kernel and no diff at all. Byte-identical in-flight requests
-//!   additionally collapse onto one computation (single-flight batching),
-//!   whose response body the leader and its followers share, uncopied.
+//!   runs no kernel and no diff at all. Identical cold requests that
+//!   arrive together each run their own replay; the cache keeps the first
+//!   insert of each artifact, and every request answers the same bytes.
 //! * **Bit-identical to offline.** A `POST /sweep` response body is
 //!   byte-for-byte the file `picpredict sweep --out` writes for the same
 //!   grid — both run [`Request::sweep`] and render it straight to text
@@ -62,13 +62,11 @@ use crate::kernel_models::KernelModels;
 use crate::request::{self, grid_to_json, Raw, Request, Transport};
 use http::HttpError;
 use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
-use pic_types::hash::fnv1a_128;
-use pic_types::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
+use pic_types::sync::{TrackedCondvar, TrackedMutex};
 use pic_types::{PicError, Result};
 use pic_workload::ReplayOptions;
 use registry::TraceRegistry;
 use serde::Value;
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -86,14 +84,8 @@ use std::time::Duration;
 pub(crate) mod lock_order {
     /// `TraceRegistry::inner` — the outermost serve lock.
     pub const REGISTRY: u32 = 10;
-    /// `ServerState::inflight` — the single-flight table.
-    pub const INFLIGHT: u32 = 20;
-    /// `Flight::done` — one in-flight computation's result slot.
-    pub const FLIGHT_DONE: u32 = 30;
     /// `ServerState::shutdown` — the shutdown flag.
     pub const SHUTDOWN: u32 = 40;
-    /// `ServerState::addr` — the bound-address cell.
-    pub const ADDR: u32 = 50;
     /// `PlanCache::inner` — a resident trace's reduction-plan map. Sits
     /// above the `pic-workload` assignment cache (level 100) because the
     /// registry weighs both sequentially under its own lock when
@@ -128,72 +120,37 @@ impl Default for ServeConfig {
     }
 }
 
-/// A response: status and body. The body is shared, never copied, between
-/// a flight's leader and its followers.
-type Response = (u16, Arc<String>);
+/// A response: status and body. The handler's body is written to the
+/// socket as it is, never copied.
+type Response = (u16, String);
 
-/// One single-flight computation: followers park on the condvar until the
-/// leader publishes `(status, body)`.
-struct Flight {
-    done: TrackedMutex<Option<Response>>,
-    cv: TrackedCondvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            done: TrackedMutex::new("serve.flight.done", lock_order::FLIGHT_DONE, None),
-            cv: TrackedCondvar::new(),
-        }
-    }
-}
-
-/// Shared server state. `Send + Sync`: the registry and flight table are
-/// mutex-guarded, counters are atomics, and request handlers only hold
-/// `Arc`s into registry entries while computing.
-pub struct ServerState {
+/// Shared server state. `Send + Sync`: the registry and the shutdown flag
+/// are mutex-guarded, counters are atomics, the bound address is fixed
+/// before the state is shared, and request handlers only hold `Arc`s into
+/// registry entries while computing.
+struct ServerState {
     cfg: ServeConfig,
     registry: TraceRegistry,
-    inflight: TrackedMutex<HashMap<u128, Arc<Flight>>>,
     requests: AtomicU64,
     errors: AtomicU64,
-    batched: AtomicU64,
     active_connections: AtomicUsize,
     shutdown: TrackedMutex<bool>,
     shutdown_cv: TrackedCondvar,
-    addr: TrackedRwLock<Option<SocketAddr>>,
+    addr: SocketAddr,
 }
 
 impl ServerState {
-    fn new(cfg: ServeConfig) -> ServerState {
+    fn new(cfg: ServeConfig, addr: SocketAddr) -> ServerState {
         ServerState {
             registry: TraceRegistry::new(cfg.budget_bytes),
             cfg,
-            inflight: TrackedMutex::new("serve.inflight", lock_order::INFLIGHT, HashMap::new()),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
             active_connections: AtomicUsize::new(0),
             shutdown: TrackedMutex::new("serve.shutdown", lock_order::SHUTDOWN, false),
             shutdown_cv: TrackedCondvar::new(),
-            addr: TrackedRwLock::new("serve.addr", lock_order::ADDR, None),
+            addr,
         }
-    }
-
-    /// The trace/model registry (exposed for tests and stats).
-    pub fn registry(&self) -> &TraceRegistry {
-        &self.registry
-    }
-
-    /// Request counters since startup: `(requests, errors, batched)`.
-    /// `batched` counts requests that rode an identical in-flight
-    /// computation instead of running their own.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.batched.load(Ordering::Relaxed),
-        )
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -210,9 +167,7 @@ impl ServerState {
         }
         self.shutdown_cv.notify_all();
         // Poke the accept loop out of its blocking accept.
-        if let Some(addr) = *self.addr.read() {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
     }
 
     fn wait_shutdown(&self) {
@@ -239,8 +194,7 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| PicError::config(format!("cannot resolve bound address: {e}")))?;
-        let state = Arc::new(ServerState::new(cfg));
-        *state.addr.write() = Some(addr);
+        let state = Arc::new(ServerState::new(cfg, addr));
         let accept_state = Arc::clone(&state);
         let accept_thread = std::thread::spawn(move || {
             for conn in listener.incoming() {
@@ -268,14 +222,8 @@ impl Server {
         self.addr
     }
 
-    /// Shared state handle (stats inspection in tests and benches).
-    pub fn state(&self) -> Arc<ServerState> {
-        Arc::clone(&self.state)
-    }
-
-    /// Block until `POST /shutdown` (or [`Server::shutdown`] from another
-    /// thread via the state handle), then drain connections and join the
-    /// accept loop.
+    /// Block until `POST /shutdown` arrives, then drain connections and
+    /// join the accept loop.
     pub fn run_to_completion(mut self) {
         self.state.wait_shutdown();
         self.cleanup();
@@ -366,7 +314,7 @@ fn route(
     head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<Response, HttpError> {
-    let unshared = match (head.method.as_str(), head.path.as_str()) {
+    match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/healthz") => Ok((200, "{\"ok\":true}".to_string())),
         ("GET", "/stats") => handle_stats(state),
         ("GET", "/traces") => handle_list_traces(state),
@@ -375,19 +323,10 @@ fn route(
             Ok((200, "{\"ok\":true,\"shutting_down\":true}".to_string()))
         }
         ("POST", "/traces") => handle_ingest_trace(state, head, reader),
-        ("POST", "/models") => {
-            let body = read_json_body(state, head, reader)?;
-            handle_ingest_models(state, &body)
-        }
-        ("POST", path @ ("/sweep" | "/predict" | "/check")) => {
-            let body = read_json_body(state, head, reader)?;
-            let key = flight_key(path, &body);
-            return single_flight(state, key, || match path {
-                "/sweep" => handle_sweep(state, &body),
-                "/predict" => handle_predict(state, &body),
-                _ => handle_check(state, &body),
-            });
-        }
+        ("POST", "/models") => handle_ingest_models(state, &read_json_body(state, head, reader)?),
+        ("POST", "/sweep") => handle_sweep(state, &read_json_body(state, head, reader)?),
+        ("POST", "/predict") => handle_predict(state, &read_json_body(state, head, reader)?),
+        ("POST", "/check") => handle_check(state, &read_json_body(state, head, reader)?),
         (
             _,
             "/healthz" | "/stats" | "/traces" | "/shutdown" | "/sweep" | "/predict" | "/check"
@@ -397,8 +336,7 @@ fn route(
             format!("method {} not allowed on {}", head.method, head.path),
         )),
         (_, path) => Err(HttpError::new(404, format!("no such endpoint {path}"))),
-    };
-    unshared.map(|(status, body)| (status, Arc::new(body)))
+    }
 }
 
 fn read_json_body(
@@ -421,124 +359,23 @@ fn read_json_body(
     http::read_body(reader, len)
 }
 
-fn flight_key(path: &str, body: &[u8]) -> u128 {
-    let mut keyed = Vec::with_capacity(path.len() + 1 + body.len());
-    keyed.extend_from_slice(path.as_bytes());
-    keyed.push(0);
-    keyed.extend_from_slice(body);
-    fnv1a_128(&keyed)
-}
-
-/// Publishes a flight's result exactly once, even if the leader panics.
-///
-/// The leader's obligation — publish, wake followers, clear the table
-/// entry — is owed no matter how the compute ends. If the leader unwinds
-/// before [`FlightPublisher::publish`] runs (the abandonment bug the
-/// single-flight model in `pic-analysis::serve_model` proves deadlocks
-/// followers), `Drop` publishes a 500 so every parked follower gets a
-/// response and a later request can elect a fresh leader.
-struct FlightPublisher<'a> {
-    state: &'a ServerState,
-    key: u128,
-    flight: &'a Flight,
-    published: bool,
-}
-
-impl FlightPublisher<'_> {
-    fn publish(&mut self, outcome: Response) {
-        *self.flight.done.lock() = Some(outcome);
-        self.flight.cv.notify_all();
-        self.state.inflight.lock().remove(&self.key);
-        self.published = true;
-    }
-}
-
-impl Drop for FlightPublisher<'_> {
-    fn drop(&mut self) {
-        if !self.published {
-            self.state.errors.fetch_add(1, Ordering::Relaxed);
-            self.publish((
-                500,
-                Arc::new(
-                    "{\"error\":{\"status\":500,\"message\":\"request computation \
-                     abandoned: the leading request panicked before publishing\"}}"
-                        .to_string(),
-                ),
-            ));
-        }
-    }
-}
-
-/// Collapse byte-identical in-flight requests onto one computation: the
-/// first arrival computes, later arrivals park and share the response —
-/// the leader's body itself, behind an `Arc`, so publishing copies nothing
-/// whether or not anyone follows.
-fn single_flight(
-    state: &ServerState,
-    key: u128,
-    compute: impl FnOnce() -> std::result::Result<(u16, String), HttpError>,
-) -> std::result::Result<Response, HttpError> {
-    let (flight, leader) = {
-        let mut tbl = state.inflight.lock();
-        match tbl.get(&key) {
-            Some(f) => (Arc::clone(f), false),
-            None => {
-                let f = Arc::new(Flight::new());
-                tbl.insert(key, Arc::clone(&f));
-                (f, true)
-            }
-        }
-    };
-    if leader {
-        let mut publisher = FlightPublisher {
-            state,
-            key,
-            flight: &flight,
-            published: false,
-        };
-        let outcome = compute().map(|(status, body)| (status, Arc::new(body)));
-        let published = match &outcome {
-            Ok(ok) => ok.clone(),
-            Err(e) => (
-                e.status,
-                Arc::new(format!(
-                    "{{\"error\":{{\"status\":{},\"message\":{}}}}}",
-                    e.status,
-                    http::json_escape(&e.message)
-                )),
-            ),
-        };
-        publisher.publish(published);
-        outcome
-    } else {
-        state.batched.fetch_add(1, Ordering::Relaxed);
-        let done = flight.done.lock();
-        let done = flight.cv.wait_while(done, |d| d.is_none());
-        let (status, body) = done
-            .clone()
-            .expect("wait_while guarantees a published result");
-        Ok((status, body))
-    }
-}
-
 // -------------------------------------------------------------- handlers
 
-fn handle_stats(state: &ServerState) -> std::result::Result<(u16, String), HttpError> {
+fn handle_stats(state: &ServerState) -> std::result::Result<Response, HttpError> {
     let reg = serde_json::to_string(&state.registry.stats())
         .map_err(|e| HttpError::new(500, format!("stats serialization: {e}")))?;
     let cache = serde_json::to_string(&state.registry.aggregate_cache_stats())
         .map_err(|e| HttpError::new(500, format!("stats serialization: {e}")))?;
     let body = format!(
-        "{{\"requests\":{},\"errors\":{},\"batched\":{},\"budget_bytes\":{},\"registry\":{reg},\"sweep_cache\":{cache}}}",
+        "{{\"requests\":{},\"errors\":{},\"budget_bytes\":{},\"registry\":{reg},\"sweep_cache\":{cache}}}",
         state.requests.load(Ordering::Relaxed),
         state.errors.load(Ordering::Relaxed),
-        state.batched.load(Ordering::Relaxed),
         state.cfg.budget_bytes,
     );
     Ok((200, body))
 }
 
-fn handle_list_traces(state: &ServerState) -> std::result::Result<(u16, String), HttpError> {
+fn handle_list_traces(state: &ServerState) -> std::result::Result<Response, HttpError> {
     let rows: Vec<String> = state
         .registry
         .list_traces()
@@ -557,7 +394,7 @@ fn handle_ingest_trace(
     state: &ServerState,
     head: &http::Request,
     reader: &mut BufReader<TcpStream>,
-) -> std::result::Result<(u16, String), HttpError> {
+) -> std::result::Result<Response, HttpError> {
     let len = head
         .content_length
         .ok_or_else(|| HttpError::new(411, "Content-Length required for trace ingest"))?;
@@ -616,7 +453,7 @@ fn handle_ingest_trace(
 fn handle_ingest_models(
     state: &ServerState,
     body: &[u8],
-) -> std::result::Result<(u16, String), HttpError> {
+) -> std::result::Result<Response, HttpError> {
     let text = std::str::from_utf8(body)
         .map_err(|e| HttpError::new(400, format!("models body is not UTF-8: {e}")))?;
     // from_json runs the full admission pass: corrupt or degenerate
@@ -686,7 +523,7 @@ fn semantic(e: PicError) -> HttpError {
     HttpError::new(422, format!("{e}"))
 }
 
-fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
+fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
     let (fields, req) = parse_request("/sweep", body)?;
     let address = address(&fields, "trace")?;
     let (trace, cache) = resolve_trace(state, address)?;
@@ -736,10 +573,7 @@ fn reduction_plan(
     }
 }
 
-fn handle_predict(
-    state: &ServerState,
-    body: &[u8],
-) -> std::result::Result<(u16, String), HttpError> {
+fn handle_predict(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
     let (fields, req) = parse_request("/predict", body)?;
     let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
     let models = address(&fields, "models")?;
@@ -762,7 +596,7 @@ fn handle_predict(
     Ok((200, prediction.to_string()))
 }
 
-fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, String), HttpError> {
+fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
     let (fields, req) = parse_request("/check", body)?;
     let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
     let mesh = req.element_mesh(trace.meta().domain).map_err(semantic)?;
@@ -788,6 +622,13 @@ fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<(u16, S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn state() -> ServerState {
+        ServerState::new(
+            ServeConfig::default(),
+            SocketAddr::from(([127, 0, 0, 1], 0)),
+        )
+    }
 
     /// Three-phase synthetic trace (clouds parked in distinct corners,
     /// jittered) — the clustering-friendly shape the simpoint unit tests
@@ -836,7 +677,7 @@ mod tests {
     /// request reuses the resident plan instead of re-clustering.
     #[test]
     fn reduced_sweep_serves_and_caches_plan() {
-        let state = ServerState::new(ServeConfig::default());
+        let state = state();
         state.registry.insert_trace("tt", phased_trace(80, 6), 1);
         let body =
             br#"{"trace":"tt","ranks":[8],"reduced":true,"reduced_k":3,"reduced_budget":1.0}"#;
@@ -858,7 +699,7 @@ mod tests {
     /// does not offer it.
     #[test]
     fn reduced_sweep_rejects_strides() {
-        let state = ServerState::new(ServeConfig::default());
+        let state = state();
         state.registry.insert_trace("tt", phased_trace(40, 4), 1);
         let body =
             br#"{"trace":"tt","ranks":[8],"strides":[1,2],"reduced":true,"reduced_budget":1.0}"#;
@@ -872,7 +713,7 @@ mod tests {
     /// full and the reduced path alike.
     #[test]
     fn sweep_refuses_stride_zero_on_both_paths() {
-        let state = ServerState::new(ServeConfig::default());
+        let state = state();
         state.registry.insert_trace("tt", phased_trace(40, 4), 1);
         for reduced in [false, true] {
             let body = format!(
@@ -893,7 +734,7 @@ mod tests {
     /// point — the reduced path never ships an unguarded reconstruction.
     #[test]
     fn reduced_sweep_budget_breach_is_422() {
-        let state = ServerState::new(ServeConfig::default());
+        let state = state();
         state.registry.insert_trace("tt", phased_trace(80, 6), 1);
         // K=1 on a three-phase trace cannot reconstruct peaks exactly;
         // a zero budget requires exactly that.
@@ -902,108 +743,6 @@ mod tests {
         let err = handle_sweep(&state, body).unwrap_err();
         assert_eq!(err.status, 422, "{}", err.message);
         assert!(err.message.contains("error-budget"), "{}", err.message);
-        pic_types::sync::assert_witness_clean();
-    }
-
-    /// A panicking leader must not strand its followers: the drop guard
-    /// publishes a 500, wakes every parked follower, and clears the
-    /// inflight table. Mirrors the `sf-no-abandonment-guard` mutant in
-    /// the pic-analysis model, on the real primitives.
-    #[test]
-    fn abandoned_leader_unparks_followers_with_500() {
-        let state = Arc::new(ServerState::new(ServeConfig::default()));
-        let key = 42u128;
-
-        let leader_state = Arc::clone(&state);
-        let leader = std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                single_flight(&leader_state, key, || {
-                    // Hold the flight open until a follower has joined,
-                    // so the follower deterministically parks on an
-                    // unpublished slot.
-                    while leader_state.batched.load(Ordering::Relaxed) == 0 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    panic!("leader dies mid-compute");
-                })
-            }));
-            assert!(result.is_err(), "leader must observe its own panic");
-        });
-
-        // Wait for the flight to be registered before joining as follower.
-        while state.inflight.lock().is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let follower_state = Arc::clone(&state);
-        let follower = std::thread::spawn(move || {
-            single_flight(&follower_state, key, || {
-                panic!("follower must never be elected while the flight is registered")
-            })
-        });
-
-        let (status, body) = follower.join().unwrap().unwrap();
-        assert_eq!(status, 500);
-        assert!(body.contains("abandoned"), "{body}");
-        leader.join().unwrap();
-
-        // The abandonment counted as an error and the table is clean.
-        assert_eq!(state.counters().1, 1);
-        assert!(state.inflight.lock().is_empty());
-        pic_types::sync::assert_witness_clean();
-    }
-
-    /// After an abandonment the key is no longer in flight: the next
-    /// request for the same bytes elects a fresh leader and computes.
-    #[test]
-    fn fresh_leader_after_abandonment() {
-        let state = Arc::new(ServerState::new(ServeConfig::default()));
-        let key = 7u128;
-        let panicking = Arc::clone(&state);
-        std::thread::spawn(move || {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                single_flight(&panicking, key, || panic!("first leader dies"))
-            }));
-        })
-        .join()
-        .unwrap();
-        assert!(state.inflight.lock().is_empty());
-
-        let (status, body) =
-            single_flight(&state, key, || Ok((200, "\"recomputed\"".to_string()))).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body.as_str(), "\"recomputed\"");
-        pic_types::sync::assert_witness_clean();
-    }
-
-    /// The ordinary path: one leader computes, a follower shares the
-    /// response — the leader's own allocation, not a copy — and is counted
-    /// as batched.
-    #[test]
-    fn follower_shares_leader_response() {
-        let state = Arc::new(ServerState::new(ServeConfig::default()));
-        let key = 9u128;
-        let leader_state = Arc::clone(&state);
-        let leader = std::thread::spawn(move || {
-            single_flight(&leader_state, key, || {
-                while leader_state.batched.load(Ordering::Relaxed) == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok((200, "\"shared\"".to_string()))
-            })
-        });
-        while state.inflight.lock().is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let follower_state = Arc::clone(&state);
-        let follower = std::thread::spawn(move || {
-            single_flight(&follower_state, key, || unreachable!("must batch"))
-        });
-        let (status, followed) = follower.join().unwrap().unwrap();
-        assert_eq!((status, followed.as_str()), (200, "\"shared\""));
-        let (status, led) = leader.join().unwrap().unwrap();
-        assert_eq!((status, led.as_str()), (200, "\"shared\""));
-        assert!(Arc::ptr_eq(&followed, &led), "the follower got a copy");
-        assert_eq!(state.counters().2, 1);
         pic_types::sync::assert_witness_clean();
     }
 }

@@ -468,15 +468,14 @@ impl ParticleTrace {
     }
 
     /// How the samples are held: `"f64"` positions (raw files and traces
-    /// built in memory), or the grid an f32 / f64 compact file's encoded
-    /// frames lie on, `"grid u16"` / `"grid u32"` (`picpredict info` calls
-    /// that storage `encoded u16` / `encoded u32`, with the
-    /// [`KEYFRAME_SPACING`]).
+    /// built in memory), or an f32 / f64 compact file's encoded frames on
+    /// their 16- or 32-bit grid, `"encoded u16"` / `"encoded u32"`, with a
+    /// decoded keyframe every [`KEYFRAME_SPACING`] frames.
     pub fn storage(&self) -> &'static str {
         match &self.frames {
             Frames::F64(_) => "f64",
-            Frames::U16(_) => "grid u16",
-            Frames::U32(_) => "grid u32",
+            Frames::U16(_) => "encoded u16",
+            Frames::U32(_) => "encoded u32",
         }
     }
 
@@ -846,7 +845,7 @@ mod tests {
     #[test]
     fn grid_storage_reports_its_size() {
         let tr = grid_trace();
-        assert_eq!(tr.storage(), "grid u16");
+        assert_eq!(tr.storage(), "encoded u16");
         let mut f64_trace = ParticleTrace::new(meta(5));
         f64_trace.push_positions(pos(5, 0.1)).unwrap();
         assert_eq!(f64_trace.storage(), "f64");

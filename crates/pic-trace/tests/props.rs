@@ -112,7 +112,7 @@ proptest! {
         stride in 1usize..4,
         keep in 0usize..2 * K + 4,
     ) {
-        for (precision, storage) in [(Precision::F64, "grid u32"), (Precision::F32, "grid u16")] {
+        for (precision, storage) in [(Precision::F64, "encoded u32"), (Precision::F32, "encoded u16")] {
             let bytes = encode_compact(&tr, precision).unwrap();
             let resident = decode_trace(&bytes).unwrap();
             prop_assert_eq!(resident.storage(), storage);

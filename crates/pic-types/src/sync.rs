@@ -1,11 +1,11 @@
 //! Lock-order witness primitives (DESIGN.md §14).
 //!
-//! [`TrackedMutex`], [`TrackedCondvar`], and [`TrackedRwLock`] wrap their
-//! `std::sync` counterparts with two behavioral changes and one pile of
-//! debug-only instrumentation:
+//! [`TrackedMutex`] and [`TrackedCondvar`] wrap their `std::sync`
+//! counterparts with two behavioral changes and one pile of debug-only
+//! instrumentation:
 //!
-//! * **Poison recovery everywhere.** `lock()` / `read()` / `write()`
-//!   never panic on a poisoned lock: a panic in one critical section must
+//! * **Poison recovery everywhere.** `lock()` and `wait_while()` never
+//!   panic on a poisoned lock: a panic in one critical section must
 //!   not cascade into killing every later thread that touches the same
 //!   lock (the resident service's "one panicked handler kills every
 //!   subsequent connection" failure mode). Recoveries are counted in the
@@ -14,10 +14,9 @@
 //!   at every await-free step — the contract every serve critical section
 //!   already meets (bookkeeping only, never partial multi-step updates).
 //! * **Predicate-checked waits.** [`TrackedCondvar::wait_while`] is the
-//!   blessed waiting API: the predicate re-check on every wakeup is what
-//!   makes lost and spurious wakeups harmless. A raw
-//!   [`TrackedCondvar::wait_unchecked`] exists for completeness but is
-//!   flagged as a lost-wakeup hazard in the witness report.
+//!   only way to wait: the predicate re-check on every wakeup is what
+//!   makes lost and spurious wakeups harmless, and there is no raw wait
+//!   that could skip it.
 //! * **Debug-build lock-order witness.** Every tracked lock belongs to a
 //!   *class* — a `(name, level)` pair. In debug/test builds each
 //!   acquisition records, per thread, the stack of held classes and
@@ -38,11 +37,10 @@
 //!
 //! The declared workspace hierarchy lives with the locks themselves
 //! (levels are arguments to the constructors); DESIGN.md §14 tabulates
-//! it. Current levels: `serve.registry` (10) < `serve.inflight` (20) <
-//! `serve.flight.done` (30) < `serve.shutdown` (40) < `serve.addr` (50)
-//! < `workload.assignment_cache` (100, leaf).
+//! it. Current levels: `serve.registry` (10) < `serve.shutdown` (40) <
+//! `workload.assignment_cache` (100) < `serve.plan_cache` (110).
 
-use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Snapshot of the witness: classes, graph edges, counters, violations.
 ///
@@ -54,14 +52,11 @@ pub struct WitnessReport {
     pub classes: Vec<(String, u32)>,
     /// Observed held→acquired edges of the lock-order graph, by name.
     pub edges: Vec<(String, String)>,
-    /// Tracked acquisitions (mutex locks + rwlock reads/writes).
+    /// Tracked mutex acquisitions.
     pub acquisitions: u64,
     /// Poisoned-lock recoveries (a panic happened under the lock and a
     /// later acquisition recovered instead of cascading).
     pub poison_recoveries: u64,
-    /// Condvar waits taken through [`TrackedCondvar::wait_unchecked`] —
-    /// each one is a lost-wakeup hazard (no predicate re-check).
-    pub unchecked_waits: u64,
     /// Recorded violations: declared-order breaches, lock-order-graph
     /// cycles, and parallel-pool entries made while holding a lock.
     pub violations: Vec<String>,
@@ -86,7 +81,6 @@ mod witness {
         adj: Vec<Vec<usize>>,
         acquisitions: u64,
         poison_recoveries: u64,
-        unchecked_waits: u64,
         violations: Vec<String>,
         dropped_violations: u64,
     }
@@ -215,10 +209,6 @@ mod witness {
         state().poison_recoveries += 1;
     }
 
-    pub(super) fn note_unchecked_wait() {
-        state().unchecked_waits += 1;
-    }
-
     pub(super) fn note_parallel_entry(context: &'static str) {
         let held = HELD.with(|h| h.borrow().clone());
         if held.is_empty() {
@@ -260,7 +250,6 @@ mod witness {
             edges,
             acquisitions: st.acquisitions,
             poison_recoveries: st.poison_recoveries,
-            unchecked_waits: st.unchecked_waits,
             violations,
         }
     }
@@ -418,9 +407,8 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
 
 // ----------------------------------------------------------- TrackedCondvar
 
-/// A [`Condvar`] whose blessed waiting API re-checks a predicate on every
-/// wakeup ([`TrackedCondvar::wait_while`]); raw waits are flagged as
-/// lost-wakeup hazards in the witness.
+/// A [`Condvar`] whose only waiting API re-checks a predicate on every
+/// wakeup ([`TrackedCondvar::wait_while`]).
 #[derive(Default)]
 pub struct TrackedCondvar {
     inner: Condvar,
@@ -436,12 +424,6 @@ impl TrackedCondvar {
     #[inline]
     pub fn notify_all(&self) {
         self.inner.notify_all();
-    }
-
-    /// Wake one waiter.
-    #[inline]
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
     }
 
     /// Block until `condition` returns `false` (same contract as
@@ -485,168 +467,11 @@ impl TrackedCondvar {
             }
         }
     }
-
-    /// A raw wait with **no predicate re-check** — every call is recorded
-    /// as a lost-wakeup hazard in the witness. Exists so callers with an
-    /// out-of-band predicate can still be counted; new code should use
-    /// [`TrackedCondvar::wait_while`].
-    pub fn wait_unchecked<'a, T>(
-        &self,
-        guard: TrackedMutexGuard<'a, T>,
-    ) -> TrackedMutexGuard<'a, T> {
-        #[cfg(debug_assertions)]
-        {
-            witness::note_unchecked_wait();
-            let mut guard = guard;
-            let class = guard.class;
-            let inner = guard.inner.take().expect("guard still held");
-            witness::release(class);
-            let inner = self.inner.wait(inner).unwrap_or_else(|p| {
-                witness::note_poison_recovery();
-                p.into_inner()
-            });
-            witness::after_acquire(class);
-            TrackedMutexGuard {
-                inner: Some(inner),
-                class,
-            }
-        }
-        #[cfg(not(debug_assertions))]
-        {
-            TrackedMutexGuard {
-                inner: self
-                    .inner
-                    .wait(guard.inner)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for TrackedCondvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TrackedCondvar")
-    }
-}
-
-// ------------------------------------------------------------ TrackedRwLock
-
-/// An [`RwLock`] with poison recovery and (in debug builds) lock-order
-/// witnessing. Read and write acquisitions share one class: the witness
-/// is conservative — a same-class read-under-read is flagged even though
-/// it only deadlocks when a writer is queued between the two.
-pub struct TrackedRwLock<T> {
-    inner: RwLock<T>,
-    #[cfg(debug_assertions)]
-    class: usize,
-}
-
-/// Shared-read guard returned by [`TrackedRwLock::read`].
-pub struct TrackedReadGuard<'a, T> {
-    inner: RwLockReadGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    class: usize,
-}
-
-/// Exclusive guard returned by [`TrackedRwLock::write`].
-pub struct TrackedWriteGuard<'a, T> {
-    inner: RwLockWriteGuard<'a, T>,
-    #[cfg(debug_assertions)]
-    class: usize,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// A tracked rwlock of class `name` at `level` (see
-    /// [`TrackedMutex::new`]).
-    pub fn new(name: &'static str, level: u32, value: T) -> TrackedRwLock<T> {
-        #[cfg(not(debug_assertions))]
-        let _ = (name, level);
-        TrackedRwLock {
-            inner: RwLock::new(value),
-            #[cfg(debug_assertions)]
-            class: witness::register(name, level),
-        }
-    }
-
-    /// Acquire shared, recovering a poisoned lock instead of panicking.
-    #[inline]
-    pub fn read(&self) -> TrackedReadGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        witness::before_acquire(self.class);
-        let inner = self
-            .inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        witness::after_acquire(self.class);
-        TrackedReadGuard {
-            inner,
-            #[cfg(debug_assertions)]
-            class: self.class,
-        }
-    }
-
-    /// Acquire exclusive, recovering a poisoned lock instead of panicking.
-    #[inline]
-    pub fn write(&self) -> TrackedWriteGuard<'_, T> {
-        #[cfg(debug_assertions)]
-        witness::before_acquire(self.class);
-        let inner = self
-            .inner
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        witness::after_acquire(self.class);
-        TrackedWriteGuard {
-            inner,
-            #[cfg(debug_assertions)]
-            class: self.class,
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for TrackedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrackedRwLock")
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-impl<T> std::ops::Deref for TrackedReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::Deref for TrackedWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> std::ops::DerefMut for TrackedWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for TrackedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        witness::release(self.class);
-    }
-}
-
-#[cfg(debug_assertions)]
-impl<T> Drop for TrackedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        witness::release(self.class);
     }
 }
 
@@ -780,26 +605,6 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    fn unchecked_wait_is_flagged_as_hazard() {
-        let m = Arc::new(TrackedMutex::new("test.cv.raw", 3001, false));
-        let cv = Arc::new(TrackedCondvar::new());
-        let before = witness_report().unchecked_waits;
-        let (m2, cv2) = (Arc::clone(&m), Arc::clone(&cv));
-        let waiter = std::thread::spawn(move || {
-            let mut g = m2.lock();
-            while !*g {
-                g = cv2.wait_unchecked(g);
-            }
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        *m.lock() = true;
-        cv.notify_all();
-        waiter.join().unwrap();
-        assert!(witness_report().unchecked_waits > before);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
     fn parallel_entry_while_holding_lock_is_recorded() {
         let m = TrackedMutex::new("test.pool.held", 4000, ());
         let _g = m.lock();
@@ -812,14 +617,6 @@ mod tests {
             "{:?}",
             r.violations
         );
-    }
-
-    #[test]
-    fn rwlock_read_write_roundtrip() {
-        let l = TrackedRwLock::new("test.rw", 5000, 1u8);
-        assert_eq!(*l.read(), 1);
-        *l.write() = 2;
-        assert_eq!(*l.read(), 2);
     }
 
     #[test]

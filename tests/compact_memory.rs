@@ -86,7 +86,7 @@ fn a_reduced_replay_of_a_compact_trace_holds_no_decoded_copy() {
 
     let before = vm_hwm();
     let trace = load_file_any(&path).unwrap();
-    assert_eq!(trace.storage(), "grid u16");
+    assert_eq!(trace.storage(), "encoded u16");
     let opts = SimpointOptions {
         k: Some(PHASES),
         ..SimpointOptions::default()

@@ -6,8 +6,8 @@
 //!
 //! In debug builds every serve-layer lock is a tracked primitive, so each
 //! test doubles as a lock-order-witness run over real concurrent traffic:
-//! the suite asserts at the end of every test that no ordering violation,
-//! lock cycle, or unchecked condvar wait was recorded.
+//! the suite asserts at the end of every test that no ordering violation
+//! or lock cycle was recorded.
 
 use pic_des::{MachineSpec, SyncMode};
 use pic_mapping::MappingAlgorithm;
@@ -205,8 +205,7 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     );
     let (status, served) = request(addr, "POST", "/predict", predict_body.as_bytes());
     assert_eq!(status, 200, "{served}");
-    // A prediction is a function of its request: asked again once the
-    // first answer is back (so single-flight shares nothing), the body
+    // A prediction is a function of its request: asked again, the body
     // is the same bytes — nothing in it is read off a clock.
     let (status, again) = request(addr, "POST", "/predict", predict_body.as_bytes());
     assert_eq!(status, 200, "{again}");
@@ -787,6 +786,123 @@ fn a_repeated_sweep_is_answered_from_cached_ghost_rows() {
         ((computed, computed, rows), (diffed, diffed, sets))
     );
     server.shutdown();
+    pic_types::sync::assert_witness_clean();
+}
+
+/// Send `body` to `path` from `clients` threads that start together, or one
+/// request after another when `serial`; the answers in sending order.
+fn fire(
+    addr: SocketAddr,
+    path: &str,
+    body: &str,
+    clients: usize,
+    serial: bool,
+) -> Vec<(u16, String)> {
+    if serial {
+        return (0..clients)
+            .map(|_| request(addr, "POST", path, body.as_bytes()))
+            .collect();
+    }
+    let start = std::sync::Barrier::new(clients);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    request(addr, "POST", path, body.as_bytes())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// Identical cold requests that arrive together each run their own
+/// replay, and the assignment cache keeps the first insert of each
+/// artifact. Four threads fire the same cold multi-group `/sweep` (strides
+/// 1 and 2, so migration diffs are published too), then the same cold
+/// `/predict`: every answer is the offline bytes, the cache holds one
+/// entry per assignment group, and the registry weighs what it weighs on
+/// a server that answered the same requests one at a time.
+#[test]
+fn identical_cold_requests_in_parallel_answer_the_offline_bytes() {
+    const CLIENTS: usize = 4;
+    let trace = make_trace(31);
+    let encoded = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let records = pic_sim::benchmark_kernels(&pic_sim::SweepConfig::default()).unwrap();
+    let fitted = KernelModels::fit(&records, &pic_predict::FitStrategy::Linear, 1).unwrap();
+    let models_json = fitted.to_json();
+    let models = KernelModels::from_json(&models_json).unwrap();
+
+    let spec = SweepGridSpec {
+        mappings: vec![MappingAlgorithm::BinBased, MappingAlgorithm::ElementBased],
+        ranks: vec![4, 8],
+        filters: vec![0.02, 0.05],
+        strides: vec![1, 2],
+        compute_ghosts: true,
+    };
+    let points = spec.points();
+    let mesh =
+        pic_grid::ElementMesh::new(trace.meta().domain, pic_grid::MeshDims::cube(4), 3).unwrap();
+    let opts = pic_workload::ReplayOptions::new(Some(&mesh), None, None);
+    let (workloads, offline_stats) = pic_workload::replay(&trace, &points, &opts).unwrap();
+    assert!(offline_stats.groups > 1, "{offline_stats:?}");
+    let sweep_offline = grid_to_json(&grid_entries(&points, workloads));
+    let predict_offline = pic_predict::predict(&trace, &models, &PredictSpec::new(16), None)
+        .unwrap()
+        .to_string();
+
+    // One fresh server per side, each answering the sweep then the
+    // prediction; returns the registry's weight afterwards.
+    let serve = |serial: bool| {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let addr = server.addr();
+        let (status, body) = request(addr, "POST", "/traces", &encoded);
+        assert_eq!(status, 200, "{body}");
+        let trace_addr = json_str_field(&body, "address");
+        let (status, body) = request(addr, "POST", "/models", models_json.as_bytes());
+        assert_eq!(status, 200, "{body}");
+        let models_addr = json_str_field(&body, "address");
+        let entries = || {
+            let (status, stats) = get(addr, "/stats");
+            assert_eq!(status, 200, "{stats}");
+            sweep_cache_counter(&stats, "entries")
+        };
+
+        let sweep_body = format!(
+            "{{\"trace\":\"{trace_addr}\",\"ranks\":[4,8],\
+             \"mappings\":[\"bin-based\",\"element-based\"],\
+             \"filters\":[0.02,0.05],\"strides\":[1,2],\
+             \"mesh\":\"4x4x4\",\"order\":3}}"
+        );
+        for (status, body) in fire(addr, "/sweep", &sweep_body, CLIENTS, serial) {
+            assert_eq!(status, 200, "serial={serial}: {body}");
+            assert!(body == sweep_offline, "serial={serial}: a sweep diverged");
+        }
+        assert_eq!(entries() as usize, offline_stats.groups, "serial={serial}");
+
+        let predict_body = format!(
+            "{{\"trace\":\"{trace_addr}\",\"models\":\"{models_addr}\",\"ranks\":16,\
+             \"mapping\":\"bin-based\",\"filters\":[0.03]}}"
+        );
+        for answer in fire(addr, "/predict", &predict_body, CLIENTS, serial) {
+            assert_eq!(answer, (200, predict_offline.clone()), "serial={serial}");
+        }
+        assert_eq!(
+            entries() as usize,
+            offline_stats.groups + 1,
+            "serial={serial}"
+        );
+
+        assert_eq!(get(addr, "/healthz").0, 200);
+        let (status, stats) = get(addr, "/stats");
+        assert_eq!(status, 200, "{stats}");
+        server.shutdown();
+        json_u64_field(&stats, "resident_bytes")
+    };
+    let together = serve(false);
+    let one_at_a_time = serve(true);
+    assert_eq!(together, one_at_a_time);
     pic_types::sync::assert_witness_clean();
 }
 
