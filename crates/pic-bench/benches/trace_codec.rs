@@ -1,5 +1,7 @@
 //! Trace codec bandwidth: encode/decode rates for both precisions, both
-//! formats decoded through the one `decode_trace`.
+//! formats decoded through the one `decode_trace`, and the in-order
+//! readers over a trace (subsampling, boundaries, feature vectors from
+//! `f64` positions and from a compact trace's grid).
 //!
 //! Trace size is a first-class constraint in the paper (§II-D: hundreds of
 //! gigabytes at scale), so codec speed determines whether the trace-driven
@@ -54,6 +56,12 @@ fn subsampling(c: &mut Criterion) {
     });
     group.bench_function("feature_vectors", |b| {
         b.iter(|| feature_vectors(&trace, &FeatureConfig::default()))
+    });
+    // The same samples kept as a compact f32 file's 16-bit grid, binned
+    // through the cell tables.
+    let grid = decode_trace(&encode_compact(&trace, Precision::F32).unwrap()).unwrap();
+    group.bench_function("feature_vectors_compact_f32", |b| {
+        b.iter(|| feature_vectors(&grid, &FeatureConfig::default()))
     });
     group.finish();
 }

@@ -175,7 +175,7 @@ pub(crate) struct Quantizer {
 }
 
 impl Quantizer {
-    fn new(qbox: &Aabb, qbytes: usize) -> Quantizer {
+    pub(crate) fn new(qbox: &Aabb, qbytes: usize) -> Quantizer {
         let mask = ((1u64 << (8 * qbytes)) - 1) as u32;
         Quantizer {
             lo: [qbox.min.x, qbox.min.y, qbox.min.z],

@@ -319,7 +319,7 @@ impl<Q: GridCoord> Encoded<Q> {
 
 /// An in-order read of an encoded trace from some frame on: each frame is
 /// folded once into the coordinates of the one before it.
-struct Cursor<'a, Q> {
+pub(crate) struct Cursor<'a, Q> {
     enc: &'a Encoded<Q>,
     next: usize,
     /// The coordinates of frame `next - 1` (empty before frame 0).
@@ -340,7 +340,7 @@ impl<'a, Q: GridCoord> Cursor<'a, Q> {
     }
 
     /// Fold the next frame into [`coords`](Self::coords); its index.
-    fn advance(&mut self) -> Option<usize> {
+    pub(crate) fn advance(&mut self) -> Option<usize> {
         let t = self.next;
         if t >= self.enc.len() {
             return None;
@@ -350,6 +350,17 @@ impl<'a, Q: GridCoord> Cursor<'a, Q> {
         self.enc.fold(t, &mut self.coords);
         self.next += 1;
         Some(t)
+    }
+
+    /// The grid coordinates of the frame last advanced to, three per
+    /// particle.
+    pub(crate) fn coords(&self) -> &[Q] {
+        &self.coords
+    }
+
+    /// The grid the coordinates lie on.
+    pub(crate) fn quantizer(&self) -> &'a Quantizer {
+        &self.enc.quant
     }
 }
 
@@ -648,6 +659,16 @@ impl ParticleTrace {
         on_storage!(&self.frames,
             s => Box::new(s[from.min(s.len())..].iter().map(Cow::Borrowed)) as Samples<'_>,
             e => Box::new(Cursor::new(e, from).map(Cow::Owned)))
+    }
+
+    /// An in-order read of a 16-bit encoded trace's grid coordinates from
+    /// sample `from` on, folding each frame once; `None` for any other
+    /// storage.
+    pub(crate) fn grid16_from(&self, from: usize) -> Option<Cursor<'_, u16>> {
+        match &self.frames {
+            Frames::U16(e) => Some(Cursor::new(e, from)),
+            _ => None,
+        }
     }
 
     /// Iterations at which samples were taken.
