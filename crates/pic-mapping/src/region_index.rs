@@ -22,11 +22,53 @@
 //! an epoch-stamped visited array instead of sort + dedup and performs no
 //! heap allocation in steady state.
 //!
+//! Membership is decided by `d² ≤ r²` alone: a query walks the cells of
+//! its centre's box widened by [`query_reach`], a rounding margin that
+//! keeps the walk a superset of the regions the distance test accepts
+//! (computing `c ± r` in `f64` can otherwise round the box to the inside
+//! of a face, or off the index bounds).
+//!
 //! The index is mapper-agnostic: it only sees the `rank_regions` field of a
-//! [`MappingOutcome`](crate::MappingOutcome), so element bricks, bin boxes,
-//! and Hilbert chunk hulls are all handled identically.
+//! [`MappingOutcome`](crate::MappingOutcome), so it serves element bricks
+//! and Hilbert chunk hulls. Bin groups count their ghosts over the
+//! sample's [`BinTree`](crate::BinTree) instead and build no index.
 
 use pic_types::{Aabb, Rank, Vec3};
+
+/// Half-width of the box a sphere query of `radius` walks: `radius`
+/// widened by a rounding margin, so that every region whose computed
+/// squared distance `d²` to the centre satisfies `d² ≤ r·r` meets the box
+/// `c ± reach` on every axis, as computed in `f64`.
+///
+/// Why the margin suffices, for finite centres and faces and a radius whose
+/// square does not overflow (`u = 2⁻⁵³`, one rounding `fl(x) = x(1 + δ)`,
+/// `|δ| ≤ u`, or `x ± 2⁻¹⁰⁷⁵` below the normal range): take the axis where
+/// the centre `c` lies above the face `f`. Its term `e = fl(c − f)` has
+/// `fl(e·e) ≤ d²`, because the sum of non-negative terms rounds
+/// monotonically, so `fl(e·e) ≤ fl(r·r)`. Without underflow that gives
+/// `e ≤ r(1 + 1.01u)`, and `c − f ≤ e(1 + 2u) < r(1 + 4u)`. With underflow
+/// the two squares are off by at most `2⁻¹⁰⁷⁴` together, so
+/// `c − f < r(1 + 4u) + 2⁻⁵³⁶`. The reach is at least
+/// `r(1 + 2⁻⁴⁹)(1 − u)² + 2⁻⁵⁰⁰(1 − u) ≥ r(1 + 13u) + 2⁻⁵⁰¹`, so the real
+/// `c − reach` lies below `f`, and `fl(c − reach) ≤ f` because rounding is
+/// monotone and `f` is a float. The face below the centre is symmetric, a
+/// centre inside the face's span needs nothing, and the cell lookup is
+/// monotone, so the walk covers the region's cells too.
+///
+/// The margin moves a face by 2⁻⁴⁹ of the radius, which can add a cell to a
+/// walk but never a region to an answer. A NaN or negative radius is an
+/// empty query and stays one (`-0.0` is zero).
+#[inline]
+pub fn query_reach(radius: f64) -> f64 {
+    const WIDEN: f64 = 1.0 + 1.0 / (1u64 << 49) as f64;
+    // 2⁻⁵⁰⁰, above the 2⁻⁵³⁶ an underflowing square can hide.
+    const FLOOR: f64 = f64::from_bits((1023 - 500) << 52);
+    if radius >= 0.0 {
+        radius * WIDEN + FLOOR
+    } else {
+        radius
+    }
+}
 
 /// Spatial index over `(region, rank)` pairs in CSR form.
 #[derive(Debug, Clone)]
@@ -242,7 +284,7 @@ impl RegionIndex {
         if self.bounds.is_empty() {
             return;
         }
-        let query = Aabb::new(center, center).inflate(radius);
+        let query = Aabb::new(center, center).inflate(query_reach(radius));
         if !self.bounds.intersects(&query) {
             return;
         }
@@ -274,9 +316,10 @@ impl RegionIndex {
     /// centred on the particles `(xs[j], ys[j], zs[j])`: appends
     /// `(key, first + j)` to `out`, ascending in `j`, for every particle
     /// whose query can touch a region. A particle gets no key when its
-    /// query provably touches nothing — empty index, or the inflated query
-    /// box misses the index bounds, including NaN centers/radii and
-    /// negative radii, whose query boxes intersect nothing.
+    /// query provably touches nothing — empty index, or the query box
+    /// (inflated by [`query_reach`]) misses the index bounds, including NaN
+    /// centers/radii and negative radii, whose query boxes intersect
+    /// nothing.
     ///
     /// Two queries with equal keys walk exactly the same grid cells and
     /// therefore see exactly the same candidate slots in the same order.
@@ -308,10 +351,11 @@ impl RegionIndex {
             return;
         }
         let (bmin, bmax) = (self.bounds.min.to_array(), self.bounds.max.to_array());
+        let reach = query_reach(radius);
         // One axis of one query: whether its interval meets the bounds'
         // (closed, as `Aabb::intersects`), and its 14 key bits.
         let axis = |a: usize, c: f64| -> (bool, u64) {
-            let (qlo, qhi) = (c - radius, c + radius);
+            let (qlo, qhi) = (c - reach, c + reach);
             let touches = qlo <= qhi && bmin[a] <= qhi && bmax[a] >= qlo;
             (touches, (self.cell(a, qlo) << 7 | self.cell(a, qhi)) as u64)
         };
@@ -424,7 +468,7 @@ mod tests {
             if self.bounds.is_empty() {
                 return None;
             }
-            let query = Aabb::new(center, center).inflate(radius);
+            let query = Aabb::new(center, center).inflate(query_reach(radius));
             if !self.bounds.intersects(&query) {
                 return None;
             }
@@ -505,6 +549,93 @@ mod tests {
                 // its own, so an inverted or NaN box is still a valid input.
                 let b = Aabb { min: Vec3::new(x0, y0, z0), max: Vec3::new(x1, y1, z1) };
                 prop_assert_eq!(idx.cell_range(&b), idx.cell_range_floor(&b), "box {}", b);
+            }
+        }
+    }
+
+    /// `x` moved by `k` units in the last place (`k` in -4..=4).
+    fn ulps(x: f64, k: i32) -> f64 {
+        let up = |v: f64| match v {
+            0.0 => f64::from_bits(1),
+            v if v > 0.0 => f64::from_bits(v.to_bits() + 1),
+            v => f64::from_bits(v.to_bits() - 1),
+        };
+        (0..k.unsigned_abs()).fold(x, |v, _| if k > 0 { up(v) } else { -up(-v) })
+    }
+
+    /// Lattice boxes scaled by `scale`, and queries placed a radius off one
+    /// face of one of them, give or take a few ulps, with the other two
+    /// coordinates inside that box: the centres where computing `c ± r`
+    /// rounds the query box to the inside of the face.
+    fn near_face_case() -> impl Strategy<Value = (Vec<Aabb>, Vec<(Vec3, f64)>)> {
+        let scaled = |boxes: Vec<Aabb>, s: f64| -> Vec<Aabb> {
+            (boxes.into_iter())
+                .map(|b| Aabb::new(b.min * s, b.max * s))
+                .collect()
+        };
+        let regions = (
+            proptest::collection::vec(lattice_box(), 1..40),
+            1e-3..3.0f64,
+        )
+            .prop_map(move |(boxes, s)| scaled(boxes, s));
+        regions.prop_flat_map(|regions| {
+            let n = regions.len();
+            let query = (
+                (0..n, 0usize..3, any::<bool>(), -4i32..=4),
+                (0.0..=1.0f64, 0.0..=1.0f64),
+                prop_oneof![1e-4..0.5f64, Just(0.25), Just(0.1)],
+            );
+            let queries = proptest::collection::vec(query, 1..60);
+            (Just(regions.clone()), queries).prop_map(|(regions, queries)| {
+                let cases = (queries.into_iter())
+                    .map(|((i, axis, upper, k), (u, v), r)| {
+                        let b = regions[i];
+                        let lerp = |a: usize, t: f64| {
+                            let (lo, hi) = (b.min.to_array()[a], b.max.to_array()[a]);
+                            lo + (hi - lo) * t
+                        };
+                        let mut c = [lerp(0, u), lerp(1, v), lerp(2, u)];
+                        c[(axis + 1) % 3] = lerp((axis + 1) % 3, v);
+                        c[axis] = if upper {
+                            b.max.to_array()[axis] + r
+                        } else {
+                            b.min.to_array()[axis] - r
+                        };
+                        c[axis] = ulps(c[axis], k);
+                        (Vec3::from_array(c), r)
+                    })
+                    .collect();
+                (regions, cases)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every query form visits exactly the regions `d² ≤ r²` accepts,
+        /// where rounding `c ± r` would shrink the query box past a face.
+        #[test]
+        fn near_face_queries_match_brute_force((regions, cases) in near_face_case()) {
+            let idx = RegionIndex::build(&regions);
+            let mut scratch = RegionQueryScratch::new();
+            let mut slots = Vec::new();
+            let mut out = Vec::new();
+            for (c, r) in cases {
+                let expect = brute(&regions, c, r);
+                idx.ranks_touching_sphere(c, r, &mut out);
+                prop_assert_eq!(&out, &expect, "visitor, c={} r={}", c, r);
+                let mut keys = Vec::new();
+                idx.query_cell_keys(&[c.x], &[c.y], &[c.z], r, 0, &mut keys);
+                let mut batched: Vec<Rank> = Vec::new();
+                if let Some(&(key, _)) = keys.first() {
+                    idx.gather_candidate_slots(key, &mut scratch, &mut slots);
+                    batched.extend((slots.iter())
+                        .filter(|&&s| idx.slot_box(s).distance_sq_to_point(c) <= r * r)
+                        .map(|&s| idx.slot_rank(s)));
+                }
+                batched.sort_unstable();
+                prop_assert_eq!(&batched, &expect, "lane keys, c={} r={}", c, r);
             }
         }
     }

@@ -11,6 +11,7 @@
 use crate::generator::{self, DynamicWorkload, WorkloadConfig, GHOST_CHUNK};
 use crate::matrices::{CommMatrix, CompMatrix};
 use pic_grid::ElementMesh;
+use pic_mapping::region_index::query_reach;
 use pic_mapping::{RegionIndex, RegionQueryScratch};
 use pic_trace::ParticleTrace;
 use pic_types::{Rank, Result, Vec3};
@@ -109,10 +110,11 @@ fn ghost_count_span(
     }
 }
 
-/// The pre-optimization region index, preserved verbatim for speedup
-/// accounting: per-cell `Vec<Vec<u32>>` buckets over a clone of the full
-/// regions slice, with per-query collect + `sort_unstable` + `dedup`.
-/// Grid geometry matches [`RegionIndex`], so query results are identical.
+/// The pre-optimization region index: per-cell `Vec<Vec<u32>>` buckets
+/// over a clone of the full regions slice, with per-query collect +
+/// `sort_unstable` + `dedup`. Its grid is coarser than [`RegionIndex`]'s,
+/// but both walk the query box widened by [`query_reach`], so `d² ≤ r²`
+/// alone decides what either returns, and the results are identical.
 #[doc(hidden)]
 pub struct BaselineRegionIndex {
     bounds: pic_types::Aabb,
@@ -202,7 +204,9 @@ impl BaselineRegionIndex {
         if self.bounds.is_empty() {
             return;
         }
-        let query = Aabb::new(center, center).inflate(radius);
+        // The rounding margin `RegionIndex` walks with, so that the
+        // distance test alone decides membership here too.
+        let query = Aabb::new(center, center).inflate(query_reach(radius));
         if !self.bounds.intersects(&query) {
             return;
         }
