@@ -1,16 +1,19 @@
-//! Ghost-query microbench at the paper's rank scale (~8k regions): CSR
-//! `RegionIndex` build cost, the per-particle scratch visitor (the scalar
-//! oracle's query), and the grouped SoA kernel the DWG ships for mesh
-//! groups (`ghost_counts_soa`) at one radius and at a three-radius sweep.
-//! Then the bin groups' kernel at `predict-4k`'s point (4176 ranks, filter
-//! 0.02): `BinTree::ghost_counts` over the sample's bin tree, next to the SoA
-//! kernel over a region index of the same partition.
+//! Ghost-query microbench: the CSR `RegionIndex` (pic-sim's ground-truth
+//! query) at the paper's rank scale (~8k regions), its build and its
+//! per-particle scratch visitor; then the DWG's ghost kernels, the pruned
+//! joins. The mesh groups' join over a `RankTree` runs at 2048 ranks with
+//! three radii under each mesh mapping (`rank_tree/{element,
+//! hilbert-ordered, load-balanced}`): element reuses its fixed tree, the
+//! other two build one per sample, as the replay does. The bin groups'
+//! join at `predict-4k`'s point (4176 ranks, filter 0.02) runs over the
+//! sample's bin tree (`bin_tree`). Every kernel's counts are asserted
+//! equal to the region index's before it is timed.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_mapping::{BinTree, RegionIndex, RegionQueryScratch};
+use pic_grid::{ElementMesh, MeshDims};
+use pic_mapping::{BinTree, MappingAlgorithm, RankTree, RegionIndex, RegionQueryScratch};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Rank, Vec3};
-use pic_workload::soa::{ghost_counts_soa, SoAPositions};
 
 /// A 20×20×20 brick decomposition of the unit cube: 8000 regions, the
 /// shape rank regions take at the paper's 8352-rank scale.
@@ -35,19 +38,32 @@ fn query_points(n: usize, seed: u64) -> Vec<Vec3> {
         .collect()
 }
 
-/// The brick of `brick_regions(per_axis)` that contains `p` (closed on the
-/// top faces of the last brick).
-fn brick_of(p: Vec3, per_axis: usize) -> Rank {
-    let cell = |c: f64| ((c * per_axis as f64) as usize).min(per_axis - 1);
-    Rank::from_index(cell(p.x) + per_axis * (cell(p.y) + per_axis * cell(p.z)))
+/// Per-rank `(recv, sent)` at `radius` through the region index, one
+/// sphere query per particle: the counts every kernel must reproduce.
+fn index_counts(
+    positions: &[Vec3],
+    owners: &[Rank],
+    regions: &[Aabb],
+    radius: f64,
+) -> (Vec<u32>, Vec<u32>) {
+    let index = RegionIndex::build(regions);
+    let mut scratch = RegionQueryScratch::new();
+    let (mut recv, mut sent) = (vec![0u32; regions.len()], vec![0u32; regions.len()]);
+    for (&p, &home) in positions.iter().zip(owners) {
+        index.for_each_rank_touching_sphere(p, radius, &mut scratch, |t| {
+            if t != home {
+                recv[t.index()] += 1;
+                sent[home.index()] += 1;
+            }
+        });
+    }
+    (recv, sent)
 }
 
 fn ghost_queries(c: &mut Criterion) {
     let regions = brick_regions(20);
     let points = query_points(10_000, 7);
     let radius = 0.06; // a few cells wide, like a realistic projection filter
-    let owners: Vec<Rank> = points.iter().map(|&p| brick_of(p, 20)).collect();
-    let soa = SoAPositions::from_positions(&points);
 
     let mut group = c.benchmark_group("ghost_queries");
     group.sample_size(10);
@@ -58,12 +74,6 @@ fn ghost_queries(c: &mut Criterion) {
 
     let index = RegionIndex::build(&regions);
     group.throughput(Throughput::Elements(points.len() as u64));
-    for radii in [&[radius][..], &[0.02, 0.04, radius]] {
-        let id = BenchmarkId::new(format!("soa_kernel_{}r", radii.len()), regions.len());
-        group.bench_function(id, |b| {
-            b.iter(|| ghost_counts_soa(&soa, &owners, &index, black_box(radii), regions.len()))
-        });
-    }
     group.bench_function(BenchmarkId::new("query_scratch", regions.len()), |b| {
         let mut scratch = RegionQueryScratch::new();
         b.iter(|| {
@@ -77,27 +87,51 @@ fn ghost_queries(c: &mut Criterion) {
         })
     });
 
-    let (ranks, filter) = (4176, 0.02);
+    let (ranks, radii) = (2048, [0.01, 0.02, 0.04]);
+    let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(16), 5).unwrap();
     let cloud = query_points(20_000, 11);
+    group.throughput(Throughput::Elements(cloud.len() as u64));
+    for mapping in [
+        MappingAlgorithm::ElementBased,
+        MappingAlgorithm::HilbertOrdered,
+        MappingAlgorithm::LoadBalanced,
+    ] {
+        let mapper = mapping.mapper(Some(&mesh), ranks, radii[0]).unwrap();
+        let outcome = mapper.assign(&cloud);
+        let fixed = mapper.fixed_regions().map(RankTree::new);
+        let count = || match &fixed {
+            Some(tree) => tree.ghost_counts(&cloud, &outcome.ranks, black_box(&radii)),
+            None => RankTree::new(&outcome.rank_regions).ghost_counts(
+                &cloud,
+                &outcome.ranks,
+                black_box(&radii),
+            ),
+        };
+        let expect: Vec<_> = (radii.iter())
+            .map(|&r| index_counts(&cloud, &outcome.ranks, &outcome.rank_regions, r))
+            .collect();
+        assert_eq!(
+            count(),
+            expect,
+            "{mapping}: the rank tree and the index disagree"
+        );
+        group.bench_function(BenchmarkId::new("rank_tree", mapping), |b| b.iter(count));
+    }
+
+    let (ranks, filter) = (4176, 0.02);
     let mut tree = BinTree::new(&cloud);
     let outcome = tree.walk(ranks, filter).into_outcome(ranks);
     let bins = outcome.bin_count.unwrap_or(0);
-    group.throughput(Throughput::Elements(cloud.len() as u64));
+    let (mut recv, mut sent) = (vec![0u32; ranks], vec![0u32; ranks]);
+    tree.ghost_counts(filter, &mut recv, &mut sent);
+    let expect = index_counts(&cloud, &outcome.ranks, &outcome.rank_regions, filter);
+    assert_eq!((recv, sent), expect, "the bin tree and the index disagree");
     group.bench_function(BenchmarkId::new("bin_tree", bins), |b| {
         b.iter(|| {
             let (mut recv, mut sent) = (vec![0u32; ranks], vec![0u32; ranks]);
             tree.ghost_counts(black_box(filter), &mut recv, &mut sent);
             (recv, sent)
         })
-    });
-    let index = RegionIndex::build(&outcome.rank_regions);
-    let soa = SoAPositions::from_positions(&cloud);
-    let (mut recv, mut sent) = (vec![0u32; ranks], vec![0u32; ranks]);
-    tree.ghost_counts(filter, &mut recv, &mut sent);
-    let rows = ghost_counts_soa(&soa, &outcome.ranks, &index, &[filter], ranks);
-    assert_eq!(rows, [(recv, sent)], "the two kernels disagree");
-    group.bench_function(BenchmarkId::new("soa_kernel_bins", bins), |b| {
-        b.iter(|| ghost_counts_soa(&soa, &outcome.ranks, &index, black_box(&[filter]), ranks))
     });
     group.finish();
 }

@@ -33,12 +33,14 @@
 //! node whose records are a contiguous range of the buffer. Each node's box
 //! is the tight box of its records, so a parent's box contains its
 //! children's. [`BinTree::ghost_counts`] joins the frontier with itself by
-//! a pruned dual traversal of the node boxes: a pair of nodes is dropped as
-//! soon as their box-to-box `d²` exceeds `r²`, and what remains are the
-//! pairs of bins that a particle of one could reach within `r` of the
-//! other's box. Each such pair tests one bin's records against the other's
-//! box, both ways.
+//! the pruned dual traversal the mesh mappings' [`crate::RankTree`] runs
+//! too (`join.rs`), here symmetric, one box per node: a pair of nodes is
+//! dropped as soon as their box-to-box `d²` exceeds `r²`, and what remains
+//! are the pairs of bins that a particle of one could reach within `r` of
+//! the other's box. Each such pair tests one bin's records against the
+//! other's box, both ways.
 
+use crate::join::{box_gap_sq, dist_sq, near_leaf_pairs};
 use crate::mapper::{MappingOutcome, ParticleMapper};
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 
@@ -143,34 +145,6 @@ pub struct BinTree {
 
 /// The mark of a node that is no bin of the last walk.
 const NOT_A_BIN: u32 = u32::MAX;
-
-/// Squared distance between two boxes, each axis's gap squared and summed
-/// in x, y, z order (`0` where they overlap).
-///
-/// It is never above the ghost kernel's `d²` from any point of `a` to `b`
-/// (`x − clamp(x, b)` per axis, squared and summed in the same order): on
-/// an axis where the point lies past `b`, the gap `fl(b.min − a.max)` or
-/// `fl(a.min − b.max)` is at most the point's `|fl(x − face)|`, because
-/// the point lies inside `a` and subtraction rounds monotonically, and
-/// squares and sums of non-negative terms round monotonically too. For the
-/// same reason two boxes that contain `a` and `b` are never farther apart
-/// than `a` and `b` are, so pruning a pair on `d² > r²` never drops a hit.
-#[inline]
-fn box_gap_sq(a: &Aabb, b: &Aabb) -> f64 {
-    let gap = |a_lo: f64, a_hi: f64, b_lo: f64, b_hi: f64| {
-        let (g1, g2) = (b_lo - a_hi, a_lo - b_hi);
-        let g = if g1 > g2 { g1 } else { g2 };
-        if g > 0.0 {
-            g
-        } else {
-            0.0
-        }
-    };
-    let gx = gap(a.min.x, a.max.x, b.min.x, b.max.x);
-    let gy = gap(a.min.y, a.max.y, b.min.y, b.max.y);
-    let gz = gap(a.min.z, a.max.z, b.min.z, b.max.z);
-    gx * gx + gy * gy + gz * gz
-}
 
 impl BinTree {
     /// The uncut tree of one sample.
@@ -301,80 +275,45 @@ impl BinTree {
     }
 
     /// How many of bin `h`'s particles lie within `d² ≤ rr` of bin `t`'s
-    /// box: per axis `x − clamp(x, box)`, squared and summed in x, y, z
-    /// order, so bit for bit `Aabb::distance_sq_to_point` and the SoA
-    /// kernel's compare-select `d²`, over the bin's contiguous records.
+    /// box, by the join's compare-select `d²` (bit for bit
+    /// `Aabb::distance_sq_to_point`), over the bin's contiguous records.
     #[inline]
     fn bin_hits(&self, h: usize, t: usize, rr: f64) -> u32 {
-        let sel_max = |u: f64, v: f64| if u > v { u } else { v };
-        let sel_min = |u: f64, v: f64| if u < v { u } else { v };
         let b = &self.nodes[self.frontier[t] as usize].bbox;
         let home = &self.nodes[self.frontier[h] as usize];
         let mut hits = 0u32;
         for r in &self.records[home.range()] {
-            let [x, y, z] = r.coords;
-            let dx = x - sel_min(sel_max(x, b.min.x), b.max.x);
-            let dy = y - sel_min(sel_max(y, b.min.y), b.max.y);
-            let dz = z - sel_min(sel_max(z, b.min.z), b.max.z);
-            hits += u32::from(dx * dx + dy * dy + dz * dz <= rr);
+            hits += u32::from(dist_sq(r.coords, b) <= rr);
         }
         hits
     }
 
     /// Call `visit(h, t)` once for each unordered pair of distinct bins of
     /// the last walk whose boxes lie within `box_gap_sq ≤ rr` of each
-    /// other: a pruned dual traversal of the node boxes from the root
-    /// paired with itself. A node paired with itself yields its children's
-    /// self pairs and their cross pair; two distinct nodes yield the pairs
-    /// of the children of each one that is not a bin; and a pair is only
-    /// stacked if its boxes are within the radius. The stack is explicit,
-    /// so the tree's depth is not bounded by the thread's. An empty sample,
-    /// or a walk of one bin, has no pair.
+    /// other: the symmetric pruned join of the node boxes (`join.rs`), whose
+    /// leaves are the walk's bins. An empty sample, or a walk of one bin,
+    /// has no pair.
     fn for_each_near_bin_pair(&self, rr: f64, mut visit: impl FnMut(usize, usize)) {
+        if self.frontier.is_empty() {
+            return;
+        }
         let mut bin_of = vec![NOT_A_BIN; self.nodes.len()];
         for (b, &n) in (0u32..).zip(&self.frontier) {
             bin_of[n as usize] = b;
         }
-        // The children of a node above the frontier: the walk split it.
-        let children = |n: u32| match self.nodes[n as usize].cut {
-            Cut::Split(left) => [left, left + 1],
-            _ => unreachable!("a node above the frontier was split"),
+        // A node above the frontier was split by the walk.
+        let split = |n: u32| {
+            (bin_of[n as usize] == NOT_A_BIN).then(|| match self.nodes[n as usize].cut {
+                Cut::Split(left) => [left, left + 1],
+                _ => unreachable!("a node above the frontier was split"),
+            })
         };
         let near = |a: u32, b: u32| {
             box_gap_sq(&self.nodes[a as usize].bbox, &self.nodes[b as usize].bbox) <= rr
         };
-        let mut stack: Vec<(u32, u32)> = Vec::new();
-        if !self.frontier.is_empty() {
-            stack.push((0, 0));
-        }
-        while let Some((a, b)) = stack.pop() {
-            let (bin_a, bin_b) = (bin_of[a as usize], bin_of[b as usize]);
-            let mut push = |x: u32, y: u32| {
-                if near(x, y) {
-                    stack.push((x, y));
-                }
-            };
-            match (bin_a != NOT_A_BIN, bin_b != NOT_A_BIN) {
-                (true, true) => {
-                    if a != b {
-                        visit(bin_a as usize, bin_b as usize);
-                    }
-                }
-                _ if a == b => {
-                    let [l, r] = children(a);
-                    push(l, r);
-                    stack.extend([(l, l), (r, r)]);
-                }
-                (true, false) => children(b).into_iter().for_each(|c| push(a, c)),
-                (false, true) => children(a).into_iter().for_each(|c| push(c, b)),
-                (false, false) => {
-                    let ([la, ra], [lb, rb]) = (children(a), children(b));
-                    for (x, y) in [(la, lb), (la, rb), (ra, lb), (ra, rb)] {
-                        push(x, y);
-                    }
-                }
-            }
-        }
+        near_leaf_pairs::<true>(split, near, |a, b| {
+            visit(bin_of[a as usize] as usize, bin_of[b as usize] as usize)
+        });
     }
 
     /// Node `id`'s left child, cutting the node on first demand; `None`

@@ -6,7 +6,7 @@
 //! density, and in explosive-dispersal problems most particles start packed
 //! into a handful of elements.
 
-use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
+use crate::mapper::{locate_clamped, MappingOutcome, ParticleMapper};
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_types::{Aabb, ElementId, Rank, Result, Vec3};
 
@@ -58,21 +58,13 @@ impl ParticleMapper for ElementMapper {
         self.decomp.ranks()
     }
 
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let [xs, ys, zs] = soa_lanes(positions);
-        self.assign_soa(&xs, &ys, &zs)
-    }
-
     /// Positions outside the domain are clamped onto it first (a particle
     /// that drifted out numerically is kept by its nearest boundary
     /// element, matching production PIC codes that reflect or absorb at
     /// walls rather than dropping particles), then located, then looked up
     /// in the element-owner table.
-    fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        let mut eidx = Vec::new();
-        self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
-        let ranks = eidx
-            .iter()
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+        let ranks = (locate_clamped(&self.mesh, positions).iter())
             .map(|&e| {
                 self.decomp
                     .rank_of_element(ElementId::from_index(e as usize))
@@ -83,6 +75,10 @@ impl ParticleMapper for ElementMapper {
             rank_regions: self.regions.clone(),
             bin_count: None,
         }
+    }
+
+    fn fixed_regions(&self) -> Option<&[Aabb]> {
+        Some(&self.regions)
     }
 }
 

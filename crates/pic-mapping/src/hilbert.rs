@@ -14,7 +14,7 @@
 //! up its curve rank, stable radix sort the particle ids by it, and cut the
 //! order into chunks.
 
-use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
+use crate::mapper::{locate_clamped, MappingOutcome, ParticleMapper};
 use pic_grid::ElementMesh;
 use pic_types::radix::radix_sort_by_key;
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
@@ -141,19 +141,13 @@ impl ParticleMapper for HilbertMapper {
         self.ranks
     }
 
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let [xs, ys, zs] = soa_lanes(positions);
-        self.assign_soa(&xs, &ys, &zs)
-    }
-
     /// Locate each particle's element, look up its curve rank, stable
     /// radix sort the particle ids by it, and hand out equal contiguous
     /// chunks of that order. Distinct elements have distinct curve
     /// indices, so sorting by rank with ids ascending within an element is
     /// the `(curve index, id)` order.
-    fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        let mut eidx = Vec::new();
-        self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+        let eidx = locate_clamped(&self.mesh, positions);
         let mut order: Vec<(u64, u32)> = (eidx.iter().zip(0u32..))
             .map(|(&e, i)| (u64::from(self.curve_rank[e as usize]), i))
             .collect();
@@ -172,7 +166,7 @@ impl ParticleMapper for HilbertMapper {
             for &(_, idx) in &order[cursor..cursor + take] {
                 let i = idx as usize;
                 ranks[i] = Rank::from_index(r);
-                rank_regions[r].expand(Vec3::new(xs[i], ys[i], zs[i]));
+                rank_regions[r].expand(positions[i]);
             }
             cursor += take;
         }

@@ -7,7 +7,7 @@
 //! mini PIC application (which really migrates particles with them) and the
 //! workload generator (which only counts).
 //!
-//! Three algorithms are provided behind the [`ParticleMapper`] trait:
+//! Four algorithms are provided behind the [`ParticleMapper`] trait:
 //!
 //! * [`ElementMapper`] — the de-facto PIC standard: a particle lives with the
 //!   element that contains it (particle–grid locality preserved, workload
@@ -23,6 +23,12 @@
 //! * [`LoadBalancedMapper`] — weighted element partitioning (ref \[11\]):
 //!   locality preserved, elements distributed by grid-plus-particle load,
 //!   re-partitioned as the particles move.
+//!
+//! Ghost particles are counted by one pruned dual-tree join: over the
+//! sample's bin tree for bin mapping ([`BinTree::ghost_counts`]) and over
+//! a tree of rank ranges for the other three ([`RankTree::ghost_counts`]).
+//! [`RegionIndex`] answers the same question one particle at a time; it
+//! is the mini-app's ground truth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +36,10 @@
 pub mod bin;
 pub mod element;
 pub mod hilbert;
+mod join;
 pub mod load_balanced;
 pub mod mapper;
+pub mod rank_tree;
 pub mod region_index;
 
 pub use bin::{BinMapper, BinPartition, BinTree};
@@ -39,4 +47,5 @@ pub use element::ElementMapper;
 pub use hilbert::HilbertMapper;
 pub use load_balanced::LoadBalancedMapper;
 pub use mapper::{MappingAlgorithm, MappingOutcome, ParticleMapper};
+pub use rank_tree::RankTree;
 pub use region_index::{RegionIndex, RegionQueryScratch};

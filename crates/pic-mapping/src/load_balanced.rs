@@ -16,7 +16,7 @@
 //! mid-iteration, but balance is limited by element granularity — a single
 //! element holding most particles cannot be split.
 
-use crate::mapper::{soa_lanes, MappingOutcome, ParticleMapper};
+use crate::mapper::{locate_clamped, MappingOutcome, ParticleMapper};
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_types::{Aabb, ElementId, PicError, Rank, Result, Vec3};
 
@@ -76,17 +76,11 @@ impl ParticleMapper for LoadBalancedMapper {
         self.ranks
     }
 
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
-        let [xs, ys, zs] = soa_lanes(positions);
-        self.assign_soa(&xs, &ys, &zs)
-    }
-
     /// One clamp/locate pass (positions clamped onto the domain, as in
     /// element-based mapping) feeds both the per-element weight histogram
     /// of this sample's decomposition and the final rank gather.
-    fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        let mut eidx = Vec::new();
-        self.mesh.locate_clamped_soa(xs, ys, zs, &mut eidx);
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+        let eidx = locate_clamped(&self.mesh, positions);
         let mut counts = vec![0u32; self.mesh.element_count()];
         for &e in &eidx {
             counts[e as usize] += 1;

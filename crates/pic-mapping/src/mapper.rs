@@ -104,14 +104,14 @@ impl MappingOutcome {
     }
 }
 
-/// Transpose AoS positions into x/y/z lanes: the mesh mappers' `assign`,
-/// which then runs their one implementation, `assign_soa`.
-pub(crate) fn soa_lanes(positions: &[Vec3]) -> [Vec<f64>; 3] {
-    [
-        positions.iter().map(|p| p.x).collect(),
-        positions.iter().map(|p| p.y).collect(),
-        positions.iter().map(|p| p.z).collect(),
-    ]
+/// Each position's element, the position clamped onto the mesh domain
+/// first: the locate the three mesh mappers share, run over x/y/z lanes
+/// (`ElementMesh::locate_clamped_soa`).
+pub(crate) fn locate_clamped(mesh: &ElementMesh, positions: &[Vec3]) -> Vec<u32> {
+    let lane = |axis: usize| -> Vec<f64> { positions.iter().map(|p| p[axis]).collect() };
+    let mut elements = Vec::new();
+    mesh.locate_clamped_soa(&lane(0), &lane(1), &lane(2), &mut elements);
+    elements
 }
 
 /// A particle mapping algorithm: assigns every particle of a sample to its
@@ -132,21 +132,12 @@ pub trait ParticleMapper: Send + Sync {
     /// Map one sample's positions to residing ranks.
     fn assign(&self, positions: &[Vec3]) -> MappingOutcome;
 
-    /// Map one sample's positions, given as parallel x/y/z arrays, to
-    /// residing ranks. Must produce output bit-identical to
-    /// [`assign`](Self::assign) on the zipped positions; specializations
-    /// exist so grid-affine mappers can run their clamp/locate arithmetic
-    /// over vectorizable SoA lanes.
-    fn assign_soa(&self, xs: &[f64], ys: &[f64], zs: &[f64]) -> MappingOutcome {
-        assert_eq!(xs.len(), ys.len());
-        assert_eq!(xs.len(), zs.len());
-        let positions: Vec<Vec3> = xs
-            .iter()
-            .zip(ys)
-            .zip(zs)
-            .map(|((&x, &y), &z)| Vec3::new(x, y, z))
-            .collect();
-        self.assign(&positions)
+    /// The rank regions, when they are the same for every sample (element
+    /// mapping's RCB bricks): a caller counting ghosts builds its
+    /// [`crate::RankTree`] over them once. `None` where they move with the
+    /// particles.
+    fn fixed_regions(&self) -> Option<&[Aabb]> {
+        None
     }
 }
 

@@ -15,12 +15,12 @@
 //! memory proportional to the live set, not the communicator size.
 //!
 //! Queries come in two flavors: the allocating, sorted
-//! [`ranks_touching_sphere`](RegionIndex::ranks_touching_sphere) kept for
-//! existing call sites, and the scratch-driven
-//! [`for_each_rank_touching_sphere`](RegionIndex::for_each_rank_touching_sphere)
-//! used by the hot ghost kernel, which deduplicates multi-cell regions with
-//! an epoch-stamped visited array instead of sort + dedup and performs no
-//! heap allocation in steady state.
+//! [`ranks_touching_sphere`](RegionIndex::ranks_touching_sphere) and the
+//! scratch-driven
+//! [`for_each_rank_touching_sphere`](RegionIndex::for_each_rank_touching_sphere),
+//! which deduplicates multi-cell regions with an epoch-stamped visited
+//! array instead of sort + dedup and performs no heap allocation in steady
+//! state.
 //!
 //! Membership is decided by `d² ≤ r²` alone: a query walks the cells of
 //! its centre's box widened by [`query_reach`], a rounding margin that
@@ -29,9 +29,12 @@
 //! of a face, or off the index bounds).
 //!
 //! The index is mapper-agnostic: it only sees the `rank_regions` field of a
-//! [`MappingOutcome`](crate::MappingOutcome), so it serves element bricks
-//! and Hilbert chunk hulls. Bin groups count their ghosts over the
-//! sample's [`BinTree`](crate::BinTree) instead and build no index.
+//! [`MappingOutcome`](crate::MappingOutcome). It is `pic-sim`'s ground
+//! truth: the mini-app asks it which ranks each particle's filter reaches.
+//! The replay engine does not use it: it counts ghosts with a pruned join
+//! over the sample's [`BinTree`](crate::BinTree) or a
+//! [`RankTree`](crate::RankTree), which `pic-sim`'s counts and the
+//! sequential oracle check independently.
 
 use pic_types::{Aabb, Rank, Vec3};
 
@@ -124,10 +127,6 @@ impl RegionQueryScratch {
 }
 
 impl RegionIndex {
-    /// Width of the keys [`query_cell_keys`](Self::query_cell_keys) packs:
-    /// six 7-bit cell indices.
-    pub const KEY_BITS: u32 = 42;
-
     /// Build an index over `regions`; `regions[i]` belongs to rank `i`.
     /// Empty regions (ranks with no workload) are skipped and not stored.
     pub fn build(regions: &[Aabb]) -> RegionIndex {
@@ -260,21 +259,14 @@ impl RegionIndex {
         self.for_each_candidate_in_sphere(center, radius, scratch, |rank, _d2| visit(rank));
     }
 
-    /// Candidate-set query for multi-radius sweeps: visit each rank whose
-    /// region touches the sphere at `center` with radius `radius`, passing
-    /// the exact squared distance from `center` to the region's box (zero
-    /// when the center lies inside it).
-    ///
-    /// Sphere–box overlap is monotone in the radius — the region touches a
-    /// sphere of radius `r ≤ radius` exactly when the reported distance
-    /// satisfies `d² ≤ r²`, the same closed comparison
-    /// [`Aabb::intersects_sphere`] performs. One query at the *maximum*
-    /// radius of a sweep therefore yields the touching set at every smaller
-    /// radius by filtering the retained distances, with no re-query.
-    /// Visit order, dedup behavior, and allocation discipline match
-    /// [`for_each_rank_touching_sphere`](Self::for_each_rank_touching_sphere).
+    /// The query [`for_each_rank_touching_sphere`](Self::for_each_rank_touching_sphere)
+    /// runs, passing each rank with the exact squared distance from
+    /// `center` to its region's box (zero when the center lies inside it):
+    /// the region touches a sphere of radius `r ≤ radius` exactly when
+    /// `d² ≤ r²`, the same closed comparison [`Aabb::intersects_sphere`]
+    /// performs.
     #[inline]
-    pub fn for_each_candidate_in_sphere(
+    fn for_each_candidate_in_sphere(
         &self,
         center: Vec3,
         radius: f64,
@@ -312,111 +304,6 @@ impl RegionIndex {
         }
     }
 
-    /// Packed cell-range signatures of the sphere queries of radius `radius`
-    /// centred on the particles `(xs[j], ys[j], zs[j])`: appends
-    /// `(key, first + j)` to `out`, ascending in `j`, for every particle
-    /// whose query can touch a region. A particle gets no key when its
-    /// query provably touches nothing — empty index, or the query box
-    /// (inflated by [`query_reach`]) misses the index bounds, including NaN
-    /// centers/radii and negative radii, whose query boxes intersect
-    /// nothing.
-    ///
-    /// Two queries with equal keys walk exactly the same grid cells and
-    /// therefore see exactly the same candidate slots in the same order.
-    /// The batched ghost kernel exploits this: it groups particles by key,
-    /// enumerates candidates once per group via
-    /// [`gather_candidate_slots`](Self::gather_candidate_slots), and
-    /// re-applies only the per-particle `d² ≤ r²` filter — bit-identical
-    /// to running [`for_each_candidate_in_sphere`](Self::for_each_candidate_in_sphere)
-    /// per particle.
-    ///
-    /// The coordinates come as structure-of-arrays lanes, so each axis is
-    /// a straight-line subtract / scale / clamp chain over one array,
-    /// through the same cell function `cell_range` uses.
-    ///
-    /// Packing: the grid is at most 96³ (`build` clamps `per_axis` to 96),
-    /// so each of the six cell indices fits in 7 bits; keys are
-    /// [`KEY_BITS`](Self::KEY_BITS) wide.
-    pub fn query_cell_keys(
-        &self,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        radius: f64,
-        first: u32,
-        out: &mut Vec<(u64, u32)>,
-    ) {
-        assert!(xs.len() == ys.len() && xs.len() == zs.len());
-        if self.bounds.is_empty() {
-            return;
-        }
-        let (bmin, bmax) = (self.bounds.min.to_array(), self.bounds.max.to_array());
-        let reach = query_reach(radius);
-        // One axis of one query: whether its interval meets the bounds'
-        // (closed, as `Aabb::intersects`), and its 14 key bits.
-        let axis = |a: usize, c: f64| -> (bool, u64) {
-            let (qlo, qhi) = (c - reach, c + reach);
-            let touches = qlo <= qhi && bmin[a] <= qhi && bmax[a] >= qlo;
-            (touches, (self.cell(a, qlo) << 7 | self.cell(a, qhi)) as u64)
-        };
-        for (j, ((&x, &y), &z)) in (0u32..).zip(xs.iter().zip(ys).zip(zs)) {
-            let ((tx, kx), (ty, ky), (tz, kz)) = (axis(0, x), axis(1, y), axis(2, z));
-            if tx & ty & tz {
-                out.push((kx << 28 | ky << 14 | kz, first + j));
-            }
-        }
-    }
-
-    /// Enumerate the deduplicated candidate slots of a query key produced
-    /// by [`query_cell_keys`](Self::query_cell_keys), into `out` (cleared
-    /// first), in the same cell-major first-encounter order the per-sphere
-    /// visitors use. Slots still need the per-particle `d² ≤ r²` test —
-    /// use [`slot_box`](Self::slot_box) / [`slot_rank`](Self::slot_rank).
-    #[inline]
-    pub fn gather_candidate_slots(
-        &self,
-        mut key: u64,
-        scratch: &mut RegionQueryScratch,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        scratch.begin(self);
-        let mut lo = [0usize; 3];
-        let mut hi = [0usize; 3];
-        for a in (0..3).rev() {
-            hi[a] = (key & 0x7f) as usize;
-            lo[a] = (key >> 7 & 0x7f) as usize;
-            key >>= 14;
-        }
-        for cz in lo[2]..=hi[2] {
-            for cy in lo[1]..=hi[1] {
-                for cx in lo[0]..=hi[0] {
-                    for &slot in self.cell_slots(self.cell_id(cx, cy, cz)) {
-                        let stamp = &mut scratch.stamps[slot as usize];
-                        if *stamp == scratch.epoch {
-                            continue;
-                        }
-                        *stamp = scratch.epoch;
-                        out.push(slot);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bounding box of a live slot returned by
-    /// [`gather_candidate_slots`](Self::gather_candidate_slots).
-    #[inline]
-    pub fn slot_box(&self, slot: u32) -> &Aabb {
-        &self.live_boxes[slot as usize]
-    }
-
-    /// Owning rank of a live slot.
-    #[inline]
-    pub fn slot_rank(&self, slot: u32) -> Rank {
-        self.live_ranks[slot as usize]
-    }
-
     /// Collect (sorted, deduplicated) ranks whose region touches the sphere
     /// at `center` with radius `radius`, into `out` (cleared first).
     ///
@@ -441,16 +328,6 @@ impl RegionIndex {
     pub fn rank_count(&self) -> usize {
         self.total_ranks
     }
-
-    /// Approximate resident bytes of the index, for byte-budgeted caches
-    /// holding per-sample indexes as registry artifacts.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.cell_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.cell_data.capacity() * std::mem::size_of::<u32>()
-            + self.live_boxes.capacity() * std::mem::size_of::<Aabb>()
-            + self.live_ranks.capacity() * std::mem::size_of::<Rank>()
-    }
 }
 
 #[cfg(test)]
@@ -460,29 +337,8 @@ mod tests {
     use proptest::prelude::*;
 
     impl RegionIndex {
-        /// The one-query form [`RegionIndex::query_cell_keys`] replaced,
-        /// kept verbatim as its oracle: `None` where the scalar visitor
-        /// returns early, else the key through `Aabb::intersects` and
-        /// `cell_range`.
-        fn query_cell_key(&self, center: Vec3, radius: f64) -> Option<u64> {
-            if self.bounds.is_empty() {
-                return None;
-            }
-            let query = Aabb::new(center, center).inflate(query_reach(radius));
-            if !self.bounds.intersects(&query) {
-                return None;
-            }
-            let (lo, hi) = self.cell_range(&query);
-            let mut key = 0u64;
-            for a in 0..3 {
-                key = key << 7 | lo[a] as u64;
-                key = key << 7 | hi[a] as u64;
-            }
-            Some(key)
-        }
-
-        /// `cell_range` as it was before it shared [`RegionIndex::cell`]
-        /// with `query_cell_keys`, kept verbatim as its oracle.
+        /// `cell_range` as it was before it clamped in `f64`
+        /// ([`RegionIndex::cell`]), kept verbatim as its oracle.
         fn cell_range_floor(&self, b: &Aabb) -> ([usize; 3], [usize; 3]) {
             let rel_lo = b.min - self.bounds.min;
             let rel_hi = b.max - self.bounds.min;
@@ -613,29 +469,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Every query form visits exactly the regions `d² ≤ r²` accepts,
+        /// A query visits exactly the regions `d² ≤ r²` accepts,
         /// where rounding `c ± r` would shrink the query box past a face.
         #[test]
         fn near_face_queries_match_brute_force((regions, cases) in near_face_case()) {
             let idx = RegionIndex::build(&regions);
-            let mut scratch = RegionQueryScratch::new();
-            let mut slots = Vec::new();
             let mut out = Vec::new();
             for (c, r) in cases {
-                let expect = brute(&regions, c, r);
                 idx.ranks_touching_sphere(c, r, &mut out);
-                prop_assert_eq!(&out, &expect, "visitor, c={} r={}", c, r);
-                let mut keys = Vec::new();
-                idx.query_cell_keys(&[c.x], &[c.y], &[c.z], r, 0, &mut keys);
-                let mut batched: Vec<Rank> = Vec::new();
-                if let Some(&(key, _)) = keys.first() {
-                    idx.gather_candidate_slots(key, &mut scratch, &mut slots);
-                    batched.extend((slots.iter())
-                        .filter(|&&s| idx.slot_box(s).distance_sq_to_point(c) <= r * r)
-                        .map(|&s| idx.slot_rank(s)));
-                }
-                batched.sort_unstable();
-                prop_assert_eq!(&batched, &expect, "lane keys, c={} r={}", c, r);
+                prop_assert_eq!(&out, &brute(&regions, c, r), "c={} r={}", c, r);
             }
         }
     }
@@ -823,138 +665,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_gather_matches_scalar_visitor_exactly() {
-        // The grouped ghost kernel's contract: key + gathered slots +
-        // per-particle d² filter must reproduce the scalar visitor's
-        // output *in order*, and a None key must coincide with the scalar
-        // visitor's early return.
-        let mut rng = SplitMix64::new(2024);
-        let mut regions = Vec::new();
-        for _ in 0..50 {
-            let min = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()) * 3.0;
-            regions.push(Aabb::new(min, min + Vec3::splat(rng.next_range(0.1, 0.9))));
-        }
-        let idx = RegionIndex::build(&regions);
-        let mut scratch = RegionQueryScratch::new();
-        let mut batch_scratch = RegionQueryScratch::new();
-        let mut slots = Vec::new();
-        for case in 0..400 {
-            let c = Vec3::new(
-                rng.next_range(-1.0, 5.0),
-                rng.next_range(-1.0, 5.0),
-                rng.next_range(-1.0, 5.0),
-            );
-            let r = match case % 5 {
-                0 => 0.0,
-                1 => f64::NAN,
-                2 => -0.3,
-                _ => rng.next_range(0.01, 0.8),
-            };
-            let mut scalar = Vec::new();
-            idx.for_each_candidate_in_sphere(c, r, &mut scratch, |rank, d2| {
-                scalar.push((rank, d2));
-            });
-            let mut batched = Vec::new();
-            if let Some(key) = idx.query_cell_key(c, r) {
-                idx.gather_candidate_slots(key, &mut batch_scratch, &mut slots);
-                let rr = r * r;
-                for &slot in &slots {
-                    let d2 = idx.slot_box(slot).distance_sq_to_point(c);
-                    if d2 <= rr {
-                        batched.push((idx.slot_rank(slot), d2));
-                    }
-                }
-            } else {
-                // A None key must mean the scalar path also visits nothing.
-                assert!(scalar.is_empty(), "c={c} r={r}");
-            }
-            assert_eq!(batched, scalar, "c={c} r={r}");
-        }
-    }
-
-    #[test]
-    fn lane_keys_match_the_one_query_form() {
-        // Every particle of the lanes gets exactly the key (or the
-        // absence of one) the one-query form gives it, in particle order:
-        // inside, straddling and far outside the bounds, NaN / infinite
-        // centers, and zero / negative / NaN / huge radii.
-        let mut rng = SplitMix64::new(77);
-        let mut regions = Vec::new();
-        for _ in 0..300 {
-            let min = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()) * 3.0;
-            regions.push(Aabb::new(min, min + Vec3::splat(rng.next_range(0.05, 0.6))));
-        }
-        regions.push(Aabb::empty());
-        let flat = [Aabb::new(
-            Vec3::new(0.0, 0.0, 0.5),
-            Vec3::new(1.0, 1.0, 0.5),
-        )];
-        for regions in [&regions[..], &flat[..], &[Aabb::empty()][..], &[][..]] {
-            let idx = RegionIndex::build(regions);
-            let mut centers: Vec<Vec3> = (0..2000)
-                .map(|_| {
-                    Vec3::new(
-                        rng.next_range(-1.0, 5.0),
-                        rng.next_range(-1.0, 5.0),
-                        rng.next_range(-1.0, 5.0),
-                    )
-                })
-                .collect();
-            for (k, special) in [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300, -0.0]
-                .into_iter()
-                .enumerate()
-            {
-                let mut c = [0.5; 3];
-                c[k % 3] = special;
-                centers.push(Vec3::from_array(c));
-            }
-            let xs: Vec<f64> = centers.iter().map(|c| c.x).collect();
-            let ys: Vec<f64> = centers.iter().map(|c| c.y).collect();
-            let zs: Vec<f64> = centers.iter().map(|c| c.z).collect();
-            for radius in [0.0, 0.02, 0.3, 7.0, -0.3, f64::NAN, f64::INFINITY, 1e300] {
-                let expect: Vec<(u64, u32)> = (centers.iter().zip(100u32..))
-                    .filter_map(|(&c, i)| idx.query_cell_key(c, radius).map(|key| (key, i)))
-                    .collect();
-                let mut got = vec![(1, 1)];
-                idx.query_cell_keys(&xs, &ys, &zs, radius, 100, &mut got);
-                assert_eq!(got[0], (1, 1), "keys are appended");
-                assert_eq!(&got[1..], &expect[..], "radius={radius}");
-            }
-        }
-        // A NaN center has no key (the one-query form's `Aabb::new`
-        // debug-asserts on it, so it is checked here on its own).
-        let idx = RegionIndex::build(&octant_regions());
-        let mut got = Vec::new();
-        idx.query_cell_keys(
-            &[f64::NAN, 0.5],
-            &[0.5, 0.5],
-            &[0.5, f64::NAN],
-            0.1,
-            0,
-            &mut got,
-        );
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn equal_keys_share_candidate_enumeration() {
-        // Two centers in the same grid cell with the same radius get the
-        // same key — the grouping invariant the batched kernel relies on.
-        let idx = RegionIndex::build(&octant_regions());
-        let a = idx.query_cell_key(Vec3::splat(0.26), 0.05).unwrap();
-        let b = idx.query_cell_key(Vec3::splat(0.27), 0.05).unwrap();
-        assert_eq!(a, b);
-        let far = idx.query_cell_key(Vec3::splat(0.9), 0.05).unwrap();
-        assert_ne!(a, far);
-        assert_eq!(idx.query_cell_key(Vec3::splat(50.0), 0.1), None);
-        assert_eq!(idx.query_cell_key(Vec3::splat(0.5), f64::NAN), None);
-    }
-
-    #[test]
     fn candidate_filtering_is_monotone_in_radius() {
         // One query at r_max, filtered down by retained d², must equal a
-        // dedicated query at every smaller radius — the sweep engine's
-        // one-query-many-radii contract.
+        // dedicated query at every smaller radius: membership is monotone
+        // in the radius, which is also why one ghost join serves a list.
         let regions = octant_regions();
         let idx = RegionIndex::build(&regions);
         let mut scratch = RegionQueryScratch::new();

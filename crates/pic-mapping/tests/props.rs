@@ -129,24 +129,22 @@ proptest! {
     }
 
     #[test]
-    fn assign_soa_is_bit_identical_to_assign(positions in unit_positions(200), ranks in 1usize..24) {
-        // The mesh mappers' transpose into their one `assign_soa` and the
-        // bin mapper's default reconstitution fallback must both reproduce
-        // the AoS assignment exactly — ranks, regions, and bin counts.
+    fn fixed_regions_are_every_samples_regions(positions in unit_positions(200), ranks in 1usize..24) {
+        // Element mapping's regions are its RCB bricks whatever the sample,
+        // so a ghost count may build its rank tree over them once; the
+        // other mappings' regions move with the particles.
         let m = mesh();
-        let mappers: Vec<Box<dyn ParticleMapper>> = vec![
-            Box::new(ElementMapper::new(&m, ranks).unwrap()),
+        let element = ElementMapper::new(&m, ranks).unwrap();
+        let fixed = element.fixed_regions().expect("element regions are fixed");
+        prop_assert_eq!(fixed, &element.assign(&positions).rank_regions[..]);
+        prop_assert_eq!(fixed, &element.assign(&[]).rank_regions[..]);
+        let moving: Vec<Box<dyn ParticleMapper>> = vec![
             Box::new(LoadBalancedMapper::new(&m, ranks).unwrap()),
             Box::new(HilbertMapper::new(&m, ranks).unwrap()),
             Box::new(BinMapper::new(ranks, 0.05).unwrap()),
         ];
-        let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
-        let ys: Vec<f64> = positions.iter().map(|p| p.y).collect();
-        let zs: Vec<f64> = positions.iter().map(|p| p.z).collect();
-        for mapper in &mappers {
-            let aos = mapper.assign(&positions);
-            let soa = mapper.assign_soa(&xs, &ys, &zs);
-            prop_assert_eq!(aos, soa, "{}", mapper.name());
+        for mapper in &moving {
+            prop_assert!(mapper.fixed_regions().is_none(), "{}", mapper.name());
         }
     }
 

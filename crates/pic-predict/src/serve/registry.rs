@@ -2,9 +2,10 @@
 //!
 //! Every trace the service ingests is read **once**, addressed by the
 //! 128-bit FNV-1a digest of its raw encoded bytes, and kept resident
-//! together with its [`AssignmentCache`] — the per-sample assignment +
-//! [`pic_mapping::RegionIndex`] artifacts keyed by (mesh, binning), with
-//! each ghost radius's rows, that subsequent sweep/predict/check requests
+//! together with its [`AssignmentCache`] — the per-sample assignment
+//! artifacts (owners, real counts, and the rank regions of mappings whose
+//! regions move) keyed by (mesh, binning), with each ghost radius's rows
+//! and each stride's migration diffs, that subsequent sweep/predict/check requests
 //! replay against without re-running the mapper or, for a radius already
 //! asked for, the ghost kernel. Fitted [`KernelModels`] are registered the same
 //! way (addressed by digest of their JSON). Re-ingesting identical bytes

@@ -17,7 +17,6 @@ pub mod aabb;
 pub mod error;
 pub mod hash;
 pub mod ids;
-pub mod padded;
 pub mod pool;
 pub mod radix;
 pub mod rng;
@@ -28,5 +27,4 @@ pub mod vec3;
 pub use aabb::Aabb;
 pub use error::{PicError, Result, TraceError, TraceErrorKind};
 pub use ids::{BinId, ElementId, ParticleId, Rank};
-pub use padded::CachePadded;
 pub use vec3::{Axis, Vec3};

@@ -148,11 +148,6 @@ pub fn generate_with_mesh(
     replay(trace, &[SweepPoint::new(cfg.clone())], &opts).map(|(mut w, _)| w.remove(0))
 }
 
-/// Particles per parallel work item in the ghost kernel. Large enough to
-/// amortize one scratch + two partial-histogram allocations per chunk,
-/// small enough that short traces still fan out across cores.
-pub(crate) const GHOST_CHUNK: usize = 2048;
-
 /// Unbounded bin-count series over a trace, one per threshold (Fig 6:
 /// "relaxing the processor count limitation" to find the optimal `R`;
 /// Fig 10a: the same across filters). Each sample builds one [`BinTree`]
@@ -457,9 +452,8 @@ mod tests {
 
     #[test]
     fn chunked_kernel_matches_reference_on_large_sample() {
-        // Big enough to split into several ghost-kernel chunks, so the
-        // parallel partial-histogram merge actually runs.
-        let tr = make_trace(GHOST_CHUNK * 2 + 123, 2, 0.05, 33);
+        // A sample of a few thousand particles over 32 bins.
+        let tr = make_trace(4219, 2, 0.05, 33);
         let cfg = WorkloadConfig::new(32, MappingAlgorithm::BinBased, 0.05);
         let parallel = generate(&tr, &cfg, None).unwrap();
         let reference = generate_reference(&tr, &cfg, None).unwrap();

@@ -46,14 +46,12 @@ pub mod metrics;
 pub mod reduce;
 #[doc(hidden)]
 pub mod reference;
-pub mod soa;
 pub mod sweep;
 
 pub use generator::{DynamicWorkload, WorkloadConfig};
 pub use json::PrettyJson;
 pub use matrices::{migration_pairs, CommMatrix, CompMatrix};
 pub use reduce::{peak_load_series, peak_rel_error, ReduceStats, ReductionPlan};
-pub use soa::SoAPositions;
 pub use sweep::{
     mesh_fingerprint, replay, sweep_streaming, AssignmentCache, AssignmentCacheStats,
     AssignmentKey, CachedGroup, DiffRows, GhostRow, IngestStats, RadiusRows, ReplayOptions,

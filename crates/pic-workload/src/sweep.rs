@@ -18,11 +18,13 @@
 //!   between every bin group it runs on that sample, so each node is cut
 //!   once per sample ([`SweepStats::bin_cuts`] counts the attempts), and
 //!   counts its one radius's ghosts over that tree
-//!   ([`BinTree::ghost_counts`]). A mesh group assigns, counts,
-//!   builds a region index and serves every radius slot in one call of
-//!   the SoA kernel, which queries candidates once at the group's largest
-//!   radius (sphere–box overlap is monotone in the radius, so filtering
-//!   the same `d²` at `d² ≤ r²` is bit-exact for each smaller one).
+//!   ([`BinTree::ghost_counts`]). A mesh group assigns, counts, and
+//!   serves every radius slot in one pruned join over a [`RankTree`]
+//!   ([`RankTree::ghost_counts`]) — built once per group where the regions
+//!   are fixed (element), per sample otherwise — which prunes at the
+//!   group's largest radius (sphere–box overlap is monotone in the radius,
+//!   so filtering the same `d²` at `d² ≤ r²` is bit-exact for each smaller
+//!   one). Both joins are `pic-mapping`'s one pruned dual-tree traversal.
 //! * **Two drivers.** `replay_groups` is the resident loop: it runs the
 //!   kernel over the (group, sample) pairs a caller selects — all samples,
 //!   a [`ReductionPlan`]'s representatives and their predecessors, or a
@@ -45,19 +47,18 @@
 use crate::generator::{DynamicWorkload, WorkloadConfig};
 use crate::matrices::{migration_pairs, CommMatrix, CompMatrix};
 use crate::reduce::ReductionPlan;
-use crate::soa::{ghost_counts_soa, SoAPositions};
 use pic_grid::ElementMesh;
-use pic_mapping::{BinPartition, BinTree, MappingAlgorithm, ParticleMapper, RegionIndex};
+use pic_mapping::{BinPartition, BinTree, MappingAlgorithm, ParticleMapper, RankTree};
 use pic_trace::ParticleTrace;
 use pic_types::sync::TrackedMutex;
-use pic_types::{PicError, Rank, Result, Vec3};
+use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One grid point of a sweep: a generator configuration plus a sampling
@@ -156,6 +157,11 @@ pub(crate) struct GroupPlan {
     /// The distinct ghost radii (projection filters) of its members, one
     /// per radius slot.
     radii: Vec<f64>,
+    /// The rank tree over the mapper's regions where they are the same for
+    /// every sample (element mapping): built once, by the group's first
+    /// sample that counts ghosts, so a replay served from the cache never
+    /// builds it.
+    fixed_tree: OnceLock<RankTree>,
 }
 
 impl GroupPlan {
@@ -238,6 +244,7 @@ pub(crate) fn build_plan(
                 ranks,
                 key,
                 radii,
+                fixed_tree: OnceLock::new(),
             })
         })
         .collect::<Result<_>>()?;
@@ -320,22 +327,23 @@ fn stats_for(
 }
 
 /// The radius-independent artifact of one (group, sample) assignment
-/// pass: per-rank real counts, bin count, particle owners, and for a mesh
-/// group the spatial [`RegionIndex`] built from the rank regions:
-/// everything a ghost query at *any* radius needs, which makes it the
-/// radius-independent half of an [`AssignmentCache`] entry — the
-/// resident prediction service keeps these as registry artifacts keyed by
-/// (mesh, binning) and replays new filters and strides off them without
-/// re-running the assignment. A bin group has one radius, whose rows its
-/// entry holds, so it keeps no index.
+/// pass: per-rank real counts, bin count, particle owners, and for a
+/// Hilbert or load-balanced group the rank regions: everything a ghost
+/// count at *any* radius needs, which makes it the radius-independent half
+/// of an [`AssignmentCache`] entry — the resident prediction service keeps
+/// these as registry artifacts keyed by (mesh, binning) and replays new
+/// filters and strides off them without re-running the assignment. An
+/// element group's regions are the same for every sample and live in its
+/// plan, and a bin group has one radius, whose rows its entry holds, so
+/// neither keeps regions.
 #[derive(Debug, Clone)]
 pub struct SampleAssignment {
     pub(crate) real: Vec<u32>,
     bin_count: Option<usize>,
     owners: Vec<Rank>,
-    /// A mesh group's, present in a cached artifact; dropped as soon as
-    /// the ghost phase is done when no cache will receive it.
-    index: Option<RegionIndex>,
+    /// Present in a cached artifact of a group whose regions move; dropped
+    /// as soon as the ghost phase is done when no cache will receive it.
+    regions: Option<Vec<Aabb>>,
 }
 
 impl SampleAssignment {
@@ -344,7 +352,7 @@ impl SampleAssignment {
         std::mem::size_of::<Self>()
             + self.real.capacity() * std::mem::size_of::<u32>()
             + self.owners.capacity() * std::mem::size_of::<Rank>()
-            + self.index.as_ref().map_or(0, RegionIndex::approx_bytes)
+            + self.regions.as_ref().map_or(0, |r| r.capacity()) * std::mem::size_of::<Aabb>()
     }
 }
 
@@ -428,7 +436,7 @@ impl SampleTree {
                 real,
                 bin_count: Some(counts.len()),
                 owners: assignment.iter().map(|&b| Rank::new(b)).collect(),
-                index: None,
+                regions: None,
             }
         });
         GroupSample { assignment, ghosts }
@@ -446,15 +454,16 @@ impl SampleTree {
 ///
 /// A bin group walks `tree`, which callers share between every bin group
 /// they run on one sample, and counts its ghosts over that tree; a cached
-/// bin group that lacks its radius walks again for it. A mesh group builds
-/// a [`RegionIndex`] over its rank regions for the SoA kernel, and
-/// `keep_index` leaves it in the returned artifact for a cache to receive.
+/// bin group that lacks its radius walks again for it. A mesh group counts
+/// its ghosts over a [`RankTree`]: its plan's when its regions are fixed,
+/// else one built over the sample's regions, which `keep_regions` leaves
+/// in the returned artifact for a cache to receive.
 fn process_group_sample(
     positions: &[Vec3],
     group: &GroupPlan,
     radii: &[f64],
     cached: Option<&SampleAssignment>,
-    keep_index: bool,
+    keep_regions: bool,
     tree: &mut SampleTree,
 ) -> GroupSample {
     if cached.is_some() && radii.is_empty() {
@@ -466,34 +475,37 @@ fn process_group_sample(
     if let Some(threshold) = group.bin_threshold() {
         return tree.pass(positions, (group.ranks, threshold), radii, cached.is_none());
     }
-    // One SoA transpose feeds the mesh mappers' vectorized assignment and
-    // the grouped ghost kernels.
-    let soa = SoAPositions::from_positions(positions);
     let mut computed = cached.is_none().then(|| {
-        let outcome = group.mapper.assign_soa(soa.xs(), soa.ys(), soa.zs());
+        let outcome = group.mapper.assign(positions);
         let mut real = vec![0u32; group.ranks];
         for r in &outcome.ranks {
             real[r.index()] += 1;
         }
-        let index =
-            (keep_index || !radii.is_empty()).then(|| RegionIndex::build(&outcome.rank_regions));
         SampleAssignment {
             real,
             bin_count: outcome.bin_count,
             owners: outcome.ranks,
-            index,
+            regions: (group.mapper.fixed_regions().is_none()).then_some(outcome.rank_regions),
         }
     });
     let ghosts = match cached.or(computed.as_ref()) {
         Some(a) if !radii.is_empty() => {
-            let index = a.index.as_ref().expect("ghost radii imply an index");
-            ghost_counts_soa(&soa, &a.owners, index, radii, group.ranks)
+            let built;
+            let rank_tree = match (group.mapper.fixed_regions(), &a.regions) {
+                (Some(fixed), _) => group.fixed_tree.get_or_init(|| RankTree::new(fixed)),
+                (None, Some(regions)) => {
+                    built = RankTree::new(regions);
+                    &built
+                }
+                (None, None) => unreachable!("a mesh assignment keeps moving regions"),
+            };
+            rank_tree.ghost_counts(positions, &a.owners, radii)
         }
         _ => Vec::new(),
     };
-    if !keep_index {
+    if !keep_regions {
         if let Some(a) = &mut computed {
-            a.index = None;
+            a.regions = None;
         }
     }
     GroupSample {
@@ -645,10 +657,15 @@ pub(crate) fn replay_groups(
                     let mut run = |g: usize| {
                         let radii = if j < nf { &missing[g][..] } else { &[][..] };
                         let cached = hits[g].as_ref().map(|h| &h.assignments[s]);
-                        let keep_index = j < nf && publish.is_some();
+                        let keep_regions = j < nf && publish.is_some();
                         let group = &plan.groups[g];
                         process_group_sample(
-                            &positions, group, radii, cached, keep_index, &mut tree,
+                            &positions,
+                            group,
+                            radii,
+                            cached,
+                            keep_regions,
+                            &mut tree,
                         )
                     };
                     // A one-group slot's outcome comes back unboxed, and so
@@ -1668,9 +1685,8 @@ mod tests {
     }
 
     /// `run` under pools of 1, 2, 3 and 7 threads: 1 is the sequential
-    /// path, 3 and 7 leave uneven block remainders and, with fewer items
-    /// than threads, a child budget wide enough to split the ghost kernel
-    /// into spans. Every result must equal `expect`.
+    /// path, 3 and 7 leave uneven block remainders and fewer items than
+    /// threads. Every result must equal `expect`.
     fn assert_same_under_every_pool<T: PartialEq + std::fmt::Debug>(
         expect: &T,
         run: impl Fn() -> T,
@@ -1686,9 +1702,9 @@ mod tests {
 
     #[test]
     fn generate_with_mesh_is_bit_equal_across_thread_counts() {
-        // Enough particles for three ghost spans per sample, few enough
-        // samples (3 < 7) that the spans are really used.
-        let tr = make_trace(crate::generator::GHOST_CHUNK * 2 + 77, 3, 11);
+        // A few thousand particles per sample, and fewer samples (3) than
+        // the widest pool's threads.
+        let tr = make_trace(4173, 3, 11);
         let m = mesh();
         for mapping in [MappingAlgorithm::BinBased, MappingAlgorithm::ElementBased] {
             let cfg = WorkloadConfig::new(24, mapping, 0.05);
@@ -2239,15 +2255,23 @@ mod tests {
     }
 
     #[test]
-    fn large_sample_exercises_chunked_multi_radius_kernel() {
-        // Two chunks' worth of particles so the ghost kernel's parallel
-        // partial merge actually runs, three radii per call.
-        let tr = make_trace(generator::GHOST_CHUNK * 2 + 57, 2, 10);
+    fn large_sample_counts_every_radius_over_the_rank_tree() {
+        // A few thousand particles, three radii per mesh group's one join,
+        // under every mesh mapping: a fixed tree (element) and trees built
+        // per sample (Hilbert, load-balanced), the latter at more ranks
+        // than the mesh's 64 elements.
+        let tr = make_trace(4153, 2, 10);
         let m = mesh();
-        let points: Vec<SweepPoint> = [0.02, 0.05, 0.09]
-            .iter()
-            .map(|&f| SweepPoint::new(WorkloadConfig::new(24, MappingAlgorithm::ElementBased, f)))
-            .collect();
+        let mut points = Vec::new();
+        for (mapping, ranks) in [
+            (MappingAlgorithm::ElementBased, 24),
+            (MappingAlgorithm::HilbertOrdered, 37),
+            (MappingAlgorithm::LoadBalanced, 90),
+        ] {
+            for f in [0.02, 0.09, 0.05] {
+                points.push(SweepPoint::new(WorkloadConfig::new(ranks, mapping, f)));
+            }
+        }
         assert_matches_reference(&tr, &points, Some(&m));
     }
 }
