@@ -29,16 +29,11 @@
 //!   holdout of non-representative samples, compared against the reduced
 //!   reconstruction on peak load. A reduction that breaches its budget
 //!   (default 2%) is rejected before anything downstream trusts it.
-//! * [`sched`] — a minimal loom-style deterministic schedule explorer
-//!   (with optional ample-set partial-order reduction and lasso-based
-//!   liveness checking) for the models below, each an interleaving
-//!   property of live code that no proptest can sample exhaustively:
-//!   * [`pipeline_model`] — `pic_workload::sweep_streaming`'s
-//!     decoder→workers→merge pipeline shuts down hang- and leak-free
-//!     (`tests/interleavings.rs`);
-//!   * [`serve_model`] — the service's shutdown handshake is deadlock-
-//!     and lost-wakeup-free, with a seeded-mutant corpus
-//!     (`tests/serve_protocols.rs`).
+//! * [`sched`] — a minimal loom-style deterministic schedule explorer for
+//!   [`pipeline_model`]: `pic_workload::sweep_streaming`'s
+//!   decoder→workers→merge pipeline shuts down hang- and leak-free, an
+//!   interleaving property of live code that no proptest can sample
+//!   exhaustively (`tests/interleavings.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +44,6 @@ pub mod pipeline_model;
 pub mod prediction;
 pub mod reduction;
 pub mod sched;
-pub mod serve_model;
 pub mod workload;
 
 pub use expr_check::{
@@ -65,10 +59,7 @@ pub use reduction::{
     assert_reduction_valid, check_reduction, holdout_samples, HoldoutPoint, ReductionBudget,
     ReductionReport,
 };
-pub use sched::{explore, explore_with, Exploration, ExploreOptions, Model, ScheduleError};
-pub use serve_model::{
-    serve_mutant_corpus, verify_serve_protocols, MutantOutcome, ProtocolVerdict,
-};
+pub use sched::{explore, Exploration, Model, ScheduleError};
 pub use workload::{
     assert_sweep_valid, assert_workload_valid, check_sweep, check_workload, SweepViolation,
     WorkloadViolation,

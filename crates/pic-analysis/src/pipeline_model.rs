@@ -318,7 +318,6 @@ pub fn verify_streaming_shutdown() -> Result<Exploration, ScheduleError> {
         states: 0,
         terminal_states: 0,
         transitions: 0,
-        ample_states: 0,
     };
     for frames in 0..=4u8 {
         for &workers in &[1usize, 2, 3] {

@@ -15,33 +15,8 @@
 //! On failure the explorer reports a minimal-by-construction action trace
 //! from the initial state to the offending state, which is a replayable
 //! schedule — the property that makes the harness useful in CI.
-//!
-//! Two optional extensions, enabled per run through [`ExploreOptions`]:
-//!
-//! * **Ample-set partial-order reduction** ([`ExploreOptions::reduction`]).
-//!   When a state has several threads enabled and one of them only has
-//!   *local* actions pending — actions the model declares (via
-//!   [`Model::is_local`]) to commute with every other thread's actions and
-//!   to be invisible to all checked properties — the explorer expands only
-//!   that thread and defers the rest. Interleavings that differ merely in
-//!   where the local action lands are collapsed to one representative. A
-//!   stack proviso keeps the reduction sound: a candidate thread whose
-//!   successor lies on the current DFS stack is rejected, so no action can
-//!   be indefinitely postponed around a cycle (the "ignoring problem").
-//!   This is what lets the serve protocol matrix scale past the streaming
-//!   model's ~20k-state full expansion.
-//!
-//! * **Liveness via lasso detection** ([`ExploreOptions::liveness`]).
-//!   Deadlock detection cannot see a thread that spins forever — every
-//!   state has an enabled action, yet no progress happens. With liveness
-//!   on, the explorer records the transition graph, finds its strongly
-//!   connected components, and flags any SCC that some actor sits in a
-//!   *waiting* state throughout ([`Model::waiting_actors`]) while every
-//!   always-enabled actor participates in the cycle: a weakly-fair
-//!   scheduler can then loop forever and starve the waiter. The reported
-//!   schedule is a lasso — a stem from the initial state plus the cycle.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -65,71 +40,6 @@ pub trait Model {
     /// Invariant checked on every reachable state (including terminal
     /// ones). Return `Err` with a description to fail exploration.
     fn check(&self, s: &Self::State) -> Result<(), String>;
-
-    /// Which thread/actor performs `a`. Used to group actions for the
-    /// ample-set reduction and to attribute cycle participation in the
-    /// liveness check. The default (everything is actor 0) disables both.
-    fn actor(&self, a: Self::Action) -> usize {
-        let _ = a;
-        0
-    }
-
-    /// Does `a`, taken from `s`, commute with every *other* actor's
-    /// enabled actions and stay invisible to [`Model::check`],
-    /// [`Model::is_terminal`], and [`Model::waiting_actors`]? Only actions
-    /// for which this holds may be collapsed by the reduction; the default
-    /// `false` keeps exploration exhaustive.
-    fn is_local(&self, s: &Self::State, a: Self::Action) -> bool {
-        let _ = (s, a);
-        false
-    }
-
-    /// Actors that are blocked waiting for progress by others in `s`
-    /// (parked on a condvar, spinning on a flag). Drives the liveness
-    /// check: an actor waiting in *every* state of a fair cycle is starved.
-    /// The default (nobody waits) makes liveness trivially pass.
-    fn waiting_actors(&self, s: &Self::State) -> Vec<usize> {
-        let _ = s;
-        Vec::new()
-    }
-}
-
-/// Knobs for one exploration run. Construct with [`ExploreOptions::new`]
-/// and flip the extensions on as needed.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreOptions {
-    /// Bound on distinct states; exceeding it is an error, never a silent
-    /// truncation.
-    pub max_states: usize,
-    /// Enable ample-set partial-order reduction (needs [`Model::actor`]
-    /// and [`Model::is_local`] to be meaningful).
-    pub reduction: bool,
-    /// Enable lasso-based liveness checking (needs
-    /// [`Model::waiting_actors`] to be meaningful).
-    pub liveness: bool,
-}
-
-impl ExploreOptions {
-    /// Exhaustive exploration bounded by `max_states`, extensions off.
-    pub fn new(max_states: usize) -> ExploreOptions {
-        ExploreOptions {
-            max_states,
-            reduction: false,
-            liveness: false,
-        }
-    }
-
-    /// Turn ample-set reduction on.
-    pub fn with_reduction(mut self) -> ExploreOptions {
-        self.reduction = true;
-        self
-    }
-
-    /// Turn lasso liveness checking on.
-    pub fn with_liveness(mut self) -> ExploreOptions {
-        self.liveness = true;
-        self
-    }
 }
 
 /// Statistics from a completed exhaustive exploration.
@@ -141,20 +51,14 @@ pub struct Exploration {
     pub terminal_states: usize,
     /// Transitions taken (edges in the state graph).
     pub transitions: usize,
-    /// States where the ample-set reduction pruned siblings (0 when the
-    /// reduction is off or never applicable).
-    pub ample_states: usize,
 }
 
 /// A schedule that violates a property, with the action trace leading to it.
 #[derive(Debug, Clone)]
 pub struct ScheduleError {
-    /// What went wrong (invariant message, deadlock, livelock, state-space
-    /// overflow).
+    /// What went wrong (invariant message, deadlock, state-space overflow).
     pub message: String,
-    /// Debug-formatted actions from the initial state to the failure. For
-    /// liveness violations this is a lasso: stem, a `-- cycle --` marker,
-    /// then the repeating suffix.
+    /// Debug-formatted actions from the initial state to the failure.
     pub trace: Vec<String>,
 }
 
@@ -169,84 +73,41 @@ impl std::fmt::Display for ScheduleError {
     }
 }
 
-/// Exhaustively explore every reachable interleaving of `model`.
-///
-/// `max_states` bounds the state space: exceeding it is an error (the
-/// model is bigger than the harness is prepared to prove things about),
-/// never a silent truncation. Equivalent to [`explore_with`] with both
-/// extensions off.
-pub fn explore<M: Model>(model: &M, max_states: usize) -> Result<Exploration, ScheduleError> {
-    explore_with(model, ExploreOptions::new(max_states))
-}
-
-/// A recorded transition, kept only when liveness checking is on.
-struct Edge {
-    to: usize,
-    actor: usize,
-    label: String,
-}
-
-/// Per-state facts the liveness pass needs after the DFS finishes.
-struct LivenessLog {
-    /// Outgoing edges per state id (includes edges to already-visited
-    /// states — exactly the back edges that close lassos).
-    edges: Vec<Vec<Edge>>,
-    /// Actors with at least one enabled action, per state id.
-    enabled_actors: Vec<BTreeSet<usize>>,
-    /// [`Model::waiting_actors`] per state id.
-    waiting: Vec<BTreeSet<usize>>,
-}
-
 /// One suspended node of the iterative DFS.
 struct Frame<M: Model> {
-    id: usize,
     state: M::State,
-    /// Actions this frame will expand (the ample set, or everything).
     actions: Vec<M::Action>,
     next: usize,
 }
 
-/// Explore with explicit [`ExploreOptions`].
-pub fn explore_with<M: Model>(
-    model: &M,
-    opts: ExploreOptions,
-) -> Result<Exploration, ScheduleError> {
-    let mut index: HashMap<M::State, usize> = HashMap::new();
-    let mut on_stack: Vec<bool> = Vec::new();
+/// Exhaustively explore every reachable interleaving of `model`.
+///
+/// `max_states` bounds the state space: exceeding it is an error (the
+/// model is bigger than the harness is prepared to prove things about),
+/// never a silent truncation.
+pub fn explore<M: Model>(model: &M, max_states: usize) -> Result<Exploration, ScheduleError> {
+    let mut seen: HashSet<M::State> = HashSet::new();
     let mut stats = Exploration {
         states: 0,
         terminal_states: 0,
         transitions: 0,
-        ample_states: 0,
-    };
-    let mut log = LivenessLog {
-        edges: Vec::new(),
-        enabled_actors: Vec::new(),
-        waiting: Vec::new(),
     };
     // Labels of the edges from the root to the top frame — the replayable
     // schedule for any failure discovered at the top of the stack.
     let mut labels: Vec<String> = Vec::new();
     let mut stack: Vec<Frame<M>> = Vec::new();
-
-    let init = model.initial();
-    match admit(
+    if let Some(frame) = admit(
         model,
-        init,
-        &opts,
-        &mut index,
-        &mut on_stack,
+        model.initial(),
+        max_states,
+        &mut seen,
         &mut stats,
-        &mut log,
         &labels,
     )? {
-        Admitted::New(frame) => stack.push(frame),
-        Admitted::Seen(_) => {}
+        stack.push(frame);
     }
-
     while let Some(top) = stack.last_mut() {
         if top.next >= top.actions.len() {
-            on_stack[top.id] = false;
             stack.pop();
             // The root frame has no incoming edge label.
             if !stack.is_empty() {
@@ -257,348 +118,68 @@ pub fn explore_with<M: Model>(
         let a = top.actions[top.next];
         top.next += 1;
         stats.transitions += 1;
-        let from = top.id;
         let next_state = model.step(&top.state, a);
-        let label = format!("{a:?}");
-        labels.push(label.clone());
-        let admitted = admit(
-            model,
-            next_state,
-            &opts,
-            &mut index,
-            &mut on_stack,
-            &mut stats,
-            &mut log,
-            &labels,
-        )?;
-        let to = match &admitted {
-            Admitted::New(f) => f.id,
-            Admitted::Seen(id) => *id,
-        };
-        if opts.liveness {
-            log.edges[from].push(Edge {
-                to,
-                actor: model.actor(a),
-                label,
-            });
-        }
-        match admitted {
-            Admitted::New(frame) => stack.push(frame),
-            Admitted::Seen(_) => {
+        labels.push(format!("{a:?}"));
+        match admit(
+            model, next_state, max_states, &mut seen, &mut stats, &labels,
+        )? {
+            Some(frame) => stack.push(frame),
+            None => {
                 labels.pop();
             }
         }
     }
-
-    if opts.liveness {
-        check_lassos(&log, &index)?;
-    }
     Ok(stats)
 }
 
-enum Admitted<M: Model> {
-    New(Frame<M>),
-    Seen(usize),
-}
-
 /// First-visit processing of a state: dedup, bound check, invariant,
-/// deadlock/terminal checks, stats, and (if reduction is on) ample-set
-/// selection. `labels` is the schedule that reached this state.
-#[allow(clippy::too_many_arguments)]
+/// deadlock/terminal checks and stats. `None` for a state already seen.
+/// `labels` is the schedule that reached this state.
 fn admit<M: Model>(
     model: &M,
     state: M::State,
-    opts: &ExploreOptions,
-    index: &mut HashMap<M::State, usize>,
-    on_stack: &mut Vec<bool>,
+    max_states: usize,
+    seen: &mut HashSet<M::State>,
     stats: &mut Exploration,
-    log: &mut LivenessLog,
     labels: &[String],
-) -> Result<Admitted<M>, ScheduleError> {
-    if let Some(&id) = index.get(&state) {
-        return Ok(Admitted::Seen(id));
+) -> Result<Option<Frame<M>>, ScheduleError> {
+    if seen.contains(&state) {
+        return Ok(None);
     }
-    if index.len() >= opts.max_states {
-        return Err(ScheduleError {
-            message: format!("state space exceeds {} states", opts.max_states),
-            trace: labels.to_vec(),
-        });
-    }
-    model.check(&state).map_err(|message| ScheduleError {
-        message: format!("invariant violated: {message}\n  in state: {state:?}"),
+    let fail = |message: String| ScheduleError {
+        message,
         trace: labels.to_vec(),
+    };
+    if seen.len() >= max_states {
+        return Err(fail(format!("state space exceeds {max_states} states")));
+    }
+    (model.check(&state)).map_err(|message| {
+        fail(format!(
+            "invariant violated: {message}\n  in state: {state:?}"
+        ))
     })?;
     let actions = model.enabled(&state);
     let terminal = model.is_terminal(&state);
     if actions.is_empty() && !terminal {
-        return Err(ScheduleError {
-            message: format!("deadlock: no action enabled in non-terminal state\n  {state:?}"),
-            trace: labels.to_vec(),
-        });
+        return Err(fail(format!(
+            "deadlock: no action enabled in non-terminal state\n  {state:?}"
+        )));
     }
     if terminal && !actions.is_empty() {
-        return Err(ScheduleError {
-            message: format!("terminal state still has enabled actions {actions:?}\n  {state:?}"),
-            trace: labels.to_vec(),
-        });
+        return Err(fail(format!(
+            "terminal state still has enabled actions {actions:?}\n  {state:?}"
+        )));
     }
-    let id = index.len();
-    index.insert(state.clone(), id);
-    on_stack.push(true);
+    seen.insert(state.clone());
     stats.states += 1;
     if terminal {
         stats.terminal_states += 1;
     }
-    if opts.liveness {
-        log.edges.push(Vec::new());
-        log.enabled_actors
-            .push(actions.iter().map(|&a| model.actor(a)).collect());
-        log.waiting
-            .push(model.waiting_actors(&state).into_iter().collect());
-    }
-    let selected = if opts.reduction {
-        select_ample(model, &state, &actions, index, on_stack, stats)
-    } else {
-        actions
-    };
-    Ok(Admitted::New(Frame {
-        id,
+    Ok(Some(Frame {
         state,
-        actions: selected,
+        actions,
         next: 0,
     }))
-}
-
-/// Pick an ample subset of `actions` to expand from `state`, or return
-/// them all. A candidate is one actor's complete set of enabled actions,
-/// all declared local; the stack proviso rejects a candidate whose any
-/// successor is on the current DFS stack (which would let a non-local
-/// action be ignored forever around a cycle). Because the DFS stack below
-/// a frame never changes while the frame is live, checking the proviso
-/// once at selection time is exact.
-fn select_ample<M: Model>(
-    model: &M,
-    state: &M::State,
-    actions: &[M::Action],
-    index: &HashMap<M::State, usize>,
-    on_stack: &[bool],
-    stats: &mut Exploration,
-) -> Vec<M::Action> {
-    let mut by_actor: BTreeMap<usize, Vec<M::Action>> = BTreeMap::new();
-    for &a in actions {
-        by_actor.entry(model.actor(a)).or_default().push(a);
-    }
-    if by_actor.len() < 2 {
-        return actions.to_vec();
-    }
-    'candidates: for group in by_actor.values() {
-        for &a in group {
-            if !model.is_local(state, a) {
-                continue 'candidates;
-            }
-            let succ = model.step(state, a);
-            if let Some(&sid) = index.get(&succ) {
-                if on_stack[sid] {
-                    continue 'candidates;
-                }
-            }
-        }
-        stats.ample_states += 1;
-        return group.clone();
-    }
-    actions.to_vec()
-}
-
-/// Scan the recorded transition graph for starving cycles: an SCC some
-/// actor waits in throughout, while every actor enabled in all of its
-/// states also steps inside it (so a weakly-fair scheduler can spin there
-/// forever). Reports the lasso schedule on violation.
-fn check_lassos<S: Eq + Hash + Debug>(
-    log: &LivenessLog,
-    index: &HashMap<S, usize>,
-) -> Result<(), ScheduleError> {
-    let n = log.edges.len();
-    let sccs = tarjan_sccs(&log.edges, n);
-    for scc in &sccs {
-        let members: HashSet<usize> = scc.iter().copied().collect();
-        // Actors driving edges that stay inside the SCC; an SCC without
-        // internal edges (trivial, no self-loop) cannot be looped in.
-        let mut steppers: BTreeSet<usize> = BTreeSet::new();
-        let mut has_internal = false;
-        for &s in scc {
-            for e in &log.edges[s] {
-                if members.contains(&e.to) {
-                    has_internal = true;
-                    steppers.insert(e.actor);
-                }
-            }
-        }
-        if !has_internal {
-            continue;
-        }
-        let mut always_waiting = log.waiting[scc[0]].clone();
-        let mut always_enabled = log.enabled_actors[scc[0]].clone();
-        for &s in &scc[1..] {
-            always_waiting = always_waiting
-                .intersection(&log.waiting[s])
-                .copied()
-                .collect();
-            always_enabled = always_enabled
-                .intersection(&log.enabled_actors[s])
-                .copied()
-                .collect();
-        }
-        if always_waiting.is_empty() {
-            continue;
-        }
-        if always_enabled.iter().all(|a| steppers.contains(a)) {
-            let trace = lasso_trace(log, &members, scc[0]);
-            let state_desc = index
-                .iter()
-                .find(|(_, &id)| id == scc[0])
-                .map(|(s, _)| format!("{s:?}"))
-                .unwrap_or_default();
-            return Err(ScheduleError {
-                message: format!(
-                    "liveness violation: actor(s) {:?} wait forever around a reachable \
-                     {}-state cycle that a weakly-fair scheduler can repeat \
-                     (cycle actors: {:?})\n  a cycle state: {}",
-                    always_waiting.iter().collect::<Vec<_>>(),
-                    scc.len(),
-                    steppers.iter().collect::<Vec<_>>(),
-                    state_desc,
-                ),
-                trace,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Iterative Tarjan SCC over the recorded edges. Returns every component
-/// (including trivial ones; the caller filters by internal edges).
-fn tarjan_sccs(edges: &[Vec<Edge>], n: usize) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let mut idx = vec![UNSET; n];
-    let mut low = vec![0usize; n];
-    let mut comp_stack: Vec<usize> = Vec::new();
-    let mut on_comp = vec![false; n];
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    // (node, next outgoing edge to examine)
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if idx[root] != UNSET {
-            continue;
-        }
-        call.push((root, 0));
-        while let Some(&mut (v, ref mut ei)) = call.last_mut() {
-            if *ei == 0 {
-                idx[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                comp_stack.push(v);
-                on_comp[v] = true;
-            }
-            if *ei < edges[v].len() {
-                let w = edges[v][*ei].to;
-                *ei += 1;
-                if idx[w] == UNSET {
-                    call.push((w, 0));
-                } else if on_comp[w] {
-                    low[v] = low[v].min(idx[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == idx[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = comp_stack.pop().expect("component stack non-empty");
-                        on_comp[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(comp);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// Build the lasso schedule: BFS stem from state 0 to `entry`, a
-/// `-- cycle --` marker, then a BFS cycle from `entry` back to itself
-/// using only SCC-internal edges.
-fn lasso_trace(log: &LivenessLog, members: &HashSet<usize>, entry: usize) -> Vec<String> {
-    let n = log.edges.len();
-    let mut trace = bfs_path(log, 0, entry, n, None);
-    trace.push("-- cycle --".to_string());
-    // A self-loop on entry is the shortest cycle; otherwise walk to a
-    // predecessor of entry inside the SCC and close the loop.
-    if let Some(e) = log.edges[entry].iter().find(|e| e.to == entry) {
-        trace.push(e.label.clone());
-        return trace;
-    }
-    // First hop out of entry inside the SCC, then BFS back to entry.
-    if let Some(first) = log.edges[entry].iter().find(|e| members.contains(&e.to)) {
-        trace.push(first.label.clone());
-        let back = bfs_path(log, first.to, entry, n, Some(members));
-        trace.extend(back);
-    }
-    trace
-}
-
-/// Labels along a shortest edge path `from → to` (empty if `from == to`),
-/// optionally restricted to nodes in `within`.
-fn bfs_path(
-    log: &LivenessLog,
-    from: usize,
-    to: usize,
-    n: usize,
-    within: Option<&HashSet<usize>>,
-) -> Vec<String> {
-    if from == to {
-        return Vec::new();
-    }
-    let mut prev: Vec<Option<(usize, usize)>> = vec![None; n]; // (node, edge idx)
-    let mut queue = std::collections::VecDeque::from([from]);
-    let mut seen = vec![false; n];
-    seen[from] = true;
-    'bfs: while let Some(v) = queue.pop_front() {
-        for (i, e) in log.edges[v].iter().enumerate() {
-            if let Some(w) = within {
-                if !w.contains(&e.to) {
-                    continue;
-                }
-            }
-            if !seen[e.to] {
-                seen[e.to] = true;
-                prev[e.to] = Some((v, i));
-                if e.to == to {
-                    break 'bfs;
-                }
-                queue.push_back(e.to);
-            }
-        }
-    }
-    let mut labels = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        match prev[cur] {
-            Some((p, i)) => {
-                labels.push(log.edges[p][i].label.clone());
-                cur = p;
-            }
-            None => break, // unreachable target: return what we have
-        }
-    }
-    labels.reverse();
-    labels
 }
 
 #[cfg(test)]
@@ -651,7 +232,6 @@ mod tests {
         assert_eq!(r.terminal_states, 1);
         // transitions = edges of the 3×3 grid DAG: 2·3·2 = 12
         assert_eq!(r.transitions, 12);
-        assert_eq!(r.ample_states, 0);
     }
 
     /// A model with a buried deadlock: B can only step after A has fully
@@ -702,166 +282,5 @@ mod tests {
     fn state_space_overflow_is_loud() {
         let err = explore(&Counter, 3).unwrap_err();
         assert!(err.message.contains("exceeds 3 states"), "{}", err.message);
-    }
-
-    /// `threads` workers each take `steps` purely local steps then finish.
-    /// Fully independent, so the reduced exploration should collapse to a
-    /// single serialized order while the full one is exponential-ish.
-    struct LocalWorkers {
-        threads: usize,
-        steps: u8,
-    }
-
-    impl Model for LocalWorkers {
-        type State = Vec<u8>; // remaining steps per worker
-        type Action = (usize, ()); // worker index
-
-        fn initial(&self) -> Self::State {
-            vec![self.steps; self.threads]
-        }
-        fn enabled(&self, s: &Self::State) -> Vec<Self::Action> {
-            s.iter()
-                .enumerate()
-                .filter(|(_, &r)| r > 0)
-                .map(|(i, _)| (i, ()))
-                .collect()
-        }
-        fn step(&self, s: &Self::State, a: Self::Action) -> Self::State {
-            let mut next = s.clone();
-            next[a.0] -= 1;
-            next
-        }
-        fn is_terminal(&self, s: &Self::State) -> bool {
-            s.iter().all(|&r| r == 0)
-        }
-        fn check(&self, _: &Self::State) -> Result<(), String> {
-            Ok(())
-        }
-        fn actor(&self, a: Self::Action) -> usize {
-            a.0
-        }
-        fn is_local(&self, _: &Self::State, _: Self::Action) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn reduction_collapses_independent_workers() {
-        let m = LocalWorkers {
-            threads: 4,
-            steps: 3,
-        };
-        let full = explore_with(&m, ExploreOptions::new(100_000)).unwrap();
-        let reduced = explore_with(&m, ExploreOptions::new(100_000).with_reduction()).unwrap();
-        // full: 4^4 = 256 states; reduced: one serialized chain = 13 states
-        assert_eq!(full.states, 256);
-        assert_eq!(reduced.states, 13);
-        assert_eq!(reduced.terminal_states, full.terminal_states);
-        assert!(reduced.ample_states > 0);
-        assert_eq!(full.ample_states, 0);
-    }
-
-    #[test]
-    fn reduction_preserves_counter_results() {
-        // Counter declares nothing local, so reduction must change nothing.
-        let full = explore_with(&Counter, ExploreOptions::new(1000)).unwrap();
-        let reduced = explore_with(&Counter, ExploreOptions::new(1000).with_reduction()).unwrap();
-        assert_eq!(full, reduced);
-    }
-
-    /// Actor 1 waits for a flag that actor 0 never sets: actor 0 spins in
-    /// a self-loop instead. No deadlock (0 is always enabled), but actor 1
-    /// starves — only the lasso check can see it.
-    struct Spinner;
-
-    impl Model for Spinner {
-        type State = (bool, bool); // (flag set, waiter done)
-        type Action = u8; // 0 = spinner polls, 1 = waiter proceeds (needs flag)
-
-        fn initial(&self) -> Self::State {
-            (false, false)
-        }
-        fn enabled(&self, s: &Self::State) -> Vec<u8> {
-            let mut v = Vec::new();
-            if !s.1 {
-                v.push(0); // spinner polls forever until waiter finishes
-                if s.0 {
-                    v.push(1);
-                }
-            }
-            v
-        }
-        fn step(&self, s: &Self::State, a: u8) -> Self::State {
-            match a {
-                0 => *s, // poll: no state change — the self-loop
-                _ => (s.0, true),
-            }
-        }
-        fn is_terminal(&self, s: &Self::State) -> bool {
-            s.1
-        }
-        fn check(&self, _: &Self::State) -> Result<(), String> {
-            Ok(())
-        }
-        fn actor(&self, a: Self::Action) -> usize {
-            a as usize
-        }
-        fn waiting_actors(&self, s: &Self::State) -> Vec<usize> {
-            if !s.0 && !s.1 {
-                vec![1] // waiter is blocked until the flag appears
-            } else {
-                Vec::new()
-            }
-        }
-    }
-
-    #[test]
-    fn lasso_liveness_catches_spin_starvation() {
-        // Safety-only exploration passes: every state has an action.
-        explore_with(&Spinner, ExploreOptions::new(100)).unwrap();
-        // Liveness sees actor 1 starving around the poll self-loop.
-        let err = explore_with(&Spinner, ExploreOptions::new(100).with_liveness()).unwrap_err();
-        assert!(err.message.contains("liveness violation"), "{err}");
-        assert!(err.trace.iter().any(|l| l == "-- cycle --"), "{err}");
-    }
-
-    #[test]
-    fn liveness_passes_when_waiter_is_served() {
-        /// Like Spinner but the flag starts set, so the waiter can always
-        /// finish; the poll cycle exists but the waiter is not waiting.
-        struct Served;
-        impl Model for Served {
-            type State = (bool, bool);
-            type Action = u8;
-            fn initial(&self) -> Self::State {
-                (true, false)
-            }
-            fn enabled(&self, s: &Self::State) -> Vec<u8> {
-                if s.1 {
-                    Vec::new()
-                } else {
-                    vec![0, 1]
-                }
-            }
-            fn step(&self, s: &Self::State, a: u8) -> Self::State {
-                match a {
-                    0 => *s,
-                    _ => (s.0, true),
-                }
-            }
-            fn is_terminal(&self, s: &Self::State) -> bool {
-                s.1
-            }
-            fn check(&self, _: &Self::State) -> Result<(), String> {
-                Ok(())
-            }
-            fn actor(&self, a: Self::Action) -> usize {
-                a as usize
-            }
-            fn waiting_actors(&self, _: &Self::State) -> Vec<usize> {
-                Vec::new()
-            }
-        }
-        explore_with(&Served, ExploreOptions::new(100).with_liveness()).unwrap();
     }
 }

@@ -69,6 +69,7 @@ pub fn reason(status: u16) -> &'static str {
         411 => "Length Required",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
+        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
@@ -256,11 +257,17 @@ pub(crate) fn read_body(
     Ok(body)
 }
 
-/// Write one `Connection: close` response. Write errors are swallowed —
-/// the client may have hung up, and the connection is closing either way.
+/// Write one `Connection: close` response; a `429` tells the client when
+/// to retry. Write errors are swallowed — the client may have hung up, and
+/// the connection is closing either way.
 pub(crate) fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body: &[u8]) {
+    let retry = if status == 429 {
+        "Retry-After: 1\r\n"
+    } else {
+        ""
+    };
     let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: close\r\n\r\n",
         reason(status),
         body.len()
     );

@@ -54,6 +54,13 @@
 //!   `400`, not a stack overflow; the pic-trace fault corpus replayed over
 //!   a socket yields positioned 4xx responses, never a panic or a hung
 //!   thread.
+//! * **Overload is shed, not spawned.** One acceptor thread hands sockets
+//!   to [`WORKERS`] worker threads through a queue of [`QUEUE_DEPTH`]; a
+//!   socket that finds the queue full is answered `429` with
+//!   `Retry-After`. A handler that panics answers `500` and its worker
+//!   serves on. Shutdown sets a flag and wakes the acceptor, which drops
+//!   the queue's sender on exit; the workers answer what is queued and end
+//!   when the queue disconnects, and every thread is joined.
 
 pub mod http;
 pub mod registry;
@@ -62,36 +69,33 @@ use crate::kernel_models::KernelModels;
 use crate::request::{self, grid_to_json, Raw, Request, Transport};
 use http::HttpError;
 use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
-use pic_types::sync::{TrackedCondvar, TrackedMutex};
+use pic_types::sync::Mutex;
 use pic_types::{PicError, Result};
 use pic_workload::ReplayOptions;
 use registry::TraceRegistry;
 use serde::Value;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// The declared lock hierarchy of the serve layer (DESIGN.md §14).
-///
-/// Levels must strictly increase along any nested acquisition; the
-/// tracked primitives check this on every lock in debug/test builds.
-/// The sweep-engine `AssignmentCache` sits *below* everything here (level
-/// 100, declared in `pic-workload`): the registry computes entry weights
-/// by calling `cache.stats()` under its own lock, so `registry <
-/// assignment_cache` is a real nesting this hierarchy must admit.
-pub(crate) mod lock_order {
-    /// `TraceRegistry::inner` — the outermost serve lock.
-    pub const REGISTRY: u32 = 10;
-    /// `ServerState::shutdown` — the shutdown flag.
-    pub const SHUTDOWN: u32 = 40;
-    /// `PlanCache::inner` — a resident trace's reduction-plan map. Sits
-    /// above the `pic-workload` assignment cache (level 100) because the
-    /// registry weighs both sequentially under its own lock when
-    /// computing entry bytes.
-    pub const PLAN_CACHE: u32 = 110;
-}
+/// Threads that serve connections (the acceptor is one more).
+pub const WORKERS: usize = 4;
+
+/// Accepted connections waiting for a worker; the acceptor answers the
+/// next one `429`.
+pub const QUEUE_DEPTH: usize = 32;
+
+/// How long the acceptor may spend on a connection it refuses: on writing
+/// the `429`, and again on draining what the client sent.
+const REFUSE_LINGER: Duration = Duration::from_millis(20);
+
+/// How long a worker drains a connection it answered with an error.
+const ERROR_LINGER: Duration = Duration::from_millis(150);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -124,8 +128,8 @@ impl Default for ServeConfig {
 /// socket as it is, never copied.
 type Response = (u16, String);
 
-/// Shared server state. `Send + Sync`: the registry and the shutdown flag
-/// are mutex-guarded, counters are atomics, the bound address is fixed
+/// Shared server state. `Send + Sync`: the registry is mutex-guarded,
+/// counters and the shutdown flag are atomics, the bound address is fixed
 /// before the state is shared, and request handlers only hold `Arc`s into
 /// registry entries while computing.
 struct ServerState {
@@ -133,9 +137,7 @@ struct ServerState {
     registry: TraceRegistry,
     requests: AtomicU64,
     errors: AtomicU64,
-    active_connections: AtomicUsize,
-    shutdown: TrackedMutex<bool>,
-    shutdown_cv: TrackedCondvar,
+    shutdown: AtomicBool,
     addr: SocketAddr,
 }
 
@@ -146,44 +148,26 @@ impl ServerState {
             cfg,
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            active_connections: AtomicUsize::new(0),
-            shutdown: TrackedMutex::new("serve.shutdown", lock_order::SHUTDOWN, false),
-            shutdown_cv: TrackedCondvar::new(),
+            shutdown: AtomicBool::new(false),
             addr,
         }
     }
 
-    fn is_shutting_down(&self) -> bool {
-        *self.shutdown.lock()
-    }
-
+    /// Set the shutdown flag and wake the acceptor out of its blocking
+    /// `accept` with a connection of our own; it sees the flag and exits.
     fn begin_shutdown(&self) {
-        {
-            let mut flag = self.shutdown.lock();
-            if *flag {
-                return;
-            }
-            *flag = true;
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
         }
-        self.shutdown_cv.notify_all();
-        // Poke the accept loop out of its blocking accept.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
-    }
-
-    fn wait_shutdown(&self) {
-        let flag = self.shutdown.lock();
-        // wait_while re-checks under the lock on every wakeup: lost and
-        // spurious wakeups cannot produce a premature return (the model
-        // in pic-analysis::serve_model::shutdown proves the handshake).
-        let _flag = self.shutdown_cv.wait_while(flag, |f| !*f);
     }
 }
 
-/// A running server: accept loop plus one thread per connection.
+/// A running server: one acceptor thread and [`WORKERS`] worker threads.
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Every thread the server started; empty once they are joined.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -194,27 +178,36 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| PicError::config(format!("cannot resolve bound address: {e}")))?;
-        let state = Arc::new(ServerState::new(cfg, addr));
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if accept_state.is_shutting_down() {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                let st = Arc::clone(&accept_state);
-                st.active_connections.fetch_add(1, Ordering::SeqCst);
-                std::thread::spawn(move || {
-                    handle_connection(&st, stream);
-                    st.active_connections.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        Ok(Server {
+        let mut server = Server {
             addr,
-            state,
-            accept_thread: Some(accept_thread),
-        })
+            state: Arc::new(ServerState::new(cfg, addr)),
+            threads: Vec::with_capacity(WORKERS + 1),
+        };
+        // The acceptor first: it owns the sender, so if a worker cannot
+        // start, dropping `server` stops the acceptor and the started
+        // workers see the queue disconnect.
+        let (sender, receiver) = mpsc::sync_channel(QUEUE_DEPTH);
+        let state = Arc::clone(&server.state);
+        server.spawn(move || accept(&listener, &state, sender))?;
+        let queue = Arc::new(Mutex::new(receiver));
+        for _ in 0..WORKERS {
+            let (queue, state) = (Arc::clone(&queue), Arc::clone(&server.state));
+            server.spawn(move || {
+                work(&queue, &state.errors, |stream| {
+                    handle_connection(&state, stream)
+                })
+            })?;
+        }
+        Ok(server)
+    }
+
+    /// Start one of the server's threads, named after its port.
+    fn spawn(&mut self, body: impl FnOnce() + Send + 'static) -> Result<()> {
+        let name = format!("pic-serve:{}", self.addr.port());
+        let thread = (std::thread::Builder::new().name(name).spawn(body))
+            .map_err(|e| PicError::config(format!("cannot start a serve thread: {e}")))?;
+        self.threads.push(thread);
+        Ok(())
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -222,29 +215,22 @@ impl Server {
         self.addr
     }
 
-    /// Block until `POST /shutdown` arrives, then drain connections and
-    /// join the accept loop.
+    /// Serve until `POST /shutdown` arrives, then answer what is queued and
+    /// join every thread.
     pub fn run_to_completion(mut self) {
-        self.state.wait_shutdown();
-        self.cleanup();
+        self.join();
     }
 
-    /// Initiate shutdown and drain: stops accepting, waits (bounded) for
-    /// in-flight connections, joins the accept thread.
+    /// Stop accepting, answer what is queued and join every thread.
     pub fn shutdown(mut self) {
         self.state.begin_shutdown();
-        self.cleanup();
+        self.join();
     }
 
-    fn cleanup(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while self.state.active_connections.load(Ordering::SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
+    fn join(&mut self) {
+        for thread in self.threads.drain(..) {
+            // Neither loop can panic: a worker catches its handler's panics.
+            let _ = thread.join();
         }
     }
 }
@@ -252,7 +238,48 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.state.begin_shutdown();
-        self.cleanup();
+        self.join();
+    }
+}
+
+// ------------------------------------------------------------ threads
+
+/// The acceptor: queue each connection for a worker, or refuse it when the
+/// queue is full, until the shutdown flag is set. Returning drops
+/// `queue`'s sender, which ends the workers once they have drained it.
+fn accept(listener: &TcpListener, state: &ServerState, queue: SyncSender<TcpStream>) {
+    for conn in listener.incoming() {
+        if state.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = conn else { continue };
+        if let Err(TrySendError::Full(mut stream)) = queue.try_send(stream) {
+            state.errors.fetch_add(1, Ordering::Relaxed);
+            let _ = stream.set_write_timeout(Some(REFUSE_LINGER));
+            let busy = format!("{WORKERS} workers are busy and {QUEUE_DEPTH} connections wait");
+            http::write_error(&mut stream, &HttpError::new(429, busy));
+            lingering_close(&stream, REFUSE_LINGER);
+        }
+    }
+}
+
+/// A worker: serve queued connections until the queue is empty and its
+/// sender is gone. A panicking `handle` answers `500` and counts in
+/// `errors`, and the worker goes on to the next connection, so the pool
+/// never shrinks.
+fn work(queue: &Mutex<Receiver<TcpStream>>, errors: &AtomicU64, handle: impl Fn(TcpStream)) {
+    loop {
+        let next = queue.lock().recv();
+        let Ok(stream) = next else { return };
+        let reply = stream.try_clone();
+        if catch_unwind(AssertUnwindSafe(|| handle(stream))).is_err() {
+            errors.fetch_add(1, Ordering::Relaxed);
+            if let Ok(mut reply) = reply {
+                let panicked = HttpError::new(500, "the request handler panicked");
+                http::write_error(&mut reply, &panicked);
+                lingering_close(&reply, ERROR_LINGER);
+            }
+        }
     }
 }
 
@@ -271,7 +298,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Err(e) => {
             state.errors.fetch_add(1, Ordering::Relaxed);
             http::write_error(&mut write_half, &e);
-            lingering_close(&mut reader);
+            lingering_close(reader.get_ref(), ERROR_LINGER);
             return;
         }
     };
@@ -283,24 +310,25 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Err(e) => {
             state.errors.fetch_add(1, Ordering::Relaxed);
             http::write_error(&mut write_half, &e);
-            lingering_close(&mut reader);
+            lingering_close(reader.get_ref(), ERROR_LINGER);
         }
     }
 }
 
-/// Drain (bounded) whatever request bytes the client already sent before
-/// dropping an errored connection. Closing with unread data in the
-/// receive buffer makes the kernel send RST, which can destroy the error
-/// response before the client reads it.
-fn lingering_close(reader: &mut BufReader<TcpStream>) {
-    use std::io::Read;
-    let _ = reader
-        .get_ref()
-        .set_read_timeout(Some(Duration::from_millis(150)));
+/// Drain, for at most `linger` and 1 MiB, whatever request bytes the
+/// client sent before dropping a connection answered early. Closing with
+/// unread data in the receive buffer makes the kernel send RST, which can
+/// destroy the response before the client reads it.
+fn lingering_close(mut stream: &TcpStream, linger: Duration) {
+    let deadline = Instant::now() + linger;
     let mut scratch = [0u8; 16 * 1024];
     let mut drained = 0usize;
     while drained < 1 << 20 {
-        match reader.read(&mut scratch) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut scratch) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
         }
@@ -691,7 +719,52 @@ mod tests {
         assert_eq!(plans.len(), 1);
         // the cached plan weighs into the entry's LRU bytes
         assert!(plans.resident_bytes() > 0);
-        pic_types::sync::assert_witness_clean();
+    }
+
+    /// A handler that panics costs its client a `500`, not the worker: the
+    /// same worker serves the next connection, and the loop ends only when
+    /// the queue disconnects. (Before the pool, a panicking handler skipped
+    /// the connection count it owed shutdown, and every later shutdown
+    /// waited out a 10 s drain.)
+    #[test]
+    fn a_panicking_handler_answers_500_and_its_worker_serves_on() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (sender, receiver) = mpsc::sync_channel(2);
+        let queue = Mutex::new(receiver);
+        let errors = AtomicU64::new(0);
+        let served = std::sync::Mutex::new(Vec::new());
+        let handle = |mut stream: TcpStream| {
+            let mut served = served.lock().unwrap();
+            served.push(std::thread::current().id());
+            if served.len() == 1 {
+                drop(served);
+                panic!("the first connection's handler panics");
+            }
+            http::write_response(&mut stream, 200, "application/json", b"{}");
+        };
+        let answer = |client: &mut TcpStream| {
+            let mut text = String::new();
+            client.read_to_string(&mut text).unwrap();
+            text.split(' ').nth(1).unwrap().parse::<u16>().unwrap()
+        };
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| work(&queue, &errors, handle));
+            for want in [500, 200] {
+                let mut client = TcpStream::connect(addr).unwrap();
+                sender.send(listener.accept().unwrap().0).unwrap();
+                assert_eq!(answer(&mut client), want);
+            }
+            drop(sender);
+            worker.join().unwrap();
+        });
+        assert_eq!(errors.into_inner(), 1);
+        let served = served.into_inner().unwrap();
+        assert_eq!(served.len(), 2);
+        assert_eq!(
+            served[0], served[1],
+            "a second worker served the next connection"
+        );
     }
 
     /// Strided reduced requests are refused up front: the one-step
@@ -706,7 +779,6 @@ mod tests {
         let err = handle_sweep(&state, body).unwrap_err();
         assert_eq!(err.status, 422);
         assert!(err.message.contains("stride 1"), "{}", err.message);
-        pic_types::sync::assert_witness_clean();
     }
 
     /// Stride 0 is refused by the replay engine, naming the value, on the
@@ -727,7 +799,6 @@ mod tests {
                 err.message
             );
         }
-        pic_types::sync::assert_witness_clean();
     }
 
     /// An impossible budget turns into a 422 naming the failing grid
@@ -743,6 +814,5 @@ mod tests {
         let err = handle_sweep(&state, body).unwrap_err();
         assert_eq!(err.status, 422, "{}", err.message);
         assert!(err.message.contains("error-budget"), "{}", err.message);
-        pic_types::sync::assert_witness_clean();
     }
 }

@@ -22,10 +22,11 @@
 //! count, LRU as well.
 
 use pic_trace::ParticleTrace;
-use pic_types::sync::TrackedMutex;
+use pic_types::sync::Mutex;
 use pic_workload::{AssignmentCache, ReductionPlan};
 use serde::Serialize;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::kernel_models::KernelModels;
@@ -54,17 +55,17 @@ pub struct PlanKey {
 /// wins — deterministic construction makes both results identical, so
 /// the race only costs duplicate work, never divergent answers.
 pub struct PlanCache {
-    inner: TrackedMutex<HashMap<PlanKey, Arc<ReductionPlan>>>,
+    inner: Mutex<HashMap<PlanKey, Arc<ReductionPlan>>>,
+    /// The plans' bytes, stored under the lock on every insert, so
+    /// [`PlanCache::resident_bytes`] reads them without the lock.
+    bytes: AtomicUsize,
 }
 
 impl PlanCache {
     fn new() -> PlanCache {
         PlanCache {
-            inner: TrackedMutex::new(
-                "serve.plan_cache",
-                super::lock_order::PLAN_CACHE,
-                HashMap::new(),
-            ),
+            inner: Mutex::new(HashMap::new()),
+            bytes: AtomicUsize::new(0),
         }
     }
 
@@ -77,13 +78,16 @@ impl PlanCache {
     /// resident plan is returned instead and the argument is dropped.
     pub fn insert(&self, key: PlanKey, plan: ReductionPlan) -> Arc<ReductionPlan> {
         let mut inner = self.inner.lock();
-        Arc::clone(inner.entry(key).or_insert_with(|| Arc::new(plan)))
+        let plan = Arc::clone(inner.entry(key).or_insert_with(|| Arc::new(plan)));
+        let bytes = inner.values().map(|p| p.approx_bytes()).sum();
+        self.bytes.store(bytes, Ordering::Relaxed);
+        plan
     }
 
     /// Approximate resident bytes across every cached plan, counted into
-    /// the owning trace entry's LRU weight.
+    /// the owning trace entry's LRU weight. Takes no lock.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().values().map(|p| p.approx_bytes()).sum()
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Number of cached plans.
@@ -151,16 +155,15 @@ struct RegistryInner {
 /// critical section is bookkeeping only, never a replay (replays happen
 /// outside the lock against `Arc`-shared entries). That bookkeeping-only
 /// contract is also what makes poison recovery sound: a panic under the
-/// lock cannot leave a half-applied multi-step update. The registry lock
-/// is the *outermost* class of the declared serve hierarchy — weighing
-/// entries under it takes each entry's assignment-cache lock (level 100).
+/// lock cannot leave a half-applied multi-step update. Weighing an entry
+/// under the lock reads its caches' byte counts without taking their locks.
 pub struct TraceRegistry {
     budget_bytes: usize,
-    inner: TrackedMutex<RegistryInner>,
+    inner: Mutex<RegistryInner>,
 }
 
 fn entry_bytes(e: &ResidentTrace) -> usize {
-    e.trace.resident_bytes() + e.cache.stats().resident_bytes + e.plans.resident_bytes()
+    e.trace.resident_bytes() + e.cache.resident_bytes() + e.plans.resident_bytes()
 }
 
 impl TraceRegistry {
@@ -169,16 +172,12 @@ impl TraceRegistry {
     pub fn new(budget_bytes: usize) -> TraceRegistry {
         TraceRegistry {
             budget_bytes,
-            inner: TrackedMutex::new(
-                "serve.registry",
-                super::lock_order::REGISTRY,
-                RegistryInner {
-                    traces: HashMap::new(),
-                    models: HashMap::new(),
-                    tick: 0,
-                    stats: RegistryStats::default(),
-                },
-            ),
+            inner: Mutex::new(RegistryInner {
+                traces: HashMap::new(),
+                models: HashMap::new(),
+                tick: 0,
+                stats: RegistryStats::default(),
+            }),
         }
     }
 
@@ -373,12 +372,15 @@ impl TraceRegistry {
         inner.stats
     }
 
-    /// Aggregate assignment-cache counters across every resident trace.
+    /// Aggregate assignment-cache counters across every resident trace,
+    /// read after the registry lock is released.
     pub fn aggregate_cache_stats(&self) -> pic_workload::AssignmentCacheStats {
-        let inner = self.inner.lock();
+        let caches: Vec<_> = (self.inner.lock().traces.values())
+            .map(|e| Arc::clone(&e.resident.cache))
+            .collect();
         let mut agg = pic_workload::AssignmentCacheStats::default();
-        for e in inner.traces.values() {
-            let s = e.resident.cache.stats();
+        for cache in caches {
+            let s = cache.stats();
             agg.hits += s.hits;
             agg.misses += s.misses;
             agg.evictions += s.evictions;

@@ -31,10 +31,9 @@ fn shared() -> &'static rayon::ThreadPool {
 /// shared pool here would *widen* the budget and oversubscribe the
 /// machine. Only a top-level call actually enters the shared pool.
 pub fn install<R>(f: impl FnOnce() -> R) -> R {
-    // A tracked lock held across this entry point is a recorded
-    // lock-discipline violation: pool workers can block behind it, or
-    // deadlock outright if `f` (or a sibling job) tries to take it.
-    crate::sync::note_parallel_entry("pic_types::pool::install");
+    // Pool workers could block behind a held lock, or deadlock if `f` (or
+    // a sibling job) takes it.
+    crate::sync::assert_no_lock_held("pic_types::pool::install");
     if rayon::in_pool_context() {
         f()
     } else {
@@ -64,6 +63,15 @@ mod tests {
         pool.install(|| {
             install(|| assert_eq!(rayon::current_num_threads(), 1));
         });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "pic_types::pool::install while holding a lock")]
+    fn install_while_holding_a_lock_panics() {
+        let m = crate::sync::Mutex::new(());
+        let _g = m.lock();
+        install(|| ());
     }
 
     #[test]

@@ -50,14 +50,14 @@ use crate::reduce::ReductionPlan;
 use pic_grid::ElementMesh;
 use pic_mapping::{BinPartition, BinTree, MappingAlgorithm, ParticleMapper, RankTree};
 use pic_trace::ParticleTrace;
-use pic_types::sync::TrackedMutex;
+use pic_types::sync::Mutex;
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -1187,13 +1187,6 @@ impl CacheInner {
     }
 }
 
-/// Lock-order level of the assignment-cache mutex. The serve layer
-/// (`pic-predict::serve::lock_order`) tops out at 50; the registry's
-/// `entry_bytes` calls [`AssignmentCache::stats`] *while holding* the
-/// registry lock, so this class must sit strictly above every serve
-/// class in the declared hierarchy (see DESIGN.md §14).
-const ASSIGNMENT_CACHE_LOCK_LEVEL: u32 = 100;
-
 /// Byte-budgeted LRU cache of per-sample replays, shared across concurrent
 /// sweeps of **one** trace (`Send + Sync`; interior mutability behind a
 /// mutex — lookups move `Arc`s, never artifact data).
@@ -1213,7 +1206,10 @@ const ASSIGNMENT_CACHE_LOCK_LEVEL: u32 = 100;
 /// back).
 pub struct AssignmentCache {
     budget_bytes: usize,
-    inner: TrackedMutex<CacheInner>,
+    inner: Mutex<CacheInner>,
+    /// `inner.resident_bytes`, stored under the lock after every change,
+    /// so [`AssignmentCache::resident_bytes`] reads it without the lock.
+    resident: AtomicUsize,
 }
 
 impl std::fmt::Debug for AssignmentCache {
@@ -1231,22 +1227,19 @@ impl AssignmentCache {
     pub fn new(budget_bytes: usize) -> AssignmentCache {
         AssignmentCache {
             budget_bytes,
-            inner: TrackedMutex::new(
-                "workload.assignment_cache",
-                ASSIGNMENT_CACHE_LOCK_LEVEL,
-                CacheInner {
-                    entries: HashMap::new(),
-                    resident_bytes: 0,
-                    tick: 0,
-                    hits: 0,
-                    misses: 0,
-                    evictions: 0,
-                    radius_hits: 0,
-                    radius_misses: 0,
-                    diff_hits: 0,
-                    diff_misses: 0,
-                },
-            ),
+            inner: Mutex::new(CacheInner {
+                entries: HashMap::new(),
+                resident_bytes: 0,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                radius_hits: 0,
+                radius_misses: 0,
+                diff_hits: 0,
+                diff_misses: 0,
+            }),
+            resident: AtomicUsize::new(0),
         }
     }
 
@@ -1322,6 +1315,7 @@ impl AssignmentCache {
         }
         entry.last_used = tick;
         inner.settle(added, &key, self.budget_bytes);
+        self.resident.store(inner.resident_bytes, Ordering::Relaxed);
     }
 
     /// Add the migration diffs of `step` to the entry under `key`, the
@@ -1343,6 +1337,7 @@ impl AssignmentCache {
         entry.bytes += added;
         entry.group.diffs.push((step, diffs));
         inner.settle(added, key, self.budget_bytes);
+        self.resident.store(inner.resident_bytes, Ordering::Relaxed);
     }
 
     /// Current counters.
@@ -1361,6 +1356,12 @@ impl AssignmentCache {
             diff_hits: inner.diff_hits,
             diff_misses: inner.diff_misses,
         }
+    }
+
+    /// Bytes the cache holds, read without taking its lock (so a caller
+    /// that holds a lock of its own can weigh the cache).
+    pub fn resident_bytes(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
     }
 
     /// The configured byte budget.

@@ -2,12 +2,11 @@
 //! of library, CLI binary and service answers (and of all three with the
 //! bytes the service answered before `pic_predict::predict` existed),
 //! content-address stability across LRU eviction and re-ingest, a fault
-//! corpus replayed over real sockets, and the slow-loris deadline.
+//! corpus replayed over real sockets, the slow-loris deadline, and
+//! overload shed by a fixed pool of threads.
 //!
-//! In debug builds every serve-layer lock is a tracked primitive, so each
-//! test doubles as a lock-order-witness run over real concurrent traffic:
-//! the suite asserts at the end of every test that no ordering violation
-//! or lock cycle was recorded.
+//! In debug builds every lock asserts that its thread holds no other, so
+//! each test also runs that check over real concurrent traffic.
 
 use pic_des::{MachineSpec, SyncMode};
 use pic_mapping::MappingAlgorithm;
@@ -18,7 +17,7 @@ use pic_sim::{MiniPic, SimConfig};
 use pic_trace::{codec, ParticleTrace, Precision};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn base_cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -225,7 +224,6 @@ fn serve_responses_are_bit_identical_to_offline_cli_serialization() {
     assert_eq!(body, CHECK_GOLDEN);
 
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 /// Library ≡ CLI ≡ service, byte for byte: one trace and one model set on
@@ -417,7 +415,6 @@ fn library_cli_and_service_answer_the_same_bytes() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
-    pic_types::sync::assert_witness_clean();
 }
 
 #[test]
@@ -472,7 +469,6 @@ fn lru_eviction_and_reingest_yield_identical_artifacts() {
     assert_eq!(first, second, "artifacts differ after eviction + re-ingest");
 
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 /// Pull the unsigned value of `"key":N` out of a flat JSON object.
@@ -528,7 +524,6 @@ fn a_compact_trace_is_charged_its_grid_coordinates() {
     );
 
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 #[test]
@@ -654,7 +649,6 @@ fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, "{\"ok\":true}");
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 #[test]
@@ -684,7 +678,159 @@ fn slow_loris_is_cut_off_by_the_read_deadline() {
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
+}
+
+/// `count()` once it reads `want`, or its last reading after 5 s: a thread
+/// can stay listed for a moment after `join` returns.
+#[cfg(target_os = "linux")]
+fn settled(want: usize, count: impl Fn() -> usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let n = count();
+        if n == want || Instant::now() > deadline {
+            return n;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Threads of this process that the server on `addr` started (they are
+/// named after its port).
+#[cfg(target_os = "linux")]
+fn serve_threads(addr: SocketAddr) -> usize {
+    let name = format!("pic-serve:{}", addr.port());
+    let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm"));
+    (std::fs::read_dir("/proc/self/task").unwrap())
+        .filter_map(|task| comm(task.ok()?).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// `Threads` of this process, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    (status.lines())
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no Threads line in {status}"))
+}
+
+/// Whether this is the run of test `name` that does the work. The first
+/// call runs this test binary again on `name` alone, in a child process
+/// whose thread count no other test moves, asserts that it passed and
+/// returns false; in the child it returns true.
+#[cfg(target_os = "linux")]
+fn in_a_process_of_its_own(name: &str) -> bool {
+    const ALONE: &str = "PIC_SERVE_TEST_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([name, "--exact", "--test-threads=1"])
+        .env(ALONE, "1")
+        .output()
+        .expect("run the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
+}
+
+/// Far more clients than workers — complete requests, slow-loris heads and
+/// truncated bodies — are served or shed with `429` by a pool whose size
+/// does not move. The process never runs more than the acceptor and the
+/// workers over its baseline; every complete request is answered 2xx or
+/// 4xx (429 included), every incomplete one 408 or 429; the server
+/// answers `/healthz` afterwards; and `shutdown()` with slow clients still
+/// connected joins every thread within the read deadline. One thread
+/// drives all the sockets, so the clients add no thread to the count.
+#[cfg(target_os = "linux")]
+#[test]
+fn overload_is_shed_with_429_by_a_fixed_pool() {
+    if !in_a_process_of_its_own("overload_is_shed_with_429_by_a_fixed_pool") {
+        return;
+    }
+    use pic_predict::serve::WORKERS;
+    const CLIENTS: usize = 64;
+    let read_timeout = Duration::from_millis(400);
+    let baseline = process_threads();
+    let server = Server::start(ServeConfig {
+        read_timeout,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    assert_eq!(process_threads(), baseline + WORKERS + 1);
+    let bound = baseline + WORKERS + 2;
+
+    // Every socket is opened and sent its bytes before any answer is read.
+    let mut clients: Vec<(bool, TcpStream)> = (0..CLIENTS)
+        .map(|i| {
+            let (complete, bytes): (bool, &[u8]) = match i % 4 {
+                0 => (true, b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"),
+                1 => (false, b"GET /healthz HTTP/1.1\r\nHost: te"),
+                2 => (
+                    false,
+                    b"POST /sweep HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"trace\":",
+                ),
+                _ => (true, b"POST /sweep HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"),
+            };
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s.write_all(bytes).unwrap();
+            (complete, s)
+        })
+        .collect();
+    let mut peak = process_threads();
+    let mut shed = 0;
+    for (i, (complete, s)) in clients.iter_mut().enumerate() {
+        let mut resp = Vec::new();
+        // A refused client may read a reset after its answer; what it read
+        // before stands.
+        let _ = s.read_to_end(&mut resp);
+        let (status, body) = parse_response(&resp);
+        match *complete {
+            true => assert!(
+                (200..300).contains(&status) || (400..500).contains(&status),
+                "client {i}: {status} {body}"
+            ),
+            false => assert!(
+                status == 408 || status == 429,
+                "client {i}: {status} {body}"
+            ),
+        }
+        shed += usize::from(status == 429);
+        peak = peak.max(process_threads());
+    }
+    assert!(peak <= bound, "{peak} threads, baseline {baseline}");
+    assert!(
+        shed > 0,
+        "{CLIENTS} clients on {WORKERS} workers and none was refused"
+    );
+    assert_eq!(get(addr, "/healthz").0, 200);
+
+    // Shutdown while slow clients (fewer than the workers) hold their
+    // connections open.
+    let loris: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+            s
+        })
+        .collect();
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < read_timeout + Duration::from_millis(1500),
+        "shutdown took {took:?}"
+    );
+    drop(loris);
+    assert_eq!(settled(baseline, process_threads), baseline);
 }
 
 #[test]
@@ -713,15 +859,9 @@ fn shutdown_endpoint_stops_the_server_cleanly() {
             String::from_utf8_lossy(&out)
         );
     }
-    // The full flag + condvar + accept-poke handshake just ran under the
-    // tracked primitives; it must have left the witness clean, and (in
-    // debug builds) must actually have exercised it.
-    pic_types::sync::assert_witness_clean();
-    #[cfg(debug_assertions)]
-    assert!(
-        pic_types::sync::witness_report().acquisitions > 0,
-        "tracked primitives recorded no acquisitions in a debug build"
-    );
+    // Every thread the server started was joined.
+    #[cfg(target_os = "linux")]
+    assert_eq!(settled(0, || serve_threads(addr)), 0);
 }
 
 /// The number after `"key":` inside the `sweep_cache` object of a `/stats`
@@ -786,7 +926,6 @@ fn a_repeated_sweep_is_answered_from_cached_ghost_rows() {
         ((computed, computed, rows), (diffed, diffed, sets))
     );
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 /// Send `body` to `path` from `clients` threads that start together, or one
@@ -903,7 +1042,6 @@ fn identical_cold_requests_in_parallel_answer_the_offline_bytes() {
     let together = serve(false);
     let one_at_a_time = serve(true);
     assert_eq!(together, one_at_a_time);
-    pic_types::sync::assert_witness_clean();
 }
 
 /// A rank count no host could hold was a memory-allocation abort that took
@@ -946,7 +1084,6 @@ fn an_unholdable_rank_count_is_422_and_the_server_survives() {
         }
     }
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 /// A request body of 8 KB of `[` overflowed the connection thread's stack
@@ -970,7 +1107,6 @@ fn an_over_deep_request_body_is_400_and_the_server_survives() {
         }
     }
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }
 
 /// The message of a `{"error":{"status":…,"message":…}}` response body.
@@ -1060,5 +1196,4 @@ fn unknown_or_repeated_keys_are_400_naming_the_key() {
     let (status, health) = get(addr, "/healthz");
     assert_eq!(status, 200, "{health}");
     server.shutdown();
-    pic_types::sync::assert_witness_clean();
 }

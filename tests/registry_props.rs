@@ -10,7 +10,8 @@
 //!   per-entry weights (`stats` vs `list_traces` never disagree);
 //! * each assignment cache's incremental resident-bytes counter never
 //!   drifts from the sum recomputed from what its entries actually hold
-//!   (assignments, ghost rows and migration diffs);
+//!   (assignments, ghost rows and migration diffs), and neither does the
+//!   lock-free copy the registry weighs entries by;
 //! * after every settling pass (a new-address ingest; a cache insert)
 //!   the budget holds unless a single oversized resident remains;
 //! * eviction is strict LRU, stops as soon as the budget holds, and the
@@ -20,9 +21,11 @@
 //! * repeat sweeps served from the cache are bit-identical to the
 //!   first (cache-hit replay equals recompute).
 //!
-//! Runs under the debug-build lock-order witness: the registry →
-//! assignment-cache nesting is exercised on every weighing pass, and the
-//! suite ends by asserting the witness saw no ordering violations.
+//! No critical section nests another lock: the registry weighs each entry
+//! through the caches' lock-free byte counts. In a debug build every
+//! `pic_types::sync::Mutex::lock` asserts that its thread holds no other
+//! lock, so each weighing pass below also checks that rule (a nested lock
+//! panics the test).
 
 use pic_mapping::MappingAlgorithm;
 use pic_predict::TraceRegistry;
@@ -261,12 +264,10 @@ proptest! {
                 }
                 prop_assert_eq!(cache.stats().resident_bytes, true_sum,
                     "assignment-cache counter drifted for {}", addr);
+                // The lock-free count the registry weighs entries by.
+                prop_assert_eq!(cache.resident_bytes(), true_sum,
+                    "lock-free resident bytes drifted for {}", addr);
             }
         }
-
-        // The registry → assignment-cache lock nesting was exercised on
-        // every weighing pass above; the witness must have seen no
-        // ordering violations.
-        pic_types::sync::assert_witness_clean();
     }
 }
