@@ -25,7 +25,7 @@
 //!   ragged predicted kernel time reaches the simulator or an answer, each
 //!   rejection positioned by `(sample, rank, kernel)`.
 //! * [`reduction`] — the error-budget gate of
-//!   `pic_predict::replay_reduced_gated`: exact replay of a deterministic
+//!   a reduced replay in `pic_predict::answer`: exact replay of a deterministic
 //!   holdout of non-representative samples, compared against the reduced
 //!   reconstruction on peak load. A reduction that breaches its budget
 //!   (default 2%) is rejected before anything downstream trusts it.

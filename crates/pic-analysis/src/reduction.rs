@@ -144,6 +144,13 @@ pub fn check_reduction(
             budget.max_peak_rel_error
         )));
     }
+    // A gate that holds out no sample checks nothing; only an exact plan
+    // (one representative per sample) has nothing to hold out.
+    if budget.holdout == 0 && plan.k() < plan.total_samples {
+        return Err(PicError::config(
+            "reduction holdout must be at least one sample, got 0",
+        ));
+    }
     let samples = holdout_samples(plan, budget);
     let predicted = peak_load_series(reduced);
     let exact = exact_sample_loads(trace, cfg, mesh, &samples)?;
@@ -329,5 +336,29 @@ mod tests {
             ..Default::default()
         };
         assert!(check_reduction(&tr, &cfg, None, &plan, &reduced, &bad).is_err());
+    }
+
+    /// A zero holdout would pass any reduction unchecked: it is a
+    /// configuration error, unless the plan is exact and has no sample to
+    /// hold out.
+    #[test]
+    fn zero_holdout_is_refused_unless_the_plan_is_exact() {
+        let tr = phased_trace(300, 10);
+        let cfg = WorkloadConfig::new(8, MappingAlgorithm::BinBased, 0.05);
+        let none = ReductionBudget {
+            holdout: 0,
+            ..Default::default()
+        };
+        let bad = ReductionPlan::new(10, vec![0], vec![0; 10]).unwrap();
+        let reduced = replay_plan(&tr, &cfg, &bad);
+        let err = assert_reduction_valid(&tr, &cfg, None, &bad, &reduced, &none).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "configuration error: reduction holdout must be at least one sample, got 0"
+        );
+        let exact = ReductionPlan::identity(10);
+        let reduced = replay_plan(&tr, &cfg, &exact);
+        let report = assert_reduction_valid(&tr, &cfg, None, &exact, &reduced, &none).unwrap();
+        assert!(report.within_budget && report.points.is_empty());
     }
 }

@@ -3,30 +3,25 @@
 //!
 //! `run` executes the mini PIC application and writes the trace + timing
 //! records; the other commands never touch the application again — they
-//! are the paper's "predict anything from one trace" workflow. `predict`
-//! is [`pic_predict::predict_grid`] over the cross product of its list
-//! flags and prints one compact JSON line per point; for one point that is
-//! byte for byte what the service's `/predict` returns for the same
-//! request. The flags of the replaying commands are a
-//! [`pic_predict::Request`], parsed, admitted and validated by the same
-//! field table the service's endpoints go through; every command refuses a
-//! flag it does not list, or one given twice.
-//!
-//! Every trace-consuming command sniffs the file magic and accepts either
-//! the raw (`PICTRC01`) or the compact delta-encoded (`PICTRC02`) format;
-//! `compact` converts between them and `simpoint` replays a clustered
-//! reduction of the trace instead of every sample.
+//! are the paper's "predict anything from one trace" workflow. The flags of
+//! the replaying commands are a [`pic_predict::Request`], admitted and
+//! parsed by the key list and field table the service's endpoints go
+//! through, and [`request::answer`] answers them as it answers the service:
+//! `predict` prints one JSON line per point, for one point byte for byte
+//! what `/predict` returns, and `sweep --out` writes what `/sweep` returns.
+//! Every trace-consuming command reads the raw and the compact format alike.
 #![forbid(unsafe_code)]
 
-use pic_predict::request::{self, Raw, Transport};
+use pic_predict::request::{self, Answer, Raw, Resident, Transport};
 use pic_predict::{kernel_models::FitStrategy, KernelModels, Request, SweepGridEntry};
 use pic_sim::{MiniPic, Recorder, SimConfig};
-use pic_trace::codec;
 use pic_trace::trace::KEYFRAME_SPACING;
+use pic_trace::{codec, ParticleTrace, Precision};
 use pic_types::{PicError, Result};
-use pic_workload::{metrics, IngestStats, SweepStats};
+use pic_workload::{metrics, DynamicWorkload, ReductionPlan};
 use std::collections::HashMap;
 use std::fs::File;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,8 +46,7 @@ const USAGE: &str = "usage:
   picpredict benchmark --out rec.json [--wallclock true] [--order K] [--filter F]
   picpredict fit --records rec.json --out models.json [--strategy linear|auto]
   picpredict predict --trace t.pictrace --models models.json --ranks N[,N2] [--mapping M[,M2]] [--machine NAME|FILE] [--sync barrier|neighbor] [--mesh AxBxC --order K] [--filter F[,F2]]
-                     # stdout: one compact JSON line per point (mapping-major, as sweep),
-                     # for one point the bytes serve's /predict answers with
+                     # stdout: one compact JSON line per point (mapping-major, as sweep)
   picpredict extrapolate --trace t.pictrace --out big.pictrace --particles N [--seed S]
   picpredict study scalability --trace T --ranks 16,32,64 --mapping M [--filter F] [--mesh AxBxC --order K]
   picpredict study bins --trace T --filter F
@@ -66,6 +60,9 @@ const USAGE: &str = "usage:
   picpredict compact --trace t.pictrace --out t.pictrcz [--precision f64|f32]
   picpredict serve [--addr 127.0.0.1:7070] [--budget-mb 512] [--read-timeout-ms 2000] [--max-body-mb 256]
 
+workload, sweep, predict, simpoint and study scalability|sampling are answered by the
+call serve's /sweep and /predict make: predict prints, and sweep --out writes, the bytes
+those endpoints answer. --holdout and a filter must be positive; --budget must be >= 0.
 boolean flags take true or false (a flag given last with no value means true);
 a flag the command does not list, or one given twice, is an error.
 
@@ -76,49 +73,44 @@ global flags:
 /// Split `args` into bare words and `--key value` flags, in the order
 /// given, repeats included.
 fn split_args(args: &[String]) -> (Vec<String>, Vec<(String, String)>) {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.push((key.to_string(), value));
-            i += 2;
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
+    let (mut positional, mut flags) = (Vec::new(), Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.strip_prefix("--") {
+            Some(key) => flags.push((key.to_string(), args.next().cloned().unwrap_or_default())),
+            None => positional.push(arg.clone()),
         }
     }
     (positional, flags)
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str> {
-    flags
-        .get(key)
-        .map(|s| s.as_str())
-        .ok_or_else(|| PicError::config(format!("missing required flag --{key}")))
+    let missing = || PicError::config(format!("missing required flag --{key}"));
+    flags.get(key).map(String::as_str).ok_or_else(missing)
 }
 
-/// Parse the value `s` of `--key`; the error names the flag and the value.
-fn parse_flag<T: std::str::FromStr>(key: &str, s: &str) -> Result<T> {
-    s.parse().map_err(|_| {
-        let what = if std::any::type_name::<T>().starts_with('f') {
-            "a number"
-        } else {
-            "an integer"
-        };
-        PicError::config(format!("--{key} must be {what}, got '{s}'"))
-    })
+/// `--key` parsed as `T`, `None` when the flag is absent. A value that
+/// does not parse is an error naming the flag and the value, never a
+/// silent fall-back.
+fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<Option<T>> {
+    let Some(s) = flags.get(key) else {
+        return Ok(None);
+    };
+    let what = match std::any::type_name::<T>().starts_with('f') {
+        true => "a number",
+        false => "an integer",
+    };
+    let refused = || PicError::config(format!("--{key} must be {what}, got '{s}'"));
+    s.parse().map(Some).map_err(|_| refused())
 }
 
-/// `--key` parsed as `T`, or `default` when the flag is absent. A value
-/// that does not parse is an error, never a silent fall-back.
+/// [`flag`], or `default` when the flag is absent.
 fn flag_or<T: std::str::FromStr>(
     flags: &HashMap<String, String>,
     key: &str,
     default: T,
 ) -> Result<T> {
-    flags.get(key).map_or(Ok(default), |s| parse_flag(key, s))
+    Ok(flag(flags, key)?.unwrap_or(default))
 }
 
 /// `--key` as one of the named `choices`, or `default` when absent.
@@ -136,7 +128,9 @@ fn choice_or<T: Copy>(
         .find(|(name, _)| name == s)
         .map(|&(_, v)| v)
         .ok_or_else(|| {
-            let names: Vec<&str> = choices.iter().map(|c| c.0).collect();
+            let names: Vec<&str> = (choices.iter().map(|c| c.0))
+                .filter(|n| !n.is_empty())
+                .collect();
             PicError::config(format!("--{key} must be {}, got '{s}'", names.join(" or ")))
         })
 }
@@ -145,14 +139,8 @@ fn choice_or<T: Copy>(
 /// means `true`); `default` when absent. Anything else is an error, never
 /// a yes.
 fn bool_flag(flags: &HashMap<String, String>, key: &str, default: bool) -> Result<bool> {
-    match flags.get(key).map(String::as_str) {
-        None => Ok(default),
-        Some("true" | "") => Ok(true),
-        Some("false") => Ok(false),
-        Some(s) => Err(PicError::config(format!(
-            "--{key} must be true or false, got '{s}'"
-        ))),
-    }
+    let choices = [("true", true), ("false", false), ("", true)];
+    choice_or(flags, key, &choices, default)
 }
 
 /// `--key` as a positive integer, `None` when the flag is absent.
@@ -175,12 +163,6 @@ const PRECISIONS: [(&str, codec::Precision); 2] = [
     ("f64", codec::Precision::F64),
     ("f32", codec::Precision::F32),
 ];
-
-/// Load a whole trace file in either on-disk format, sniffed by magic —
-/// raw `PICTRC01` or compact delta-encoded `PICTRC02`.
-fn load_trace(path: &str) -> Result<pic_trace::ParticleTrace> {
-    codec::load_file(path)
-}
 
 /// The request `command`'s flags name ([`Request::parse`]).
 fn request(command: &str, flags: &HashMap<String, String>) -> Result<Request> {
@@ -224,14 +206,17 @@ fn dispatch_cmd(cmd: &str, kind: &str, flags: &HashMap<String, String>) -> Resul
         }
         "info" => cmd_info(flags),
         "check" => cmd_check(flags),
-        "workload" => cmd_workload(flags),
+        "workload" | "sweep" | "predict" | "simpoint" => cmd_answer(cmd, flags),
         "benchmark" => cmd_benchmark(flags),
         "fit" => cmd_fit(flags),
-        "predict" => cmd_predict(flags),
         "extrapolate" => cmd_extrapolate(flags),
-        "study" => cmd_study(kind, flags),
-        "sweep" => cmd_sweep(flags),
-        "simpoint" => cmd_simpoint(flags),
+        "study" => match kind {
+            "bins" => cmd_study_bins(flags),
+            "scalability" | "sampling" => cmd_answer(&format!("study {kind}"), flags),
+            other => Err(PicError::config(format!(
+                "unknown study '{other}' (expected scalability | bins | sampling)"
+            ))),
+        },
         "compact" => cmd_compact(flags),
         "serve" => cmd_serve(flags),
         "" => Err(PicError::config("no command given")),
@@ -252,32 +237,22 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<()> {
         cfg.mapping,
         cfg.steps
     );
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let out = MiniPic::new(cfg)?.run()?;
-    eprintln!(
-        "application finished in {:.2} s",
-        t0.elapsed().as_secs_f64()
-    );
+    let seconds = t0.elapsed().as_secs_f64();
+    eprintln!("application finished in {seconds:.2} s");
     codec::save_file(&out.trace, trace_path, precision)?;
-    eprintln!(
-        "trace: {} samples x {} particles -> {}",
-        out.trace.sample_count(),
-        out.trace.particle_count(),
-        trace_path
-    );
-    if let Some(records_path) = flags.get("records") {
-        std::fs::write(records_path, out.recorder.to_json())?;
-        eprintln!(
-            "records: {} kernel timings -> {}",
-            out.recorder.len(),
-            records_path
-        );
+    let (samples, particles) = (out.trace.sample_count(), out.trace.particle_count());
+    eprintln!("trace: {samples} samples x {particles} particles -> {trace_path}");
+    if let Some(path) = flags.get("records") {
+        std::fs::write(path, out.recorder.to_json())?;
+        eprintln!("records: {} kernel timings -> {path}", out.recorder.len());
     }
     Ok(())
 }
 
 fn cmd_info(flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
+    let trace = codec::load_file(required(flags, "trace")?)?;
     let meta = trace.meta();
     println!("description:     {}", meta.description);
     println!("particles:       {}", meta.particle_count);
@@ -321,16 +296,14 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
             serde_json::from_str(&std::fs::read_to_string(path)?)
                 .map_err(|e| PicError::config(format!("bad workload JSON in {path}: {e}")))?;
         // the conservation reference: explicit flag, else the trace header
-        let expected: Option<u64> = match flags.get("particles") {
-            Some(n) => Some(parse_flag("particles", n)?),
-            None => match flags.get("trace") {
-                Some(tp) => {
-                    let file = std::fs::File::open(tp)?;
-                    let reader = pic_trace::TraceReader::new(std::io::BufReader::new(file))?;
-                    Some(reader.meta().particle_count as u64)
-                }
-                None => None,
-            },
+        let expected: Option<u64> = match (flag(flags, "particles")?, flags.get("trace")) {
+            (Some(n), _) => Some(n),
+            (None, Some(path)) => {
+                let reader =
+                    pic_trace::TraceReader::new(std::io::BufReader::new(File::open(path)?))?;
+                Some(reader.meta().particle_count as u64)
+            }
+            (None, None) => None,
         };
         let violations = pic_analysis::check_workload(&w, expected);
         if violations.is_empty() {
@@ -383,61 +356,224 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<()> {
     Ok(())
 }
 
-/// The streaming pipeline's observability block, as `workload --stream
-/// true` and `sweep --stream true` both print it.
-fn print_ingest_stats(stats: &IngestStats) -> Result<()> {
-    let json = serde_json::to_string_pretty(stats)
-        .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
-    println!("ingest stats: {json}");
+/// Kernel benchmarking sweep (paper §II-B): the preferred way to produce
+/// training data, since it varies every workload parameter independently —
+/// unlike a single application run, whose balanced mapping keeps `N_p`
+/// nearly constant across ranks.
+fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
+    let mut sweep = pic_sim::SweepConfig::default();
+    sweep.order = flag_or(flags, "order", sweep.order)?;
+    sweep.projection_filter = flag_or(flags, "filter", sweep.projection_filter)?;
+    let mode = match bool_flag(flags, "wallclock", false)? {
+        true => {
+            sweep.timing = pic_sim::config::TimingMode::WallClock;
+            "wall-clock"
+        }
+        false => "oracle",
+    };
+    let observations = sweep.record_count();
+    eprintln!("benchmarking {observations} kernel observations ({mode:?} mode)...");
+    let t0 = Instant::now();
+    let rec = pic_sim::benchmark_kernels(&sweep)?;
+    let seconds = t0.elapsed().as_secs_f64();
+    eprintln!("sweep finished in {seconds:.2} s");
+    let out = required(flags, "out")?;
+    std::fs::write(out, rec.to_json())?;
+    eprintln!("records: {} -> {out}", rec.len());
     Ok(())
 }
 
-/// The grid `req` names, replayed from the `--trace` file and held to the
-/// invariant catalog: [`Request::sweep`] over the decoded trace, or with
-/// `--stream true` the bounded pipeline, which never loads the trace whole
-/// (the path for traces larger than memory; a truncated or corrupt file
-/// fails with a byte-positioned error) and also returns its ingest stats.
-fn replay_trace(req: &Request, flags: &HashMap<String, String>) -> Result<Replayed> {
-    let path = required(flags, "trace")?;
-    if !bool_flag(flags, "stream", false)? {
-        let (entries, stats) = req.sweep(&load_trace(path)?, None, None)?;
-        return Ok((entries, stats, None));
+fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
+    let recorder = Recorder::from_json(&std::fs::read_to_string(required(flags, "records")?)?)?;
+    let strategy = match flags.get("strategy").map(|s| s.as_str()) {
+        Some("linear") | None => FitStrategy::Linear,
+        Some("auto") => FitStrategy::default(),
+        Some(other) => return Err(PicError::config(format!("unknown strategy '{other}'"))),
+    };
+    let models = KernelModels::fit(&recorder, &strategy, 42)?;
+    print!("{}", models.describe());
+    let mape = models.mean_validation_mape();
+    println!("average validation MAPE: {mape:.2}%");
+    let out = required(flags, "out")?;
+    std::fs::write(out, models.to_json())?;
+    eprintln!("models -> {out}");
+    Ok(())
+}
+
+/// `workload`, `sweep`, `predict`, `simpoint` and `study scalability` /
+/// `study sampling`: resolve what the flags name — the `--trace` file, the
+/// `--models` file, for `simpoint` the reduction plan its clustering flags
+/// build and the `--holdout` of its gate — then [`request::answer`] and
+/// render the [`Answer`] for the terminal and the `--out` files. The
+/// studies replay without ghosts; `study sampling` scores every stride
+/// against a stride-1 row 0.
+fn cmd_answer(command: &str, flags: &HashMap<String, String>) -> Result<()> {
+    let mut req = request(command, flags)?;
+    if let Some(kind) = command.strip_prefix("study ") {
+        req.grid.compute_ghosts = false;
+        if kind == "sampling" {
+            if !flags.contains_key("strides") {
+                req.grid.strides = vec![1, 2, 4, 8];
+            }
+            req.grid.strides.insert(0, 1);
+        }
     }
+    let path = required(flags, "trace")?;
+    if bool_flag(flags, "stream", false)? {
+        let t0 = Instant::now();
+        return render(command, &stream(&req, path)?, t0, flags);
+    }
+    let trace = codec::load_file(path)?;
+    let models = match command {
+        "predict" => {
+            let text = std::fs::read_to_string(required(flags, "models")?)?;
+            Some(KernelModels::from_json(&text)?)
+        }
+        _ => None,
+    };
+    let t0 = Instant::now();
+    let plan = match command {
+        "simpoint" => Some(simpoint_plan(&trace, &req, flags)?),
+        _ => None,
+    };
+    let resident = Resident {
+        trace: &trace,
+        models: models.as_ref(),
+        cache: None,
+        plan: plan.as_ref(),
+        holdout: flag(flags, "holdout")?,
+    };
+    let t1 = Instant::now();
+    let answer = request::answer(command, &req, &resident)?;
+    match (&answer, plan) {
+        (Answer::Grid { entries, .. }, _) if command == "study sampling" => {
+            print_sampling(entries, trace.particle_count());
+            Ok(())
+        }
+        (_, Some(plan)) => print_simpoint(&answer, &plan, t1 - t0, t1.elapsed(), flags),
+        _ => render(command, &answer, t1, flags),
+    }
+}
+
+/// The grid `req` names, replayed from the file at `path` by the bounded
+/// streaming pipeline, which never loads the trace whole (the path for
+/// traces larger than memory; a truncated or corrupt file fails with a
+/// byte-positioned error), and gated as [`request::answer`] gates a full
+/// replay. Prints the pipeline's ingest stats.
+fn stream(req: &Request, path: &str) -> Result<Answer> {
     let reader = pic_trace::TraceReader::new(std::io::BufReader::new(File::open(path)?))?;
     let particles = reader.meta().particle_count as u64;
     let mesh = req.element_mesh(reader.meta().domain)?;
     let points = req.grid.points();
     let (workloads, stats, ingest) = pic_workload::sweep_streaming(reader, &points, mesh.as_ref())?;
     pic_analysis::assert_sweep_valid(&workloads, Some(particles))?;
+    let json = serde_json::to_string_pretty(&ingest)
+        .map_err(|e| PicError::config(format!("cannot serialize ingest stats: {e}")))?;
+    println!("ingest stats: {json}");
     let entries = pic_predict::grid_entries(&points, workloads);
-    Ok((entries, stats, Some(ingest)))
+    let reports = Vec::new();
+    Ok(Answer::Grid {
+        entries,
+        stats,
+        reports,
+    })
 }
 
-/// A replayed grid, its sharing accounting and, if streamed, ingest stats.
-type Replayed = (Vec<SweepGridEntry>, SweepStats, Option<IngestStats>);
-
-fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
-    let req = request("workload", flags)?;
-    let t0 = std::time::Instant::now();
-    let (mut entries, _, ingest) = replay_trace(&req, flags)?;
-    let w = entries.remove(0).workload;
-    eprintln!("workload generated in {:.2} s", t0.elapsed().as_secs_f64());
-    if let Some(stats) = &ingest {
-        print_ingest_stats(stats)?;
+/// How `predict` (its JSON lines on stdout, a summary on stderr),
+/// `workload` (its one point's summary, and with `--out` its matrices and
+/// workload file), `sweep` (one row per point, and with `--out` the grid
+/// JSON) and `study scalability` (one row per rank count) print the answer
+/// computed since `t0`.
+fn render(
+    command: &str,
+    answer: &Answer,
+    t0: Instant,
+    flags: &HashMap<String, String>,
+) -> Result<()> {
+    let seconds = t0.elapsed().as_secs_f64();
+    match (command, answer) {
+        ("predict", Answer::Predictions(predictions)) => {
+            println!("{}", answer.to_json());
+            for prediction in predictions {
+                let t = &prediction.timeline;
+                eprintln!("machine:             {}", prediction.machine);
+                eprintln!("sync mode:           {}", prediction.sync);
+                eprintln!("predicted time:      {:.6} s", t.total_seconds);
+                let idle = 100.0 * t.mean_idle_fraction();
+                eprintln!("mean idle fraction:  {idle:.2}%");
+                eprintln!("events processed:    {}", t.events_processed);
+            }
+            eprintln!("predicted in:        {seconds:.3} s");
+        }
+        ("workload", Answer::Grid { entries, .. }) => {
+            eprintln!("workload generated in {seconds:.2} s");
+            print_workload(&entries[0].workload, flags)?;
+        }
+        ("sweep", Answer::Grid { entries, stats, .. }) => {
+            let points = entries.len();
+            eprintln!("sweep of {points} grid point(s) generated in {seconds:.2} s");
+            eprintln!(
+                "sharing: {} point(s) -> {} assignment group(s); {} of {} assignment passes run; \
+                 {} ghost radii ({} group(s) served by one shared query)",
+                stats.points,
+                stats.groups,
+                stats.assign_passes,
+                stats.naive_assign_passes,
+                stats.ghost_radii,
+                stats.shared_query_groups,
+            );
+            println!(
+                "point          mapping    ranks     filter  stride       peak   utilization   \
+                 migrations       ghosts"
+            );
+            for e in entries {
+                let summary = metrics::summarize(&e.workload);
+                println!(
+                    "{:>5} {:>16} {:>8} {:>10.4} {:>7} {:>10} {:>12.1}% {:>12} {:>12}",
+                    e.point,
+                    e.mapping.to_string(),
+                    e.ranks,
+                    e.projection_filter,
+                    e.stride,
+                    summary.peak_workload,
+                    100.0 * summary.resource_utilization,
+                    summary.total_migrations,
+                    summary.total_ghosts
+                );
+            }
+            if let Some(out) = flags.get("out") {
+                std::fs::write(out, answer.to_json())?;
+                eprintln!("full grid ({points} point(s)) -> {out}");
+            }
+        }
+        ("study scalability", Answer::Grid { entries, .. }) => {
+            println!("   ranks         peak    utilization   migrations");
+            for e in entries {
+                let summary = metrics::summarize(&e.workload);
+                println!(
+                    "{:>8} {:>12} {:>13.1}% {:>12}",
+                    e.ranks,
+                    summary.peak_workload,
+                    100.0 * summary.resource_utilization,
+                    summary.total_migrations
+                );
+            }
+        }
+        _ => unreachable!("'{command}' renders no such answer"),
     }
+    Ok(())
+}
 
-    let summary = metrics::summarize(&w);
+/// `workload`'s one point: its summary, and with `--out` its matrices as
+/// CSV and the workload as JSON, the input format of `picpredict check`.
+fn print_workload(w: &DynamicWorkload, flags: &HashMap<String, String>) -> Result<()> {
+    let summary = metrics::summarize(w);
     println!("ranks:                {}", summary.ranks);
     println!("samples:              {}", summary.samples);
     println!("peak workload:        {}", summary.peak_workload);
-    println!(
-        "resource utilization: {:.2}%",
-        100.0 * summary.resource_utilization
-    );
-    println!(
-        "mean idle fraction:   {:.2}%",
-        100.0 * summary.mean_idle_fraction
-    );
+    let (utilization, idle) = (summary.resource_utilization, summary.mean_idle_fraction);
+    println!("resource utilization: {:.2}%", 100.0 * utilization);
+    println!("mean idle fraction:   {:.2}%", 100.0 * idle);
     println!("mean imbalance:       {:.2}", summary.mean_imbalance);
     println!("total migrations:     {}", summary.total_migrations);
     if let Some(bins) = summary.max_bins {
@@ -454,228 +590,51 @@ fn cmd_workload(flags: &HashMap<String, String>) -> Result<()> {
             }
         }
         std::fs::write(format!("{dir}/comm.csv"), comm)?;
-        // the full workload as JSON — the input format of `picpredict check`
         std::fs::write(format!("{dir}/workload.json"), w.to_json_pretty())?;
         eprintln!("matrices written to {dir}/");
     }
     Ok(())
 }
 
-/// Kernel benchmarking sweep (paper §II-B): the preferred way to produce
-/// training data, since it varies every workload parameter independently —
-/// unlike a single application run, whose balanced mapping keeps `N_p`
-/// nearly constant across ranks.
-fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
-    let mut sweep = pic_sim::SweepConfig::default();
-    sweep.order = flag_or(flags, "order", sweep.order)?;
-    sweep.projection_filter = flag_or(flags, "filter", sweep.projection_filter)?;
-    if bool_flag(flags, "wallclock", false)? {
-        sweep.timing = pic_sim::config::TimingMode::WallClock;
+/// `study sampling`: each stride's fidelity against the stride-1 row 0 and
+/// the trace bytes it would keep.
+fn print_sampling(rows: &[SweepGridEntry], particles: usize) {
+    println!("  stride    trace bytes    peak MAPE [%]     migration loss [%]");
+    for e in &rows[1..] {
+        let (mape, lost) = metrics::sampling_fidelity(&rows[0].workload, &e.workload, e.stride);
+        let samples = e.workload.samples();
+        let bytes = pic_trace::stats::estimated_file_size(particles, samples, Precision::F32);
+        println!("{:>8} {bytes:>14} {mape:>16.2} {lost:>22.2}", e.stride);
     }
-    eprintln!(
-        "benchmarking {} kernel observations ({:?} mode)...",
-        sweep.record_count(),
-        if matches!(sweep.timing, pic_sim::config::TimingMode::WallClock) {
-            "wall-clock"
-        } else {
-            "oracle"
-        }
-    );
-    let t0 = std::time::Instant::now();
-    let rec = pic_sim::benchmark_kernels(&sweep)?;
-    eprintln!("sweep finished in {:.2} s", t0.elapsed().as_secs_f64());
-    let out = required(flags, "out")?;
-    std::fs::write(out, rec.to_json())?;
-    eprintln!("records: {} -> {out}", rec.len());
-    Ok(())
 }
 
-fn cmd_fit(flags: &HashMap<String, String>) -> Result<()> {
-    let recorder = Recorder::from_json(&std::fs::read_to_string(required(flags, "records")?)?)?;
-    let strategy = match flags.get("strategy").map(|s| s.as_str()) {
-        Some("linear") | None => FitStrategy::Linear,
-        Some("auto") => FitStrategy::default(),
-        Some(other) => return Err(PicError::config(format!("unknown strategy '{other}'"))),
-    };
-    let models = KernelModels::fit(&recorder, &strategy, 42)?;
-    print!("{}", models.describe());
+/// The paper's bin study: the unbounded bin count per sample, whose peak
+/// is the processor count a bin mapping would use. It replays no grid: its
+/// one request field is the filter.
+fn cmd_study_bins(flags: &HashMap<String, String>) -> Result<()> {
+    let trace = codec::load_file(required(flags, "trace")?)?;
+    let filter = flag_or(flags, "filter", Request::default().grid.filters[0])?;
+    let bins = pic_workload::generator::unbounded_bin_series(&trace, &[filter])?.remove(0);
+    for (iter, bins) in trace.iterations().iter().zip(&bins) {
+        println!("iteration {iter:>8}: {bins} bins");
+    }
     println!(
-        "average validation MAPE: {:.2}%",
-        models.mean_validation_mape()
+        "optimal processor count: {}",
+        bins.iter().max().unwrap_or(&0)
     );
-    let out = required(flags, "out")?;
-    std::fs::write(out, models.to_json())?;
-    eprintln!("models -> {out}");
     Ok(())
 }
 
-fn cmd_predict(flags: &HashMap<String, String>) -> Result<()> {
-    let specs = request("predict", flags)?.specs();
-    let trace = load_trace(required(flags, "trace")?)?;
-    let models = KernelModels::from_json(&std::fs::read_to_string(required(flags, "models")?)?)?;
-    let t0 = std::time::Instant::now();
-    let predictions = pic_predict::predict_grid(&trace, &models, &specs, None)?;
-    // machine-readable result on stdout, human summary on stderr
-    for prediction in &predictions {
-        println!("{prediction}");
-        let t = &prediction.timeline;
-        eprintln!("machine:             {}", prediction.machine);
-        eprintln!("sync mode:           {}", prediction.sync);
-        eprintln!("predicted time:      {:.6} s", t.total_seconds);
-        eprintln!(
-            "mean idle fraction:  {:.2}%",
-            100.0 * t.mean_idle_fraction()
-        );
-        eprintln!("events processed:    {}", t.events_processed);
-    }
-    eprintln!("predicted in:        {:.3} s", t0.elapsed().as_secs_f64());
-    Ok(())
-}
-
-/// The paper's workload studies straight from the command line: the
-/// scalability and sampling-fidelity studies are projections of one
-/// ghost-free grid replay, the bin study is the unbounded bin series.
-fn cmd_study(kind: &str, flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
-    let replay_grid = |mut req: Request| -> Result<Vec<SweepGridEntry>> {
-        req.grid.compute_ghosts = false;
-        Ok(req.sweep(&trace, None, None)?.0)
-    };
-    match kind {
-        "scalability" => {
-            let rows = replay_grid(request("study scalability", flags)?)?;
-            println!(
-                "{:>8} {:>12} {:>14} {:>12}",
-                "ranks", "peak", "utilization", "migrations"
-            );
-            for e in &rows {
-                let summary = metrics::summarize(&e.workload);
-                println!(
-                    "{:>8} {:>12} {:>13.1}% {:>12}",
-                    e.ranks,
-                    summary.peak_workload,
-                    100.0 * summary.resource_utilization,
-                    summary.total_migrations
-                );
-            }
-        }
-        "bins" => {
-            // the bin study replays no grid: its one request field is the filter
-            let filter = flag_or(flags, "filter", Request::default().grid.filters[0])?;
-            let bins = pic_workload::generator::unbounded_bin_series(&trace, &[filter])?.remove(0);
-            for (iter, bins) in trace.iterations().iter().zip(&bins) {
-                println!("iteration {iter:>8}: {bins} bins");
-            }
-            println!(
-                "optimal processor count: {}",
-                bins.iter().max().unwrap_or(&0)
-            );
-        }
-        "sampling" => {
-            let mut req = request("study sampling", flags)?;
-            if !flags.contains_key("strides") {
-                req.grid.strides = vec![1, 2, 4, 8];
-            }
-            // row 0 is the stride-1 reference the others are scored against
-            req.grid.strides.insert(0, 1);
-            let rows = replay_grid(req)?;
-            println!(
-                "{:>8} {:>14} {:>16} {:>22}",
-                "stride", "trace bytes", "peak MAPE [%]", "migration loss [%]"
-            );
-            for e in &rows[1..] {
-                let (mape, lost) =
-                    metrics::sampling_fidelity(&rows[0].workload, &e.workload, e.stride);
-                let bytes = pic_trace::stats::estimated_file_size(
-                    trace.particle_count(),
-                    e.workload.samples(),
-                    pic_trace::Precision::F32,
-                );
-                println!("{:>8} {bytes:>14} {mape:>16.2} {lost:>22.2}", e.stride);
-            }
-        }
-        other => {
-            return Err(PicError::config(format!(
-                "unknown study '{other}' (expected scalability | bins | sampling)"
-            )))
-        }
-    }
-    Ok(())
-}
-
-/// The multi-configuration sweep: replay the trace once, emit the whole
-/// grid. Gated on the pic-analysis invariant catalog over every grid
-/// point — a grid that fails verification is never written. The replay,
-/// gate and `--out` serialization are [`Request::sweep`] and
-/// [`pic_predict::grid_to_json`], what the service's `/sweep` answers
-/// with, so both emit bit-identical bytes.
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<()> {
-    let req = request("sweep", flags)?;
-    let t0 = std::time::Instant::now();
-    let (entries, stats, ingest) = replay_trace(&req, flags)?;
-    eprintln!(
-        "sweep of {} grid point(s) generated in {:.2} s",
-        entries.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    eprintln!(
-        "sharing: {} point(s) -> {} assignment group(s); {} of {} assignment passes run; {} ghost radii ({} group(s) served by one shared query)",
-        stats.points,
-        stats.groups,
-        stats.assign_passes,
-        stats.naive_assign_passes,
-        stats.ghost_radii,
-        stats.shared_query_groups,
-    );
-    if let Some(ingest) = &ingest {
-        print_ingest_stats(ingest)?;
-    }
-
-    println!(
-        "{:>5} {:>16} {:>8} {:>10} {:>7} {:>10} {:>13} {:>12} {:>12}",
-        "point",
-        "mapping",
-        "ranks",
-        "filter",
-        "stride",
-        "peak",
-        "utilization",
-        "migrations",
-        "ghosts"
-    );
-    for e in &entries {
-        let summary = metrics::summarize(&e.workload);
-        println!(
-            "{:>5} {:>16} {:>8} {:>10.4} {:>7} {:>10} {:>12.1}% {:>12} {:>12}",
-            e.point,
-            e.mapping.to_string(),
-            e.ranks,
-            e.projection_filter,
-            e.stride,
-            summary.peak_workload,
-            100.0 * summary.resource_utilization,
-            summary.total_migrations,
-            summary.total_ghosts
-        );
-    }
-    if let Some(out) = flags.get("out") {
-        std::fs::write(out, pic_predict::grid_to_json(&entries))?;
-        eprintln!("full grid ({} point(s)) -> {out}", entries.len());
-    }
-    Ok(())
-}
-
-/// SimPoint-style reduced replay: cluster the trace's samples into
-/// phases, replay one representative per phase (plus owner-only passes
-/// for representative predecessors), broadcast each outcome across its
-/// cluster, and hold the reconstruction to the holdout error budget
-/// before anything is written ([`pic_predict::replay_reduced_gated`], the
-/// function the service's reduced sweeps go through).
-fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
-    let req = request("simpoint", flags)?;
-    let trace = load_trace(required(flags, "trace")?)?;
-    let mesh = req.element_mesh(trace.meta().domain)?;
-
+/// `simpoint`'s reduction plan: the trace's samples clustered into phases
+/// under the clustering flags. [`request::answer`] then replays one
+/// representative per phase (plus owner-only passes for representative
+/// predecessors), broadcasts each outcome across its cluster, and holds the
+/// reconstruction to the holdout error budget before anything is written.
+fn simpoint_plan(
+    trace: &ParticleTrace,
+    req: &Request,
+    flags: &HashMap<String, String>,
+) -> Result<ReductionPlan> {
     let mut opts = pic_predict::SimpointOptions {
         k: req.k,
         ..Default::default()
@@ -683,55 +642,49 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
     opts.k_max = flag_or(flags, "k-max", opts.k_max)?;
     opts.seed = flag_or(flags, "seed", opts.seed)?;
     opts.features.bins_per_axis = flag_or(flags, "bins", opts.features.bins_per_axis)?;
-    opts.spatial_only = choice_or(
-        flags,
-        "features",
-        &[("spatial", true), ("full", false)],
-        opts.spatial_only,
-    )?;
-    let mut budget = pic_analysis::ReductionBudget::default();
-    budget.max_peak_rel_error = req.budget.unwrap_or(budget.max_peak_rel_error);
-    budget.holdout = flag_or(flags, "holdout", budget.holdout)?;
+    let features = [("spatial", true), ("full", false)];
+    opts.spatial_only = choice_or(flags, "features", &features, opts.spatial_only)?;
+    pic_predict::build_simpoint_plan(trace, &opts)
+}
 
-    let t0 = std::time::Instant::now();
-    let plan = pic_predict::build_simpoint_plan(&trace, &opts)?;
-    let cluster_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let (workloads, stats, reports) = pic_predict::replay_reduced_gated(
-        &trace,
-        &req.grid.points(),
-        mesh.as_ref(),
-        None,
-        &plan,
-        &budget,
-    )?;
-    let replay_s = t1.elapsed().as_secs_f64();
-    let (w, report) = (&workloads[0], &reports[0]);
-
+/// `simpoint`'s report: the plan, the replay, the gate, the reconstructed
+/// workload's headline figures, and with `--plan-out` / `--out` the plan
+/// and the workload as JSON.
+fn print_simpoint(
+    answer: &Answer,
+    plan: &ReductionPlan,
+    cluster: Duration,
+    replay: Duration,
+    flags: &HashMap<String, String>,
+) -> Result<()> {
+    let Answer::Grid {
+        entries,
+        stats,
+        reports,
+    } = answer
+    else {
+        unreachable!("'simpoint' answers a grid")
+    };
+    let (w, report) = (&entries[0].workload, &reports[0]);
     println!("samples:            {}", plan.total_samples);
     println!("phases (K):         {}", plan.k());
-    println!(
-        "replayed samples:   {} full + {} owner-only",
-        stats.assign_passes, stats.owner_only_passes
-    );
+    let (full, owner_only) = (stats.assign_passes, stats.owner_only_passes);
+    println!("replayed samples:   {full} full + {owner_only} owner-only");
     println!("reduction factor:   {:.1}x", plan.reduction_factor());
     println!(
         "holdout peak error: {:.4} (budget {:.4}, {} holdout sample(s))",
         report.max_rel_error,
-        budget.max_peak_rel_error,
+        report.budget.max_peak_rel_error,
         report.points.len()
     );
-    println!(
-        "timing:             cluster {cluster_s:.3} s + reduced replay and gate {replay_s:.3} s"
-    );
+    let (cluster, replay) = (cluster.as_secs_f64(), replay.as_secs_f64());
+    println!("timing:             cluster {cluster:.3} s + reduced replay and gate {replay:.3} s");
     let summary = metrics::summarize(w);
     println!("peak workload:      {}", summary.peak_workload);
-    println!(
-        "resource util:      {:.2}%",
-        100.0 * summary.resource_utilization
-    );
+    let utilization = 100.0 * summary.resource_utilization;
+    println!("resource util:      {utilization:.2}%");
     if let Some(path) = flags.get("plan-out") {
-        let json = serde_json::to_string_pretty(&plan)
+        let json = serde_json::to_string_pretty(plan)
             .map_err(|e| PicError::config(format!("cannot serialize plan: {e}")))?;
         std::fs::write(path, json)?;
         eprintln!("reduction plan -> {path}");
@@ -750,13 +703,13 @@ fn cmd_simpoint(flags: &HashMap<String, String>) -> Result<()> {
 fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
     let in_path = required(flags, "trace")?;
     let out_path = required(flags, "out")?;
-    let trace = load_trace(in_path)?;
+    let trace = codec::load_file(in_path)?;
     let precision = choice_or(flags, "precision", &PRECISIONS, codec::Precision::F32)?;
     let in_bytes = std::fs::metadata(in_path)?.len();
     let out_bytes = pic_trace::compact::save_file(&trace, out_path, precision)?;
     // round-trip gate: the file we just wrote must decode to the same
     // shape (sample/particle counts) before we report success
-    let back = load_trace(out_path)?;
+    let back = codec::load_file(out_path)?;
     if back.sample_count() != trace.sample_count()
         || back.particle_count() != trace.particle_count()
     {
@@ -794,15 +747,11 @@ fn serve_config(flags: &HashMap<String, String>) -> Result<pic_predict::ServeCon
             .to_string(),
         ..pic_predict::ServeConfig::default()
     };
-    if let Some(bytes) = bytes("budget-mb")? {
-        cfg.budget_bytes = bytes;
-    }
+    cfg.budget_bytes = bytes("budget-mb")?.unwrap_or(cfg.budget_bytes);
     if let Some(ms) = positive_flag(flags, "read-timeout-ms")? {
-        cfg.read_timeout = std::time::Duration::from_millis(ms);
+        cfg.read_timeout = Duration::from_millis(ms);
     }
-    if let Some(bytes) = bytes("max-body-mb")? {
-        cfg.max_body_bytes = bytes as u64;
-    }
+    cfg.max_body_bytes = bytes("max-body-mb")?.map_or(cfg.max_body_bytes, |b| b as u64);
     Ok(cfg)
 }
 
@@ -819,9 +768,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<()> {
 }
 
 fn cmd_extrapolate(flags: &HashMap<String, String>) -> Result<()> {
-    let trace = load_trace(required(flags, "trace")?)?;
+    let trace = codec::load_file(required(flags, "trace")?)?;
     let out = required(flags, "out")?;
-    let particles: usize = parse_flag("particles", required(flags, "particles")?)?;
+    let missing = || PicError::config("missing required flag --particles");
+    let particles: usize = flag(flags, "particles")?.ok_or_else(missing)?;
     let seed: u64 = flag_or(flags, "seed", 1)?;
     let big = pic_trace::extrapolate(&trace, particles, seed)?;
     codec::save_file(&big, out, codec::Precision::F32)?;

@@ -36,10 +36,12 @@
 //!   with a content-addressed trace registry that decodes each trace
 //!   once and answers sweep/predict/check requests over HTTP, sharing
 //!   assignment artifacts across concurrent and repeat requests;
-//! * [`request`] — the one request vocabulary: the [`Request`] the CLI's
-//!   replaying commands and the service's endpoints both parse, admit and
-//!   validate, and the grid expansion (mapping-major cross product) and
-//!   serialization they and the figures share, so all emit the same grids;
+//! * [`request`] — the one request vocabulary and the one call that
+//!   answers it: the [`Request`] the CLI's replaying commands and the
+//!   service's endpoints both parse, admit and validate, [`answer`], which
+//!   replays, gates and predicts it for all of them, and the grid expansion
+//!   (mapping-major cross product) and serialization they and the figures
+//!   share, so all emit the same grids;
 //! * [`simpoint`] — SimPoint-style trace reduction: cluster per-sample
 //!   feature vectors into phases, emit a [`pic_workload::ReductionPlan`]
 //!   that replays one representative per phase, and hold every replayed
@@ -60,7 +62,9 @@ pub use pipeline::{
     build_schedule, predict, predict_application, predict_grid, predict_kernel_seconds,
     predict_workload, run_case_study, CaseStudyOutput, PredictSpec, Prediction,
 };
-pub use request::{grid_entries, grid_to_json, Request, SweepGridEntry, SweepGridSpec};
+pub use request::{
+    answer, grid_entries, grid_to_json, Answer, Request, Resident, SweepGridEntry, SweepGridSpec,
+};
 pub use serve::{registry::TraceRegistry, ServeConfig, Server};
-pub use simpoint::{build_plan as build_simpoint_plan, replay_reduced_gated, SimpointOptions};
+pub use simpoint::{build_plan as build_simpoint_plan, SimpointOptions};
 pub use validate::{kernel_mape_vs_ground_truth, workload_matches_ground_truth};

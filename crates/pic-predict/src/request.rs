@@ -1,27 +1,30 @@
-//! The one request vocabulary. `picpredict`'s replaying commands and the
-//! service's JSON endpoints ask the same question — a grid of (mapping,
-//! ranks, filter, stride) points over one mesh, order, machine and sync
-//! mode, optionally SimPoint-reduced — and both are transports over the
-//! [`Request`] defined here:
+//! The one request vocabulary and the one call that answers it.
+//! `picpredict`'s replaying commands and the service's JSON endpoints ask
+//! the same question — a grid of (mapping, ranks, filter, stride) points
+//! over one mesh, order, machine and sync mode, optionally SimPoint-reduced:
 //!
-//! * [`admit`] holds the keys of a request to the list its command or
-//!   endpoint accepts: a key not on the list, a key given twice, or a
-//!   required key left out is refused on both transports;
-//! * [`Request::parse`] is the one field table: each key's value — flag
-//!   text on the command line (a list comma-separated), a JSON value in a
-//!   service body (a list as an array) — parses into the request, mapping,
-//!   sync-mode and mesh names through the `FromStr` of the type that owns
-//!   them, and an error names the key the way its transport spells it
-//!   (`--ranks`, `"ranks"`); then every front-end admission rule runs once;
-//! * [`Request::default`] is the only place a default is written.
+//! * [`admit`] holds a request's keys to the list its command or endpoint
+//!   accepts (a key not on it, a key given twice or a required key left out
+//!   is refused on both transports);
+//! * [`Request::parse`] is the one field table: flag text (a list
+//!   comma-separated) or a JSON value (a list as an array) parses into the
+//!   request through the `FromStr` of the type that owns each name, an error
+//!   names the key as its transport spells it (`--ranks`, `"ranks"`), and
+//!   every front-end admission rule runs once; [`Request::default`] is the
+//!   only place a default is written;
+//! * [`answer`] replays, gates and predicts the request against what the
+//!   front end resolved, for every command and endpoint alike; the front
+//!   ends differ only in how they render its [`Answer`].
 //!
-//! The grid expansion (mapping-major cross product) and its serialization
-//! live here too: the CLI, the service and the figures expand the same
-//! grids, and `POST /sweep` answers byte for byte what `picpredict sweep
-//! --out` writes (the serve integration tests diff the bytes).
+//! The grid expansion (mapping-major) and its serialization live here too,
+//! so `POST /sweep` answers byte for byte what `picpredict sweep --out`
+//! writes.
 
-use crate::pipeline::PredictSpec;
+use crate::pipeline::{predict_grid, PredictSpec, Prediction};
+use crate::serve::http::json_escape;
 use crate::simpoint::replay_reduced_gated;
+use crate::KernelModels;
+use pic_analysis::{ReductionBudget, ReductionReport, WorkloadViolation};
 use pic_des::{MachineSpec, SyncMode};
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
@@ -312,38 +315,128 @@ impl Request {
             })
             .collect()
     }
+}
 
-    /// The grid `picpredict sweep` and `/sweep` answer: `trace` replayed
-    /// over every point — through `cache` if one is given, one
-    /// representative per phase of `plan` if one is given — and gated, a
-    /// full replay on the invariant catalog and a reduced one on the
-    /// holdout error budget ([`replay_reduced_gated`]). [`grid_to_json`]
-    /// renders it.
-    pub fn sweep(
-        &self,
-        trace: &ParticleTrace,
-        cache: Option<&AssignmentCache>,
-        plan: Option<&ReductionPlan>,
-    ) -> Result<(Vec<SweepGridEntry>, SweepStats)> {
-        let mesh = self.element_mesh(trace.meta().domain)?;
-        let points = self.grid.points();
-        let (workloads, stats) = match plan {
-            Some(plan) => {
-                let mut budget = pic_analysis::ReductionBudget::default();
-                budget.max_peak_rel_error = self.budget.unwrap_or(budget.max_peak_rel_error);
-                let replayed =
-                    replay_reduced_gated(trace, &points, mesh.as_ref(), cache, plan, &budget)?;
-                (replayed.0, replayed.1)
+/// What a front end resolved for a request: the trace it names, and the
+/// kernel models, the trace's assignment cache and the reduction plan it
+/// holds for it.
+pub struct Resident<'a> {
+    /// The trace the request names.
+    pub trace: &'a ParticleTrace,
+    /// Kernel models, which a prediction needs.
+    pub models: Option<&'a KernelModels>,
+    /// Assignment artifacts shared with other requests against the trace.
+    pub cache: Option<&'a AssignmentCache>,
+    /// Replay one representative per phase of this plan, behind the holdout
+    /// gate.
+    pub plan: Option<&'a ReductionPlan>,
+    /// Samples that gate replays exactly; `None` is [`ReductionBudget`]'s.
+    pub holdout: Option<usize>,
+}
+
+/// What [`answer`] returns, each with one JSON rendering
+/// ([`Answer::to_json`]).
+pub enum Answer {
+    /// A replayed grid, gated, with what the replay shared and ran and, for
+    /// a reduced replay, one holdout report per point (none otherwise).
+    Grid {
+        /// The points and their workloads, in grid order.
+        entries: Vec<SweepGridEntry>,
+        /// The replay's sharing accounting.
+        stats: SweepStats,
+        /// The holdout gate's reports.
+        reports: Vec<ReductionReport>,
+    },
+    /// One prediction per grid point, in grid order.
+    Predictions(Vec<Prediction>),
+    /// The one point's workload, ungated, and the invariants it violates.
+    Checked(DynamicWorkload, Vec<WorkloadViolation>),
+}
+
+impl Answer {
+    /// The answer as JSON: a grid as [`grid_to_json`] writes it, each
+    /// prediction's `Display` on a line of its own, a check as one object.
+    pub fn to_json(&self) -> String {
+        match self {
+            Answer::Grid { entries, .. } => grid_to_json(entries),
+            Answer::Predictions(predictions) => {
+                let lines: Vec<String> = predictions.iter().map(Prediction::to_string).collect();
+                lines.join("\n")
             }
-            None => {
-                let opts = ReplayOptions::new(mesh.as_ref(), cache, None);
-                let (workloads, stats) = pic_workload::replay(trace, &points, &opts)?;
-                let particles = trace.particle_count() as u64;
-                pic_analysis::assert_sweep_valid(&workloads, Some(particles))?;
-                (workloads, stats)
+            Answer::Checked(workload, violations) => {
+                let rendered: Vec<String> = (violations.iter())
+                    .map(|v| json_escape(&v.to_string()))
+                    .collect();
+                format!(
+                    "{{\"ok\":{},\"ranks\":{},\"samples\":{},\"violations\":[{}]}}",
+                    violations.is_empty(),
+                    workload.ranks,
+                    workload.samples(),
+                    rendered.join(",")
+                )
             }
-        };
-        Ok((grid_entries(&points, workloads), stats))
+        }
+    }
+}
+
+/// Answer `request` as `command` — a `picpredict` command or a service
+/// endpoint — asks it, against what the front end resolved, through the
+/// resident assignment cache if there is one:
+///
+/// * `predict` and `/predict`: [`predict_grid`] over [`Request::specs`];
+/// * `/check`: the one point replayed and held to the invariant catalog;
+/// * `workload`, `sweep`, `/sweep`, `simpoint` and the `study` kinds that
+///   replay a grid: every point replayed and gated — a full replay on the
+///   invariant catalog, one reduced by the resident plan on the holdout
+///   error budget ([`pic_analysis::assert_reduction_valid`]).
+///
+/// A gate that fails is a [`PicError::ModelFit`].
+pub fn answer(command: &str, request: &Request, resident: &Resident) -> Result<Answer> {
+    let trace = resident.trace;
+    if let "predict" | "/predict" = command {
+        let models = (resident.models)
+            .ok_or_else(|| PicError::config(format!("'{command}' needs kernel models")))?;
+        let predictions = predict_grid(trace, models, &request.specs(), resident.cache)?;
+        return Ok(Answer::Predictions(predictions));
+    }
+    let particles = Some(trace.particle_count() as u64);
+    let mesh = request.element_mesh(trace.meta().domain)?;
+    let points = request.grid.points();
+    let full = ReplayOptions::new(mesh.as_ref(), resident.cache, None);
+    match command {
+        "/check" => {
+            let workload = pic_workload::replay(trace, &points, &full)?.0.remove(0);
+            let violations = pic_analysis::check_workload(&workload, particles);
+            Ok(Answer::Checked(workload, violations))
+        }
+        "workload" | "sweep" | "/sweep" | "simpoint" | "study scalability" | "study sampling" => {
+            let (workloads, stats, reports) = match resident.plan {
+                Some(plan) => {
+                    let default = ReductionBudget::default();
+                    let budget = ReductionBudget {
+                        max_peak_rel_error: request.budget.unwrap_or(default.max_peak_rel_error),
+                        holdout: resident.holdout.unwrap_or(default.holdout),
+                        ..default
+                    };
+                    let (mesh, cache) = (mesh.as_ref(), resident.cache);
+                    replay_reduced_gated(trace, &points, mesh, cache, plan, &budget)?
+                }
+                None => {
+                    let (workloads, stats) = pic_workload::replay(trace, &points, &full)?;
+                    pic_analysis::assert_sweep_valid(&workloads, particles)?;
+                    (workloads, stats, Vec::new())
+                }
+            };
+            let entries = grid_entries(&points, workloads);
+            Ok(Answer::Grid {
+                entries,
+                stats,
+                reports,
+            })
+        }
+        _ => Err(PicError::config(format!(
+            "'{command}' is not answered by a replay"
+        ))),
     }
 }
 

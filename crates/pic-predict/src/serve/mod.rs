@@ -1,77 +1,45 @@
-//! `picpredict serve` — the resident prediction service (DESIGN.md §13).
+//! `picpredict serve` — the resident prediction service (DESIGN.md §13–14).
 //!
 //! A long-lived daemon that keeps ingested traces resident in a
 //! content-addressed [`registry::TraceRegistry`] and answers
 //! sweep/predict/check requests against them over hand-rolled HTTP/1.1 +
-//! JSON (`std::net` only; the workspace is offline). The performance
-//! contract:
+//! JSON (`std::net` only; the workspace is offline):
 //!
-//! * **Ingest once, replay many.** `POST /traces` streams the body
-//!   through [`pic_trace::BoundedReader`] → [`pic_trace::DigestReader`] →
-//!   [`pic_trace::TraceReader`]: the trace — raw or compact
-//!   delta-encoded, sniffed by magic — is read exactly once, its
-//!   content address is the FNV-1a-128 digest of the bytes the decoder
-//!   consumed, and identical bytes always land on the identical address.
-//!   A compact trace stays resident as its encoded frames and is
-//!   decoded sample by sample as a replay reads it; the registry
-//!   charges each entry [`pic_trace::ParticleTrace::resident_bytes`].
-//! * **Shared replays.** `/sweep`, `/predict` and `/check` against a
-//!   resident trace run through [`pic_workload::replay`] on the trace's
-//!   shared [`pic_workload::AssignmentCache`], so concurrent and repeat
-//!   requests reuse each group's per-sample replay: the assignment
-//!   artifacts (mapper pass + region index) across filter radii, strides
-//!   and ghost toggles, the ghost rows of every radius and the migration
-//!   diffs of every stride already asked for, so a repeated grid point
-//!   runs no kernel and no diff at all. Identical cold requests that
-//!   arrive together each run their own replay; the cache keeps the first
-//!   insert of each artifact, and every request answers the same bytes.
-//! * **Bit-identical to offline.** A `POST /sweep` response body is
-//!   byte-for-byte the file `picpredict sweep --out` writes for the same
-//!   grid — both run [`Request::sweep`] and render it straight to text
-//!   through [`crate::request::grid_to_json`], and the cached sweep engine
-//!   is bit-identical to the per-configuration reference.
-//! * **One request vocabulary.** A JSON endpoint is a transport over
-//!   [`Request`], as the CLI is: [`request::admit`] holds the body's keys
-//!   to the endpoint's list — a key it does not take, a key given twice or
-//!   a required key left out is a `400` naming the key — and
-//!   [`Request::parse`] reads the values through the same field table the
-//!   CLI's flags go through, so a value it refuses (a `422`) reads the same
-//!   on both, apart from how the key is spelled. The handler then resolves
-//!   the resident trace and models and calls what the CLI calls: `/predict`
-//!   is [`crate::predict`] and answers with its `Display`.
-//! * **Gated responses.** Sweep grids pass
-//!   [`pic_analysis::assert_sweep_valid`] before a byte leaves the
-//!   server; a prediction's workload and kernel table are gated inside
-//!   [`crate::predict`].
-//! * **Opt-in reduced replay.** A sweep request carrying `"reduced":
-//!   true` replays SimPoint representatives instead of every sample
-//!   (stride 1 only, served from the same assignment cache) through
-//!   [`crate::simpoint::replay_reduced_gated`], which holds every grid
-//!   point to the holdout error budget; the reduction plan is cached per
-//!   trace in its [`registry::PlanCache`] under the same LRU weight.
-//! * **Adversarial clients survive.** Framing is bounded and deadlined
-//!   (see [`http`]); a JSON body nested past `serde_json::MAX_DEPTH` is a
-//!   `400`, not a stack overflow; the pic-trace fault corpus replayed over
-//!   a socket yields positioned 4xx responses, never a panic or a hung
-//!   thread.
-//! * **Overload is shed, not spawned.** One acceptor thread hands sockets
-//!   to [`WORKERS`] worker threads through a queue of [`QUEUE_DEPTH`]; a
-//!   socket that finds the queue full is answered `429` with
-//!   `Retry-After`. A handler that panics answers `500` and its worker
-//!   serves on. Shutdown sets a flag and wakes the acceptor, which drops
-//!   the queue's sender on exit; the workers answer what is queued and end
-//!   when the queue disconnects, and every thread is joined.
+//! * **Ingest once, replay many.** `POST /traces` streams the body through
+//!   [`pic_trace::BoundedReader`] → [`pic_trace::DigestReader`] →
+//!   [`pic_trace::TraceReader`]: the trace, raw or compact, is decoded once
+//!   and addressed by the FNV-1a-128 digest of the bytes the decoder
+//!   consumed, and the registry charges each entry its resident bytes.
+//! * **One answer.** `/sweep`, `/predict` and `/check` are one handler. The
+//!   body is admitted and parsed into a [`Request`] by the key list and
+//!   field table the CLI's flags go through (an unknown, repeated or missing
+//!   key is a `400`, a value the request refuses a `422`); then
+//!   [`request::answer`], the call the CLI makes, runs it on the trace's
+//!   shared [`pic_workload::AssignmentCache`] — and for `"reduced": true` on
+//!   the plan its [`registry::PlanCache`] keeps — and the answer is rendered
+//!   as JSON: byte for byte what `picpredict sweep --out` writes and
+//!   `picpredict predict` prints. A response gate that fails is a `500`.
+//! * **Adversarial clients survive.** Framing is bounded and deadlined (see
+//!   [`http`]); a JSON body nested past `serde_json::MAX_DEPTH` is a `400`,
+//!   not a stack overflow; the pic-trace fault corpus replayed over a socket
+//!   yields positioned 4xx responses, never a panic or a hung thread.
+//! * **Overload is shed, not spawned.** One acceptor thread hands sockets to
+//!   [`WORKERS`] worker threads through a queue of [`QUEUE_DEPTH`]; a socket
+//!   that finds the queue full is answered `429` with `Retry-After`. A
+//!   handler that panics answers `500` and its worker serves on. Shutdown
+//!   wakes the acceptor, whose exit drops the queue's sender; the workers
+//!   answer what is queued, and every thread is joined.
 
 pub mod http;
 pub mod registry;
 
 use crate::kernel_models::KernelModels;
-use crate::request::{self, grid_to_json, Raw, Request, Transport};
+use crate::request::{self, Raw, Request, Resident, Transport};
+use crate::simpoint::SimpointOptions;
 use http::HttpError;
 use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
 use pic_types::sync::Mutex;
 use pic_types::{PicError, Result};
-use pic_workload::ReplayOptions;
 use registry::TraceRegistry;
 use serde::Value;
 use std::io::{BufReader, Read};
@@ -352,9 +320,9 @@ fn route(
         }
         ("POST", "/traces") => handle_ingest_trace(state, head, reader),
         ("POST", "/models") => handle_ingest_models(state, &read_json_body(state, head, reader)?),
-        ("POST", "/sweep") => handle_sweep(state, &read_json_body(state, head, reader)?),
-        ("POST", "/predict") => handle_predict(state, &read_json_body(state, head, reader)?),
-        ("POST", "/check") => handle_check(state, &read_json_body(state, head, reader)?),
+        ("POST", path @ ("/sweep" | "/predict" | "/check")) => {
+            handle(state, path, &read_json_body(state, head, reader)?)
+        }
         (
             _,
             "/healthz" | "/stats" | "/traces" | "/shutdown" | "/sweep" | "/predict" | "/check"
@@ -367,33 +335,37 @@ fn route(
     }
 }
 
+/// The declared length of a request body holding a `what`, within the
+/// server's limit.
+fn declared_length(
+    state: &ServerState,
+    head: &http::Request,
+    what: &str,
+) -> std::result::Result<u64, HttpError> {
+    let len = (head.content_length)
+        .ok_or_else(|| HttpError::new(411, format!("Content-Length required for a {what}")))?;
+    let max = state.cfg.max_body_bytes;
+    if len > max {
+        let message = format!("declared {what} of {len} bytes exceeds the {max} byte limit");
+        return Err(HttpError::new(413, message));
+    }
+    Ok(len)
+}
+
 fn read_json_body(
     state: &ServerState,
     head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<Vec<u8>, HttpError> {
-    let len = head
-        .content_length
-        .ok_or_else(|| HttpError::new(411, "Content-Length required"))?;
-    if len > state.cfg.max_body_bytes {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "declared body of {len} bytes exceeds the {} byte limit",
-                state.cfg.max_body_bytes
-            ),
-        ));
-    }
-    http::read_body(reader, len)
+    http::read_body(reader, declared_length(state, head, "body")?)
 }
 
 // -------------------------------------------------------------- handlers
 
 fn handle_stats(state: &ServerState) -> std::result::Result<Response, HttpError> {
-    let reg = serde_json::to_string(&state.registry.stats())
-        .map_err(|e| HttpError::new(500, format!("stats serialization: {e}")))?;
-    let cache = serde_json::to_string(&state.registry.aggregate_cache_stats())
-        .map_err(|e| HttpError::new(500, format!("stats serialization: {e}")))?;
+    let failed = |e: serde_json::Error| HttpError::new(500, format!("stats serialization: {e}"));
+    let reg = serde_json::to_string(&state.registry.stats()).map_err(failed)?;
+    let cache = serde_json::to_string(&state.registry.aggregate_cache_stats()).map_err(failed)?;
     let body = format!(
         "{{\"requests\":{},\"errors\":{},\"budget_bytes\":{},\"registry\":{reg},\"sweep_cache\":{cache}}}",
         state.requests.load(Ordering::Relaxed),
@@ -423,20 +395,9 @@ fn handle_ingest_trace(
     head: &http::Request,
     reader: &mut BufReader<TcpStream>,
 ) -> std::result::Result<Response, HttpError> {
-    let len = head
-        .content_length
-        .ok_or_else(|| HttpError::new(411, "Content-Length required for trace ingest"))?;
+    let len = declared_length(state, head, "trace")?;
     if len == 0 {
         return Err(HttpError::new(400, "empty trace body"));
-    }
-    if len > state.cfg.max_body_bytes {
-        return Err(HttpError::new(
-            413,
-            format!(
-                "declared trace of {len} bytes exceeds the {} byte limit",
-                state.cfg.max_body_bytes
-            ),
-        ));
     }
     // The hardened ingest stack: cap at the declaration, digest what the
     // decoder consumes, decode frame-by-frame. No full-body buffer exists
@@ -540,33 +501,56 @@ fn not_resident(address: &str) -> HttpError {
     )
 }
 
-fn resolve_trace(
-    state: &ServerState,
-    address: &str,
-) -> std::result::Result<(Arc<ParticleTrace>, Arc<pic_workload::AssignmentCache>), HttpError> {
-    (state.registry.get_trace(address)).ok_or_else(|| not_resident(address))
-}
-
 fn semantic(e: PicError) -> HttpError {
     HttpError::new(422, format!("{e}"))
 }
 
-fn handle_sweep(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
-    let (fields, req) = parse_request("/sweep", body)?;
-    let address = address(&fields, "trace")?;
-    let (trace, cache) = resolve_trace(state, address)?;
+/// `/sweep`, `/predict` and `/check`: the body's [`Request`], answered
+/// ([`request::answer`]) against the resident trace, its assignment cache,
+/// the models the body names and, for a reduced sweep, the trace's
+/// reduction plan, and rendered as JSON. A resource not resident is a
+/// `404`; a response gate that fails is a `500`, and every other refusal —
+/// a reduced sweep's holdout-budget breach among them — a `422`.
+fn handle(
+    state: &ServerState,
+    path: &str,
+    body: &[u8],
+) -> std::result::Result<Response, HttpError> {
+    let (fields, req) = parse_request(path, body)?;
+    let at = address(&fields, "trace")?;
+    let (trace, cache) = (state.registry.get_trace(at)).ok_or_else(|| not_resident(at))?;
+    let models = match serde::find_key(&fields, "models") {
+        Some(_) => Some(resident_models(state, address(&fields, "models")?)?),
+        None => None,
+    };
     let plan = match req.reduced {
-        true => Some(reduction_plan(state, address, &trace, req.k)?),
+        true => Some(reduction_plan(state, at, &trace, req.k)?),
         false => None,
     };
-    let swept = req.sweep(&trace, Some(&cache), plan.as_deref());
-    let (entries, _) = swept.map_err(|e| match e {
-        // the holdout gate's message, which names the grid point, as it is
-        PicError::ModelFit(message) if req.reduced => HttpError::new(422, message),
-        PicError::ModelFit(_) => HttpError::new(500, format!("response failed validity gate: {e}")),
+    let resident = Resident {
+        trace: &trace,
+        models: models.as_deref(),
+        cache: Some(&cache),
+        plan: plan.as_deref(),
+        holdout: None,
+    };
+    let answer = request::answer(path, &req, &resident).map_err(|e| match e {
+        PicError::ModelFit(_) if !req.reduced => {
+            HttpError::new(500, format!("response failed validity gate: {e}"))
+        }
         e => semantic(e),
     })?;
-    Ok((200, grid_to_json(&entries)))
+    Ok((200, answer.to_json()))
+}
+
+fn resident_models(
+    state: &ServerState,
+    address: &str,
+) -> std::result::Result<Arc<KernelModels>, HttpError> {
+    state.registry.get_models(address).ok_or_else(|| {
+        let message = format!("models {address} are not resident; POST /models them first");
+        HttpError::new(404, message)
+    })
 }
 
 /// The trace's reduction plan for `k` clusters (`None`: automatic), from
@@ -579,72 +563,20 @@ fn reduction_plan(
 ) -> std::result::Result<Arc<pic_workload::ReductionPlan>, HttpError> {
     let plans = state.registry.plan_cache(address);
     let plans = plans.ok_or_else(|| not_resident(address))?;
-    let opts = crate::simpoint::SimpointOptions {
-        k,
-        ..crate::simpoint::SimpointOptions::default()
-    };
-    let key = registry::PlanKey {
-        k: k.unwrap_or(0),
-        k_max: opts.k_max,
-        seed: opts.seed,
-        bins_per_axis: opts.features.bins_per_axis,
-    };
     // Built outside the plan-cache lock; a racing builder loses to the
     // first insert and adopts the resident plan (identical by
     // determinism, so only the work is duplicated).
-    match plans.get(&key) {
+    match plans.get(k) {
         Some(plan) => Ok(plan),
         None => {
+            let opts = SimpointOptions {
+                k,
+                ..SimpointOptions::default()
+            };
             let built = crate::simpoint::build_plan(trace, &opts).map_err(semantic)?;
-            Ok(plans.insert(key, built))
+            Ok(plans.insert(k, built))
         }
     }
-}
-
-fn handle_predict(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
-    let (fields, req) = parse_request("/predict", body)?;
-    let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
-    let models = address(&fields, "models")?;
-    let models = state.registry.get_models(models).ok_or_else(|| {
-        HttpError::new(
-            404,
-            format!("models {models} are not resident; POST /models them first"),
-        )
-    })?;
-    // Through the trace's assignment cache: the same bits as offline, and
-    // the artifacts are shared with every other request.
-    let prediction =
-        crate::predict(&trace, &models, &req.specs()[0], Some(&cache)).map_err(|e| match e {
-            // only the two response gates report through this variant
-            PicError::ModelFit(_) => {
-                HttpError::new(500, format!("response failed validity gate: {e}"))
-            }
-            e => semantic(e),
-        })?;
-    Ok((200, prediction.to_string()))
-}
-
-fn handle_check(state: &ServerState, body: &[u8]) -> std::result::Result<Response, HttpError> {
-    let (fields, req) = parse_request("/check", body)?;
-    let (trace, cache) = resolve_trace(state, address(&fields, "trace")?)?;
-    let mesh = req.element_mesh(trace.meta().domain).map_err(semantic)?;
-    let opts = ReplayOptions::new(mesh.as_ref(), Some(&cache), None);
-    let (mut workloads, _) =
-        pic_workload::replay(&trace, &req.grid.points(), &opts).map_err(semantic)?;
-    let workload = workloads.remove(0);
-    let violations = pic_analysis::check_workload(&workload, Some(trace.particle_count() as u64));
-    let rendered: Vec<String> = violations
-        .iter()
-        .map(|v| http::json_escape(&v.to_string()))
-        .collect();
-    let body = format!(
-        "{{\"ok\":{},\"ranks\":{},\"samples\":{},\"violations\":[{}]}}",
-        violations.is_empty(),
-        workload.ranks,
-        workload.samples(),
-        rendered.join(",")
-    );
-    Ok((200, body))
 }
 
 #[cfg(test)]
@@ -709,12 +641,12 @@ mod tests {
         state.registry.insert_trace("tt", phased_trace(80, 6), 1);
         let body =
             br#"{"trace":"tt","ranks":[8],"reduced":true,"reduced_k":3,"reduced_budget":1.0}"#;
-        let (status, resp) = handle_sweep(&state, body).unwrap();
+        let (status, resp) = handle(&state, "/sweep", body).unwrap();
         assert_eq!(status, 200, "{resp}");
         let plans = state.registry.plan_cache("tt").unwrap();
         assert_eq!(plans.len(), 1);
         // repeat: same knobs land on the cached plan, not a second entry
-        let (status, _) = handle_sweep(&state, body).unwrap();
+        let (status, _) = handle(&state, "/sweep", body).unwrap();
         assert_eq!(status, 200);
         assert_eq!(plans.len(), 1);
         // the cached plan weighs into the entry's LRU bytes
@@ -776,7 +708,7 @@ mod tests {
         state.registry.insert_trace("tt", phased_trace(40, 4), 1);
         let body =
             br#"{"trace":"tt","ranks":[8],"strides":[1,2],"reduced":true,"reduced_budget":1.0}"#;
-        let err = handle_sweep(&state, body).unwrap_err();
+        let err = handle(&state, "/sweep", body).unwrap_err();
         assert_eq!(err.status, 422);
         assert!(err.message.contains("stride 1"), "{}", err.message);
     }
@@ -791,7 +723,7 @@ mod tests {
             let body = format!(
                 r#"{{"trace":"tt","ranks":[8],"strides":[0],"reduced":{reduced},"reduced_k":2}}"#
             );
-            let err = handle_sweep(&state, body.as_bytes()).unwrap_err();
+            let err = handle(&state, "/sweep", body.as_bytes()).unwrap_err();
             assert_eq!(err.status, 422, "reduced={reduced}: {}", err.message);
             assert!(
                 err.message.contains("stride must be positive, got 0"),
@@ -811,7 +743,7 @@ mod tests {
         // a zero budget requires exactly that.
         let body =
             br#"{"trace":"tt","ranks":[8],"reduced":true,"reduced_k":1,"reduced_budget":0.0}"#;
-        let err = handle_sweep(&state, body).unwrap_err();
+        let err = handle(&state, "/sweep", body).unwrap_err();
         assert_eq!(err.status, 422, "{}", err.message);
         assert!(err.message.contains("error-budget"), "{}", err.message);
     }

@@ -34,28 +34,16 @@ use crate::kernel_models::KernelModels;
 /// Maximum fitted-model sets kept resident.
 pub const MAX_MODELS: usize = 64;
 
-/// Cache key for a reduction plan: the clustering knobs that determine
-/// the plan bit-for-bit (the trace itself is fixed by the owning entry,
-/// and the clustering is deterministic for a fixed seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// Requested cluster count; `0` means automatic BIC-knee selection.
-    pub k: usize,
-    /// Upper bound of the automatic selection.
-    pub k_max: usize,
-    /// Clustering seed.
-    pub seed: u64,
-    /// Feature-histogram resolution (bins per axis).
-    pub bins_per_axis: usize,
-}
-
-/// Per-trace cache of SimPoint reduction plans, keyed by clustering
-/// knobs. Plans are built *outside* this lock (clustering is seconds on
-/// large traces); two racing builders both build and the first insert
-/// wins — deterministic construction makes both results identical, so
-/// the race only costs duplicate work, never divergent answers.
+/// Per-trace cache of SimPoint reduction plans, keyed by the requested
+/// cluster count (`None`: automatic selection); every other clustering
+/// knob is `SimpointOptions::default()`'s, so the count and the owning
+/// trace fix a plan bit for bit. Plans are built *outside* this lock
+/// (clustering is seconds on large traces); two racing builders both
+/// build and the first insert wins — deterministic construction makes both
+/// results identical, so the race only costs duplicate work, never
+/// divergent answers.
 pub struct PlanCache {
-    inner: Mutex<HashMap<PlanKey, Arc<ReductionPlan>>>,
+    inner: Mutex<HashMap<Option<usize>, Arc<ReductionPlan>>>,
     /// The plans' bytes, stored under the lock on every insert, so
     /// [`PlanCache::resident_bytes`] reads them without the lock.
     bytes: AtomicUsize,
@@ -69,16 +57,16 @@ impl PlanCache {
         }
     }
 
-    /// Fetch the cached plan for `key`, if one is resident.
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<ReductionPlan>> {
-        self.inner.lock().get(key).map(Arc::clone)
+    /// Fetch the cached plan of `k` clusters, if one is resident.
+    pub(crate) fn get(&self, k: Option<usize>) -> Option<Arc<ReductionPlan>> {
+        self.inner.lock().get(&k).map(Arc::clone)
     }
 
     /// Insert a freshly built plan; if another builder won the race the
     /// resident plan is returned instead and the argument is dropped.
-    pub fn insert(&self, key: PlanKey, plan: ReductionPlan) -> Arc<ReductionPlan> {
+    pub(crate) fn insert(&self, k: Option<usize>, plan: ReductionPlan) -> Arc<ReductionPlan> {
         let mut inner = self.inner.lock();
-        let plan = Arc::clone(inner.entry(key).or_insert_with(|| Arc::new(plan)));
+        let plan = Arc::clone(inner.entry(k).or_insert_with(|| Arc::new(plan)));
         let bytes = inner.values().map(|p| p.approx_bytes()).sum();
         self.bytes.store(bytes, Ordering::Relaxed);
         plan
@@ -283,7 +271,7 @@ impl TraceRegistry {
     /// The reduction-plan cache of a resident trace, without bumping its
     /// recency (a plan lookup always follows a `get_trace` on the same
     /// address, which already did).
-    pub fn plan_cache(&self, address: &str) -> Option<Arc<PlanCache>> {
+    pub(crate) fn plan_cache(&self, address: &str) -> Option<Arc<PlanCache>> {
         let inner = self.inner.lock();
         inner
             .traces

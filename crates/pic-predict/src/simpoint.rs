@@ -151,9 +151,10 @@ fn check_feature_table(bins: usize, samples: usize) -> Result<()> {
 /// if given, then hold every point to the holdout `budget` (exact replay
 /// of held-out samples, compared on peak load). The broadcast cannot
 /// satisfy the invariant catalog's `comm-flow`, so this gate is a reduced
-/// workload's acceptance check; a breach names its grid point. Returns the
+/// workload's acceptance check; a breach names its grid point, and a budget
+/// the gate refuses is the gate's configuration error. Returns the
 /// workloads, the replay accounting and one gate report per point.
-pub fn replay_reduced_gated(
+pub(crate) fn replay_reduced_gated(
     trace: &ParticleTrace,
     points: &[SweepPoint],
     mesh: Option<&ElementMesh>,
@@ -168,11 +169,13 @@ pub fn replay_reduced_gated(
         .zip(&workloads)
         .map(|(point, w)| {
             pic_analysis::assert_reduction_valid(trace, &point.config, mesh, plan, w, budget)
-                .map_err(|e| {
-                    PicError::model(format!(
-                        "reduced replay failed the error-budget gate at ranks={} mapping={}: {e}",
+                .map_err(|e| match e {
+                    PicError::ModelFit(breach) => PicError::model(format!(
+                        "reduced replay failed the error-budget gate at ranks={} mapping={}: \
+                         {breach}",
                         point.config.ranks, point.config.mapping
-                    ))
+                    )),
+                    e => e,
                 })
         })
         .collect::<Result<_>>()?;

@@ -77,6 +77,12 @@ pub fn benchmark_kernels(cfg: &SweepConfig) -> Result<Recorder> {
     if cfg.order < 2 {
         return Err(PicError::config("sweep order must be at least 2"));
     }
+    let filter = cfg.projection_filter;
+    if !(filter.is_finite() && filter > 0.0) {
+        return Err(PicError::config(format!(
+            "projection filter must be positive and finite, got {filter}"
+        )));
+    }
     if cfg.np_values.is_empty() || cfg.nel_values.is_empty() {
         return Err(PicError::config(
             "sweep needs at least one np and nel value",
@@ -307,5 +313,27 @@ mod tests {
         let mut cfg = small_sweep(TimingMode::default_oracle());
         cfg.np_values.clear();
         assert!(benchmark_kernels(&cfg).is_err());
+    }
+
+    /// A filter the records could not carry (NaN is written as `null`) or
+    /// that no kernel can use is refused before any kernel runs.
+    #[test]
+    fn sweep_refuses_filters_that_are_not_finite_and_positive() {
+        for (filter, shown) in [
+            (f64::NAN, "NaN"),
+            (-1.0, "-1"),
+            (0.0, "0"),
+            (f64::INFINITY, "inf"),
+        ] {
+            let mut cfg = small_sweep(TimingMode::default_oracle());
+            cfg.projection_filter = filter;
+            let err = benchmark_kernels(&cfg).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "configuration error: projection filter must be positive and finite, got {shown}"
+                )
+            );
+        }
     }
 }

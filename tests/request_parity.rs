@@ -12,8 +12,9 @@
 //! The table is seeded with the input bugs found at one front end or the
 //! other: zero and 32-bit-overflowing rank counts, filters that are not
 //! finite and positive, stride 0, a mesh mapping without a mesh, mesh dims
-//! that are zero or wrap `usize`, unknown and repeated keys, order 0 and
-//! feature bins 0.
+//! that are zero or wrap `usize`, unknown and repeated keys, order 0,
+//! feature bins 0, and reduction budgets that are negative, breached or
+//! checked on no holdout sample.
 
 use pic_des::MachineSpec;
 use pic_predict::{FitStrategy, ServeConfig, Server};
@@ -47,7 +48,8 @@ type Row = (
 );
 
 /// `predict` goes to `/predict` and `sweep` to `/sweep`, with `predict`'s
-/// `--filter` spelled `"filters"` there.
+/// `--filter` spelled `"filters"` there; `simpoint` is a reduced one-point
+/// `/sweep` (see [`json_key`]).
 const TABLE: &[Row] = &[
     ("predict", &[("ranks", "4")], Same),
     (
@@ -191,7 +193,40 @@ const TABLE: &[Row] = &[
         &[("ranks", "4"), ("mapping", "bin-based"), ("bins", "0")],
         CliOnly("feature bins per axis must be 1 to 1625 (cell ids are 32-bit), got 0"),
     ),
+    (
+        "simpoint",
+        &[
+            ("ranks", "4"),
+            ("mapping", "bin-based"),
+            ("k", "1"),
+            ("budget", "0"),
+        ],
+        Refused("reduction exceeds error budget: peak-load error"),
+    ),
+    (
+        "simpoint",
+        &[("ranks", "4"), ("mapping", "bin-based"), ("budget", "-1")],
+        Refused("configuration error: reduction budget must be a non-negative error bound, got -1"),
+    ),
+    (
+        "simpoint",
+        &[
+            ("ranks", "4"),
+            ("mapping", "bin-based"),
+            ("k", "1"),
+            ("holdout", "0"),
+        ],
+        CliOnly("reduction holdout must be at least one sample, got 0"),
+    ),
 ];
+
+/// The endpoint a command's request goes to.
+fn endpoint(command: &str) -> &'static str {
+    match command {
+        "predict" => "/predict",
+        _ => "/sweep",
+    }
+}
 
 /// The key a JSON body spells `key` of `command` with, and whether it
 /// takes a list there.
@@ -199,6 +234,10 @@ fn json_key(command: &str, key: &str) -> (String, bool) {
     match (command, key) {
         ("predict", "filter") => ("filters".to_string(), true),
         ("sweep", "ranks" | "mappings" | "filters" | "strides") => (key.to_string(), true),
+        ("simpoint", "ranks") => (key.to_string(), true),
+        ("simpoint", "mapping") => ("mappings".to_string(), true),
+        ("simpoint", "filter") => ("filters".to_string(), true),
+        ("simpoint", "k" | "budget") => (format!("reduced_{key}"), false),
         _ => (key.to_string(), false),
     }
 }
@@ -215,8 +254,10 @@ fn json_value(text: &str) -> String {
 
 fn json_body(command: &str, pairs: &[(&str, &str)], trace: &str, models: &str) -> String {
     let mut fields = vec![format!("\"trace\":\"{trace}\"")];
-    if command == "predict" {
-        fields.push(format!("\"models\":\"{models}\""));
+    match command {
+        "predict" => fields.push(format!("\"models\":\"{models}\"")),
+        "simpoint" => fields.push("\"reduced\":true".to_string()),
+        _ => {}
     }
     for &(key, text) in pairs {
         let (key, list) = json_key(command, key);
@@ -235,7 +276,7 @@ fn json_body(command: &str, pairs: &[(&str, &str)], trace: &str, models: &str) -
 /// The message with every key of the row and its JSON spelling written
 /// `KEY(name)`, and the endpoint named as its command.
 fn normalized(message: &str, command: &str, pairs: &[(&str, &str)]) -> String {
-    let mut out = message.replace(&format!("'/{command}'"), &format!("'{command}'"));
+    let mut out = message.replace(&format!("'{}'", endpoint(command)), &format!("'{command}'"));
     for &(key, _) in pairs.iter().chain(&[("ranks", "")]) {
         let (json, _) = json_key(command, key);
         for spelled in [
@@ -353,7 +394,7 @@ fn cli_and_service_answer_and_refuse_alike() {
             continue;
         }
         let body = json_body(command, pairs, &trace, &models);
-        let (status, served) = post(addr, &format!("/{command}"), body.as_bytes());
+        let (status, served) = post(addr, endpoint(command), body.as_bytes());
         match expect {
             Same => {
                 assert!(run.status.success(), "{row}: {stderr}");
