@@ -372,7 +372,7 @@ fn cmd_benchmark(flags: &HashMap<String, String>) -> Result<()> {
         false => "oracle",
     };
     let observations = sweep.record_count();
-    eprintln!("benchmarking {observations} kernel observations ({mode:?} mode)...");
+    eprintln!("benchmarking {observations} kernel observations ({mode} mode)...");
     let t0 = Instant::now();
     let rec = pic_sim::benchmark_kernels(&sweep)?;
     let seconds = t0.elapsed().as_secs_f64();

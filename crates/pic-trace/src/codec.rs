@@ -18,9 +18,8 @@
 //! [`TraceReader`] also reads the [`compact`](crate::compact) format: the
 //! header is shared and the magic selects the frame layout.
 
-use crate::compact::{DeltaDecoder, COMPACT_MAGIC, FRAME_HEAD_LEN, QBOX_LEN};
+use crate::compact::{DeltaDecoder, DeltaEncoder, COMPACT_MAGIC, FRAME_HEAD_LEN, QBOX_LEN};
 use crate::trace::{check_order, check_sample, ParticleTrace, TraceMeta, TraceSample};
-use bytes::{Buf, BufMut};
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -59,11 +58,11 @@ impl Precision {
         }
     }
 
-    fn from_tag(t: u8) -> Result<Precision> {
+    fn from_tag(t: u8) -> Option<Precision> {
         match t {
-            0 => Ok(Precision::F64),
-            1 => Ok(Precision::F32),
-            _ => Err(PicError::trace(format!("unknown precision tag {t}"))),
+            0 => Some(Precision::F64),
+            1 => Some(Precision::F32),
+            _ => None,
         }
     }
 
@@ -76,31 +75,38 @@ impl Precision {
     }
 }
 
-fn encode_header(meta: &TraceMeta, precision: Precision) -> Vec<u8> {
-    encode_header_with_magic(meta, precision, MAGIC)
-}
-
-/// Header encoder shared with the compact codec: identical layout, the
-/// magic alone distinguishes the two formats.
+/// The header of either format: identical layout, the magic alone
+/// distinguishes the two.
 pub(crate) fn encode_header_with_magic(
     meta: &TraceMeta,
     precision: Precision,
     magic: &[u8; 8],
 ) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + meta.description.len());
-    buf.put_slice(magic);
-    buf.put_u8(precision.tag());
-    buf.put_slice(&[0u8; 3]);
-    buf.put_u32_le(meta.sample_interval);
-    buf.put_u64_le(meta.particle_count as u64);
+    let mut buf = Vec::with_capacity(FIXED_HEADER_LEN + meta.description.len());
+    buf.extend_from_slice(magic);
+    buf.extend_from_slice(&[precision.tag(), 0, 0, 0]);
+    buf.extend_from_slice(&meta.sample_interval.to_le_bytes());
+    buf.extend_from_slice(&(meta.particle_count as u64).to_le_bytes());
     for v in [meta.domain.min, meta.domain.max] {
-        buf.put_f64_le(v.x);
-        buf.put_f64_le(v.y);
-        buf.put_f64_le(v.z);
+        put_f64s(&mut buf, [v.x, v.y, v.z]);
     }
-    buf.put_u32_le(meta.description.len() as u32);
-    buf.put_slice(meta.description.as_bytes());
+    buf.extend_from_slice(&(meta.description.len() as u32).to_le_bytes());
+    buf.extend_from_slice(meta.description.as_bytes());
     buf
+}
+
+/// Append `vals` to `buf` as little-endian `f64`s.
+pub(crate) fn put_f64s(buf: &mut Vec<u8>, vals: impl IntoIterator<Item = f64>) {
+    for v in vals {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// The little-endian word at `bytes[at..at + N]`.
+pub(crate) fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    bytes[at..at + N]
+        .try_into()
+        .expect("in-bounds header field")
 }
 
 /// Fill as much of `buf` as the stream provides: retries
@@ -132,12 +138,19 @@ fn validate_domain(corners: &[f64; 6]) -> Result<Aabb> {
     if canonical_empty {
         return Ok(empty);
     }
+    check_corners("domain", corners, 24)
+}
+
+/// The box of `corners` (min x y z, max x y z) when every corner is finite
+/// with `min <= max` per axis (a degenerate axis is legal); otherwise a
+/// `BadHeader` naming `what`, at the failing axis's offset from `base`.
+pub(crate) fn check_corners(what: &str, corners: &[f64; 6], base: u64) -> Result<Aabb> {
     for (axis, (&lo, &hi)) in corners[..3].iter().zip(&corners[3..]).enumerate() {
         if !lo.is_finite() || !hi.is_finite() || lo > hi {
             return Err(header_err(
                 TraceErrorKind::BadHeader,
-                format!("domain corners on axis {axis} are not finite and ordered: [{lo}, {hi}]"),
-                (24 + 8 * axis) as u64,
+                format!("{what} corners on axis {axis} are not finite and ordered: [{lo}, {hi}]"),
+                base + (8 * axis) as u64,
             ));
         }
     }
@@ -147,62 +160,93 @@ fn validate_domain(corners: &[f64; 6]) -> Result<Aabb> {
     })
 }
 
-/// Streaming writer: emits the header on construction, then one frame per
-/// [`TraceWriter::write_sample`] call. Holds no frame data between calls.
+/// Streaming writer of either on-disk format: emits the header on
+/// construction — raw from [`TraceWriter::new`], compact ([`crate::compact`])
+/// from [`TraceWriter::compact`] — then one frame per
+/// [`TraceWriter::write_sample`] call. It admits exactly the samples a
+/// [`TraceReader`] admits, so every file it writes loads again.
 pub struct TraceWriter<W: Write> {
     sink: W,
     precision: Precision,
+    encoder: Encoder,
     particle_count: usize,
+    /// Iteration of the last frame written, for the increasing-iteration check.
+    last_iteration: Option<u64>,
     frames_written: usize,
     bytes_written: u64,
     scratch: Vec<u8>,
 }
 
+/// The frame layout a writer emits, as [`Layout`] is the one a reader decodes.
+enum Encoder {
+    /// `PICTRC01`: an iteration word, then `f64` or `f32` positions.
+    Raw,
+    /// `PICTRC02`: a 12-byte head, then absolute or delta grid coordinates.
+    Compact(DeltaEncoder),
+}
+
 impl<W: Write> TraceWriter<W> {
-    /// Write the header for `meta` and return the writer.
-    pub fn new(mut sink: W, meta: &TraceMeta, precision: Precision) -> Result<TraceWriter<W>> {
-        let header = encode_header(meta, precision);
+    /// Write the raw format's header for `meta` and return the writer.
+    pub fn new(sink: W, meta: &TraceMeta, precision: Precision) -> Result<TraceWriter<W>> {
+        TraceWriter::start(sink, meta, precision, None)
+    }
+
+    /// Write the compact format's header and quantization box and return
+    /// the writer. `qbox` must be finite with `min <= max` per axis and
+    /// should bound every position that will be written (out-of-box
+    /// positions clamp to the box edge).
+    pub fn compact(
+        sink: W,
+        meta: &TraceMeta,
+        precision: Precision,
+        qbox: Aabb,
+    ) -> Result<TraceWriter<W>> {
+        TraceWriter::start(sink, meta, precision, Some(qbox))
+    }
+
+    /// Write the header of the raw format, or with a quantization box of
+    /// the compact one, and return the writer.
+    fn start(
+        mut sink: W,
+        meta: &TraceMeta,
+        precision: Precision,
+        qbox: Option<Aabb>,
+    ) -> Result<Self> {
+        let magic = if qbox.is_some() { COMPACT_MAGIC } else { MAGIC };
+        let mut header = encode_header_with_magic(meta, precision, magic);
+        let encoder = match qbox {
+            Some(qbox) => Encoder::Compact(DeltaEncoder::new(&qbox, precision, &mut header)?),
+            None => Encoder::Raw,
+        };
         sink.write_all(&header)?;
         Ok(TraceWriter {
             sink,
             precision,
+            encoder,
             particle_count: meta.particle_count,
+            last_iteration: None,
             frames_written: 0,
             bytes_written: header.len() as u64,
             scratch: Vec::new(),
         })
     }
 
-    /// Append one sample frame.
+    /// Append one sample frame (compact: absolute for the first sample,
+    /// the narrowest delta width that fits afterwards). A sample the
+    /// trace invariants refuse — wrong position count, an iteration not
+    /// after the previous one, a non-finite coordinate — is an error and
+    /// writes nothing.
     pub fn write_sample(&mut self, sample: &TraceSample) -> Result<()> {
-        if sample.positions.len() != self.particle_count {
-            return Err(PicError::trace(format!(
-                "frame has {} positions, header says {}",
-                sample.positions.len(),
-                self.particle_count
-            )));
-        }
-        let frame_len = 8 + self.particle_count * 3 * self.precision.scalar_bytes();
+        check_sample(sample, self.particle_count, self.last_iteration)?;
         self.scratch.clear();
-        self.scratch.reserve(frame_len);
-        self.scratch.put_u64_le(sample.iteration);
-        match self.precision {
-            Precision::F64 => {
-                for p in &sample.positions {
-                    self.scratch.put_f64_le(p.x);
-                    self.scratch.put_f64_le(p.y);
-                    self.scratch.put_f64_le(p.z);
-                }
-            }
-            Precision::F32 => {
-                for p in &sample.positions {
-                    self.scratch.put_f32_le(p.x as f32);
-                    self.scratch.put_f32_le(p.y as f32);
-                    self.scratch.put_f32_le(p.z as f32);
-                }
-            }
+        self.scratch
+            .extend_from_slice(&sample.iteration.to_le_bytes());
+        match &mut self.encoder {
+            Encoder::Raw => encode_raw(sample, self.precision, &mut self.scratch)?,
+            Encoder::Compact(delta) => delta.encode_frame(&sample.positions, &mut self.scratch),
         }
         self.sink.write_all(&self.scratch)?;
+        self.last_iteration = Some(sample.iteration);
         self.frames_written += 1;
         self.bytes_written += self.scratch.len() as u64;
         Ok(())
@@ -213,7 +257,7 @@ impl<W: Write> TraceWriter<W> {
         self.frames_written
     }
 
-    /// Bytes emitted so far, header included.
+    /// Bytes emitted so far, header (and quantization box) included.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
@@ -223,6 +267,44 @@ impl<W: Write> TraceWriter<W> {
         self.sink.flush()?;
         Ok(self.sink)
     }
+}
+
+/// Append one raw frame's positions to `out`. At `F32` a coordinate past
+/// `f32`'s range is refused: it would be stored as an infinity, which no
+/// reader admits.
+fn encode_raw(sample: &TraceSample, precision: Precision, out: &mut Vec<u8>) -> Result<()> {
+    let positions = &sample.positions;
+    out.reserve(3 * precision.scalar_bytes() * positions.len());
+    match precision {
+        Precision::F64 => put_f64s(out, positions.iter().flat_map(|p| [p.x, p.y, p.z])),
+        Precision::F32 => {
+            for (i, p) in positions.iter().enumerate() {
+                for v in [p.x as f32, p.y as f32, p.z as f32] {
+                    if v.is_infinite() {
+                        return Err(PicError::trace(format!(
+                            "particle {i} at iteration {} is outside f32 range",
+                            sample.iteration
+                        )));
+                    }
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Write every sample of `trace` through `w`, flush it, and return the
+/// sink and the bytes written.
+pub(crate) fn write_trace<W: Write>(
+    mut w: TraceWriter<W>,
+    trace: &ParticleTrace,
+) -> Result<(W, u64)> {
+    for s in trace.samples() {
+        w.write_sample(&s)?;
+    }
+    let bytes = w.bytes_written();
+    Ok((w.finish()?, bytes))
 }
 
 /// Streaming reader of either on-disk format: parses and validates the
@@ -326,18 +408,13 @@ pub(crate) fn parse_header<R: Read>(source: &mut R) -> Result<ParsedHeader> {
             got as u64,
         ));
     }
-    let mut buf = &head[8..];
-    let tag = buf.get_u8();
-    let precision = Precision::from_tag(tag).map_err(|_| {
-        header_err(
-            TraceErrorKind::BadHeader,
-            format!("unknown precision tag {tag}"),
-            8,
-        )
+    let tag = head[8];
+    let precision = Precision::from_tag(tag).ok_or_else(|| {
+        let message = format!("unknown precision tag {tag}");
+        header_err(TraceErrorKind::BadHeader, message, 8)
     })?;
-    buf.advance(3);
-    let sample_interval = buf.get_u32_le();
-    let particle_count_raw = buf.get_u64_le();
+    let sample_interval = u32::from_le_bytes(le(&head, 12));
+    let particle_count_raw = u64::from_le_bytes(le(&head, 16));
     if particle_count_raw > MAX_PARTICLE_COUNT {
         return Err(header_err(
             TraceErrorKind::BadHeader,
@@ -346,12 +423,9 @@ pub(crate) fn parse_header<R: Read>(source: &mut R) -> Result<ParsedHeader> {
         ));
     }
     let particle_count = particle_count_raw as usize;
-    let mut corners = [0.0f64; 6];
-    for c in &mut corners {
-        *c = buf.get_f64_le();
-    }
+    let corners = std::array::from_fn(|i| f64::from_le_bytes(le(&head, 24 + 8 * i)));
     let domain = validate_domain(&corners)?;
-    let desc_len = buf.get_u32_le() as usize;
+    let desc_len = u32::from_le_bytes(le(&head, FIXED_HEADER_LEN - 4)) as usize;
     if desc_len > MAX_DESC_LEN {
         return Err(header_err(
             TraceErrorKind::BadHeader,
@@ -395,28 +469,16 @@ pub(crate) fn parse_header<R: Read>(source: &mut R) -> Result<ParsedHeader> {
 }
 
 /// Append the positions of one chunk of whole raw particles to `out`.
-fn decode_raw(mut chunk: &[u8], precision: Precision, out: &mut Vec<Vec3>) {
-    let take = chunk.len() / (3 * precision.scalar_bytes());
-    out.reserve(take);
+fn decode_raw(chunk: &[u8], precision: Precision, out: &mut Vec<Vec3>) {
     match precision {
-        Precision::F64 => {
-            for _ in 0..take {
-                out.push(Vec3::new(
-                    chunk.get_f64_le(),
-                    chunk.get_f64_le(),
-                    chunk.get_f64_le(),
-                ));
-            }
-        }
-        Precision::F32 => {
-            for _ in 0..take {
-                out.push(Vec3::new(
-                    chunk.get_f32_le() as f64,
-                    chunk.get_f32_le() as f64,
-                    chunk.get_f32_le() as f64,
-                ));
-            }
-        }
+        Precision::F64 => out.extend(chunk.chunks_exact(24).map(|p| {
+            let f = |at| f64::from_le_bytes(le(p, at));
+            Vec3::new(f(0), f(8), f(16))
+        })),
+        Precision::F32 => out.extend(chunk.chunks_exact(12).map(|p| {
+            let f = |at| f32::from_le_bytes(le(p, at)) as f64;
+            Vec3::new(f(0), f(4), f(8))
+        })),
     }
 }
 
@@ -668,11 +730,8 @@ impl<R: Read> TraceReader<R> {
 /// # Ok::<(), pic_types::PicError>(())
 /// ```
 pub fn encode_trace(trace: &ParticleTrace, precision: Precision) -> Result<Vec<u8>> {
-    let mut w = TraceWriter::new(Vec::new(), trace.meta(), precision)?;
-    for s in trace.samples() {
-        w.write_sample(&s)?;
-    }
-    w.finish()
+    let w = TraceWriter::new(Vec::new(), trace.meta(), precision)?;
+    Ok(write_trace(w, trace)?.0)
 }
 
 /// Decode a trace in either format from bytes.
@@ -687,11 +746,8 @@ pub fn save_file(
     precision: Precision,
 ) -> Result<()> {
     let f = std::fs::File::create(path)?;
-    let mut w = TraceWriter::new(std::io::BufWriter::new(f), trace.meta(), precision)?;
-    for s in trace.samples() {
-        w.write_sample(&s)?;
-    }
-    w.finish()?;
+    let w = TraceWriter::new(std::io::BufWriter::new(f), trace.meta(), precision)?;
+    write_trace(w, trace)?;
     Ok(())
 }
 
@@ -801,6 +857,61 @@ mod tests {
         };
         assert!(w.write_sample(&bad).is_err());
         assert_eq!(w.frames_written(), 0);
+    }
+
+    #[test]
+    fn writer_refuses_what_the_reader_refuses() {
+        let tr = sample_trace(3, 1);
+        let first = tr.samples().next().unwrap().into_owned();
+        let with = |iteration, coord: f64| {
+            let mut s = TraceSample {
+                iteration,
+                ..first.clone()
+            };
+            s.positions[1].y = coord;
+            s
+        };
+        let refused = [
+            with(100, f64::NAN),
+            with(100, f64::INFINITY),
+            with(0, 0.5),
+            TraceSample {
+                iteration: 100,
+                positions: vec![Vec3::ZERO; 2],
+            },
+        ];
+        for precision in [Precision::F64, Precision::F32] {
+            for compact in [false, true] {
+                let mut w = if compact {
+                    TraceWriter::compact(Vec::new(), tr.meta(), precision, Aabb::unit())
+                } else {
+                    TraceWriter::new(Vec::new(), tr.meta(), precision)
+                }
+                .unwrap();
+                w.write_sample(&first).unwrap();
+                let written = w.bytes_written();
+                for bad in &refused {
+                    let err = w.write_sample(bad).unwrap_err();
+                    assert!(err.trace_details().is_some(), "{err}");
+                    assert_eq!((w.frames_written(), w.bytes_written()), (1, written));
+                }
+                // A refusal leaves the stream as it was: the next good
+                // sample follows the first and the file loads.
+                // Past f32's range a raw f32 coordinate would store as an
+                // infinity; a compact one clamps to the box like any other.
+                let huge = w.write_sample(&with(50, 1e39));
+                let f32_raw = !compact && precision == Precision::F32;
+                assert_eq!(huge.is_err(), f32_raw, "compact {compact} {precision:?}");
+                w.write_sample(&with(100, 0.25)).unwrap();
+                let back = decode_trace(&w.finish().unwrap()).unwrap();
+                let kept = if f32_raw {
+                    vec![0, 100]
+                } else {
+                    vec![0, 50, 100]
+                };
+                assert_eq!(back.iterations(), kept, "compact {compact} {precision:?}");
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! arithmetic wraps modulo the grid so corrupt payloads still decode to
 //! finite in-box positions (caught downstream by the trace invariants).
 
-use crate::codec::{self, encode_header_with_magic, header_err, read_fully, Precision};
-use crate::trace::{ParticleTrace, TraceMeta, TraceSample};
-use bytes::BufMut;
+use crate::codec::{self, header_err, read_fully, Precision};
+use crate::trace::ParticleTrace;
+use crate::TraceWriter;
 use pic_types::{Aabb, PicError, Result, TraceError, TraceErrorKind, Vec3};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 /// File magic for the compact (delta + quantized) trace format.
@@ -318,27 +318,6 @@ impl Lookup {
     }
 }
 
-/// Validate a quantization box read at stream offset `base`: every corner
-/// finite, per-axis `min <= max` (a degenerate axis is legal — it
-/// dequantizes to the single coordinate).
-fn validate_qbox(corners: &[f64; 6], base: u64) -> Result<Aabb> {
-    for (axis, (&lo, &hi)) in corners[..3].iter().zip(&corners[3..]).enumerate() {
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
-            return Err(header_err(
-                TraceErrorKind::BadHeader,
-                format!(
-                    "quantization box corners on axis {axis} are not finite and ordered: [{lo}, {hi}]"
-                ),
-                base + (8 * axis) as u64,
-            ));
-        }
-    }
-    Ok(Aabb {
-        min: Vec3::new(corners[0], corners[1], corners[2]),
-        max: Vec3::new(corners[3], corners[4], corners[5]),
-    })
-}
-
 /// The tight quantization box of a trace: the AABB of every position in
 /// every sample. Falls back to the unit box for a trace holding no
 /// positions (nothing to quantize, but the box section must be finite).
@@ -397,99 +376,49 @@ pub(crate) fn encode_payload<Q: GridCoord>(
     width.unwrap_or(0) as u8
 }
 
-/// Streaming compact writer: emits the header and quantization box on
-/// construction, then one delta/absolute frame per
-/// [`CompactWriter::write_sample`] call.
-pub struct CompactWriter<W: Write> {
-    sink: W,
-    particle_count: usize,
-    qbytes: usize,
+/// What a compact [`TraceWriter`] keeps between frames: the quantization
+/// grid, and the previous frame's grid coordinates that the next frame's
+/// deltas are taken against.
+pub(crate) struct DeltaEncoder {
     quant: Quantizer,
-    /// Previous frame's quantized coordinates (empty before frame 0).
-    prev: Vec<u32>,
-    /// Current frame's quantized coordinates (reused scratch).
+    /// Bytes per grid coordinate (see [`quant_bytes`]).
+    qbytes: usize,
+    /// Previous frame's grid coordinates (`None` before frame 0).
+    prev: Option<Vec<u32>>,
+    /// Current frame's grid coordinates (reused scratch).
     qvals: Vec<u32>,
-    frames_written: usize,
-    bytes_written: u64,
-    scratch: Vec<u8>,
 }
 
-impl<W: Write> CompactWriter<W> {
-    /// Write the header and quantization box and return the writer.
-    /// `qbox` must be finite with `min <= max` per axis and should bound
-    /// every position that will be written (out-of-box positions clamp to
-    /// the box edge).
-    pub fn new(
-        mut sink: W,
-        meta: &TraceMeta,
-        precision: Precision,
-        qbox: Aabb,
-    ) -> Result<CompactWriter<W>> {
+impl DeltaEncoder {
+    /// Validate the quantization box `qbox` and append its section to
+    /// `header`.
+    pub(crate) fn new(qbox: &Aabb, precision: Precision, header: &mut Vec<u8>) -> Result<Self> {
         let corners = [
             qbox.min.x, qbox.min.y, qbox.min.z, qbox.max.x, qbox.max.y, qbox.max.z,
         ];
-        validate_qbox(&corners, 0).map_err(|_| {
+        codec::check_corners("quantization box", &corners, 0).map_err(|_| {
             PicError::trace(format!(
                 "quantization box must be finite and ordered, got {qbox:?}"
             ))
         })?;
-        let mut header = encode_header_with_magic(meta, precision, COMPACT_MAGIC);
-        for c in corners {
-            header.put_f64_le(c);
-        }
-        sink.write_all(&header)?;
+        codec::put_f64s(header, corners);
         let qbytes = quant_bytes(precision);
-        Ok(CompactWriter {
-            sink,
-            particle_count: meta.particle_count,
+        Ok(DeltaEncoder {
+            quant: Quantizer::new(qbox, qbytes),
             qbytes,
-            quant: Quantizer::new(&qbox, qbytes),
-            prev: Vec::new(),
+            prev: None,
             qvals: Vec::new(),
-            frames_written: 0,
-            bytes_written: header.len() as u64,
-            scratch: Vec::new(),
         })
     }
 
-    /// Append one sample frame (absolute for the first sample, narrowest
-    /// delta width that fits afterwards).
-    pub fn write_sample(&mut self, sample: &TraceSample) -> Result<()> {
-        if sample.positions.len() != self.particle_count {
-            return Err(PicError::trace(format!(
-                "frame has {} positions, header says {}",
-                sample.positions.len(),
-                self.particle_count
-            )));
-        }
-        self.quant.quantize_into(&sample.positions, &mut self.qvals);
-        let prev = (self.frames_written > 0).then_some(&self.prev[..]);
-        self.scratch.clear();
-        self.scratch.put_u64_le(sample.iteration);
-        self.scratch.put_slice(&[0u8; 4]);
-        let width = encode_payload(&self.qvals, prev, self.qbytes, &mut self.scratch);
-        self.scratch[8] = width;
-        self.sink.write_all(&self.scratch)?;
-        std::mem::swap(&mut self.prev, &mut self.qvals);
-        self.frames_written += 1;
-        self.bytes_written += self.scratch.len() as u64;
-        Ok(())
-    }
-
-    /// Number of frames written so far.
-    pub fn frames_written(&self) -> usize {
-        self.frames_written
-    }
-
-    /// Bytes emitted so far, header and quantization box included.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Flush and return the underlying sink.
-    pub fn finish(mut self) -> Result<W> {
-        self.sink.flush()?;
-        Ok(self.sink)
+    /// Append the rest of one frame's head (width byte and padding) and
+    /// its payload to `out`, which holds the frame's iteration word.
+    pub(crate) fn encode_frame(&mut self, positions: &[Vec3], out: &mut Vec<u8>) {
+        self.quant.quantize_into(positions, &mut self.qvals);
+        let head = out.len();
+        out.extend_from_slice(&[0u8; 4]);
+        out[head] = encode_payload(&self.qvals, self.prev.as_deref(), self.qbytes, out);
+        std::mem::swap(self.prev.get_or_insert_with(Vec::new), &mut self.qvals);
     }
 }
 
@@ -529,11 +458,8 @@ impl DeltaDecoder {
                 base + got as u64,
             ));
         }
-        let mut corners = [0.0f64; 6];
-        for (i, c) in corners.iter_mut().enumerate() {
-            *c = f64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().expect("8-byte corner"));
-        }
-        let qbox = validate_qbox(&corners, base)?;
+        let corners = std::array::from_fn(|i| f64::from_le_bytes(codec::le(&raw, 8 * i)));
+        let qbox = codec::check_corners("quantization box", &corners, base)?;
         let qbytes = quant_bytes(precision);
         Ok(DeltaDecoder {
             quant: Quantizer::new(&qbox, qbytes),
@@ -625,11 +551,8 @@ impl DeltaDecoder {
 /// re-encoding a decoded trace reproduces the bytes bit-for-bit.
 pub fn encode_compact(trace: &ParticleTrace, precision: Precision) -> Result<Vec<u8>> {
     let qbox = quantization_box(trace);
-    let mut w = CompactWriter::new(Vec::new(), trace.meta(), precision, qbox)?;
-    for s in trace.samples() {
-        w.write_sample(&s)?;
-    }
-    w.finish()
+    let w = TraceWriter::compact(Vec::new(), trace.meta(), precision, qbox)?;
+    Ok(codec::write_trace(w, trace)?.0)
 }
 
 /// Write a trace to a compact file.
@@ -640,18 +563,13 @@ pub fn save_file(
 ) -> Result<u64> {
     let file = std::fs::File::create(path)?;
     let qbox = quantization_box(trace);
-    let mut w = CompactWriter::new(std::io::BufWriter::new(file), trace.meta(), precision, qbox)?;
-    for s in trace.samples() {
-        w.write_sample(&s)?;
-    }
-    let bytes = w.bytes_written();
-    w.finish()?;
-    Ok(bytes)
+    let w = TraceWriter::compact(std::io::BufWriter::new(file), trace.meta(), precision, qbox)?;
+    Ok(codec::write_trace(w, trace)?.1)
 }
 
 /// [`codec::load_file`], which reads either format. Kept because the
 /// end-to-end benchmark pins this name (`benchmark/src/calls.rs`) until
-/// ROADMAP item 1 unpins it.
+/// ROADMAP's "Re-baseline the benchmark" unpins it.
 pub fn load_file_any(path: impl AsRef<Path>) -> Result<ParticleTrace> {
     codec::load_file(path)
 }
@@ -659,8 +577,10 @@ pub fn load_file_any(path: impl AsRef<Path>) -> Result<ParticleTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_trace, encode_trace, parse_header, READ_CHUNK_BYTES};
-    use crate::TraceReader;
+    use crate::codec::{
+        decode_trace, encode_header_with_magic, encode_trace, parse_header, READ_CHUNK_BYTES,
+    };
+    use crate::{TraceMeta, TraceReader, TraceSample};
 
     fn drifting_trace(np: usize, t: usize, step: f64) -> ParticleTrace {
         let meta = TraceMeta::new(np, 10, Aabb::unit(), "compact-test");
@@ -1042,7 +962,7 @@ mod tests {
         for c in [
             qbox.min.x, qbox.min.y, qbox.min.z, qbox.max.x, qbox.max.y, qbox.max.z,
         ] {
-            out.put_f64_le(c);
+            out.extend_from_slice(&c.to_le_bytes());
         }
         let mut prev: Vec<u64> = Vec::new();
         let mut qvals: Vec<u64> = Vec::new();
@@ -1068,9 +988,8 @@ mod tests {
                     .copied()
                     .find(|&w| max_z < (1u64 << (8 * w)))
             };
-            out.put_u64_le(sample.iteration);
-            out.put_u8(width.unwrap_or(0) as u8);
-            out.put_slice(&[0u8; 3]);
+            out.extend_from_slice(&sample.iteration.to_le_bytes());
+            out.extend_from_slice(&[width.unwrap_or(0) as u8, 0, 0, 0]);
             match width {
                 None => {
                     for &q in &qvals {

@@ -14,9 +14,9 @@
 //!   traces run to hundreds of gigabytes);
 //! * [`compact`] — the delta-encoded, quantized companion format (4–8×
 //!   smaller for smoothly drifting traces);
-//! * streaming [`TraceWriter`] / [`CompactWriter`], one per format, and
-//!   the one [`TraceReader`], which sniffs the magic and decodes either;
-//!   none holds more than one frame in memory;
+//! * the streaming [`TraceWriter`], which writes either format, and the
+//!   [`TraceReader`], which sniffs the magic and decodes either; neither
+//!   holds more than one frame in memory;
 //! * [`stats`] — particle-boundary evolution, displacement statistics, and
 //!   file-size estimation used for the sampling-frequency trade-off;
 //! * [`fault`] — deterministic fault-injection readers (truncation, short
@@ -42,7 +42,6 @@ pub mod trace;
 
 pub use bounded::{BoundedReader, DigestReader};
 pub use codec::{Precision, TraceReader, TraceWriter};
-pub use compact::CompactWriter;
 pub use extrapolate::extrapolate;
 pub use features::{feature_vectors, FeatureConfig};
 pub use trace::{ParticleTrace, TraceMeta, TraceSample};

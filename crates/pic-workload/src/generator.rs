@@ -138,7 +138,8 @@ impl DynamicWorkload {
 
 /// [`replay`] of one configuration with a mesh and no cache or plan. Kept
 /// because the end-to-end benchmark pins this name
-/// (`benchmark/src/calls.rs`) until ROADMAP item 1 unpins it.
+/// (`benchmark/src/calls.rs`) until ROADMAP's "Re-baseline the benchmark"
+/// unpins it.
 pub fn generate_with_mesh(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,

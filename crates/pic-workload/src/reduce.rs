@@ -199,8 +199,8 @@ pub struct ReduceStats {
 
 /// [`sweep::replay`] of one configuration under `plan`, without a cache.
 /// Kept because the end-to-end benchmark pins this name and its
-/// [`ReduceStats`] (`benchmark/src/calls.rs`) until ROADMAP item 1 unpins
-/// it.
+/// [`ReduceStats`] (`benchmark/src/calls.rs`) until ROADMAP's "Re-baseline
+/// the benchmark" unpins it.
 pub fn generate_reduced_with_stats(
     trace: &ParticleTrace,
     cfg: &WorkloadConfig,

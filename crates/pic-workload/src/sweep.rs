@@ -58,6 +58,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -1002,7 +1003,7 @@ pub fn replay(
 
 /// [`replay`] of a grid with a mesh and no cache or plan. Kept because the
 /// end-to-end benchmark pins this name (`benchmark/src/calls.rs`) until
-/// ROADMAP item 1 unpins it.
+/// ROADMAP's "Re-baseline the benchmark" unpins it.
 pub fn sweep_with_stats(
     trace: &ParticleTrace,
     points: &[SweepPoint],
@@ -1452,10 +1453,12 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
     let bin_cuts = &bin_cuts;
 
     std::thread::scope(|scope| {
-        let (frame_tx, frame_rx) =
-            crossbeam::channel::bounded::<(usize, pic_trace::TraceSample)>(PIPELINE_DEPTH);
+        let (frame_tx, frame_rx) = sync_channel::<(usize, pic_trace::TraceSample)>(PIPELINE_DEPTH);
         let (out_tx, out_rx) =
-            crossbeam::channel::bounded::<(usize, u64, Vec<GroupSample>)>(PIPELINE_DEPTH + workers);
+            sync_channel::<(usize, u64, Vec<GroupSample>)>(PIPELINE_DEPTH + workers);
+        // The workers share one receiver, which drops with the last of
+        // them; each takes the lock only to pull a frame.
+        let frame_rx = Arc::new(Mutex::new(frame_rx));
 
         let decoder = scope.spawn(move || -> DecoderReport {
             let mut seconds = 0.0;
@@ -1485,7 +1488,7 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
         });
 
         for _ in 0..workers {
-            let rx = frame_rx.clone();
+            let rx = Arc::clone(&frame_rx);
             let tx = out_tx.clone();
             scope.spawn(move || {
                 // Frame-level fan-out is the parallelism here; pin each
@@ -1495,7 +1498,11 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
                     .num_threads(1)
                     .build()
                     .expect("single-thread rayon pool");
-                while let Ok((i, frame)) = rx.recv() {
+                loop {
+                    // Bound first: in a `while let` scrutinee the guard
+                    // would live through the body.
+                    let next = rx.lock().recv();
+                    let Ok((i, frame)) = next else { break };
                     let t0 = Instant::now();
                     // The frame's bin groups share one tree.
                     let walks = (plan.groups.iter())

@@ -2,7 +2,7 @@
 //! file whole, building its SimPoint plan, replaying the representatives
 //! and gating the reduced workload must never hold a decoded (`f64`) copy
 //! of every sample. The trace is written frame by frame through
-//! [`CompactWriter`], so the test itself never holds one either, and it
+//! a compact [`TraceWriter`], so the test itself never holds one either, and it
 //! is the only test in this binary, so nothing else moves the process's
 //! high-water mark. Linux only: it reads `VmHWM` from `/proc/self/status`.
 
@@ -12,7 +12,7 @@ use pic_analysis::{assert_reduction_valid, ReductionBudget};
 use pic_mapping::MappingAlgorithm;
 use pic_predict::simpoint::{build_plan, SimpointOptions};
 use pic_trace::compact::load_file_any;
-use pic_trace::{CompactWriter, Precision, TraceMeta, TraceSample};
+use pic_trace::{Precision, TraceMeta, TraceSample, TraceWriter};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Vec3};
 use pic_workload::reduce::generate_reduced_with_stats;
@@ -55,7 +55,7 @@ fn write_phased_trace(path: &std::path::Path) {
     }
     let meta = TraceMeta::new(PARTICLES, 100, Aabb::unit(), "phased");
     let file = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
-    let mut writer = CompactWriter::new(file, &meta, Precision::F32, Aabb::unit()).unwrap();
+    let mut writer = TraceWriter::compact(file, &meta, Precision::F32, Aabb::unit()).unwrap();
     for k in 0..SAMPLES {
         let phase = k * PHASES / SAMPLES;
         let scale = if phase.is_multiple_of(2) { 0.05 } else { 0.04 };
