@@ -1,9 +1,9 @@
 //! # pic-analysis
 //!
 //! The static verification layer of the prediction framework: analyses
-//! that run *before* a model is trusted, a workload is simulated, or a
-//! concurrent pipeline ships — catching entire bug classes at admission
-//! time instead of as silently wrong predictions.
+//! that run *before* a model is trusted or a workload is simulated —
+//! catching entire bug classes at admission time instead of as silently
+//! wrong predictions.
 //!
 //! Each analyzer names the production code it guards:
 //!
@@ -29,21 +29,18 @@
 //!   holdout of non-representative samples, compared against the reduced
 //!   reconstruction on peak load. A reduction that breaches its budget
 //!   (default 2%) is rejected before anything downstream trusts it.
-//! * [`sched`] — a minimal loom-style deterministic schedule explorer for
-//!   [`pipeline_model`]: `pic_workload::sweep_streaming`'s
-//!   decoder→workers→merge pipeline shuts down hang- and leak-free, an
-//!   interleaving property of live code that no proptest can sample
-//!   exhaustively (`tests/interleavings.rs`).
+//!
+//! The exhaustive interleaving checker of `pic_workload::sweep_streaming`'s
+//! decoder→workers→merge shutdown is a test, not a library module:
+//! `tests/interleavings/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod expr_check;
 pub mod interval;
-pub mod pipeline_model;
 pub mod prediction;
 pub mod reduction;
-pub mod sched;
 pub mod workload;
 
 pub use expr_check::{
@@ -51,7 +48,6 @@ pub use expr_check::{
     FeatureSpace, Severity,
 };
 pub use interval::Interval;
-pub use pipeline_model::{verify_pipeline, verify_streaming_shutdown, PipelineSpec};
 pub use prediction::{
     assert_prediction_valid, check_prediction, PredictionDefect, PredictionViolation,
 };
@@ -59,7 +55,6 @@ pub use reduction::{
     assert_reduction_valid, check_reduction, holdout_samples, HoldoutPoint, ReductionBudget,
     ReductionReport,
 };
-pub use sched::{explore, Exploration, Model, ScheduleError};
 pub use workload::{
     assert_sweep_valid, assert_workload_valid, check_sweep, check_workload, SweepViolation,
     WorkloadViolation,

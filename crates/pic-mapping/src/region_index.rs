@@ -23,7 +23,7 @@
 //! state.
 //!
 //! Membership is decided by `d² ≤ r²` alone: a query walks the cells of
-//! its centre's box widened by [`query_reach`], a rounding margin that
+//! its centre's box widened by `query_reach`, a rounding margin that
 //! keeps the walk a superset of the regions the distance test accepts
 //! (computing `c ± r` in `f64` can otherwise round the box to the inside
 //! of a face, or off the index bounds).
@@ -62,7 +62,7 @@ use pic_types::{Aabb, Rank, Vec3};
 /// walk but never a region to an answer. A NaN or negative radius is an
 /// empty query and stays one (`-0.0` is zero).
 #[inline]
-pub fn query_reach(radius: f64) -> f64 {
+fn query_reach(radius: f64) -> f64 {
     const WIDEN: f64 = 1.0 + 1.0 / (1u64 << 49) as f64;
     // 2⁻⁵⁰⁰, above the 2⁻⁵³⁶ an underflowing square can hide.
     const FLOOR: f64 = f64::from_bits((1023 - 500) << 52);

@@ -15,8 +15,7 @@
 //! * **Bounded bodies** — `POST` requires `Content-Length` (`411`
 //!   otherwise), the declared length is capped by the server's body
 //!   limit (`413` over it), and the handler reads the body through
-//!   [`pic_trace::BoundedReader`] so a lying client cannot stream past
-//!   its declaration.
+//!   [`Read::take`] so a lying client cannot stream past its declaration.
 //!
 //! Every rejection is a *positioned* JSON error — the parser reports the
 //! byte offset in the request head where framing broke down — and never a
@@ -211,14 +210,14 @@ fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
 }
 
 /// Read an exact-length request body (already validated against the
-/// server's cap) from the buffered stream, through a
-/// [`pic_trace::BoundedReader`] so not one byte past the declaration is
-/// consumed. Timeouts surface as `408`, short bodies as `400`.
+/// server's cap) from the buffered stream, through [`Read::take`] so not
+/// one byte past the declaration is consumed. Timeouts surface as `408`,
+/// short bodies as `400`.
 pub(crate) fn read_body(
     stream: &mut BufReader<TcpStream>,
     declared_len: u64,
 ) -> Result<Vec<u8>, HttpError> {
-    let mut bounded = pic_trace::BoundedReader::new(stream, declared_len);
+    let mut bounded = stream.take(declared_len);
     let mut body = Vec::with_capacity(declared_len.min(1 << 20) as usize);
     let mut chunk = [0u8; 64 * 1024];
     loop {

@@ -6,7 +6,7 @@
 //! JSON (`std::net` only; the workspace is offline):
 //!
 //! * **Ingest once, replay many.** `POST /traces` streams the body through
-//!   [`pic_trace::BoundedReader`] → [`pic_trace::DigestReader`] →
+//!   [`Read::take`] at the declared length → a digesting reader →
 //!   [`pic_trace::TraceReader`]: the trace, raw or compact, is decoded once
 //!   and addressed by the FNV-1a-128 digest of the bytes the decoder
 //!   consumed, and the registry charges each entry its resident bytes.
@@ -37,7 +37,8 @@ use crate::kernel_models::KernelModels;
 use crate::request::{self, Raw, Request, Resident, Transport};
 use crate::simpoint::SimpointOptions;
 use http::HttpError;
-use pic_trace::{BoundedReader, DigestReader, ParticleTrace, TraceReader};
+use pic_trace::{ParticleTrace, TraceReader};
+use pic_types::hash::Fnv128;
 use pic_types::sync::Mutex;
 use pic_types::{PicError, Result};
 use registry::TraceRegistry;
@@ -402,8 +403,7 @@ fn handle_ingest_trace(
     // The hardened ingest stack: cap at the declaration, digest what the
     // decoder consumes, decode frame-by-frame. No full-body buffer exists
     // at any point.
-    let bounded = BoundedReader::new(reader, len);
-    let mut digesting = DigestReader::new(bounded);
+    let mut digesting = DigestReader::new(reader.take(len));
     let decoded = TraceReader::new(&mut digesting).and_then(TraceReader::read_all);
     let trace = decoded.map_err(|e| match e {
         PicError::Io(ref io)
@@ -437,6 +437,41 @@ fn handle_ingest_trace(
         evicted_json.join(",")
     );
     Ok((200, body))
+}
+
+/// A reader that feeds every byte it passes through into an incremental
+/// 128-bit FNV-1a digest: after the decoder finishes, [`DigestReader::digest`]
+/// is the content address of precisely the bytes it consumed.
+struct DigestReader<R> {
+    inner: R,
+    digest: Fnv128,
+}
+
+impl<R: Read> DigestReader<R> {
+    fn new(inner: R) -> DigestReader<R> {
+        DigestReader {
+            inner,
+            digest: Fnv128::new(),
+        }
+    }
+
+    /// The digest state over all bytes read so far.
+    fn digest(&self) -> &Fnv128 {
+        &self.digest
+    }
+
+    /// Bytes read so far.
+    fn bytes_read(&self) -> u64 {
+        self.digest.len()
+    }
+}
+
+impl<R: Read> Read for DigestReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.digest.update(&buf[..n]);
+        Ok(n)
+    }
 }
 
 fn handle_ingest_models(
@@ -582,6 +617,8 @@ fn reduction_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pic_trace::codec::{encode_trace, Precision};
+    use pic_types::hash::fnv1a_128;
 
     fn state() -> ServerState {
         ServerState::new(
@@ -630,6 +667,43 @@ mod tests {
             }
         }
         tr
+    }
+
+    fn sample_trace() -> ParticleTrace {
+        let meta = pic_trace::TraceMeta::new(3, 10, pic_types::Aabb::unit(), "bounded-test");
+        let mut tr = ParticleTrace::new(meta);
+        for k in 0..4 {
+            let s = 0.1 * (k + 1) as f64;
+            tr.push_positions(vec![pic_types::Vec3::splat(s); 3])
+                .unwrap();
+        }
+        tr
+    }
+
+    #[test]
+    fn digest_reader_addresses_exactly_the_consumed_bytes() {
+        let bytes = encode_trace(&sample_trace(), Precision::F32).unwrap();
+        let mut digesting = DigestReader::new(&bytes[..]);
+        let mut out = Vec::new();
+        digesting.read_to_end(&mut out).unwrap();
+        assert_eq!(out, bytes);
+        assert_eq!(digesting.digest().digest(), fnv1a_128(&bytes));
+        assert_eq!(digesting.bytes_read(), bytes.len() as u64);
+    }
+
+    #[test]
+    fn stacked_adapters_digest_only_admitted_bytes() {
+        let bytes = encode_trace(&sample_trace(), Precision::F64).unwrap();
+        let cap = bytes.len() as u64; // exact-length body, the serve case
+        let bounded = (&bytes[..]).take(cap);
+        let mut digesting = DigestReader::new(bounded);
+        let mut reader = TraceReader::new(&mut digesting).unwrap();
+        let mut frames = 0;
+        while reader.read_sample().unwrap().is_some() {
+            frames += 1;
+        }
+        assert_eq!(frames, 4);
+        assert_eq!(digesting.digest().digest(), fnv1a_128(&bytes));
     }
 
     /// `"reduced": true` sweeps replay representatives, pass the holdout

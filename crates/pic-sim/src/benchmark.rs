@@ -17,7 +17,7 @@ use crate::instrument::{KernelKind, Recorder, WorkloadParams};
 use crate::kernels::{self, KernelContext};
 use crate::particles::CellList;
 use pic_grid::gll::GllRule;
-use pic_grid::{ElementMesh, MeshDims, RcbDecomposition};
+use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::{ElementMapper, ParticleMapper, RegionIndex};
 use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, PicError, Result, Vec3};
@@ -111,8 +111,6 @@ pub fn benchmark_kernels(cfg: &SweepConfig) -> Result<Recorder> {
     // A modest rank decomposition so ghost queries have real remote regions.
     let mapper = ElementMapper::new(&mesh, 8)?;
     let all_elements: Vec<_> = mesh.element_ids().collect();
-    let decomp = RcbDecomposition::decompose(&mesh, 8)?;
-    let _ = &decomp;
 
     let mut recorder = Recorder::new();
     let mut rng = SplitMix64::new(cfg.seed);
@@ -120,7 +118,7 @@ pub fn benchmark_kernels(cfg: &SweepConfig) -> Result<Recorder> {
     let max_np = cfg.np_values.iter().copied().max().unwrap_or(0);
     let max_ngp = cfg.ngp_values.iter().copied().max().unwrap_or(0);
 
-    for rep in 0..cfg.repetitions.max(1) {
+    for _ in 0..cfg.repetitions.max(1) {
         // Fresh positions per repetition.
         let positions: Vec<Vec3> = (0..max_np + max_ngp)
             .map(|_| Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()))
@@ -129,7 +127,6 @@ pub fn benchmark_kernels(cfg: &SweepConfig) -> Result<Recorder> {
         let outcome = mapper.assign(&positions);
         let index = RegionIndex::build(&outcome.rank_regions);
         let cell = CellList::build(&positions, 0.05);
-        let _ = rep;
 
         for &np in &cfg.np_values {
             let subset: Vec<u32> = (0..np as u32).collect();

@@ -172,7 +172,6 @@ pub struct TraceWriter<W: Write> {
     particle_count: usize,
     /// Iteration of the last frame written, for the increasing-iteration check.
     last_iteration: Option<u64>,
-    frames_written: usize,
     bytes_written: u64,
     scratch: Vec<u8>,
 }
@@ -225,7 +224,6 @@ impl<W: Write> TraceWriter<W> {
             encoder,
             particle_count: meta.particle_count,
             last_iteration: None,
-            frames_written: 0,
             bytes_written: header.len() as u64,
             scratch: Vec::new(),
         })
@@ -247,18 +245,12 @@ impl<W: Write> TraceWriter<W> {
         }
         self.sink.write_all(&self.scratch)?;
         self.last_iteration = Some(sample.iteration);
-        self.frames_written += 1;
         self.bytes_written += self.scratch.len() as u64;
         Ok(())
     }
 
-    /// Number of frames written so far.
-    pub fn frames_written(&self) -> usize {
-        self.frames_written
-    }
-
     /// Bytes emitted so far, header (and quantization box) included.
-    pub fn bytes_written(&self) -> u64 {
+    fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
@@ -851,12 +843,13 @@ mod tests {
     fn writer_rejects_wrong_particle_count() {
         let tr = sample_trace(3, 1);
         let mut w = TraceWriter::new(Vec::new(), tr.meta(), Precision::F64).unwrap();
+        let header = w.bytes_written();
         let bad = TraceSample {
             iteration: 0,
             positions: vec![Vec3::ZERO; 2],
         };
         assert!(w.write_sample(&bad).is_err());
-        assert_eq!(w.frames_written(), 0);
+        assert_eq!(w.bytes_written(), header);
     }
 
     #[test]
@@ -893,7 +886,7 @@ mod tests {
                 for bad in &refused {
                     let err = w.write_sample(bad).unwrap_err();
                     assert!(err.trace_details().is_some(), "{err}");
-                    assert_eq!((w.frames_written(), w.bytes_written()), (1, written));
+                    assert_eq!(w.bytes_written(), written);
                 }
                 // A refusal leaves the stream as it was: the next good
                 // sample follows the first and the file loads.

@@ -5,42 +5,13 @@
 //! (full-scale traces reach hundreds of gigabytes, §II-D), so its failure
 //! modes are tested as first-class behavior: these adapters wrap any
 //! [`Read`] and inject the faults a long-running ingest actually sees —
-//! mid-frame truncation, short reads, `Interrupted` storms, hard I/O
-//! errors at a byte position, and bit corruption. They are deterministic,
-//! dependency-free, and shared by the property tests in `pic-trace` and
-//! the streaming-shutdown tests in `pic-workload`.
+//! short reads, `Interrupted` storms, hard I/O errors at a byte position,
+//! and bit corruption; mid-frame truncation is std's [`Read::take`] at each
+//! of [`truncation_points`]. They are deterministic, dependency-free, and
+//! shared by the property tests in `pic-trace` and the streaming-shutdown
+//! tests in `pic-workload`.
 
 use std::io::{Error, ErrorKind, Read};
-
-/// Ends the stream (clean `Ok(0)` EOF) after `limit` bytes, regardless of
-/// how much the inner reader holds. Models a file truncated at an
-/// arbitrary byte boundary.
-pub struct TruncateAt<R> {
-    inner: R,
-    remaining: u64,
-}
-
-impl<R: Read> TruncateAt<R> {
-    /// Wrap `inner`, exposing only its first `limit` bytes.
-    pub fn new(inner: R, limit: u64) -> TruncateAt<R> {
-        TruncateAt {
-            inner,
-            remaining: limit,
-        }
-    }
-}
-
-impl<R: Read> Read for TruncateAt<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.remaining == 0 {
-            return Ok(0);
-        }
-        let cap = (self.remaining.min(buf.len() as u64)) as usize;
-        let n = self.inner.read(&mut buf[..cap])?;
-        self.remaining -= n as u64;
-        Ok(n)
-    }
-}
 
 /// Serves at most `max_per_read` bytes per `read` call, cycling the
 /// actual grant through `1..=max_per_read` so every partial-fill size is
@@ -181,15 +152,6 @@ pub fn truncation_points(encoded_len: usize, desc_len: usize, frame_len: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn truncate_at_limits_bytes() {
-        let data = [7u8; 100];
-        let mut r = TruncateAt::new(&data[..], 42);
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(out.len(), 42);
-    }
 
     #[test]
     fn short_reads_deliver_everything() {

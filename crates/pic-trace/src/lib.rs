@@ -19,8 +19,9 @@
 //!   holds more than one frame in memory;
 //! * [`stats`] — particle-boundary evolution, displacement statistics, and
 //!   file-size estimation used for the sampling-frequency trade-off;
-//! * [`fault`] — deterministic fault-injection readers (truncation, short
-//!   reads, interrupts, hard I/O errors, bit flips) backing the ingestion
+//! * [`fault`] — deterministic fault-injection readers (short reads,
+//!   interrupts, hard I/O errors) and bit flips, with truncation left to
+//!   std's [`std::io::Read::take`], backing the ingestion
 //!   robustness contract: decoding arbitrary bytes never panics, stays
 //!   within a bounded allocation budget, and fails with byte-positioned
 //!   errors ([`pic_types::TraceError`]);
@@ -31,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounded;
 pub mod codec;
 pub mod compact;
 pub mod extrapolate;
@@ -40,7 +40,6 @@ pub mod features;
 pub mod stats;
 pub mod trace;
 
-pub use bounded::{BoundedReader, DigestReader};
 pub use codec::{Precision, TraceReader, TraceWriter};
 pub use extrapolate::extrapolate;
 pub use features::{feature_vectors, FeatureConfig};

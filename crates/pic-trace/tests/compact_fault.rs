@@ -10,10 +10,11 @@
 
 use pic_trace::codec::{decode_trace, encode_trace, Precision};
 use pic_trace::compact::{encode_compact, quantization_box};
-use pic_trace::fault::{flip_bit, FailAt, InterruptEvery, ShortReads, TruncateAt};
+use pic_trace::fault::{flip_bit, FailAt, InterruptEvery, ShortReads};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
 use proptest::prelude::*;
+use std::io::Read;
 
 fn small_trace(np: usize, t: usize) -> ParticleTrace {
     let meta = TraceMeta::new(np, 50, Aabb::unit(), "fault");
@@ -117,7 +118,7 @@ fn sniffing_reader_dispatches_both_formats_under_faults() {
     assert_eq!(encode_compact(&back, Precision::F64).unwrap(), compact);
     // truncation mid-stream stays positioned through the sniffer
     for cut in [3u64, 8, 40, 100] {
-        match TraceReader::new(TruncateAt::new(&compact[..], cut)) {
+        match TraceReader::new((&compact[..]).take(cut)) {
             Ok(r) => {
                 if let Err(e) = r.read_all() {
                     assert_positioned(&e);
@@ -197,7 +198,7 @@ proptest! {
         let tr = small_trace(np, t);
         let bytes = encode_compact(&tr, Precision::F64).unwrap();
         let cut = (bytes.len() as f64 * cut_frac) as u64;
-        match TraceReader::new(TruncateAt::new(&bytes[..], cut)) {
+        match TraceReader::new((&bytes[..]).take(cut)) {
             Ok(r) => match r.read_all() {
                 Ok(back) => prop_assert!(back.sample_count() <= tr.sample_count()),
                 Err(e) => {

@@ -8,12 +8,11 @@
 //! paths are exercised.
 
 use pic_trace::codec::{decode_trace, encode_trace, Precision, MAX_PARTICLE_COUNT};
-use pic_trace::fault::{
-    flip_bit, truncation_points, FailAt, InterruptEvery, ShortReads, TruncateAt,
-};
+use pic_trace::fault::{flip_bit, truncation_points, FailAt, InterruptEvery, ShortReads};
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
 use proptest::prelude::*;
+use std::io::Read;
 
 fn small_trace(np: usize, t: usize) -> ParticleTrace {
     let meta = TraceMeta::new(np, 50, Aabb::unit(), "fault");
@@ -282,7 +281,7 @@ proptest! {
         let tr = small_trace(np, t);
         let bytes = encode_trace(&tr, Precision::F64).unwrap();
         let cut = (bytes.len() as f64 * cut_frac) as u64;
-        match TraceReader::new(TruncateAt::new(&bytes[..], cut)) {
+        match TraceReader::new((&bytes[..]).take(cut)) {
             Ok(r) => match r.read_all() {
                 Ok(back) => prop_assert!(back.sample_count() <= tr.sample_count()),
                 Err(e) => {

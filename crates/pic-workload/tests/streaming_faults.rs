@@ -8,6 +8,7 @@
 //! configuration, and a two-group, two-stride grid whose merge folds
 //! several members per frame.
 
+use std::io::Read;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -15,7 +16,7 @@ use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::MappingAlgorithm;
 use pic_trace::codec::{encode_trace, Precision};
 use pic_trace::compact::encode_compact;
-use pic_trace::fault::{FailAt, TruncateAt};
+use pic_trace::fault::FailAt;
 use pic_trace::{ParticleTrace, TraceMeta, TraceReader};
 use pic_types::{Aabb, PicError, TraceErrorKind, Vec3};
 use pic_workload::{sweep_streaming, DynamicWorkload, SweepPoint, WorkloadConfig};
@@ -188,7 +189,7 @@ fn truncating_reader_mid_frame_is_a_positioned_error() {
         // Cut inside the last frame's position payload.
         let cut = (bytes.len() - 10) as u64;
         for points in inputs() {
-            let reader = TraceReader::new(TruncateAt::new(&bytes[..], cut)).unwrap();
+            let reader = TraceReader::new((&bytes[..]).take(cut)).unwrap();
             let err = stream(reader, &points).unwrap_err();
             assert_positioned(&err, format);
             assert_eq!(

@@ -2,7 +2,8 @@
 //! of library, CLI binary and service answers (and of all three with the
 //! bytes the service answered before `pic_predict::predict` existed),
 //! content-address stability across LRU eviction and re-ingest, a fault
-//! corpus replayed over real sockets, the slow-loris deadline, and
+//! corpus replayed over real sockets, a trace body bounded by its declared
+//! length, the slow-loris deadline, and
 //! overload shed by a fixed pool of threads.
 //!
 //! In debug builds every lock asserts that its thread holds no other, so
@@ -648,6 +649,48 @@ fn fault_corpus_over_http_yields_positioned_4xx_and_server_survives() {
     let (status, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, "{\"ok\":true}");
+    server.shutdown();
+}
+
+#[test]
+fn trailing_bytes_past_the_declared_length_are_neither_ingested_nor_digested() {
+    // `POST /traces` reads exactly `Content-Length` bytes. Were the body
+    // read to the end of the stream, the decoder would reach the 64 bytes
+    // after the trace and refuse a truncated frame with a `422`.
+    let trace = make_trace(5);
+    let good = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let mut clean_address = pic_types::hash::Fnv128::new();
+    clean_address.update(&good);
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+
+    let mut req = format!(
+        "POST /traces HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+        good.len()
+    )
+    .into_bytes();
+    req.extend_from_slice(&good);
+    req.extend_from_slice(&[0xA5; 64]);
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(&req).unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap();
+    // The server closes with the trailing bytes possibly unread, which may
+    // reset the connection once the response is out: keep what came.
+    let mut resp = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while let Ok(n @ 1..) = s.read(&mut chunk) {
+        resp.extend_from_slice(&chunk[..n]);
+    }
+    let (status, body) = parse_response(&resp);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_str_field(&body, "address"), clean_address.hex());
+    assert_eq!(json_u64_field(&body, "encoded_bytes"), good.len() as u64);
+
+    // A clean ingest of the same trace lands on the same address.
+    let (status, body) = request(addr, "POST", "/traces", &good);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_str_field(&body, "address"), clean_address.hex());
     server.shutdown();
 }
 
