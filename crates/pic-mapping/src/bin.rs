@@ -70,13 +70,13 @@ impl BinPartition {
 
     /// The mapping outcome of a partition into at most `ranks` bins: bin
     /// `i` is rank `i`'s region, and the ranks past the last bin idle.
-    pub fn into_outcome(self, ranks: usize) -> MappingOutcome {
+    pub fn into_outcome(self, ranks: usize) -> MappingOutcome<'static> {
         let bin_count = self.bin_count();
         let mut rank_regions = self.boxes;
         rank_regions.resize(ranks, Aabb::empty());
         MappingOutcome {
             ranks: self.assignment.iter().map(|&b| Rank::new(b)).collect(),
-            rank_regions,
+            rank_regions: rank_regions.into(),
             bin_count: Some(bin_count),
         }
     }
@@ -473,7 +473,7 @@ impl ParticleMapper for BinMapper {
         self.ranks
     }
 
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'_> {
         self.partition(positions, self.ranks)
             .into_outcome(self.ranks)
     }

@@ -9,6 +9,7 @@
 use crate::mapper::{locate_clamped, MappingOutcome, ParticleMapper};
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_types::{Aabb, ElementId, Rank, Result, Vec3};
+use std::borrow::Cow;
 
 /// Element-based mapper: `R_p = owner(element_of(particle position))`.
 #[derive(Debug, Clone)]
@@ -63,7 +64,7 @@ impl ParticleMapper for ElementMapper {
     /// element, matching production PIC codes that reflect or absorb at
     /// walls rather than dropping particles), then located, then looked up
     /// in the element-owner table.
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'_> {
         let ranks = (locate_clamped(&self.mesh, positions).iter())
             .map(|&e| {
                 self.decomp
@@ -72,7 +73,7 @@ impl ParticleMapper for ElementMapper {
             .collect();
         MappingOutcome {
             ranks,
-            rank_regions: self.regions.clone(),
+            rank_regions: Cow::Borrowed(&self.regions),
             bin_count: None,
         }
     }

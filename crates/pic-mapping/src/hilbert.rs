@@ -146,7 +146,7 @@ impl ParticleMapper for HilbertMapper {
     /// chunks of that order. Distinct elements have distinct curve
     /// indices, so sorting by rank with ids ascending within an element is
     /// the `(curve index, id)` order.
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'_> {
         let eidx = locate_clamped(&self.mesh, positions);
         let mut order: Vec<(u64, u32)> = (eidx.iter().zip(0u32..))
             .map(|(&e, i)| (u64::from(self.curve_rank[e as usize]), i))
@@ -172,7 +172,7 @@ impl ParticleMapper for HilbertMapper {
         }
         MappingOutcome {
             ranks,
-            rank_regions,
+            rank_regions: rank_regions.into(),
             bin_count: None,
         }
     }
@@ -272,7 +272,7 @@ mod tests {
             hilbert_index(ix as u32, iy as u32, iz as u32, self.bits)
         }
 
-        fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+        fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'static> {
             let keys: Vec<u64> = positions.iter().map(|&p| self.key_of(p)).collect();
             self.chunk_by_keys(&keys, |i| positions[i])
         }
@@ -281,7 +281,7 @@ mod tests {
             &self,
             keys: &[u64],
             position_of: impl Fn(usize) -> Vec3,
-        ) -> MappingOutcome {
+        ) -> MappingOutcome<'static> {
             let n = keys.len();
             let mut order: Vec<u32> = (0..n as u32).collect();
             // Stable tie-break on the particle id keeps the mapping deterministic.
@@ -304,7 +304,7 @@ mod tests {
             }
             MappingOutcome {
                 ranks,
-                rank_regions,
+                rank_regions: rank_regions.into(),
                 bin_count: None,
             }
         }
@@ -321,7 +321,8 @@ mod tests {
         ranks: usize,
         positions: &[Vec3],
     ) -> std::result::Result<(), TestCaseError> {
-        let new = HilbertMapper::new(mesh, ranks).unwrap().assign(positions);
+        let mapper = HilbertMapper::new(mesh, ranks).unwrap();
+        let new = mapper.assign(positions);
         let old = Reference::new(mesh, ranks).assign(positions);
         prop_assert_eq!(&new.ranks, &old.ranks);
         prop_assert_eq!(

@@ -79,7 +79,7 @@ impl ParticleMapper for LoadBalancedMapper {
     /// One clamp/locate pass (positions clamped onto the domain, as in
     /// element-based mapping) feeds both the per-element weight histogram
     /// of this sample's decomposition and the final rank gather.
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome {
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'_> {
         let eidx = locate_clamped(&self.mesh, positions);
         let mut counts = vec![0u32; self.mesh.element_count()];
         for &e in &eidx {
@@ -100,7 +100,7 @@ impl ParticleMapper for LoadBalancedMapper {
             .collect();
         MappingOutcome {
             ranks,
-            rank_regions,
+            rank_regions: rank_regions.into(),
             bin_count: None,
         }
     }

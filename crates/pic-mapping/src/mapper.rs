@@ -4,6 +4,7 @@ use crate::{BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper};
 use pic_grid::ElementMesh;
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Which particle mapping algorithm a configuration selects.
 ///
@@ -79,21 +80,23 @@ impl MappingAlgorithm {
 
 /// Result of mapping one trace sample's particle positions onto processors.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MappingOutcome {
+pub struct MappingOutcome<'a> {
     /// Residing rank `R_p` of each particle, parallel to the input
     /// positions slice.
     pub ranks: Vec<Rank>,
     /// Spatial region each rank's particle workload occupies at this sample.
-    /// Element-based: the rank's (static) element brick. Bin-based: the
-    /// rank's bin box (empty for ranks beyond the bin count). The ghost
-    /// generator intersects projection-filter spheres against these.
-    pub rank_regions: Vec<Aabb>,
+    /// Element-based: the rank's (static) element brick, borrowed from the
+    /// mapper's [`ParticleMapper::fixed_regions`], not copied per sample.
+    /// Bin-based: the rank's bin box (empty for ranks beyond the bin
+    /// count). The ghost generator intersects projection-filter spheres
+    /// against these.
+    pub rank_regions: Cow<'a, [Aabb]>,
     /// Number of particle bins generated at this sample (bin-based mapping
     /// only; `None` for mappings without a bin concept).
     pub bin_count: Option<usize>,
 }
 
-impl MappingOutcome {
+impl MappingOutcome<'_> {
     /// Per-rank particle counts implied by the assignment.
     pub fn counts(&self, ranks: usize) -> Vec<u32> {
         let mut counts = vec![0u32; ranks];
@@ -130,7 +133,7 @@ pub trait ParticleMapper: Send + Sync {
     fn ranks(&self) -> usize;
 
     /// Map one sample's positions to residing ranks.
-    fn assign(&self, positions: &[Vec3]) -> MappingOutcome;
+    fn assign(&self, positions: &[Vec3]) -> MappingOutcome<'_>;
 
     /// The rank regions, when they are the same for every sample (element
     /// mapping's RCB bricks): a caller counting ghosts builds its
@@ -206,7 +209,7 @@ mod tests {
     fn outcome_counts() {
         let o = MappingOutcome {
             ranks: vec![Rank::new(0), Rank::new(2), Rank::new(2)],
-            rank_regions: vec![Aabb::empty(); 3],
+            rank_regions: vec![Aabb::empty(); 3].into(),
             bin_count: None,
         };
         assert_eq!(o.counts(3), vec![1, 0, 2]);

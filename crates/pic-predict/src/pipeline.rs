@@ -411,10 +411,10 @@ pub fn run_case_study(
     })
 }
 
-/// Payload a migrating particle carries: position + velocity + scalar
-/// properties, double precision (CMT-nek particles carry O(10) doubles).
+/// Payload a migrating particle carries, the one the application clock
+/// prices too ([`pic_sim::clock::BYTES_PER_PARTICLE`]).
 pub fn bytes_per_particle() -> u64 {
-    10 * 8
+    pic_sim::clock::BYTES_PER_PARTICLE
 }
 
 #[cfg(test)]

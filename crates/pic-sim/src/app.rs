@@ -12,12 +12,14 @@
 //! Under wall-clock timing they run and are timed, because that path
 //! produces measured training data. Neither choice moves a trace bit.
 
+use crate::clock;
 use crate::config::SimConfig;
 use crate::field::FluidField;
 use crate::instrument::{KernelKind, Recorder, WorkloadParams};
 use crate::kernels::{self, KernelContext};
 use crate::oracle::CostOracle;
 use crate::particles::{CellList, ParticleSet};
+use pic_des::MachineSpec;
 use pic_grid::gll::GllRule;
 use pic_grid::{ElementMesh, RcbDecomposition};
 use pic_mapping::{MappingAlgorithm, MappingOutcome, ParticleMapper, RegionIndex};
@@ -94,6 +96,12 @@ pub struct SimOutput {
     pub ground_truth: GroundTruth,
     /// Kernel timing records (Model Generator training data).
     pub recorder: Recorder,
+    /// The application clock's total, `Σ iteration_seconds`; `None` when
+    /// [`SimConfig::clock`] is off.
+    pub application_seconds: Option<f64>,
+    /// The application clock's seconds of every iteration, in step order
+    /// (empty when the clock is off).
+    pub iteration_seconds: Vec<f64>,
 }
 
 /// The mini PIC application.
@@ -185,6 +193,11 @@ impl MiniPic {
         };
         let mut recorder = Recorder::new();
         let mut prev_owners: Option<Vec<Rank>> = None;
+        let mut clock = (self.cfg.clock.clone()).map(|machine| Clock {
+            machine,
+            owners: None,
+            seconds: Vec::with_capacity(self.cfg.steps),
+        });
 
         for step in 0..self.cfg.steps {
             if step % self.cfg.sample_interval == 0 {
@@ -197,20 +210,31 @@ impl MiniPic {
                 })?;
                 let sample =
                     self.sample_step(step as u64, &mut recorder, prev_owners.as_deref())?;
+                if let Some(clock) = &mut clock {
+                    clock.tick(&sample.0.kernel_seconds, sample.1.clone())?;
+                }
                 prev_owners = Some(sample.1);
                 ground_truth.samples.push(sample.0);
                 // the sample step also advanced the particles
             } else {
+                if let Some(clock) = &mut clock {
+                    let (kernel_seconds, owners) = self.census(step as u64);
+                    clock.tick(&kernel_seconds, owners)?;
+                }
                 self.motion_step();
             }
             self.check_finite(step)?;
             self.time += self.cfg.dt;
         }
 
+        let iteration_seconds = clock.map(|c| c.seconds).unwrap_or_default();
         Ok(SimOutput {
             trace,
             ground_truth,
             recorder,
+            application_seconds: (self.cfg.clock.is_some())
+                .then(|| iteration_seconds.iter().sum::<f64>()),
+            iteration_seconds,
         })
     }
 
@@ -230,6 +254,88 @@ impl MiniPic {
                 self.cfg.drag_tau
             ))),
         }
+    }
+
+    /// The kernel seconds every rank observes at `iteration`, off the
+    /// samples, and the ownership they are counted under: the sample
+    /// step's counts and oracle observations without its kernels. The
+    /// application clock's view of that iteration.
+    fn census(&self, iteration: u64) -> (Vec<[f64; 6]>, Vec<Rank>) {
+        let outcome = self.mapper.assign(&self.particles.position);
+        let ghosts = self.ghosts(&outcome);
+        let kernel_seconds = self.kernel_seconds(iteration, &ghosts, None, |_, _, _| {});
+        (kernel_seconds, outcome.ranks)
+    }
+
+    /// Who holds and who ghosts what under `outcome`, with the wall time
+    /// of each source rank's sphere queries (`create_ghost_particles`).
+    fn ghosts(&self, outcome: &MappingOutcome) -> Ghosts {
+        let ranks = self.cfg.ranks;
+        let subsets = subsets_of(outcome, ranks);
+        let index = RegionIndex::build(&outcome.rank_regions);
+        let mut recv: Vec<Vec<u32>> = vec![Vec::new(); ranks];
+        let mut sent = vec![0u32; ranks];
+        let mut seconds = vec![0.0f64; ranks];
+        let filter = self.cfg.projection_filter;
+        let mut scratch = pic_mapping::RegionQueryScratch::new();
+        for r in 0..ranks {
+            let t0 = Instant::now();
+            for &i in &subsets[r] {
+                let p = self.particles.position[i as usize];
+                index.for_each_rank_touching_sphere(p, filter, &mut scratch, |target| {
+                    if target.index() != r {
+                        recv[target.index()].push(i);
+                        sent[r] += 1;
+                    }
+                });
+            }
+            seconds[r] = t0.elapsed().as_secs_f64();
+        }
+        Ghosts {
+            subsets,
+            recv,
+            sent,
+            seconds,
+        }
+    }
+
+    /// Every rank's six kernel seconds at `iteration`, in
+    /// [`KernelKind::ALL`] order: the cost oracle's observation, or under
+    /// wall-clock timing `wall[kernel][rank]`. `record` sees each
+    /// kernel's parameters and seconds, kernel by kernel.
+    fn kernel_seconds(
+        &self,
+        iteration: u64,
+        ghosts: &Ghosts,
+        wall: Option<[&[f64]; 6]>,
+        mut record: impl FnMut(KernelKind, WorkloadParams, f64),
+    ) -> Vec<[f64; 6]> {
+        let ranks = self.cfg.ranks;
+        let mut kernel_seconds = vec![[0.0f64; 6]; ranks];
+        for (slot, kernel) in KernelKind::ALL.into_iter().enumerate() {
+            for (r, seconds) in kernel_seconds.iter_mut().enumerate() {
+                let ngp = match kernel {
+                    KernelKind::CreateGhostParticles => ghosts.sent[r],
+                    _ => ghosts.recv[r].len() as u32,
+                };
+                let params = WorkloadParams {
+                    np: ghosts.subsets[r].len() as f64,
+                    ngp: ngp as f64,
+                    nel: self.decomp.elements_on_rank(Rank::from_index(r)) as f64,
+                    n_order: self.cfg.order as f64,
+                    filter: self.cfg.projection_filter,
+                };
+                seconds[slot] = match (&self.oracle, wall) {
+                    (Some(o), _) => {
+                        o.observed_cost(kernel, &params, iteration * ranks as u64 + r as u64)
+                    }
+                    (None, Some(wall)) => wall[slot][r],
+                    (None, None) => unreachable!("only oracle timing prices without kernels"),
+                };
+                record(kernel, params, seconds[slot]);
+            }
+        }
+        kernel_seconds
     }
 
     /// Advance one step without instrumentation (single global "rank").
@@ -276,52 +382,10 @@ impl MiniPic {
     ) -> Result<(GroundTruthSample, Vec<Rank>)> {
         let ranks = self.cfg.ranks;
         let outcome = self.mapper.assign(&self.particles.position);
-        let subsets = subsets_of(&outcome, ranks);
-        let index = RegionIndex::build(&outcome.rank_regions);
-
-        // --- create_ghost_particles, per source rank ------------------
-        let mut ghost_recv: Vec<Vec<u32>> = vec![Vec::new(); ranks];
-        let mut ghost_sent = vec![0u32; ranks];
-        let mut ghost_seconds = vec![0.0f64; ranks];
-        {
-            let ctx = make_ctx(&self.cfg, &self.mesh, &self.gll, self.field.as_ref());
-            let mut scratch = pic_mapping::RegionQueryScratch::new();
-            for r in 0..ranks {
-                let t0 = Instant::now();
-                for &i in &subsets[r] {
-                    let p = self.particles.position[i as usize];
-                    index.for_each_rank_touching_sphere(p, ctx.filter, &mut scratch, |target| {
-                        if target.index() != r {
-                            ghost_recv[target.index()].push(i);
-                            ghost_sent[r] += 1;
-                        }
-                    });
-                }
-                ghost_seconds[r] = t0.elapsed().as_secs_f64();
-            }
-        }
-        let ghost_recv_counts: Vec<u32> = ghost_recv.iter().map(|g| g.len() as u32).collect();
-        let real_counts: Vec<u32> = subsets.iter().map(|s| s.len() as u32).collect();
+        let ghosts = self.ghosts(&outcome);
+        let subsets = &ghosts.subsets;
 
         // --- per-rank instrumented phases -----------------------------
-        let mut kernel_seconds = vec![[0.0f64; 6]; ranks];
-        let order = self.cfg.order as f64;
-        let filter = self.cfg.projection_filter;
-        let params_of = |r: usize, kernel: KernelKind| -> WorkloadParams {
-            let ngp = match kernel {
-                KernelKind::CreateGhostParticles => ghost_sent[r] as f64,
-                _ => ghost_recv_counts[r] as f64,
-            };
-            WorkloadParams {
-                np: real_counts[r] as f64,
-                ngp,
-                nel: self.decomp.elements_on_rank(Rank::from_index(r)) as f64,
-                n_order: order,
-                filter,
-            }
-        };
-        let kernel_slot = |k: KernelKind| KernelKind::ALL.iter().position(|&x| x == k).unwrap();
-
         // Phase: fluid solver (regular workload). A stand-in whose result
         // nothing reads: it runs only when its wall time is the record.
         let timed = self.oracle.is_none();
@@ -417,7 +481,7 @@ impl MiniPic {
             for r in 0..ranks {
                 combined.clear();
                 combined.extend_from_slice(&subsets[r]);
-                combined.extend_from_slice(&ghost_recv[r]);
+                combined.extend_from_slice(&ghosts.recv[r]);
                 let t0 = Instant::now();
                 let v = kernels::projection(&ctx, &self.particles.position, &combined);
                 std::hint::black_box(v);
@@ -426,28 +490,18 @@ impl MiniPic {
         }
 
         // --- record timings (wall-clock or oracle) --------------------
-        let measured: [(KernelKind, &[f64]); 6] = [
-            (KernelKind::FluidSolver, &fluid_seconds),
-            (KernelKind::CreateGhostParticles, &ghost_seconds),
-            (KernelKind::Interpolation, &interp_seconds),
-            (KernelKind::EquationSolver, &eq_seconds),
-            (KernelKind::ParticlePusher, &push_seconds),
-            (KernelKind::Projection, &proj_seconds),
+        let wall: [&[f64]; 6] = [
+            &fluid_seconds,
+            &ghosts.seconds,
+            &interp_seconds,
+            &eq_seconds,
+            &push_seconds,
+            &proj_seconds,
         ];
-        for (kernel, wall) in measured {
-            let slot = kernel_slot(kernel);
-            for r in 0..ranks {
-                let params = params_of(r, kernel);
-                let seconds = match &self.oracle {
-                    Some(o) => {
-                        o.observed_cost(kernel, &params, iteration * ranks as u64 + r as u64)
-                    }
-                    None => wall[r],
-                };
-                kernel_seconds[r][slot] = seconds;
-                recorder.record(kernel, params, seconds);
-            }
-        }
+        let kernel_seconds =
+            self.kernel_seconds(iteration, &ghosts, Some(wall), |kernel, params, seconds| {
+                recorder.record(kernel, params, seconds)
+            });
 
         // --- migrations since previous sample --------------------------
         let migrations = match prev_owners {
@@ -457,14 +511,59 @@ impl MiniPic {
 
         let sample = GroundTruthSample {
             iteration,
-            real_counts,
-            ghost_recv_counts,
-            ghost_sent_counts: ghost_sent,
+            real_counts: subsets.iter().map(|s| s.len() as u32).collect(),
+            ghost_recv_counts: ghosts.recv.iter().map(|g| g.len() as u32).collect(),
+            ghost_sent_counts: ghosts.sent,
             bin_count: outcome.bin_count,
             migrations,
             kernel_seconds,
         };
         Ok((sample, outcome.ranks))
+    }
+}
+
+/// Who holds and who ghosts what at one iteration (see
+/// [`MiniPic::ghosts`]).
+struct Ghosts {
+    /// Each rank's particles.
+    subsets: Vec<Vec<u32>>,
+    /// The particles each rank receives as ghosts.
+    recv: Vec<Vec<u32>>,
+    /// How many ghosts each rank sends.
+    sent: Vec<u32>,
+    /// Wall seconds of each rank's sphere queries.
+    seconds: Vec<f64>,
+}
+
+/// The application clock while a run goes (see [`crate::clock`]).
+struct Clock {
+    machine: MachineSpec,
+    /// Ownership at the previous iteration.
+    owners: Option<Vec<Rank>>,
+    /// Seconds of every iteration so far.
+    seconds: Vec<f64>,
+}
+
+impl Clock {
+    /// Price one iteration: its kernel seconds, and the particles that
+    /// changed rank since the previous one. A machine whose numbers pass
+    /// validation can still price an iteration past the largest `f64`
+    /// (a bandwidth of 1e-307 B/s); that run is refused here.
+    fn tick(&mut self, kernel_seconds: &[[f64; 6]], owners: Vec<Rank>) -> Result<()> {
+        let migrations = (self.owners.as_deref())
+            .map(|prev| migration_counts(prev, &owners))
+            .unwrap_or_default();
+        let seconds = clock::iteration_seconds(&self.machine, kernel_seconds, &migrations);
+        if !seconds.is_finite() {
+            return Err(PicError::sim(format!(
+                "the application clock priced iteration {} at {seconds} s on machine '{}'",
+                self.seconds.len(),
+                self.machine.name
+            )));
+        }
+        self.seconds.push(seconds);
+        self.owners = Some(owners);
+        Ok(())
     }
 }
 
@@ -583,6 +682,87 @@ mod tests {
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.ground_truth.samples, b.ground_truth.samples);
         assert_eq!(a.recorder.records(), b.recorder.records());
+    }
+
+    fn clocked(cfg: SimConfig) -> SimConfig {
+        SimConfig {
+            clock: Some(MachineSpec::quartz_like()),
+            ..cfg
+        }
+    }
+
+    #[test]
+    fn the_clock_is_bit_deterministic_and_changes_nothing_else() {
+        let run = |cfg| MiniPic::new(cfg).unwrap().run().unwrap();
+        let (a, b) = (run(clocked(small_cfg())), run(clocked(small_cfg())));
+        let bits = |o: &SimOutput| -> Vec<u64> {
+            (o.iteration_seconds.iter()).map(|s| s.to_bits()).collect()
+        };
+        assert_eq!(a.iteration_seconds.len(), 30);
+        assert_eq!(bits(&a), bits(&b));
+        let total = a.application_seconds.unwrap();
+        assert_eq!(total.to_bits(), b.application_seconds.unwrap().to_bits());
+        assert_eq!(total, a.iteration_seconds.iter().sum::<f64>());
+        assert!(a
+            .iteration_seconds
+            .iter()
+            .all(|&s| s > 0.0 && s.is_finite()));
+        let off = run(small_cfg());
+        assert_eq!(
+            (off.application_seconds, off.iteration_seconds.len()),
+            (None, 0)
+        );
+        assert_eq!(off.trace, a.trace);
+        assert_eq!(off.ground_truth.samples, a.ground_truth.samples);
+        assert_eq!(off.recorder.records(), a.recorder.records());
+    }
+
+    #[test]
+    fn the_clock_charges_a_return_trip_twice() {
+        // One particle goes rank 0 → 1 → 0: the sampled diff between the
+        // first and last ownership is empty, the clock sends two messages.
+        let machine = MachineSpec {
+            link_latency: 1.0,
+            link_bandwidth: 80.0,
+            collective_latency: 0.25,
+            topology: pic_des::Topology::FullyConnected,
+            ..MachineSpec::quartz_like()
+        };
+        let mut clock = Clock {
+            machine,
+            owners: None,
+            seconds: Vec::new(),
+        };
+        let idle = [[0.0; 6]; 2];
+        for owner in [0u32, 1, 0] {
+            clock
+                .tick(&idle, vec![Rank::new(owner), Rank::new(1)])
+                .unwrap();
+        }
+        // Barrier: one stage of 0.25; each message α 1 + 80 B at 80 B/s.
+        assert_eq!(clock.seconds, vec![0.25, 2.25, 2.25]);
+        assert!(migration_counts(&[Rank::new(0)], &[Rank::new(0)]).is_empty());
+    }
+
+    #[test]
+    fn an_iteration_priced_past_f64_stops_the_run() {
+        // 1e-307 B/s passes the machine's validation, yet one particle's
+        // 80 bytes take longer than the largest f64.
+        let machine = MachineSpec {
+            link_bandwidth: 1e-307,
+            ..MachineSpec::quartz_like()
+        };
+        machine.validate().unwrap();
+        let mut clock = Clock {
+            machine,
+            owners: None,
+            seconds: Vec::new(),
+        };
+        let idle = [[0.0; 6]; 2];
+        clock.tick(&idle, vec![Rank::new(0)]).unwrap();
+        let err = clock.tick(&idle, vec![Rank::new(1)]).unwrap_err();
+        assert!(err.to_string().contains("iteration 1 at inf s"), "{err}");
+        assert_eq!(clock.seconds.len(), 1);
     }
 
     #[test]

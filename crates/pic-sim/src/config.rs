@@ -5,6 +5,7 @@
 
 use crate::oracle::CostOracle;
 use crate::scenario::ScenarioKind;
+use pic_des::MachineSpec;
 use pic_grid::MeshDims;
 use pic_mapping::MappingAlgorithm;
 use pic_types::{Aabb, PicError, Result, Vec3};
@@ -82,6 +83,11 @@ pub struct SimConfig {
     pub seed: u64,
     /// Timing observation mode.
     pub timing: TimingMode,
+    /// The machine the application clock prices every iteration on;
+    /// `None` (the default) leaves it off. It prices kernels with the
+    /// oracle, so it needs oracle timing (see [`crate::clock`]).
+    #[serde(default)]
+    pub clock: Option<MachineSpec>,
 }
 
 impl Default for SimConfig {
@@ -107,6 +113,7 @@ impl Default for SimConfig {
             gravity: Vec3::new(0.0, 0.0, -0.2),
             seed: 20210517,
             timing: TimingMode::default_oracle(),
+            clock: None,
         }
     }
 }
@@ -150,6 +157,15 @@ impl SimConfig {
                 "gravity must be finite, got {}",
                 self.gravity
             )));
+        }
+        if let Some(machine) = &self.clock {
+            machine.validate()?;
+            if matches!(self.timing, TimingMode::WallClock) {
+                return Err(PicError::config(
+                    "the application clock prices kernels with the cost oracle; \
+                     it needs oracle timing",
+                ));
+            }
         }
         if self.sample_interval == 0 {
             return Err(PicError::config("sample interval must be positive"));
@@ -285,6 +301,37 @@ mod tests {
         // `MiniPic::run` refuses the motion it produces.
         c.dt = 1e300;
         c.validate().unwrap();
+    }
+
+    #[test]
+    fn the_clock_needs_oracle_timing_and_finite_numbers() {
+        let on = SimConfig {
+            clock: Some(MachineSpec::quartz_like()),
+            ..SimConfig::default()
+        };
+        on.validate().unwrap();
+        let wall = SimConfig {
+            timing: TimingMode::WallClock,
+            ..on.clone()
+        };
+        let err = wall.validate().unwrap_err().to_string();
+        assert!(err.contains("needs oracle timing"), "{err}");
+        let nan = SimConfig {
+            clock: Some(MachineSpec {
+                link_bandwidth: f64::NAN,
+                ..MachineSpec::quartz_like()
+            }),
+            ..SimConfig::default()
+        };
+        let err = nan.validate().unwrap_err().to_string();
+        assert!(err.contains("link_bandwidth is NaN"), "{err}");
+        // A configuration file without the key reads the clock off.
+        let json = SimConfig::default()
+            .to_json()
+            .replace(",\n  \"clock\": null", "");
+        assert!(!json.contains("clock"), "{json}");
+        assert_eq!(SimConfig::from_json(&json).unwrap(), SimConfig::default());
+        assert_eq!(SimConfig::from_json(&on.to_json()).unwrap(), on);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 pub mod app;
 pub mod benchmark;
+pub mod clock;
 pub mod config;
 pub mod field;
 pub mod instrument;

@@ -1,4 +1,4 @@
-//! The workspace-wide shared thread pool.
+//! The workspace-wide shared thread budget.
 //!
 //! Every parallel entry point (the DWG ghost kernel, the sweep engine's
 //! outer configuration fan-out, GP population scoring) routes through
@@ -7,9 +7,12 @@
 //! any budget already in force instead of resetting it. Nested parallel
 //! sections therefore subdivide a single machine-wide budget: the sweep's
 //! outer config-group loop composed with the inner chunked ghost kernel
-//! can never spawn pools-within-pools, and a bench or CLI override
+//! can never stack pools within pools, and a bench or CLI override
 //! (`ThreadPoolBuilder::num_threads(n).install(..)` around a whole run)
-//! caps everything beneath it.
+//! caps everything beneath it. A pool is a budget, not a set of threads:
+//! the threads are the vendored rayon's process-wide workers, started on
+//! the first parallel call and kept, so a request that runs parallel code
+//! starts no thread.
 
 use std::sync::OnceLock;
 

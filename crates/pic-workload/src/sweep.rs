@@ -486,7 +486,8 @@ fn process_group_sample(
             real,
             bin_count: outcome.bin_count,
             owners: outcome.ranks,
-            regions: (group.mapper.fixed_regions().is_none()).then_some(outcome.rank_regions),
+            regions: (group.mapper.fixed_regions().is_none())
+                .then(|| outcome.rank_regions.into_owned()),
         }
     });
     let ghosts = match cached.or(computed.as_ref()) {

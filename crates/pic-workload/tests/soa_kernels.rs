@@ -20,7 +20,7 @@ fn boundary_len() -> impl Strategy<Value = usize> {
 fn fixture(positions: &[Vec3], ranks: usize) -> (Vec<Rank>, Vec<Aabb>) {
     let mapper = BinMapper::new(ranks, 1e-4).unwrap();
     let out = mapper.assign(positions);
-    (out.ranks, out.rank_regions)
+    (out.ranks, out.rank_regions.into_owned())
 }
 
 /// The scalar kernel at one radius: for each particle, one receive on every

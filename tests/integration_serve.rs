@@ -3,8 +3,8 @@
 //! bytes the service answered before `pic_predict::predict` existed),
 //! content-address stability across LRU eviction and re-ingest, a fault
 //! corpus replayed over real sockets, a trace body bounded by its declared
-//! length, the slow-loris deadline, and
-//! overload shed by a fixed pool of threads.
+//! length, the slow-loris deadline, overload shed by a fixed pool of
+//! threads, and no thread started per request once the process is warm.
 //!
 //! In debug builds every lock asserts that its thread holds no other, so
 //! each test also runs that check over real concurrent traffic.
@@ -874,6 +874,89 @@ fn overload_is_shed_with_429_by_a_fixed_pool() {
     );
     drop(loris);
     assert_eq!(settled(baseline, process_threads), baseline);
+}
+
+/// No thread is started per request. Once one `/sweep` has warmed the
+/// process up (the server's pool and the vendored rayon's workers), four
+/// clients sending cached and uncached `/sweep`s and `/predict`s never
+/// push `Threads` above the count read after the warm-up, the clients
+/// already counted.
+#[cfg(target_os = "linux")]
+#[test]
+fn requests_after_warm_up_start_no_thread() {
+    if !in_a_process_of_its_own("requests_after_warm_up_start_no_thread") {
+        return;
+    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 6;
+    let trace = make_trace(7);
+    let study = pic_predict::run_case_study(
+        &base_cfg(7),
+        &pic_des::MachineSpec::quartz_like(),
+        &pic_predict::FitStrategy::Linear,
+    )
+    .unwrap();
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let encoded = codec::encode_trace(&trace, Precision::F64).unwrap();
+    let (status, body) = request(addr, "POST", "/traces", &encoded);
+    assert_eq!(status, 200, "{body}");
+    let address = json_str_field(&body, "address");
+    let (status, body) = request(addr, "POST", "/models", study.models.to_json().as_bytes());
+    assert_eq!(status, 200, "{body}");
+    let models = json_str_field(&body, "address");
+    let sweep = |filter: f64| {
+        format!(
+            "{{\"trace\":\"{address}\",\"ranks\":[4,8],\
+             \"mappings\":[\"bin-based\",\"element-based\"],\
+             \"filters\":[{filter}],\"mesh\":\"4x4x4\",\"order\":3}}"
+        )
+    };
+    let hit = sweep(0.05);
+    let predict = format!(
+        "{{\"trace\":\"{address}\",\"models\":\"{models}\",\"ranks\":4,\
+         \"mapping\":\"bin-based\",\"filters\":[0.03]}}"
+    );
+    let (status, body) = request(addr, "POST", "/sweep", hit.as_bytes());
+    assert_eq!(status, 200, "{body}");
+
+    let start = std::sync::Barrier::new(CLIENTS + 1);
+    let finished = AtomicUsize::new(0);
+    let (after_warm_up, peak) = std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (start, finished, hit, predict, sweep) =
+                (&start, &finished, &hit, &predict, &sweep);
+            scope.spawn(move || {
+                start.wait();
+                for k in 0..ROUNDS {
+                    let (status, body) = match (c + k) % 3 {
+                        0 => request(addr, "POST", "/sweep", hit.as_bytes()),
+                        1 => {
+                            let miss = sweep(0.02 + 0.001 * (c * ROUNDS + k) as f64);
+                            request(addr, "POST", "/sweep", miss.as_bytes())
+                        }
+                        _ => request(addr, "POST", "/predict", predict.as_bytes()),
+                    };
+                    assert_eq!(status, 200, "client {c} request {k}: {body}");
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let after_warm_up = process_threads();
+        start.wait();
+        let mut peak = after_warm_up;
+        while finished.load(Ordering::SeqCst) < CLIENTS {
+            peak = peak.max(process_threads());
+            std::thread::yield_now();
+        }
+        (after_warm_up, peak)
+    });
+    assert!(
+        peak <= after_warm_up,
+        "{peak} threads while serving, {after_warm_up} after the warm-up"
+    );
+    server.shutdown();
 }
 
 #[test]
