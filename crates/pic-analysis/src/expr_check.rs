@@ -65,14 +65,6 @@ impl FeatureSpace {
         }
     }
 
-    /// A space with explicit per-column ranges.
-    pub fn from_ranges(ranges: Vec<Interval>) -> FeatureSpace {
-        FeatureSpace {
-            names: None,
-            ranges,
-        }
-    }
-
     /// Number of input columns.
     pub fn arity(&self) -> usize {
         self.ranges.len()
@@ -491,6 +483,14 @@ pub fn check_model_expr(expr: &Expr, arity: usize) -> Result<(), PicError> {
 mod tests {
     use super::*;
 
+    /// A space with explicit per-column ranges.
+    fn ranges(ranges: Vec<Interval>) -> FeatureSpace {
+        FeatureSpace {
+            names: None,
+            ranges,
+        }
+    }
+
     fn add(a: Expr, b: Expr) -> Expr {
         Expr::Add(Box::new(a), Box::new(b))
     }
@@ -505,8 +505,7 @@ mod tests {
     fn clean_expression_has_no_findings() {
         // (x0 + 2) * x1 over positive ranges
         let e = mul(add(Expr::Var(0), Expr::Const(2.0)), Expr::Var(1));
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(1.0, 100.0), Interval::new(0.5, 2.0)]);
+        let space = ranges(vec![Interval::new(1.0, 100.0), Interval::new(0.5, 2.0)]);
         let r = analyze_expr(&e, &space);
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.value, Interval::new(1.5, 204.0));
@@ -538,16 +537,14 @@ mod tests {
     fn protected_division_flagged_when_guard_reachable() {
         // x0 / x1 with x1 spanning zero
         let e = div(Expr::Var(0), Expr::Var(1));
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(1.0, 2.0), Interval::new(-1.0, 1.0)]);
+        let space = ranges(vec![Interval::new(1.0, 2.0), Interval::new(-1.0, 1.0)]);
         let r = analyze_expr(&e, &space);
         assert_eq!(
             r.warnings().map(|d| d.code).collect::<Vec<_>>(),
             vec!["W101"]
         );
         // bounded away from zero: clean
-        let safe =
-            FeatureSpace::from_ranges(vec![Interval::new(1.0, 2.0), Interval::new(0.5, 1.0)]);
+        let safe = ranges(vec![Interval::new(1.0, 2.0), Interval::new(0.5, 1.0)]);
         assert!(analyze_expr(&e, &safe).diagnostics.is_empty());
     }
 
@@ -555,8 +552,7 @@ mod tests {
     fn degenerate_division_flagged_as_identity() {
         // x0 / (1e-15 · x1) — denominator never escapes the guard band
         let e = div(Expr::Var(0), mul(Expr::Const(1e-15), Expr::Var(1)));
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(1.0, 2.0), Interval::new(0.0, 1.0)]);
+        let space = ranges(vec![Interval::new(1.0, 2.0), Interval::new(0.0, 1.0)]);
         let r = analyze_expr(&e, &space);
         let codes: Vec<_> = r.warnings().map(|d| d.code).collect();
         assert!(codes.contains(&"W104"), "{codes:?}");
@@ -585,7 +581,7 @@ mod tests {
     #[test]
     fn overflow_reported_when_range_escapes_finite() {
         let e = mul(Expr::Const(1e300), mul(Expr::Const(1e300), Expr::Var(0)));
-        let space = FeatureSpace::from_ranges(vec![Interval::new(0.0, 10.0)]);
+        let space = ranges(vec![Interval::new(0.0, 10.0)]);
         let r = analyze_expr(&e, &space);
         assert!(
             r.warnings().any(|d| d.code == "W102"),
@@ -617,8 +613,7 @@ mod tests {
 
     #[test]
     fn probe_rows_cover_corners_and_guard_band() {
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(-1.0, 2.0), Interval::new(0.5, 4.0)]);
+        let space = ranges(vec![Interval::new(-1.0, 2.0), Interval::new(0.5, 4.0)]);
         let rows = space.probe_rows();
         assert!(!rows.is_empty());
         assert!(rows.len() <= FeatureSpace::MAX_PROBE_ROWS);
@@ -654,8 +649,7 @@ mod tests {
         // protected division with the guard band reachable — the probes
         // include rows on both sides of it
         let e = div(add(Expr::Var(0), Expr::Const(1.0)), Expr::Var(1));
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(-2.0, 2.0), Interval::new(-1.0, 1.0)]);
+        let space = ranges(vec![Interval::new(-2.0, 2.0), Interval::new(-1.0, 1.0)]);
         assert!(check_compiled_equivalence(&e, &space).is_ok());
         assert!(check_compiled_equivalence(&e, &FeatureSpace::unconstrained(2)).is_ok());
         // overflow corners (inf/NaN evaluations) must also agree
@@ -666,8 +660,7 @@ mod tests {
     #[test]
     fn report_value_is_sound_for_eval() {
         let e = div(add(Expr::Var(0), Expr::Const(1.0)), Expr::Var(1));
-        let space =
-            FeatureSpace::from_ranges(vec![Interval::new(-2.0, 2.0), Interval::new(0.5, 4.0)]);
+        let space = ranges(vec![Interval::new(-2.0, 2.0), Interval::new(0.5, 4.0)]);
         let r = analyze_expr(&e, &space);
         for i in 0..=20 {
             for j in 0..=20 {

@@ -2,8 +2,8 @@
 //! interval computed for an expression contains every value the concrete
 //! evaluator produces on inputs drawn from the feature space.
 
-use pic_analysis::{analyze_expr, FeatureSpace, Interval};
-use pic_models::Expr;
+use pic_analysis::{analyze_expr, FeatureSpace};
+use pic_models::{Dataset, Expr};
 use proptest::prelude::*;
 
 fn expr_strategy() -> impl Strategy<Value = Expr> {
@@ -21,9 +21,13 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Columns bounded to [-4, 4]; evaluation points inside them.
+/// Columns bounded to [-4, 4] (the hull of two corner rows); evaluation
+/// points inside them.
 fn space() -> FeatureSpace {
-    FeatureSpace::from_ranges(vec![Interval::new(-4.0, 4.0); 3])
+    let mut corners = Dataset::new(vec!["x0".into(), "x1".into(), "x2".into()]);
+    corners.push(vec![-4.0; 3], 0.0);
+    corners.push(vec![4.0; 3], 0.0);
+    FeatureSpace::from_dataset(&corners)
 }
 
 proptest! {

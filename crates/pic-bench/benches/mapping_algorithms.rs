@@ -89,7 +89,7 @@ fn bin_partition_depth(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("unbounded", format!("t{threshold}")),
             &pos,
-            |b, pos| b.iter(|| mapper.unbounded_bin_count(pos)),
+            |b, pos| b.iter(|| mapper.partition(pos, usize::MAX).bin_count()),
         );
     }
     // A 2 × 3 (ranks × threshold) grid of one sample, as a sweep's bin

@@ -2,7 +2,7 @@
 //! two regression families), and expression-tree evaluation throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pic_models::{Dataset, Expr, GpConfig, LinearModel, PerfModel, SymbolicRegressor};
+use pic_models::{Dataset, Expr, FittedModel, GpConfig, LinearModel, SymbolicRegressor};
 use pic_types::rng::SplitMix64;
 
 fn dataset(rows: usize, seed: u64) -> Dataset {
@@ -37,7 +37,6 @@ fn regression_fit(c: &mut Criterion) {
             population: 64,
             generations: 10,
             seed: 17,
-            ..GpConfig::default()
         };
         b.iter(|| SymbolicRegressor::new(cfg.clone()).fit(&d).unwrap());
     });
@@ -75,7 +74,7 @@ fn expression_eval(c: &mut Criterion) {
 
 fn model_predict(c: &mut Criterion) {
     let d = dataset(300, 9);
-    let m = LinearModel::fit_relative(&d).unwrap();
+    let m = FittedModel::Linear(LinearModel::fit_relative(&d).unwrap());
     let mut group = c.benchmark_group("model_predict");
     group.throughput(Throughput::Elements(d.rows.len() as u64));
     group.bench_function("linear_300_rows", |b| {

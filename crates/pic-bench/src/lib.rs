@@ -181,8 +181,8 @@ mod tests {
         let m = oracle_models(3);
         assert_eq!(m.kernels().len(), 6);
         // near-exact on noiseless data
-        for (_, mape) in m.validation_mapes() {
-            assert!(mape < 1.0);
+        for k in m.models() {
+            assert!(k.validation_mape < 1.0);
         }
     }
 

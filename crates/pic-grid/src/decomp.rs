@@ -7,15 +7,14 @@
 //! splitting the rank budget proportionally, so every rank ends up owning a
 //! contiguous rectangular brick of elements.
 //!
-//! The decomposition answers the two queries the rest of the framework
-//! needs:
-//! * `rank_of_element` / `rank_of_point` — ownership (element-based mapping,
-//!   computation-load generation);
-//! * `ranks_touching_sphere` — which remote domains a particle's projection
-//!   filter spills onto (ghost-particle generation).
+//! The decomposition answers ownership (`rank_of_element`, for the
+//! element-based mapping and computation-load generation) and gives each
+//! rank its brick (`rank_region`). Ghosts are not counted here: the replay
+//! counts them with the pruned tree joins over these regions, and pic-sim's
+//! ground truth asks a `RegionIndex`.
 
 use crate::mesh::ElementMesh;
-use pic_types::{Aabb, ElementId, PicError, Rank, Result, Vec3};
+use pic_types::{Aabb, ElementId, PicError, Rank, Result};
 use serde::{Deserialize, Serialize};
 
 /// A brick of element indices, half-open on each axis.
@@ -214,13 +213,6 @@ impl RcbDecomposition {
         self.element_owner[id.index()]
     }
 
-    /// Owning rank of the element containing point `p`, or `None` if `p` is
-    /// outside the mesh domain.
-    #[inline]
-    pub fn rank_of_point(&self, mesh: &ElementMesh, p: Vec3) -> Option<Rank> {
-        mesh.element_of_point(p).map(|e| self.rank_of_element(e))
-    }
-
     /// Physical region owned by `rank` (empty box if the rank owns nothing).
     pub fn rank_region(&self, rank: Rank) -> Aabb {
         self.rank_regions[rank.index()]
@@ -246,36 +238,13 @@ impl RcbDecomposition {
             .map(|(i, &_r)| ElementId::from_index(i))
             .collect()
     }
-
-    /// Distinct ranks whose regions intersect the sphere at `center` with
-    /// radius `radius`. The owning rank of `center` (if any) is included.
-    ///
-    /// This is the ghost-particle query: the particle at `center` with
-    /// projection-filter radius `radius` is a ghost on every returned rank
-    /// other than its residing rank.
-    pub fn ranks_touching_sphere(
-        &self,
-        mesh: &ElementMesh,
-        center: Vec3,
-        radius: f64,
-    ) -> Vec<Rank> {
-        let query = Aabb::new(center, center).inflate(radius);
-        let mut out: Vec<Rank> = Vec::new();
-        for e in mesh.elements_in_aabb(&query) {
-            let r = self.rank_of_element(e);
-            if !out.contains(&r) && mesh.element_aabb(e).intersects_sphere(center, radius) {
-                out.push(r);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mesh::MeshDims;
+    use pic_types::Vec3;
     use proptest::prelude::*;
 
     fn mesh(n: usize) -> ElementMesh {
@@ -536,17 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_point_matches_element_owner() {
-        let m = mesh(4);
-        let d = RcbDecomposition::decompose(&m, 6).unwrap();
-        for id in m.element_ids() {
-            let c = m.element_centroid(id);
-            assert_eq!(d.rank_of_point(&m, c), Some(d.rank_of_element(id)));
-        }
-        assert_eq!(d.rank_of_point(&m, Vec3::splat(5.0)), None);
-    }
-
-    #[test]
     fn elements_of_rank_consistent_with_counts() {
         let m = mesh(3);
         let d = RcbDecomposition::decompose(&m, 4).unwrap();
@@ -556,27 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn sphere_query_includes_home_and_neighbours() {
-        let m = mesh(4);
-        let d = RcbDecomposition::decompose(&m, 8).unwrap();
-        // Point near the domain center with a radius reaching all octants.
-        let c = Vec3::splat(0.5);
-        let touched = d.ranks_touching_sphere(&m, c, 0.3);
-        assert_eq!(touched.len(), 8, "center sphere should touch all 8 octants");
-        // Tiny sphere strictly inside one element touches only its owner.
-        let p = Vec3::splat(0.1);
-        let touched = d.ranks_touching_sphere(&m, p, 0.01);
-        assert_eq!(touched, vec![d.rank_of_point(&m, p).unwrap()]);
-    }
-
-    #[test]
     fn weighted_decomposition_balances_hot_corner() {
         // all weight in one corner octant: the weighted cuts must slice the
         // hot corner across ranks instead of splitting element counts evenly
         let m = mesh(8); // 512 elements
         let mut weights = vec![0.0f64; m.element_count()];
         for id in m.element_ids() {
-            let c = m.element_centroid(id);
+            let c = m.element_aabb(id).center();
             if c.x < 0.25 && c.y < 0.25 && c.z < 0.25 {
                 weights[id.index()] = 100.0;
             } else {
@@ -630,18 +574,5 @@ mod tests {
         let total: usize = d.element_counts().iter().sum();
         assert_eq!(total, 64);
         assert!(d.element_counts().iter().all(|&c| c > 0));
-    }
-
-    #[test]
-    fn sphere_query_respects_radius() {
-        let m = mesh(4);
-        let d = RcbDecomposition::decompose(&m, 8).unwrap();
-        let p = Vec3::new(0.45, 0.25, 0.25); // 0.05 away from the x=0.5 cut
-        let home = d.rank_of_point(&m, p).unwrap();
-        let small = d.ranks_touching_sphere(&m, p, 0.01);
-        assert_eq!(small, vec![home]);
-        let big = d.ranks_touching_sphere(&m, p, 0.1);
-        assert!(big.len() > 1);
-        assert!(big.contains(&home));
     }
 }

@@ -271,11 +271,6 @@ impl ElementMesh {
         Aabb::new(min, min + self.h)
     }
 
-    /// Centroid of element `id`.
-    pub fn element_centroid(&self, id: ElementId) -> Vec3 {
-        self.element_aabb(id).center()
-    }
-
     /// Face-adjacent neighbour elements of `id` (up to 6).
     pub fn neighbors(&self, id: ElementId) -> Vec<ElementId> {
         let (ix, iy, iz) = self.element_indices(id);
@@ -519,7 +514,7 @@ mod tests {
     fn point_lookup_matches_aabb() {
         let m = mesh4();
         for id in m.element_ids() {
-            let c = m.element_centroid(id);
+            let c = m.element_aabb(id).center();
             assert_eq!(m.element_of_point(c), Some(id));
             assert!(m.element_aabb(id).contains(c));
         }
@@ -607,7 +602,7 @@ mod tests {
         let hits = m.elements_in_aabb(&q);
         assert_eq!(hits.len(), 8);
         // sphere-sized query around a single centroid
-        let c = m.element_centroid(m.element_id(2, 2, 2));
+        let c = m.element_aabb(m.element_id(2, 2, 2)).center();
         let q = Aabb::new(c - Vec3::splat(0.01), c + Vec3::splat(0.01));
         assert_eq!(m.elements_in_aabb(&q), vec![m.element_id(2, 2, 2)]);
         // disjoint query

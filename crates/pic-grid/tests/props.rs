@@ -94,25 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn rank_of_point_is_owner_of_element(mesh in mesh_strategy(), ranks in 1usize..20, p in unit_point()) {
-        let d = RcbDecomposition::decompose(&mesh, ranks).unwrap();
-        let e = mesh.element_of_point(p).unwrap();
-        prop_assert_eq!(d.rank_of_point(&mesh, p), Some(d.rank_of_element(e)));
-    }
-
-    #[test]
-    fn sphere_query_superset_of_home(mesh in mesh_strategy(), ranks in 1usize..20, p in unit_point(), r in 0.001..0.3f64) {
-        let d = RcbDecomposition::decompose(&mesh, ranks).unwrap();
-        let home = d.rank_of_point(&mesh, p).unwrap();
-        let touched = d.ranks_touching_sphere(&mesh, p, r);
-        prop_assert!(touched.contains(&home));
-        // sorted unique
-        for w in touched.windows(2) {
-            prop_assert!(w[0] < w[1]);
-        }
-    }
-
-    #[test]
     fn gll_weights_positive_and_sum_two(n in 2usize..12) {
         let (nodes, weights) = pic_grid::gll::gll_nodes_weights(n);
         prop_assert_eq!(nodes.len(), n);

@@ -428,14 +428,6 @@ impl BinMapper {
     pub fn partition(&self, positions: &[Vec3], max_bins: usize) -> BinPartition {
         BinTree::new(positions).walk(max_bins, self.threshold)
     }
-
-    /// Maximum number of bins the threshold permits, ignoring the processor
-    /// count — the paper's Fig 6 analysis ("we have relaxed the processor
-    /// count limitation"). The result upper-bounds the processor count that
-    /// can receive particle workload, i.e. the *optimal* processor count.
-    pub fn unbounded_bin_count(&self, positions: &[Vec3]) -> usize {
-        self.partition(positions, usize::MAX).bin_count()
-    }
 }
 
 /// Permute `range` so that the records strictly below its median
@@ -950,7 +942,7 @@ mod tests {
         let out = m.assign(&pos);
         let bins = out.bin_count.unwrap();
         assert!(bins < 1024, "bins={bins}");
-        assert_eq!(bins, m.unbounded_bin_count(&pos));
+        assert_eq!(bins, m.partition(&pos, usize::MAX).bin_count());
     }
 
     #[test]
@@ -993,7 +985,7 @@ mod tests {
         let mut prev = 0;
         for &half in &[0.1, 0.3, 0.6, 1.2] {
             let pos = uniform_cloud(2000, half, 6);
-            let bins = m.unbounded_bin_count(&pos);
+            let bins = m.partition(&pos, usize::MAX).bin_count();
             assert!(bins >= prev, "half={half} bins={bins} prev={prev}");
             prev = bins;
         }
@@ -1007,12 +999,18 @@ mod tests {
         let mut prev = 0usize;
         for &t in &[1.0, 0.5, 0.25, 0.125] {
             let m = BinMapper::new(8, t).unwrap();
-            let bins = m.unbounded_bin_count(&pos);
+            let bins = m.partition(&pos, usize::MAX).bin_count();
             assert!(bins >= prev, "t={t} bins={bins} prev={prev}");
             prev = bins;
         }
-        let coarse = BinMapper::new(8, 1.0).unwrap().unbounded_bin_count(&pos);
-        let fine = BinMapper::new(8, 0.125).unwrap().unbounded_bin_count(&pos);
+        let coarse = BinMapper::new(8, 1.0)
+            .unwrap()
+            .partition(&pos, usize::MAX)
+            .bin_count();
+        let fine = BinMapper::new(8, 0.125)
+            .unwrap()
+            .partition(&pos, usize::MAX)
+            .bin_count();
         assert!(fine > coarse);
     }
 

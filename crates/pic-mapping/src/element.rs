@@ -99,7 +99,7 @@ mod tests {
         let mesh = m.mesh().clone();
         let centroids: Vec<Vec3> = mesh
             .element_ids()
-            .map(|id| mesh.element_centroid(id))
+            .map(|id| mesh.element_aabb(id).center())
             .collect();
         let out = m.assign(&centroids);
         for (id, r) in mesh.element_ids().zip(out.ranks) {

@@ -49,7 +49,7 @@ proptest! {
         let bins = out.bin_count.unwrap();
         prop_assert!(bins <= ranks.min(positions.len()));
         // bins also bounded by the unbounded cap
-        prop_assert!(bins <= mapper.unbounded_bin_count(&positions).max(1));
+        prop_assert!(bins <= mapper.partition(&positions, usize::MAX).bin_count().max(1));
     }
 
     #[test]
@@ -65,8 +65,8 @@ proptest! {
 
     #[test]
     fn bin_unbounded_count_monotone_in_threshold(positions in unit_positions(300), t in 0.01..0.3f64) {
-        let coarse = BinMapper::new(8, t * 2.0).unwrap().unbounded_bin_count(&positions);
-        let fine = BinMapper::new(8, t).unwrap().unbounded_bin_count(&positions);
+        let coarse = BinMapper::new(8, t * 2.0).unwrap().partition(&positions, usize::MAX).bin_count();
+        let fine = BinMapper::new(8, t).unwrap().partition(&positions, usize::MAX).bin_count();
         prop_assert!(fine >= coarse, "fine {fine} < coarse {coarse}");
     }
 

@@ -93,11 +93,6 @@ impl Dataset {
         out
     }
 
-    /// Column index of a feature name.
-    pub fn feature_index(&self, name: &str) -> Option<usize> {
-        self.feature_names.iter().position(|n| n == name)
-    }
-
     /// Column-major copy of the feature matrix (`columns()[c][r]` is
     /// feature `c` of row `r`): each feature's values are contiguous, so
     /// the compiled-tape batch evaluator streams over whole columns
@@ -142,8 +137,6 @@ mod tests {
         assert_eq!(d.len(), 10);
         assert_eq!(d.arity(), 2);
         assert!(!d.is_empty());
-        assert_eq!(d.feature_index("b"), Some(1));
-        assert_eq!(d.feature_index("z"), None);
     }
 
     #[test]

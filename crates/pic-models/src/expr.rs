@@ -214,14 +214,6 @@ impl Expr {
         walk(self, &mut i, &mut slot)
     }
 
-    /// Constant folding and identity elimination. Applied after evolution to
-    /// make reported formulas readable; never changes evaluation results
-    /// (up to floating-point rounding of folded constants). Delegates to
-    /// [`Expr::canonicalize`].
-    pub fn simplify(self) -> Expr {
-        self.canonicalize()
-    }
-
     /// Canonicalizing simplifier: constant folding (with the protected
     /// division semantics of [`Expr::eval`]), algebraic identity
     /// elimination, and a commutative-operand normal form (`Add`/`Mul`
@@ -429,15 +421,15 @@ mod tests {
     #[test]
     fn simplify_folds_constants() {
         let e = Expr::Add(Box::new(Expr::Const(2.0)), Box::new(Expr::Const(3.0)));
-        assert_eq!(e.simplify(), Expr::Const(5.0));
+        assert_eq!(e.canonicalize(), Expr::Const(5.0));
         let e = Expr::Mul(Box::new(Expr::Var(0)), Box::new(Expr::Const(1.0)));
-        assert_eq!(e.simplify(), Expr::Var(0));
+        assert_eq!(e.canonicalize(), Expr::Var(0));
         let e = Expr::Mul(Box::new(Expr::Var(0)), Box::new(Expr::Const(0.0)));
-        assert_eq!(e.simplify(), Expr::Const(0.0));
+        assert_eq!(e.canonicalize(), Expr::Const(0.0));
         let e = Expr::Sub(Box::new(Expr::Var(1)), Box::new(Expr::Var(1)));
-        assert_eq!(e.simplify(), Expr::Const(0.0));
+        assert_eq!(e.canonicalize(), Expr::Const(0.0));
         let e = Expr::Add(Box::new(Expr::Const(0.0)), Box::new(Expr::Var(2)));
-        assert_eq!(e.simplify(), Expr::Var(2));
+        assert_eq!(e.canonicalize(), Expr::Var(2));
     }
 
     #[test]
@@ -449,7 +441,7 @@ mod tests {
                 Box::new(Expr::Const(0.0)),
             )),
         );
-        let s = e.clone().simplify();
+        let s = e.clone().canonicalize();
         for x in [[1.0, 2.0], [0.5, -3.0], [10.0, 0.0]] {
             assert!((e.eval(&x) - s.eval(&x)).abs() < 1e-12);
         }

@@ -21,7 +21,6 @@
 use crate::compile::{CompiledExpr, EvalScratch};
 use crate::dataset::Dataset;
 use crate::expr::Expr;
-use crate::model::PerfModel;
 use pic_types::rng::SplitMix64;
 use pic_types::{PicError, Result};
 use rayon::prelude::*;
@@ -29,23 +28,25 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-/// Genetic-programming search parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Tournament size for selection.
+const TOURNAMENT: usize = 5;
+/// Maximum tree depth (children exceeding it are rejected).
+const MAX_DEPTH: usize = 8;
+/// Probability of crossover (vs mutation) when breeding.
+const CROSSOVER_PROB: f64 = 0.85;
+/// Per-node fitness penalty.
+const PARSIMONY: f64 = 1e-4;
+/// Number of elite individuals copied unchanged each generation.
+const ELITISM: usize = 4;
+
+/// Genetic-programming search parameters: the budget and the seed. The
+/// breeding knobs are the constants above.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpConfig {
     /// Population size.
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Tournament size for selection.
-    pub tournament: usize,
-    /// Maximum tree depth (children exceeding it are rejected).
-    pub max_depth: usize,
-    /// Probability of crossover (vs mutation) when breeding.
-    pub crossover_prob: f64,
-    /// Per-node fitness penalty.
-    pub parsimony: f64,
-    /// Number of elite individuals copied unchanged each generation.
-    pub elitism: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -55,11 +56,6 @@ impl Default for GpConfig {
         GpConfig {
             population: 256,
             generations: 60,
-            tournament: 5,
-            max_depth: 8,
-            crossover_prob: 0.85,
-            parsimony: 1e-4,
-            elitism: 4,
             seed: 0xC0FFEE,
         }
     }
@@ -72,7 +68,6 @@ impl GpConfig {
             population: 96,
             generations: 30,
             seed,
-            ..GpConfig::default()
         }
     }
 }
@@ -90,12 +85,14 @@ pub struct SymbolicModel {
     pub feature_names: Vec<String>,
 }
 
-impl PerfModel for SymbolicModel {
-    fn predict(&self, features: &[f64]) -> f64 {
+impl SymbolicModel {
+    /// Predict the target for one feature row.
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         self.scale * self.expr.eval(features) + self.offset
     }
 
-    fn describe(&self) -> String {
+    /// Human-readable formula.
+    pub(crate) fn describe(&self) -> String {
         format!(
             "{:.4e} * {} + {:.4e}",
             self.scale,
@@ -315,7 +312,7 @@ impl SymbolicRegressor {
                 random_tree(&mut rng, arity, depth, full)
             })
             .collect();
-        let mut scored = score_population(&pop, &ctx, cfg.parsimony, &mut cache);
+        let mut scored = score_population(&pop, &ctx, PARSIMONY, &mut cache);
 
         let mut best_idx = argmin(&scored);
         let mut best = (pop[best_idx].clone(), scored[best_idx]);
@@ -325,16 +322,16 @@ impl SymbolicRegressor {
             // Elitism: carry the best individuals forward.
             let mut order: Vec<usize> = (0..pop.len()).collect();
             order.sort_by(|&a, &b| scored[a].0.partial_cmp(&scored[b].0).unwrap());
-            for &i in order.iter().take(cfg.elitism.min(pop.len())) {
+            for &i in order.iter().take(ELITISM.min(pop.len())) {
                 next.push(pop[i].clone());
             }
             while next.len() < cfg.population {
-                let mut child = if rng.next_f64() < cfg.crossover_prob {
-                    let p1 = tournament(&mut rng, &scored, cfg.tournament);
-                    let p2 = tournament(&mut rng, &scored, cfg.tournament);
+                let mut child = if rng.next_f64() < CROSSOVER_PROB {
+                    let p1 = tournament(&mut rng, &scored, TOURNAMENT);
+                    let p2 = tournament(&mut rng, &scored, TOURNAMENT);
                     crossover(&mut rng, &pop[p1], &pop[p2])
                 } else {
-                    let p = tournament(&mut rng, &scored, cfg.tournament);
+                    let p = tournament(&mut rng, &scored, TOURNAMENT);
                     mutate(&mut rng, &pop[p], arity)
                 };
                 // Admission gate: structurally invalid children never
@@ -344,14 +341,14 @@ impl SymbolicRegressor {
                 }
                 // Depth limit: oversize children are replaced by a fresh
                 // small tree (keeps diversity instead of cloning parents).
-                if child.depth() <= cfg.max_depth {
+                if child.depth() <= MAX_DEPTH {
                     next.push(child);
                 } else {
                     next.push(random_tree(&mut rng, arity, 3, false));
                 }
             }
             pop = next;
-            scored = score_population(&pop, &ctx, cfg.parsimony, &mut cache);
+            scored = score_population(&pop, &ctx, PARSIMONY, &mut cache);
             best_idx = argmin(&scored);
             if scored[best_idx].0 < best.1 .0 {
                 best = (pop[best_idx].clone(), scored[best_idx]);
@@ -464,6 +461,10 @@ mod tests {
     use super::*;
     use crate::expr::DIV_GUARD;
 
+    fn mape(m: &SymbolicModel, d: &Dataset) -> f64 {
+        crate::FittedModel::Symbolic(m.clone()).mape(d)
+    }
+
     fn dataset_from(f: impl Fn(&[f64]) -> f64, arity: usize, n: usize, seed: u64) -> Dataset {
         let names = (0..arity).map(|i| format!("x{i}")).collect();
         let mut d = Dataset::new(names);
@@ -481,7 +482,7 @@ mod tests {
         // y = 7x + 3: expr = x with linear scaling nails it.
         let d = dataset_from(|x| 7.0 * x[0] + 3.0, 1, 60, 1);
         let m = SymbolicRegressor::new(GpConfig::fast(5)).fit(&d).unwrap();
-        assert!(m.mape(&d) < 0.5, "mape {}", m.mape(&d));
+        assert!(mape(&m, &d) < 0.5, "mape {}", mape(&m, &d));
     }
 
     #[test]
@@ -490,9 +491,9 @@ mod tests {
         let d = dataset_from(|x| x[0] * x[1], 2, 120, 2);
         let m = SymbolicRegressor::new(GpConfig::fast(7)).fit(&d).unwrap();
         assert!(
-            m.mape(&d) < 5.0,
+            mape(&m, &d) < 5.0,
             "mape {} expr {}",
-            m.mape(&d),
+            mape(&m, &d),
             m.describe()
         );
     }
@@ -503,9 +504,9 @@ mod tests {
         let d = dataset_from(|x| 30e-9 * (x[0] + x[1]) * 125.0, 2, 100, 3);
         let m = SymbolicRegressor::new(GpConfig::fast(11)).fit(&d).unwrap();
         assert!(
-            m.mape(&d) < 2.0,
+            mape(&m, &d) < 2.0,
             "mape {} expr {}",
-            m.mape(&d),
+            mape(&m, &d),
             m.describe()
         );
     }
@@ -523,8 +524,8 @@ mod tests {
         let d = dataset_from(|x| 2.0 * x[0] + x[1], 2, 80, 5);
         let a = SymbolicRegressor::new(GpConfig::fast(1)).fit(&d).unwrap();
         let b = SymbolicRegressor::new(GpConfig::fast(2)).fit(&d).unwrap();
-        assert!(a.mape(&d) < 5.0);
-        assert!(b.mape(&d) < 5.0);
+        assert!(mape(&a, &d) < 5.0);
+        assert!(mape(&b, &d) < 5.0);
     }
 
     /// A ramped half-and-half population like the engine's initialization.
@@ -653,20 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_engine_toggle_keys_are_ignored_on_load() {
-        // Config files written while `admission`, `compiled`, `parallel`
-        // and `memo` were fields must keep loading, whatever they said.
-        let current = r#"{"population":96,"generations":30,"tournament":5,"max_depth":8,
-                          "crossover_prob":0.85,"parsimony":0.0001,"elitism":4,"seed":7}"#;
-        let old = r#"{"population":96,"generations":30,"tournament":5,"max_depth":8,
-                      "crossover_prob":0.85,"parsimony":0.0001,"elitism":4,"seed":7,
-                      "admission":false,"compiled":false,"parallel":true,"memo":false}"#;
-        let cfg: GpConfig = serde_json::from_str(old).expect("old config loads");
-        assert_eq!(cfg, serde_json::from_str(current).unwrap());
-        assert_eq!(cfg, GpConfig::fast(7));
-    }
-
-    #[test]
     fn memo_cache_reports_hits_for_duplicates_and_elites() {
         let d = dataset_from(|x| 2.0 * x[0] + x[1], 2, 80, 22);
         let ctx = FitContext::new(&d);
@@ -693,7 +680,7 @@ mod tests {
         let d = dataset_from(|x| x[0] + 2.0 * x[1], 2, 60, 23);
         let ctx = FitContext::new(&d);
         let pop = random_population(9, 2, 64, 6);
-        let parsimony = GpConfig::default().parsimony;
+        let parsimony = PARSIMONY;
         let scored = score_population(&pop, &ctx, parsimony, &mut FitnessCache::new());
         assert_eq!(scored.len(), pop.len());
         for (e, &(f, a, b)) in pop.iter().zip(&scored) {

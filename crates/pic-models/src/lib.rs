@@ -6,15 +6,15 @@
 //!
 //! Two regression families, matching the paper:
 //!
-//! * **Linear / polynomial regression** ([`linear`]) — sufficient for
+//! * **Linear regression** ([`linear`]) — sufficient for
 //!   single-parameter models (e.g. kernel time vs particles-per-rank);
 //! * **Symbolic regression via genetic programming** ([`gp`], [`expr`]) —
 //!   the authors' HPCS'19 approach (paper refs \[13\], \[14\]) for
 //!   multi-parameter models whose functional form is not known a priori.
 //!
-//! Models implement [`PerfModel`], predicting seconds from a feature vector
-//! (the workload parameters `N_p`, `N_gp`, `N_el`, `N`, filter). Accuracy is
-//! reported as MAPE, the paper's headline metric.
+//! A fit yields a [`FittedModel`] of either family, which predicts seconds
+//! from a feature vector (the workload parameters `N_p`, `N_gp`, `N_el`,
+//! `N`, filter). Accuracy is reported as MAPE, the paper's headline metric.
 //!
 //! The crate also hosts [`kmeans`] — deterministic seeded k-means
 //! (k-means++ init, BIC-style K selection) used by the SimPoint-style
@@ -44,5 +44,5 @@ pub use dataset::Dataset;
 pub use expr::Expr;
 pub use gp::{GpConfig, SymbolicRegressor};
 pub use kmeans::{KMeans, KMeansConfig};
-pub use linear::{LinearModel, PolynomialModel};
-pub use model::{FittedModel, PerfModel};
+pub use linear::LinearModel;
+pub use model::FittedModel;

@@ -2,7 +2,7 @@
 //! trees keep their structural invariants under the GP operators' building
 //! blocks.
 
-use pic_models::{Dataset, Expr, LinearModel, PerfModel, PolynomialModel};
+use pic_models::{Dataset, Expr, FittedModel, LinearModel};
 use pic_types::rng::SplitMix64;
 use proptest::prelude::*;
 
@@ -66,32 +66,13 @@ proptest! {
         let rel = LinearModel::fit_relative(&d).unwrap();
         prop_assert!((plain.coefficients[0] - c).abs() < 1e-5);
         prop_assert!((rel.coefficients[0] - c).abs() < 1e-5);
-        prop_assert!(rel.mape(&d) < 1e-5);
-    }
-
-    #[test]
-    fn polynomial_fit_recovers_planted_quadratic(
-        a in -3.0..3.0f64,
-        b in -3.0..3.0f64,
-        c in -3.0..3.0f64,
-        seed in any::<u64>(),
-    ) {
-        let mut d = Dataset::new(vec!["x".into()]);
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..40 {
-            let x = rng.next_range(-5.0, 5.0);
-            d.push(vec![x], a + b * x + c * x * x);
-        }
-        let m = PolynomialModel::fit(&d, 0, 2).unwrap();
-        prop_assert!((m.coefficients[0] - a).abs() < 1e-4);
-        prop_assert!((m.coefficients[1] - b).abs() < 1e-4);
-        prop_assert!((m.coefficients[2] - c).abs() < 1e-4);
+        prop_assert!(FittedModel::Linear(rel).mape(&d) < 1e-5);
     }
 
     #[test]
     fn expr_simplify_preserves_value(e in expr_strategy(), x in proptest::collection::vec(-3.0..3.0f64, 3)) {
         let before = e.eval(&x);
-        let after = e.clone().simplify().eval(&x);
+        let after = e.clone().canonicalize().eval(&x);
         if before.is_finite() && after.is_finite() {
             let scale = before.abs().max(1.0);
             prop_assert!((before - after).abs() <= 1e-6 * scale, "{before} vs {after}");
@@ -100,7 +81,7 @@ proptest! {
 
     #[test]
     fn expr_simplify_never_grows(e in expr_strategy()) {
-        prop_assert!(e.clone().simplify().node_count() <= e.node_count());
+        prop_assert!(e.clone().canonicalize().node_count() <= e.node_count());
     }
 
     #[test]
@@ -187,7 +168,6 @@ proptest! {
 /// workloads and leaves large *percentage* errors on small ones.
 #[test]
 fn ablation_relative_ols_beats_plain_ols_on_multiplicative_noise() {
-    use pic_models::PerfModel;
     let mut rng = SplitMix64::new(99);
     let mut train = Dataset::new(vec!["np".into()]);
     let mut test = Dataset::new(vec!["np".into()]);
@@ -201,8 +181,8 @@ fn ablation_relative_ols_beats_plain_ols_on_multiplicative_noise() {
             test.push(vec![np], y);
         }
     }
-    let plain = LinearModel::fit(&train).unwrap();
-    let relative = LinearModel::fit_relative(&train).unwrap();
+    let plain = FittedModel::Linear(LinearModel::fit(&train).unwrap());
+    let relative = FittedModel::Linear(LinearModel::fit_relative(&train).unwrap());
     let plain_mape = plain.mape(&test);
     let rel_mape = relative.mape(&test);
     assert!(

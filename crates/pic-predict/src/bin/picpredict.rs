@@ -698,8 +698,8 @@ fn print_simpoint(
 
 /// Convert a trace (either format in) to the compact delta-encoded
 /// format, reporting the size ratio. The conversion is gated on a
-/// decode-back comparison: the compact file's dequantized positions must
-/// bin identically under the decode path before the command succeeds.
+/// decode-back check: the compact file must read back with the trace's
+/// sample and particle counts before the command succeeds.
 fn cmd_compact(flags: &HashMap<String, String>) -> Result<()> {
     let in_path = required(flags, "trace")?;
     let out_path = required(flags, "out")?;

@@ -1,8 +1,7 @@
 //! Per-kernel performance models fitted from instrumentation records.
 
 use pic_models::{
-    CompiledExpr, Dataset, EvalScratch, FittedModel, GpConfig, LinearModel, PerfModel,
-    SymbolicRegressor,
+    CompiledExpr, Dataset, EvalScratch, FittedModel, GpConfig, LinearModel, SymbolicRegressor,
 };
 use pic_sim::instrument::WorkloadParams;
 use pic_sim::{KernelKind, Recorder};
@@ -10,34 +9,29 @@ use pic_types::{PicError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Which regression family to use for each kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case", tag = "strategy")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FitStrategy {
     /// Ordinary least squares on the varying features (the paper's choice
     /// for single-parameter models).
     Linear,
-    /// GP symbolic regression on the varying features (the paper's choice
-    /// for multi-parameter models).
-    Symbolic {
-        /// GP search parameters.
-        gp: GpConfig,
-    },
-    /// Fit linear first; if its held-out MAPE exceeds `mape_threshold`
-    /// (percent), fall back to symbolic regression and keep the better of
+    /// Fit linear first; if its held-out MAPE exceeds 12 %
+    /// (`MAPE_THRESHOLD`), fall back to GP symbolic regression (the
+    /// paper's choice for multi-parameter models) and keep the better of
     /// the two. This mirrors the paper's finding that linear regression
     /// sufficed for simple kernels but failed on multi-parameter ones.
     Auto {
-        /// MAPE (percent) above which the GP fallback is tried.
-        mape_threshold: f64,
         /// GP search parameters for the fallback.
         gp: GpConfig,
     },
 }
 
+/// Held-out MAPE (percent) above which [`FitStrategy::Auto`] tries the GP
+/// fallback.
+const MAPE_THRESHOLD: f64 = 12.0;
+
 impl Default for FitStrategy {
     fn default() -> FitStrategy {
         FitStrategy::Auto {
-            mape_threshold: 12.0,
             gp: GpConfig::default(),
         }
     }
@@ -47,7 +41,6 @@ impl FitStrategy {
     /// An Auto strategy with a fast GP — for tests and quick studies.
     pub fn fast(seed: u64) -> FitStrategy {
         FitStrategy::Auto {
-            mape_threshold: 12.0,
             gp: GpConfig::fast(seed),
         }
     }
@@ -115,17 +108,6 @@ impl KernelModel {
                     return Err(ctx("linear model has non-finite parameters".into()));
                 }
             }
-            FittedModel::Polynomial(m) => {
-                if m.feature_index >= arity {
-                    return Err(ctx(format!(
-                        "polynomial feature index {} out of range for {arity} columns",
-                        m.feature_index
-                    )));
-                }
-                if m.coefficients.iter().any(|c| !c.is_finite()) {
-                    return Err(ctx("polynomial model has non-finite coefficients".into()));
-                }
-            }
             FittedModel::Symbolic(m) => {
                 // Depth gate first: it is iterative, and everything after
                 // it (the analyzer, rendering, serialization) recurses.
@@ -154,7 +136,7 @@ impl KernelModel {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelModels {
     models: Vec<KernelModel>,
-    /// Compiled tape per model (`None` for linear/polynomial), aligned
+    /// Compiled tape per model (`None` for linear), aligned
     /// with `models`. Rebuilt by every constructor; empty only on the
     /// deserialization fast path, which [`KernelModels::from_json`]
     /// immediately repairs.
@@ -278,14 +260,6 @@ impl KernelModels {
             .map_or(0.0, |plan| plan.predict(&params.features()))
     }
 
-    /// Per-kernel held-out validation MAPE (percent).
-    pub fn validation_mapes(&self) -> Vec<(KernelKind, f64)> {
-        self.models
-            .iter()
-            .map(|m| (m.kernel, m.validation_mape))
-            .collect()
-    }
-
     /// Average validation MAPE across kernels (the paper's headline
     /// "average MAPE of 8.42 %").
     pub fn mean_validation_mape(&self) -> f64 {
@@ -316,14 +290,32 @@ impl KernelModels {
     /// analyzer admission pass — see [`KernelModel::validate`]), then
     /// compile the admitted symbolic models to tapes. Hostile nesting is
     /// refused by the JSON parser itself (`serde_json::MAX_DEPTH`), before
-    /// it can reach a recursive `Deserialize`.
+    /// it can reach a recursive `Deserialize`. A model that does not parse
+    /// (say, of a family no fit produces) is named by its kernel.
     pub fn from_json(s: &str) -> Result<KernelModels> {
-        let mut models: KernelModels = serde_json::from_str(s)
-            .map_err(|e| PicError::model(format!("bad models JSON: {e}")))?;
+        let mut models: KernelModels = serde_json::from_str(s).map_err(|e| {
+            let at = unparsed_kernel(s).map_or(String::new(), |k| format!("kernel '{k}': "));
+            PicError::model(format!("{at}bad models JSON: {e}"))
+        })?;
         models.validate()?;
         models.compiled = compile_tapes(&models.models);
         Ok(models)
     }
+}
+
+/// The kernel of the first model in a models document that does not
+/// parse, when the document itself does.
+fn unparsed_kernel(s: &str) -> Option<String> {
+    let doc = serde_json::from_str::<serde::Value>(s).ok()?;
+    let models = serde::find_key(doc.as_map()?, "models")?.as_array()?;
+    let bad = models
+        .iter()
+        .find(|m| KernelModel::deserialize(m).is_err())?;
+    Some(
+        serde::find_key(bad.as_map()?, "kernel")?
+            .as_str()?
+            .to_string(),
+    )
 }
 
 /// Number of workload features ([`WorkloadParams::features`]).
@@ -419,26 +411,21 @@ fn fit_one(
     let linear = || -> Result<(FittedModel, f64)> {
         // Relative least squares matches the MAPE objective (timing noise
         // is multiplicative).
-        let m = LinearModel::fit_relative(train)?;
+        let m = FittedModel::Linear(LinearModel::fit_relative(train)?);
         let mape = m.mape(test);
-        Ok((FittedModel::Linear(m), mape))
-    };
-    let symbolic = |gp: &GpConfig| -> Result<(FittedModel, f64)> {
-        let mut gp = gp.clone();
-        gp.seed ^= seed;
-        let m = SymbolicRegressor::new(gp).fit(train)?;
-        let mape = m.mape(test);
-        Ok((FittedModel::Symbolic(m), mape))
+        Ok((m, mape))
     };
     match strategy {
         FitStrategy::Linear => linear(),
-        FitStrategy::Symbolic { gp } => symbolic(gp),
-        FitStrategy::Auto { mape_threshold, gp } => {
+        FitStrategy::Auto { gp } => {
             let (lm, lmape) = linear()?;
-            if lmape <= *mape_threshold {
+            if lmape <= MAPE_THRESHOLD {
                 return Ok((lm, lmape));
             }
-            let (sm, smape) = symbolic(gp)?;
+            let mut gp = gp.clone();
+            gp.seed ^= seed;
+            let sm = FittedModel::Symbolic(SymbolicRegressor::new(gp).fit(train)?);
+            let smape = sm.mape(test);
             if smape < lmape {
                 Ok((sm, smape))
             } else {
@@ -486,7 +473,8 @@ mod tests {
         assert_eq!(models.kernels().len(), 6);
         // With σ = 0.1 multiplicative noise, E|rel err| ≈ 8 % — the paper's
         // 8.42 % regime. Allow headroom.
-        for (k, mape) in models.validation_mapes() {
+        for m in models.models() {
+            let (k, mape) = (m.kernel, m.validation_mape);
             assert!(mape < 15.0, "{k}: MAPE {mape}");
         }
         let avg = models.mean_validation_mape();
@@ -497,7 +485,8 @@ mod tests {
     fn noiseless_linear_fit_is_nearly_exact() {
         let rec = synthetic_recorder(0.0, 4);
         let models = KernelModels::fit(&rec, &FitStrategy::Linear, 2).unwrap();
-        for (k, mape) in models.validation_mapes() {
+        for m in models.models() {
+            let (k, mape) = (m.kernel, m.validation_mape);
             // all oracle kernels are linear in (np, ngp, nel) at fixed N
             // and filter
             assert!(mape < 0.5, "{k}: MAPE {mape}");
@@ -551,7 +540,8 @@ mod tests {
         let rec = synthetic_recorder(0.05, 7);
         let models = KernelModels::fit(&rec, &FitStrategy::fast(1), 5).unwrap();
         // linear is near-exact here, so Auto must not degrade accuracy
-        for (k, mape) in models.validation_mapes() {
+        for m in models.models() {
+            let (k, mape) = (m.kernel, m.validation_mape);
             assert!(mape < 10.0, "{k}: {mape}");
         }
         // and the chosen family should be Linear for at least the pusher

@@ -423,7 +423,7 @@ mod tests {
     use crate::kernel_models::KernelModel;
     use pic_grid::MeshDims;
     use pic_models::gp::SymbolicModel;
-    use pic_models::{Expr, FittedModel, LinearModel, PolynomialModel};
+    use pic_models::{Expr, FittedModel, LinearModel};
     use pic_sim::instrument::WorkloadParams;
     use pic_types::rng::SplitMix64;
     use pic_types::Rank;
@@ -655,8 +655,7 @@ mod tests {
         }
     }
 
-    /// `family`: 0 = no model for the kernel, 1 = linear, 2 = polynomial,
-    /// 3 = symbolic.
+    /// `family`: 0 = no model for the kernel, 1 = linear, 2 = symbolic.
     fn model_for(
         kernel: KernelKind,
         family: usize,
@@ -672,11 +671,6 @@ mod tests {
                 feature_names: names(),
                 intercept: coefs[7],
                 coefficients: coefs[..arity].to_vec(),
-            }),
-            2 => FittedModel::Polynomial(PolynomialModel {
-                feature_name: "f".into(),
-                feature_index: pick % arity,
-                coefficients: coefs[..4].to_vec(),
             }),
             _ => FittedModel::Symbolic(SymbolicModel {
                 expr: expr_menu(pick),
@@ -704,7 +698,7 @@ mod tests {
             elements_len in 0usize..2100,
             specs in proptest::collection::vec(
                 (
-                    0usize..4,
+                    0usize..3,
                     // up to 7 columns: past the 5 features, with repeats
                     proptest::collection::vec(0usize..5, 1..8),
                     proptest::collection::vec(-2.0..2.0f64, 8..=8),
@@ -743,17 +737,17 @@ mod tests {
                 0,
                 [1e-3, 2e-3, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-2],
             ),
-            (2, vec![1, 0], 0, [0.5, 0.1, 0.01, 1e-4, 0.0, 0.0, 0.0, 0.0]),
+            (1, vec![1, 0], 0, [0.5, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-4]),
             // np / (ngp - np)
             (
-                3,
+                2,
                 vec![0, 1, 2, 3],
                 0,
                 [0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             ),
             (0, vec![0], 0, [0.0; 8]),
             // -0.4 · (1 / np) + 0.1
-            (3, vec![0], 1, [-0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+            (2, vec![0], 1, [-0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
             (
                 1,
                 vec![4, 1, 0],
@@ -791,7 +785,7 @@ mod tests {
         // ...as is the last kernel wherever ghosts arrive
         assert!(got.iter().flatten().any(|row| row[5] == 0.0));
         assert!(got.iter().flatten().any(|row| row[5] > 0.0));
-        // the polynomial kernel is positive there, the unmodelled one zero
+        // the second linear kernel is positive there, the unmodelled one zero
         assert!(got[0][1][1] > 0.0);
         assert!(got.iter().flatten().all(|row| row[3] == 0.0));
         // past the element list the fluid workload reads as zero

@@ -618,7 +618,12 @@ fn reduction_plan(
 mod tests {
     use super::*;
     use pic_trace::codec::{encode_trace, Precision};
-    use pic_types::hash::fnv1a_128;
+
+    fn fnv1a_128(bytes: &[u8]) -> u128 {
+        let mut d = Fnv128::new();
+        d.update(bytes);
+        d.digest()
+    }
 
     fn state() -> ServerState {
         ServerState::new(
@@ -718,13 +723,17 @@ mod tests {
         let (status, resp) = handle(&state, "/sweep", body).unwrap();
         assert_eq!(status, 200, "{resp}");
         let plans = state.registry.plan_cache("tt").unwrap();
-        assert_eq!(plans.len(), 1);
+        let plan = plans
+            .get(Some(3))
+            .expect("the plan of 3 clusters is cached");
+        // the cached plan weighs into the entry's LRU bytes
+        let bytes = plans.resident_bytes();
+        assert!(bytes > 0);
         // repeat: same knobs land on the cached plan, not a second entry
         let (status, _) = handle(&state, "/sweep", body).unwrap();
         assert_eq!(status, 200);
-        assert_eq!(plans.len(), 1);
-        // the cached plan weighs into the entry's LRU bytes
-        assert!(plans.resident_bytes() > 0);
+        assert!(Arc::ptr_eq(&plans.get(Some(3)).unwrap(), &plan));
+        assert_eq!(plans.resident_bytes(), bytes);
     }
 
     /// A handler that panics costs its client a `500`, not the worker: the

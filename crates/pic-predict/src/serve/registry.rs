@@ -16,10 +16,14 @@
 //! Eviction is strict LRU over *trace* entries by last-touch tick, where
 //! an entry's weight is its trace's resident bytes (`f64` positions, or
 //! the encoded frames, keyframes and dequantization table of a compact
-//! trace, fixed at admission) plus everything its
-//! assignment cache holds; the most recently ingested entry is never
-//! evicted by its own arrival. Model entries are tiny and capped by
-//! count, LRU as well.
+//! trace, fixed at admission) plus everything its assignment cache and
+//! plan cache hold. Each trace's assignment cache may grow to the whole
+//! budget on its own, so the registry settles after every ingest of a new
+//! address *and* every trace lookup: it evicts the least recently used
+//! entries other than the one just ingested or asked for until the total
+//! fits, or one entry is left. Between a lookup and the next, the caches
+//! of the traces in use may run the total over the budget. Model entries
+//! are tiny and capped by count, LRU as well.
 
 use pic_trace::ParticleTrace;
 use pic_types::sync::Mutex;
@@ -76,16 +80,6 @@ impl PlanCache {
     /// the owning trace entry's LRU weight. Takes no lock.
     pub fn resident_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -169,11 +163,6 @@ impl TraceRegistry {
         }
     }
 
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Register a trace under its content address. If the address
     /// is already resident the existing entry (and its warmed-up artifact
     /// cache) is kept and returned — identical bytes, identical artifacts.
@@ -249,23 +238,24 @@ impl TraceRegistry {
         evicted
     }
 
-    /// Look up a resident trace by content address, bumping its recency.
+    /// Look up a resident trace by content address, bumping its recency,
+    /// then settle the budget: the artifact caches grow between lookups,
+    /// so every lookup evicts least-recently-used traces other than the
+    /// one asked for until the registry fits again.
     pub fn get_trace(&self, address: &str) -> Option<(Arc<ParticleTrace>, Arc<AssignmentCache>)> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.traces.get_mut(address) {
-            Some(e) => {
-                e.last_used = tick;
-                let out = (Arc::clone(&e.resident.trace), Arc::clone(&e.resident.cache));
-                inner.stats.trace_hits += 1;
-                Some(out)
-            }
-            None => {
-                inner.stats.trace_misses += 1;
-                None
-            }
+        let out = inner.traces.get_mut(address).map(|e| {
+            e.last_used = tick;
+            (Arc::clone(&e.resident.trace), Arc::clone(&e.resident.cache))
+        });
+        match out {
+            Some(_) => inner.stats.trace_hits += 1,
+            None => inner.stats.trace_misses += 1,
         }
+        Self::evict_over_budget(&mut inner, self.budget_bytes, Some(address));
+        out
     }
 
     /// The reduction-plan cache of a resident trace, without bumping its
@@ -431,6 +421,31 @@ mod tests {
         assert!(reg.get_trace("t1").is_some());
         assert!(reg.get_trace("t3").is_some());
         assert_eq!(reg.stats().trace_evictions, 1);
+    }
+
+    #[test]
+    fn a_lookup_settles_caches_grown_since_the_last_ingest() {
+        use pic_mapping::MappingAlgorithm;
+        use pic_workload::{replay, ReplayOptions, SweepPoint, WorkloadConfig};
+        let both = 2 * trace(40, 4, "x").resident_bytes();
+        let reg = TraceRegistry::new(both + both / 4);
+        reg.insert_trace("a", trace(40, 4, "a"), 1);
+        reg.insert_trace("b", trace(40, 4, "b"), 1);
+        assert_eq!(reg.stats().resident_traces, 2);
+        for addr in ["a", "b"] {
+            let (tr, cache) = reg.get_trace(addr).unwrap();
+            let points: Vec<SweepPoint> = (2..12)
+                .map(|r| SweepPoint::new(WorkloadConfig::new(r, MappingAlgorithm::BinBased, 0.05)))
+                .collect();
+            replay(&tr, &points, &ReplayOptions::new(None, Some(&cache), None)).unwrap();
+        }
+        // both caches grew past the budget after their lookups
+        assert!(reg.stats().resident_bytes > both + both / 4);
+        assert!(reg.get_trace("b").is_some());
+        let s = reg.stats();
+        assert!(s.resident_bytes <= both + both / 4 || s.resident_traces == 1);
+        assert_eq!((s.resident_traces, s.trace_evictions), (1, 1));
+        assert!(reg.get_trace("a").is_none(), "the least recently used goes");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::codec::Precision;
 use crate::trace::ParticleTrace;
-use pic_types::{Aabb, Vec3};
+use pic_types::Aabb;
 
 /// Tight bounding box of every particle at each sample.
 ///
@@ -25,43 +25,23 @@ pub fn boundary_volume_series(trace: &ParticleTrace) -> Vec<f64> {
     boundary_series(trace).iter().map(Aabb::volume).collect()
 }
 
-/// `f(previous, current)` over consecutive samples, in order.
-fn step_pairs<T>(trace: &ParticleTrace, mut f: impl FnMut(&[Vec3], &[Vec3]) -> T) -> Vec<T> {
-    let mut samples = trace.samples();
-    let Some(mut prev) = samples.next() else {
-        return Vec::new();
-    };
-    samples
-        .map(|cur| {
-            let step = f(&prev.positions, &cur.positions);
-            prev = cur;
-            step
-        })
-        .collect()
-}
-
-/// Per-sample mean displacement of particles relative to the previous
-/// sample. First entry is 0 (no predecessor).
-pub fn mean_displacement_series(trace: &ParticleTrace) -> Vec<f64> {
-    if trace.is_empty() {
-        return Vec::new();
-    }
-    let steps = step_pairs(trace, |prev, cur| {
-        let total: f64 = prev.iter().zip(cur).map(|(a, b)| a.distance(*b)).sum();
-        total / prev.len().max(1) as f64
-    });
-    std::iter::once(0.0).chain(steps).collect()
-}
-
 /// Maximum single-particle displacement between consecutive samples, over
 /// the whole trace. A displacement larger than an element edge between
 /// samples signals an under-sampled trace (the paper's "low sampling
 /// frequency does not accurately capture particle movement").
 pub fn max_step_displacement(trace: &ParticleTrace) -> f64 {
-    let steps = step_pairs(trace, |prev, cur| {
-        (prev.iter().zip(cur)).fold(0.0f64, |max, (a, b)| max.max(a.distance(*b)))
-    });
-    steps.into_iter().fold(0.0f64, f64::max)
+    let mut samples = trace.samples();
+    let Some(mut prev) = samples.next() else {
+        return 0.0;
+    };
+    let mut max = 0.0f64;
+    for cur in samples {
+        for (a, b) in prev.positions.iter().zip(cur.positions.iter()) {
+            max = max.max(a.distance(*b));
+        }
+        prev = cur;
+    }
+    max
 }
 
 /// Estimated on-disk size in bytes of a trace with `particles` particles and
@@ -78,9 +58,14 @@ mod tests {
     use crate::trace::TraceMeta;
     use pic_types::Vec3;
 
+    /// The cube `[-h, h]^3`.
+    fn cube(h: f64) -> Aabb {
+        Aabb::new(Vec3::splat(-h), Vec3::splat(h))
+    }
+
     fn expanding_trace() -> ParticleTrace {
         // Two particles that move apart each sample.
-        let meta = TraceMeta::new(2, 10, Aabb::centered_cube(10.0), "expand");
+        let meta = TraceMeta::new(2, 10, cube(10.0), "expand");
         let mut tr = ParticleTrace::new(meta);
         for k in 0..4 {
             let d = k as f64;
@@ -100,19 +85,13 @@ mod tests {
             assert!(vols[k] > vols[k - 1]);
         }
         let boxes = boundary_series(&tr);
-        assert_eq!(boxes[3], Aabb::centered_cube(3.0));
+        assert_eq!(boxes[3], cube(3.0));
     }
 
     #[test]
     fn displacement_series() {
         let tr = expanding_trace();
-        let d = mean_displacement_series(&tr);
-        assert_eq!(d[0], 0.0);
         let step = Vec3::splat(1.0).norm();
-        #[allow(clippy::needless_range_loop)]
-        for k in 1..4 {
-            assert!((d[k] - step).abs() < 1e-12);
-        }
         assert!((max_step_displacement(&tr) - step).abs() < 1e-12);
     }
 
@@ -120,7 +99,6 @@ mod tests {
     fn empty_trace_series_are_empty() {
         let tr = ParticleTrace::new(TraceMeta::new(2, 10, Aabb::unit(), "e"));
         assert!(boundary_series(&tr).is_empty());
-        assert!(mean_displacement_series(&tr).is_empty());
         assert_eq!(max_step_displacement(&tr), 0.0);
     }
 

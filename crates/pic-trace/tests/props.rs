@@ -18,7 +18,12 @@ fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
             t..=t,
         )
         .prop_map(move |frames| {
-            let meta = TraceMeta::new(np, interval, Aabb::centered_cube(1e3), "prop");
+            let meta = TraceMeta::new(
+                np,
+                interval,
+                Aabb::new(Vec3::splat(-1e3), Vec3::splat(1e3)),
+                "prop",
+            );
             let mut tr = ParticleTrace::new(meta);
             for frame in frames {
                 tr.push_positions(frame).unwrap();
@@ -51,7 +56,12 @@ fn drifting_strategy() -> impl Strategy<Value = ParticleTrace> {
     (0usize..12, samples, scale, leaps).prop_flat_map(|(np, t, scale, leaps)| {
         let particle = (-1e3..1e3f64, -1e3..1e3f64, -1e3..1e3f64, -1.0..1.0f64);
         proptest::collection::vec(particle, np..=np).prop_map(move |particles| {
-            let meta = TraceMeta::new(np, 10, Aabb::centered_cube(2e3), "drift");
+            let meta = TraceMeta::new(
+                np,
+                10,
+                Aabb::new(Vec3::splat(-2e3), Vec3::splat(2e3)),
+                "drift",
+            );
             let mut tr = ParticleTrace::new(meta);
             for k in 0..t {
                 let step = k as f64 * scale;
@@ -193,11 +203,6 @@ proptest! {
                 stats::boundary_series(&resident),
                 stats::boundary_series(&oracle)
             );
-            let displacement = |tr: &ParticleTrace| -> Vec<u64> {
-                let series = stats::mean_displacement_series(tr);
-                series.iter().map(|d| d.to_bits()).collect()
-            };
-            prop_assert_eq!(displacement(&resident), displacement(&oracle));
             prop_assert_eq!(
                 stats::max_step_displacement(&resident).to_bits(),
                 stats::max_step_displacement(&oracle).to_bits()
@@ -296,8 +301,6 @@ proptest! {
         for _ in 0..t {
             tr.push_positions(frame.clone()).unwrap();
         }
-        let d = pic_trace::stats::mean_displacement_series(&tr);
-        prop_assert!(d.iter().all(|&x| x == 0.0));
         prop_assert_eq!(pic_trace::stats::max_step_displacement(&tr), 0.0);
     }
 }

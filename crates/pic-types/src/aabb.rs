@@ -47,12 +47,6 @@ impl Aabb {
         Aabb::new(Vec3::ZERO, Vec3::ONE)
     }
 
-    /// The cube `[-h, h]^3`.
-    #[inline]
-    pub fn centered_cube(h: f64) -> Aabb {
-        Aabb::new(Vec3::splat(-h), Vec3::splat(h))
-    }
-
     /// Smallest box containing all `points`; [`Aabb::empty`] for an empty
     /// iterator.
     pub fn from_points<I: IntoIterator<Item = Vec3>>(points: I) -> Aabb {
@@ -90,20 +84,6 @@ impl Aabb {
     pub fn volume(&self) -> f64 {
         let e = self.extent();
         e.x * e.y * e.z
-    }
-
-    /// The axis along which the box is longest. Ties break toward X then Y,
-    /// matching the deterministic cut ordering of the bin partitioner.
-    #[inline]
-    pub fn longest_axis(&self) -> Axis {
-        let e = self.extent();
-        if e.x >= e.y && e.x >= e.z {
-            Axis::X
-        } else if e.y >= e.z {
-            Axis::Y
-        } else {
-            Axis::Z
-        }
     }
 
     /// Length of the longest edge.
@@ -271,24 +251,6 @@ mod tests {
         let (lo, hi) = b.split_at(Axis::Z, 2.0);
         assert!((lo.volume() + hi.volume() - b.volume()).abs() < 1e-12);
         assert_eq!(lo.union(&hi), b);
-    }
-
-    #[test]
-    fn longest_axis_selection() {
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(3.0, 2.0, 1.0)).longest_axis(),
-            Axis::X
-        );
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(1.0, 3.0, 2.0)).longest_axis(),
-            Axis::Y
-        );
-        assert_eq!(
-            Aabb::new(Vec3::ZERO, Vec3::new(1.0, 2.0, 3.0)).longest_axis(),
-            Axis::Z
-        );
-        // tie breaks toward X
-        assert_eq!(Aabb::unit().longest_axis(), Axis::X);
     }
 
     #[test]

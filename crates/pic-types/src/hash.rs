@@ -79,16 +79,15 @@ impl Fnv128 {
     }
 }
 
-/// One-shot 128-bit FNV-1a digest of `bytes`.
-pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    let mut d = Fnv128::new();
-    d.update(bytes);
-    d.digest()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fnv1a_128(bytes: &[u8]) -> u128 {
+        let mut d = Fnv128::new();
+        d.update(bytes);
+        d.digest()
+    }
 
     #[test]
     fn known_vectors_64() {

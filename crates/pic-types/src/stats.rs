@@ -49,46 +49,6 @@ pub fn mape(predicted: &[f64], actual: &[f64]) -> f64 {
     }
 }
 
-/// Root-mean-square error between predictions and actual values.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn rmse(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "rmse: length mismatch");
-    if predicted.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(&p, &a)| (p - a) * (p - a))
-        .sum();
-    (s / predicted.len() as f64).sqrt()
-}
-
-/// Coefficient of determination R² of predictions against actual values.
-///
-/// Returns `1.0` for a perfect fit and can be negative for fits worse than
-/// the mean. Returns `0.0` for degenerate inputs (empty or zero-variance
-/// actuals).
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "r_squared: length mismatch");
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let m = mean(actual);
-    let ss_tot: f64 = actual.iter().map(|a| (a - m) * (a - m)).sum();
-    if ss_tot == 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(&p, &a)| (a - p) * (a - p))
-        .sum();
-    1.0 - ss_res / ss_tot
-}
-
 /// Linear-interpolated percentile (`q` in `[0, 100]`) of a slice.
 ///
 /// Returns `0.0` for an empty slice. The input need not be sorted.
@@ -149,23 +109,6 @@ mod tests {
     #[should_panic]
     fn mape_length_mismatch_panics() {
         mape(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn rmse_basics() {
-        assert_eq!(rmse(&[], &[]), 0.0);
-        assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert_eq!(rmse(&[0.0, 0.0], &[3.0, 4.0]), (12.5f64).sqrt());
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean_fit() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        assert!((r_squared(&a, &a) - 1.0).abs() < 1e-12);
-        let mean_pred = [2.5; 4];
-        assert!(r_squared(&mean_pred, &a).abs() < 1e-12);
-        assert_eq!(r_squared(&[], &[]), 0.0);
-        assert_eq!(r_squared(&[1.0], &[1.0]), 0.0); // zero variance
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::matrices::CompMatrix;
 use pic_types::stats;
 
 /// Fraction of ranks with at least one particle at a given sample.
-pub fn active_fraction_at(m: &CompMatrix, sample: usize) -> f64 {
+fn active_fraction_at(m: &CompMatrix, sample: usize) -> f64 {
     let row = m.sample_row(sample);
     if row.is_empty() {
         return 0.0;
@@ -17,7 +17,8 @@ pub fn active_fraction_at(m: &CompMatrix, sample: usize) -> f64 {
     row.iter().filter(|&&c| c > 0).count() as f64 / row.len() as f64
 }
 
-/// Per-sample series of [`active_fraction_at`] — Fig 1b's data.
+/// Per sample, the fraction of ranks holding at least one particle —
+/// Fig 1b's data.
 pub fn active_fraction_series(m: &CompMatrix) -> Vec<f64> {
     (0..m.samples()).map(|t| active_fraction_at(m, t)).collect()
 }
@@ -34,24 +35,6 @@ pub fn resource_utilization(m: &CompMatrix) -> f64 {
         return 0.0;
     }
     stats::mean(&series)
-}
-
-/// Fraction of ranks holding at least one particle at *some* sample — the
-/// stricter "ever touched" utilization (complement of Fig 1a's white
-/// patches).
-pub fn ever_active_fraction(m: &CompMatrix) -> f64 {
-    if m.ranks() == 0 || m.samples() == 0 {
-        return 0.0;
-    }
-    let mut ever = vec![false; m.ranks()];
-    for t in 0..m.samples() {
-        for (r, &c) in m.sample_row(t).iter().enumerate() {
-            if c > 0 {
-                ever[r] = true;
-            }
-        }
-    }
-    ever.iter().filter(|&&e| e).count() as f64 / m.ranks() as f64
 }
 
 /// Average number of active ranks (Fig 9's absolute count, e.g. "584
@@ -171,8 +154,6 @@ mod tests {
         assert!((resource_utilization(&m) - expect).abs() < 1e-12);
         // 4 ranks x ~0.4167 -> rounds to 2 average-active ranks
         assert_eq!(active_rank_count(&m), 2);
-        // ranks 0, 1, 3 are active at some point; rank 2 never.
-        assert_eq!(ever_active_fraction(&m), 0.75);
     }
 
     #[test]
@@ -196,7 +177,6 @@ mod tests {
     fn empty_matrix_metrics() {
         let m = CompMatrix::new(4);
         assert_eq!(resource_utilization(&m), 0.0);
-        assert_eq!(ever_active_fraction(&m), 0.0);
         assert_eq!(mean_idle_fraction(&m), 0.0);
         assert!(imbalance_series(&m).is_empty());
     }

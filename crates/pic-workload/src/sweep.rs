@@ -1365,11 +1365,6 @@ impl AssignmentCache {
     pub fn resident_bytes(&self) -> usize {
         self.resident.load(Ordering::Relaxed)
     }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
 }
 
 /// Observability counters from one [`sweep_streaming`] run: how much was

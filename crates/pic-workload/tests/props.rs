@@ -137,12 +137,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&idle));
         // time-averaged utilization and idle fraction are complements
         prop_assert!((ru + idle - 1.0).abs() < 1e-12);
-        // the "ever active" fraction dominates every per-sample fraction
-        let ever = metrics::ever_active_fraction(&w.real);
-        for t in 0..w.samples() {
-            prop_assert!(ever >= metrics::active_fraction_at(&w.real, t) - 1e-12);
-        }
-        prop_assert!(ever >= ru - 1e-12);
     }
 
     #[test]

@@ -230,5 +230,27 @@ fn main() {
     assert!(KernelModels::from_json(&bad_coeffs.to_json()).is_err());
     write_json(&bad.join("models_truncated_linear.json"), &bad_coeffs);
 
+    // a model family no fit produces: the loader knows only linear and
+    // symbolic models
+    let polynomial = r#"{
+  "models": [
+    {
+      "kernel": "projection",
+      "model": {
+        "family": "polynomial",
+        "feature_name": "np",
+        "feature_index": 0,
+        "coefficients": [1e-5, 2.5e-6, 1e-9]
+      },
+      "feature_columns": [0],
+      "validation_mape": 3.0
+    }
+  ]
+}"#;
+    assert!(KernelModels::from_json(polynomial).is_err());
+    let path = bad.join("models_polynomial.json");
+    std::fs::write(&path, polynomial).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+
     println!("corpus regenerated under {}", root.display());
 }

@@ -12,10 +12,11 @@
 //!   drifts from the sum recomputed from what its entries actually hold
 //!   (assignments, ghost rows and migration diffs), and neither does the
 //!   lock-free copy the registry weighs entries by;
-//! * after every settling pass (a new-address ingest; a cache insert)
-//!   the budget holds unless a single oversized resident remains;
+//! * after every settling pass (a new-address ingest; a trace lookup; a
+//!   cache insert) the budget holds unless a single oversized resident
+//!   remains;
 //! * eviction is strict LRU, stops as soon as the budget holds, and the
-//!   just-ingested address survives;
+//!   just-ingested or just-looked-up address survives;
 //! * re-ingest of a resident address is a recency bump that returns the
 //!   *same* `Arc` and charges nothing;
 //! * repeat sweeps served from the cache are bit-identical to the
@@ -130,6 +131,37 @@ proptest! {
         // Each resident entry's weight after the previous op.
         let mut weights: HashMap<String, usize> = HashMap::new();
 
+        // A lookup settles the budget: the shadow drops the strict-LRU
+        // prefix the registry evicted (never the address looked up), and
+        // the budget holds afterwards unless one entry is all that remains.
+        macro_rules! settle_after_get {
+            ($addr:expr) => {{
+                let addr: &String = $addr;
+                let listed: Vec<String> =
+                    reg.list_traces().into_iter().map(|(a, ..)| a).collect();
+                let evicted: Vec<String> =
+                    lru_order.iter().filter(|a| !listed.contains(a)).cloned().collect();
+                prop_assert!(!evicted.contains(addr), "{addr} was evicted by its own lookup");
+                prop_assert_eq!(&evicted[..], &lru_order[..evicted.len()],
+                    "eviction on lookup is not strict LRU");
+                for v in &evicted {
+                    lru_order.retain(|a| a != v);
+                    handles.remove(v);
+                    swept.remove(v);
+                }
+                let s = reg.stats();
+                prop_assert!(
+                    s.resident_bytes <= budget || s.resident_traces == 1,
+                    "unsettled after looking up {addr}: {} bytes > {budget} with {} residents",
+                    s.resident_bytes, s.resident_traces
+                );
+                if let Some(last) = evicted.last() {
+                    prop_assert!(s.resident_bytes + weights[last] > budget,
+                        "evicted {last} on lookup although the budget held without it");
+                }
+            }};
+        }
+
         for op in ops {
             match op {
                 Op::Ingest(idx) => {
@@ -183,20 +215,23 @@ proptest! {
                                 "{addr} resident in registry but not in shadow");
                             prop_assert!(Arc::ptr_eq(&arc, &handles[&addr]));
                             lru_order.retain(|a| *a != addr);
-                            lru_order.push(addr);
+                            lru_order.push(addr.clone());
                         }
                         None => prop_assert!(!handles.contains_key(&addr),
                             "{addr} resident in shadow but missed in registry"),
                     }
+                    settle_after_get!(&addr);
                 }
                 Op::Sweep(idx, ranks, ghosts, stride) => {
                     let addr = addr_name(idx);
                     let Some((trace, cache)) = reg.get_trace(&addr) else {
                         prop_assert!(!handles.contains_key(&addr));
+                        settle_after_get!(&addr);
                         continue;
                     };
                     lru_order.retain(|a| *a != addr);
                     lru_order.push(addr.clone());
+                    settle_after_get!(&addr);
                     let cfg = WorkloadConfig {
                         compute_ghosts: ghosts,
                         ..WorkloadConfig::new(ranks, MappingAlgorithm::BinBased, 0.05)
