@@ -90,7 +90,7 @@ impl Interval {
     }
 
     /// Intersection, or `None` when the intervals are disjoint.
-    pub fn intersect(self, other: Interval) -> Option<Interval> {
+    fn intersect(self, other: Interval) -> Option<Interval> {
         let lo = self.lo.max(other.lo);
         let hi = self.hi.min(other.hi);
         if lo <= hi {

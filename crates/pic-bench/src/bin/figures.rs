@@ -21,7 +21,9 @@
 //! argument is an error naming it.
 #![forbid(unsafe_code)]
 
-use pic_bench::{fmt_series, oracle_models, synthetic_expanding_trace, write_csv, Scale};
+#[path = "figures/setup.rs"]
+mod setup;
+
 use pic_des::MachineSpec;
 use pic_grid::ElementMesh;
 use pic_mapping::MappingAlgorithm;
@@ -30,6 +32,7 @@ use pic_sim::{KernelKind, MiniPic, SimConfig};
 use pic_trace::ParticleTrace;
 use pic_workload::generator::unbounded_bin_series;
 use pic_workload::{metrics, replay, DynamicWorkload, ReplayOptions, SweepPoint};
+use setup::{fmt_series, oracle_models, synthetic_expanding_trace, write_csv, Scale};
 
 struct Ctx {
     scale: Scale,

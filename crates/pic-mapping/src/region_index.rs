@@ -14,9 +14,7 @@
 //! [`Rank`] keeps rank identities — so samples where most ranks are idle pay
 //! memory proportional to the live set, not the communicator size.
 //!
-//! Queries come in two flavors: the allocating, sorted
-//! [`ranks_touching_sphere`](RegionIndex::ranks_touching_sphere) and the
-//! scratch-driven
+//! A query is the scratch-driven visitor
 //! [`for_each_rank_touching_sphere`](RegionIndex::for_each_rank_touching_sphere),
 //! which deduplicates multi-cell regions with an epoch-stamped visited
 //! array instead of sort + dedup and performs no heap allocation in steady
@@ -304,26 +302,6 @@ impl RegionIndex {
         }
     }
 
-    /// Collect (sorted, deduplicated) ranks whose region touches the sphere
-    /// at `center` with radius `radius`, into `out` (cleared first).
-    ///
-    /// Compatibility wrapper over
-    /// [`for_each_rank_touching_sphere`](Self::for_each_rank_touching_sphere)
-    /// for call sites that want an owned sorted list; hot loops should hold
-    /// a [`RegionQueryScratch`] and use the visitor form directly.
-    pub fn ranks_touching_sphere(&self, center: Vec3, radius: f64, out: &mut Vec<Rank>) {
-        thread_local! {
-            static COMPAT_SCRATCH: std::cell::RefCell<RegionQueryScratch> =
-                std::cell::RefCell::new(RegionQueryScratch::new());
-        }
-        out.clear();
-        COMPAT_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            self.for_each_rank_touching_sphere(center, radius, scratch, |r| out.push(r));
-        });
-        out.sort_unstable();
-    }
-
     /// Number of ranks the index covers (including empty-region ranks).
     pub fn rank_count(&self) -> usize {
         self.total_ranks
@@ -476,10 +454,18 @@ mod tests {
             let idx = RegionIndex::build(&regions);
             let mut out = Vec::new();
             for (c, r) in cases {
-                idx.ranks_touching_sphere(c, r, &mut out);
+                ranks_touching_sphere(&idx, c, r, &mut out);
                 prop_assert_eq!(&out, &brute(&regions, c, r), "c={} r={}", c, r);
             }
         }
+    }
+
+    /// The sorted ranks whose region touches the sphere, into `out`.
+    fn ranks_touching_sphere(idx: &RegionIndex, center: Vec3, radius: f64, out: &mut Vec<Rank>) {
+        out.clear();
+        let mut scratch = RegionQueryScratch::new();
+        idx.for_each_rank_touching_sphere(center, radius, &mut scratch, |r| out.push(r));
+        out.sort_unstable();
     }
 
     /// Brute-force reference: scan every region.
@@ -512,7 +498,7 @@ mod tests {
     fn octants_center_query_touches_all() {
         let idx = RegionIndex::build(&octant_regions());
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::splat(0.5), 0.1, &mut out);
+        ranks_touching_sphere(&idx, Vec3::splat(0.5), 0.1, &mut out);
         assert_eq!(out.len(), 8);
     }
 
@@ -520,7 +506,7 @@ mod tests {
     fn small_sphere_touches_only_home() {
         let idx = RegionIndex::build(&octant_regions());
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::splat(0.25), 0.05, &mut out);
+        ranks_touching_sphere(&idx, Vec3::splat(0.25), 0.05, &mut out);
         assert_eq!(out, vec![Rank::new(0)]);
     }
 
@@ -528,7 +514,7 @@ mod tests {
     fn far_away_query_is_empty() {
         let idx = RegionIndex::build(&octant_regions());
         let mut out = vec![Rank::new(9)];
-        idx.ranks_touching_sphere(Vec3::splat(10.0), 0.5, &mut out);
+        ranks_touching_sphere(&idx, Vec3::splat(10.0), 0.5, &mut out);
         assert!(out.is_empty());
     }
 
@@ -540,7 +526,7 @@ mod tests {
         let idx = RegionIndex::build(&regions);
         assert_eq!(idx.rank_count(), 10);
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::splat(0.5), 1.0, &mut out);
+        ranks_touching_sphere(&idx, Vec3::splat(0.5), 1.0, &mut out);
         assert_eq!(out.len(), 8); // the empty ones never match
     }
 
@@ -561,7 +547,7 @@ mod tests {
         assert!(idx.cell_data.len() <= 8 * 8, "{}", idx.cell_data.len());
         // Rank identities survive the live-slot compaction.
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::splat(0.5), 0.1, &mut out);
+        ranks_touching_sphere(&idx, Vec3::splat(0.5), 0.1, &mut out);
         let expect: Vec<Rank> = (0..8).map(|i| Rank::from_index(i * 512)).collect();
         assert_eq!(out, expect);
     }
@@ -570,7 +556,7 @@ mod tests {
     fn all_empty_regions() {
         let idx = RegionIndex::build(&[Aabb::empty(), Aabb::empty()]);
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::ZERO, 1.0, &mut out);
+        ranks_touching_sphere(&idx, Vec3::ZERO, 1.0, &mut out);
         assert!(out.is_empty());
         assert_eq!(idx.live_boxes.len(), 0);
         assert_eq!(idx.cell_data.len(), 0);
@@ -594,7 +580,7 @@ mod tests {
         for _ in 0..500 {
             let c = Vec3::new(rng.next_f64(), rng.next_f64(), rng.next_f64()) * 5.0;
             let r = rng.next_range(0.01, 0.5);
-            idx.ranks_touching_sphere(c, r, &mut out);
+            ranks_touching_sphere(&idx, c, r, &mut out);
             assert_eq!(out, brute(&regions, c, r), "c={c} r={r}");
         }
     }
@@ -630,9 +616,9 @@ mod tests {
         let plane = Aabb::new(Vec3::new(0.0, 0.0, 0.5), Vec3::new(1.0, 1.0, 0.5));
         let idx = RegionIndex::build(&[plane]);
         let mut out = Vec::new();
-        idx.ranks_touching_sphere(Vec3::new(0.5, 0.5, 0.45), 0.1, &mut out);
+        ranks_touching_sphere(&idx, Vec3::new(0.5, 0.5, 0.45), 0.1, &mut out);
         assert_eq!(out, vec![Rank::new(0)]);
-        idx.ranks_touching_sphere(Vec3::new(0.5, 0.5, 0.3), 0.1, &mut out);
+        ranks_touching_sphere(&idx, Vec3::new(0.5, 0.5, 0.3), 0.1, &mut out);
         assert!(out.is_empty());
     }
 

@@ -4,7 +4,7 @@
 use pic_grid::{ElementMesh, MeshDims};
 use pic_mapping::{
     hilbert::hilbert_index, BinMapper, ElementMapper, HilbertMapper, LoadBalancedMapper,
-    ParticleMapper, RegionIndex,
+    ParticleMapper, RegionIndex, RegionQueryScratch,
 };
 use pic_types::{Aabb, Rank, Vec3};
 use proptest::prelude::*;
@@ -116,7 +116,8 @@ proptest! {
         let index = RegionIndex::build(&out.rank_regions);
         let c = Vec3::new(q.0, q.1, q.2);
         let mut fast = Vec::new();
-        index.ranks_touching_sphere(c, r, &mut fast);
+        index.for_each_rank_touching_sphere(c, r, &mut RegionQueryScratch::new(), |t| fast.push(t));
+        fast.sort_unstable();
         let mut brute: Vec<Rank> = out
             .rank_regions
             .iter()

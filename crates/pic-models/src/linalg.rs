@@ -6,7 +6,7 @@ use pic_types::{PicError, Result};
 /// by Gaussian elimination with partial pivoting.
 ///
 /// Returns an error when the matrix is numerically singular.
-pub fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
+fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>> {
     assert_eq!(a.len(), n * n, "matrix shape");
     assert_eq!(b.len(), n, "rhs shape");
     let mut m = a.to_vec();

@@ -13,6 +13,7 @@ use pic_grid::ElementMesh;
 use pic_models::kmeans::{self, KMeansConfig};
 use pic_trace::features::{feature_vectors, FeatureConfig};
 use pic_trace::ParticleTrace;
+use pic_types::error::check_reservable;
 use pic_types::{PicError, Result};
 use pic_workload::{
     AssignmentCache, DynamicWorkload, ReductionPlan, ReplayOptions, SweepPoint, SweepStats,
@@ -112,17 +113,10 @@ pub fn build_plan(trace: &ParticleTrace, opts: &SimpointOptions) -> Result<Reduc
     ReductionPlan::new(t, representatives, assignment)
 }
 
-/// Feature tables below which [`check_feature_table`] does not probe: a
-/// freed probe under glibc's 32 MiB mmap cap would raise the mmap
-/// threshold for every later allocation of the process, as the replay
-/// engine's rank-state check explains.
-const FEATURE_PROBE_FLOOR: usize = 32 << 20;
-
 /// Refuse a feature table before anything is sized by it: `bins`³
 /// reference cells (cell ids are 32-bit, and there is at least one) plus
-/// three scalars per sample, as `f64`s, must be reservable in one
-/// `try_reserve_exact`, released at once. Like the rank-state check the
-/// probe is best effort; the cell bound is the hard guarantee.
+/// three scalars per sample, as `f64`s, must pass [`check_reservable`],
+/// whose probe is best effort; the cell bound is the hard guarantee.
 fn check_feature_table(bins: usize, samples: usize) -> Result<()> {
     let cells = bins
         .checked_pow(3)
@@ -135,16 +129,12 @@ fn check_feature_table(bins: usize, samples: usize) -> Result<()> {
     let bytes = (cells + 3)
         .checked_mul(samples)
         .and_then(|n| n.checked_mul(std::mem::size_of::<f64>()));
-    let reserved = bytes
-        .is_some_and(|b| b < FEATURE_PROBE_FLOOR || Vec::<u8>::new().try_reserve_exact(b).is_ok());
-    if !reserved {
-        let size = bytes.map_or("more than usize::MAX".to_string(), |b| b.to_string());
-        return Err(PicError::config(format!(
+    check_reservable(bytes, |size| {
+        format!(
             "feature bins per axis {bins} need {size} bytes of features for {samples} samples, \
              which cannot be allocated"
-        )));
-    }
-    Ok(())
+        )
+    })
 }
 
 /// Replay `plan`'s representatives for every grid point, through `cache`
@@ -359,6 +349,6 @@ mod tests {
         check_feature_table(1, 1 << 20).unwrap();
         check_feature_table(1625, 0).unwrap();
         // the largest table under the probe floor passes unprobed
-        check_feature_table(4, (FEATURE_PROBE_FLOOR >> 3) / 67 - 1).unwrap();
+        check_feature_table(4, (pic_types::error::RESERVE_PROBE_FLOOR >> 3) / 67 - 1).unwrap();
     }
 }

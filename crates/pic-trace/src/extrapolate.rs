@@ -23,6 +23,7 @@
 
 use crate::stats::boundary_series;
 use crate::trace::{ParticleTrace, TraceMeta, TraceSample};
+use pic_types::error::check_reservable;
 use pic_types::rng::SplitMix64;
 use pic_types::{PicError, Result, Vec3};
 
@@ -30,11 +31,35 @@ use pic_types::{PicError, Result, Vec3};
 /// fraction of the cloud extent per axis.
 const JITTER_FRACTION: f64 = 0.04;
 
+/// Refuse a target count before anything is sized by it: zero, or a count
+/// whose output — `samples` rows of `target_count` positions, plus one
+/// source index and one offset drawn per target — [`check_reservable`]
+/// refuses.
+fn check_target_count(target_count: usize, samples: usize) -> Result<()> {
+    if target_count == 0 {
+        return Err(PicError::config(
+            "target particle count must be positive, got 0",
+        ));
+    }
+    let vec3 = std::mem::size_of::<Vec3>();
+    let bytes = (samples.checked_mul(vec3))
+        .and_then(|n| n.checked_add(std::mem::size_of::<u64>() + vec3))
+        .and_then(|n| n.checked_mul(target_count));
+    check_reservable(bytes, |size| {
+        format!(
+            "target particle count {target_count} needs {size} bytes for {samples} samples, \
+             which cannot be allocated"
+        )
+    })
+}
+
 /// Extrapolate `source` to `target_count` particles.
 ///
 /// Works for both up-scaling (the paper's use case) and down-scaling
 /// (useful for quick previews). Fails on a source trace without samples
-/// or without particles: there is no trajectory to adopt.
+/// or without particles: there is no trajectory to adopt. A target count
+/// of zero, or one whose output cannot be allocated, is a configuration
+/// error naming it.
 pub fn extrapolate(
     source: &ParticleTrace,
     target_count: usize,
@@ -43,9 +68,7 @@ pub fn extrapolate(
     if source.is_empty() {
         return Err(PicError::trace("cannot extrapolate an empty trace"));
     }
-    if target_count == 0 {
-        return Err(PicError::trace("target particle count must be positive"));
-    }
+    check_target_count(target_count, source.sample_count())?;
     let n_src = source.particle_count();
     if n_src == 0 {
         return Err(PicError::trace(format!(
@@ -254,8 +277,20 @@ mod tests {
     fn errors_on_bad_inputs() {
         let empty = ParticleTrace::new(TraceMeta::new(5, 10, Aabb::unit(), "e"));
         assert!(extrapolate(&empty, 100, 1).is_err());
+    }
+
+    #[test]
+    fn target_counts_without_an_output_are_configuration_errors() {
         let src = source_trace(10);
-        assert!(extrapolate(&src, 0, 1).is_err());
+        let err = extrapolate(&src, 0, 1).unwrap_err();
+        assert!(matches!(err, PicError::Config(_)), "{err}");
+        assert!(err.to_string().contains("got 0"), "{err}");
+        // Output bytes past usize::MAX: refused before any allocation,
+        // whatever the host's overcommit mode.
+        let err = extrapolate(&src, usize::MAX, 1).unwrap_err();
+        assert!(matches!(err, PicError::Config(_)), "{err}");
+        let named = format!("count {} needs more than usize::MAX bytes", usize::MAX);
+        assert!(err.to_string().contains(&named), "{err}");
     }
 
     #[test]

@@ -204,6 +204,30 @@ impl PicError {
     }
 }
 
+/// Sizes below which [`check_reservable`] does not probe: any host that
+/// runs at all holds them, and glibc raises its mmap threshold to the size
+/// of a freed mapping up to 32 MiB, so a smaller probe would change how
+/// every later allocation of the process is served (measured: +14 % peak
+/// RSS on a 16 384-rank replay). Larger probes leave it alone.
+pub const RESERVE_PROBE_FLOOR: usize = 32 << 20;
+
+/// Refuse an input-sized allocation of `bytes` (`None` when the size
+/// overflowed `usize`) before anything is sized by it: a size this host
+/// cannot reserve in one `try_reserve_exact`, released at once, is a
+/// [`PicError::Config`] worded by `message` from the size ("`N`" or
+/// "`more than usize::MAX`"), not an allocation abort. The probe is best
+/// effort: whether `try_reserve_exact` refuses depends on the host's
+/// overcommit mode, so only an overflowing size is refused everywhere.
+pub fn check_reservable(bytes: Option<usize>, message: impl FnOnce(&str) -> String) -> Result<()> {
+    let reserved = bytes
+        .is_some_and(|b| b < RESERVE_PROBE_FLOOR || Vec::<u8>::new().try_reserve_exact(b).is_ok());
+    if reserved {
+        return Ok(());
+    }
+    let size = bytes.map_or("more than usize::MAX".to_string(), |b| b.to_string());
+    Err(PicError::config(message(&size)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -128,17 +128,6 @@ impl Vec3 {
         (self - rhs).norm_sq()
     }
 
-    /// Unit vector in the direction of `self`, or zero if `self` is zero.
-    #[inline]
-    pub fn normalized(self) -> Vec3 {
-        let n = self.norm();
-        if n == 0.0 {
-            Vec3::ZERO
-        } else {
-            self / n
-        }
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(self, rhs: Vec3) -> Vec3 {
@@ -167,12 +156,6 @@ impl Vec3 {
         let mut v = self;
         v[axis.index()] = value;
         v
-    }
-
-    /// Linear interpolation: `self` at `t == 0`, `rhs` at `t == 1`.
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {
-        self + (rhs - self) * t
     }
 
     /// Component-wise clamp of `self` into `[lo, hi]`.
@@ -341,8 +324,6 @@ mod tests {
         assert_eq!(v.norm(), 5.0);
         assert_eq!(v.norm_sq(), 25.0);
         assert_eq!(Vec3::ZERO.distance(v), 5.0);
-        assert_eq!(v.normalized().norm(), 1.0);
-        assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
     }
 
     #[test]
@@ -357,15 +338,6 @@ mod tests {
             assert_eq!(Axis::from_index(i), *ax);
             assert_eq!(v[i], v.get(*ax));
         }
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

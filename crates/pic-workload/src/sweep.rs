@@ -50,6 +50,7 @@ use crate::reduce::ReductionPlan;
 use pic_grid::ElementMesh;
 use pic_mapping::{BinPartition, BinTree, MappingAlgorithm, ParticleMapper, RankTree};
 use pic_trace::ParticleTrace;
+use pic_types::error::check_reservable;
 use pic_types::sync::Mutex;
 use pic_types::{Aabb, PicError, Rank, Result, Vec3};
 use rayon::prelude::*;
@@ -252,26 +253,18 @@ pub(crate) fn build_plan(
     Ok(SweepPlan { groups, members })
 }
 
-/// Per-rank state below which [`check_rank_state`] does not probe: any
-/// host that replays at all holds it, and glibc raises its mmap threshold
-/// to the size of a freed mapping up to 32 MiB, so a smaller probe would
-/// change how every later allocation of the process is served (measured:
-/// +14 % peak RSS on a 16 384-rank replay). Larger probes leave it alone.
-const RANK_STATE_PROBE_FLOOR: usize = 32 << 20;
-
 /// Refuse a group's rank count before anything is sized by it. Rank ids
 /// are `u32`, so a count past `u32::MAX` is refused outright; otherwise
 /// the group's per-rank state — the mapper's rank regions, the real
 /// counts, one `(recv, sent)` histogram pair per radius and, where the
 /// sample count is known, the `output_samples` dense rows of real, recv
-/// and sent counts its members emit — must be reservable in one
-/// `try_reserve_exact`, released at once. A count this host cannot hold
-/// is a configuration error naming it, not an allocation abort deep in a
-/// mapper. A state under [`RANK_STATE_PROBE_FLOOR`] is not probed.
+/// and sent counts its members emit — must pass [`check_reservable`]. A
+/// count this host cannot hold is a configuration error naming it, not an
+/// allocation abort deep in a mapper.
 ///
 /// The `u32` bound is the hard guarantee. The reservation probe is a
-/// best-effort guard: whether `try_reserve_exact` refuses depends on the
-/// host's overcommit mode, and the probe leaves out what an
+/// best-effort guard: it depends on the host's overcommit mode, and it
+/// leaves out what an
 /// [`AssignmentCache`] keeps per sample (one `real` row per assignment
 /// and one `(recv, sent)` row pair per radius), so a cached replay of a
 /// count that passes may still run out of memory.
@@ -288,16 +281,9 @@ fn check_rank_state(ranks: usize, radii: usize, output_samples: Option<usize>) -
         .and_then(|n| n.checked_mul(std::mem::size_of::<u32>()))
         .and_then(|n| n.checked_add(std::mem::size_of::<pic_types::Aabb>()))
         .and_then(|n| n.checked_mul(ranks));
-    let reserved = bytes.is_some_and(|b| {
-        b < RANK_STATE_PROBE_FLOOR || Vec::<u8>::new().try_reserve_exact(b).is_ok()
-    });
-    if !reserved {
-        let size = bytes.map_or("more than usize::MAX".to_string(), |b| b.to_string());
-        return Err(PicError::config(format!(
-            "ranks {ranks} need {size} bytes of per-rank state, which cannot be allocated"
-        )));
-    }
-    Ok(())
+    check_reservable(bytes, |size| {
+        format!("ranks {ranks} need {size} bytes of per-rank state, which cannot be allocated")
+    })
 }
 
 /// The accounting of `samples` full-kernel and `owner_only` owner-only
@@ -1324,7 +1310,7 @@ impl AssignmentCache {
     /// same way [`AssignmentCache::insert`] adds radius rows. An entry
     /// evicted since its replay started is not re-created: diffs alone
     /// cannot serve a lookup.
-    pub fn insert_diffs(&self, key: &AssignmentKey, step: usize, diffs: DiffRows) {
+    fn insert_diffs(&self, key: &AssignmentKey, step: usize, diffs: DiffRows) {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
