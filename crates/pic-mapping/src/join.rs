@@ -62,8 +62,9 @@ pub(crate) fn dist_sq([x, y, z]: [f64; 3], b: &Aabb) -> f64 {
 /// the tree with itself reaches. `split(n)` is `None` at a leaf and a
 /// node's two children otherwise; `near(a, b)` keeps a pair.
 ///
-/// `SYMMETRIC` joins a tree whose pairs are unordered (the bin tree: one
-/// box per node serves both sides): a self pair yields its children's self
+/// `SYMMETRIC` joins a tree whose pairs are unordered (the bin tree, and
+/// a rank tree whose particle and region boxes coincide: one box per node
+/// serves both sides): a self pair yields its children's self
 /// pairs, unpruned, and their one cross pair, and each unordered pair of
 /// leaves is visited once. Otherwise pairs are directed (the rank tree:
 /// particles of `a` against regions of `b`), a self pair yields all four

@@ -22,7 +22,9 @@
 //! as `box_gap_sq(P_a, Q_b)` exceeds the largest squared radius. A leaf
 //! pair h ≠ t tests h's records against t's region with the compare-select
 //! `d²` at every radius of the list, which is monotone in the radius, so
-//! one join serves all of them.
+//! one join serves all of them. Where P is Q at every node, bit for bit
+//! (Hilbert regions are particle hulls), the pruning test is symmetric and
+//! the join runs symmetric, testing each leaf pair both ways.
 
 use crate::join::{box_gap_sq, dist_sq, near_leaf_pairs};
 use pic_types::{Aabb, Rank, Vec3};
@@ -158,18 +160,27 @@ impl RankTree {
             0 => None,
             l => Some([l, l + 1]),
         };
+        // Where every node's particle box is its region box bit for bit (a
+        // Hilbert rank's region is the hull of its particles), `near` below
+        // is symmetric, so the symmetric join reaches each unordered pair
+        // of leaves once and counts both directions.
+        let symmetric =
+            (particles.iter().zip(&self.regions)).all(|(p, q)| box_bits(p) == box_bits(q));
         // A node whose ranks have no live region is pruned on its own: at
-        // an infinite radius its infinite gap is within reach.
+        // an infinite radius its infinite gap is within reach. A symmetric
+        // pair counts towards either node, so both must be live.
+        let live = |n: u32| !self.regions[n as usize].is_empty();
         let near = |a: u32, b: u32| {
-            let q = &self.regions[b as usize];
-            box_gap_sq(&particles[a as usize], q) <= reach && !q.is_empty()
+            box_gap_sq(&particles[a as usize], &self.regions[b as usize]) <= reach
+                && live(b)
+                && (!symmetric || live(a))
         };
         // The squared radii in blocks of four, padded with NaN, which no
         // `d²` meets: a block's hit counts stay in registers.
         let blocks: Vec<[f64; 4]> = (rr.chunks(4))
             .map(|c| std::array::from_fn(|i| c.get(i).copied().unwrap_or(f64::NAN)))
             .collect();
-        near_leaf_pairs::<false>(split, near, |a, b| {
+        let mut count = |a: u32, b: u32| {
             let (h, t) = (self.nodes[a as usize].lo, self.nodes[b as usize].lo);
             let (records, region) = (of_rank(h), &self.regions[b as usize]);
             for (block, out) in blocks.iter().zip(out.chunks_mut(4)) {
@@ -185,9 +196,24 @@ impl RankTree {
                     sent[h as usize] += n;
                 }
             }
-        });
+        };
+        if symmetric {
+            near_leaf_pairs::<true>(split, near, |a, b| {
+                count(a, b);
+                count(b, a);
+            });
+        } else {
+            near_leaf_pairs::<false>(split, near, count);
+        }
         out
     }
+}
+
+/// A box's six coordinates as bits: `-0.0` and `0.0` differ, and a NaN
+/// equals itself.
+fn box_bits(b: &Aabb) -> [u64; 6] {
+    let (lo, hi) = (b.min.to_array(), b.max.to_array());
+    [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]].map(f64::to_bits)
 }
 
 /// Tight box of `records` by a compare-select fold; `Aabb::empty()` for
@@ -213,11 +239,6 @@ mod tests {
     use pic_grid::{ElementMesh, MeshDims, RcbDecomposition};
     use pic_types::rng::SplitMix64;
     use proptest::prelude::*;
-
-    fn box_bits(b: &Aabb) -> [u64; 6] {
-        let (lo, hi) = (b.min.to_array(), b.max.to_array());
-        [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]].map(f64::to_bits)
-    }
 
     /// The RCB recursion's nodes as `(rank0, r)` rank ranges: the root
     /// `(0, R)`, and below a node of two or more ranks `(rank0, r/2)` and
@@ -356,6 +377,46 @@ mod tests {
             let positions: Vec<Vec3> = particles.iter().map(|&(p, _)| p).collect();
             let owners: Vec<Rank> = (particles.iter())
                 .map(|&(_, o)| Rank::from_index(o as usize % ranks))
+                .collect();
+            let tree = RankTree::new(&regions);
+            prop_assert_eq!(
+                tree.ghost_counts(&positions, &owners, &radii),
+                brute(&positions, &owners, &regions, &radii)
+            );
+        }
+    }
+
+    proptest! {
+        /// Every rank's region is the hull of its own particles, as under
+        /// Hilbert mapping, so the join runs symmetric; ranks without a
+        /// particle have no region, which an infinite radius reaches.
+        #[test]
+        fn ghost_counts_over_particle_hulls_are_brute_force(
+            ranks in 1usize..40,
+            particles in proptest::collection::vec((point(), any::<u32>()), 0..200),
+            radii in proptest::collection::vec(
+                prop_oneof![
+                    0.0..0.3f64,
+                    Just(0.0),
+                    Just(0.125),
+                    Just(f64::INFINITY),
+                    Just(-0.5)
+                ],
+                1..9,
+            ),
+        ) {
+            let positions: Vec<Vec3> = particles.iter().map(|&(p, _)| p).collect();
+            let owners: Vec<Rank> = (particles.iter())
+                .map(|&(_, o)| Rank::from_index(o as usize % ranks))
+                .collect();
+            let regions: Vec<Aabb> = Rank::all(ranks)
+                .map(|r| {
+                    let own: Vec<[f64; 3]> = (positions.iter().zip(&owners))
+                        .filter(|(_, o)| **o == r)
+                        .map(|(p, _)| p.to_array())
+                        .collect();
+                    tight_box(&own)
+                })
                 .collect();
             let tree = RankTree::new(&regions);
             prop_assert_eq!(

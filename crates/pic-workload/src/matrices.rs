@@ -27,6 +27,15 @@ impl CompMatrix {
         }
     }
 
+    /// An empty matrix for `ranks` processors with room for `samples`
+    /// rows, so appending them never reallocates.
+    pub(crate) fn with_capacity(ranks: usize, samples: usize) -> CompMatrix {
+        CompMatrix {
+            ranks,
+            data: Vec::with_capacity(ranks * samples),
+        }
+    }
+
     /// Build directly from per-sample count rows.
     ///
     /// # Panics

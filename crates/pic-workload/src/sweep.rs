@@ -38,7 +38,8 @@
 //!   [`DynamicWorkload`] per member: a stride-`s` member keeps every
 //!   `s`-th sample, exactly the full replay of `trace.subsample(s)`. Its
 //!   migration diffs come from the cache entry where resident, and a full
-//!   replay publishes the ones it computed.
+//!   replay publishes the ones it computed. The owners go once the diffs
+//!   are made, and a set no cache holds moves into its last reader.
 //!
 //! Outputs are **bit-identical** to the sequential
 //! [`crate::reference::generate_reference`] oracle; `tests/props.rs`
@@ -531,6 +532,18 @@ impl GroupReplay {
         let (rows, cached) = &self.ghosts[k];
         &rows[if *cached { full[r] } else { r }]
     }
+
+    /// Free the owners once every migration diff is made: what is left of
+    /// the replay reads counts only. Assignments that a cache entry shares
+    /// keep theirs (`Arc::get_mut` fails).
+    fn release_owners(&mut self) {
+        if let Some(assignments) = Arc::get_mut(&mut self.assignments) {
+            for a in assignments {
+                a.owners = Vec::new();
+            }
+        }
+        self.pred_owners = Vec::new();
+    }
 }
 
 /// The step a member's migrations are diffed at: a full replay diffs a
@@ -747,16 +760,20 @@ struct MemberRows {
 }
 
 impl MemberRows {
-    fn new(ranks: usize) -> MemberRows {
+    /// A workload of `ranks` with room for `samples` rows (`0` where the
+    /// count is not known, as in the streaming merge).
+    fn new(ranks: usize, samples: usize) -> MemberRows {
         MemberRows {
             workload: DynamicWorkload {
                 ranks,
-                iterations: Vec::new(),
-                real: CompMatrix::new(ranks),
-                ghost_recv: CompMatrix::new(ranks),
-                ghost_sent: CompMatrix::new(ranks),
-                comm: CommMatrix::default(),
-                bin_counts: Vec::new(),
+                iterations: Vec::with_capacity(samples),
+                real: CompMatrix::with_capacity(ranks, samples),
+                ghost_recv: CompMatrix::with_capacity(ranks, samples),
+                ghost_sent: CompMatrix::with_capacity(ranks, samples),
+                comm: CommMatrix {
+                    entries: Vec::with_capacity(samples),
+                },
+                bin_counts: Vec::with_capacity(samples),
             },
             zeros: vec![0u32; ranks],
         }
@@ -794,9 +811,15 @@ impl MemberRows {
 /// [`replay_groups`] is skipped). A broadcast neither reads nor publishes:
 /// its step-1 diffs of representatives stand in for the strided interval
 /// at stride > 1, which is no full replay's diff.
+///
+/// Each intermediate goes when the answer no longer needs it: the owners
+/// once the diffs are made ([`GroupReplay::release_owners`]), and in a
+/// full replay a set no cache holds moves into its last reader, whose
+/// rows are every `step`-th of the set, while the other readers copy
+/// theirs. A broadcast copies, since one row serves many samples.
 fn assemble(
     plan: &SweepPlan,
-    replayed: &[GroupReplay],
+    replayed: &mut [GroupReplay],
     trace: &ParticleTrace,
     (full, owner_only): (&[usize], &[usize]),
     broadcast: Option<&[usize]>,
@@ -842,6 +865,7 @@ fn assemble(
             })
             .collect()
     });
+    replayed.iter_mut().for_each(GroupReplay::release_owners);
     let diffed = computed.iter().filter(|d| d.is_some()).count();
     let mut computed = computed.into_iter().map(Option::unwrap_or_default);
     let publish = cache.filter(|_| broadcast.is_none());
@@ -857,21 +881,35 @@ fn assemble(
             })
         })
         .collect();
-    let workloads = pic_types::pool::install(|| {
-        plan.members
-            .par_iter()
-            .map(|m| {
+    let key_of = |m: &MemberPlan| {
+        keys.binary_search(&(m.group, diff_step(m, broadcast.is_some())))
+            .expect("every member's key was collected")
+    };
+    // The member that takes each set's rows: its last reader, in a full
+    // replay of a set no cache holds.
+    let mut taker: Vec<Option<usize>> = vec![None; keys.len()];
+    if broadcast.is_none() {
+        for (i, m) in plan.members.iter().enumerate() {
+            let k = key_of(m);
+            if Arc::strong_count(&diffs[k]) == 1 {
+                taker[k] = Some(i);
+            }
+        }
+    }
+    let mut workloads: Vec<DynamicWorkload> = pic_types::pool::install(|| {
+        (plan.members.par_iter().enumerate())
+            .map(|(i, m)| {
                 let g = &replayed[m.group];
-                let k = keys
-                    .binary_search(&(m.group, diff_step(m, broadcast.is_some())))
-                    .expect("every member's key was collected");
-                let mut rows = MemberRows::new(plan.groups[m.group].ranks);
+                let k = key_of(m);
+                let copies = taker[k] != Some(i);
+                let samples = iterations.len().div_ceil(m.stride);
+                let mut rows = MemberRows::new(plan.groups[m.group].ranks, samples);
                 for (pos, t) in (0..iterations.len()).step_by(m.stride).enumerate() {
                     let r = broadcast.map_or(t, |b| b[t]);
-                    let comm = if pos == 0 {
-                        Vec::new()
-                    } else {
+                    let comm = if pos > 0 && copies {
                         diffs[k][r].clone()
+                    } else {
+                        Vec::new()
                     };
                     let ghost = m.ghost_slot.map(|k| g.ghost_row(k, r, full));
                     rows.push(g.assignment(r, full), ghost, iterations[t], comm);
@@ -880,6 +918,16 @@ fn assemble(
             })
             .collect()
     });
+    // Row `t` of a full replay's set is what the member's `t / step`-th
+    // sample reads; row 0 has no predecessor and is empty.
+    for (rows, i) in diffs.into_iter().zip(taker) {
+        if let Some(i) = i {
+            let step = plan.members[i].stride;
+            workloads[i].comm.entries = (Arc::unwrap_or_clone(rows).into_iter())
+                .step_by(step)
+                .collect();
+        }
+    }
     (workloads, diffed)
 }
 
@@ -974,9 +1022,11 @@ pub fn replay(
     } else {
         &keys[..]
     };
-    let (replayed, bin_cuts) = replay_groups(trace, &sweep, full, &owner_only, cache, cached_keys);
+    let (mut replayed, bin_cuts) =
+        replay_groups(trace, &sweep, full, &owner_only, cache, cached_keys);
     let slots = (full, &owner_only[..]);
-    let (workloads, diffed) = assemble(&sweep, &replayed, trace, slots, broadcast, cache, &keys);
+    let (workloads, diffed) =
+        assemble(&sweep, &mut replayed, trace, slots, broadcast, cache, &keys);
     let cached = (
         replayed.iter().filter(|g| g.cached).count(),
         (replayed.iter().flat_map(|g| &g.ghosts))
@@ -1524,7 +1574,7 @@ pub fn sweep_streaming<R: std::io::Read + Send>(
                         });
                         folds.len() - 1
                     });
-                (fold, MemberRows::new(plan.groups[m.group].ranks))
+                (fold, MemberRows::new(plan.groups[m.group].ranks, 0))
             })
             .collect();
         let mut merge_seconds = 0.0;

@@ -10,8 +10,8 @@ use pic_types::rng::SplitMix64;
 use pic_types::{Aabb, Rank, Vec3};
 use pic_workload::generator::{self, WorkloadConfig};
 use pic_workload::{
-    metrics, migration_pairs, replay, sweep_streaming, AssignmentCache, DynamicWorkload,
-    ReductionPlan, ReplayOptions, SweepPoint,
+    metrics, migration_pairs, replay, sweep_streaming, AssignmentCache, CommMatrix, CompMatrix,
+    DynamicWorkload, ReductionPlan, ReplayOptions, SweepPoint,
 };
 use proptest::prelude::*;
 
@@ -49,6 +49,36 @@ fn random_plan(t: usize, seed: u64) -> ReductionPlan {
         .collect();
     let assignment = cluster.iter().map(|&c| slot_of[c]).collect();
     ReductionPlan::new(t, reps, assignment).unwrap()
+}
+
+/// What a replay under `plan` answers at `stride`, from `every`, the
+/// straight-line replay of every sample: output sample `t` takes the rows
+/// of its representative `rep`, and its migrations are `rep`'s against its
+/// trace predecessor, except at the member's first sample.
+fn broadcast(every: &DynamicWorkload, plan: &ReductionPlan, stride: usize) -> DynamicWorkload {
+    let ts: Vec<usize> = (0..every.samples()).step_by(stride).collect();
+    let reps: Vec<usize> = (ts.iter())
+        .map(|&t| plan.representatives[plan.assignment[t]])
+        .collect();
+    let rows = |m: &CompMatrix| {
+        let rows = reps.iter().map(|&r| m.sample_row(r).to_vec()).collect();
+        CompMatrix::from_rows(every.ranks, rows)
+    };
+    let comm = (reps.iter().enumerate())
+        .map(|(pos, &r)| match pos {
+            0 => Vec::new(),
+            _ => every.comm.entries[r].clone(),
+        })
+        .collect();
+    DynamicWorkload {
+        ranks: every.ranks,
+        iterations: ts.iter().map(|&t| every.iterations[t]).collect(),
+        real: rows(&every.real),
+        ghost_recv: rows(&every.ghost_recv),
+        ghost_sent: rows(&every.ghost_sent),
+        comm: CommMatrix { entries: comm },
+        bin_counts: reps.iter().map(|&r| every.bin_counts[r]).collect(),
+    }
 }
 
 fn trace_strategy() -> impl Strategy<Value = ParticleTrace> {
@@ -378,6 +408,73 @@ proptest! {
             let one = generate(&tr.subsample(p.stride), &p.config, mesh);
             prop_assert_eq!(&one, expect, "one point");
         }
+    }
+
+    /// One mesh group, three filters and strides 1 and 2: each (group,
+    /// stride) diff set has three readers. With no cache the last reader
+    /// takes the set's rows; with a cache that receives the sets they are
+    /// copied and the owners kept; under a plan one step-1 set serves all
+    /// six members and the broadcast copies. Each answer is the
+    /// straight-line replay, the broadcast's as [`broadcast`] rebuilds it
+    /// from that replay of every sample. A later replay off the cache
+    /// entry at a new radius and a new stride, which reads the kept owners,
+    /// is too.
+    #[test]
+    fn shared_diff_sets_answer_the_reference_however_they_are_held(
+        tr in trace_strategy(),
+        ranks in 1usize..24,
+        mapping in prop_oneof![
+            Just(MappingAlgorithm::ElementBased),
+            Just(MappingAlgorithm::HilbertOrdered),
+            Just(MappingAlgorithm::LoadBalanced),
+        ],
+        radii in proptest::collection::vec(0.005..0.15f64, 4..=4),
+        plan_seed in any::<u64>(),
+    ) {
+        use pic_grid::MeshDims;
+        let mesh = ElementMesh::new(Aabb::unit(), MeshDims::cube(4), 5).unwrap();
+        let mesh = Some(&mesh);
+        let grid = |radii: &[f64], strides: &[usize]| -> Vec<SweepPoint> {
+            (radii.iter())
+                .flat_map(|&r| (strides.iter()).map(move |&s| (r, s)))
+                .map(|(r, s)| SweepPoint::with_stride(WorkloadConfig::new(ranks, mapping, r), s))
+                .collect()
+        };
+        let reference = |p: &SweepPoint| {
+            generator::generate_reference(&tr.subsample(p.stride), &p.config, mesh).unwrap()
+        };
+        let points = grid(&radii[..3], &[1, 2]);
+        let expect: Vec<DynamicWorkload> = points.iter().map(reference).collect();
+
+        let (got, stats) = replay(&tr, &points, &ReplayOptions::new(mesh, None, None)).unwrap();
+        prop_assert_eq!(stats.groups, 1);
+        prop_assert_eq!(&got, &expect, "no cache");
+
+        let cache = AssignmentCache::new(usize::MAX);
+        let opts = ReplayOptions::new(mesh, Some(&cache), None);
+        let (got, _) = replay(&tr, &points, &opts).unwrap();
+        prop_assert_eq!(&got, &expect, "a cache receives the sets");
+        prop_assert_eq!(cache.stats().diff_sets, 2);
+
+        let identity = ReductionPlan::identity(tr.sample_count());
+        let random = random_plan(tr.sample_count(), plan_seed);
+        for plan in [&identity, &random] {
+            let (got, _) = replay(&tr, &points, &ReplayOptions::new(mesh, None, Some(plan)))
+                .unwrap();
+            for (p, w) in points.iter().zip(&got) {
+                let every = reference(&SweepPoint::new(p.config.clone()));
+                prop_assert_eq!(w, &broadcast(&every, plan, p.stride), "plan {:?}, {:?}", plan, p);
+            }
+        }
+
+        // The entry's owners survived the replays that filled it: a new
+        // radius counts ghosts with them, and a new stride diffs them.
+        let later = grid(&radii[3..], &[1, 3]);
+        let (got, stats) = replay(&tr, &later, &ReplayOptions::new(mesh, Some(&cache), None))
+            .unwrap();
+        prop_assert_eq!((stats.cached_groups, stats.cached_radii), (1, 0));
+        let expect: Vec<DynamicWorkload> = later.iter().map(reference).collect();
+        prop_assert_eq!(&got, &expect, "a new radius and stride off the entry");
     }
 
     /// A compact trace read whole keeps its frames encoded and decodes

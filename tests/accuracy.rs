@@ -19,6 +19,16 @@
 //!   errors above share the predictor's fold, so they measure model error
 //!   only; this one also measures what the fold assumes.
 //!
+//! A sampling axis adds Hele-Shaw × {bin, element} × R = 64 at sample
+//! intervals K ∈ {1, 2, 5} beside the grid's K = 10 (the paper's premise
+//! that a trace sampled every K iterations predicts the run, Fig 2). The
+//! oracle draws iteration `i`'s noise for rank `r` from `i · R + r`, and a
+//! sampled step moves the particles as an unsampled one does, so nothing
+//! a run produces depends on K but which iterations it samples. One run at
+//! K = 1 per mapping therefore stands for every K ([`every_kth`]); its
+//! K = 10 subsample must score exactly the grid's own cell, which checks
+//! that premise on every run.
+//!
 //! The gate: counts equal the committed ones exactly; each error lies
 //! within [`TOLERANCE_PCT`] percentage points of its committed value, so a
 //! change that moves accuracy shows up in review; and each error lies
@@ -40,8 +50,10 @@ use pic_predict::{
     build_schedule, kernel_mape_vs_ground_truth, predict_application, predict_kernel_seconds,
     workload_matches_ground_truth, FitStrategy, KernelModels,
 };
-use pic_sim::{MiniPic, ScenarioKind, SimConfig};
-use pic_workload::{replay, ReplayOptions, SweepPoint, WorkloadConfig};
+use pic_sim::app::build_mapper;
+use pic_sim::{MiniPic, Recorder, ScenarioKind, SimConfig, SimOutput};
+use pic_types::Rank;
+use pic_workload::{migration_pairs, replay, ReplayOptions, SweepPoint, WorkloadConfig};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -63,6 +75,13 @@ const MAPPINGS: [MappingAlgorithm; 4] = [
     MappingAlgorithm::LoadBalanced,
 ];
 const RANKS: [usize; 3] = [16, 64, 256];
+
+/// The sampling axis: its mappings, its rank count, and the intervals it
+/// adds to the grid's.
+const SAMPLING_MAPPINGS: [MappingAlgorithm; 2] =
+    [MappingAlgorithm::BinBased, MappingAlgorithm::ElementBased];
+const SAMPLING_RANKS: usize = 64;
+const SAMPLING_INTERVALS: [usize; 3] = [1, 2, 5];
 
 /// The mini scale is `SimConfig::default()`'s: an 8³ mesh (512 elements, so
 /// every rank count fits the element mapping), 4 000 particles, ten
@@ -88,6 +107,8 @@ struct Cell {
     scenario: String,
     mapping: String,
     ranks: usize,
+    /// Iterations between trace samples (K).
+    sample_interval: usize,
     /// Real particles summed over ranks and samples.
     real: u64,
     /// Ghost copies received, summed over ranks and samples.
@@ -112,8 +133,19 @@ struct Cell {
 }
 
 impl Cell {
-    fn key(&self) -> (String, String, usize) {
-        (self.scenario.clone(), self.mapping.clone(), self.ranks)
+    fn key(&self) -> (String, String, usize, usize) {
+        let (scenario, mapping) = (self.scenario.clone(), self.mapping.clone());
+        (scenario, mapping, self.ranks, self.sample_interval)
+    }
+
+    fn at(&self) -> String {
+        let (s, m, r, k) = (
+            &self.scenario,
+            &self.mapping,
+            self.ranks,
+            self.sample_interval,
+        );
+        format!("{s} {m} R={r} K={k}")
     }
 
     fn errors(&self) -> Vec<(String, f64)> {
@@ -148,8 +180,47 @@ fn first_budget(v: f64) -> f64 {
 
 fn run_cell(scenario: ScenarioKind, mapping: MappingAlgorithm, ranks: usize) -> Cell {
     let cfg = config(scenario, mapping, ranks);
-    let at = format!("{} {} R={}", scenario.name(), mapping, ranks);
-    let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
+    score(&cfg, &MiniPic::new(cfg.clone()).unwrap().run().unwrap())
+}
+
+/// The run `out` of `cfg` (at interval 1) as a run at interval `k` would
+/// have produced it: every `k`-th frame, ground-truth sample and sample's
+/// training records (six kernels × R ranks each), with each retained
+/// sample's migrations diffed against the previous retained one's owners
+/// under the run's own mapper, as `MiniPic` diffs them.
+fn every_kth(cfg: &SimConfig, out: &SimOutput, k: usize) -> SimOutput {
+    let mesh = ElementMesh::new(cfg.domain, cfg.mesh_dims, cfg.order).unwrap();
+    let mapper = build_mapper(cfg.mapping, &mesh, cfg.ranks, cfg.projection_filter).unwrap();
+    let trace = out.trace.subsample(k);
+    let mut ground_truth = out.ground_truth.clone();
+    ground_truth.samples = ground_truth.samples.into_iter().step_by(k).collect();
+    let mut prev: Option<Vec<Rank>> = None;
+    for (t, sample) in ground_truth.samples.iter_mut().enumerate() {
+        let owners = mapper.assign(&trace.positions_at(t)).ranks;
+        sample.migrations = (prev.as_deref())
+            .map(|prev| migration_pairs(prev, &owners))
+            .unwrap_or_default();
+        prev = Some(owners);
+    }
+    let mut recorder = Recorder::new();
+    let records = out.recorder.records().chunks(6 * cfg.ranks).step_by(k);
+    for r in records.flatten() {
+        recorder.record(r.kernel, r.params, r.seconds);
+    }
+    SimOutput {
+        trace,
+        ground_truth,
+        recorder,
+        application_seconds: out.application_seconds,
+        iteration_seconds: out.iteration_seconds.clone(),
+    }
+}
+
+/// One cell: the run `out` of `cfg`, scored.
+fn score(cfg: &SimConfig, out: &SimOutput) -> Cell {
+    let (scenario, mapping, ranks) = (cfg.scenario, cfg.mapping, cfg.ranks);
+    let interval = out.trace.meta().sample_interval;
+    let at = format!("{} {} R={} K={}", scenario.name(), mapping, ranks, interval);
     let gt = &out.ground_truth;
     let mesh = ElementMesh::new(cfg.domain, cfg.mesh_dims, cfg.order).unwrap();
     let point = SweepPoint::new(WorkloadConfig::new(ranks, mapping, cfg.projection_filter));
@@ -177,7 +248,6 @@ fn run_cell(scenario: ScenarioKind, mapping: MappingAlgorithm, ranks: usize) -> 
         .map(|s| s.kernel_seconds.clone())
         .collect();
     let machine = cfg.clock.clone().expect("the cell runs the clock");
-    let interval = out.trace.meta().sample_interval;
     let fold = |kernel_seconds: &[Vec<[f64; 6]>], sync| {
         let schedule = build_schedule(&workload, kernel_seconds, interval, bytes_per_particle());
         predict_application(&schedule, &machine, sync)
@@ -199,6 +269,7 @@ fn run_cell(scenario: ScenarioKind, mapping: MappingAlgorithm, ranks: usize) -> 
         scenario: scenario.name().to_string(),
         mapping: mapping.to_string(),
         ranks,
+        sample_interval: interval as usize,
         real: total(&workload.real),
         ghosts: total(&workload.ghost_recv),
         migrations: gt.total_migrations(),
@@ -245,7 +316,7 @@ fn gate(fresh: &Accuracy, committed: &Accuracy) -> Vec<String> {
         ));
     }
     for cell in &fresh.cells {
-        let at = format!("{} {} R={}", cell.scenario, cell.mapping, cell.ranks);
+        let at = cell.at();
         let Some(old) = committed.cells.iter().find(|c| c.key() == cell.key()) else {
             faults.push(format!("{at}: no committed cell"));
             continue;
@@ -297,9 +368,31 @@ fn accuracy_matches_the_committed_file() {
     let grid: Vec<(ScenarioKind, MappingAlgorithm, usize)> = (SCENARIOS.iter())
         .flat_map(|&s| MAPPINGS.iter().flat_map(move |&m| RANKS.map(|r| (s, m, r))))
         .collect();
-    let cells: Vec<Cell> = (grid.par_iter())
+    let mut cells: Vec<Cell> = (grid.par_iter())
         .map(|&(scenario, mapping, ranks)| run_cell(scenario, mapping, ranks))
         .collect();
+    let sampled: Vec<(Vec<Cell>, Cell)> = (SAMPLING_MAPPINGS.par_iter())
+        .map(|&mapping| {
+            let cfg = SimConfig {
+                sample_interval: 1,
+                ..config(ScenarioKind::HeleShaw, mapping, SAMPLING_RANKS)
+            };
+            let out = MiniPic::new(cfg.clone()).unwrap().run().unwrap();
+            let at = |k| score(&cfg, &every_kth(&cfg, &out, k));
+            let tenth = config(ScenarioKind::HeleShaw, mapping, SAMPLING_RANKS).sample_interval;
+            (SAMPLING_INTERVALS.map(at).into(), at(tenth))
+        })
+        .collect();
+    for (axis, tenth) in sampled {
+        let grid_cell = cells.iter().find(|c| c.key() == tenth.key());
+        assert_eq!(
+            grid_cell,
+            Some(&tenth),
+            "{}: the K = 1 run's subsample departs from the run at K",
+            tenth.at()
+        );
+        cells.extend(axis);
+    }
     let cfg = config(ScenarioKind::HeleShaw, MappingAlgorithm::BinBased, 0);
     let mut fresh = Accuracy {
         scale: format!(
@@ -316,16 +409,26 @@ fn accuracy_matches_the_committed_file() {
         cells,
     };
     println!(
-        "{:<15} {:<14} {:>4} {:>9} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "scenario", "mapping", "R", "ghosts", "migr", "max MAPE", "e2e bar", "e2e nbr", "vs clock"
+        "{:<15} {:<14} {:>4} {:>3} {:>9} {:>8} {:>10} {:>10} {:>10} {:>10}",
+        "scenario",
+        "mapping",
+        "R",
+        "K",
+        "ghosts",
+        "migr",
+        "max MAPE",
+        "e2e bar",
+        "e2e nbr",
+        "vs clock"
     );
     for c in &fresh.cells {
         let worst = (c.kernel_mape.iter()).fold(0.0f64, |m, k| m.max(k.mape_pct));
         println!(
-            "{:<15} {:<14} {:>4} {:>9} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
+            "{:<15} {:<14} {:>4} {:>3} {:>9} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
             c.scenario,
             c.mapping,
             c.ranks,
+            c.sample_interval,
             c.ghosts,
             c.migrations,
             worst,
